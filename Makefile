@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check soak mirror-soak bench bench-json bench-compare bench-verify bench-shards bench-check bench-mirror fuzz-smoke clean
+.PHONY: all build test check soak mirror-soak bench bench-json bench-compare bench-e2e-smoke bench-shards bench-check bench-mirror fuzz-smoke clean
 
 all: build
 
@@ -46,11 +46,12 @@ bench-json:
 bench-compare:
 	$(GO) run ./cmd/libseal-bench -json /tmp/libseal-bench-compare.json -quick
 
-# Parallel-verification sweep (DESIGN.md §13): sequential baseline vs the
-# segmented pipeline at 1/2/4/8 workers, cold and resumed from a mid-log
-# checkpoint, over a >=1M-entry batched synthetic log.
-bench-verify:
-	$(GO) run ./cmd/libseal-bench -verify-json BENCH_pr7.json
+# End-to-end harness smoke (benchmark/README.md): two seconds of the
+# auditor's workload — cold, one-worker and resumed verification of a sharded
+# set — behind the harness's gates, including the tamper canary that must
+# come back ErrTampered / ErrBadCounter. Exits non-zero if a gate fails.
+bench-e2e-smoke:
+	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
 
 # Sharded-append sweep (DESIGN.md §14): aggregate append throughput at
 # 1/2/4/8 audit-log shards under 16 clients over a 500us-latency counter

@@ -222,12 +222,12 @@ func TestChaosSoakCrashRecovery(t *testing.T) {
 	finalSeq := st.Seal.Log().Seq()
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	entries, err := VerifyLogFile(dir+"/git.lseal", VerifyOptions{Pub: pub, Protector: group, Name: "git"})
+	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
 	if err != nil {
 		t.Fatalf("strict verify of recovered log: %v", err)
 	}
-	if uint64(len(entries)) != finalSeq {
-		t.Fatalf("verified %d entries, log held %d", len(entries), finalSeq)
+	if uint64(rep.TotalEntries) != finalSeq {
+		t.Fatalf("verified %d entries, log held %d", rep.TotalEntries, finalSeq)
 	}
 }
 
@@ -337,12 +337,12 @@ func TestChaosRollingRestartSoak(t *testing.T) {
 	}
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	entries, err := VerifyLogFile(dir+"/git.lseal", VerifyOptions{Pub: pub, Protector: group, Name: "git"})
+	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
 	if err != nil {
 		t.Fatalf("strict verify after rolling restarts: %v", err)
 	}
-	if uint64(len(entries)) != finalSeq {
-		t.Fatalf("verified %d entries, log held %d", len(entries), finalSeq)
+	if uint64(rep.TotalEntries) != finalSeq {
+		t.Fatalf("verified %d entries, log held %d", rep.TotalEntries, finalSeq)
 	}
 }
 
@@ -532,12 +532,12 @@ func TestChaosOverloadShedding(t *testing.T) {
 	// holds exactly the acknowledged pushes.
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	entries, err := VerifyLogFile(dir+"/git.lseal", VerifyOptions{Pub: pub, Protector: group, Name: "git"})
+	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
 	if err != nil {
 		t.Fatalf("strict verify after shedding: %v", err)
 	}
-	if uint64(len(entries)) != uint64(ok.Load()) {
-		t.Fatalf("verified %d entries, %d pushes acknowledged", len(entries), ok.Load())
+	if uint64(rep.TotalEntries) != uint64(ok.Load()) {
+		t.Fatalf("verified %d entries, %d pushes acknowledged", rep.TotalEntries, ok.Load())
 	}
 }
 

@@ -47,7 +47,6 @@ func main() {
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
 	jsonOut := flag.String("json", "", "run the telemetry bench pipeline and write machine-readable results to this file")
-	verifyOut := flag.String("verify-json", "", "run the parallel-verification worker sweep and write machine-readable results to this file")
 	shardsOut := flag.String("shards-json", "", "run the audit-log shard sweep and write machine-readable results to this file")
 	checkOut := flag.String("check-json", "", "run the snapshot-check/index sweep and write machine-readable results to this file")
 	mirrorOut := flag.String("mirror-json", "", "run the live-mirror overhead and rollback-detection sweep and write machine-readable results to this file")
@@ -56,13 +55,6 @@ func main() {
 	if *jsonOut != "" {
 		if err := runBenchJSON(*jsonOut, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "libseal-bench: json: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *verifyOut != "" {
-		if err := runVerifyBench(*verifyOut, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "libseal-bench: verify-json: %v\n", err)
 			os.Exit(1)
 		}
 		return

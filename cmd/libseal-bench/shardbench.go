@@ -10,6 +10,7 @@ import (
 
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
+	"libseal/internal/bench"
 	"libseal/internal/enclave"
 	"libseal/internal/rote"
 )
@@ -226,12 +227,8 @@ func shardSweepOne(shards, clients, entries, batchMax, rowsPerStage int, roteLat
 	}
 
 	t0 = time.Now()
-	res, err := audit.VerifyPath(dir, audit.StreamOptions{
-		VerifyOptions: audit.VerifyOptions{
-			Pub: encl.PublicKey(), Protector: group, Name: "bench",
-		},
-		Workers:   runtime.GOMAXPROCS(0),
-		OnSegment: func(audit.SegmentInfo) error { return nil },
+	res, err := bench.VerifyLog(dir, audit.VerifyOptions{
+		Pub: encl.PublicKey(), Protector: group, Name: "bench",
 	})
 	run.VerifyNS = time.Since(t0).Nanoseconds()
 	if err != nil {

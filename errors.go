@@ -61,9 +61,3 @@ var (
 	// registry; its message lists the valid names.
 	ErrUnknownModule = errors.New("libseal: unknown service module")
 )
-
-// ErrVerifyCheckpointStale is the former name of ErrCheckpointStale, kept
-// for existing callers.
-//
-// Deprecated: use ErrCheckpointStale.
-var ErrVerifyCheckpointStale = ErrCheckpointStale

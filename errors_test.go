@@ -58,7 +58,6 @@ func TestErrorTaxonomyConsolidated(t *testing.T) {
 	want := []string{
 		"ErrTampered", "ErrBadCounter", "ErrCheckpointStale", "ErrBreakerOpen",
 		"ErrAuditOverloaded", "ErrMirrorLagging", "ErrLoggingDisabled", "ErrUnknownModule",
-		"ErrVerifyCheckpointStale",
 	}
 	have := map[string]bool{}
 	for _, n := range byFile["errors.go"] {
@@ -95,10 +94,6 @@ func TestErrorSentinelIdentity(t *testing.T) {
 		if !errors.Is(wrapped, sentinel) {
 			t.Errorf("errors.Is fails through wrapping for %s", name)
 		}
-	}
-	// The deprecated alias must stay the same sentinel, not a lookalike.
-	if !errors.Is(ErrVerifyCheckpointStale, ErrCheckpointStale) {
-		t.Error("ErrVerifyCheckpointStale diverged from ErrCheckpointStale")
 	}
 	// Distinct conditions must stay distinguishable.
 	if errors.Is(ErrBadCounter, ErrTampered) || errors.Is(ErrTampered, ErrBadCounter) {

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"libseal"
-	"libseal/internal/audit"
 	"libseal/internal/bench"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/gitserver"
@@ -105,22 +104,23 @@ func main() {
 
 	// Dispute resolution: verify the persisted log against the enclave's
 	// public key and the counter group, exactly as a client would.
-	entries, err := libseal.VerifyLogFile(dir+"/git.lseal", libseal.VerifyOptions{
+	opts := libseal.VerifyStreamOptions{VerifyOptions: libseal.VerifyOptions{
 		Pub:       stack.Enclave.PublicKey(),
 		Protector: stack.Group,
 		Name:      "git",
-	})
+	}}
+	rep, err := libseal.Verify(dir+"/git.lseal", opts)
 	if err != nil {
 		log.Fatalf("log verification failed: %v", err)
 	}
-	fmt.Printf("\npersisted log verified: %d entries, chain + signature + counter OK\n", len(entries))
+	fmt.Printf("\npersisted log verified: %d entries, chain + signature + counter OK\n", rep.TotalEntries)
 
 	// Tampering with the evidence is detected.
 	raw, _ := os.ReadFile(dir + "/git.lseal")
 	raw[len(raw)/2] ^= 0xFF
 	tampered := dir + "/tampered.lseal"
 	os.WriteFile(tampered, raw, 0o644)
-	if _, err := audit.VerifyFile(tampered, audit.VerifyOptions{Pub: stack.Enclave.PublicKey()}); err == nil {
+	if _, err := libseal.Verify(tampered, opts); err == nil {
 		log.Fatal("tampered log verified?!")
 	} else {
 		fmt.Printf("tampered copy rejected: %v\n", err)

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -156,7 +155,7 @@ type Config struct {
 	// behind the group's stable value during Recover — the state a crash
 	// between a counter increment and the matching signature flush leaves
 	// behind. Recovery re-anchors immediately. Zero is strict. Client-side
-	// verification (VerifyFile) is not affected by this field.
+	// verification (VerifyPath) is not affected by this field.
 	RecoverMaxLag uint64
 	// BatchMax caps how many entries commit under one signature record,
 	// fsync and counter increment (group commit). Values <= 1 keep the
@@ -1279,310 +1278,6 @@ func writeRecord(w io.Writer, typ byte, payload []byte) error {
 	}
 	_, err := w.Write(payload)
 	return err
-}
-
-// fileRecord is one parsed record of a persisted log file.
-type fileRecord struct {
-	typ     byte
-	payload []byte
-	end     int64 // file offset just past this record
-}
-
-// readRecords parses the record stream. In tolerant mode a torn tail — a
-// truncated record left by a crash mid-append — ends the stream instead of
-// failing it; the caller then verifies the intact prefix.
-func readRecords(r io.Reader, tolerant bool) ([]fileRecord, error) {
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, fileMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrTampered)
-	}
-	var recs []fileRecord
-	offset := int64(len(fileMagic))
-	var hdr [5]byte
-	for {
-		_, err := io.ReadFull(r, hdr[:])
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			if tolerant {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("%w: truncated record header", ErrTampered)
-		}
-		n := binary.BigEndian.Uint32(hdr[1:])
-		if n > maxRecordBytes {
-			// A length field this large is corruption or hostility, never a
-			// record the writers produced; bounding it keeps verification
-			// from allocating attacker-chosen amounts of memory.
-			if tolerant {
-				return recs, nil
-			}
-			return nil, errOversized(n)
-		}
-		payload, err := readPayload(r, n)
-		if err != nil {
-			if tolerant {
-				return recs, nil
-			}
-			return nil, fmt.Errorf("%w: truncated record", ErrTampered)
-		}
-		offset += 5 + int64(n)
-		recs = append(recs, fileRecord{typ: hdr[0], payload: payload, end: offset})
-	}
-}
-
-// parseSig decodes a signature record.
-func parseSig(payload []byte) (chain [32]byte, counter uint64, sig enclave.Signature, err error) {
-	r := bytes.NewReader(payload)
-	if _, err = io.ReadFull(r, chain[:]); err != nil {
-		err = ErrTampered
-		return
-	}
-	var c [8]byte
-	if _, err = io.ReadFull(r, c[:]); err != nil {
-		err = ErrTampered
-		return
-	}
-	counter = binary.BigEndian.Uint64(c[:])
-	rb, err := readString(r)
-	if err != nil {
-		return
-	}
-	sb, err := readString(r)
-	if err != nil {
-		return
-	}
-	sig = enclave.Signature{R: []byte(rb), S: []byte(sb)}
-	if r.Len() != 0 {
-		// The ECDSA signature covers only the chain head and counter, so
-		// trailing payload bytes would let an inflated length field swallow
-		// neighbouring records without invalidating the record.
-		err = errors.New("trailing bytes after signature")
-	}
-	return
-}
-
-// VerifyOptions controls persisted-log verification.
-type VerifyOptions struct {
-	// Pub is the enclave's signing public key (bound to the enclave by an
-	// attestation quote).
-	Pub *ecdsa.PublicKey
-	// Protector, when set, checks counter freshness against the group.
-	Protector RollbackProtector
-	// Name is the counter name (Config.Name).
-	Name string
-	// Unseal decrypts sealed entries; required when the log was written
-	// with Config.Seal. It runs inside an enclave in production.
-	Unseal func(blob []byte) ([]byte, error)
-	// RecoverTruncated tolerates a torn tail: records after the last
-	// intact, signature-covered prefix are discarded instead of failing
-	// verification — they were never acknowledged as durable. Crash
-	// recovery sets this; client-side evidence verification keeps it
-	// false so any truncation shows up as tampering.
-	RecoverTruncated bool
-	// MaxCounterLag accepts a persisted counter up to this far behind the
-	// group's stable value — the state left by a crash between a counter
-	// increment and the matching signature flush. Recovery passes a small
-	// bound and immediately re-anchors; clients keep the strict zero.
-	MaxCounterLag uint64
-}
-
-// VerifyResult is the outcome of a successful verification.
-type VerifyResult struct {
-	// Entries are the verified tuples, in file order.
-	Entries []*Entry
-	// Counter is the rollback-counter value of the verified signature.
-	Counter uint64
-	// CommittedBytes is the length of the verified file prefix. With
-	// RecoverTruncated, bytes past it are crash debris and can be cut off.
-	CommittedBytes int64
-	// Batches is the number of signature records (commit points) in the
-	// verified prefix: group commit anchors several chained entries per
-	// signature, so Batches <= len(Entries) once batching is on.
-	Batches int
-	// MaxBatch is the largest number of entries covered by one signature
-	// record.
-	MaxBatch int
-}
-
-// VerifyFile checks a persisted log's integrity: hash chain, enclave
-// signature, and counter freshness. It returns the verified entries. It
-// runs outside the enclave — verification requires no secrets, which is what
-// lets clients audit the provider. A signature record may cover any number
-// of chained entries (group commit); the chain makes each batch
-// tamper-evident as a unit.
-func VerifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return VerifyReader(f, opts)
-}
-
-// VerifyReader verifies a persisted log from an in-memory reader.
-func VerifyReader(r io.Reader, opts VerifyOptions) ([]*Entry, error) {
-	res, err := VerifyReaderResult(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
-}
-
-// VerifyReaderResult verifies a persisted log and reports the verified
-// counter value and committed prefix length alongside the entries.
-func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	recs, err := readRecords(r, opts.RecoverTruncated)
-	if err != nil {
-		return nil, err
-	}
-	var entries []*Entry
-	var chain [32]byte
-	seq := uint64(0)
-	// The commit point is the state as of the last valid signature record;
-	// with RecoverTruncated, anything after it is crash debris.
-	sawSig := false
-	commit := struct {
-		entries int
-		chain   [32]byte
-		end     int64
-		counter uint64
-	}{end: int64(len(fileMagic))}
-	batches := 0
-	maxBatch := 0
-	sinceSig := 0
-	// tornAt marks where a tolerant scan stopped making sense of entries.
-	tornAt := -1
-scan:
-	for i := range recs {
-		rec := recs[i]
-		switch rec.typ {
-		case recEntry:
-			raw := rec.payload
-			if opts.Unseal != nil {
-				if raw, err = opts.Unseal(raw); err != nil {
-					if opts.RecoverTruncated {
-						tornAt = i
-						break scan
-					}
-					return nil, fmt.Errorf("%w: unseal: %v", ErrTampered, err)
-				}
-			}
-			e, err := UnmarshalEntry(raw)
-			if err != nil {
-				if opts.RecoverTruncated {
-					tornAt = i
-					break scan
-				}
-				return nil, fmt.Errorf("%w: %v", ErrTampered, err)
-			}
-			if e.Seq != seq {
-				if opts.RecoverTruncated {
-					tornAt = i
-					break scan
-				}
-				return nil, fmt.Errorf("%w: sequence gap at %d", ErrTampered, seq)
-			}
-			seq++
-			sinceSig++
-			chain = chainNext(chain, raw)
-			entries = append(entries, e)
-		case recSig:
-			// Every signature record is validated, not just the final
-			// commit point: a batched log with a corrupt or forged
-			// intermediate signature is not the log the enclave wrote,
-			// even when the entries themselves still chain.
-			// Counter values may legitimately regress between records (a
-			// recovery that re-anchored on a rebuilt counter group), so
-			// rollback is judged against the live group, not file-locally.
-			sigChain, counter, sig, perr := parseSig(rec.payload)
-			bad := ""
-			switch {
-			case perr != nil:
-				bad = perr.Error()
-			case sigChain != chain:
-				bad = "chain hash mismatch"
-			case opts.Pub != nil && !enclave.VerifySignature(opts.Pub, sigDigest(sigChain, counter), sig):
-				bad = "signature invalid"
-			}
-			if bad != "" {
-				if opts.RecoverTruncated {
-					tornAt = i
-					break scan
-				}
-				return nil, fmt.Errorf("%w: signature record %d: %s", ErrTampered, batches, bad)
-			}
-			sawSig = true
-			commit.entries = len(entries)
-			commit.chain = chain
-			commit.end = rec.end
-			commit.counter = counter
-			batches++
-			if sinceSig > maxBatch {
-				maxBatch = sinceSig
-			}
-			sinceSig = 0
-		default:
-			return nil, fmt.Errorf("%w: unknown record type %q", ErrTampered, rec.typ)
-		}
-	}
-	if tornAt >= 0 {
-		// A malformed entry is forgivable only as uncommitted debris. Any
-		// signature record beyond it proves the damage sits inside the
-		// committed prefix — that is tampering, not a torn tail.
-		for _, rec := range recs[tornAt+1:] {
-			if rec.typ == recSig {
-				return nil, fmt.Errorf("%w: corrupted entry inside signed prefix", ErrTampered)
-			}
-		}
-	}
-	if !sawSig {
-		if len(entries) == 0 || opts.RecoverTruncated {
-			// Nothing was ever committed (or only debris survives) — but an
-			// empty log still has to satisfy the quorum: if the group's
-			// counter has moved, committed history has been rolled away.
-			if err := checkFreshness(commit.counter, opts); err != nil {
-				return nil, err
-			}
-			return &VerifyResult{CommittedBytes: commit.end}, nil
-		}
-		return nil, fmt.Errorf("%w: missing signature record", ErrTampered)
-	}
-	if !opts.RecoverTruncated && sinceSig > 0 {
-		// Strict verification demands the file end at a signed prefix:
-		// trailing unsigned entries were never committed.
-		return nil, fmt.Errorf("%w: %d entries after the last signature record", ErrTampered, sinceSig)
-	}
-	checkEntries := entries
-	if opts.RecoverTruncated {
-		checkEntries = entries[:commit.entries]
-	}
-	if err := checkFreshness(commit.counter, opts); err != nil {
-		return nil, err
-	}
-	return &VerifyResult{
-		Entries: checkEntries, Counter: commit.counter, CommittedBytes: commit.end,
-		Batches: batches, MaxBatch: maxBatch,
-	}, nil
-}
-
-// checkFreshness compares the log's committed counter against the rollback
-// group's stable value. It applies to every accepted verification outcome,
-// including an empty log: "no batches" with a non-zero group counter is a
-// rollback, not a fresh start.
-func checkFreshness(counter uint64, opts VerifyOptions) error {
-	if opts.Protector == nil {
-		return nil
-	}
-	stable, err := opts.Protector.Read(opts.Name)
-	if err != nil {
-		return err
-	}
-	if counter+opts.MaxCounterLag < stable {
-		return fmt.Errorf("%w: log counter %d < group counter %d", ErrBadCounter, counter, stable)
-	}
-	return nil
 }
 
 // Recover rebuilds an audit log from its persisted file after a restart: the

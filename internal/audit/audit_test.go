@@ -95,7 +95,7 @@ func TestPersistAndVerify(t *testing.T) {
 		return l.Append(env, "updates", 2, "r", "main", "c2", "update")
 	})
 	defer l.Close()
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestTamperedEntryDetected(t *testing.T) {
 	// Flip a byte inside the first entry record (past magic + header).
 	data[len(fileMagic)+10] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
-	_, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()})
+	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()})
 	if !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
 	}
@@ -151,7 +151,7 @@ func TestDeletedEntryDetected(t *testing.T) {
 	// [E0 S0 E1 S1 E2 S2]; drop E1+S1, keeping the final signature. The
 	// chain breaks because the final signature covers all three.
 	f, _ := os.Open(path)
-	recs, err := readRecords(f, false)
+	recs, err := referenceRecords(f, false)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestDeletedEntryDetected(t *testing.T) {
 		writeRecord(out, r.typ, r.payload)
 	}
 	out.Close()
-	if _, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestForgedSignatureDetected(t *testing.T) {
 	// entries with a non-LibSEAL key.
 	other := newAuditEnv(t)
 	path := filepath.Join(e.dir, "git.lseal")
-	if _, err := VerifyFile(path, VerifyOptions{Pub: other.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, VerifyOptions{Pub: other.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestRollbackDetected(t *testing.T) {
 	l.Close()
 	// The provider restores the old version: counter freshness fails.
 	os.WriteFile(path, oldLog, 0o644)
-	_, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
 	if !errors.Is(err, ErrBadCounter) {
 		t.Fatalf("err = %v, want ErrBadCounter", err)
 	}
@@ -245,7 +245,7 @@ func TestTrimRewritesChain(t *testing.T) {
 		t.Fatalf("updates rows = %d, want 1", n)
 	}
 	// The rewritten file verifies and contains only the survivor.
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -258,7 +258,7 @@ func TestTrimRewritesChain(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return l.Append(env, "updates", 6, "r", "dev", "d1", "update")
 	})
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
 		t.Fatalf("post-trim append broke the chain: %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestRecoverReplaysEntries(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return recovered.Append(env, "updates", 3, "r", "main", "c2", "update")
 	})
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
 		t.Fatalf("post-recovery append broke the chain: %v", err)
 	}
 }
@@ -379,7 +379,7 @@ func TestEmptyFileVerifies(t *testing.T) {
 		return err
 	})
 	l.Close()
-	entries, err := VerifyFile(filepath.Join(e.dir, "empty.lseal"), VerifyOptions{Pub: e.encl.PublicKey()})
+	entries, err := verifyFile(filepath.Join(e.dir, "empty.lseal"), VerifyOptions{Pub: e.encl.PublicKey()})
 	if err != nil || len(entries) != 0 {
 		t.Fatalf("empty log: %v, %v", entries, err)
 	}

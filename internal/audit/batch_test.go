@@ -89,7 +89,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	t.Logf("committed %d appends in %d batches", total, commits)
 	l.Close()
 
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestGroupCommitAsyncBridge(t *testing.T) {
 		t.Fatalf("seq = %d, want %d", l.Seq(), goroutines*perG)
 	}
 	l.Close()
-	entries, err := VerifyFile(filepath.Join(dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(dir, "git.lseal"), VerifyOptions{
 		Pub: encl.PublicKey(), Protector: group, Name: "git",
 	})
 	if err != nil {
@@ -291,7 +291,7 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 		t.Fatalf("recovered rows = %v, want exactly the acknowledged batch", res.Rows)
 	}
 	// Re-anchored: strict client verification passes again.
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	}); err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
@@ -490,7 +490,7 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"}
-	if _, err := VerifyFile(path, opts); err != nil {
+	if _, err := verifyFile(path, opts); err != nil {
 		t.Fatalf("pristine log rejected: %v", err)
 	}
 	sigs := sigPayloadOffsets(t, pristine)
@@ -510,12 +510,12 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	// and so must torn-tail-tolerant verification — a signature record
 	// beyond the damage proves it sits inside the committed prefix.
 	flip(sigs[0] + 40)
-	if _, err := VerifyFile(path, opts); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, opts); !errors.Is(err, ErrTampered) {
 		t.Fatalf("intermediate sig corruption: err = %v, want ErrTampered", err)
 	}
 	tolerant := opts
 	tolerant.RecoverTruncated = true
-	if _, err := VerifyFile(path, tolerant); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, tolerant); !errors.Is(err, ErrTampered) {
 		t.Fatalf("tolerant verify of mid-file sig corruption: err = %v, want ErrTampered", err)
 	}
 
@@ -524,7 +524,7 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	// counter lags the group by the lost batch's increment, so recovery's
 	// lag allowance is needed to get past rollback detection.
 	flip(sigs[1] + 40)
-	if _, err := VerifyFile(path, opts); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, opts); !errors.Is(err, ErrTampered) {
 		t.Fatalf("final sig corruption: err = %v, want ErrTampered", err)
 	}
 	tolerant.MaxCounterLag = 1

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -199,62 +200,36 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// matchFile verifies the checkpoint still describes this log file AND that
-// the file authenticates the state a resumed scan would adopt: the record
-// at SigOffset must be a signature record whose payload hashes to SigHash
-// and ends exactly at the checkpointed Offset, it must parse, its ECDSA
-// signature must verify under pub (when a key is available), and the chain
-// head and counter it attests must equal the sidecar's. The sidecar is
-// unauthenticated JSON; this is what stops a forged sidecar — say, one
-// pairing a rolled-back log copy with the current group counter so the
-// final freshness check passes — from making a resume report OK where a
-// cold scan would fail. Any mismatch (including an invalid record
-// signature, which a cold scan would surface as ErrTampered) returns
-// ErrCheckpointStale so the caller falls back to the cold scan and gets
-// the true verdict. The file position is left unchanged for the caller to
-// seek.
+// matchFile authenticates the checkpoint against the open log file it is
+// about to resume: MatchProof on the signature record read from SigOffset.
+// The file position is left unchanged for the caller to seek.
 func (c *Checkpoint) matchFile(f *os.File, pub *ecdsa.PublicKey) error {
-	if c.SigOffset < int64(len(fileMagic)) || c.SigOffset+5 > c.Offset {
-		return fmt.Errorf("%w: implausible offsets", ErrCheckpointStale)
-	}
-	var hdr [5]byte
-	if _, err := f.ReadAt(hdr[:], c.SigOffset); err != nil {
-		return fmt.Errorf("%w: %v", ErrCheckpointStale, err)
-	}
-	if hdr[0] != recSig {
-		return fmt.Errorf("%w: no signature record at checkpoint", ErrCheckpointStale)
-	}
-	n := int64(uint32(hdr[1])<<24 | uint32(hdr[2])<<16 | uint32(hdr[3])<<8 | uint32(hdr[4]))
-	if n > maxRecordBytes || c.SigOffset+5+n != c.Offset {
-		return fmt.Errorf("%w: signature record does not end at checkpoint offset", ErrCheckpointStale)
-	}
-	payload := make([]byte, n)
-	if _, err := f.ReadAt(payload, c.SigOffset+5); err != nil {
+	payload, err := SigProof(f, c.SigOffset, c.Offset)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointStale, err)
 	}
 	return c.MatchProof(payload, pub)
 }
 
-// readRecordPayload reads the record whose header sits at off in f,
-// checking that it has the wanted type byte and ends exactly at end, and
-// returns its payload.
-func readRecordPayload(f *os.File, typ byte, off, end int64) ([]byte, error) {
-	var hdr [5]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, err
+// readRecordAt frames the one record of stream kind k that should occupy
+// [off, end) of f, checking that it has the wanted type byte and ends exactly
+// at end, and returns its payload.
+func readRecordAt(f *os.File, k *streamKind, typ byte, off, end int64) ([]byte, error) {
+	if off < int64(len(k.magic)) || off+5 > end {
+		return nil, fmt.Errorf("audit: implausible %srecord offsets", k.name)
 	}
-	if hdr[0] != typ {
-		return nil, fmt.Errorf("audit: record at %d has type %q, want %q", off, hdr[0], typ)
+	rr := recordReader{r: io.NewSectionReader(f, off, end-off), kind: k, off: off}
+	rec, err := rr.next()
+	if err != nil {
+		return nil, fmt.Errorf("audit: record at %d: %v", off, err)
 	}
-	n := int64(uint32(hdr[1])<<24 | uint32(hdr[2])<<16 | uint32(hdr[3])<<8 | uint32(hdr[4]))
-	if n > maxRecordBytes || off+5+n != end {
+	if rec.typ != typ {
+		return nil, fmt.Errorf("audit: record at %d has type %q, want %q", off, rec.typ, typ)
+	}
+	if rec.end() != end {
 		return nil, fmt.Errorf("audit: record at %d does not end at %d", off, end)
 	}
-	payload := make([]byte, n)
-	if _, err := f.ReadAt(payload, off+5); err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return rec.payload, nil
 }
 
 // SigProof reads the signature record with header at sigOff and end at
@@ -264,35 +239,30 @@ func readRecordPayload(f *os.File, typ byte, off, end int64) ([]byte, error) {
 // proves nothing: a wrong or forged payload simply fails MatchProof on the
 // client.
 func SigProof(f *os.File, sigOff, offset int64) ([]byte, error) {
-	if sigOff < int64(len(fileMagic)) || sigOff+5 > offset {
-		return nil, fmt.Errorf("audit: implausible signature record offsets")
-	}
-	return readRecordPayload(f, recSig, sigOff, offset)
+	return readRecordAt(f, &logStream, recSig, sigOff, offset)
 }
 
 // ManifestRecordProof is SigProof's sidecar counterpart: the raw payload of
 // the manifest record with header at recOff and end at offset, for the
 // subscriber to authenticate with MatchManifestProof.
 func ManifestRecordProof(f *os.File, recOff, offset int64) ([]byte, error) {
-	if recOff < int64(len(manifestMagic)) || recOff+5 > offset {
-		return nil, fmt.Errorf("audit: implausible manifest record offsets")
-	}
-	return readRecordPayload(f, recManifest, recOff, offset)
+	return readRecordAt(f, &manifestStream, recManifest, recOff, offset)
 }
 
 // MatchProof authenticates the checkpoint against the raw payload of the
-// signature record claimed to sit at SigOffset — the second half of
-// matchFile, split out so a mirror can validate a proof fetched over the
-// network from an untrusted feed instead of read from a local file. The
-// payload must hash to SigHash, end exactly at Offset, parse as a signature
-// record, verify under pub (when a key is available), and attest exactly the
-// sidecar's chain head and counter. Any mismatch is ErrCheckpointStale: the
-// caller falls back to a cold scan, never adopts the state.
+// signature record claimed to sit at SigOffset, whether read from a local
+// file (matchFile) or fetched by a mirror from an untrusted feed. The payload
+// must hash to SigHash, end exactly at Offset, parse as a signature record,
+// verify under pub (when a key is available), and attest exactly the
+// sidecar's chain head and counter. The sidecar is unauthenticated JSON; this
+// is what stops a forged one — say, one pairing a rolled-back log copy with
+// the current group counter so the final freshness check passes — from making
+// a resume report OK where a cold scan would fail. Any mismatch (including an
+// invalid record signature, which a cold scan would surface as ErrTampered)
+// is ErrCheckpointStale: the caller falls back to the cold scan and gets the
+// true verdict, never adopts the state.
 func (c *Checkpoint) MatchProof(payload []byte, pub *ecdsa.PublicKey) error {
-	if c.SigOffset < int64(len(fileMagic)) || c.SigOffset+5 > c.Offset {
-		return fmt.Errorf("%w: implausible offsets", ErrCheckpointStale)
-	}
-	if c.SigOffset+5+int64(len(payload)) != c.Offset {
+	if c.SigOffset < int64(len(fileMagic)) || c.SigOffset+5+int64(len(payload)) != c.Offset {
 		return fmt.Errorf("%w: signature record does not end at checkpoint offset", ErrCheckpointStale)
 	}
 	if hexDigest(payload) != c.SigHash {

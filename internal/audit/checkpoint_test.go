@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"encoding/json"
 	"errors"
@@ -26,7 +27,7 @@ func writeLogWithCheckpoint(t *testing.T, n, batchMax int) (logPath, ckptPath st
 		Workers:       2,
 		Checkpoint:    &CheckpointConfig{Path: ckptPath, EverySegments: 1},
 	}
-	if _, err := VerifyFileStream(logPath, copts); err != nil {
+	if _, err := VerifyFileStream(context.Background(), logPath, copts); err != nil {
 		t.Fatal(err)
 	}
 	var err error
@@ -49,7 +50,7 @@ func TestCheckpointForgedCounterRejected(t *testing.T) {
 	// freshness.
 	stale := ck.Counter + 7
 	vopts := VerifyOptions{Pub: &key.PublicKey, Protector: fakeProtector(stale), Name: "t"}
-	if _, err := VerifyFileStream(logPath, StreamOptions{VerifyOptions: vopts, Workers: 2}); !errors.Is(err, ErrBadCounter) {
+	if _, err := VerifyFileStream(context.Background(), logPath, StreamOptions{VerifyOptions: vopts, Workers: 2}); !errors.Is(err, ErrBadCounter) {
 		t.Fatalf("cold err = %v, want ErrBadCounter", err)
 	}
 
@@ -58,7 +59,7 @@ func TestCheckpointForgedCounterRejected(t *testing.T) {
 	forged := *ck
 	forged.Counter = stale
 	ropts := StreamOptions{VerifyOptions: vopts, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }
@@ -77,7 +78,7 @@ func TestCheckpointWrongChainRejected(t *testing.T) {
 	}
 	forged.Chain = string(b)
 	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }
@@ -102,7 +103,7 @@ func TestCheckpointBindingSigForged(t *testing.T) {
 	forged := *ck
 	forged.SigHash = hexDigest(img[ck.SigOffset+5 : ck.Offset])
 	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }

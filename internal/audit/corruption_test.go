@@ -1,18 +1,17 @@
 package audit
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 )
 
 // The corruption matrix: for EVERY byte offset of a small batched log,
 // flip the byte and truncate the file there, and check that
 //
-//  1. the sequential and the parallel verifier agree exactly — same error
-//     string, or deeply equal results;
+//  1. the reference verifier and the in-thread and parallel drivers agree
+//     exactly — same error string, or deeply equal results — and the
+//     chunk-fed driver agrees as far as a strict driver without an
+//     end-of-stream verdict can (driversAgree spells that out);
 //  2. every rejection is classified (wraps ErrTampered or ErrBadCounter),
 //     never an unwrapped I/O or parse error;
 //  3. strict mode rejects every mutation — a verifier holding the
@@ -35,28 +34,13 @@ func mutate(img []byte, off int, flip bool) []byte {
 	return append([]byte(nil), img[:off]...)
 }
 
-// checkAgree verifies one mutated image with both verifiers and applies
-// invariants (1) and (2). It returns the shared verdict.
+// checkAgree verifies one mutated image with the reference and every
+// production driver and applies invariants (1) and (2); see driversAgree. It
+// returns the shared verdict.
 func checkAgree(t *testing.T, img []byte, opts VerifyOptions) (*VerifyResult, error) {
 	t.Helper()
-	seqRes, seqErr := VerifyReaderResult(bytes.NewReader(img), opts)
-	strRes, strErr := VerifyReaderStream(bytes.NewReader(img), StreamOptions{VerifyOptions: opts, Workers: 3})
-	if (seqErr == nil) != (strErr == nil) {
-		t.Fatalf("verdict mismatch: sequential err=%v, stream err=%v", seqErr, strErr)
-	}
-	if seqErr != nil {
-		if seqErr.Error() != strErr.Error() {
-			t.Fatalf("error mismatch:\n  sequential: %v\n  stream:     %v", seqErr, strErr)
-		}
-		if !errors.Is(seqErr, ErrTampered) && !errors.Is(seqErr, ErrBadCounter) {
-			t.Fatalf("unclassified verification error: %v", seqErr)
-		}
-		return nil, seqErr
-	}
-	if !reflect.DeepEqual(seqRes, &strRes.VerifyResult) {
-		t.Fatalf("result mismatch:\n  sequential: %+v\n  stream:     %+v", seqRes, strRes.VerifyResult)
-	}
-	return seqRes, nil
+	ref, _, err := driversAgree(t, img, opts, []int{1, 4})
+	return ref, err
 }
 
 func TestCorruptionMatrixStrict(t *testing.T) {

@@ -2,20 +2,21 @@ package audit
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
 	"libseal/internal/sqldb"
 )
 
-// FuzzVerifyReader is a differential fuzzer over the two verifier
-// implementations: for arbitrary log images, the sequential verifier and
-// the parallel segmented pipeline must reach the same verdict — the same
-// error string, or deeply equal results — in both strict and tolerant
-// mode, and every rejection must be a classified integrity error. Any
-// divergence is a seam an attacker could slip a forged log through
-// (accepted by one verifier, rejected by the other).
+// FuzzVerifyReader is a differential fuzzer over the verifier drivers: for
+// arbitrary log images, the in-thread driver and the parallel segmented
+// pipeline must reach the reference verifier's verdict — the same error
+// string, or deeply equal results — in both strict and tolerant mode, every
+// rejection must be a classified integrity error, and the chunk-fed driver,
+// fed in chunk sizes drawn from the input itself, must agree as far as a
+// strict driver without an end-of-stream verdict can (driversAgree). Any
+// divergence is a seam an attacker could slip a forged log through (accepted
+// by one driver, rejected by another).
 func FuzzVerifyReader(f *testing.F) {
 	key := testKey(f)
 	f.Add([]byte{})
@@ -34,31 +35,13 @@ func FuzzVerifyReader(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Chunk sizes drawn from the input: its own bytes, cycled.
+		drawn := []int{1}
+		for _, b := range data[:min(len(data), 16)] {
+			drawn = append(drawn, 1+int(b))
+		}
 		for _, tolerant := range []bool{false, true} {
-			opts := VerifyOptions{RecoverTruncated: tolerant}
-			seqRes, seqErr := VerifyReaderResult(bytes.NewReader(data), opts)
-			for _, workers := range []int{1, 4} {
-				strRes, strErr := VerifyReaderStream(bytes.NewReader(data),
-					StreamOptions{VerifyOptions: opts, Workers: workers})
-				if (seqErr == nil) != (strErr == nil) {
-					t.Fatalf("tolerant=%v workers=%d: verdict mismatch: sequential err=%v, stream err=%v",
-						tolerant, workers, seqErr, strErr)
-				}
-				if seqErr != nil {
-					if seqErr.Error() != strErr.Error() {
-						t.Fatalf("tolerant=%v workers=%d: error mismatch:\n  sequential: %v\n  stream:     %v",
-							tolerant, workers, seqErr, strErr)
-					}
-					if !errors.Is(seqErr, ErrTampered) && !errors.Is(seqErr, ErrBadCounter) {
-						t.Fatalf("unclassified verification error: %v", seqErr)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(seqRes, &strRes.VerifyResult) {
-					t.Fatalf("tolerant=%v workers=%d: result mismatch:\n  sequential: %+v\n  stream:     %+v",
-						tolerant, workers, seqRes, strRes.VerifyResult)
-				}
-			}
+			driversAgree(t, data, VerifyOptions{RecoverTruncated: tolerant}, []int{1, 4}, drawn)
 		}
 	})
 }

@@ -280,9 +280,9 @@ func expectFor(res *VerifyResult) goldenExpect {
 	}
 }
 
-// TestGoldenVectors verifies every committed vector with both the
-// sequential and the parallel verifier and compares the outcome against the
-// committed expectation. With -update it regenerates the whole corpus from
+// TestGoldenVectors verifies every committed vector with the reference
+// verifier and every production driver (runBoth) and compares the outcome
+// against the committed expectation. With -update it regenerates the whole corpus from
 // the live writer first.
 func TestGoldenVectors(t *testing.T) {
 	e := newGoldenEnv(t)
@@ -395,11 +395,11 @@ func TestGoldenPerEntryByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantRecs, err := readRecords(bytes.NewReader(committed), false)
+	wantRecs, err := referenceRecords(bytes.NewReader(committed), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRecs, err := readRecords(bytes.NewReader(fresh), false)
+	gotRecs, err := referenceRecords(bytes.NewReader(fresh), false)
 	if err != nil {
 		t.Fatal(err)
 	}

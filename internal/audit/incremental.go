@@ -1,25 +1,22 @@
 package audit
 
 import (
-	"bytes"
 	"crypto/ecdsa"
-	"encoding/binary"
 	"fmt"
 
 	"libseal/internal/enclave"
 )
 
-// Incremental verification. The offline verifiers (VerifyReaderResult, the
-// PR 7 streaming pipeline) consume a complete file; a live mirror instead
-// receives the same record stream in arbitrary byte chunks as the server
-// commits batches. IncrementalVerifier is the chunk-feed form of the same
-// verifier: it reassembles records from whatever bytes have arrived, applies
-// exactly the per-record checks the sequential scan applies (entry decode,
-// sequence, chain hash, signature parse + ECDSA), and reports each verified
-// signature record — a durable commit point — through a callback. Freshness
-// against a live counter quorum is deliberately out of scope: a mirror holds
-// only the enclave's public key, so rollback is judged by continuity (see
-// internal/audit/mirror) and by manifest replay via ManifestReplayer.
+// Incremental verification. The offline drivers consume a complete file; a
+// live mirror instead receives the same record stream in arbitrary byte
+// chunks as the server commits batches. IncrementalVerifier is the chunk-fed
+// driver of the verifier core (verifier.go): a reassembly buffer in front of
+// the same per-record checks and the same commit ledger, reporting each
+// verified signature record — a durable commit point — through a callback.
+// It has no end-of-stream verdict, and freshness against a live counter
+// quorum is deliberately out of scope: a mirror holds only the enclave's
+// public key, so rollback is judged by continuity (see internal/audit/mirror)
+// and by manifest replay via ManifestReplayer.
 //
 // The verifier is strict and latching: the first violation poisons it and
 // every later Feed returns the same error. A torn record at the tail is not
@@ -52,27 +49,11 @@ type CommitInfo struct {
 type IncrementalVerifier struct {
 	opts     VerifyOptions
 	onCommit func(CommitInfo) error
-	onEntry  func(*Entry) error
 
-	buf      bytes.Buffer // undecoded tail of the stream
-	sawMagic bool
-	resumed  bool
-
-	offset     int64 // stream offset of the next undecoded byte
-	seq        uint64
-	chain      [32]byte
-	counter    uint64 // counter of the last verified signature record
+	in         recordBuffer
+	core       chainVerifier
+	led        ledger
 	maxCounter uint64
-	batches    int
-	entries    int
-	maxBatch   int
-	sinceSig   int
-	tables     map[string]int
-
-	lastSigOff  int64
-	lastSigHash string
-
-	failed error
 }
 
 // NewIncrementalVerifier builds a chunk-feed verifier starting from the
@@ -80,15 +61,13 @@ type IncrementalVerifier struct {
 // ignored — incremental verification has no final verdict at which to check
 // quorum freshness; callers judge freshness by continuity. onCommit, if
 // non-nil, runs after every verified signature record; returning an error
-// from it poisons the verifier. onEntry, if non-nil, observes each verified
-// entry (the verifier does not retain entries).
-func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error, onEntry func(*Entry) error) *IncrementalVerifier {
-	return &IncrementalVerifier{
-		opts:     opts,
-		onCommit: onCommit,
-		onEntry:  onEntry,
-		tables:   make(map[string]int),
-	}
+// from it poisons the verifier. The verifier does not retain entries.
+func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error) *IncrementalVerifier {
+	v := &IncrementalVerifier{opts: opts, onCommit: onCommit}
+	v.in.kind = &logStream
+	v.core.opts = &v.opts
+	v.led, _ = newLedger(nil) // from the empty log: cannot fail
+	return v
 }
 
 // Resume adopts a checkpoint's verified-prefix state so the stream can be
@@ -97,25 +76,14 @@ func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error,
 // Checkpoint.MatchProof on a fetched signature record, or matchFile locally
 // — exactly as the offline resume path does; Resume itself trusts its input.
 func (v *IncrementalVerifier) Resume(c *Checkpoint) error {
-	chain, err := c.chainHead()
+	led, err := newLedger(c)
 	if err != nil {
 		return err
 	}
-	v.sawMagic = true
-	v.resumed = true
-	v.offset = c.Offset
-	v.seq = c.Seq
-	v.chain = chain
-	v.counter = c.Counter
+	v.led = led
+	v.in.resumeAt(c.Offset)
+	v.core.seq, v.core.chain, v.core.sigs = c.Seq, led.base.chain, c.Batches
 	v.maxCounter = c.Counter
-	v.batches = c.Batches
-	v.entries = c.Entries
-	v.maxBatch = c.MaxBatch
-	for t, n := range c.Tables {
-		v.tables[t] = n
-	}
-	v.lastSigOff = c.SigOffset
-	v.lastSigHash = c.SigHash
 	return nil
 }
 
@@ -123,173 +91,68 @@ func (v *IncrementalVerifier) Resume(c *Checkpoint) error {
 // record that is now complete and returns the first violation found (wrapped
 // in ErrTampered); incomplete trailing bytes are buffered for the next call.
 // Once an error is returned the verifier is poisoned and returns it forever.
-func (v *IncrementalVerifier) Feed(p []byte) error {
-	if v.failed != nil {
-		return v.failed
-	}
-	v.buf.Write(p)
-	if err := v.drain(); err != nil {
-		v.failed = err
-		return err
+func (v *IncrementalVerifier) Feed(p []byte) error { return v.in.feed(p, v.record) }
+
+func (v *IncrementalVerifier) record(rec record) error {
+	switch rec.typ {
+	case recEntry:
+		e, err := v.core.entry(rec.payload)
+		if err != nil {
+			return err
+		}
+		v.led.entry(e)
+	case recSig:
+		counter, err := v.core.sig(rec.payload)
+		if err != nil {
+			return err
+		}
+		batch := v.led.pending
+		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigRaw: rec.payload})
+		v.maxCounter = max(v.maxCounter, counter)
+		if v.onCommit != nil {
+			return v.onCommit(CommitInfo{
+				Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
+				Offset: rec.end(), SigOffset: rec.off, SigHash: v.led.sigHash(),
+				Entries: batch,
+			})
+		}
+	default:
+		return logStream.unknownType(rec.typ)
 	}
 	return nil
 }
 
-func (v *IncrementalVerifier) drain() error {
-	if !v.sawMagic {
-		if v.buf.Len() < len(fileMagic) {
-			return nil
-		}
-		magic := v.buf.Next(len(fileMagic))
-		if !bytes.Equal(magic, fileMagic) {
-			return fmt.Errorf("%w: bad magic", ErrTampered)
-		}
-		v.sawMagic = true
-		v.offset = int64(len(fileMagic))
-	}
-	for {
-		b := v.buf.Bytes()
-		if len(b) < 5 {
-			return nil
-		}
-		n := binary.BigEndian.Uint32(b[1:5])
-		if n > maxRecordBytes {
-			return errOversized(n)
-		}
-		if len(b) < 5+int(n) {
-			return nil
-		}
-		typ := b[0]
-		payload := make([]byte, n)
-		copy(payload, b[5:5+n])
-		v.buf.Next(5 + int(n))
-		recOff := v.offset
-		v.offset += 5 + int64(n)
-		switch typ {
-		case recEntry:
-			if err := v.feedEntry(payload); err != nil {
-				return err
-			}
-		case recSig:
-			if err := v.feedSig(recOff, payload); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: unknown record type %q", ErrTampered, typ)
-		}
-	}
-}
+// Offset is the stream offset of the next byte to be received: everything
+// framed so far plus any buffered partial record.
+func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(v.in.buf.Len()) }
 
-// feedEntry applies the per-entry checks of the sequential verifier: unseal,
-// decode, sequence continuity, chain extension.
-func (v *IncrementalVerifier) feedEntry(raw []byte) error {
-	payload := raw
-	if v.opts.Unseal != nil {
-		var err error
-		if payload, err = v.opts.Unseal(raw); err != nil {
-			return fmt.Errorf("%w: unseal: %v", ErrTampered, err)
-		}
-	}
-	e, err := UnmarshalEntry(payload)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrTampered, err)
-	}
-	if e.Seq != v.seq {
-		return fmt.Errorf("%w: sequence gap at %d", ErrTampered, v.seq)
-	}
-	v.seq++
-	v.sinceSig++
-	v.entries++
-	v.chain = chainNext(v.chain, payload)
-	v.tables[e.Table]++
-	if v.onEntry != nil {
-		return v.onEntry(e)
-	}
-	return nil
-}
-
-// feedSig applies the signature-record checks and publishes the commit.
-func (v *IncrementalVerifier) feedSig(recOff int64, payload []byte) error {
-	sigChain, counter, sig, perr := parseSig(payload)
-	bad := ""
-	switch {
-	case perr != nil:
-		bad = perr.Error()
-	case sigChain != v.chain:
-		bad = "chain hash mismatch"
-	case v.opts.Pub != nil && !enclave.VerifySignature(v.opts.Pub, sigDigest(sigChain, counter), sig):
-		bad = "signature invalid"
-	}
-	if bad != "" {
-		return fmt.Errorf("%w: signature record %d: %s", ErrTampered, v.batches, bad)
-	}
-	v.counter = counter
-	if counter > v.maxCounter {
-		v.maxCounter = counter
-	}
-	v.batches++
-	if v.sinceSig > v.maxBatch {
-		v.maxBatch = v.sinceSig
-	}
-	batch := v.sinceSig
-	v.sinceSig = 0
-	v.lastSigOff = recOff
-	v.lastSigHash = hexDigest(payload)
-	if v.onCommit != nil {
-		return v.onCommit(CommitInfo{
-			Seq: v.seq, Chain: v.chain, Counter: counter,
-			Offset: v.offset, SigOffset: recOff, SigHash: v.lastSigHash,
-			Entries: batch,
-		})
-	}
-	return nil
-}
-
-// Err returns the poisoning violation, nil while the stream is clean.
-func (v *IncrementalVerifier) Err() error { return v.failed }
-
-// Offset is the stream offset of the next undecoded byte: verified bytes
-// plus any buffered partial record.
-func (v *IncrementalVerifier) Offset() int64 { return v.offset + int64(v.buf.Len()) }
-
-// Buffered is the number of received-but-undecoded bytes (a partial record
+// Buffered is the number of received-but-unframed bytes (a partial record
 // mid-flight).
-func (v *IncrementalVerifier) Buffered() int { return v.buf.Len() }
+func (v *IncrementalVerifier) Buffered() int { return v.in.buf.Len() }
 
-// Seq is the number of verified entries; Counter and MaxCounter the last and
-// highest verified signature counters; Batches the verified commit count.
-func (v *IncrementalVerifier) Seq() uint64        { return v.seq }
-func (v *IncrementalVerifier) Counter() uint64    { return v.counter }
+// Seq and Entries are the number of verified entries, those past the last
+// commit point included; Counter and MaxCounter the last and highest
+// verified signature counters; Batches the verified commit count.
+func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
+func (v *IncrementalVerifier) Counter() uint64    { return v.led.cur.counter }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
-func (v *IncrementalVerifier) Batches() int       { return v.batches }
-func (v *IncrementalVerifier) Entries() int       { return v.entries }
-
-// Chain returns the current verified chain head.
-func (v *IncrementalVerifier) Chain() [32]byte { return v.chain }
+func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
+func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + v.led.pending }
 
 // Tables returns the per-table verified tuple counts (live map; callers must
 // copy if they retain it).
-func (v *IncrementalVerifier) Tables() map[string]int { return v.tables }
+func (v *IncrementalVerifier) Tables() map[string]int { return v.led.tables }
 
 // Checkpoint snapshots the verified prefix as a resumable sidecar state, or
 // nil before the first commit point. Only commit points are checkpointable:
-// when unsigned entries trail the last signature record the snapshot still
-// describes the last commit, so callers should take it from inside onCommit
-// (where the stream is exactly at a commit point).
+// when unsigned entries trail the last signature record there is no snapshot
+// to take, so callers should take it from inside onCommit (where the stream
+// is exactly at a commit point).
 func (v *IncrementalVerifier) Checkpoint(shard int) *Checkpoint {
-	if v.lastSigHash == "" || v.sinceSig != 0 {
+	if v.led.sigHash() == "" || v.led.pending != 0 {
 		return nil
 	}
-	tables := make(map[string]int, len(v.tables))
-	for t, n := range v.tables {
-		tables[t] = n
-	}
-	return &Checkpoint{
-		Version: checkpointVersion, Shard: shard,
-		Offset: v.offset, Seq: v.seq, Chain: hexChain(v.chain), Counter: v.counter,
-		Batches: v.batches, MaxBatch: v.maxBatch, Entries: v.entries, Tables: tables,
-		SigOffset: v.lastSigOff, SigHash: v.lastSigHash,
-	}
+	return v.led.checkpoint(shard)
 }
 
 // ManifestReplayer applies the per-manifest checks of replayManifests — the
@@ -343,9 +206,7 @@ func (r *ManifestReplayer) Verify(m *Manifest) error {
 	return nil
 }
 
-// Count, Epoch and Counter report the replayer's progress: manifests
-// verified and the current epoch/counter floor.
-func (r *ManifestReplayer) Count() int      { return r.n }
+// Epoch and Counter report the replayer's current epoch/counter floor.
 func (r *ManifestReplayer) Epoch() uint64   { return r.epoch }
 func (r *ManifestReplayer) Counter() uint64 { return r.counter }
 
@@ -357,11 +218,7 @@ func (r *ManifestReplayer) Counter() uint64 { return r.counter }
 type IncrementalManifestReader struct {
 	onManifest func(*Manifest) error
 
-	buf      bytes.Buffer
-	sawMagic bool
-	offset   int64
-	failed   error
-
+	in          recordBuffer
 	lastRecOff  int64
 	lastRecHash string
 }
@@ -369,83 +226,41 @@ type IncrementalManifestReader struct {
 // NewIncrementalManifestReader builds a chunk-feed sidecar reader starting
 // at the file head (magic expected first).
 func NewIncrementalManifestReader(onManifest func(*Manifest) error) *IncrementalManifestReader {
-	return &IncrementalManifestReader{onManifest: onManifest}
+	r := &IncrementalManifestReader{onManifest: onManifest}
+	r.in.kind = &manifestStream
+	return r
 }
 
 // ResumeAt adopts a byte offset mid-sidecar (just past a previously read
-// record); the stream must be fed from that offset and no magic is expected.
-func (r *IncrementalManifestReader) ResumeAt(offset int64) {
-	r.sawMagic = true
-	r.offset = offset
+// record) together with that record's persisted LastRecord binding, which
+// the reader keeps reporting; the stream must be fed from offset and no magic
+// is expected.
+func (r *IncrementalManifestReader) ResumeAt(offset, recOff int64, recHash string) {
+	r.in.resumeAt(offset)
+	r.lastRecOff, r.lastRecHash = recOff, recHash
 }
 
 // Feed consumes the next chunk of the sidecar stream, parsing every complete
 // record. The first failure poisons the reader.
-func (r *IncrementalManifestReader) Feed(p []byte) error {
-	if r.failed != nil {
-		return r.failed
-	}
-	r.buf.Write(p)
-	if err := r.drain(); err != nil {
-		r.failed = err
+func (r *IncrementalManifestReader) Feed(p []byte) error { return r.in.feed(p, r.record) }
+
+func (r *IncrementalManifestReader) record(rec record) error {
+	m, err := parseManifest(rec.payload)
+	if err != nil {
 		return err
+	}
+	r.lastRecOff, r.lastRecHash = rec.off, hexDigest(rec.payload)
+	if r.onManifest != nil {
+		return r.onManifest(m)
 	}
 	return nil
 }
 
-func (r *IncrementalManifestReader) drain() error {
-	if !r.sawMagic {
-		if r.buf.Len() < len(manifestMagic) {
-			return nil
-		}
-		if !bytes.Equal(r.buf.Next(len(manifestMagic)), manifestMagic) {
-			return fmt.Errorf("%w: bad manifest magic", ErrTampered)
-		}
-		r.sawMagic = true
-		r.offset = int64(len(manifestMagic))
-	}
-	for {
-		b := r.buf.Bytes()
-		if len(b) < 5 {
-			return nil
-		}
-		if b[0] != recManifest {
-			return fmt.Errorf("%w: unknown manifest record type %q", ErrTampered, b[0])
-		}
-		n := binary.BigEndian.Uint32(b[1:5])
-		if n > maxRecordBytes {
-			return errOversized(n)
-		}
-		if len(b) < 5+int(n) {
-			return nil
-		}
-		payload := make([]byte, n)
-		copy(payload, b[5:5+n])
-		r.buf.Next(5 + int(n))
-		recOff := r.offset
-		r.offset += 5 + int64(n)
-		m, err := parseManifest(payload)
-		if err != nil {
-			return err
-		}
-		r.lastRecOff = recOff
-		r.lastRecHash = hexDigest(payload)
-		if r.onManifest != nil {
-			if err := r.onManifest(m); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// Err returns the poisoning failure, nil while the stream is clean.
-func (r *IncrementalManifestReader) Err() error { return r.failed }
-
 // Offset is the sidecar offset just past the last fully parsed record.
-func (r *IncrementalManifestReader) Offset() int64 { return r.offset }
+func (r *IncrementalManifestReader) Offset() int64 { return r.in.off }
 
 // Buffered is the number of received-but-unparsed bytes.
-func (r *IncrementalManifestReader) Buffered() int { return r.buf.Len() }
+func (r *IncrementalManifestReader) Buffered() int { return r.in.buf.Len() }
 
 // LastRecord reports the header offset and payload hash of the last fully
 // parsed record — the binding a mirror persists so a resumed session can
@@ -454,12 +269,6 @@ func (r *IncrementalManifestReader) Buffered() int { return r.buf.Len() }
 // the first record.
 func (r *IncrementalManifestReader) LastRecord() (off int64, hash string) {
 	return r.lastRecOff, r.lastRecHash
-}
-
-// ResumeRecord adopts a persisted LastRecord binding alongside ResumeAt, so
-// a restored reader keeps reporting the binding it resumed from.
-func (r *IncrementalManifestReader) ResumeRecord(off int64, hash string) {
-	r.lastRecOff, r.lastRecHash = off, hash
 }
 
 // MatchManifestProof authenticates a manifest-resume claim against the raw

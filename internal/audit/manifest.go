@@ -179,37 +179,20 @@ func parseManifest(payload []byte) (*Manifest, error) {
 // semantically fails both modes: manifests are appended with one fsync each,
 // so only the final record can legitimately be torn.
 func readManifests(r io.Reader, tolerant bool) ([]*Manifest, error) {
-	magic := make([]byte, len(manifestMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, manifestMagic) {
-		return nil, fmt.Errorf("%w: bad manifest magic", ErrTampered)
+	rr := recordReader{r: r, kind: &manifestStream}
+	if err := rr.magic(); err != nil {
+		return nil, err
 	}
 	var out []*Manifest
-	var hdr [5]byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF || tolerant {
-				return out, nil
-			}
-			return nil, fmt.Errorf("%w: truncated manifest record header", ErrTampered)
+		rec, err := rr.next()
+		if err == io.EOF || (err != nil && tolerant && rr.torn) {
+			return out, nil
 		}
-		if hdr[0] != recManifest {
-			return nil, fmt.Errorf("%w: unknown manifest record type %q", ErrTampered, hdr[0])
-		}
-		n := binary.BigEndian.Uint32(hdr[1:])
-		if n > maxRecordBytes {
-			if tolerant {
-				return out, nil
-			}
-			return nil, errOversized(n)
-		}
-		payload, err := readPayload(r, n)
 		if err != nil {
-			if tolerant {
-				return out, nil
-			}
-			return nil, fmt.Errorf("%w: truncated manifest record", ErrTampered)
+			return nil, err
 		}
-		m, err := parseManifest(payload)
+		m, err := parseManifest(rec.payload)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"libseal/internal/sqldb"
@@ -97,8 +98,7 @@ func Merge(schema string, parts []PartialLog) (*sqldb.DB, error) {
 func MergeVerified(schema string, files map[string]string, opts map[string]VerifyOptions) (*sqldb.DB, error) {
 	var parts []PartialLog
 	for instance, path := range files {
-		o := opts[instance]
-		entries, err := VerifyFile(path, o)
+		entries, err := verifyFile(path, opts[instance])
 		if err != nil {
 			return nil, fmt.Errorf("audit: merge: instance %s: %w", instance, err)
 		}
@@ -106,4 +106,18 @@ func MergeVerified(schema string, files map[string]string, opts map[string]Verif
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Instance < parts[j].Instance })
 	return Merge(schema, parts)
+}
+
+// verifyFile verifies the log file at path and returns its entries.
+func verifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := VerifyReaderResult(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Entries, nil
 }

@@ -545,7 +545,7 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 		resumed := false
 		if sh.ckpt != nil && k < len(ack.Shards) && ack.Shards[k].Ok {
 			if sh.ckpt.MatchProof(ack.Shards[k].Proof, m.cfg.Pub) == nil {
-				v := audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k), nil)
+				v := audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k))
 				if err := v.Resume(sh.ckpt); err == nil {
 					sh.v = v
 					sh.resumed = true
@@ -569,8 +569,7 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 		if m.mem.offset > 0 && ack.ManifestOk {
 			if audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
 				m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil {
-				m.mreader.ResumeAt(m.mem.offset)
-				m.mreader.ResumeRecord(m.mem.recOff, m.mem.recHash)
+				m.mreader.ResumeAt(m.mem.offset, m.mem.recOff, m.mem.recHash)
 				resumed = true
 			}
 		}
@@ -587,7 +586,7 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 // rolled-back file.
 func (m *Mirror) coldRestartLocked(k int, sh *shardState, now time.Time) {
 	hadState := sh.v != nil || sh.ckpt != nil || sh.maxCounter > 0
-	sh.v = audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k), nil)
+	sh.v = audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k))
 	sh.resumed = false
 	sh.ckpt = nil
 	sh.commits = make(map[uint64]commitPt)

@@ -1,8 +1,8 @@
 package audit
 
 import (
+	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -13,14 +13,10 @@ import (
 	"libseal/internal/telemetry"
 )
 
-// Parallel segmented verification: a scanner goroutine cuts the record
-// stream at signature records (stream.go), a worker pool recomputes each
-// segment's hash chain and ECDSA signature concurrently, and the merger
-// below stitches the per-segment verdicts back together in file order.
-// The merger reproduces the sequential verifier's semantics exactly —
-// identical error strings, identical precedence, identical VerifyResult —
-// so callers can treat the two paths as interchangeable; the test suite
-// holds them to that on every golden vector and corruption case.
+// Parallel segmented verification: the scanner (stream.go) runs as a
+// goroutine, a worker pool runs the verifier core over the segments
+// concurrently, and the merger (verifier.go) consumes their verdicts in file
+// order — the same three parts VerifyReaderResult runs in one loop.
 
 // Verification telemetry (audit.verify.*): segment/entry/byte throughput,
 // per-segment and whole-run latency, and checkpoint/resume activity for
@@ -74,14 +70,11 @@ type StreamOptions struct {
 
 	// Workers is the number of concurrent segment verifiers; 0 means
 	// GOMAXPROCS. 1 still runs the pipeline (scanner and verifier overlap)
-	// but verifies segments one at a time.
+	// but verifies segments one at a time. Over a sharded set the budget is
+	// divided among the shards, which verify concurrently: each gets
+	// Workers/Shards, the first Workers%Shards shards one more, and never
+	// fewer than one — so the set as a whole runs max(Workers, Shards).
 	Workers int
-
-	// SegmentBuffer bounds the in-flight segment window (scanned but not
-	// yet merged); 0 means 2×Workers. Together with the worker count it
-	// caps the pipeline's memory footprint at roughly
-	// (SegmentBuffer+Workers+1) segments.
-	SegmentBuffer int
 
 	// OnSegment, when set, receives each committed segment in file order
 	// and the pipeline stops accumulating entries: the final
@@ -107,12 +100,12 @@ type StreamOptions struct {
 	// through the reader path bypasses rollback protection.
 	Resume *Checkpoint
 
-	// ResumeAuto, on the path-based entry points (VerifyPath /
-	// VerifyShardedDir), loads and authenticates each shard's own
-	// checkpoint sidecar (<shard file>.ckpt) automatically; shards whose
-	// sidecar is missing, stale or mismatched fall back to a cold scan
-	// instead of failing. Ignored by the reader/stream entry points, which
-	// take an explicit Resume.
+	// ResumeAuto, on the path-based entry points (VerifyPath / VerifySet),
+	// loads and authenticates each shard's own checkpoint sidecar
+	// (<shard file>.ckpt) automatically; shards whose sidecar is missing,
+	// stale or mismatched fall back to a cold scan instead of failing.
+	// Ignored by the reader/stream entry points, which take an explicit
+	// Resume.
 	ResumeAuto bool
 
 	// Shard stamps SegmentInfo deliveries and checkpoints with a shard
@@ -138,8 +131,6 @@ type StreamResult struct {
 	Tables map[string]int
 	// Resumed reports whether the scan started from a checkpoint.
 	Resumed bool
-	// Segments is the number of committed segments this scan verified.
-	Segments int
 }
 
 // VerifyFileStream verifies a persisted log with the parallel segmented
@@ -149,15 +140,9 @@ type StreamResult struct {
 // counter — and continues from the checkpointed offset; a checkpoint that
 // does not match the file (trimmed, swapped, forged or corrupted since)
 // fails with ErrCheckpointStale so the caller can fall back to a cold
-// scan.
-func VerifyFileStream(path string, opts StreamOptions) (*StreamResult, error) {
-	return VerifyFileStreamContext(context.Background(), path, opts)
-}
-
-// VerifyFileStreamContext is VerifyFileStream honouring a context: a
-// cancelled or expired ctx stops the pipeline and returns ctx.Err() instead
-// of a verification verdict.
-func VerifyFileStreamContext(ctx context.Context, path string, opts StreamOptions) (*StreamResult, error) {
+// scan. A cancelled or expired ctx stops the pipeline and returns ctx.Err()
+// instead of a verification verdict.
+func VerifyFileStream(ctx context.Context, path string, opts StreamOptions) (*StreamResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -171,68 +156,45 @@ func VerifyFileStreamContext(ctx context.Context, path string, opts StreamOption
 			return nil, err
 		}
 	}
-	return VerifyReaderStreamContext(ctx, f, opts)
+	return VerifyReaderStream(ctx, f, opts)
 }
 
 // VerifyReaderStream runs the parallel segmented verification pipeline over
 // a record stream. Without OnSegment it returns a VerifyResult identical to
 // VerifyReaderResult's; with OnSegment it streams segments to the callback
 // and keeps memory bounded.
-func VerifyReaderStream(r io.Reader, opts StreamOptions) (*StreamResult, error) {
-	return VerifyReaderStreamContext(context.Background(), r, opts)
-}
-
-// VerifyReaderStreamContext is VerifyReaderStream honouring a context.
-func VerifyReaderStreamContext(ctx context.Context, r io.Reader, opts StreamOptions) (*StreamResult, error) {
-	start := time.Now()
+func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions) (res *StreamResult, err error) {
 	mVerifyRuns.Inc()
-	res, err := runStreamVerify(ctx, r, &opts)
-	mVerifyLatency.Observe(time.Since(start))
-	if err != nil {
-		mVerifyFailures.Inc()
-	}
-	return res, err
-}
-
-func runStreamVerify(parent context.Context, r io.Reader, opts *StreamOptions) (*StreamResult, error) {
+	defer func(start time.Time) {
+		mVerifyLatency.Observe(time.Since(start))
+		if err != nil {
+			mVerifyFailures.Inc()
+		}
+	}(time.Now())
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := opts.SegmentBuffer
-	if window <= 0 {
-		window = 2 * workers
+	led, err := newLedger(opts.Resume)
+	if err != nil {
+		return nil, err
 	}
-
-	base := scanBase{offset: int64(len(fileMagic)), tables: map[string]int{}}
-	resumed := false
-	if opts.Resume != nil {
-		c := opts.Resume
-		chain, err := c.chainHead()
-		if err != nil {
-			return nil, err
-		}
-		base = scanBase{
-			offset: c.Offset, seq: c.Seq, chain: chain, counter: c.Counter,
-			batches: c.Batches, maxBatch: c.MaxBatch, entries: c.Entries,
-			tables: map[string]int{},
-		}
-		for t, n := range c.Tables {
-			base.tables[t] = n
-		}
-		resumed = true
+	if led.resumed {
 		mVerifyResumes.Inc()
 	}
+	m := &merger{opts: &opts, led: led}
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	work := make(chan *segment, workers)
-	order := make(chan *segment, window)
-	end := &scanEnd{}
+	// order bounds the in-flight window (scanned but not yet merged) at
+	// twice the workers: enough that the merger never starves them, and with
+	// them a cap on the pipeline's memory of about 3×workers+1 segments.
+	order := make(chan *segment, 2*workers)
 
 	// Once the merger sees the first in-order failure the verdict is
-	// decided: the scanner must still scan structurally to EOF (the merger
-	// needs totalSigs/streamErr for error precedence), but hashing and
+	// decided: the scanner must still scan structurally to EOF (the verdict
+	// ranks the failure against what follows it), but hashing and
 	// ECDSA-checking the remaining segments is pure waste — on a large
 	// corrupt log, most of the file's worth. The flag lets workers fall
 	// through to close(seg.done) without verifying.
@@ -248,43 +210,46 @@ func runStreamVerify(parent context.Context, r io.Reader, opts *StreamOptions) (
 			for seg := range work {
 				if ctx.Err() == nil && !skipVerify.Load() {
 					t0 := time.Now()
-					seg.res = verifySegment(seg, &opts.VerifyOptions)
+					seg.res = verifySegment(seg, &opts.VerifyOptions, m.led.base.batches)
 					mVerifySegLatency.Observe(time.Since(t0))
 				}
 				close(seg.done)
 			}
 		}()
 	}
+	var end scanEnd
 	scanDone := make(chan struct{})
 	go func() {
 		defer close(scanDone)
-		scanSegments(ctx, r, base, resumed, work, order, end)
+		defer close(work)
+		defer close(order)
+		// Same segments, same order, on both channels; order is what the
+		// merger consumes.
+		end = scanSegments(ctx, bufio.NewReaderSize(r, 512<<10), &m.led.base, m.led.resumed, func(s *segment) bool {
+			s.done = make(chan struct{})
+			for _, ch := range []chan *segment{work, order} {
+				select {
+				case ch <- s:
+				case <-ctx.Done():
+					return false
+				}
+			}
+			return true
+		})
 	}()
-	// Whatever happens below, unwind the pipeline before returning.
-	drain := func() {
-		cancel()
-		for seg := range order {
-			<-seg.done
-		}
-		<-scanDone
-		wg.Wait()
-	}
 
-	m := &merger{base: base, opts: opts, resumed: resumed, skipVerify: &skipVerify}
-	var cbErr error
 	for seg := range order {
 		<-seg.done
-		if !m.consume(seg) {
-			if m.failed == nil {
-				// OnSegment asked to abort; not a verification verdict.
-				cbErr = m.cbErr
-			}
+		// A worker that saw ctx done left the segment unverified.
+		if ctx.Err() != nil || !m.consume(seg) {
+			skipVerify.Store(true)
 			break
 		}
 	}
-	if cbErr != nil {
-		drain()
-		return nil, cbErr
+	if m.cbErr != nil {
+		// OnSegment asked to abort: stop the scanner rather than let it run
+		// to the end of the stream.
+		cancel()
 	}
 	// The verdict can depend on the whole structural scan (strict-mode
 	// truncation preempts everything; a tolerant tear must look for later
@@ -294,256 +259,13 @@ func runStreamVerify(parent context.Context, r io.Reader, opts *StreamOptions) (
 	}
 	<-scanDone
 	wg.Wait()
+	if m.cbErr != nil {
+		return nil, m.cbErr
+	}
 	if err := parent.Err(); err != nil {
 		// Caller cancellation is not a verification verdict: a partial scan
 		// must never be reported as OK or as tampering.
 		return nil, err
 	}
 	return m.finish(end)
-}
-
-// merger folds per-segment verdicts into the final result, in file order,
-// mirroring VerifyReaderResult's scan loop state machine.
-type merger struct {
-	base    scanBase
-	opts    *StreamOptions
-	resumed bool
-
-	entries  []*Entry // accumulated only when OnSegment is nil
-	tables   map[string]int
-	batches  int // valid signature records seen this scan
-	maxBatch int
-	count    int // entries committed this scan
-	commit   struct {
-		end     int64
-		counter uint64
-		chain   [32]byte
-	}
-	segments int
-
-	trailing int // entries after the last signature record
-
-	failed     *segment // first failing segment, in file order
-	failedRes  segResult
-	cbErr      error
-	skipVerify *atomic.Bool // tells workers the verdict is already decided
-
-	ckptSegs  int
-	ckptBytes int64
-}
-
-// consume merges one segment's verdict; returns false when merging must
-// stop (verification failure or callback abort).
-func (m *merger) consume(seg *segment) bool {
-	if m.tables == nil {
-		m.tables = map[string]int{}
-		m.commit.end = m.base.offset
-		m.commit.counter = m.base.counter
-		m.commit.chain = m.base.chain
-	}
-	r := seg.res
-	if r.err != nil || (seg.hasSig && r.sigBad != "") {
-		m.failed = seg
-		m.failedRes = r
-		if m.skipVerify != nil {
-			// The verdict is fixed at this segment; later segments only
-			// need the scanner's structural pass, not hash/ECDSA work.
-			m.skipVerify.Store(true)
-		}
-		return false
-	}
-	if !seg.hasSig {
-		// Trailing unsigned entries: verified but uncommitted. The stream
-		// ends here (only the last dispatched segment can be unsigned).
-		m.trailing = len(r.entries)
-		return true
-	}
-	mVerifySegments.Inc()
-	mVerifyEntries.Add(int64(len(r.entries)))
-	mVerifyBytes.Add(r.bytes)
-	if m.opts.OnSegment != nil {
-		info := SegmentInfo{
-			Shard: m.opts.Shard, Index: seg.index, Entries: r.entries,
-			Counter: seg.counter, CommittedBytes: seg.end,
-			EndSeq: m.base.seq + uint64(m.count) + uint64(len(r.entries)),
-			Chain:  seg.sigChain,
-		}
-		if err := m.opts.OnSegment(info); err != nil {
-			m.cbErr = err
-			return false
-		}
-	} else {
-		m.entries = append(m.entries, r.entries...)
-	}
-	for _, e := range r.entries {
-		m.tables[e.Table]++
-	}
-	m.count += len(r.entries)
-	m.batches++
-	if len(r.entries) > m.maxBatch {
-		m.maxBatch = len(r.entries)
-	}
-	m.commit.end = seg.end
-	m.commit.counter = seg.counter
-	m.commit.chain = seg.sigChain
-	m.segments++
-	seg.res.entries = nil // release; the window has moved past this segment
-	if cfg := m.opts.Checkpoint; cfg != nil {
-		m.ckptSegs++
-		m.ckptBytes += r.bytes
-		every := cfg.EverySegments
-		if every <= 0 {
-			every = defaultCheckpointSegments
-		}
-		everyBytes := cfg.EveryBytes
-		if everyBytes <= 0 {
-			everyBytes = defaultCheckpointBytes
-		}
-		if m.ckptSegs >= every || m.ckptBytes >= everyBytes {
-			m.writeCheckpoint(seg)
-			m.ckptSegs = 0
-			m.ckptBytes = 0
-		}
-	}
-	return true
-}
-
-func (m *merger) writeCheckpoint(seg *segment) {
-	cfg := m.opts.Checkpoint
-	c := m.checkpointState()
-	// The signature record's offset and payload hash bind the checkpoint
-	// to this exact file; resume refuses a log that was trimmed or swapped
-	// underneath it.
-	c.SigOffset = seg.sigOff
-	c.SigHash = hexDigest(seg.sigRaw)
-	if err := c.Save(cfg.Path); err == nil {
-		mVerifyCheckpoints.Inc()
-	} else if cfg.OnError != nil {
-		cfg.OnError(err)
-	}
-}
-
-// checkpointState snapshots the merger's committed totals (base + this
-// scan) as a Checkpoint, minus the sig-record binding fields.
-func (m *merger) checkpointState() *Checkpoint {
-	tables := map[string]int{}
-	for t, n := range m.base.tables {
-		tables[t] += n
-	}
-	for t, n := range m.tables {
-		tables[t] += n
-	}
-	maxAll := m.base.maxBatch
-	if m.maxBatch > maxAll {
-		maxAll = m.maxBatch
-	}
-	return &Checkpoint{
-		Version:  checkpointVersion,
-		Shard:    m.opts.Shard,
-		Offset:   m.commit.end,
-		Seq:      m.base.seq + uint64(m.count),
-		Chain:    hexChain(m.commit.chain),
-		Counter:  m.commit.counter,
-		Batches:  m.base.batches + m.batches,
-		MaxBatch: maxAll,
-		Entries:  m.base.entries + m.count,
-		Tables:   tables,
-	}
-}
-
-// finish computes the final verdict with the sequential verifier's exact
-// precedence: bad magic and (in strict mode) stream framing errors preempt
-// everything; then the first in-order segment failure; then an unknown
-// record type; then the missing-signature and trailing-entry checks; then
-// counter freshness.
-func (m *merger) finish(end *scanEnd) (*StreamResult, error) {
-	if m.tables == nil {
-		// No segments were dispatched at all.
-		m.tables = map[string]int{}
-		m.commit.end = m.base.offset
-		m.commit.counter = m.base.counter
-		m.commit.chain = m.base.chain
-	}
-	opts := &m.opts.VerifyOptions
-	strict := !opts.RecoverTruncated
-	if end.badMagic {
-		return nil, end.streamErr
-	}
-	if strict && end.streamErr != nil {
-		return nil, end.streamErr
-	}
-	if f := m.failed; f != nil {
-		r := m.failedRes
-		var ferr error
-		if r.err != nil {
-			ferr = r.err
-		} else {
-			ferr = fmt.Errorf("%w: signature record %d: %s", ErrTampered, m.base.batches+m.batches, r.sigBad)
-		}
-		if strict {
-			return nil, ferr
-		}
-		// Tolerant mode forgives the tear only as uncommitted debris: any
-		// signature record beyond the torn record proves the damage sits
-		// inside the signed prefix. Signature records before the tear are
-		// exactly the closers of segments 0..index-1, plus this segment's
-		// own signature when the tear is past it.
-		sigsBefore := f.index
-		if f.hasSig && r.err == nil {
-			sigsBefore++ // tear is at the signature record itself
-		}
-		if end.totalSigs > sigsBefore {
-			return nil, fmt.Errorf("%w: corrupted entry inside signed prefix", ErrTampered)
-		}
-		// Fall through: the verified prefix before the tear is the answer.
-		m.trailing = 0
-	} else if end.unknownErr != nil {
-		return nil, end.unknownErr
-	}
-	sawSig := m.batches > 0 || m.base.batches > 0
-	if !sawSig {
-		if m.count+m.trailing == 0 || !strict {
-			if err := checkFreshness(m.commit.counter, *opts); err != nil {
-				return nil, err
-			}
-			return m.result(), nil
-		}
-		return nil, fmt.Errorf("%w: missing signature record", ErrTampered)
-	}
-	if strict && m.trailing > 0 {
-		return nil, fmt.Errorf("%w: %d entries after the last signature record", ErrTampered, m.trailing)
-	}
-	if err := checkFreshness(m.commit.counter, *opts); err != nil {
-		return nil, err
-	}
-	return m.result(), nil
-}
-
-func (m *merger) result() *StreamResult {
-	maxAll := m.base.maxBatch
-	if m.maxBatch > maxAll {
-		maxAll = m.maxBatch
-	}
-	tables := map[string]int{}
-	for t, n := range m.base.tables {
-		tables[t] += n
-	}
-	for t, n := range m.tables {
-		tables[t] += n
-	}
-	return &StreamResult{
-		VerifyResult: VerifyResult{
-			Entries:        m.entries,
-			Counter:        m.commit.counter,
-			CommittedBytes: m.commit.end,
-			Batches:        m.batches,
-			MaxBatch:       m.maxBatch,
-		},
-		TotalEntries:  m.base.entries + m.count,
-		TotalBatches:  m.base.batches + m.batches,
-		TotalMaxBatch: maxAll,
-		Tables:        tables,
-		Resumed:       m.resumed,
-		Segments:      m.segments,
-	}
 }

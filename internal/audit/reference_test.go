@@ -2,11 +2,14 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -213,6 +216,115 @@ scan:
 		Entries: checkEntries, Counter: commit.counter, CommittedBytes: commit.end,
 		Batches: batches, MaxBatch: maxBatch,
 	}, nil
+}
+
+// chunkings are the chunk-size patterns (cycled) every image is fed to the
+// chunk-fed driver with, besides any a caller adds: byte by byte, the whole
+// image at once, and an irregular mix that splits headers and payloads.
+var chunkings = [][]int{{1}, {1 << 30}, {7, 1, 64, 3}}
+
+// feedChunked runs the chunk-fed driver over img in chunks of the given
+// sizes, cycled, and returns it with its last commit point and first error.
+func feedChunked(img []byte, opts VerifyOptions, sizes []int) (v *IncrementalVerifier, last CommitInfo, err error) {
+	v = NewIncrementalVerifier(opts, func(ci CommitInfo) error { last = ci; return nil })
+	for i, off := 0, 0; off < len(img) && err == nil; i++ {
+		end := min(off+max(1, sizes[i%len(sizes)]), len(img))
+		err = v.Feed(img[off:end])
+		off = end
+	}
+	return v, last, err
+}
+
+// recordLevel reports whether a reference error was raised by one record's
+// own checks — not by framing, an unknown type or the end-of-stream verdict —
+// which the strict chunk-fed driver must then raise in the same words.
+func recordLevel(err error) bool {
+	msg := err.Error()
+	for _, s := range []string{"sequence gap at", "malformed log entry", "unseal:", "signature record "} {
+		if strings.Contains(msg, s) {
+			return true
+		}
+	}
+	return false
+}
+
+// driversAgree verifies img with the reference and with every production
+// driver — in-thread, parallel at each worker count, chunk-fed at each
+// chunking — and fails the test unless:
+//
+//   - in-thread and parallel reach the reference's verdict exactly: the same
+//     error string, or deeply equal results;
+//   - every rejection is classified (wraps ErrTampered or ErrBadCounter);
+//   - the chunk-fed driver, which is strict, checks no freshness and has no
+//     end-of-stream verdict, agrees as far as that lets it. Where the strict
+//     reference accepts, it raises no error, buffers nothing, has received
+//     the whole image and reports the same Seq, Counter, Batches and
+//     MaxBatch. Where the strict reference rejects as tampered, it errors
+//     (wrapping ErrTampered) or its last commit point stops short of the
+//     image; if the reference's error is one record's own, it raises the
+//     identical string. Where the tolerant reference accepts, its last commit
+//     point is the reference's committed prefix, under the same counter.
+//
+// It returns the shared verdict (the last worker count's StreamResult).
+func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, extra ...[]int) (*VerifyResult, *StreamResult, error) {
+	t.Helper()
+	ref, refErr := referenceVerify(bytes.NewReader(img), opts)
+	if refErr != nil && !errors.Is(refErr, ErrTampered) && !errors.Is(refErr, ErrBadCounter) {
+		t.Fatalf("unclassified verification error: %v", refErr)
+	}
+	same := func(driver string, res *VerifyResult, err error) {
+		t.Helper()
+		if (refErr == nil) != (err == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("verdict mismatch:\n  reference: %v\n  %s: %v", refErr, driver, err)
+		}
+		if err == nil && !reflect.DeepEqual(ref, res) {
+			t.Fatalf("result mismatch:\n  reference: %+v\n  %s: %+v", ref, driver, res)
+		}
+	}
+	res, err := VerifyReaderResult(bytes.NewReader(img), opts)
+	same("in-thread", res, err)
+	var par *StreamResult
+	for _, w := range workers {
+		par, err = VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{VerifyOptions: opts, Workers: w})
+		var got *VerifyResult
+		if err == nil {
+			got = &par.VerifyResult
+		}
+		same(fmt.Sprintf("parallel/%d", w), got, err)
+	}
+	for _, sizes := range append(chunkings, extra...) {
+		v, last, err := feedChunked(img, opts, sizes)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("chunk-fed %v: %s\n  reference: %v %+v\n  chunk-fed: %v, last commit %+v", sizes, fmt.Sprintf(format, args...), refErr, ref, err, last)
+		}
+		if err != nil && !errors.Is(err, ErrTampered) {
+			fail("unclassified error")
+		}
+		committed := max(last.Offset, int64(len(fileMagic)))
+		switch {
+		case opts.RecoverTruncated:
+			if refErr == nil && (committed != ref.CommittedBytes || last.Counter != ref.Counter) {
+				fail("committed prefix differs from the tolerant reference's")
+			}
+		case refErr == nil:
+			if err != nil || v.Buffered() != 0 || v.Offset() != int64(len(img)) {
+				fail("did not take in an image the strict reference accepts")
+			}
+			if v.Seq() != uint64(len(ref.Entries)) || v.Counter() != ref.Counter ||
+				v.Batches() != ref.Batches || v.led.cur.maxBatch != ref.MaxBatch {
+				fail("seq=%d counter=%d batches=%d max_batch=%d", v.Seq(), v.Counter(), v.Batches(), v.led.cur.maxBatch)
+			}
+		case errors.Is(refErr, ErrTampered):
+			if err == nil && last.Offset >= int64(len(img)) && len(img) > 0 {
+				fail("committed an image the strict reference rejects")
+			}
+			if recordLevel(refErr) && (err == nil || err.Error() != refErr.Error()) {
+				fail("record-level error differs")
+			}
+		}
+	}
+	return ref, par, refErr
 }
 
 // verdictLine renders one verification outcome as the verdict tables store

@@ -1,13 +1,9 @@
 package audit
 
-import "context"
-
 // Report is the one verification result shape every entry point returns:
-// one-shot path verification (Verify / VerifyContext on the facade), sharded
-// set verification, and a live mirror's status all produce a *Report. It
-// subsumes the older ShardedStreamResult (whose fields it keeps, name for
-// name, so existing callers keep compiling) and adds the live-mirror fields
-// that a one-shot scan leaves zero.
+// one-shot path verification (VerifyPath; Verify / VerifyContext on the
+// facade), sharded set verification (VerifySet), and a live mirror's status
+// all produce a *Report. A one-shot scan leaves the live-mirror fields zero.
 type Report struct {
 	// Sharded reports whether the verified set had a manifest sidecar
 	// (false for a plain single-file log).
@@ -44,29 +40,4 @@ type Report struct {
 	// server-reported committed bytes minus locally verified bytes, summed
 	// across shards. Negative is clamped to zero.
 	LagBytes int64
-}
-
-// report converts a one-shot sharded result into the unified shape.
-func (r *ShardedStreamResult) report() *Report {
-	if r == nil {
-		return nil
-	}
-	return &Report{
-		Sharded:        r.Sharded,
-		Shards:         r.Shards,
-		Manifests:      r.Manifests,
-		Epoch:          r.Epoch,
-		TotalEntries:   r.TotalEntries,
-		TotalBatches:   r.TotalBatches,
-		Tables:         r.Tables,
-		CommittedBytes: r.CommittedBytes,
-		Resumed:        r.Resumed,
-	}
-}
-
-// VerifyPathReport is VerifyPathContext returning the unified Report shape.
-// The facade's Verify / VerifyContext build on this.
-func VerifyPathReport(ctx context.Context, path string, opts StreamOptions) (*Report, error) {
-	res, err := VerifyPathContext(ctx, path, opts)
-	return res.report(), err
 }

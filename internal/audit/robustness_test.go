@@ -63,7 +63,7 @@ func TestTornAppendRecovered(t *testing.T) {
 
 	// The torn tail makes the raw file fail strict verification...
 	path := filepath.Join(e.dir, "git.lseal")
-	if _, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("strict verify of torn file: %v, want ErrTampered", err)
 	}
 
@@ -84,7 +84,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	}
 	// Recovery truncated the debris and re-anchored: the file passes strict
 	// client-side verification again, and appends keep working.
-	entries, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
 	if err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return rec.Append(env, "updates", 4, "r", "main", "c4", "update")
 	})
-	if _, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"}); err != nil {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"}); err != nil {
 		t.Fatalf("append after recovery broke the chain: %v", err)
 	}
 }
@@ -128,7 +128,7 @@ func TestENOSPCAppendRolledBack(t *testing.T) {
 		return l.Append(env, "updates", 3, "r", "main", "c3", "update")
 	})
 	l.Close()
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 	if rec.Seq() != 3 {
 		t.Fatalf("recovered seq = %d, want the full pre-trim chain (3)", rec.Seq())
 	}
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	}); err != nil {
 		t.Fatalf("re-anchored old chain fails verification: %v", err)
@@ -232,7 +232,7 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 	if rec.Seq() != 1 {
 		t.Fatalf("recovered seq = %d, want the trimmed chain (1)", rec.Seq())
 	}
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -305,7 +305,7 @@ func TestDegradedModeBuffersAndReanchors(t *testing.T) {
 		t.Fatalf("reanchor did not advance the counter: %d", l.Counter())
 	}
 	// Everything appended during the outage survives strict verification.
-	entries, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	})
 	if err != nil {
@@ -439,7 +439,7 @@ func TestTrimNeverDegrades(t *testing.T) {
 	// The old chain is untouched. The trim's failed increment may have
 	// landed on the minority of live nodes, so the group can read one ahead
 	// of the log's anchor — the standard crashed-increment lag.
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git", MaxCounterLag: 1,
 	}); err != nil {
 		t.Fatalf("old chain after failed trim: %v", err)
@@ -483,7 +483,7 @@ func TestRecoverCounterLag(t *testing.T) {
 		return err
 	})
 	defer rec.Close()
-	if _, err := VerifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
+	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
 		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
 	}); err != nil {
 		t.Fatalf("strict verify after lag recovery: %v", err)
@@ -513,7 +513,7 @@ func TestSilentCorruptionDetected(t *testing.T) {
 	})
 	l.Close()
 	path := filepath.Join(e.dir, "git.lseal")
-	if _, err := VerifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("strict verify of corrupted log: %v, want ErrTampered", err)
 	}
 	// Recovery must not paper over it either: the damage sits inside the

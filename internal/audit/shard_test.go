@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,8 +21,8 @@ func (e *auditEnv) shardConfig(name string, shards int) ShardedConfig {
 	return ShardedConfig{Config: e.diskConfig(name), Shards: shards, ManifestEvery: time.Hour}
 }
 
-func (e *auditEnv) verifyDir(opts VerifyOptions) (*ShardedStreamResult, error) {
-	return VerifyShardedDir(e.dir, StreamOptions{
+func (e *auditEnv) verifyDir(opts VerifyOptions) (*Report, error) {
+	return VerifyPath(context.Background(), e.dir, StreamOptions{
 		VerifyOptions: opts,
 		OnSegment:     func(SegmentInfo) error { return nil },
 	})
@@ -95,7 +96,7 @@ func TestShardedAppendVerify(t *testing.T) {
 	// Verify the set, collecting every entry per shard to check ordering.
 	var mu sync.Mutex
 	perShard := make(map[int][]*Entry)
-	res, err := VerifyShardedDir(e.dir, StreamOptions{
+	res, err := VerifyPath(context.Background(), e.dir, StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
 		OnSegment: func(si SegmentInfo) error {
 			mu.Lock()
@@ -147,7 +148,7 @@ func TestShardedAppendVerify(t *testing.T) {
 
 // TestShardedSingleShardLegacyLayout pins the compatibility contract: one
 // shard means the historical single-file layout — same file name, no
-// manifest sidecar — and VerifyShardedDir degrades to plain verification.
+// manifest sidecar — and VerifyPath degrades to plain verification.
 func TestShardedSingleShardLegacyLayout(t *testing.T) {
 	e := newAuditEnv(t)
 	var s *ShardedLog
@@ -225,8 +226,12 @@ func TestShardRollbackDetectedByManifest(t *testing.T) {
 	// evidence is in the files themselves.
 	offline := VerifyOptions{Pub: e.encl.PublicKey()}
 
-	// The intact set verifies offline.
-	if _, err := e.verifyDir(offline); err != nil {
+	// The intact set verifies offline. The run leaves a checkpoint sidecar at
+	// each shard's last commit point — exactly the states the last manifest
+	// attests.
+	if _, err := VerifyPath(context.Background(), e.dir, StreamOptions{
+		VerifyOptions: offline, Checkpoint: &CheckpointConfig{EverySegments: 1},
+	}); err != nil {
 		t.Fatalf("intact set: %v", err)
 	}
 
@@ -235,7 +240,7 @@ func TestShardRollbackDetectedByManifest(t *testing.T) {
 	if err := os.WriteFile(shard0, rolledBack, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyFileStream(shard0, StreamOptions{
+	if _, err := VerifyFileStream(context.Background(), shard0, StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey()},
 		OnSegment:     func(SegmentInfo) error { return nil },
 	}); err != nil {
@@ -247,6 +252,15 @@ func TestShardRollbackDetectedByManifest(t *testing.T) {
 	}
 	if want := "shard rolled back"; err == nil || !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not name the rollback", err)
+	}
+	// Resuming changes nothing: shard 0's sidecar no longer matches its
+	// file, and a stale sidecar — unauthenticated bytes the provider could
+	// as well have forged — must not lend the rolled-back shard the commit
+	// point it records.
+	if _, err := VerifyPath(context.Background(), e.dir, StreamOptions{
+		VerifyOptions: offline, ResumeAuto: true,
+	}); !errors.Is(err, ErrBadCounter) {
+		t.Fatalf("rolled-back shard beside a stale checkpoint: err = %v, want ErrBadCounter", err)
 	}
 
 	// Restore the full image: offline verification passes again.
@@ -423,7 +437,7 @@ func TestShardedVerifyResumeAuto(t *testing.T) {
 		Checkpoint:    &CheckpointConfig{EverySegments: 1},
 		OnSegment:     func(SegmentInfo) error { return nil },
 	}
-	cold, err := VerifyShardedDir(e.dir, opts)
+	cold, err := VerifyPath(context.Background(), e.dir, opts)
 	if err != nil {
 		t.Fatalf("cold verify: %v", err)
 	}
@@ -439,7 +453,7 @@ func TestShardedVerifyResumeAuto(t *testing.T) {
 	}
 
 	opts.ResumeAuto = true
-	warm, err := VerifyShardedDir(e.dir, opts)
+	warm, err := VerifyPath(context.Background(), e.dir, opts)
 	if err != nil {
 		t.Fatalf("resumed verify: %v", err)
 	}
@@ -537,6 +551,27 @@ func TestShardRouting(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		if hit[k] == 0 {
 			t.Fatalf("no keys routed to shard %d: %v", k, hit)
+		}
+	}
+}
+
+// TestShardWorkersSplit checks that a worker budget divided over a set's
+// shards is spent in full — the remainder goes to the first shards — and
+// that no shard is left without a verifier.
+func TestShardWorkersSplit(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 5, 8} {
+		for _, shards := range []int{1, 2, 4} {
+			sum := 0
+			for k := 0; k < shards; k++ {
+				n := shardWorkers(workers, shards, k)
+				if n < 1 {
+					t.Errorf("workers=%d shards=%d: shard %d gets %d", workers, shards, k, n)
+				}
+				sum += n
+			}
+			if want := max(workers, shards); sum != want {
+				t.Errorf("workers=%d shards=%d: %d verifiers in all, want %d", workers, shards, sum, want)
+			}
 		}
 	}
 }

@@ -58,11 +58,19 @@ func (ss *ShardSet) ShardPath(k int) string {
 	return filepath.Join(ss.Dir, ShardName(ss.Name, k)+".lseal")
 }
 
-// FindShardSet inspects a directory for a log set. A manifest sidecar
-// identifies a sharded set (its shard files must be contiguous from shard
-// 0); without one, exactly one .lseal file identifies a single-file set.
-func FindShardSet(dir string) (*ShardSet, error) {
-	ents, err := os.ReadDir(dir)
+// FindShardSet locates the log set at a path: a log file is a single-file
+// set; in a directory, a manifest sidecar identifies a sharded set (its shard
+// files must be contiguous from shard 0), and without one exactly one .lseal
+// file identifies a single-file set.
+func FindShardSet(path string) (*ShardSet, error) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return &ShardSet{Dir: filepath.Dir(path), Name: strings.TrimSuffix(filepath.Base(path), ".lseal"), Shards: 1}, nil
+	}
+	ents, err := os.ReadDir(path)
 	if err != nil {
 		return nil, err
 	}
@@ -80,12 +88,12 @@ func FindShardSet(dir string) (*ShardSet, error) {
 	}
 	switch {
 	case len(manifests) > 1:
-		return nil, fmt.Errorf("audit: %s holds multiple log sets (%s)", dir, strings.Join(manifests, ", "))
+		return nil, fmt.Errorf("audit: %s holds multiple log sets (%s)", path, strings.Join(manifests, ", "))
 	case len(manifests) == 1:
 		name := strings.TrimSuffix(manifests[0], ".manifest")
-		ss := &ShardSet{Dir: dir, Name: name, Manifest: filepath.Join(dir, manifests[0])}
+		ss := &ShardSet{Dir: path, Name: name, Manifest: filepath.Join(path, manifests[0])}
 		for {
-			if _, err := os.Stat(filepath.Join(dir, ShardName(name, ss.Shards)+".lseal")); err != nil {
+			if _, err := os.Stat(filepath.Join(path, ShardName(name, ss.Shards)+".lseal")); err != nil {
 				break
 			}
 			ss.Shards++
@@ -95,101 +103,44 @@ func FindShardSet(dir string) (*ShardSet, error) {
 		}
 		return ss, nil
 	case len(logs) == 1:
-		return &ShardSet{Dir: dir, Name: strings.TrimSuffix(logs[0], ".lseal"), Shards: 1}, nil
+		return &ShardSet{Dir: path, Name: strings.TrimSuffix(logs[0], ".lseal"), Shards: 1}, nil
 	case len(logs) == 0:
-		return nil, fmt.Errorf("audit: no log files in %s", dir)
+		return nil, fmt.Errorf("audit: no log files in %s", path)
 	default:
-		return nil, fmt.Errorf("audit: %d log files in %s but no manifest sidecar", len(logs), dir)
+		return nil, fmt.Errorf("audit: %d log files in %s but no manifest sidecar", len(logs), path)
 	}
-}
-
-// ShardedStreamResult is the outcome of verifying a whole log set.
-type ShardedStreamResult struct {
-	// Sharded reports whether the set had a manifest sidecar (false for a
-	// plain single-file log).
-	Sharded bool
-	// Shards holds each shard's own streaming result, indexed by shard.
-	Shards []*StreamResult
-	// Manifests is the number of epoch manifests verified; Epoch the last
-	// manifest's epoch.
-	Manifests int
-	Epoch     uint64
-	// TotalEntries / TotalBatches aggregate across shards (checkpointed
-	// prefixes included); Tables counts entries per table across the set.
-	TotalEntries int
-	TotalBatches int
-	Tables       map[string]int
-	// CommittedBytes sums the shards' verified prefix lengths.
-	CommittedBytes int64
-	// Resumed reports whether any shard resumed from a checkpoint.
-	Resumed bool
 }
 
 // VerifyPath verifies a log at a path that may be a single log file or a
 // directory holding a sharded set, auto-detecting which. This is the
 // recommended entry point; the per-file functions remain for callers that
-// already know the layout.
-func VerifyPath(path string, opts StreamOptions) (*ShardedStreamResult, error) {
-	return VerifyPathContext(context.Background(), path, opts)
-}
-
-// VerifyPathContext is VerifyPath honouring a context: a cancelled or
-// expired ctx stops every shard's pipeline and returns ctx.Err() instead of
-// a verification verdict.
-func VerifyPathContext(ctx context.Context, path string, opts StreamOptions) (*ShardedStreamResult, error) {
-	fi, err := os.Stat(path)
+// already know the layout. A cancelled or expired ctx stops every shard's
+// pipeline and returns ctx.Err() instead of a verification verdict.
+func VerifyPath(ctx context.Context, path string, opts StreamOptions) (*Report, error) {
+	ss, err := FindShardSet(path)
 	if err != nil {
 		return nil, err
 	}
-	if fi.IsDir() {
-		ss, err := FindShardSet(path)
-		if err != nil {
-			return nil, err
-		}
-		return VerifySetContext(ctx, ss, opts)
-	}
-	return VerifySetContext(ctx, &ShardSet{
-		Dir:    filepath.Dir(path),
-		Name:   strings.TrimSuffix(filepath.Base(path), ".lseal"),
-		Shards: 1,
-	}, opts)
+	return VerifySet(ctx, ss, opts)
 }
 
-// VerifyShardedDir verifies the log set found in dir. See VerifyPath.
-func VerifyShardedDir(dir string, opts StreamOptions) (*ShardedStreamResult, error) {
-	ss, err := FindShardSet(dir)
-	if err != nil {
-		return nil, err
-	}
-	return VerifySet(ss, opts)
-}
-
-// commitPoint is one (entries, chain head, counter) triple a signature
-// record attests — the unit of the manifest cross-check.
-type commitPoint struct {
-	seq     uint64
-	counter uint64
-	chain   [32]byte
-}
-
-// commitSet is one shard's verified commit points. It is filled by that
-// shard's merger goroutine (sequentially) and read only after the shard's
-// verification returns.
+// commitSet is one shard's verified commit points — the (entries, chain
+// head, counter) triples its signature records attest, the unit of the
+// manifest cross-check. It is filled by that shard's merger goroutine
+// (sequentially) and read only after the shard's verification returns.
 type commitSet struct {
 	baseSeq uint64 // resumed scans cannot enumerate points before this
-	pts     map[commitPoint]struct{}
+	pts     map[ShardState]struct{}
 }
 
 func newCommitSet() *commitSet {
-	cs := &commitSet{pts: map[commitPoint]struct{}{}}
 	// The empty log is a valid attested state (the creation manifest binds
 	// it before any entry commits).
-	cs.pts[commitPoint{}] = struct{}{}
-	return cs
+	return &commitSet{pts: map[ShardState]struct{}{{}: {}}}
 }
 
 func (cs *commitSet) add(seq, counter uint64, chain [32]byte) {
-	cs.pts[commitPoint{seq: seq, counter: counter, chain: chain}] = struct{}{}
+	cs.pts[ShardState{Seq: seq, Counter: counter, Chain: chain}] = struct{}{}
 }
 
 // has reports whether a manifest-attested state is consistent with the
@@ -200,28 +151,28 @@ func (cs *commitSet) has(st ShardState) bool {
 	if st.Seq < cs.baseSeq {
 		return true
 	}
-	_, ok := cs.pts[commitPoint{seq: st.Seq, counter: st.Counter, chain: st.Chain}]
+	_, ok := cs.pts[st]
 	return ok
+}
+
+// shardWorkers is shard k's share of a worker budget split over a set.
+func shardWorkers(workers, shards, k int) int {
+	n := workers / shards
+	if k < workers%shards {
+		n++
+	}
+	return max(n, 1)
 }
 
 // VerifySet verifies every shard of the set in parallel and replays the
 // manifest sidecar against the shards' verified commit points.
-func VerifySet(ss *ShardSet, opts StreamOptions) (*ShardedStreamResult, error) {
-	return VerifySetContext(context.Background(), ss, opts)
-}
-
-// VerifySetContext is VerifySet honouring a context.
-func VerifySetContext(ctx context.Context, ss *ShardSet, opts StreamOptions) (*ShardedStreamResult, error) {
+func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, error) {
 	if opts.Resume != nil && ss.Shards > 1 {
 		return nil, errors.New("audit: explicit Resume on a sharded set; use ResumeAuto")
 	}
 	totalWorkers := opts.Workers
 	if totalWorkers <= 0 {
 		totalWorkers = runtime.GOMAXPROCS(0)
-	}
-	perShard := totalWorkers / ss.Shards
-	if perShard < 1 {
-		perShard = 1
 	}
 	results := make([]*StreamResult, ss.Shards)
 	errs := make([]error, ss.Shards)
@@ -232,7 +183,7 @@ func VerifySetContext(ctx context.Context, ss *ShardSet, opts StreamOptions) (*S
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k], errs[k] = verifyShard(ctx, ss, k, perShard, opts, points[k])
+			results[k], errs[k] = verifyShard(ctx, ss, k, shardWorkers(totalWorkers, ss.Shards, k), opts, points[k])
 		}(k)
 	}
 	wg.Wait()
@@ -247,7 +198,7 @@ func VerifySetContext(ctx context.Context, ss *ShardSet, opts StreamOptions) (*S
 			return nil, err
 		}
 	}
-	out := &ShardedStreamResult{
+	out := &Report{
 		Sharded: ss.Sharded(),
 		Shards:  results,
 		Tables:  map[string]int{},
@@ -262,12 +213,9 @@ func VerifySetContext(ctx context.Context, ss *ShardSet, opts StreamOptions) (*S
 		}
 	}
 	if ss.Sharded() {
-		n, epoch, err := replayManifests(ss, &opts, points)
-		if err != nil {
+		if err := replayManifests(ss, &opts, points, out); err != nil {
 			return nil, err
 		}
-		out.Manifests = n
-		out.Epoch = epoch
 	}
 	return out, nil
 }
@@ -288,17 +236,14 @@ func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamO
 	ckptPath := path + ".ckpt"
 	if opts.Checkpoint != nil {
 		ccfg := *opts.Checkpoint
-		if ccfg.Path == "" || ss.Sharded() {
-			ccfg.Path = ckptPath
+		if ccfg.Path != "" && !ss.Sharded() {
+			ckptPath = ccfg.Path
 		}
+		ccfg.Path = ckptPath
 		sopts.Checkpoint = &ccfg
 	}
 	if opts.ResumeAuto {
-		loadFrom := ckptPath
-		if sopts.Checkpoint != nil {
-			loadFrom = sopts.Checkpoint.Path
-		}
-		if c, err := LoadCheckpoint(loadFrom); err == nil && c.Shard == k {
+		if c, err := LoadCheckpoint(ckptPath); err == nil && c.Shard == k {
 			sopts.Resume = c
 		}
 	}
@@ -310,44 +255,39 @@ func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamO
 		}
 		return nil
 	}
-	run := func() (*StreamResult, error) {
-		if sopts.Resume != nil {
-			cs.baseSeq = sopts.Resume.Seq
-			chain, err := sopts.Resume.chainHead()
-			if err == nil {
-				cs.add(sopts.Resume.Seq, sopts.Resume.Counter, chain)
-			}
-		} else {
-			cs.baseSeq = 0
-		}
-		return VerifyFileStreamContext(ctx, path, sopts)
-	}
-	res, err := run()
-	if err != nil && sopts.Resume != nil && errors.Is(err, ErrCheckpointStale) {
-		// The auto-loaded checkpoint no longer matches the file (trimmed or
-		// rewritten since): cold-scan for the true verdict.
+	res, err := VerifyFileStream(ctx, path, sopts)
+	if sopts.Resume != nil && errors.Is(err, ErrCheckpointStale) {
+		// The checkpoint no longer matches the file (trimmed or rewritten
+		// since): cold-scan for the true verdict.
 		sopts.Resume = nil
-		res, err = run()
+		res, err = VerifyFileStream(ctx, path, sopts)
+	}
+	if c := sopts.Resume; c != nil && err == nil {
+		// Only a checkpoint the file itself authenticated vouches for the
+		// prefix before it; a sidecar that turned out stale must not leave
+		// a commit point behind for the manifest replay to find.
+		chain, _ := c.chainHead() // the scan that just succeeded decoded it
+		cs.baseSeq = c.Seq
+		cs.add(c.Seq, c.Counter, chain)
 	}
 	return res, err
 }
 
 // replayManifests verifies the manifest sidecar against the shards'
-// verified commit points. Returns the number of manifests verified and the
-// last epoch.
-func replayManifests(ss *ShardSet, opts *StreamOptions, points []*commitSet) (int, uint64, error) {
+// verified commit points and records the manifest count and last epoch in out.
+func replayManifests(ss *ShardSet, opts *StreamOptions, points []*commitSet, out *Report) error {
 	raw, err := os.ReadFile(ss.Manifest)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
+		return fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
 	}
 	ms, err := readManifests(bytes.NewReader(raw), opts.RecoverTruncated)
 	if err != nil {
-		return 0, 0, fmt.Errorf("manifest sidecar: %w", err)
+		return fmt.Errorf("manifest sidecar: %w", err)
 	}
 	if len(ms) == 0 && !opts.RecoverTruncated {
 		// The writer creates the sidecar with an initial manifest; an empty
 		// one means its records were stripped.
-		return 0, 0, fmt.Errorf("%w: manifest sidecar holds no manifests", ErrTampered)
+		return fmt.Errorf("%w: manifest sidecar holds no manifests", ErrTampered)
 	}
 	// The per-record checks (shard count, epoch/counter monotonicity,
 	// signature) run on the same replayer the live mirror uses, so offline
@@ -356,28 +296,24 @@ func replayManifests(ss *ShardSet, opts *StreamOptions, points []*commitSet) (in
 	replayer := &ManifestReplayer{Name: ss.Name, Pub: opts.Pub, Shards: ss.Shards}
 	for _, m := range ms {
 		if err := replayer.Verify(m); err != nil {
-			return 0, 0, err
+			return err
 		}
 		for k, st := range m.Shards {
 			if !points[k].has(st) {
-				return 0, 0, fmt.Errorf(
+				return fmt.Errorf(
 					"%w: epoch manifest %d attests shard %d at seq=%d counter=%d, but the shard log holds no such commit point — shard rolled back",
 					ErrBadCounter, m.Epoch, k, st.Seq, st.Counter)
 			}
 		}
 	}
-	lastEpoch, lastCounter := replayer.Epoch(), replayer.Counter()
+	out.Manifests, out.Epoch = len(ms), replayer.Epoch()
 	// The sidecar's own tail is guarded by the live manifest counter: a
 	// provider that discards recent manifests (and the shard records they
 	// attest) is caught here, exactly like a single-file tail rollback.
-	if opts.Protector != nil {
-		stable, err := opts.Protector.Read(ManifestCounterName(ss.Name))
-		if err != nil {
-			return 0, 0, err
-		}
-		if lastCounter+opts.MaxCounterLag < stable {
-			return 0, 0, fmt.Errorf("%w: manifest counter %d < group counter %d", ErrBadCounter, lastCounter, stable)
-		}
+	fresh := opts.VerifyOptions
+	fresh.Name = ManifestCounterName(ss.Name)
+	if err := checkFreshness(replayer.Counter(), fresh); err != nil {
+		return fmt.Errorf("manifest sidecar: %w", err)
 	}
-	return len(ms), lastEpoch, nil
+	return nil
 }

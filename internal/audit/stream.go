@@ -1,14 +1,8 @@
 package audit
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
-	"fmt"
 	"io"
-
-	"libseal/internal/enclave"
 )
 
 // Segmented log scanning. A persisted log is a stream of entry records
@@ -24,46 +18,10 @@ import (
 // trustworthy by induction and the stitched result equals the sequential
 // scan's byte for byte.
 //
-// The scanner does only cheap structural work (record framing, signature
-// field splitting); hashing, ECDSA verification and entry decoding — the
-// dominant costs — happen in the workers.
-
-// maxRecordBytes caps a single record's payload length. The writers never
-// produce records anywhere near this large; a length field claiming more is
-// either corruption or a malicious log, and bounding it keeps a hostile
-// input from forcing multi-gigabyte allocations during verification.
-const maxRecordBytes = 1 << 28
-
-// errOversized classifies a record whose length field exceeds
-// maxRecordBytes. Shared by the sequential and streaming scanners so both
-// paths report the identical error.
-func errOversized(n uint32) error {
-	return fmt.Errorf("%w: oversized record (%d bytes)", ErrTampered, n)
-}
-
-// readPayload reads an n-byte record payload. Large payloads are read
-// through a growing buffer rather than allocated up front, so a forged
-// length field costs memory proportional to the bytes actually present,
-// not to the claim. Short reads return io.ReadFull-style errors.
-func readPayload(r io.Reader, n uint32) ([]byte, error) {
-	if n <= 1<<16 {
-		b := make([]byte, n)
-		_, err := io.ReadFull(r, b)
-		return b, err
-	}
-	var buf bytes.Buffer
-	got, err := io.Copy(&buf, io.LimitReader(r, int64(n)))
-	if err != nil {
-		return nil, err
-	}
-	if got < int64(n) {
-		if got == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
-	}
-	return buf.Bytes(), nil
-}
+// The scanner does only cheap structural work (record framing, reading the
+// head a signature record claims); signature parsing, hashing, ECDSA
+// verification and entry decoding — the dominant costs — happen in whoever
+// the segments are dispatched to.
 
 // segment is one signature-delimited slice of the record stream: the entry
 // payloads since the previous commit point plus (except for a trailing
@@ -74,232 +32,133 @@ type segment struct {
 	startChain [32]byte // claimed chain head before the first entry
 	payloads   [][]byte // raw entry payloads (sealed if the log is sealed)
 
-	hasSig      bool
-	sigRaw      []byte   // raw signature record payload (checkpoint binding)
-	sigChain    [32]byte // claimed chain head after the last entry
-	counter     uint64
-	sigVal      enclave.Signature
-	sigParseErr error
-	sigOff      int64 // file offset of the signature record's header
-	end         int64 // file offset just past the signature record (commit point)
+	hasSig bool
+	sigRaw []byte // raw signature record payload
+	sigOff int64  // file offset of the signature record's header
+	end    int64  // file offset just past the signature record (commit point)
 
 	res  segResult
-	done chan struct{}
+	done chan struct{} // parallel driver only: closed once res is set
 }
 
-// segResult is a worker's verdict on one segment.
+// segResult is the verdict on one segment.
 type segResult struct {
-	entries  []*Entry
-	err      error  // formatted entry-level failure (nil otherwise)
-	entryErr bool   // err was raised at an entry record
-	sigBad   string // non-empty: the signature record failed (parse/chain/ECDSA)
-	bytes    int64  // entry payload bytes, for telemetry
+	entries []*Entry
+	err     error    // the first record that failed, nil if none did
+	atSig   bool     // err was raised at the signature record, not an entry
+	chain   [32]byte // chain head the signature record attests
+	counter uint64   // counter it binds
+	bytes   int64    // entry payload bytes, for telemetry and checkpoint cadence
 }
 
 // scanEnd is what the scanner learned about the stream beyond the dispatched
-// segments; the merger consults it to reproduce the sequential verifier's
-// error precedence exactly.
+// segments; the verdict needs it to rank failures.
 type scanEnd struct {
 	// streamErr is a record-framing failure (bad magic, truncated record,
-	// oversized record). In strict mode it preempts every other verdict —
-	// the sequential verifier parses the whole stream before checking
-	// anything — except that bad magic fails both modes.
+	// oversized record).
 	streamErr error
 	badMagic  bool
 	// unknownErr is the first unknown-record-type error; it applies only
 	// when everything dispatched before it verified.
 	unknownErr error
 	// totalSigs counts every signature record in the stream, including ones
-	// after the scanner stopped dispatching. A tolerant scan that tears
-	// inside the signed prefix must detect any later signature record as
-	// proof of tampering.
+	// after the scanner stopped dispatching.
 	totalSigs int
-	endOffset int64
 }
 
-// scanBase is the verified state the scan starts from: zero values for a
-// cold scan, the checkpointed prefix state for a resumed one.
-type scanBase struct {
-	offset   int64
-	seq      uint64
-	chain    [32]byte
-	counter  uint64
-	batches  int
-	maxBatch int
-	entries  int
-	tables   map[string]int
-}
-
-// scan reads the record stream, dispatching signature-delimited segments to
-// the work and order channels (same segments, same order; order is what the
-// merger consumes). It always structurally scans to end of stream, even
-// after it stops dispatching, so the merger can apply the sequential
-// verifier's precedence rules. Runs as a goroutine; closes both channels on
-// return.
-func scanSegments(ctx context.Context, r io.Reader, base scanBase, resumed bool, work, order chan *segment, end *scanEnd) {
-	defer close(work)
-	defer close(order)
-	br := bufio.NewReaderSize(r, 512<<10)
-	off := base.offset
+// scanSegments frames the record stream and hands each signature-delimited
+// segment to dispatch, in stream order, stopping early only when dispatch
+// returns false or ctx is done. It always frames to the end of the stream,
+// even past the point where it stops dispatching, because the verdict can
+// depend on what follows a failure. base is the verified state the stream is
+// read from: the empty log (magic expected first), or, when resumed, a
+// checkpoint's commit point with r positioned at its offset.
+func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, dispatch func(*segment) bool) (end scanEnd) {
+	rr := recordReader{r: r, kind: &logStream, off: base.end}
 	if !resumed {
-		magic := make([]byte, len(fileMagic))
-		if _, err := io.ReadFull(br, magic); err != nil || string(magic) != string(fileMagic) {
-			end.streamErr = fmt.Errorf("%w: bad magic", ErrTampered)
-			end.badMagic = true
-			end.endOffset = off
-			return
+		if err := rr.magic(); err != nil {
+			end.streamErr, end.badMagic = err, true
+			return end
 		}
-		off = int64(len(fileMagic))
-	}
-	dispatch := func(s *segment) bool {
-		s.done = make(chan struct{})
-		select {
-		case work <- s:
-		case <-ctx.Done():
-			return false
-		}
-		select {
-		case order <- s:
-		case <-ctx.Done():
-			return false
-		}
-		return true
 	}
 	var cur *segment
 	idx := 0
-	nextSeq := base.seq
-	nextChain := base.chain
+	nextSeq, nextChain := base.seq, base.chain
+	open := func() *segment {
+		if cur == nil {
+			cur = &segment{index: idx, startSeq: nextSeq, startChain: nextChain}
+		}
+		return cur
+	}
 	dispatching := true
-	var hdr [5]byte
-	for {
-		if ctx.Err() != nil {
-			break
-		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err != io.EOF {
-				end.streamErr = fmt.Errorf("%w: truncated record header", ErrTampered)
-			}
-			break
-		}
-		n := binary.BigEndian.Uint32(hdr[1:])
-		if n > maxRecordBytes {
-			end.streamErr = errOversized(n)
-			break
-		}
-		payload, err := readPayload(br, n)
+	for ctx.Err() == nil {
+		rec, err := rr.next()
 		if err != nil {
-			end.streamErr = fmt.Errorf("%w: truncated record", ErrTampered)
+			if err != io.EOF {
+				end.streamErr = err
+			}
 			break
 		}
-		off += 5 + int64(n)
-		switch hdr[0] {
+		switch rec.typ {
 		case recEntry:
-			if !dispatching {
-				continue
+			if dispatching {
+				seg := open()
+				seg.payloads = append(seg.payloads, rec.payload)
+				nextSeq++
 			}
-			if cur == nil {
-				cur = &segment{index: idx, startSeq: nextSeq, startChain: nextChain}
-			}
-			cur.payloads = append(cur.payloads, payload)
-			nextSeq++
 		case recSig:
 			end.totalSigs++
 			if !dispatching {
 				continue
 			}
-			seg := cur
-			if seg == nil {
-				seg = &segment{index: idx, startSeq: nextSeq, startChain: nextChain}
-			}
+			seg := open()
 			cur = nil
-			seg.hasSig = true
-			seg.sigRaw = payload
-			seg.sigOff = off - 5 - int64(n)
-			seg.end = off
-			ch, ctr, sv, perr := parseSig(payload)
-			if perr != nil {
-				// The claimed chain beyond this point is unknowable; the
-				// verdict is already decided at this segment, so later
-				// records are scanned structurally only.
-				seg.sigParseErr = perr
-				dispatching = false
-			} else {
-				seg.sigChain = ch
-				seg.counter = ctr
-				seg.sigVal = sv
-				nextChain = ch
-			}
+			seg.hasSig, seg.sigRaw, seg.sigOff, seg.end = true, rec.payload, rec.off, rr.off
+			// The next segment starts from the head this record claims. If
+			// the record is too short to claim one it fails to parse, and
+			// nothing after the first failure affects the verdict.
+			copy(nextChain[:], rec.payload)
 			idx++
 			if !dispatch(seg) {
-				return
+				return end
 			}
 		default:
 			if end.unknownErr == nil {
-				end.unknownErr = fmt.Errorf("%w: unknown record type %q", ErrTampered, hdr[0])
+				end.unknownErr = logStream.unknownType(rec.typ)
 			}
-			// Entries pending before the unknown record are processed by the
-			// sequential verifier before it errors; dispatch them as a
-			// trailing unsigned segment, then scan structurally.
-			if dispatching && cur != nil {
-				trailing := cur
-				cur = nil
-				if !dispatch(trailing) {
-					return
-				}
+			// Entries before the unknown record are judged before it is;
+			// dispatch them as a trailing unsigned segment, then only frame.
+			if dispatching && cur != nil && !dispatch(cur) {
+				return end
 			}
 			dispatching = false
 		}
 	}
 	if dispatching && cur != nil {
-		if !dispatch(cur) {
-			return
-		}
+		dispatch(cur)
 	}
-	end.endOffset = off
+	return end
 }
 
-// verifySegment recomputes one segment's hash chain, decodes its entries and
-// checks its signature record against the claimed chain head. It is the
-// expensive half of verification and runs concurrently across segments.
-func verifySegment(seg *segment, opts *VerifyOptions) segResult {
+// verifySegment runs the core over one segment from its claimed start: the
+// expensive half of verification, safe to run concurrently across segments.
+// firstSig is the ordinal of the scan's first signature record.
+func verifySegment(seg *segment, opts *VerifyOptions, firstSig int) segResult {
+	v := chainVerifier{opts: opts, seq: seg.startSeq, chain: seg.startChain, sigs: firstSig + seg.index}
 	var res segResult
-	chain := seg.startChain
-	seq := seg.startSeq
 	for _, raw := range seg.payloads {
-		payload := raw
-		if opts.Unseal != nil {
-			var err error
-			if payload, err = opts.Unseal(raw); err != nil {
-				res.err = fmt.Errorf("%w: unseal: %v", ErrTampered, err)
-				res.entryErr = true
-				return res
-			}
-		}
-		e, err := UnmarshalEntry(payload)
+		e, err := v.entry(raw)
 		if err != nil {
-			res.err = fmt.Errorf("%w: %v", ErrTampered, err)
-			res.entryErr = true
+			res.err = err
 			return res
 		}
-		if e.Seq != seq {
-			res.err = fmt.Errorf("%w: sequence gap at %d", ErrTampered, seq)
-			res.entryErr = true
-			return res
-		}
-		seq++
-		chain = chainNext(chain, payload)
 		res.entries = append(res.entries, e)
-		res.bytes += int64(len(payload))
+		res.bytes += int64(len(raw))
 	}
 	if seg.hasSig {
-		switch {
-		case seg.sigParseErr != nil:
-			res.sigBad = seg.sigParseErr.Error()
-		case seg.sigChain != chain:
-			res.sigBad = "chain hash mismatch"
-		case opts.Pub != nil && !enclave.VerifySignature(opts.Pub, sigDigest(seg.sigChain, seg.counter), seg.sigVal):
-			res.sigBad = "signature invalid"
-		}
+		res.counter, res.err = v.sig(seg.sigRaw)
+		res.atSig = res.err != nil
+		res.chain = v.chain
 	}
 	return res
 }

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -50,25 +51,16 @@ func appendUnsigned(t testing.TB, img []byte, seq uint64, n int) []byte {
 	return buf.Bytes()
 }
 
-// runBoth runs the sequential and streaming verifiers on the same image
-// and asserts they agree exactly — same error string or same result.
+// runBoth verifies img with the reference and every production driver (the
+// parallel one at the given worker count) and asserts they agree; see
+// driversAgree. It returns nil results when the shared verdict is an error.
 func runBoth(t *testing.T, img []byte, opts VerifyOptions, workers int) (*VerifyResult, *StreamResult) {
 	t.Helper()
-	seqRes, seqErr := VerifyReaderResult(bytes.NewReader(img), opts)
-	strRes, strErr := VerifyReaderStream(bytes.NewReader(img), StreamOptions{VerifyOptions: opts, Workers: workers})
-	if (seqErr == nil) != (strErr == nil) {
-		t.Fatalf("verdict mismatch: sequential err=%v, stream err=%v", seqErr, strErr)
-	}
-	if seqErr != nil {
-		if seqErr.Error() != strErr.Error() {
-			t.Fatalf("error mismatch:\n  sequential: %v\n  stream:     %v", seqErr, strErr)
-		}
+	ref, par, err := driversAgree(t, img, opts, []int{workers})
+	if err != nil {
 		return nil, nil
 	}
-	if !reflect.DeepEqual(seqRes, &strRes.VerifyResult) {
-		t.Fatalf("result mismatch:\n  sequential: %+v\n  stream:     %+v", seqRes, strRes.VerifyResult)
-	}
-	return seqRes, strRes
+	return ref, par
 }
 
 func TestStreamMatchesSequentialShapes(t *testing.T) {
@@ -141,7 +133,7 @@ func TestStreamCallbackBoundsMemory(t *testing.T) {
 	img := synthLog(t, key, 120, 8)
 	var got []uint64
 	var lastOff int64
-	res, err := VerifyReaderStream(bytes.NewReader(img), StreamOptions{
+	res, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
 		Workers:       4,
 		OnSegment: func(s SegmentInfo) error {
@@ -179,7 +171,7 @@ func TestStreamCallbackAbort(t *testing.T) {
 	img := synthLog(t, key, 200, 4)
 	boom := errors.New("boom")
 	n := 0
-	_, err := VerifyReaderStream(bytes.NewReader(img), StreamOptions{
+	_, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
 		Workers:       4,
 		OnSegment: func(SegmentInfo) error {
@@ -195,6 +187,39 @@ func TestStreamCallbackAbort(t *testing.T) {
 	}
 }
 
+// TestStreamCancelStopsCommitting cancels the context mid-scan: the workers
+// stop verifying, so the merger must stop committing — no segment delivered
+// and no checkpoint written past the cancellation.
+func TestStreamCancelStopsCommitting(t *testing.T) {
+	key := testKey(t)
+	img := synthLog(t, key, 200, 4)
+	ckptPath := filepath.Join(t.TempDir(), "log.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	delivered := 0
+	_, err := VerifyReaderStream(ctx, bytes.NewReader(img), StreamOptions{
+		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
+		Workers:       4,
+		Checkpoint:    &CheckpointConfig{Path: ckptPath, EverySegments: 1},
+		OnSegment: func(SegmentInfo) error {
+			if delivered++; delivered == 3 {
+				cancel()
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	ck, err := LoadCheckpoint(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 3 || ck.Batches != 3 {
+		t.Fatalf("%d segments delivered, checkpoint at batch %d; want both to stop at 3", delivered, ck.Batches)
+	}
+}
+
 func TestCheckpointResume(t *testing.T) {
 	key := testKey(t)
 	dir := t.TempDir()
@@ -205,7 +230,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	opts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 4}
 
-	cold, err := VerifyFileStream(logPath, opts)
+	cold, err := VerifyFileStream(context.Background(), logPath, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +248,7 @@ func TestCheckpointResume(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := VerifyFileStream(logPath, kopts); !errors.Is(err, killed) {
+	if _, err := VerifyFileStream(context.Background(), logPath, kopts); !errors.Is(err, killed) {
 		t.Fatalf("err = %v, want kill", err)
 	}
 
@@ -237,7 +262,7 @@ func TestCheckpointResume(t *testing.T) {
 
 	ropts := opts
 	ropts.Resume = ck
-	warm, err := VerifyFileStream(logPath, ropts)
+	warm, err := VerifyFileStream(context.Background(), logPath, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +290,7 @@ func TestCheckpointStale(t *testing.T) {
 	opts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2}
 	copts := opts
 	copts.Checkpoint = &CheckpointConfig{Path: ckptPath, EverySegments: 3}
-	if _, err := VerifyFileStream(logPath, copts); err != nil {
+	if _, err := VerifyFileStream(context.Background(), logPath, copts); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := LoadCheckpoint(ckptPath)
@@ -278,7 +303,7 @@ func TestCheckpointStale(t *testing.T) {
 	}
 	ropts := opts
 	ropts.Resume = ck
-	if _, err := VerifyFileStream(logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("err = %v, want ErrCheckpointStale", err)
 	}
 }
@@ -304,7 +329,7 @@ func TestStreamResumeMidFailure(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := VerifyFileStream(logPath, copts); !errors.Is(err, stop) {
+	if _, err := VerifyFileStream(context.Background(), logPath, copts); !errors.Is(err, stop) {
 		t.Fatal(err)
 	}
 	ck, err := LoadCheckpoint(ckptPath)
@@ -323,10 +348,10 @@ func TestStreamResumeMidFailure(t *testing.T) {
 	if err := os.WriteFile(logPath, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, coldErr := VerifyFileStream(logPath, opts)
+	_, coldErr := VerifyFileStream(context.Background(), logPath, opts)
 	ropts := opts
 	ropts.Resume = ck
-	_, warmErr := VerifyFileStream(logPath, ropts)
+	_, warmErr := VerifyFileStream(context.Background(), logPath, ropts)
 	if coldErr == nil || warmErr == nil {
 		t.Fatalf("corruption not detected: cold=%v warm=%v", coldErr, warmErr)
 	}

@@ -247,7 +247,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 
 	// Each partial log alone shows no soundness violation.
 	for instance, path := range files {
-		entries, err := audit.VerifyFile(path, opts[instance])
+		entries, err := verifyLogFile(path, opts[instance])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,4 +277,19 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 	if violations["git-soundness"] == nil {
 		t.Fatalf("merged cross-instance logs missed the rollback: %v", violations)
 	}
+}
+
+// verifyLogFile verifies the log file at path on the caller's goroutine and
+// returns its entries.
+func verifyLogFile(path string, opts audit.VerifyOptions) ([]*audit.Entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := audit.VerifyReaderResult(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Entries, nil
 }

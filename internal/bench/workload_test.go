@@ -93,7 +93,7 @@ func TestFillerAttachPersists(t *testing.T) {
 		t.Fatal("zero check+trim duration")
 	}
 	// The persisted log verifies and reflects the trimmed state.
-	entries, err := audit.VerifyFile(dir+"/git.lseal", audit.VerifyOptions{
+	entries, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{
 		Pub: encl.PublicKey(), Protector: group, Name: "git",
 	})
 	if err != nil {

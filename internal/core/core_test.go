@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -356,7 +357,7 @@ func TestPersistentModeSurvivesRestart(t *testing.T) {
 	ls.Close()
 
 	// Verify the persisted log out-of-band with the enclave's public key.
-	entries, err := audit.VerifyFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	entries, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -766,7 +767,22 @@ func TestConcurrentConnectionsBatchedDisk(t *testing.T) {
 	}
 	ls.Close()
 	// The batched, trimmed log still passes client-side verification.
-	if _, err := audit.VerifyFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
+	if _, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
 		t.Fatalf("verify batched log: %v", err)
 	}
+}
+
+// verifyLogFile verifies the log file at path on the caller's goroutine and
+// returns its entries.
+func verifyLogFile(path string, opts audit.VerifyOptions) ([]*audit.Entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := audit.VerifyReaderResult(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Entries, nil
 }

@@ -28,11 +28,18 @@
 //	platform := libseal.NewPlatform()
 //	encl, _ := platform.Launch(libseal.EnclaveConfig{Code: []byte("my-service")})
 //	bridge, _ := libseal.NewBridge(encl, libseal.BridgeConfig{})
-//	seal, _ := libseal.New(bridge, libseal.Config{
-//	    TLS:    libseal.TLSConfig{Cert: cert, Key: key},
-//	    Module: libseal.GitModule(),
-//	})
+//	seal, _ := libseal.Open(bridge,
+//	    libseal.WithTLS(libseal.TLSConfig{Cert: cert, Key: key}),
+//	    libseal.WithModule(libseal.GitModule()),
+//	    libseal.WithAuditDisk(dir),
+//	)
 //	ssl := seal.TLS().NewSSL(conn) // then ssl.Accept / Read / Write
+//
+// and a client holding only the enclave's public key audits the log with:
+//
+//	report, err := libseal.Verify(dir, libseal.VerifyStreamOptions{
+//	    VerifyOptions: libseal.VerifyOptions{Pub: pub},
+//	})
 package libseal
 
 import (
@@ -107,25 +114,21 @@ type (
 	VerifyOptions = audit.VerifyOptions
 	// VerifyStreamOptions extends VerifyOptions with the parallel segmented
 	// pipeline's knobs: worker count, streaming callback, checkpointing and
-	// resume (see VerifyLogFileStream).
+	// resume (see Verify).
 	VerifyStreamOptions = audit.StreamOptions
-	// VerifyStreamResult is a streaming verification's outcome, including
-	// whole-log totals on a resumed run.
+	// VerifyStreamResult is one shard's streaming verification outcome
+	// (Report.Shards), including whole-log totals on a resumed run.
 	VerifyStreamResult = audit.StreamResult
 	// VerifySegment is one committed, verified segment as delivered to the
 	// streaming callback. Deliveries are provisional: entries must not be
-	// trusted until VerifyLogFileStream returns a nil error, since
+	// trusted until Verify returns a nil error, since
 	// whole-log checks (rollback freshness in particular) run last.
 	VerifySegment = audit.SegmentInfo
 	// Report is the one verification result shape every entry point
 	// returns: Verify / VerifyContext for one-shot scans (Live false) and
 	// Mirror.Report for live replication (Live true, plus the lag and
-	// session fields). It subsumes the older VerifyResult field for field.
+	// session fields).
 	Report = audit.Report
-	// VerifyResult is the pre-Report result shape.
-	//
-	// Deprecated: use Report; Verify and VerifyContext return it directly.
-	VerifyResult = audit.ShardedStreamResult
 	// VerifyCheckpoint is a persisted verification checkpoint sidecar.
 	VerifyCheckpoint = audit.Checkpoint
 	// VerifyCheckpointConfig tells the streaming verifier where and how
@@ -343,33 +346,14 @@ func Verify(path string, opts VerifyStreamOptions) (*Report, error) {
 // cancellation are not reported (a partial scan proves nothing about the
 // suffix).
 func VerifyContext(ctx context.Context, path string, opts VerifyStreamOptions) (*Report, error) {
-	return audit.VerifyPathReport(ctx, path, opts)
-}
-
-// VerifyLogFileStream verifies one persisted audit log file with the
-// parallel segmented pipeline: signature records cut the log into
-// independently checkable segments, a worker pool recomputes hashes and
-// ECDSA signatures concurrently, and the merged verdict is identical to
-// VerifyLogFile's. Supports streaming callbacks (bounded memory) and
-// resumable checkpoints. It is the single-file core under Verify, which
-// additionally understands sharded sets; new callers should prefer Verify.
-func VerifyLogFileStream(path string, opts VerifyStreamOptions) (*VerifyStreamResult, error) {
-	return audit.VerifyFileStream(path, opts)
+	return audit.VerifyPath(ctx, path, opts)
 }
 
 // LoadVerifyCheckpoint reads a checkpoint sidecar written by a previous
-// VerifyLogFileStream run for use as VerifyStreamOptions.Resume.
+// Verify run (VerifyStreamOptions.Checkpoint) for use as
+// VerifyStreamOptions.Resume on a single-file log.
 func LoadVerifyCheckpoint(path string) (*VerifyCheckpoint, error) {
 	return audit.LoadCheckpoint(path)
-}
-
-// VerifyLogFile checks one persisted audit log file's integrity (hash
-// chain, enclave signature, counter freshness) and returns its entries,
-// buffered in memory. Clients run this out-of-band to validate evidence
-// during dispute resolution. It remains for small logs and tests; new
-// callers should prefer Verify, which streams and understands sharded sets.
-func VerifyLogFile(path string, opts VerifyOptions) ([]*LogEntry, error) {
-	return audit.VerifyFile(path, opts)
 }
 
 // ConnectTLS performs the client side of the secure-channel handshake over

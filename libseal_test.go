@@ -120,15 +120,15 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	conn.Close()
 	server.Close()
 	seal.Close()
-	entries, err := VerifyLogFile(filepath.Join(dir, "git.lseal"), VerifyOptions{
+	rep, err := Verify(filepath.Join(dir, "git.lseal"), VerifyStreamOptions{VerifyOptions: VerifyOptions{
 		Pub:       encl.PublicKey(),
 		Protector: group,
 		Name:      "git",
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) == 0 {
+	if rep.TotalEntries == 0 {
 		t.Fatal("no verified entries")
 	}
 }
