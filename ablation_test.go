@@ -73,13 +73,13 @@ func BenchmarkAblation_SealedLog(b *testing.B) {
 			}
 			defer bridge.Close()
 			dir := b.TempDir()
-			var log *audit.Log
+			var log *audit.ShardedLog
 			if err := bridge.Call(func(env *asyncall.Env) error {
 				var err error
-				log, err = audit.New(env, audit.Config{
+				log, err = audit.NewSharded(env, audit.ShardedConfig{Config: audit.Config{
 					Name: "abl", Schema: gitssm.New().Schema(),
 					Mode: audit.ModeDisk, Dir: dir, Seal: sealed,
-				})
+				}})
 				return err
 			}); err != nil {
 				b.Fatal(err)
@@ -91,7 +91,7 @@ func BenchmarkAblation_SealedLog(b *testing.B) {
 				start := time.Now()
 				err := bridge.Call(func(env *asyncall.Env) error {
 					for j := 0; j < appends; j++ {
-						if err := log.Append(env, "updates", j, "r", "main", "c", "update"); err != nil {
+						if err := log.Append(env, 0, "updates", j, "r", "main", "c", "update"); err != nil {
 							return err
 						}
 					}

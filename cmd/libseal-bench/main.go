@@ -8,7 +8,7 @@
 //	libseal-bench -experiment fig5a
 //	libseal-bench -experiment all -quick
 //	libseal-bench -list
-//	libseal-bench -json BENCH_pr3.json
+//	libseal-bench -json BENCH_pr4.json
 package main
 
 import (
@@ -46,7 +46,7 @@ func main() {
 	id := flag.String("experiment", "", "experiment id (or 'all')")
 	list := flag.Bool("list", false, "list available experiments")
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast pass")
-	jsonOut := flag.String("json", "", "run the telemetry bench pipeline and write machine-readable results to this file")
+	jsonOut := flag.String("json", "", "run the group-commit sweep (batching x bridge mode x clients) and write machine-readable results to this file (make bench-json writes BENCH_pr4.json)")
 	shardsOut := flag.String("shards-json", "", "run the audit-log shard sweep and write machine-readable results to this file")
 	checkOut := flag.String("check-json", "", "run the snapshot-check/index sweep and write machine-readable results to this file")
 	mirrorOut := flag.String("mirror-json", "", "run the live-mirror overhead and rollback-detection sweep and write machine-readable results to this file")

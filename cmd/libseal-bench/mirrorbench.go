@@ -148,7 +148,7 @@ func newMirrorBenchEnv(shards, batchMax int, roteLatency time.Duration, withFeed
 		return nil, err
 	}
 	if withFeed {
-		feed, err := mirror.NewFeed(mirror.FeedConfig{Log: e.log, Dir: e.dir, Name: "bench"})
+		feed, err := mirror.NewFeed(mirror.FeedConfig{Log: e.log})
 		if err != nil {
 			e.close()
 			return nil, err

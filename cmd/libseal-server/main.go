@@ -25,14 +25,12 @@ import (
 	"time"
 
 	"libseal"
-	"libseal/internal/audit"
 	"libseal/internal/pki"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/dropbox"
 	"libseal/internal/services/gitserver"
 	"libseal/internal/services/messaging"
 	"libseal/internal/services/owncloud"
-	"libseal/internal/sqldb"
 	"libseal/internal/telemetry"
 	"libseal/internal/tlsterm"
 )
@@ -130,17 +128,17 @@ func main() {
 	}
 	mustWrite(filepath.Join(*dir, "enclave.pub"), enclPub)
 
-	cfg := libseal.Config{
-		TLS:              libseal.TLSConfig{Cert: cert, Key: key, Opts: libseal.AllOptimizations()},
-		Module:           module,
-		CheckEvery:       *checkEvery,
-		CheckAsync:       *checkAsync,
-		NoIndexes:        *noIndexes,
-		CheckMinInterval: *rateLimit,
-		RecoverExisting:  *recover,
-		OnViolation: func(name string, rows *sqldb.Result) {
+	opts := []libseal.Option{
+		libseal.WithTLS(libseal.TLSConfig{Cert: cert, Key: key, Opts: libseal.AllOptimizations()}),
+		libseal.WithModule(module),
+		libseal.WithChecks(*checkEvery, 0, *rateLimit),
+		libseal.WithIndexes(!*noIndexes),
+		libseal.WithViolationHandler(func(name string, rows *libseal.QueryResult) {
 			log.Printf("INTEGRITY VIOLATION %s: %d offending log entries", name, len(rows.Rows))
-		},
+		}),
+	}
+	if *checkAsync {
+		opts = append(opts, libseal.WithCheckAsync())
 	}
 	var (
 		group   *libseal.CounterGroup
@@ -148,21 +146,12 @@ func main() {
 	)
 	switch *mode {
 	case "mem":
-		cfg.AuditMode = audit.ModeMemory
 	case "disk":
-		cfg.AuditMode = audit.ModeDisk
-		cfg.AuditDir = *dir
-		cfg.AuditShards = *auditShards
-		cfg.DegradedLimit = *degradedLimit
-		cfg.AnchorTimeout = *anchorTimeout
-		cfg.RecoverMaxLag = *recoverMaxLag
-		cfg.AuditMaxStaged = *maxStaged
-		cfg.AuditAdmitTimeout = *admitTimeout
 		group, err = libseal.NewCounterGroup(1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Protector = group
+		var protector libseal.RollbackProtector = group
 		if *breakerThreshold > 0 {
 			bp := libseal.NewBreakerProtector("rote.breaker", group, libseal.BreakerConfig{
 				Threshold: *breakerThreshold,
@@ -172,12 +161,23 @@ func main() {
 				},
 			})
 			breaker = bp.Breaker()
-			cfg.Protector = bp
+			protector = bp
+		}
+		opts = append(opts,
+			libseal.WithAuditDisk(*dir),
+			libseal.WithAuditShards(*auditShards),
+			libseal.WithDegradedLimit(*degradedLimit),
+			libseal.WithAnchorTimeout(*anchorTimeout),
+			libseal.WithAdmission(*maxStaged, *admitTimeout),
+			libseal.WithProtector(protector),
+		)
+		if *recover {
+			opts = append(opts, libseal.WithRecovery(*recoverMaxLag))
 		}
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
-	seal, err := libseal.New(bridge, cfg)
+	seal, err := libseal.Open(bridge, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,10 +23,10 @@ func row(i int) Row {
 
 func TestAdmissionShedsImmediatelyWhenFull(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.admissionConfig(2, 0))
+		l, err = newOneShard(env, e.admissionConfig(2, 0))
 		return err
 	})
 	defer l.Close()
@@ -66,10 +66,10 @@ func TestAdmissionShedsImmediatelyWhenFull(t *testing.T) {
 
 func TestAdmissionWaitsForDrain(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.admissionConfig(2, 5*time.Second))
+		l, err = newOneShard(env, e.admissionConfig(2, 5*time.Second))
 		return err
 	})
 	defer l.Close()
@@ -112,10 +112,10 @@ func TestAdmissionWaitsForDrain(t *testing.T) {
 
 func TestAdmissionTimeoutSheds(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.admissionConfig(2, 30*time.Millisecond))
+		l, err = newOneShard(env, e.admissionConfig(2, 30*time.Millisecond))
 		return err
 	})
 	defer l.Close()
@@ -158,10 +158,10 @@ func TestAdmissionTimeoutSheds(t *testing.T) {
 
 func TestAdmissionAdmitsOversizedGroupOnEmptyPipeline(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.admissionConfig(2, 0))
+		l, err = newOneShard(env, e.admissionConfig(2, 0))
 		if err != nil {
 			return err
 		}

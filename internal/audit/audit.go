@@ -30,12 +30,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"libseal/internal/asyncall"
@@ -193,7 +190,6 @@ func (c Config) batchMax() int {
 // key.
 type Log struct {
 	cfg Config
-	fs  vfs.FS
 	mu  sync.Mutex
 	db  *sqldb.DB
 
@@ -235,21 +231,11 @@ type Log struct {
 	pendingAnchor int
 	gaps          int
 
-	file     vfs.File // outside resource, accessed via ocalls
-	fileSize int64    // committed bytes; partial appends truncate back to it
-	stmts    map[string]*sqldb.Stmt
-
-	// gen is a seqlock-style generation for the persisted file: odd while a
-	// trim rewrite is replacing it, bumped back to even once the replacement
-	// (or the intact old file, on failure) is authoritative. Replication-feed
-	// readers snapshot it around raw file reads: a change means the bytes they
-	// read may straddle two file incarnations and must be discarded.
-	gen atomic.Uint64
-
-	// notify, when non-nil, runs under l.mu after every durable change to the
-	// persisted file (batch publish, re-anchor, trim rewrite). It must not
-	// block; the replication feed installs a coalescing wakeup.
-	notify func()
+	// file is the persisted log (nil in memory mode): an outside resource,
+	// touched only inside ocalls and only by the holder of the commit lane
+	// or of l.mu with the lane quiesced.
+	file  *recordFile
+	stmts map[string]*sqldb.Stmt
 }
 
 // commitBatch is one group of staged entries committed under a single
@@ -268,7 +254,6 @@ type commitBatch struct {
 	err  error         // valid after done
 
 	// Set by the leader during commit, read by publish (same goroutine).
-	disk    int64  // on-disk footprint of the committed batch
 	filled  bool   // reached BatchMax (flush-reason telemetry)
 	counter uint64 // counter value the batch's signature record attests
 	// Degraded-mode outcome of anchorBatch, applied by publish only once the
@@ -314,56 +299,29 @@ const (
 
 var fileMagic = []byte("LIBSEALLOG1\n")
 
-// New creates (or truncates) an audit log. Must run inside an enclave call.
-func New(env *asyncall.Env, cfg Config) (*Log, error) {
-	db := sqldb.New()
-	if cfg.Schema != "" {
-		if _, err := db.Exec(cfg.Schema); err != nil {
-			return nil, fmt.Errorf("audit: schema: %w", err)
-		}
-	}
-	return newIntoDB(env, cfg, db)
-}
-
-// newIntoDB creates a log over an existing database whose schema is already
-// in place. Shards of one ShardedLog share a database this way.
-func newIntoDB(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
+// newShard creates (or truncates) one shard's log over the set's shared
+// database, whose schema is already in place.
+func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
 	l := newLogDB(cfg, db)
 	if cfg.Mode == ModeDisk {
-		if err := env.Ocall(func() error {
-			f, err := l.fs.Create(l.path())
-			if err != nil {
-				return err
-			}
-			if _, err := f.Write(fileMagic); err != nil {
-				f.Close()
-				return err
-			}
-			l.file = f
-			l.fileSize = int64(len(fileMagic))
-			return nil
-		}); err != nil {
+		if err := env.Ocall(l.file.create); err != nil {
 			return nil, err
 		}
 	}
 	return l, nil
 }
 
-func newLog(cfg Config) *Log {
-	return newLogDB(cfg, sqldb.New())
-}
-
 // newLogDB builds a log around an existing database. Shards of one
 // ShardedLog share a single database so invariant queries see the whole
 // relational view while each shard keeps its own chain, file and counter.
 func newLogDB(cfg Config, db *sqldb.DB) *Log {
-	l := &Log{cfg: cfg, fs: vfs.Default(cfg.FS), db: db, stmts: make(map[string]*sqldb.Stmt)}
+	l := &Log{cfg: cfg, db: db, stmts: make(map[string]*sqldb.Stmt)}
+	if cfg.Mode == ModeDisk {
+		path := filepath.Join(cfg.Dir, cfg.Name+".lseal")
+		l.file = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: fileMagic}
+	}
 	l.commitCond = sync.NewCond(&l.mu)
 	return l
-}
-
-func (l *Log) path() string {
-	return filepath.Join(l.cfg.Dir, l.cfg.Name+".lseal")
 }
 
 // DB exposes the underlying relational database for invariant queries.
@@ -741,88 +699,44 @@ func (l *Log) awaitTurn(b *commitBatch) bool {
 // payloads, one signature over the batch's end-of-chain state, one write
 // sequence and one fsync. The caller holds the commit lane.
 func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
+	// A file that failed closed refuses the commit anyway; refuse before
+	// spending a counter increment that no signature record would carry, or
+	// every failed append widens the lag the next recovery has to tolerate.
+	if err := l.file.failed; err != nil {
+		return err
+	}
 	counter, err := l.anchorBatch(env, b)
 	if err != nil {
 		return err
 	}
 	b.counter = counter
-	payloads := b.payloads
-	if l.cfg.Seal {
-		sealed := make([][]byte, len(payloads))
-		for i, enc := range payloads {
-			s, err := env.Ctx.Seal(enclave.PolicySigner, enc, []byte(l.cfg.Name))
-			if err != nil {
-				return err
-			}
-			sealed[i] = s
-		}
-		payloads = sealed
+	recs, err := l.sealRecords(env, b.payloads)
+	if err != nil {
+		return err
 	}
 	sig, err := l.signState(env, b.endChain, counter)
 	if err != nil {
 		return err
 	}
-	size := recordSize(sig)
-	for _, p := range payloads {
-		size += recordSize(p)
-	}
-	base := l.committedSize()
-	err = env.Ocall(func() error {
-		for _, p := range payloads {
-			if err := writeRecord(l.file, recEntry, p); err != nil {
-				return err
+	recs = append(recs, record{typ: recSig, payload: sig})
+	return env.Ocall(func() error { return l.file.commit(recs...) })
+}
+
+// sealRecords frames encoded entries as entry records, sealed under the
+// enclave key when the log is private (§6.3), with room for the signature
+// record that closes the group.
+func (l *Log) sealRecords(env *asyncall.Env, encs [][]byte) ([]record, error) {
+	recs := make([]record, 0, len(encs)+1)
+	for _, enc := range encs {
+		if l.cfg.Seal {
+			var err error
+			if enc, err = env.Ctx.Seal(enclave.PolicySigner, enc, []byte(l.cfg.Name)); err != nil {
+				return nil, err
 			}
 		}
-		if err := writeRecord(l.file, recSig, sig); err != nil {
-			return err
-		}
-		return l.file.Sync() // one flush covers the whole batch (§5.1)
-	})
-	if err != nil {
-		// Best-effort rollback of the partial batch; if the handle is dead
-		// (simulated crash), recovery discards the torn tail instead.
-		env.Ocall(func() error { l.file.Truncate(base); return nil })
-		return err
+		recs = append(recs, record{typ: recEntry, payload: enc})
 	}
-	mFsyncs.Inc()
-	b.disk = size
-	return nil
-}
-
-// committedSize reads the durable file length under the lock.
-func (l *Log) committedSize() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.fileSize
-}
-
-// CommittedSize is the durable length of the persisted log file: every byte
-// below it belongs to a committed record, while bytes beyond it may be a
-// partial batch that a failed commit will truncate away. Replication feeds
-// must never ship bytes past it.
-func (l *Log) CommittedSize() int64 { return l.committedSize() }
-
-// Generation identifies the persisted file's incarnation. It is even while
-// the file is stable and odd while a trim rewrite is replacing it; any change
-// between two reads means raw bytes read from the file in between may mix two
-// incarnations.
-func (l *Log) Generation() uint64 { return l.gen.Load() }
-
-// SetCommitNotify installs fn to run (under the log lock — it must not
-// block) after every durable change to the persisted file. One listener at a
-// time; nil uninstalls.
-func (l *Log) SetCommitNotify(fn func()) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.notify = fn
-}
-
-// notifyLocked signals the commit listener, if any. Called with l.mu held
-// after the durable file state advanced.
-func (l *Log) notifyLocked() {
-	if l.notify != nil {
-		l.notify()
-	}
+	return recs, nil
 }
 
 // anchorBatch obtains the counter value anchoring a batch: one fresh
@@ -845,7 +759,7 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 	var c uint64
 	var cerr error
 	if err := env.Ocall(func() error {
-		c, cerr = l.incrementCounter()
+		c, cerr = l.cfg.incrementCounter(l.cfg.Name)
 		return nil
 	}); err != nil {
 		return 0, err
@@ -882,16 +796,10 @@ func (l *Log) publish(b *commitBatch, err error) {
 		l.chain = b.endChain
 		l.seq = b.endSeq
 		l.heap += b.bytes
-		l.fileSize += b.disk
 		l.sigCounter = b.counter
 		switch {
-		case b.anchorFresh && l.pendingAnchor > 0:
-			// Quorum recovered: the now-durable signature anchors every
-			// buffered entry. Flag the closed gap.
-			l.gaps++
-			l.pendingAnchor = 0
-			mGaps.Inc()
-			mDegradedPending.Set(0)
+		case b.anchorFresh:
+			l.closeGapLocked()
 		case b.degraded > 0:
 			if l.pendingAnchor == 0 {
 				mDegradedEpisodes.Inc()
@@ -910,7 +818,6 @@ func (l *Log) publish(b *commitBatch, err error) {
 		default:
 			mFlushIdle.Inc()
 		}
-		l.notifyLocked()
 	} else {
 		l.epoch++
 		l.poisonErr = err
@@ -960,26 +867,29 @@ func chainNext(prev [32]byte, entry []byte) [32]byte {
 	return out
 }
 
-// incrementCounter advances the rollback counter, bounding the operation
-// with AnchorTimeout when the protector supports cancellation.
-func (l *Log) incrementCounter() (uint64, error) {
-	if cp, ok := l.cfg.Protector.(ContextRollbackProtector); ok && l.cfg.AnchorTimeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), l.cfg.AnchorTimeout)
-		defer cancel()
-		return cp.IncrementContext(ctx, l.cfg.Name)
+// counterOp runs one operation on the named rollback counter, bounded by
+// AnchorTimeout when the protector supports cancellation.
+func (c Config) counterOp(name string, increment bool) (uint64, error) {
+	cp, ok := c.Protector.(ContextRollbackProtector)
+	if !ok || c.AnchorTimeout <= 0 {
+		if increment {
+			return c.Protector.Increment(name)
+		}
+		return c.Protector.Read(name)
 	}
-	return l.cfg.Protector.Increment(l.cfg.Name)
+	ctx, cancel := context.WithTimeout(context.Background(), c.AnchorTimeout)
+	defer cancel()
+	if increment {
+		return cp.IncrementContext(ctx, name)
+	}
+	return cp.ReadContext(ctx, name)
 }
 
-// readCounter reads the group's stable counter under the same bound.
-func (l *Log) readCounter() (uint64, error) {
-	if cp, ok := l.cfg.Protector.(ContextRollbackProtector); ok && l.cfg.AnchorTimeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), l.cfg.AnchorTimeout)
-		defer cancel()
-		return cp.ReadContext(ctx, l.cfg.Name)
-	}
-	return l.cfg.Protector.Read(l.cfg.Name)
-}
+// incrementCounter advances the named rollback counter.
+func (c Config) incrementCounter(name string) (uint64, error) { return c.counterOp(name, true) }
+
+// readCounter reads the named counter's stable value.
+func (c Config) readCounter(name string) (uint64, error) { return c.counterOp(name, false) }
 
 // Reanchor attempts to close a degraded-mode gap by anchoring the chain at
 // a fresh counter value; it is a no-op when the log is healthy. Must run
@@ -990,49 +900,43 @@ func (l *Log) Reanchor(env *asyncall.Env) error {
 	if l.pendingAnchor == 0 || l.cfg.Protector == nil || l.cfg.Mode != ModeDisk {
 		return nil
 	}
-	c, err := l.incrementCounter()
+	c, err := l.cfg.incrementCounter(l.cfg.Name)
 	if err != nil {
 		return err
 	}
+	return l.anchorSignature(env, c)
+}
+
+// anchorSignature appends one signature record re-attesting the durable
+// chain head at the fresh counter value c, which thereby covers every entry
+// in the file. Called with l.mu held (or the log not yet shared) and the
+// commit lane idle.
+func (l *Log) anchorSignature(env *asyncall.Env, c uint64) error {
 	l.counter = c
-	sig, err := l.signState(env, l.chain, l.counter)
+	sig, err := l.signState(env, l.chain, c)
 	if err != nil {
 		return err
 	}
-	if err := env.Ocall(func() error {
-		if err := writeRecord(l.file, recSig, sig); err != nil {
-			return err
-		}
-		return l.file.Sync()
-	}); err != nil {
-		env.Ocall(func() error { l.file.Truncate(l.fileSize); return nil })
+	if err := env.Ocall(func() error { return l.file.commit(record{typ: recSig, payload: sig}) }); err != nil {
 		return err
 	}
-	mFsyncs.Inc()
-	l.fileSize += recordSize(sig)
-	l.sigCounter = l.counter
+	l.sigCounter = c
+	l.closeGapLocked()
+	return nil
+}
+
+// closeGapLocked records that a durable signature at a fresh counter value
+// now anchors every entry buffered while the quorum was away, and flags the
+// closed degraded episode. Called with l.mu held.
+func (l *Log) closeGapLocked() {
+	if l.pendingAnchor == 0 {
+		return
+	}
 	l.gaps++
 	l.pendingAnchor = 0
 	mGaps.Inc()
 	mDegradedPending.Set(0)
-	l.notifyLocked()
-	return nil
 }
-
-// durableState snapshots the durable commit point: the chain head and entry
-// count covered by the last durable signature record, and the counter value
-// that record attests. Every returned triple corresponds to a signature
-// record actually present in the persisted file (or to the empty state), so
-// an epoch manifest built from it can be cross-checked against an offline
-// verification of the shard file.
-func (l *Log) durableState() (chain [32]byte, seq, counter uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chain, l.seq, l.sigCounter
-}
-
-// recordSize is the on-disk footprint of one record.
-func recordSize(payload []byte) int64 { return 5 + int64(len(payload)) }
 
 // sigDigest is the message a signature record attests: the chain head after
 // the batch's last entry, bound to the counter value that anchored it. The
@@ -1073,71 +977,19 @@ func (l *Log) Exec(sql string, args ...any) (int, error) {
 	return l.db.Exec(sql, args...)
 }
 
-// Trim applies the service's trimming queries and rewrites the persisted
-// log: the hash chain is recomputed over the surviving tuples, re-anchored
-// at a fresh counter value and re-signed (§5.1, "Log trimming"). The
-// rewrite is crash-safe: the new image is written to a temporary file,
-// fsynced and atomically renamed over the old one, so a crash at any point
-// leaves either the complete old log or the complete new one on disk. If
-// the rewrite (or its fresh counter anchor) fails, the in-memory chain is
-// left at its pre-trim state, which still matches the old on-disk log; the
-// database rows are trimmed either way, and the next successful trim
-// reconciles the file. Trim waits for the group-commit lane to drain first,
-// so it never interleaves with a batch's file I/O.
-func (l *Log) Trim(env *asyncall.Env, queries []string) error {
-	l.lockQuiesced(env)
-	defer l.mu.Unlock()
-	mTrims.Inc()
-	defer telemetry.ObserveSince(mTrimLatency, "audit.trim", time.Now())
-	for _, q := range queries {
-		if _, err := l.db.Exec(q); err != nil {
-			return fmt.Errorf("audit: trimming query %q: %w", q, err)
-		}
-	}
-	encs, err := encodeSurvivingRows(l.db)
-	if err != nil {
-		return err
-	}
-	return l.rewriteLocked(env, encs)
-}
-
-// encodeSurvivingRows deterministically re-encodes every row of the database
-// as chained entries with fresh sequence numbers — the post-trim image of
-// the log.
-func encodeSurvivingRows(db *sqldb.DB) ([][]byte, error) {
-	tables := db.Tables()
-	sort.Strings(tables)
-	var encs [][]byte
-	seq := uint64(0)
-	for _, t := range tables {
-		rows, err := db.TableRows(t)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			e := &Entry{Seq: seq, Table: t, Values: row}
-			encs = append(encs, e.Marshal())
-			seq++
-		}
-	}
-	return encs, nil
-}
-
 // rewriteLocked replaces the log's persisted image with the given encoded
-// entries: the chain is recomputed from zero, re-anchored at a fresh counter
-// value, re-signed, and the file is rewritten crash-safely (temp file,
-// fsync, atomic rename). Called with l.mu held and the commit lane
-// quiesced; on failure the in-memory chain is left at its pre-call state,
-// which still matches the old on-disk log. Trim uses it with the whole
-// database's rows; ShardedLog.Trim uses it per shard with that shard's
-// partition.
+// entries — one shard's partition of the rows that survived a trim: the
+// chain is recomputed from zero, re-anchored at a fresh counter value,
+// re-signed, and the file is replaced crash-safely (§5.1, "Log trimming").
+// Called with l.mu held and the commit lane quiesced. If the replacement
+// does not land (or its fresh counter anchor fails) the in-memory chain stays
+// at its pre-call state, which still matches the old on-disk log; once it
+// landed, memory follows the new image even when an error is returned.
 func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
 	var newChain [32]byte
-	newSeq := uint64(0)
 	retained := int64(0)
 	for _, enc := range encs {
 		newChain = chainNext(newChain, enc)
-		newSeq++
 		retained += int64(len(enc))
 	}
 	commitMemory := func() {
@@ -1147,9 +999,9 @@ func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
 		}
 		l.heap = retained
 		l.chain = newChain
-		l.seq = newSeq
-		l.specChain = newChain
-		l.specSeq = newSeq
+		l.seq = uint64(len(encs))
+		l.specChain = l.chain
+		l.specSeq = l.seq
 		mChainLength.Set(int64(l.seq))
 		mStagedPending.Set(0)
 	}
@@ -1161,97 +1013,32 @@ func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
 		// A trim rewrite must carry a fresh anchor — re-signing trimmed-away
 		// history at a stale counter would widen the rollback window — so an
 		// unreachable quorum aborts the rewrite instead of degrading.
-		c, err := l.incrementCounter()
+		c, err := l.cfg.incrementCounter(l.cfg.Name)
 		if err != nil {
 			return err
 		}
 		l.counter = c
 	}
-	payloads := make([][]byte, len(encs))
-	size := int64(len(fileMagic))
-	for i, enc := range encs {
-		payload := enc
-		if l.cfg.Seal {
-			sealed, err := env.Ctx.Seal(enclave.PolicySigner, enc, []byte(l.cfg.Name))
-			if err != nil {
-				return err
-			}
-			payload = sealed
-		}
-		payloads[i] = payload
-		size += recordSize(payload)
+	recs, err := l.sealRecords(env, encs)
+	if err != nil {
+		return err
 	}
 	sig, err := l.signState(env, newChain, l.counter)
 	if err != nil {
 		return err
 	}
-	size += recordSize(sig)
-	// gen goes odd before the file is replaced and even once the rewrite's
-	// outcome — new file or intact old one — is authoritative again, so feed
-	// readers discard any bytes read across the swap.
-	l.gen.Add(1)
-	err = env.Ocall(func() error {
-		tmp := l.path() + ".tmp"
-		f, err := l.fs.Create(tmp)
-		if err != nil {
-			return err
-		}
-		fail := func(err error) error {
-			f.Close()
-			l.fs.Remove(tmp)
-			return err
-		}
-		if _, err := f.Write(fileMagic); err != nil {
-			return fail(err)
-		}
-		for _, p := range payloads {
-			if err := writeRecord(f, recEntry, p); err != nil {
-				return fail(err)
-			}
-		}
-		if err := writeRecord(f, recSig, sig); err != nil {
-			return fail(err)
-		}
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		// The commit point: before the rename the old log is intact, after
-		// it the new one is.
-		if err := l.fs.Rename(tmp, l.path()); err != nil {
-			l.fs.Remove(tmp)
-			return err
-		}
-		nf, err := l.fs.Append(l.path())
-		if err != nil {
-			return err
-		}
-		old := l.file
-		l.file = nf
-		if old != nil {
-			old.Close()
-		}
-		return nil
-	})
-	l.gen.Add(1)
-	if err != nil {
+	recs = append(recs, record{typ: recSig, payload: sig})
+	landed := false
+	err = env.Ocall(func() (err error) {
+		landed, err = l.file.replace(recs...)
 		return err
+	})
+	if landed {
+		l.sigCounter = l.counter
+		commitMemory()
+		l.closeGapLocked() // the fresh anchor covers everything that was buffered
 	}
-	mFsyncs.Inc()
-	l.fileSize = size
-	l.sigCounter = l.counter
-	commitMemory()
-	if l.pendingAnchor > 0 {
-		// The fresh anchor covers everything that was buffered.
-		l.gaps++
-		l.pendingAnchor = 0
-		mGaps.Inc()
-		mDegradedPending.Set(0)
-	}
-	l.notifyLocked()
-	return nil
+	return err
 }
 
 // Close releases the log's outside resources. In-flight batches are drained
@@ -1261,48 +1048,22 @@ func (l *Log) Close() error {
 	defer l.mu.Unlock()
 	l.closed = true
 	l.quiesceLocked()
-	if l.file != nil {
-		err := l.file.Close()
-		l.file = nil
-		return err
+	if l.file == nil {
+		return nil
 	}
-	return nil
+	return l.file.close()
 }
 
-func writeRecord(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// Recover rebuilds an audit log from its persisted file after a restart: the
-// file is verified (chain, signature, counter freshness) and the entries are
-// replayed into a fresh database. Recovery is torn-tail tolerant — records
-// past the last signed prefix were never acknowledged as durable and are cut
-// off (with group commit that prefix ends at the last *signed batch*) — and
-// tolerates the persisted counter lagging the group by up to
-// Config.RecoverMaxLag (the state a crash between an increment and its
-// signature flush leaves behind). It re-anchors the chain at a fresh counter
-// value before returning. Must run inside an enclave call.
-func Recover(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey) (*Log, error) {
-	db := sqldb.New()
-	if cfg.Schema != "" {
-		if _, err := db.Exec(cfg.Schema); err != nil {
-			return nil, fmt.Errorf("audit: schema: %w", err)
-		}
-	}
-	return recoverIntoDB(env, cfg, pub, db)
-}
-
-// recoverIntoDB rebuilds one log from its persisted file, replaying the
-// verified entries into db (whose schema must already exist). Sharded
-// recovery feeds every shard into one shared database.
-func recoverIntoDB(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB) (*Log, error) {
+// recoverShard rebuilds one shard's log from its persisted file after a
+// restart: the file is verified (chain, signature, counter freshness) and
+// the entries are replayed into db, the set's shared database, whose schema
+// must already exist. Recovery is torn-tail tolerant — records past the last
+// signed prefix were never acknowledged as durable and are cut off (with
+// group commit that prefix ends at the last *signed batch*) — and tolerates
+// the persisted counter lagging the group by up to Config.RecoverMaxLag (the
+// state a crash between an increment and its signature flush leaves behind).
+// It re-anchors the chain at a fresh counter value before returning.
+func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB) (*Log, error) {
 	if cfg.Mode != ModeDisk {
 		return nil, errors.New("audit: recovery requires disk mode")
 	}
@@ -1319,9 +1080,8 @@ func recoverIntoDB(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqld
 	// The file is read outside (ocall); verification — which may need the
 	// enclave's unsealing key — runs inside on the in-memory copy.
 	var raw []byte
-	if err := env.Ocall(func() error {
-		var err error
-		raw, err = l.fs.ReadFile(l.path())
+	if err := env.Ocall(func() (err error) {
+		raw, err = l.file.read()
 		return err
 	}); err != nil {
 		return nil, err
@@ -1356,55 +1116,28 @@ func recoverIntoDB(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqld
 	l.sigCounter = res.Counter
 	// Reopen for appending, cutting off any crash debris past the committed
 	// prefix so future appends extend a verified file.
-	if err := env.Ocall(func() error {
-		f, err := l.fs.Append(l.path())
-		if err != nil {
-			return err
-		}
-		if int64(len(raw)) > res.CommittedBytes {
-			if err := f.Truncate(res.CommittedBytes); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		l.file = f
-		return nil
-	}); err != nil {
+	if err := env.Ocall(func() error { return l.file.open(res.CommittedBytes, int64(len(raw))) }); err != nil {
 		return nil, err
 	}
-	l.fileSize = res.CommittedBytes
 	if cfg.Protector != nil {
 		// Re-anchor at a fresh counter value: if the crash lost an in-flight
 		// increment, the recovered log would otherwise keep signing at a
 		// value behind the group and fail strict client verification.
-		if c, err := l.incrementCounter(); err == nil {
+		c, err := cfg.incrementCounter(cfg.Name)
+		if err == nil {
+			if err := l.anchorSignature(env, c); err != nil {
+				return nil, err
+			}
+			return l, nil
+		}
+		// No fresh value to be had right now; fall back to the stable read.
+		// The next successful append or Reanchor closes the lag.
+		c, rerr := cfg.readCounter(cfg.Name)
+		if rerr != nil {
+			return nil, err
+		}
+		if c > l.counter {
 			l.counter = c
-			sig, err := l.signState(env, l.chain, l.counter)
-			if err != nil {
-				return nil, err
-			}
-			if err := env.Ocall(func() error {
-				if err := writeRecord(l.file, recSig, sig); err != nil {
-					return err
-				}
-				return l.file.Sync()
-			}); err != nil {
-				env.Ocall(func() error { l.file.Truncate(l.fileSize); return nil })
-				return nil, err
-			}
-			mFsyncs.Inc()
-			l.fileSize += recordSize(sig)
-			l.sigCounter = l.counter
-		} else {
-			// No fresh value to be had right now; fall back to the stable
-			// read. The next successful append or Reanchor closes the lag.
-			c, rerr := l.readCounter()
-			if rerr != nil {
-				return nil, err
-			}
-			if c > l.counter {
-				l.counter = c
-			}
 		}
 	}
 	return l, nil

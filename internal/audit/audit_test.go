@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"crypto/ecdsa"
 	"errors"
 	"os"
 	"path/filepath"
@@ -46,6 +47,33 @@ func (e *auditEnv) diskConfig(name string) Config {
 	return Config{Name: name, Schema: testSchema, Mode: ModeDisk, Dir: e.dir, Protector: e.group}
 }
 
+// oneShard is a one-shard set handled through its only shard. The suites
+// written against a single log run through it, so they test "one shard =
+// legacy bytes" on the only construct, trim and recover paths there are.
+type oneShard struct {
+	*Log
+	set *ShardedLog
+}
+
+func (o *oneShard) Trim(env *asyncall.Env, queries []string) error { return o.set.Trim(env, queries) }
+func (o *oneShard) Close() error                                   { return o.set.Close() }
+
+func newOneShard(env *asyncall.Env, cfg Config) (*oneShard, error) {
+	s, err := NewSharded(env, ShardedConfig{Config: cfg})
+	if err != nil {
+		return nil, err
+	}
+	return &oneShard{s.Shard(0), s}, nil
+}
+
+func recoverOneShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey) (*oneShard, error) {
+	s, err := RecoverSharded(env, ShardedConfig{Config: cfg}, pub)
+	if err != nil {
+		return nil, err
+	}
+	return &oneShard{s.Shard(0), s}, nil
+}
+
 // call runs fn inside the enclave.
 func (e *auditEnv) call(t *testing.T, fn func(env *asyncall.Env) error) {
 	t.Helper()
@@ -56,10 +84,10 @@ func (e *auditEnv) call(t *testing.T, fn func(env *asyncall.Env) error) {
 
 func TestAppendAndQuery(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
+		l, err = newOneShard(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
 		if err != nil {
 			return err
 		}
@@ -82,10 +110,10 @@ func TestAppendAndQuery(t *testing.T) {
 
 func TestPersistAndVerify(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -108,10 +136,10 @@ func TestPersistAndVerify(t *testing.T) {
 
 func TestTamperedEntryDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -131,10 +159,10 @@ func TestTamperedEntryDetected(t *testing.T) {
 
 func TestDeletedEntryDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -172,10 +200,10 @@ func TestDeletedEntryDetected(t *testing.T) {
 
 func TestForgedSignatureDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -194,10 +222,10 @@ func TestForgedSignatureDetected(t *testing.T) {
 func TestRollbackDetected(t *testing.T) {
 	e := newAuditEnv(t)
 	path := filepath.Join(e.dir, "git.lseal")
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -219,10 +247,10 @@ func TestRollbackDetected(t *testing.T) {
 
 func TestTrimRewritesChain(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -265,10 +293,10 @@ func TestTrimRewritesChain(t *testing.T) {
 
 func TestRecoverReplaysEntries(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -282,10 +310,10 @@ func TestRecoverReplaysEntries(t *testing.T) {
 	l.Close()
 
 	// Simulate a restart: recover from disk into a fresh Log.
-	var recovered *Log
+	var recovered *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		recovered, err = Recover(env, e.diskConfig("git"), e.encl.PublicKey())
+		recovered, err = recoverOneShard(env, e.diskConfig("git"), e.encl.PublicKey())
 		return err
 	})
 	defer recovered.Close()
@@ -309,10 +337,10 @@ func TestSealedLog(t *testing.T) {
 	e := newAuditEnv(t)
 	cfg := e.diskConfig("private")
 	cfg.Seal = true
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -324,10 +352,10 @@ func TestSealedLog(t *testing.T) {
 		t.Fatal("sealed log leaks plaintext")
 	}
 	// Recovery unseals inside the enclave.
-	var recovered *Log
+	var recovered *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		recovered, err = Recover(env, cfg, e.encl.PublicKey())
+		recovered, err = recoverOneShard(env, cfg, e.encl.PublicKey())
 		return err
 	})
 	defer recovered.Close()
@@ -355,10 +383,10 @@ func containsSub(haystack, needle []byte) bool {
 
 func TestMemoryModeWritesNoFiles(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, Config{Name: "mem", Schema: testSchema, Mode: ModeMemory, Dir: e.dir})
+		l, err = newOneShard(env, Config{Name: "mem", Schema: testSchema, Mode: ModeMemory, Dir: e.dir})
 		if err != nil {
 			return err
 		}
@@ -372,10 +400,10 @@ func TestMemoryModeWritesNoFiles(t *testing.T) {
 
 func TestEmptyFileVerifies(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("empty"))
+		l, err = newOneShard(env, e.diskConfig("empty"))
 		return err
 	})
 	l.Close()
@@ -387,10 +415,10 @@ func TestEmptyFileVerifies(t *testing.T) {
 
 func TestAppendAccountsEnclaveHeap(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, Config{Name: "heap", Schema: testSchema, Mode: ModeMemory})
+		l, err = newOneShard(env, Config{Name: "heap", Schema: testSchema, Mode: ModeMemory})
 		if err != nil {
 			return err
 		}
@@ -432,7 +460,7 @@ func TestAppendRespectsEnclaveMemLimit(t *testing.T) {
 	}
 	defer bridge.Close()
 	err = bridge.Call(func(env *asyncall.Env) error {
-		l, err := New(env, Config{Name: "tiny", Schema: testSchema, Mode: ModeMemory})
+		l, err := newOneShard(env, Config{Name: "tiny", Schema: testSchema, Mode: ModeMemory})
 		if err != nil {
 			return err
 		}

@@ -35,10 +35,10 @@ func batchWrites(k int) int { return 2*k + 2 }
 // exactly one fsync and one signature.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.batchConfig("git", 8, 2*time.Millisecond))
+		l, err = newOneShard(env, e.batchConfig("git", 8, 2*time.Millisecond))
 		return err
 	})
 
@@ -121,9 +121,9 @@ func TestGroupCommitAsyncBridge(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	var l *Log
+	var l *oneShard
 	if err := bridge.Call(func(env *asyncall.Env) error {
-		l, err = New(env, Config{
+		l, err = newOneShard(env, Config{
 			Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: dir,
 			Protector: group, BatchMax: 8, BatchDelay: 2 * time.Millisecond,
 		})
@@ -177,10 +177,10 @@ func TestGroupCommitAsyncBridge(t *testing.T) {
 // record, one counter increment for the whole batch.
 func TestGroupCommitSingleSigPerBatch(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.batchConfig("git", 8, 0))
+		l, err = newOneShard(env, e.batchConfig("git", 8, 0))
 		if err != nil {
 			return err
 		}
@@ -233,10 +233,10 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 	cfg := e.batchConfig("git", 8, 0)
 	cfg.FS = in.FS(nil)
 
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -273,10 +273,10 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 	// persisted anchor lags the group by one.
 	rcfg := e.batchConfig("git", 8, 0)
 	rcfg.RecoverMaxLag = 1
-	var rec *Log
+	var rec *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		rec, err = Recover(env, rcfg, e.encl.PublicKey())
+		rec, err = recoverOneShard(env, rcfg, e.encl.PublicKey())
 		return err
 	})
 	defer rec.Close()
@@ -312,7 +312,7 @@ func TestBatchAbortPoisonsSuccessors(t *testing.T) {
 	cfg.FS = in.FS(nil)
 
 	e.call(t, func(env *asyncall.Env) error {
-		l, err := New(env, cfg)
+		l, err := newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -352,7 +352,7 @@ func TestAppendTelemetryCountsErrorsSeparately(t *testing.T) {
 	lat0 := mAppendLatency.Count()
 
 	e.call(t, func(env *asyncall.Env) error {
-		l, err := New(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
+		l, err := newOneShard(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
 		if err != nil {
 			return err
 		}
@@ -383,7 +383,7 @@ func TestStageFailureLeavesNoPartialGroup(t *testing.T) {
 	e := newAuditEnv(t)
 	errs0 := mAppendErrors.Value()
 	e.call(t, func(env *asyncall.Env) error {
-		l, err := New(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
+		l, err := newOneShard(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
 		if err != nil {
 			return err
 		}
@@ -454,10 +454,10 @@ func sigPayloadOffsets(t *testing.T, data []byte) []int {
 // a valid final signature.
 func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.batchConfig("git", 4, 0))
+		l, err = newOneShard(env, e.batchConfig("git", 4, 0))
 		if err != nil {
 			return err
 		}

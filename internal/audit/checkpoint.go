@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"libseal/internal/enclave"
+	"libseal/internal/vfs"
 )
 
 // Resumable verification checkpoints. A checkpoint is a small JSON sidecar
@@ -138,44 +138,14 @@ func (c *Checkpoint) chainHead() ([32]byte, error) {
 	return out, nil
 }
 
-// Save atomically persists the checkpoint: temp file, fsync, rename, and a
-// best-effort fsync of the containing directory so the rename itself is
-// durable.
+// Save atomically persists the checkpoint (vfs.WriteFileAtomic).
 func (c *Checkpoint) Save(path string) error {
 	c.Sum = c.digest()
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return vfs.WriteFileAtomic(nil, path, append(data, '\n'), 0o644)
 }
 
 // LoadCheckpoint reads a checkpoint sidecar.

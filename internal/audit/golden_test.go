@@ -139,10 +139,10 @@ var goldenVectors = []struct {
 // genPerEntry: BatchMax <= 1, the conservative entry-at-a-time format —
 // one signature record and one counter increment per append.
 func genPerEntry(t *testing.T, e *goldenEnv, dir string) {
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		if l, err = New(env, e.config(dir, 0, 0)); err != nil {
+		if l, err = newOneShard(env, e.config(dir, 0, 0)); err != nil {
 			return err
 		}
 		for i := 1; i <= 5; i++ {
@@ -164,10 +164,10 @@ func genPerEntry(t *testing.T, e *goldenEnv, dir string) {
 // genBatched: group commit, three staged groups under BatchMax 3 — multiple
 // entries per signature record.
 func genBatched(t *testing.T, e *goldenEnv, dir string) {
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		if l, err = New(env, e.config(dir, 3, 0)); err != nil {
+		if l, err = newOneShard(env, e.config(dir, 3, 0)); err != nil {
 			return err
 		}
 		groups := [][]Row{
@@ -206,10 +206,10 @@ func genBatched(t *testing.T, e *goldenEnv, dir string) {
 // appends persist signed at the stale counter, then Reanchor closes the gap
 // with a bare signature record at a fresh value.
 func genDegraded(t *testing.T, e *goldenEnv, dir string) {
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		if l, err = New(env, e.config(dir, 0, 8)); err != nil {
+		if l, err = newOneShard(env, e.config(dir, 0, 8)); err != nil {
 			return err
 		}
 		for i := 1; i <= 2; i++ {
@@ -239,10 +239,10 @@ func genDegraded(t *testing.T, e *goldenEnv, dir string) {
 // genTrimmed: history trimmed away mid-life — the chain is rebuilt over the
 // survivors, re-anchored and re-signed, then appended to again.
 func genTrimmed(t *testing.T, e *goldenEnv, dir string) {
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		if l, err = New(env, e.config(dir, 0, 0)); err != nil {
+		if l, err = newOneShard(env, e.config(dir, 0, 0)); err != nil {
 			return err
 		}
 		for i := 1; i <= 6; i++ {

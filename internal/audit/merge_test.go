@@ -138,10 +138,10 @@ func TestMergeVerifiedEndToEnd(t *testing.T) {
 	for i, name := range []string{"inst-a", "inst-b"} {
 		e := newAuditEnv(t)
 		cfg := Config{Name: name, Schema: mod.Schema(), Mode: ModeDisk, Dir: dir}
-		var l *Log
+		var l *oneShard
 		e.call(t, func(env *asyncall.Env) error {
 			var err error
-			l, err = New(env, cfg)
+			l, err = newOneShard(env, cfg)
 			if err != nil {
 				return err
 			}

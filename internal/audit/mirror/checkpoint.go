@@ -7,9 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"libseal/internal/audit"
+	"libseal/internal/vfs"
 )
 
 // The mirror's own resume state: one JSON sidecar bundling each shard's
@@ -65,38 +65,15 @@ func (st *state) digest() string {
 	return hex.EncodeToString(d[:])
 }
 
-// save persists the sidecar atomically (temp file, fsync, rename, dir
-// sync) — the same crash discipline as the offline checkpoint sidecar.
+// save persists the sidecar atomically (vfs.WriteFileAtomic) — the same
+// crash discipline as the offline checkpoint sidecar.
 func (st *state) save(path string) error {
 	st.Sum = st.digest()
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return vfs.WriteFileAtomic(nil, path, append(data, '\n'), 0o644)
 }
 
 // loadState reads a mirror sidecar; a missing file is (nil, nil) — a cold

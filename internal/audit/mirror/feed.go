@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -34,12 +33,8 @@ type FeedConfig struct {
 	// mode with its files on the real filesystem (the feed reads them with
 	// plain os I/O — the files are outside-world state already, which is
 	// the whole point of the trust model: the feed serves bytes, it proves
-	// nothing).
+	// nothing). The set says where its files are (ShardedLog.Files).
 	Log *audit.ShardedLog
-	// Dir / Name locate the log files (Config.Dir / Config.Name of the
-	// set).
-	Dir  string
-	Name string
 	// ChunkBytes bounds one data frame's payload (default 256 KiB).
 	ChunkBytes int
 	// QueueFrames bounds each subscriber's outbound frame queue (default
@@ -99,8 +94,8 @@ type Feed struct {
 // NewFeed builds a feed over a running log set and installs itself as the
 // set's commit listener (displacing any previous listener).
 func NewFeed(cfg FeedConfig) (*Feed, error) {
-	if cfg.Log == nil || cfg.Dir == "" || cfg.Name == "" {
-		return nil, errors.New("mirror: FeedConfig needs Log, Dir and Name")
+	if cfg.Log == nil || len(cfg.Log.Files()) == 0 {
+		return nil, errors.New("mirror: FeedConfig.Log must be a disk-mode log set (WithAuditDisk)")
 	}
 	f := &Feed{cfg: cfg, subs: make(map[*subscriber]struct{})}
 	cfg.Log.SetCommitNotify(f.Notify)
@@ -108,7 +103,7 @@ func NewFeed(cfg FeedConfig) (*Feed, error) {
 }
 
 // Notify wakes every subscriber's pump. It is installed as the log set's
-// commit notifier and so runs under the log's internal locks: it must never
+// commit notifier and so runs on the committing goroutine: it must never
 // block, hence the coalescing non-blocking sends.
 func (f *Feed) Notify() {
 	f.mu.Lock()
@@ -221,16 +216,6 @@ func (f *Feed) Close() error {
 	return nil
 }
 
-// shardSet locates the set's files, mirroring the offline FindShardSet
-// layout rules without re-scanning the directory.
-func (f *Feed) shardSet() *audit.ShardSet {
-	ss := &audit.ShardSet{Dir: f.cfg.Dir, Name: f.cfg.Name, Shards: f.cfg.Log.Shards()}
-	if ss.Shards > 1 {
-		ss.Manifest = filepath.Join(f.cfg.Dir, audit.ManifestFileName(f.cfg.Name))
-	}
-	return ss
-}
-
 // frame is one queued outbound frame.
 type frame struct {
 	typ     byte
@@ -247,14 +232,66 @@ type subscriber struct {
 	frames chan frame
 	done   chan struct{} // closed by writeLoop on exit
 
-	// pump state
-	set   *audit.ShardSet
-	pos   []int64
-	gens  []uint64
-	files []*os.File
-	mpos  int64
-	mgen  uint64
-	mfile *os.File
+	// pump state: one lane per persisted file, in ShardedLog.Files order.
+	lanes []lane
+}
+
+// lane is the subscriber's position in one of the set's files.
+type lane struct {
+	view audit.FileView
+	id   int // shard ordinal, or manifestShard for the sidecar
+	pos  int64
+	gen  uint64
+	file *os.File
+}
+
+// newLanes builds a cold lane per persisted file of the set.
+func newLanes(log *audit.ShardedLog) []lane {
+	views := log.Files()
+	lanes := make([]lane, len(views))
+	for i, v := range views {
+		lanes[i] = lane{view: v, id: i}
+	}
+	if len(views) > log.Shards() {
+		lanes[len(views)-1].id = manifestShard
+	}
+	return lanes
+}
+
+// open returns the lane's read handle, opening the file on first use.
+func (ln *lane) open() (*os.File, error) {
+	if ln.file == nil {
+		f, err := os.Open(ln.view.Path())
+		if err != nil {
+			return nil, err
+		}
+		ln.file = f
+	}
+	return ln.file, nil
+}
+
+func (ln *lane) close() {
+	if ln.file != nil {
+		ln.file.Close()
+		ln.file = nil
+	}
+}
+
+// proof serves a resume claim: the raw payload of the record whose header
+// sits at recOff and which ends at offset, a signature record in a shard
+// file and a manifest record in the sidecar.
+func (ln *lane) proof(recOff, offset int64) ([]byte, error) {
+	if offset > ln.view.CommittedSize() {
+		return nil, errors.New("mirror: resume past committed size")
+	}
+	f, err := ln.open()
+	if err != nil {
+		return nil, err
+	}
+	if ln.id == manifestShard {
+		return audit.ManifestRecordProof(f, recOff, offset)
+	}
+	return audit.SigProof(f, recOff, offset)
 }
 
 // send enqueues a frame, bounded by the queue and the write timeout: if the
@@ -302,13 +339,8 @@ func (s *subscriber) pumpLoop() {
 	defer s.feed.removeSubscriber(s)
 	defer func() {
 		close(s.frames)
-		for _, f := range s.files {
-			if f != nil {
-				f.Close()
-			}
-		}
-		if s.mfile != nil {
-			s.mfile.Close()
+		for i := range s.lanes {
+			s.lanes[i].close()
 		}
 	}()
 	if err := s.handshake(); err != nil {
@@ -350,90 +382,43 @@ func (s *subscriber) handshake() error {
 		return err
 	}
 
-	s.set = s.feed.shardSet()
-	shards := s.set.Shards
-	s.pos = make([]int64, shards)
-	s.gens = make([]uint64, shards)
-	s.files = make([]*os.File, shards)
-
-	ack := ackMsg{Name: s.feed.cfg.Name, ShardsTotal: shards, Manifested: s.set.Sharded()}
+	log := s.feed.cfg.Log
+	s.lanes = newLanes(log)
+	shards := log.Shards()
+	ack := ackMsg{Name: log.Name(), ShardsTotal: shards, Manifested: len(s.lanes) > shards}
 	for range hello.Shards {
 		ack.Shards = append(ack.Shards, shardAck{})
 	}
-	for k := 0; k < shards; k++ {
+	for i := range s.lanes {
+		ln := &s.lanes[i]
 		// Snapshot the generation BEFORE serving the proof: if a trim
 		// lands between proof and streaming, the pump's generation check
-		// catches it and restarts the shard.
-		s.gens[k] = s.feed.cfg.Log.Shard(k).Generation()
-		if k >= len(hello.Shards) || hello.Shards[k].Offset == 0 {
-			continue
-		}
-		claim := hello.Shards[k]
-		proof, err := s.shardProof(k, claim)
-		if err != nil || s.feed.cfg.Log.Shard(k).Generation() != s.gens[k] || s.gens[k]%2 == 1 {
-			continue // ack stays !Ok → cold start for this shard
-		}
-		ack.Shards[k] = shardAck{Ok: true, Proof: proof}
-		s.pos[k] = claim.Offset
-	}
-	if s.set.Sharded() {
-		s.mgen = s.feed.cfg.Log.ManifestGeneration()
-		if hello.Manifest != nil && hello.Manifest.Offset > 0 {
-			proof, err := s.manifestProof(*hello.Manifest)
-			if err == nil && s.feed.cfg.Log.ManifestGeneration() == s.mgen && s.mgen%2 == 0 {
-				ack.ManifestOk = true
-				ack.ManifestProof = proof
-				s.mpos = hello.Manifest.Offset
+		// catches it and restarts the lane.
+		ln.gen = ln.view.Generation()
+		var recOff, offset int64
+		switch {
+		case ln.id == manifestShard:
+			if hello.Manifest != nil {
+				recOff, offset = hello.Manifest.RecOff, hello.Manifest.Offset
 			}
+		case ln.id < len(hello.Shards):
+			recOff, offset = hello.Shards[ln.id].SigOffset, hello.Shards[ln.id].Offset
+		}
+		if offset == 0 {
+			continue // cold start for this lane
+		}
+		proof, err := ln.proof(recOff, offset)
+		if err != nil || ln.view.Generation() != ln.gen || ln.gen%2 == 1 {
+			continue // ack stays !Ok → cold start for this lane
+		}
+		ln.pos = offset
+		if ln.id == manifestShard {
+			ack.ManifestOk, ack.ManifestProof = true, proof
+		} else {
+			ack.Shards[ln.id] = shardAck{Ok: true, Proof: proof}
 		}
 	}
 	return s.send(frameAck, marshalJSONFrame(ack))
-}
-
-func (s *subscriber) shardProof(k int, claim shardResume) ([]byte, error) {
-	if claim.Offset > s.feed.cfg.Log.Shard(k).CommittedSize() {
-		return nil, errors.New("mirror: resume past committed size")
-	}
-	f, err := s.file(k)
-	if err != nil {
-		return nil, err
-	}
-	return audit.SigProof(f, claim.SigOffset, claim.Offset)
-}
-
-func (s *subscriber) manifestProof(claim manifestResume) ([]byte, error) {
-	if claim.Offset > s.feed.cfg.Log.ManifestCommittedSize() {
-		return nil, errors.New("mirror: resume past committed size")
-	}
-	f, err := s.manifestFile()
-	if err != nil {
-		return nil, err
-	}
-	return audit.ManifestRecordProof(f, claim.RecOff, claim.Offset)
-}
-
-func (s *subscriber) file(k int) (*os.File, error) {
-	if s.files[k] != nil {
-		return s.files[k], nil
-	}
-	f, err := os.Open(s.set.ShardPath(k))
-	if err != nil {
-		return nil, err
-	}
-	s.files[k] = f
-	return f, nil
-}
-
-func (s *subscriber) manifestFile() (*os.File, error) {
-	if s.mfile != nil {
-		return s.mfile, nil
-	}
-	f, err := os.Open(s.set.Manifest)
-	if err != nil {
-		return nil, err
-	}
-	s.mfile = f
-	return f, nil
 }
 
 // pumpOnce advances every lane as far as currently committed. It reports
@@ -441,15 +426,8 @@ func (s *subscriber) manifestFile() (*os.File, error) {
 // next wakeup).
 func (s *subscriber) pumpOnce() (caught bool, err error) {
 	caught = true
-	for k := 0; k < s.set.Shards; k++ {
-		c, err := s.pumpShard(k)
-		if err != nil {
-			return false, err
-		}
-		caught = caught && c
-	}
-	if s.set.Sharded() {
-		c, err := s.pumpManifest()
+	for i := range s.lanes {
+		c, err := s.pumpLane(&s.lanes[i])
 		if err != nil {
 			return false, err
 		}
@@ -458,31 +436,28 @@ func (s *subscriber) pumpOnce() (caught bool, err error) {
 	return caught, nil
 }
 
-// pumpShard streams shard k's committed bytes from the subscriber's
-// position. The generation seqlock brackets every read: if a trim rewrite
-// replaced the file, the subscriber gets a restart frame and re-streams
-// from zero — the chunk that raced the rewrite is discarded, never sent.
-func (s *subscriber) pumpShard(k int) (caught bool, err error) {
-	l := s.feed.cfg.Log.Shard(k)
-	g := l.Generation()
+// pumpLane streams one file's committed bytes from the subscriber's
+// position. The generation seqlock (audit.FileView) brackets every read: if
+// a trim rewrite replaced the file, the subscriber gets a restart frame and
+// re-streams from zero — the chunk that raced the rewrite is discarded,
+// never sent.
+func (s *subscriber) pumpLane(ln *lane) (caught bool, err error) {
+	g := ln.view.Generation()
 	if g%2 == 1 {
 		return false, nil // mid-rewrite; retry next round
 	}
-	if g != s.gens[k] {
-		s.gens[k] = g
-		s.pos[k] = 0
-		if s.files[k] != nil {
-			s.files[k].Close()
-			s.files[k] = nil
-		}
+	if g != ln.gen {
+		ln.gen = g
+		ln.pos = 0
+		ln.close()
 		mFeedRestarts.Inc()
-		if err := s.send(frameRestart, restartPayload(k)); err != nil {
+		if err := s.send(frameRestart, restartPayload(ln.id)); err != nil {
 			return false, err
 		}
 	}
-	target := l.CommittedSize()
-	for s.pos[k] < target {
-		f, err := s.file(k)
+	target := ln.view.CommittedSize()
+	for ln.pos < target {
+		f, err := ln.open()
 		if err != nil {
 			return false, nil // transient: file mid-replace; retry next round
 		}
@@ -494,85 +469,43 @@ func (s *subscriber) pumpShard(k int) (caught bool, err error) {
 		if fi, err := f.Stat(); err == nil && fi.Size() < target {
 			target = fi.Size()
 		}
-		if s.pos[k] >= target {
+		if ln.pos >= target {
 			break
 		}
-		n := min(int64(s.feed.cfg.chunk()), target-s.pos[k])
+		n := min(int64(s.feed.cfg.chunk()), target-ln.pos)
 		chunk := make([]byte, n)
-		if _, err := f.ReadAt(chunk, s.pos[k]); err != nil {
-			if l.Generation() != s.gens[k] {
+		if _, err := f.ReadAt(chunk, ln.pos); err != nil {
+			if ln.view.Generation() != ln.gen {
 				return false, nil // replaced under us; restart next round
 			}
 			return false, err
 		}
-		if l.Generation() != s.gens[k] {
+		if ln.view.Generation() != ln.gen {
 			return false, nil // chunk may span the rewrite; discard it
 		}
-		if err := s.send(frameData, dataPayload(k, chunk)); err != nil {
-			return false, err
+		if ln.id == manifestShard {
+			err = s.send(frameManifest, chunk)
+		} else {
+			err = s.send(frameData, dataPayload(ln.id, chunk))
 		}
-		s.pos[k] += n
-	}
-	return true, nil
-}
-
-func (s *subscriber) pumpManifest() (caught bool, err error) {
-	log := s.feed.cfg.Log
-	g := log.ManifestGeneration()
-	if g%2 == 1 {
-		return false, nil
-	}
-	if g != s.mgen {
-		s.mgen = g
-		s.mpos = 0
-		if s.mfile != nil {
-			s.mfile.Close()
-			s.mfile = nil
-		}
-		mFeedRestarts.Inc()
-		if err := s.send(frameRestart, restartPayload(manifestShard)); err != nil {
-			return false, err
-		}
-	}
-	target := log.ManifestCommittedSize()
-	for s.mpos < target {
-		f, err := s.manifestFile()
 		if err != nil {
-			return false, nil
-		}
-		if fi, err := f.Stat(); err == nil && fi.Size() < target {
-			target = fi.Size()
-		}
-		if s.mpos >= target {
-			break
-		}
-		n := min(int64(s.feed.cfg.chunk()), target-s.mpos)
-		chunk := make([]byte, n)
-		if _, err := f.ReadAt(chunk, s.mpos); err != nil {
-			if log.ManifestGeneration() != s.mgen {
-				return false, nil
-			}
 			return false, err
 		}
-		if log.ManifestGeneration() != s.mgen {
-			return false, nil
-		}
-		if err := s.send(frameManifest, chunk); err != nil {
-			return false, err
-		}
-		s.mpos += n
+		ln.pos += n
 	}
 	return true, nil
 }
 
 // sendTail reports the committed sizes the subscriber has now reached.
 func (s *subscriber) sendTail() error {
-	t := tailMsg{Shards: make([]int64, s.set.Shards)}
-	for k := 0; k < s.set.Shards; k++ {
-		t.Shards[k] = s.feed.cfg.Log.Shard(k).CommittedSize()
-	}
-	if s.set.Sharded() {
-		t.Manifest = s.feed.cfg.Log.ManifestCommittedSize()
+	var t tailMsg
+	for i := range s.lanes {
+		size := s.lanes[i].view.CommittedSize()
+		if s.lanes[i].id == manifestShard {
+			t.Manifest = size
+		} else {
+			t.Shards = append(t.Shards, size)
+		}
 	}
 	return s.send(frameTail, marshalJSONFrame(t))
 }

@@ -67,7 +67,7 @@ func newMirrorEnvCfg(t *testing.T, shards int, manifestEvery time.Duration, tune
 		})
 		return err
 	})
-	fcfg := FeedConfig{Log: e.log, Dir: e.dir, Name: "git", PollInterval: 20 * time.Millisecond}
+	fcfg := FeedConfig{Log: e.log, PollInterval: 20 * time.Millisecond}
 	if tune != nil {
 		tune(&fcfg)
 	}

@@ -1,0 +1,301 @@
+package audit
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"libseal/internal/vfs"
+)
+
+var errCrash = errors.New("simulated crash point")
+
+// crashFS numbers every file-system operation the record file issues and
+// fails exactly one of them. In torn mode a failing Write first lands half
+// of its bytes and wedges the handle, as faultinject does for a machine that
+// died mid-write: nothing further reaches the disk through that handle.
+type crashFS struct {
+	vfs.OS
+	n      int
+	failAt int // -1: none
+	torn   bool
+	ops    []string // operation names, in issue order
+}
+
+func (c *crashFS) step(op string) bool {
+	c.ops = append(c.ops, op)
+	c.n++
+	return c.n-1 == c.failAt
+}
+
+func (c *crashFS) open(op, name string, open func(string) (vfs.File, error)) (vfs.File, error) {
+	if c.step(op) {
+		return nil, errCrash
+	}
+	f, err := open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &crashFile{File: f, fs: c}, nil
+}
+
+func (c *crashFS) Create(name string) (vfs.File, error) { return c.open("Create", name, c.OS.Create) }
+func (c *crashFS) Append(name string) (vfs.File, error) { return c.open("Append", name, c.OS.Append) }
+
+func (c *crashFS) Rename(o, n string) error {
+	if c.step("Rename") {
+		return errCrash
+	}
+	return c.OS.Rename(o, n)
+}
+
+func (c *crashFS) SyncDir(dir string) error {
+	if c.step("SyncDir") {
+		return errCrash
+	}
+	return c.OS.SyncDir(dir)
+}
+
+type crashFile struct {
+	vfs.File
+	fs     *crashFS
+	wedged bool
+}
+
+func (f *crashFile) Write(p []byte) (int, error) {
+	if f.wedged {
+		return 0, errCrash
+	}
+	if f.fs.step("Write") {
+		if !f.fs.torn {
+			return 0, errCrash
+		}
+		f.wedged = true
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errCrash
+	}
+	return f.File.Write(p)
+}
+
+func (f *crashFile) Sync() error {
+	if f.wedged || f.fs.step("Sync") {
+		return errCrash
+	}
+	return f.File.Sync()
+}
+
+func (f *crashFile) Truncate(size int64) error {
+	if f.wedged {
+		return errCrash
+	}
+	return f.File.Truncate(size)
+}
+
+func (f *crashFile) Close() error {
+	err := f.File.Close()
+	if f.fs.step("Close") {
+		return errCrash
+	}
+	return err
+}
+
+// fileKind is one of the two persisted file formats with four record groups
+// to write into it: a1 then a2 form one valid stream, b1 then b2 another
+// (the image a replacement installs, and what is appended to it next).
+type fileKind struct {
+	name           string
+	magic          []byte
+	a1, a2, b1, b2 []record
+	// verify checks image as the format's own verifier would and returns the
+	// length of the verified prefix; tolerant ends the stream at a torn tail.
+	verify func(image []byte, tolerant bool) (int64, error)
+}
+
+// splitGroups cuts a log image into its signed batches.
+func splitGroups(t *testing.T, image []byte) [][]record {
+	rr := recordReader{r: bytes.NewReader(image), kind: &logStream}
+	if err := rr.magic(); err != nil {
+		t.Fatal(err)
+	}
+	var groups [][]record
+	var cur []record
+	for {
+		rec, err := rr.next()
+		if err == io.EOF {
+			return groups
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur = append(cur, rec)
+		if rec.typ == recSig {
+			groups, cur = append(groups, cur), nil
+		}
+	}
+}
+
+func fileKinds(t *testing.T) []fileKind {
+	key := testKey(t)
+	a := splitGroups(t, synthLog(t, key, 4, 2))
+	b := splitGroups(t, synthLog(t, key, 2, 1))
+	manifest := func(epoch uint64) []record {
+		m := &Manifest{Epoch: epoch, Counter: epoch, Shards: make([]ShardState, 2)}
+		return []record{{typ: recManifest, payload: marshalManifest(m)}}
+	}
+	return []fileKind{
+		{
+			name: "log", magic: fileMagic, a1: a[0], a2: a[1], b1: b[0], b2: b[1],
+			verify: func(image []byte, tolerant bool) (int64, error) {
+				res, err := VerifyReaderResult(bytes.NewReader(image), VerifyOptions{Pub: &key.PublicKey, RecoverTruncated: tolerant})
+				if err != nil {
+					return 0, err
+				}
+				return res.CommittedBytes, nil
+			},
+		},
+		{
+			name: "manifest", magic: manifestMagic, a1: manifest(1), a2: manifest(2), b1: manifest(10), b2: manifest(11),
+			verify: func(image []byte, tolerant bool) (int64, error) {
+				ms, err := readManifests(bytes.NewReader(image), tolerant)
+				n := int64(len(manifestMagic))
+				for _, m := range ms {
+					n += recordSize(marshalManifest(m))
+				}
+				return n, err
+			},
+		},
+	}
+}
+
+func imageOf(magic []byte, groups ...[]record) []byte {
+	var buf bytes.Buffer
+	buf.Write(magic)
+	for _, g := range groups {
+		writeRecords(&buf, g)
+	}
+	return buf.Bytes()
+}
+
+// TestRecordFileCrashPoints enumerates every file-system operation commit
+// and replace issue and fails each in turn — with a plain error, and for
+// writes also torn-then-wedged — for both file formats. Whatever fails, the
+// file must be exactly its before- or its after-state: the image on disk
+// strictly verifies, the committed size is the verified length, the
+// generation is even and moved iff the image was replaced, the notify hook
+// fired iff something became durable, and a following commit either succeeds
+// and verifies or — once the file failed closed — is refused without
+// touching the disk.
+func TestRecordFileCrashPoints(t *testing.T) {
+	for _, kind := range fileKinds(t) {
+		for _, op := range []string{"commit", "replace"} {
+			// A clean run lists the operations to fail.
+			for k, name := range runCrashPoint(t, kind, op, &crashFS{failAt: -1}) {
+				for _, torn := range []bool{false, true} {
+					if torn && name != "Write" {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/%s/%d-%s/torn=%v", kind.name, op, k, name, torn), func(t *testing.T) {
+						runCrashPoint(t, kind, op, &crashFS{failAt: k, torn: torn})
+					})
+				}
+			}
+		}
+	}
+}
+
+// runCrashPoint runs op with fs's fault armed and returns the names of the
+// file-system operations op issued.
+func runCrashPoint(t *testing.T, kind fileKind, op string, fs *crashFS) []string {
+	path := filepath.Join(t.TempDir(), "file")
+	failAt := fs.failAt
+	fs.failAt = -1
+	f := &recordFile{fs: fs, path: path, magic: kind.magic}
+	fired := 0
+	f.setNotify(func() { fired++ })
+	if err := f.create(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.commit(kind.a1...); err != nil {
+		t.Fatal(err)
+	}
+	defer f.close()
+	before := imageOf(kind.magic, kind.a1)
+	gen := f.gen.Load()
+
+	// The operation under test, with the fault armed.
+	fs.n, fs.ops, fs.failAt, fired = 0, nil, failAt, 0
+	want, next := before, kind.a2
+	var landed bool
+	var err error
+	if op == "commit" {
+		err = f.commit(kind.a2...)
+		landed = err == nil
+		if landed {
+			want, next = imageOf(kind.magic, kind.a1, kind.a2), nil
+		}
+	} else {
+		landed, err = f.replace(kind.b1...)
+		if landed {
+			want, next = imageOf(kind.magic, kind.b1), kind.b2
+		}
+	}
+	fs.failAt = -1
+	ops := fs.ops
+	if failAt < 0 && err != nil {
+		t.Fatalf("clean %s: %v", op, err)
+	}
+	if f.failed != nil && err == nil {
+		t.Fatalf("file failed closed (%v) without reporting an error", f.failed)
+	}
+	if (fired > 0) != landed {
+		t.Fatalf("notify fired %d times, landed = %v", fired, landed)
+	}
+	if g := f.gen.Load(); g%2 != 0 || (g != gen) != (op == "replace" && landed) {
+		t.Fatalf("generation %d -> %d, landed = %v", gen, g, landed)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary image left behind: %v", err)
+	}
+	check := func(want []byte) {
+		t.Helper()
+		image, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := f.size.Load()
+		if size > int64(len(image)) || !bytes.Equal(image[:size], want) {
+			t.Fatalf("committed prefix (%d of %d bytes) is neither the before- nor the after-state (%d bytes)", size, len(image), len(want))
+		}
+		if n, err := kind.verify(image[:size], false); err != nil || n != size {
+			t.Fatalf("strict verify of the committed prefix: %d bytes, %v; committed size %d", n, err, size)
+		}
+		// Only a file that failed closed may carry debris past its committed
+		// size, and then recovery's tolerant scan must cut exactly there.
+		if f.failed == nil && int64(len(image)) != size {
+			t.Fatalf("%d bytes on disk, %d committed, and the file still accepts appends", len(image), size)
+		}
+		if n, err := kind.verify(image, true); err != nil || n != size {
+			t.Fatalf("tolerant verify: %d bytes, %v; committed size %d", n, err, size)
+		}
+	}
+	check(want)
+
+	// A following commit.
+	err = f.commit(next...)
+	if f.failed != nil {
+		if !errors.Is(err, errCrash) {
+			t.Fatalf("commit into a file that failed closed: %v", err)
+		}
+		check(want)
+		return ops
+	}
+	if err != nil {
+		t.Fatalf("commit after the fault: %v", err)
+	}
+	check(append(want, imageOf(nil, next)...))
+	return ops
+}

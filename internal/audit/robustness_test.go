@@ -1,7 +1,9 @@
 package audit
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -36,10 +38,10 @@ func TestTornAppendRecovered(t *testing.T) {
 
 	cfg := e.diskConfig("git")
 	cfg.FS = in.FS(nil)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -72,10 +74,10 @@ func TestTornAppendRecovered(t *testing.T) {
 	// so the persisted anchor lags the group by one.
 	rcfg := e.diskConfig("git")
 	rcfg.RecoverMaxLag = 1
-	var rec *Log
+	var rec *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		rec, err = Recover(env, rcfg, e.encl.PublicKey())
+		rec, err = recoverOneShard(env, rcfg, e.encl.PublicKey())
 		return err
 	})
 	defer rec.Close()
@@ -99,43 +101,83 @@ func TestTornAppendRecovered(t *testing.T) {
 	}
 }
 
+// TestENOSPCAppendRolledBack fills the disk under each individual write of
+// an append, for a shard file and for the manifest sidecar, on a set that
+// was just created, just recovered and just trimmed: the failed append must
+// leave no trace, the same handle must keep working once the disk has room
+// again, and strict verification must find exactly the acknowledged records.
 func TestENOSPCAppendRolledBack(t *testing.T) {
-	e := newAuditEnv(t)
-	first := appendFirstWrite(1)
-	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.NoSpace("git.lseal", first, first+1),
-	}}.Build()
-	cfg := e.diskConfig("git")
-	cfg.FS = in.FS(nil)
-	var l *Log
-	e.call(t, func(env *asyncall.Env) error {
-		var err error
-		l, err = New(env, cfg)
-		if err != nil {
-			return err
+	files := []struct {
+		name   string
+		shards int
+		writes int // an append's writes to the file: header + payload per record
+	}{
+		{"git.lseal", 1, 4},
+		{"git.manifest", 2, 2},
+	}
+	for _, state := range []string{"fresh", "recovered", "trimmed"} {
+		for _, file := range files {
+			for j := 0; j < file.writes; j++ {
+				t.Run(fmt.Sprintf("%s/%s/write%d", state, file.name, j), func(t *testing.T) {
+					e := newAuditEnv(t)
+					in := faultinject.New(1)
+					cfg := ShardedConfig{Config: e.diskConfig("git"), Shards: file.shards}
+					cfg.FS = in.FS(nil)
+					var s *ShardedLog
+					e.call(t, func(env *asyncall.Env) (err error) {
+						if s, err = NewSharded(env, cfg); err != nil {
+							return err
+						}
+						if err := s.Append(env, 0, "updates", 1, "r", "main", "c1", "update"); err != nil {
+							return err
+						}
+						switch state {
+						case "recovered":
+							s.Close()
+							s, err = RecoverSharded(env, cfg, e.encl.PublicKey())
+						case "trimmed":
+							err = s.Trim(env, []string{"DELETE FROM updates WHERE time < 1"})
+						}
+						return err
+					})
+					defer s.Close()
+					appendTo := func(env *asyncall.Env, time int, cid string) error {
+						if file.shards > 1 {
+							return s.WriteManifest(env)
+						}
+						return s.Append(env, 0, "updates", time, "r", "main", cid, "update")
+					}
+					n := in.Count("fs:" + file.name)
+					in.Add(faultinject.NoSpace(file.name, n+j, n+j+1))
+					err := e.bridge.Call(func(env *asyncall.Env) error { return appendTo(env, 2, "c2") })
+					if !errors.Is(err, syscall.ENOSPC) {
+						t.Fatalf("append on full disk: %v, want ENOSPC", err)
+					}
+					e.call(t, func(env *asyncall.Env) error { return appendTo(env, 3, "c3") })
+					s.Close()
+
+					rep, err := VerifyPath(context.Background(), e.dir, StreamOptions{
+						VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if file.shards > 1 {
+						if rep.TotalEntries != 1 || rep.Manifests != 2 {
+							t.Fatalf("entries = %d, manifests = %d; want 1 and 2", rep.TotalEntries, rep.Manifests)
+						}
+						return
+					}
+					entries, err := verifyFile(filepath.Join(e.dir, file.name), VerifyOptions{Pub: e.encl.PublicKey()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(entries) != 2 || entries[0].Values[3].TextVal() != "c1" || entries[1].Values[3].TextVal() != "c3" {
+						t.Fatalf("entries = %v", entries)
+					}
+				})
+			}
 		}
-		return l.Append(env, "updates", 1, "r", "main", "c1", "update")
-	})
-	err := e.bridge.Call(func(env *asyncall.Env) error {
-		return l.Append(env, "updates", 2, "r", "main", "c2", "update")
-	})
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("append on full disk: %v, want ENOSPC", err)
-	}
-	// The disk "recovers"; the same handle keeps working and the failed
-	// append left no trace behind.
-	e.call(t, func(env *asyncall.Env) error {
-		return l.Append(env, "updates", 3, "r", "main", "c3", "update")
-	})
-	l.Close()
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[1].Values[3].TextVal() != "c3" {
-		t.Fatalf("entries = %v", entries)
 	}
 }
 
@@ -151,10 +193,10 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 	e := newAuditEnv(t)
 	cfg := e.diskConfig("git")
 	cfg.FS = failRenameFS{}
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -183,10 +225,10 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 	// old file lags the group by one.
 	rcfg := e.diskConfig("git")
 	rcfg.RecoverMaxLag = 1
-	var rec *Log
+	var rec *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		rec, err = Recover(env, rcfg, e.encl.PublicKey())
+		rec, err = recoverOneShard(env, rcfg, e.encl.PublicKey())
 		return err
 	})
 	defer rec.Close()
@@ -202,10 +244,10 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 
 func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -222,10 +264,10 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 	// Crash immediately after the rename committed (no Close). Recovery
 	// accepts the complete new chain — the trim re-signed it at a fresh
 	// counter, so no lag allowance is needed.
-	var rec *Log
+	var rec *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		rec, err = Recover(env, e.diskConfig("git"), e.encl.PublicKey())
+		rec, err = recoverOneShard(env, e.diskConfig("git"), e.encl.PublicKey())
 		return err
 	})
 	defer rec.Close()
@@ -243,16 +285,118 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 	}
 }
 
+// failReopenFS lets a replacement of the named file land and then fails the
+// reopen for append, once: the state in which the pre-rename handle points
+// at an unlinked inode.
+type failReopenFS struct {
+	vfs.OS
+	name  string
+	armed bool
+}
+
+var errReopen = errors.New("simulated reopen failure")
+
+func (f *failReopenFS) Rename(oldpath, newpath string) error {
+	err := f.OS.Rename(oldpath, newpath)
+	f.armed = err == nil && filepath.Base(newpath) == f.name
+	return err
+}
+
+func (f *failReopenFS) Append(name string) (vfs.File, error) {
+	if f.armed && filepath.Base(name) == f.name {
+		f.armed = false
+		return nil, errReopen
+	}
+	return f.OS.Append(name)
+}
+
+// TestTrimReopenFailureFailsClosed: once a rewrite's rename landed, the new
+// image is the log, whatever happens next. If the file cannot be reopened
+// the trim reports it, memory follows the new image, and later appends fail
+// instead of being acknowledged into a file no path names — so recovery
+// finds a log that is fresh and misses nothing that was acknowledged.
+func TestTrimReopenFailureFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		shards int
+	}{{"git.lseal", 1}, {"git.manifest", 2}} {
+		t.Run(tc.file, func(t *testing.T) {
+			e := newAuditEnv(t)
+			cfg := ShardedConfig{Config: e.diskConfig("git"), Shards: tc.shards}
+			cfg.FS = &failReopenFS{name: tc.file}
+			var s *ShardedLog
+			e.call(t, func(env *asyncall.Env) (err error) {
+				if s, err = NewSharded(env, cfg); err != nil {
+					return err
+				}
+				for i := 1; i <= 3; i++ {
+					if err := s.Append(env, 0, "updates", i, "r", "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			epoch := s.Epoch()
+			err := e.bridge.Call(func(env *asyncall.Env) error {
+				return s.Trim(env, []string{"DELETE FROM updates WHERE time < 3"})
+			})
+			if !errors.Is(err, errReopen) {
+				t.Fatalf("trim: %v, want the reopen failure", err)
+			}
+			if s.Seq() != 1 {
+				t.Fatalf("seq = %d after the rewrite landed, want the trimmed chain (1)", s.Seq())
+			}
+			// The failed file refuses further records, however often asked.
+			for i := 0; i < 3; i++ {
+				err = e.bridge.Call(func(env *asyncall.Env) error {
+					if tc.shards > 1 {
+						return s.WriteManifest(env)
+					}
+					return s.Append(env, 0, "updates", 4+i, "r", "main", "lost", "update")
+				})
+				if !errors.Is(err, errReopen) {
+					t.Fatalf("append to the failed file: %v, want it refused", err)
+				}
+			}
+			if tc.shards > 1 && s.Epoch() != epoch+1 {
+				t.Fatalf("epoch = %d, want the landed manifest's (%d)", s.Epoch(), epoch+1)
+			}
+			// The process dies here (no Close). Strict recovery — no lag
+			// allowance — accepts the new image.
+			var rec *ShardedLog
+			e.call(t, func(env *asyncall.Env) (err error) {
+				rcfg := cfg
+				rcfg.FS = nil
+				rec, err = RecoverSharded(env, rcfg, e.encl.PublicKey())
+				return err
+			})
+			defer rec.Close()
+			res, err := rec.Query("SELECT cid FROM updates")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].TextVal() != "c3" {
+				t.Fatalf("recovered rows = %v, want the one survivor c3", res.Rows)
+			}
+			if _, err := VerifyPath(context.Background(), e.dir, StreamOptions{
+				VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+			}); err != nil {
+				t.Fatalf("strict verify after recovery: %v", err)
+			}
+		})
+	}
+}
+
 func TestDegradedModeBuffersAndReanchors(t *testing.T) {
 	e := newAuditEnv(t)
 	e.group.SetRetryPolicy(fastGroupPolicy())
 	cfg := e.diskConfig("git")
 	cfg.AnchorTimeout = 150 * time.Millisecond
 	cfg.DegradedLimit = 2
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -333,10 +477,10 @@ func TestDegradedBudgetSurvivesFailedCommit(t *testing.T) {
 	cfg.FS = in.FS(nil)
 	cfg.AnchorTimeout = 150 * time.Millisecond
 	cfg.DegradedLimit = 2
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -385,10 +529,10 @@ func TestDegradedDisabledFailsAppend(t *testing.T) {
 	e.group.SetRetryPolicy(fastGroupPolicy())
 	cfg := e.diskConfig("git")
 	cfg.AnchorTimeout = 150 * time.Millisecond // DegradedLimit stays 0
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		return err
 	})
 	defer l.Close()
@@ -412,10 +556,10 @@ func TestTrimNeverDegrades(t *testing.T) {
 	cfg := e.diskConfig("git")
 	cfg.AnchorTimeout = 150 * time.Millisecond
 	cfg.DegradedLimit = 8
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -448,10 +592,10 @@ func TestTrimNeverDegrades(t *testing.T) {
 
 func TestRecoverCounterLag(t *testing.T) {
 	e := newAuditEnv(t)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, e.diskConfig("git"))
+		l, err = newOneShard(env, e.diskConfig("git"))
 		if err != nil {
 			return err
 		}
@@ -466,7 +610,7 @@ func TestRecoverCounterLag(t *testing.T) {
 	// Strict recovery refuses the lag: it is indistinguishable from a
 	// rolled-back log at this layer.
 	err := e.bridge.Call(func(env *asyncall.Env) error {
-		_, err := Recover(env, e.diskConfig("git"), e.encl.PublicKey())
+		_, err := recoverOneShard(env, e.diskConfig("git"), e.encl.PublicKey())
 		return err
 	})
 	if !errors.Is(err, ErrBadCounter) {
@@ -476,10 +620,10 @@ func TestRecoverCounterLag(t *testing.T) {
 	// immediately re-anchors, so clients never see the lag.
 	rcfg := e.diskConfig("git")
 	rcfg.RecoverMaxLag = 1
-	var rec *Log
+	var rec *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		rec, err = Recover(env, rcfg, e.encl.PublicKey())
+		rec, err = recoverOneShard(env, rcfg, e.encl.PublicKey())
 		return err
 	})
 	defer rec.Close()
@@ -499,10 +643,10 @@ func TestSilentCorruptionDetected(t *testing.T) {
 	}}.Build()
 	cfg := e.diskConfig("git")
 	cfg.FS = in.FS(nil)
-	var l *Log
+	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
-		l, err = New(env, cfg)
+		l, err = newOneShard(env, cfg)
 		if err != nil {
 			return err
 		}
@@ -522,7 +666,7 @@ func TestSilentCorruptionDetected(t *testing.T) {
 	err := e.bridge.Call(func(env *asyncall.Env) error {
 		rcfg := e.diskConfig("git")
 		rcfg.RecoverMaxLag = 1
-		_, err := Recover(env, rcfg, e.encl.PublicKey())
+		_, err := recoverOneShard(env, rcfg, e.encl.PublicKey())
 		return err
 	})
 	if !errors.Is(err, ErrTampered) {

@@ -2,7 +2,6 @@ package audit
 
 import (
 	"bytes"
-	"context"
 	"crypto/ecdsa"
 	"encoding/binary"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"libseal/internal/asyncall"
@@ -101,81 +99,91 @@ func ManifestCounterName(name string) string {
 type ShardedLog struct {
 	cfg    ShardedConfig
 	db     *sqldb.DB
-	fs     vfs.FS
 	shards []*Log
 
 	// Manifest lane. mmu serialises manifest signing and sidecar I/O; it is
 	// ordered after the shard locks (a manifest writer never holds mmu while
-	// acquiring a shard's mutex — states are snapshotted first).
+	// acquiring a shard's mutex — states are snapshotted first). manifest is
+	// nil unless the set is manifested.
 	mmu          sync.Mutex
-	manifestFile vfs.File // outside resource, accessed via ocalls
-	manifestSize int64    // committed bytes; failed appends truncate back
+	manifest     *recordFile // outside resource, accessed via ocalls
 	epoch        uint64
 	mcounter     uint64 // last manifest-counter value written
 	lastManifest time.Time
 	mclosed      bool
+}
 
-	// mgen is the manifest sidecar's incarnation seqlock (see Log.gen): odd
-	// while rewriteManifest is replacing the file, even while it is stable.
-	mgen atomic.Uint64
-	// mnotify, when non-nil, runs under mmu after every durable manifest
-	// write. Installed by SetCommitNotify alongside the per-shard notifiers.
-	mnotify func()
+// Name is the log set's name (Config.Name).
+func (s *ShardedLog) Name() string { return s.cfg.Name }
+
+// Files lists the set's persisted files in a fixed order — every shard's
+// log, then the manifest sidecar when the set has one. It is empty for a
+// memory-only set.
+func (s *ShardedLog) Files() []FileView {
+	if s.cfg.Mode != ModeDisk {
+		return nil
+	}
+	views := make([]FileView, 0, len(s.shards)+1)
+	for _, sh := range s.shards {
+		views = append(views, FileView{sh.file})
+	}
+	if s.manifest != nil {
+		views = append(views, FileView{s.manifest})
+	}
+	return views
 }
 
 // SetCommitNotify installs fn to run after every durable change to any of
-// the set's persisted files — a shard's batch publish, re-anchor or trim
-// rewrite, and every manifest append or rewrite. fn runs under the internal
-// locks and must not block; the replication feed installs a coalescing
+// the set's persisted files — a shard's batch commit, re-anchor or trim
+// rewrite, and every manifest append or rewrite. fn runs on the committing
+// goroutine and must not block; the replication feed installs a coalescing
 // wakeup. One listener at a time; nil uninstalls.
 func (s *ShardedLog) SetCommitNotify(fn func()) {
-	for _, sh := range s.shards {
-		sh.SetCommitNotify(fn)
+	for _, v := range s.Files() {
+		v.f.setNotify(fn)
 	}
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	s.mnotify = fn
 }
 
-// ManifestCommittedSize is the durable length of the manifest sidecar (0
-// when the set has none).
-func (s *ShardedLog) ManifestCommittedSize() int64 {
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	return s.manifestSize
+// newSet builds a set: the shared database with the schema applied once,
+// every shard's log from open, and the manifest lane's (not yet written)
+// file when the configuration calls for one.
+func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*ShardedLog, error) {
+	s := &ShardedLog{cfg: cfg, db: sqldb.New()}
+	if cfg.Schema != "" {
+		if _, err := s.db.Exec(cfg.Schema); err != nil {
+			return nil, fmt.Errorf("audit: schema: %w", err)
+		}
+	}
+	for k := 0; k < cfg.shardCount(); k++ {
+		l, err := open(cfg.shardConfig(k), s.db)
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("audit: shard %d: %w", k, err)
+		}
+		s.shards = append(s.shards, l)
+	}
+	if len(s.shards) > 1 && cfg.Mode == ModeDisk {
+		path := filepath.Join(cfg.Dir, ManifestFileName(cfg.Name))
+		s.manifest = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: manifestMagic}
+	}
+	return s, nil
 }
-
-// ManifestGeneration identifies the manifest sidecar's incarnation, with the
-// same even/odd contract as Log.Generation.
-func (s *ShardedLog) ManifestGeneration() uint64 { return s.mgen.Load() }
 
 // NewSharded creates (or truncates) a sharded audit log. With Shards > 1 in
 // disk mode it also creates the manifest sidecar and writes an initial
 // epoch manifest attesting the empty shards. Must run inside an enclave
 // call.
 func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
-	db := sqldb.New()
-	if cfg.Schema != "" {
-		if _, err := db.Exec(cfg.Schema); err != nil {
-			return nil, fmt.Errorf("audit: schema: %w", err)
-		}
-	}
-	s := &ShardedLog{cfg: cfg, db: db, fs: vfs.Default(cfg.FS)}
-	n := cfg.shardCount()
-	for k := 0; k < n; k++ {
-		l, err := newIntoDB(env, cfg.shardConfig(k), db)
-		if err != nil {
-			s.closeShards()
-			return nil, err
-		}
-		s.shards = append(s.shards, l)
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return newShard(env, c, db) })
+	if err != nil {
+		return nil, err
 	}
 	if s.manifested() {
-		if err := s.createManifestFile(env); err != nil {
-			s.closeShards()
+		if err := env.Ocall(s.manifest.create); err != nil {
+			s.Close()
 			return nil, err
 		}
-		if err := s.appendManifest(env, s.snapshotStates(env)); err != nil {
+		if err := s.putManifest(env, s.snapshotStates(env), false); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -184,28 +192,15 @@ func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 }
 
 // RecoverSharded rebuilds a sharded log set after a restart: every shard
-// file is verified and replayed into one shared database (shard recovery is
-// exactly single-log Recover, per shard), the old manifest sidecar is read
-// tolerantly to resume the epoch and manifest-counter sequence, and the
-// sidecar is rewritten with one fresh manifest attesting the recovered
-// states. The shard count must match the one the files were created with.
-// Must run inside an enclave call.
+// file is verified and replayed into one shared database (recoverShard), the
+// old manifest sidecar is read tolerantly to resume the epoch and
+// manifest-counter sequence, and the sidecar is rewritten with one fresh
+// manifest attesting the recovered states. The shard count must match the
+// one the files were created with. Must run inside an enclave call.
 func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) (*ShardedLog, error) {
-	db := sqldb.New()
-	if cfg.Schema != "" {
-		if _, err := db.Exec(cfg.Schema); err != nil {
-			return nil, fmt.Errorf("audit: schema: %w", err)
-		}
-	}
-	s := &ShardedLog{cfg: cfg, db: db, fs: vfs.Default(cfg.FS)}
-	n := cfg.shardCount()
-	for k := 0; k < n; k++ {
-		l, err := recoverIntoDB(env, cfg.shardConfig(k), pub, db)
-		if err != nil {
-			s.closeShards()
-			return nil, fmt.Errorf("audit: shard %d: %w", k, err)
-		}
-		s.shards = append(s.shards, l)
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return recoverShard(env, c, pub, db) })
+	if err != nil {
+		return nil, err
 	}
 	if s.manifested() {
 		// Resume the epoch/counter sequence from the surviving sidecar. A
@@ -215,7 +210,7 @@ func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) 
 		// way.
 		var raw []byte
 		env.Ocall(func() error {
-			raw, _ = s.fs.ReadFile(s.manifestPath())
+			raw, _ = s.manifest.read()
 			return nil
 		})
 		if len(raw) > 0 {
@@ -225,7 +220,7 @@ func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) 
 				s.mcounter = last.Counter
 			}
 		}
-		if err := s.rewriteManifest(env, s.snapshotStates(env)); err != nil {
+		if err := s.putManifest(env, s.snapshotStates(env), true); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -235,35 +230,7 @@ func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) 
 
 // manifested reports whether this log set maintains an epoch-manifest
 // sidecar: only multi-shard disk-mode sets do.
-func (s *ShardedLog) manifested() bool {
-	return len(s.shards) > 1 && s.cfg.Mode == ModeDisk
-}
-
-func (s *ShardedLog) manifestPath() string {
-	return filepath.Join(s.cfg.Dir, ManifestFileName(s.cfg.Name))
-}
-
-func (s *ShardedLog) closeShards() {
-	for _, sh := range s.shards {
-		sh.Close()
-	}
-}
-
-func (s *ShardedLog) createManifestFile(env *asyncall.Env) error {
-	return env.Ocall(func() error {
-		f, err := s.fs.Create(s.manifestPath())
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(manifestMagic); err != nil {
-			f.Close()
-			return err
-		}
-		s.manifestFile = f
-		s.manifestSize = int64(len(manifestMagic))
-		return nil
-	})
-}
+func (s *ShardedLog) manifested() bool { return s.manifest != nil }
 
 // ShardFor routes a connection key to its shard: a stable hash, so the same
 // connection always appends to the same shard (preserving per-connection
@@ -284,10 +251,6 @@ func (s *ShardedLog) Shards() int { return len(s.shards) }
 
 // Shard exposes shard k (tests and status reporting).
 func (s *ShardedLog) Shard(k int) *Log { return s.shards[k] }
-
-// Primary returns shard 0 — the compatibility handle for callers that need
-// a single *Log (an unsharded set has exactly one).
-func (s *ShardedLog) Primary() *Log { return s.shards[0] }
 
 // DB exposes the shared relational database for invariant queries.
 func (s *ShardedLog) DB() *sqldb.DB { return s.db }
@@ -367,22 +330,24 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 	return firstErr
 }
 
-// Trim applies the trimming queries once against the shared database and
-// rewrites every shard: surviving rows are partitioned round-robin across
-// the shards (deterministic table-sorted order), each shard's chain is
-// rebuilt over its partition with a fresh counter anchor, and the manifest
-// sidecar is rewritten to attest the post-trim states. All shards are
-// quiesced for the duration, so the partition cannot race staged appends.
+// Trim applies the service's trimming queries once against the shared
+// database and rewrites every shard (§5.1, "Log trimming"): surviving rows
+// are partitioned round-robin across the shards (deterministic table-sorted
+// order — with one shard, simply every row in that order), each shard's
+// chain is rebuilt over its partition with a fresh counter anchor and its
+// file replaced crash-safely (Log.rewriteLocked), and the manifest sidecar
+// is rewritten to attest the post-trim states. All shards are quiesced for
+// the duration, so the partition cannot race staged appends or interleave
+// with a batch's file I/O.
 //
-// On a mid-trim failure the already-rewritten shards keep their new images
-// and the rest keep their old ones — every shard file remains individually
-// verifiable — and the manifest sidecar is still rewritten to attest the
-// shards' actual current states, because the old manifests reference
-// pre-trim states the rewritten shards no longer contain.
+// The database rows are trimmed whatever happens to the files; the next
+// successful trim reconciles them. On a mid-trim failure the
+// already-rewritten shards keep their new images and the rest keep their old
+// ones — every shard file remains individually verifiable — and the manifest
+// sidecar is still rewritten to attest the shards' actual current states,
+// because the old manifests reference pre-trim states the rewritten shards
+// no longer contain.
 func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].Trim(env, queries)
-	}
 	for _, sh := range s.shards {
 		sh.lockQuiesced(env)
 	}
@@ -415,7 +380,7 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 			// Shard locks are held: read the durable fields directly.
 			states[i] = ShardState{Chain: sh.chain, Seq: sh.seq, Counter: sh.sigCounter}
 		}
-		if merr := s.rewriteManifest(env, states); merr != nil && trimErr == nil {
+		if merr := s.putManifest(env, states, true); merr != nil && trimErr == nil {
 			trimErr = merr
 		}
 	}
@@ -495,13 +460,14 @@ func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
 	if !s.manifested() {
 		return nil
 	}
-	return s.appendManifest(env, s.snapshotStates(env))
+	return s.putManifest(env, s.snapshotStates(env), false)
 }
 
-// appendManifest signs the states as the next epoch and appends the record
-// to the sidecar with one fsync. A failed write truncates back to the last
-// committed size.
-func (s *ShardedLog) appendManifest(env *asyncall.Env, states []ShardState) error {
+// putManifest signs the states as the next epoch and makes the record
+// durable: appended to the sidecar, or — rewrite, the manifest counterpart
+// of a shard rewrite — as the only record of a replaced sidecar. Callers may
+// hold shard locks; mmu is taken after them.
+func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite bool) error {
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
 	if s.mclosed {
@@ -512,85 +478,25 @@ func (s *ShardedLog) appendManifest(env *asyncall.Env, states []ShardState) erro
 		mManifestErrors.Inc()
 		return err
 	}
-	payload := marshalManifest(m)
-	if err := env.Ocall(func() error {
-		if err := writeRecord(s.manifestFile, recManifest, payload); err != nil {
+	rec := record{typ: recManifest, payload: marshalManifest(m)}
+	landed := false
+	err = env.Ocall(func() (err error) {
+		if rewrite {
+			landed, err = s.manifest.replace(rec)
 			return err
 		}
-		return s.manifestFile.Sync()
-	}); err != nil {
-		env.Ocall(func() error { s.manifestFile.Truncate(s.manifestSize); return nil })
-		mManifestErrors.Inc()
-		return err
-	}
-	s.manifestSize += recordSize(payload)
-	s.commitManifestLocked(m)
-	return nil
-}
-
-// rewriteManifest atomically replaces the sidecar with a single fresh
-// manifest attesting the given states (temp file, fsync, rename) — the
-// manifest counterpart of a shard rewrite. Callers may hold shard locks;
-// mmu is taken after them.
-func (s *ShardedLog) rewriteManifest(env *asyncall.Env, states []ShardState) error {
-	asyncall.Lock(env, &s.mmu)
-	defer s.mmu.Unlock()
-	if s.mclosed {
-		return ErrClosed
-	}
-	m, err := s.signManifestLocked(env, states)
+		return s.manifest.commit(rec)
+	})
 	if err != nil {
 		mManifestErrors.Inc()
-		return err
 	}
-	payload := marshalManifest(m)
-	s.mgen.Add(1) // odd: sidecar being replaced
-	if err := env.Ocall(func() error {
-		tmp := s.manifestPath() + ".tmp"
-		f, err := s.fs.Create(tmp)
-		if err != nil {
-			return err
-		}
-		fail := func(err error) error {
-			f.Close()
-			s.fs.Remove(tmp)
-			return err
-		}
-		if _, err := f.Write(manifestMagic); err != nil {
-			return fail(err)
-		}
-		if err := writeRecord(f, recManifest, payload); err != nil {
-			return fail(err)
-		}
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		if err := s.fs.Rename(tmp, s.manifestPath()); err != nil {
-			s.fs.Remove(tmp)
-			return err
-		}
-		nf, err := s.fs.Append(s.manifestPath())
-		if err != nil {
-			return err
-		}
-		old := s.manifestFile
-		s.manifestFile = nf
-		if old != nil {
-			old.Close()
-		}
-		return nil
-	}); err != nil {
-		s.mgen.Add(1) // even again: the old sidecar is still authoritative
-		mManifestErrors.Inc()
-		return err
+	if err == nil || landed {
+		s.epoch = m.Epoch
+		s.mcounter = m.Counter
+		s.lastManifest = time.Now()
+		mManifests.Inc()
 	}
-	s.mgen.Add(1) // even: replacement landed
-	s.manifestSize = int64(len(manifestMagic)) + recordSize(payload)
-	s.commitManifestLocked(m)
-	return nil
+	return err
 }
 
 // signManifestLocked builds and signs the next epoch manifest; mmu is held.
@@ -601,7 +507,7 @@ func (s *ShardedLog) rewriteManifest(env *asyncall.Env, states []ShardState) err
 func (s *ShardedLog) signManifestLocked(env *asyncall.Env, states []ShardState) (*Manifest, error) {
 	m := &Manifest{Epoch: s.epoch + 1, Counter: s.mcounter, Shards: states}
 	if s.cfg.Protector != nil {
-		if c, err := s.incrementManifestCounter(); err == nil {
+		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
 			m.Counter = c
 		}
 	}
@@ -612,30 +518,6 @@ func (s *ShardedLog) signManifestLocked(env *asyncall.Env, states []ShardState) 
 	mSignatures.Inc()
 	m.Sig = sig
 	return m, nil
-}
-
-// commitManifestLocked publishes a durably written manifest; mmu is held.
-func (s *ShardedLog) commitManifestLocked(m *Manifest) {
-	s.epoch = m.Epoch
-	s.mcounter = m.Counter
-	s.lastManifest = time.Now()
-	mManifests.Inc()
-	mFsyncs.Inc()
-	if s.mnotify != nil {
-		s.mnotify()
-	}
-}
-
-// incrementManifestCounter advances the manifest counter under the same
-// timeout bound as the shards' anchors.
-func (s *ShardedLog) incrementManifestCounter() (uint64, error) {
-	name := ManifestCounterName(s.cfg.Name)
-	if cp, ok := s.cfg.Protector.(ContextRollbackProtector); ok && s.cfg.AnchorTimeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AnchorTimeout)
-		defer cancel()
-		return cp.IncrementContext(ctx, name)
-	}
-	return s.cfg.Protector.Increment(name)
 }
 
 // Epoch returns the epoch of the last durably written manifest (0 before
@@ -659,10 +541,8 @@ func (s *ShardedLog) Close() error {
 	s.mmu.Lock()
 	defer s.mmu.Unlock()
 	s.mclosed = true
-	if s.manifestFile != nil {
-		err := s.manifestFile.Close()
-		s.manifestFile = nil
-		if err != nil && firstErr == nil {
+	if s.manifest != nil {
+		if err := s.manifest.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

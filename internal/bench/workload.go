@@ -27,10 +27,10 @@ type LogFiller struct {
 	next   func(f *LogFiller) (req *httpparse.Request, rsp *httpparse.Response)
 	state  any
 
-	// Set by Attach: tuples then flow through a real audit.Log, so Check
-	// and Trim pay the full fixed costs (enclave crossings, persistent
-	// rewrite, counter increment, re-signing).
-	log    *audit.Log
+	// Set by Attach: tuples then flow through a real (one-shard) audit log,
+	// so Check and Trim pay the full fixed costs (enclave crossings,
+	// persistent rewrite, counter increment, re-signing).
+	log    *audit.ShardedLog
 	bridge *asyncall.Bridge
 }
 
@@ -43,10 +43,10 @@ func (f *LogFiller) Attach(bridge *asyncall.Bridge, cfg audit.Config) error {
 	if cfg.Name == "" {
 		cfg.Name = f.Module.Name()
 	}
-	var l *audit.Log
+	var l *audit.ShardedLog
 	if err := bridge.Call(func(env *asyncall.Env) error {
 		var err error
-		l, err = audit.New(env, cfg)
+		l, err = audit.NewSharded(env, audit.ShardedConfig{Config: cfg})
 		return err
 	}); err != nil {
 		return err
@@ -69,7 +69,7 @@ func (f *LogFiller) Fill(n int) error {
 		if f.log != nil {
 			if err := f.bridge.Call(func(env *asyncall.Env) error {
 				for _, tu := range tuples {
-					if err := f.log.Append(env, tu.Table, tu.Values...); err != nil {
+					if err := f.log.Append(env, 0, tu.Table, tu.Values...); err != nil {
 						return err
 					}
 				}

@@ -411,16 +411,6 @@ func (ls *LibSEAL) Log() *audit.ShardedLog { return ls.log }
 // Bridge returns the underlying enclave bridge.
 func (ls *LibSEAL) Bridge() *asyncall.Bridge { return ls.bridge }
 
-// AuditLocation returns the persisted audit log's directory and set name —
-// what a replication feed needs to locate the files. Both are empty when
-// auditing is disabled or memory-only.
-func (ls *LibSEAL) AuditLocation() (dir, name string) {
-	if ls.log == nil || ls.cfg.AuditMode != audit.ModeDisk {
-		return "", ""
-	}
-	return ls.cfg.AuditDir, ls.cfg.Module.Name()
-}
-
 // StatsSnapshot returns a copy of the audit counters.
 func (ls *LibSEAL) StatsSnapshot() Stats {
 	ls.logMu.Lock()

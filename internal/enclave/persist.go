@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 
 	"libseal/internal/vfs"
 )
@@ -153,11 +152,7 @@ func LoadOrCreatePlatformFS(fsys vfs.FS, path string) (*Platform, error) {
 		return UnmarshalPlatform(data)
 	}
 	p := NewPlatform()
-	data, err := p.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFileAtomic(fsys, path, data); err != nil {
+	if err := p.SaveStateFS(fsys, path); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -169,44 +164,12 @@ func (p *Platform) SaveState(path string) error {
 }
 
 // SaveStateFS is SaveState over an explicit filesystem (nil for the real
-// one). The write is atomic: temp file, fsync, rename.
+// one). The write is atomic, and owner-only: the state holds platform
+// secrets.
 func (p *Platform) SaveStateFS(fsys vfs.FS, path string) error {
 	data, err := p.Marshal()
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(vfs.Default(fsys), path, data)
-}
-
-// writeFileAtomic commits data to path via write-temp + fsync + rename, so
-// a crash at any point leaves either the old file or the new one — never a
-// torn mixture.
-func writeFileAtomic(fsys vfs.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return err
-	}
-	os.Chmod(tmp, 0o600) // best-effort: the state holds platform secrets
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return nil
+	return vfs.WriteFileAtomic(fsys, path, data, 0o600)
 }

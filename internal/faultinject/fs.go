@@ -49,6 +49,7 @@ func (f *faultyFS) Append(name string) (vfs.File, error) {
 func (f *faultyFS) ReadFile(name string) ([]byte, error) { return f.base.ReadFile(name) }
 func (f *faultyFS) Rename(o, n string) error             { return f.base.Rename(o, n) }
 func (f *faultyFS) Remove(name string) error             { return f.base.Remove(name) }
+func (f *faultyFS) SyncDir(dir string) error             { return f.base.SyncDir(dir) }
 
 // faultyFile interposes on writes. After a torn write the handle is wedged:
 // the simulated process died mid-write, so nothing further reaches disk.

@@ -69,8 +69,6 @@ import (
 type (
 	// LibSEAL is one audit-library instance.
 	LibSEAL = core.LibSEAL
-	// Config assembles a LibSEAL instance.
-	Config = core.Config
 	// Violation records one detected integrity violation.
 	Violation = core.Violation
 
@@ -152,8 +150,8 @@ type (
 	BreakerConfig = resilience.BreakerConfig
 	// BreakerState is a circuit breaker's position.
 	BreakerState = resilience.State
-	// BreakerProtector wraps a counter group in a circuit breaker; it slots
-	// into Config.Protector.
+	// BreakerProtector wraps a counter group in a circuit breaker; install it
+	// with WithProtector (or let WithBreaker build one).
 	BreakerProtector = resilience.BreakerProtector
 	// Health is a registry of liveness/readiness probes served over HTTP.
 	Health = resilience.Health
@@ -201,12 +199,6 @@ const (
 	// CheckResultHeader carries the most recent check result.
 	CheckResultHeader = core.CheckResultHeader
 )
-
-// New builds a LibSEAL instance on an enclave bridge from a Config struct.
-// It remains for existing callers; new code should prefer Open, which
-// assembles the same Config from functional options and wires the
-// counter-group plumbing (retry policy, circuit breaker) in one place.
-func New(bridge *Bridge, cfg Config) (*LibSEAL, error) { return core.New(bridge, cfg) }
 
 // NewPlatform creates a fresh simulated SGX machine.
 func NewPlatform() *Platform { return enclave.NewPlatform() }
@@ -309,7 +301,7 @@ func DefaultRetryPolicy() RetryPolicy { return rote.DefaultRetryPolicy() }
 // run of quorum failures the breaker opens and counter operations fail fast
 // (the audit log degrades immediately instead of burning its retry budget
 // per batch), with half-open probes re-closing it once the quorum recovers.
-// Use the result as Config.Protector. Telemetry registers under name.
+// Install the result with WithProtector. Telemetry registers under name.
 func NewBreakerProtector(name string, group *CounterGroup, cfg BreakerConfig) *BreakerProtector {
 	return resilience.NewBreakerProtector(name, group, cfg)
 }

@@ -13,7 +13,6 @@ import (
 	"libseal/internal/netsim"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/gitserver"
-	"libseal/internal/sqldb"
 	"libseal/internal/testutil"
 )
 
@@ -44,16 +43,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seenViolations []string
-	seal, err := New(bridge, Config{
-		TLS:              TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()},
-		Module:           GitModule(),
-		AuditMode:        AuditDisk,
-		AuditDir:         dir,
-		Protector:        group,
-		CheckEvery:       10,
-		CheckMinInterval: time.Millisecond,
-		OnViolation:      func(name string, _ *sqldb.Result) { seenViolations = append(seenViolations, name) },
-	})
+	seal, err := Open(bridge,
+		WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
+		WithModule(GitModule()),
+		WithAuditDisk(dir),
+		WithCounterGroup(group),
+		WithChecks(10, 0, time.Millisecond),
+		WithViolationHandler(func(name string, _ *QueryResult) { seenViolations = append(seenViolations, name) }),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}

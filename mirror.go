@@ -2,7 +2,6 @@ package libseal
 
 import (
 	"context"
-	"errors"
 	"net"
 
 	"libseal/internal/audit/mirror"
@@ -30,7 +29,7 @@ type (
 	// MirrorFeed is the server-side replication feed over a running audit
 	// log. Build one with NewMirrorFeed or ServeAuditFeed.
 	MirrorFeed = mirror.Feed
-	// MirrorFeedConfig describes the feed: the live log, its files, and the
+	// MirrorFeedConfig describes the feed: the live log and the
 	// per-subscriber chunking/queueing/backpressure bounds.
 	MirrorFeedConfig = mirror.FeedConfig
 )
@@ -59,11 +58,7 @@ func NewMirrorFeed(cfg MirrorFeedConfig) (*MirrorFeed, error) {
 // one-call server side of live mirroring. The instance must be running with
 // WithAuditDisk. Close the returned feed to stop serving.
 func ServeAuditFeed(ls *LibSEAL, ln net.Listener) (*MirrorFeed, error) {
-	dir, name := ls.AuditLocation()
-	if dir == "" {
-		return nil, errors.New("libseal: ServeAuditFeed needs a disk-mode audit log (WithAuditDisk)")
-	}
-	feed, err := mirror.NewFeed(mirror.FeedConfig{Log: ls.Log(), Dir: dir, Name: name})
+	feed, err := mirror.NewFeed(mirror.FeedConfig{Log: ls.Log()})
 	if err != nil {
 		return nil, err
 	}

@@ -9,14 +9,9 @@ import (
 	"libseal/internal/sqldb"
 )
 
-// This file holds the functional-options constructor. Historically the
-// library grew one constructor or helper per feature (New with a 20-field
-// Config struct, NewCounterGroupWith for retry policies, NewBreakerProtector
-// for circuit breaking, admission and batching knobs buried in Config).
-// Open consolidates them: one entry point, one option per concern, with the
-// wiring between concerns (policy → group → breaker → protector) done in
-// one place instead of at every call site. New and the per-feature helpers
-// remain as thin wrappers for existing callers.
+// This file holds the constructor: Open is the one entry point, one option
+// per concern, with the wiring between concerns (policy → group → breaker →
+// protector) done in one place instead of at every call site.
 
 // RollbackProtector is the monotonic counter service the audit log anchors
 // its freshness to. CounterGroup implements it; so does BreakerProtector.
@@ -34,9 +29,9 @@ type AuditLog = audit.ShardedLog
 // Option configures one aspect of a LibSEAL instance built with Open.
 type Option func(*openConfig)
 
-// openConfig accumulates options before Open assembles the core Config.
+// openConfig accumulates options before Open assembles the core.Config.
 // The counter-group plumbing (retry policy, breaker) is kept to the side
-// and resolved into Config.Protector at Open time.
+// and resolved into its Protector at Open time.
 type openConfig struct {
 	core core.Config
 
@@ -207,7 +202,7 @@ func WithViolationHandler(fn func(invariant string, rows *QueryResult)) Option {
 }
 
 // Open builds a LibSEAL instance on an enclave bridge from functional
-// options — the preferred constructor:
+// options:
 //
 //	group, _ := libseal.NewCounterGroup(1)
 //	seal, err := libseal.Open(bridge,
@@ -225,7 +220,7 @@ func WithViolationHandler(fn func(invariant string, rows *QueryResult)) Option {
 // applied, is wrapped by the WithBreaker circuit breaker if configured, and
 // becomes the protector. Options apply in argument order, so later options
 // override earlier ones. Open(bridge) with no options is a memory-only,
-// unprotected instance, exactly like New(bridge, Config{}).
+// unprotected instance.
 func Open(bridge *Bridge, opts ...Option) (*LibSEAL, error) {
 	var c openConfig
 	for _, opt := range opts {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/netsim"
 	"libseal/internal/services/apache"
@@ -149,13 +150,13 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 }
 
 // TestOpenMatchesNew checks the facade contract: Open assembles the same
-// instance New does from an equivalent Config, observed through identical
-// behaviour on the same workload and identically-verifiable logs.
+// instance core.New does from an equivalent core.Config, observed through
+// identical behaviour on the same workload and identically-verifiable logs.
 func TestOpenMatchesNew(t *testing.T) {
 	type build func(t *testing.T, bridge *Bridge, certs *testutil.CertEnv, dir string, group *CounterGroup) (*LibSEAL, error)
 	builds := map[string]build{
 		"new": func(t *testing.T, bridge *Bridge, certs *testutil.CertEnv, dir string, group *CounterGroup) (*LibSEAL, error) {
-			return New(bridge, Config{
+			return core.New(bridge, core.Config{
 				TLS:              TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()},
 				Module:           GitModule(),
 				AuditMode:        AuditDisk,
