@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check soak mirror-soak bench bench-json bench-compare bench-e2e-smoke bench-shards bench-check bench-mirror fuzz-smoke clean
+.PHONY: all build test check soak mirror-soak bench bench-sweeps bench-e2e-smoke fuzz-smoke clean
 
 all: build
 
@@ -31,20 +31,20 @@ mirror-soak:
 	$(GO) test -race -count=3 -run 'TestChaosMirrorLinkDrops|TestMirrorFacadeResumeAcrossRestart' -v .
 	$(GO) test -race -count=1 -run 'TestMirror|TestFeed' ./internal/audit/mirror/
 
+# Every experiment of cmd/libseal-bench — the paper's tables and figures and
+# the four post-paper sweeps — at the quick budgets, printed as tables
+# (`libseal-bench -list` names them; EXPERIMENTS.md says what to expect).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=2x ./...
+	$(GO) run ./cmd/libseal-bench -experiment all -quick
 
-# Machine-readable bench: sweeps the audited Git workload over
-# {batch off/on} x {sync/async bridge} x {1,4,16 clients}, verifies every
-# log produced, and writes per-run throughput, append latency quantiles and
-# fsync/signature/counter costs per request.
-bench-json:
-	$(GO) run ./cmd/libseal-bench -json BENCH_pr4.json
-
-# Same sweep, but quick (smaller request budget): prints the batching
-# off/on delta table per bridge mode and client count.
-bench-compare:
-	$(GO) run ./cmd/libseal-bench -json /tmp/libseal-bench-compare.json -quick
+# The four post-paper sweeps at their full budgets, written with the machine
+# block to BENCH_sweeps.json: group commit (batching x bridge mode x clients
+# over the audited Git deployment), sharded append (1/2/4/8 shards), snapshot
+# checks (scan vs indexed check latency; append with no/sync/async checks)
+# and the live mirror (append overhead, rollback detection latency). Every
+# disk log a sweep writes is strictly re-verified, entry count included.
+bench-sweeps:
+	$(GO) run ./cmd/libseal-bench -experiment groupcommit,shards,checks,mirror -out BENCH_sweeps.json
 
 # End-to-end harness smoke (benchmark/README.md): two seconds of the
 # auditor's workload — cold, one-worker and resumed verification of a sharded
@@ -52,26 +52,6 @@ bench-compare:
 # come back ErrTampered / ErrBadCounter. Exits non-zero if a gate fails.
 bench-e2e-smoke:
 	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
-
-# Sharded-append sweep (DESIGN.md §14): aggregate append throughput at
-# 1/2/4/8 audit-log shards under 16 clients over a 500us-latency counter
-# quorum, each run strictly re-verified including epoch-manifest replay.
-bench-shards:
-	$(GO) run ./cmd/libseal-bench -shards-json BENCH_pr8.json
-
-# Snapshot-check sweep (DESIGN.md §15): full-check latency over a growing
-# multi-repo Git audit database with hash indexes on vs off, plus audited
-# append throughput with no / synchronous / asynchronous periodic checks,
-# each disk run strictly re-verified.
-bench-check:
-	$(GO) run ./cmd/libseal-bench -check-json BENCH_pr9.json
-
-# Live-mirror sweep (DESIGN.md §16): append throughput with and without one
-# attached mirror (acceptance: mirrored >= 0.95x unmirrored), the mirror's
-# catch-up time, and truncate-to-verdict rollback detection latency through
-# a reconnect.
-bench-mirror:
-	$(GO) run ./cmd/libseal-bench -mirror-json BENCH_pr10.json
 
 # Short fuzzing pass over the verifier, the entry codec and the HTTP
 # parser — the same smoke CI runs. Seed corpora live under testdata/fuzz.

@@ -1,657 +1,21 @@
-// Benchmarks regenerating every table and figure of the LibSEAL paper's
-// evaluation (§6). Each benchmark measures a real deployment of the
-// simulated stack under the calibrated SGX cost model; reported metrics are
-// genuine wall-clock measurements, not replayed numbers. Absolute values
-// depend on the host (the paper used a 4-core Xeon E3-1280 v5; see
-// EXPERIMENTS.md for the paper-vs-measured comparison); the relative shapes
-// are the reproduction target.
+// Micro-benchmarks for what no libseal-bench experiment covers. The paper's
+// tables and figures (§6) and the post-paper sweeps are experiments of
+// cmd/libseal-bench (`-list`); ablations of this implementation's own design
+// choices are in ablation_test.go.
 //
-// Run all:   go test -bench=. -benchmem
-// Run one:   go test -bench=BenchmarkFig5a -benchtime=1x
+// Run one:   go test -run '^$' -bench=BenchmarkTLSHandshake -benchtime=100x
 package libseal
 
 import (
-	"encoding/json"
-	"fmt"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"libseal/internal/asyncall"
-	"libseal/internal/audit"
 	"libseal/internal/bench"
-	"libseal/internal/enclave"
-	"libseal/internal/httpparse"
-	"libseal/internal/rote"
-	"libseal/internal/ssm/dropboxssm"
-	"libseal/internal/ssm/owncloudssm"
-	"libseal/internal/testutil"
 	"libseal/internal/tlsterm"
 )
 
 // benchCost is the SGX cost model used by all benchmarks.
 func benchCost() CostModel { return DefaultCostModel() }
-
-// report attaches the standard metrics to a benchmark.
-func report(b *testing.B, res bench.Result) {
-	b.Helper()
-	b.ReportMetric(res.Throughput, "req/s")
-	b.ReportMetric(float64(res.Latency.Mean.Microseconds()), "µs-mean")
-	b.ReportMetric(float64(res.Latency.P50.Microseconds()), "µs-p50")
-	if res.Errors > 0 {
-		b.Fatalf("%d request errors", res.Errors)
-	}
-}
-
-// gitBackendCost models the Git backend's per-request pack/object work.
-const gitBackendCost = 2 * time.Millisecond
-
-// phpEngineCost models ownCloud's PHP engine, the bottleneck of §6.4.
-const phpEngineCost = 3 * time.Millisecond
-
-// --- Figure 5a: Git throughput and latency -------------------------------
-
-// BenchmarkFig5a_Git measures the Git service (Apache reverse proxy + Git
-// backend) under the four configurations of Fig. 5a: native, enclave TLS
-// only, in-memory logging, and persistent logging with ROTE.
-func BenchmarkFig5a_Git(b *testing.B) {
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess, bench.ModeMem, bench.ModeDisk} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			st, err := bench.NewGitStack(bench.StackOptions{
-				Mode: mode, Cost: benchCost(), CheckEvery: 25,
-			}, gitBackendCost)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				res = runGitLoad(b, st, 4, 160)
-			}
-			report(b, res)
-		})
-	}
-}
-
-func runGitLoad(b *testing.B, st *bench.GitStack, clients, requests int) bench.Result {
-	b.Helper()
-	res, err := bench.Load{
-		Clients:    clients,
-		Requests:   requests,
-		Warmup:     clients * 2,
-		MakeClient: func(int) *bench.Client { return st.NewClient(true) },
-		MakeRequest: func(worker, seq int) *httpparse.Request {
-			repo := fmt.Sprintf("repo%d", worker)
-			if seq%10 == 9 {
-				return httpparse.NewRequest("GET", "/git/"+repo+"/info/refs", nil)
-			}
-			body := fmt.Sprintf("update main c%d", seq)
-			return httpparse.NewRequest("POST", "/git/"+repo+"/git-receive-pack", []byte(body))
-		},
-		Validate: status200,
-	}.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-func status200(rsp *httpparse.Response) error {
-	if rsp.Status != 200 {
-		return fmt.Errorf("status %d", rsp.Status)
-	}
-	return nil
-}
-
-// --- Figure 5b: ownCloud throughput and latency --------------------------
-
-// BenchmarkFig5b_OwnCloud measures the collaborative editing service under
-// native, in-memory and persistent logging. The PHP engine dominates, so
-// logging to disk adds little (the paper's observation).
-func BenchmarkFig5b_OwnCloud(b *testing.B) {
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			st, err := bench.NewOwnCloudStack(bench.StackOptions{
-				Mode: mode, Cost: benchCost(), CheckEvery: 75,
-			}, phpEngineCost)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = bench.Load{
-					Clients:    4,
-					Requests:   80,
-					Warmup:     8,
-					MakeClient: func(int) *bench.Client { return st.NewClient(true) },
-					MakeRequest: func(worker, seq int) *httpparse.Request {
-						doc := fmt.Sprintf("doc%d", worker)
-						client := fmt.Sprintf("client%d", worker)
-						if seq%4 == 3 {
-							// Paragraph-sized edit.
-							body, _ := json.Marshal(owncloudssm.PushMsg{Doc: doc, Client: client,
-								Ops: []string{fmt.Sprintf("ins(%d,%q)", seq, paragraph)}})
-							return httpparse.NewRequest("POST", "/owncloud/push", body)
-						}
-						// Single-character edit.
-						body, _ := json.Marshal(owncloudssm.PushMsg{Doc: doc, Client: client,
-							Ops: []string{fmt.Sprintf("ins(%d,'x')", seq)}})
-						return httpparse.NewRequest("POST", "/owncloud/push", body)
-					},
-					Validate: status200,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, res)
-		})
-	}
-}
-
-const paragraph = "Lorem ipsum dolor sit amet, consectetur adipiscing elit, sed do eiusmod tempor incididunt ut labore."
-
-// --- Figure 5c: Dropbox latency ------------------------------------------
-
-// BenchmarkFig5c_Dropbox measures commit_batch and list latency through the
-// Squid/LibSEAL proxy over the simulated 76 ms WAN. The WAN dominates, so
-// all configurations are close (the paper's observation).
-func BenchmarkFig5c_Dropbox(b *testing.B) {
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			st, err := bench.NewDropboxStack(bench.StackOptions{
-				Mode: mode, Cost: benchCost(), CheckEvery: 100,
-			}, bench.DropboxWANLatency)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			client := st.NewDropboxClient(true)
-			defer client.Close()
-			// Warm up the proxy connection and upstream handshake.
-			seedDropbox(b, client, 0)
-
-			b.Run("commit_batch", func(b *testing.B) {
-				var mean time.Duration
-				for i := 0; i < b.N; i++ {
-					start := time.Now()
-					seedDropbox(b, client, i+1)
-					mean = time.Since(start)
-				}
-				b.ReportMetric(float64(mean.Milliseconds()), "ms-latency")
-			})
-			b.Run("list", func(b *testing.B) {
-				var mean time.Duration
-				for i := 0; i < b.N; i++ {
-					start := time.Now()
-					rsp, err := client.Do(httpparse.NewRequest("GET", "/dropbox/list?account=u&host=h", nil))
-					if err != nil || rsp.Status != 200 {
-						b.Fatalf("list: %v %v", rsp, err)
-					}
-					mean = time.Since(start)
-				}
-				b.ReportMetric(float64(mean.Milliseconds()), "ms-latency")
-			})
-		})
-	}
-}
-
-func seedDropbox(b *testing.B, client *bench.Client, i int) {
-	b.Helper()
-	body, _ := json.Marshal(dropboxssm.CommitBatchMsg{
-		Account: "u", Host: "h",
-		Commits: []dropboxssm.FileCommit{{
-			File:      fmt.Sprintf("f%d.dat", i%50),
-			Blocklist: fmt.Sprintf("%064d", i),
-			Size:      4096,
-		}},
-	})
-	rsp, err := client.Do(httpparse.NewRequest("POST", "/dropbox/commit_batch", body))
-	if err != nil || rsp.Status != 200 {
-		b.Fatalf("commit_batch: %v %v", rsp, err)
-	}
-}
-
-// --- Figure 6: invariant checking and trimming cost ----------------------
-
-// BenchmarkFig6_CheckTrim measures the combined invariant-check and trim
-// time, normalised by the check interval, for each service. The paper finds
-// a cost-minimising interval per service (25/75/100 requests): short
-// intervals pay the fixed check cost too often, long intervals let the
-// super-linear query cost grow.
-func BenchmarkFig6_CheckTrim(b *testing.B) {
-	services := []struct {
-		name string
-		mk   func() (*bench.LogFiller, error)
-	}{
-		{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(GitModule()) }},
-		{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(OwnCloudModule()) }},
-		{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(DropboxModule()) }},
-	}
-	for _, svc := range services {
-		svc := svc
-		for _, interval := range []int{25, 50, 75, 100, 150, 225, 300} {
-			interval := interval
-			b.Run(fmt.Sprintf("%s/interval=%d", svc.name, interval), func(b *testing.B) {
-				var perReq float64
-				for i := 0; i < b.N; i++ {
-					filler, err := svc.mk()
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Attach a persistent, rollback-protected audit log so
-					// each check+trim pays its full fixed cost (enclave
-					// crossings, log rewrite, counter, re-sign), the left
-					// arm of the paper's U-shaped curves.
-					_, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Cost: benchCost()})
-					if err != nil {
-						b.Fatal(err)
-					}
-					group, err := rote.NewGroup(1, 30*time.Microsecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-					dir := b.TempDir()
-					if err := filler.Attach(bridge, audit.Config{
-						Mode: audit.ModeDisk, Dir: dir, Protector: group,
-					}); err != nil {
-						b.Fatal(err)
-					}
-					// Steady state: several check/trim rounds; measure the
-					// later ones.
-					var total time.Duration
-					rounds := 0
-					for r := 0; r < 4; r++ {
-						if err := filler.Fill(interval); err != nil {
-							b.Fatal(err)
-						}
-						d, err := filler.CheckTrim()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if r > 0 { // skip the cold first round
-							total += d
-							rounds++
-						}
-					}
-					bridge.Close()
-					perReq = float64(total.Microseconds()) / float64(rounds*interval)
-				}
-				b.ReportMetric(perReq, "µs/req-normalized")
-			})
-		}
-	}
-}
-
-// --- Figure 7a: Apache enclave-TLS overhead vs content size --------------
-
-// BenchmarkFig7a_Apache measures Apache throughput with non-persistent
-// connections (every request pays a handshake) for growing content sizes,
-// native vs LibSEAL without auditing. Overhead concentrates in the
-// handshake, so it shrinks as transfer time grows (§6.6).
-func BenchmarkFig7a_Apache(b *testing.B) {
-	sizes := []struct {
-		name string
-		n    int
-	}{
-		{"0B", 0}, {"1KB", 1 << 10}, {"10KB", 10 << 10},
-		{"64KB", 64 << 10}, {"512KB", 512 << 10}, {"1MB", 1 << 20}, {"10MB", 10 << 20},
-	}
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess} {
-		mode := mode
-		for _, size := range sizes {
-			size := size
-			requests := 120
-			if size.n >= 512<<10 {
-				requests = 24
-			}
-			b.Run(fmt.Sprintf("%s/size=%s", mode, size.name), func(b *testing.B) {
-				st, err := bench.NewStaticStack(bench.StackOptions{
-					Mode: mode, Cost: benchCost(), CallMode: asyncall.ModeAsync,
-				}, size.n, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Close()
-				var res bench.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = bench.Load{
-						Clients:     4,
-						Requests:    requests,
-						Warmup:      4,
-						MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-						MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-						Validate:    status200,
-					}.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				report(b, res)
-				b.SetBytes(int64(size.n))
-			})
-		}
-	}
-}
-
-// --- Figure 7b: Squid enclave-TLS overhead -------------------------------
-
-// BenchmarkFig7b_Squid measures the proxy with two TLS hops at 1 KB content,
-// native vs LibSEAL: double handshakes double the relative overhead (§6.6).
-func BenchmarkFig7b_Squid(b *testing.B) {
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			st, err := bench.NewSquidStack(bench.StackOptions{
-				Mode: mode, Cost: benchCost(), CallMode: asyncall.ModeAsync,
-			}, 1<<10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = bench.Load{
-					Clients:  4,
-					Requests: 80,
-					Warmup:   4,
-					MakeClient: func(int) *bench.Client {
-						return bench.NewClient(st.Dial, st.ClientConfig(), false)
-					},
-					MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-					Validate:    status200,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, res)
-		})
-	}
-}
-
-// --- Figure 7c: multi-core scalability ------------------------------------
-
-// BenchmarkFig7c_Scalability sweeps GOMAXPROCS 1..4 for Apache and Squid
-// with LibSEAL. On the paper's 4-core machine throughput scales linearly;
-// on hosts with fewer physical cores the curve flattens at the core count
-// (see EXPERIMENTS.md).
-func BenchmarkFig7c_Scalability(b *testing.B) {
-	maxCores := 4
-	for _, stack := range []string{"apache", "squid"} {
-		stack := stack
-		for cores := 1; cores <= maxCores; cores++ {
-			cores := cores
-			b.Run(fmt.Sprintf("%s/cores=%d", stack, cores), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(cores)
-				defer runtime.GOMAXPROCS(prev)
-				opts := bench.StackOptions{Mode: bench.ModeProcess, Cost: benchCost(), CallMode: asyncall.ModeAsync}
-				var res bench.Result
-				run := func(dial func() (*bench.Client, error)) {
-					for i := 0; i < b.N; i++ {
-						var err error
-						res, err = bench.Load{
-							Clients:  4,
-							Requests: 60,
-							Warmup:   4,
-							MakeClient: func(int) *bench.Client {
-								c, err := dial()
-								if err != nil {
-									b.Fatal(err)
-								}
-								return c
-							},
-							MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-							Validate:    status200,
-						}.Run()
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if stack == "apache" {
-					st, err := bench.NewStaticStack(opts, 1<<10, false)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer st.Close()
-					run(func() (*bench.Client, error) { return st.NewClient(false), nil })
-				} else {
-					st, err := bench.NewSquidStack(opts, 1<<10)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer st.Close()
-					run(func() (*bench.Client, error) { return bench.NewClient(st.Dial, st.ClientConfig(), false), nil })
-				}
-				report(b, res)
-			})
-		}
-	}
-}
-
-// --- Table 2: asynchronous enclave calls ----------------------------------
-
-// BenchmarkTable2_AsyncCalls compares synchronous (one hardware transition
-// per call) and asynchronous (slot-array) enclave calls on Apache for
-// growing content sizes. The paper reports 57-114% higher throughput with
-// async calls.
-func BenchmarkTable2_AsyncCalls(b *testing.B) {
-	sizes := []struct {
-		name string
-		n    int
-	}{{"0B", 0}, {"1KB", 1 << 10}, {"10KB", 10 << 10}, {"64KB", 64 << 10}}
-	for _, cm := range []asyncall.Mode{asyncall.ModeSync, asyncall.ModeAsync} {
-		cm := cm
-		for _, size := range sizes {
-			size := size
-			b.Run(fmt.Sprintf("%s/size=%s", cm, size.name), func(b *testing.B) {
-				// The paper's Apache runs dozens of worker threads; enclave
-				// transition cost grows with the number of concurrently
-				// transitioning threads (§6.8), which is what asynchronous
-				// calls sidestep.
-				st, err := bench.NewStaticStack(bench.StackOptions{
-					Mode: bench.ModeProcess, Cost: benchCost(), CallMode: cm,
-					Schedulers: 3, TasksPerScheduler: 16, MaxThreads: 48,
-				}, size.n, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer st.Close()
-				var res bench.Result
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = bench.Load{
-						Clients:     16,
-						Requests:    160,
-						Warmup:      16,
-						MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-						MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-						Validate:    status200,
-					}.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				report(b, res)
-			})
-		}
-	}
-}
-
-// --- Table 3: number of SGX threads ---------------------------------------
-
-// BenchmarkTable3_SGXThreads sweeps the number of resident enclave scheduler
-// threads at 48 lthread tasks each (1 KB content). The paper finds a peak at
-// S=3 on 4 cores, with contention beyond.
-func BenchmarkTable3_SGXThreads(b *testing.B) {
-	for _, s := range []int{1, 2, 3, 4} {
-		s := s
-		b.Run(fmt.Sprintf("S=%d", s), func(b *testing.B) {
-			st, err := bench.NewStaticStack(bench.StackOptions{
-				Mode: bench.ModeProcess, Cost: benchCost(), CallMode: asyncall.ModeAsync,
-				Schedulers: s, TasksPerScheduler: 48, AppSlots: 48, MaxThreads: s + 4,
-			}, 1<<10, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = bench.Load{
-					Clients:     8,
-					Requests:    96,
-					Warmup:      8,
-					MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-					MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-					Validate:    status200,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, res)
-		})
-	}
-}
-
-// --- Table 4: number of lthread tasks --------------------------------------
-
-// BenchmarkTable4_LthreadTasks sweeps the lthread task count per scheduler
-// at 3 schedulers. The paper finds throughput flat but latency improving
-// with more tasks (fewer app-thread waits).
-func BenchmarkTable4_LthreadTasks(b *testing.B) {
-	for _, tasks := range []int{12, 24, 36, 48} {
-		tasks := tasks
-		b.Run(fmt.Sprintf("T=%d", tasks), func(b *testing.B) {
-			st, err := bench.NewStaticStack(bench.StackOptions{
-				Mode: bench.ModeProcess, Cost: benchCost(), CallMode: asyncall.ModeAsync,
-				Schedulers: 3, TasksPerScheduler: tasks, AppSlots: 48, MaxThreads: 8,
-			}, 1<<10, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = bench.Load{
-					Clients:     8,
-					Requests:    96,
-					Warmup:      8,
-					MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-					MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-					Validate:    status200,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			report(b, res)
-		})
-	}
-}
-
-// --- §4.2: transition-reduction optimisations ------------------------------
-
-// BenchmarkSec42_TransitionReduction measures Apache with the §4.2
-// optimisations on and off, reporting the ecall/ocall counts per request
-// alongside throughput. The paper reports 31% fewer ecalls, 49% fewer
-// ocalls and up to 70% higher throughput.
-func BenchmarkSec42_TransitionReduction(b *testing.B) {
-	configs := []struct {
-		name string
-		opts Optimizations
-	}{
-		{"optimized", AllOptimizations()},
-		{"unoptimized", Optimizations{}},
-	}
-	for _, cfg := range configs {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := cfg.opts
-			st, err := bench.NewStaticStack(bench.StackOptions{
-				Mode: bench.ModeProcess, Cost: benchCost(), CallMode: asyncall.ModeSync,
-				Opts: &opts, UseExData: true,
-			}, 1<<10, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			var res bench.Result
-			requests := 80
-			for i := 0; i < b.N; i++ {
-				st.Enclave.ResetStats()
-				var err error
-				res, err = bench.Load{
-					Clients:     4,
-					Requests:    requests,
-					Warmup:      0,
-					MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-					MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-					Validate:    status200,
-				}.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			stats := st.Enclave.Stats()
-			report(b, res)
-			b.ReportMetric(float64(stats.Ecalls)/float64(requests), "ecalls/req")
-			b.ReportMetric(float64(stats.Ocalls)/float64(requests), "ocalls/req")
-		})
-	}
-}
-
-// --- §6.5: log size --------------------------------------------------------
-
-// BenchmarkSec65_LogSize measures the trimmed audit-log footprint per unit
-// of service state: bytes per Git branch pointer, per ownCloud update and
-// per Dropbox file (the paper reports 530, 124-131 and 64 bytes plus
-// bookkeeping, respectively).
-func BenchmarkSec65_LogSize(b *testing.B) {
-	cases := []struct {
-		name string
-		mk   func() (*bench.LogFiller, error)
-		unit string
-	}{
-		{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(GitModule()) }, "B/pointer"},
-		{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(OwnCloudModule()) }, "B/update"},
-		{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(DropboxModule()) }, "B/file"},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			var perUnit float64
-			for i := 0; i < b.N; i++ {
-				filler, err := c.mk()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := filler.Fill(400); err != nil {
-					b.Fatal(err)
-				}
-				if err := filler.Trim(); err != nil {
-					b.Fatal(err)
-				}
-				bytes, units := bench.LogFootprint(filler.DB)
-				if units > 0 {
-					perUnit = float64(bytes) / float64(units)
-				}
-			}
-			b.ReportMetric(perUnit, c.unit)
-		})
-	}
-}
 
 // BenchmarkTLSHandshake isolates the secure-channel handshake cost, the
 // dominant term of the non-persistent-connection experiments.
@@ -678,48 +42,6 @@ func BenchmarkTLSHandshake(b *testing.B) {
 				}
 				conn.Close()
 			}
-		})
-	}
-}
-
-// BenchmarkSec68_TransitionCost measures the cost of one enclave transition
-// as the number of concurrently calling threads grows, reproducing the
-// motivation of §6.8: one ecall costs ~8,500 cycles with a single thread but
-// ~170,000 cycles with 48 threads. The simulated cost model charges real CPU
-// time with the same contention curve.
-func BenchmarkSec68_TransitionCost(b *testing.B) {
-	for _, threads := range []int{1, 8, 16, 32, 48} {
-		threads := threads
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			encl, bridge, err := testutil.NewBridge(testutil.BridgeOptions{
-				Mode: asyncall.ModeSync, MaxThreads: threads, Cost: benchCost(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bridge.Close()
-			const callsPerThread = 50
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				var wg sync.WaitGroup
-				for t := 0; t < threads; t++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for c := 0; c < callsPerThread; c++ {
-							_ = encl.Ecall(func(*enclave.Ctx) error { return nil })
-						}
-					}()
-				}
-				wg.Wait()
-				elapsed = time.Since(start)
-			}
-			// Each ecall pays two crossings; threads run them in parallel
-			// goroutines, so wall time divided by total calls understates
-			// per-call cost on multicore hosts but preserves the trend.
-			perCall := float64(elapsed.Microseconds()) / float64(callsPerThread)
-			b.ReportMetric(perCall, "µs/ecall-wall")
 		})
 	}
 }

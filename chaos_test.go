@@ -68,15 +68,17 @@ func runChaosFaultPhase(t *testing.T, dir string, platform *Platform, group *Cou
 	in := chaosScenario().Build()
 	policy := chaosRetryPolicy()
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:          bench.ModeDisk,
-		AuditDir:      dir,
-		Platform:      platform,
-		Group:         group,
-		Inject:        in,
-		RetryPolicy:   &policy,
-		AnchorTimeout: 300 * time.Millisecond,
-		DegradedLimit: 4,
-		RecoverMaxLag: 1,
+		Mode:        bench.ModeDisk,
+		Platform:    platform,
+		Group:       group,
+		Inject:      in,
+		RetryPolicy: &policy,
+		Core: core.Config{
+			AuditDir:      dir,
+			AnchorTimeout: 300 * time.Millisecond,
+			DegradedLimit: 4,
+			RecoverMaxLag: 1,
+		},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -168,15 +170,17 @@ func TestChaosSoakCrashRecovery(t *testing.T) {
 	}
 	policy := chaosRetryPolicy()
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:            bench.ModeDisk,
-		AuditDir:        dir,
-		Platform:        platform,
-		Group:           group,
-		RetryPolicy:     &policy,
-		RecoverExisting: true,
-		AnchorTimeout:   300 * time.Millisecond,
-		DegradedLimit:   4,
-		RecoverMaxLag:   1,
+		Mode:        bench.ModeDisk,
+		Platform:    platform,
+		Group:       group,
+		RetryPolicy: &policy,
+		Core: core.Config{
+			AuditDir:        dir,
+			RecoverExisting: true,
+			AnchorTimeout:   300 * time.Millisecond,
+			DegradedLimit:   4,
+			RecoverMaxLag:   1,
+		},
 	}, 0)
 	if err != nil {
 		t.Fatalf("recovery restart: %v", err)
@@ -246,13 +250,15 @@ func TestChaosRollingRestartSoak(t *testing.T) {
 	}
 	policy := chaosRetryPolicy()
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:          bench.ModeDisk,
-		AuditDir:      dir,
-		Platform:      platform,
-		Group:         group,
-		RetryPolicy:   &policy,
-		AnchorTimeout: time.Second,
-		AuditBatchMax: 4,
+		Mode:        bench.ModeDisk,
+		Platform:    platform,
+		Group:       group,
+		RetryPolicy: &policy,
+		Core: core.Config{
+			AuditDir:      dir,
+			AnchorTimeout: time.Second,
+			AuditBatchMax: 4,
+		},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -382,14 +388,16 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		clockMu.Unlock()
 	}
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:          bench.ModeDisk,
-		AuditDir:      dir,
-		Platform:      NewPlatform(),
-		Group:         group,
-		RetryPolicy:   &policy,
-		AnchorTimeout: 400 * time.Millisecond,
-		DegradedLimit: 16,
-		Breaker:       &BreakerConfig{Threshold: 2, Cooldown: 300 * time.Millisecond, Now: clock},
+		Mode:        bench.ModeDisk,
+		Platform:    NewPlatform(),
+		Group:       group,
+		RetryPolicy: &policy,
+		Breaker:     &BreakerConfig{Threshold: 2, Cooldown: 300 * time.Millisecond, Now: clock},
+		Core: core.Config{
+			AuditDir:      dir,
+			AnchorTimeout: 400 * time.Millisecond,
+			DegradedLimit: 16,
+		},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -474,16 +482,18 @@ func TestChaosOverloadShedding(t *testing.T) {
 	}}.Build()
 	policy := chaosRetryPolicy()
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:          bench.ModeDisk,
-		AuditDir:      dir,
-		Platform:      NewPlatform(),
-		Group:         group,
-		Inject:        in,
-		RetryPolicy:   &policy,
-		AnchorTimeout: time.Second,
-		AuditBatchMax: 2,
-		MaxStaged:     2,
-		AdmitTimeout:  30 * time.Millisecond,
+		Mode:        bench.ModeDisk,
+		Platform:    NewPlatform(),
+		Group:       group,
+		Inject:      in,
+		RetryPolicy: &policy,
+		Core: core.Config{
+			AuditDir:          dir,
+			AnchorTimeout:     time.Second,
+			AuditBatchMax:     2,
+			AuditMaxStaged:    2,
+			AuditAdmitTimeout: 30 * time.Millisecond,
+		},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)

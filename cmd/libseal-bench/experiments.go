@@ -14,6 +14,7 @@ import (
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
 	"libseal/internal/bench"
+	"libseal/internal/core"
 	"libseal/internal/enclave"
 	"libseal/internal/httpparse"
 	"libseal/internal/rote"
@@ -25,6 +26,49 @@ import (
 	"libseal/internal/testutil"
 	"libseal/internal/tlsterm"
 )
+
+// experiments is everything the tool can run: the paper's evaluation in the
+// paper's order, then the sweeps of the layers added since (sweeps.go).
+var experiments = []experiment{
+	{"table1", "Table 1: lines of code and enclave interface",
+		[]string{"loc", "ecalls", "ocalls", "seals"}, runTable1},
+	{"fig5a", "Figure 5a: Git throughput and latency",
+		[]string{"throughput_rps", "latency_mean_ms", "latency_p95_ms", "vs_native_pct", "verified_entries"}, runFig5a},
+	{"fig5b", "Figure 5b: ownCloud throughput and latency",
+		[]string{"throughput_rps", "latency_mean_ms", "vs_native_pct", "verified_entries"}, runFig5b},
+	{"fig5c", "Figure 5c: Dropbox latency",
+		[]string{"commit_batch_ms", "list_ms"}, runFig5c},
+	{"fig6", "Figure 6: invariant checking and trimming time per request (the minimum marks the optimal interval)",
+		[]string{"check_trim_us_per_req"}, runFig6},
+	{"fig7a", "Figure 7a: Apache throughput and overhead vs content size",
+		[]string{"throughput_rps", "overhead_pct"}, runFig7a},
+	{"fig7b", "Figure 7b: Squid throughput versus latency",
+		[]string{"throughput_rps", "latency_mean_ms"}, runFig7b},
+	{"fig7c", "Figure 7c: multi-core scalability (the paper used 4 cores; scaling flattens at the physical core count)",
+		[]string{"throughput_rps"}, runFig7c},
+	{"table2", "Table 2: throughput with asynchronous enclave calls (paper: +57% to +114%; contention-driven gains need several physical cores)",
+		[]string{"throughput_rps", "improvement_pct"}, runTable2},
+	{"table3", "Table 3: varying the number of SGX threads",
+		[]string{"throughput_rps", "latency_mean_ms"}, runTable3},
+	{"table4", "Table 4: varying the number of lthread tasks",
+		[]string{"throughput_rps", "latency_mean_ms"}, runTable4},
+	{"sec42", "Section 4.2: transition-reduction optimisations",
+		[]string{"ecalls_per_req", "ocalls_per_req", "throughput_rps"}, runSec42},
+	{"sec65", "Section 6.5: log size per retained unit",
+		[]string{"bytes_per_unit", "tuples"}, runSec65},
+	{"sec68", "Section 6.8: enclave transition cost vs threads (paper: 8,500 cycles at 1 thread, 170,000 at 48 — 20x)",
+		[]string{"wall_us_per_ecall"}, runSec68},
+	{"detect", "Section 6.2: attack detection across all services",
+		[]string{"detected"}, runDetect},
+	{"groupcommit", "Group commit: batching off/on x sync/async bridge x 1/4/16 clients, audited Git on disk",
+		[]string{"throughput_rps", "append_p95_ms", "fsyncs_per_req", "signatures_per_req", "increments_per_req", "batch_size_mean", "verified_entries"}, runGroupCommit},
+	{"shards", "Sharded append: 1/2/4/8 audit-log shards under 16 clients and a 500us counter quorum",
+		[]string{"elapsed_s", "entries_per_s", "verify_s", "verified_entries", "manifests", "epoch"}, runShards},
+	{"checks", "Snapshot checks: full-check latency scan vs indexed, and audited append with no/sync/async checks",
+		[]string{"check_ms", "violations", "throughput_rps", "append_p95_ms", "checks", "checks_coalesced", "trims", "verified_entries"}, runChecks},
+	{"mirror", "Live mirror: append throughput without/with one mirror, and rollback detection latency",
+		[]string{"elapsed_s", "entries_per_s", "catchup_ms", "mirror_verified_entries", "detect_ms", "is_rollback_verdict"}, runMirror},
+}
 
 func cost() enclave.CostModel { return libseal.DefaultCostModel() }
 
@@ -53,12 +97,72 @@ func scale(q bool, n int) int {
 	return n
 }
 
+// ms converts a duration to milliseconds at microsecond resolution.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// pctOver is how far v lies above base, in percent.
+func pctOver(v, base float64) float64 { return 100 * (v - base) / base }
+
+// loadMetrics are the columns every closed-loop row has.
+func loadMetrics(res bench.Result) map[string]float64 {
+	return map[string]float64{
+		"throughput_rps":  res.Throughput,
+		"latency_mean_ms": ms(res.Latency.Mean),
+		"latency_p95_ms":  ms(res.Latency.P95),
+	}
+}
+
+// gitStack and ownCloudStack deploy the two audited services with the given
+// backend processing cost.
+func gitStack(backendCost time.Duration) func(bench.StackOptions) (*bench.Stack, error) {
+	return func(o bench.StackOptions) (*bench.Stack, error) {
+		st, err := bench.NewGitStack(o, backendCost)
+		if err != nil {
+			return nil, err
+		}
+		return st.Stack, nil
+	}
+}
+
+func ownCloudStack(phpCost time.Duration) func(bench.StackOptions) (*bench.Stack, error) {
+	return func(o bench.StackOptions) (*bench.Stack, error) {
+		st, err := bench.NewOwnCloudStack(o, phpCost)
+		if err != nil {
+			return nil, err
+		}
+		return st.Stack, nil
+	}
+}
+
+// staticLoad deploys a stack and drives GET /c against it from clients that
+// open a fresh connection per request: every request pays a handshake, the
+// worst case of §6.6.
+func staticLoad(deploy func() (*bench.Stack, error), clients, requests, warmup int) (bench.Result, error) {
+	st, err := deploy()
+	if err != nil {
+		return bench.Result{}, err
+	}
+	defer st.Close()
+	return loadStatic(st, clients, requests, warmup)
+}
+
+func loadStatic(st *bench.Stack, clients, requests, warmup int) (bench.Result, error) {
+	return bench.Load{
+		Clients:     clients,
+		Requests:    requests,
+		Warmup:      warmup,
+		MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
+		MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
+		Validate:    status200,
+	}.Run()
+}
+
 // --- Table 1 ---------------------------------------------------------------
 
-// runTable1 prints the module inventory with lines of code (counted from the
+// runTable1 reports the module inventory with lines of code (counted from the
 // source tree when available) and the measured enclave interface activity of
 // a short audited workload.
-func runTable1(bool) error {
+func runTable1(_ bool, emit func(row)) error {
 	root := findModuleRoot()
 	groups := []struct {
 		name string
@@ -73,16 +177,15 @@ func runTable1(bool) error {
 		{"Services and harness", []string{"internal/services", "internal/httpparse", "internal/netsim", "internal/bench", "internal/testutil"}},
 	}
 	total := 0
-	fmt.Printf("%-42s %10s\n", "Module", "LOC")
 	for _, g := range groups {
 		loc := 0
 		for _, d := range g.dirs {
 			loc += countGoLines(filepath.Join(root, d))
 		}
 		total += loc
-		fmt.Printf("%-42s %10d\n", g.name, loc)
+		emit(row{Cell: axes("module", g.name), Metrics: map[string]float64{"loc": float64(loc)}})
 	}
-	fmt.Printf("%-42s %10d\n", "Total", total)
+	emit(row{Cell: axes("module", "Total"), Metrics: map[string]float64{"loc": float64(total)}})
 
 	// Enclave interface: measure a short audited Git workload.
 	st, err := bench.NewGitStack(bench.StackOptions{Mode: bench.ModeDisk}, 0)
@@ -91,16 +194,17 @@ func runTable1(bool) error {
 	}
 	defer st.Close()
 	client := st.NewClient(true)
+	defer client.Close()
 	for i := 0; i < 20; i++ {
 		if _, err := client.Do(httpparse.NewRequest("POST", "/git/t/git-receive-pack",
 			[]byte(fmt.Sprintf("update main c%d", i)))); err != nil {
 			return err
 		}
 	}
-	client.Close()
 	stats := st.Enclave.Stats()
-	fmt.Printf("\nEnclave interface over 20 audited requests:\n")
-	fmt.Printf("  ecalls=%d ocalls=%d seals=%d\n", stats.Ecalls, stats.Ocalls, stats.Seals)
+	emit(row{Cell: axes("enclave interface", "20 audited Git requests"), Metrics: map[string]float64{
+		"ecalls": float64(stats.Ecalls), "ocalls": float64(stats.Ocalls), "seals": float64(stats.Seals),
+	}})
 	return nil
 }
 
@@ -137,62 +241,47 @@ func countGoLines(dir string) int {
 	return lines
 }
 
-// --- Figure 5a -------------------------------------------------------------
+// --- Figures 5a and 5b -----------------------------------------------------
 
-func runFig5a(q bool) error {
-	fmt.Printf("%-18s %10s %12s %12s\n", "configuration", "req/s", "mean-lat", "p95-lat")
-	var baseline float64
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess, bench.ModeMem, bench.ModeDisk} {
-		st, err := bench.NewGitStack(bench.StackOptions{Mode: mode, Cost: cost(), CheckEvery: 25},
-			2*time.Millisecond)
+// auditedModes runs one audited deployment per evaluation configuration and
+// emits a row for each, with throughput relative to the first (native) one.
+func auditedModes(emit func(row), modes []bench.SealMode, checkEvery int,
+	deploy func(bench.StackOptions) (*bench.Stack, error), load bench.Load) error {
+	var native float64
+	for _, mode := range modes {
+		run, err := bench.RunAudited(bench.StackOptions{
+			Mode: mode, Cost: cost(), Core: core.Config{CheckEvery: checkEvery},
+		}, deploy, load)
 		if err != nil {
-			return err
-		}
-		res, err := bench.Load{
-			Clients:    4,
-			Requests:   scale(q, 320),
-			Warmup:     8,
-			MakeClient: func(int) *bench.Client { return st.NewClient(true) },
-			MakeRequest: func(worker, seq int) *httpparse.Request {
-				repo := fmt.Sprintf("repo%d", worker)
-				if seq%10 == 9 {
-					return httpparse.NewRequest("GET", "/git/"+repo+"/info/refs", nil)
-				}
-				return httpparse.NewRequest("POST", "/git/"+repo+"/git-receive-pack",
-					[]byte(fmt.Sprintf("update main c%d", seq)))
-			},
-			Validate: status200,
-		}.Run()
-		st.Close()
-		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", mode, err)
 		}
 		if mode == bench.ModeNative {
-			baseline = res.Throughput
+			native = run.Throughput
 		}
-		fmt.Printf("%-18s %10.1f %12s %12s   (%+.0f%% vs native)\n", mode, res.Throughput,
-			res.Latency.Mean.Round(time.Microsecond), res.Latency.P95.Round(time.Microsecond),
-			100*(res.Throughput-baseline)/baseline)
+		m := loadMetrics(run.Result)
+		m["vs_native_pct"] = pctOver(run.Throughput, native)
+		if mode == bench.ModeDisk {
+			m["verified_entries"] = float64(run.Entries)
+		}
+		emit(row{Cell: axes("mode", mode), Metrics: m})
 	}
 	return nil
 }
 
-// --- Figure 5b -------------------------------------------------------------
+func runFig5a(q bool, emit func(row)) error {
+	return auditedModes(emit,
+		[]bench.SealMode{bench.ModeNative, bench.ModeProcess, bench.ModeMem, bench.ModeDisk}, 25,
+		gitStack(2*time.Millisecond), bench.Load{
+			Clients: 4, Requests: scale(q, 320), Warmup: 8,
+			MakeRequest: bench.GitRequest, Validate: status200,
+		})
+}
 
-func runFig5b(q bool) error {
-	fmt.Printf("%-18s %10s %12s\n", "configuration", "req/s", "mean-lat")
-	var baseline float64
-	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk} {
-		st, err := bench.NewOwnCloudStack(bench.StackOptions{Mode: mode, Cost: cost(), CheckEvery: 75},
-			3*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		res, err := bench.Load{
-			Clients:    4,
-			Requests:   scale(q, 160),
-			Warmup:     8,
-			MakeClient: func(int) *bench.Client { return st.NewClient(true) },
+func runFig5b(q bool, emit func(row)) error {
+	return auditedModes(emit,
+		[]bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk}, 75,
+		ownCloudStack(3*time.Millisecond), bench.Load{
+			Clients: 4, Requests: scale(q, 160), Warmup: 8,
 			MakeRequest: func(worker, seq int) *httpparse.Request {
 				body, _ := json.Marshal(owncloudssm.PushMsg{
 					Doc:    fmt.Sprintf("doc%d", worker),
@@ -202,160 +291,171 @@ func runFig5b(q bool) error {
 				return httpparse.NewRequest("POST", "/owncloud/push", body)
 			},
 			Validate: status200,
-		}.Run()
-		st.Close()
-		if err != nil {
-			return err
-		}
-		if mode == bench.ModeNative {
-			baseline = res.Throughput
-		}
-		fmt.Printf("%-18s %10.1f %12s   (%+.0f%% vs native)\n", mode, res.Throughput,
-			res.Latency.Mean.Round(time.Microsecond), 100*(res.Throughput-baseline)/baseline)
-	}
-	_ = owncloud.Faults{} // keep service import for fault-injection docs
-	return nil
+		})
 }
 
 // --- Figure 5c -------------------------------------------------------------
 
-func runFig5c(q bool) error {
+func runFig5c(q bool, emit func(row)) error {
 	n := scale(q, 20)
 	if n < 4 {
 		n = 4
 	}
-	fmt.Printf("%-18s %16s %16s\n", "configuration", "commit_batch", "list")
 	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk} {
-		st, err := bench.NewDropboxStack(bench.StackOptions{Mode: mode, Cost: cost(), CheckEvery: 100},
-			bench.DropboxWANLatency)
+		st, err := bench.NewDropboxStack(bench.StackOptions{
+			Mode: mode, Cost: cost(), Core: core.Config{CheckEvery: 100},
+		}, bench.DropboxWANLatency)
 		if err != nil {
 			return err
 		}
 		client := st.NewDropboxClient(true)
+		timed := func(what string, req *httpparse.Request) (time.Duration, error) {
+			start := time.Now()
+			rsp, err := client.Do(req)
+			if err != nil || rsp.Status != 200 {
+				return 0, fmt.Errorf("%s: %v %v", what, rsp, err)
+			}
+			return time.Since(start), nil
+		}
 		commit := func(i int) (time.Duration, error) {
 			body, _ := json.Marshal(dropboxssm.CommitBatchMsg{
 				Account: "u", Host: "h",
 				Commits: []dropboxssm.FileCommit{{File: fmt.Sprintf("f%d", i%40), Blocklist: fmt.Sprintf("%064d", i), Size: 4096}},
 			})
-			start := time.Now()
-			rsp, err := client.Do(httpparse.NewRequest("POST", "/dropbox/commit_batch", body))
-			if err != nil || rsp.Status != 200 {
-				return 0, fmt.Errorf("commit: %v %v", rsp, err)
-			}
-			return time.Since(start), nil
+			return timed("commit", httpparse.NewRequest("POST", "/dropbox/commit_batch", body))
 		}
-		list := func() (time.Duration, error) {
-			start := time.Now()
-			rsp, err := client.Do(httpparse.NewRequest("GET", "/dropbox/list?account=u&host=h", nil))
-			if err != nil || rsp.Status != 200 {
-				return 0, fmt.Errorf("list: %v %v", rsp, err)
-			}
-			return time.Since(start), nil
-		}
-		if _, err := commit(0); err != nil { // warm up connection + handshake
-			return err
-		}
+		_, err = commit(0) // warm up connection + handshake
 		var commitTotal, listTotal time.Duration
-		for i := 0; i < n; i++ {
-			d, err := commit(i + 1)
-			if err != nil {
-				return err
+		for i := 0; i < n && err == nil; i++ {
+			var d time.Duration
+			if d, err = commit(i + 1); err != nil {
+				break
 			}
 			commitTotal += d
-			d, err = list()
-			if err != nil {
-				return err
-			}
+			d, err = timed("list", httpparse.NewRequest("GET", "/dropbox/list?account=u&host=h", nil))
 			listTotal += d
 		}
 		client.Close()
 		st.Close()
-		fmt.Printf("%-18s %13.1fms %13.1fms\n", mode,
-			float64(commitTotal.Microseconds())/float64(n)/1000,
-			float64(listTotal.Microseconds())/float64(n)/1000)
+		if err != nil {
+			return err
+		}
+		emit(row{Cell: axes("mode", mode), Metrics: map[string]float64{
+			"commit_batch_ms": ms(commitTotal) / float64(n),
+			"list_ms":         ms(listTotal) / float64(n),
+		}})
 	}
 	return nil
 }
 
-// --- Figure 6 --------------------------------------------------------------
+// --- Figure 6 and §6.5: the log fillers ------------------------------------
 
-func runFig6(q bool) error {
-	services := []struct {
-		name string
-		mk   func() (*bench.LogFiller, error)
-	}{
-		{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(moduleFor("git")) }},
-		{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(moduleFor("owncloud")) }},
-		{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(moduleFor("dropbox")) }},
-	}
+var fillers = []struct {
+	name string
+	mk   func() (*bench.LogFiller, error)
+	unit string // what one retained tuple stands for (§6.5)
+}{
+	{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(moduleFor("git")) }, "branch pointer"},
+	{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(moduleFor("owncloud")) }, "retained update"},
+	{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(moduleFor("dropbox")) }, "live file"},
+}
+
+func runFig6(q bool, emit func(row)) error {
 	intervals := []int{25, 50, 75, 100, 150, 225, 300}
 	if q {
 		intervals = []int{25, 75, 150}
 	}
-	fmt.Printf("%-10s", "interval")
-	for _, iv := range intervals {
-		fmt.Printf(" %9d", iv)
-	}
-	fmt.Println()
-	for _, svc := range services {
-		fmt.Printf("%-10s", svc.name)
+	for _, svc := range fillers {
 		for _, iv := range intervals {
-			filler, err := svc.mk()
+			perReq, err := checkTrimCost(svc.mk, iv)
 			if err != nil {
 				return err
 			}
-			_, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Cost: cost()})
-			if err != nil {
-				return err
-			}
-			group, err := rote.NewGroup(1, 30*time.Microsecond)
-			if err != nil {
-				return err
-			}
-			dir, err := os.MkdirTemp("", "fig6-*")
-			if err != nil {
-				return err
-			}
-			if err := filler.Attach(bridge, audit.Config{Mode: audit.ModeDisk, Dir: dir, Protector: group}); err != nil {
-				return err
-			}
-			var total time.Duration
-			rounds := 0
-			for r := 0; r < 4; r++ {
-				if err := filler.Fill(iv); err != nil {
-					return err
-				}
-				d, err := filler.CheckTrim()
-				if err != nil {
-					return err
-				}
-				if r > 0 {
-					total += d
-					rounds++
-				}
-			}
-			bridge.Close()
-			os.RemoveAll(dir)
-			fmt.Printf(" %7.1fµs", float64(total.Microseconds())/float64(rounds*iv))
+			emit(row{Cell: axes("service", svc.name, "interval", iv),
+				Metrics: map[string]float64{"check_trim_us_per_req": perReq}})
 		}
-		fmt.Println()
 	}
-	fmt.Println("(normalized check+trim time per request; the minimum marks the optimal interval)")
 	return nil
 }
 
-// --- Figure 7a -------------------------------------------------------------
+// checkTrimCost attaches a filler to a persistent, rollback-protected audit
+// log — so each check+trim pays its full fixed cost (enclave crossings, log
+// rewrite, counter, re-sign), the left arm of the paper's U-shaped curves —
+// and returns the steady-state check+trim time in µs, normalised by the
+// interval: four rounds, the cold first one skipped.
+func checkTrimCost(mk func() (*bench.LogFiller, error), interval int) (float64, error) {
+	filler, err := mk()
+	if err != nil {
+		return 0, err
+	}
+	_, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Cost: cost()})
+	if err != nil {
+		return 0, err
+	}
+	defer bridge.Close()
+	group, err := rote.NewGroup(1, 30*time.Microsecond)
+	if err != nil {
+		return 0, err
+	}
+	dir, err := os.MkdirTemp("", "fig6-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	if err := filler.Attach(bridge, audit.Config{Mode: audit.ModeDisk, Dir: dir, Protector: group}); err != nil {
+		return 0, err
+	}
+	var total time.Duration
+	const rounds = 4
+	for r := 0; r < rounds; r++ {
+		if err := filler.Fill(interval); err != nil {
+			return 0, err
+		}
+		d, err := filler.CheckTrim()
+		if err != nil {
+			return 0, err
+		}
+		if r > 0 {
+			total += d
+		}
+	}
+	return float64(total.Microseconds()) / float64((rounds-1)*interval), nil
+}
 
-func runFig7a(q bool) error {
-	sizes := []struct {
-		name string
-		n    int
-	}{{"0B", 0}, {"1KB", 1 << 10}, {"10KB", 10 << 10}, {"64KB", 64 << 10},
-		{"512KB", 512 << 10}, {"1MB", 1 << 20}, {"10MB", 10 << 20}, {"100MB", 100 << 20}}
+func runSec65(_ bool, emit func(row)) error {
+	for _, c := range fillers {
+		filler, err := c.mk()
+		if err != nil {
+			return err
+		}
+		if err := filler.Fill(400); err != nil {
+			return err
+		}
+		if err := filler.Trim(); err != nil {
+			return err
+		}
+		bytes, units := bench.LogFootprint(filler.DB)
+		emit(row{Cell: axes("service", c.name, "unit", c.unit), Metrics: map[string]float64{
+			"bytes_per_unit": float64(bytes) / float64(units), "tuples": float64(units),
+		}})
+	}
+	return nil
+}
+
+// --- Figures 7a-7c ---------------------------------------------------------
+
+// contentSizes are the static-content sizes of Fig. 7a; Table 2 uses four.
+var contentSizes = []struct {
+	name string
+	n    int
+}{{"0B", 0}, {"1KB", 1 << 10}, {"10KB", 10 << 10}, {"64KB", 64 << 10},
+	{"512KB", 512 << 10}, {"1MB", 1 << 20}, {"10MB", 10 << 20}, {"100MB", 100 << 20}}
+
+func runFig7a(q bool, emit func(row)) error {
+	sizes := contentSizes
 	if q {
 		sizes = sizes[:5]
 	}
-	fmt.Printf("%-8s %14s %14s %10s\n", "size", "native req/s", "libseal req/s", "overhead")
 	for _, size := range sizes {
 		requests := 120
 		if size.n >= 512<<10 {
@@ -364,56 +464,36 @@ func runFig7a(q bool) error {
 		if size.n >= 10<<20 {
 			requests = 6
 		}
-		var tput [2]float64
-		for i, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess} {
-			st, err := bench.NewStaticStack(bench.StackOptions{
-				Mode: mode, Cost: cost(), CallMode: asyncall.ModeAsync,
-			}, size.n, false)
+		var native float64
+		for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess} {
+			res, err := staticLoad(func() (*bench.Stack, error) {
+				return bench.NewStaticStack(tlsOpts(mode), size.n, false)
+			}, 4, scale(q, requests), 2)
 			if err != nil {
 				return err
 			}
-			res, err := bench.Load{
-				Clients:     4,
-				Requests:    scale(q, requests),
-				Warmup:      2,
-				MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-				MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-				Validate:    status200,
-			}.Run()
-			st.Close()
-			if err != nil {
-				return err
+			m := loadMetrics(res)
+			if mode == bench.ModeNative {
+				native = res.Throughput
+			} else {
+				m["overhead_pct"] = -pctOver(res.Throughput, native)
 			}
-			tput[i] = res.Throughput
+			emit(row{Cell: axes("size", size.name, "mode", mode), Metrics: m})
 		}
-		fmt.Printf("%-8s %14.1f %14.1f %9.1f%%\n", size.name, tput[0], tput[1],
-			100*(tput[0]-tput[1])/tput[0])
 	}
 	return nil
 }
 
-// --- Figure 7b -------------------------------------------------------------
+// tlsOpts is TLS termination without auditing over the async bridge, native
+// or inside LibSEAL: the configurations the §6.6 experiments compare.
+func tlsOpts(mode bench.SealMode) bench.StackOptions {
+	return bench.StackOptions{Mode: mode, Cost: cost(), CallMode: asyncall.ModeAsync}
+}
 
-func runFig7b(q bool) error {
-	fmt.Printf("%-18s %10s %12s\n", "configuration", "req/s", "mean-lat")
+func runFig7b(q bool, emit func(row)) error {
 	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeProcess} {
-		st, err := bench.NewSquidStack(bench.StackOptions{
-			Mode: mode, Cost: cost(), CallMode: asyncall.ModeAsync,
-		}, 1<<10)
-		if err != nil {
-			return err
-		}
-		res, err := bench.Load{
-			Clients:  4,
-			Requests: scale(q, 160),
-			Warmup:   4,
-			MakeClient: func(int) *bench.Client {
-				return bench.NewClient(st.Dial, st.ClientConfig(), false)
-			},
-			MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-			Validate:    status200,
-		}.Run()
-		st.Close()
+		res, err := staticLoad(func() (*bench.Stack, error) { return bench.NewSquidStack(tlsOpts(mode), 1<<10) },
+			4, scale(q, 160), 4)
 		if err != nil {
 			return err
 		}
@@ -421,59 +501,30 @@ func runFig7b(q bool) error {
 		if mode == bench.ModeProcess {
 			label = "Squid-LibSEAL"
 		}
-		fmt.Printf("%-18s %10.1f %12s\n", label, res.Throughput, res.Latency.Mean.Round(time.Microsecond))
+		emit(row{Cell: axes("configuration", label), Metrics: loadMetrics(res)})
 	}
 	return nil
 }
 
-// --- Figure 7c -------------------------------------------------------------
-
-func runFig7c(q bool) error {
-	fmt.Printf("physical CPUs on this host: %d (the paper used 4; scaling flattens at the physical core count)\n", runtime.NumCPU())
-	fmt.Printf("%-8s %16s %16s\n", "cores", "apache req/s", "squid req/s")
+func runFig7c(q bool, emit func(row)) error {
+	servers := []struct {
+		name   string
+		deploy func() (*bench.Stack, error)
+	}{
+		{"apache", func() (*bench.Stack, error) { return bench.NewStaticStack(tlsOpts(bench.ModeProcess), 1<<10, false) }},
+		{"squid", func() (*bench.Stack, error) { return bench.NewSquidStack(tlsOpts(bench.ModeProcess), 1<<10) }},
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
 	for cores := 1; cores <= 4; cores++ {
-		prev := runtime.GOMAXPROCS(cores)
-		var apacheTput, squidTput float64
-		{
-			st, err := bench.NewStaticStack(bench.StackOptions{Mode: bench.ModeProcess, Cost: cost(), CallMode: asyncall.ModeAsync}, 1<<10, false)
+		runtime.GOMAXPROCS(cores)
+		for _, srv := range servers {
+			res, err := staticLoad(srv.deploy, 4, scale(q, 80), 4)
 			if err != nil {
-				runtime.GOMAXPROCS(prev)
 				return err
 			}
-			res, err := bench.Load{
-				Clients: 4, Requests: scale(q, 80), Warmup: 4,
-				MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-				MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-				Validate:    status200,
-			}.Run()
-			st.Close()
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			apacheTput = res.Throughput
+			emit(row{Cell: axes("cores", cores, "server", srv.name), Metrics: loadMetrics(res)})
 		}
-		{
-			st, err := bench.NewSquidStack(bench.StackOptions{Mode: bench.ModeProcess, Cost: cost(), CallMode: asyncall.ModeAsync}, 1<<10)
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			res, err := bench.Load{
-				Clients: 4, Requests: scale(q, 80), Warmup: 4,
-				MakeClient:  func(int) *bench.Client { return bench.NewClient(st.Dial, st.ClientConfig(), false) },
-				MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-				Validate:    status200,
-			}.Run()
-			st.Close()
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			squidTput = res.Throughput
-		}
-		runtime.GOMAXPROCS(prev)
-		fmt.Printf("%-8d %16.1f %16.1f\n", cores, apacheTput, squidTput)
 	}
 	return nil
 }
@@ -481,83 +532,60 @@ func runFig7c(q bool) error {
 // --- Tables 2-4 ------------------------------------------------------------
 
 func runStatic(q bool, cm asyncall.Mode, schedulers, tasks, contentSize int) (bench.Result, error) {
-	st, err := bench.NewStaticStack(bench.StackOptions{
-		Mode: bench.ModeProcess, Cost: cost(), CallMode: cm,
-		Schedulers: schedulers, TasksPerScheduler: tasks, AppSlots: 48, MaxThreads: 48,
-	}, contentSize, false)
-	if err != nil {
-		return bench.Result{}, err
-	}
-	defer st.Close()
-	return bench.Load{
-		Clients:     8,
-		Requests:    scale(q, 160),
-		Warmup:      8,
-		MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-		MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-		Validate:    status200,
-	}.Run()
+	return staticLoad(func() (*bench.Stack, error) {
+		return bench.NewStaticStack(bench.StackOptions{
+			Mode: bench.ModeProcess, Cost: cost(), CallMode: cm,
+			Schedulers: schedulers, TasksPerScheduler: tasks, AppSlots: 48, MaxThreads: 48,
+		}, contentSize, false)
+	}, 8, scale(q, 160), 8)
 }
 
-func runTable2(q bool) error {
-	sizes := []struct {
-		name string
-		n    int
-	}{{"0B", 0}, {"1KB", 1 << 10}, {"10KB", 10 << 10}, {"64KB", 64 << 10}}
-	fmt.Printf("%-14s", "content size")
-	for _, s := range sizes {
-		fmt.Printf(" %9s", s.name)
-	}
-	fmt.Println()
-	results := map[asyncall.Mode][]float64{}
+func runTable2(q bool, emit func(row)) error {
+	sizes := contentSizes[:4]
+	syncRPS := make([]float64, len(sizes))
 	for _, cm := range []asyncall.Mode{asyncall.ModeSync, asyncall.ModeAsync} {
-		fmt.Printf("%-14s", cm)
-		for _, s := range sizes {
+		for i, s := range sizes {
 			res, err := runStatic(q, cm, 3, 16, s.n)
 			if err != nil {
 				return err
 			}
-			results[cm] = append(results[cm], res.Throughput)
-			fmt.Printf(" %9.1f", res.Throughput)
+			m := loadMetrics(res)
+			if cm == asyncall.ModeSync {
+				syncRPS[i] = res.Throughput
+			} else {
+				m["improvement_pct"] = pctOver(res.Throughput, syncRPS[i])
+			}
+			emit(row{Cell: axes("bridge", cm, "size", s.name), Metrics: m})
 		}
-		fmt.Println()
 	}
-	fmt.Printf("%-14s", "improvement")
-	for i := range sizes {
-		fmt.Printf(" %8.0f%%", 100*(results[asyncall.ModeAsync][i]-results[asyncall.ModeSync][i])/results[asyncall.ModeSync][i])
-	}
-	fmt.Println("\n(req/s; the paper reports +57% to +114% — contention-driven gains need multiple physical cores)")
 	return nil
 }
 
-func runTable3(q bool) error {
-	fmt.Printf("%-14s %10s %12s\n", "#SGX threads", "req/s", "mean-lat")
+func runTable3(q bool, emit func(row)) error {
 	for _, s := range []int{1, 2, 3, 4} {
 		res, err := runStatic(q, asyncall.ModeAsync, s, 48, 1<<10)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14d %10.1f %12s\n", s, res.Throughput, res.Latency.Mean.Round(time.Microsecond))
+		emit(row{Cell: axes("sgx_threads", s), Metrics: loadMetrics(res)})
 	}
 	return nil
 }
 
-func runTable4(q bool) error {
-	fmt.Printf("%-14s %10s %12s\n", "#lthreads", "req/s", "mean-lat")
+func runTable4(q bool, emit func(row)) error {
 	for _, t := range []int{12, 24, 36, 48} {
 		res, err := runStatic(q, asyncall.ModeAsync, 3, t, 1<<10)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14d %10.1f %12s\n", t, res.Throughput, res.Latency.Mean.Round(time.Microsecond))
+		emit(row{Cell: axes("lthreads", t), Metrics: loadMetrics(res)})
 	}
 	return nil
 }
 
 // --- §4.2 ------------------------------------------------------------------
 
-func runSec42(q bool) error {
-	fmt.Printf("%-14s %12s %12s %10s\n", "configuration", "ecalls/req", "ocalls/req", "req/s")
+func runSec42(q bool, emit func(row)) error {
 	for _, optimized := range []bool{true, false} {
 		opts := tlsterm.Optimizations{}
 		label := "unoptimized"
@@ -574,59 +602,23 @@ func runSec42(q bool) error {
 		}
 		requests := scale(q, 120)
 		st.Enclave.ResetStats()
-		res, err := bench.Load{
-			Clients:     4,
-			Requests:    requests,
-			Warmup:      0,
-			MakeClient:  func(int) *bench.Client { return st.NewClient(false) },
-			MakeRequest: func(_, _ int) *httpparse.Request { return httpparse.NewRequest("GET", "/c", nil) },
-			Validate:    status200,
-		}.Run()
+		res, err := loadStatic(st, 4, requests, 0)
 		stats := st.Enclave.Stats()
 		st.Close()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-14s %12.1f %12.1f %10.1f\n", label,
-			float64(stats.Ecalls)/float64(requests), float64(stats.Ocalls)/float64(requests), res.Throughput)
-	}
-	return nil
-}
-
-// --- §6.5 ------------------------------------------------------------------
-
-func runSec65(bool) error {
-	cases := []struct {
-		name string
-		mk   func() (*bench.LogFiller, error)
-		unit string
-	}{
-		{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(moduleFor("git")) }, "bytes per branch pointer"},
-		{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(moduleFor("owncloud")) }, "bytes per retained update"},
-		{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(moduleFor("dropbox")) }, "bytes per live file"},
-	}
-	for _, c := range cases {
-		filler, err := c.mk()
-		if err != nil {
-			return err
-		}
-		if err := filler.Fill(400); err != nil {
-			return err
-		}
-		if err := filler.Trim(); err != nil {
-			return err
-		}
-		bytes, units := bench.LogFootprint(filler.DB)
-		fmt.Printf("%-10s %6.0f %s (%d tuples after trimming)\n", c.name,
-			float64(bytes)/float64(units), c.unit, units)
+		m := loadMetrics(res)
+		m["ecalls_per_req"] = float64(stats.Ecalls) / float64(requests)
+		m["ocalls_per_req"] = float64(stats.Ocalls) / float64(requests)
+		emit(row{Cell: axes("configuration", label), Metrics: m})
 	}
 	return nil
 }
 
 // --- §6.8 ------------------------------------------------------------------
 
-func runSec68(bool) error {
-	fmt.Printf("%-10s %16s\n", "threads", "wall µs/ecall")
+func runSec68(_ bool, emit func(row)) error {
 	for _, threads := range []int{1, 8, 16, 32, 48} {
 		encl, bridge, err := testutil.NewBridge(testutil.BridgeOptions{
 			Mode: asyncall.ModeSync, MaxThreads: threads, Cost: cost(),
@@ -649,15 +641,31 @@ func runSec68(bool) error {
 		wg.Wait()
 		elapsed := time.Since(start)
 		bridge.Close()
-		fmt.Printf("%-10d %16.1f\n", threads, float64(elapsed.Microseconds())/float64(calls))
+		// Threads run their ecalls in parallel, so wall time over the calls
+		// of one thread understates per-call cost on multicore hosts but
+		// preserves the trend.
+		emit(row{Cell: axes("threads", threads),
+			Metrics: map[string]float64{"wall_us_per_ecall": float64(elapsed.Microseconds()) / calls}})
 	}
-	fmt.Println("(the paper reports 8,500 cycles at 1 thread vs 170,000 at 48 — a 20x degradation)")
 	return nil
 }
 
 // --- §6.2 attack detection ---------------------------------------------------
 
-func runDetect(bool) error {
+func runDetect(_ bool, emit func(row)) error {
+	// report runs a check and records whether it names a violation.
+	report := func(attack string, seal *libseal.LibSEAL) {
+		verdict, err := seal.CheckNow()
+		if err != nil {
+			verdict = "error: " + err.Error()
+		}
+		detected := 0.0
+		if strings.HasPrefix(verdict, "violation:") {
+			detected = 1
+		}
+		emit(row{Cell: axes("attack", attack, "check result", verdict), Metrics: map[string]float64{"detected": detected}})
+	}
+
 	// Git: rollback, teleport, reference deletion.
 	git, err := bench.NewGitStack(bench.StackOptions{Mode: bench.ModeMem}, 0)
 	if err != nil {
@@ -691,8 +699,8 @@ func runDetect(bool) error {
 	push, _ := json.Marshal(owncloudssm.PushMsg{Doc: "d", Client: "a", Ops: []string{"x", "y"}})
 	occ.Do(httpparse.NewRequest("POST", "/owncloud/push", push))
 	oc.Service.SetFaults(owncloud.Faults{DropEveryNthOp: 2})
-	sync, _ := json.Marshal(owncloudssm.SyncMsg{Doc: "d", Client: "b", Since: 0})
-	occ.Do(httpparse.NewRequest("POST", "/owncloud/sync", sync))
+	syncMsg, _ := json.Marshal(owncloudssm.SyncMsg{Doc: "d", Client: "b", Since: 0})
+	occ.Do(httpparse.NewRequest("POST", "/owncloud/sync", syncMsg))
 	report("owncloud lost edit", oc.Seal)
 	occ.Close()
 	oc.Close()
@@ -718,16 +726,8 @@ func runDetect(bool) error {
 	db.Close()
 
 	// Messaging (the fourth scenario of §2.2): dropped, modified and
-	// misdelivered messages, audited through the full stack.
-	if err := runMessagingDetect(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// runMessagingDetect drives the messaging service behind a LibSEAL-audited
-// Apache front end and injects each fault class.
-func runMessagingDetect() error {
+	// misdelivered messages, audited through the full stack behind a
+	// LibSEAL-audited Apache front end.
 	cases := []struct {
 		name   string
 		faults messaging.Faults
@@ -756,18 +756,4 @@ func runMessagingDetect() error {
 		st.Close()
 	}
 	return nil
-}
-
-func report(attack string, seal *libseal.LibSEAL) {
-	result, err := seal.CheckNow()
-	status := result
-	if err != nil {
-		status = "error: " + err.Error()
-	}
-	detected := strings.HasPrefix(result, "violation:")
-	mark := "DETECTED"
-	if !detected {
-		mark = "MISSED"
-	}
-	fmt.Printf("%-30s %-9s %s\n", attack, mark, status)
 }

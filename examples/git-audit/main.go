@@ -17,6 +17,7 @@ import (
 
 	"libseal"
 	"libseal/internal/bench"
+	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/gitserver"
 )
@@ -32,9 +33,11 @@ func main() {
 	// a persistent audit log protected by a ROTE counter group (n=4, f=1).
 	stack, err := bench.NewGitStack(bench.StackOptions{
 		Mode:        bench.ModeDisk,
-		AuditDir:    dir,
 		ROTELatency: 20 * time.Microsecond,
-		CheckEvery:  25, // the paper's optimal check/trim interval for Git
+		Core: core.Config{
+			AuditDir:   dir,
+			CheckEvery: 25, // the paper's optimal check/trim interval for Git
+		},
 	}, 0)
 	if err != nil {
 		log.Fatal(err)

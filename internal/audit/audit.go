@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"libseal/internal/asyncall"
@@ -188,13 +189,22 @@ func (c Config) batchMax() int {
 // from inside an enclave call (they take the asyncall environment) because
 // persistence crosses the boundary via ocalls and signatures use the enclave
 // key.
+//
+// Lock rule: a waiter in asyncall.Lock's slow path is handed mu by its host
+// thread while its lthread task is still parked, so any code that can run on
+// an lthread takes mu through asyncall.Lock — a plain Lock there would block
+// the scheduler thread the new owner needs to resume on. Only code that runs
+// outside the enclave (ocall bodies, host-side callers) locks mu plainly. The
+// fields the env-less accessors report (seq, specSeq, pendingAnchor, gaps) are
+// written under mu but stored atomically, so Seq, PendingStaged and Status
+// never touch the lock and are safe from either side.
 type Log struct {
 	cfg Config
 	mu  sync.Mutex
 	db  *sqldb.DB
 
 	// Durable state: published only once the covering batch is on disk.
-	seq     uint64
+	seq     atomic.Uint64
 	chain   [32]byte
 	counter uint64
 	heap    int64 // enclave heap charged for retained tuples
@@ -208,7 +218,7 @@ type Log struct {
 
 	// Speculative state: the chain head including every staged-but-not-yet
 	// -durable entry. Equal to the durable state while no batch is open.
-	specSeq   uint64
+	specSeq   atomic.Uint64
 	specChain [32]byte
 
 	// Group-commit lane. cur is the open batch accepting joiners; batches
@@ -228,8 +238,8 @@ type Log struct {
 	// pendingAnchor counts appends persisted under a stale counter value
 	// while the quorum is unreachable (degraded mode); gaps counts closed
 	// degraded episodes.
-	pendingAnchor int
-	gaps          int
+	pendingAnchor atomic.Int64
+	gaps          atomic.Int64
 
 	// file is the persisted log (nil in memory mode): an outside resource,
 	// touched only inside ocalls and only by the holder of the commit lane
@@ -279,12 +289,12 @@ type Status struct {
 
 // Status returns the degraded-mode state.
 func (l *Log) Status() Status {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Status{Degraded: l.pendingAnchor > 0, PendingAnchor: l.pendingAnchor, Gaps: l.gaps}
+	pending := int(l.pendingAnchor.Load())
+	return Status{Degraded: pending > 0, PendingAnchor: pending, Gaps: int(l.gaps.Load())}
 }
 
 // Counter returns the last counter value anchored into the persisted log.
+// Runs outside the enclave.
 func (l *Log) Counter() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -329,13 +339,10 @@ func (l *Log) DB() *sqldb.DB { return l.db }
 
 // Seq returns the number of durable entries appended since creation or
 // recovery.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
+func (l *Log) Seq() uint64 { return l.seq.Load() }
 
-// ChainHash returns the current durable head of the hash chain.
+// ChainHash returns the current durable head of the hash chain. Runs outside
+// the enclave.
 func (l *Log) ChainHash() [32]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -449,7 +456,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 			return fail(err)
 		}
 		stmts[i] = st
-		entry := &Entry{Seq: l.specSeq + uint64(i), Table: row.Table, Values: svals[i]}
+		entry := &Entry{Seq: l.specSeq.Load() + uint64(i), Table: row.Table, Values: svals[i]}
 		enc := entry.Marshal()
 		// Account the tuple against the enclave heap: the in-enclave
 		// database pays EPC paging costs once the log outgrows the enclave
@@ -483,13 +490,13 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 	for _, enc := range encs {
 		next := chainNext(l.specChain, enc)
 		l.specChain = next
-		l.specSeq++
+		l.specSeq.Add(1)
 		if l.cfg.Mode != ModeDisk {
 			// Memory mode has no durability step: publish immediately.
 			l.chain = next
-			l.seq = l.specSeq
+			l.seq.Store(l.specSeq.Load())
 			l.heap += int64(len(enc))
-			mChainLength.Set(int64(l.seq))
+			mChainLength.Set(int64(l.seq.Load()))
 			continue
 		}
 		b, leader := l.joinBatch(enc, next)
@@ -500,7 +507,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 			t.waits = append(t.waits, waitRef{b: b, leader: leader, count: 1, bytes: int64(len(enc))})
 		}
 	}
-	mStagedPending.Set(int64(l.specSeq - l.seq))
+	mStagedPending.Set(int64(l.PendingStaged()))
 	l.mu.Unlock()
 	return t, nil
 }
@@ -519,7 +526,7 @@ func (l *Log) lockAdmitted(env *asyncall.Env, n int) error {
 	// An empty pipeline admits any group (progress for groups larger than
 	// the whole budget); otherwise the group must fit under the bound.
 	admit := func() bool {
-		inflight := int(l.specSeq - l.seq)
+		inflight := l.PendingStaged()
 		return inflight == 0 || inflight+n <= l.cfg.MaxStaged
 	}
 	if admit() {
@@ -561,11 +568,14 @@ func (l *Log) lockAdmitted(env *asyncall.Env, n int) error {
 }
 
 // PendingStaged returns the number of entries staged into the commit
-// pipeline but not yet durable.
+// pipeline but not yet durable. Read without mu the two loads are not one
+// cut (a trim resets both counters downwards), so the difference is clamped.
 func (l *Log) PendingStaged() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return int(l.specSeq - l.seq)
+	seq := l.seq.Load()
+	if spec := l.specSeq.Load(); spec > seq {
+		return int(spec - seq)
+	}
+	return 0
 }
 
 // joinBatch stages one encoded entry into the open batch, opening a new one
@@ -586,7 +596,7 @@ func (l *Log) joinBatch(enc []byte, next [32]byte) (*commitBatch, bool) {
 	b := l.cur
 	b.payloads = append(b.payloads, enc)
 	b.endChain = next
-	b.endSeq = l.specSeq
+	b.endSeq = l.specSeq.Load()
 	b.bytes += int64(len(enc))
 	if len(b.payloads) >= l.cfg.batchMax() {
 		b.filled = true
@@ -652,7 +662,7 @@ func (l *Log) lead(env *asyncall.Env, b *commitBatch) error {
 		return b.err
 	}
 	err := l.commitSealed(env, b)
-	l.publish(b, err)
+	l.publish(env, b, err)
 	return err
 }
 
@@ -750,7 +760,7 @@ func (l *Log) sealRecords(env *asyncall.Env, encs [][]byte) ([]record, error) {
 // batch is durable — a batch whose write or fsync later fails must not
 // consume the degraded budget or claim to have closed a gap.
 func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
-	l.mu.Lock()
+	asyncall.Lock(env, &l.mu)
 	current := l.counter
 	l.mu.Unlock()
 	if l.cfg.Protector == nil {
@@ -764,7 +774,7 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 	}); err != nil {
 		return 0, err
 	}
-	l.mu.Lock()
+	asyncall.Lock(env, &l.mu)
 	defer l.mu.Unlock()
 	if cerr == nil {
 		// The fresh value is published to future signers immediately (the
@@ -777,8 +787,8 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 	if l.cfg.DegradedLimit <= 0 {
 		return 0, cerr
 	}
-	if l.pendingAnchor >= l.cfg.DegradedLimit {
-		return 0, fmt.Errorf("%w: %d appends pending, last error: %v", ErrDegradedFull, l.pendingAnchor, cerr)
+	if pending := l.pendingAnchor.Load(); pending >= int64(l.cfg.DegradedLimit) {
+		return 0, fmt.Errorf("%w: %d appends pending, last error: %v", ErrDegradedFull, pending, cerr)
 	}
 	b.degraded = len(b.payloads)
 	return l.counter, nil
@@ -787,27 +797,26 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 // publish records a batch's outcome: on success the durable chain head jumps
 // to the batch's end; on failure every staged successor is poisoned, since
 // its entries chain off a head that never became durable.
-func (l *Log) publish(b *commitBatch, err error) {
-	l.mu.Lock()
+func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
+	asyncall.Lock(env, &l.mu)
 	defer l.mu.Unlock()
 	l.committing = false
 	l.commitTurn++
 	if err == nil {
 		l.chain = b.endChain
-		l.seq = b.endSeq
+		l.seq.Store(b.endSeq)
 		l.heap += b.bytes
 		l.sigCounter = b.counter
 		switch {
 		case b.anchorFresh:
 			l.closeGapLocked()
 		case b.degraded > 0:
-			if l.pendingAnchor == 0 {
+			if l.pendingAnchor.Load() == 0 {
 				mDegradedEpisodes.Inc()
 			}
-			l.pendingAnchor += b.degraded
-			mDegradedPending.Set(int64(l.pendingAnchor))
+			mDegradedPending.Set(l.pendingAnchor.Add(int64(b.degraded)))
 		}
-		mChainLength.Set(int64(l.seq))
+		mChainLength.Set(int64(b.endSeq))
 		mBatchCommits.Inc()
 		mBatchSize.Observe(time.Duration(len(b.payloads)))
 		switch {
@@ -822,13 +831,13 @@ func (l *Log) publish(b *commitBatch, err error) {
 		l.epoch++
 		l.poisonErr = err
 		l.specChain = l.chain
-		l.specSeq = l.seq
+		l.specSeq.Store(l.seq.Load())
 		// The open batch (if any) chains off the failed entries; close it
 		// to new joiners. Its leader fails it when its turn comes.
 		l.cur = nil
 		mBatchAborts.Inc()
 	}
-	mStagedPending.Set(int64(l.specSeq - l.seq))
+	mStagedPending.Set(int64(l.PendingStaged()))
 	b.err = err
 	close(b.done)
 	l.commitCond.Broadcast()
@@ -897,7 +906,7 @@ func (c Config) readCounter(name string) (uint64, error) { return c.counterOp(na
 func (l *Log) Reanchor(env *asyncall.Env) error {
 	l.lockQuiesced(env)
 	defer l.mu.Unlock()
-	if l.pendingAnchor == 0 || l.cfg.Protector == nil || l.cfg.Mode != ModeDisk {
+	if l.pendingAnchor.Load() == 0 || l.cfg.Protector == nil || l.cfg.Mode != ModeDisk {
 		return nil
 	}
 	c, err := l.cfg.incrementCounter(l.cfg.Name)
@@ -929,11 +938,11 @@ func (l *Log) anchorSignature(env *asyncall.Env, c uint64) error {
 // now anchors every entry buffered while the quorum was away, and flags the
 // closed degraded episode. Called with l.mu held.
 func (l *Log) closeGapLocked() {
-	if l.pendingAnchor == 0 {
+	if l.pendingAnchor.Load() == 0 {
 		return
 	}
-	l.gaps++
-	l.pendingAnchor = 0
+	l.gaps.Add(1)
+	l.pendingAnchor.Store(0)
 	mGaps.Inc()
 	mDegradedPending.Set(0)
 }
@@ -999,10 +1008,10 @@ func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
 		}
 		l.heap = retained
 		l.chain = newChain
-		l.seq = uint64(len(encs))
+		l.seq.Store(uint64(len(encs)))
 		l.specChain = l.chain
-		l.specSeq = l.seq
-		mChainLength.Set(int64(l.seq))
+		l.specSeq.Store(uint64(len(encs)))
+		mChainLength.Set(int64(len(encs)))
 		mStagedPending.Set(0)
 	}
 	if l.cfg.Mode != ModeDisk {
@@ -1042,7 +1051,7 @@ func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
 }
 
 // Close releases the log's outside resources. In-flight batches are drained
-// first; new appends fail with ErrClosed.
+// first; new appends fail with ErrClosed. Runs outside the enclave.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1108,10 +1117,10 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		}
 		l.heap += int64(len(enc))
 		l.chain = chainNext(l.chain, enc)
-		l.seq++
+		l.seq.Add(1)
 	}
 	l.specChain = l.chain
-	l.specSeq = l.seq
+	l.specSeq.Store(l.seq.Load())
 	l.counter = res.Counter
 	l.sigCounter = res.Counter
 	// Reopen for appending, cutting off any crash debris past the committed

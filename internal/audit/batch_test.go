@@ -100,37 +100,44 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
+// asyncShard launches an enclave behind an asynchronous bridge of the given
+// size and creates a one-shard log on it.
+func asyncShard(t *testing.T, size asyncall.Config, cfg Config) (*enclave.Enclave, *asyncall.Bridge, *oneShard) {
+	t.Helper()
+	encl, err := enclave.NewPlatform().Launch(enclave.Config{Code: []byte("libseal-audit"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size.Mode = asyncall.ModeAsync
+	bridge, err := asyncall.New(encl, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *oneShard
+	if err := bridge.Call(func(env *asyncall.Env) error {
+		l, err = newOneShard(env, cfg)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return encl, bridge, l
+}
+
 // TestGroupCommitAsyncBridge repeats the concurrent-append workload over the
 // asynchronous call bridge, where a sleeping batch leader must never pin an
 // lthread scheduler (the regression this guards against is a deadlock, not a
 // wrong answer).
 func TestGroupCommitAsyncBridge(t *testing.T) {
-	p := enclave.NewPlatform()
-	encl, err := p.Launch(enclave.Config{Code: []byte("libseal-audit"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bridge, err := asyncall.New(encl, asyncall.Config{Mode: asyncall.ModeAsync, AppSlots: 8, Schedulers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
 	group, err := rote.NewGroup(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-
-	var l *oneShard
-	if err := bridge.Call(func(env *asyncall.Env) error {
-		l, err = newOneShard(env, Config{
-			Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: dir,
-			Protector: group, BatchMax: 8, BatchDelay: 2 * time.Millisecond,
-		})
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	encl, bridge, l := asyncShard(t, asyncall.Config{AppSlots: 8, Schedulers: 2}, Config{
+		Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: dir,
+		Protector: group, BatchMax: 8, BatchDelay: 2 * time.Millisecond,
+	})
+	defer bridge.Close()
 
 	const goroutines = 8
 	const perG = 4
@@ -540,4 +547,76 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	if len(res.Entries) != 3 || res.Batches != 1 {
 		t.Fatalf("tolerant result = %d entries / %d batches, want 3 / 1", len(res.Entries), res.Batches)
 	}
+}
+
+// gatedProtector blocks its first Increment until released: the handle the
+// test below uses to hold a batch leader inside anchorBatch's counter ocall.
+type gatedProtector struct {
+	scriptedProtector
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (p *gatedProtector) Increment(name string) (uint64, error) {
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.release
+	})
+	return p.scriptedProtector.Increment(name)
+}
+
+// TestAsyncBridgeRelockAfterAnchor pins the lock-ordering cycle that hung the
+// group-commit sweep on the async bridge: with one scheduler, task B waits
+// for l.mu through asyncall.Lock's slow path (its host thread queues on the
+// mutex, the task parks), and the sibling leader A comes back from its
+// counter ocall and re-locks l.mu. If A's re-lock blocks the scheduler's
+// thread, B — whose host thread is handed the mutex first — can never resume
+// to release it.
+func TestAsyncBridgeRelockAfterAnchor(t *testing.T) {
+	gate := &gatedProtector{entered: make(chan struct{}), release: make(chan struct{})}
+	encl, bridge, l := asyncShard(t, asyncall.Config{AppSlots: 2, Schedulers: 1, TasksPerScheduler: 2}, Config{
+		Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: t.TempDir(), Protector: gate,
+	})
+	appendOne := func(seq int) chan error {
+		done := make(chan error, 1)
+		go func() {
+			done <- bridge.Call(func(env *asyncall.Env) error {
+				return l.Append(env, "updates", seq, "r", "main", fmt.Sprintf("c%d", seq), "update")
+			})
+		}()
+		return done
+	}
+	// waitOcalls polls until the enclave has issued n async-ocalls (or the
+	// deadline passes: before the fix A's re-lock is not an ocall), then
+	// gives the host thread running the ocall time to block on the mutex.
+	waitOcalls := func(n int64) {
+		for deadline := time.Now().Add(500 * time.Millisecond); encl.Stats().AsyncOcalls < n && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	a := appendOne(0)
+	<-gate.entered // A leads its batch and is parked in the counter ocall
+	l.mu.Lock()
+	before := encl.Stats().AsyncOcalls
+	b := appendOne(1)
+	waitOcalls(before + 1) // B's host thread is queued on l.mu
+	close(gate.release)
+	waitOcalls(before + 2) // A is back inside and waiting for l.mu too
+	l.mu.Unlock()
+
+	for name, done := range map[string]chan error{"A": a, "B": b} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("append %s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			// The bridge is wedged; closing it would hang too.
+			t.Fatalf("append %s never returned: the leader's re-lock blocked its lthread scheduler", name)
+		}
+	}
+	l.Close()
+	bridge.Close()
 }

@@ -378,7 +378,7 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 		states := make([]ShardState, len(s.shards))
 		for i, sh := range s.shards {
 			// Shard locks are held: read the durable fields directly.
-			states[i] = ShardState{Chain: sh.chain, Seq: sh.seq, Counter: sh.sigCounter}
+			states[i] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 		}
 		if merr := s.putManifest(env, states, true); merr != nil && trimErr == nil {
 			trimErr = merr
@@ -425,7 +425,7 @@ func (s *ShardedLog) snapshotStates(env *asyncall.Env) []ShardState {
 	states := make([]ShardState, len(s.shards))
 	for i, sh := range s.shards {
 		asyncall.Lock(env, &sh.mu)
-		states[i] = ShardState{Chain: sh.chain, Seq: sh.seq, Counter: sh.sigCounter}
+		states[i] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 		sh.mu.Unlock()
 	}
 	return states

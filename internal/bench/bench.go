@@ -1,8 +1,9 @@
-// Package bench provides the workload harness of the evaluation: an HTTP
-// client speaking the secure-channel protocol, a closed-loop load driver
-// with latency statistics, and per-service workload generators. The
-// benchmark suite at the repository root uses it to regenerate every figure
-// and table of the paper.
+// Package bench provides the workload harness of the evaluation: the
+// deployments of the evaluated services, an HTTP client speaking the
+// secure-channel protocol, a closed-loop load driver with latency
+// statistics, the audited run every disk-mode measurement goes through, and
+// per-service workload generators. cmd/libseal-bench builds every experiment
+// from it.
 package bench
 
 import (
@@ -87,10 +88,6 @@ type Load struct {
 func (ld Load) Run() (Result, error) {
 	if ld.Clients <= 0 || ld.Requests <= 0 || ld.MakeClient == nil || ld.MakeRequest == nil {
 		return Result{}, errors.New("bench: incomplete load spec")
-	}
-	type sample struct {
-		d   time.Duration
-		err bool
 	}
 	var mu sync.Mutex
 	var samples []time.Duration

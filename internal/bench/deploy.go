@@ -59,7 +59,9 @@ func (m SealMode) String() string {
 	return "?"
 }
 
-// StackOptions tunes a deployment.
+// StackOptions tunes a deployment: how the enclave and its bridge are sized,
+// how the counter group behaves, and — in Core — everything about the
+// LibSEAL instance itself.
 type StackOptions struct {
 	Mode SealMode
 	// Cost is the enclave cost model; zero-value charges nothing.
@@ -76,22 +78,12 @@ type StackOptions struct {
 	MaxThreads int
 	// Opts are the §4.2 transition-reduction optimisations.
 	Opts *tlsterm.Optimizations
-	// CheckEvery enables periodic checking/trimming.
-	CheckEvery int
-	// CheckInterval is the wall-clock check cadence (zero keeps the
-	// core default).
-	CheckInterval time.Duration
-	// CheckAsync evaluates scheduled checks on a background worker
-	// against a copy-on-write snapshot instead of on the request path.
-	CheckAsync bool
-	// NoIndexes disables the audit database's hash indexes (the index
-	// ablation).
-	NoIndexes bool
-	// AuditDir overrides the disk-mode log directory.
-	AuditDir string
-	// RecoverExisting resumes from a persisted log in AuditDir instead of
-	// truncating it (disk mode; requires Platform so keys match).
-	RecoverExisting bool
+	// Core configures the LibSEAL instance: check cadence, group commit,
+	// sharding, admission control, recovery and the degraded-mode knobs are
+	// set here under their core.Config names. The deployment completes TLS,
+	// Module, AuditMode, Protector and AuditFS from the fields around it, and
+	// AuditDir (disk mode) with a temporary directory when left empty.
+	Core core.Config
 	// ROTELatency is the one-way latency to counter nodes (same cluster).
 	ROTELatency time.Duration
 	// ROTEF is the number of counter-node failures the group tolerates
@@ -104,26 +96,6 @@ type StackOptions struct {
 	// group and its filesystem rules interpose on audit-log persistence.
 	// Link rules are installed by the test via Stack.Net.SetLinkFault.
 	Inject *faultinject.Injector
-	// AnchorTimeout, DegradedLimit and RecoverMaxLag are the audit log's
-	// robustness knobs; see core.Config.
-	AnchorTimeout time.Duration
-	DegradedLimit int
-	RecoverMaxLag uint64
-	// AuditBatchMax and AuditBatchDelay configure audit-log group commit:
-	// up to AuditBatchMax entries share one signature, fsync and counter
-	// increment, and a batch leader waits AuditBatchDelay for followers.
-	// Zero values keep the conservative entry-at-a-time behaviour.
-	AuditBatchMax   int
-	AuditBatchDelay time.Duration
-	// AuditShards partitions the disk-mode log across this many shard files
-	// with a signed cross-shard epoch manifest; <= 1 keeps one file.
-	AuditShards int
-	// MaxStaged and AdmitTimeout configure admission control on the
-	// group-commit pipeline: over-budget appends wait up to AdmitTimeout for
-	// it to drain, then are shed with audit.ErrOverloaded. Zero MaxStaged
-	// disables the bound.
-	MaxStaged    int
-	AdmitTimeout time.Duration
 	// Breaker wraps the counter group in a circuit breaker (disk mode): a
 	// run of quorum failures makes appends degrade immediately instead of
 	// burning the retry budget per batch. Nil disables the breaker.
@@ -132,10 +104,9 @@ type StackOptions struct {
 	// policy (nil keeps rote.DefaultRetryPolicy).
 	RetryPolicy *rote.RetryPolicy
 	// Platform reuses an enclave platform across stacks, so a restarted
-	// deployment keeps its keys and can verify its previous log.
+	// deployment keeps its keys and can verify its previous log
+	// (Core.RecoverExisting requires it).
 	Platform *enclave.Platform
-	// KeepAlive enables persistent connections on the front server.
-	KeepAlive bool
 	// UseExData makes the front server store request data in TLS ex_data.
 	UseExData bool
 }
@@ -182,15 +153,35 @@ func (s *Stack) NewClient(persistent bool) *Client {
 	return NewClient(s.Dial, s.ClientConfig(), persistent)
 }
 
-// Close tears the deployment down in reverse construction order.
+// Close tears the deployment down: LibSEAL first, then the bridge, then the
+// servers in the order they were started.
 func (s *Stack) Close() {
 	for i := len(s.closers) - 1; i >= 0; i-- {
 		s.closers[i]()
 	}
+	s.closers = nil
 }
 
-// terminator builds the TLS termination layer for the configured mode and
-// returns it together with the LibSEAL instance (nil in native mode).
+// server is what the stack's HTTP servers and proxies have in common.
+type server interface {
+	Serve(net.Listener) error
+	Close()
+}
+
+// serve starts srv on addr of the stack's network and schedules its
+// shutdown after everything already deployed.
+func (s *Stack) serve(addr string, srv server) error {
+	ln, err := s.Net.Listen(addr)
+	if err != nil {
+		return err
+	}
+	go srv.Serve(ln)
+	s.closers = append([]func(){srv.Close}, s.closers...)
+	return nil
+}
+
+// buildStack builds the TLS termination layer for the configured mode and
+// returns it together with the stack (whose Seal is nil in native mode).
 func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminator, error) {
 	opts = opts.withDefaults()
 	st := &Stack{Net: netsim.NewNetwork(), Addr: "front:443"}
@@ -220,17 +211,8 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 	st.Bridge = bridge
 	st.closers = append(st.closers, bridge.Close)
 
-	cfg := core.Config{
-		TLS: tlsterm.LibraryConfig{
-			Cert: env.Cert, Key: env.Key, Opts: *opts.Opts,
-		},
-		CheckEvery:      opts.CheckEvery,
-		CheckInterval:   opts.CheckInterval,
-		CheckAsync:      opts.CheckAsync,
-		NoIndexes:       opts.NoIndexes,
-		AuditBatchMax:   opts.AuditBatchMax,
-		AuditBatchDelay: opts.AuditBatchDelay,
-	}
+	cfg := opts.Core
+	cfg.TLS = tlsterm.LibraryConfig{Cert: env.Cert, Key: env.Key, Opts: *opts.Opts}
 	switch opts.Mode {
 	case ModeProcess:
 		// TLS in the enclave, no logging.
@@ -240,17 +222,14 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 	case ModeDisk:
 		cfg.Module = module
 		cfg.AuditMode = audit.ModeDisk
-		dir := opts.AuditDir
-		if dir == "" {
+		if cfg.AuditDir == "" {
 			tmp, err := os.MkdirTemp("", "libseal-audit-*")
 			if err != nil {
 				return nil, nil, err
 			}
 			st.closers = append(st.closers, func() { os.RemoveAll(tmp) })
-			dir = tmp
+			cfg.AuditDir = tmp
 		}
-		cfg.AuditDir = dir
-		cfg.AuditShards = opts.AuditShards
 		group := opts.Group
 		if group == nil {
 			f := opts.ROTEF
@@ -273,12 +252,6 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 			st.Breaker = bp.Breaker()
 			cfg.Protector = bp
 		}
-		cfg.RecoverExisting = opts.RecoverExisting
-		cfg.AnchorTimeout = opts.AnchorTimeout
-		cfg.DegradedLimit = opts.DegradedLimit
-		cfg.RecoverMaxLag = opts.RecoverMaxLag
-		cfg.AuditMaxStaged = opts.MaxStaged
-		cfg.AuditAdmitTimeout = opts.AdmitTimeout
 		if opts.Inject != nil {
 			opts.Inject.AttachGroup(group)
 			cfg.AuditFS = opts.Inject.FS(nil)
@@ -293,6 +266,30 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 	return st, seal.TLS().Terminator(), nil
 }
 
+// NewCustomStack deploys any handler behind an Apache front end with the
+// given module — the generic path for auditing new services, and the one the
+// Git, ownCloud and static-content deployments are built from.
+func NewCustomStack(opts StackOptions, module ssm.Module, handler apache.Handler) (*Stack, error) {
+	return newApacheStack(opts, module, handler, true)
+}
+
+func newApacheStack(opts StackOptions, module ssm.Module, handler apache.Handler, keepAlive bool) (*Stack, error) {
+	st, term, err := buildStack(opts, module)
+	if err != nil {
+		return nil, err
+	}
+	front, err := apache.New(apache.Config{
+		Terminator: term,
+		Handler:    handler,
+		KeepAlive:  keepAlive,
+		UseExData:  opts.UseExData,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, st.serve(st.Addr, front)
+}
+
 // GitStack deploys the paper's Git experiment (§6.4): Apache in reverse
 // proxy mode linked against LibSEAL, forwarding to a Git backend over plain
 // HTTP, with the Git SSM auditing all traffic.
@@ -304,18 +301,8 @@ type GitStack struct {
 // NewGitStack builds the Git deployment. processingCost models the backend's
 // per-request work.
 func NewGitStack(opts StackOptions, processingCost time.Duration) (*GitStack, error) {
-	st, term, err := buildStack(opts, gitssm.New())
-	if err != nil {
-		return nil, err
-	}
 	backend := gitserver.NewServer()
 	backend.ProcessingCost = processingCost
-
-	// Plain-HTTP Git backend.
-	backendListener, err := st.Net.Listen("git-backend:80")
-	if err != nil {
-		return nil, err
-	}
 	backendSrv, err := apache.New(apache.Config{
 		Terminator: tlsterm.PlainTerminator{},
 		Handler:    backend.Handler(),
@@ -323,25 +310,16 @@ func NewGitStack(opts StackOptions, processingCost time.Duration) (*GitStack, er
 	if err != nil {
 		return nil, err
 	}
-	go backendSrv.Serve(backendListener)
-
-	// Apache front end in reverse proxy mode.
-	frontListener, err := st.Net.Listen(st.Addr)
-	if err != nil {
-		return nil, err
-	}
-	front, err := apache.New(apache.Config{
-		Terminator: term,
-		Handler:    &apache.ReverseProxy{Dial: func() (net.Conn, error) { return st.Net.Dial("git-backend:80") }},
-		KeepAlive:  true,
-		UseExData:  opts.UseExData,
+	// The proxy dials through the stack's network, which exists only once
+	// the front end does; it is first used by a request.
+	var st *Stack
+	st, err = NewCustomStack(opts, gitssm.New(), &apache.ReverseProxy{
+		Dial: func() (net.Conn, error) { return st.Net.Dial("git-backend:80") },
 	})
 	if err != nil {
 		return nil, err
 	}
-	go front.Serve(frontListener)
-	st.closers = append([]func(){front.Close, backendSrv.Close}, st.closers...)
-	return &GitStack{Stack: st, Backend: backend}, nil
+	return &GitStack{Stack: st, Backend: backend}, st.serve("git-backend:80", backendSrv)
 }
 
 // OwnCloudStack deploys the collaborative editing experiment: Apache hosting
@@ -354,27 +332,58 @@ type OwnCloudStack struct {
 // NewOwnCloudStack builds the ownCloud deployment. processingCost models the
 // PHP engine, the bottleneck of the paper's deployment.
 func NewOwnCloudStack(opts StackOptions, processingCost time.Duration) (*OwnCloudStack, error) {
-	st, term, err := buildStack(opts, owncloudssm.New())
-	if err != nil {
-		return nil, err
-	}
 	svc := owncloud.NewServer()
 	svc.ProcessingCost = processingCost
-	frontListener, err := st.Net.Listen(st.Addr)
+	st, err := NewCustomStack(opts, owncloudssm.New(), svc.Handler())
 	if err != nil {
 		return nil, err
 	}
-	front, err := apache.New(apache.Config{
-		Terminator: term,
-		Handler:    svc.Handler(),
+	return &OwnCloudStack{Stack: st, Service: svc}, nil
+}
+
+// NewStaticStack deploys a plain Apache serving fixed-size content, used by
+// the enclave-TLS overhead and async-call experiments (§6.6, §6.8).
+func NewStaticStack(opts StackOptions, contentSize int, keepAlive bool) (*Stack, error) {
+	content := make([]byte, contentSize)
+	for i := range content {
+		content[i] = byte('a' + i%26)
+	}
+	return newApacheStack(opts, nil, &apache.StaticHandler{Content: content}, keepAlive)
+}
+
+// newProxyStack deploys a Squid proxy terminating client TLS (inside LibSEAL,
+// mode permitting) in front of an origin Apache that serves handler over
+// native TLS at <originName>:443 under the certificate name <originName>.test.
+func newProxyStack(opts StackOptions, module ssm.Module, originName string, handler apache.Handler) (*Stack, error) {
+	st, term, err := buildStack(opts, module)
+	if err != nil {
+		return nil, err
+	}
+	originEnv, err := testutil.NewCertEnv(originName + ".test")
+	if err != nil {
+		return nil, err
+	}
+	origin, err := apache.New(apache.Config{
+		Terminator: tlsterm.NewNativeTerminator(originEnv.ServerConfig()),
+		Handler:    handler,
 		KeepAlive:  true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	go front.Serve(frontListener)
-	st.closers = append([]func(){front.Close}, st.closers...)
-	return &OwnCloudStack{Stack: st, Service: svc}, nil
+	originAddr := originName + ":443"
+	if err := st.serve(originAddr, origin); err != nil {
+		return nil, err
+	}
+	proxy, err := squid.New(squid.Config{
+		Terminator:  term,
+		Dial:        func() (net.Conn, error) { return st.Net.Dial(originAddr) },
+		UpstreamTLS: &tlsterm.ClientConfig{Roots: originEnv.Pool, ServerName: originName + ".test"},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, st.serve(st.Addr, proxy)
 }
 
 // DropboxStack deploys the Dropbox experiment (§6.4): clients reach the
@@ -390,162 +399,24 @@ const DropboxWANLatency = 38 * time.Millisecond // one-way; 76 ms RTT
 
 // NewDropboxStack builds the Dropbox deployment.
 func NewDropboxStack(opts StackOptions, wanOneWay time.Duration) (*DropboxStack, error) {
-	st, term, err := buildStack(opts, dropboxssm.New())
-	if err != nil {
-		return nil, err
-	}
 	svc := dropbox.NewServer()
-
-	// The remote Dropbox service, across the WAN.
+	st, err := newProxyStack(opts, dropboxssm.New(), "dropbox", svc.Handler())
+	if err != nil {
+		return nil, err
+	}
 	st.Net.SetLink("dropbox:443", netsim.LinkConfig{Latency: wanOneWay})
-	dbListener, err := st.Net.Listen("dropbox:443")
-	if err != nil {
-		return nil, err
-	}
-	dbEnv, err := testutil.NewCertEnv("dropbox.test")
-	if err != nil {
-		return nil, err
-	}
-	dbSrv, err := apache.New(apache.Config{
-		Terminator: tlsterm.NewNativeTerminator(dbEnv.ServerConfig()),
-		Handler:    svc.Handler(),
-		KeepAlive:  true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	go dbSrv.Serve(dbListener)
-
-	// The local Squid proxy terminating client TLS with LibSEAL.
-	proxyListener, err := st.Net.Listen(st.Addr)
-	if err != nil {
-		return nil, err
-	}
-	proxy, err := squid.New(squid.Config{
-		Terminator:  term,
-		Dial:        func() (net.Conn, error) { return st.Net.Dial("dropbox:443") },
-		UpstreamTLS: &tlsterm.ClientConfig{Roots: dbEnv.Pool, ServerName: "dropbox.test"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	go proxy.Serve(proxyListener)
-	st.closers = append([]func(){proxy.Close, dbSrv.Close}, st.closers...)
 	return &DropboxStack{Stack: st, Service: svc}, nil
 }
 
-// NewDropboxClientConfig returns the client configuration of the Dropbox
-// experiment: certificate verification disabled for the proxy-terminated
-// leg, as in the paper (§6.4).
+// NewDropboxClient returns the client of the Dropbox experiment: certificate
+// verification disabled for the proxy-terminated leg, as in the paper (§6.4).
 func (s *DropboxStack) NewDropboxClient(persistent bool) *Client {
 	return NewClient(s.Dial, &tlsterm.ClientConfig{InsecureSkipVerify: true}, persistent)
 }
 
-// CustomStack deploys any handler behind an Apache front end with the given
-// module — the generic path for auditing new services.
-func NewCustomStack(opts StackOptions, module ssm.Module, handler apache.Handler) (*Stack, error) {
-	st, term, err := buildStack(opts, module)
-	if err != nil {
-		return nil, err
-	}
-	frontListener, err := st.Net.Listen(st.Addr)
-	if err != nil {
-		return nil, err
-	}
-	front, err := apache.New(apache.Config{
-		Terminator: term,
-		Handler:    handler,
-		KeepAlive:  true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	go front.Serve(frontListener)
-	st.closers = append([]func(){front.Close}, st.closers...)
-	return st, nil
-}
-
-// StaticStack deploys a plain Apache serving fixed-size content, used by the
-// enclave-TLS overhead and async-call experiments (§6.6, §6.8).
-type StaticStack struct {
-	*Stack
-	Server *apache.Server
-}
-
-// NewStaticStack builds the static-content deployment.
-func NewStaticStack(opts StackOptions, contentSize int, keepAlive bool) (*StaticStack, error) {
-	st, term, err := buildStack(opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	content := make([]byte, contentSize)
-	for i := range content {
-		content[i] = byte('a' + i%26)
-	}
-	frontListener, err := st.Net.Listen(st.Addr)
-	if err != nil {
-		return nil, err
-	}
-	front, err := apache.New(apache.Config{
-		Terminator: term,
-		Handler:    &apache.StaticHandler{Content: content},
-		KeepAlive:  keepAlive,
-		UseExData:  opts.UseExData,
-	})
-	if err != nil {
-		return nil, err
-	}
-	go front.Serve(frontListener)
-	st.closers = append([]func(){front.Close}, st.closers...)
-	return &StaticStack{Stack: st, Server: front}, nil
-}
-
-// SquidStack deploys the Squid overhead experiment of §6.6: client -> Squid
-// (TLS, optionally LibSEAL) -> origin Apache (TLS), content served by the
-// origin.
-type SquidStack struct {
-	*Stack
-	Proxy *squid.Proxy
-}
-
-// NewSquidStack builds the proxy deployment.
-func NewSquidStack(opts StackOptions, contentSize int) (*SquidStack, error) {
-	st, term, err := buildStack(opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	originEnv, err := testutil.NewCertEnv("origin.test")
-	if err != nil {
-		return nil, err
-	}
-	content := make([]byte, contentSize)
-	originListener, err := st.Net.Listen("origin:443")
-	if err != nil {
-		return nil, err
-	}
-	origin, err := apache.New(apache.Config{
-		Terminator: tlsterm.NewNativeTerminator(originEnv.ServerConfig()),
-		Handler:    &apache.StaticHandler{Content: content},
-		KeepAlive:  true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	go origin.Serve(originListener)
-
-	proxyListener, err := st.Net.Listen(st.Addr)
-	if err != nil {
-		return nil, err
-	}
-	proxy, err := squid.New(squid.Config{
-		Terminator:  term,
-		Dial:        func() (net.Conn, error) { return st.Net.Dial("origin:443") },
-		UpstreamTLS: &tlsterm.ClientConfig{Roots: originEnv.Pool, ServerName: "origin.test"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	go proxy.Serve(proxyListener)
-	st.closers = append([]func(){proxy.Close, origin.Close}, st.closers...)
-	return &SquidStack{Stack: st, Proxy: proxy}, nil
+// NewSquidStack deploys the Squid overhead experiment of §6.6: client ->
+// Squid (TLS, optionally LibSEAL) -> origin Apache (TLS), content served by
+// the origin.
+func NewSquidStack(opts StackOptions, contentSize int) (*Stack, error) {
+	return newProxyStack(opts, nil, "origin", &apache.StaticHandler{Content: make([]byte, contentSize)})
 }

@@ -10,6 +10,7 @@ import (
 
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
+	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/owncloud"
 	"libseal/internal/ssm"
@@ -191,7 +192,7 @@ func TestLoadDriver(t *testing.T) {
 
 func TestDiskModePersistsAcrossStack(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewGitStack(StackOptions{Mode: ModeDisk, AuditDir: dir, ROTELatency: time.Microsecond}, 0)
+	st, err := NewGitStack(StackOptions{Mode: ModeDisk, Core: core.Config{AuditDir: dir}, ROTELatency: time.Microsecond}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 	// run deploys one LibSEAL instance, drives it, and keeps its verified
 	// partial log under the instance's name.
 	run := func(instance string, drive func(st *GitStack, c *Client)) {
-		st, err := NewGitStack(StackOptions{Mode: ModeDisk, AuditDir: dir}, 0)
+		st, err := NewGitStack(StackOptions{Mode: ModeDisk, Core: core.Config{AuditDir: dir}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
