@@ -16,7 +16,11 @@
 // open batch, and the batch commits as entries… + one signature record + one
 // fsync + one counter increment. The first stager of a batch is its leader
 // and performs the commit with its own enclave context; followers park until
-// the batch is durable. Batches commit strictly in staging (turn) order so
+// the batch is durable. A leader that finds the commit lane idle commits at
+// once — a batch forms from the followers that arrive while a commit is in
+// flight, never by waiting for them on an idle lane; only behind a busy lane
+// does the leader give followers up to Config.BatchDelay to fill the batch.
+// Batches commit strictly in staging (turn) order so
 // the on-disk record stream always matches the hash chain. Append returns
 // only once its batch is durable, and the published chain head advances only
 // post-durability, exactly as in the entry-at-a-time mode.
@@ -160,10 +164,12 @@ type Config struct {
 	// conservative entry-at-a-time behaviour: every append pays its own
 	// signature, flush and counter round-trip.
 	BatchMax int
-	// BatchDelay is how long a batch leader waits for followers to fill a
-	// non-full batch before committing it. Zero adds no artificial delay;
-	// batching then emerges only from entries staged while an earlier
-	// batch's commit is in flight. Ignored when BatchMax <= 1.
+	// BatchDelay bounds how long a batch leader that finds an earlier
+	// batch's commit in flight waits for followers to fill its own non-full
+	// batch. A leader that finds the lane idle never waits: there, a delay
+	// buys no batching, only latency. Zero adds no wait at all; batching then
+	// emerges only from entries staged while an earlier batch's commit is in
+	// flight. Ignored when BatchMax <= 1.
 	BatchDelay time.Duration
 	// MaxStaged bounds the entries staged into the commit pipeline but not
 	// yet durable (admission control). A Stage that would push the backlog
@@ -263,8 +269,11 @@ type commitBatch struct {
 	done chan struct{} // closed once the commit outcome is known
 	err  error         // valid after done
 
+	// Flush-reason telemetry, written under l.mu: filled by the joiner that
+	// took the batch to BatchMax, waited by a leader that gave followers
+	// BatchDelay behind a busy lane.
+	filled, waited bool
 	// Set by the leader during commit, read by publish (same goroutine).
-	filled  bool   // reached BatchMax (flush-reason telemetry)
 	counter uint64 // counter value the batch's signature record attests
 	// Degraded-mode outcome of anchorBatch, applied by publish only once the
 	// batch is durable: a fresh counter value anchors the batch (closing any
@@ -645,14 +654,13 @@ func (t *Ticket) Wait(env *asyncall.Env) error {
 	return nil
 }
 
-// lead drives one batch through the commit lane: wait for the batch to
-// fill, wait for its turn, then commit it and publish the outcome.
+// lead drives one batch through the commit lane: claim the lane when the
+// batch's turn comes, then commit it and publish the outcome.
 func (l *Log) lead(env *asyncall.Env, b *commitBatch) error {
-	// Both waits park the calling slot outside the enclave like any other
+	// The wait parks the calling slot outside the enclave like any other
 	// ocall; a sleeping leader must never pin an lthread scheduler.
 	ok := false
 	if err := env.Ocall(func() error {
-		l.waitFill(b)
 		ok = l.awaitTurn(b)
 		return nil
 	}); err != nil {
@@ -666,28 +674,34 @@ func (l *Log) lead(env *asyncall.Env, b *commitBatch) error {
 	return err
 }
 
-// waitFill gives followers up to BatchDelay to fill the batch. Runs outside
-// the enclave.
-func (l *Log) waitFill(b *commitBatch) {
-	if l.cfg.BatchDelay <= 0 || l.cfg.batchMax() <= 1 {
-		return
-	}
-	timer := time.NewTimer(l.cfg.BatchDelay)
-	defer timer.Stop()
-	select {
-	case <-b.full:
-	case <-timer.C:
-	}
+// laneBusyLocked reports whether b cannot commit yet: an earlier batch's
+// commit is in flight or still to come. Called with l.mu held.
+func (l *Log) laneBusyLocked(b *commitBatch) bool {
+	return l.committing || l.commitTurn != b.turn
 }
 
 // awaitTurn blocks until it is b's turn to commit, seals b against new
-// joiners and claims the commit lane. It reports false — after failing the
-// batch — when an earlier commit's failure invalidated b's chain position.
-// Runs outside the enclave.
+// joiners and claims the commit lane. On an idle lane that is at once: nobody
+// can join a batch faster than by finding its commit in flight. Behind a busy
+// lane the leader has to wait anyway, and first gives followers up to
+// BatchDelay to fill the batch. It reports false — after failing the batch —
+// when an earlier commit's failure invalidated b's chain position. Runs
+// outside the enclave.
 func (l *Log) awaitTurn(b *commitBatch) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.committing || l.commitTurn != b.turn {
+	if l.laneBusyLocked(b) && !b.filled && l.cfg.BatchDelay > 0 {
+		b.waited = true
+		l.mu.Unlock()
+		timer := time.NewTimer(l.cfg.BatchDelay)
+		select {
+		case <-b.full:
+		case <-timer.C:
+		}
+		timer.Stop()
+		l.mu.Lock()
+	}
+	for l.laneBusyLocked(b) {
 		l.commitCond.Wait()
 	}
 	if l.cur == b {
@@ -752,10 +766,9 @@ func (l *Log) sealRecords(env *asyncall.Env, encs [][]byte) ([]record, error) {
 // anchorBatch obtains the counter value anchoring a batch: one fresh
 // increment per batch. When the quorum is unreachable and degraded mode has
 // buffer room, the batch proceeds under the last reachable value; the chain
-// stays intact and the next successful anchor covers the whole backlog. The
-// increment is a network operation and runs outside the enclave. Called with
-// the commit lane held, so pendingAnchor is stable: the previous batch has
-// already published. The degraded bookkeeping itself (gap close, backlog
+// stays intact and the next successful anchor covers the whole backlog.
+// Called with the commit lane held, so pendingAnchor is stable: the previous
+// batch has already published. The degraded bookkeeping itself (gap close, backlog
 // growth) is only recorded on the batch here and applied by publish once the
 // batch is durable — a batch whose write or fsync later fails must not
 // consume the degraded budget or claim to have closed a gap.
@@ -766,14 +779,7 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 	if l.cfg.Protector == nil {
 		return current, nil
 	}
-	var c uint64
-	var cerr error
-	if err := env.Ocall(func() error {
-		c, cerr = l.cfg.incrementCounter(l.cfg.Name)
-		return nil
-	}); err != nil {
-		return 0, err
-	}
+	c, cerr := l.freshCounter(env)
 	asyncall.Lock(env, &l.mu)
 	defer l.mu.Unlock()
 	if cerr == nil {
@@ -822,7 +828,7 @@ func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
 		switch {
 		case b.filled:
 			mFlushFull.Inc()
-		case l.cfg.BatchDelay > 0:
+		case b.waited:
 			mFlushDelay.Inc()
 		default:
 			mFlushIdle.Inc()
@@ -894,11 +900,24 @@ func (c Config) counterOp(name string, increment bool) (uint64, error) {
 	return cp.ReadContext(ctx, name)
 }
 
-// incrementCounter advances the named rollback counter.
+// incrementCounter advances the named rollback counter. Like every counter
+// operation it is a network round trip and runs outside the enclave: under
+// the async bridge a wait made inside pins the lthread scheduler and every
+// sibling task with it.
 func (c Config) incrementCounter(name string) (uint64, error) { return c.counterOp(name, true) }
 
-// readCounter reads the named counter's stable value.
+// readCounter reads the named counter's stable value. Runs outside the
+// enclave.
 func (c Config) readCounter(name string) (uint64, error) { return c.counterOp(name, false) }
+
+// freshCounter advances the log's own rollback counter, as an ocall.
+func (l *Log) freshCounter(env *asyncall.Env) (c uint64, err error) {
+	err = env.Ocall(func() (err error) {
+		c, err = l.cfg.incrementCounter(l.cfg.Name)
+		return err
+	})
+	return c, err
+}
 
 // Reanchor attempts to close a degraded-mode gap by anchoring the chain at
 // a fresh counter value; it is a no-op when the log is healthy. Must run
@@ -909,7 +928,7 @@ func (l *Log) Reanchor(env *asyncall.Env) error {
 	if l.pendingAnchor.Load() == 0 || l.cfg.Protector == nil || l.cfg.Mode != ModeDisk {
 		return nil
 	}
-	c, err := l.cfg.incrementCounter(l.cfg.Name)
+	c, err := l.freshCounter(env)
 	if err != nil {
 		return err
 	}
@@ -986,68 +1005,87 @@ func (l *Log) Exec(sql string, args ...any) (int, error) {
 	return l.db.Exec(sql, args...)
 }
 
-// rewriteLocked replaces the log's persisted image with the given encoded
-// entries — one shard's partition of the rows that survived a trim: the
-// chain is recomputed from zero, re-anchored at a fresh counter value,
-// re-signed, and the file is replaced crash-safely (§5.1, "Log trimming").
-// Called with l.mu held and the commit lane quiesced. If the replacement
-// does not land (or its fresh counter anchor fails) the in-memory chain stays
-// at its pre-call state, which still matches the old on-disk log; once it
-// landed, memory follows the new image even when an error is returned.
-func (l *Log) rewriteLocked(env *asyncall.Env, encs [][]byte) error {
-	var newChain [32]byte
-	retained := int64(0)
+// rewrite is one shard's share of a trim (§5.1, "Log trimming"): its
+// partition of the surviving rows becomes the shard's whole log, the chain
+// recomputed from zero, re-anchored at a fresh counter value, re-signed, and
+// the file replaced crash-safely. ShardedLog.Trim takes every shard's rewrite
+// through these steps side by side, so the steps that wait on the outside
+// world — the counter round trip, the file replacement — wait once for all
+// shards; l.mu is held and the commit lane quiesced throughout. A rewrite
+// that fails at any step leaves the shard on its old image, on disk and in
+// memory; the others carry on.
+type rewrite struct {
+	encs     [][]byte // surviving entries, chain order
+	chain    [32]byte // chain head over encs
+	retained int64    // enclave heap the entries occupy
+	counter  uint64   // fresh anchor, obtained outside
+	recs     []record // the new image: sealed entries, then the signature
+	landed   bool     // the image replaced the file
+	err      error
+}
+
+func newRewrite(encs [][]byte) *rewrite {
+	rw := &rewrite{encs: encs}
 	for _, enc := range encs {
-		newChain = chainNext(newChain, enc)
-		retained += int64(len(enc))
+		rw.chain = chainNext(rw.chain, enc)
+		rw.retained += int64(len(enc))
 	}
-	commitMemory := func() {
-		// Release the enclave heap freed by trimming.
-		if l.heap > retained {
-			env.Ctx.Free(l.heap - retained)
-		}
-		l.heap = retained
-		l.chain = newChain
-		l.seq.Store(uint64(len(encs)))
-		l.specChain = l.chain
-		l.specSeq.Store(uint64(len(encs)))
-		mChainLength.Set(int64(len(encs)))
-		mStagedPending.Set(0)
-	}
-	if l.cfg.Mode != ModeDisk {
-		commitMemory()
-		return nil
+	return rw
+}
+
+// anchorRewrite obtains the rewrite's fresh counter value. A trim rewrite
+// must carry one — re-signing trimmed-away history at a stale counter would
+// widen the rollback window — so an unreachable quorum fails the rewrite
+// instead of degrading. Runs outside the enclave.
+func (l *Log) anchorRewrite(rw *rewrite) {
+	rw.counter, rw.err = l.cfg.incrementCounter(l.cfg.Name)
+}
+
+// sealRewrite builds the new image inside the enclave: the entries sealed,
+// the new chain head signed at the fresh anchor.
+func (l *Log) sealRewrite(env *asyncall.Env, rw *rewrite) {
+	if rw.err != nil {
+		return
 	}
 	if l.cfg.Protector != nil {
-		// A trim rewrite must carry a fresh anchor — re-signing trimmed-away
-		// history at a stale counter would widen the rollback window — so an
-		// unreachable quorum aborts the rewrite instead of degrading.
-		c, err := l.cfg.incrementCounter(l.cfg.Name)
-		if err != nil {
-			return err
-		}
-		l.counter = c
+		l.counter = rw.counter
 	}
-	recs, err := l.sealRecords(env, encs)
-	if err != nil {
-		return err
+	if rw.recs, rw.err = l.sealRecords(env, rw.encs); rw.err != nil {
+		return
 	}
-	sig, err := l.signState(env, newChain, l.counter)
-	if err != nil {
-		return err
+	var sig []byte
+	if sig, rw.err = l.signState(env, rw.chain, l.counter); rw.err != nil {
+		return
 	}
-	recs = append(recs, record{typ: recSig, payload: sig})
-	landed := false
-	err = env.Ocall(func() (err error) {
-		landed, err = l.file.replace(recs...)
-		return err
-	})
-	if landed {
+	rw.recs = append(rw.recs, record{typ: recSig, payload: sig})
+}
+
+// replaceRewrite swaps the file for the new image. Runs outside the enclave.
+func (l *Log) replaceRewrite(rw *rewrite) {
+	if rw.err == nil {
+		rw.landed, rw.err = l.file.replace(rw.recs...)
+	}
+}
+
+// adoptRewrite moves the in-memory chain onto the new image: at once in
+// memory mode, in disk mode whenever the replacement landed — even when an
+// error came with it, the file is the new image.
+func (l *Log) adoptRewrite(env *asyncall.Env, rw *rewrite) {
+	// Release the enclave heap freed by trimming.
+	if l.heap > rw.retained {
+		env.Ctx.Free(l.heap - rw.retained)
+	}
+	l.heap = rw.retained
+	l.chain = rw.chain
+	l.seq.Store(uint64(len(rw.encs)))
+	l.specChain = l.chain
+	l.specSeq.Store(uint64(len(rw.encs)))
+	mChainLength.Set(int64(len(rw.encs)))
+	mStagedPending.Set(0)
+	if l.cfg.Mode == ModeDisk {
 		l.sigCounter = l.counter
-		commitMemory()
 		l.closeGapLocked() // the fresh anchor covers everything that was buffered
 	}
-	return err
 }
 
 // Close releases the log's outside resources. In-flight batches are drained
@@ -1132,7 +1170,7 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		// Re-anchor at a fresh counter value: if the crash lost an in-flight
 		// increment, the recovered log would otherwise keep signing at a
 		// value behind the group and fail strict client verification.
-		c, err := cfg.incrementCounter(cfg.Name)
+		c, err := l.freshCounter(env)
 		if err == nil {
 			if err := l.anchorSignature(env, c); err != nil {
 				return nil, err
@@ -1141,8 +1179,10 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		}
 		// No fresh value to be had right now; fall back to the stable read.
 		// The next successful append or Reanchor closes the lag.
-		c, rerr := cfg.readCounter(cfg.Name)
-		if rerr != nil {
+		if rerr := env.Ocall(func() (rerr error) {
+			c, rerr = cfg.readCounter(cfg.Name)
+			return rerr
+		}); rerr != nil {
 			return nil, err
 		}
 		if c > l.counter {

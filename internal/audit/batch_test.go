@@ -104,23 +104,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // size and creates a one-shard log on it.
 func asyncShard(t *testing.T, size asyncall.Config, cfg Config) (*enclave.Enclave, *asyncall.Bridge, *oneShard) {
 	t.Helper()
-	encl, err := enclave.NewPlatform().Launch(enclave.Config{Code: []byte("libseal-audit"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size.Mode = asyncall.ModeAsync
-	bridge, err := asyncall.New(encl, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l *oneShard
-	if err := bridge.Call(func(env *asyncall.Env) error {
-		l, err = newOneShard(env, cfg)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return encl, bridge, l
+	encl, bridge, s := asyncSet(t, size, ShardedConfig{Config: cfg})
+	return encl, bridge, &oneShard{s.Shard(0), s}
 }
 
 // TestGroupCommitAsyncBridge repeats the concurrent-append workload over the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -291,6 +292,7 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 type failReopenFS struct {
 	vfs.OS
 	name  string
+	mu    sync.Mutex // a trim replaces the shard files side by side
 	armed bool
 }
 
@@ -298,13 +300,22 @@ var errReopen = errors.New("simulated reopen failure")
 
 func (f *failReopenFS) Rename(oldpath, newpath string) error {
 	err := f.OS.Rename(oldpath, newpath)
-	f.armed = err == nil && filepath.Base(newpath) == f.name
+	if err == nil && filepath.Base(newpath) == f.name {
+		f.mu.Lock()
+		f.armed = true
+		f.mu.Unlock()
+	}
 	return err
 }
 
 func (f *failReopenFS) Append(name string) (vfs.File, error) {
-	if f.armed && filepath.Base(name) == f.name {
+	f.mu.Lock()
+	fail := f.armed && filepath.Base(name) == f.name
+	if fail {
 		f.armed = false
+	}
+	f.mu.Unlock()
+	if fail {
 		return nil, errReopen
 	}
 	return f.OS.Append(name)

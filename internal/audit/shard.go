@@ -335,18 +335,25 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 // are partitioned round-robin across the shards (deterministic table-sorted
 // order — with one shard, simply every row in that order), each shard's
 // chain is rebuilt over its partition with a fresh counter anchor and its
-// file replaced crash-safely (Log.rewriteLocked), and the manifest sidecar
-// is rewritten to attest the post-trim states. All shards are quiesced for
-// the duration, so the partition cannot race staged appends or interleave
-// with a batch's file I/O.
+// file replaced crash-safely (see rewrite), and the manifest sidecar is
+// rewritten to attest the post-trim states. All shards are quiesced for the
+// duration, so the partition cannot race staged appends or interleave with a
+// batch's file I/O.
+//
+// The rewrite visits the outside world three times whatever the shard count,
+// the shards side by side within a visit: every fresh anchor (the shards' and
+// the manifest's — independent counters, one round-trip time), then every
+// shard's file replacement, then — signed inside over the states that
+// actually landed, so a manifest never attests an image that is not on disk —
+// the manifest's.
 //
 // The database rows are trimmed whatever happens to the files; the next
-// successful trim reconciles them. On a mid-trim failure the
-// already-rewritten shards keep their new images and the rest keep their old
-// ones — every shard file remains individually verifiable — and the manifest
-// sidecar is still rewritten to attest the shards' actual current states,
-// because the old manifests reference pre-trim states the rewritten shards
-// no longer contain.
+// successful trim reconciles them. A shard whose anchor or replacement failed
+// keeps its old image and its old in-memory chain while the others move to
+// their new ones — every shard file remains individually verifiable — the
+// first such error is returned, and the manifest sidecar is still rewritten
+// to attest the shards' actual current states, because the old manifests
+// reference pre-trim states the rewritten shards no longer contain.
 func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 	for _, sh := range s.shards {
 		sh.lockQuiesced(env)
@@ -367,24 +374,80 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 	if err != nil {
 		return err
 	}
-	var trimErr error
-	for k, sh := range s.shards {
-		if err := sh.rewriteLocked(env, parts[k]); err != nil {
-			trimErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
-			break
+	rws := make([]*rewrite, len(s.shards))
+	for k := range rws {
+		rws[k] = newRewrite(parts[k])
+	}
+	if s.cfg.Mode != ModeDisk {
+		for k, sh := range s.shards {
+			sh.adoptRewrite(env, rws[k])
 		}
+		return nil
+	}
+	// The manifest lane is held from its counter increment to its record, so
+	// no other manifest can slip between the two.
+	manifest := false
+	if s.manifested() {
+		asyncall.Lock(env, &s.mmu)
+		defer s.mmu.Unlock()
+		manifest = !s.mclosed
+	}
+	mcounter := s.mcounter
+	if s.cfg.Protector != nil {
+		n := len(s.shards)
+		if manifest {
+			n++
+		}
+		env.Ocall(func() error {
+			together(n, func(k int) {
+				if k < len(s.shards) {
+					s.shards[k].anchorRewrite(rws[k])
+				} else {
+					mcounter = s.freshManifestCounter()
+				}
+			})
+			return nil
+		})
+	}
+	for k, sh := range s.shards {
+		sh.sealRewrite(env, rws[k])
+	}
+	env.Ocall(func() error {
+		together(len(s.shards), func(k int) { s.shards[k].replaceRewrite(rws[k]) })
+		return nil
+	})
+	var trimErr error
+	states := make([]ShardState, len(s.shards))
+	for k, sh := range s.shards {
+		if rws[k].landed {
+			sh.adoptRewrite(env, rws[k])
+		}
+		if err := rws[k].err; err != nil && trimErr == nil {
+			trimErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
+		}
+		// Shard locks are held: read the durable fields directly.
+		states[k] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 	}
 	if s.manifested() {
-		states := make([]ShardState, len(s.shards))
-		for i, sh := range s.shards {
-			// Shard locks are held: read the durable fields directly.
-			states[i] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
-		}
-		if merr := s.putManifest(env, states, true); merr != nil && trimErr == nil {
+		if merr := s.putManifestLocked(env, states, mcounter, true); merr != nil && trimErr == nil {
 			trimErr = merr
 		}
 	}
 	return trimErr
+}
+
+// together runs fn(0) … fn(n-1) concurrently and returns once all have.
+func together(n int, fn func(k int)) {
+	var wg sync.WaitGroup
+	for k := 1; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(k)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // partitionSurvivors deals the post-trim database rows round-robin across
@@ -470,14 +533,44 @@ func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
 func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite bool) error {
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
+	counter := s.mcounter
+	if !s.mclosed {
+		env.Ocall(func() error {
+			counter = s.freshManifestCounter()
+			return nil
+		})
+	}
+	return s.putManifestLocked(env, states, counter, rewrite)
+}
+
+// freshManifestCounter increments the manifest counter best-effort: if the
+// quorum is unreachable the manifest is signed at the last written value —
+// the signature still binds real shard states, and the lag surfaces through
+// the verifier's freshness check once the quorum answers again. Runs outside
+// the enclave with mmu held.
+func (s *ShardedLog) freshManifestCounter() uint64 {
+	if s.cfg.Protector != nil {
+		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
+			return c
+		}
+	}
+	return s.mcounter
+}
+
+// putManifestLocked is putManifest with mmu held and the manifest's counter
+// value already obtained.
+func (s *ShardedLog) putManifestLocked(env *asyncall.Env, states []ShardState, counter uint64, rewrite bool) error {
 	if s.mclosed {
 		return ErrClosed
 	}
-	m, err := s.signManifestLocked(env, states)
+	m := &Manifest{Epoch: s.epoch + 1, Counter: counter, Shards: states}
+	sig, err := env.Ctx.Sign(manifestDigest(s.cfg.Name, m))
 	if err != nil {
 		mManifestErrors.Inc()
 		return err
 	}
+	mSignatures.Inc()
+	m.Sig = sig
 	rec := record{typ: recManifest, payload: marshalManifest(m)}
 	landed := false
 	err = env.Ocall(func() (err error) {
@@ -497,27 +590,6 @@ func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite
 		mManifests.Inc()
 	}
 	return err
-}
-
-// signManifestLocked builds and signs the next epoch manifest; mmu is held.
-// The manifest counter is incremented best-effort: if the quorum is
-// unreachable the manifest is signed at the last written value — the
-// signature still binds real shard states, and the lag surfaces through the
-// verifier's freshness check once the quorum answers again.
-func (s *ShardedLog) signManifestLocked(env *asyncall.Env, states []ShardState) (*Manifest, error) {
-	m := &Manifest{Epoch: s.epoch + 1, Counter: s.mcounter, Shards: states}
-	if s.cfg.Protector != nil {
-		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
-			m.Counter = c
-		}
-	}
-	sig, err := env.Ctx.Sign(manifestDigest(s.cfg.Name, m))
-	if err != nil {
-		return nil, err
-	}
-	mSignatures.Inc()
-	m.Sig = sig
-	return m, nil
 }
 
 // Epoch returns the epoch of the last durably written manifest (0 before

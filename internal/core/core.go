@@ -119,8 +119,9 @@ type Config struct {
 	// Values <= 1 keep the conservative entry-at-a-time behaviour. See
 	// audit.Config.BatchMax.
 	AuditBatchMax int
-	// AuditBatchDelay is how long a batch leader waits for concurrent
-	// appends to fill a non-full batch. See audit.Config.BatchDelay.
+	// AuditBatchDelay bounds how long a batch leader behind a commit in
+	// flight waits for concurrent appends to fill a non-full batch. See
+	// audit.Config.BatchDelay.
 	AuditBatchDelay time.Duration
 	// AuditMaxStaged bounds the staged-but-not-durable entries in the
 	// group-commit pipeline (admission control); over-budget appends are

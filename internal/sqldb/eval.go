@@ -444,17 +444,10 @@ func (ev *evaluator) evalIn(x *InExpr, s *rowScope) (Value, error) {
 	if err != nil {
 		return Null(), err
 	}
-	var candidates []Value
+	var found, sawNull bool
 	if x.Select != nil {
-		res, err := ev.execSelectCached(x.Select, s)
-		if err != nil {
+		if found, sawNull, err = ev.inSubquery(v, x.Select, s); err != nil {
 			return Null(), err
-		}
-		for _, row := range res.Rows {
-			if len(row) != 1 {
-				return Null(), fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(row))
-			}
-			candidates = append(candidates, row[0])
 		}
 	} else {
 		for _, le := range x.List {
@@ -462,27 +455,65 @@ func (ev *evaluator) evalIn(x *InExpr, s *rowScope) (Value, error) {
 			if err != nil {
 				return Null(), err
 			}
-			candidates = append(candidates, cv)
+			if found = inMember(v, cv, &sawNull); found {
+				break
+			}
 		}
 	}
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		return Null(), nil
-	}
-	sawNull := false
-	for _, cv := range candidates {
-		cmp, ok := CompareSQL(v, cv)
-		if !ok {
-			sawNull = true
-			continue
-		}
-		if cmp == 0 {
-			return Bool(!x.Not), nil
-		}
-	}
-	if sawNull {
+	case found:
+		return Bool(!x.Not), nil
+	case sawNull:
 		return Null(), nil // unknown: value may equal the NULL member
 	}
 	return Bool(x.Not), nil
+}
+
+// inMember reports whether v equals the IN member m, noting in sawNull a
+// comparison SQL leaves unknown.
+func inMember(v, m Value, sawNull *bool) bool {
+	cmp, ok := CompareSQL(v, m)
+	if !ok {
+		*sawNull = true
+	}
+	return ok && cmp == 0
+}
+
+// inSubquery answers v IN (sel): a probe of the hashed set kept beside the
+// cached result when there is one, a scan of the rows otherwise.
+func (ev *evaluator) inSubquery(v Value, sel *SelectStmt, s *rowScope) (found, sawNull bool, err error) {
+	e, err := ev.cachedSubquery(sel, s)
+	if err != nil {
+		return false, false, err
+	}
+	var res *Result
+	if e != nil {
+		res = e.res
+	} else if res, err = ev.execSelect(sel, s); err != nil {
+		return false, false, err
+	}
+	if len(res.Rows) > 0 && len(res.Rows[0]) != 1 {
+		return false, false, fmt.Errorf("sqldb: IN subquery must return one column, got %d", len(res.Rows[0]))
+	}
+	if v.IsNull() {
+		return false, false, nil
+	}
+	if e != nil {
+		if e.in == nil {
+			e.in = newInSet(res.Rows)
+		}
+		if e.in.exact(v) {
+			return e.in.has(v), e.in.sawNull, nil
+		}
+	}
+	for _, row := range res.Rows {
+		if inMember(v, row[0], &sawNull) {
+			return true, sawNull, nil
+		}
+	}
+	return false, sawNull, nil
 }
 
 // evalFunc handles both scalar functions and (when the scope carries a

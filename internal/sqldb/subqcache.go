@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -28,7 +29,14 @@ type freeRef struct {
 type subqInfo struct {
 	uncachable bool
 	free       []freeRef
-	cache      map[string]*Result
+	cache      map[string]*subqEntry
+}
+
+// subqEntry is one cached subquery result and, once an IN has probed it, the
+// hashed set of its rows.
+type subqEntry struct {
+	res *Result
+	in  *inSet
 }
 
 // subqInfoFor analyses the subquery's free variables once per evaluator.
@@ -39,7 +47,7 @@ func (ev *evaluator) subqInfoFor(sel *SelectStmt) *subqInfo {
 	if info, ok := ev.subq[sel]; ok {
 		return info
 	}
-	info := &subqInfo{cache: make(map[string]*Result)}
+	info := &subqInfo{cache: make(map[string]*subqEntry)}
 	free, err := ev.freeVars(sel, nil)
 	if err != nil {
 		info.uncachable = true
@@ -59,32 +67,111 @@ func (ev *evaluator) subqInfoFor(sel *SelectStmt) *subqInfo {
 
 // execSelectCached evaluates a subquery with result caching.
 func (ev *evaluator) execSelectCached(sel *SelectStmt, s *rowScope) (*Result, error) {
-	if ev.nocache {
+	e, err := ev.cachedSubquery(sel, s)
+	if err != nil {
+		return nil, err
+	}
+	if e == nil {
 		return ev.execSelect(sel, s)
+	}
+	return e.res, nil
+}
+
+// cachedSubquery returns the cache entry holding the subquery's result under
+// the current bindings, evaluating it on a miss. A nil entry means this
+// evaluation cannot be cached; the caller evaluates the subquery directly.
+func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, error) {
+	if ev.nocache {
+		return nil, nil
 	}
 	info := ev.subqInfoFor(sel)
 	if info.uncachable {
-		return ev.execSelect(sel, s)
+		return nil, nil
 	}
 	var sb strings.Builder
 	for _, fr := range info.free {
 		v, ok := resolveInChain(s, fr)
 		if !ok {
 			// The binding environment differs from the analysis; fall back.
-			return ev.execSelect(sel, s)
+			return nil, nil
 		}
 		v.groupKey(&sb)
 	}
 	key := sb.String()
-	if res, ok := info.cache[key]; ok {
-		return res, nil
+	if e, ok := info.cache[key]; ok {
+		return e, nil
 	}
 	res, err := ev.execSelect(sel, s)
 	if err != nil {
 		return nil, err
 	}
-	info.cache[key] = res
-	return res, nil
+	e := &subqEntry{res: res}
+	info.cache[key] = e
+	return e, nil
+}
+
+// inSet is a single-column subquery result hashed for IN / NOT IN probes, so
+// that a statement probing one cached result from every outer row (the
+// paper's trim query, `time NOT IN (SELECT MAX(time) ... GROUP BY ...)`)
+// costs O(outer + members) instead of their product. Members are keyed with
+// Value.groupKey, which agrees with Compare except between an INTEGER and a
+// REAL at magnitudes a float64 no longer holds exactly; exact reports whether
+// a probe is clear of that corner, and evalIn scans the rows when it is not.
+type inSet struct {
+	keys             map[string]struct{}
+	sawNull          bool // a member is NULL: a miss is unknown, not false
+	bigInt, bigFloat bool // a member of that kind is inexact as a float64
+}
+
+// inexactNumeric reports whether v is a number whose float64 conversion (what
+// Compare uses across INTEGER and REAL) may equal a differently keyed peer.
+func inexactNumeric(v Value) bool {
+	const limit = 1 << 53
+	switch v.kind {
+	case KindInt:
+		return v.i >= limit || v.i <= -limit
+	case KindFloat:
+		return !(math.Abs(v.f) < limit) // NaN included
+	}
+	return false
+}
+
+func newInSet(rows [][]Value) *inSet {
+	set := &inSet{keys: make(map[string]struct{}, len(rows))}
+	var sb strings.Builder
+	for _, row := range rows {
+		m := row[0]
+		if m.IsNull() {
+			set.sawNull = true
+			continue
+		}
+		if inexactNumeric(m) {
+			set.bigInt = set.bigInt || m.kind == KindInt
+			set.bigFloat = set.bigFloat || m.kind == KindFloat
+		}
+		sb.Reset()
+		m.groupKey(&sb)
+		set.keys[sb.String()] = struct{}{}
+	}
+	return set
+}
+
+// exact reports whether key equality decides membership of the non-NULL v.
+func (set *inSet) exact(v Value) bool {
+	if !inexactNumeric(v) {
+		return true
+	}
+	if v.kind == KindInt {
+		return !set.bigFloat
+	}
+	return !set.bigInt
+}
+
+func (set *inSet) has(v Value) bool {
+	var sb strings.Builder
+	v.groupKey(&sb)
+	_, ok := set.keys[sb.String()]
+	return ok
 }
 
 // resolveInChain looks a free variable up across the scope chain.

@@ -133,8 +133,10 @@ func WithAdmission(maxStaged int, timeout time.Duration) Option {
 	}
 }
 
-// WithBatching tunes group commit: a leader anchors up to max staged
-// batches at once, waiting up to delay for followers to pile on.
+// WithBatching tunes group commit: one signature, fsync and counter
+// increment cover up to max staged entries. A leader behind a commit in
+// flight waits up to delay for followers to pile on; on an idle log it
+// commits at once.
 func WithBatching(max int, delay time.Duration) Option {
 	return func(c *openConfig) {
 		c.core.AuditBatchMax = max
