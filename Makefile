@@ -40,7 +40,7 @@ bench:
 # The four post-paper sweeps at their full budgets, written with the machine
 # block to BENCH_sweeps.json: group commit (batching x bridge mode x clients
 # over the audited Git deployment), sharded append (1/2/4/8 shards), snapshot
-# checks (scan vs indexed check latency; append with no/sync/async checks)
+# checks (scan vs indexed check latency; append without/with check+trim cycles)
 # and the live mirror (append overhead, rollback detection latency). Every
 # disk log a sweep writes is strictly re-verified, entry count included.
 bench-sweeps:

@@ -120,8 +120,7 @@ func runShards(q bool, emit func(row)) error {
 // what running checks costs the request path. Part one fills a Git audit
 // database to several sizes and times a full snapshot check with the hash
 // indexes off and on; both must report the same violations. Part two runs
-// the audited Git deployment with no checks, synchronous checks and
-// asynchronous snapshot checks at the same cadence.
+// the audited Git deployment without and with check+trim cycles.
 func runChecks(q bool, emit func(row)) error {
 	sizes, iters := []int{2_000, 8_000, 32_000}, 3
 	// A check-and-trim cycle every 400 pairs lands ~6 cycles inside the ~2 s
@@ -150,11 +149,10 @@ func runChecks(q bool, emit func(row)) error {
 		}
 	}
 
-	for _, mode := range []string{"none", "sync", "async"} {
+	for _, mode := range []string{"none", "on"} {
 		opts := bench.StackOptions{Core: core.Config{AuditBatchMax: 16, AuditBatchDelay: 750 * time.Microsecond}}
 		if mode != "none" {
 			opts.Core.CheckEvery = checkEvery
-			opts.Core.CheckAsync = mode == "async"
 		}
 		// Short closed-loop runs are noisy: best of three, every attempt's
 		// log still strictly re-verified.
@@ -165,7 +163,6 @@ func runChecks(q bool, emit func(row)) error {
 				return fmt.Errorf("checks=%s: %w", mode, err)
 			}
 			m["checks"] = float64(run.Stats.Checks)
-			m["checks_coalesced"] = float64(run.Stats.ChecksCoalesced)
 			m["trims"] = float64(run.Stats.Trims)
 			m["trims_skipped"] = float64(run.Stats.TrimsSkipped)
 			m["check_p95_ms"] = ms(time.Duration(run.Telemetry["audit.check.latency"].P95))

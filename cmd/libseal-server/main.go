@@ -52,8 +52,6 @@ func main() {
 	dir := flag.String("dir", ".", "directory for the audit log and key material")
 	auditShards := flag.Int("audit-shards", 1, "audit log shard files; >1 partitions the log per connection with a signed cross-shard epoch manifest")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
-	checkAsync := flag.Bool("check-async", false, "evaluate scheduled invariant checks on a background worker against a snapshot instead of on the request path")
-	noIndexes := flag.Bool("no-indexes", false, "disable the audit database's hash indexes (nested-loop scans only; for ablation)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
 	recover := flag.Bool("recover", false, "resume from an existing audit log (requires the platform state from the previous run)")
 	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead)")
@@ -132,13 +130,9 @@ func main() {
 		libseal.WithTLS(libseal.TLSConfig{Cert: cert, Key: key, Opts: libseal.AllOptimizations()}),
 		libseal.WithModule(module),
 		libseal.WithChecks(*checkEvery, 0, *rateLimit),
-		libseal.WithIndexes(!*noIndexes),
 		libseal.WithViolationHandler(func(name string, rows *libseal.QueryResult) {
 			log.Printf("INTEGRITY VIOLATION %s: %d offending log entries", name, len(rows.Rows))
 		}),
-	}
-	if *checkAsync {
-		opts = append(opts, libseal.WithCheckAsync())
 	}
 	var (
 		group   *libseal.CounterGroup

@@ -336,7 +336,7 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 	waitCaught(t, m, 30)
 
 	e.call(func(env *asyncall.Env) error {
-		return e.log.Trim(env, []string{"SELECT * FROM updates WHERE seq >= 10"})
+		return e.log.Trim(env, []string{"DELETE FROM updates WHERE seq < 10"})
 	})
 	e.append(10)
 

@@ -309,15 +309,6 @@ func (s *ShardedLog) Status() Status {
 	return agg
 }
 
-// ShardStatuses returns each shard's degraded-mode state.
-func (s *ShardedLog) ShardStatuses() []Status {
-	out := make([]Status, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.Status()
-	}
-	return out
-}
-
 // Reanchor attempts to close degraded-mode gaps on every shard. All shards
 // are tried; the first error is returned.
 func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
@@ -330,12 +321,36 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 	return firstErr
 }
 
-// Trim applies the service's trimming queries once against the shared
-// database and rewrites every shard (§5.1, "Log trimming"): surviving rows
-// are partitioned round-robin across the shards (deterministic table-sorted
-// order — with one shard, simply every row in that order), each shard's
-// chain is rebuilt over its partition with a fresh counter anchor and its
-// file replaced crash-safely (see rewrite), and the manifest sidecar is
+// Trim runs the trimming queries as one script and rewrites the set: the
+// script is planned on a snapshot taken here and applied at once, the same
+// path a check+trim cycle takes with the snapshot its invariants ran on.
+func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
+	var script []*sqldb.Stmt
+	for _, q := range queries {
+		stmts, err := s.db.PrepareScript(q)
+		if err != nil {
+			return fmt.Errorf("audit: trimming query %q: %w", q, err)
+		}
+		script = append(script, stmts...)
+	}
+	plan, err := s.db.Snapshot().PlanTrim(script)
+	if err != nil {
+		return fmt.Errorf("audit: trimming queries: %w", err)
+	}
+	return s.ApplyTrim(env, plan)
+}
+
+// ApplyTrim commits a trim planned on a snapshot of the shared database and
+// rewrites every shard (§5.1, "Log trimming"). The plan holds what the
+// service's trimming queries kept of the rows the snapshot captured; rows
+// appended since were never shown to the invariants that ran on that snapshot
+// and all survive. A plan the database refuses (sqldb.ErrTrimStale) trims and
+// rewrites nothing.
+//
+// Surviving rows are partitioned round-robin across the shards (deterministic
+// table-sorted order — with one shard, simply every row in that order), each
+// shard's chain is rebuilt over its partition with a fresh counter anchor and
+// its file replaced crash-safely (see rewrite), and the manifest sidecar is
 // rewritten to attest the post-trim states. All shards are quiesced for the
 // duration, so the partition cannot race staged appends or interleave with a
 // batch's file I/O.
@@ -347,14 +362,14 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 // actually landed, so a manifest never attests an image that is not on disk —
 // the manifest's.
 //
-// The database rows are trimmed whatever happens to the files; the next
-// successful trim reconciles them. A shard whose anchor or replacement failed
-// keeps its old image and its old in-memory chain while the others move to
-// their new ones — every shard file remains individually verifiable — the
-// first such error is returned, and the manifest sidecar is still rewritten
-// to attest the shards' actual current states, because the old manifests
-// reference pre-trim states the rewritten shards no longer contain.
-func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
+// Once the plan is applied the database rows are trimmed whatever happens to
+// the files; the next successful trim reconciles them. A shard whose anchor or
+// replacement failed keeps its old image and its old in-memory chain while the
+// others move to their new ones — every shard file remains individually
+// verifiable — the first such error is returned, and the manifest sidecar is
+// still rewritten to attest the shards' actual current states, because the old
+// manifests reference pre-trim states the rewritten shards no longer contain.
+func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	for _, sh := range s.shards {
 		sh.lockQuiesced(env)
 	}
@@ -365,10 +380,8 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 	}()
 	mTrims.Inc()
 	defer telemetry.ObserveSince(mTrimLatency, "audit.trim", time.Now())
-	for _, q := range queries {
-		if _, err := s.db.Exec(q); err != nil {
-			return fmt.Errorf("audit: trimming query %q: %w", q, err)
-		}
+	if err := s.db.ApplyTrim(plan); err != nil {
+		return fmt.Errorf("audit: trim: %w", err)
 	}
 	parts, err := s.partitionSurvivors()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"libseal/internal/asyncall"
+	"libseal/internal/sqldb"
 )
 
 // shardConfig returns a sharded disk config. ManifestEvery is set far in
@@ -350,6 +351,74 @@ func TestShardedTrimPartition(t *testing.T) {
 	}
 	if vres.TotalEntries != 11 {
 		t.Fatalf("post-trim verified entries = %d, want 11", vres.TotalEntries)
+	}
+}
+
+// TestApplyTrimKeepsEntriesAppendedSincePlan: a trim planned on a snapshot
+// and applied after more appends rewrites the set with what the plan kept
+// of the captured rows plus every entry appended since, all verifiable; a plan
+// the database refuses as stale rewrites nothing.
+func TestApplyTrimKeepsEntriesAppendedSincePlan(t *testing.T) {
+	e := newAuditEnv(t)
+	var s *ShardedLog
+	appendUpdates := func(env *asyncall.Env, from, to int) error {
+		for i := from; i < to; i++ {
+			if err := s.Append(env, uint64(i%7), "updates", i, "r", "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var plan, stale *sqldb.TrimPlan
+	e.call(t, func(env *asyncall.Env) error {
+		var err error
+		if s, err = NewSharded(env, e.shardConfig("git", 2)); err != nil {
+			return err
+		}
+		if err := appendUpdates(env, 0, 10); err != nil {
+			return err
+		}
+		all, err := s.DB().PrepareScript("DELETE FROM updates")
+		if err != nil {
+			return err
+		}
+		if plan, err = s.DB().Snapshot().PlanTrim(all); err != nil {
+			return err
+		}
+		if stale, err = s.DB().Snapshot().PlanTrim(all); err != nil {
+			return err
+		}
+		if err := appendUpdates(env, 10, 14); err != nil {
+			return err
+		}
+		return s.ApplyTrim(env, plan)
+	})
+	if plan.Deleted() != 10 || s.Seq() != 4 {
+		t.Fatalf("plan deleted %d rows, post-trim seq = %d; want 10 and the 4 entries appended since", plan.Deleted(), s.Seq())
+	}
+	res, err := s.Query("SELECT MIN(time), COUNT(*) FROM updates")
+	if err != nil || res.Rows[0][0].Int64() != 10 || res.Rows[0][1].Int64() != 4 {
+		t.Fatalf("post-trim rows = %v, %v; want times 10..13", res, err)
+	}
+	var gens []uint64
+	for _, v := range s.Files() {
+		gens = append(gens, v.Generation())
+	}
+	err = e.bridge.Call(func(env *asyncall.Env) error { return s.ApplyTrim(env, stale) })
+	if !errors.Is(err, sqldb.ErrTrimStale) {
+		t.Fatalf("ApplyTrim(stale plan) = %v, want ErrTrimStale", err)
+	}
+	for i, v := range s.Files() {
+		if v.Generation() != gens[i] {
+			t.Fatalf("%s was rewritten by a refused trim", v.Path())
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	vres, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	if err != nil || vres.TotalEntries != 4 {
+		t.Fatalf("post-trim verify: %+v, %v; want 4 entries", vres, err)
 	}
 }
 

@@ -86,9 +86,7 @@ func RunAudited(opts StackOptions, deploy func(StackOptions) (*Stack, error), lo
 	if opts.Mode != ModeDisk {
 		return run, nil
 	}
-	// Closing flushes and closes the log (and drains an async check worker,
-	// whose last trim may still rewrite it); only then is its entry count
-	// final.
+	// Closing flushes and closes the log; only then is its entry count final.
 	st.Close()
 	run.Entries = int(st.Seal.Log().Seq())
 	_, err = verifyLog(opts.Core.AuditDir, st.Enclave.PublicKey(), st.Group, run.Entries)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"libseal/internal/audit"
 	"libseal/internal/httpparse"
@@ -34,93 +33,77 @@ func (pairMod) Invariants() []ssm.Invariant {
 }
 func (pairMod) TrimQueries() []string { return nil }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestCheckAsyncEndToEnd drives the clean Git workload with background
-// checking on: the budget-triggered checks run on the worker, CheckNow
-// stays synchronous, and Close drains the worker.
-func TestCheckAsyncEndToEnd(t *testing.T) {
+// TestCheckSyncEndToEnd drives the clean Git workload with a check+trim cycle
+// after every pair: each cycle runs on the request path of the pair that
+// exhausted the budget, so its verdict is in before the client sees the
+// response; CheckNow agrees; and Close after checks is clean.
+func TestCheckSyncEndToEnd(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{
 		Module:     gitssm.New(),
 		AuditMode:  audit.ModeMemory,
 		CheckEvery: 1,
-		CheckAsync: true,
 	})
 	backend := newGitBackend()
 	c := dialGit(t, env, ls, backend)
 
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	waitFor(t, "async check", func() bool { return ls.StatsSnapshot().Checks > 0 })
-	waitFor(t, "check result", func() bool { return ls.LastCheckResult() == "ok" })
-
-	// CheckNow is synchronous even with CheckAsync: the verdict comes back
-	// on the calling goroutine.
+	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 1 || st.TrimsSkipped != 1 {
+		t.Fatalf("after two pushes: %+v, want 2 checks, 1 skipped trim, 1 trim", st)
+	}
+	if got := ls.LastCheckResult(); got != "ok" {
+		t.Fatalf("check result = %q", got)
+	}
 	if result, err := ls.CheckNow(); err != nil || result != "ok" {
 		t.Fatalf("CheckNow = %q, %v", result, err)
 	}
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Triggers after Close must not panic or deadlock.
-	ls.scheduleCheck()
 }
 
-// TestCheckAsyncDetectsRollback: a violation found by a background check is
-// recorded with the chain position its snapshot attested.
-func TestCheckAsyncDetectsRollback(t *testing.T) {
+// TestCheckSyncDetectsRollback: the cycle of the request that logged the
+// rolled-back advertisement finds it, and the violation carries the chain
+// position its snapshot attested.
+func TestCheckSyncDetectsRollback(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{
 		Module:     gitssm.New(),
 		AuditMode:  audit.ModeMemory,
 		CheckEvery: 1,
-		CheckAsync: true,
 	})
 	backend := newGitBackend()
 	c := dialGit(t, env, ls, backend)
 
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	c.fetch(t, "repo", false)
 
-	waitFor(t, "rollback violation", func() bool { return len(ls.Violations()) > 0 })
-	v := ls.Violations()[0]
-	if v.Invariant != "git-soundness" {
-		t.Fatalf("invariant = %q", v.Invariant)
+	viols := ls.Violations()
+	if len(viols) != 1 || viols[0].Invariant != "git-soundness" {
+		t.Fatalf("violations = %+v", viols)
 	}
-	// The violating snapshot held the rolled-back advertisement plus one or
-	// two update tuples — two when the worker had not yet trimmed the stale
-	// c1 update, three otherwise. Either way the violation pins the chain
-	// position it attested.
-	if v.ChainSeq != 2 && v.ChainSeq != 3 {
-		t.Fatalf("ChainSeq = %d, want 2 or 3: %+v", v.ChainSeq, v)
+	// The second push's cycle trimmed the stale c1 update, so the violating
+	// snapshot held the c2 update and the rolled-back advertisement.
+	if viols[0].ChainSeq != 2 {
+		t.Fatalf("ChainSeq = %d, want 2: %+v", viols[0].ChainSeq, viols[0])
 	}
 }
 
-// TestAsyncCheckChainPositionConsistency is the snapshot-isolation race
-// test: clients append concurrently while the worker checks, and every
-// check must see exactly the prefix its ChainSeq claims — with pairMod,
-// a snapshot at chain position N contains the pairs timed 1..N, no more,
-// no fewer, no tears. Run under -race.
-func TestAsyncCheckChainPositionConsistency(t *testing.T) {
+// TestSyncCheckChainPositionConsistency is the snapshot-isolation race test:
+// three clients append concurrently, every pair runs a check on its own
+// request path while the others keep appending, and every check must see
+// exactly the prefix its ChainSeq claims — with pairMod, a snapshot at chain
+// position N contains the pairs timed 1..N, no more, no fewer, no tears. Run
+// under -race.
+func TestSyncCheckChainPositionConsistency(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{
 		Module:     pairMod{},
 		AuditMode:  audit.ModeMemory,
 		CheckEvery: 1,
-		CheckAsync: true,
 	})
 	backend := newGitBackend()
 
@@ -152,9 +135,6 @@ func TestAsyncCheckChainPositionConsistency(t *testing.T) {
 		}(c, i)
 	}
 	wg.Wait()
-	if err := ls.Close(); err != nil { // drains the worker
-		t.Fatal(err)
-	}
 
 	viols := ls.Violations()
 	if len(viols) == 0 {
@@ -182,19 +162,85 @@ func TestAsyncCheckChainPositionConsistency(t *testing.T) {
 		}
 	}
 
-	// Accounting: with CheckEvery=1 every push triggers the worker, and a
-	// trigger either runs as a check or is absorbed by a pending one. The
-	// nil trim set means every cycle's trim pass is skipped via the
-	// snapshot probe, never quiescing the log.
+	// Accounting: with CheckEvery=1 every push runs a cycle, and the nil trim
+	// set means every cycle's trim is skipped, never quiescing the log.
 	st := ls.StatsSnapshot()
 	if st.Pairs != clients*pushes {
 		t.Fatalf("pairs = %d, want %d", st.Pairs, clients*pushes)
 	}
-	if st.Checks+st.ChecksCoalesced != st.Pairs {
-		t.Fatalf("checks %d + coalesced %d != pairs %d", st.Checks, st.ChecksCoalesced, st.Pairs)
+	if st.Checks != st.Pairs {
+		t.Fatalf("checks %d != pairs %d", st.Checks, st.Pairs)
 	}
 	if st.Trims != 0 || st.TrimsSkipped != st.Checks {
 		t.Fatalf("trims = %d, skipped = %d, checks = %d", st.Trims, st.TrimsSkipped, st.Checks)
+	}
+}
+
+// TestTrimKeepsRowsStagedDuringCycle is the regression test for the hole a
+// cycle used to have between its capture and its trim: the trim queries ran
+// on the live database, and the Git module's opens with an unconditional
+// DELETE FROM advertisements, so an advertisement another connection staged
+// in that window was deleted without any check having seen it — a false
+// "clean". Connection B fetches a rolled-back ref 300 times while connection A
+// keeps pushing, a cycle after every pair on both; each of the 300
+// advertisements must turn up in some check's violation rows.
+func TestTrimKeepsRowsStagedDuringCycle(t *testing.T) {
+	env := newCoreEnv(t)
+	ls := newGitLibSEAL(t, env, Config{
+		Module:     gitssm.New(),
+		AuditMode:  audit.ModeMemory,
+		CheckEvery: 1,
+	})
+	a := dialGit(t, env, ls, newGitBackend())
+	backendB := newGitBackend()
+	b := dialGit(t, env, ls, backendB)
+
+	b.push(t, "repo", "create main c1")
+	b.push(t, "repo", "update main c2")
+	backendB.setRollback("main", "c1")
+
+	stop := make(chan struct{})
+	pusherDone := make(chan struct{})
+	go func() {
+		defer close(pusherDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			req := httpparse.NewRequest("POST", "/git/other/git-receive-pack", []byte(fmt.Sprintf("update main a%d", i)))
+			if _, err := a.conn.Write(req.Bytes()); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := httpparse.ReadResponse(a.br); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	const fetches = 300
+	for i := 0; i < fetches; i++ {
+		b.fetch(t, "repo", false)
+	}
+	close(stop)
+	<-pusherDone
+	if _, err := ls.CheckNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	flagged := map[int64]bool{}
+	for _, v := range ls.Violations() {
+		if v.Invariant != "git-soundness" {
+			t.Fatalf("unexpected violation %+v", v)
+		}
+		for _, row := range v.Rows.Rows {
+			flagged[row[0].Int64()] = true
+		}
+	}
+	if len(flagged) != fetches {
+		t.Fatalf("%d of %d rolled-back advertisements were flagged: the others were trimmed unchecked", len(flagged), fetches)
 	}
 }
 
@@ -208,7 +254,7 @@ func TestSyncCheckViolationChainSeq(t *testing.T) {
 
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	// First fetch logs the rolled-back advertisement; the second carries the
 	// in-band check, which now sees it.
 	c.fetch(t, "repo", false)

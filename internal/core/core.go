@@ -22,7 +22,10 @@
 // is what lets concurrent connections fill one group-commit batch. The lock
 // hierarchy is tracker → logMu → audit-internal, and every enclave-side
 // acquisition of a lock that may be contended goes through asyncall.Lock so
-// no lthread ever sleeps holding its scheduler's thread. One extra rule keeps
+// no lthread ever sleeps holding its scheduler's thread. cycleMu, which keeps
+// check+trim cycles from overlapping, sits above logMu and is only ever
+// taken by a caller that holds no other lock and leads no open batch (see
+// runCycle). One extra rule keeps
 // group commit deadlock-free against Trim (which quiesces the commit lane
 // while holding logMu): all pairs of one write are staged within a single
 // logMu critical section, and logMu is not re-acquired until every resulting
@@ -36,7 +39,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"libseal/internal/asyncall"
@@ -53,10 +55,9 @@ import (
 // in-band integrity verification (§7.3). Per-invariant histograms are
 // registered at Open under "audit.check.inv.<name>".
 var (
-	mChecks          = telemetry.NewCounter("audit.checks", "calls")
-	mChecksCoalesced = telemetry.NewCounter("audit.checks.coalesced", "calls")
-	mCheckLatency    = telemetry.NewHistogram("audit.check.latency", "ns")
-	mTrimsSkipped    = telemetry.NewCounter("audit.trims.skipped", "calls")
+	mChecks       = telemetry.NewCounter("audit.checks", "calls")
+	mCheckLatency = telemetry.NewHistogram("audit.check.latency", "ns")
+	mTrimsSkipped = telemetry.NewCounter("audit.trims.skipped", "calls")
 )
 
 // Check header names (§5.2, "Result notification").
@@ -141,18 +142,6 @@ type Config struct {
 	// CheckMinInterval rate-limits client-triggered checks to defeat
 	// denial-of-service via the check header (§6.3). Zero means no limit.
 	CheckMinInterval time.Duration
-	// CheckAsync moves budget- and timer-triggered invariant checks off the
-	// critical path: the check captures a copy-on-write snapshot of the
-	// audit database plus the chain position under logMu in O(tables), and
-	// a background goroutine evaluates the invariants against the snapshot
-	// while appends continue. Client-triggered checks and CheckNow stay
-	// synchronous (the response must carry the result) but also evaluate on
-	// a snapshot, outside logMu. See DESIGN.md §15.
-	CheckAsync bool
-	// NoIndexes disables the SQL executor's hash-index planner for this
-	// instance's audit database (indexed-vs-scan ablation; see
-	// sqldb.SetIndexing).
-	NoIndexes bool
 	// OnViolation, when set, is called for each invariant with a non-empty
 	// violation set after any check.
 	OnViolation func(invariant string, violations *sqldb.Result)
@@ -185,9 +174,9 @@ type LibSEAL struct {
 	// logMu is the narrow log-order lock: it serialises SSM tuple
 	// extraction and the staging of pairs into the audit log (the point
 	// that fixes hash-chain order) along with check/trim state. It is
-	// never held across a durability wait — and, since PR 9, never across
-	// invariant evaluation either: checks capture a snapshot under logMu
-	// and evaluate it with the lock released.
+	// never held across a durability wait, nor across invariant or trim
+	// query evaluation: checks capture a snapshot under logMu and evaluate
+	// it with the lock released.
 	logMu      sync.Mutex
 	pairTime   int64
 	sinceCheck int
@@ -196,21 +185,17 @@ type LibSEAL struct {
 	violations []Violation
 	stats      Stats
 
-	// prepared invariant/trim statements, parsed once at New. A nil stmt
-	// records a parse failure surfaced as "error:<name>" at check time,
-	// preserving the unprepared behaviour.
-	prepared      []preparedInvariant
-	trimStmts     []*sqldb.Stmt
-	trimProbeable bool
+	// cycleMu is held by a check+trim cycle from its capture to the end of
+	// its trim, so the rows one cycle's trim plan kept are never deleted
+	// from under it by another's (see runCycle).
+	cycleMu sync.Mutex
 
-	// Async checking: checkCh (capacity 1) carries pending check requests
-	// to the worker; an already-pending request absorbs new triggers
-	// (coalescing). checkMu/checkClosed gate scheduling against Close.
-	checkMu         sync.Mutex
-	checkClosed     bool
-	checkCh         chan struct{}
-	checkerDone     chan struct{}
-	checksCoalesced atomic.Int64
+	// Invariant and trim statements, parsed once at New. A nil invariant
+	// stmt records a parse failure surfaced as "error:<name>" at check time;
+	// trimErr records a trim script's, reported by every trim.
+	prepared  []preparedInvariant
+	trimStmts []*sqldb.Stmt
+	trimErr   error
 
 	stopPeriodic chan struct{}
 	periodicDone chan struct{}
@@ -236,11 +221,8 @@ type Stats struct {
 	TrimFailures int64
 	// Reanchors counts degraded-mode gaps closed by a fresh counter anchor.
 	Reanchors int64
-	// ChecksCoalesced counts async check triggers absorbed by an already-
-	// pending check.
-	ChecksCoalesced int64
-	// TrimsSkipped counts trim passes elided because the check's snapshot
-	// showed nothing to trim, so the quiesce was never taken.
+	// TrimsSkipped counts cycles whose trim queries deleted nothing from the
+	// check's snapshot, so the quiesce was never taken.
 	TrimsSkipped int64
 }
 
@@ -303,9 +285,6 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 		// tuples sort after them.
 		if ls.log != nil {
 			ls.pairTime = int64(ls.log.Seq())
-			if cfg.NoIndexes {
-				ls.log.DB().SetIndexing(false)
-			}
 			ls.prepareStatements()
 		}
 		cfg.TLS.Tap = (*sealTap)(ls)
@@ -315,11 +294,6 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 		return nil, err
 	}
 	ls.tls = tlsLib
-	if cfg.CheckAsync && ls.log != nil {
-		ls.checkCh = make(chan struct{}, 1)
-		ls.checkerDone = make(chan struct{})
-		go ls.checkWorker()
-	}
 	if cfg.CheckInterval > 0 && ls.log != nil {
 		ls.stopPeriodic = make(chan struct{})
 		ls.periodicDone = make(chan struct{})
@@ -328,10 +302,10 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 	return ls, nil
 }
 
-// prepareStatements parses the module's invariant and trim SQL once so
-// checks never re-parse on the hot path. Parse failures are kept as nil
-// statements and surface as "error:<name>" at check time, matching the
-// previous parse-at-check behaviour.
+// prepareStatements parses the module's invariant and trim SQL once so a
+// cycle never parses. A parse failure does not fail New: an invariant's
+// surfaces as "error:<name>" at every check, a trim query's as the error of
+// every trim.
 func (ls *LibSEAL) prepareStatements() {
 	db := ls.log.DB()
 	for _, inv := range ls.cfg.Module.Invariants() {
@@ -344,14 +318,11 @@ func (ls *LibSEAL) prepareStatements() {
 		}
 		ls.prepared = append(ls.prepared, p)
 	}
-	ls.trimProbeable = true
 	for _, q := range ls.cfg.Module.TrimQueries() {
 		stmts, err := db.PrepareScript(q)
 		if err != nil {
-			// Trim itself will report the parse error; we just cannot
-			// predict its effect from a snapshot.
-			ls.trimProbeable = false
-			continue
+			ls.trimErr = fmt.Errorf("core: trimming query %q: %w", q, err)
+			return
 		}
 		ls.trimStmts = append(ls.trimStmts, stmts...)
 	}
@@ -368,12 +339,9 @@ func (ls *LibSEAL) periodicChecks(interval time.Duration) {
 		case <-ls.stopPeriodic:
 			return
 		case <-ticker.C:
-			if ls.cfg.CheckAsync {
-				ls.scheduleCheck()
-			} else {
-				ls.checkAndTrimNow()
-			}
 			_ = ls.bridge.Call(func(env *asyncall.Env) error {
+				// A failed trim is counted and retried by the next cycle.
+				_ = ls.runCycle(env)
 				// If appends ran degraded (counter quorum unreachable), the
 				// periodic tick doubles as the re-anchor retry loop.
 				if ls.log.Status().Degraded {
@@ -392,15 +360,6 @@ func (ls *LibSEAL) periodicChecks(interval time.Duration) {
 	}
 }
 
-// checkAndTrimNow runs a full synchronous check-and-trim round from host
-// context (periodic ticks with CheckAsync off).
-func (ls *LibSEAL) checkAndTrimNow() {
-	_ = ls.bridge.Call(func(env *asyncall.Env) error {
-		ls.checkAndTrim(env)
-		return nil
-	})
-}
-
 // TLS returns the drop-in TLS library services link against.
 func (ls *LibSEAL) TLS() *tlsterm.Library { return ls.tls }
 
@@ -417,7 +376,6 @@ func (ls *LibSEAL) StatsSnapshot() Stats {
 	ls.logMu.Lock()
 	s := ls.stats
 	ls.logMu.Unlock()
-	s.ChecksCoalesced = ls.checksCoalesced.Load()
 	return s
 }
 
@@ -505,7 +463,7 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 			// Run the check now so this response can carry the result. The
 			// evaluation happens on a snapshot with logMu released, so other
 			// connections keep appending while this one checks.
-			_, tr.injectResult = ls.runCheckCycle(env, context.Background(), true)
+			_, tr.injectResult = ls.runCheck(env, context.Background(), true)
 		}
 	}
 }
@@ -518,7 +476,7 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 // group-commit batch; the write still only succeeds once every staged entry
 // is durable.
 //
-// The single staging section is load-bearing for deadlock freedom: Trim
+// The single staging section is load-bearing for deadlock freedom: a trim
 // quiesces the group-commit lane while holding logMu, and the lane drains
 // only when every batch leader reaches Ticket.Wait. A connection that leads
 // an open batch must therefore never block on logMu again before all of its
@@ -594,7 +552,10 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 		return nil, err
 	}
 	if checkDue {
-		ls.checkAndTrim(env)
+		// Every ticket is waited and no lock is held: the one state in which
+		// a request path may wait for cycleMu. A failed trim is counted and
+		// retried by the next cycle, never the client's problem.
+		_ = ls.runCycle(env)
 	}
 	if len(tickets) > 0 {
 		// Epoch-manifest cadence rides the write path: after the waits no
@@ -673,20 +634,6 @@ func (ls *LibSEAL) stagePairs(env *asyncall.Env, connID uint64, pairs []rawPair)
 	return tickets, checkDue, nil
 }
 
-// checkAndTrim runs (or schedules) the CheckEvery invariant check and trim
-// pass. With CheckAsync the request path only nudges the worker — the send
-// never blocks, so an ecall cannot stall on a busy checker.
-func (ls *LibSEAL) checkAndTrim(env *asyncall.Env) {
-	if ls.cfg.CheckAsync {
-		ls.scheduleCheck()
-		return
-	}
-	out, _ := ls.runCheckCycle(env, context.Background(), false)
-	if out != nil {
-		ls.applyTrim(env, out)
-	}
-}
-
 // checkCapture is everything a check needs from under logMu: a consistent
 // copy-on-write snapshot of the audit database and the chain position it
 // corresponds to. Capturing is O(tables); evaluation happens lock-free.
@@ -701,9 +648,6 @@ type checkOutcome struct {
 	cap        *checkCapture
 	result     string
 	violations []Violation
-	// trimCount is the number of rows the module's trim queries would
-	// delete from the snapshot; -1 when unknown (unprobeable trim SQL).
-	trimCount int
 	// ctxErr is set when a CheckNowContext caller's context cancelled the
 	// evaluation partway through.
 	ctxErr error
@@ -734,13 +678,13 @@ func (ls *LibSEAL) captureCheckLocked(clientTriggered bool) (*checkCapture, stri
 	}, ""
 }
 
-// evalCheck runs every prepared invariant against the capture's snapshot
-// and probes the trim predicates. No locks are held; appends proceed
-// concurrently. ctx is consulted between invariants: cancellation stops the
-// evaluation early with result "cancelled" and ctxErr set — violations found
-// up to that point are still published (they are real).
+// evalCheck runs every prepared invariant against the capture's snapshot.
+// No locks are held; appends proceed concurrently. ctx is consulted between
+// invariants: cancellation stops the evaluation early with result
+// "cancelled" and ctxErr set — violations found up to that point are still
+// published (they are real).
 func (ls *LibSEAL) evalCheck(ctx context.Context, cap *checkCapture) *checkOutcome {
-	out := &checkOutcome{cap: cap, trimCount: -1}
+	out := &checkOutcome{cap: cap}
 	defer telemetry.ObserveSince(mCheckLatency, "audit.check", cap.start)
 	var violated []string
 	for _, p := range ls.prepared {
@@ -772,21 +716,6 @@ func (ls *LibSEAL) evalCheck(ctx context.Context, cap *checkCapture) *checkOutco
 	} else {
 		out.result = "violation:" + strings.Join(violated, ",")
 	}
-	if ls.trimProbeable {
-		total := 0
-		known := true
-		for _, st := range ls.trimStmts {
-			n, ok, err := cap.snap.CountMatches(st)
-			if err != nil || !ok {
-				known = false
-				break
-			}
-			total += n
-		}
-		if known {
-			out.trimCount = total
-		}
-	}
 	return out
 }
 
@@ -809,12 +738,12 @@ func (ls *LibSEAL) notifyViolations(out *checkOutcome) {
 	}
 }
 
-// runCheckCycle is the synchronous capture → evaluate → publish sequence.
+// runCheck is the capture → evaluate → publish sequence of every check.
 // logMu is held only for the two O(tables) bookkeeping sections; the
 // invariant evaluation in between runs with the lock released, so appends
 // are stalled for the snapshot capture, not the check. Returns nil when
 // evaluation was skipped (disabled or rate-limited).
-func (ls *LibSEAL) runCheckCycle(env *asyncall.Env, ctx context.Context, clientTriggered bool) (*checkOutcome, string) {
+func (ls *LibSEAL) runCheck(env *asyncall.Env, ctx context.Context, clientTriggered bool) (*checkOutcome, string) {
 	asyncall.Lock(env, &ls.logMu)
 	cap, early := ls.captureCheckLocked(clientTriggered)
 	ls.logMu.Unlock()
@@ -829,66 +758,60 @@ func (ls *LibSEAL) runCheckCycle(env *asyncall.Env, ctx context.Context, clientT
 	return out, out.result
 }
 
-// applyTrim applies the trim decision already computed against the check's
-// snapshot: when the snapshot showed nothing to delete, the trim (and its
-// append-stalling quiesce of every shard) is skipped entirely; otherwise
-// the real trim runs under logMu against the live database.
-func (ls *LibSEAL) applyTrim(env *asyncall.Env, out *checkOutcome) {
-	if out.trimCount == 0 {
-		asyncall.Lock(env, &ls.logMu)
-		ls.stats.TrimsSkipped++
-		ls.logMu.Unlock()
-		mTrimsSkipped.Inc()
-		return
+// runCycle is the one check+trim cycle (§5.2), whoever asks for it — the
+// CheckEvery budget on a request path, the periodic tick or TrimNow. It is
+// one unit over one immutable state: the snapshot is captured under logMu,
+// the invariants run on it, the module's trim queries run on it — the same
+// private tables, in script order, no lock held — and only then, under logMu
+// and the shards' quiesce, the live tables become what the queries kept of the
+// captured rows plus every row appended since, and the shards are rewritten.
+// A trim therefore deletes only rows its own check saw; rows staged during
+// the cycle stay, unchecked, for the next one.
+//
+// Cycles never overlap between capture and apply: the rows a plan kept must
+// still be there when it is applied. cycleMu is the outermost lock — the
+// caller holds no other lock and has waited every ticket it staged, so it can
+// park here without stalling a batch — and checks that do not trim (the check
+// header, CheckNow) never take it.
+//
+// The returned error is the trim's; it is counted in Stats.TrimFailures and
+// the next cycle retries, the log growing meanwhile. Only the append path may
+// fail an SSL write, since there durability is at stake.
+func (ls *LibSEAL) runCycle(env *asyncall.Env) error {
+	asyncall.Lock(env, &ls.cycleMu)
+	defer ls.cycleMu.Unlock()
+	out, _ := ls.runCheck(env, context.Background(), false)
+	if out == nil {
+		return nil
+	}
+	var plan *sqldb.TrimPlan
+	err := ls.trimErr
+	if err == nil {
+		plan, err = out.cap.snap.PlanTrim(ls.trimStmts)
 	}
 	asyncall.Lock(env, &ls.logMu)
 	defer ls.logMu.Unlock()
-	// A failed trim (say, the counter quorum is unreachable and the
-	// rewrite must not degrade) is not the client's problem: the log
-	// keeps growing and the next check retries. Only the append path
-	// may fail the SSL write, since there durability is at stake.
-	if err := ls.log.Trim(env, ls.cfg.Module.TrimQueries()); err != nil {
+	if err == nil && plan.Deleted() == 0 {
+		// Nothing to trim: the append-stalling quiesce of every shard and
+		// the rewrite are skipped entirely.
+		ls.stats.TrimsSkipped++
+		mTrimsSkipped.Inc()
+		return nil
+	}
+	if err == nil {
+		err = ls.log.ApplyTrim(env, plan)
+	}
+	if err != nil {
 		ls.stats.TrimFailures++
-	} else {
-		ls.stats.Trims++
+		return err
 	}
-}
-
-// scheduleCheck nudges the async check worker. A pending nudge absorbs new
-// ones (the next check sees their entries anyway via its snapshot), which
-// is what bounds the worker's backlog at one.
-func (ls *LibSEAL) scheduleCheck() {
-	ls.checkMu.Lock()
-	defer ls.checkMu.Unlock()
-	if ls.checkClosed || ls.checkCh == nil {
-		return
-	}
-	select {
-	case ls.checkCh <- struct{}{}:
-	default:
-		ls.checksCoalesced.Add(1)
-		mChecksCoalesced.Inc()
-	}
-}
-
-// checkWorker is the background check goroutine (CheckAsync).
-func (ls *LibSEAL) checkWorker() {
-	defer close(ls.checkerDone)
-	for range ls.checkCh {
-		_ = ls.bridge.Call(func(env *asyncall.Env) error {
-			out, _ := ls.runCheckCycle(env, context.Background(), false)
-			if out != nil {
-				ls.applyTrim(env, out)
-			}
-			return nil
-		})
-	}
+	ls.stats.Trims++
+	return nil
 }
 
 // CheckNow runs the invariants immediately (Fig. 1, step 6) and returns the
-// result string. It is always synchronous, even with CheckAsync: callers
-// want the verdict, and the evaluation still runs on a snapshot outside
-// logMu. It is CheckNowContext with a background context.
+// result string. The evaluation runs on a snapshot outside logMu, and nothing
+// is trimmed. It is CheckNowContext with a background context.
 func (ls *LibSEAL) CheckNow() (string, error) {
 	return ls.CheckNowContext(context.Background())
 }
@@ -909,7 +832,7 @@ func (ls *LibSEAL) CheckNowContext(ctx context.Context) (string, error) {
 		out    *checkOutcome
 	)
 	err := ls.bridge.Call(func(env *asyncall.Env) error {
-		out, result = ls.runCheckCycle(env, ctx, false)
+		out, result = ls.runCheck(env, ctx, false)
 		return nil
 	})
 	if err == nil && out != nil && out.ctxErr != nil {
@@ -918,36 +841,24 @@ func (ls *LibSEAL) CheckNowContext(ctx context.Context) (string, error) {
 	return result, err
 }
 
-// TrimNow applies the module's trimming queries immediately.
+// TrimNow runs one check+trim cycle immediately and returns the trim's error.
+// A trim always follows its own check: the trimming queries delete rows on the
+// strength of their having been checked.
 func (ls *LibSEAL) TrimNow() error {
 	if ls.log == nil {
 		return ErrLoggingDisabled
 	}
-	return ls.bridge.Call(func(env *asyncall.Env) error {
-		asyncall.Lock(env, &ls.logMu)
-		defer ls.logMu.Unlock()
-		ls.stats.Trims++
-		return ls.log.Trim(env, ls.cfg.Module.TrimQueries())
-	})
+	return ls.bridge.Call(ls.runCycle)
 }
 
-// Close stops periodic checking and the async check worker, then releases
-// the audit log's resources (in that order: the worker may still be
-// evaluating against the log's database).
+// Close stops periodic checking, then releases the audit log's resources (in
+// that order: a periodic cycle may still be evaluating against the log's
+// database).
 func (ls *LibSEAL) Close() error {
 	if ls.stopPeriodic != nil {
 		close(ls.stopPeriodic)
 		<-ls.periodicDone
 		ls.stopPeriodic = nil
-	}
-	if ls.checkCh != nil {
-		ls.checkMu.Lock()
-		if !ls.checkClosed {
-			ls.checkClosed = true
-			close(ls.checkCh)
-		}
-		ls.checkMu.Unlock()
-		<-ls.checkerDone
 	}
 	if ls.log != nil {
 		return ls.log.Close()

@@ -66,8 +66,10 @@ func newCoreEnv(t *testing.T) *coreEnv {
 }
 
 // gitBackend is a trivial in-test Git service: branches per repo, with
-// switchable misbehaviour.
+// switchable misbehaviour. mu guards the maps: connections sharing a backend
+// serve from their own goroutines while the test flips the misbehaviour.
 type gitBackend struct {
+	mu         sync.Mutex
 	refs       map[string]map[string]string // repo -> branch -> cid
 	rollback   map[string]string            // branch -> stale cid to advertise
 	hideRef    map[string]bool              // branch -> omit from advertisements
@@ -83,7 +85,21 @@ func newGitBackend() *gitBackend {
 	}
 }
 
+func (g *gitBackend) setRollback(branch, staleCid string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.rollback[branch] = staleCid
+}
+
+func (g *gitBackend) hide(branch string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.hideRef[branch] = true
+}
+
 func (g *gitBackend) handle(req *httpparse.Request) *httpparse.Response {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	parts := strings.Split(strings.TrimPrefix(req.PathOnly(), "/"), "/")
 	if len(parts) < 3 || parts[0] != "git" {
 		return httpparse.NewResponse(404, nil)
@@ -242,7 +258,7 @@ func TestEndToEndDetectsRollback(t *testing.T) {
 
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1" // service misbehaves
+	backend.setRollback("main", "c1") // service misbehaves
 	c.fetch(t, "repo", false)
 
 	result, err := ls.CheckNow()
@@ -266,7 +282,7 @@ func TestEndToEndDetectsReferenceDeletion(t *testing.T) {
 
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "create dev d1")
-	backend.hideRef["dev"] = true
+	backend.hide("dev")
 	c.fetch(t, "repo", false)
 
 	result, _ := ls.CheckNow()
@@ -289,7 +305,7 @@ func TestCheckHeaderInBandResult(t *testing.T) {
 
 	// After an attack, the header reports the violation in-band.
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	c.fetch(t, "repo", false) // poisoned advertisement gets logged
 	rsp = c.fetch(t, "repo", true)
 	if got := rsp.Header.Get(CheckResultHeader); !strings.Contains(got, "git-soundness") {
@@ -421,7 +437,7 @@ func TestOnViolationCallback(t *testing.T) {
 	c := dialGit(t, env, ls, backend)
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	c.fetch(t, "repo", false)
 	ls.CheckNow()
 	if len(fired) != 1 || fired[0] != "git-soundness" {
@@ -504,7 +520,7 @@ func TestRecoverExistingAcrossRestart(t *testing.T) {
 	}
 	// The recovered instance keeps detecting violations with history that
 	// predates the restart.
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	c2 := dialGit(t, env, ls2, backend)
 	c2.fetch(t, "repo", false)
 	result, err := ls2.CheckNow()
@@ -525,11 +541,49 @@ func TestLastCheckResultLifecycle(t *testing.T) {
 	if got := ls.LastCheckResult(); got != "ok" {
 		t.Fatalf("after check = %q", got)
 	}
+	// TrimNow is one check+trim cycle, counted like every other: with nothing
+	// to delete the trim is skipped, with a checked advertisement it runs.
 	if err := ls.TrimNow(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ls.StatsSnapshot().Trims; got != 1 {
-		t.Fatalf("trims = %d", got)
+	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 1 {
+		t.Fatalf("after TrimNow on an empty log: %+v", st)
+	}
+	c := dialGit(t, env, ls, newGitBackend())
+	c.push(t, "repo", "create main c1")
+	c.fetch(t, "repo", false)
+	if err := ls.TrimNow(); err != nil {
+		t.Fatal(err)
+	}
+	if st := ls.StatsSnapshot(); st.Checks != 3 || st.Trims != 1 || st.TrimFailures != 0 {
+		t.Fatalf("after TrimNow: %+v", st)
+	}
+	if n, _ := ls.Log().DB().TableRowCount("advertisements"); n != 0 {
+		t.Fatalf("%d advertisements left after TrimNow", n)
+	}
+}
+
+// brokenTrimMod is the Git module with a trim script that does not parse.
+type brokenTrimMod struct{ *gitssm.Module }
+
+func (brokenTrimMod) TrimQueries() []string { return []string{"DELETE FORM advertisements"} }
+
+// TestTrimFailureCounted: a trim that cannot run — here because the module's
+// trim SQL does not parse, which New keeps for trim time — is reported by
+// TrimNow and counted as a failure, never as a trim; checks are unaffected.
+func TestTrimFailureCounted(t *testing.T) {
+	env := newCoreEnv(t)
+	ls := newGitLibSEAL(t, env, Config{Module: brokenTrimMod{gitssm.New()}, AuditMode: audit.ModeMemory, CheckEvery: 1})
+	c := dialGit(t, env, ls, newGitBackend())
+	c.push(t, "repo", "create main c1")
+	if err := ls.TrimNow(); err == nil || !strings.Contains(err.Error(), "trimming query") {
+		t.Fatalf("TrimNow = %v, want the parse error", err)
+	}
+	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 0 || st.TrimFailures != 2 {
+		t.Fatalf("stats = %+v, want 2 checks and 2 failed trims", st)
+	}
+	if got := ls.LastCheckResult(); got != "ok" {
+		t.Fatalf("check result = %q", got)
 	}
 }
 
@@ -571,7 +625,7 @@ func TestTimeBasedPeriodicChecks(t *testing.T) {
 	c := dialGit(t, env, ls, backend)
 	c.push(t, "repo", "create main c1")
 	c.push(t, "repo", "update main c2")
-	backend.rollback["main"] = "c1"
+	backend.setRollback("main", "c1")
 	c.fetch(t, "repo", false)
 	// Without any client-triggered check, the periodic checker must find
 	// the violation on its own.
@@ -671,9 +725,9 @@ func TestPipelinedPairsConcurrentTrimNoDeadlock(t *testing.T) {
 	go func() {
 		for r := 0; r < rounds; r++ {
 			req1 := httpparse.NewRequest("POST", "/git/repo/git-receive-pack",
-				[]byte(fmt.Sprintf("create a%d c1", r)))
+				[]byte(fmt.Sprintf("update a c%d", r)))
 			req2 := httpparse.NewRequest("POST", "/git/repo/git-receive-pack",
-				[]byte(fmt.Sprintf("create b%d c2", r)))
+				[]byte(fmt.Sprintf("update b c%d", r)))
 			if _, err := conn.Write(append(req1.Bytes(), req2.Bytes()...)); err != nil {
 				done <- fmt.Errorf("round %d write: %w", r, err)
 				return

@@ -1,7 +1,5 @@
 package sqldb
 
-import "sync/atomic"
-
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
@@ -217,21 +215,6 @@ type BetweenExpr struct {
 type LikeExpr struct {
 	X, Pattern Expr
 	Not        bool
-
-	// prog caches the compiled pattern (see compileLike). Atomic because a
-	// prepared statement's AST may be evaluated by concurrent readers.
-	prog atomic.Pointer[likeProgram]
-}
-
-// program returns the compiled matcher for the given pattern text, reusing
-// the cached one when the text is unchanged (the common literal case).
-func (x *LikeExpr) program(pattern string) *likeProgram {
-	if p := x.prog.Load(); p != nil && p.text == pattern {
-		return p
-	}
-	p := compileLike(pattern)
-	x.prog.Store(p)
-	return p
 }
 
 // When is one WHEN...THEN arm of a CASE.

@@ -29,6 +29,7 @@ type Table struct {
 	byName map[string]int // lowercased column name -> position; nil for hand-built tables
 	idx    *tableIndexes  // lazy hash indexes; nil for hand-built tables
 	shared bool           // a live snapshot references the current Rows header
+	gen    uint64         // bumped whenever rows other than a trailing append change
 }
 
 func (t *Table) colIndex(name string) int {
@@ -454,10 +455,13 @@ func (db *DB) update(s *UpdateStmt, params []Value) (int, error) {
 		t.Rows[ri] = newRow
 		updated++
 	}
-	if updated > 0 && t.idx != nil {
-		// Positions are stable under UPDATE; only indexes over the assigned
-		// columns go stale.
-		t.idx.invalidateCols(setIdx)
+	if updated > 0 {
+		t.gen++
+		if t.idx != nil {
+			// Positions are stable under UPDATE; only indexes over the
+			// assigned columns go stale.
+			t.idx.invalidateCols(setIdx)
+		}
 	}
 	return updated, nil
 }
@@ -469,39 +473,44 @@ func (db *DB) delete(s *DeleteStmt, params []Value) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	ev := db.evaluator(params)
-	// Evaluate the predicate over the unmodified table first so subqueries
-	// against the same table (as in LibSEAL's trimming queries) see a
-	// consistent snapshot.
-	keep := t.Rows[:0:0]
-	deleted := 0
-	var marks []bool
-	if s.Where != nil {
-		marks = make([]bool, len(t.Rows))
-		for ri, row := range t.Rows {
-			v, err := ev.eval(s.Where, tableScope(t, row))
+	return db.evaluator(params).deleteRows(t, s.Where)
+}
+
+// deleteRows is the one DELETE routine, run on a live table under db.mu and
+// on a snapshot's private table by PlanTrim. The predicate is evaluated over
+// the unmodified table first, so subqueries against the same table (as in
+// LibSEAL's trimming queries) see one consistent state.
+func (ev *evaluator) deleteRows(t *Table, where Expr) (int, error) {
+	var keep [][]Value // a fresh array: t.Rows stays as it is until the end
+	if where != nil {
+		for _, row := range t.Rows {
+			v, err := ev.eval(where, tableScope(t, row))
 			if err != nil {
 				return 0, err
 			}
-			truth, _ := v.Truth()
-			marks[ri] = truth
+			if truth, _ := v.Truth(); !truth {
+				keep = append(keep, row)
+			}
 		}
 	}
-	for ri, row := range t.Rows {
-		if s.Where == nil || marks[ri] {
-			deleted++
-			continue
-		}
-		keep = append(keep, row)
-	}
-	// keep grew from a zero-capacity header, so it is a fresh array: any
-	// snapshot keeps the old one, and the new header is unshared.
-	t.Rows = keep
-	t.shared = false
-	if deleted > 0 && t.idx != nil {
-		t.idx.invalidateAll() // surviving rows shifted position
+	deleted := len(t.Rows) - len(keep)
+	if deleted > 0 {
+		t.replaceRows(keep)
 	}
 	return deleted, nil
+}
+
+// replaceRows installs a fresh row array the caller owns: a snapshot keeps
+// the old one, so the new header is unshared; surviving rows shifted
+// position, so every index is stale; and the prefix any earlier snapshot
+// captured is gone, which gen records for ApplyTrim.
+func (t *Table) replaceRows(rows [][]Value) {
+	t.Rows = rows
+	t.shared = false
+	t.gen++
+	if t.idx != nil {
+		t.idx.invalidateAll()
+	}
 }
 
 // Tables lists the table names in the database.
@@ -563,8 +572,11 @@ func (db *DB) RemoveLastRows(name string, n int) error {
 	} else {
 		t.Rows = t.Rows[:m]
 	}
-	if n > 0 && t.idx != nil {
-		t.idx.invalidateAll() // index watermark may exceed the new length
+	if n > 0 {
+		t.gen++
+		if t.idx != nil {
+			t.idx.invalidateAll() // index watermark may exceed the new length
+		}
 	}
 	return nil
 }

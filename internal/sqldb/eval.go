@@ -243,7 +243,7 @@ func (ev *evaluator) eval(e Expr, s *rowScope) (Value, error) {
 		if v.IsNull() || pat.IsNull() {
 			return Null(), nil
 		}
-		return Bool(x.Not != x.program(pat.TextVal()).match(v.TextVal())), nil
+		return Bool(x.Not != likeMatch(pat.TextVal(), v.TextVal())), nil
 
 	case *CaseExpr:
 		if x.Operand != nil {
@@ -743,76 +743,10 @@ func sumValues(vals []Value) Value {
 	return Float(sum)
 }
 
-// LIKE pattern compilation. Patterns are almost always literals, so
-// interpreting the wildcard grammar per row is wasted work: compileLike
-// classifies a pattern once into one of the string-primitive shapes below
-// (or the generic recursive matcher) and LikeExpr caches the compiled form
-// on the AST node, keyed by the pattern text so computed patterns that vary
-// per row recompile and stay correct.
-
-type likeShape int
-
-const (
-	likeGeneric  likeShape = iota // has `_` or interior `%`: recursive matcher
-	likeExact                     // no wildcards
-	likePrefix                    // lit%
-	likeSuffix                    // %lit
-	likeContains                  // %lit%
-)
-
-type likeProgram struct {
-	text  string // original pattern text (cache key)
-	shape likeShape
-	lit   string // lowercased wildcard-free body for the fast shapes
-	pat   string // lowercased full pattern for likeGeneric
-}
-
-func compileLike(pattern string) *likeProgram {
-	p := strings.ToLower(pattern)
-	prog := &likeProgram{text: pattern, pat: p}
-	if strings.ContainsRune(p, '_') {
-		return prog
-	}
-	lead := strings.HasPrefix(p, "%")
-	trail := strings.HasSuffix(p, "%")
-	body := strings.Trim(p, "%")
-	if strings.ContainsRune(body, '%') {
-		return prog
-	}
-	// Collapsed runs of leading/trailing % are equivalent to one.
-	prog.lit = body
-	switch {
-	case !lead && !trail:
-		prog.shape = likeExact
-	case !lead && trail:
-		prog.shape = likePrefix
-	case lead && !trail:
-		prog.shape = likeSuffix
-	default:
-		prog.shape = likeContains
-	}
-	return prog
-}
-
-func (p *likeProgram) match(str string) bool {
-	t := strings.ToLower(str)
-	switch p.shape {
-	case likeExact:
-		return t == p.lit
-	case likePrefix:
-		return strings.HasPrefix(t, p.lit)
-	case likeSuffix:
-		return strings.HasSuffix(t, p.lit)
-	case likeContains:
-		return strings.Contains(t, p.lit)
-	}
-	return likeRec(p.pat, t)
-}
-
 // likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively
 // for ASCII, as SQLite does.
 func likeMatch(pattern, str string) bool {
-	return compileLike(pattern).match(str)
+	return likeRec(strings.ToLower(pattern), strings.ToLower(str))
 }
 
 func likeRec(p, t string) bool {

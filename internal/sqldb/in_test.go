@@ -184,9 +184,9 @@ var gitTrimQueries = []string{
 }
 
 // TestInDifferentialGitCorpus runs the paper's trim queries over the Git
-// corpus the way the check cycle does — probed on a snapshot with
-// CountMatches, then executed — and requires both to remove exactly the rows
-// the oracle marks.
+// corpus the way the check cycle does — planned on a snapshot — and the way
+// a script does — executed on the database — and requires both to remove
+// exactly the rows the oracle marks.
 func TestInDifferentialGitCorpus(t *testing.T) {
 	db := New()
 	multiRepoGit(t, db)
@@ -204,9 +204,9 @@ func TestInDifferentialGitCorpus(t *testing.T) {
 				want = diffIn(t, db, q, nocache)
 			}
 		}
-		probed, ok, err := snap.CountMatches(st)
-		if err != nil || !ok || probed != want {
-			t.Fatalf("CountMatches(%q) = %d, %v, %v; the oracle matches %d", q, probed, ok, err, want)
+		plan, err := snap.PlanTrim([]*Stmt{st})
+		if err != nil || plan.Deleted() != want {
+			t.Fatalf("PlanTrim(%q) = %+v, %v; the oracle matches %d", q, plan, err, want)
 		}
 		if got := mustExec(t, db, q); got != want {
 			t.Fatalf("Exec(%q) removed %d rows, the oracle matches %d of %d", q, got, want, before)

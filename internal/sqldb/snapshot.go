@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -28,11 +29,22 @@ import (
 // snapshot query belong to the snapshot and die with it, and the live
 // table's indexes are never shared across the boundary.
 
-// Snapshot is an immutable view of a DB at one instant.
+// Snapshot is a view of a DB at one instant, immutable until PlanTrim — which
+// works on the snapshot's private tables, never the database's — ends its
+// use.
 type Snapshot struct {
 	tables   map[string]*Table
 	views    map[string]*View
 	indexing bool
+	origin   map[string]tableOrigin
+}
+
+// tableOrigin ties a snapshot's table to the live one it was taken from: the
+// live table, and its generation and row count at capture.
+type tableOrigin struct {
+	live *Table
+	gen  uint64
+	n    int
 }
 
 // Snapshot captures the current contents of the database. The write lock
@@ -44,10 +56,12 @@ func (db *DB) Snapshot() *Snapshot {
 		tables:   make(map[string]*Table, len(db.tables)),
 		views:    make(map[string]*View, len(db.views)),
 		indexing: !db.noIndex,
+		origin:   make(map[string]tableOrigin, len(db.tables)),
 	}
 	for k, t := range db.tables {
 		t.shared = true
-		s.tables[k] = &Table{Name: t.Name, Cols: t.Cols, Rows: t.Rows, byName: t.byName, idx: newTableIndexes()}
+		s.tables[k] = &Table{Name: t.Name, Cols: t.Cols, Rows: t.Rows, byName: t.byName, idx: newTableIndexes(), gen: t.gen}
+		s.origin[k] = tableOrigin{live: t, gen: t.gen, n: len(t.Rows)}
 	}
 	for k, v := range db.views {
 		s.views[k] = v
@@ -103,37 +117,81 @@ func (s *Snapshot) QueryStmt(stmt *Stmt, args ...any) (*Result, error) {
 	return s.evaluator(params).execSelect(sel, nil)
 }
 
-// CountMatches evaluates a DELETE statement's predicate against the
-// snapshot and returns how many rows it would remove, without mutating
-// anything. ok is false when the statement is not a probeable DELETE (the
-// caller should fall back to executing it for real).
-func (s *Snapshot) CountMatches(stmt *Stmt, args ...any) (n int, ok bool, err error) {
-	del, isDel := stmt.st.(*DeleteStmt)
-	if !isDel {
-		return 0, false, nil
-	}
-	params, err := toParams(args)
-	if err != nil {
-		return 0, false, err
-	}
-	t, found := s.tables[strings.ToLower(del.Table)]
-	if !found {
-		return 0, false, fmt.Errorf("%w: %s", ErrNoSuchTable, del.Table)
-	}
-	if del.Where == nil {
-		return len(t.Rows), true, nil
-	}
-	ev := s.evaluator(params)
-	for _, row := range t.Rows {
-		v, err := ev.eval(del.Where, tableScope(t, row))
+// TrimPlan is the outcome of running a trim script on a snapshot: for every
+// table the script deleted from, the survivors of the rows the snapshot
+// captured. DB.ApplyTrim commits it to the live tables.
+type TrimPlan struct {
+	tables  []trimmedTable
+	deleted int
+}
+
+// trimmedTable is one table's share of a plan: where its captured rows came
+// from and what the script kept of them.
+type trimmedTable struct {
+	tableOrigin
+	keep [][]Value
+}
+
+// Deleted is the number of captured rows the script removed. Zero means
+// applying the plan would change nothing.
+func (p *TrimPlan) Deleted() int { return p.deleted }
+
+// ErrTrimStale reports a trim plan whose captured rows are no longer the
+// leading rows of their live table: something other than an append touched
+// the table after the snapshot was taken.
+var ErrTrimStale = errors.New("sqldb: trim plan is stale")
+
+// PlanTrim runs the DELETE statements, in order, on the snapshot's own
+// tables — each statement sees what the ones before it left, exactly as the
+// script run on the database would — and returns what survived. The snapshot
+// afterwards shows the trimmed state, so this is the last thing to do with
+// it. No lock is held and the live database is untouched until ApplyTrim.
+func (s *Snapshot) PlanTrim(stmts []*Stmt) (*TrimPlan, error) {
+	plan := &TrimPlan{}
+	for _, st := range stmts {
+		del, ok := st.st.(*DeleteStmt)
+		if !ok {
+			return nil, fmt.Errorf("sqldb: trim statement is not a DELETE: %T", st.st)
+		}
+		key := strings.ToLower(del.Table)
+		t, ok := s.tables[key]
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, del.Table)
+		}
+		n, err := s.evaluator(nil).deleteRows(t, del.Where)
 		if err != nil {
-			return 0, false, err
+			return nil, err
 		}
-		if truth, _ := v.Truth(); truth {
-			n++
+		plan.deleted += n
+	}
+	for key, o := range s.origin {
+		// deleteRows moved the generation of every table it deleted from.
+		if t := s.tables[key]; t.gen != o.gen {
+			plan.tables = append(plan.tables, trimmedTable{o, t.Rows})
 		}
 	}
-	return n, true, nil
+	return plan, nil
+}
+
+// ApplyTrim commits a plan: each trimmed table becomes the plan's survivors
+// followed by every row appended since the snapshot, which the script never
+// saw and which therefore stay. If any of those tables changed in another way
+// in between (a delete, an update, a dropped table) the plan is refused with
+// ErrTrimStale and nothing is trimmed.
+func (db *DB) ApplyTrim(p *TrimPlan) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for _, tt := range p.tables {
+		if db.tables[strings.ToLower(tt.live.Name)] != tt.live || tt.live.gen != tt.gen || len(tt.live.Rows) < tt.n {
+			return fmt.Errorf("%w: table %s", ErrTrimStale, tt.live.Name)
+		}
+	}
+	for _, tt := range p.tables {
+		since := tt.live.Rows[tt.n:]
+		rows := make([][]Value, 0, len(tt.keep)+len(since))
+		tt.live.replaceRows(append(append(rows, tt.keep...), since...))
+	}
+	return nil
 }
 
 // TableRowCount returns the number of rows a table had at capture time.

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -100,36 +101,135 @@ func TestSnapshotQueryStmtWithParams(t *testing.T) {
 	}
 }
 
-func TestSnapshotCountMatches(t *testing.T) {
+func prepareAll(t *testing.T, db *DB, queries ...string) []*Stmt {
+	t.Helper()
+	var stmts []*Stmt
+	for _, q := range queries {
+		st, err := db.PrepareScript(q)
+		if err != nil {
+			t.Fatalf("PrepareScript(%q): %v", q, err)
+		}
+		stmts = append(stmts, st...)
+	}
+	return stmts
+}
+
+func TestSnapshotPlanTrim(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+	mustExec(t, db, "CREATE TABLE u (a INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1), (2), (3)")
-	snap := db.Snapshot()
+	mustExec(t, db, "INSERT INTO u VALUES (7)")
 
-	del, err := db.Prepare("DELETE FROM t WHERE a > 1")
+	if plan, err := db.Snapshot().PlanTrim(prepareAll(t, db, "DELETE FROM t WHERE a > 5")); err != nil || plan.Deleted() != 0 {
+		t.Fatalf("PlanTrim(nothing matches) = %+v, %v", plan, err)
+	}
+	// Statements run in script order: the second sees what the first left.
+	snap := db.Snapshot()
+	plan, err := snap.PlanTrim(prepareAll(t, db, "DELETE FROM t WHERE a > 1", "DELETE FROM t WHERE a NOT IN (SELECT MAX(a) FROM t)"))
+	if err != nil || plan.Deleted() != 2 {
+		t.Fatalf("PlanTrim = %+v, %v; want 2 deleted", plan, err)
+	}
+	// Planning works on the snapshot: the database is untouched until the
+	// plan is applied, and a table the script left alone stays as it is.
+	if res := mustQuery(t, db, "SELECT a FROM t"); flat(res) != "1;2;3" {
+		t.Fatalf("live table after PlanTrim = %q", flat(res))
+	}
+	if err := db.ApplyTrim(plan); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustQuery(t, db, "SELECT a FROM t"); flat(res) != "1" {
+		t.Fatalf("live table after ApplyTrim = %q, want 1", flat(res))
+	}
+	if res := mustQuery(t, db, "SELECT a FROM u"); flat(res) != "7" {
+		t.Fatalf("untouched table = %q", flat(res))
+	}
+	// A plan is spent once applied.
+	if err := db.ApplyTrim(plan); !errors.Is(err, ErrTrimStale) {
+		t.Fatalf("second ApplyTrim = %v, want ErrTrimStale", err)
+	}
+	if _, err := db.Snapshot().PlanTrim(prepareAll(t, db, "SELECT * FROM t")); err == nil {
+		t.Fatal("PlanTrim accepted a SELECT")
+	}
+}
+
+const gitTrimSchema = `CREATE TABLE updates (time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
+	CREATE TABLE advertisements (time INTEGER, repo TEXT, branch TEXT, cid TEXT)`
+
+// TestTrimPlanKeepsRowsAppendedSinceCapture is the check-then-trim rule one
+// layer below core: a trim deletes only rows its snapshot saw. Rows that
+// reach a checked-once table after the capture survive the unconditional
+// DELETE, and the retained update is the snapshot's latest, not the live
+// table's.
+func TestTrimPlanKeepsRowsAppendedSinceCapture(t *testing.T) {
+	db := New()
+	mustExec(t, db, gitTrimSchema)
+	mustExec(t, db, `INSERT INTO updates VALUES (1,'r','main','c1','create'), (2,'r','main','c2','update')`)
+	mustExec(t, db, `INSERT INTO advertisements VALUES (3,'r','main','c2')`)
+	snap := db.Snapshot()
+	mustExec(t, db, `INSERT INTO advertisements VALUES (4,'r','main','c1'), (6,'r','main','c1')`)
+	mustExec(t, db, `INSERT INTO updates VALUES (5,'r','main','c3','update')`)
+
+	plan, err := snap.PlanTrim(prepareAll(t, db, gitTrimQueries...))
+	if err != nil || plan.Deleted() != 2 {
+		t.Fatalf("PlanTrim = %+v, %v; want the checked advertisement and the stale update", plan, err)
+	}
+	if err := db.ApplyTrim(plan); err != nil {
+		t.Fatal(err)
+	}
+	if res := mustQuery(t, db, "SELECT time FROM advertisements"); flat(res) != "4;6" {
+		t.Fatalf("advertisements = %q, want the two staged after the capture", flat(res))
+	}
+	if res := mustQuery(t, db, "SELECT time FROM updates"); flat(res) != "2;5" {
+		t.Fatalf("updates = %q, want the snapshot's latest (2) and the one appended since (5)", flat(res))
+	}
+	// The next trim, on a snapshot that saw them, takes them.
+	plan, err = db.Snapshot().PlanTrim(prepareAll(t, db, gitTrimQueries...))
+	if err != nil || plan.Deleted() != 3 {
+		t.Fatalf("second PlanTrim = %+v, %v", plan, err)
+	}
+}
+
+// TestTrimPlanStaleRefused: a plan whose captured rows are no longer the
+// leading rows of a live table must not be spliced in — the survivors it
+// holds would resurrect or misplace rows. It is refused whole: the other
+// tables of the plan stay untrimmed too.
+func TestTrimPlanStaleRefused(t *testing.T) {
+	for _, meddle := range []string{
+		"DELETE FROM updates WHERE time = 1",
+		"UPDATE updates SET cid = 'x' WHERE time = 2",
+	} {
+		db := New()
+		mustExec(t, db, gitTrimSchema)
+		mustExec(t, db, `INSERT INTO updates VALUES (1,'r','main','c1','create'), (2,'r','main','c2','update')`)
+		mustExec(t, db, `INSERT INTO advertisements VALUES (3,'r','main','c2')`)
+		snap := db.Snapshot()
+		mustExec(t, db, meddle)
+		plan, err := snap.PlanTrim(prepareAll(t, db, gitTrimQueries...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ApplyTrim(plan); !errors.Is(err, ErrTrimStale) {
+			t.Fatalf("ApplyTrim after %q = %v, want ErrTrimStale", meddle, err)
+		}
+		if n, _ := db.TableRowCount("advertisements"); n != 1 {
+			t.Fatalf("after %q a refused plan still trimmed advertisements (%d rows)", meddle, n)
+		}
+	}
+	// Truncating rows the snapshot captured is such a change as well.
+	db := New()
+	mustExec(t, db, gitTrimSchema)
+	mustExec(t, db, `INSERT INTO advertisements VALUES (3,'r','main','c2'), (4,'r','main','c2')`)
+	snap := db.Snapshot()
+	if err := db.RemoveLastRows("advertisements", 1); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := snap.PlanTrim(prepareAll(t, db, gitTrimQueries...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ok, err := snap.CountMatches(del); err != nil || !ok || n != 2 {
-		t.Fatalf("CountMatches(WHERE a>1) = %d,%v,%v want 2,true,nil", n, ok, err)
-	}
-	all, err := db.Prepare("DELETE FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, ok, err := snap.CountMatches(all); err != nil || !ok || n != 3 {
-		t.Fatalf("CountMatches(all) = %d,%v,%v want 3,true,nil", n, ok, err)
-	}
-	sel, err := db.Prepare("SELECT * FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := snap.CountMatches(sel); ok || err != nil {
-		t.Fatalf("CountMatches(SELECT) ok=%v err=%v, want false,nil", ok, err)
-	}
-	// Probing must not mutate.
-	if n := snapCount(t, snap, "SELECT COUNT(*) FROM t"); n != 3 {
-		t.Fatalf("snapshot mutated by CountMatches: %d rows", n)
+	if err := db.ApplyTrim(plan); !errors.Is(err, ErrTrimStale) {
+		t.Fatalf("ApplyTrim after RemoveLastRows = %v, want ErrTrimStale", err)
 	}
 }
 

@@ -167,24 +167,6 @@ func WithChecks(every int, interval, minInterval time.Duration) Option {
 	}
 }
 
-// WithCheckAsync moves scheduled invariant checks off the request path: a
-// request pair that hits the CheckEvery threshold only nudges a background
-// worker, which captures an O(tables) copy-on-write snapshot of the audit
-// database and evaluates the invariants while appends continue. Client-
-// triggered checks (the X-LibSEAL-Check header) and CheckNow stay
-// synchronous — their callers want the verdict — but they too evaluate on a
-// snapshot outside the log lock.
-func WithCheckAsync() Option {
-	return func(c *openConfig) { c.core.CheckAsync = true }
-}
-
-// WithIndexes enables or disables the audit database's lazy hash indexes
-// (on by default). Disabling forces every invariant back to nested-loop
-// scans; it exists for the index ablation benchmark.
-func WithIndexes(on bool) Option {
-	return func(c *openConfig) { c.core.NoIndexes = !on }
-}
-
 // WithRecovery makes Open resume an existing persisted log (verifying it
 // under the enclave key) instead of failing on leftover files. maxLag
 // tolerates up to that many missing final batches against the rollback

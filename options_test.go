@@ -278,55 +278,6 @@ func TestOpenCounterFaults(t *testing.T) {
 	}
 }
 
-// TestOpenCheckAsyncAndIndexOptions drives the same Git workload through
-// instances built with WithCheckAsync and with WithIndexes(false): both
-// must detect the rollback — background snapshot checking and the
-// index-ablation executor change where and how checks run, never what they
-// find.
-func TestOpenCheckAsyncAndIndexOptions(t *testing.T) {
-	for _, opt := range []struct {
-		name  string
-		extra Option
-	}{
-		{"check-async", WithCheckAsync()},
-		{"no-indexes", WithIndexes(false)},
-	} {
-		t.Run(opt.name, func(t *testing.T) {
-			platform := NewPlatform()
-			encl, err := platform.Launch(EnclaveConfig{Code: []byte("open-" + opt.name), MaxThreads: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bridge, err := NewBridge(encl, BridgeConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bridge.Close()
-			certs, err := testutil.NewCertEnv("svc")
-			if err != nil {
-				t.Fatal(err)
-			}
-			seal, err := Open(bridge,
-				WithModule(GitModule()),
-				WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
-				WithChecks(10, 0, time.Millisecond),
-				opt.extra,
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer seal.Close()
-			violations := driveGitWorkload(t, seal, certs)
-			if len(violations) == 0 || violations[0] != "git-soundness" {
-				t.Fatalf("violations = %v", violations)
-			}
-			if err := seal.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 // countingProtector is a RollbackProtector stub that records use, so tests
 // can observe WHICH protector Open actually installed.
 type countingProtector struct {
