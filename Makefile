@@ -54,11 +54,13 @@ bench-e2e-smoke:
 	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
 
 # Short fuzzing pass over the verifier, the entry codec and the HTTP
-# parser — the same smoke CI runs. Seed corpora live under testdata/fuzz.
+# parser (on its own, and the in-place parser against the frozen bufio one) —
+# the same smoke CI runs. Seed corpora live under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzVerifyReader -fuzztime=20s ./internal/audit/
 	$(GO) test -run=^$$ -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/audit/
 	$(GO) test -run=^$$ -fuzz=FuzzHTTPParse -fuzztime=20s ./internal/httpparse/
+	$(GO) test -run=^$$ -fuzz=FuzzConsumeDifferential -fuzztime=20s ./internal/httpparse/
 
 clean:
 	$(GO) clean ./...

@@ -437,40 +437,49 @@ func (ls *LibSEAL) tracker(connID uint64) *connTracker {
 	return tr
 }
 
-// onRead accumulates request plaintext and extracts complete requests. Only
-// this connection's tracker is locked; other connections parse in parallel.
+// onRead extracts complete requests from the request plaintext. Only this
+// connection's tracker is locked; other connections parse in parallel. data
+// belongs to the record layer and is parsed where it lies when nothing is
+// buffered; what must outlive the call — a request awaiting its response, an
+// incomplete tail — is copied.
 func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 	tr := ls.tracker(connID)
 	asyncall.Lock(env, &tr.mu)
 	defer tr.mu.Unlock()
-	tr.reqBuf = append(tr.reqBuf, data...)
-	for {
-		req, n, err := httpparse.ConsumeRequest(tr.reqBuf)
+	buf := data
+	if len(tr.reqBuf) > 0 {
+		tr.reqBuf = append(tr.reqBuf, data...)
+		buf = tr.reqBuf
+	}
+	for len(buf) > 0 {
+		req, n, err := httpparse.ConsumeRequest(buf)
 		if errors.Is(err, httpparse.ErrIncomplete) {
-			return nil
+			break
 		}
 		if err != nil {
-			// Not HTTP (or corrupted): keep the raw buffer as one pending
+			// Not HTTP (or corrupted): keep the raw bytes as one pending
 			// "request" so non-HTTP SSMs could still see it; reset.
-			tr.pending = append(tr.pending, tr.reqBuf)
-			tr.reqBuf = nil
-			return nil
+			n = len(buf)
 		}
-		raw := append([]byte(nil), tr.reqBuf[:n]...)
-		tr.reqBuf = tr.reqBuf[n:]
-		tr.pending = append(tr.pending, raw)
-		if req.Header.Has(CheckHeader) {
+		tr.pending = append(tr.pending, bytes.Clone(buf[:n]))
+		buf = buf[n:]
+		if err == nil && req.Header.Has(CheckHeader) {
 			// Run the check now so this response can carry the result. The
 			// evaluation happens on a snapshot with logMu released, so other
 			// connections keep appending while this one checks.
 			_, tr.injectResult = ls.runCheck(env, context.Background(), true)
 		}
 	}
+	// buf is data's tail or reqBuf's own: either way it moves to the front.
+	tr.reqBuf = append(tr.reqBuf[:0], buf...)
+	return nil
 }
 
-// onWrite accumulates response plaintext, pairs completed responses with
-// their requests, stages the pairs into the audit log, and injects the
-// check-result header. Pairing runs under the tracker lock, staging under
+// onWrite pairs completed responses with their requests, stages the pairs
+// into the audit log, and injects the check-result header. Like onRead it
+// parses data in place when nothing is buffered — a response the service
+// writes in one piece is never copied, only read — and keeps a copy of an
+// incomplete tail. Pairing runs under the tracker lock, staging under
 // one logMu critical section, and the durability waits after both locks are
 // released, so appends from concurrent connections can share one
 // group-commit batch; the write still only succeeds once every staged entry
@@ -487,7 +496,7 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 	tr := ls.tracker(connID)
 	asyncall.Lock(env, &tr.mu)
 
-	out := data
+	var out []byte // nil unless the header went in
 	if tr.injectResult != "" {
 		if rewritten, ok := injectHeader(data, CheckResultHeader, tr.injectResult); ok {
 			out = rewritten
@@ -497,31 +506,37 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 
 	// Pair using the (unmodified) response bytes: the audit log records
 	// what the service produced.
-	tr.rspBuf = append(tr.rspBuf, data...)
+	buf := data
+	if len(tr.rspBuf) > 0 {
+		tr.rspBuf = append(tr.rspBuf, data...)
+		buf = tr.rspBuf
+	}
 	var pairs []rawPair
-	for {
-		_, n, err := httpparse.ConsumeResponse(tr.rspBuf)
+	for len(buf) > 0 {
+		_, n, err := httpparse.ConsumeResponse(buf)
 		if errors.Is(err, httpparse.ErrIncomplete) {
 			break
 		}
 		if err != nil {
 			// Not HTTP: flush as an opaque response.
-			n = len(tr.rspBuf)
+			n = len(buf)
 		}
 		if len(tr.pending) == 0 {
 			// Response without a recorded request (e.g. server push);
 			// drop it — nothing to pair.
-			tr.rspBuf = tr.rspBuf[n:]
+			buf = buf[n:]
 			break
 		}
-		rawRsp := append([]byte(nil), tr.rspBuf[:n]...)
-		tr.rspBuf = tr.rspBuf[n:]
-		pairs = append(pairs, rawPair{req: tr.pending[0], rsp: rawRsp})
+		pairs = append(pairs, rawPair{req: tr.pending[0], rsp: buf[:n]})
 		tr.pending = tr.pending[1:]
-		if len(tr.rspBuf) == 0 {
-			break
-		}
+		buf = buf[n:]
 	}
+	if len(pairs) > 0 && len(tr.rspBuf) > 0 {
+		// The pairs alias rspBuf's array and are staged after the tracker is
+		// unlocked: the array is theirs now, the tail starts a new one.
+		tr.rspBuf = nil
+	}
+	tr.rspBuf = append(tr.rspBuf[:0], buf...)
 	tr.mu.Unlock()
 
 	tickets, checkDue, stageErr := ls.stagePairs(env, connID, pairs)
@@ -564,13 +579,12 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 		// cross-shard rollback window until the next one.
 		_ = ls.log.ManifestIfDue(env)
 	}
-	if bytes.Equal(out, data) {
-		return nil, nil
-	}
 	return out, nil
 }
 
 // rawPair is one request/response pair cut out of a connection's streams.
+// rsp may alias the buffer the tap was handed: it is good until onWrite
+// returns, which is as long as staging needs it.
 type rawPair struct {
 	req, rsp []byte
 }

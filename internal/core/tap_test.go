@@ -1,0 +1,170 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"runtime"
+	"testing"
+
+	"libseal/internal/asyncall"
+	"libseal/internal/audit"
+	"libseal/internal/httpparse"
+	"libseal/internal/netsim"
+	"libseal/internal/ssm/gitssm"
+	"libseal/internal/tlsterm"
+)
+
+// TestTapDoesNotRetainCallerBuffers holds core to the Tap contract: data is
+// valid only for the duration of OnData. Requests and responses are handed
+// to the tap whole, split in two and pipelined two to a buffer; every buffer
+// is scribbled over as soon as the call returns, and the staged tuples — and
+// the pairing of what came next — must still be those of the original bytes.
+func TestTapDoesNotRetainCallerBuffers(t *testing.T) {
+	env := newCoreEnv(t)
+	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeMemory})
+	const conn = 7
+
+	// tap hands one buffer to the tap as the record layer would, then ruins it.
+	tap := func(dir tlsterm.Direction, msg []byte) {
+		t.Helper()
+		buf := bytes.Clone(msg)
+		err := env.bridge.Call(func(e *asyncall.Env) error {
+			_, err := (*sealTap)(ls).OnData(e, conn, dir, buf)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 'X'
+		}
+	}
+	push := func(i int) []byte {
+		return httpparse.NewRequest("POST", "/git/r/git-receive-pack", []byte(fmt.Sprintf("create b%d c%d", i, i))).Bytes()
+	}
+	fetch := httpparse.NewRequest("GET", "/git/r/info/refs", nil).Bytes()
+	ok := httpparse.NewResponse(200, []byte("ok")).Bytes()
+	advert := func(i int) []byte {
+		return httpparse.NewResponse(200, []byte(fmt.Sprintf("ref b%d c%d\n", i, i))).Bytes()
+	}
+
+	// One buffer each.
+	tap(tlsterm.DirRead, push(1))
+	tap(tlsterm.DirWrite, ok)
+	// A request and its response in two halves each: the first half is an
+	// incomplete tail the tracker must have copied.
+	req, rsp := push(2), ok
+	tap(tlsterm.DirRead, req[:len(req)/2])
+	tap(tlsterm.DirRead, req[len(req)/2:])
+	tap(tlsterm.DirWrite, rsp[:len(rsp)/2])
+	tap(tlsterm.DirWrite, rsp[len(rsp)/2:])
+	// Two pipelined requests in one buffer, their responses in one buffer.
+	tap(tlsterm.DirRead, append(push(3), fetch...))
+	tap(tlsterm.DirWrite, append(bytes.Clone(ok), advert(3)...))
+	// A response and a half, then the other half with a whole one behind it:
+	// pairs cut from the tracker's own buffer while a tail stays.
+	tap(tlsterm.DirRead, append(append(push(4), fetch...), fetch...))
+	second := advert(4)
+	tap(tlsterm.DirWrite, append(bytes.Clone(ok), second[:10]...))
+	tap(tlsterm.DirWrite, append(bytes.Clone(second[10:]), advert(5)...))
+
+	res, err := ls.Log().Query("SELECT branch, cid FROM updates ORDER BY time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, row := range res.Rows {
+		got = append(got, row[0].TextVal()+"="+row[1].TextVal())
+	}
+	if want := "[b1=c1 b2=c2 b3=c3 b4=c4]"; fmt.Sprint(got) != want {
+		t.Fatalf("updates = %v, want %s", got, want)
+	}
+	res, err = ls.Log().Query("SELECT branch, cid FROM advertisements ORDER BY time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	for _, row := range res.Rows {
+		got = append(got, row[0].TextVal()+"="+row[1].TextVal())
+	}
+	if want := "[b3=c3 b4=c4 b5=c5]"; fmt.Sprint(got) != want {
+		t.Fatalf("advertisements = %v, want %s", got, want)
+	}
+	if st := ls.StatsSnapshot(); st.Pairs != 7 {
+		t.Fatalf("pairs = %d, want 7", st.Pairs)
+	}
+}
+
+// TestLargeResponseWriteAllocation bounds what one 64 KiB static response
+// costs in allocation on its way through SSL_write with the audit tap
+// attached: parsed where it lies and sealed into pooled frames, the only
+// buffer its size is the simulated network's own copy. (Before the tap
+// parsed in place and frames were pooled this read about six times the
+// response.)
+func TestLargeResponseWriteAllocation(t *testing.T) {
+	env := newCoreEnv(t)
+	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeMemory})
+	cConn, sConn := netsim.Pipe(netsim.LinkConfig{})
+	accepted := make(chan *tlsterm.SSL, 1)
+	go func() {
+		ssl := ls.TLS().NewSSL(sConn)
+		if err := ssl.Accept(); err != nil {
+			t.Error(err)
+			ssl = nil
+		}
+		accepted <- ssl
+	}()
+	client, err := tlsterm.Connect(cConn, &tlsterm.ClientConfig{Roots: env.pool, ServerName: "svc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ssl := <-accepted
+	if ssl == nil {
+		t.FailNow()
+	}
+	defer ssl.Close()
+
+	request := httpparse.NewRequest("GET", "/static/large", nil).Bytes()
+	response := httpparse.NewResponse(200, bytes.Repeat([]byte("s"), 64<<10)).Bytes()
+	sink := make([]byte, len(response))
+	roundTrip := func() {
+		if _, err := client.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(ssl, make([]byte, len(request))); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := io.ReadFull(client, sink)
+			done <- err
+		}()
+		if _, err := ssl.Write(response); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // fills the frame pool and sizes the record buffers
+
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(2 * len(response)); perRun > limit {
+		t.Fatalf("one %d-byte response allocated %d bytes, want <= %d", len(response), perRun, limit)
+	}
+	if !bytes.Equal(sink, response) {
+		t.Fatal("client read a different response")
+	}
+	if st := ls.StatsSnapshot(); st.Pairs != runs+1 {
+		t.Fatalf("pairs = %d, want %d", st.Pairs, runs+1)
+	}
+}

@@ -31,6 +31,11 @@ var (
 	mAsyncEcalls = telemetry.NewCounter("enclave.async_ecalls", "calls")
 	mAsyncOcalls = telemetry.NewCounter("enclave.async_ocalls", "calls")
 	mPagedBytes  = telemetry.NewCounter("enclave.paged_bytes", "bytes")
+	// Occupancy: threads inside an enclave call (what the contention term is
+	// charged on) and TCS slots taken. A connection idle on its socket holds
+	// neither; resident scheduler threads hold one of each for their lifetime.
+	mCallers = telemetry.NewGauge("enclave.callers", "threads")
+	mTCSBusy = telemetry.NewGauge("enclave.tcs_busy", "slots")
 )
 
 // Measurement identifies the code and configuration loaded into an enclave
@@ -232,6 +237,18 @@ func (e *Enclave) chargeTransition() {
 // diagnostic for the contention model.
 func (e *Enclave) MaxCallers() int64 { return e.maxCallers.Load() }
 
+// addCallers moves the count of threads executing an enclave call.
+func (e *Enclave) addCallers(d int64) {
+	e.callers.Add(d)
+	mCallers.Add(d)
+}
+
+// releaseTCS returns a slot taken from e.tcs.
+func (e *Enclave) releaseTCS() {
+	mTCSBusy.Add(-1)
+	e.tcs <- struct{}{}
+}
+
 // Ecall enters the enclave and runs fn inside it. It blocks while all TCS
 // slots are busy, pays the transition cost in both directions, and returns
 // fn's error. This is the synchronous path; the asyncall package layers the
@@ -240,10 +257,11 @@ func (e *Enclave) Ecall(fn func(*Ctx) error) error {
 	if e.destroyed.Load() {
 		return ErrDestroyed
 	}
-	e.callers.Add(1)
-	defer e.callers.Add(-1)
+	e.addCallers(1)
+	defer e.addCallers(-1)
 	<-e.tcs
-	defer func() { e.tcs <- struct{}{} }()
+	mTCSBusy.Add(1)
+	defer e.releaseTCS()
 	return e.ecallLocked(fn)
 }
 
@@ -258,9 +276,10 @@ func (e *Enclave) TryEcall(fn func(*Ctx) error) error {
 	default:
 		return ErrNoThreads
 	}
-	e.callers.Add(1)
-	defer e.callers.Add(-1)
-	defer func() { e.tcs <- struct{}{} }()
+	mTCSBusy.Add(1)
+	e.addCallers(1)
+	defer e.addCallers(-1)
+	defer e.releaseTCS()
 	return e.ecallLocked(fn)
 }
 
@@ -286,9 +305,10 @@ func (e *Enclave) EnterResident(fn func(*Ctx)) error {
 		return ErrDestroyed
 	}
 	<-e.tcs
-	defer func() { e.tcs <- struct{}{} }()
-	e.callers.Add(1)
-	defer e.callers.Add(-1)
+	mTCSBusy.Add(1)
+	defer e.releaseTCS()
+	e.addCallers(1)
+	defer e.addCallers(-1)
 	e.stats.Ecalls.Add(1)
 	mEcalls.Inc()
 	e.chargeTransition()

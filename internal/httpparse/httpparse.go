@@ -191,35 +191,101 @@ func StatusText(code int) string {
 	return "Unknown"
 }
 
-func readLine(br *bufio.Reader, limit int) (string, error) {
-	var sb strings.Builder
-	for {
-		frag, err := br.ReadString('\n')
-		sb.WriteString(frag)
-		if err != nil {
-			if err == io.EOF && sb.Len() > 0 {
-				return "", io.ErrUnexpectedEOF
-			}
-			return "", err
-		}
-		if strings.HasSuffix(sb.String(), "\n") {
-			break
-		}
-		if sb.Len() > limit {
-			return "", ErrTooLarge
-		}
-	}
-	line := sb.String()
-	line = strings.TrimSuffix(line, "\n")
-	line = strings.TrimSuffix(line, "\r")
-	return line, nil
+// source is where a message is parsed from: a stream (ReadRequest,
+// ReadResponse) or a slice held in memory (the Consume and Parse-Bytes
+// functions). The request-line, status-line, header-line and body-framing
+// rules below are written once against it.
+type source interface {
+	// line returns the next line without its LF or CRLF terminator: io.EOF
+	// at a clean end of input, io.ErrUnexpectedEOF inside a line.
+	line() (string, error)
+	// take returns the next n bytes: io.EOF when none are left,
+	// io.ErrUnexpectedEOF when fewer than n are.
+	take(n int64) ([]byte, error)
+	// copyTo appends the next n bytes to dst, failing like take.
+	copyTo(dst *bytes.Buffer, n int64) error
 }
 
-func readHeader(br *bufio.Reader) (*Header, error) {
+// streamSource parses from a buffered stream; every body is a fresh buffer.
+type streamSource struct{ br *bufio.Reader }
+
+func (s streamSource) line() (string, error) {
+	line, err := s.br.ReadString('\n')
+	if err != nil {
+		if err == io.EOF && len(line) > 0 {
+			return "", io.ErrUnexpectedEOF
+		}
+		return "", err
+	}
+	return trimLineEnd(line), nil
+}
+
+func (s streamSource) take(n int64) ([]byte, error) {
+	body := make([]byte, n)
+	if _, err := io.ReadFull(s.br, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+func (s streamSource) copyTo(dst *bytes.Buffer, n int64) error {
+	_, err := io.CopyN(dst, s.br, n)
+	return err
+}
+
+// sliceSource parses the slice it is given in place: nothing is buffered or
+// copied, and take aliases the input.
+type sliceSource struct {
+	b   []byte
+	pos int
+}
+
+func (s *sliceSource) line() (string, error) {
+	rest := s.b[s.pos:]
+	i := bytes.IndexByte(rest, '\n')
+	if i < 0 {
+		if len(rest) == 0 {
+			return "", io.EOF
+		}
+		return "", io.ErrUnexpectedEOF
+	}
+	s.pos += i + 1
+	return trimLineEnd(string(rest[:i+1])), nil
+}
+
+func (s *sliceSource) take(n int64) ([]byte, error) {
+	rest := s.b[s.pos:]
+	if int64(len(rest)) < n {
+		if len(rest) == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	s.pos += int(n)
+	// The capacity stops at the body's end: appending to it cannot reach the
+	// bytes of a pipelined message behind it.
+	return rest[:n:n], nil
+}
+
+func (s *sliceSource) copyTo(dst *bytes.Buffer, n int64) error {
+	chunk, err := s.take(n)
+	if err != nil {
+		return err
+	}
+	dst.Write(chunk)
+	return nil
+}
+
+func trimLineEnd(line string) string {
+	line = strings.TrimSuffix(line, "\n")
+	return strings.TrimSuffix(line, "\r")
+}
+
+func readHeader(src source) (*Header, error) {
 	h := NewHeader()
 	total := 0
 	for {
-		line, err := readLine(br, MaxHeaderBytes)
+		line, err := src.line()
 		if err != nil {
 			return nil, err
 		}
@@ -242,11 +308,11 @@ func readHeader(br *bufio.Reader) (*Header, error) {
 	}
 }
 
-func readBody(br *bufio.Reader, h *Header) ([]byte, error) {
+func readBody(src source, h *Header) ([]byte, error) {
 	if strings.EqualFold(h.Get("Transfer-Encoding"), "chunked") {
 		var body bytes.Buffer
 		for {
-			sizeLine, err := readLine(br, 4096)
+			sizeLine, err := src.line()
 			if err != nil {
 				return nil, err
 			}
@@ -261,12 +327,12 @@ func readBody(br *bufio.Reader, h *Header) ([]byte, error) {
 				return nil, ErrTooLarge
 			}
 			if size > 0 {
-				if _, err := io.CopyN(&body, br, size); err != nil {
+				if err := src.copyTo(&body, size); err != nil {
 					return nil, err
 				}
 			}
 			// Chunk data is followed by CRLF.
-			if _, err := readLine(br, 16); err != nil {
+			if _, err := src.line(); err != nil {
 				return nil, err
 			}
 			if size == 0 {
@@ -285,16 +351,11 @@ func readBody(br *bufio.Reader, h *Header) ([]byte, error) {
 	if n > MaxBodyBytes {
 		return nil, ErrTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return src.take(n)
 }
 
-// ReadRequest parses one request from the reader.
-func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br, MaxHeaderBytes)
+func readRequest(src source) (*Request, error) {
+	line, err := src.line()
 	if err != nil {
 		return nil, err
 	}
@@ -302,20 +363,19 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
 		return nil, fmt.Errorf("%w: request line %q", ErrMalformed, line)
 	}
-	h, err := readHeader(br)
+	h, err := readHeader(src)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
+	body, err := readBody(src, h)
 	if err != nil {
 		return nil, err
 	}
 	return &Request{Method: parts[0], Path: parts[1], Proto: parts[2], Header: h, Body: body}, nil
 }
 
-// ReadResponse parses one response from the reader.
-func ReadResponse(br *bufio.Reader) (*Response, error) {
-	line, err := readLine(br, MaxHeaderBytes)
+func readResponse(src source) (*Response, error) {
+	line, err := src.line()
 	if err != nil {
 		return nil, err
 	}
@@ -331,16 +391,22 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if len(parts) == 3 {
 		reason = parts[2]
 	}
-	h, err := readHeader(br)
+	h, err := readHeader(src)
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
+	body, err := readBody(src, h)
 	if err != nil {
 		return nil, err
 	}
 	return &Response{Proto: parts[0], Status: status, Reason: reason, Header: h, Body: body}, nil
 }
+
+// ReadRequest parses one request from the reader.
+func ReadRequest(br *bufio.Reader) (*Request, error) { return readRequest(streamSource{br}) }
+
+// ReadResponse parses one response from the reader.
+func ReadResponse(br *bufio.Reader) (*Response, error) { return readResponse(streamSource{br}) }
 
 // Encode serialises the request.
 func (r *Request) Encode(w io.Writer) error {
@@ -356,8 +422,7 @@ func (r *Request) Encode(w io.Writer) error {
 	if _, err := io.WriteString(w, "\r\n"); err != nil {
 		return err
 	}
-	_, err := w.Write(r.Body)
-	return err
+	return writeBody(w, r.Body)
 }
 
 // Encode serialises the response.
@@ -378,7 +443,17 @@ func (r *Response) Encode(w io.Writer) error {
 	if _, err := io.WriteString(w, "\r\n"); err != nil {
 		return err
 	}
-	_, err := w.Write(r.Body)
+	return writeBody(w, r.Body)
+}
+
+// writeBody ends an encoded message. Without a body the blank line already
+// did: the peer may have answered and closed by now, so nothing more is
+// written to it.
+func writeBody(w io.Writer, body []byte) error {
+	if len(body) == 0 {
+		return nil
+	}
+	_, err := w.Write(body)
 	return err
 }
 
@@ -396,14 +471,16 @@ func (r *Response) Bytes() []byte {
 	return buf.Bytes()
 }
 
-// ParseRequestBytes parses a request held fully in memory.
+// ParseRequestBytes parses a request held fully in memory, in place: with
+// Content-Length framing the request's Body aliases b.
 func ParseRequestBytes(b []byte) (*Request, error) {
-	return ReadRequest(bufio.NewReader(bytes.NewReader(b)))
+	return readRequest(&sliceSource{b: b})
 }
 
-// ParseResponseBytes parses a response held fully in memory.
+// ParseResponseBytes parses a response held fully in memory, in place: with
+// Content-Length framing the response's Body aliases b.
 func ParseResponseBytes(b []byte) (*Response, error) {
-	return ReadResponse(bufio.NewReader(bytes.NewReader(b)))
+	return readResponse(&sliceSource{b: b})
 }
 
 // Query extracts a query parameter from a request path, without decoding
@@ -446,32 +523,30 @@ func mapIncomplete(err error) error {
 	return err
 }
 
-// ConsumeRequest parses one complete request from the front of b, returning
-// the number of bytes it occupied. It returns ErrIncomplete when b holds
-// only a prefix of a request.
+// ConsumeRequest parses one complete request from the front of b in place,
+// returning the number of bytes it occupied; with Content-Length framing the
+// request's Body aliases b. It returns ErrIncomplete when b holds only a
+// prefix of a request.
 func ConsumeRequest(b []byte) (*Request, int, error) {
-	r := bytes.NewReader(b)
-	br := bufio.NewReaderSize(r, len(b)+16)
-	req, err := ReadRequest(br)
+	src := sliceSource{b: b}
+	req, err := readRequest(&src)
 	if err != nil {
 		return nil, 0, mapIncomplete(err)
 	}
-	consumed := len(b) - r.Len() - br.Buffered()
-	return req, consumed, nil
+	return req, src.pos, nil
 }
 
-// ConsumeResponse parses one complete response from the front of b,
-// returning the number of bytes it occupied. It returns ErrIncomplete when b
-// holds only a prefix of a response.
+// ConsumeResponse parses one complete response from the front of b in place,
+// returning the number of bytes it occupied; with Content-Length framing the
+// response's Body aliases b. It returns ErrIncomplete when b holds only a
+// prefix of a response.
 func ConsumeResponse(b []byte) (*Response, int, error) {
-	r := bytes.NewReader(b)
-	br := bufio.NewReaderSize(r, len(b)+16)
-	rsp, err := ReadResponse(br)
+	src := sliceSource{b: b}
+	rsp, err := readResponse(&src)
 	if err != nil {
 		return nil, 0, mapIncomplete(err)
 	}
-	consumed := len(b) - r.Len() - br.Buffered()
-	return rsp, consumed, nil
+	return rsp, src.pos, nil
 }
 
 // Clone returns a deep copy of the header collection.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"libseal/internal/asyncall"
 	"libseal/internal/httpparse"
@@ -28,6 +29,20 @@ func startServer(t *testing.T, cfg Config) (*netsim.Network, *Server) {
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
 	return nw, srv
+}
+
+// waitServed polls Served to a deadline. The server counts a request as
+// completed after its response is written, so a client can hold the last
+// response before the count includes it.
+func waitServed(t *testing.T, srv *Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Served() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("served = %d, want %d", srv.Served(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestServeStaticNative(t *testing.T) {
@@ -53,9 +68,7 @@ func TestServeStaticNative(t *testing.T) {
 			t.Fatalf("rsp %d: status=%d len=%d", i, rsp.Status, len(rsp.Body))
 		}
 	}
-	if srv.Served() != 5 {
-		t.Fatalf("served = %d", srv.Served())
-	}
+	waitServed(t, srv, 5)
 }
 
 func TestServeViaLibSEALTerminator(t *testing.T) {
@@ -107,9 +120,7 @@ func TestNonPersistentConnections(t *testing.T) {
 			t.Fatal("missing Connection: close")
 		}
 	}
-	if srv.Served() != 3 {
-		t.Fatalf("served = %d", srv.Served())
-	}
+	waitServed(t, srv, 3)
 }
 
 func TestConcurrentClients(t *testing.T) {

@@ -6,10 +6,14 @@
 // are enclave-resident, network BIOs and API wrappers stay outside, shadow
 // structures expose sanitised connection state, and application callbacks
 // are invoked through secure ocall trampolines.
+//
+// No enclave thread ever waits on the network: the outside wrapper reads one
+// ciphertext frame from the BIO before the ecall and passes it in, and an
+// ecall that produces frames returns them for the wrapper to write after it
+// has exited (DESIGN.md §4).
 package tlsterm
 
 import (
-	"bufio"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -63,7 +67,10 @@ type Tap interface {
 	// OnData sees plaintext read from (DirRead) or written to (DirWrite)
 	// the connection. For writes it may return a rewritten buffer (LibSEAL
 	// uses this to inject the in-band Libseal-Check-Result header); a nil
-	// return keeps the data unchanged. An error aborts the I/O operation.
+	// return keeps the data unchanged. An error aborts the I/O operation:
+	// nothing of a refused write reaches the wire. data is valid only for
+	// the duration of the call — it is the caller's write buffer or the
+	// connection's reused record buffer — so a tap copies what it keeps.
 	OnData(env *asyncall.Env, connID uint64, dir Direction, data []byte) ([]byte, error)
 	// OnClose runs when the connection shuts down.
 	OnClose(env *asyncall.Env, connID uint64)
@@ -108,11 +115,19 @@ type insideState struct {
 	sessions map[uint64]*session
 }
 
+// session is one connection's enclave-resident state: half-open (hs set)
+// between the two handshake ecalls, established (rd and wr set) after.
 type session struct {
-	rd, wr     *sessionKeys
-	peer       *pki.Certificate
-	callbackID uint64
-	exData     map[string]any // used when ExDataOutside is disabled
+	hs     *halfOpen
+	rd, wr *sessionKeys
+	peer   *pki.Certificate
+	exData map[string]any // used when ExDataOutside is disabled
+}
+
+// halfOpen is what the first handshake ecall leaves for the second.
+type halfOpen struct {
+	tr   *transcript
+	keys *keySchedule
 }
 
 // Library is a LibSEAL TLS library instance bound to one enclave bridge.
@@ -142,7 +157,7 @@ func NewLibrary(bridge *asyncall.Bridge, cfg LibraryConfig) (*Library, error) {
 		inside:    &insideState{sessions: make(map[uint64]*session)},
 		callbacks: make(map[uint64]func(string)),
 	}
-	lib.pool.New = func() any { b := make([]byte, 0, maxFramePayload+4); return &b }
+	lib.pool.New = func() any { b := make([]byte, 0, frameHeaderLen+maxFramePayload); return &b }
 	key := cfg.Key
 	lib.cfg.Key = nil // the outside copy is dropped; only the enclave holds it
 	err := bridge.Call(func(env *asyncall.Env) error {
@@ -205,7 +220,7 @@ type SSL struct {
 	lib  *Library
 	id   uint64
 	conn net.Conn
-	br   *bufio.Reader
+	fr   *frameReader // network BIO, read by the wrapper outside any ecall
 
 	// readMu serialises SSL_read (and the handshake); writeMu serialises
 	// SSL_write; stateMu guards the shadow structure and ex_data so that
@@ -226,7 +241,7 @@ func (lib *Library) NewSSL(conn net.Conn) *SSL {
 		lib:    lib,
 		id:     lib.nextID.Add(1),
 		conn:   conn,
-		br:     bufio.NewReader(conn),
+		fr:     newFrameReader(conn),
 		shadow: ShadowSSL{State: "init"},
 		exData: make(map[string]any),
 	}
@@ -288,7 +303,7 @@ func (s *SSL) chargeUnoptimized(env *asyncall.Env) error {
 	return nil
 }
 
-// getBuf obtains a BIO buffer from the outside memory pool.
+// getBuf obtains a frame buffer from the outside memory pool.
 func (lib *Library) getBuf() *[]byte { return lib.pool.Get().(*[]byte) }
 
 // putBuf returns a buffer to the pool.
@@ -297,178 +312,94 @@ func (lib *Library) putBuf(b *[]byte) {
 	lib.pool.Put(b)
 }
 
-// bioReadFrame reads one frame from the network BIO via ocall: the socket
-// lives outside the enclave.
-func (s *SSL) bioReadFrame(env *asyncall.Env) (byte, []byte, error) {
-	var ftype byte
-	var payload []byte
-	err := env.Ocall(func() error {
+// sealedFrames is what a record-writing ecall hands back to the outside
+// wrapper: complete wire frames, in sequence order, packed into buffers of
+// the outside memory pool. A buffer takes whole frames while they fit, so a
+// small frame group leaves as one transport write and a large transfer as
+// one write per full-size record.
+type sealedFrames struct {
+	lib  *Library
+	bufs []*[]byte
+}
+
+// seal appends one record's frame. Runs inside the enclave.
+func (sf *sealedFrames) seal(sk *sessionKeys, ftype byte, plaintext []byte) error {
+	var buf *[]byte
+	if n := len(sf.bufs); n > 0 && cap(*sf.bufs[n-1])-len(*sf.bufs[n-1]) >= sk.sealedFrameLen(len(plaintext)) {
+		buf = sf.bufs[n-1]
+	} else {
+		buf = sf.lib.getBuf()
+		sf.bufs = append(sf.bufs, buf)
+	}
+	frame, err := sk.appendFrame(*buf, ftype, plaintext)
+	if err != nil {
+		return err
+	}
+	*buf = frame
+	return nil
+}
+
+// flush is the outside half: it writes the frames to the network BIO (when
+// the ecall that sealed them succeeded) and returns the buffers to the pool.
+// The caller holds writeMu from before the ecall until flush returns, so the
+// sequence numbers consumed inside reach the wire in order.
+func (sf *sealedFrames) flush(conn net.Conn, err error) error {
+	for _, buf := range sf.bufs {
+		if err == nil {
+			_, err = conn.Write(*buf)
+		}
+		sf.lib.putBuf(buf)
+	}
+	sf.bufs = nil
+	return err
+}
+
+// handshakeStep is one leg of SSL_accept: the wrapper waits for the peer's
+// frame outside, a single ecall turns it into the reply frame, and the
+// wrapper writes that after the ecall has exited. No enclave thread exists
+// for this connection while it waits on the network.
+func (s *SSL) handshakeStep(step func(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error)) error {
+	ftype, payload, err := s.fr.next()
+	if err != nil {
+		return err
+	}
+	var reply []byte
+	err = s.lib.bridge.Call(func(env *asyncall.Env) error {
 		var err error
-		ftype, payload, err = readFrame(s.br)
+		reply, err = step(env, ftype, payload)
 		return err
 	})
-	return ftype, payload, err
+	if err != nil {
+		return err
+	}
+	_, err = s.conn.Write(reply)
+	return err
 }
 
-// bioWriteFrames writes frames to the network BIO via one ocall. Small
-// frame groups are coalesced through the memory pool to issue one transport
-// write; large transfers are written frame by frame to avoid doubling the
-// data in flight.
-func (s *SSL) bioWriteFrames(env *asyncall.Env, frames [][]byte) error {
-	return env.Ocall(func() error {
-		total := 0
-		for _, f := range frames {
-			total += len(f)
-		}
-		if len(frames) > 1 && total <= maxFramePayload {
-			buf := s.lib.getBuf()
-			defer s.lib.putBuf(buf)
-			out := *buf
-			for _, f := range frames {
-				out = append(out, f...)
-			}
-			_, err := s.conn.Write(out)
-			return err
-		}
-		for _, f := range frames {
-			if _, err := s.conn.Write(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// Accept runs the server-side handshake inside the enclave (SSL_accept).
+// Accept runs the server-side handshake inside the enclave (SSL_accept) as
+// two ecalls, ClientHello in / ServerHello out and ClientFinished in /
+// ServerFinished out. What the second needs from the first — transcript and
+// derived keys — stays inside, in the connection's half-open session.
 func (s *SSL) Accept() error {
 	s.readMu.Lock()
 	defer s.readMu.Unlock()
 	hsStart := time.Now()
 	var peer *pki.Certificate
-	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
-		s.fireCallback(env, "accept:start")
-		if err := s.chargeUnoptimized(env); err != nil {
-			return err
-		}
-		tr := &transcript{}
-
-		ftype, payload, err := s.bioReadFrame(env)
-		if err != nil {
-			return err
-		}
-		if ftype != frameClientHello {
-			return fmt.Errorf("%w: expected ClientHello, got frame %d", ErrHandshakeFailed, ftype)
-		}
-		env.Ctx.ChargeData(len(payload))
-		ch, err := parseClientHello(payload)
-		if err != nil {
-			return err
-		}
-		tr.add(payload)
-
-		if !s.lib.cfg.Opts.InEnclaveLocksRNG {
-			// Entropy fetched from the host via ocall.
-			if err := env.Ocall(func() error { return nil }); err != nil {
-				return err
-			}
-		}
-		eph, err := generateEphemeral()
-		if err != nil {
-			return err
-		}
-		sh := &serverHello{
-			EphPub:   eph.PublicKey().Bytes(),
-			Cert:     s.lib.cfg.Cert.Marshal(),
-			WantCert: s.lib.cfg.RequireClientCert,
-		}
-		if err := env.Ctx.Random(sh.Random[:]); err != nil {
-			return err
-		}
-		s.lib.inside.mu.Lock()
-		key := s.lib.inside.key
-		s.lib.inside.mu.Unlock()
-		sigTr := &transcript{}
-		sigTr.add(payload)
-		sigTr.add(sh.Random[:])
-		sigTr.add(sh.EphPub)
-		sigTr.add(sh.Cert)
-		if sh.SigR, sh.SigS, err = signTranscript(key, sigTr); err != nil {
-			return err
-		}
-		shBytes := sh.marshal()
-		tr.add(shBytes)
-		if err := s.bioWriteFrames(env, [][]byte{frameBytes(frameServerHello, shBytes)}); err != nil {
-			return err
-		}
-
-		shared, err := ecdhShared(eph, ch.EphPub)
-		if err != nil {
-			return err
-		}
-		keys, err := deriveKeys(shared, ch.Random[:], sh.Random[:])
-		if err != nil {
-			return err
-		}
-
-		ftype, payload, err = s.bioReadFrame(env)
-		if err != nil {
-			return err
-		}
-		if ftype != frameClientFinished {
-			return fmt.Errorf("%w: expected ClientFinished, got frame %d", ErrHandshakeFailed, ftype)
-		}
-		env.Ctx.ChargeData(len(payload))
-		cfPlain, err := keys.client.open(frameClientFinished, payload)
-		if err != nil {
-			return err
-		}
-		cf, err := parseClientFinished(cfPlain)
-		if err != nil {
-			return err
-		}
-		if !macEqual(cf.MAC, finishedMAC(keys.finKey, tr, "client finished")) {
-			return ErrFinishedMismatch
-		}
-		if s.lib.cfg.RequireClientCert {
-			if !cf.HasCert {
-				return ErrCertRequired
-			}
-			peer, err = pki.Unmarshal(cf.Cert)
-			if err != nil {
-				return err
-			}
-			if s.lib.cfg.ClientRoots == nil {
-				return fmt.Errorf("%w: no client roots configured", ErrCertUntrusted)
-			}
-			if err := s.lib.cfg.ClientRoots.Verify(peer); err != nil {
-				return fmt.Errorf("%w: %v", ErrCertUntrusted, err)
-			}
-			if !verifyTranscript(peer.PubKey, tr, cf.SigR, cf.SigS) {
-				return fmt.Errorf("%w: client transcript signature invalid", ErrHandshakeFailed)
-			}
-		}
-		tr.add(cfPlain)
-
-		sf := finishedMAC(keys.finKey, tr, "server finished")
-		ct, err := keys.server.seal(frameServerFinished, sf)
-		if err != nil {
-			return err
-		}
-		if err := s.bioWriteFrames(env, [][]byte{frameBytes(frameServerFinished, ct)}); err != nil {
-			return err
-		}
-
-		s.lib.inside.mu.Lock()
-		s.lib.inside.sessions[s.id] = &session{
-			rd:     keys.client,
-			wr:     keys.server,
-			peer:   peer,
-			exData: make(map[string]any),
-		}
-		s.lib.inside.mu.Unlock()
-		s.fireCallback(env, "accept:done")
-		return nil
-	})
+	err := s.handshakeStep(s.acceptHello)
+	if err == nil {
+		err = s.handshakeStep(func(env *asyncall.Env, ftype byte, payload []byte) (reply []byte, err error) {
+			peer, reply, err = s.acceptFinished(env, ftype, payload)
+			return reply, err
+		})
+	}
+	if err != nil {
+		// A leg never came, was refused or could not be answered: the
+		// half-open session must not outlive the attempt.
+		_ = s.lib.bridge.Call(func(*asyncall.Env) error {
+			s.lib.dropSession(s.id)
+			return nil
+		})
+	}
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	if err != nil {
@@ -486,35 +417,181 @@ func (s *SSL) Accept() error {
 	return nil
 }
 
-// lookupSession fetches the enclave-resident session. Must run inside.
+// acceptHello is the first handshake ecall: it consumes the ClientHello,
+// produces the signed ServerHello frame and leaves the half-open session
+// inside. The ephemeral private key does not outlive it.
+func (s *SSL) acceptHello(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error) {
+	s.fireCallback(env, "accept:start")
+	if err := s.chargeUnoptimized(env); err != nil {
+		return nil, err
+	}
+	if ftype != frameClientHello {
+		return nil, fmt.Errorf("%w: expected ClientHello, got frame %d", ErrHandshakeFailed, ftype)
+	}
+	env.Ctx.ChargeData(len(payload))
+	ch, err := parseClientHello(payload)
+	if err != nil {
+		return nil, err
+	}
+	tr := &transcript{}
+	tr.add(payload)
+
+	if !s.lib.cfg.Opts.InEnclaveLocksRNG {
+		// Entropy fetched from the host via ocall.
+		if err := env.Ocall(func() error { return nil }); err != nil {
+			return nil, err
+		}
+	}
+	eph, err := generateEphemeral()
+	if err != nil {
+		return nil, err
+	}
+	sh := &serverHello{
+		EphPub:   eph.PublicKey().Bytes(),
+		Cert:     s.lib.cfg.Cert.Marshal(),
+		WantCert: s.lib.cfg.RequireClientCert,
+	}
+	if err := env.Ctx.Random(sh.Random[:]); err != nil {
+		return nil, err
+	}
+	s.lib.inside.mu.Lock()
+	key := s.lib.inside.key
+	s.lib.inside.mu.Unlock()
+	sigTr := &transcript{}
+	sigTr.add(payload)
+	sigTr.add(sh.Random[:])
+	sigTr.add(sh.EphPub)
+	sigTr.add(sh.Cert)
+	if sh.SigR, sh.SigS, err = signTranscript(key, sigTr); err != nil {
+		return nil, err
+	}
+	shBytes := sh.marshal()
+	tr.add(shBytes)
+
+	shared, err := ecdhShared(eph, ch.EphPub)
+	if err != nil {
+		return nil, err
+	}
+	keys, err := deriveKeys(shared, ch.Random[:], sh.Random[:])
+	if err != nil {
+		return nil, err
+	}
+	s.lib.inside.mu.Lock()
+	s.lib.inside.sessions[s.id] = &session{hs: &halfOpen{tr: tr, keys: keys}}
+	s.lib.inside.mu.Unlock()
+	return frameBytes(frameServerHello, shBytes), nil
+}
+
+// acceptFinished is the second handshake ecall: it verifies the
+// ClientFinished against the half-open session, establishes the session and
+// produces the ServerFinished frame.
+func (s *SSL) acceptFinished(env *asyncall.Env, ftype byte, payload []byte) (*pki.Certificate, []byte, error) {
+	s.lib.inside.mu.Lock()
+	sess := s.lib.inside.sessions[s.id]
+	s.lib.inside.mu.Unlock()
+	if sess == nil || sess.hs == nil {
+		return nil, nil, ErrClosed // closed between the two legs
+	}
+	tr, keys := sess.hs.tr, sess.hs.keys
+	if ftype != frameClientFinished {
+		return nil, nil, fmt.Errorf("%w: expected ClientFinished, got frame %d", ErrHandshakeFailed, ftype)
+	}
+	env.Ctx.ChargeData(len(payload))
+	cfPlain, err := keys.client.open(frameClientFinished, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	cf, err := parseClientFinished(cfPlain)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !macEqual(cf.MAC, finishedMAC(keys.finKey, tr, "client finished")) {
+		return nil, nil, ErrFinishedMismatch
+	}
+	var peer *pki.Certificate
+	if s.lib.cfg.RequireClientCert {
+		if !cf.HasCert {
+			return nil, nil, ErrCertRequired
+		}
+		peer, err = pki.Unmarshal(cf.Cert)
+		if err != nil {
+			return nil, nil, err
+		}
+		if s.lib.cfg.ClientRoots == nil {
+			return nil, nil, fmt.Errorf("%w: no client roots configured", ErrCertUntrusted)
+		}
+		if err := s.lib.cfg.ClientRoots.Verify(peer); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCertUntrusted, err)
+		}
+		if !verifyTranscript(peer.PubKey, tr, cf.SigR, cf.SigS) {
+			return nil, nil, fmt.Errorf("%w: client transcript signature invalid", ErrHandshakeFailed)
+		}
+	}
+	tr.add(cfPlain)
+
+	frame, err := keys.server.sealFrame(frameServerFinished, finishedMAC(keys.finKey, tr, "server finished"))
+	if err != nil {
+		return nil, nil, err
+	}
+	established := &session{
+		rd:     keys.client,
+		wr:     keys.server,
+		peer:   peer,
+		exData: make(map[string]any),
+	}
+	s.lib.inside.mu.Lock()
+	if s.lib.inside.sessions[s.id] != sess {
+		s.lib.inside.mu.Unlock()
+		return nil, nil, ErrClosed
+	}
+	s.lib.inside.sessions[s.id] = established
+	s.lib.inside.mu.Unlock()
+	s.fireCallback(env, "accept:done")
+	return peer, frame, nil
+}
+
+// dropSession removes the connection's session, half-open or established,
+// and returns it (nil if there was none). Must run inside.
+func (lib *Library) dropSession(id uint64) *session {
+	lib.inside.mu.Lock()
+	defer lib.inside.mu.Unlock()
+	sess := lib.inside.sessions[id]
+	delete(lib.inside.sessions, id)
+	return sess
+}
+
+// lookupSession fetches the enclave-resident established session. Must run
+// inside.
 func (lib *Library) lookupSession(id uint64) (*session, error) {
 	lib.inside.mu.Lock()
 	defer lib.inside.mu.Unlock()
 	sess, ok := lib.inside.sessions[id]
-	if !ok {
+	if !ok || sess.hs != nil {
 		return nil, ErrClosed
 	}
 	return sess, nil
 }
 
-// Read decrypts application data (SSL_read). Plaintext passes through the
-// Tap inside the enclave before being returned to the caller.
+// Read decrypts application data (SSL_read). The wrapper takes one
+// ciphertext frame from the network BIO before entering the enclave; inside,
+// the record is opened in place and the plaintext passes through the Tap
+// before being returned to the caller.
 func (s *SSL) Read(p []byte) (int, error) {
 	s.readMu.Lock()
 	defer s.readMu.Unlock()
 	if len(s.leftover) == 0 {
+		ftype, payload, err := s.fr.next()
+		if err != nil {
+			return 0, err
+		}
 		var plaintext []byte
 		eof := false
-		err := s.lib.bridge.Call(func(env *asyncall.Env) error {
+		err = s.lib.bridge.Call(func(env *asyncall.Env) error {
 			sess, err := s.lib.lookupSession(s.id)
 			if err != nil {
 				return err
 			}
 			if err := s.chargeUnoptimized(env); err != nil {
-				return err
-			}
-			ftype, payload, err := s.bioReadFrame(env)
-			if err != nil {
 				return err
 			}
 			switch ftype {
@@ -556,7 +633,9 @@ func (s *SSL) Read(p []byte) (int, error) {
 }
 
 // Write encrypts and sends application data (SSL_write). Plaintext passes
-// through the Tap inside the enclave before encryption.
+// through the Tap inside the enclave before encryption; the sealed frames
+// come back out with the ecall and the wrapper writes them to the network
+// BIO.
 func (s *SSL) Write(p []byte) (int, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -567,6 +646,7 @@ func (s *SSL) Write(p []byte) (int, error) {
 		return 0, ErrClosed
 	}
 	total := 0
+	frames := sealedFrames{lib: s.lib}
 	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
 		sess, err := s.lib.lookupSession(s.id)
 		if err != nil {
@@ -585,7 +665,6 @@ func (s *SSL) Write(p []byte) (int, error) {
 				payload = rewritten
 			}
 		}
-		var frames [][]byte
 		rest := payload
 		for len(rest) > 0 {
 			chunk := rest
@@ -593,11 +672,9 @@ func (s *SSL) Write(p []byte) (int, error) {
 				chunk = chunk[:maxRecordPlaintext]
 			}
 			env.Ctx.ChargeData(len(chunk))
-			frame, err := sess.wr.sealFrame(frameAppData, chunk)
-			if err != nil {
+			if err := frames.seal(sess.wr, frameAppData, chunk); err != nil {
 				return err
 			}
-			frames = append(frames, frame)
 			mRecordsWritten.Inc()
 			mBytesWritten.Add(int64(len(chunk)))
 			total += len(chunk)
@@ -609,9 +686,9 @@ func (s *SSL) Write(p []byte) (int, error) {
 				}
 			}
 		}
-		return s.bioWriteFrames(env, frames)
+		return nil
 	})
-	if err != nil {
+	if err = frames.flush(s.conn, err); err != nil {
 		return 0, err
 	}
 	s.stateMu.Lock()
@@ -633,21 +710,18 @@ func (s *SSL) Close() error {
 	}
 	s.closed = true
 	s.stateMu.Unlock()
-	_ = s.lib.bridge.Call(func(env *asyncall.Env) error {
-		s.lib.inside.mu.Lock()
-		sess, ok := s.lib.inside.sessions[s.id]
-		delete(s.lib.inside.sessions, s.id)
-		s.lib.inside.mu.Unlock()
+	frames := sealedFrames{lib: s.lib}
+	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
+		sess := s.lib.dropSession(s.id)
 		if tap := s.lib.cfg.Tap; tap != nil {
 			tap.OnClose(env, s.id)
 		}
-		if ok {
-			if ct, err := sess.wr.seal(frameAlert, nil); err == nil {
-				_ = s.bioWriteFrames(env, [][]byte{frameBytes(frameAlert, ct)})
-			}
+		if sess != nil && sess.hs == nil {
+			return frames.seal(sess.wr, frameAlert, nil)
 		}
 		return nil
 	})
+	_ = frames.flush(s.conn, err) // best effort: the peer may be gone already
 	s.lib.cbMu.Lock()
 	delete(s.lib.callbacks, s.id)
 	s.lib.cbMu.Unlock()

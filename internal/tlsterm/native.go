@@ -1,7 +1,6 @@
 package tlsterm
 
 import (
-	"bufio"
 	"crypto/ecdsa"
 	"fmt"
 	"io"
@@ -45,10 +44,11 @@ type ServerConfig struct {
 // Conn is a secured stream. It implements net.Conn.
 type Conn struct {
 	raw      net.Conn
-	br       *bufio.Reader
+	fr       *frameReader
 	rd       *sessionKeys
 	wr       *sessionKeys
-	leftover []byte
+	leftover []byte // decrypted, undelivered plaintext; aliases fr's buffer
+	wbuf     []byte // the frame being written, reused under writeMu
 	peer     *pki.Certificate
 
 	writeMu sync.Mutex
@@ -64,7 +64,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	for len(c.leftover) == 0 {
-		ftype, payload, err := readFrame(c.br)
+		ftype, payload, err := c.fr.next()
 		if err != nil {
 			return 0, err
 		}
@@ -100,10 +100,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 		if len(chunk) > maxRecordPlaintext {
 			chunk = chunk[:maxRecordPlaintext]
 		}
-		frame, err := c.wr.sealFrame(frameAppData, chunk)
+		frame, err := c.wr.appendFrame(c.wbuf[:0], frameAppData, chunk)
 		if err != nil {
 			return total, err
 		}
+		c.wbuf = frame
 		if _, err := c.raw.Write(frame); err != nil {
 			return total, err
 		}
@@ -143,7 +144,7 @@ var _ net.Conn = (*Conn)(nil)
 
 // Connect performs the client side of the handshake over conn.
 func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
-	br := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	tr := &transcript{}
 
 	eph, err := generateEphemeral()
@@ -160,7 +161,7 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 		return nil, err
 	}
 
-	ftype, payload, err := readFrame(br)
+	ftype, payload, err := fr.next()
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +221,7 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 	}
 	tr.add(cfBytes)
 
-	ftype, payload, err = readFrame(br)
+	ftype, payload, err = fr.next()
 	if err != nil {
 		return nil, err
 	}
@@ -236,16 +237,16 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 		return nil, ErrFinishedMismatch
 	}
 
-	return &Conn{raw: conn, br: br, rd: keys.server, wr: keys.client, peer: cert}, nil
+	return &Conn{raw: conn, fr: fr, rd: keys.server, wr: keys.client, peer: cert}, nil
 }
 
 // AcceptNative performs the server side of the handshake in-process, without
 // an enclave. It is the "LibreSSL" baseline of the paper's evaluation.
 func AcceptNative(conn net.Conn, cfg *ServerConfig) (*Conn, error) {
-	br := bufio.NewReader(conn)
+	fr := newFrameReader(conn)
 	tr := &transcript{}
 
-	ftype, payload, err := readFrame(br)
+	ftype, payload, err := fr.next()
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +290,7 @@ func AcceptNative(conn net.Conn, cfg *ServerConfig) (*Conn, error) {
 		return nil, err
 	}
 
-	ftype, payload, err = readFrame(br)
+	ftype, payload, err = fr.next()
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +338,7 @@ func AcceptNative(conn net.Conn, cfg *ServerConfig) (*Conn, error) {
 		return nil, err
 	}
 
-	return &Conn{raw: conn, br: br, rd: keys.client, wr: keys.server, peer: peer}, nil
+	return &Conn{raw: conn, fr: fr, rd: keys.client, wr: keys.server, peer: peer}, nil
 }
 
 func macEqual(a, b []byte) bool {
