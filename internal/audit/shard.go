@@ -429,24 +429,24 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 		together(len(s.shards), func(k int) { s.shards[k].replaceRewrite(rws[k]) })
 		return nil
 	})
-	var trimErr error
+	var firstErr error
 	states := make([]ShardState, len(s.shards))
 	for k, sh := range s.shards {
 		if rws[k].landed {
 			sh.adoptRewrite(env, rws[k])
 		}
-		if err := rws[k].err; err != nil && trimErr == nil {
-			trimErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
+		if err := rws[k].err; err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
 		}
 		// Shard locks are held: read the durable fields directly.
 		states[k] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 	}
 	if s.manifested() {
-		if merr := s.putManifestLocked(env, states, mcounter, true); merr != nil && trimErr == nil {
-			trimErr = merr
+		if merr := s.putManifestLocked(env, states, mcounter, true); merr != nil && firstErr == nil {
+			firstErr = merr
 		}
 	}
-	return trimErr
+	return firstErr
 }
 
 // together runs fn(0) … fn(n-1) concurrently and returns once all have.

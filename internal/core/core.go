@@ -190,12 +190,9 @@ type LibSEAL struct {
 	// from under it by another's (see runCycle).
 	cycleMu sync.Mutex
 
-	// Invariant and trim statements, parsed once at New. A nil invariant
-	// stmt records a parse failure surfaced as "error:<name>" at check time;
-	// trimErr records a trim script's, reported by every trim.
+	// Invariant and trim statements, parsed once at New.
 	prepared  []preparedInvariant
 	trimStmts []*sqldb.Stmt
-	trimErr   error
 
 	stopPeriodic chan struct{}
 	periodicDone chan struct{}
@@ -285,7 +282,10 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 		// tuples sort after them.
 		if ls.log != nil {
 			ls.pairTime = int64(ls.log.Seq())
-			ls.prepareStatements()
+			if err := ls.prepareStatements(); err != nil {
+				_ = ls.log.Close() // the module's SQL is what failed New
+				return nil, err
+			}
 		}
 		cfg.TLS.Tap = (*sealTap)(ls)
 	}
@@ -303,29 +303,50 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 }
 
 // prepareStatements parses the module's invariant and trim SQL once so a
-// cycle never parses. A parse failure does not fail New: an invariant's
-// surfaces as "error:<name>" at every check, a trim query's as the error of
-// every trim.
-func (ls *LibSEAL) prepareStatements() {
-	db := ls.log.DB()
-	for _, inv := range ls.cfg.Module.Invariants() {
-		p := preparedInvariant{
-			name: inv.Name,
-			hist: telemetry.NewHistogram("audit.check.inv."+inv.Name, "ns"),
+// cycle never parses. The SQL engine's grammar is a contract (DESIGN.md §15):
+// a module whose SQL is outside it — or whose invariant is not a SELECT, or
+// whose trim is not a script of DELETEs — fails New, with the module, the
+// statement and the parser's complaint in the error, rather than every check
+// or trim it would have run.
+func (ls *LibSEAL) prepareStatements() error {
+	db, mod := ls.log.DB(), ls.cfg.Module
+	for _, inv := range mod.Invariants() {
+		stmts, err := prepareScript[*sqldb.SelectStmt](db, inv.SQL, "SELECT")
+		if err == nil && len(stmts) != 1 {
+			err = fmt.Errorf("%d statements where one SELECT is required", len(stmts))
 		}
-		if stmt, err := db.Prepare(inv.SQL); err == nil {
-			p.stmt = stmt
-		}
-		ls.prepared = append(ls.prepared, p)
-	}
-	for _, q := range ls.cfg.Module.TrimQueries() {
-		stmts, err := db.PrepareScript(q)
 		if err != nil {
-			ls.trimErr = fmt.Errorf("core: trimming query %q: %w", q, err)
-			return
+			return fmt.Errorf("core: module %s: invariant %s: %w", mod.Name(), inv.Name, err)
+		}
+		ls.prepared = append(ls.prepared, preparedInvariant{
+			name: inv.Name,
+			stmt: stmts[0],
+			hist: telemetry.NewHistogram("audit.check.inv."+inv.Name, "ns"),
+		})
+	}
+	for _, q := range mod.TrimQueries() {
+		stmts, err := prepareScript[*sqldb.DeleteStmt](db, q, "DELETE")
+		if err != nil {
+			return fmt.Errorf("core: module %s: trimming query %q: %w", mod.Name(), q, err)
 		}
 		ls.trimStmts = append(ls.trimStmts, stmts...)
 	}
+	return nil
+}
+
+// prepareScript parses a module's script for repeated execution and requires
+// every statement of it to be a K.
+func prepareScript[K sqldb.Statement](db *sqldb.DB, script, kind string) ([]*sqldb.Stmt, error) {
+	parsed, err := sqldb.ParseAll(script)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range parsed {
+		if _, ok := st.(K); !ok {
+			return nil, fmt.Errorf("a %T where a %s is required", st, kind)
+		}
+	}
+	return db.PrepareScript(script)
 }
 
 // periodicChecks runs the §5.2 default checking mode: invariants and
@@ -707,10 +728,6 @@ func (ls *LibSEAL) evalCheck(ctx context.Context, cap *checkCapture) *checkOutco
 			out.ctxErr = err
 			return out
 		}
-		if p.stmt == nil {
-			out.result = "error:" + p.name
-			return out
-		}
 		t0 := time.Now()
 		res, err := cap.snap.QueryStmt(p.stmt)
 		if err != nil {
@@ -798,10 +815,9 @@ func (ls *LibSEAL) runCycle(env *asyncall.Env) error {
 	if out == nil {
 		return nil
 	}
-	var plan *sqldb.TrimPlan
-	err := ls.trimErr
-	if err == nil {
-		plan, err = out.cap.snap.PlanTrim(ls.trimStmts)
+	plan, err := out.cap.snap.PlanTrim(ls.trimStmts)
+	if err != nil {
+		err = fmt.Errorf("core: trimming query: %w", err)
 	}
 	asyncall.Lock(env, &ls.logMu)
 	defer ls.logMu.Unlock()

@@ -22,6 +22,7 @@ import (
 	"libseal/internal/netsim"
 	"libseal/internal/pki"
 	"libseal/internal/sqldb"
+	"libseal/internal/ssm"
 	"libseal/internal/ssm/gitssm"
 	"libseal/internal/tlsterm"
 	"libseal/internal/vfs"
@@ -563,27 +564,96 @@ func TestLastCheckResultLifecycle(t *testing.T) {
 	}
 }
 
-// brokenTrimMod is the Git module with a trim script that does not parse.
+// brokenTrimMod is the Git module with a trim script that parses but cannot
+// run.
 type brokenTrimMod struct{ *gitssm.Module }
 
-func (brokenTrimMod) TrimQueries() []string { return []string{"DELETE FORM advertisements"} }
+func (brokenTrimMod) TrimQueries() []string { return []string{"DELETE FROM no_such_table"} }
 
-// TestTrimFailureCounted: a trim that cannot run — here because the module's
-// trim SQL does not parse, which New keeps for trim time — is reported by
-// TrimNow and counted as a failure, never as a trim; checks are unaffected.
+// TestTrimFailureCounted: a trim that cannot run is reported by TrimNow and
+// counted as a failure, never as a trim; checks are unaffected.
 func TestTrimFailureCounted(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{Module: brokenTrimMod{gitssm.New()}, AuditMode: audit.ModeMemory, CheckEvery: 1})
 	c := dialGit(t, env, ls, newGitBackend())
 	c.push(t, "repo", "create main c1")
 	if err := ls.TrimNow(); err == nil || !strings.Contains(err.Error(), "trimming query") {
-		t.Fatalf("TrimNow = %v, want the parse error", err)
+		t.Fatalf("TrimNow = %v, want the trim's error", err)
 	}
 	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 0 || st.TrimFailures != 2 {
 		t.Fatalf("stats = %+v, want 2 checks and 2 failed trims", st)
 	}
 	if got := ls.LastCheckResult(); got != "ok" {
 		t.Fatalf("check result = %q", got)
+	}
+}
+
+// sqlMod is the Git module with its invariants or trim script replaced.
+type sqlMod struct {
+	*gitssm.Module
+	invariants []ssm.Invariant
+	trims      []string
+}
+
+func (m sqlMod) Invariants() []ssm.Invariant {
+	if m.invariants != nil {
+		return m.invariants
+	}
+	return m.Module.Invariants()
+}
+
+func (m sqlMod) TrimQueries() []string {
+	if m.trims != nil {
+		return m.trims
+	}
+	return m.Module.TrimQueries()
+}
+
+// TestNewRejectsModuleSQLOutsideGrammar: a module whose SQL the engine will
+// not run fails New, once, with the module, the statement and the offending
+// token named — not every check ("error:<name>", the service never checked)
+// or every trim from then on.
+func TestNewRejectsModuleSQLOutsideGrammar(t *testing.T) {
+	env := newCoreEnv(t)
+	for name, c := range map[string]struct {
+		mod  sqlMod
+		want []string
+	}{
+		"invariant using LIKE": {
+			sqlMod{invariants: []ssm.Invariant{{Name: "no-wip", SQL: "SELECT * FROM advertisements WHERE branch LIKE 'wip%'"}}},
+			[]string{"module git", "invariant no-wip", "LIKE"},
+		},
+		"trim that is an UPDATE": {
+			sqlMod{trims: []string{"DELETE FROM advertisements; UPDATE updates SET type = 'old'"}},
+			[]string{"module git", "trimming query", "UPDATE"},
+		},
+		"invariant that is a DELETE": {
+			sqlMod{invariants: []ssm.Invariant{{Name: "wipe", SQL: "DELETE FROM updates"}}},
+			[]string{"module git", "invariant wipe", "SELECT is required"},
+		},
+		"trim that is a SELECT": {
+			sqlMod{trims: []string{"SELECT * FROM updates"}},
+			[]string{"module git", "trimming query", "DELETE is required"},
+		},
+		"invariant of two statements": {
+			sqlMod{invariants: []ssm.Invariant{{Name: "two", SQL: "SELECT 1; SELECT 2"}}},
+			[]string{"module git", "invariant two", "2 statements"},
+		},
+	} {
+		c.mod.Module = gitssm.New()
+		cfg := Config{Module: c.mod, AuditMode: audit.ModeMemory}
+		cfg.TLS.Cert, cfg.TLS.Key = env.cert, env.key
+		ls, err := New(env.bridge, cfg)
+		if err == nil {
+			ls.Close()
+			t.Errorf("%s: New succeeded", name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: New = %v, want it to name %q", name, err, w)
+			}
+		}
 	}
 }
 

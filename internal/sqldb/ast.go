@@ -1,5 +1,9 @@
 package sqldb
 
+// The statement and expression forms here are the whole supported surface;
+// the grammar they implement is written down in DESIGN.md §15 ("Supported
+// SQL"). Anything else is a parse error.
+
 // Statement is any parsed SQL statement.
 type Statement interface{ stmt() }
 
@@ -9,47 +13,23 @@ type ColumnDef struct {
 	Type Kind // declared affinity; KindNull means untyped
 }
 
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (cols...).
+// CreateTableStmt is CREATE TABLE name (cols...).
 type CreateTableStmt struct {
-	Name        string
-	IfNotExists bool
-	Cols        []ColumnDef
+	Name string
+	Cols []ColumnDef
 }
 
 // CreateViewStmt is CREATE VIEW name AS select.
 type CreateViewStmt struct {
-	Name        string
-	IfNotExists bool
-	Select      *SelectStmt
-}
-
-// DropStmt is DROP TABLE|VIEW [IF EXISTS] name.
-type DropStmt struct {
-	View     bool
-	IfExists bool
-	Name     string
-}
-
-// InsertStmt is INSERT INTO name [(cols)] VALUES (...),(...) or INSERT INTO
-// name [(cols)] select.
-type InsertStmt struct {
-	Table  string
-	Cols   []string
-	Rows   [][]Expr
+	Name   string
 	Select *SelectStmt
 }
 
-// Assign is one SET column = expr clause.
-type Assign struct {
-	Col  string
-	Expr Expr
-}
-
-// UpdateStmt is UPDATE name SET ... [WHERE ...].
-type UpdateStmt struct {
+// InsertStmt is INSERT INTO name VALUES (...),(...): every row gives a value
+// for every column, in declaration order.
+type InsertStmt struct {
 	Table string
-	Set   []Assign
-	Where Expr
+	Rows  [][]Expr
 }
 
 // DeleteStmt is DELETE FROM name [WHERE ...].
@@ -60,10 +40,9 @@ type DeleteStmt struct {
 
 // SelectItem is one projection of a select list.
 type SelectItem struct {
-	Star      bool   // SELECT * or SELECT t.*
-	StarTable string // alias before .*; empty for bare *
-	Expr      Expr
-	Alias     string
+	Star  bool // SELECT *
+	Expr  Expr
+	Alias string
 }
 
 // OrderKey is one ORDER BY term.
@@ -82,33 +61,11 @@ type SelectStmt struct {
 	Having   Expr
 	OrderBy  []OrderKey
 	Limit    Expr
-	Offset   Expr
-	// Union chains compound select parts evaluated left to right.
-	Compound []CompoundPart
-}
-
-// CompoundOp is a set operation between select cores.
-type CompoundOp int
-
-// Compound select operators.
-const (
-	CompoundUnion CompoundOp = iota
-	CompoundUnionAll
-	CompoundExcept
-	CompoundIntersect
-)
-
-// CompoundPart is one `UNION [ALL]|EXCEPT|INTERSECT select` suffix.
-type CompoundPart struct {
-	Op     CompoundOp
-	Select *SelectStmt
 }
 
 func (*CreateTableStmt) stmt() {}
 func (*CreateViewStmt) stmt()  {}
-func (*DropStmt) stmt()        {}
 func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 
@@ -121,34 +78,17 @@ type TableName struct {
 	Alias string
 }
 
-// SubqueryTable is a parenthesised select used as a source.
-type SubqueryTable struct {
-	Select *SelectStmt
-	Alias  string
-}
-
-// JoinKind distinguishes join types.
-type JoinKind int
-
-// Join types.
-const (
-	JoinInner JoinKind = iota
-	JoinLeft
-	JoinCross
-)
-
-// JoinExpr combines two sources.
+// JoinExpr is an inner join of two sources. Without ON (and not NATURAL) it
+// is their cross product.
 type JoinExpr struct {
-	Kind    JoinKind
 	Natural bool
 	Left    TableExpr
 	Right   TableExpr
-	On      Expr // nil for natural/cross joins
+	On      Expr // nil for natural joins and cross products
 }
 
-func (*TableName) tbl()     {}
-func (*SubqueryTable) tbl() {}
-func (*JoinExpr) tbl()      {}
+func (*TableName) tbl() {}
+func (*JoinExpr) tbl()  {}
 
 // Expr is any SQL expression.
 type Expr interface{ expr() }
@@ -162,7 +102,7 @@ type ParamExpr struct{ Index int }
 // ColExpr references a column, optionally qualified by table alias.
 type ColExpr struct{ Table, Name string }
 
-// Unary is -x, +x or NOT x.
+// Unary is -x or NOT x.
 type Unary struct {
 	Op string
 	X  Expr
@@ -174,22 +114,21 @@ type Binary struct {
 	L, R Expr
 }
 
-// FuncCall is a function invocation; Star marks COUNT(*).
+// FuncCall is an aggregate call: COUNT, MIN or MAX of one expression, or
+// COUNT(*) (Star).
 type FuncCall struct {
-	Name     string // upper-cased
-	Star     bool
-	Distinct bool
-	Args     []Expr
+	Name string // upper-cased
+	Star bool
+	Arg  Expr // nil for COUNT(*)
 }
 
 // SubqueryExpr is a scalar subquery.
 type SubqueryExpr struct{ Select *SelectStmt }
 
-// InExpr is `x [NOT] IN (list|select)`.
+// InExpr is `x [NOT] IN (select)`.
 type InExpr struct {
 	X      Expr
 	Not    bool
-	List   []Expr
 	Select *SelectStmt
 }
 
@@ -205,34 +144,6 @@ type IsNullExpr struct {
 	Not bool
 }
 
-// BetweenExpr is `x [NOT] BETWEEN lo AND hi`.
-type BetweenExpr struct {
-	X, Lo, Hi Expr
-	Not       bool
-}
-
-// LikeExpr is `x [NOT] LIKE pattern`.
-type LikeExpr struct {
-	X, Pattern Expr
-	Not        bool
-}
-
-// When is one WHEN...THEN arm of a CASE.
-type When struct{ Cond, Result Expr }
-
-// CaseExpr is CASE [operand] WHEN..THEN.. [ELSE..] END.
-type CaseExpr struct {
-	Operand Expr
-	Whens   []When
-	Else    Expr
-}
-
-// CastExpr is CAST(x AS type).
-type CastExpr struct {
-	X    Expr
-	Type Kind
-}
-
 func (*Literal) expr()      {}
 func (*ParamExpr) expr()    {}
 func (*ColExpr) expr()      {}
@@ -243,7 +154,3 @@ func (*SubqueryExpr) expr() {}
 func (*InExpr) expr()       {}
 func (*ExistsExpr) expr()   {}
 func (*IsNullExpr) expr()   {}
-func (*BetweenExpr) expr()  {}
-func (*LikeExpr) expr()     {}
-func (*CaseExpr) expr()     {}
-func (*CastExpr) expr()     {}

@@ -16,44 +16,19 @@ var (
 
 // Table holds rows in insertion order.
 //
-// Row slices are immutable once stored: UPDATE replaces the row slice,
-// never mutates it. The outer Rows slice follows copy-on-write discipline
-// with snapshots (see snapshot.go): shared is set when a snapshot captures
-// this table's row header, and the first subsequent in-place mutation
-// copies the header so the snapshot keeps reading the original array.
+// Row slices are immutable once stored, and no statement stores into the
+// outer Rows array below its length: INSERT appends, DELETE installs a fresh
+// array. shared is set when a snapshot captures this table's row header (see
+// snapshot.go); RemoveLastRows consults it so that a later append cannot
+// overwrite rows the snapshot still reads.
 type Table struct {
 	Name string
 	Cols []ColumnDef
 	Rows [][]Value
 
-	byName map[string]int // lowercased column name -> position; nil for hand-built tables
-	idx    *tableIndexes  // lazy hash indexes; nil for hand-built tables
-	shared bool           // a live snapshot references the current Rows header
-	gen    uint64         // bumped whenever rows other than a trailing append change
-}
-
-func (t *Table) colIndex(name string) int {
-	if t.byName != nil {
-		if i, ok := t.byName[strings.ToLower(name)]; ok {
-			return i
-		}
-		return -1
-	}
-	for i, c := range t.Cols {
-		if strings.EqualFold(c.Name, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// colMap builds the lowercased name->position map for a column set.
-func colMap(cols []ColumnDef) map[string]int {
-	m := make(map[string]int, len(cols))
-	for i, c := range cols {
-		m[strings.ToLower(c.Name)] = i
-	}
-	return m
+	idx    *tableIndexes // lazy hash indexes; nil for hand-built tables
+	shared bool          // a live snapshot references the current Rows header
+	gen    uint64        // bumped whenever rows other than a trailing append change
 }
 
 // View is a named stored SELECT.
@@ -215,13 +190,8 @@ func (db *DB) run(st Statement, args []any) (*Result, int, error) {
 		return nil, 0, db.createTable(s)
 	case *CreateViewStmt:
 		return nil, 0, db.createView(s)
-	case *DropStmt:
-		return nil, 0, db.drop(s)
 	case *InsertStmt:
 		n, err := db.insert(s, params)
-		return nil, n, err
-	case *UpdateStmt:
-		n, err := db.update(s, params)
 		return nil, n, err
 	case *DeleteStmt:
 		n, err := db.delete(s, params)
@@ -236,9 +206,6 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 	defer db.mu.Unlock()
 	key := strings.ToLower(s.Name)
 	if _, ok := db.tables[key]; ok {
-		if s.IfNotExists {
-			return nil
-		}
 		return fmt.Errorf("%w: %s", ErrTableExists, s.Name)
 	}
 	if _, ok := db.views[key]; ok {
@@ -252,7 +219,7 @@ func (db *DB) createTable(s *CreateTableStmt) error {
 		}
 		seen[lc] = true
 	}
-	db.tables[key] = &Table{Name: s.Name, Cols: s.Cols, byName: colMap(s.Cols), idx: newTableIndexes()}
+	db.tables[key] = &Table{Name: s.Name, Cols: s.Cols, idx: newTableIndexes()}
 	return nil
 }
 
@@ -261,39 +228,18 @@ func (db *DB) createView(s *CreateViewStmt) error {
 	defer db.mu.Unlock()
 	key := strings.ToLower(s.Name)
 	if _, ok := db.views[key]; ok {
-		if s.IfNotExists {
-			return nil
-		}
 		return fmt.Errorf("%w: %s", ErrTableExists, s.Name)
 	}
 	if _, ok := db.tables[key]; ok {
 		return fmt.Errorf("%w: %s (as table)", ErrTableExists, s.Name)
 	}
+	// Every source the view names, at any depth, must exist already. Nothing
+	// can be dropped or redefined, so views then never form a cycle, which
+	// would expand without end.
+	if _, err := db.evaluator(nil).freeVars(s.Select, nil); err != nil {
+		return fmt.Errorf("sqldb: view %s: %w", s.Name, err)
+	}
 	db.views[key] = &View{Name: s.Name, Select: s.Select}
-	return nil
-}
-
-func (db *DB) drop(s *DropStmt) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(s.Name)
-	if s.View {
-		if _, ok := db.views[key]; !ok {
-			if s.IfExists {
-				return nil
-			}
-			return fmt.Errorf("%w: view %s", ErrNoSuchTable, s.Name)
-		}
-		delete(db.views, key)
-		return nil
-	}
-	if _, ok := db.tables[key]; !ok {
-		if s.IfExists {
-			return nil
-		}
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, s.Name)
-	}
-	delete(db.tables, key)
 	return nil
 }
 
@@ -344,126 +290,26 @@ func (db *DB) insert(s *InsertStmt, params []Value) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
 	}
-	// Map the statement's column list to table indices.
-	idx := make([]int, 0, len(t.Cols))
-	if len(s.Cols) == 0 {
-		for i := range t.Cols {
-			idx = append(idx, i)
-		}
-	} else {
-		for _, name := range s.Cols {
-			ci := t.colIndex(name)
-			if ci < 0 {
-				return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, name)
-			}
-			idx = append(idx, ci)
-		}
-	}
+	// Every row is evaluated before the first is stored, so a statement that
+	// fails stores none.
 	ev := db.evaluator(params)
-
-	var sourceRows [][]Value
-	if s.Select != nil {
-		res, err := ev.execSelect(s.Select, nil)
-		if err != nil {
-			return 0, err
+	rows := make([][]Value, len(s.Rows))
+	for ri, exprs := range s.Rows {
+		if len(exprs) != len(t.Cols) {
+			return 0, fmt.Errorf("sqldb: %d values for %d columns", len(exprs), len(t.Cols))
 		}
-		sourceRows = res.Rows
-	} else {
-		for _, exprs := range s.Rows {
-			row := make([]Value, len(exprs))
-			for i, e := range exprs {
-				v, err := ev.eval(e, nil)
-				if err != nil {
-					return 0, err
-				}
-				row[i] = v
-			}
-			sourceRows = append(sourceRows, row)
-		}
-	}
-	inserted := 0
-	for _, src := range sourceRows {
-		if len(src) != len(idx) {
-			return inserted, fmt.Errorf("sqldb: %d values for %d columns", len(src), len(idx))
-		}
-		row := make([]Value, len(t.Cols))
-		for i := range row {
-			row[i] = Null()
-		}
-		for i, ci := range idx {
-			row[ci] = applyAffinity(src[i], t.Cols[ci].Type)
-		}
-		t.Rows = append(t.Rows, row)
-		inserted++
-	}
-	return inserted, nil
-}
-
-// tableScope builds the evaluation scope for a single table's row.
-func tableScope(t *Table, row []Value) *rowScope {
-	cols := make([]scopeCol, len(t.Cols))
-	alias := strings.ToLower(t.Name)
-	for i, c := range t.Cols {
-		cols[i] = scopeCol{table: alias, name: strings.ToLower(c.Name)}
-	}
-	return &rowScope{cols: cols, row: row}
-}
-
-func (db *DB) update(s *UpdateStmt, params []Value) (int, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(s.Table)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, s.Table)
-	}
-	setIdx := make([]int, len(s.Set))
-	for i, a := range s.Set {
-		ci := t.colIndex(a.Col)
-		if ci < 0 {
-			return 0, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, s.Table, a.Col)
-		}
-		setIdx[i] = ci
-	}
-	ev := db.evaluator(params)
-	ev.nocache = true
-	updated := 0
-	for ri, row := range t.Rows {
-		scope := tableScope(t, row)
-		if s.Where != nil {
-			v, err := ev.eval(s.Where, scope)
+		row := make([]Value, len(exprs))
+		for i, e := range exprs {
+			v, err := ev.eval(e, nil)
 			if err != nil {
-				return updated, err
+				return 0, err
 			}
-			if truth, _ := v.Truth(); !truth {
-				continue
-			}
+			row[i] = applyAffinity(v, t.Cols[i].Type)
 		}
-		newRow := append([]Value(nil), row...)
-		for i, a := range s.Set {
-			v, err := ev.eval(a.Expr, scope)
-			if err != nil {
-				return updated, err
-			}
-			newRow[setIdx[i]] = applyAffinity(v, t.Cols[setIdx[i]].Type)
-		}
-		if t.shared {
-			// Copy-on-write: a snapshot still reads the current header, so
-			// the first in-place store after a snapshot rewrites a fresh one.
-			t.Rows = append([][]Value(nil), t.Rows...)
-			t.shared = false
-		}
-		t.Rows[ri] = newRow
-		updated++
+		rows[ri] = row
 	}
-	if updated > 0 {
-		t.gen++
-		if t.idx != nil {
-			// Positions are stable under UPDATE; only indexes over the
-			// assigned columns go stale.
-			t.idx.invalidateCols(setIdx)
-		}
-	}
-	return updated, nil
+	t.Rows = append(t.Rows, rows...)
+	return len(rows), nil
 }
 
 func (db *DB) delete(s *DeleteStmt, params []Value) (int, error) {
@@ -483,8 +329,11 @@ func (db *DB) delete(s *DeleteStmt, params []Value) (int, error) {
 func (ev *evaluator) deleteRows(t *Table, where Expr) (int, error) {
 	var keep [][]Value // a fresh array: t.Rows stays as it is until the end
 	if where != nil {
+		// One scope serves every row: eval keeps no reference to it.
+		scope := &rowScope{cols: tableCols(t, strings.ToLower(t.Name))}
 		for _, row := range t.Rows {
-			v, err := ev.eval(where, tableScope(t, row))
+			scope.row = row
+			v, err := ev.eval(where, scope)
 			if err != nil {
 				return 0, err
 			}
@@ -522,17 +371,6 @@ func (db *DB) Tables() []string {
 		out = append(out, t.Name)
 	}
 	return out
-}
-
-// TableColumns returns a table's column definitions.
-func (db *DB) TableColumns(name string) ([]ColumnDef, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-	}
-	return append([]ColumnDef(nil), t.Cols...), nil
 }
 
 // TableRows returns a copy of a table's rows in storage order.

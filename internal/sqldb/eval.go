@@ -53,8 +53,8 @@ type evaluator struct {
 	// hash equi-joins); see index.go.
 	indexing bool
 	// subq caches subquery results keyed by free-variable bindings; see
-	// subqcache.go. nocache disables it for statements that mutate rows
-	// they may re-read (UPDATE).
+	// subqcache.go. nocache disables it: the reference path QueryWithCache
+	// and the differential tests compare against.
 	subq    map[*SelectStmt]*subqInfo
 	nocache bool
 }
@@ -66,59 +66,25 @@ func (ev *evaluator) param(i int) (Value, error) {
 	return ev.params[i], nil
 }
 
-// aggregate function names.
+// isAggregateName reports whether name is one of the grammar's functions,
+// all of them aggregates.
 func isAggregateName(name string) bool {
-	switch name {
-	case "COUNT", "SUM", "AVG", "MIN", "MAX", "TOTAL", "GROUP_CONCAT":
-		return true
-	}
-	return false
+	return name == "COUNT" || name == "MIN" || name == "MAX"
 }
 
 // hasAggregate reports whether the expression contains an aggregate call at
 // this query level (subqueries own their aggregates).
 func hasAggregate(e Expr) bool {
 	switch x := e.(type) {
-	case nil:
-		return false
 	case *FuncCall:
-		if isAggregateName(x.Name) {
-			return true
-		}
-		for _, a := range x.Args {
-			if hasAggregate(a) {
-				return true
-			}
-		}
+		return true
 	case *Unary:
 		return hasAggregate(x.X)
 	case *Binary:
 		return hasAggregate(x.L) || hasAggregate(x.R)
 	case *IsNullExpr:
 		return hasAggregate(x.X)
-	case *BetweenExpr:
-		return hasAggregate(x.X) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
-	case *LikeExpr:
-		return hasAggregate(x.X) || hasAggregate(x.Pattern)
 	case *InExpr:
-		if hasAggregate(x.X) {
-			return true
-		}
-		for _, le := range x.List {
-			if hasAggregate(le) {
-				return true
-			}
-		}
-	case *CaseExpr:
-		if hasAggregate(x.Operand) || hasAggregate(x.Else) {
-			return true
-		}
-		for _, w := range x.Whens {
-			if hasAggregate(w.Cond) || hasAggregate(w.Result) {
-				return true
-			}
-		}
-	case *CastExpr:
 		return hasAggregate(x.X)
 	}
 	return false
@@ -179,7 +145,7 @@ func (ev *evaluator) eval(e Expr, s *rowScope) (Value, error) {
 		return ev.evalBinary(x, s)
 
 	case *FuncCall:
-		return ev.evalFunc(x, s)
+		return ev.evalAggregate(x, s)
 
 	case *SubqueryExpr:
 		res, err := ev.execSelectCached(x.Select, s)
@@ -210,100 +176,8 @@ func (ev *evaluator) eval(e Expr, s *rowScope) (Value, error) {
 			return Null(), err
 		}
 		return Bool(x.Not != v.IsNull()), nil
-
-	case *BetweenExpr:
-		v, err := ev.eval(x.X, s)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := ev.eval(x.Lo, s)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := ev.eval(x.Hi, s)
-		if err != nil {
-			return Null(), err
-		}
-		c1, ok1 := CompareSQL(v, lo)
-		c2, ok2 := CompareSQL(v, hi)
-		if !ok1 || !ok2 {
-			return Null(), nil
-		}
-		return Bool(x.Not != (c1 >= 0 && c2 <= 0)), nil
-
-	case *LikeExpr:
-		v, err := ev.eval(x.X, s)
-		if err != nil {
-			return Null(), err
-		}
-		pat, err := ev.eval(x.Pattern, s)
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return Null(), nil
-		}
-		return Bool(x.Not != likeMatch(pat.TextVal(), v.TextVal())), nil
-
-	case *CaseExpr:
-		if x.Operand != nil {
-			op, err := ev.eval(x.Operand, s)
-			if err != nil {
-				return Null(), err
-			}
-			for _, w := range x.Whens {
-				cv, err := ev.eval(w.Cond, s)
-				if err != nil {
-					return Null(), err
-				}
-				if cmp, ok := CompareSQL(op, cv); ok && cmp == 0 {
-					return ev.eval(w.Result, s)
-				}
-			}
-		} else {
-			for _, w := range x.Whens {
-				cv, err := ev.eval(w.Cond, s)
-				if err != nil {
-					return Null(), err
-				}
-				if truth, _ := cv.Truth(); truth {
-					return ev.eval(w.Result, s)
-				}
-			}
-		}
-		if x.Else != nil {
-			return ev.eval(x.Else, s)
-		}
-		return Null(), nil
-
-	case *CastExpr:
-		v, err := ev.eval(x.X, s)
-		if err != nil {
-			return Null(), err
-		}
-		return castValue(v, x.Type), nil
 	}
 	return Null(), fmt.Errorf("sqldb: cannot evaluate %T", e)
-}
-
-func castValue(v Value, t Kind) Value {
-	if v.IsNull() {
-		return v
-	}
-	switch t {
-	case KindInt:
-		return Int(v.Int64())
-	case KindFloat:
-		return Float(v.Float64())
-	case KindText:
-		return Text(v.TextVal())
-	case KindBlob:
-		if v.kind == KindBlob {
-			return v
-		}
-		return Blob([]byte(v.TextVal()))
-	}
-	return v
 }
 
 func (ev *evaluator) evalBinary(x *Binary, s *rowScope) (Value, error) {
@@ -381,16 +255,11 @@ func (ev *evaluator) evalBinary(x *Binary, s *rowScope) (Value, error) {
 		case ">=":
 			return Bool(cmp >= 0), nil
 		}
-	case "||":
-		if lv.IsNull() || rv.IsNull() {
-			return Null(), nil
-		}
-		return Text(lv.TextVal() + rv.TextVal()), nil
 	case "+", "-", "*", "/", "%":
 		if lv.IsNull() || rv.IsNull() {
 			return Null(), nil
 		}
-		if lv.kind == KindFloat || rv.kind == KindFloat || x.Op == "/" && isDivFloat(lv, rv) {
+		if lv.kind == KindFloat || rv.kind == KindFloat {
 			lf, rf := lv.Float64(), rv.Float64()
 			switch x.Op {
 			case "+":
@@ -434,31 +303,14 @@ func (ev *evaluator) evalBinary(x *Binary, s *rowScope) (Value, error) {
 	return Null(), fmt.Errorf("sqldb: unknown operator %q", x.Op)
 }
 
-// isDivFloat reports whether integer division would lose a remainder;
-// SQLite keeps integer division, so this always returns false, but the hook
-// keeps the semantics decision in one place.
-func isDivFloat(_, _ Value) bool { return false }
-
 func (ev *evaluator) evalIn(x *InExpr, s *rowScope) (Value, error) {
 	v, err := ev.eval(x.X, s)
 	if err != nil {
 		return Null(), err
 	}
-	var found, sawNull bool
-	if x.Select != nil {
-		if found, sawNull, err = ev.inSubquery(v, x.Select, s); err != nil {
-			return Null(), err
-		}
-	} else {
-		for _, le := range x.List {
-			cv, err := ev.eval(le, s)
-			if err != nil {
-				return Null(), err
-			}
-			if found = inMember(v, cv, &sawNull); found {
-				break
-			}
-		}
+	found, sawNull, err := ev.inSubquery(v, x.Select, s)
+	if err != nil {
+		return Null(), err
 	}
 	switch {
 	case v.IsNull():
@@ -516,121 +368,9 @@ func (ev *evaluator) inSubquery(v Value, sel *SelectStmt, s *rowScope) (found, s
 	return false, sawNull, nil
 }
 
-// evalFunc handles both scalar functions and (when the scope carries a
-// group) aggregate functions.
-func (ev *evaluator) evalFunc(x *FuncCall, s *rowScope) (Value, error) {
-	if isAggregateName(x.Name) {
-		return ev.evalAggregate(x, s)
-	}
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := ev.eval(a, s)
-		if err != nil {
-			return Null(), err
-		}
-		args[i] = v
-	}
-	switch x.Name {
-	case "LENGTH":
-		if len(args) != 1 {
-			return Null(), fmt.Errorf("sqldb: LENGTH takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		if args[0].kind == KindBlob {
-			return Int(int64(len(args[0].b))), nil
-		}
-		return Int(int64(len(args[0].TextVal()))), nil
-	case "ABS":
-		if len(args) != 1 {
-			return Null(), fmt.Errorf("sqldb: ABS takes 1 argument")
-		}
-		v := args[0]
-		switch v.kind {
-		case KindNull:
-			return Null(), nil
-		case KindFloat:
-			return Float(math.Abs(v.f)), nil
-		default:
-			n := v.Int64()
-			if n < 0 {
-				n = -n
-			}
-			return Int(n), nil
-		}
-	case "UPPER":
-		if len(args) != 1 || args[0].IsNull() {
-			return Null(), nil
-		}
-		return Text(strings.ToUpper(args[0].TextVal())), nil
-	case "LOWER":
-		if len(args) != 1 || args[0].IsNull() {
-			return Null(), nil
-		}
-		return Text(strings.ToLower(args[0].TextVal())), nil
-	case "COALESCE":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, nil
-			}
-		}
-		return Null(), nil
-	case "IFNULL":
-		if len(args) != 2 {
-			return Null(), fmt.Errorf("sqldb: IFNULL takes 2 arguments")
-		}
-		if args[0].IsNull() {
-			return args[1], nil
-		}
-		return args[0], nil
-	case "NULLIF":
-		if len(args) != 2 {
-			return Null(), fmt.Errorf("sqldb: NULLIF takes 2 arguments")
-		}
-		if cmp, ok := CompareSQL(args[0], args[1]); ok && cmp == 0 {
-			return Null(), nil
-		}
-		return args[0], nil
-	case "SUBSTR":
-		if len(args) < 2 || len(args) > 3 {
-			return Null(), fmt.Errorf("sqldb: SUBSTR takes 2 or 3 arguments")
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		str := args[0].TextVal()
-		start := int(args[1].Int64())
-		if start > 0 {
-			start--
-		} else if start < 0 {
-			start = len(str) + start
-			if start < 0 {
-				start = 0
-			}
-		}
-		if start > len(str) {
-			return Text(""), nil
-		}
-		end := len(str)
-		if len(args) == 3 {
-			n := int(args[2].Int64())
-			if n < 0 {
-				n = 0
-			}
-			if start+n < end {
-				end = start + n
-			}
-		}
-		return Text(str[start:end]), nil
-	case "MIN2", "MAX2":
-		return Null(), fmt.Errorf("sqldb: unknown function %s", x.Name)
-	}
-	return Null(), fmt.Errorf("sqldb: unknown function %s", x.Name)
-}
-
+// evalAggregate computes COUNT, MIN or MAX over the group carried by the
+// nearest aggregated scope. NULL arguments are skipped.
 func (ev *evaluator) evalAggregate(x *FuncCall, s *rowScope) (Value, error) {
-	// Find the nearest scope carrying a group.
 	gs := s
 	for gs != nil && !gs.grouped {
 		gs = gs.parent
@@ -638,144 +378,31 @@ func (ev *evaluator) evalAggregate(x *FuncCall, s *rowScope) (Value, error) {
 	if gs == nil {
 		return Null(), fmt.Errorf("sqldb: aggregate %s used outside aggregation", x.Name)
 	}
-	// Collect argument values over the group's rows.
-	var vals []Value
 	if x.Star {
-		if x.Name != "COUNT" {
-			return Null(), fmt.Errorf("sqldb: %s(*) is not valid", x.Name)
-		}
 		return Int(int64(len(gs.group))), nil
 	}
-	if len(x.Args) != 1 {
-		return Null(), fmt.Errorf("sqldb: aggregate %s takes 1 argument", x.Name)
-	}
-	seen := map[string]bool{}
+	count := 0
+	best := Null() // the MIN or MAX so far; NULL over no values
 	for _, row := range gs.group {
-		rowScope := &rowScope{cols: gs.cols, row: row, parent: gs.parent}
-		v, err := ev.eval(x.Args[0], rowScope)
+		v, err := ev.eval(x.Arg, &rowScope{cols: gs.cols, row: row, parent: gs.parent})
 		if err != nil {
 			return Null(), err
 		}
 		if v.IsNull() {
 			continue
 		}
-		if x.Distinct {
-			var sb strings.Builder
-			v.groupKey(&sb)
-			if seen[sb.String()] {
-				continue
-			}
-			seen[sb.String()] = true
-		}
-		vals = append(vals, v)
-	}
-	switch x.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
-	case "SUM":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		return sumValues(vals), nil
-	case "TOTAL":
-		v := sumValues(vals)
-		return Float(v.Float64()), nil
-	case "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		sum := sumValues(vals)
-		return Float(sum.Float64() / float64(len(vals))), nil
-	case "MIN":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			if Compare(v, best) < 0 {
-				best = v
-			}
-		}
-		return best, nil
-	case "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			if Compare(v, best) > 0 {
-				best = v
-			}
-		}
-		return best, nil
-	case "GROUP_CONCAT":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		parts := make([]string, len(vals))
-		for i, v := range vals {
-			parts[i] = v.TextVal()
-		}
-		return Text(strings.Join(parts, ",")), nil
-	}
-	return Null(), fmt.Errorf("sqldb: unknown aggregate %s", x.Name)
-}
-
-func sumValues(vals []Value) Value {
-	allInt := true
-	for _, v := range vals {
-		if v.kind == KindFloat {
-			allInt = false
-			break
+		count++
+		switch {
+		case count == 1:
+			best = v
+		case x.Name == "MIN" && Compare(v, best) < 0:
+			best = v
+		case x.Name == "MAX" && Compare(v, best) > 0:
+			best = v
 		}
 	}
-	if allInt {
-		var sum int64
-		for _, v := range vals {
-			sum += v.Int64()
-		}
-		return Int(sum)
+	if x.Name == "COUNT" {
+		return Int(int64(count)), nil
 	}
-	var sum float64
-	for _, v := range vals {
-		sum += v.Float64()
-	}
-	return Float(sum)
-}
-
-// likeMatch implements SQL LIKE with % and _ wildcards, case-insensitively
-// for ASCII, as SQLite does.
-func likeMatch(pattern, str string) bool {
-	return likeRec(strings.ToLower(pattern), strings.ToLower(str))
-}
-
-func likeRec(p, t string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(t); i++ {
-				if likeRec(p, t[i:]) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(t) == 0 {
-				return false
-			}
-			p, t = p[1:], t[1:]
-		default:
-			if len(t) == 0 || p[0] != t[0] {
-				return false
-			}
-			p, t = p[1:], t[1:]
-		}
-	}
-	return len(t) == 0
+	return best, nil
 }

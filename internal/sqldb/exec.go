@@ -6,36 +6,6 @@ import (
 	"strings"
 )
 
-// execSelect runs a (possibly compound) SELECT. outer is the enclosing row
-// scope for correlated subqueries, nil at top level.
-func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error) {
-	if len(st.Compound) == 0 {
-		return ev.execCore(st, outer, true)
-	}
-	left, err := ev.execCore(st, outer, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, part := range st.Compound {
-		right, err := ev.execCore(part.Select, outer, false)
-		if err != nil {
-			return nil, err
-		}
-		if len(right.Columns) != len(left.Columns) {
-			return nil, fmt.Errorf("sqldb: compound SELECTs have different column counts (%d vs %d)",
-				len(left.Columns), len(right.Columns))
-		}
-		left.Rows = combineCompound(part.Op, left.Rows, right.Rows)
-	}
-	if err := ev.orderResultRows(st, left); err != nil {
-		return nil, err
-	}
-	if err := ev.applyLimit(st, left); err != nil {
-		return nil, err
-	}
-	return left, nil
-}
-
 func rowKey(row []Value) string {
 	var sb strings.Builder
 	for _, v := range row {
@@ -44,115 +14,8 @@ func rowKey(row []Value) string {
 	return sb.String()
 }
 
-func combineCompound(op CompoundOp, left, right [][]Value) [][]Value {
-	switch op {
-	case CompoundUnionAll:
-		return append(left, right...)
-	case CompoundUnion:
-		seen := map[string]bool{}
-		var out [][]Value
-		for _, r := range append(left, right...) {
-			k := rowKey(r)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, r)
-			}
-		}
-		return out
-	case CompoundExcept:
-		drop := map[string]bool{}
-		for _, r := range right {
-			drop[rowKey(r)] = true
-		}
-		seen := map[string]bool{}
-		var out [][]Value
-		for _, r := range left {
-			k := rowKey(r)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
-				out = append(out, r)
-			}
-		}
-		return out
-	case CompoundIntersect:
-		keep := map[string]bool{}
-		for _, r := range right {
-			keep[rowKey(r)] = true
-		}
-		seen := map[string]bool{}
-		var out [][]Value
-		for _, r := range left {
-			k := rowKey(r)
-			if keep[k] && !seen[k] {
-				seen[k] = true
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	return left
-}
-
-// orderResultRows sorts a compound result; keys may only reference output
-// columns by alias/name or 1-based index.
-func (ev *evaluator) orderResultRows(st *SelectStmt, res *Result) error {
-	if len(st.OrderBy) == 0 {
-		return nil
-	}
-	idxs := make([]int, len(st.OrderBy))
-	for i, key := range st.OrderBy {
-		switch k := key.Expr.(type) {
-		case *ColExpr:
-			found := -1
-			for ci, name := range res.Columns {
-				if strings.EqualFold(name, k.Name) {
-					found = ci
-					break
-				}
-			}
-			if found < 0 {
-				return fmt.Errorf("%w: ORDER BY %s", ErrNoSuchColumn, k.Name)
-			}
-			idxs[i] = found
-		case *Literal:
-			n := int(k.Val.Int64())
-			if n < 1 || n > len(res.Columns) {
-				return fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
-			}
-			idxs[i] = n - 1
-		default:
-			return fmt.Errorf("sqldb: compound ORDER BY must use column names or positions")
-		}
-	}
-	// Extract the sort keys once per row; the comparator then touches only
-	// the dense key tuples instead of chasing column indices per comparison.
-	desc := make([]bool, len(st.OrderBy))
-	for i, key := range st.OrderBy {
-		desc[i] = key.Desc
-	}
-	type keyed struct {
-		row  []Value
-		keys []Value
-	}
-	ks := make([]keyed, len(res.Rows))
-	for ri, row := range res.Rows {
-		keys := make([]Value, len(idxs))
-		for i, ci := range idxs {
-			keys[i] = row[ci]
-		}
-		ks[ri] = keyed{row: row, keys: keys}
-	}
-	sort.SliceStable(ks, func(a, b int) bool {
-		return lessKeys(ks[a].keys, ks[b].keys, desc)
-	})
-	for ri := range ks {
-		res.Rows[ri] = ks[ri].row
-	}
-	return nil
-}
-
 // lessKeys orders two precomputed sort-key tuples under per-key direction
-// flags. It is the single comparator shared by every ORDER BY path.
+// flags.
 func lessKeys(a, b []Value, desc []bool) bool {
 	for i := range a {
 		c := Compare(a[i], b[i])
@@ -174,24 +37,7 @@ func (ev *evaluator) applyLimit(st *SelectStmt, res *Result) error {
 	if err != nil {
 		return err
 	}
-	limit := int(lv.Int64())
-	offset := 0
-	if st.Offset != nil {
-		ov, err := ev.eval(st.Offset, nil)
-		if err != nil {
-			return err
-		}
-		offset = int(ov.Int64())
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	if offset >= len(res.Rows) {
-		res.Rows = nil
-		return nil
-	}
-	res.Rows = res.Rows[offset:]
-	if limit >= 0 && limit < len(res.Rows) {
+	if limit := int(lv.Int64()); limit >= 0 && limit < len(res.Rows) {
 		res.Rows = res.Rows[:limit]
 	}
 	return nil
@@ -203,8 +49,9 @@ type projected struct {
 	keys []Value
 }
 
-// execCore runs a single non-compound SELECT body.
-func (ev *evaluator) execCore(st *SelectStmt, outer *rowScope, applyOrderLimit bool) (*Result, error) {
+// execSelect runs a SELECT. outer is the enclosing row scope for correlated
+// subqueries, nil at top level.
+func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error) {
 	var cols []scopeCol
 	var rows [][]Value
 	var src *fromSource
@@ -294,20 +141,11 @@ func (ev *evaluator) execCore(st *SelectStmt, outer *rowScope, applyOrderLimit b
 	var items []projItem
 	for _, item := range st.Items {
 		if item.Star {
-			want := strings.ToLower(item.StarTable)
-			matched := false
 			for _, c := range cols {
-				if want != "" && c.table != want {
-					continue
-				}
-				matched = true
 				items = append(items, projItem{
 					expr: &ColExpr{Table: c.table, Name: c.name},
 					name: c.name,
 				})
-			}
-			if want != "" && !matched {
-				return nil, fmt.Errorf("%w: %s.*", ErrNoSuchTable, item.StarTable)
 			}
 			continue
 		}
@@ -334,30 +172,28 @@ func (ev *evaluator) execCore(st *SelectStmt, outer *rowScope, applyOrderLimit b
 		desc   bool
 	}
 	var plans []orderPlan
-	if applyOrderLimit {
-		for _, key := range st.OrderBy {
-			plan := orderPlan{colIdx: -1, expr: key.Expr, desc: key.Desc}
-			switch k := key.Expr.(type) {
-			case *ColExpr:
-				if k.Table == "" {
-					for ci, it := range items {
-						if it.alias != "" && strings.EqualFold(it.alias, k.Name) {
-							plan.colIdx = ci
-							break
-						}
+	for _, key := range st.OrderBy {
+		plan := orderPlan{colIdx: -1, expr: key.Expr, desc: key.Desc}
+		switch k := key.Expr.(type) {
+		case *ColExpr:
+			if k.Table == "" {
+				for ci, it := range items {
+					if it.alias != "" && strings.EqualFold(it.alias, k.Name) {
+						plan.colIdx = ci
+						break
 					}
-				}
-			case *Literal:
-				if k.Val.Kind() == KindInt {
-					n := int(k.Val.Int64())
-					if n < 1 || n > len(items) {
-						return nil, fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
-					}
-					plan.colIdx = n - 1
 				}
 			}
-			plans = append(plans, plan)
+		case *Literal:
+			if k.Val.Kind() == KindInt {
+				n := int(k.Val.Int64())
+				if n < 1 || n > len(items) {
+					return nil, fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
+				}
+				plan.colIdx = n - 1
+			}
 		}
+		plans = append(plans, plan)
 	}
 
 	project := func(s *rowScope) (*projected, error) {
@@ -438,7 +274,7 @@ func (ev *evaluator) execCore(st *SelectStmt, outer *rowScope, applyOrderLimit b
 		projRows = dedup
 	}
 
-	if applyOrderLimit && len(plans) > 0 {
+	if len(plans) > 0 {
 		desc := make([]bool, len(plans))
 		for i := range plans {
 			desc[i] = plans[i].desc
@@ -452,10 +288,8 @@ func (ev *evaluator) execCore(st *SelectStmt, outer *rowScope, applyOrderLimit b
 	for _, p := range projRows {
 		res.Rows = append(res.Rows, p.out)
 	}
-	if applyOrderLimit {
-		if err := ev.applyLimit(st, res); err != nil {
-			return nil, err
-		}
+	if err := ev.applyLimit(st, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -499,14 +333,14 @@ type fromSource struct {
 	tbl  *Table
 }
 
-// evalTableExpr materialises a FROM source into a scope-column list and
-// row set.
-func (ev *evaluator) evalTableExpr(te TableExpr, outer *rowScope) ([]scopeCol, [][]Value, error) {
-	src, err := ev.evalFrom(te, outer)
-	if err != nil {
-		return nil, nil, err
+// tableCols names a table's columns as a scope sees them under alias
+// (lower-cased).
+func tableCols(t *Table, alias string) []scopeCol {
+	cols := make([]scopeCol, len(t.Cols))
+	for i, c := range t.Cols {
+		cols[i] = scopeCol{table: alias, name: strings.ToLower(c.Name)}
 	}
-	return src.cols, src.rows, nil
+	return cols
 }
 
 // evalFrom materialises a FROM source, keeping base-table provenance.
@@ -519,11 +353,7 @@ func (ev *evaluator) evalFrom(te TableExpr, outer *rowScope) (*fromSource, error
 			alias = key
 		}
 		if tbl, ok := ev.tables[key]; ok {
-			cols := make([]scopeCol, len(tbl.Cols))
-			for i, c := range tbl.Cols {
-				cols[i] = scopeCol{table: alias, name: strings.ToLower(c.Name)}
-			}
-			return &fromSource{cols: cols, rows: tbl.Rows, tbl: tbl}, nil
+			return &fromSource{cols: tableCols(tbl, alias), rows: tbl.Rows, tbl: tbl}, nil
 		}
 		if view, ok := ev.views[key]; ok {
 			res, err := ev.execSelect(view.Select, nil)
@@ -537,18 +367,6 @@ func (ev *evaluator) evalFrom(te TableExpr, outer *rowScope) (*fromSource, error
 			return &fromSource{cols: cols, rows: res.Rows}, nil
 		}
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, t.Name)
-
-	case *SubqueryTable:
-		res, err := ev.execSelect(t.Select, nil)
-		if err != nil {
-			return nil, err
-		}
-		alias := strings.ToLower(t.Alias)
-		cols := make([]scopeCol, len(res.Columns))
-		for i, name := range res.Columns {
-			cols[i] = scopeCol{table: alias, name: strings.ToLower(name)}
-		}
-		return &fromSource{cols: cols, rows: res.Rows}, nil
 
 	case *JoinExpr:
 		return ev.evalJoin(t, outer)
@@ -567,7 +385,7 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 	}
 
 	if j.Natural {
-		return ev.evalNaturalJoin(j.Kind, left, right)
+		return ev.evalNaturalJoin(left, right)
 	}
 
 	lcols, lrows := left.cols, left.rows
@@ -577,8 +395,7 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 	// Hash path: `a.x = b.y` conjuncts in ON become index probes into the
 	// right side instead of an O(n·m) nested loop. The full ON predicate is
 	// re-evaluated over each candidate pair, so the probe result only needs
-	// to be a superset of the true matches; left-join null-extension still
-	// sees exactly the rows with no surviving candidate.
+	// to be a superset of the true matches.
 	probeRight, hashed := ev.joinProber(j.On, left, right, outer)
 	if hashed && len(lrows) > 0 && len(rrows) > 0 {
 		// The nested loop evaluates ON for every pair, surfacing bad or
@@ -591,12 +408,11 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 
 	var out [][]Value
 	for _, lr := range lrows {
-		matched := false
 		candidates, all, err := probeRight(lr)
 		if err != nil {
 			return nil, err
 		}
-		emit := func(rr []Value) (bool, error) {
+		emit := func(rr []Value) error {
 			row := make([]Value, 0, len(lr)+len(rr))
 			row = append(row, lr...)
 			row = append(row, rr...)
@@ -604,39 +420,27 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 				s := &rowScope{cols: cols, row: row, parent: outer}
 				v, err := ev.eval(j.On, s)
 				if err != nil {
-					return false, err
+					return err
 				}
 				if truth, _ := v.Truth(); !truth {
-					return false, nil
+					return nil
 				}
 			}
 			out = append(out, row)
-			return true, nil
+			return nil
 		}
 		if all {
 			for _, rr := range rrows {
-				ok, err := emit(rr)
-				if err != nil {
+				if err := emit(rr); err != nil {
 					return nil, err
 				}
-				matched = matched || ok
 			}
 		} else {
 			for _, ri := range candidates {
-				ok, err := emit(rrows[ri])
-				if err != nil {
+				if err := emit(rrows[ri]); err != nil {
 					return nil, err
 				}
-				matched = matched || ok
 			}
-		}
-		if j.Kind == JoinLeft && !matched {
-			row := make([]Value, 0, len(lr)+len(rcols))
-			row = append(row, lr...)
-			for range rcols {
-				row = append(row, Null())
-			}
-			out = append(out, row)
 		}
 	}
 	return &fromSource{cols: cols, rows: out}, nil
@@ -644,7 +448,7 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 
 // evalNaturalJoin joins on equality of all identically named columns; the
 // shared columns appear once in the output (taken from the left side).
-func (ev *evaluator) evalNaturalJoin(kind JoinKind, left, right *fromSource) (*fromSource, error) {
+func (ev *evaluator) evalNaturalJoin(left, right *fromSource) (*fromSource, error) {
 	lcols, lrows := left.cols, left.rows
 	rcols, rrows := right.cols, right.rows
 	type pair struct{ li, ri int }
@@ -678,12 +482,11 @@ func (ev *evaluator) evalNaturalJoin(kind JoinKind, left, right *fromSource) (*f
 
 	var out [][]Value
 	for _, lr := range lrows {
-		matched := false
-		emit := func(rr []Value) bool {
+		emit := func(rr []Value) {
 			for _, p := range common {
 				cmp, known := CompareSQL(lr[p.li], rr[p.ri])
 				if !known || cmp != 0 {
-					return false
+					return
 				}
 			}
 			row := append([]Value{}, lr...)
@@ -693,26 +496,16 @@ func (ev *evaluator) evalNaturalJoin(kind JoinKind, left, right *fromSource) (*f
 				}
 			}
 			out = append(out, row)
-			return true
 		}
 		candidates, all := probeRight(lr)
 		if all {
 			for _, rr := range rrows {
-				matched = emit(rr) || matched
+				emit(rr)
 			}
 		} else {
 			for _, ri := range candidates {
-				matched = emit(rrows[ri]) || matched
+				emit(rrows[ri])
 			}
-		}
-		if kind == JoinLeft && !matched {
-			row := append([]Value{}, lr...)
-			for ri := range rcols {
-				if !rightDrop[ri] {
-					row = append(row, Null())
-				}
-			}
-			out = append(out, row)
 		}
 	}
 	return &fromSource{cols: cols, rows: out}, nil
@@ -749,47 +542,10 @@ func validateCols(e Expr, cols []scopeCol, outer *rowScope) error {
 		}
 		return validateCols(x.R, cols, outer)
 	case *FuncCall:
-		for _, a := range x.Args {
-			if err := validateCols(a, cols, outer); err != nil {
-				return err
-			}
-		}
+		return validateCols(x.Arg, cols, outer)
 	case *IsNullExpr:
 		return validateCols(x.X, cols, outer)
-	case *BetweenExpr:
-		for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-			if err := validateCols(sub, cols, outer); err != nil {
-				return err
-			}
-		}
-	case *LikeExpr:
-		if err := validateCols(x.X, cols, outer); err != nil {
-			return err
-		}
-		return validateCols(x.Pattern, cols, outer)
 	case *InExpr:
-		if err := validateCols(x.X, cols, outer); err != nil {
-			return err
-		}
-		for _, le := range x.List {
-			if err := validateCols(le, cols, outer); err != nil {
-				return err
-			}
-		}
-	case *CaseExpr:
-		if err := validateCols(x.Operand, cols, outer); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := validateCols(w.Cond, cols, outer); err != nil {
-				return err
-			}
-			if err := validateCols(w.Result, cols, outer); err != nil {
-				return err
-			}
-		}
-		return validateCols(x.Else, cols, outer)
-	case *CastExpr:
 		return validateCols(x.X, cols, outer)
 	}
 	return nil
@@ -810,21 +566,13 @@ func exprName(e Expr) string {
 		if x.Star {
 			return x.Name + "(*)"
 		}
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprName(a)
-		}
-		return x.Name + "(" + strings.Join(args, ",") + ")"
+		return x.Name + "(" + exprName(x.Arg) + ")"
 	case *Binary:
 		return exprName(x.L) + x.Op + exprName(x.R)
 	case *Unary:
 		return x.Op + exprName(x.X)
 	case *SubqueryExpr:
 		return "(subquery)"
-	case *CastExpr:
-		return "CAST(" + exprName(x.X) + ")"
-	case *CaseExpr:
-		return "CASE"
 	case *ParamExpr:
 		return "?"
 	}

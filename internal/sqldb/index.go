@@ -23,8 +23,6 @@ import (
 //   - INSERT extends an index incrementally: positions are stable, so the
 //     next lookup indexes only the appended suffix (hashIndex.n tracks
 //     coverage).
-//   - UPDATE of an indexed column drops exactly the indexes over that
-//     column; positions are stable under UPDATE, so other indexes survive.
 //   - DELETE (and RemoveLastRows) shift or truncate positions, so they
 //     bump the table version, invalidating every index; the next lookup
 //     rebuilds from scratch.
@@ -171,33 +169,8 @@ func (ix *tableIndexes) invalidateAll() {
 	ix.mu.Unlock()
 }
 
-// invalidateCols drops the indexes that cover any of the given columns
-// (UPDATE of an indexed column); positions are stable, so other indexes
-// survive.
-func (ix *tableIndexes) invalidateCols(cols []int) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for sig, h := range ix.bySig {
-		drop := false
-		for _, hc := range h.cols {
-			for _, c := range cols {
-				if hc == c {
-					drop = true
-					break
-				}
-			}
-			if drop {
-				break
-			}
-		}
-		if drop {
-			delete(ix.bySig, sig)
-		}
-	}
-}
-
-// transientIndex builds a one-shot hash map over derived rows (view or
-// subquery output) that have no table to hang a persistent index on.
+// buildTransient builds a one-shot hash map over derived rows (a view's or a
+// join's output) that have no table to hang a persistent index on.
 func buildTransient(rows [][]Value, cols []int) *hashIndex {
 	h := &hashIndex{cols: cols, m: make(map[string][]int)}
 	for i, row := range rows {

@@ -23,23 +23,30 @@ type token struct {
 	pos  int
 }
 
-// keywords recognised by the dialect. Identifiers matching these (case
+// keywords of the grammar (DESIGN.md §15). Identifiers matching these (case
 // insensitively) lex as tkKeyword.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "DISTINCT": true, "ALL": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "OUTER": true, "CROSS": true,
-	"NATURAL": true, "ON": true, "AND": true, "OR": true, "NOT": true,
-	"IN": true, "IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
-	"EXISTS": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "CREATE": true, "TABLE": true, "VIEW": true, "DROP": true,
-	"IF": true, "INSERT": true, "INTO": true, "VALUES": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "INTEGER": true,
-	"INT": true, "TEXT": true, "REAL": true, "BLOB": true, "PRIMARY": true,
-	"KEY": true, "UNIQUE": true, "DEFAULT": true, "BEGIN": true,
-	"COMMIT": true, "ROLLBACK": true, "UNION": true, "EXCEPT": true,
-	"INTERSECT": true, "CAST": true,
+	"HAVING": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
+	"DISTINCT": true, "AS": true, "JOIN": true, "NATURAL": true, "ON": true,
+	"AND": true, "OR": true, "NOT": true, "IN": true, "IS": true, "NULL": true,
+	"EXISTS": true, "CREATE": true, "TABLE": true, "VIEW": true,
+	"INSERT": true, "INTO": true, "VALUES": true, "DELETE": true,
+	"INTEGER": true, "INT": true, "TEXT": true, "REAL": true, "BLOB": true,
+}
+
+// unsupported are SQL keywords the grammar leaves out. They stay reserved so
+// that a statement using one is refused by name; lexed as identifiers they
+// would be taken for aliases, and `t LEFT JOIN u` would run as an inner join
+// of t, aliased "LEFT", with u. A quoted identifier may still spell one.
+var unsupported = map[string]bool{
+	"UPDATE": true, "SET": true, "DROP": true, "IF": true, "CASE": true,
+	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "CAST": true,
+	"LIKE": true, "BETWEEN": true, "UNION": true, "EXCEPT": true,
+	"INTERSECT": true, "ALL": true, "OFFSET": true, "INNER": true,
+	"LEFT": true, "OUTER": true, "CROSS": true, "PRIMARY": true, "KEY": true,
+	"UNIQUE": true, "DEFAULT": true, "BEGIN": true, "COMMIT": true,
+	"ROLLBACK": true,
 }
 
 type lexer struct {
@@ -86,6 +93,9 @@ scan:
 		up := strings.ToUpper(word)
 		if keywords[up] {
 			return token{kind: tkKeyword, text: up, pos: start}, nil
+		}
+		if unsupported[up] {
+			return token{}, l.errf(start, "%s is outside the supported SQL", up)
 		}
 		return token{kind: tkIdent, text: word, pos: start}, nil
 
@@ -154,7 +164,7 @@ scan:
 			two = l.src[l.pos : l.pos+2]
 		}
 		switch two {
-		case "!=", "<>", "<=", ">=", "||", "==":
+		case "!=", "<>", "<=", ">=", "==":
 			l.pos += 2
 			if two == "<>" {
 				two = "!="

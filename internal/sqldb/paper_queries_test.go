@@ -7,21 +7,23 @@ import (
 // These tests run the SQL that appears verbatim in the LibSEAL paper (§1,
 // §3.1, §5.1, §6.2) against the engine, using the Git audit schema.
 
-func gitAuditDB(t *testing.T) *DB {
-	t.Helper()
-	db := New()
-	mustExec(t, db, `
-		CREATE TABLE updates (time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
-		CREATE TABLE advertisements (time INTEGER, repo TEXT, branch TEXT, cid TEXT);
-	`)
-	mustExec(t, db, `CREATE VIEW branchcnt AS
+// gitAuditSchema is gitssm's schema (§5.1).
+const gitAuditSchema = `
+	CREATE TABLE updates (time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
+	CREATE TABLE advertisements (time INTEGER, repo TEXT, branch TEXT, cid TEXT);
+	CREATE VIEW branchcnt AS
 		SELECT DISTINCT a.time,a.repo,COUNT(u.branch) AS cnt
 		FROM advertisements a
 		JOIN updates u ON u.time < a.time AND u.repo = a.repo
 		WHERE u.type != 'delete' AND u.time = (SELECT MAX(time)
 			FROM updates WHERE branch = u.branch
 			AND repo = u.repo AND time < a.time) GROUP BY
-			a.time,a.repo,a.branch`)
+			a.time,a.repo,a.branch`
+
+func gitAuditDB(t *testing.T) *DB {
+	t.Helper()
+	db := New()
+	mustExec(t, db, gitAuditSchema)
 	return db
 }
 

@@ -114,25 +114,34 @@ func (p *parser) ident() (string, error) {
 
 func (p *parser) parseStatement() (Statement, error) {
 	t := p.peek()
-	if t.kind != tkKeyword {
-		return nil, p.errHere("expected statement keyword")
+	if t.kind == tkKeyword {
+		switch t.text {
+		case "SELECT":
+			return p.parseSelect()
+		case "CREATE":
+			return p.parseCreate()
+		case "INSERT":
+			return p.parseInsert()
+		case "DELETE":
+			return p.parseDelete()
+		}
 	}
-	switch t.text {
-	case "SELECT":
-		return p.parseSelect()
-	case "CREATE":
-		return p.parseCreate()
-	case "DROP":
-		return p.parseDrop()
-	case "INSERT":
-		return p.parseInsert()
-	case "UPDATE":
-		return p.parseUpdate()
-	case "DELETE":
-		return p.parseDelete()
-	default:
-		return nil, p.errHere("unsupported statement %s", t.text)
+	return nil, p.errHere("expected SELECT, CREATE, INSERT or DELETE")
+}
+
+// parseType accepts an optional column type and returns its affinity.
+func (p *parser) parseType() Kind {
+	switch {
+	case p.acceptKw("INTEGER"), p.acceptKw("INT"):
+		return KindInt
+	case p.acceptKw("TEXT"):
+		return KindText
+	case p.acceptKw("REAL"):
+		return KindFloat
+	case p.acceptKw("BLOB"):
+		return KindBlob
 	}
+	return KindNull
 }
 
 func (p *parser) parseCreate() (Statement, error) {
@@ -140,15 +149,6 @@ func (p *parser) parseCreate() (Statement, error) {
 	switch {
 	case p.acceptKw("TABLE"):
 		st := &CreateTableStmt{}
-		if p.acceptKw("IF") {
-			if err := p.expectKw("NOT"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("EXISTS"); err != nil {
-				return nil, err
-			}
-			st.IfNotExists = true
-		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -162,40 +162,7 @@ func (p *parser) parseCreate() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			def := ColumnDef{Name: col}
-			// Optional type affinity.
-			switch {
-			case p.acceptKw("INTEGER"), p.acceptKw("INT"):
-				def.Type = KindInt
-			case p.acceptKw("TEXT"):
-				def.Type = KindText
-			case p.acceptKw("REAL"):
-				def.Type = KindFloat
-			case p.acceptKw("BLOB"):
-				def.Type = KindBlob
-			}
-			// Accept and ignore common constraints.
-			for {
-				switch {
-				case p.acceptKw("PRIMARY"):
-					if err := p.expectKw("KEY"); err != nil {
-						return nil, err
-					}
-				case p.acceptKw("UNIQUE"):
-				case p.acceptKw("NOT"):
-					if err := p.expectKw("NULL"); err != nil {
-						return nil, err
-					}
-				case p.acceptKw("DEFAULT"):
-					if _, err := p.parsePrimary(); err != nil {
-						return nil, err
-					}
-				default:
-					goto colDone
-				}
-			}
-		colDone:
-			st.Cols = append(st.Cols, def)
+			st.Cols = append(st.Cols, ColumnDef{Name: col, Type: p.parseType()})
 			if p.acceptOp(",") {
 				continue
 			}
@@ -208,15 +175,6 @@ func (p *parser) parseCreate() (Statement, error) {
 
 	case p.acceptKw("VIEW"):
 		st := &CreateViewStmt{}
-		if p.acceptKw("IF") {
-			if err := p.expectKw("NOT"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("EXISTS"); err != nil {
-				return nil, err
-			}
-			st.IfNotExists = true
-		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -235,30 +193,6 @@ func (p *parser) parseCreate() (Statement, error) {
 	return nil, p.errHere("expected TABLE or VIEW after CREATE")
 }
 
-func (p *parser) parseDrop() (Statement, error) {
-	p.advance() // DROP
-	st := &DropStmt{}
-	switch {
-	case p.acceptKw("TABLE"):
-	case p.acceptKw("VIEW"):
-		st.View = true
-	default:
-		return nil, p.errHere("expected TABLE or VIEW after DROP")
-	}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
-	return st, nil
-}
-
 func (p *parser) parseInsert() (Statement, error) {
 	p.advance() // INSERT
 	if err := p.expectKw("INTO"); err != nil {
@@ -270,30 +204,6 @@ func (p *parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	st.Table = name
-	if p.acceptOp("(") {
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, col)
-			if p.acceptOp(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-	}
-	if p.peek().kind == tkKeyword && p.peek().text == "SELECT" {
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		st.Select = sel
-		return st, nil
-	}
 	if err := p.expectKw("VALUES"); err != nil {
 		return nil, err
 	}
@@ -325,45 +235,6 @@ func (p *parser) parseInsert() (Statement, error) {
 	return st, nil
 }
 
-func (p *parser) parseUpdate() (Statement, error) {
-	p.advance() // UPDATE
-	st := &UpdateStmt{}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Table = name
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Set = append(st.Set, Assign{Col: col, Expr: e})
-		if p.acceptOp(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKw("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = e
-	}
-	return st, nil
-}
-
 func (p *parser) parseDelete() (Statement, error) {
 	p.advance() // DELETE
 	if err := p.expectKw("FROM"); err != nil {
@@ -385,94 +256,13 @@ func (p *parser) parseDelete() (Statement, error) {
 	return st, nil
 }
 
-// parseSelect parses a full select including compound operators and the
-// trailing ORDER BY / LIMIT, which apply to the compound result.
+// parseSelect parses SELECT ... [FROM ... WHERE ... GROUP BY ... HAVING ...
+// ORDER BY ... LIMIT ...].
 func (p *parser) parseSelect() (*SelectStmt, error) {
-	st, err := p.parseSelectCore()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op CompoundOp
-		switch {
-		case p.acceptKw("UNION"):
-			if p.acceptKw("ALL") {
-				op = CompoundUnionAll
-			} else {
-				op = CompoundUnion
-			}
-		case p.acceptKw("EXCEPT"):
-			op = CompoundExcept
-		case p.acceptKw("INTERSECT"):
-			op = CompoundIntersect
-		default:
-			goto tail
-		}
-		rhs, err := p.parseSelectCore()
-		if err != nil {
-			return nil, err
-		}
-		st.Compound = append(st.Compound, CompoundPart{Op: op, Select: rhs})
-	}
-tail:
-	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			key := OrderKey{Expr: e}
-			if p.acceptKw("DESC") {
-				key.Desc = true
-			} else {
-				p.acceptKw("ASC")
-			}
-			st.OrderBy = append(st.OrderBy, key)
-			if p.acceptOp(",") {
-				continue
-			}
-			break
-		}
-	}
-	if p.acceptKw("LIMIT") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Limit = e
-		if p.acceptKw("OFFSET") {
-			off, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Offset = off
-		} else if p.acceptOp(",") { // LIMIT off, n
-			n, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.Offset = st.Limit
-			st.Limit = n
-		}
-	}
-	return st, nil
-}
-
-// parseSelectCore parses one SELECT ... [FROM ... WHERE ... GROUP BY ...
-// HAVING ...] without compound/order/limit tails.
-func (p *parser) parseSelectCore() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
-	st := &SelectStmt{}
-	if p.acceptKw("DISTINCT") {
-		st.Distinct = true
-	} else {
-		p.acceptKw("ALL")
-	}
+	st := &SelectStmt{Distinct: p.acceptKw("DISTINCT")}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -521,6 +311,35 @@ func (p *parser) parseSelectCore() (*SelectStmt, error) {
 		}
 		st.Having = e
 	}
+	if p.acceptKw("ORDER") {
+		if err := p.expectKw("BY"); err != nil {
+			return nil, err
+		}
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			key := OrderKey{Expr: e}
+			if p.acceptKw("DESC") {
+				key.Desc = true
+			} else {
+				p.acceptKw("ASC")
+			}
+			st.OrderBy = append(st.OrderBy, key)
+			if p.acceptOp(",") {
+				continue
+			}
+			break
+		}
+	}
+	if p.acceptKw("LIMIT") {
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		st.Limit = e
+	}
 	return st, nil
 }
 
@@ -528,145 +347,63 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	if p.acceptOp("*") {
 		return SelectItem{Star: true}, nil
 	}
-	// t.* form: ident '.' '*'
-	if p.peek().kind == tkIdent && p.peek2().kind == tkOp && p.peek2().text == "." {
-		save := p.pos
-		name, _ := p.ident()
-		p.acceptOp(".")
-		if p.acceptOp("*") {
-			return SelectItem{Star: true, StarTable: name}, nil
-		}
-		p.pos = save
-	}
 	e, err := p.parseExpr()
 	if err != nil {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
-	if p.acceptKw("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = alias
-	} else if p.peek().kind == tkIdent {
-		item.Alias = p.advance().text
+	if item.Alias, err = p.parseAlias(); err != nil {
+		return SelectItem{}, err
 	}
 	return item, nil
 }
 
-// parseTableExpr parses a FROM clause: sources combined by commas and joins.
+// parseAlias accepts an optional `[AS] alias`.
+func (p *parser) parseAlias() (string, error) {
+	if p.acceptKw("AS") {
+		return p.ident()
+	}
+	if p.peek().kind == tkIdent {
+		return p.advance().text, nil
+	}
+	return "", nil
+}
+
+// parseTableExpr parses a FROM clause: a table or view, then any number of
+// joins, each with the chain so far as its left side.
 func (p *parser) parseTableExpr() (TableExpr, error) {
-	left, err := p.parseTableSource()
+	left, err := p.parseTableName()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.acceptOp(","):
-			right, err := p.parseTableSource()
-			if err != nil {
-				return nil, err
+		join := &JoinExpr{Left: left, Natural: p.acceptKw("NATURAL")}
+		if !p.acceptKw("JOIN") {
+			if join.Natural {
+				return nil, p.errHere("expected JOIN")
 			}
-			left = &JoinExpr{Kind: JoinCross, Left: left, Right: right}
-
-		case p.peekJoin():
-			join := &JoinExpr{Left: left}
-			if p.acceptKw("NATURAL") {
-				join.Natural = true
-			}
-			switch {
-			case p.acceptKw("LEFT"):
-				p.acceptKw("OUTER")
-				join.Kind = JoinLeft
-			case p.acceptKw("INNER"):
-				join.Kind = JoinInner
-			case p.acceptKw("CROSS"):
-				join.Kind = JoinCross
-			}
-			if err := p.expectKw("JOIN"); err != nil {
-				return nil, err
-			}
-			right, err := p.parseTableSource()
-			if err != nil {
-				return nil, err
-			}
-			join.Right = right
-			if !join.Natural && join.Kind != JoinCross && p.acceptKw("ON") {
-				on, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				join.On = on
-			} else if join.Kind == JoinInner && !join.Natural && join.On == nil {
-				// JOIN without ON behaves as a cross join.
-				join.Kind = JoinCross
-			}
-			left = join
-
-		default:
 			return left, nil
 		}
+		if join.Right, err = p.parseTableName(); err != nil {
+			return nil, err
+		}
+		if !join.Natural && p.acceptKw("ON") {
+			if join.On, err = p.parseExpr(); err != nil {
+				return nil, err
+			}
+		}
+		left = join
 	}
 }
 
-func (p *parser) peekJoin() bool {
-	t := p.peek()
-	if t.kind != tkKeyword {
-		return false
-	}
-	switch t.text {
-	case "JOIN", "INNER", "LEFT", "CROSS", "NATURAL":
-		return true
-	}
-	return false
-}
-
-func (p *parser) parseTableSource() (TableExpr, error) {
-	if p.acceptOp("(") {
-		if p.peek().kind == tkKeyword && p.peek().text == "SELECT" {
-			sel, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			sub := &SubqueryTable{Select: sel}
-			if p.acceptKw("AS") {
-				alias, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				sub.Alias = alias
-			} else if p.peek().kind == tkIdent {
-				sub.Alias = p.advance().text
-			}
-			return sub, nil
-		}
-		// Parenthesised join expression.
-		te, err := p.parseTableExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return te, nil
-	}
+func (p *parser) parseTableName() (TableExpr, error) {
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
 	tn := &TableName{Name: name}
-	if p.acceptKw("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		tn.Alias = alias
-	} else if p.peek().kind == tkIdent {
-		tn.Alias = p.advance().text
+	if tn.Alias, err = p.parseAlias(); err != nil {
+		return nil, err
 	}
 	return tn, nil
 }
@@ -695,18 +432,14 @@ func (p *parser) parseAnd() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		// AND may terminate a BETWEEN, which parseComparison handles; at
-		// this level a bare AND is always a conjunction.
-		if !p.acceptKw("AND") {
-			return left, nil
-		}
+	for p.acceptKw("AND") {
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
 		left = &Binary{Op: "AND", L: left, R: right}
 	}
+	return left, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
@@ -747,71 +480,31 @@ func (p *parser) parseComparison() (Expr, error) {
 			}
 			left = &IsNullExpr{X: left, Not: not}
 
-		case t.kind == tkKeyword && (t.text == "IN" || t.text == "LIKE" || t.text == "BETWEEN" || t.text == "NOT"):
-			not := false
-			if t.text == "NOT" {
-				// Only treat NOT as a suffix operator if followed by
-				// IN/LIKE/BETWEEN; otherwise it belongs to an outer NOT.
-				nt := p.peek2()
-				if nt.kind != tkKeyword || (nt.text != "IN" && nt.text != "LIKE" && nt.text != "BETWEEN") {
+		case t.kind == tkKeyword && (t.text == "IN" || t.text == "NOT"):
+			not := t.text == "NOT"
+			if not {
+				// NOT is a suffix operator only before IN; otherwise it
+				// belongs to an outer NOT.
+				if nt := p.peek2(); nt.kind != tkKeyword || nt.text != "IN" {
 					return left, nil
 				}
 				p.advance()
-				not = true
-				t = p.peek()
 			}
-			switch t.text {
-			case "IN":
-				p.advance()
-				in := &InExpr{X: left, Not: not}
-				if err := p.expectOp("("); err != nil {
-					return nil, err
-				}
-				if p.peek().kind == tkKeyword && p.peek().text == "SELECT" {
-					sel, err := p.parseSelect()
-					if err != nil {
-						return nil, err
-					}
-					in.Select = sel
-				} else {
-					for {
-						e, err := p.parseExpr()
-						if err != nil {
-							return nil, err
-						}
-						in.List = append(in.List, e)
-						if p.acceptOp(",") {
-							continue
-						}
-						break
-					}
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				left = in
-			case "LIKE":
-				p.advance()
-				pat, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = &LikeExpr{X: left, Pattern: pat, Not: not}
-			case "BETWEEN":
-				p.advance()
-				lo, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKw("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				left = &BetweenExpr{X: left, Lo: lo, Hi: hi, Not: not}
+			p.advance() // IN
+			if err := p.expectOp("("); err != nil {
+				return nil, err
 			}
+			if t := p.peek(); t.kind != tkKeyword || t.text != "SELECT" {
+				return nil, p.errHere("IN takes a subquery")
+			}
+			sel, err := p.parseSelect()
+			if err != nil {
+				return nil, err
+			}
+			if err := p.expectOp(")"); err != nil {
+				return nil, err
+			}
+			left = &InExpr{X: left, Not: not, Select: sel}
 
 		default:
 			return left, nil
@@ -826,7 +519,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tkOp && (t.text == "+" || t.text == "-" || t.text == "||") {
+		if t.kind == tkOp && (t.text == "+" || t.text == "-") {
 			p.advance()
 			right, err := p.parseMultiplicative()
 			if err != nil {
@@ -860,15 +553,10 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	t := p.peek()
-	if t.kind == tkOp && (t.text == "-" || t.text == "+") {
-		p.advance()
+	if p.acceptOp("-") {
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
-		}
-		if t.text == "+" {
-			return x, nil
 		}
 		return &Unary{Op: "-", X: x}, nil
 	}
@@ -922,75 +610,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "EXISTS":
 			p.advance()
 			return p.parseExists(false)
-		case "CASE":
-			p.advance()
-			return p.parseCase()
-		case "CAST":
-			p.advance()
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("AS"); err != nil {
-				return nil, err
-			}
-			var kind Kind
-			switch {
-			case p.acceptKw("INTEGER"), p.acceptKw("INT"):
-				kind = KindInt
-			case p.acceptKw("TEXT"):
-				kind = KindText
-			case p.acceptKw("REAL"):
-				kind = KindFloat
-			case p.acceptKw("BLOB"):
-				kind = KindBlob
-			default:
-				return nil, p.errHere("expected type in CAST")
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &CastExpr{X: x, Type: kind}, nil
 		}
 		return nil, p.errHere("unexpected keyword %s in expression", t.text)
 
 	case tkIdent:
-		p.advance()
-		// Function call?
-		if p.acceptOp("(") {
-			fc := &FuncCall{Name: strings.ToUpper(t.text)}
-			if p.acceptOp("*") {
-				fc.Star = true
-			} else if !p.acceptOp(")") {
-				if p.acceptKw("DISTINCT") {
-					fc.Distinct = true
-				}
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					fc.Args = append(fc.Args, e)
-					if p.acceptOp(",") {
-						continue
-					}
-					break
-				}
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return fc, nil
-			} else {
-				return fc, nil // empty arg list
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return fc, nil
+		if nt := p.peek2(); nt.kind == tkOp && nt.text == "(" {
+			return p.parseAggregate()
 		}
+		p.advance()
 		// Qualified column?
 		if p.acceptOp(".") {
 			col, err := p.ident()
@@ -1041,41 +668,26 @@ func (p *parser) parseExists(not bool) (Expr, error) {
 	return &ExistsExpr{Not: not, Select: sel}, nil
 }
 
-func (p *parser) parseCase() (Expr, error) {
-	ce := &CaseExpr{}
-	if !(p.peek().kind == tkKeyword && (p.peek().text == "WHEN" || p.peek().text == "ELSE" || p.peek().text == "END")) {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Operand = op
+// parseAggregate parses `name(` ... `)`. The three aggregates are the only
+// functions of the grammar.
+func (p *parser) parseAggregate() (Expr, error) {
+	fc := &FuncCall{Name: strings.ToUpper(p.peek().text)}
+	if !isAggregateName(fc.Name) {
+		return nil, p.errHere("unsupported function (the grammar has COUNT, MIN and MAX)")
 	}
-	for p.acceptKw("WHEN") {
-		cond, err := p.parseExpr()
+	p.advance()
+	p.advance() // (
+	if fc.Name == "COUNT" && p.acceptOp("*") {
+		fc.Star = true
+	} else {
+		arg, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("THEN"); err != nil {
-			return nil, err
-		}
-		res, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, When{Cond: cond, Result: res})
+		fc.Arg = arg
 	}
-	if p.acceptKw("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
-	}
-	if err := p.expectKw("END"); err != nil {
+	if err := p.expectOp(")"); err != nil {
 		return nil, err
 	}
-	if len(ce.Whens) == 0 {
-		return nil, p.errHere("CASE requires at least one WHEN")
-	}
-	return ce, nil
+	return fc, nil
 }

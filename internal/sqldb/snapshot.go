@@ -10,14 +10,12 @@ import (
 //
 // A Snapshot freezes the database's contents in O(tables): it copies each
 // table's row-slice *header* (not the rows) and marks the table shared.
-// Row slices are immutable once stored (UPDATE replaces them), so the only
-// hazards are in-place mutations of the outer Rows array, which the writer
-// side prevents:
+// Row slices are immutable once stored, so the only hazard is a store into
+// the outer Rows array below a snapshot's length, and none of the three
+// writers makes one:
 //
 //   - INSERT appends at positions >= every snapshot's length — disjoint
 //     memory, no copy needed.
-//   - UPDATE copies the header before its first in-place store after a
-//     snapshot (Table.shared), so the snapshot keeps the original array.
 //   - DELETE rebuilds into a fresh array.
 //   - RemoveLastRows clips capacity while shared, so later appends
 //     reallocate instead of overwriting the truncated suffix a snapshot
@@ -60,7 +58,7 @@ func (db *DB) Snapshot() *Snapshot {
 	}
 	for k, t := range db.tables {
 		t.shared = true
-		s.tables[k] = &Table{Name: t.Name, Cols: t.Cols, Rows: t.Rows, byName: t.byName, idx: newTableIndexes(), gen: t.gen}
+		s.tables[k] = &Table{Name: t.Name, Cols: t.Cols, Rows: t.Rows, idx: newTableIndexes(), gen: t.gen}
 		s.origin[k] = tableOrigin{live: t, gen: t.gen, n: len(t.Rows)}
 	}
 	for k, v := range db.views {
@@ -176,13 +174,13 @@ func (s *Snapshot) PlanTrim(stmts []*Stmt) (*TrimPlan, error) {
 // ApplyTrim commits a plan: each trimmed table becomes the plan's survivors
 // followed by every row appended since the snapshot, which the script never
 // saw and which therefore stay. If any of those tables changed in another way
-// in between (a delete, an update, a dropped table) the plan is refused with
+// in between (a DELETE, a RemoveLastRows) the plan is refused with
 // ErrTrimStale and nothing is trimmed.
 func (db *DB) ApplyTrim(p *TrimPlan) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, tt := range p.tables {
-		if db.tables[strings.ToLower(tt.live.Name)] != tt.live || tt.live.gen != tt.gen || len(tt.live.Rows) < tt.n {
+		if tt.live.gen != tt.gen || len(tt.live.Rows) < tt.n {
 			return fmt.Errorf("%w: table %s", ErrTrimStale, tt.live.Name)
 		}
 	}
@@ -192,13 +190,4 @@ func (db *DB) ApplyTrim(p *TrimPlan) error {
 		tt.live.replaceRows(append(append(rows, tt.keep...), since...))
 	}
 	return nil
-}
-
-// TableRowCount returns the number of rows a table had at capture time.
-func (s *Snapshot) TableRowCount(name string) (int, error) {
-	t, ok := s.tables[strings.ToLower(name)]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
-	}
-	return len(t.Rows), nil
 }

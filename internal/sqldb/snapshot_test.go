@@ -29,24 +29,6 @@ func TestSnapshotIsolatedFromInsert(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsolatedFromUpdate(t *testing.T) {
-	db := New()
-	mustExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT)")
-	mustExec(t, db, "INSERT INTO t VALUES (1,'old'), (2,'old')")
-	snap := db.Snapshot()
-	mustExec(t, db, "UPDATE t SET b = 'new' WHERE a = 1")
-	res, err := snap.Query("SELECT b FROM t ORDER BY a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat(res) != "old;old" {
-		t.Fatalf("snapshot = %q after live UPDATE, want old;old", flat(res))
-	}
-	if res := mustQuery(t, db, "SELECT b FROM t ORDER BY a"); flat(res) != "new;old" {
-		t.Fatalf("live = %q", flat(res))
-	}
-}
-
 func TestSnapshotIsolatedFromDelete(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
@@ -55,6 +37,16 @@ func TestSnapshotIsolatedFromDelete(t *testing.T) {
 	mustExec(t, db, "DELETE FROM t WHERE a < 3")
 	if n := snapCount(t, snap, "SELECT COUNT(*) FROM t"); n != 3 {
 		t.Fatalf("snapshot sees %d rows after live DELETE, want 3", n)
+	}
+	// Rows stored after the DELETE land in the live table's fresh array, not
+	// over the one the snapshot reads.
+	mustExec(t, db, "INSERT INTO t VALUES (7), (8), (9)")
+	res, err := snap.Query("SELECT a FROM t")
+	if err != nil || flat(res) != "1;2;3" {
+		t.Fatalf("snapshot = %q, %v after live DELETE+INSERT, want 1;2;3", flat(res), err)
+	}
+	if res := mustQuery(t, db, "SELECT a FROM t"); flat(res) != "3;7;8;9" {
+		t.Fatalf("live = %q", flat(res))
 	}
 }
 
@@ -91,7 +83,7 @@ func TestSnapshotQueryStmtWithParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
-	mustExec(t, db, "UPDATE t SET b = 'gone' WHERE a = 2")
+	mustExec(t, db, "DELETE FROM t WHERE a = 2")
 	res, err := snap.QueryStmt(stmt, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -195,52 +187,46 @@ func TestTrimPlanKeepsRowsAppendedSinceCapture(t *testing.T) {
 // holds would resurrect or misplace rows. It is refused whole: the other
 // tables of the plan stay untrimmed too.
 func TestTrimPlanStaleRefused(t *testing.T) {
-	for _, meddle := range []string{
-		"DELETE FROM updates WHERE time = 1",
-		"UPDATE updates SET cid = 'x' WHERE time = 2",
-	} {
+	// The two writers that can take a captured row away: a DELETE, and a
+	// truncation of rows the snapshot saw (even when as many are stored
+	// again, so the table is as long as it was).
+	meddlers := map[string]func(db *DB){
+		"DELETE": func(db *DB) { mustExec(t, db, "DELETE FROM updates WHERE time = 1") },
+		"RemoveLastRows": func(db *DB) {
+			if err := db.RemoveLastRows("updates", 1); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, `INSERT INTO updates VALUES (9,'r','main','c9','update')`)
+		},
+	}
+	for name, meddle := range meddlers {
 		db := New()
 		mustExec(t, db, gitTrimSchema)
 		mustExec(t, db, `INSERT INTO updates VALUES (1,'r','main','c1','create'), (2,'r','main','c2','update')`)
 		mustExec(t, db, `INSERT INTO advertisements VALUES (3,'r','main','c2')`)
 		snap := db.Snapshot()
-		mustExec(t, db, meddle)
+		meddle(db)
 		plan, err := snap.PlanTrim(prepareAll(t, db, gitTrimQueries...))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := db.ApplyTrim(plan); !errors.Is(err, ErrTrimStale) {
-			t.Fatalf("ApplyTrim after %q = %v, want ErrTrimStale", meddle, err)
+			t.Fatalf("ApplyTrim after %s = %v, want ErrTrimStale", name, err)
 		}
 		if n, _ := db.TableRowCount("advertisements"); n != 1 {
-			t.Fatalf("after %q a refused plan still trimmed advertisements (%d rows)", meddle, n)
+			t.Fatalf("after %s a refused plan still trimmed advertisements (%d rows)", name, n)
 		}
-	}
-	// Truncating rows the snapshot captured is such a change as well.
-	db := New()
-	mustExec(t, db, gitTrimSchema)
-	mustExec(t, db, `INSERT INTO advertisements VALUES (3,'r','main','c2'), (4,'r','main','c2')`)
-	snap := db.Snapshot()
-	if err := db.RemoveLastRows("advertisements", 1); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := snap.PlanTrim(prepareAll(t, db, gitTrimQueries...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.ApplyTrim(plan); !errors.Is(err, ErrTrimStale) {
-		t.Fatalf("ApplyTrim after RemoveLastRows = %v, want ErrTrimStale", err)
 	}
 }
 
 // Writers mutate continuously while snapshots are captured and queried.
 // Each snapshot must see a consistent instant: the live seqs always form
-// the contiguous range [min, max] (INSERT appends at the top, DELETE takes
-// from the bottom), and flip is always either seq or seq+1000000 (UPDATE
-// replaces whole rows, never tears them). Run under -race.
+// the contiguous range [min, max] (INSERT appends at the top, RemoveLastRows
+// takes from the top, DELETE from the bottom), and every row is whole: twin
+// is seq in the row as it was stored. Run under -race.
 func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 	db := New()
-	mustExec(t, db, "CREATE TABLE t (seq INTEGER, flip INTEGER)")
+	mustExec(t, db, "CREATE TABLE t (seq INTEGER, twin INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (0, 0)")
 
 	stop := make(chan struct{})
@@ -259,12 +245,6 @@ func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 			if _, err := db.Exec("INSERT INTO t VALUES (?, ?)", seq, seq); err != nil {
 				t.Error(err)
 				return
-			}
-			if seq%5 == 0 {
-				if _, err := db.Exec("UPDATE t SET flip = seq + 1000000 WHERE seq > ?", seq-3); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 			if seq%17 == 0 {
 				if _, err := db.Exec("DELETE FROM t WHERE seq < ?", seq-30); err != nil {
@@ -292,8 +272,7 @@ func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 		if count != max-min+1 {
 			t.Fatalf("snapshot %d inconsistent: count=%d range [%d,%d]", i, count, min, max)
 		}
-		torn, err := snap.Query(
-			"SELECT COUNT(*) FROM t WHERE flip != seq AND flip != seq + 1000000")
+		torn, err := snap.Query("SELECT COUNT(*) FROM t WHERE twin != seq")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,10 +56,16 @@ func TestCreateInsertSelect(t *testing.T) {
 	}
 }
 
+// An INSERT gives every column, in declaration order; a column list is
+// outside the grammar, and the column it would have left out is spelled NULL.
 func TestInsertColumnSubset(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT, c REAL)")
-	mustExec(t, db, "INSERT INTO t (b, a) VALUES ('x', 7)")
+	refused(t, db, "INSERT INTO t (b, a) VALUES ('x', 7)", `"("`)
+	if _, err := db.Exec("INSERT INTO t VALUES (7, 'x')"); err == nil {
+		t.Fatal("INSERT with fewer values than columns succeeded")
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (7, 'x', NULL)")
 	res := mustQuery(t, db, "SELECT a, b, c FROM t")
 	if got := flat(res); got != "7,x,NULL" {
 		t.Fatalf("got %q", got)
@@ -96,10 +102,8 @@ func TestWhereOperators(t *testing.T) {
 		{"SELECT a FROM t WHERE a <= 2", "1;2"},
 		{"SELECT a FROM t WHERE a > 4", "5"},
 		{"SELECT a FROM t WHERE a >= 4", "4;5"},
-		{"SELECT a FROM t WHERE a BETWEEN 2 AND 4", "2;3;4"},
-		{"SELECT a FROM t WHERE a NOT BETWEEN 2 AND 4", "1;5"},
-		{"SELECT a FROM t WHERE a IN (1, 3, 9)", "1;3"},
-		{"SELECT a FROM t WHERE a NOT IN (1, 3, 9)", "2;4;5"},
+		{"SELECT a FROM t WHERE a >= 2 AND a <= 4", "2;3;4"},
+		{"SELECT a FROM t WHERE NOT (a >= 2 AND a <= 4)", "1;5"},
 		{"SELECT a FROM t WHERE a = 1 OR a = 5", "1;5"},
 		{"SELECT a FROM t WHERE a > 1 AND a < 3", "2"},
 		{"SELECT a FROM t WHERE NOT a = 2", "1;3;4;5"},
@@ -120,22 +124,23 @@ func TestNullSemantics(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1),(NULL),(3)")
+	mustExec(t, db, "CREATE TABLE s (m INTEGER, g INTEGER)") // IN sets, by g
+	mustExec(t, db, "INSERT INTO s VALUES (1,1),(NULL,1),(9,2),(NULL,2)")
 	cases := []struct{ sql, want string }{
-		{"SELECT a FROM t WHERE a = NULL", ""},              // NULL never equals
-		{"SELECT a FROM t WHERE a != NULL", ""},             // unknown filtered out
-		{"SELECT a FROM t WHERE a IS NULL", "NULL"},         //
-		{"SELECT a FROM t WHERE a IS NOT NULL", "1;3"},      //
-		{"SELECT COUNT(*) FROM t", "3"},                     // COUNT(*) counts NULLs
-		{"SELECT COUNT(a) FROM t", "2"},                     // COUNT(col) skips NULLs
-		{"SELECT a+1 FROM t WHERE a IS NULL", "NULL"},       // NULL propagates
-		{"SELECT a FROM t WHERE a IN (1, NULL)", "1"},       // unknown for non-match
-		{"SELECT a FROM t WHERE a NOT IN (9, NULL)", ""},    // all unknown
-		{"SELECT a FROM t WHERE NOT (a = NULL)", ""},        // NOT unknown = unknown
-		{"SELECT SUM(a) FROM t", "4"},                       //
-		{"SELECT AVG(a) FROM t", "2"},                       //
-		{"SELECT MIN(a), MAX(a) FROM t", "1,3"},             //
-		{"SELECT COALESCE(a, -1) FROM t", "1;-1;3"},         //
-		{"SELECT IFNULL(a, 0) FROM t WHERE a IS NULL", "0"}, //
+		{"SELECT a FROM t WHERE a = NULL", ""},                               // NULL never equals
+		{"SELECT a FROM t WHERE a != NULL", ""},                              // unknown filtered out
+		{"SELECT a FROM t WHERE a IS NULL", "NULL"},                          //
+		{"SELECT a FROM t WHERE a IS NOT NULL", "1;3"},                       //
+		{"SELECT COUNT(*) FROM t", "3"},                                      // COUNT(*) counts NULLs
+		{"SELECT COUNT(a) FROM t", "2"},                                      // COUNT(col) skips NULLs
+		{"SELECT a+1 FROM t WHERE a IS NULL", "NULL"},                        // NULL propagates
+		{"SELECT a FROM t WHERE a IN (SELECT m FROM s WHERE g = 1)", "1"},    // unknown for non-match
+		{"SELECT a FROM t WHERE a NOT IN (SELECT m FROM s WHERE g = 2)", ""}, // all unknown
+		{"SELECT a FROM t WHERE NOT (a = NULL)", ""},                         // NOT unknown = unknown
+		{"SELECT MIN(a), MAX(a) FROM t", "1,3"},                              // aggregates skip NULLs
+		{"SELECT MAX(a) FROM t WHERE a IS NULL", "NULL"},                     // and are NULL over none
+		{"SELECT a FROM t WHERE a = 1 OR a = NULL", "1"},                     // true OR unknown
+		{"SELECT a FROM t WHERE a = 1 AND a != NULL", ""},                    // true AND unknown
 	}
 	for _, c := range cases {
 		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
@@ -153,8 +158,6 @@ func TestOrderByLimitOffset(t *testing.T) {
 		{"SELECT a FROM t ORDER BY a DESC", "3;2;2;1"},
 		{"SELECT a, b FROM t ORDER BY a ASC, b DESC", "1,a;2,z;2,b;3,c"},
 		{"SELECT a FROM t ORDER BY a LIMIT 2", "1;2"},
-		{"SELECT a FROM t ORDER BY a LIMIT 2 OFFSET 1", "2;2"},
-		{"SELECT a FROM t ORDER BY a LIMIT 1, 2", "2;2"},
 		{"SELECT a FROM t ORDER BY 1 DESC LIMIT 1", "3"},
 		{"SELECT b FROM t ORDER BY b DESC LIMIT 1", "z"},
 		{"SELECT a AS x FROM t ORDER BY x DESC LIMIT 1", "3"},
@@ -164,6 +167,9 @@ func TestOrderByLimitOffset(t *testing.T) {
 			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
 		}
 	}
+	// LIMIT cuts the head of the result; skipping rows is outside the grammar.
+	refused(t, db, "SELECT a FROM t ORDER BY a LIMIT 2 OFFSET 1", "OFFSET")
+	refused(t, db, "SELECT a FROM t ORDER BY a LIMIT 1, 2", `","`)
 }
 
 func TestGroupByHaving(t *testing.T) {
@@ -171,13 +177,14 @@ func TestGroupByHaving(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE sales (region TEXT, amount INTEGER)")
 	mustExec(t, db, `INSERT INTO sales VALUES
 		('north', 10), ('north', 20), ('south', 5), ('east', 7), ('east', 1)`)
+	mustExec(t, db, "CREATE VIEW sales_regions AS SELECT DISTINCT region FROM sales")
 	cases := []struct{ sql, want string }{
-		{"SELECT region, SUM(amount) FROM sales GROUP BY region ORDER BY region", "east,8;north,30;south,5"},
+		{"SELECT region, MAX(amount) FROM sales GROUP BY region ORDER BY region", "east,7;north,20;south,5"},
 		{"SELECT region, COUNT(*) FROM sales GROUP BY region HAVING COUNT(*) > 1 ORDER BY region", "east,2;north,2"},
-		{"SELECT region FROM sales GROUP BY region HAVING SUM(amount) >= 8 ORDER BY region", "east;north"},
-		{"SELECT COUNT(DISTINCT region) FROM sales", "3"},
+		{"SELECT region FROM sales GROUP BY region HAVING MAX(amount) >= 7 ORDER BY region", "east;north"},
+		{"SELECT COUNT(*) FROM sales_regions", "3"},
 		{"SELECT MAX(amount) - MIN(amount) FROM sales", "19"},
-		{"SELECT region, AVG(amount) FROM sales GROUP BY region HAVING AVG(amount) > 6 ORDER BY region", "north,15"},
+		{"SELECT region, MIN(amount) FROM sales GROUP BY region HAVING MIN(amount) > 4 AND COUNT(amount) < 2 ORDER BY region", "south,5"},
 	}
 	for _, c := range cases {
 		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
@@ -189,7 +196,7 @@ func TestGroupByHaving(t *testing.T) {
 func TestGlobalAggregateOverEmptyTable(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
-	if got := flat(mustQuery(t, db, "SELECT COUNT(*), SUM(a), MAX(a) FROM t")); got != "0,NULL,NULL" {
+	if got := flat(mustQuery(t, db, "SELECT COUNT(*), MIN(a), MAX(a) FROM t")); got != "0,NULL,NULL" {
 		t.Fatalf("got %q", got)
 	}
 	// But GROUP BY over an empty table yields no groups.
@@ -219,11 +226,12 @@ func TestJoins(t *testing.T) {
 	cases := []struct{ sql, want string }{
 		{"SELECT u.name, o.item FROM users u JOIN orders o ON o.uid = u.id ORDER BY u.name, o.item",
 			"ann,ink;ann,pen;carol,hat"},
-		{"SELECT u.name, o.item FROM users u LEFT JOIN orders o ON o.uid = u.id ORDER BY u.name, o.item",
-			"ann,ink;ann,pen;bob,NULL;carol,hat"},
-		{"SELECT COUNT(*) FROM users, orders", "9"},
-		{"SELECT COUNT(*) FROM users CROSS JOIN orders", "9"},
-		{"SELECT u.name FROM users u INNER JOIN orders o ON o.uid = u.id AND o.item = 'hat'", "carol"},
+		{"SELECT u.name, o.item FROM users AS u JOIN orders AS o ON o.uid = u.id ORDER BY u.name, o.item",
+			"ann,ink;ann,pen;carol,hat"},
+		{"SELECT COUNT(*) FROM users JOIN orders", "9"}, // no ON: the cross product
+		{"SELECT u.name FROM users u JOIN orders o ON o.uid = u.id AND o.item = 'hat'", "carol"},
+		// Users with no order, which an outer join would have null-extended.
+		{"SELECT name FROM users WHERE id NOT IN (SELECT uid FROM orders)", "bob"},
 	}
 	for _, c := range cases {
 		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
@@ -268,8 +276,6 @@ func TestSubqueries(t *testing.T) {
 		{"SELECT DISTINCT grp FROM t o WHERE NOT EXISTS (SELECT 1 FROM t i WHERE i.grp = o.grp AND i.v > 7)", "a"},
 		// Scalar subquery yielding no row is NULL.
 		{"SELECT v FROM t WHERE v = (SELECT v FROM t WHERE v > 100)", ""},
-		// Subquery in FROM.
-		{"SELECT m FROM (SELECT MAX(v) AS m FROM t GROUP BY grp) sub ORDER BY m", "5;8"},
 		// Correlated subquery with ORDER BY ... LIMIT (Git soundness pattern).
 		{"SELECT grp FROM t o WHERE v != (SELECT i.v FROM t i WHERE i.grp = o.grp ORDER BY i.v DESC LIMIT 1) ORDER BY grp",
 			"a;b"},
@@ -285,40 +291,50 @@ func TestViews(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (grp TEXT, v INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES ('a',1),('a',5),('b',2)")
-	mustExec(t, db, "CREATE VIEW sums AS SELECT grp, SUM(v) AS total FROM t GROUP BY grp")
-	if got := flat(mustQuery(t, db, "SELECT grp, total FROM sums ORDER BY grp")); got != "a,6;b,2" {
+	mustExec(t, db, "CREATE VIEW sums AS SELECT grp, MAX(v) AS total FROM t GROUP BY grp")
+	if got := flat(mustQuery(t, db, "SELECT grp, total FROM sums ORDER BY grp")); got != "a,5;b,2" {
 		t.Fatalf("got %q", got)
 	}
 	// Views reflect base-table changes.
 	mustExec(t, db, "INSERT INTO t VALUES ('b',10)")
-	if got := flat(mustQuery(t, db, "SELECT total FROM sums WHERE grp = 'b'")); got != "12" {
+	if got := flat(mustQuery(t, db, "SELECT total FROM sums WHERE grp = 'b'")); got != "10" {
 		t.Fatalf("got %q", got)
 	}
 	// Views can be joined and aliased.
-	if got := flat(mustQuery(t, db, "SELECT s.total FROM sums s WHERE s.grp = 'a'")); got != "6" {
+	if got := flat(mustQuery(t, db, "SELECT s.total FROM sums s WHERE s.grp = 'a'")); got != "5" {
 		t.Fatalf("got %q", got)
 	}
-	mustExec(t, db, "DROP VIEW sums")
-	if _, err := db.Query("SELECT * FROM sums"); err == nil {
-		t.Fatal("view still queryable after DROP")
+	if got := flat(mustQuery(t, db, "SELECT t.v FROM t JOIN sums s ON s.grp = t.grp AND s.total = t.v ORDER BY t.v")); got != "5;10" {
+		t.Fatalf("got %q", got)
+	}
+	// A view names only what exists, so views cannot form a cycle; and a name
+	// is taken once, by a table or a view.
+	if _, err := db.Exec("CREATE VIEW loop AS SELECT * FROM loop"); !errors.Is(err, ErrNoSuchTable) {
+		t.Fatalf("self-referencing view: %v, want ErrNoSuchTable", err)
+	}
+	if _, err := db.Exec("CREATE VIEW deep AS SELECT 1 FROM t JOIN sums ON EXISTS (SELECT 1 FROM deep)"); !errors.Is(err, ErrNoSuchTable) {
+		t.Fatalf("view naming itself in an ON subquery: %v, want ErrNoSuchTable", err)
+	}
+	for _, sql := range []string{"CREATE VIEW sums AS SELECT 1", "CREATE VIEW t AS SELECT 1", "CREATE TABLE sums (a INTEGER)"} {
+		if _, err := db.Exec(sql); !errors.Is(err, ErrTableExists) {
+			t.Fatalf("%s: %v, want ErrTableExists", sql, err)
+		}
 	}
 }
 
+// Rows are written once and deleted: the audit log never changes a tuple it
+// has recorded, so the engine has no statement that could.
 func TestUpdateDelete(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT)")
 	mustExec(t, db, "INSERT INTO t VALUES (1,'x'),(2,'y'),(3,'z')")
-	if n := mustExec(t, db, "UPDATE t SET b = 'q' WHERE a >= 2"); n != 2 {
-		t.Fatalf("updated %d, want 2", n)
-	}
-	if got := flat(mustQuery(t, db, "SELECT b FROM t ORDER BY a")); got != "x;q;q" {
-		t.Fatalf("got %q", got)
-	}
-	if n := mustExec(t, db, "UPDATE t SET a = a + 10"); n != 3 {
-		t.Fatalf("updated %d, want 3", n)
-	}
-	if n := mustExec(t, db, "DELETE FROM t WHERE a = 12"); n != 1 {
+	refused(t, db, "UPDATE t SET b = 'q' WHERE a >= 2", "UPDATE")
+	refused(t, db, "UPDATE t SET a = a + 10", "UPDATE")
+	if n := mustExec(t, db, "DELETE FROM t WHERE a = 2"); n != 1 {
 		t.Fatalf("deleted %d, want 1", n)
+	}
+	if got := flat(mustQuery(t, db, "SELECT a, b FROM t")); got != "1,x;3,z" {
+		t.Fatalf("got %q", got)
 	}
 	if n := mustExec(t, db, "DELETE FROM t"); n != 2 {
 		t.Fatalf("deleted %d, want 2", n)
@@ -345,18 +361,20 @@ func TestDeleteWithSubquerySeesSnapshot(t *testing.T) {
 	}
 }
 
+// Set operators between SELECTs are outside the grammar; intersection and
+// difference are written with IN and NOT IN over a subquery.
 func TestCompoundSelects(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE a (v INTEGER)")
 	mustExec(t, db, "CREATE TABLE b (v INTEGER)")
 	mustExec(t, db, "INSERT INTO a VALUES (1),(2),(3)")
 	mustExec(t, db, "INSERT INTO b VALUES (2),(3),(4)")
+	for _, op := range []string{"UNION", "UNION ALL", "EXCEPT", "INTERSECT"} {
+		refused(t, db, "SELECT v FROM a "+op+" SELECT v FROM b ORDER BY v", strings.Fields(op)[0])
+	}
 	cases := []struct{ sql, want string }{
-		{"SELECT v FROM a UNION SELECT v FROM b ORDER BY v", "1;2;3;4"},
-		{"SELECT v FROM a UNION ALL SELECT v FROM b ORDER BY v", "1;2;2;3;3;4"},
-		{"SELECT v FROM a EXCEPT SELECT v FROM b", "1"},
-		{"SELECT v FROM a INTERSECT SELECT v FROM b ORDER BY v", "2;3"},
-		{"SELECT v FROM a UNION SELECT v FROM b ORDER BY v DESC LIMIT 2", "4;3"},
+		{"SELECT v FROM a WHERE v NOT IN (SELECT v FROM b)", "1"},
+		{"SELECT v FROM a WHERE v IN (SELECT v FROM b) ORDER BY v DESC LIMIT 1", "3"},
 	}
 	for _, c := range cases {
 		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
@@ -365,64 +383,37 @@ func TestCompoundSelects(t *testing.T) {
 	}
 }
 
+// Pattern matching is outside the grammar, as a literal and as a parameter.
 func TestLike(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (s TEXT)")
 	mustExec(t, db, "INSERT INTO t VALUES ('hello'),('help'),('world'),('HELLO')")
-	cases := []struct{ sql, want string }{
-		{"SELECT s FROM t WHERE s LIKE 'hel%' ORDER BY s", "HELLO;hello;help"},
-		{"SELECT s FROM t WHERE s LIKE '%orl%'", "world"},
-		{"SELECT s FROM t WHERE s LIKE 'hel_'", "help"},
-		{"SELECT s FROM t WHERE s NOT LIKE 'hel%'", "world"},
-	}
-	for _, c := range cases {
-		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
-			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
-		}
-	}
+	refused(t, db, "SELECT s FROM t WHERE s LIKE 'hel%' ORDER BY s", "LIKE")
+	refused(t, db, "SELECT s FROM t WHERE s NOT LIKE 'hel%'", "LIKE")
+	refused(t, db, "SELECT s FROM t WHERE s LIKE ?", "LIKE", "hel_")
+	refused(t, db, "DELETE FROM t WHERE s LIKE '%'", "LIKE")
 }
 
-func TestCaseExpr(t *testing.T) {
-	db := New()
-	mustExec(t, db, "CREATE TABLE t (v INTEGER)")
-	mustExec(t, db, "INSERT INTO t VALUES (1),(2),(3)")
-	got := flat(mustQuery(t, db, `SELECT CASE WHEN v < 2 THEN 'low' WHEN v = 2 THEN 'mid' ELSE 'high' END FROM t ORDER BY v`))
-	if got != "low;mid;high" {
-		t.Fatalf("got %q", got)
-	}
-	got = flat(mustQuery(t, db, `SELECT CASE v WHEN 1 THEN 'one' WHEN 2 THEN 'two' END FROM t ORDER BY v`))
-	if got != "one;two;NULL" {
-		t.Fatalf("got %q", got)
-	}
-}
-
+// CAST is outside the grammar; a value changes kind only by the affinity of
+// the column it is stored into (TestTypeAffinity).
 func TestCast(t *testing.T) {
 	db := New()
-	got := flat(mustQuery(t, db, "SELECT CAST('42' AS INTEGER), CAST(3 AS TEXT), CAST(5 AS REAL)"))
-	if got != "42,3,5" {
-		t.Fatalf("got %q", got)
-	}
-	res := mustQuery(t, db, "SELECT CAST(5 AS REAL)")
-	if res.Rows[0][0].Kind() != KindFloat {
-		t.Fatalf("kind = %v, want REAL", res.Rows[0][0].Kind())
-	}
+	refused(t, db, "SELECT CAST('42' AS INTEGER), CAST(3 AS TEXT), CAST(5 AS REAL)", "CAST")
+	refused(t, db, "SELECT CAST(5 AS REAL)", "CAST")
 }
 
+// The grammar's only functions are the aggregates COUNT, MIN and MAX. Any
+// other call is refused where it is parsed, by name — not evaluated to an
+// "unknown function" error on the first row that reaches it.
 func TestStringFunctions(t *testing.T) {
 	db := New()
-	cases := []struct{ sql, want string }{
-		{"SELECT LENGTH('hello')", "5"},
-		{"SELECT UPPER('abc'), LOWER('ABC')", "ABC,abc"},
-		{"SELECT SUBSTR('hello', 2, 3)", "ell"},
-		{"SELECT SUBSTR('hello', 2)", "ello"},
-		{"SELECT 'a' || 'b' || 'c'", "abc"},
-		{"SELECT ABS(-7), ABS(7)", "7,7"},
-		{"SELECT NULLIF(1, 1), NULLIF(1, 2)", "NULL,1"},
+	mustExec(t, db, "CREATE TABLE t (s TEXT)") // no rows: the refusal is the parser's
+	for _, fn := range []string{"LENGTH", "UPPER", "LOWER", "SUBSTR", "ABS", "NULLIF", "IFNULL", "COALESCE", "SUM", "AVG", "TOTAL", "GROUP_CONCAT", "MIN2"} {
+		refused(t, db, "SELECT "+fn+"(s) FROM t", `"`+fn+`"`)
 	}
-	for _, c := range cases {
-		if got := flat(mustQuery(t, db, c.sql)); got != c.want {
-			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
-		}
+	refused(t, db, "SELECT 'a' || 'b' || 'c'", "'|'")
+	if _, err := db.Exec("SELECT max(s), Count(*), MIN(s) FROM t"); err != nil {
+		t.Fatalf("aggregate names are case-insensitive: %v", err)
 	}
 }
 
@@ -469,14 +460,21 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+// A schema is created once, by the module that owns it: a second CREATE of a
+// name is an error rather than a no-op, and nothing is ever dropped.
 func TestCreateIfNotExistsAndDropIfExists(t *testing.T) {
 	db := New()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
-	mustExec(t, db, "CREATE TABLE IF NOT EXISTS t (a INTEGER)")
-	mustExec(t, db, "DROP TABLE IF EXISTS missing")
-	mustExec(t, db, "DROP TABLE t")
-	if _, err := db.Exec("DROP TABLE t"); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("err = %v, want ErrNoSuchTable", err)
+	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	refused(t, db, "CREATE TABLE IF NOT EXISTS t (a INTEGER)", "IF")
+	refused(t, db, "CREATE VIEW IF NOT EXISTS w AS SELECT a FROM t", "IF")
+	refused(t, db, "DROP TABLE IF EXISTS missing", "DROP")
+	refused(t, db, "DROP TABLE t", "DROP")
+	if _, err := db.Exec("CREATE TABLE t (a INTEGER)"); !errors.Is(err, ErrTableExists) {
+		t.Fatalf("err = %v, want ErrTableExists", err)
+	}
+	if got := flat(mustQuery(t, db, "SELECT a FROM t")); got != "1" {
+		t.Fatalf("table after the refused statements = %q", got)
 	}
 }
 
@@ -538,10 +536,14 @@ func TestInsertFromSelect(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE src (a INTEGER)")
 	mustExec(t, db, "CREATE TABLE dst (a INTEGER)")
 	mustExec(t, db, "INSERT INTO src VALUES (1),(2),(3)")
-	if n := mustExec(t, db, "INSERT INTO dst SELECT a FROM src WHERE a > 1"); n != 2 {
+	// Rows enter a table as VALUES only (audit's prepared INSERT); a value
+	// may still be computed from other tables.
+	refused(t, db, "INSERT INTO dst SELECT a FROM src WHERE a > 1", `"SELECT"`)
+	refused(t, db, "INSERT INTO src SELECT a + 10 FROM src", `"SELECT"`)
+	if n := mustExec(t, db, "INSERT INTO dst VALUES ((SELECT MAX(a) FROM src)), ((SELECT MIN(a) FROM src))"); n != 2 {
 		t.Fatalf("inserted %d, want 2", n)
 	}
-	if got := flat(mustQuery(t, db, "SELECT a FROM dst ORDER BY a")); got != "2;3" {
+	if got := flat(mustQuery(t, db, "SELECT a FROM dst ORDER BY a")); got != "1;3" {
 		t.Fatalf("got %q", got)
 	}
 }

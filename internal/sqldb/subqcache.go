@@ -15,10 +15,9 @@ import (
 // each subquery's result keyed by the values of its *free variables* — the
 // column references that resolve in an enclosing scope. Distinct bindings
 // are usually far fewer than outer rows, collapsing the blow-up. A subquery
-// with no free variables is evaluated once per statement.
-//
-// Caching is disabled while a statement mutates rows it may re-read
-// (UPDATE), since results could go stale mid-statement.
+// with no free variables is evaluated once per statement. No statement of the
+// grammar changes rows while it evaluates (DELETE computes its survivors
+// first, INSERT its values), so a cached result cannot go stale.
 
 // freeRef names one free variable of a subquery.
 type freeRef struct {
@@ -214,6 +213,17 @@ func (ev *evaluator) freeVars(sel *SelectStmt, outerBound []scopeCol) ([]freeRef
 			return nil, err
 		}
 	}
+	for te := sel.From; te != nil; {
+		// The chain is left-deep: each join's ON, then the join before it.
+		j, ok := te.(*JoinExpr)
+		if !ok {
+			break
+		}
+		if err := collect(j.On); err != nil {
+			return nil, err
+		}
+		te = j.Left
+	}
 	if err := collect(sel.Where); err != nil {
 		return nil, err
 	}
@@ -232,16 +242,6 @@ func (ev *evaluator) freeVars(sel *SelectStmt, outerBound []scopeCol) ([]freeRef
 	}
 	if err := collect(sel.Limit); err != nil {
 		return nil, err
-	}
-	if err := collect(sel.Offset); err != nil {
-		return nil, err
-	}
-	for _, part := range sel.Compound {
-		f, err := ev.freeVars(part.Select, env)
-		if err != nil {
-			return nil, err
-		}
-		free = append(free, f...)
 	}
 	return free, nil
 }
@@ -276,52 +276,8 @@ func (ev *evaluator) freeInExpr(e Expr, bound []scopeCol) ([]freeRef, error) {
 		}
 		return append(l, r...), nil
 	case *FuncCall:
-		var out []freeRef
-		for _, a := range x.Args {
-			f, err := ev.freeInExpr(a, bound)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
-		}
-		return out, nil
+		return ev.freeInExpr(x.Arg, bound)
 	case *IsNullExpr:
-		return ev.freeInExpr(x.X, bound)
-	case *BetweenExpr:
-		var out []freeRef
-		for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-			f, err := ev.freeInExpr(sub, bound)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
-		}
-		return out, nil
-	case *LikeExpr:
-		l, err := ev.freeInExpr(x.X, bound)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.freeInExpr(x.Pattern, bound)
-		if err != nil {
-			return nil, err
-		}
-		return append(l, r...), nil
-	case *CaseExpr:
-		var out []freeRef
-		exprs := []Expr{x.Operand, x.Else}
-		for _, w := range x.Whens {
-			exprs = append(exprs, w.Cond, w.Result)
-		}
-		for _, sub := range exprs {
-			f, err := ev.freeInExpr(sub, bound)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
-		}
-		return out, nil
-	case *CastExpr:
 		return ev.freeInExpr(x.X, bound)
 	case *SubqueryExpr:
 		return ev.freeVars(x.Select, bound)
@@ -332,21 +288,11 @@ func (ev *evaluator) freeInExpr(e Expr, bound []scopeCol) ([]freeRef, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, le := range x.List {
-			f, err := ev.freeInExpr(le, bound)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
+		f, err := ev.freeVars(x.Select, bound)
+		if err != nil {
+			return nil, err
 		}
-		if x.Select != nil {
-			f, err := ev.freeVars(x.Select, bound)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, f...)
-		}
-		return out, nil
+		return append(out, f...), nil
 	}
 	return nil, nil
 }
@@ -364,11 +310,7 @@ func (ev *evaluator) sourceCols(te TableExpr) ([]scopeCol, error) {
 			alias = key
 		}
 		if tbl, ok := ev.tables[key]; ok {
-			cols := make([]scopeCol, len(tbl.Cols))
-			for i, c := range tbl.Cols {
-				cols[i] = scopeCol{table: alias, name: strings.ToLower(c.Name)}
-			}
-			return cols, nil
+			return tableCols(tbl, alias), nil
 		}
 		if view, ok := ev.views[key]; ok {
 			names, err := ev.outputCols(view.Select)
@@ -381,18 +323,7 @@ func (ev *evaluator) sourceCols(te TableExpr) ([]scopeCol, error) {
 			}
 			return cols, nil
 		}
-		return nil, ErrNoSuchTable
-	case *SubqueryTable:
-		names, err := ev.outputCols(t.Select)
-		if err != nil {
-			return nil, err
-		}
-		alias := strings.ToLower(t.Alias)
-		cols := make([]scopeCol, len(names))
-		for i, n := range names {
-			cols[i] = scopeCol{table: alias, name: strings.ToLower(n)}
-		}
-		return cols, nil
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, t.Name)
 	case *JoinExpr:
 		lcols, err := ev.sourceCols(t.Left)
 		if err != nil {
@@ -432,11 +363,8 @@ func (ev *evaluator) outputCols(sel *SelectStmt) ([]string, error) {
 			if err != nil {
 				return nil, err
 			}
-			want := strings.ToLower(item.StarTable)
 			for _, c := range cols {
-				if want == "" || c.table == want {
-					names = append(names, c.name)
-				}
+				names = append(names, c.name)
 			}
 			continue
 		}
@@ -454,8 +382,9 @@ func (ev *evaluator) outputCols(sel *SelectStmt) ([]string, error) {
 }
 
 // QueryWithCache runs a SELECT with the subquery cache explicitly enabled or
-// disabled. It exists for the cache's ablation benchmark; normal callers use
-// DB.Query, which always caches.
+// disabled. The uncached run is the reference the cache's ablation benchmark
+// and differential tests compare against; normal callers use DB.Query, which
+// always caches.
 func QueryWithCache(db *DB, sql string, cached bool) (*Result, error) {
 	st, err := Parse(sql)
 	if err != nil {
