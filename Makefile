@@ -30,6 +30,7 @@ soak:
 mirror-soak:
 	$(GO) test -race -count=3 -run 'TestChaosMirrorLinkDrops|TestMirrorFacadeResumeAcrossRestart' -v .
 	$(GO) test -race -count=1 -run 'TestMirror|TestFeed' ./internal/audit/mirror/
+	$(GO) test -race -count=20 -run 'TestIncremental|TestMirror.*Commit' ./internal/audit/ ./internal/audit/mirror/
 
 # Every experiment of cmd/libseal-bench — the paper's tables and figures and
 # the four post-paper sweeps — at the quick budgets, printed as tables
@@ -53,7 +54,9 @@ bench-sweeps:
 bench-e2e-smoke:
 	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
 
-# Short fuzzing pass over the verifier, the entry codec, the HTTP parser (on
+# Short fuzzing pass over the verifier (every driver against the eager
+# reference, under the golden key; seeded from the format-2 golden images and
+# the re-hashed-suffix image), the entry codec, the HTTP parser (on
 # its own, and the in-place parser against the frozen bufio one) and the SQL
 # engine (arbitrary scripts: no panic, no change on a parse error) — the same
 # smoke CI runs. Seed corpora live under testdata/fuzz.

@@ -23,6 +23,10 @@
 // provisional until the final "OK" line; a run that ends in VERIFICATION
 // FAILED exits non-zero and everything it printed must be discarded.
 //
+// A failure raised by one record says where the record is:
+//
+//	libseal-verify: VERIFICATION FAILED: shard 1, byte 10482113, signature record 6012: chain hash mismatch
+//
 // Usage:
 //
 //	libseal-verify -log audit/git.lseal -pubkey enclave.pub [-dump]
@@ -31,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -105,6 +110,14 @@ func main() {
 	}
 
 	res, err := libseal.Verify(*logPath, opts)
+	var located *libseal.VerifyError
+	if errors.As(err, &located) {
+		at := fmt.Sprintf("shard %d, byte %d, signature record %d", located.Shard, located.Offset, located.Batch)
+		if located.Record >= 0 {
+			at += fmt.Sprintf(", entry %d", located.Record)
+		}
+		fatal("VERIFICATION FAILED: %s: %s", at, located.Reason)
+	}
 	if err != nil {
 		fatal("VERIFICATION FAILED: %v", err)
 	}

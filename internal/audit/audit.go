@@ -219,8 +219,12 @@ type Log struct {
 	// signature record. It can trail counter: anchorBatch publishes a fresh
 	// value to future signers before the batch's signature hits disk. Epoch
 	// manifests snapshot this value so they never attest a counter no
-	// on-disk record vouches for.
+	// on-disk record vouches for. sigHead is the digest of that record's
+	// payload, which the next signature record carries as its prev link (zero
+	// while the file holds none); the two move together, and only with the
+	// commit lane held or quiesced.
 	sigCounter uint64
+	sigHead    [32]byte
 
 	// Speculative state: the chain head including every staged-but-not-yet
 	// -durable entry. Equal to the durable state while no batch is open.
@@ -274,7 +278,8 @@ type commitBatch struct {
 	// BatchDelay behind a busy lane.
 	filled, waited bool
 	// Set by the leader during commit, read by publish (same goroutine).
-	counter uint64 // counter value the batch's signature record attests
+	counter uint64   // counter value the batch's signature record attests
+	sigHead [32]byte // digest of that record's payload
 	// Degraded-mode outcome of anchorBatch, applied by publish only once the
 	// batch is durable: a fresh counter value anchors the batch (closing any
 	// degraded gap), or the batch was admitted under a stale anchor and its
@@ -316,7 +321,13 @@ const (
 	recSig   byte = 'S'
 )
 
-var fileMagic = []byte("LIBSEALLOG1\n")
+// fileMagic opens a format-2 log: signature records carry the digest of their
+// predecessor (see sigPayload). formerMagic is what format 1 wrote; such a
+// file is refused by name rather than as garbage.
+var (
+	fileMagic   = []byte("LIBSEALLOG2\n")
+	formerMagic = []byte("LIBSEALLOG1\n")
+)
 
 // newShard creates (or truncates) one shard's log over the set's shared
 // database, whose schema is already in place.
@@ -738,10 +749,12 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	if err != nil {
 		return err
 	}
-	sig, err := l.signState(env, b.endChain, counter)
+	// The lane is held, so nothing moves sigHead under this read.
+	sig, err := l.signState(env, b.endChain, counter, l.sigHead)
 	if err != nil {
 		return err
 	}
+	b.sigHead = sha256.Sum256(sig)
 	recs = append(recs, record{typ: recSig, payload: sig})
 	return env.Ocall(func() error { return l.file.commit(recs...) })
 }
@@ -812,7 +825,7 @@ func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
 		l.chain = b.endChain
 		l.seq.Store(b.endSeq)
 		l.heap += b.bytes
-		l.sigCounter = b.counter
+		l.sigCounter, l.sigHead = b.counter, b.sigHead
 		switch {
 		case b.anchorFresh:
 			l.closeGapLocked()
@@ -878,7 +891,7 @@ func chainNext(prev [32]byte, entry []byte) [32]byte {
 	h.Write(prev[:])
 	h.Write(entry)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -941,14 +954,14 @@ func (l *Log) Reanchor(env *asyncall.Env) error {
 // commit lane idle.
 func (l *Log) anchorSignature(env *asyncall.Env, c uint64) error {
 	l.counter = c
-	sig, err := l.signState(env, l.chain, c)
+	sig, err := l.signState(env, l.chain, c, l.sigHead)
 	if err != nil {
 		return err
 	}
 	if err := env.Ocall(func() error { return l.file.commit(record{typ: recSig, payload: sig}) }); err != nil {
 		return err
 	}
-	l.sigCounter = c
+	l.sigCounter, l.sigHead = c, sha256.Sum256(sig)
 	l.closeGapLocked()
 	return nil
 }
@@ -967,31 +980,45 @@ func (l *Log) closeGapLocked() {
 }
 
 // sigDigest is the message a signature record attests: the chain head after
-// the batch's last entry, bound to the counter value that anchored it. The
-// writer (signState) and the verifier must agree on it byte for byte.
-func sigDigest(chain [32]byte, counter uint64) []byte {
-	var buf [40]byte
+// the batch's last entry, the counter value that anchored it, and prev, the
+// SHA-256 of the previous signature record's payload in the same file (zero
+// for a file's first). The link is what lets one valid signature vouch for
+// every signature record before it; it is a link and not a fold into the
+// entry chain because ECDSA signatures are randomised and Stage chains an
+// entry before the previous batch's signature exists. The writers (signState,
+// the synthetic writer) and the verifier must agree on it byte for byte.
+func sigDigest(chain [32]byte, counter uint64, prev [32]byte) []byte {
+	var buf [72]byte
 	copy(buf[:32], chain[:])
 	binary.BigEndian.PutUint64(buf[32:], counter)
+	copy(buf[40:], prev[:])
 	digest := sha256.Sum256(buf[:])
 	return digest[:]
 }
 
-// signState signs (chain hash || counter) with the enclave report key.
-func (l *Log) signState(env *asyncall.Env, chain [32]byte, counter uint64) ([]byte, error) {
-	var c [8]byte
-	binary.BigEndian.PutUint64(c[:], counter)
-	sig, err := env.Ctx.Sign(sigDigest(chain, counter))
+// sigPayload lays out a signature record: chain[32] ‖ counter[8] ‖ prev[32] ‖
+// str(R) ‖ str(S), the strings length-prefixed as in the entry codec.
+func sigPayload(chain [32]byte, counter uint64, prev [32]byte, r, s []byte) []byte {
+	out := make([]byte, 0, 72+4+len(r)+4+len(s))
+	out = append(out, chain[:]...)
+	out = binary.BigEndian.AppendUint64(out, counter)
+	out = append(out, prev[:]...)
+	for _, scalar := range [][]byte{r, s} {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(scalar)))
+		out = append(out, scalar...)
+	}
+	return out
+}
+
+// signState signs (chain head, counter, prev) with the enclave report key and
+// returns the signature record's payload.
+func (l *Log) signState(env *asyncall.Env, chain [32]byte, counter uint64, prev [32]byte) ([]byte, error) {
+	sig, err := env.Ctx.Sign(sigDigest(chain, counter, prev))
 	if err != nil {
 		return nil, err
 	}
 	mSignatures.Inc()
-	var out bytes.Buffer
-	out.Write(chain[:])
-	out.Write(c[:])
-	writeString(&out, string(sig.R))
-	writeString(&out, string(sig.S))
-	return out.Bytes(), nil
+	return sigPayload(chain, counter, prev, sig.R, sig.S), nil
 }
 
 // Query runs an invariant query against the log.
@@ -1020,6 +1047,7 @@ type rewrite struct {
 	retained int64    // enclave heap the entries occupy
 	counter  uint64   // fresh anchor, obtained outside
 	recs     []record // the new image: sealed entries, then the signature
+	sigHead  [32]byte // digest of that signature record's payload
 	landed   bool     // the image replaced the file
 	err      error
 }
@@ -1053,10 +1081,12 @@ func (l *Log) sealRewrite(env *asyncall.Env, rw *rewrite) {
 	if rw.recs, rw.err = l.sealRecords(env, rw.encs); rw.err != nil {
 		return
 	}
+	// The image's one signature record is its file's first: prev is zero.
 	var sig []byte
-	if sig, rw.err = l.signState(env, rw.chain, l.counter); rw.err != nil {
+	if sig, rw.err = l.signState(env, rw.chain, l.counter, [32]byte{}); rw.err != nil {
 		return
 	}
+	rw.sigHead = sha256.Sum256(sig)
 	rw.recs = append(rw.recs, record{typ: recSig, payload: sig})
 }
 
@@ -1083,7 +1113,7 @@ func (l *Log) adoptRewrite(env *asyncall.Env, rw *rewrite) {
 	mChainLength.Set(int64(len(rw.encs)))
 	mStagedPending.Set(0)
 	if l.cfg.Mode == ModeDisk {
-		l.sigCounter = l.counter
+		l.sigCounter, l.sigHead = l.counter, rw.sigHead
 		l.closeGapLocked() // the fresh anchor covers everything that was buffered
 	}
 }
@@ -1160,7 +1190,7 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 	l.specChain = l.chain
 	l.specSeq.Store(l.seq.Load())
 	l.counter = res.Counter
-	l.sigCounter = res.Counter
+	l.sigCounter, l.sigHead = res.Counter, res.SigHead
 	// Reopen for appending, cutting off any crash debris past the committed
 	// prefix so future appends extend a verified file.
 	if err := env.Ocall(func() error { return l.file.open(res.CommittedBytes, int64(len(raw))) }); err != nil {

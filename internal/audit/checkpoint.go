@@ -10,7 +10,6 @@ import (
 	"io"
 	"os"
 
-	"libseal/internal/enclave"
 	"libseal/internal/vfs"
 )
 
@@ -224,7 +223,9 @@ func ManifestRecordProof(f *os.File, recOff, offset int64) ([]byte, error) {
 // file (matchFile) or fetched by a mirror from an untrusted feed. The payload
 // must hash to SigHash, end exactly at Offset, parse as a signature record,
 // verify under pub (when a key is available), and attest exactly the
-// sidecar's chain head and counter. The sidecar is unauthenticated JSON; this
+// sidecar's chain head and counter. A resumed scan starts from this record —
+// SigHash is the link its first signature record must carry — so this ECDSA
+// check is what vouches for everything the scan does not read. The sidecar is unauthenticated JSON; this
 // is what stops a forged one — say, one pairing a rolled-back log copy with
 // the current group counter so the final freshness check passes — from making
 // a resume report OK where a cold scan would fail. Any mismatch (including an
@@ -238,18 +239,18 @@ func (c *Checkpoint) MatchProof(payload []byte, pub *ecdsa.PublicKey) error {
 	if hexDigest(payload) != c.SigHash {
 		return fmt.Errorf("%w: signature record hash mismatch", ErrCheckpointStale)
 	}
-	chain, counter, sig, err := parseSig(payload)
+	rec, err := parseSig(payload)
 	if err != nil {
 		return fmt.Errorf("%w: unparseable signature record at checkpoint: %v", ErrCheckpointStale, err)
 	}
-	if pub != nil && !enclave.VerifySignature(pub, sigDigest(chain, counter), sig) {
+	if !validSig(pub, payload) {
 		return fmt.Errorf("%w: signature record at checkpoint fails ECDSA check", ErrCheckpointStale)
 	}
 	want, err := c.chainHead()
 	if err != nil {
 		return err
 	}
-	if chain != want || counter != c.Counter {
+	if rec.chain != want || rec.counter != c.Counter {
 		return fmt.Errorf("%w: sidecar chain/counter disagree with signed record", ErrCheckpointStale)
 	}
 	return nil

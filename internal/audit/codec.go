@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"libseal/internal/sqldb"
@@ -65,59 +64,63 @@ func (e *Entry) Marshal() []byte {
 	return buf.Bytes()
 }
 
-// UnmarshalEntry decodes an entry produced by Marshal.
+// UnmarshalEntry decodes an entry produced by Marshal. It reads data in
+// place: each string is copied out once, and Values is sized once from the
+// claimed count, capped by the bytes that remain (every value takes at least
+// its tag byte) so a forged count cannot size an allocation.
 func UnmarshalEntry(data []byte) (*Entry, error) {
-	r := bytes.NewReader(data)
-	var u64 [8]byte
-	if _, err := io.ReadFull(r, u64[:]); err != nil {
+	if len(data) < 8 {
 		return nil, ErrCodec
 	}
-	e := &Entry{Seq: binary.BigEndian.Uint64(u64[:])}
-	table, err := readString(r)
+	e := &Entry{Seq: binary.BigEndian.Uint64(data)}
+	table, rest, err := cutString(data[8:])
 	if err != nil {
 		return nil, err
 	}
-	e.Table = table
-	var u16 [2]byte
-	if _, err := io.ReadFull(r, u16[:]); err != nil {
+	e.Table = string(table)
+	if len(rest) < 2 {
 		return nil, ErrCodec
 	}
-	n := int(binary.BigEndian.Uint16(u16[:]))
+	n := int(binary.BigEndian.Uint16(rest))
+	rest = rest[2:]
+	if n > 0 {
+		e.Values = make([]sqldb.Value, 0, min(n, len(rest)))
+	}
 	for i := 0; i < n; i++ {
-		tag, err := r.ReadByte()
-		if err != nil {
+		if len(rest) == 0 {
 			return nil, ErrCodec
 		}
+		tag := rest[0]
+		rest = rest[1:]
 		switch tag {
 		case tagNull:
 			e.Values = append(e.Values, sqldb.Null())
-		case tagInt:
-			if _, err := io.ReadFull(r, u64[:]); err != nil {
+		case tagInt, tagFloat:
+			if len(rest) < 8 {
 				return nil, ErrCodec
 			}
-			e.Values = append(e.Values, sqldb.Int(int64(binary.BigEndian.Uint64(u64[:]))))
-		case tagFloat:
-			if _, err := io.ReadFull(r, u64[:]); err != nil {
-				return nil, ErrCodec
+			bits := binary.BigEndian.Uint64(rest)
+			rest = rest[8:]
+			if tag == tagInt {
+				e.Values = append(e.Values, sqldb.Int(int64(bits)))
+			} else {
+				e.Values = append(e.Values, sqldb.Float(math.Float64frombits(bits)))
 			}
-			e.Values = append(e.Values, sqldb.Float(math.Float64frombits(binary.BigEndian.Uint64(u64[:]))))
-		case tagText:
-			s, err := readString(r)
-			if err != nil {
+		case tagText, tagBlob:
+			var b []byte
+			if b, rest, err = cutString(rest); err != nil {
 				return nil, err
 			}
-			e.Values = append(e.Values, sqldb.Text(s))
-		case tagBlob:
-			s, err := readString(r)
-			if err != nil {
-				return nil, err
+			if tag == tagText {
+				e.Values = append(e.Values, sqldb.Text(string(b)))
+			} else {
+				e.Values = append(e.Values, sqldb.Blob(bytes.Clone(b)))
 			}
-			e.Values = append(e.Values, sqldb.Blob([]byte(s)))
 		default:
 			return nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
 		}
 	}
-	if r.Len() != 0 {
+	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrCodec)
 	}
 	return e, nil
@@ -130,20 +133,15 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-func readString(r *bytes.Reader) (string, error) {
-	var l [4]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", ErrCodec
+// cutString splits a length-prefixed string off the front of data and returns
+// it (aliasing data) with what follows.
+func cutString(data []byte) (str, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, nil, ErrCodec
 	}
-	n := binary.BigEndian.Uint32(l[:])
-	if int(n) > r.Len() {
-		return "", ErrCodec
+	n := binary.BigEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-4) {
+		return nil, nil, ErrCodec
 	}
-	b := make([]byte, n)
-	if n > 0 {
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", ErrCodec
-		}
-	}
-	return string(b), nil
+	return data[4 : 4+n : 4+n], data[4+n:], nil
 }

@@ -1,6 +1,11 @@
 package audit
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -104,5 +109,137 @@ func TestChainNextDiffers(t *testing.T) {
 	d := chainNext(b, []byte("entry1"))
 	if c == d {
 		t.Fatal("chain is order-insensitive")
+	}
+}
+
+// The decoder UnmarshalEntry replaced, frozen: it read through a
+// bytes.Reader, one allocation per field. It is the oracle of
+// TestUnmarshalMatchesOldDecoder and must not be edited to follow the decoder
+// it checks.
+func frozenUnmarshalEntry(data []byte) (*Entry, error) {
+	r := bytes.NewReader(data)
+	var u64 [8]byte
+	if _, err := io.ReadFull(r, u64[:]); err != nil {
+		return nil, ErrCodec
+	}
+	e := &Entry{Seq: binary.BigEndian.Uint64(u64[:])}
+	table, err := frozenReadString(r)
+	if err != nil {
+		return nil, err
+	}
+	e.Table = table
+	var u16 [2]byte
+	if _, err := io.ReadFull(r, u16[:]); err != nil {
+		return nil, ErrCodec
+	}
+	n := int(binary.BigEndian.Uint16(u16[:]))
+	for i := 0; i < n; i++ {
+		tag, err := r.ReadByte()
+		if err != nil {
+			return nil, ErrCodec
+		}
+		switch tag {
+		case tagNull:
+			e.Values = append(e.Values, sqldb.Null())
+		case tagInt:
+			if _, err := io.ReadFull(r, u64[:]); err != nil {
+				return nil, ErrCodec
+			}
+			e.Values = append(e.Values, sqldb.Int(int64(binary.BigEndian.Uint64(u64[:]))))
+		case tagFloat:
+			if _, err := io.ReadFull(r, u64[:]); err != nil {
+				return nil, ErrCodec
+			}
+			e.Values = append(e.Values, sqldb.Float(math.Float64frombits(binary.BigEndian.Uint64(u64[:]))))
+		case tagText:
+			s, err := frozenReadString(r)
+			if err != nil {
+				return nil, err
+			}
+			e.Values = append(e.Values, sqldb.Text(s))
+		case tagBlob:
+			s, err := frozenReadString(r)
+			if err != nil {
+				return nil, err
+			}
+			e.Values = append(e.Values, sqldb.Blob([]byte(s)))
+		default:
+			return nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
+		}
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: trailing bytes", ErrCodec)
+	}
+	return e, nil
+}
+
+func frozenReadString(r *bytes.Reader) (string, error) {
+	var l [4]byte
+	if _, err := io.ReadFull(r, l[:]); err != nil {
+		return "", ErrCodec
+	}
+	n := binary.BigEndian.Uint32(l[:])
+	if int(n) > r.Len() {
+		return "", ErrCodec
+	}
+	b := make([]byte, n)
+	if n > 0 {
+		if _, err := io.ReadFull(r, b); err != nil {
+			return "", ErrCodec
+		}
+	}
+	return string(b), nil
+}
+
+// TestUnmarshalMatchesOldDecoder is the differential check on the in-place
+// decoder: on every prefix and every single-byte mutation of a corpus that
+// covers the five value kinds, it accepts exactly what the frozen decoder
+// accepts, decodes it to the same entry, and rejects the rest with the same
+// error value.
+func TestUnmarshalMatchesOldDecoder(t *testing.T) {
+	corpus := []*Entry{
+		{Seq: 0, Table: "t"},
+		SyntheticEntry(41),
+		{Seq: 7, Table: "kinds", Values: []sqldb.Value{
+			sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
+		}},
+		{Seq: 1 << 40, Table: "", Values: []sqldb.Value{sqldb.Text(""), sqldb.Blob(nil), sqldb.Float(math.NaN())}},
+		{Seq: 9, Table: "nulls", Values: []sqldb.Value{sqldb.Null(), sqldb.Null(), sqldb.Int(math.MinInt64)}},
+	}
+	same := func(what string, data []byte) {
+		t.Helper()
+		want, wantErr := frozenUnmarshalEntry(data)
+		got, gotErr := UnmarshalEntry(data)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s (%x): error %v, frozen decoder %v", what, data, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		// Compared field by field and by re-encoding, not reflect.DeepEqual
+		// alone: a NaN float is a legal value and is not equal to itself.
+		if got.Seq != want.Seq || got.Table != want.Table || len(got.Values) != len(want.Values) ||
+			(got.Values == nil) != (want.Values == nil) || !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("%s (%x): decoded %+v, frozen decoder %+v", what, data, got, want)
+		}
+		for i := range want.Values {
+			if (got.Values[i].BlobVal() == nil) != (want.Values[i].BlobVal() == nil) {
+				t.Fatalf("%s (%x): value %d blob nil-ness differs", what, data, i)
+			}
+		}
+	}
+	for n, e := range corpus {
+		enc := e.Marshal()
+		same(fmt.Sprintf("entry %d", n), enc)
+		for cut := 0; cut < len(enc); cut++ {
+			same(fmt.Sprintf("entry %d prefix %d", n, cut), enc[:cut])
+		}
+		for off := range enc {
+			for x := 1; x < 256; x++ {
+				mut := bytes.Clone(enc)
+				mut[off] ^= byte(x)
+				same(fmt.Sprintf("entry %d byte %d ^ %#x", n, off, x), mut)
+			}
+		}
 	}
 }

@@ -23,17 +23,27 @@ const maxRecordBytes = 1 << 28
 
 // streamKind describes one of the two record streams.
 type streamKind struct {
-	magic []byte
-	name  string // names the stream in framing errors
-	only  byte   // non-zero: the single record type the stream holds, checked before a payload is read or awaited
+	magic  []byte
+	former []byte // an earlier format's magic, refused by name
+	name   string // names the stream in framing errors
+	only   byte   // non-zero: the single record type the stream holds, checked before a payload is read or awaited
 }
 
 var (
-	logStream      = streamKind{magic: fileMagic}
+	logStream      = streamKind{magic: fileMagic, former: formerMagic}
 	manifestStream = streamKind{magic: manifestMagic, name: "manifest ", only: recManifest}
 )
 
-func (k *streamKind) badMagic() error {
+// checkMagic judges a stream's leading bytes. A format-1 log is named, not
+// lumped in with garbage: its signature records carry no link, so this build
+// cannot verify it.
+func (k *streamKind) checkMagic(got []byte) error {
+	switch {
+	case bytes.Equal(got, k.magic):
+		return nil
+	case k.former != nil && bytes.Equal(got, k.former):
+		return fmt.Errorf("%w: log format 1 is not supported; this build reads format 2", ErrTampered)
+	}
 	return fmt.Errorf("%w: bad %smagic", ErrTampered, k.name)
 }
 
@@ -80,8 +90,9 @@ type recordReader struct {
 // magic consumes the stream's leading magic.
 func (rr *recordReader) magic() error {
 	m := make([]byte, len(rr.kind.magic))
-	if _, err := io.ReadFull(rr.r, m); err != nil || !bytes.Equal(m, rr.kind.magic) {
-		return rr.kind.badMagic()
+	n, _ := io.ReadFull(rr.r, m)
+	if err := rr.kind.checkMagic(m[:n]); err != nil {
+		return err
 	}
 	rr.off = int64(len(m))
 	return nil
@@ -166,8 +177,7 @@ func (rb *recordBuffer) feed(p []byte, each func(record) error) error {
 		if rb.buf.Len() < len(rb.kind.magic) {
 			return nil
 		}
-		if !bytes.Equal(rb.buf.Next(len(rb.kind.magic)), rb.kind.magic) {
-			rb.failed = rb.kind.badMagic()
+		if rb.failed = rb.kind.checkMagic(rb.buf.Next(len(rb.kind.magic))); rb.failed != nil {
 			return rb.failed
 		}
 		rb.off, rb.body = int64(len(rb.kind.magic)), true

@@ -2,10 +2,54 @@ package audit
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"libseal/internal/sqldb"
 )
+
+// fuzzCorpus names the committed FuzzVerifyReader corpus (testdata/fuzz) and
+// how each image is made; TestFuzzCorpus -update rewrites it.
+func fuzzCorpus(t testing.TB) map[string][]byte {
+	key := testKey(t)
+	valid := synthLog(t, key, 6, 2)
+	var bare bytes.Buffer
+	if _, err := WriteSyntheticBatches(&bare, key, []SyntheticBatch{{Counter: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	torn := appendUnsigned(t, valid, 6, 1)
+	_, rehashed, _ := rehashedSuffix(t, key)
+	return map[string][]byte{
+		"valid-batched":   valid,
+		"truncated-tail":  valid[:len(valid)-24],
+		"torn-entry":      torn[:len(torn)-53],
+		"bare-sig":        bare.Bytes(),
+		"rehashed-suffix": rehashed,
+	}
+}
+
+// TestFuzzCorpus keeps the committed corpus in the format the build reads: a
+// corpus of another format's images would fuzz nothing but the magic check.
+func TestFuzzCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzVerifyReader")
+	for name, img := range fuzzCorpus(t) {
+		path := filepath.Join(dir, name)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", img)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("corpus file missing (%v); run with -update to generate", err)
+		}
+		if want := fmt.Sprintf("[]byte(%q", fileMagic); !bytes.Contains(data, []byte(want[:len(want)-1])) {
+			t.Fatalf("%s is not a format-2 image; run with -update to regenerate", path)
+		}
+	}
+}
 
 // FuzzVerifyReader is a differential fuzzer over the verifier drivers: for
 // arbitrary log images, the in-thread driver and the parallel segmented
@@ -18,6 +62,10 @@ import (
 // by one driver, rejected by another).
 func FuzzVerifyReader(f *testing.F) {
 	key := testKey(f)
+	// Verified under the golden corpus's key: mutants of the golden seeds
+	// reach the signature check and the locate pass, every other image's
+	// signature records are hash-consistent at best.
+	pub := goldenPub(f)
 	f.Add([]byte{})
 	f.Add([]byte(fileMagic))
 	f.Add(synthLog(f, key, 3, 1))
@@ -32,6 +80,16 @@ func FuzzVerifyReader(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:len(buf.Bytes())-3])
 	}
+	// The live writer's images, and the one only a signature check rejects.
+	for _, v := range goldenVectors {
+		img, err := os.ReadFile(filepath.Join(goldenDir, v.name+".lseal"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
+	_, rehashed, _ := rehashedSuffix(f, key)
+	f.Add(rehashed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Chunk sizes drawn from the input: its own bytes, cycled.
@@ -40,7 +98,7 @@ func FuzzVerifyReader(f *testing.F) {
 			drawn = append(drawn, 1+int(b))
 		}
 		for _, tolerant := range []bool{false, true} {
-			driversAgree(t, data, VerifyOptions{RecoverTruncated: tolerant}, []int{1, 4}, drawn)
+			driversAgree(t, data, VerifyOptions{Pub: pub, RecoverTruncated: tolerant}, []int{1, 4}, drawn)
 		}
 	})
 }

@@ -29,8 +29,9 @@ import (
 //
 //	go test ./internal/audit -run TestGolden -update
 //
-// Only signature R/S scalars change across regenerations (ECDSA nonces);
-// TestGoldenPerEntryByteIdentity compares everything but those scalars.
+// Only signature R/S scalars (ECDSA nonces) and the links digesting them
+// change across regenerations; TestGoldenPerEntryByteIdentity compares
+// everything else.
 
 var updateGolden = flag.Bool("update", false, "regenerate the golden-vector corpus")
 
@@ -380,8 +381,9 @@ func TestGoldenVectors(t *testing.T) {
 // TestGoldenPerEntryByteIdentity regenerates the per-entry vector with the
 // committed platform state and asserts the writer still produces the
 // committed bytes — record for record, with only the signature R/S scalars
-// (ECDSA nonces) allowed to differ. This locks the wire format: record
-// framing, entry encoding, chain math and the signed 40-byte state prefix.
+// (ECDSA nonces) and the links that hash them allowed to differ. This locks
+// the wire format: record framing, entry encoding, chain math and the signed
+// chain-head-and-counter prefix.
 func TestGoldenPerEntryByteIdentity(t *testing.T) {
 	e := newGoldenEnv(t)
 	committed, err := os.ReadFile(filepath.Join(goldenDir, "perentry.lseal"))
@@ -417,13 +419,17 @@ func TestGoldenPerEntryByteIdentity(t *testing.T) {
 				t.Fatalf("record %d: entry payload changed:\n  got  %x\n  want %x", i, g.payload, w.payload)
 			}
 		case recSig:
-			// chain head (32) + counter (8) must be byte-identical; the
-			// ECDSA scalars after them are nonce-randomised.
+			// chain head (32) + counter (8) must be byte-identical; the link
+			// after them digests the previous record's nonce-randomised
+			// scalars, and so differs with them — except the first, zero.
 			if len(w.payload) < 40 || len(g.payload) < 40 {
 				t.Fatalf("record %d: short signature payload", i)
 			}
 			if !bytes.Equal(g.payload[:40], w.payload[:40]) {
 				t.Fatalf("record %d: signed state changed:\n  got  %x\n  want %x", i, g.payload[:40], w.payload[:40])
+			}
+			if sr, err := parseSig(g.payload); err != nil || (i == 1 && sr.prev != [32]byte{}) {
+				t.Fatalf("record %d: signature record does not parse as format 2 (%v), or the file's first links to %x", i, err, sr.prev[:4])
 			}
 		}
 	}

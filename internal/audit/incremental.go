@@ -2,6 +2,7 @@ package audit
 
 import (
 	"crypto/ecdsa"
+	"encoding/hex"
 	"fmt"
 
 	"libseal/internal/enclave"
@@ -17,6 +18,11 @@ import (
 // quorum is deliberately out of scope: a mirror holds only the enclave's
 // public key, so rollback is judged by continuity (see internal/audit/mirror)
 // and by manifest replay via ManifestReplayer.
+//
+// Its point of judgment is the end of each Feed: the last signature record
+// the feed completed is ECDSA-checked, which vouches for every record before
+// it, and only then are the feed's commits reported. A feed of one batch
+// costs one check, a catch-up feed of a thousand batches also one.
 //
 // The verifier is strict and latching: the first violation poisons it and
 // every later Feed returns the same error. A torn record at the tail is not
@@ -54,14 +60,23 @@ type IncrementalVerifier struct {
 	core       chainVerifier
 	led        ledger
 	maxCounter uint64
+	// queued are the commit points the current Feed has hash-verified, each
+	// with its signature record's payload, awaiting the feed's closing check.
+	queued []queuedCommit
+}
+
+type queuedCommit struct {
+	info CommitInfo
+	raw  []byte
 }
 
 // NewIncrementalVerifier builds a chunk-feed verifier starting from the
 // empty log state (expecting the file magic first). opts.Protector is
 // ignored — incremental verification has no final verdict at which to check
 // quorum freshness; callers judge freshness by continuity. onCommit, if
-// non-nil, runs after every verified signature record; returning an error
-// from it poisons the verifier. The verifier does not retain entries.
+// non-nil, runs for every verified signature record once the feed that
+// completed it has passed its closing check; returning an error from it
+// poisons the verifier. The verifier does not retain entries.
 func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error) *IncrementalVerifier {
 	v := &IncrementalVerifier{opts: opts, onCommit: onCommit}
 	v.in.kind = &logStream
@@ -82,44 +97,82 @@ func (v *IncrementalVerifier) Resume(c *Checkpoint) error {
 	}
 	v.led = led
 	v.in.resumeAt(c.Offset)
-	v.core.seq, v.core.chain, v.core.sigs = c.Seq, led.base.chain, c.Batches
+	v.core.seq, v.core.chain, v.core.sigHead, v.core.sigs = c.Seq, led.base.chain, led.base.sigSum, c.Batches
 	v.maxCounter = c.Counter
 	return nil
 }
 
 // Feed consumes the next chunk of the record stream. It verifies every
-// record that is now complete and returns the first violation found (wrapped
-// in ErrTampered); incomplete trailing bytes are buffered for the next call.
-// Once an error is returned the verifier is poisoned and returns it forever.
-func (v *IncrementalVerifier) Feed(p []byte) error { return v.in.feed(p, v.record) }
+// record that is now complete, ECDSA-checks the last signature record among
+// them and then reports their commit points; it returns the first violation
+// in stream order (wrapped in ErrTampered). Incomplete trailing bytes are
+// buffered for the next call. Once an error is returned the verifier is
+// poisoned and returns it forever.
+func (v *IncrementalVerifier) Feed(p []byte) error {
+	if v.in.failed != nil {
+		return v.in.failed
+	}
+	v.in.feed(p, v.record)
+	v.deliver()
+	return v.in.failed
+}
 
 func (v *IncrementalVerifier) record(rec record) error {
 	switch rec.typ {
 	case recEntry:
-		e, err := v.core.entry(rec.payload)
+		e, err := v.core.entry(rec.payload, rec.off)
 		if err != nil {
 			return err
 		}
 		v.led.entry(e)
 	case recSig:
-		counter, err := v.core.sig(rec.payload)
+		counter, err := v.core.sig(rec.payload, rec.off)
 		if err != nil {
 			return err
 		}
-		batch := v.led.pending
-		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigRaw: rec.payload})
-		v.maxCounter = max(v.maxCounter, counter)
-		if v.onCommit != nil {
-			return v.onCommit(CommitInfo{
-				Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
-				Offset: rec.end(), SigOffset: rec.off, SigHash: v.led.sigHash(),
-				Entries: batch,
-			})
-		}
+		batch := len(v.led.open)
+		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigSum: v.core.sigHead})
+		v.queued = append(v.queued, queuedCommit{raw: rec.payload, info: CommitInfo{
+			Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
+			Offset: rec.end(), SigOffset: rec.off, SigHash: hex.EncodeToString(v.core.sigHead[:]),
+			Entries: batch,
+		}})
 	default:
 		return logStream.unknownType(rec.typ)
 	}
 	return nil
+}
+
+// deliver runs the feed's closing check and reports its commit points. When
+// the last queued signature record does not hold, the locate pass checks the
+// queued ones in stream order: the first invalid one is the failure — it
+// precedes whichever record the hash checks may have stopped at — and those
+// before it are still reported, having been checked in their own right. The
+// failure is latched before any callback runs, so a callback never snapshots
+// an unvouched commit point.
+func (v *IncrementalVerifier) deliver() {
+	queued := v.queued
+	v.queued = v.queued[:0]
+	if len(queued) == 0 {
+		return
+	}
+	good := firstInvalid(v.opts.Pub, queued, func(q queuedCommit) []byte { return q.raw })
+	if good < len(queued) {
+		v.in.failed = &VerifyError{
+			Offset: queued[good].info.SigOffset, Batch: v.led.cur.batches - len(queued) + good,
+			Record: -1, Reason: "signature invalid",
+		}
+	}
+	for _, q := range queued[:good] {
+		v.maxCounter = max(v.maxCounter, q.info.Counter)
+		if v.onCommit == nil {
+			continue
+		}
+		if err := v.onCommit(q.info); err != nil {
+			v.in.failed = err
+			return
+		}
+	}
 }
 
 // Offset is the stream offset of the next byte to be received: everything
@@ -137,19 +190,19 @@ func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
 func (v *IncrementalVerifier) Counter() uint64    { return v.led.cur.counter }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
 func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
-func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + v.led.pending }
+func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + len(v.led.open) }
 
-// Tables returns the per-table verified tuple counts (live map; callers must
-// copy if they retain it).
+// Tables returns the per-table tuple counts under the last commit point (live
+// map; callers must copy if they retain it).
 func (v *IncrementalVerifier) Tables() map[string]int { return v.led.tables }
 
 // Checkpoint snapshots the verified prefix as a resumable sidecar state, or
-// nil before the first commit point. Only commit points are checkpointable:
-// when unsigned entries trail the last signature record there is no snapshot
-// to take, so callers should take it from inside onCommit (where the stream
-// is exactly at a commit point).
+// nil before the first commit point. Between feeds the last commit point is
+// the one the last feed's closing check passed on — the only checkpointable
+// kind — so take the snapshot after Feed returns nil, or from inside onCommit,
+// where it is that feed's last commit whichever commit is being reported.
 func (v *IncrementalVerifier) Checkpoint(shard int) *Checkpoint {
-	if v.led.sigHash() == "" || v.led.pending != 0 {
+	if v.led.cur.batches == 0 || v.in.failed != nil {
 		return nil
 	}
 	return v.led.checkpoint(shard)

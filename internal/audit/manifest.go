@@ -158,16 +158,16 @@ func parseManifest(payload []byte) (*Manifest, error) {
 		}
 		s.Counter = binary.BigEndian.Uint64(u64[:])
 	}
-	rb, err := readString(r)
+	rb, rest, err := cutString(payload[len(payload)-r.Len():])
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated manifest signature", ErrTampered)
 	}
-	sb, err := readString(r)
+	sb, rest, err := cutString(rest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: truncated manifest signature", ErrTampered)
 	}
-	m.Sig = enclave.Signature{R: []byte(rb), S: []byte(sb)}
-	if r.Len() != 0 {
+	m.Sig = enclave.Signature{R: rb, S: sb}
+	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes after manifest", ErrTampered)
 	}
 	return m, nil

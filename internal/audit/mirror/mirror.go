@@ -626,7 +626,6 @@ func (m *Mirror) commitLocked(sh *shardState, k int, ci audit.CommitInfo) error 
 	if sh.needCounter > 0 && ci.Counter >= sh.needCounter {
 		sh.needCounter = 0
 	}
-	sh.ckpt = sh.v.Checkpoint(k)
 	m.dirty = true
 	mMirrorEntries.Add(int64(ci.Entries))
 	mMirrorSeq.Set(int64(ci.Seq))
@@ -710,7 +709,16 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		if k >= len(m.shards) {
 			return fmt.Errorf("mirror: data frame for unknown shard %d", k)
 		}
-		return m.shards[k].v.Feed(payload[2:])
+		sh := m.shards[k]
+		if err := sh.v.Feed(payload[2:]); err != nil {
+			return err
+		}
+		// The frame's commits were reported after one ECDSA check, on its
+		// last signature record; that commit point is the checkpointable one.
+		if sh.ckpt == nil || sh.ckpt.Batches != sh.v.Batches() {
+			sh.ckpt = sh.v.Checkpoint(k)
+		}
+		return nil
 	case frameManifest:
 		if m.mreader == nil {
 			return errors.New("mirror: manifest frame for unmanifested set")

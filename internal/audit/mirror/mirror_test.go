@@ -1,7 +1,11 @@
 package mirror
 
 import (
+	"bytes"
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net"
@@ -16,6 +20,7 @@ import (
 	"libseal/internal/audit"
 	"libseal/internal/enclave"
 	"libseal/internal/rote"
+	"libseal/internal/telemetry"
 )
 
 const testSchema = `
@@ -395,5 +400,65 @@ func TestFeedBackpressure(t *testing.T) {
 			t.Fatal("stalled subscriber was never dropped")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestMirrorFrameCommitsAfterOneCheck: a catch-up frame holding fifty
+// batches costs the mirror one ECDSA check, on the frame's last signature
+// record, after which all fifty commit points are absorbed and that last one
+// is the resume claim. When that record's signature does not hold, the frame
+// is a violation and nothing in it becomes a resume claim.
+func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := audit.WriteSyntheticLog(&buf, key, 50, 1); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	checks := func() int64 {
+		m, _ := telemetry.Get("audit.verify.signatures")
+		return m.Value
+	}
+	start := func() (*Mirror, *shardState) {
+		m := &Mirror{cfg: Config{Name: "t", Pub: &key.PublicKey}}
+		sh := &shardState{}
+		m.shards = []*shardState{sh}
+		m.coldRestartLocked(0, sh, time.Now())
+		return m, sh
+	}
+
+	m, sh := start()
+	before := checks()
+	if err := m.handleFrame(frameData, append([]byte{0, 0}, img...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := checks() - before; len(sh.commits) != 50 || n != 1 {
+		t.Fatalf("%d commit points absorbed after %d ECDSA checks, want 50 after one", len(sh.commits), n)
+	}
+	if sh.ckpt == nil || sh.ckpt.Batches != 50 || sh.ckpt.Offset != int64(len(img)) || sh.maxCounter != 50 {
+		t.Fatalf("resume claim %+v (max counter %d), want the frame's last commit point", sh.ckpt, sh.maxCounter)
+	}
+
+	// Two frames, the second ending in a signature record with a flipped S.
+	m, sh = start()
+	half := len(img) / 2
+	if err := m.handleFrame(frameData, append([]byte{0, 0}, img[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	claim, absorbed := sh.ckpt, len(sh.commits)
+	bad := append([]byte{0, 0}, img[half:]...)
+	bad[len(bad)-1] ^= 0xff
+	err = m.handleFrame(frameData, bad)
+	if !errors.Is(err, audit.ErrTampered) || !strings.Contains(err.Error(), "signature record 49: signature invalid") {
+		t.Fatalf("frame ending in an invalid signature: %v", err)
+	}
+	if sh.ckpt != claim || claim == nil || claim.Batches != absorbed {
+		t.Fatalf("resume claim moved to %+v on a failed frame", sh.ckpt)
+	}
+	if _, ok := sh.commits[50]; ok {
+		t.Fatal("the commit point under the invalid signature was absorbed")
 	}
 }

@@ -32,14 +32,20 @@ var (
 	mVerifyLatency     = telemetry.NewHistogram("audit.verify.latency", "ns")
 	mVerifyCheckpoints = telemetry.NewCounter("audit.verify.checkpoints", "writes")
 	mVerifyResumes     = telemetry.NewCounter("audit.verify.resumes", "calls")
+	// ECDSA checks log verification performed (closing checks, checkpoint
+	// saves and proofs, locate passes), and how many locate passes ran.
+	mVerifySignatures = telemetry.NewCounter("audit.verify.signatures", "checks")
+	mVerifyLocates    = telemetry.NewCounter("audit.verify.locates", "passes")
 )
 
 // SegmentInfo describes one committed (signature-closed, fully verified)
 // segment, delivered to StreamOptions.OnSegment in file order.
 //
-// Segment delivery is provisional: the segment's hash chain and signature
-// have been checked, but whole-log properties — counter freshness against
-// the rollback group above all — are only decided once the scan finishes.
+// Segment delivery is provisional: the segment's hash chains have been
+// checked, but the enclave signature that vouches for it is checked at a
+// later commit point — the scan's last at the latest — and whole-log
+// properties — counter freshness against the rollback group above all — are
+// only decided once the scan finishes.
 // Entries must not be trusted (acted on, exported, replayed) until
 // VerifyReaderStream/VerifyFileStream returns a nil error; a log that
 // streams plausible segments can still turn out rolled back or torn.
@@ -195,7 +201,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 	// Once the merger sees the first in-order failure the verdict is
 	// decided: the scanner must still scan structurally to EOF (the verdict
 	// ranks the failure against what follows it), but hashing and
-	// ECDSA-checking the remaining segments is pure waste — on a large
+	// decoding the remaining segments is pure waste — on a large
 	// corrupt log, most of the file's worth. The flag lets workers fall
 	// through to close(seg.done) without verifying.
 	var skipVerify atomic.Bool
@@ -210,7 +216,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 			for seg := range work {
 				if ctx.Err() == nil && !skipVerify.Load() {
 					t0 := time.Now()
-					seg.res = verifySegment(seg, &opts.VerifyOptions, m.led.base.batches)
+					seg.res = verifySegment(seg, &opts.VerifyOptions, opts.Shard, m.led.base.batches)
 					mVerifySegLatency.Observe(time.Since(t0))
 				}
 				close(seg.done)

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,7 +15,6 @@ import (
 	"testing"
 
 	"libseal/internal/enclave"
-	"libseal/internal/pki"
 )
 
 // The reference verifier. referenceVerify is the straight-line sequential
@@ -25,6 +25,11 @@ import (
 // vectors compare every production driver against, so it must never be
 // rewritten in terms of the code it checks: it shares only the primitives
 // (parseSig, chainNext, sigDigest, checkFreshness, the entry codec) with it.
+// Format 2 added one comparison to it — a signature record's link to its
+// predecessor — and it stays eager: it ECDSA-checks every signature record,
+// where the production drivers check the one a verdict rests on and locate
+// backwards only on failure. Agreement with it on every mutation is what
+// shows the deferred check loses nothing.
 //
 // Its verdicts on the committed golden images are pinned as data in
 // testdata/golden/<name>.verdicts (TestGoldenVerdicts), so a change to the
@@ -42,7 +47,9 @@ type referenceRecord struct {
 // failing it; the caller then verifies the intact prefix.
 func referenceRecords(r io.Reader, tolerant bool) ([]referenceRecord, error) {
 	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, fileMagic) {
+	if n, _ := io.ReadFull(r, magic); bytes.Equal(magic[:n], formerMagic) {
+		return nil, fmt.Errorf("%w: log format 1 is not supported; this build reads format 2", ErrTampered)
+	} else if !bytes.Equal(magic[:n], fileMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrTampered)
 	}
 	var recs []referenceRecord
@@ -89,7 +96,7 @@ func referenceVerify(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
 		return nil, err
 	}
 	var entries []*Entry
-	var chain [32]byte
+	var chain, sigHead [32]byte
 	seq := uint64(0)
 	// The commit point is the state as of the last valid signature record;
 	// with RecoverTruncated, anything after it is crash debris.
@@ -99,6 +106,7 @@ func referenceVerify(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
 		chain   [32]byte
 		end     int64
 		counter uint64
+		sigHead [32]byte
 	}{end: int64(len(fileMagic))}
 	batches := 0
 	maxBatch := 0
@@ -147,14 +155,17 @@ scan:
 			// Counter values may legitimately regress between records (a
 			// recovery that re-anchored on a rebuilt counter group), so
 			// rollback is judged against the live group, not file-locally.
-			sigChain, counter, sig, perr := parseSig(rec.payload)
+			sr, perr := parseSig(rec.payload)
+			counter := sr.counter
 			bad := ""
 			switch {
 			case perr != nil:
 				bad = perr.Error()
-			case sigChain != chain:
+			case sr.chain != chain:
 				bad = "chain hash mismatch"
-			case opts.Pub != nil && !enclave.VerifySignature(opts.Pub, sigDigest(sigChain, counter), sig):
+			case sr.prev != sigHead:
+				bad = "signature link mismatch"
+			case opts.Pub != nil && !enclave.VerifySignature(opts.Pub, sigDigest(sr.chain, counter, sr.prev), sr.sig):
 				bad = "signature invalid"
 			}
 			if bad != "" {
@@ -165,6 +176,8 @@ scan:
 				return nil, fmt.Errorf("%w: signature record %d: %s", ErrTampered, batches, bad)
 			}
 			sawSig = true
+			sigHead = sha256.Sum256(rec.payload)
+			commit.sigHead = sigHead
 			commit.entries = len(entries)
 			commit.chain = chain
 			commit.end = rec.end
@@ -214,7 +227,7 @@ scan:
 	}
 	return &VerifyResult{
 		Entries: checkEntries, Counter: commit.counter, CommittedBytes: commit.end,
-		Batches: batches, MaxBatch: maxBatch,
+		Batches: batches, MaxBatch: maxBatch, SigHead: commit.sigHead,
 	}, nil
 }
 
@@ -382,14 +395,7 @@ func verdictTable(name string, img []byte, opts VerifyOptions) []byte {
 // The tables are regenerated only by -update (after TestGoldenVectors has
 // regenerated the images they describe).
 func TestGoldenVerdicts(t *testing.T) {
-	pemData, err := os.ReadFile(filepath.Join(goldenDir, "pub.pem"))
-	if err != nil {
-		t.Fatalf("golden corpus missing (%v); run with -update to generate", err)
-	}
-	pub, err := pki.DecodePublicKeyPEM(pemData)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pub := goldenPub(t)
 	for _, v := range goldenVectors {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

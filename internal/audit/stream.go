@@ -2,6 +2,7 @@ package audit
 
 import (
 	"context"
+	"crypto/sha256"
 	"io"
 )
 
@@ -11,31 +12,36 @@ import (
 // natural cut points for parallel verification: a sequential scanner splits
 // the stream into segments — the entries since the previous signature plus
 // the signature that closes them — and hands each segment its *claimed*
-// starting chain head (the previous signature's attested head). A worker can
-// then recompute the segment's hashes and check its signature independently
-// of every other segment: if segment k verifies, its claimed end head is the
-// true chain head after its last entry, so segment k+1's claimed start is
-// trustworthy by induction and the stitched result equals the sequential
-// scan's byte for byte.
+// starting chain head (the previous signature's attested head) and the digest
+// of the previous signature record, which its own must link to. A worker can
+// then recompute the segment's hashes and check its signature record's claims
+// independently of every other segment: if segment k verifies, its claimed end
+// head is the true chain head after its last entry, so segment k+1's claimed
+// start is trustworthy by induction and the stitched result equals the
+// sequential scan's byte for byte.
 //
 // The scanner does only cheap structural work (record framing, reading the
-// head a signature record claims); signature parsing, hashing, ECDSA
-// verification and entry decoding — the dominant costs — happen in whoever
-// the segments are dispatched to.
+// head a signature record claims, hashing the signature record); signature
+// parsing, chain hashing and entry decoding — the dominant costs — happen in
+// whoever the segments are dispatched to. The ECDSA check is the merger's, at
+// its points of judgment (verifier.go).
 
 // segment is one signature-delimited slice of the record stream: the entry
 // payloads since the previous commit point plus (except for a trailing
 // unsigned segment) the signature record that closes them.
 type segment struct {
 	index      int      // dispatch ordinal; equals the count of signed segments before it
+	start      int64    // file offset of the first record's header
 	startSeq   uint64   // expected sequence number of the first entry
 	startChain [32]byte // claimed chain head before the first entry
+	startSig   [32]byte // digest of the previous signature record's payload
 	payloads   [][]byte // raw entry payloads (sealed if the log is sealed)
 
 	hasSig bool
-	sigRaw []byte // raw signature record payload
-	sigOff int64  // file offset of the signature record's header
-	end    int64  // file offset just past the signature record (commit point)
+	sigRaw []byte   // raw signature record payload
+	sigSum [32]byte // its SHA-256
+	sigOff int64    // file offset of the signature record's header
+	end    int64    // file offset just past the signature record (commit point)
 
 	res  segResult
 	done chan struct{} // parallel driver only: closed once res is set
@@ -83,10 +89,10 @@ func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, 
 	}
 	var cur *segment
 	idx := 0
-	nextSeq, nextChain := base.seq, base.chain
-	open := func() *segment {
+	nextSeq, nextChain, nextSig := base.seq, base.chain, base.sigSum
+	open := func(at int64) *segment {
 		if cur == nil {
-			cur = &segment{index: idx, startSeq: nextSeq, startChain: nextChain}
+			cur = &segment{index: idx, start: at, startSeq: nextSeq, startChain: nextChain, startSig: nextSig}
 		}
 		return cur
 	}
@@ -102,7 +108,7 @@ func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, 
 		switch rec.typ {
 		case recEntry:
 			if dispatching {
-				seg := open()
+				seg := open(rec.off)
 				seg.payloads = append(seg.payloads, rec.payload)
 				nextSeq++
 			}
@@ -111,13 +117,16 @@ func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, 
 			if !dispatching {
 				continue
 			}
-			seg := open()
+			seg := open(rec.off)
 			cur = nil
 			seg.hasSig, seg.sigRaw, seg.sigOff, seg.end = true, rec.payload, rec.off, rr.off
-			// The next segment starts from the head this record claims. If
-			// the record is too short to claim one it fails to parse, and
-			// nothing after the first failure affects the verdict.
+			seg.sigSum = sha256.Sum256(rec.payload)
+			// The next segment starts from the head this record claims and
+			// must link to this record. If the record is too short to claim
+			// a head it fails to parse, and nothing after the first failure
+			// affects the verdict.
 			copy(nextChain[:], rec.payload)
+			nextSig = seg.sigSum
 			idx++
 			if !dispatch(seg) {
 				return end
@@ -143,20 +152,25 @@ func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, 
 // verifySegment runs the core over one segment from its claimed start: the
 // expensive half of verification, safe to run concurrently across segments.
 // firstSig is the ordinal of the scan's first signature record.
-func verifySegment(seg *segment, opts *VerifyOptions, firstSig int) segResult {
-	v := chainVerifier{opts: opts, seq: seg.startSeq, chain: seg.startChain, sigs: firstSig + seg.index}
-	var res segResult
+func verifySegment(seg *segment, opts *VerifyOptions, shard, firstSig int) segResult {
+	v := chainVerifier{
+		opts: opts, shard: shard, seq: seg.startSeq,
+		chain: seg.startChain, sigHead: seg.startSig, sigs: firstSig + seg.index,
+	}
+	res := segResult{entries: make([]*Entry, 0, len(seg.payloads))}
+	off := seg.start
 	for _, raw := range seg.payloads {
-		e, err := v.entry(raw)
+		e, err := v.entry(raw, off)
 		if err != nil {
 			res.err = err
 			return res
 		}
 		res.entries = append(res.entries, e)
 		res.bytes += int64(len(raw))
+		off += recordSize(raw)
 	}
 	if seg.hasSig {
-		res.counter, res.err = v.sig(seg.sigRaw)
+		res.counter, res.err = v.sig(seg.sigRaw, seg.sigOff)
 		res.atSig = res.err != nil
 		res.chain = v.chain
 	}

@@ -2,10 +2,9 @@ package audit
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/ecdsa"
 	"crypto/rand"
-	"encoding/binary"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -34,30 +33,16 @@ type SyntheticBatch struct {
 // Entry Seq fields are used as given; callers wanting a well-formed log
 // must number them contiguously from seq.
 func WriteSyntheticBatches(w io.Writer, key *ecdsa.PrivateKey, batches []SyntheticBatch) (int64, error) {
-	if _, err := w.Write(fileMagic); err != nil {
-		return 0, err
-	}
-	size := int64(len(fileMagic))
-	var chain [32]byte
+	bw := newSynthWriter(w, key)
 	for _, b := range batches {
 		for _, e := range b.Entries {
-			payload := e.Marshal()
-			if err := writeRecord(w, recEntry, payload); err != nil {
-				return size, err
-			}
-			chain = chainNext(chain, payload)
-			size += recordSize(payload)
+			bw.add(e)
 		}
-		sig, err := synthSign(key, chain, b.Counter)
-		if err != nil {
-			return size, err
+		if err := bw.commit(b.Counter); err != nil {
+			return bw.size, err
 		}
-		if err := writeRecord(w, recSig, sig); err != nil {
-			return size, err
-		}
-		size += recordSize(sig)
 	}
-	return size, nil
+	return bw.size, bw.err
 }
 
 // WriteSyntheticLog writes n entries grouped into batches of batchMax
@@ -68,18 +53,17 @@ func WriteSyntheticLog(w io.Writer, key *ecdsa.PrivateKey, n, batchMax int) (int
 		batchMax = 1
 	}
 	bw := newSynthWriter(w, key)
+	counter := uint64(0)
 	for i := 0; i < n; i++ {
 		bw.add(SyntheticEntry(uint64(i)))
-		if bw.pending() >= batchMax {
-			if err := bw.commit(); err != nil {
+		if bw.staged >= batchMax || i == n-1 {
+			counter++
+			if err := bw.commit(counter); err != nil {
 				return bw.size, err
 			}
 		}
 	}
-	if err := bw.flush(); err != nil {
-		return bw.size, err
-	}
-	return bw.size, nil
+	return bw.size, bw.err
 }
 
 // WriteSyntheticLogFile is WriteSyntheticLog to a file path.
@@ -116,46 +100,32 @@ func SyntheticEntry(seq uint64) *Entry {
 	}
 }
 
-// synthSign produces a signature record payload identical in layout to the
-// live writer's signState: chain head, big-endian counter, then the
-// length-prefixed ECDSA R and S scalars.
-func synthSign(key *ecdsa.PrivateKey, chain [32]byte, counter uint64) ([]byte, error) {
-	r, s, err := ecdsa.Sign(rand.Reader, key, sigDigest(chain, counter))
+// synthSign produces a signature record payload as the live writer's
+// signState does, from a raw key.
+func synthSign(key *ecdsa.PrivateKey, chain [32]byte, counter uint64, prev [32]byte) ([]byte, error) {
+	r, s, err := ecdsa.Sign(rand.Reader, key, sigDigest(chain, counter, prev))
 	if err != nil {
 		return nil, err
 	}
-	var c [8]byte
-	binary.BigEndian.PutUint64(c[:], counter)
-	var out bytes.Buffer
-	out.Write(chain[:])
-	out.Write(c[:])
-	writeString(&out, string(r.Bytes()))
-	writeString(&out, string(s.Bytes()))
-	return out.Bytes(), nil
+	return sigPayload(chain, counter, prev, r.Bytes(), s.Bytes()), nil
 }
 
 // synthWriter incrementally builds a synthetic log: add entries, commit
-// signs the batch staged so far.
+// signs the batch staged so far at the given counter value.
 type synthWriter struct {
 	w       io.Writer
 	key     *ecdsa.PrivateKey
 	chain   [32]byte
-	counter uint64
+	sigHead [32]byte
 	staged  int
 	size    int64
 	err     error
 }
 
 func newSynthWriter(w io.Writer, key *ecdsa.PrivateKey) *synthWriter {
-	return &synthWriter{w: w, key: key, size: int64(len(fileMagic)), err: writeMagic(w)}
-}
-
-func writeMagic(w io.Writer) error {
 	_, err := w.Write(fileMagic)
-	return err
+	return &synthWriter{w: w, key: key, size: int64(len(fileMagic)), err: err}
 }
-
-func (s *synthWriter) pending() int { return s.staged }
 
 func (s *synthWriter) add(e *Entry) {
 	if s.err != nil {
@@ -170,27 +140,19 @@ func (s *synthWriter) add(e *Entry) {
 	s.staged++
 }
 
-func (s *synthWriter) commit() error {
+func (s *synthWriter) commit(counter uint64) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.counter++
-	sig, err := synthSign(s.key, s.chain, s.counter)
-	if err != nil {
-		s.err = err
-		return err
+	var sig []byte
+	if sig, s.err = synthSign(s.key, s.chain, counter, s.sigHead); s.err != nil {
+		return s.err
 	}
 	if s.err = writeRecord(s.w, recSig, sig); s.err != nil {
 		return s.err
 	}
+	s.sigHead = sha256.Sum256(sig)
 	s.size += recordSize(sig)
 	s.staged = 0
 	return nil
-}
-
-func (s *synthWriter) flush() error {
-	if s.staged > 0 {
-		return s.commit()
-	}
-	return s.err
 }

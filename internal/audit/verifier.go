@@ -1,10 +1,11 @@
 package audit
 
 import (
-	"bytes"
 	"context"
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -15,8 +16,10 @@ import (
 // The verifier. What makes a log the one the enclave wrote is a rule about
 // records: every entry unseals, decodes, carries the next sequence number and
 // extends the hash chain; every signature record attests exactly the chain
-// head reached so far under the enclave's key. That rule is written once, in
-// chainVerifier. Around it sit a ledger (what has been committed: the last
+// head reached so far and links to the signature record before it; and the
+// signature record a verdict rests on carries the enclave's signature, which
+// through the two hash chains vouches for every record before it. That rule
+// is written once, in chainVerifier and validSig. Around it sit a ledger (what has been committed: the last
 // signature record and the running totals a result or a checkpoint reports),
 // a merger (folds verified segments into the ledger in stream order and gives
 // the end-of-stream verdict) and three drivers that differ only in how bytes
@@ -65,93 +68,178 @@ type VerifyResult struct {
 	// MaxBatch is the largest number of entries covered by one signature
 	// record.
 	MaxBatch int
+	// SigHead is the SHA-256 of the verified signature record's payload — the
+	// link the next signature record appended to the file must carry. Zero
+	// when the verified prefix holds no signature record.
+	SigHead [32]byte
 }
 
-// parseSig decodes a signature record.
-func parseSig(payload []byte) (chain [32]byte, counter uint64, sig enclave.Signature, err error) {
-	r := bytes.NewReader(payload)
-	if _, err = io.ReadFull(r, chain[:]); err != nil {
-		err = ErrTampered
-		return
+// VerifyError is a rejection raised by one record's own checks, carrying
+// where the record sits. Its text is the sentence alone, so verdicts compare
+// equal whether or not a caller looks at the location; it unwraps to
+// ErrTampered.
+type VerifyError struct {
+	// Shard is the shard ordinal (0 for a single-file log).
+	Shard int
+	// Offset is the byte offset of the failing record's header in its file.
+	Offset int64
+	// Batch is the ordinal of the signature record that fails, or that would
+	// have closed the failing entry's batch.
+	Batch int
+	// Record is the failing entry's ordinal within its batch, -1 when the
+	// signature record itself fails.
+	Record int
+	// Reason says which check failed.
+	Reason string
+}
+
+func (e *VerifyError) Error() string {
+	if e.Record < 0 {
+		return fmt.Sprintf("%v: signature record %d: %s", ErrTampered, e.Batch, e.Reason)
 	}
-	var c [8]byte
-	if _, err = io.ReadFull(r, c[:]); err != nil {
-		err = ErrTampered
-		return
+	return fmt.Sprintf("%v: %s", ErrTampered, e.Reason)
+}
+
+func (e *VerifyError) Unwrap() error { return ErrTampered }
+
+// sigRecord is a parsed signature record; sig aliases the payload.
+type sigRecord struct {
+	chain   [32]byte // chain head attested
+	counter uint64   // rollback-counter value bound
+	prev    [32]byte // digest of the previous signature record's payload
+	sig     enclave.Signature
+}
+
+// parseSig decodes a signature record (layout: sigPayload).
+func parseSig(payload []byte) (rec sigRecord, err error) {
+	if len(payload) < 72 {
+		return rec, ErrTampered
 	}
-	counter = binary.BigEndian.Uint64(c[:])
-	rb, err := readString(r)
+	copy(rec.chain[:], payload)
+	rec.counter = binary.BigEndian.Uint64(payload[32:])
+	copy(rec.prev[:], payload[40:])
+	r, rest, err := cutString(payload[72:])
 	if err != nil {
-		return
+		return rec, err
 	}
-	sb, err := readString(r)
+	s, rest, err := cutString(rest)
 	if err != nil {
-		return
+		return rec, err
 	}
-	sig = enclave.Signature{R: []byte(rb), S: []byte(sb)}
-	if r.Len() != 0 {
-		// The ECDSA signature covers only the chain head and counter, so
-		// trailing payload bytes would let an inflated length field swallow
+	rec.sig = enclave.Signature{R: r, S: s}
+	if len(rest) != 0 {
+		// The ECDSA signature covers only the chain head, counter and link,
+		// so trailing payload bytes would let an inflated length field swallow
 		// neighbouring records without invalidating the record.
 		err = errors.New("trailing bytes after signature")
 	}
-	return
+	return rec, err
 }
 
-// chainVerifier is the record-level core: the position in the chain and the
-// two checks that advance it. It is strict — the first error is final — and
-// knows nothing of framing, commit points or verdicts; a driver seeds it at
-// any verified (or, for a parallel segment, claimed) position.
+// validSig is the ECDSA half of the rule: whether a signature record carries
+// the enclave's signature over what it attests. Without a key there is
+// nothing to check.
+func validSig(pub *ecdsa.PublicKey, payload []byte) bool {
+	if pub == nil {
+		return true
+	}
+	mVerifySignatures.Inc()
+	rec, err := parseSig(payload)
+	return err == nil && enclave.VerifySignature(pub, sigDigest(rec.chain, rec.counter, rec.prev), rec.sig)
+}
+
+// firstInvalid is a point of judgment over sigs, signature records in stream
+// order that passed the hash checks and none of which is vouched for yet. It
+// ECDSA-checks the last, which vouches for the rest, and returns len(sigs);
+// if that one does not hold it runs the locate pass — the others, in order —
+// and returns the index of the first invalid one.
+func firstInvalid[T any](pub *ecdsa.PublicKey, sigs []T, payload func(T) []byte) int {
+	last := len(sigs) - 1
+	if validSig(pub, payload(sigs[last])) {
+		return len(sigs)
+	}
+	mVerifyLocates.Inc()
+	for i, s := range sigs[:last] {
+		if !validSig(pub, payload(s)) {
+			return i
+		}
+	}
+	return last
+}
+
+// chainVerifier is the record-level core: the position in the two hash chains
+// and the checks that advance it. It is strict — the first error is final —
+// and knows nothing of framing, commit points or verdicts; a driver seeds it
+// at any verified (or, for a parallel segment, claimed) position. Every error
+// it returns is a *VerifyError.
+//
+// Its checks are hash-only. ECDSA runs at the points of judgment, on the
+// signature record a driver is about to rest something on — the commit point
+// an end-of-stream verdict accepts, one a checkpoint is saved at, the last of
+// a chunk feed (validSig) — and a valid signature there vouches for every
+// record before it: it covers prev, the digest of the previous signature
+// record's whole payload, scalars included, so by collision resistance that
+// record is the one the enclave wrote and signed, and so on back to the
+// file's first; and it covers the chain head, which fixes every entry. Where
+// that signature does not hold, the driver walks the signature records it
+// has not yet vouched for in stream order (the locate pass) and the first
+// invalid one is the failure, exactly the record an eager check of every
+// signature would have stopped at.
 type chainVerifier struct {
-	opts  *VerifyOptions // Pub and Unseal; the rest is the verdict's business
-	seq   uint64         // sequence number the next entry must carry
-	chain [32]byte       // chain head over every entry accepted so far
-	sigs  int            // ordinal of the next signature record, naming it in errors
+	opts    *VerifyOptions // Unseal; the rest is the verdict's business
+	shard   int            // names the shard in errors
+	seq     uint64         // sequence number the next entry must carry
+	chain   [32]byte       // chain head over every entry accepted so far
+	sigHead [32]byte       // digest of the last signature record, zero before a file's first
+	sigs    int            // ordinal of the next signature record, naming it in errors
+	inBatch int            // entries since the last signature record
+}
+
+// reject builds the error for the record whose header sits at off.
+func (v *chainVerifier) reject(off int64, record int, reason string) error {
+	return &VerifyError{Shard: v.shard, Offset: off, Batch: v.sigs, Record: record, Reason: reason}
 }
 
 // entry checks one entry record's payload and extends the chain over it.
-func (v *chainVerifier) entry(raw []byte) (*Entry, error) {
+func (v *chainVerifier) entry(raw []byte, off int64) (*Entry, error) {
 	if v.opts.Unseal != nil {
 		var err error
 		if raw, err = v.opts.Unseal(raw); err != nil {
-			return nil, fmt.Errorf("%w: unseal: %v", ErrTampered, err)
+			return nil, v.reject(off, v.inBatch, "unseal: "+err.Error())
 		}
 	}
 	e, err := UnmarshalEntry(raw)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTampered, err)
+		return nil, v.reject(off, v.inBatch, err.Error())
 	}
 	if e.Seq != v.seq {
-		return nil, fmt.Errorf("%w: sequence gap at %d", ErrTampered, v.seq)
+		return nil, v.reject(off, v.inBatch, fmt.Sprintf("sequence gap at %d", v.seq))
 	}
 	v.seq++
+	v.inBatch++
 	v.chain = chainNext(v.chain, raw)
 	return e, nil
 }
 
 // sig checks one signature record's payload against the chain head reached
-// and returns the counter it binds. Every signature record is checked, not
-// just the last: a log with a forged intermediate signature is not the log
-// the enclave wrote even when its entries still chain. Counters may
-// legitimately regress between records (a recovery that re-anchored on a
-// rebuilt counter group), so rollback is judged against the live group by
-// the verdict, never record to record.
-func (v *chainVerifier) sig(payload []byte) (uint64, error) {
-	chain, counter, sig, err := parseSig(payload)
-	bad := ""
+// and the signature record before it, and returns the counter it binds.
+// Counters may legitimately regress between records (a recovery that
+// re-anchored on a rebuilt counter group), so rollback is judged against the
+// live group by the verdict, never record to record.
+func (v *chainVerifier) sig(payload []byte, off int64) (uint64, error) {
+	rec, err := parseSig(payload)
 	switch {
 	case err != nil:
-		bad = err.Error()
-	case chain != v.chain:
-		bad = "chain hash mismatch"
-	case v.opts.Pub != nil && !enclave.VerifySignature(v.opts.Pub, sigDigest(chain, counter), sig):
-		bad = "signature invalid"
-	}
-	if bad != "" {
-		return 0, fmt.Errorf("%w: signature record %d: %s", ErrTampered, v.sigs, bad)
+		return 0, v.reject(off, -1, err.Error())
+	case rec.chain != v.chain:
+		return 0, v.reject(off, -1, "chain hash mismatch")
+	case rec.prev != v.sigHead:
+		return 0, v.reject(off, -1, "signature link mismatch")
 	}
 	v.sigs++
-	return counter, nil
+	v.inBatch = 0
+	v.sigHead = sha256.Sum256(payload)
+	return rec.counter, nil
 }
 
 // commitPoint is the verified state as of one signature record.
@@ -160,8 +248,7 @@ type commitPoint struct {
 	chain   [32]byte // chain head it attests
 	counter uint64   // rollback-counter value it binds
 	sigOff  int64    // offset of the record's header
-	sigRaw  []byte   // its payload; with sigOff, what binds a checkpoint to one file
-	sigHash string   // hex SHA-256 of sigRaw, computed when first asked for
+	sigSum  [32]byte // SHA-256 of its payload; with sigOff, what binds a checkpoint to one file
 }
 
 // totals is the running state of a verified prefix: its last commit point
@@ -178,8 +265,8 @@ type ledger struct {
 	resumed bool           // base came from a checkpoint
 	cur     totals         // base plus everything committed since
 	scanMax int            // largest batch this scan committed
-	tables  map[string]int // per-table entry counts over the whole log
-	pending int            // entries verified past the last commit point
+	tables  map[string]int // per-table entry counts under the last commit point
+	open    []string       // tables of the entries verified past it
 }
 
 // newLedger starts from checkpoint c, or from the empty log when c is nil
@@ -192,9 +279,13 @@ func newLedger(c *Checkpoint) (ledger, error) {
 		if err != nil {
 			return l, err
 		}
+		var sum [32]byte
+		if n, err := hex.Decode(sum[:], []byte(c.SigHash)); err != nil || n != len(sum) {
+			return l, fmt.Errorf("%w: bad signature record hash", ErrCheckpointStale)
+		}
 		l.resumed = true
 		l.base = totals{
-			commitPoint: commitPoint{end: c.Offset, chain: chain, counter: c.Counter, sigOff: c.SigOffset, sigHash: c.SigHash},
+			commitPoint: commitPoint{end: c.Offset, chain: chain, counter: c.Counter, sigOff: c.SigOffset, sigSum: sum},
 			seq:         c.Seq, entries: c.Entries, batches: c.Batches, maxBatch: c.MaxBatch,
 		}
 		for t, n := range c.Tables {
@@ -206,34 +297,27 @@ func newLedger(c *Checkpoint) (ledger, error) {
 }
 
 // entry counts one verified entry into the open batch.
-func (l *ledger) entry(e *Entry) {
-	l.tables[e.Table]++
-	l.pending++
-}
+func (l *ledger) entry(e *Entry) { l.open = append(l.open, e.Table) }
 
-// commit closes the open batch at a verified signature record.
+// commit closes the open batch at a signature record.
 func (l *ledger) commit(cp commitPoint) {
-	l.cur.commitPoint = cp
-	l.cur.seq += uint64(l.pending)
-	l.cur.entries += l.pending
-	l.cur.batches++
-	l.cur.maxBatch = max(l.cur.maxBatch, l.pending)
-	l.scanMax = max(l.scanMax, l.pending)
-	l.pending = 0
-}
-
-// sigHash is the hex digest of the last commit point's signature record, ""
-// before the first one.
-func (l *ledger) sigHash() string {
-	if l.cur.sigHash == "" && l.cur.sigRaw != nil {
-		l.cur.sigHash = hexDigest(l.cur.sigRaw)
+	n := len(l.open)
+	for _, t := range l.open {
+		l.tables[t]++
 	}
-	return l.cur.sigHash
+	l.open = l.open[:0]
+	l.cur.commitPoint = cp
+	l.cur.seq += uint64(n)
+	l.cur.entries += n
+	l.cur.batches++
+	l.cur.maxBatch = max(l.cur.maxBatch, n)
+	l.scanMax = max(l.scanMax, n)
 }
 
 // checkpoint snapshots the last commit point as resumable sidecar state. The
 // signature record's offset and payload hash bind it to this exact file;
-// resume refuses a log that was trimmed or swapped underneath it.
+// resume refuses a log that was trimmed or swapped underneath it. The caller
+// must have ECDSA-checked that record: a checkpoint is a point of judgment.
 func (l *ledger) checkpoint(shard int) *Checkpoint {
 	tables := make(map[string]int, len(l.tables))
 	for t, n := range l.tables {
@@ -244,7 +328,7 @@ func (l *ledger) checkpoint(shard int) *Checkpoint {
 		Version: checkpointVersion, Shard: shard,
 		Offset: t.end, Seq: t.seq, Chain: hexChain(t.chain), Counter: t.counter,
 		Batches: t.batches, MaxBatch: t.maxBatch, Entries: t.entries, Tables: tables,
-		SigOffset: t.sigOff, SigHash: l.sigHash(),
+		SigOffset: t.sigOff, SigHash: hex.EncodeToString(t.sigSum[:]),
 	}
 }
 
@@ -255,23 +339,45 @@ func (l *ledger) result(entries []*Entry) *StreamResult {
 	return &StreamResult{
 		VerifyResult: VerifyResult{
 			Entries: entries, Counter: l.cur.counter, CommittedBytes: l.cur.end,
-			Batches: scanned, MaxBatch: l.scanMax,
+			Batches: scanned, MaxBatch: l.scanMax, SigHead: l.cur.sigSum,
 		},
 		TotalEntries: l.cur.entries, TotalBatches: l.cur.batches, TotalMaxBatch: l.cur.maxBatch,
 		Tables: l.tables, Resumed: l.resumed,
 	}
 }
 
+// sigWindow bounds how many signature records a segment driver folds between
+// two ECDSA checks, and with it what a locate pass must keep: a log of any
+// length verifies in bounded memory for one extra check per window.
+const sigWindow = 1 << 14
+
+// sigRef is a signature record folded but not yet vouched for.
+type sigRef struct {
+	off int64 // offset of its header
+	raw []byte
+}
+
 // merger folds verified segments into the ledger in stream order for the two
-// segment drivers, latches the first failure and gives the final verdict.
+// segment drivers, runs the ECDSA checks at their points of judgment, latches
+// the first failure and gives the final verdict.
 type merger struct {
 	opts *StreamOptions
 	led  ledger
 
 	entries []*Entry // accumulated only when OnSegment is nil
 
+	// held is the newest signed segment, hash-verified but not yet folded: it
+	// folds unchecked once a successor arrives to vouch for it, and is judged
+	// first when nothing will — so a tolerant verdict that has to drop it as
+	// crash debris has neither counted nor delivered it.
+	held *segment
+	// unchecked are the signature records folded since the last ECDSA check,
+	// in stream order, ending with the one about to fold while it is judged:
+	// what a locate pass walks.
+	unchecked []sigRef
+
 	failed     error // first failure, in stream order
-	failedSigs int   // signature records up to and including the failing record
+	failedSigs int   // signature records of this scan up to and including the failing record
 	cbErr      error // OnSegment asked to abort; not a verdict
 
 	ckptSegs  int
@@ -283,19 +389,54 @@ type merger struct {
 func (m *merger) consume(seg *segment) bool {
 	r := &seg.res
 	if r.err != nil {
-		// Signature records before the failure are the closers of segments
-		// 0..index-1, plus this segment's own when that is what failed.
-		m.failed, m.failedSigs = r.err, seg.index
-		if r.atSig {
-			m.failedSigs++
+		// The held segment closes with the nearest signature record before
+		// the failure: if it does not hold, an invalid signature comes first
+		// in the stream and is the failure instead.
+		if m.settle(true) {
+			// Signature records before the failure are the closers of segments
+			// 0..index-1, plus this segment's own when that is what failed.
+			m.failed, m.failedSigs = r.err, seg.index
+			if r.atSig {
+				m.failedSigs++
+			}
 		}
 		return false
 	}
 	if !seg.hasSig {
 		// Entries past the last signature record: verified but uncommitted.
-		// Only the last segment of a stream can be unsigned.
-		m.led.pending = len(r.entries)
+		// Only the last segment of a stream can be unsigned, so the held one
+		// closes with the scan's last signature record.
+		if !m.settle(true) {
+			return false
+		}
+		for _, e := range r.entries {
+			m.led.entry(e)
+		}
 		return true
+	}
+	if !m.settle(false) {
+		return false
+	}
+	m.held = seg
+	return true
+}
+
+// settle folds the held segment, if any, into the ledger. Its signature is
+// ECDSA-checked first when last says no later record will vouch for it, when
+// a checkpoint is due at it, or when the unchecked window is full. It returns
+// false when that check failed or OnSegment aborted.
+func (m *merger) settle(last bool) bool {
+	seg := m.held
+	if seg == nil {
+		return true
+	}
+	m.held = nil
+	r := &seg.res
+	cfg := m.opts.Checkpoint
+	save := cfg != nil && m.checkpointDue(cfg, r.bytes)
+	m.unchecked = append(m.unchecked, sigRef{off: seg.sigOff, raw: seg.sigRaw})
+	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
+		return false
 	}
 	mVerifySegments.Inc()
 	mVerifyEntries.Add(int64(len(r.entries)))
@@ -303,7 +444,7 @@ func (m *merger) consume(seg *segment) bool {
 	for _, e := range r.entries {
 		m.led.entry(e)
 	}
-	m.led.commit(commitPoint{end: seg.end, chain: r.chain, counter: r.counter, sigOff: seg.sigOff, sigRaw: seg.sigRaw})
+	m.led.commit(commitPoint{end: seg.end, chain: r.chain, counter: r.counter, sigOff: seg.sigOff, sigSum: seg.sigSum})
 	if m.opts.OnSegment == nil {
 		m.entries = append(m.entries, r.entries...)
 	} else if err := m.opts.OnSegment(SegmentInfo{
@@ -314,52 +455,83 @@ func (m *merger) consume(seg *segment) bool {
 		return false
 	}
 	r.entries = nil // release; the window has moved past this segment
-	if cfg := m.opts.Checkpoint; cfg != nil {
-		m.ckptSegs++
-		m.ckptBytes += r.bytes
-		every, everyBytes := cfg.EverySegments, cfg.EveryBytes
-		if every <= 0 {
-			every = defaultCheckpointSegments
-		}
-		if everyBytes <= 0 {
-			everyBytes = defaultCheckpointBytes
-		}
-		if m.ckptSegs >= every || m.ckptBytes >= everyBytes {
-			m.ckptSegs, m.ckptBytes = 0, 0
-			if err := m.led.checkpoint(m.opts.Shard).Save(cfg.Path); err == nil {
-				mVerifyCheckpoints.Inc()
-			} else if cfg.OnError != nil {
-				cfg.OnError(err)
-			}
+	if save {
+		if err := m.led.checkpoint(m.opts.Shard).Save(cfg.Path); err == nil {
+			mVerifyCheckpoints.Inc()
+		} else if cfg.OnError != nil {
+			cfg.OnError(err)
 		}
 	}
 	return true
 }
 
+// checkpointDue counts one more committed segment towards the checkpoint
+// cadence and reports whether a checkpoint is due at it.
+func (m *merger) checkpointDue(cfg *CheckpointConfig, bytes int64) bool {
+	m.ckptSegs++
+	m.ckptBytes += bytes
+	every, everyBytes := cfg.EverySegments, cfg.EveryBytes
+	if every <= 0 {
+		every = defaultCheckpointSegments
+	}
+	if everyBytes <= 0 {
+		everyBytes = defaultCheckpointBytes
+	}
+	if m.ckptSegs < every && m.ckptBytes < everyBytes {
+		return false
+	}
+	m.ckptSegs, m.ckptBytes = 0, 0
+	return true
+}
+
+// judge is the merger's point of judgment, with the segment about to fold
+// last in unchecked. When the locate pass finds an invalid record, everything
+// folded before that one has been checked in its own right.
+func (m *merger) judge() bool {
+	bad := firstInvalid(m.opts.Pub, m.unchecked, func(s sigRef) []byte { return s.raw })
+	if bad == len(m.unchecked) {
+		m.unchecked = m.unchecked[:0]
+		return true
+	}
+	// The last unchecked record is the next to fold: ordinal cur.batches.
+	ordinal := m.led.cur.batches - (len(m.unchecked) - 1) + bad
+	m.failed = &VerifyError{Shard: m.opts.Shard, Offset: m.unchecked[bad].off, Batch: ordinal, Record: -1, Reason: "signature invalid"}
+	m.failedSigs = ordinal - m.led.base.batches + 1
+	m.unchecked = nil
+	return false
+}
+
 // finish is the end-of-stream verdict, in order of precedence: bad magic, and
 // in strict mode any framing error, preempt everything (a stream that does
 // not parse is judged before anything in it); then the first failure in
-// stream order; then an unknown record type; then entries left unsigned at
-// the end; then counter freshness. Tolerant mode forgives framing errors and
-// a failure as crash debris, but only when no signature record follows the
-// failure: one that does proves the damage sits inside the committed prefix.
+// stream order, the closing signature check included; then an unknown record
+// type; then entries left unsigned at the end; then counter freshness.
+// Tolerant mode forgives framing errors and a failure as crash debris, but
+// only when no signature record follows the failure: one that does proves the
+// damage sits inside the committed prefix.
 func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 	opts := &m.opts.VerifyOptions
 	strict := !opts.RecoverTruncated
-	switch {
-	case end.badMagic, strict && end.streamErr != nil:
+	if end.badMagic || strict && end.streamErr != nil {
 		return nil, end.streamErr
+	}
+	// The commit point about to be accepted is the one the verdict rests on.
+	if m.failed == nil && !m.settle(true) && m.cbErr != nil {
+		return nil, m.cbErr
+	}
+	pending := len(m.led.open)
+	switch {
 	case m.failed != nil && strict:
 		return nil, m.failed
 	case m.failed != nil && end.totalSigs > m.failedSigs:
 		return nil, fmt.Errorf("%w: corrupted entry inside signed prefix", ErrTampered)
 	case m.failed == nil && end.unknownErr != nil:
 		return nil, end.unknownErr
-	case strict && m.led.pending > 0 && m.led.cur.batches == 0:
+	case strict && pending > 0 && m.led.cur.batches == 0:
 		return nil, fmt.Errorf("%w: missing signature record", ErrTampered)
-	case strict && m.led.pending > 0:
+	case strict && pending > 0:
 		// Strict verification demands the file end at a signed prefix.
-		return nil, fmt.Errorf("%w: %d entries after the last signature record", ErrTampered, m.led.pending)
+		return nil, fmt.Errorf("%w: %d entries after the last signature record", ErrTampered, pending)
 	}
 	// Freshness applies to every accepted outcome, the empty log included:
 	// "no batches" under a group counter that has moved is a rollback.
@@ -381,7 +553,7 @@ func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) 
 	// Nothing runs concurrently, so there is nothing for a context to stop.
 	end := scanSegments(context.Background(), r, &m.led.base, false, func(seg *segment) bool {
 		if m.failed == nil {
-			seg.res = verifySegment(seg, &opts, 0)
+			seg.res = verifySegment(seg, &opts, 0, 0)
 			m.consume(seg)
 		}
 		return true

@@ -127,6 +127,12 @@ type (
 	// Mirror.Report for live replication (Live true, plus the lag and
 	// session fields).
 	Report = audit.Report
+	// VerifyError is the rejection Verify returns when one record's own check
+	// fails — a broken chain, a sequence gap, an invalid signature — carrying
+	// the shard, byte offset, batch and record it sits at. Reach it with
+	// errors.As; it reads as the bare sentence and satisfies
+	// errors.Is(err, ErrTampered).
+	VerifyError = audit.VerifyError
 	// VerifyCheckpoint is a persisted verification checkpoint sidecar.
 	VerifyCheckpoint = audit.Checkpoint
 	// VerifyCheckpointConfig tells the streaming verifier where and how

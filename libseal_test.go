@@ -3,6 +3,7 @@ package libseal
 import (
 	"bufio"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -127,6 +128,26 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if rep.TotalEntries == 0 {
 		t.Fatal("no verified entries")
+	}
+
+	// A record that fails its own check is located: the facade passes the
+	// *VerifyError through. The file's last byte is the last signature's S.
+	path := filepath.Join(dir, "git.lseal")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len(img)-1] ^= 0x01
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Verify(path, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: encl.PublicKey()}})
+	var located *VerifyError
+	if !errors.As(err, &located) || !errors.Is(err, ErrTampered) {
+		t.Fatalf("Verify of a damaged signature record: %v, want a *VerifyError wrapping ErrTampered", err)
+	}
+	if located.Batch != rep.TotalBatches-1 || located.Record != -1 || located.Offset <= 0 || located.Offset >= int64(len(img)) {
+		t.Fatalf("located %+v, want the last of %d signature records", located, rep.TotalBatches)
 	}
 }
 
