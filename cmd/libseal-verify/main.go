@@ -12,20 +12,24 @@
 // rolled back to an earlier signed prefix fails verification even though
 // its own chain still checks out.
 //
-// Verification runs the parallel segmented pipeline: signature records cut
-// each log into independently checkable segments fanned out to -workers
-// goroutines, entries stream through without being materialised, and
-// progress is checkpointed to sidecars so an interrupted run resumes with
-// -resume instead of rescanning from byte 0.
+// Verification runs the parallel pipeline: signature records cut each log
+// into independently checkable runs of batches fanned out to -workers
+// goroutines, entries are checked where they lie in the file's blocks —
+// walked and hashed, not decoded — and progress is checkpointed to sidecars
+// so an interrupted run resumes with -resume instead of rescanning from
+// byte 0.
 //
-// With -dump, entries print as their segments verify — before the whole-log
-// verdict (counter freshness above all) is known. Dumped output is
-// provisional until the final "OK" line; a run that ends in VERIFICATION
-// FAILED exits non-zero and everything it printed must be discarded.
+// -dump is what decodes: with it, entries are built and print as their
+// batches verify — before the whole-log verdict (counter freshness above
+// all) is known. Dumped output is provisional until the final "OK" line; a
+// run that ends in VERIFICATION FAILED exits non-zero and everything it
+// printed must be discarded.
 //
-// A failure raised by one record says where the record is:
+// A failure says where it is — the record whose own check failed, the header
+// where the stream stops framing, where unsigned entries start:
 //
 //	libseal-verify: VERIFICATION FAILED: shard 1, byte 10482113, signature record 6012: chain hash mismatch
+//	libseal-verify: VERIFICATION FAILED: shard 0, byte 600, signature record 1, entry 3: truncated record
 //
 // Usage:
 //
@@ -49,7 +53,7 @@ import (
 func main() {
 	logPath := flag.String("log", "", "audit log: a .lseal file or a directory holding a (sharded) log set")
 	pubPath := flag.String("pubkey", "", "path to the enclave's PEM public key (optional: skips signature check)")
-	dump := flag.Bool("dump", false, "print every verified entry")
+	dump := flag.Bool("dump", false, "decode and print every verified entry")
 	workers := flag.Int("workers", 0, "parallel verification workers (0 = all cores)")
 	resume := flag.Bool("resume", false, "resume from checkpoint sidecars where they match the logs")
 	progress := flag.Bool("progress", false, "print progress as segments verify")
@@ -92,9 +96,9 @@ func main() {
 	var segs, entries int
 	opts.OnSegment = func(s libseal.VerifySegment) error {
 		segs++
-		entries += len(s.Entries)
+		entries += s.NumEntries
 		if *dump {
-			for _, e := range s.Entries {
+			for _, e := range s.Entries() {
 				fmt.Printf("#%-6d %-16s", e.Seq, e.Table)
 				for _, v := range e.Values {
 					fmt.Printf(" %s", v.String())

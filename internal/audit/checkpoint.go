@@ -187,7 +187,7 @@ func readRecordAt(f *os.File, k *streamKind, typ byte, off, end int64) ([]byte, 
 	if off < int64(len(k.magic)) || off+5 > end {
 		return nil, fmt.Errorf("audit: implausible %srecord offsets", k.name)
 	}
-	rr := recordReader{r: io.NewSectionReader(f, off, end-off), kind: k, off: off}
+	rr := recordReader{r: io.NewSectionReader(f, off, end-off), kind: k, off: off, size: int(min(end-off, blockSize))}
 	rec, err := rr.next()
 	if err != nil {
 		return nil, fmt.Errorf("audit: record at %d: %v", off, err)

@@ -64,66 +64,85 @@ func (e *Entry) Marshal() []byte {
 	return buf.Bytes()
 }
 
-// UnmarshalEntry decodes an entry produced by Marshal. It reads data in
-// place: each string is copied out once, and Values is sized once from the
-// claimed count, capped by the bytes that remain (every value takes at least
-// its tag byte) so a forged count cannot size an allocation.
+// UnmarshalEntry decodes an entry produced by Marshal. Every string is copied
+// out of data, so the entry outlives it.
 func UnmarshalEntry(data []byte) (*Entry, error) {
-	if len(data) < 8 {
-		return nil, ErrCodec
-	}
-	e := &Entry{Seq: binary.BigEndian.Uint64(data)}
-	table, rest, err := cutString(data[8:])
+	e := new(Entry)
+	seq, table, err := walkEntry(data, e)
 	if err != nil {
 		return nil, err
 	}
-	e.Table = string(table)
+	e.Seq, e.Table = seq, string(table)
+	return e, nil
+}
+
+// walkEntry is the one reader of Marshal's grammar. It returns the sequence
+// number and the table name, which aliases data for the caller to copy or
+// intern. With e nil it only validates, allocating nothing; otherwise it also
+// builds e.Values — sized once from the claimed count, capped by the
+// bytes that remain (every value takes at least its tag byte) so a forged
+// count cannot size an allocation. Either way it accepts the same inputs and
+// fails with the same error values.
+func walkEntry(data []byte, e *Entry) (seq uint64, table []byte, err error) {
+	if len(data) < 8 {
+		return 0, nil, ErrCodec
+	}
+	table, rest, err := cutString(data[8:])
+	if err != nil {
+		return 0, nil, err
+	}
 	if len(rest) < 2 {
-		return nil, ErrCodec
+		return 0, nil, ErrCodec
 	}
 	n := int(binary.BigEndian.Uint16(rest))
 	rest = rest[2:]
-	if n > 0 {
+	if e != nil && n > 0 {
 		e.Values = make([]sqldb.Value, 0, min(n, len(rest)))
 	}
 	for i := 0; i < n; i++ {
 		if len(rest) == 0 {
-			return nil, ErrCodec
+			return 0, nil, ErrCodec
 		}
 		tag := rest[0]
 		rest = rest[1:]
+		var val []byte // the value's bytes, past its tag and any length prefix
 		switch tag {
 		case tagNull:
-			e.Values = append(e.Values, sqldb.Null())
 		case tagInt, tagFloat:
 			if len(rest) < 8 {
-				return nil, ErrCodec
+				return 0, nil, ErrCodec
 			}
-			bits := binary.BigEndian.Uint64(rest)
-			rest = rest[8:]
-			if tag == tagInt {
-				e.Values = append(e.Values, sqldb.Int(int64(bits)))
-			} else {
-				e.Values = append(e.Values, sqldb.Float(math.Float64frombits(bits)))
-			}
+			val, rest = rest[:8], rest[8:]
 		case tagText, tagBlob:
-			var b []byte
-			if b, rest, err = cutString(rest); err != nil {
-				return nil, err
-			}
-			if tag == tagText {
-				e.Values = append(e.Values, sqldb.Text(string(b)))
-			} else {
-				e.Values = append(e.Values, sqldb.Blob(bytes.Clone(b)))
+			if val, rest, err = cutString(rest); err != nil {
+				return 0, nil, err
 			}
 		default:
-			return nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
+			return 0, nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
+		}
+		if e != nil {
+			e.Values = append(e.Values, decodeValue(tag, val))
 		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCodec)
+		return 0, nil, fmt.Errorf("%w: trailing bytes", ErrCodec)
 	}
-	return e, nil
+	return binary.BigEndian.Uint64(data), table, nil
+}
+
+// decodeValue builds the value walkEntry found under tag, copying val.
+func decodeValue(tag byte, val []byte) sqldb.Value {
+	switch tag {
+	case tagInt:
+		return sqldb.Int(int64(binary.BigEndian.Uint64(val)))
+	case tagFloat:
+		return sqldb.Float(math.Float64frombits(binary.BigEndian.Uint64(val)))
+	case tagText:
+		return sqldb.Text(string(val))
+	case tagBlob:
+		return sqldb.Blob(bytes.Clone(val))
+	}
+	return sqldb.Null()
 }
 
 func writeString(buf *bytes.Buffer, s string) {

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -197,15 +198,6 @@ func frozenReadString(r *bytes.Reader) (string, error) {
 // accepts, decodes it to the same entry, and rejects the rest with the same
 // error value.
 func TestUnmarshalMatchesOldDecoder(t *testing.T) {
-	corpus := []*Entry{
-		{Seq: 0, Table: "t"},
-		SyntheticEntry(41),
-		{Seq: 7, Table: "kinds", Values: []sqldb.Value{
-			sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
-		}},
-		{Seq: 1 << 40, Table: "", Values: []sqldb.Value{sqldb.Text(""), sqldb.Blob(nil), sqldb.Float(math.NaN())}},
-		{Seq: 9, Table: "nulls", Values: []sqldb.Value{sqldb.Null(), sqldb.Null(), sqldb.Int(math.MinInt64)}},
-	}
 	same := func(what string, data []byte) {
 		t.Helper()
 		want, wantErr := frozenUnmarshalEntry(data)
@@ -216,30 +208,85 @@ func TestUnmarshalMatchesOldDecoder(t *testing.T) {
 		if wantErr != nil {
 			return
 		}
-		// Compared field by field and by re-encoding, not reflect.DeepEqual
-		// alone: a NaN float is a legal value and is not equal to itself.
-		if got.Seq != want.Seq || got.Table != want.Table || len(got.Values) != len(want.Values) ||
-			(got.Values == nil) != (want.Values == nil) || !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatalf("%s (%x): decoded %+v, frozen decoder %+v", what, data, got, want)
+		sameEntry(t, what, data, got, want)
+	}
+	eachCodecMutation(same)
+}
+
+// sameEntry fails unless got is the entry want. Compared field by field and by
+// re-encoding, not reflect.DeepEqual alone: a NaN float is a legal value and
+// is not equal to itself.
+func sameEntry(t testing.TB, what string, data []byte, got, want *Entry) {
+	t.Helper()
+	if got.Seq != want.Seq || got.Table != want.Table || len(got.Values) != len(want.Values) ||
+		(got.Values == nil) != (want.Values == nil) || !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatalf("%s (%x): decoded %+v, frozen decoder %+v", what, data, got, want)
+	}
+	for i := range want.Values {
+		if (got.Values[i].BlobVal() == nil) != (want.Values[i].BlobVal() == nil) {
+			t.Fatalf("%s (%x): value %d blob nil-ness differs", what, data, i)
 		}
-		for i := range want.Values {
-			if (got.Values[i].BlobVal() == nil) != (want.Values[i].BlobVal() == nil) {
-				t.Fatalf("%s (%x): value %d blob nil-ness differs", what, data, i)
-			}
-		}
+	}
+}
+
+// eachCodecMutation calls fn with the differential corpus: five entries that
+// cover the five value kinds, every prefix of each encoding and all 255
+// mutations of every byte of it.
+func eachCodecMutation(fn func(what string, data []byte)) {
+	corpus := []*Entry{
+		{Seq: 0, Table: "t"},
+		SyntheticEntry(41),
+		{Seq: 7, Table: "kinds", Values: []sqldb.Value{
+			sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
+		}},
+		{Seq: 1 << 40, Table: "", Values: []sqldb.Value{sqldb.Text(""), sqldb.Blob(nil), sqldb.Float(math.NaN())}},
+		{Seq: 9, Table: "nulls", Values: []sqldb.Value{sqldb.Null(), sqldb.Null(), sqldb.Int(math.MinInt64)}},
 	}
 	for n, e := range corpus {
 		enc := e.Marshal()
-		same(fmt.Sprintf("entry %d", n), enc)
+		fn(fmt.Sprintf("entry %d", n), enc)
 		for cut := 0; cut < len(enc); cut++ {
-			same(fmt.Sprintf("entry %d prefix %d", n, cut), enc[:cut])
+			fn(fmt.Sprintf("entry %d prefix %d", n, cut), enc[:cut])
 		}
 		for off := range enc {
 			for x := 1; x < 256; x++ {
 				mut := bytes.Clone(enc)
 				mut[off] ^= byte(x)
-				same(fmt.Sprintf("entry %d byte %d ^ %#x", n, off, x), mut)
+				fn(fmt.Sprintf("entry %d byte %d ^ %#x", n, off, x), mut)
 			}
 		}
 	}
+}
+
+// walkMatches is the property the verifier rests on when it checks an entry
+// without building it: on data, the validating walk and the materialising
+// walk accept alike, return the same sequence number and table and the same
+// error value, and what the materialising walk builds is what the frozen
+// decoder builds.
+func walkMatches(t testing.TB, what string, data []byte) {
+	t.Helper()
+	want, wantErr := frozenUnmarshalEntry(data)
+	seq, table, err := walkEntry(data, nil)
+	got := new(Entry)
+	mseq, mtable, merr := walkEntry(data, got)
+	for _, e := range []error{err, merr} {
+		if (wantErr == nil) != (e == nil) || (wantErr != nil && (wantErr.Error() != e.Error() || !errors.Is(e, ErrCodec))) {
+			t.Fatalf("%s (%x): walk error %v, frozen decoder %v", what, data, e, wantErr)
+		}
+	}
+	if (err == ErrCodec) != (wantErr == ErrCodec) || (merr == ErrCodec) != (wantErr == ErrCodec) {
+		t.Fatalf("%s (%x): walk errors %v and %v are not the frozen decoder's value %v", what, data, err, merr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if seq != mseq || seq != want.Seq || string(table) != want.Table || string(mtable) != want.Table {
+		t.Fatalf("%s (%x): walks read seq %d/%d table %q/%q, frozen decoder %d %q", what, data, seq, mseq, table, mtable, want.Seq, want.Table)
+	}
+	got.Seq, got.Table = mseq, string(mtable)
+	sameEntry(t, what, data, got, want)
+}
+
+func TestWalkMatchesUnmarshal(t *testing.T) {
+	eachCodecMutation(func(what string, data []byte) { walkMatches(t, what, data) })
 }

@@ -508,7 +508,109 @@ func TestVerifyErrorLocatesRecord(t *testing.T) {
 			if located == 0 {
 				t.Fatal("no record-level cell exercised")
 			}
+			locatesStreamVerdicts(t, img, pub)
 		})
+	}
+}
+
+// locatesStreamVerdicts is the other half of TestVerifyErrorLocatesRecord:
+// every cell of the verdict tables — each flip and each truncation, strict and
+// tolerant — whose reference verdict is a framing error or an end-of-stream
+// verdict. Each driver that can raise it must say where the reference stopped:
+// at the header where its framing ends (a truncated or oversized record), at
+// the unknown record, where the unsigned entries start, or — a corrupted
+// record inside the signed prefix — at the record the strict reference blames.
+func locatesStreamVerdicts(t *testing.T, img []byte, pub *ecdsa.PublicKey) {
+	t.Helper()
+	seen := map[string]int{}
+	for off := range img {
+		for _, flip := range []bool{true, false} {
+			for _, tolerant := range []bool{false, true} {
+				mut := mutate(img, off, flip)
+				opts := VerifyOptions{Pub: pub, RecoverTruncated: tolerant}
+				_, refErr := referenceVerify(bytes.NewReader(mut), opts)
+				if refErr == nil || recordLevel(refErr) || strings.Contains(refErr.Error(), "magic") {
+					continue
+				}
+				// What frames, whatever follows it.
+				recs, _ := referenceRecords(bytes.NewReader(mut), true)
+				want := VerifyError{Offset: int64(len(fileMagic)), stream: true}
+				walk := func(stop func(referenceRecord) bool) {
+					for _, r := range recs {
+						if stop(r) {
+							return
+						}
+						want.Offset = r.end
+						switch r.typ {
+						case recEntry:
+							want.Record++
+						case recSig:
+							want.Batch, want.Record = want.Batch+1, 0
+						}
+					}
+				}
+				class, chunkFed := "", false
+				switch msg := refErr.Error(); {
+				case strings.Contains(msg, "truncated record"), strings.Contains(msg, "oversized record"):
+					class, chunkFed = "framing", strings.Contains(msg, "oversized") && !tolerant
+					walk(func(referenceRecord) bool { return false })
+				case strings.Contains(msg, "unknown record type"):
+					class, chunkFed = "unknown type", !tolerant
+					walk(func(r referenceRecord) bool { return r.typ != recEntry && r.typ != recSig })
+				case strings.Contains(msg, "after the last signature record"), strings.Contains(msg, "missing signature record"):
+					class = "unsigned tail"
+					walk(func(referenceRecord) bool { return false })
+					for i := len(recs) - 1; i >= 0 && recs[i].typ == recEntry; i-- {
+						want.Offset = recs[i].headerOff()
+					}
+					want.Record = 0
+				case strings.Contains(msg, "corrupted entry inside signed prefix"):
+					class = "inside signed prefix"
+					// The strict reference names the record; the strict drivers,
+					// already checked against it above, say where it is.
+					_, strictErr := VerifyReaderResult(bytes.NewReader(mut), VerifyOptions{Pub: pub})
+					var at *VerifyError
+					if !errors.As(strictErr, &at) || at.stream {
+						t.Fatalf("flip=%v at %d: tolerant verdict %q but the strict one is %v", flip, off, refErr, strictErr)
+					}
+					want.Offset, want.Batch, want.Record = at.Offset, at.Batch, at.Record
+				default:
+					t.Fatalf("flip=%v tolerant=%v at %d: unexpected class of verdict: %v", flip, tolerant, off, refErr)
+				}
+				want.Reason = strings.TrimPrefix(refErr.Error(), ErrTampered.Error()+": ")
+				_, inThread := VerifyReaderResult(bytes.NewReader(mut), opts)
+				_, parallel := VerifyReaderStream(context.Background(), bytes.NewReader(mut), StreamOptions{VerifyOptions: opts, Workers: 2, Shard: 3})
+				drivers := map[string]error{"in-thread": inThread, "parallel": parallel}
+				if chunkFed {
+					// The chunk-fed driver judges in stream order and stops at the
+					// first failure: it raises this one only if nothing before it
+					// in the stream fails first.
+					if _, _, err := feedChunked(mut, opts, []int{7, 1, 64, 3}); err != nil && err.Error() == refErr.Error() {
+						drivers["chunk-fed"] = err
+						seen["chunk-fed "+class]++
+					}
+				}
+				for driver, err := range drivers {
+					var ve *VerifyError
+					if !errors.As(err, &ve) || !errors.Is(err, ErrTampered) || err.Error() != refErr.Error() {
+						t.Fatalf("flip=%v tolerant=%v at %d, %s: %v (%T), want a *VerifyError reading %q", flip, tolerant, off, driver, err, err, refErr)
+					}
+					w := want
+					if driver == "parallel" {
+						w.Shard = 3
+					}
+					if *ve != w {
+						t.Fatalf("flip=%v tolerant=%v at %d, %s: located %+v, want %+v", flip, tolerant, off, driver, *ve, w)
+					}
+				}
+				seen[class]++
+			}
+		}
+	}
+	for _, class := range []string{"framing", "chunk-fed framing", "unsigned tail", "inside signed prefix"} {
+		if seen[class] == 0 {
+			t.Fatalf("no %s cell exercised (%v)", class, seen)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,11 +10,11 @@ import (
 
 // Record framing. Every persisted stream — a log file, the manifest sidecar —
 // is a magic followed by records: a type byte, a 4-byte big-endian payload
-// length, the payload. Two framers cut records out of the two kinds of input:
-// recordReader pulls them from an io.Reader (offline verification, recovery,
-// resume proofs read with ReadAt), recordBuffer reassembles them from bytes
-// fed in arbitrary chunks (the live mirror). They share the header decode,
-// the size cap and the error strings.
+// length, the payload. One function, cut, frames records in place out of a
+// window of the stream — header decode, size cap, the error sentences — and
+// the window is filled two ways: recordReader reads an io.Reader a block at a
+// time (offline verification, recovery, resume proofs), recordBuffer is fed
+// bytes in arbitrary chunks (the live mirror).
 
 // maxRecordBytes caps a single record's payload length. The writers never
 // produce records anywhere near this large; a length field claiming more is
@@ -47,22 +48,51 @@ func (k *streamKind) checkMagic(got []byte) error {
 	return fmt.Errorf("%w: bad %smagic", ErrTampered, k.name)
 }
 
-func (k *streamKind) unknownType(typ byte) error {
-	return fmt.Errorf("%w: unknown %srecord type %q", ErrTampered, k.name, typ)
+// frameError is a framing failure: the stream stops parsing as records. torn
+// says a crash mid-append can leave it behind — a short header, a short
+// payload, an implausible length — so tolerant readers end the stream there.
+type frameError struct {
+	reason string
+	torn   bool
+}
+
+func (e *frameError) Error() string { return ErrTampered.Error() + ": " + e.reason }
+func (e *frameError) Unwrap() error { return ErrTampered }
+
+// at locates the failure in a log, at the header at off (VerifyError).
+func (e *frameError) at(shard int, off int64, batch, record int) error {
+	return &VerifyError{Shard: shard, Offset: off, Batch: batch, Record: record, Reason: e.reason, stream: true}
+}
+
+func (k *streamKind) unknownType(typ byte) *frameError {
+	return &frameError{reason: fmt.Sprintf("unknown %srecord type %q", k.name, typ)}
 }
 
 func errOversized(n uint32) error {
-	return fmt.Errorf("%w: oversized record (%d bytes)", ErrTampered, n)
+	return &frameError{reason: fmt.Sprintf("oversized record (%d bytes)", n), torn: true}
 }
 
-// header decodes a 5-byte record header, refusing a type a single-type
-// stream does not hold. The caller applies the size cap.
-func (k *streamKind) header(hdr []byte) (typ byte, n uint32, err error) {
-	typ, n = hdr[0], binary.BigEndian.Uint32(hdr[1:5])
-	if k.only != 0 && typ != k.only {
-		err = k.unknownType(typ)
+// cut frames the record at the head of w by its header alone. size is what
+// the record takes as far as w says — 5 until the header is in, more than
+// len(w) until the payload is; a whole record's payload aliases w. A type a
+// single-type stream does not hold and a length past the cap are refused at
+// the header.
+func (k *streamKind) cut(w []byte) (typ byte, payload []byte, size int, err error) {
+	if len(w) < 5 {
+		return 0, nil, 5, nil
 	}
-	return typ, n, err
+	typ = w[0]
+	n := binary.BigEndian.Uint32(w[1:5])
+	switch {
+	case k.only != 0 && typ != k.only:
+		return typ, nil, 0, k.unknownType(typ)
+	case n > maxRecordBytes:
+		return typ, nil, 0, errOversized(n)
+	}
+	if size = 5 + int(n); size <= len(w) {
+		payload = w[5:size:size]
+	}
+	return typ, payload, size, nil
 }
 
 // record is one framed record.
@@ -75,90 +105,93 @@ type record struct {
 // end is the stream offset just past the record.
 func (r record) end() int64 { return r.off + 5 + int64(len(r.payload)) }
 
-// recordReader frames records off an io.Reader.
+// blockSize is how much of a stream recordReader reads at a time, and so the
+// most a parallel scan hands one worker at once (stream.go).
+const blockSize = 256 << 10
+
+// recordReader cuts records out of an io.Reader's stream, read a block at a
+// time. Records alias their block and stay valid: each block is a new buffer.
 type recordReader struct {
 	r    io.Reader
 	kind *streamKind
-	off  int64 // stream offset of the next record's header
-	hdr  [5]byte
-	// torn reports that the last error is one a crash mid-append can leave
-	// behind — a short header, a short payload, an implausible length —
-	// which tolerant readers treat as the end of the stream.
-	torn bool
+	size int    // block size; 0 means blockSize
+	buf  []byte // the current block; buf[pos:] is the window, read but not yet cut
+	pos  int
+	off  int64 // stream offset of buf[pos]
+	eof  bool  // r is spent; a read error ends the stream as a truncation does
+}
+
+// fill starts a new block: buf[keep:] — the window, and what the caller wants
+// kept contiguous before it — moves to its head and the stream is read on
+// behind. A carry of more than half a block gets one twice its size, so a
+// block grows with the bytes actually read, never with a length a header claims.
+func (rr *recordReader) fill(keep int) {
+	carry := rr.buf[keep:]
+	buf := make([]byte, max(cmp.Or(rr.size, blockSize), 2*len(carry)))
+	n := copy(buf, carry)
+	m, err := io.ReadFull(rr.r, buf[n:])
+	rr.eof = err != nil
+	rr.buf, rr.pos = buf[:n+m], rr.pos-keep
 }
 
 // magic consumes the stream's leading magic.
 func (rr *recordReader) magic() error {
-	m := make([]byte, len(rr.kind.magic))
-	n, _ := io.ReadFull(rr.r, m)
-	if err := rr.kind.checkMagic(m[:n]); err != nil {
+	n := len(rr.kind.magic)
+	for len(rr.buf)-rr.pos < n && !rr.eof {
+		rr.fill(rr.pos)
+	}
+	w := rr.buf[rr.pos:]
+	if err := rr.kind.checkMagic(w[:min(n, len(w))]); err != nil {
 		return err
 	}
-	rr.off = int64(len(m))
+	rr.pos, rr.off = rr.pos+n, int64(n)
 	return nil
+}
+
+// cut returns the next record in the window; !ok with no error means the
+// window holds less than one and more can be read: fill and ask again. The
+// error is io.EOF at a clean end of stream.
+func (rr *recordReader) cut() (rec record, ok bool, err error) {
+	w := rr.buf[rr.pos:]
+	typ, payload, size, err := rr.kind.cut(w)
+	switch {
+	case err != nil:
+		return rec, false, err
+	case size <= len(w):
+		rec = record{typ: typ, payload: payload, off: rr.off}
+		rr.pos, rr.off = rr.pos+size, rr.off+int64(size)
+		return rec, true, nil
+	case !rr.eof:
+		return rec, false, nil
+	case len(w) == 0:
+		return rec, false, io.EOF
+	case len(w) < 5:
+		return rec, false, &frameError{reason: "truncated " + rr.kind.name + "record header", torn: true}
+	}
+	return rec, false, &frameError{reason: "truncated " + rr.kind.name + "record", torn: true}
 }
 
 // next returns the next record, or io.EOF at a clean end of stream.
 func (rr *recordReader) next() (record, error) {
-	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return record{}, io.EOF
+	for {
+		rec, ok, err := rr.cut()
+		if ok || err != nil {
+			return rec, err
 		}
-		return rr.tear(fmt.Errorf("%w: truncated %srecord header", ErrTampered, rr.kind.name))
+		rr.fill(rr.pos)
 	}
-	typ, n, err := rr.kind.header(rr.hdr[:])
-	if err != nil {
-		return record{}, err
-	}
-	if n > maxRecordBytes {
-		return rr.tear(errOversized(n))
-	}
-	payload, err := readPayload(rr.r, n)
-	if err != nil {
-		return rr.tear(fmt.Errorf("%w: truncated %srecord", ErrTampered, rr.kind.name))
-	}
-	rec := record{typ: typ, payload: payload, off: rr.off}
-	rr.off = rec.end()
-	return rec, nil
 }
 
-func (rr *recordReader) tear(err error) (record, error) {
-	rr.torn = true
-	return record{}, err
-}
-
-// readPayload reads an n-byte record payload. Large payloads are read
-// through a growing buffer rather than allocated up front, so a forged
-// length field costs memory proportional to the bytes actually present,
-// not to the claim. Short reads return io.ReadFull-style errors.
-func readPayload(r io.Reader, n uint32) ([]byte, error) {
-	if n <= 1<<16 {
-		b := make([]byte, n)
-		_, err := io.ReadFull(r, b)
-		return b, err
-	}
-	var buf bytes.Buffer
-	got, err := io.Copy(&buf, io.LimitReader(r, int64(n)))
-	if err != nil {
-		return nil, err
-	}
-	if got < int64(n) {
-		if got == 0 {
-			return nil, io.EOF
-		}
-		return nil, io.ErrUnexpectedEOF
-	}
-	return buf.Bytes(), nil
-}
-
-// recordBuffer reassembles records from a stream fed in arbitrary chunks. A
-// partial record at the tail is not an error: it waits for the rest. The
-// first error latches, and every later feed returns it.
+// recordBuffer cuts records out of a stream fed in arbitrary chunks, in place:
+// only a record that straddles two chunks is copied. A partial record at the
+// tail is not an error: it waits for the rest. The first error latches, and
+// every later feed returns it.
 type recordBuffer struct {
 	kind   *streamKind
-	buf    bytes.Buffer // received, not yet framed
-	off    int64        // stream offset of buf's first byte
-	body   bool         // the magic is behind us: consumed, or skipped by resumeAt
+	buf    []byte // the head of the record (or magic) the last chunk ended inside
+	need   int    // what that record takes as far as buf says; buf is topped up to it
+	off    int64  // stream offset of the next byte to cut: buf's first, when it holds any
+	body   bool   // the magic is behind us: consumed, or skipped by resumeAt
 	failed error
 }
 
@@ -166,41 +199,43 @@ type recordBuffer struct {
 // onward and no magic is expected.
 func (rb *recordBuffer) resumeAt(off int64) { rb.off, rb.body = off, true }
 
-// feed appends p and hands every record that is now complete to each, in
-// stream order. Payloads are copies; each may retain them.
+// feed takes in p and hands every record that is now complete to each, in
+// stream order. Payloads alias p (or the straddling record's copy) and are
+// valid only during the call to each.
 func (rb *recordBuffer) feed(p []byte, each func(record) error) error {
-	if rb.failed != nil {
-		return rb.failed
-	}
-	rb.buf.Write(p)
-	if !rb.body {
-		if rb.buf.Len() < len(rb.kind.magic) {
-			return nil
-		}
-		if rb.failed = rb.kind.checkMagic(rb.buf.Next(len(rb.kind.magic))); rb.failed != nil {
-			return rb.failed
-		}
-		rb.off, rb.body = int64(len(rb.kind.magic)), true
-	}
 	for rb.failed == nil {
-		b := rb.buf.Bytes()
-		if len(b) < 5 {
-			break
+		w := p
+		if len(rb.buf) > 0 {
+			take := min(rb.need-len(rb.buf), len(p))
+			rb.buf = append(rb.buf, p[:take]...)
+			p, w = p[take:], rb.buf
 		}
-		typ, n, err := rb.kind.header(b)
-		if err == nil && n > maxRecordBytes {
-			err = errOversized(n)
-		}
-		if err == nil {
-			if len(b) < 5+int(n) {
+		rec, size := record{off: rb.off}, len(rb.kind.magic)
+		if rb.body {
+			if rec.typ, rec.payload, size, rb.failed = rb.kind.cut(w); rb.failed != nil {
 				break
 			}
-			rec := record{typ: typ, payload: append([]byte(nil), b[5:5+n]...), off: rb.off}
-			rb.buf.Next(5 + int(n))
-			rb.off = rec.end()
-			err = each(rec)
 		}
-		rb.failed = err
+		if size > len(w) {
+			if len(rb.buf) == 0 {
+				rb.buf, p = append(rb.buf, p...), nil
+			}
+			if rb.need = size; len(p) == 0 {
+				break
+			}
+			continue
+		}
+		rb.off += int64(size)
+		if len(rb.buf) > 0 {
+			rb.buf = rb.buf[:0]
+		} else {
+			p = p[size:]
+		}
+		if rb.body {
+			rb.failed = each(rec)
+		} else {
+			rb.failed, rb.body = rb.kind.checkMagic(w[:size]), true
+		}
 	}
 	return rb.failed
 }

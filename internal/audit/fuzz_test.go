@@ -135,3 +135,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEntryWalk checks, on arbitrary bytes, that checking an entry without
+// building it loses nothing: the validating walk accepts and rejects exactly
+// as the materialising one and the frozen decoder do (walkMatches).
+func FuzzEntryWalk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(SyntheticEntry(0).Marshal())
+	f.Add((&Entry{Seq: 7, Table: "t", Values: []sqldb.Value{
+		sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
+	}}).Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) { walkMatches(t, "fuzz input", data) })
+}

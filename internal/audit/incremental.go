@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"encoding/hex"
 	"fmt"
@@ -80,7 +81,7 @@ type queuedCommit struct {
 func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error) *IncrementalVerifier {
 	v := &IncrementalVerifier{opts: opts, onCommit: onCommit}
 	v.in.kind = &logStream
-	v.core.opts = &v.opts
+	v.core.opts, v.core.names = &v.opts, map[string]string{}
 	v.led, _ = newLedger(nil) // from the empty log: cannot fail
 	return v
 }
@@ -113,6 +114,9 @@ func (v *IncrementalVerifier) Feed(p []byte) error {
 		return v.in.failed
 	}
 	v.in.feed(p, v.record)
+	if fe, framing := v.in.failed.(*frameError); framing {
+		v.in.failed = fe.at(0, v.in.off, v.core.sigs, v.core.inBatch)
+	}
 	v.deliver()
 	return v.in.failed
 }
@@ -120,25 +124,22 @@ func (v *IncrementalVerifier) Feed(p []byte) error {
 func (v *IncrementalVerifier) record(rec record) error {
 	switch rec.typ {
 	case recEntry:
-		e, err := v.core.entry(rec.payload, rec.off)
-		if err != nil {
-			return err
-		}
-		v.led.entry(e)
+		return v.core.entry(rec.payload, rec.off)
 	case recSig:
-		counter, err := v.core.sig(rec.payload, rec.off)
+		batch := v.core.inBatch
+		counter, tables, err := v.core.sig(rec.payload, rec.off)
 		if err != nil {
 			return err
 		}
-		batch := len(v.led.open)
-		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigSum: v.core.sigHead})
-		v.queued = append(v.queued, queuedCommit{raw: rec.payload, info: CommitInfo{
+		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigSum: v.core.sigHead}, tables)
+		// The payload is the feed's: the closing check gets a copy.
+		v.queued = append(v.queued, queuedCommit{raw: bytes.Clone(rec.payload), info: CommitInfo{
 			Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
 			Offset: rec.end(), SigOffset: rec.off, SigHash: hex.EncodeToString(v.core.sigHead[:]),
 			Entries: batch,
 		}})
 	default:
-		return logStream.unknownType(rec.typ)
+		return logStream.unknownType(rec.typ).at(0, rec.off, v.core.sigs, v.core.inBatch)
 	}
 	return nil
 }
@@ -177,11 +178,11 @@ func (v *IncrementalVerifier) deliver() {
 
 // Offset is the stream offset of the next byte to be received: everything
 // framed so far plus any buffered partial record.
-func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(v.in.buf.Len()) }
+func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(len(v.in.buf)) }
 
 // Buffered is the number of received-but-unframed bytes (a partial record
 // mid-flight).
-func (v *IncrementalVerifier) Buffered() int { return v.in.buf.Len() }
+func (v *IncrementalVerifier) Buffered() int { return len(v.in.buf) }
 
 // Seq and Entries are the number of verified entries, those past the last
 // commit point included; Counter and MaxCounter the last and highest
@@ -190,7 +191,7 @@ func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
 func (v *IncrementalVerifier) Counter() uint64    { return v.led.cur.counter }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
 func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
-func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + len(v.led.open) }
+func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + v.core.inBatch }
 
 // Tables returns the per-table tuple counts under the last commit point (live
 // map; callers must copy if they retain it).
@@ -298,7 +299,8 @@ func (r *IncrementalManifestReader) ResumeAt(offset, recOff int64, recHash strin
 func (r *IncrementalManifestReader) Feed(p []byte) error { return r.in.feed(p, r.record) }
 
 func (r *IncrementalManifestReader) record(rec record) error {
-	m, err := parseManifest(rec.payload)
+	// A manifest's signature aliases its payload, and the payload is the feed's.
+	m, err := parseManifest(bytes.Clone(rec.payload))
 	if err != nil {
 		return err
 	}
@@ -313,7 +315,7 @@ func (r *IncrementalManifestReader) record(rec record) error {
 func (r *IncrementalManifestReader) Offset() int64 { return r.in.off }
 
 // Buffered is the number of received-but-unparsed bytes.
-func (r *IncrementalManifestReader) Buffered() int { return r.in.buf.Len() }
+func (r *IncrementalManifestReader) Buffered() int { return len(r.in.buf) }
 
 // LastRecord reports the header offset and payload hash of the last fully
 // parsed record — the binding a mirror persists so a resumed session can

@@ -1,0 +1,255 @@
+package audit
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"libseal/internal/sqldb"
+)
+
+// Tests for verification in place (DESIGN.md §13): records cut out of blocks
+// by header alone, runs of batches handed to workers, entries walked rather
+// than built. What could go wrong is at the seams — a record, header or
+// signature across a block boundary, a batch across two runs, an entry decoded
+// late from a block already reused — so the seams are put everywhere.
+
+// withBlockSize runs fn with the scanner's block size forced to n.
+func withBlockSize(n int, fn func()) {
+	defer func(was int) { scanBlock = was }(scanBlock)
+	scanBlock = n
+	fn()
+}
+
+// TestBlockBoundaries verifies every golden image, the re-hashed-suffix image,
+// a forged length at the end of an image and a log with unsigned entries with
+// the block size forced to every value from 6 bytes to one past the image, so
+// that every record, header and signature straddles a block boundary at some
+// size, every batch is longer than a block at some size and the carry and the
+// growth of a block run at every alignment. Strict and tolerant, in-thread,
+// parallel and from a file, the verdict must be the one every driver reaches
+// at the production block size, which is the reference's (driversAgree).
+func TestBlockBoundaries(t *testing.T) {
+	key := testKey(t)
+	type image struct {
+		name string
+		img  []byte
+		opts VerifyOptions
+	}
+	var images []image
+	for _, v := range goldenVectors {
+		img, err := os.ReadFile(filepath.Join(goldenDir, v.name+".lseal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, image{v.name, img, VerifyOptions{Pub: goldenPub(t)}})
+	}
+	own := VerifyOptions{Pub: &key.PublicKey}
+	_, rehashed, _ := rehashedSuffix(t, key)
+	forged := binary.BigEndian.AppendUint32(append(synthLog(t, key, 9, 4), recEntry), maxRecordBytes+1)
+	images = append(images,
+		image{"rehashed-suffix", rehashed, own},
+		image{"forged-length", forged, own},
+		image{"unsigned-tail", appendUnsigned(t, synthLog(t, key, 6, 3), 6, 2), own},
+	)
+	step := 1
+	if testing.Short() {
+		step = 13
+	}
+	for _, im := range images {
+		t.Run(im.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "log.lseal")
+			if err := os.WriteFile(path, im.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, tolerant := range []bool{false, true} {
+				opts := im.opts
+				opts.RecoverTruncated = tolerant
+				want, _, wantErr := driversAgree(t, im.img, opts, []int{2})
+				same := func(bs int, driver string, res *VerifyResult, err error) {
+					t.Helper()
+					if (wantErr == nil) != (err == nil) || (err != nil && err.Error() != wantErr.Error()) {
+						t.Fatalf("block size %d, tolerant=%v, %s: %v, want %v", bs, tolerant, driver, err, wantErr)
+					}
+					if err == nil && !reflect.DeepEqual(res, want) {
+						t.Fatalf("block size %d, tolerant=%v, %s: %+v, want %+v", bs, tolerant, driver, res, want)
+					}
+				}
+				for bs := 6; bs <= len(im.img)+1; bs += step {
+					withBlockSize(bs, func() {
+						res, err := VerifyReaderResult(bytes.NewReader(im.img), opts)
+						same(bs, "in-thread", res, err)
+						sopts := StreamOptions{VerifyOptions: opts, Workers: 2}
+						for driver, run := range map[string]func() (*StreamResult, error){
+							"parallel": func() (*StreamResult, error) {
+								return VerifyReaderStream(context.Background(), bytes.NewReader(im.img), sopts)
+							},
+							"file": func() (*StreamResult, error) { return VerifyFileStream(context.Background(), path, sopts) },
+						} {
+							var got *VerifyResult
+							par, err := run()
+							if err == nil {
+								got = &par.VerifyResult
+							}
+							same(bs, driver, got, err)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestRecordLongerThanBlock puts a record three production blocks long in the
+// middle of a log: its block grows to hold it and the batch around it stays
+// one run.
+func TestRecordLongerThanBlock(t *testing.T) {
+	key := testKey(t)
+	big := &Entry{Seq: 2, Table: "updates", Values: []sqldb.Value{sqldb.Blob(bytes.Repeat([]byte{0xa5}, 3*blockSize))}}
+	var buf bytes.Buffer
+	if _, err := WriteSyntheticBatches(&buf, key, []SyntheticBatch{
+		{Entries: []*Entry{SyntheticEntry(0), SyntheticEntry(1)}, Counter: 1},
+		{Entries: []*Entry{big, SyntheticEntry(3)}, Counter: 2},
+		{Entries: []*Entry{SyntheticEntry(4)}, Counter: 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tolerant := range []bool{false, true} {
+		res, _, err := driversAgree(t, buf.Bytes(), VerifyOptions{Pub: &key.PublicKey, RecoverTruncated: tolerant}, []int{1, 2})
+		if err != nil || len(res.Entries) != 5 || res.Batches != 3 {
+			t.Fatalf("tolerant=%v: %+v, %v", tolerant, res, err)
+		}
+	}
+}
+
+// TestForgedLengthCostsBytesPresent: a header claiming the largest record the
+// cap allows, followed by 1 KiB, costs every driver memory in proportion to
+// the bytes that are there — a block — not to the claim.
+func TestForgedLengthCostsBytesPresent(t *testing.T) {
+	img := binary.BigEndian.AppendUint32(append(bytes.Clone(fileMagic), recEntry), maxRecordBytes)
+	img = append(img, make([]byte, 1<<10)...)
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for driver, fn := range map[string]func(){
+		"in-thread": func() {
+			if _, err := VerifyReaderResult(bytes.NewReader(img), VerifyOptions{}); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
+				t.Errorf("in-thread: %v", err)
+			}
+		},
+		"parallel": func() {
+			if _, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{Workers: 2}); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
+				t.Errorf("parallel: %v", err)
+			}
+		},
+		"chunk-fed": func() {
+			if v, _, err := feedChunked(img, VerifyOptions{}, []int{100}); err != nil || v.Buffered() != 5+1<<10 {
+				t.Errorf("chunk-fed: buffered %d, %v", v.Buffered(), err)
+			}
+		},
+	} {
+		if got := allocated(fn); got > 4*blockSize {
+			t.Errorf("%s allocated %d bytes for a %d-byte image claiming a %d-byte record", driver, got, len(img), maxRecordBytes)
+		}
+	}
+}
+
+// TestSegmentEntriesOnDemand: for every batch of every golden image, at every
+// worker count, the entries a callback asks for are the ones the eager decode
+// returns and NumEntries is their number — and so they are for a sealed log,
+// whose entries the workers build because only they see the plaintext.
+func TestSegmentEntriesOnDemand(t *testing.T) {
+	pub := goldenPub(t)
+	for _, v := range goldenVectors {
+		img, err := os.ReadFile(filepath.Join(goldenDir, v.name+".lseal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager, err := VerifyReaderResult(bytes.NewReader(img), VerifyOptions{Pub: pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same log with every entry payload "sealed" (inverted).
+		invert := func(b []byte) ([]byte, error) {
+			out := bytes.Clone(b)
+			for i := range out {
+				out[i] = ^out[i]
+			}
+			return out, nil
+		}
+		recs := imageRecords(t, img)
+		for i, r := range recs {
+			if r.typ == recEntry {
+				recs[i].payload, _ = invert(r.payload)
+			}
+		}
+		for name, c := range map[string]struct {
+			img  []byte
+			opts VerifyOptions
+		}{
+			"plain":  {img, VerifyOptions{Pub: pub}},
+			"sealed": {buildImage(recs), VerifyOptions{Pub: pub, Unseal: invert}},
+		} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, bs := range []int{blockSize, 200} {
+					t.Run(fmt.Sprintf("%s/%s/w%d/block%d", v.name, name, workers, bs), func(t *testing.T) {
+						segs := 0
+						withBlockSize(bs, func() {
+							_, err = VerifyReaderStream(context.Background(), bytes.NewReader(c.img), StreamOptions{
+								VerifyOptions: c.opts, Workers: workers,
+								OnSegment: func(s SegmentInfo) error {
+									segs++
+									want := eager.Entries[int(s.EndSeq)-s.NumEntries : s.EndSeq]
+									got := s.Entries()
+									if len(got) != s.NumEntries || len(got) != len(want) {
+										t.Errorf("segment %d: %d entries, NumEntries %d, eager decode %d", s.Index, len(got), s.NumEntries, len(want))
+									}
+									for i := range got {
+										if !reflect.DeepEqual(got[i], want[i]) {
+											t.Errorf("segment %d entry %d: %+v, eager decode %+v", s.Index, i, got[i], want[i])
+										}
+									}
+									return nil
+								},
+							})
+						})
+						if err != nil || segs != eager.Batches {
+							t.Fatalf("%d segments, %v; want %d", segs, err, eager.Batches)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyAllocsPerEntry: a scan whose callback never asks for entries
+// builds none. What is left is per block and per run, far under one
+// allocation in ten entries (the decode it replaced made five per entry).
+func TestVerifyAllocsPerEntry(t *testing.T) {
+	const entries = 20000
+	key := testKey(t)
+	img := synthLog(t, key, entries, 16)
+	opts := StreamOptions{
+		VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2,
+		OnSegment: func(SegmentInfo) error { return nil },
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		if res, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), opts); err != nil || res.TotalEntries != entries {
+			t.Fatalf("%+v, %v", res, err)
+		}
+	})
+	if perEntry := perRun / entries; perEntry >= 0.1 {
+		t.Fatalf("%.0f allocations per scan of %d entries: %.2f per entry, want < 0.1", perRun, entries, perEntry)
+	}
+}

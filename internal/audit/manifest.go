@@ -186,7 +186,7 @@ func readManifests(r io.Reader, tolerant bool) ([]*Manifest, error) {
 	var out []*Manifest
 	for {
 		rec, err := rr.next()
-		if err == io.EOF || (err != nil && tolerant && rr.torn) {
+		if fe, framing := err.(*frameError); err == io.EOF || (framing && tolerant && fe.torn) {
 			return out, nil
 		}
 		if err != nil {

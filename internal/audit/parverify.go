@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bufio"
 	"context"
 	"io"
 	"os"
@@ -13,10 +12,10 @@ import (
 	"libseal/internal/telemetry"
 )
 
-// Parallel segmented verification: the scanner (stream.go) runs as a
-// goroutine, a worker pool runs the verifier core over the segments
-// concurrently, and the merger (verifier.go) consumes their verdicts in file
-// order — the same three parts VerifyReaderResult runs in one loop.
+// Parallel verification: the scanner (stream.go) runs as a goroutine, a
+// worker pool runs the verifier core over its runs concurrently, and the
+// merger (verifier.go) consumes their verdicts in file order — the same three
+// parts VerifyReaderResult runs in one loop.
 
 // Verification telemetry (audit.verify.*): segment/entry/byte throughput,
 // per-segment and whole-run latency, and checkpoint/resume activity for
@@ -28,6 +27,7 @@ var (
 	mVerifyEntries     = telemetry.NewCounter("audit.verify.entries", "entries")
 	mVerifyBytes       = telemetry.NewCounter("audit.verify.bytes", "bytes")
 	mVerifyWorkers     = telemetry.NewGauge("audit.verify.workers", "goroutines")
+	mVerifyBlocks      = telemetry.NewGauge("audit.verify.blocks", "blocks") // read, not yet folded
 	mVerifySegLatency  = telemetry.NewHistogram("audit.verify.segment.latency", "ns")
 	mVerifyLatency     = telemetry.NewHistogram("audit.verify.latency", "ns")
 	mVerifyCheckpoints = telemetry.NewCounter("audit.verify.checkpoints", "writes")
@@ -55,10 +55,8 @@ type SegmentInfo struct {
 	Shard int
 	// Index is the segment's ordinal within this scan, starting at 0.
 	Index int
-	// Entries are the segment's verified entries. The slice is only valid
-	// during the callback; the pipeline releases it afterwards so a scan
-	// never holds more than the in-flight window of segments in memory.
-	Entries []*Entry
+	// NumEntries is the number of entries the segment's signature covers.
+	NumEntries int
 	// Counter is the rollback-counter value the segment's signature attests.
 	Counter uint64
 	// EndSeq is the total number of verified entries through this segment
@@ -68,6 +66,25 @@ type SegmentInfo struct {
 	Chain [32]byte
 	// CommittedBytes is the verified prefix length through this segment.
 	CommittedBytes int64
+
+	batch *batch
+}
+
+// Entries returns the segment's verified entries. Verification walks an
+// entry's bytes without building it, so they are decoded here, on the first
+// call, from the block of the log the pipeline still holds: call it only
+// during the callback, and only if the entries are wanted.
+func (s SegmentInfo) Entries() []*Entry {
+	b := s.batch
+	if b == nil {
+		return nil
+	}
+	for w := b.raw; len(b.entries) < b.n; {
+		_, payload, size, _ := logStream.cut(w)
+		e, _ := UnmarshalEntry(payload) // the walk that verified these bytes is the one that decodes them
+		b.entries, w = append(b.entries, e), w[size:]
+	}
+	return b.entries
 }
 
 // StreamOptions extends VerifyOptions with the streaming pipeline's knobs.
@@ -188,22 +205,22 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 	if led.resumed {
 		mVerifyResumes.Inc()
 	}
-	m := &merger{opts: &opts, led: led}
-
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	work := make(chan *segment, workers)
-	// order bounds the in-flight window (scanned but not yet merged) at
-	// twice the workers: enough that the merger never starves them, and with
-	// them a cap on the pipeline's memory of about 3×workers+1 segments.
-	order := make(chan *segment, 2*workers)
+	m := &merger{opts: &opts, led: led, stop: ctx.Done()}
+	work := make(chan *run, workers)
+	// order bounds the in-flight window (read, not yet folded) at twice the
+	// workers, the one the scanner holds included: enough that the merger never
+	// starves them. With the run being folded and the one before it, whose last
+	// batch is still held, the pipeline holds at most 2×workers+2 blocks.
+	order := make(chan *run, 2*workers-1)
 
 	// Once the merger sees the first in-order failure the verdict is
 	// decided: the scanner must still scan structurally to EOF (the verdict
 	// ranks the failure against what follows it), but hashing and
 	// decoding the remaining segments is pure waste — on a large
 	// corrupt log, most of the file's worth. The flag lets workers fall
-	// through to close(seg.done) without verifying.
+	// through to close(r.done) without verifying.
 	var skipVerify atomic.Bool
 
 	var wg sync.WaitGroup
@@ -213,13 +230,19 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for seg := range work {
+			// Entries are built only for a caller that gets them: in the result,
+			// or from a sealed log, whose plaintext exists only in the worker.
+			core := chainVerifier{
+				opts: &opts.VerifyOptions, shard: opts.Shard, sigs: m.led.base.batches,
+				names: map[string]string{}, decode: opts.OnSegment == nil || opts.Unseal != nil,
+			}
+			for r := range work {
 				if ctx.Err() == nil && !skipVerify.Load() {
 					t0 := time.Now()
-					seg.res = verifySegment(seg, &opts.VerifyOptions, opts.Shard, m.led.base.batches)
+					verifyRun(r, core)
 					mVerifySegLatency.Observe(time.Since(t0))
 				}
-				close(seg.done)
+				close(r.done)
 			}
 		}()
 	}
@@ -229,14 +252,16 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 		defer close(scanDone)
 		defer close(work)
 		defer close(order)
-		// Same segments, same order, on both channels; order is what the
-		// merger consumes.
-		end = scanSegments(ctx, bufio.NewReaderSize(r, 512<<10), &m.led.base, m.led.resumed, func(s *segment) bool {
-			s.done = make(chan struct{})
-			for _, ch := range []chan *segment{work, order} {
+		// Same runs, same order, on both channels; order is what the merger
+		// consumes.
+		end = scanRuns(ctx, r, &m.led.base, m.led.resumed, opts.Shard, func(r *run) bool {
+			mVerifyBlocks.Add(1)
+			r.done = make(chan struct{})
+			for _, ch := range []chan *run{work, order} {
 				select {
-				case ch <- s:
+				case ch <- r:
 				case <-ctx.Done():
+					mVerifyBlocks.Add(-1)
 					return false
 				}
 			}
@@ -244,10 +269,12 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 		})
 	}()
 
-	for seg := range order {
-		<-seg.done
-		// A worker that saw ctx done left the segment unverified.
-		if ctx.Err() != nil || !m.consume(seg) {
+	for r := range order {
+		<-r.done
+		// A worker that saw ctx done left the run unverified.
+		ok := ctx.Err() == nil && m.fold(r)
+		mVerifyBlocks.Add(-1)
+		if !ok {
 			skipVerify.Store(true)
 			break
 		}
@@ -260,8 +287,9 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 	// The verdict can depend on the whole structural scan (strict-mode
 	// truncation preempts everything; a tolerant tear must look for later
 	// signature records), so wait for the scanner even after a failure.
-	for seg := range order {
-		<-seg.done
+	for r := range order {
+		<-r.done
+		mVerifyBlocks.Add(-1)
 	}
 	<-scanDone
 	wg.Wait()

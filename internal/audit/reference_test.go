@@ -88,6 +88,29 @@ func referenceRecords(r io.Reader, tolerant bool) ([]referenceRecord, error) {
 	}
 }
 
+// readPayload is the allocating record read the production framers used
+// before they cut records out of blocks in place, kept here, frozen, for the
+// reference alone: one buffer per record, a large one grown as bytes arrive.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	if n <= 1<<16 {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	got, err := io.Copy(&buf, io.LimitReader(r, int64(n)))
+	if err != nil {
+		return nil, err
+	}
+	if got < int64(n) {
+		if got == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), nil
+}
+
 // referenceVerify verifies a persisted log and reports the verified
 // counter value and committed prefix length alongside the entries.
 func referenceVerify(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {

@@ -101,7 +101,7 @@ func TestShardedAppendVerify(t *testing.T) {
 		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
 		OnSegment: func(si SegmentInfo) error {
 			mu.Lock()
-			perShard[si.Shard] = append(perShard[si.Shard], si.Entries...)
+			perShard[si.Shard] = append(perShard[si.Shard], si.Entries()...)
 			mu.Unlock()
 			return nil
 		},

@@ -6,59 +6,71 @@ import (
 	"io"
 )
 
-// Segmented log scanning. A persisted log is a stream of entry records
+// Run-wise log scanning. A persisted log is a stream of entry records
 // delimited by signature records; every signature record is a commit point
 // carrying the chain head it attests. That makes the signature records
-// natural cut points for parallel verification: a sequential scanner splits
-// the stream into segments — the entries since the previous signature plus
-// the signature that closes them — and hands each segment its *claimed*
-// starting chain head (the previous signature's attested head) and the digest
-// of the previous signature record, which its own must link to. A worker can
-// then recompute the segment's hashes and check its signature record's claims
-// independently of every other segment: if segment k verifies, its claimed end
-// head is the true chain head after its last entry, so segment k+1's claimed
-// start is trustworthy by induction and the stitched result equals the
-// sequential scan's byte for byte.
+// natural cut points for parallel verification: a sequential scanner reads
+// the stream a block at a time and hands on each block's whole batches — its
+// records up to the last signature record in it — as one run, with the run's
+// *claimed* starting chain head (the head the signature record before it
+// attests) and the digest of that record, which the run's first signature
+// record must link to. A worker can then recompute the run's hashes and check
+// its signature records' claims independently of every other run: if run k
+// verifies, its claimed end head is the true chain head after its last entry,
+// so run k+1's claimed start is trustworthy by induction and the stitched
+// result equals the sequential scan's byte for byte.
 //
-// The scanner does only cheap structural work (record framing, reading the
-// head a signature record claims, hashing the signature record); signature
-// parsing, chain hashing and entry decoding — the dominant costs — happen in
-// whoever the segments are dispatched to. The ECDSA check is the merger's, at
-// its points of judgment (verifier.go).
+// What a block holds past its last signature record is carried to the head of
+// the next, and a block with no signature record in it grows until one
+// arrives: a run is whole batches, contiguous, and everything downstream of
+// the scanner aliases the block (DESIGN.md §13).
+//
+// The scanner does only structural work (record framing, reading the head a
+// run's last signature record claims and hashing that record); signature
+// parsing, chain hashing and the entry walk — the dominant costs — happen in
+// whoever the runs are dispatched to. The ECDSA check is the merger's, at its
+// points of judgment (verifier.go).
 
-// segment is one signature-delimited slice of the record stream: the entry
-// payloads since the previous commit point plus (except for a trailing
-// unsigned segment) the signature record that closes them.
-type segment struct {
-	index      int      // dispatch ordinal; equals the count of signed segments before it
-	start      int64    // file offset of the first record's header
+// scanBlock is the scanner's block size; only tests write it, to put a block
+// boundary at every byte of an image.
+var scanBlock = blockSize
+
+// run is the unit of hand-off from the scanner: consecutive whole batches and,
+// for the last run of a stream only, the unsigned entries after them.
+type run struct {
+	index      int      // signature records in the scan before this run
+	start      int64    // stream offset of data[0]
 	startSeq   uint64   // expected sequence number of the first entry
 	startChain [32]byte // claimed chain head before the first entry
 	startSig   [32]byte // digest of the previous signature record's payload
-	payloads   [][]byte // raw entry payloads (sealed if the log is sealed)
+	data       []byte   // the records, aliasing the scanner's block
 
-	hasSig bool
-	sigRaw []byte   // raw signature record payload
-	sigSum [32]byte // its SHA-256
-	sigOff int64    // file offset of the signature record's header
-	end    int64    // file offset just past the signature record (commit point)
-
-	res  segResult
-	done chan struct{} // parallel driver only: closed once res is set
+	// The verdict, up to the first record that failed.
+	batches []batch
+	open    int           // unsigned entries after the last batch
+	err     error         // the first record that failed, nil if none did
+	atSig   bool          // err was raised at a signature record, not an entry
+	done    chan struct{} // parallel driver only: closed once the verdict is in
 }
 
-// segResult is the verdict on one segment.
-type segResult struct {
-	entries []*Entry
-	err     error    // the first record that failed, nil if none did
-	atSig   bool     // err was raised at the signature record, not an entry
-	chain   [32]byte // chain head the signature record attests
-	counter uint64   // counter it binds
-	bytes   int64    // entry payload bytes, for telemetry and checkpoint cadence
+// batch is one verified, signature-closed batch of a run.
+type batch struct {
+	commitPoint
+	raw     []byte      // its entry records, aliasing the block
+	sig     []byte      // its signature record's payload, likewise
+	n       int         // entries
+	entries []*Entry    // decoded; the worker's when the driver keeps entries, else SegmentInfo.Entries'
+	tables  []tableSpan // the entries by table
+}
+
+// tableSpan counts consecutive entries of one table.
+type tableSpan struct {
+	table string
+	n     int
 }
 
 // scanEnd is what the scanner learned about the stream beyond the dispatched
-// segments; the verdict needs it to rank failures.
+// runs; the verdict needs it to rank failures.
 type scanEnd struct {
 	// streamErr is a record-framing failure (bad magic, truncated record,
 	// oversized record).
@@ -72,107 +84,123 @@ type scanEnd struct {
 	totalSigs int
 }
 
-// scanSegments frames the record stream and hands each signature-delimited
-// segment to dispatch, in stream order, stopping early only when dispatch
-// returns false or ctx is done. It always frames to the end of the stream,
+// scanRuns frames the record stream and hands each block's run to dispatch,
+// in stream order, stopping early only when dispatch returns false or ctx is
+// done (polled once per block). It always frames to the end of the stream,
 // even past the point where it stops dispatching, because the verdict can
 // depend on what follows a failure. base is the verified state the stream is
 // read from: the empty log (magic expected first), or, when resumed, a
-// checkpoint's commit point with r positioned at its offset.
-func scanSegments(ctx context.Context, r io.Reader, base *totals, resumed bool, dispatch func(*segment) bool) (end scanEnd) {
-	rr := recordReader{r: r, kind: &logStream, off: base.end}
+// checkpoint's commit point with r positioned at its offset; shard names the
+// shard in the errors.
+func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shard int, dispatch func(*run) bool) (end scanEnd) {
+	rr := recordReader{r: r, kind: &logStream, size: scanBlock, off: base.end}
 	if !resumed {
 		if err := rr.magic(); err != nil {
 			end.streamErr, end.badMagic = err, true
 			return end
 		}
 	}
-	var cur *segment
-	idx := 0
-	nextSeq, nextChain, nextSig := base.seq, base.chain, base.sigSum
-	open := func(at int64) *segment {
-		if cur == nil {
-			cur = &segment{index: idx, start: at, startSeq: nextSeq, startChain: nextChain, startSig: nextSig}
-		}
-		return cur
+	// next is where the next run starts, from its first byte in the block;
+	// sigEnd is just past the last signature record framed (lastSig its
+	// payload), seq counts the entries up to it and open those after it.
+	next := run{start: rr.off, startSeq: base.seq, startChain: base.chain, startSig: base.sigSum}
+	from, sigEnd, seq, open := rr.pos, rr.pos, base.seq, 0
+	var lastSig []byte
+	flush := func(to int) bool {
+		r := next
+		r.data = rr.buf[from:to]
+		// The next run starts from the head its predecessor's last signature
+		// record claims and must link to that record. If the record is too
+		// short to claim a head it fails to parse, and nothing after the
+		// first failure affects the verdict.
+		next = run{index: end.totalSigs, start: r.start + int64(to-from), startSeq: seq, startSig: sha256.Sum256(lastSig)}
+		copy(next.startChain[:], lastSig)
+		from = to
+		return dispatch(&r)
 	}
 	dispatching := true
-	for ctx.Err() == nil {
-		rec, err := rr.next()
+	for {
+		rec, ok, err := rr.cut()
 		if err != nil {
-			if err != io.EOF {
-				end.streamErr = err
+			if fe, framing := err.(*frameError); framing {
+				end.streamErr = fe.at(shard, rr.off, base.batches+end.totalSigs, open)
 			}
 			break
 		}
-		switch rec.typ {
-		case recEntry:
+		if !ok {
+			// The window is spent. The whole batches in it go to a worker; the
+			// open batch and the partial record move to the next block.
+			keep := rr.pos
 			if dispatching {
-				seg := open(rec.off)
-				seg.payloads = append(seg.payloads, rec.payload)
-				nextSeq++
+				if sigEnd > from && !flush(sigEnd) {
+					return end
+				}
+				keep = from
 			}
-		case recSig:
-			end.totalSigs++
-			if !dispatching {
-				continue
-			}
-			seg := open(rec.off)
-			cur = nil
-			seg.hasSig, seg.sigRaw, seg.sigOff, seg.end = true, rec.payload, rec.off, rr.off
-			seg.sigSum = sha256.Sum256(rec.payload)
-			// The next segment starts from the head this record claims and
-			// must link to this record. If the record is too short to claim
-			// a head it fails to parse, and nothing after the first failure
-			// affects the verdict.
-			copy(nextChain[:], rec.payload)
-			nextSig = seg.sigSum
-			idx++
-			if !dispatch(seg) {
+			if ctx.Err() != nil {
 				return end
 			}
+			rr.fill(keep)
+			from, sigEnd = 0, 0
+			continue
+		}
+		switch rec.typ {
+		case recEntry:
+			open++
+		case recSig:
+			end.totalSigs++
+			seq, open = seq+uint64(open), 0
+			sigEnd, lastSig = rr.pos, rec.payload
 		default:
 			if end.unknownErr == nil {
-				end.unknownErr = logStream.unknownType(rec.typ)
+				end.unknownErr = logStream.unknownType(rec.typ).at(shard, rec.off, base.batches+end.totalSigs, open)
 			}
-			// Entries before the unknown record are judged before it is;
-			// dispatch them as a trailing unsigned segment, then only frame.
-			if dispatching && cur != nil && !dispatch(cur) {
+			// Entries before the unknown record are judged before it is: they
+			// end the last run, and from here the scanner only frames.
+			hdr := rr.pos - 5 - len(rec.payload)
+			if dispatching && hdr > from && !flush(hdr) {
 				return end
 			}
 			dispatching = false
 		}
 	}
-	if dispatching && cur != nil {
-		dispatch(cur)
+	if dispatching && rr.pos > from {
+		flush(rr.pos)
 	}
 	return end
 }
 
-// verifySegment runs the core over one segment from its claimed start: the
-// expensive half of verification, safe to run concurrently across segments.
-// firstSig is the ordinal of the scan's first signature record.
-func verifySegment(seg *segment, opts *VerifyOptions, shard, firstSig int) segResult {
-	v := chainVerifier{
-		opts: opts, shard: shard, seq: seg.startSeq,
-		chain: seg.startChain, sigHead: seg.startSig, sigs: firstSig + seg.index,
-	}
-	res := segResult{entries: make([]*Entry, 0, len(seg.payloads))}
-	off := seg.start
-	for _, raw := range seg.payloads {
-		e, err := v.entry(raw, off)
-		if err != nil {
-			res.err = err
-			return res
+// verifyRun runs the core over one run from its claimed start: the expensive
+// half of verification, safe to run concurrently across runs. v carries what
+// the scan's runs share, with sigs the ordinal of the scan's first signature
+// record.
+func verifyRun(r *run, v chainVerifier) {
+	v.seq, v.chain, v.sigHead, v.sigs = r.startSeq, r.startChain, r.startSig, v.sigs+r.index
+	first, ent := 0, 0 // the open batch's first byte in data and first kept entry
+	var spans []tableSpan
+	for pos, off := 0, r.start; pos < len(r.data); {
+		// The scanner framed these bytes: whole entry and signature records.
+		typ, payload, size, _ := logStream.cut(r.data[pos:])
+		if typ == recEntry {
+			if r.err = v.entry(payload, off); r.err != nil {
+				return
+			}
+		} else {
+			n := v.inBatch
+			counter, tables, err := v.sig(payload, off)
+			if err != nil {
+				r.err, r.atSig = err, true
+				return
+			}
+			spans = append(spans, tables...)
+			r.batches = append(r.batches, batch{
+				commitPoint: commitPoint{end: off + int64(size), chain: v.chain, counter: counter, sigOff: off, sigSum: v.sigHead},
+				raw:         r.data[first:pos], sig: payload, n: n,
+				entries: v.entries[ent:len(v.entries):len(v.entries)], tables: spans[len(spans)-len(tables):],
+			})
+			first, ent = pos+size, len(v.entries)
 		}
-		res.entries = append(res.entries, e)
-		res.bytes += int64(len(raw))
-		off += recordSize(raw)
+		pos, off = pos+size, off+int64(size)
 	}
-	if seg.hasSig {
-		res.counter, res.err = v.sig(seg.sigRaw, seg.sigOff)
-		res.atSig = res.err != nil
-		res.chain = v.chain
-	}
-	return res
+	r.open = v.inBatch
 }

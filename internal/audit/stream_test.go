@@ -133,15 +133,25 @@ func TestStreamCallbackBoundsMemory(t *testing.T) {
 	img := synthLog(t, key, 120, 8)
 	var got []uint64
 	var lastOff int64
+	// Blocks of two or three batches, so the scan is some twenty runs long and
+	// the pipeline fills: the blocks read and not yet released — those not yet
+	// folded, which the gauge counts (the one being folded, at a callback,
+	// among them), and the one before, whose last batch was held until now —
+	// must never pass 3×workers+1.
+	const workers = 4
+	defer func(was int) { scanBlock = was }(scanBlock)
+	scanBlock = 2 << 10
+	idle, peak := mVerifyBlocks.Value(), int64(0)
 	res, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
-		Workers:       4,
+		Workers:       workers,
 		OnSegment: func(s SegmentInfo) error {
 			if s.CommittedBytes <= lastOff {
 				t.Errorf("segments out of order: %d after %d", s.CommittedBytes, lastOff)
 			}
 			lastOff = s.CommittedBytes
-			for _, e := range s.Entries {
+			peak = max(peak, mVerifyBlocks.Value()-idle+1)
+			for _, e := range s.Entries() {
 				got = append(got, e.Seq)
 			}
 			return nil
@@ -152,6 +162,9 @@ func TestStreamCallbackBoundsMemory(t *testing.T) {
 	}
 	if res.Entries != nil {
 		t.Fatalf("callback mode must not accumulate entries; got %d", len(res.Entries))
+	}
+	if peak < 1 || peak > 3*workers+1 || mVerifyBlocks.Value() != idle {
+		t.Fatalf("blocks outstanding peaked at %d (bound %d) and ended at %d", peak, 3*workers+1, mVerifyBlocks.Value()-idle)
 	}
 	if res.TotalEntries != 120 || len(got) != 120 {
 		t.Fatalf("TotalEntries=%d callback-saw=%d, want 120", res.TotalEntries, len(got))

@@ -21,10 +21,10 @@ import (
 // through the two hash chains vouches for every record before it. That rule
 // is written once, in chainVerifier and validSig. Around it sit a ledger (what has been committed: the last
 // signature record and the running totals a result or a checkpoint reports),
-// a merger (folds verified segments into the ledger in stream order and gives
-// the end-of-stream verdict) and three drivers that differ only in how bytes
-// arrive and who schedules the work: VerifyReaderResult on the caller's
-// goroutine, VerifyReaderStream's worker pool (parverify.go) and the
+// a merger (folds verified runs into the ledger batch by batch in stream order
+// and gives the end-of-stream verdict) and three drivers that differ only in
+// how bytes arrive and who schedules the work: VerifyReaderResult on the
+// caller's goroutine, VerifyReaderStream's worker pool (parverify.go) and the
 // chunk-fed IncrementalVerifier (incremental.go). DESIGN.md §13 has the table.
 
 // VerifyOptions controls persisted-log verification.
@@ -74,10 +74,12 @@ type VerifyResult struct {
 	SigHead [32]byte
 }
 
-// VerifyError is a rejection raised by one record's own checks, carrying
-// where the record sits. Its text is the sentence alone, so verdicts compare
-// equal whether or not a caller looks at the location; it unwraps to
-// ErrTampered.
+// VerifyError is a rejection that says where in the log it was raised: by one
+// record's own checks, by the framing (at the header where the stream stops
+// parsing) or by the end-of-stream verdict (where the unsigned entries start;
+// at the corrupted record inside the signed prefix). Its text is the sentence
+// alone, so verdicts compare equal whether or not a caller looks at the
+// location; it unwraps to ErrTampered.
 type VerifyError struct {
 	// Shard is the shard ordinal (0 for a single-file log).
 	Shard int
@@ -86,15 +88,19 @@ type VerifyError struct {
 	// Batch is the ordinal of the signature record that fails, or that would
 	// have closed the failing entry's batch.
 	Batch int
-	// Record is the failing entry's ordinal within its batch, -1 when the
-	// signature record itself fails.
+	// Record is the failing entry's ordinal within its batch (of the record
+	// that does not frame, for a framing error), -1 when a signature record
+	// itself fails.
 	Record int
 	// Reason says which check failed.
 	Reason string
+	// stream marks a framing error or end-of-stream verdict: its sentence
+	// names no signature record even where it is located at one.
+	stream bool
 }
 
 func (e *VerifyError) Error() string {
-	if e.Record < 0 {
+	if e.Record < 0 && !e.stream {
 		return fmt.Sprintf("%v: signature record %d: %s", ErrTampered, e.Batch, e.Reason)
 	}
 	return fmt.Sprintf("%v: %s", ErrTampered, e.Reason)
@@ -186,13 +192,17 @@ func firstInvalid[T any](pub *ecdsa.PublicKey, sigs []T, payload func(T) []byte)
 // invalid one is the failure, exactly the record an eager check of every
 // signature would have stopped at.
 type chainVerifier struct {
-	opts    *VerifyOptions // Unseal; the rest is the verdict's business
-	shard   int            // names the shard in errors
-	seq     uint64         // sequence number the next entry must carry
-	chain   [32]byte       // chain head over every entry accepted so far
-	sigHead [32]byte       // digest of the last signature record, zero before a file's first
-	sigs    int            // ordinal of the next signature record, naming it in errors
-	inBatch int            // entries since the last signature record
+	opts    *VerifyOptions    // Unseal; the rest is the verdict's business
+	shard   int               // names the shard in errors
+	seq     uint64            // sequence number the next entry must carry
+	chain   [32]byte          // chain head over every entry accepted so far
+	sigHead [32]byte          // digest of the last signature record, zero before a file's first
+	sigs    int               // ordinal of the next signature record, naming it in errors
+	inBatch int               // entries since the last signature record
+	tables  []tableSpan       // those entries by table
+	names   map[string]string // table names seen, so that each is one string however many entries carry it
+	decode  bool              // build the entries, for a driver that returns them
+	entries []*Entry          // the entries built, in stream order
 }
 
 // reject builds the error for the record whose header sits at off.
@@ -200,46 +210,68 @@ func (v *chainVerifier) reject(off int64, record int, reason string) error {
 	return &VerifyError{Shard: v.shard, Offset: off, Batch: v.sigs, Record: record, Reason: reason}
 }
 
-// entry checks one entry record's payload and extends the chain over it.
-func (v *chainVerifier) entry(raw []byte, off int64) (*Entry, error) {
+// entry checks one entry record's payload and extends the chain over it,
+// walking the encoding (walkEntry: UnmarshalEntry's accept set, being its
+// reader) and building the entry only for a driver that wants it.
+func (v *chainVerifier) entry(raw []byte, off int64) error {
 	if v.opts.Unseal != nil {
 		var err error
 		if raw, err = v.opts.Unseal(raw); err != nil {
-			return nil, v.reject(off, v.inBatch, "unseal: "+err.Error())
+			return v.reject(off, v.inBatch, "unseal: "+err.Error())
 		}
 	}
-	e, err := UnmarshalEntry(raw)
-	if err != nil {
-		return nil, v.reject(off, v.inBatch, err.Error())
+	var e *Entry
+	if v.decode {
+		e = new(Entry)
 	}
-	if e.Seq != v.seq {
-		return nil, v.reject(off, v.inBatch, fmt.Sprintf("sequence gap at %d", v.seq))
+	seq, name, err := walkEntry(raw, e)
+	if err != nil {
+		return v.reject(off, v.inBatch, err.Error())
+	}
+	if seq != v.seq {
+		return v.reject(off, v.inBatch, fmt.Sprintf("sequence gap at %d", v.seq))
+	}
+	table, seen := v.names[string(name)]
+	if !seen {
+		table = string(name)
+		v.names[table] = table
+	}
+	if e != nil {
+		e.Seq, e.Table = seq, table
+		v.entries = append(v.entries, e)
+	}
+	if k := len(v.tables); k > 0 && v.tables[k-1].table == table {
+		v.tables[k-1].n++
+	} else {
+		v.tables = append(v.tables, tableSpan{table, 1})
 	}
 	v.seq++
 	v.inBatch++
 	v.chain = chainNext(v.chain, raw)
-	return e, nil
+	return nil
 }
 
 // sig checks one signature record's payload against the chain head reached
-// and the signature record before it, and returns the counter it binds.
-// Counters may legitimately regress between records (a recovery that
+// and the signature record before it, and closes the batch: it returns the
+// counter the record binds and the batch's entries by table, valid until the
+// next entry. Counters may legitimately regress between records (a recovery that
 // re-anchored on a rebuilt counter group), so rollback is judged against the
 // live group by the verdict, never record to record.
-func (v *chainVerifier) sig(payload []byte, off int64) (uint64, error) {
+func (v *chainVerifier) sig(payload []byte, off int64) (counter uint64, batch []tableSpan, err error) {
 	rec, err := parseSig(payload)
 	switch {
 	case err != nil:
-		return 0, v.reject(off, -1, err.Error())
+		return 0, nil, v.reject(off, -1, err.Error())
 	case rec.chain != v.chain:
-		return 0, v.reject(off, -1, "chain hash mismatch")
+		return 0, nil, v.reject(off, -1, "chain hash mismatch")
 	case rec.prev != v.sigHead:
-		return 0, v.reject(off, -1, "signature link mismatch")
+		return 0, nil, v.reject(off, -1, "signature link mismatch")
 	}
+	batch, v.tables = v.tables, v.tables[:0]
 	v.sigs++
 	v.inBatch = 0
 	v.sigHead = sha256.Sum256(payload)
-	return rec.counter, nil
+	return rec.counter, batch, nil
 }
 
 // commitPoint is the verified state as of one signature record.
@@ -266,7 +298,6 @@ type ledger struct {
 	cur     totals         // base plus everything committed since
 	scanMax int            // largest batch this scan committed
 	tables  map[string]int // per-table entry counts under the last commit point
-	open    []string       // tables of the entries verified past it
 }
 
 // newLedger starts from checkpoint c, or from the empty log when c is nil
@@ -296,16 +327,14 @@ func newLedger(c *Checkpoint) (ledger, error) {
 	return l, nil
 }
 
-// entry counts one verified entry into the open batch.
-func (l *ledger) entry(e *Entry) { l.open = append(l.open, e.Table) }
-
-// commit closes the open batch at a signature record.
-func (l *ledger) commit(cp commitPoint) {
-	n := len(l.open)
-	for _, t := range l.open {
-		l.tables[t]++
+// commit closes a batch, whose entries by table are batch, at its signature
+// record.
+func (l *ledger) commit(cp commitPoint, batch []tableSpan) {
+	n := 0
+	for _, s := range batch {
+		l.tables[s.table] += s.n
+		n += s.n
 	}
-	l.open = l.open[:0]
 	l.cur.commitPoint = cp
 	l.cur.seq += uint64(n)
 	l.cur.entries += n
@@ -346,37 +375,40 @@ func (l *ledger) result(entries []*Entry) *StreamResult {
 	}
 }
 
-// sigWindow bounds how many signature records a segment driver folds between
-// two ECDSA checks, and with it what a locate pass must keep: a log of any
-// length verifies in bounded memory for one extra check per window.
+// sigWindow bounds how many signature records a run driver folds between two
+// ECDSA checks, and with it what a locate pass must keep: a log of any length
+// verifies in bounded memory for one extra check per window.
 const sigWindow = 1 << 14
 
 // sigRef is a signature record folded but not yet vouched for.
 type sigRef struct {
-	off int64 // offset of its header
-	raw []byte
+	off int64  // offset of its header
+	raw []byte // its payload, copied into merger.sigBytes so that the window pins no block
 }
 
-// merger folds verified segments into the ledger in stream order for the two
-// segment drivers, runs the ECDSA checks at their points of judgment, latches
-// the first failure and gives the final verdict.
+// merger folds verified runs into the ledger batch by batch, in stream order,
+// for the two run drivers, runs the ECDSA checks at their points of judgment,
+// latches the first failure and gives the final verdict.
 type merger struct {
 	opts *StreamOptions
 	led  ledger
+	stop <-chan struct{} // closed when the scan is cancelled: nothing folds after; nil if it cannot be
 
 	entries []*Entry // accumulated only when OnSegment is nil
+	pending int      // entries verified past the last signature record
 
-	// held is the newest signed segment, hash-verified but not yet folded: it
-	// folds unchecked once a successor arrives to vouch for it, and is judged
-	// first when nothing will — so a tolerant verdict that has to drop it as
-	// crash debris has neither counted nor delivered it.
-	held *segment
+	// held is the newest batch, hash-verified but not yet folded: it folds
+	// unchecked once a successor arrives to vouch for it, and is judged first
+	// when nothing will — so a tolerant verdict that has to drop it as crash
+	// debris has neither counted nor delivered it.
+	held *batch
 	// unchecked are the signature records folded since the last ECDSA check,
 	// in stream order, ending with the one about to fold while it is judged:
 	// what a locate pass walks.
 	unchecked []sigRef
+	sigBytes  []byte
 
-	failed     error // first failure, in stream order
+	failed     error // first failure, in stream order: a *VerifyError
 	failedSigs int   // signature records of this scan up to and including the failing record
 	cbErr      error // OnSegment asked to abort; not a verdict
 
@@ -384,77 +416,77 @@ type merger struct {
 	ckptBytes int64
 }
 
-// consume merges one segment's verdict; it returns false when merging must
-// stop (a verification failure or a callback abort).
-func (m *merger) consume(seg *segment) bool {
-	r := &seg.res
-	if r.err != nil {
-		// The held segment closes with the nearest signature record before
-		// the failure: if it does not hold, an invalid signature comes first
-		// in the stream and is the failure instead.
+// fold merges one run's verdict: its batches one by one, then the failure or
+// the unsigned tail it ends in. It returns false when merging must stop (a
+// verification failure, a callback abort, cancellation).
+func (m *merger) fold(r *run) bool {
+	for i := range r.batches {
+		select {
+		case <-m.stop:
+			return false
+		default:
+		}
+		if !m.settle(false) {
+			return false
+		}
+		m.held = &r.batches[i]
+	}
+	switch {
+	case r.err != nil:
+		// The held batch closes with the nearest signature record before the
+		// failure: if it does not hold, an invalid signature comes first in
+		// the stream and is the failure instead.
 		if m.settle(true) {
-			// Signature records before the failure are the closers of segments
-			// 0..index-1, plus this segment's own when that is what failed.
-			m.failed, m.failedSigs = r.err, seg.index
+			// Signature records before the failure are those before the run,
+			// its verified batches', and the failing one if that is what failed.
+			m.failed, m.failedSigs = r.err, r.index+len(r.batches)
 			if r.atSig {
 				m.failedSigs++
 			}
 		}
 		return false
-	}
-	if !seg.hasSig {
+	case r.open > 0:
 		// Entries past the last signature record: verified but uncommitted.
-		// Only the last segment of a stream can be unsigned, so the held one
-		// closes with the scan's last signature record.
-		if !m.settle(true) {
-			return false
-		}
-		for _, e := range r.entries {
-			m.led.entry(e)
-		}
-		return true
+		// Only the last run of a stream has them, so the held batch closes
+		// with the scan's last signature record.
+		m.pending = r.open
+		return m.settle(true)
 	}
-	if !m.settle(false) {
-		return false
-	}
-	m.held = seg
 	return true
 }
 
-// settle folds the held segment, if any, into the ledger. Its signature is
+// settle folds the held batch, if any, into the ledger. Its signature is
 // ECDSA-checked first when last says no later record will vouch for it, when
 // a checkpoint is due at it, or when the unchecked window is full. It returns
 // false when that check failed or OnSegment aborted.
 func (m *merger) settle(last bool) bool {
-	seg := m.held
-	if seg == nil {
+	b := m.held
+	if b == nil {
 		return true
 	}
 	m.held = nil
-	r := &seg.res
+	payloadBytes := int64(len(b.raw) - 5*b.n) // for telemetry and the checkpoint cadence
 	cfg := m.opts.Checkpoint
-	save := cfg != nil && m.checkpointDue(cfg, r.bytes)
-	m.unchecked = append(m.unchecked, sigRef{off: seg.sigOff, raw: seg.sigRaw})
+	save := cfg != nil && m.checkpointDue(cfg, payloadBytes)
+	lo := len(m.sigBytes)
+	m.sigBytes = append(m.sigBytes, b.sig...)
+	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes[lo:]})
 	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
 		return false
 	}
 	mVerifySegments.Inc()
-	mVerifyEntries.Add(int64(len(r.entries)))
-	mVerifyBytes.Add(r.bytes)
-	for _, e := range r.entries {
-		m.led.entry(e)
-	}
-	m.led.commit(commitPoint{end: seg.end, chain: r.chain, counter: r.counter, sigOff: seg.sigOff, sigSum: seg.sigSum})
+	mVerifyEntries.Add(int64(b.n))
+	mVerifyBytes.Add(payloadBytes)
+	m.led.commit(b.commitPoint, b.tables)
 	if m.opts.OnSegment == nil {
-		m.entries = append(m.entries, r.entries...)
+		m.entries = append(m.entries, b.entries...)
 	} else if err := m.opts.OnSegment(SegmentInfo{
-		Shard: m.opts.Shard, Index: seg.index, Entries: r.entries,
-		Counter: r.counter, EndSeq: m.led.cur.seq, Chain: r.chain, CommittedBytes: seg.end,
+		Shard: m.opts.Shard, Index: m.led.cur.batches - m.led.base.batches - 1, NumEntries: b.n,
+		Counter: b.counter, EndSeq: m.led.cur.seq, Chain: b.chain, CommittedBytes: b.end, batch: b,
 	}); err != nil {
 		m.cbErr = err
 		return false
 	}
-	r.entries = nil // release; the window has moved past this segment
 	if save {
 		if err := m.led.checkpoint(m.opts.Shard).Save(cfg.Path); err == nil {
 			mVerifyCheckpoints.Inc()
@@ -484,13 +516,13 @@ func (m *merger) checkpointDue(cfg *CheckpointConfig, bytes int64) bool {
 	return true
 }
 
-// judge is the merger's point of judgment, with the segment about to fold
-// last in unchecked. When the locate pass finds an invalid record, everything
+// judge is the merger's point of judgment, with the batch about to fold last
+// in unchecked. When the locate pass finds an invalid record, everything
 // folded before that one has been checked in its own right.
 func (m *merger) judge() bool {
 	bad := firstInvalid(m.opts.Pub, m.unchecked, func(s sigRef) []byte { return s.raw })
 	if bad == len(m.unchecked) {
-		m.unchecked = m.unchecked[:0]
+		m.unchecked, m.sigBytes = m.unchecked[:0], m.sigBytes[:0]
 		return true
 	}
 	// The last unchecked record is the next to fold: ordinal cur.batches.
@@ -519,19 +551,24 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 	if m.failed == nil && !m.settle(true) && m.cbErr != nil {
 		return nil, m.cbErr
 	}
-	pending := len(m.led.open)
+	pending := m.pending
 	switch {
 	case m.failed != nil && strict:
 		return nil, m.failed
 	case m.failed != nil && end.totalSigs > m.failedSigs:
-		return nil, fmt.Errorf("%w: corrupted entry inside signed prefix", ErrTampered)
+		at := *m.failed.(*VerifyError)
+		at.Reason, at.stream = "corrupted entry inside signed prefix", true
+		return nil, &at
 	case m.failed == nil && end.unknownErr != nil:
 		return nil, end.unknownErr
-	case strict && pending > 0 && m.led.cur.batches == 0:
-		return nil, fmt.Errorf("%w: missing signature record", ErrTampered)
 	case strict && pending > 0:
-		// Strict verification demands the file end at a signed prefix.
-		return nil, fmt.Errorf("%w: %d entries after the last signature record", ErrTampered, pending)
+		// Strict verification demands the file end at a signed prefix; the
+		// unsigned entries are located where they start.
+		reason := fmt.Sprintf("%d entries after the last signature record", pending)
+		if m.led.cur.batches == 0 {
+			reason = "missing signature record"
+		}
+		return nil, &VerifyError{Shard: m.opts.Shard, Offset: m.led.cur.end, Batch: m.led.cur.batches, Reason: reason, stream: true}
 	}
 	// Freshness applies to every accepted outcome, the empty log included:
 	// "no batches" under a group counter that has moved is a rollback.
@@ -550,11 +587,12 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
 	led, _ := newLedger(nil) // from the empty log: cannot fail
 	m := merger{opts: &StreamOptions{VerifyOptions: opts}, led: led}
+	core := chainVerifier{opts: &opts, names: map[string]string{}, decode: true}
 	// Nothing runs concurrently, so there is nothing for a context to stop.
-	end := scanSegments(context.Background(), r, &m.led.base, false, func(seg *segment) bool {
+	end := scanRuns(context.Background(), r, &m.led.base, false, 0, func(r *run) bool {
 		if m.failed == nil {
-			seg.res = verifySegment(seg, &opts, 0, 0)
-			m.consume(seg)
+			verifyRun(r, core)
+			m.fold(r)
 		}
 		return true
 	})

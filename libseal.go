@@ -118,9 +118,11 @@ type (
 	// (Report.Shards), including whole-log totals on a resumed run.
 	VerifyStreamResult = audit.StreamResult
 	// VerifySegment is one committed, verified segment as delivered to the
-	// streaming callback. Deliveries are provisional: entries must not be
-	// trusted until Verify returns a nil error, since
-	// whole-log checks (rollback freshness in particular) run last.
+	// streaming callback: NumEntries counts its entries, and Entries() decodes
+	// them on demand, during the callback (verification itself builds none).
+	// Deliveries are provisional: entries must not be trusted until Verify
+	// returns a nil error, since whole-log checks (rollback freshness in
+	// particular) run last.
 	VerifySegment = audit.SegmentInfo
 	// Report is the one verification result shape every entry point
 	// returns: Verify / VerifyContext for one-shot scans (Live false) and
@@ -128,8 +130,9 @@ type (
 	// session fields).
 	Report = audit.Report
 	// VerifyError is the rejection Verify returns when one record's own check
-	// fails — a broken chain, a sequence gap, an invalid signature — carrying
-	// the shard, byte offset, batch and record it sits at. Reach it with
+	// fails — a broken chain, a sequence gap, an invalid signature — when the
+	// stream stops framing or when it ends unsigned, carrying the shard, byte
+	// offset, batch and record it sits at. Reach it with
 	// errors.As; it reads as the bare sentence and satisfies
 	// errors.Is(err, ErrTampered).
 	VerifyError = audit.VerifyError
