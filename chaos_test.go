@@ -633,11 +633,11 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 		feed.DisconnectAll()
 		deadline := time.Now().Add(15 * time.Second)
 		for {
-			if st := m.Status(); st.Reconnects > s.Reconnects && st.Connected {
+			if st := m.Report(); st.Reconnects > s.Reconnects && st.Connected {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("mirror never re-established after drop %d: %+v", round, m.Status())
+				t.Fatalf("mirror never re-established after drop %d: %+v", round, m.Report())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -666,7 +666,7 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offline Verify after link-drop soak: %v", err)
 	}
-	if rep.TotalEntries != s.Entries {
-		t.Fatalf("offline verifier sees %d entries, mirror verified %d", rep.TotalEntries, s.Entries)
+	if rep.TotalEntries != s.TotalEntries {
+		t.Fatalf("offline verifier sees %d entries, mirror verified %d", rep.TotalEntries, s.TotalEntries)
 	}
 }

@@ -88,7 +88,7 @@ func runShards(q bool, emit func(row)) error {
 		entries = 8_000
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		e, err := bench.NewAuditEnv(shards, 16, 500*time.Microsecond)
+		e, err := bench.NewAuditEnv(shards, audit.MeasuredBatchMax, 500*time.Microsecond)
 		if err != nil {
 			return err
 		}
@@ -347,11 +347,11 @@ func runMirror(q bool, emit func(row)) error {
 		if err := l.waitMirror(staged, 60*time.Second); err != nil {
 			return err
 		}
-		s := l.mirror.Status()
+		r := l.mirror.Report()
 		m := appendMetrics(staged, elapsed)
 		m["catchup_ms"] = ms(time.Since(tCatch))
-		m["mirror_verified_entries"] = float64(s.Entries)
-		m["mirror_restarts"] = float64(s.Restarts)
+		m["mirror_verified_entries"] = float64(r.TotalEntries)
+		m["mirror_restarts"] = float64(r.Restarts)
 		if better(m, best) {
 			best = m
 		}
@@ -398,7 +398,7 @@ func runMirror(q bool, emit func(row)) error {
 		emit(row{Cell: axes("rollback", "shard 0 truncated, link dropped", "verdict", verdict),
 			Metrics: map[string]float64{"detect_ms": ms(detect), "is_rollback_verdict": isRollback}})
 	case <-time.After(30 * time.Second):
-		return fmt.Errorf("rollback never detected; status %+v", l.mirror.Status())
+		return fmt.Errorf("rollback never detected; report %+v", l.mirror.Report())
 	}
 	return nil
 }
@@ -463,15 +463,15 @@ func (l *mirroredLog) close() {
 func (l *mirroredLog) waitMirror(want int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		s := l.mirror.Status()
-		if s.Err != nil {
-			return s.Err
+		if err := l.mirror.Err(); err != nil {
+			return err
 		}
-		if s.CaughtUp && s.LagBytes == 0 && s.Connected && s.Entries >= want {
+		r := l.mirror.Report()
+		if r.CaughtUp && r.LagBytes == 0 && r.Connected && r.TotalEntries >= want {
 			return nil
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s := l.mirror.Status()
-	return fmt.Errorf("mirror never caught up: entries=%d want=%d lag=%d", s.Entries, want, s.LagBytes)
+	r := l.mirror.Report()
+	return fmt.Errorf("mirror never caught up: entries=%d want=%d lag=%d", r.TotalEntries, want, r.LagBytes)
 }

@@ -111,13 +111,13 @@ func main() {
 }
 
 func printStatus(m *libseal.Mirror) {
-	s := m.Status()
+	r := m.Report()
 	state := "disconnected"
-	if s.Connected {
+	if r.Connected {
 		state = "connected"
 	}
-	log.Printf("status: %s, %d entries verified across %d shards, %d manifests (epoch %d), lag %d bytes, %d reconnects, %d stream restarts",
-		state, s.Entries, s.Shards, s.Manifests, s.Epoch, s.LagBytes, s.Reconnects, s.Restarts)
+	log.Printf("status: %s, %d entries verified in %d batches, %d manifests (epoch %d), lag %d bytes, %d reconnects, %d stream restarts",
+		state, r.TotalEntries, r.TotalBatches, r.Manifests, r.Epoch, r.LagBytes, r.Reconnects, r.Restarts)
 }
 
 func orNone(s string) string {

@@ -160,6 +160,7 @@ func main() {
 		opts = append(opts,
 			libseal.WithAuditDisk(*dir),
 			libseal.WithAuditShards(*auditShards),
+			libseal.WithBatching(libseal.MeasuredBatchMax, libseal.MeasuredBatchDelay),
 			libseal.WithDegradedLimit(*degradedLimit),
 			libseal.WithAnchorTimeout(*anchorTimeout),
 			libseal.WithAdmission(*maxStaged, *admitTimeout),

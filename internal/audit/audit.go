@@ -183,6 +183,14 @@ type Config struct {
 	AdmitTimeout time.Duration
 }
 
+// MeasuredBatchMax and MeasuredBatchDelay are the group-commit setting the
+// repository's measurements are taken at and the shipped server runs: one
+// place, so the deployment a number describes is the deployment that ships.
+const (
+	MeasuredBatchMax   = 16
+	MeasuredBatchDelay = 200 * time.Microsecond
+)
+
 // batchMax normalises the configured batch bound.
 func (c Config) batchMax() int {
 	if c.BatchMax < 1 {

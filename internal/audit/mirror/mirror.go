@@ -280,47 +280,14 @@ func (m *Mirror) Err() error {
 	return m.violation
 }
 
-// Status is a cheap point-in-time summary.
-type Status struct {
-	Connected bool
-	// CaughtUp reports whether the mirror has, at some tail report, fully
-	// matched the server's committed sizes (it may have fallen behind
-	// again since; LagBytes is the current distance).
-	CaughtUp   bool
-	Reconnects int
-	Restarts   int
-	LagBytes   int64
-	Shards     int
-	Entries    int
-	Manifests  int
-	Epoch      uint64
-	Err        error
-}
-
-// Status reports the mirror's current position.
-func (m *Mirror) Status() Status {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Status{
-		Connected: m.connected, CaughtUp: m.everCaught, Reconnects: max(0, m.sessions-1),
-		Restarts: m.restarts, LagBytes: m.lag, Shards: len(m.shards), Manifests: m.mem.count,
-		Epoch: m.mem.epoch, Err: m.violation,
-	}
-	for _, sh := range m.shards {
-		if sh.v != nil {
-			s.Entries += sh.v.Entries()
-		}
-	}
-	return s
-}
-
-// Report renders the mirror's verified state in the unified Report shape
-// shared with the one-shot verifiers, with Live set.
+// Report renders the mirror's position and verified state, under one lock,
+// in the unified Report shape shared with the one-shot verifiers, with Live
+// set. The latched violation, if any, is Err's.
 func (m *Mirror) Report() *audit.Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	r := &audit.Report{
-		Live: true, Connected: m.connected,
+		Live: true, Connected: m.connected, CaughtUp: m.everCaught,
 		Reconnects: max(0, m.sessions-1), Restarts: m.restarts, LagBytes: m.lag,
 		Sharded: len(m.shards) > 1, Manifests: m.mem.count, Epoch: m.mem.epoch,
 		Tables: make(map[string]int),

@@ -164,18 +164,18 @@ func waitCaught(t *testing.T, m *Mirror, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		s := m.Status()
-		if s.Err != nil {
-			t.Fatalf("mirror violation while catching up: %v", s.Err)
+		if err := m.Err(); err != nil {
+			t.Fatalf("mirror violation while catching up: %v", err)
 		}
-		if s.Entries >= want && s.CaughtUp && s.LagBytes == 0 && s.Connected {
+		r := m.Report()
+		if r.TotalEntries >= want && r.CaughtUp && r.LagBytes == 0 && r.Connected {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	s := m.Status()
+	r := m.Report()
 	t.Fatalf("mirror never caught up: entries=%d want=%d lag=%d caught=%v connected=%v err=%v",
-		s.Entries, want, s.LagBytes, s.CaughtUp, s.Connected, s.Err)
+		r.TotalEntries, want, r.LagBytes, r.CaughtUp, r.Connected, m.Err())
 }
 
 // TestMirrorLiveTail attaches a mirror to a live sharded server, then keeps
@@ -313,7 +313,7 @@ func TestMirrorDetectsRollback(t *testing.T) {
 		}
 		t.Logf("rollback detected in %v: %v", time.Since(start), err)
 	case <-time.After(15 * time.Second):
-		t.Fatalf("rollback never detected; status %+v", m.Status())
+		t.Fatalf("rollback never detected; report %+v", m.Report())
 	}
 	if m.Err() == nil {
 		t.Fatal("violation did not latch")
@@ -347,11 +347,10 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		s := m.Status()
-		if s.Err != nil {
-			t.Fatalf("trim caused violation: %v", s.Err)
+		if err := m.Err(); err != nil {
+			t.Fatalf("trim caused violation: %v", err)
 		}
-		if s.Restarts > 0 && s.LagBytes == 0 && s.Connected {
+		if r := m.Report(); r.Restarts > 0 && r.LagBytes == 0 && r.Connected {
 			// Give the continuity checks a beat past the grace period to
 			// prove no late violation fires.
 			time.Sleep(600 * time.Millisecond)
@@ -362,7 +361,7 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("mirror never resynced after trim: %+v", m.Status())
+	t.Fatalf("mirror never resynced after trim: %+v", m.Report())
 }
 
 // TestFeedBackpressure attaches a subscriber that never reads: the feed

@@ -31,6 +31,10 @@ type Report struct {
 	Live bool
 	// Connected reports whether the mirror currently holds a feed session.
 	Connected bool
+	// CaughtUp reports whether the mirror has, at some tail report, fully
+	// matched the server's committed sizes (it may have fallen behind
+	// again since; LagBytes is the current distance).
+	CaughtUp bool
 	// Reconnects counts completed dial attempts after the first session;
 	// Restarts counts server-side restart frames (trim rewrites, resume
 	// proof rejections) that forced a shard back to a cold re-read.

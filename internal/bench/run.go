@@ -131,7 +131,7 @@ func NewAuditEnv(shards, batchMax int, roteLatency time.Duration) (*AuditEnv, er
 		Config: audit.Config{
 			Name: "bench", Schema: `CREATE TABLE ops (time INTEGER, client INTEGER, op TEXT);`,
 			Mode: audit.ModeDisk, Dir: e.Dir, Protector: e.Group,
-			BatchMax: batchMax, BatchDelay: 200 * time.Microsecond,
+			BatchMax: batchMax, BatchDelay: audit.MeasuredBatchDelay,
 			AnchorTimeout: 5 * time.Second,
 		},
 		Shards:        shards,

@@ -275,3 +275,104 @@ func verifyServerCert(cfg *ClientConfig, cert *pki.Certificate) error {
 	}
 	return nil
 }
+
+// The server side of the handshake is the two steps below, and they are the
+// only server side there is: AcceptNative runs them back to back on frames it
+// reads itself, SSL.Accept runs each in its own ecall with the half-open
+// state parked inside between them. A terminator chooses where cfg — the
+// private key with it — lives and where the server random comes from.
+
+// halfOpen is a server handshake between its two steps: the transcript so far
+// and the keys derived from it. The ephemeral private key is already gone.
+type halfOpen struct {
+	tr   transcript
+	keys *keySchedule
+}
+
+// serverHelloSigned is what the server signs and Connect verifies: the
+// transcript up to (and excluding) the ServerHello's signature.
+func serverHelloSigned(clientHello []byte, sh *serverHello) *transcript {
+	sigTr := &transcript{}
+	sigTr.add(clientHello)
+	sigTr.add(sh.Random[:])
+	sigTr.add(sh.EphPub)
+	sigTr.add(sh.Cert)
+	return sigTr
+}
+
+// hello is the first step: ClientHello in, half-open state and the signed
+// ServerHello frame out.
+func (cfg *ServerConfig) hello(random func([]byte) error, ftype byte, payload []byte) (*halfOpen, []byte, error) {
+	if ftype != frameClientHello {
+		return nil, nil, fmt.Errorf("%w: expected ClientHello, got frame %d", ErrHandshakeFailed, ftype)
+	}
+	ch, err := parseClientHello(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	eph, err := generateEphemeral()
+	if err != nil {
+		return nil, nil, err
+	}
+	sh := &serverHello{EphPub: eph.PublicKey().Bytes(), Cert: cfg.Cert.Marshal(), WantCert: cfg.RequireClientCert}
+	if err := random(sh.Random[:]); err != nil {
+		return nil, nil, err
+	}
+	if sh.SigR, sh.SigS, err = signTranscript(cfg.Key, serverHelloSigned(payload, sh)); err != nil {
+		return nil, nil, err
+	}
+	shared, err := ecdhShared(eph, ch.EphPub)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := &halfOpen{}
+	if hs.keys, err = deriveKeys(shared, ch.Random[:], sh.Random[:]); err != nil {
+		return nil, nil, err
+	}
+	shBytes := sh.marshal()
+	hs.tr.add(payload)
+	hs.tr.add(shBytes)
+	return hs, frameBytes(frameServerHello, shBytes), nil
+}
+
+// finished is the second step: ClientFinished in, the authenticated client
+// certificate (nil unless cfg requires one) and the ServerFinished frame out.
+// From here on hs.keys are the session's record keys, client's to read and
+// server's to write. A step that fails has spent hs: it cannot be retried.
+func (cfg *ServerConfig) finished(hs *halfOpen, ftype byte, payload []byte) (*pki.Certificate, []byte, error) {
+	if ftype != frameClientFinished {
+		return nil, nil, fmt.Errorf("%w: expected ClientFinished, got frame %d", ErrHandshakeFailed, ftype)
+	}
+	cfPlain, err := hs.keys.client.open(frameClientFinished, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	cf, err := parseClientFinished(cfPlain)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !macEqual(cf.MAC, finishedMAC(hs.keys.finKey, &hs.tr, "client finished")) {
+		return nil, nil, ErrFinishedMismatch
+	}
+	var peer *pki.Certificate
+	if cfg.RequireClientCert {
+		if !cf.HasCert {
+			return nil, nil, ErrCertRequired
+		}
+		if peer, err = pki.Unmarshal(cf.Cert); err != nil {
+			return nil, nil, err
+		}
+		if cfg.ClientRoots == nil {
+			return nil, nil, fmt.Errorf("%w: no client roots configured", ErrCertUntrusted)
+		}
+		if err := cfg.ClientRoots.Verify(peer); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCertUntrusted, err)
+		}
+		if !verifyTranscript(peer.PubKey, &hs.tr, cf.SigR, cf.SigS) {
+			return nil, nil, fmt.Errorf("%w: client transcript signature invalid", ErrHandshakeFailed)
+		}
+	}
+	hs.tr.add(cfPlain)
+	reply, err := hs.keys.server.sealFrame(frameServerFinished, finishedMAC(hs.keys.finKey, &hs.tr, "server finished"))
+	return peer, reply, err
+}

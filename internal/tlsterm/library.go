@@ -18,7 +18,6 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,8 +40,6 @@ var (
 	mBytesRead        = telemetry.NewCounter("tlsterm.bytes.read", "bytes")
 	mBytesWritten     = telemetry.NewCounter("tlsterm.bytes.written", "bytes")
 )
-
-func cryptoRandRead(b []byte) (int, error) { return rand.Read(b) }
 
 // Direction distinguishes intercepted request and response data.
 type Direction int
@@ -106,12 +103,13 @@ type LibraryConfig struct {
 	Tap               Tap
 }
 
-// insideState is the enclave-resident part of the library: the private key
-// and all per-connection session secrets. It must only be touched from
-// within an ecall.
+// insideState is the enclave-resident part of the library: the server
+// configuration with the private key — written once, by NewLibrary's
+// provisioning ecall — and all per-connection session secrets. It must only
+// be touched from within an ecall.
 type insideState struct {
+	server   *ServerConfig
 	mu       sync.Mutex
-	key      *ecdsa.PrivateKey
 	sessions map[uint64]*session
 }
 
@@ -122,12 +120,6 @@ type session struct {
 	rd, wr *sessionKeys
 	peer   *pki.Certificate
 	exData map[string]any // used when ExDataOutside is disabled
-}
-
-// halfOpen is what the first handshake ecall leaves for the second.
-type halfOpen struct {
-	tr   *transcript
-	keys *keySchedule
 }
 
 // Library is a LibSEAL TLS library instance bound to one enclave bridge.
@@ -141,8 +133,6 @@ type Library struct {
 
 	cbMu      sync.Mutex
 	callbacks map[uint64]func(state string)
-
-	pool sync.Pool // outside memory pool for BIO buffers
 }
 
 // NewLibrary provisions a library instance. The private key is transferred
@@ -157,13 +147,10 @@ func NewLibrary(bridge *asyncall.Bridge, cfg LibraryConfig) (*Library, error) {
 		inside:    &insideState{sessions: make(map[uint64]*session)},
 		callbacks: make(map[uint64]func(string)),
 	}
-	lib.pool.New = func() any { b := make([]byte, 0, frameHeaderLen+maxFramePayload); return &b }
-	key := cfg.Key
+	server := &ServerConfig{Cert: cfg.Cert, Key: cfg.Key, RequireClientCert: cfg.RequireClientCert, ClientRoots: cfg.ClientRoots}
 	lib.cfg.Key = nil // the outside copy is dropped; only the enclave holds it
 	err := bridge.Call(func(env *asyncall.Env) error {
-		lib.inside.mu.Lock()
-		defer lib.inside.mu.Unlock()
-		lib.inside.key = key
+		lib.inside.server = server
 		return nil
 	})
 	if err != nil {
@@ -231,6 +218,7 @@ type SSL struct {
 
 	shadow   ShadowSSL
 	leftover []byte
+	out      sealedFrames // frames sealed by an ecall, written after it; under writeMu
 	exData   map[string]any
 	closed   bool
 }
@@ -303,57 +291,6 @@ func (s *SSL) chargeUnoptimized(env *asyncall.Env) error {
 	return nil
 }
 
-// getBuf obtains a frame buffer from the outside memory pool.
-func (lib *Library) getBuf() *[]byte { return lib.pool.Get().(*[]byte) }
-
-// putBuf returns a buffer to the pool.
-func (lib *Library) putBuf(b *[]byte) {
-	*b = (*b)[:0]
-	lib.pool.Put(b)
-}
-
-// sealedFrames is what a record-writing ecall hands back to the outside
-// wrapper: complete wire frames, in sequence order, packed into buffers of
-// the outside memory pool. A buffer takes whole frames while they fit, so a
-// small frame group leaves as one transport write and a large transfer as
-// one write per full-size record.
-type sealedFrames struct {
-	lib  *Library
-	bufs []*[]byte
-}
-
-// seal appends one record's frame. Runs inside the enclave.
-func (sf *sealedFrames) seal(sk *sessionKeys, ftype byte, plaintext []byte) error {
-	var buf *[]byte
-	if n := len(sf.bufs); n > 0 && cap(*sf.bufs[n-1])-len(*sf.bufs[n-1]) >= sk.sealedFrameLen(len(plaintext)) {
-		buf = sf.bufs[n-1]
-	} else {
-		buf = sf.lib.getBuf()
-		sf.bufs = append(sf.bufs, buf)
-	}
-	frame, err := sk.appendFrame(*buf, ftype, plaintext)
-	if err != nil {
-		return err
-	}
-	*buf = frame
-	return nil
-}
-
-// flush is the outside half: it writes the frames to the network BIO (when
-// the ecall that sealed them succeeded) and returns the buffers to the pool.
-// The caller holds writeMu from before the ecall until flush returns, so the
-// sequence numbers consumed inside reach the wire in order.
-func (sf *sealedFrames) flush(conn net.Conn, err error) error {
-	for _, buf := range sf.bufs {
-		if err == nil {
-			_, err = conn.Write(*buf)
-		}
-		sf.lib.putBuf(buf)
-	}
-	sf.bufs = nil
-	return err
-}
-
 // handshakeStep is one leg of SSL_accept: the wrapper waits for the peer's
 // frame outside, a single ecall turns it into the reply frame, and the
 // wrapper writes that after the ecall has exited. No enclave thread exists
@@ -417,137 +354,85 @@ func (s *SSL) Accept() error {
 	return nil
 }
 
-// acceptHello is the first handshake ecall: it consumes the ClientHello,
-// produces the signed ServerHello frame and leaves the half-open session
-// inside. The ephemeral private key does not outlive it.
+// acceptHello is the first handshake ecall: the boundary's costs, then the
+// shared hello step on the enclave-resident configuration, then the half-open
+// state parked inside.
 func (s *SSL) acceptHello(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error) {
 	s.fireCallback(env, "accept:start")
 	if err := s.chargeUnoptimized(env); err != nil {
 		return nil, err
 	}
-	if ftype != frameClientHello {
-		return nil, fmt.Errorf("%w: expected ClientHello, got frame %d", ErrHandshakeFailed, ftype)
-	}
 	env.Ctx.ChargeData(len(payload))
-	ch, err := parseClientHello(payload)
-	if err != nil {
-		return nil, err
-	}
-	tr := &transcript{}
-	tr.add(payload)
-
 	if !s.lib.cfg.Opts.InEnclaveLocksRNG {
 		// Entropy fetched from the host via ocall.
 		if err := env.Ocall(func() error { return nil }); err != nil {
 			return nil, err
 		}
 	}
-	eph, err := generateEphemeral()
+	hs, reply, err := s.lib.inside.server.hello(env.Ctx.Random, ftype, payload)
 	if err != nil {
 		return nil, err
 	}
-	sh := &serverHello{
-		EphPub:   eph.PublicKey().Bytes(),
-		Cert:     s.lib.cfg.Cert.Marshal(),
-		WantCert: s.lib.cfg.RequireClientCert,
-	}
-	if err := env.Ctx.Random(sh.Random[:]); err != nil {
+	if err := s.park(&session{hs: hs}); err != nil {
 		return nil, err
 	}
-	s.lib.inside.mu.Lock()
-	key := s.lib.inside.key
-	s.lib.inside.mu.Unlock()
-	sigTr := &transcript{}
-	sigTr.add(payload)
-	sigTr.add(sh.Random[:])
-	sigTr.add(sh.EphPub)
-	sigTr.add(sh.Cert)
-	if sh.SigR, sh.SigS, err = signTranscript(key, sigTr); err != nil {
-		return nil, err
-	}
-	shBytes := sh.marshal()
-	tr.add(shBytes)
-
-	shared, err := ecdhShared(eph, ch.EphPub)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := deriveKeys(shared, ch.Random[:], sh.Random[:])
-	if err != nil {
-		return nil, err
-	}
-	s.lib.inside.mu.Lock()
-	s.lib.inside.sessions[s.id] = &session{hs: &halfOpen{tr: tr, keys: keys}}
-	s.lib.inside.mu.Unlock()
-	return frameBytes(frameServerHello, shBytes), nil
+	return reply, nil
 }
 
-// acceptFinished is the second handshake ecall: it verifies the
-// ClientFinished against the half-open session, establishes the session and
-// produces the ServerFinished frame.
+// acceptFinished is the second handshake ecall: it takes the half-open state
+// out — whatever happens next, that handshake cannot be resumed — runs the
+// shared finished step on it and parks the established session.
 func (s *SSL) acceptFinished(env *asyncall.Env, ftype byte, payload []byte) (*pki.Certificate, []byte, error) {
-	s.lib.inside.mu.Lock()
-	sess := s.lib.inside.sessions[s.id]
-	s.lib.inside.mu.Unlock()
-	if sess == nil || sess.hs == nil {
-		return nil, nil, ErrClosed // closed between the two legs
-	}
-	tr, keys := sess.hs.tr, sess.hs.keys
-	if ftype != frameClientFinished {
-		return nil, nil, fmt.Errorf("%w: expected ClientFinished, got frame %d", ErrHandshakeFailed, ftype)
+	hs := s.lib.takeHalfOpen(s.id)
+	if hs == nil {
+		return nil, nil, ErrClosed // never begun, already finished, or closed between the two legs
 	}
 	env.Ctx.ChargeData(len(payload))
-	cfPlain, err := keys.client.open(frameClientFinished, payload)
+	peer, reply, err := s.lib.inside.server.finished(hs, ftype, payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	cf, err := parseClientFinished(cfPlain)
-	if err != nil {
+	if err := s.park(&session{rd: hs.keys.client, wr: hs.keys.server, peer: peer, exData: make(map[string]any)}); err != nil {
 		return nil, nil, err
 	}
-	if !macEqual(cf.MAC, finishedMAC(keys.finKey, tr, "client finished")) {
-		return nil, nil, ErrFinishedMismatch
-	}
-	var peer *pki.Certificate
-	if s.lib.cfg.RequireClientCert {
-		if !cf.HasCert {
-			return nil, nil, ErrCertRequired
-		}
-		peer, err = pki.Unmarshal(cf.Cert)
-		if err != nil {
-			return nil, nil, err
-		}
-		if s.lib.cfg.ClientRoots == nil {
-			return nil, nil, fmt.Errorf("%w: no client roots configured", ErrCertUntrusted)
-		}
-		if err := s.lib.cfg.ClientRoots.Verify(peer); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCertUntrusted, err)
-		}
-		if !verifyTranscript(peer.PubKey, tr, cf.SigR, cf.SigS) {
-			return nil, nil, fmt.Errorf("%w: client transcript signature invalid", ErrHandshakeFailed)
-		}
-	}
-	tr.add(cfPlain)
-
-	frame, err := keys.server.sealFrame(frameServerFinished, finishedMAC(keys.finKey, tr, "server finished"))
-	if err != nil {
-		return nil, nil, err
-	}
-	established := &session{
-		rd:     keys.client,
-		wr:     keys.server,
-		peer:   peer,
-		exData: make(map[string]any),
-	}
-	s.lib.inside.mu.Lock()
-	if s.lib.inside.sessions[s.id] != sess {
-		s.lib.inside.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	s.lib.inside.sessions[s.id] = established
-	s.lib.inside.mu.Unlock()
 	s.fireCallback(env, "accept:done")
-	return peer, frame, nil
+	return peer, reply, nil
+}
+
+// park stores the connection's session: half-open after the first handshake
+// ecall, established after the second. A connection has one handshake, so an
+// id that already has a session refuses another. Close marks the connection
+// closed before its ecall drops the session, so a session parked here is
+// either refused now or dropped by that ecall: none outlives Close. Must run
+// inside.
+func (s *SSL) park(sess *session) error {
+	in := s.lib.inside
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	s.stateMu.Lock()
+	closed := s.closed
+	s.stateMu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if in.sessions[s.id] != nil {
+		return fmt.Errorf("%w: connection already has a session", ErrHandshakeFailed)
+	}
+	in.sessions[s.id] = sess
+	return nil
+}
+
+// takeHalfOpen removes and returns the connection's half-open handshake; nil
+// if it has none (an established session is left alone). Must run inside.
+func (lib *Library) takeHalfOpen(id uint64) *halfOpen {
+	lib.inside.mu.Lock()
+	defer lib.inside.mu.Unlock()
+	sess := lib.inside.sessions[id]
+	if sess == nil || sess.hs == nil {
+		return nil
+	}
+	delete(lib.inside.sessions, id)
+	return sess.hs
 }
 
 // dropSession removes the connection's session, half-open or established,
@@ -585,7 +470,6 @@ func (s *SSL) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		var plaintext []byte
-		eof := false
 		err = s.lib.bridge.Call(func(env *asyncall.Env) error {
 			sess, err := s.lib.lookupSession(s.id)
 			if err != nil {
@@ -594,33 +478,19 @@ func (s *SSL) Read(p []byte) (int, error) {
 			if err := s.chargeUnoptimized(env); err != nil {
 				return err
 			}
-			switch ftype {
-			case frameAppData:
-				env.Ctx.ChargeData(len(payload))
-				pt, err := sess.rd.open(frameAppData, payload)
-				if err != nil {
-					return err
-				}
-				mRecordsRead.Inc()
-				mBytesRead.Add(int64(len(pt)))
-				if tap := s.lib.cfg.Tap; tap != nil {
-					if _, err := tap.OnData(env, s.id, DirRead, pt); err != nil {
-						return err
-					}
-				}
-				plaintext = pt
-			case frameAlert:
-				eof = true
-			default:
-				return fmt.Errorf("tlsterm: unexpected frame type %d", ftype)
+			env.Ctx.ChargeData(len(payload))
+			if plaintext, err = sess.rd.openFrame(ftype, payload); err != nil {
+				return err // io.EOF for the peer's close alert
 			}
-			return nil
+			mRecordsRead.Inc()
+			mBytesRead.Add(int64(len(plaintext)))
+			if tap := s.lib.cfg.Tap; tap != nil {
+				_, err = tap.OnData(env, s.id, DirRead, plaintext)
+			}
+			return err
 		})
 		if err != nil {
 			return 0, err
-		}
-		if eof {
-			return 0, io.EOF
 		}
 		s.leftover = plaintext
 		s.stateMu.Lock()
@@ -646,7 +516,6 @@ func (s *SSL) Write(p []byte) (int, error) {
 		return 0, ErrClosed
 	}
 	total := 0
-	frames := sealedFrames{lib: s.lib}
 	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
 		sess, err := s.lib.lookupSession(s.id)
 		if err != nil {
@@ -665,22 +534,17 @@ func (s *SSL) Write(p []byte) (int, error) {
 				payload = rewritten
 			}
 		}
-		rest := payload
-		for len(rest) > 0 {
-			chunk := rest
-			if len(chunk) > maxRecordPlaintext {
-				chunk = chunk[:maxRecordPlaintext]
-			}
-			env.Ctx.ChargeData(len(chunk))
-			if err := frames.seal(sess.wr, frameAppData, chunk); err != nil {
-				return err
-			}
-			mRecordsWritten.Inc()
-			mBytesWritten.Add(int64(len(chunk)))
-			total += len(chunk)
-			rest = rest[len(chunk):]
-			if !s.lib.cfg.Opts.MemoryPool {
-				// One malloc ocall per record buffer without the pool.
+		env.Ctx.ChargeData(len(payload))
+		records, err := s.out.sealData(sess.wr, payload)
+		if err != nil {
+			return err
+		}
+		mRecordsWritten.Add(int64(records))
+		mBytesWritten.Add(int64(len(payload)))
+		total = len(payload)
+		if !s.lib.cfg.Opts.MemoryPool {
+			// One malloc ocall per record buffer without the pool.
+			for ; records > 0; records-- {
 				if err := env.Ocall(func() error { return nil }); err != nil {
 					return err
 				}
@@ -688,7 +552,7 @@ func (s *SSL) Write(p []byte) (int, error) {
 		}
 		return nil
 	})
-	if err = frames.flush(s.conn, err); err != nil {
+	if err = s.out.flush(s.conn, err); err != nil {
 		return 0, err
 	}
 	s.stateMu.Lock()
@@ -710,18 +574,17 @@ func (s *SSL) Close() error {
 	}
 	s.closed = true
 	s.stateMu.Unlock()
-	frames := sealedFrames{lib: s.lib}
 	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
 		sess := s.lib.dropSession(s.id)
 		if tap := s.lib.cfg.Tap; tap != nil {
 			tap.OnClose(env, s.id)
 		}
 		if sess != nil && sess.hs == nil {
-			return frames.seal(sess.wr, frameAlert, nil)
+			return s.out.seal(sess.wr, frameAlert, nil)
 		}
 		return nil
 	})
-	_ = frames.flush(s.conn, err) // best effort: the peer may be gone already
+	_ = s.out.flush(s.conn, err) // best effort: the peer may be gone already
 	s.lib.cbMu.Lock()
 	delete(s.lib.callbacks, s.id)
 	s.lib.cbMu.Unlock()

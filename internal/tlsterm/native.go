@@ -2,8 +2,8 @@ package tlsterm
 
 import (
 	"crypto/ecdsa"
+	"crypto/rand"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -47,8 +47,8 @@ type Conn struct {
 	fr       *frameReader
 	rd       *sessionKeys
 	wr       *sessionKeys
-	leftover []byte // decrypted, undelivered plaintext; aliases fr's buffer
-	wbuf     []byte // the frame being written, reused under writeMu
+	leftover []byte       // decrypted, undelivered plaintext; aliases fr's buffer
+	out      sealedFrames // frames being written, under writeMu
 	peer     *pki.Certificate
 
 	writeMu sync.Mutex
@@ -68,18 +68,8 @@ func (c *Conn) Read(p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch ftype {
-		case frameAppData:
-			pt, err := c.rd.open(frameAppData, payload)
-			if err != nil {
-				return 0, err
-			}
-			c.leftover = pt
-		case frameAlert:
-			// close_notify (we do not distinguish alert levels).
-			return 0, io.EOF
-		default:
-			return 0, fmt.Errorf("tlsterm: unexpected frame type %d", ftype)
+		if c.leftover, err = c.rd.openFrame(ftype, payload); err != nil {
+			return 0, err
 		}
 	}
 	n := copy(p, c.leftover)
@@ -94,24 +84,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	total := 0
-	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > maxRecordPlaintext {
-			chunk = chunk[:maxRecordPlaintext]
-		}
-		frame, err := c.wr.appendFrame(c.wbuf[:0], frameAppData, chunk)
-		if err != nil {
-			return total, err
-		}
-		c.wbuf = frame
-		if _, err := c.raw.Write(frame); err != nil {
-			return total, err
-		}
-		total += len(chunk)
-		p = p[len(chunk):]
+	_, err := c.out.sealData(c.wr, p)
+	if err := c.out.flush(c.raw, err); err != nil {
+		return 0, err
 	}
-	return total, nil
+	return len(p), nil
 }
 
 // Close sends a close alert and closes the transport.
@@ -119,7 +96,7 @@ func (c *Conn) Close() error {
 	c.writeMu.Lock()
 	if !c.closed {
 		c.closed = true
-		_ = writeFrame(c.raw, frameAlert, nil)
+		_, _ = c.raw.Write(frameBytes(frameAlert, nil)) // best effort: the peer may be gone already
 	}
 	c.writeMu.Unlock()
 	return c.raw.Close()
@@ -157,7 +134,7 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 	}
 	chBytes := ch.marshal()
 	tr.add(chBytes)
-	if err := writeFrame(conn, frameClientHello, chBytes); err != nil {
+	if _, err := conn.Write(frameBytes(frameClientHello, chBytes)); err != nil {
 		return nil, err
 	}
 
@@ -179,13 +156,7 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 	if err := verifyServerCert(cfg, cert); err != nil {
 		return nil, err
 	}
-	// The server signs the transcript up to (and excluding) its signature.
-	sigTr := &transcript{}
-	sigTr.add(chBytes)
-	sigTr.add(sh.Random[:])
-	sigTr.add(sh.EphPub)
-	sigTr.add(sh.Cert)
-	if !verifyTranscript(cert.PubKey, sigTr, sh.SigR, sh.SigS) {
+	if !verifyTranscript(cert.PubKey, serverHelloSigned(chBytes, sh), sh.SigR, sh.SigS) {
 		return nil, fmt.Errorf("%w: server transcript signature invalid", ErrHandshakeFailed)
 	}
 	tr.add(payload)
@@ -212,11 +183,11 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 		}
 	}
 	cfBytes := cf.marshal()
-	ct, err := keys.client.seal(frameClientFinished, cfBytes)
+	frame, err := keys.client.sealFrame(frameClientFinished, cfBytes)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFrame(conn, frameClientFinished, ct); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return nil, err
 	}
 	tr.add(cfBytes)
@@ -241,104 +212,32 @@ func Connect(conn net.Conn, cfg *ClientConfig) (*Conn, error) {
 }
 
 // AcceptNative performs the server side of the handshake in-process, without
-// an enclave. It is the "LibreSSL" baseline of the paper's evaluation.
+// an enclave: read a frame, run the step, write its reply, twice. It is the
+// "LibreSSL" baseline of the paper's evaluation.
 func AcceptNative(conn net.Conn, cfg *ServerConfig) (*Conn, error) {
 	fr := newFrameReader(conn)
-	tr := &transcript{}
-
 	ftype, payload, err := fr.next()
 	if err != nil {
 		return nil, err
 	}
-	if ftype != frameClientHello {
-		return nil, fmt.Errorf("%w: expected ClientHello, got frame %d", ErrHandshakeFailed, ftype)
-	}
-	ch, err := parseClientHello(payload)
+	hs, reply, err := cfg.hello(fillRandom, ftype, payload)
 	if err != nil {
 		return nil, err
 	}
-	tr.add(payload)
-
-	eph, err := generateEphemeral()
+	if _, err := conn.Write(reply); err != nil {
+		return nil, err
+	}
+	if ftype, payload, err = fr.next(); err != nil {
+		return nil, err
+	}
+	peer, reply, err := cfg.finished(hs, ftype, payload)
 	if err != nil {
 		return nil, err
 	}
-	sh := &serverHello{EphPub: eph.PublicKey().Bytes(), Cert: cfg.Cert.Marshal(), WantCert: cfg.RequireClientCert}
-	if err := fillRandom(sh.Random[:]); err != nil {
+	if _, err := conn.Write(reply); err != nil {
 		return nil, err
 	}
-	sigTr := &transcript{}
-	sigTr.add(payload)
-	sigTr.add(sh.Random[:])
-	sigTr.add(sh.EphPub)
-	sigTr.add(sh.Cert)
-	if sh.SigR, sh.SigS, err = signTranscript(cfg.Key, sigTr); err != nil {
-		return nil, err
-	}
-	shBytes := sh.marshal()
-	tr.add(shBytes)
-	if err := writeFrame(conn, frameServerHello, shBytes); err != nil {
-		return nil, err
-	}
-
-	shared, err := ecdhShared(eph, ch.EphPub)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := deriveKeys(shared, ch.Random[:], sh.Random[:])
-	if err != nil {
-		return nil, err
-	}
-
-	ftype, payload, err = fr.next()
-	if err != nil {
-		return nil, err
-	}
-	if ftype != frameClientFinished {
-		return nil, fmt.Errorf("%w: expected ClientFinished, got frame %d", ErrHandshakeFailed, ftype)
-	}
-	cfPlain, err := keys.client.open(frameClientFinished, payload)
-	if err != nil {
-		return nil, err
-	}
-	cf, err := parseClientFinished(cfPlain)
-	if err != nil {
-		return nil, err
-	}
-	if !macEqual(cf.MAC, finishedMAC(keys.finKey, tr, "client finished")) {
-		return nil, ErrFinishedMismatch
-	}
-	var peer *pki.Certificate
-	if cfg.RequireClientCert {
-		if !cf.HasCert {
-			return nil, ErrCertRequired
-		}
-		peer, err = pki.Unmarshal(cf.Cert)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.ClientRoots == nil {
-			return nil, fmt.Errorf("%w: no client roots configured", ErrCertUntrusted)
-		}
-		if err := cfg.ClientRoots.Verify(peer); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCertUntrusted, err)
-		}
-		if !verifyTranscript(peer.PubKey, tr, cf.SigR, cf.SigS) {
-			return nil, fmt.Errorf("%w: client transcript signature invalid", ErrHandshakeFailed)
-		}
-	}
-	tr.add(cfPlain)
-
-	sf := finishedMAC(keys.finKey, tr, "server finished")
-	ct, err := keys.server.seal(frameServerFinished, sf)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrame(conn, frameServerFinished, ct); err != nil {
-		return nil, err
-	}
-
-	return &Conn{raw: conn, fr: fr, rd: keys.client, wr: keys.server, peer: peer}, nil
+	return &Conn{raw: conn, fr: fr, rd: hs.keys.client, wr: hs.keys.server, peer: peer}, nil
 }
 
 func macEqual(a, b []byte) bool {
@@ -353,6 +252,6 @@ func macEqual(a, b []byte) bool {
 }
 
 func fillRandom(b []byte) error {
-	_, err := cryptoRandRead(b)
+	_, err := rand.Read(b)
 	return err
 }

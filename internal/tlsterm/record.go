@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Frame types on the wire.
@@ -36,19 +37,6 @@ var (
 	ErrBadRecord      = errors.New("tlsterm: record authentication failed")
 	ErrClosed         = errors.New("tlsterm: connection closed")
 )
-
-// writeFrame emits one frame: type(1) || length(3) || payload.
-func writeFrame(w io.Writer, ftype byte, payload []byte) error {
-	if len(payload) > maxFramePayload {
-		return ErrRecordTooLarge
-	}
-	hdr := [frameHeaderLen]byte{ftype, byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
 
 // frameBytes serialises a frame into a fresh buffer.
 func frameBytes(ftype byte, payload []byte) []byte {
@@ -126,19 +114,6 @@ func (sk *sessionKeys) nonce() [12]byte {
 	return n
 }
 
-// seal encrypts one record, consuming a sequence number.
-func (sk *sessionKeys) seal(ftype byte, plaintext []byte) ([]byte, error) {
-	if len(plaintext) > maxRecordPlaintext {
-		return nil, ErrRecordTooLarge
-	}
-	nonce := sk.nonce()
-	aad := [9]byte{ftype}
-	binary.BigEndian.PutUint64(aad[1:], sk.seq)
-	ct := sk.aead.Seal(nil, nonce[:], plaintext, aad[:])
-	sk.seq++
-	return ct, nil
-}
-
 // sealedFrameLen is the wire size of the frame appendFrame produces for n
 // bytes of plaintext.
 func (sk *sessionKeys) sealedFrameLen(n int) int {
@@ -179,4 +154,75 @@ func (sk *sessionKeys) open(ftype byte, ciphertext []byte) ([]byte, error) {
 	}
 	sk.seq++
 	return pt, nil
+}
+
+// openFrame dispatches one incoming frame of an established connection, for
+// every terminator and the client: application data is opened in place, an
+// alert is the peer's close_notify (alert levels are not distinguished) and
+// reads as io.EOF, anything else is a protocol error.
+func (sk *sessionKeys) openFrame(ftype byte, payload []byte) ([]byte, error) {
+	switch ftype {
+	case frameAppData:
+		return sk.open(frameAppData, payload)
+	case frameAlert:
+		return nil, io.EOF
+	default:
+		return nil, fmt.Errorf("tlsterm: unexpected frame type %d", ftype)
+	}
+}
+
+// framePool is the outside memory pool frames are sealed into (§4.2): a
+// buffer holds one full-size record's frame.
+var framePool = sync.Pool{New: func() any { b := make([]byte, 0, frameHeaderLen+maxFramePayload); return &b }}
+
+// sealedFrames is a connection's sealed output on its way to the transport:
+// complete wire frames, in sequence order, packed into pool buffers. A buffer
+// takes whole frames while they fit, so a small frame group leaves as one
+// transport write and a large transfer as one write per full-size record.
+// The owner holds its write lock from the first seal until flush returns, so
+// the sequence numbers consumed reach the wire in order.
+type sealedFrames struct{ bufs []*[]byte }
+
+// seal appends one record's frame.
+func (sf *sealedFrames) seal(sk *sessionKeys, ftype byte, plaintext []byte) error {
+	var buf *[]byte
+	if n := len(sf.bufs); n > 0 && cap(*sf.bufs[n-1])-len(*sf.bufs[n-1]) >= sk.sealedFrameLen(len(plaintext)) {
+		buf = sf.bufs[n-1]
+	} else {
+		buf = framePool.Get().(*[]byte)
+		sf.bufs = append(sf.bufs, buf)
+	}
+	frame, err := sk.appendFrame(*buf, ftype, plaintext)
+	if err != nil {
+		return err
+	}
+	*buf = frame
+	return nil
+}
+
+// sealData cuts plaintext into records of at most maxRecordPlaintext bytes
+// and seals them in order as application data — the one write path of
+// Conn.Write and SSL.Write. It returns the number of records.
+func (sf *sealedFrames) sealData(sk *sessionKeys, plaintext []byte) (records int, err error) {
+	for ; len(plaintext) > 0 && err == nil; records++ {
+		chunk := plaintext[:min(len(plaintext), maxRecordPlaintext)]
+		err = sf.seal(sk, frameAppData, chunk)
+		plaintext = plaintext[len(chunk):]
+	}
+	return records, err
+}
+
+// flush writes the frames to the transport (when sealing them succeeded) and
+// returns the buffers to the pool.
+func (sf *sealedFrames) flush(w io.Writer, err error) error {
+	for i, buf := range sf.bufs {
+		if err == nil {
+			_, err = w.Write(*buf)
+		}
+		*buf = (*buf)[:0]
+		framePool.Put(buf)
+		sf.bufs[i] = nil
+	}
+	sf.bufs = sf.bufs[:0]
+	return err
 }

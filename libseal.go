@@ -46,7 +46,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
 
 	"libseal/internal/asyncall"
@@ -283,24 +282,9 @@ func ModuleByName(name string) (Module, error) {
 }
 
 // NewCounterGroup creates a ROTE counter group tolerating f faulty nodes,
-// using the default request timeout/retry policy. It is shorthand for
-// NewCounterGroupWith(f, DefaultRetryPolicy()).
-func NewCounterGroup(f int) (*CounterGroup, error) {
-	return NewCounterGroupWith(f, DefaultRetryPolicy())
-}
-
-// NewCounterGroupWith creates a ROTE counter group tolerating f faulty
-// nodes with an explicit request timeout/retry policy, so callers tune
-// quorum behaviour through the public API instead of reaching into the
-// internal rote package.
-func NewCounterGroupWith(f int, policy RetryPolicy) (*CounterGroup, error) {
-	g, err := rote.NewGroup(f, 0)
-	if err != nil {
-		return nil, err
-	}
-	g.SetRetryPolicy(policy)
-	return g, nil
-}
+// using the default request timeout/retry policy; tune it with Open's
+// WithRetryPolicy.
+func NewCounterGroup(f int) (*CounterGroup, error) { return rote.NewGroup(f, 0) }
 
 // DefaultRetryPolicy returns the counter group's default request
 // timeout/retry policy.
@@ -350,13 +334,6 @@ func VerifyContext(ctx context.Context, path string, opts VerifyStreamOptions) (
 	return audit.VerifyPath(ctx, path, opts)
 }
 
-// LoadVerifyCheckpoint reads a checkpoint sidecar written by a previous
-// Verify run (VerifyStreamOptions.Checkpoint) for use as
-// VerifyStreamOptions.Resume on a single-file log.
-func LoadVerifyCheckpoint(path string) (*VerifyCheckpoint, error) {
-	return audit.LoadCheckpoint(path)
-}
-
 // ConnectTLS performs the client side of the secure-channel handshake over
 // conn and returns the established channel. A nil cfg uses defaults
 // (no server-certificate pinning, no client certificate).
@@ -375,10 +352,6 @@ func SetMetricsEnabled(on bool) { telemetry.SetEnabled(on) }
 // ResetMetrics zeroes every registered metric, e.g. between benchmark
 // phases. Registrations are kept.
 func ResetMetrics() { telemetry.Reset() }
-
-// MetricsHandler returns an http.Handler serving the current metrics
-// snapshot as an expvar-style JSON object keyed by metric name.
-func MetricsHandler() http.Handler { return telemetry.Handler() }
 
 // RegisterTrace installs a named hook observing every trace event emitted
 // by the instrumented hot paths (audit.append, rote.increment, ...). Hooks

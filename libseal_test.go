@@ -203,25 +203,22 @@ func TestModuleByName(t *testing.T) {
 	}
 }
 
-func TestNewCounterGroupWith(t *testing.T) {
+// TestNewCounterGroup: a fresh group counts under the default policy and
+// under one set the way Open's WithRetryPolicy sets it.
+func TestNewCounterGroup(t *testing.T) {
+	group, err := NewCounterGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := group.Increment("c"); err != nil || v != 1 {
+		t.Fatalf("Increment = %d, %v", v, err)
+	}
 	policy := DefaultRetryPolicy()
 	policy.Retries = 0
 	policy.Timeout = 50 * time.Millisecond
-	group, err := NewCounterGroupWith(1, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := group.Increment("c")
-	if err != nil || v != 1 {
-		t.Fatalf("Increment = %d, %v", v, err)
-	}
-	// The old signature stays a thin wrapper over the default policy.
-	legacy, err := NewCounterGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := legacy.Increment("c"); err != nil || v != 1 {
-		t.Fatalf("legacy Increment = %d, %v", v, err)
+	group.SetRetryPolicy(policy)
+	if v, err := group.Increment("c"); err != nil || v != 2 {
+		t.Fatalf("Increment under a tuned policy = %d, %v", v, err)
 	}
 }
 

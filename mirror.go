@@ -24,14 +24,9 @@ type (
 	// name, the enclave public key (the only trust anchor), and the
 	// reconnect/lag/checkpoint knobs.
 	MirrorConfig = mirror.Config
-	// MirrorStatus is a mirror's cheap point-in-time summary.
-	MirrorStatus = mirror.Status
 	// MirrorFeed is the server-side replication feed over a running audit
-	// log. Build one with NewMirrorFeed or ServeAuditFeed.
+	// log. Build one with ServeAuditFeed.
 	MirrorFeed = mirror.Feed
-	// MirrorFeedConfig describes the feed: the live log and the
-	// per-subscriber chunking/queueing/backpressure bounds.
-	MirrorFeedConfig = mirror.FeedConfig
 )
 
 // StartMirror attaches a mirror to a feed and begins continuous
@@ -44,13 +39,6 @@ type (
 // attestation is void from that point.
 func StartMirror(ctx context.Context, cfg MirrorConfig) (*Mirror, error) {
 	return mirror.Start(ctx, cfg)
-}
-
-// NewMirrorFeed builds a replication feed over a running audit log and
-// installs it as the log's commit listener. Accept subscribers by running
-// MirrorFeed.Serve on a listener.
-func NewMirrorFeed(cfg MirrorFeedConfig) (*MirrorFeed, error) {
-	return mirror.NewFeed(cfg)
 }
 
 // ServeAuditFeed exposes a LibSEAL instance's persisted audit log as a

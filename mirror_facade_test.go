@@ -54,44 +54,44 @@ func openMirroredServer(t *testing.T, dir string, certs *testutil.CertEnv) (*Lib
 	return seal, feed, ln.Addr().String(), group
 }
 
-func waitMirrorCaught(t *testing.T, m *Mirror, wantEntries int) MirrorStatus {
+func waitMirrorCaught(t *testing.T, m *Mirror, wantEntries int) *Report {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		s := m.Status()
-		if s.Err != nil {
-			t.Fatalf("mirror violation: %v", s.Err)
+		if err := m.Err(); err != nil {
+			t.Fatalf("mirror violation: %v", err)
 		}
-		if s.CaughtUp && s.LagBytes == 0 && s.Connected && s.Entries >= wantEntries {
-			return s
+		r := m.Report()
+		if r.CaughtUp && r.LagBytes == 0 && r.Connected && r.TotalEntries >= wantEntries {
+			return r
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("mirror never caught up: %+v", m.Status())
-	return MirrorStatus{}
+	t.Fatalf("mirror never caught up: %+v", m.Report())
+	return nil
 }
 
 // waitMirrorSynced waits until the mirror has verified exactly the server's
 // durable entry count, with nothing staged — trailing group-commit flushes
 // land after a workload returns, so "caught up at some tail" is not yet
 // "verified everything the server will commit".
-func waitMirrorSynced(t *testing.T, m *Mirror, seal *LibSEAL) MirrorStatus {
+func waitMirrorSynced(t *testing.T, m *Mirror, seal *LibSEAL) *Report {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		s := m.Status()
-		if s.Err != nil {
-			t.Fatalf("mirror violation: %v", s.Err)
+		if err := m.Err(); err != nil {
+			t.Fatalf("mirror violation: %v", err)
 		}
+		r := m.Report()
 		want := int(seal.Log().Seq())
-		if seal.Log().PendingStaged() == 0 && s.Entries == want &&
-			s.CaughtUp && s.LagBytes == 0 && s.Connected {
-			return s
+		if seal.Log().PendingStaged() == 0 && r.TotalEntries == want &&
+			r.CaughtUp && r.LagBytes == 0 && r.Connected {
+			return r
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("mirror never synced: %+v (server seq %d)", m.Status(), seal.Log().Seq())
-	return MirrorStatus{}
+	t.Fatalf("mirror never synced: %+v (server seq %d)", m.Report(), seal.Log().Seq())
+	return nil
 }
 
 // TestMirrorFacadeResumeAcrossRestart runs live mirroring end to end through
@@ -137,16 +137,15 @@ func TestMirrorFacadeResumeAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Stop(context.Background())
-	s2 := waitMirrorSynced(t, m2, seal)
-	r := m2.Report()
+	r := waitMirrorSynced(t, m2, seal)
 	if !r.Live || !r.Resumed {
 		t.Fatalf("Report: Live=%v Resumed=%v, want a resumed live mirror", r.Live, r.Resumed)
 	}
 	if r.Restarts != 0 {
 		t.Fatalf("resume caused %d cold restarts, want 0", r.Restarts)
 	}
-	if s2.Entries <= s1.Entries {
-		t.Fatalf("resumed mirror did not advance: %d -> %d entries", s1.Entries, s2.Entries)
+	if r.TotalEntries <= s1.TotalEntries {
+		t.Fatalf("resumed mirror did not advance: %d -> %d entries", s1.TotalEntries, r.TotalEntries)
 	}
 	if err := m2.Err(); err != nil {
 		t.Fatalf("resumed mirror reported violation: %v", err)
@@ -162,7 +161,7 @@ func TestMirrorFacadeResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("offline Verify after mirroring: %v", err)
 	}
-	if rep.TotalEntries != s2.Entries {
-		t.Fatalf("offline verifier sees %d entries, mirror verified %d", rep.TotalEntries, s2.Entries)
+	if rep.TotalEntries != r.TotalEntries {
+		t.Fatalf("offline verifier sees %d entries, mirror verified %d", rep.TotalEntries, r.TotalEntries)
 	}
 }

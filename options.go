@@ -35,13 +35,11 @@ type Option func(*openConfig)
 type openConfig struct {
 	core core.Config
 
-	group       *CounterGroup
-	groupFaults int
-	haveFaults  bool
-	policy      *RetryPolicy
-	breaker     *BreakerConfig
-	protector   RollbackProtector
-	haveProt    bool
+	group     *CounterGroup
+	policy    *RetryPolicy
+	breaker   *BreakerConfig
+	protector RollbackProtector
+	haveProt  bool
 }
 
 // WithModule selects the service-specific module (schema, parser,
@@ -94,24 +92,16 @@ func WithCounterGroup(g *CounterGroup) Option {
 	return func(c *openConfig) { c.group = g }
 }
 
-// WithCounterFaults has Open create a fresh ROTE counter group tolerating f
-// faulty nodes (the common case when the caller does not need to share a
-// group across instances). Mutually exclusive with WithCounterGroup; the
-// explicit group wins.
-func WithCounterFaults(f int) Option {
-	return func(c *openConfig) { c.groupFaults, c.haveFaults = f, true }
-}
-
 // WithRetryPolicy tunes the counter group's request timeouts, retries and
-// backoff. Requires WithCounterGroup or WithCounterFaults.
+// backoff. Requires WithCounterGroup.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *openConfig) { c.policy = &p }
 }
 
 // WithBreaker wraps the counter group in a circuit breaker so a failed
 // quorum degrades the log immediately instead of burning the retry budget
-// on every batch. Requires WithCounterGroup or WithCounterFaults. Breaker
-// telemetry registers under "audit.breaker".
+// on every batch. Requires WithCounterGroup. Breaker telemetry registers
+// under "audit.breaker".
 func WithBreaker(cfg BreakerConfig) Option {
 	return func(c *openConfig) { c.breaker = &cfg }
 }
@@ -133,10 +123,19 @@ func WithAdmission(maxStaged int, timeout time.Duration) Option {
 	}
 }
 
+// MeasuredBatchMax and MeasuredBatchDelay are the group-commit setting every
+// measurement in this repository was taken at — the BENCHMARK.json
+// workloads, the sweeps' audit environment — and the one libseal-server
+// runs: WithBatching(MeasuredBatchMax, MeasuredBatchDelay).
+const (
+	MeasuredBatchMax   = audit.MeasuredBatchMax
+	MeasuredBatchDelay = audit.MeasuredBatchDelay
+)
+
 // WithBatching tunes group commit: one signature, fsync and counter
 // increment cover up to max staged entries. A leader behind a commit in
 // flight waits up to delay for followers to pile on; on an idle log it
-// commits at once.
+// commits at once. Without it every entry is its own batch.
 func WithBatching(max int, delay time.Duration) Option {
 	return func(c *openConfig) {
 		c.core.AuditBatchMax = max
@@ -200,22 +199,14 @@ func WithViolationHandler(fn func(invariant string, rows *QueryResult)) Option {
 //
 // Open resolves the counter-group plumbing in a fixed order: an explicit
 // WithProtector wins outright; otherwise the group from WithCounterGroup
-// (or one freshly created per WithCounterFaults) gets the WithRetryPolicy
-// applied, is wrapped by the WithBreaker circuit breaker if configured, and
-// becomes the protector. Options apply in argument order, so later options
+// gets the WithRetryPolicy applied, is wrapped by the WithBreaker circuit
+// breaker if configured, and becomes the protector. Options apply in argument order, so later options
 // override earlier ones. Open(bridge) with no options is a memory-only,
 // unprotected instance.
 func Open(bridge *Bridge, opts ...Option) (*LibSEAL, error) {
 	var c openConfig
 	for _, opt := range opts {
 		opt(&c)
-	}
-	if c.group == nil && c.haveFaults {
-		g, err := NewCounterGroup(c.groupFaults)
-		if err != nil {
-			return nil, err
-		}
-		c.group = g
 	}
 	if c.haveProt {
 		c.core.Protector = c.protector

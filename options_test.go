@@ -2,7 +2,9 @@ package libseal
 
 import (
 	"bufio"
+	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,18 +12,18 @@ import (
 	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/netsim"
+	"libseal/internal/rote"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/gitserver"
 	"libseal/internal/testutil"
 )
 
-// driveGitWorkload runs a short Git session against a LibSEAL instance:
-// two pushes, an injected rollback, a fetch, and an in-band check. It
-// returns the violation names the instance reported.
-func driveGitWorkload(t *testing.T, seal *LibSEAL, certs *testutil.CertEnv) []string {
+// serveGit runs the Git service behind a LibSEAL instance at "svc:443" on a
+// simulated network of its own, until stop.
+func serveGit(t *testing.T, seal *LibSEAL) (network *netsim.Network, git *gitserver.Server, stop func()) {
 	t.Helper()
-	git := gitserver.NewServer()
-	network := netsim.NewNetwork()
+	git = gitserver.NewServer()
+	network = netsim.NewNetwork()
 	listener, err := network.Listen("svc:443")
 	if err != nil {
 		t.Fatal(err)
@@ -35,24 +37,51 @@ func driveGitWorkload(t *testing.T, seal *LibSEAL, certs *testutil.CertEnv) []st
 		t.Fatal(err)
 	}
 	go server.Serve(listener)
-	defer server.Close()
+	return network, git, func() { server.Close() }
+}
 
+// gitClient is one keep-alive connection to serveGit's service.
+type gitClient struct {
+	conn *ClientConn
+	br   *bufio.Reader
+}
+
+func dialGit(network *netsim.Network, certs *testutil.CertEnv) (*gitClient, error) {
 	raw, err := network.Dial("svc:443")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	conn, err := ConnectTLS(raw, certs.ClientConfig("svc"))
 	if err != nil {
+		return nil, err
+	}
+	return &gitClient{conn: conn, br: bufio.NewReader(conn)}, nil
+}
+
+// do sends one request and waits for its response.
+func (c *gitClient) do(req *httpparse.Request) error {
+	if _, err := c.conn.Write(req.Bytes()); err != nil {
+		return err
+	}
+	_, err := httpparse.ReadResponse(c.br)
+	return err
+}
+
+// driveGitWorkload runs a short Git session against a LibSEAL instance:
+// two pushes, an injected rollback, a fetch, and an in-band check. It
+// returns the violation names the instance reported.
+func driveGitWorkload(t *testing.T, seal *LibSEAL, certs *testutil.CertEnv) []string {
+	t.Helper()
+	network, git, stop := serveGit(t, seal)
+	defer stop()
+	client, err := dialGit(network, certs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	defer client.conn.Close()
 	do := func(req *httpparse.Request) {
 		t.Helper()
-		if _, err := conn.Write(req.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := httpparse.ReadResponse(br); err != nil {
+		if err := client.do(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +139,7 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 		WithRetryPolicy(policy),
 		WithBreaker(BreakerConfig{Threshold: 5, Cooldown: time.Second}),
 		WithAdmission(256, 500*time.Millisecond),
-		WithBatching(16, 200*time.Microsecond),
+		WithBatching(MeasuredBatchMax, MeasuredBatchDelay),
 		WithAnchorTimeout(2*time.Second),
 		WithChecks(10, 0, time.Millisecond),
 		WithViolationHandler(func(name string, _ *QueryResult) { handled = append(handled, name) }),
@@ -233,9 +262,10 @@ func TestOpenMatchesNew(t *testing.T) {
 	}
 }
 
-// TestOpenCounterFaults checks WithCounterFaults mints a working group, and
-// that a memory-only Open needs nothing beyond module and TLS identity.
-func TestOpenCounterFaults(t *testing.T) {
+// TestOpenMinimalOptions checks that a disk Open needs a counter group and
+// nothing else, and that a memory-only Open needs nothing beyond module and
+// TLS identity.
+func TestOpenMinimalOptions(t *testing.T) {
 	platform := NewPlatform()
 	encl, err := platform.Launch(EnclaveConfig{Code: []byte("open-faults"), MaxThreads: 8})
 	if err != nil {
@@ -250,12 +280,16 @@ func TestOpenCounterFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	group, err := NewCounterGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tls := TLSConfig{Cert: certs.Cert, Key: certs.Key}
 	seal, err := Open(bridge,
 		WithModule(GitModule()),
 		WithTLS(tls),
 		WithAuditDisk(t.TempDir()),
-		WithCounterFaults(1),
+		WithCounterGroup(group),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +332,7 @@ func (p *countingProtector) Read(name string) (uint64, error) {
 
 // TestOpenProtectorResolutionOrder pins Open's documented resolution order
 // for the counter plumbing: an explicit WithProtector wins over the
-// WithCounterGroup / WithCounterFaults / WithBreaker path regardless of
+// WithCounterGroup / WithBreaker path regardless of
 // argument position, because the resolution order is fixed, not positional.
 func TestOpenProtectorResolutionOrder(t *testing.T) {
 	certs, err := testutil.NewCertEnv("svc")
@@ -376,5 +410,99 @@ func TestModuleNamesSorted(t *testing.T) {
 		if names[i] != again[i] {
 			t.Fatalf("ModuleNames unstable: %v vs %v", names, again)
 		}
+	}
+}
+
+// TestBatchingSharesSignatureRecords drives connections appending
+// concurrently under the group-commit setting libseal-server runs: their
+// entries must share signature records, so the verified log has fewer batches
+// than entries. Without WithBatching every entry is signed on its own. Four
+// connections, because a connection has one append outstanding at a time and
+// an idle lane commits at once: two closed-loop connections take turns — one
+// stages while the other's commit is in flight and commits alone when it ends
+// — and share a record only by luck; with a third, two wait behind the one in
+// flight and commit together.
+func TestBatchingSharesSignatureRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    []Option
+		batched bool
+	}{
+		{"server setting", []Option{WithBatching(MeasuredBatchMax, MeasuredBatchDelay)}, true},
+		{"no batching", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			encl, err := NewPlatform().Launch(EnclaveConfig{Code: []byte("batching-test"), MaxThreads: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bridge, err := NewBridge(encl, BridgeConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bridge.Close()
+			certs, err := testutil.NewCertEnv("svc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A counter round trip of a millisecond, as on a real quorum: long
+			// enough that the other connection stages while a commit is in flight.
+			group, err := rote.NewGroup(1, 500*time.Microsecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seal, err := Open(bridge, append([]Option{
+				WithModule(GitModule()),
+				WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
+				WithAuditDisk(dir),
+				WithCounterGroup(group),
+			}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seal.Close()
+			network, _, stop := serveGit(t, seal)
+			defer stop()
+
+			const conns, pushes = 4, 20
+			var clients sync.WaitGroup
+			for c := 0; c < conns; c++ {
+				clients.Add(1)
+				go func(c int) {
+					defer clients.Done()
+					client, err := dialGit(network, certs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer client.conn.Close()
+					for i := 0; i < pushes; i++ {
+						push := httpparse.NewRequest("POST", fmt.Sprintf("/git/repo%d/git-receive-pack", c), []byte(fmt.Sprintf("create b%d c%d", i, i)))
+						if err := client.do(push); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(c)
+			}
+			clients.Wait()
+			if err := seal.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Verify(dir, VerifyStreamOptions{
+				VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group, Name: "git"},
+			})
+			if err != nil {
+				t.Fatalf("Verify: %v", err)
+			}
+			if rep.TotalEntries < conns*pushes {
+				t.Fatalf("%d entries verified, want at least %d", rep.TotalEntries, conns*pushes)
+			}
+			t.Logf("%d entries in %d batches", rep.TotalEntries, rep.TotalBatches)
+			if shared := rep.TotalBatches < rep.TotalEntries; shared != tc.batched {
+				t.Fatalf("%d entries in %d batches; signature records shared = %v, want %v", rep.TotalEntries, rep.TotalBatches, shared, tc.batched)
+			}
+		})
 	}
 }
