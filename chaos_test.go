@@ -31,10 +31,10 @@ import (
 
 const chaosSeed = 42
 
-// chaosAppendWrite returns the first file-write index of audit append k: the
-// log magic is write 0 and each append issues four writes (entry header,
-// entry payload, signature header, signature payload).
-func chaosAppendWrite(k int) int { return 1 + 4*k }
+// chaosAppendWrite returns the file-write index of audit append k: the log
+// magic is write 0 and each append writes its entry and signature records in
+// one write.
+func chaosAppendWrite(k int) int { return 1 + k }
 
 func chaosRetryPolicy() RetryPolicy {
 	return RetryPolicy{
@@ -53,9 +53,10 @@ func chaosScenario() FaultScenario {
 		faultinject.CrashNode(0, 2, 1<<30),
 		// A latency spike on the proxy-to-backend leg.
 		faultinject.DelayLink("git-backend:80", 4, 12, 20*time.Millisecond),
-		// The crash: the tenth audit append (write 37) tears mid-record and
-		// wedges the log's file handle, the on-disk image a power cut leaves.
-		faultinject.TornWrite("git.lseal", chaosAppendWrite(9)),
+		// The crash: the tenth audit append (write 10) tears two bytes into
+		// its entry record and wedges the log's file handle, the on-disk image
+		// a power cut leaves.
+		faultinject.TornWrite("git.lseal", chaosAppendWrite(9)).AtByte(2),
 	}}
 }
 

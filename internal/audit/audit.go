@@ -28,6 +28,7 @@ package audit
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/ecdsa"
 	"crypto/sha256"
@@ -53,11 +54,15 @@ import (
 // and the batch series shows how far group commit amortises the per-entry
 // signature, fsync and counter costs.
 var (
-	mAppends          = telemetry.NewCounter("audit.appends", "calls")
-	mAppendErrors     = telemetry.NewCounter("audit.append.errors", "calls")
-	mTrims            = telemetry.NewCounter("audit.trims", "calls")
-	mAppendLatency    = telemetry.NewHistogram("audit.append.latency", "ns")
-	mTrimLatency      = telemetry.NewHistogram("audit.trim.latency", "ns")
+	mAppends       = telemetry.NewCounter("audit.appends", "calls")
+	mAppendErrors  = telemetry.NewCounter("audit.append.errors", "calls")
+	mTrims         = telemetry.NewCounter("audit.trims", "calls")
+	mAppendLatency = telemetry.NewHistogram("audit.append.latency", "ns")
+	mTrimLatency   = telemetry.NewHistogram("audit.trim.latency", "ns")
+	// A trim's stages: the quiesce before it, the plan, the unhidden anchors.
+	mTrimQuiesce      = telemetry.NewHistogram("audit.trim.quiesce", "ns")
+	mTrimPlan         = telemetry.NewHistogram("audit.trim.plan", "ns")
+	mTrimAnchorWait   = telemetry.NewHistogram("audit.trim.anchor_wait", "ns")
 	mChainLength      = telemetry.NewGauge("audit.chain_length", "entries")
 	mDegradedEpisodes = telemetry.NewCounter("audit.degraded.episodes", "episodes")
 	mDegradedPending  = telemetry.NewGauge("audit.degraded.pending", "appends")
@@ -879,16 +884,17 @@ func (l *Log) quiesceLocked() {
 	}
 }
 
-// lockQuiesced acquires l.mu with the commit lane idle, waiting outside the
-// enclave (the wait can span an in-flight fsync). The caller must release
-// l.mu. Exclusive log-rewrite operations (Trim, Reanchor) use it so they
-// never interleave with a batch commit's file I/O.
-func (l *Log) lockQuiesced(env *asyncall.Env) {
+// lockQuiesced acquires each log's l.mu, for the caller to release, with its
+// commit lane idle — waiting outside the enclave in one ocall (it can span a
+// fsync) — so Trim and Reanchor never interleave with a batch's file I/O.
+func lockQuiesced(env *asyncall.Env, logs ...*Log) {
 	// sync.Mutex is explicitly not goroutine-affine: locking it on the
 	// ocall thread and unlocking from the enclave call is legal.
 	env.Ocall(func() error {
-		l.mu.Lock()
-		l.quiesceLocked()
+		for _, l := range logs {
+			l.mu.Lock()
+			l.quiesceLocked()
+		}
 		return nil
 	})
 }
@@ -944,7 +950,7 @@ func (l *Log) freshCounter(env *asyncall.Env) (c uint64, err error) {
 // a fresh counter value; it is a no-op when the log is healthy. Must run
 // inside an enclave call.
 func (l *Log) Reanchor(env *asyncall.Env) error {
-	l.lockQuiesced(env)
+	lockQuiesced(env, l)
 	defer l.mu.Unlock()
 	if l.pendingAnchor.Load() == 0 || l.cfg.Protector == nil || l.cfg.Mode != ModeDisk {
 		return nil
@@ -1043,30 +1049,35 @@ func (l *Log) Exec(sql string, args ...any) (int, error) {
 // rewrite is one shard's share of a trim (§5.1, "Log trimming"): its
 // partition of the surviving rows becomes the shard's whole log, the chain
 // recomputed from zero, re-anchored at a fresh counter value, re-signed, and
-// the file replaced crash-safely. ShardedLog.Trim takes every shard's rewrite
-// through these steps side by side, so the steps that wait on the outside
-// world — the counter round trip, the file replacement — wait once for all
-// shards; l.mu is held and the commit lane quiesced throughout. A rewrite
+// the file replaced crash-safely. ShardedLog.ApplyTrim takes every shard's
+// rewrite through these steps side by side, building while the counters are
+// in flight; l.mu is held and the commit lane quiesced throughout. A rewrite
 // that fails at any step leaves the shard on its old image, on disk and in
 // memory; the others carry on.
 type rewrite struct {
 	encs     [][]byte // surviving entries, chain order
 	chain    [32]byte // chain head over encs
 	retained int64    // enclave heap the entries occupy
-	counter  uint64   // fresh anchor, obtained outside
 	recs     []record // the new image: sealed entries, then the signature
 	sigHead  [32]byte // digest of that signature record's payload
 	landed   bool     // the image replaced the file
 	err      error
+	// The fresh anchor, written outside the enclave while the image is built.
+	counter   uint64
+	anchorErr error
 }
 
-func newRewrite(encs [][]byte) *rewrite {
-	rw := &rewrite{encs: encs}
+// buildRewrite chains and seals a shard's partition inside the enclave: the
+// part of the image that does not depend on the counter.
+func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
+	rw.encs = encs
 	for _, enc := range encs {
 		rw.chain = chainNext(rw.chain, enc)
 		rw.retained += int64(len(enc))
 	}
-	return rw
+	if l.cfg.Mode == ModeDisk {
+		rw.recs, rw.err = l.sealRecords(env, encs)
+	}
 }
 
 // anchorRewrite obtains the rewrite's fresh counter value. A trim rewrite
@@ -1074,21 +1085,19 @@ func newRewrite(encs [][]byte) *rewrite {
 // widen the rollback window — so an unreachable quorum fails the rewrite
 // instead of degrading. Runs outside the enclave.
 func (l *Log) anchorRewrite(rw *rewrite) {
-	rw.counter, rw.err = l.cfg.incrementCounter(l.cfg.Name)
+	rw.counter, rw.anchorErr = l.cfg.incrementCounter(l.cfg.Name)
 }
 
-// sealRewrite builds the new image inside the enclave: the entries sealed,
-// the new chain head signed at the fresh anchor.
-func (l *Log) sealRewrite(env *asyncall.Env, rw *rewrite) {
-	if rw.err != nil {
+// signRewrite completes the image once the anchor is in: the new chain head
+// signed at the fresh counter value (the last one without a protector).
+func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) {
+	if rw.err = cmp.Or(rw.anchorErr, rw.err); rw.err != nil {
 		return
 	}
 	if l.cfg.Protector != nil {
 		l.counter = rw.counter
 	}
-	if rw.recs, rw.err = l.sealRecords(env, rw.encs); rw.err != nil {
-		return
-	}
+	rw.counter = l.counter
 	// The image's one signature record is its file's first: prev is zero.
 	var sig []byte
 	if sig, rw.err = l.signState(env, rw.chain, l.counter, [32]byte{}); rw.err != nil {
@@ -1096,13 +1105,6 @@ func (l *Log) sealRewrite(env *asyncall.Env, rw *rewrite) {
 	}
 	rw.sigHead = sha256.Sum256(sig)
 	rw.recs = append(rw.recs, record{typ: recSig, payload: sig})
-}
-
-// replaceRewrite swaps the file for the new image. Runs outside the enclave.
-func (l *Log) replaceRewrite(rw *rewrite) {
-	if rw.err == nil {
-		rw.landed, rw.err = l.file.replace(rw.recs...)
-	}
 }
 
 // adoptRewrite moves the in-memory chain onto the new image: at once in
@@ -1121,7 +1123,7 @@ func (l *Log) adoptRewrite(env *asyncall.Env, rw *rewrite) {
 	mChainLength.Set(int64(len(rw.encs)))
 	mStagedPending.Set(0)
 	if l.cfg.Mode == ModeDisk {
-		l.sigCounter, l.sigHead = l.counter, rw.sigHead
+		l.sigCounter, l.sigHead = rw.counter, rw.sigHead
 		l.closeGapLocked() // the fresh anchor covers everything that was buffered
 	}
 }

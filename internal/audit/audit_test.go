@@ -190,7 +190,7 @@ func TestDeletedEntryDetected(t *testing.T) {
 		if i == 2 || i == 3 {
 			continue
 		}
-		writeRecord(out, r.typ, r.payload)
+		writeRecords(out, []record{{typ: r.typ, payload: r.payload}})
 	}
 	out.Close()
 	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {

@@ -24,11 +24,6 @@ func (e *auditEnv) batchConfig(name string, batchMax int, delay time.Duration) C
 	return cfg
 }
 
-// Write-operation layout with group commit: the magic is write 0, and a
-// committed batch of k entries issues 2k+2 writes (k entry header/payload
-// pairs, then one signature header/payload pair).
-func batchWrites(k int) int { return 2*k + 2 }
-
 // TestGroupCommitConcurrentAppends drives appends from many goroutines with
 // batching on and checks that every acknowledged entry lands durably, the
 // file passes strict client verification, and each committed batch paid
@@ -217,10 +212,12 @@ func TestGroupCommitSingleSigPerBatch(t *testing.T) {
 // nothing unacknowledged is resurrected.
 func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 	e := newAuditEnv(t)
-	// Batch 1 (2 entries) occupies writes 1..6; batch 2 (3 entries) starts
-	// at write 7. Tear its third entry's payload: write 11.
+	// With group commit a batch is one write (after the magic, write 0):
+	// batch 1 (2 entries) is write 1, batch 2 (3 entries) write 2. Tear the
+	// latter two bytes into its third entry record's header.
+	entry := entryRecordSize(t, "updates", 3, "r", "main", "c3", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", 1+batchWrites(2)+4),
+		faultinject.TornWrite("git.lseal", 2).AtByte(2*entry + 2),
 	}}.Build()
 	cfg := e.batchConfig("git", 8, 0)
 	cfg.FS = in.FS(nil)
@@ -295,10 +292,11 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 // durable, so they must fail with ErrBatchAborted rather than commit.
 func TestBatchAbortPoisonsSuccessors(t *testing.T) {
 	e := newAuditEnv(t)
-	// Batch 1 (2 entries, sealed by BatchMax=2) dies at its signature
-	// header: write 5.
+	// Batch 1 (2 entries, sealed by BatchMax=2; write 1) dies two bytes into
+	// its signature record's header.
+	entry := entryRecordSize(t, "updates", 1, "r", "main", "c1", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", 5),
+		faultinject.TornWrite("git.lseal", 1).AtByte(2*entry + 2),
 	}}.Build()
 	cfg := e.batchConfig("git", 2, 0)
 	cfg.FS = in.FS(nil)

@@ -55,7 +55,7 @@ func buildImage(recs []referenceRecord) []byte {
 	var buf bytes.Buffer
 	buf.Write(fileMagic)
 	for _, r := range recs {
-		writeRecord(&buf, r.typ, r.payload)
+		writeRecords(&buf, []record{{typ: r.typ, payload: r.payload}})
 	}
 	return buf.Bytes()
 }
@@ -848,7 +848,8 @@ func TestWriterLinksSignatures(t *testing.T) {
 	// one staged behind it is aborted, and sigHead must not have moved.
 	shard0 := filepath.Base(s.Files()[0].Path())
 	n := in.Count("fs:" + shard0)
-	in.Add(faultinject.NoSpace(shard0, n+4, n+5)) // two entries' header+payload, then the signature's header
+	lost := entryRecordSize(t, "updates", 100, "r", "main", "lost", "update")
+	in.Add(faultinject.NoSpace(shard0, n, n+1).AtByte(2 * lost)) // two entry records land, then the signature's header fails
 	e.call(t, func(env *asyncall.Env) error {
 		row := func(i int) Row {
 			return Row{Table: "updates", Values: []any{100 + i, "r", "main", "lost", "update"}}
@@ -881,7 +882,8 @@ func TestWriterLinksSignatures(t *testing.T) {
 
 	// A crash mid-append (torn write), then recovery and more appends.
 	n = in.Count("fs:" + shard0)
-	in.Add(faultinject.TornWrite(shard0, n+3))
+	torn := entryRecordSize(t, "updates", 999, "r", "main", "torn", "update")
+	in.Add(faultinject.TornWrite(shard0, n).AtByte(torn + 5 + 72)) // inside the signature's scalars
 	err := e.bridge.Call(func(env *asyncall.Env) error {
 		return s.Append(env, keys[0], "updates", 999, "r", "main", "torn", "update")
 	})

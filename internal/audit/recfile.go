@@ -13,33 +13,27 @@ import (
 // recordSize is the on-disk footprint of one record.
 func recordSize(payload []byte) int64 { return 5 + int64(len(payload)) }
 
-func writeRecord(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// appendRecords lays recs out after buf (their off is ignored), each as
+// type[1] ‖ length[4, big-endian] ‖ payload.
+func appendRecords(buf []byte, recs []record) []byte {
+	for _, r := range recs {
+		buf = binary.BigEndian.AppendUint32(append(buf, r.typ), uint32(len(r.payload)))
+		buf = append(buf, r.payload...)
 	}
-	_, err := w.Write(payload)
-	return err
+	return buf
 }
 
-// writeRecords writes recs in order (their off is ignored) and returns their
-// on-disk footprint.
+// writeRecords writes recs with one Write and returns their footprint.
 func writeRecords(w io.Writer, recs []record) (int64, error) {
-	var n int64
-	for _, r := range recs {
-		if err := writeRecord(w, r.typ, r.payload); err != nil {
-			return n, err
-		}
-		n += recordSize(r.payload)
-	}
-	return n, nil
+	buf := appendRecords(nil, recs)
+	_, err := w.Write(buf)
+	return int64(len(buf)), err
 }
 
 // recordFile is one durable record file — a shard's log or the manifest
 // sidecar: a magic header followed by records, appended in fsynced groups
-// (commit) and replaced atomically as a whole (replace). It is the only
+// (commit) and replaced atomically as a whole (replace, or a trim's stage,
+// install and settle), each group and each image in one Write. It is the only
 // code that creates, appends to, truncates or renames a persisted audit
 // file; DESIGN.md "Persisted files" gives the syscall sequence of each
 // operation and what every failure leaves on disk.
@@ -68,14 +62,16 @@ type recordFile struct {
 	// group that was fsynced; bytes past it are a partial group that commit
 	// is about to cut away. Feed readers never ship bytes past it.
 	size atomic.Int64
-	// gen is the seqlock over the file's incarnation: odd while replace is
-	// swapping the file, even while it is stable, and different after a swap
-	// iff the replacement landed. A reader that sees the same even value
-	// before and after reading raw bytes knows they came from one incarnation.
+	// gen is the seqlock over the file's incarnation: odd from a replacement's
+	// rename until the file is reopened, even while it is stable, and
+	// different after a swap iff the replacement landed. A reader that sees
+	// the same even value before and after reading raw bytes knows they came
+	// from one incarnation.
 	gen atomic.Uint64
 	// notify runs after every durable change (commit fsynced, replacement
 	// landed), on the committing goroutine; it must not block.
 	notify atomic.Pointer[func()]
+	buf    []byte // one Write's bytes (a group, or a staged image), reused
 }
 
 func (f *recordFile) setNotify(fn func()) { f.notify.Store(&fn) }
@@ -137,16 +133,17 @@ func (f *recordFile) open(committed, onDisk int64) error {
 // rollback cuts the file back to its committed size.
 func (f *recordFile) rollback() error { return f.h.Truncate(f.size.Load()) }
 
-// commit appends recs as one group under one fsync. Only then does the
-// committed size advance and the notify hook fire. On any error the partial
-// group is cut away again; if even that fails (a dead handle: the simulated
-// machine crashed mid-write) the file fails closed, because the next append
-// would otherwise land behind the debris.
+// commit appends recs as one group — one Write — under one fsync. Only then
+// does the committed size advance and the notify hook fire. On any error the
+// partial group is cut away again; if even that fails (a dead handle: the
+// simulated machine crashed mid-write) the file fails closed, because the
+// next append would otherwise land behind the debris.
 func (f *recordFile) commit(recs ...record) error {
 	if f.failed != nil {
 		return f.failed
 	}
-	n, err := writeRecords(f.h, recs)
+	f.buf = appendRecords(f.buf[:0], recs)
+	_, err := f.h.Write(f.buf)
 	if err == nil {
 		err = f.h.Sync() // one flush covers the whole group (§5.1)
 	}
@@ -157,30 +154,75 @@ func (f *recordFile) commit(recs ...record) error {
 		return err
 	}
 	mFsyncs.Inc()
-	f.size.Add(n)
+	f.size.Add(int64(len(f.buf)))
 	f.fire()
 	return nil
 }
 
-// replace atomically swaps the file for magic + recs. The rename is the
-// commit point: before it the old image is intact and authoritative (landed
-// is false, the generation returns to its old value); once it succeeded the
-// file IS the new image — landed is true, committed size and generation
-// follow it — even when making the rename durable or reopening the file for
-// append then fails, in which case the error is returned and the file fails
-// closed. The owner must move its in-memory state whenever landed is set.
+// replace atomically swaps the file for magic + recs: stage, install, and
+// settle once the rename is durable (a trim runs the steps itself, for every
+// file at once: ShardedLog.land). The rename is the commit point: before it
+// the old image is intact and authoritative (landed is false); once it
+// succeeded the file IS the new image — landed is true, committed size and
+// generation follow it — even when making the rename durable or reopening the
+// file for append then fails, in which case the error is returned and the
+// file fails closed. The owner must move its in-memory state whenever landed
+// is set.
 func (f *recordFile) replace(recs ...record) (landed bool, err error) {
-	f.gen.Add(1)
-	n, err := f.writeImage(f.path+".tmp", recs)
+	n, err := f.stage(recs)
 	if err != nil {
+		return false, err
+	}
+	if landed, err = f.install(n); landed {
+		err = f.settle(f.syncDir())
+	}
+	return landed, err
+}
+
+// stage writes magic + recs to the temporary image in one Write, fsyncs and
+// closes it, and returns its length; on failure it removes it again.
+func (f *recordFile) stage(recs []record) (int64, error) {
+	h, err := f.fs.Create(f.path + ".tmp")
+	if err != nil {
+		return 0, err
+	}
+	f.buf = appendRecords(append(f.buf[:0], f.magic...), recs)
+	if _, err = h.Write(f.buf); err == nil {
+		err = h.Sync()
+	}
+	if cerr := h.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		f.discard()
+		return 0, err
+	}
+	mFsyncs.Inc()
+	return int64(len(f.buf)), nil
+}
+
+// install renames the staged image of length n over the file: if that fails,
+// the staged image goes and all is as it was; else the file is the new image
+// (landed), its generation odd until settle.
+func (f *recordFile) install(n int64) (landed bool, err error) {
+	f.gen.Add(1)
+	if err := f.fs.Rename(f.path+".tmp", f.path); err != nil {
+		f.discard()
 		f.gen.Add(^uint64(0))
 		return false, err
 	}
-	mFsyncs.Inc()
 	f.close() // the old image's inode
 	f.failed = nil
 	f.size.Store(n)
-	if err = f.fs.SyncDir(filepath.Dir(f.path)); err == nil {
+	return true, nil
+}
+
+// settle finishes an installed image once its directory sync returned
+// syncErr: it reopens the file for append (failing it closed if either step
+// failed), makes the generation even and fires the notify hook.
+func (f *recordFile) settle(syncErr error) error {
+	err := syncErr
+	if err == nil {
 		f.h, err = f.fs.Append(f.path)
 	}
 	if err != nil {
@@ -188,35 +230,14 @@ func (f *recordFile) replace(recs ...record) (landed bool, err error) {
 	}
 	f.gen.Add(1)
 	f.fire()
-	return true, err
+	return err
 }
 
-// writeImage writes magic + recs to tmp, fsyncs it and renames it over the
-// file, removing tmp again on failure. It returns the image's length.
-func (f *recordFile) writeImage(tmp string, recs []record) (int64, error) {
-	h, err := f.fs.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	if _, err = h.Write(f.magic); err == nil {
-		n, err = writeRecords(h, recs)
-	}
-	if err == nil {
-		err = h.Sync()
-	}
-	if cerr := h.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = f.fs.Rename(tmp, f.path)
-	}
-	if err != nil {
-		f.fs.Remove(tmp)
-		return 0, err
-	}
-	return int64(len(f.magic)) + n, nil
-}
+// syncDir makes renames into the file's directory durable.
+func (f *recordFile) syncDir() error { return f.fs.SyncDir(filepath.Dir(f.path)) }
+
+// discard removes a staged image that will not be installed.
+func (f *recordFile) discard() { f.fs.Remove(f.path + ".tmp") }
 
 // close releases the append handle.
 func (f *recordFile) close() error {

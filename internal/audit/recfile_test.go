@@ -2,11 +2,14 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"libseal/internal/vfs"
@@ -14,47 +17,76 @@ import (
 
 var errCrash = errors.New("simulated crash point")
 
-// crashFS numbers every file-system operation the record file issues and
-// fails exactly one of them. In torn mode a failing Write first lands half
-// of its bytes and wedges the handle, as faultinject does for a machine that
-// died mid-write: nothing further reaches the disk through that handle.
+// crashFS numbers every file-system operation the record files issue and
+// fails exactly one of them. A write counts once per record piece a
+// record-at-a-time writer would have issued — the magic, then each record's
+// header and payload — so a group written in one call can crash at every
+// record boundary: a failing piece persists the pieces before it and fails
+// the write. In torn mode it also lands half of its own bytes and wedges the
+// handle, as faultinject does for a machine that died mid-write: nothing
+// further reaches the disk through that handle.
 type crashFS struct {
 	vfs.OS
-	n      int
-	failAt int // -1: none
-	torn   bool
-	ops    []string // operation names, in issue order
+	// perFile numbers operations per file rather than in one global
+	// sequence, so that files written side by side have reproducible
+	// crash points; directory syncs count as the file "dir".
+	perFile bool
+	failAt  crashPoint // n < 0: none
+	torn    bool
+
+	mu   sync.Mutex
+	seen map[string]int
+	ops  []crashPoint // in issue order
 }
 
-func (c *crashFS) step(op string) bool {
-	c.ops = append(c.ops, op)
-	c.n++
-	return c.n-1 == c.failAt
+// crashPoint is one operation: the n-th on file ("" when numbered globally).
+type crashPoint struct {
+	file string
+	n    int
+	op   string
+}
+
+var noCrash = crashPoint{n: -1}
+
+func (c *crashFS) step(op, name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.seen == nil {
+		c.seen = make(map[string]int)
+	}
+	key := ""
+	if c.perFile {
+		key = strings.TrimSuffix(filepath.Base(name), ".tmp")
+	}
+	p := crashPoint{key, c.seen[key], op}
+	c.seen[key]++
+	c.ops = append(c.ops, p)
+	return p.file == c.failAt.file && p.n == c.failAt.n
 }
 
 func (c *crashFS) open(op, name string, open func(string) (vfs.File, error)) (vfs.File, error) {
-	if c.step(op) {
+	if c.step(op, name) {
 		return nil, errCrash
 	}
 	f, err := open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &crashFile{File: f, fs: c}, nil
+	return &crashFile{File: f, fs: c, name: name, fresh: op == "Create"}, nil
 }
 
 func (c *crashFS) Create(name string) (vfs.File, error) { return c.open("Create", name, c.OS.Create) }
 func (c *crashFS) Append(name string) (vfs.File, error) { return c.open("Append", name, c.OS.Append) }
 
 func (c *crashFS) Rename(o, n string) error {
-	if c.step("Rename") {
+	if c.step("Rename", o) {
 		return errCrash
 	}
 	return c.OS.Rename(o, n)
 }
 
 func (c *crashFS) SyncDir(dir string) error {
-	if c.step("SyncDir") {
+	if c.step("SyncDir", "dir") {
 		return errCrash
 	}
 	return c.OS.SyncDir(dir)
@@ -63,26 +95,56 @@ func (c *crashFS) SyncDir(dir string) error {
 type crashFile struct {
 	vfs.File
 	fs     *crashFS
+	name   string
+	fresh  bool // nothing written yet through a Create handle: a magic comes first
 	wedged bool
+}
+
+// pieces returns where the pieces of a write start: the magic on a fresh
+// file, then every record's header and payload.
+func pieces(p []byte, fresh bool) []int {
+	var at []int
+	off := 0
+	if fresh && (bytes.HasPrefix(p, fileMagic) || bytes.HasPrefix(p, manifestMagic)) {
+		at, off = append(at, 0), len(fileMagic)
+	}
+	for off < len(p) {
+		at = append(at, off)
+		if off+5 > len(p) {
+			break
+		}
+		at = append(at, off+5)
+		off += 5 + int(binary.BigEndian.Uint32(p[off+1:]))
+	}
+	return at
 }
 
 func (f *crashFile) Write(p []byte) (int, error) {
 	if f.wedged {
 		return 0, errCrash
 	}
-	if f.fs.step("Write") {
-		if !f.fs.torn {
-			return 0, errCrash
+	at := pieces(p, f.fresh)
+	f.fresh = false
+	for i, start := range at {
+		if !f.fs.step("Write", f.name) {
+			continue
 		}
-		f.wedged = true
-		n, _ := f.File.Write(p[:len(p)/2])
+		keep := start
+		if f.fs.torn {
+			end := len(p)
+			if i+1 < len(at) {
+				end = at[i+1]
+			}
+			keep, f.wedged = start+(end-start)/2, true
+		}
+		n, _ := f.File.Write(p[:keep])
 		return n, errCrash
 	}
 	return f.File.Write(p)
 }
 
 func (f *crashFile) Sync() error {
-	if f.wedged || f.fs.step("Sync") {
+	if f.wedged || f.fs.step("Sync", f.name) {
 		return errCrash
 	}
 	return f.File.Sync()
@@ -97,7 +159,7 @@ func (f *crashFile) Truncate(size int64) error {
 
 func (f *crashFile) Close() error {
 	err := f.File.Close()
-	if f.fs.step("Close") {
+	if f.fs.step("Close", f.name) {
 		return errCrash
 	}
 	return err
@@ -181,8 +243,9 @@ func imageOf(magic []byte, groups ...[]record) []byte {
 }
 
 // TestRecordFileCrashPoints enumerates every file-system operation commit
-// and replace issue and fails each in turn — with a plain error, and for
-// writes also torn-then-wedged — for both file formats. Whatever fails, the
+// and replace issue, every record boundary inside a write included, and
+// fails each in turn — with a plain error, and for writes also
+// torn-then-wedged — for both file formats. Whatever fails, the
 // file must be exactly its before- or its after-state: the image on disk
 // strictly verifies, the committed size is the verified length, the
 // generation is even and moved iff the image was replaced, the notify hook
@@ -193,13 +256,13 @@ func TestRecordFileCrashPoints(t *testing.T) {
 	for _, kind := range fileKinds(t) {
 		for _, op := range []string{"commit", "replace"} {
 			// A clean run lists the operations to fail.
-			for k, name := range runCrashPoint(t, kind, op, &crashFS{failAt: -1}) {
+			for _, p := range runCrashPoint(t, kind, op, &crashFS{failAt: noCrash}) {
 				for _, torn := range []bool{false, true} {
-					if torn && name != "Write" {
+					if torn && p.op != "Write" {
 						continue
 					}
-					t.Run(fmt.Sprintf("%s/%s/%d-%s/torn=%v", kind.name, op, k, name, torn), func(t *testing.T) {
-						runCrashPoint(t, kind, op, &crashFS{failAt: k, torn: torn})
+					t.Run(fmt.Sprintf("%s/%s/%d-%s/torn=%v", kind.name, op, p.n, p.op, torn), func(t *testing.T) {
+						runCrashPoint(t, kind, op, &crashFS{failAt: p, torn: torn})
 					})
 				}
 			}
@@ -207,12 +270,12 @@ func TestRecordFileCrashPoints(t *testing.T) {
 	}
 }
 
-// runCrashPoint runs op with fs's fault armed and returns the names of the
-// file-system operations op issued.
-func runCrashPoint(t *testing.T, kind fileKind, op string, fs *crashFS) []string {
+// runCrashPoint runs op with fs's fault armed and returns the file-system
+// operations op issued.
+func runCrashPoint(t *testing.T, kind fileKind, op string, fs *crashFS) []crashPoint {
 	path := filepath.Join(t.TempDir(), "file")
 	failAt := fs.failAt
-	fs.failAt = -1
+	fs.failAt = noCrash
 	f := &recordFile{fs: fs, path: path, magic: kind.magic}
 	fired := 0
 	f.setNotify(func() { fired++ })
@@ -227,7 +290,7 @@ func runCrashPoint(t *testing.T, kind fileKind, op string, fs *crashFS) []string
 	gen := f.gen.Load()
 
 	// The operation under test, with the fault armed.
-	fs.n, fs.ops, fs.failAt, fired = 0, nil, failAt, 0
+	fs.seen, fs.ops, fs.failAt, fired = nil, nil, failAt, 0
 	want, next := before, kind.a2
 	var landed bool
 	var err error
@@ -243,9 +306,9 @@ func runCrashPoint(t *testing.T, kind fileKind, op string, fs *crashFS) []string
 			want, next = imageOf(kind.magic, kind.b1), kind.b2
 		}
 	}
-	fs.failAt = -1
+	fs.failAt = noCrash
 	ops := fs.ops
-	if failAt < 0 && err != nil {
+	if failAt.n < 0 && err != nil {
 		t.Fatalf("clean %s: %v", op, err)
 	}
 	if f.failed != nil && err == nil {

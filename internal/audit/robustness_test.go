@@ -14,13 +14,30 @@ import (
 	"libseal/internal/asyncall"
 	"libseal/internal/faultinject"
 	"libseal/internal/rote"
+	"libseal/internal/sqldb"
 	"libseal/internal/vfs"
 )
 
 // Write-operation layout of a fresh log file: the magic is write 0, and each
-// append issues four writes (entry header, entry payload, signature header,
-// signature payload), so append k spans writes [1+4k, 4+4k].
-func appendFirstWrite(k int) int { return 1 + 4*k }
+// append commits its group — entry record, then signature record — in one
+// write, so append k is write 1+k. A fault meant for one record of the group
+// strikes at that record's byte offset in the write (faultinject's AtByte).
+func appendFirstWrite(k int) int { return 1 + k }
+
+// entryRecordSize is the on-disk size of the entry record appending vals to
+// table writes: the offset, within its group's write, of the record after it.
+func entryRecordSize(t *testing.T, table string, vals ...any) int {
+	t.Helper()
+	e := &Entry{Table: table}
+	for _, v := range vals {
+		sv, err := sqldb.FromGo(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Values = append(e.Values, sv)
+	}
+	return int(recordSize(e.Marshal()))
+}
 
 func fastGroupPolicy() rote.RetryPolicy {
 	return rote.RetryPolicy{
@@ -33,8 +50,9 @@ func fastGroupPolicy() rote.RetryPolicy {
 
 func TestTornAppendRecovered(t *testing.T) {
 	e := newAuditEnv(t)
+	// The third append dies two bytes into its entry record's header.
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", appendFirstWrite(2)),
+		faultinject.TornWrite("git.lseal", appendFirstWrite(2)).AtByte(2),
 	}}.Build()
 
 	cfg := e.diskConfig("git")
@@ -102,23 +120,26 @@ func TestTornAppendRecovered(t *testing.T) {
 	}
 }
 
-// TestENOSPCAppendRolledBack fills the disk under each individual write of
-// an append, for a shard file and for the manifest sidecar, on a set that
-// was just created, just recovered and just trimmed: the failed append must
-// leave no trace, the same handle must keep working once the disk has room
-// again, and strict verification must find exactly the acknowledged records.
+// TestENOSPCAppendRolledBack fills the disk part-way through an append's one
+// write — at the start of each record header and each payload in it (writeJ:
+// the J-th of those) — for a shard file and for the manifest sidecar, on a
+// set that was just created, just recovered and just trimmed: the failed
+// append must leave no trace, the same handle must keep working once the disk
+// has room again, and strict verification must find exactly the acknowledged
+// records.
 func TestENOSPCAppendRolledBack(t *testing.T) {
+	entry := entryRecordSize(t, "updates", 2, "r", "main", "c2", "update")
 	files := []struct {
 		name   string
 		shards int
-		writes int // an append's writes to the file: header + payload per record
+		at     []int // where the append's headers and payloads start in its write
 	}{
-		{"git.lseal", 1, 4},
-		{"git.manifest", 2, 2},
+		{"git.lseal", 1, []int{0, 5, entry, entry + 5}},
+		{"git.manifest", 2, []int{0, 5}},
 	}
 	for _, state := range []string{"fresh", "recovered", "trimmed"} {
 		for _, file := range files {
-			for j := 0; j < file.writes; j++ {
+			for j, at := range file.at {
 				t.Run(fmt.Sprintf("%s/%s/write%d", state, file.name, j), func(t *testing.T) {
 					e := newAuditEnv(t)
 					in := faultinject.New(1)
@@ -149,7 +170,7 @@ func TestENOSPCAppendRolledBack(t *testing.T) {
 						return s.Append(env, 0, "updates", time, "r", "main", cid, "update")
 					}
 					n := in.Count("fs:" + file.name)
-					in.Add(faultinject.NoSpace(file.name, n+j, n+j+1))
+					in.Add(faultinject.NoSpace(file.name, n, n+1).AtByte(at))
 					err := e.bridge.Call(func(env *asyncall.Env) error { return appendTo(env, 2, "c2") })
 					if !errors.Is(err, syscall.ENOSPC) {
 						t.Fatalf("append on full disk: %v, want ENOSPC", err)
@@ -478,8 +499,8 @@ func TestDegradedModeBuffersAndReanchors(t *testing.T) {
 func TestDegradedBudgetSurvivesFailedCommit(t *testing.T) {
 	e := newAuditEnv(t)
 	e.group.SetRetryPolicy(fastGroupPolicy())
-	// Append 0 commits healthy (writes 1..4); append 1 is admitted degraded
-	// and its first write fails with ENOSPC (rolled back, handle survives).
+	// Append 0 commits healthy (write 1); append 1 is admitted degraded and
+	// its write fails with ENOSPC (rolled back, handle survives).
 	first := appendFirstWrite(1)
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
 		faultinject.NoSpace("git.lseal", first, first+1),
@@ -647,10 +668,12 @@ func TestRecoverCounterLag(t *testing.T) {
 
 func TestSilentCorruptionDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	// Corrupt the first entry's payload write. The write reports success, so
-	// the log believes the entry is durable — only verification can tell.
+	// Corrupt the middle byte of the first entry's payload. The write reports
+	// success, so the log believes the entry is durable — only verification
+	// can tell.
+	entry := entryRecordSize(t, "updates", 1, "r", "main", "c1", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.CorruptWrite("git.lseal", appendFirstWrite(0)+1),
+		faultinject.CorruptWrite("git.lseal", appendFirstWrite(0)).AtByte(5 + (entry-5)/2),
 	}}.Build()
 	cfg := e.diskConfig("git")
 	cfg.FS = in.FS(nil)

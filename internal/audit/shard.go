@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -111,6 +112,9 @@ type ShardedLog struct {
 	mcounter     uint64 // last manifest-counter value written
 	lastManifest time.Time
 	mclosed      bool
+
+	// onBuilt (tests) runs in a trim between building and collecting anchors.
+	onBuilt func(rws []rewrite)
 }
 
 // Name is the log set's name (Config.Name).
@@ -333,11 +337,17 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 		}
 		script = append(script, stmts...)
 	}
-	plan, err := s.db.Snapshot().PlanTrim(script)
+	plan, err := PlanTrim(s.db.Snapshot(), script)
 	if err != nil {
 		return fmt.Errorf("audit: trimming queries: %w", err)
 	}
 	return s.ApplyTrim(env, plan)
+}
+
+// PlanTrim is sqldb.Snapshot.PlanTrim, timed as audit.trim.plan.
+func PlanTrim(snap *sqldb.Snapshot, script []*sqldb.Stmt) (*sqldb.TrimPlan, error) {
+	defer telemetry.ObserveSince(mTrimPlan, "audit.trim.plan", time.Now())
+	return snap.PlanTrim(script)
 }
 
 // ApplyTrim commits a trim planned on a snapshot of the shared database and
@@ -345,7 +355,7 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 // service's trimming queries kept of the rows the snapshot captured; rows
 // appended since were never shown to the invariants that ran on that snapshot
 // and all survive. A plan the database refuses (sqldb.ErrTrimStale) trims and
-// rewrites nothing.
+// rewrites nothing, and spends no counter increment.
 //
 // Surviving rows are partitioned round-robin across the shards (deterministic
 // table-sorted order — with one shard, simply every row in that order), each
@@ -355,48 +365,34 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 // duration, so the partition cannot race staged appends or interleave with a
 // batch's file I/O.
 //
-// The rewrite visits the outside world three times whatever the shard count,
-// the shards side by side within a visit: every fresh anchor (the shards' and
-// the manifest's — independent counters, one round-trip time), then every
-// shard's file replacement, then — signed inside over the states that
-// actually landed, so a manifest never attests an image that is not on disk —
-// the manifest's.
+// Past the quiesce the trim leaves the enclave three times whatever the shard
+// count: one ocall issues every fresh anchor (the shards' and the manifest's,
+// independent counters) and returns; the images are built while those are in
+// flight and a second ocall collects them; every image is signed — the
+// manifest pre-signed over the states the shard images carry — and a third
+// lands them all (see land).
 //
 // Once the plan is applied the database rows are trimmed whatever happens to
 // the files; the next successful trim reconciles them. A shard whose anchor or
 // replacement failed keeps its old image and its old in-memory chain while the
-// others move to their new ones — every shard file remains individually
-// verifiable — the first such error is returned, and the manifest sidecar is
-// still rewritten to attest the shards' actual current states, because the old
-// manifests reference pre-trim states the rewritten shards no longer contain.
+// others move to their new ones, and the first such error is returned; the
+// pre-signed manifest is then discarded and the sidecar re-signed over the
+// actual states, since a manifest never attests an image that is not on disk.
 func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
-	for _, sh := range s.shards {
-		sh.lockQuiesced(env)
-	}
+	quiesce := time.Now()
+	lockQuiesced(env, s.shards...)
 	defer func() {
 		for _, sh := range s.shards {
 			sh.mu.Unlock()
 		}
 	}()
+	telemetry.ObserveSince(mTrimQuiesce, "audit.trim.quiesce", quiesce)
 	mTrims.Inc()
 	defer telemetry.ObserveSince(mTrimLatency, "audit.trim", time.Now())
 	if err := s.db.ApplyTrim(plan); err != nil {
 		return fmt.Errorf("audit: trim: %w", err)
 	}
-	parts, err := s.partitionSurvivors()
-	if err != nil {
-		return err
-	}
-	rws := make([]*rewrite, len(s.shards))
-	for k := range rws {
-		rws[k] = newRewrite(parts[k])
-	}
-	if s.cfg.Mode != ModeDisk {
-		for k, sh := range s.shards {
-			sh.adoptRewrite(env, rws[k])
-		}
-		return nil
-	}
+	rws := make([]rewrite, len(s.shards))
 	// The manifest lane is held from its counter increment to its record, so
 	// no other manifest can slip between the two.
 	manifest := false
@@ -406,34 +402,60 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 		manifest = !s.mclosed
 	}
 	mcounter := s.mcounter
-	if s.cfg.Protector != nil {
-		n := len(s.shards)
-		if manifest {
-			n++
-		}
+	var anchors sync.WaitGroup
+	anchored := s.cfg.Mode == ModeDisk && s.cfg.Protector != nil
+	if anchored {
 		env.Ocall(func() error {
-			together(n, func(k int) {
-				if k < len(s.shards) {
-					s.shards[k].anchorRewrite(rws[k])
-				} else {
-					mcounter = s.freshManifestCounter()
-				}
-			})
+			goEach(&anchors, len(s.shards), func(k int) { s.shards[k].anchorRewrite(&rws[k]) })
+			if manifest {
+				goEach(&anchors, 1, func(int) { mcounter = s.freshManifestCounter() })
+			}
+			// Let the requests leave now: a new goroutine queues behind us.
+			runtime.Gosched()
 			return nil
 		})
 	}
-	for k, sh := range s.shards {
-		sh.sealRewrite(env, rws[k])
+	parts, err := s.partitionSurvivors()
+	if err == nil {
+		for k, sh := range s.shards {
+			sh.buildRewrite(env, &rws[k], parts[k])
+		}
 	}
-	env.Ocall(func() error {
-		together(len(s.shards), func(k int) { s.shards[k].replaceRewrite(rws[k]) })
+	if s.onBuilt != nil {
+		s.onBuilt(rws)
+	}
+	if anchored {
+		wait := time.Now()
+		env.Ocall(func() error { anchors.Wait(); return nil })
+		telemetry.ObserveSince(mTrimAnchorWait, "audit.trim.anchor_wait", wait)
+	}
+	if err != nil {
+		return err
+	}
+	if s.cfg.Mode != ModeDisk {
+		for k, sh := range s.shards {
+			sh.adoptRewrite(env, &rws[k])
+		}
 		return nil
-	})
-	var firstErr error
+	}
 	states := make([]ShardState, len(s.shards))
 	for k, sh := range s.shards {
+		rw := &rws[k]
+		sh.signRewrite(env, rw)
+		states[k] = ShardState{Chain: rw.chain, Seq: uint64(len(rw.encs)), Counter: rw.counter}
+		manifest = manifest && rw.err == nil // else sign over what does land
+	}
+	var m *Manifest
+	if manifest {
+		m, _ = s.signManifest(env, states, mcounter)
+	}
+	var mlanded bool
+	var merr error
+	env.Ocall(func() error { mlanded, merr = s.land(rws, m); return nil })
+	var firstErr error
+	for k, sh := range s.shards {
 		if rws[k].landed {
-			sh.adoptRewrite(env, rws[k])
+			sh.adoptRewrite(env, &rws[k])
 		}
 		if err := rws[k].err; err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
@@ -441,26 +463,71 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 		// Shard locks are held: read the durable fields directly.
 		states[k] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 	}
-	if s.manifested() {
-		if merr := s.putManifestLocked(env, states, mcounter, true); merr != nil && firstErr == nil {
-			firstErr = merr
-		}
+	if m != nil {
+		merr = s.noteManifest(m, mlanded, merr)
+	}
+	if !mlanded && s.manifested() {
+		merr = s.putManifestLocked(env, states, mcounter, true)
+	}
+	if merr != nil && firstErr == nil {
+		firstErr = merr
 	}
 	return firstErr
 }
 
-// together runs fn(0) … fn(n-1) concurrently and returns once all have.
-func together(n int, fn func(k int)) {
-	var wg sync.WaitGroup
-	for k := 1; k < n; k++ {
-		wg.Add(1)
+// land puts a trim's signed images on disk, outside the enclave: the shards'
+// and the manifest's m (nil: none) staged side by side, then the shard images
+// installed, their renames made durable by one directory sync and the files
+// settled, and only if every shard landed without error the manifest
+// installed and settled in turn (landed) — or else discarded.
+func (s *ShardedLog) land(rws []rewrite, m *Manifest) (landed bool, err error) {
+	n := len(s.shards)
+	sizes := make([]int64, n+1)
+	var staged sync.WaitGroup
+	goEach(&staged, n+1, func(k int) {
+		switch {
+		case k < n && rws[k].err == nil:
+			sizes[k], rws[k].err = s.shards[k].file.stage(rws[k].recs)
+		case k == n && m != nil:
+			sizes[k], err = s.manifest.stage([]record{{typ: recManifest, payload: marshalManifest(m)}})
+		}
+	})
+	staged.Wait()
+	for k, sh := range s.shards {
+		if rws[k].err == nil {
+			rws[k].landed, rws[k].err = sh.file.install(sizes[k])
+		}
+	}
+	synced := s.shards[0].file.syncDir()
+	all := true
+	for k, sh := range s.shards {
+		if rws[k].landed {
+			rws[k].err = sh.file.settle(synced)
+		}
+		all = all && rws[k].err == nil
+	}
+	if m == nil || err != nil {
+		return false, err
+	}
+	if !all {
+		s.manifest.discard()
+		return false, nil
+	}
+	if landed, err = s.manifest.install(sizes[n]); landed {
+		err = s.manifest.settle(s.manifest.syncDir())
+	}
+	return landed, err
+}
+
+// goEach starts fn(0) … fn(n-1), each on its own goroutine counted in wg.
+func goEach(wg *sync.WaitGroup, n int, fn func(k int)) {
+	wg.Add(n)
+	for k := 0; k < n; k++ {
 		go func() {
 			defer wg.Done()
 			fn(k)
 		}()
 	}
-	fn(0)
-	wg.Wait()
 }
 
 // partitionSurvivors deals the post-trim database rows round-robin across
@@ -573,17 +640,10 @@ func (s *ShardedLog) freshManifestCounter() uint64 {
 // putManifestLocked is putManifest with mmu held and the manifest's counter
 // value already obtained.
 func (s *ShardedLog) putManifestLocked(env *asyncall.Env, states []ShardState, counter uint64, rewrite bool) error {
-	if s.mclosed {
-		return ErrClosed
-	}
-	m := &Manifest{Epoch: s.epoch + 1, Counter: counter, Shards: states}
-	sig, err := env.Ctx.Sign(manifestDigest(s.cfg.Name, m))
+	m, err := s.signManifest(env, states, counter)
 	if err != nil {
-		mManifestErrors.Inc()
 		return err
 	}
-	mSignatures.Inc()
-	m.Sig = sig
 	rec := record{typ: recManifest, payload: marshalManifest(m)}
 	landed := false
 	err = env.Ocall(func() (err error) {
@@ -591,15 +651,37 @@ func (s *ShardedLog) putManifestLocked(env *asyncall.Env, states []ShardState, c
 			landed, err = s.manifest.replace(rec)
 			return err
 		}
-		return s.manifest.commit(rec)
+		err = s.manifest.commit(rec)
+		landed = err == nil
+		return err
 	})
+	return s.noteManifest(m, landed, err)
+}
+
+// signManifest signs the states as the next epoch. Called with mmu held.
+func (s *ShardedLog) signManifest(env *asyncall.Env, states []ShardState, counter uint64) (*Manifest, error) {
+	if s.mclosed {
+		return nil, ErrClosed
+	}
+	m := &Manifest{Epoch: s.epoch + 1, Counter: counter, Shards: states}
+	sig, err := env.Ctx.Sign(manifestDigest(s.cfg.Name, m))
+	if err != nil {
+		mManifestErrors.Inc()
+		return nil, err
+	}
+	mSignatures.Inc()
+	m.Sig = sig
+	return m, nil
+}
+
+// noteManifest books a manifest write: one that landed moves the lane to
+// its epoch whatever the error. Called with mmu held.
+func (s *ShardedLog) noteManifest(m *Manifest, landed bool, err error) error {
 	if err != nil {
 		mManifestErrors.Inc()
 	}
-	if err == nil || landed {
-		s.epoch = m.Epoch
-		s.mcounter = m.Counter
-		s.lastManifest = time.Now()
+	if landed {
+		s.epoch, s.mcounter, s.lastManifest = m.Epoch, m.Counter, time.Now()
 		mManifests.Inc()
 	}
 	return err

@@ -44,7 +44,7 @@ func appendUnsigned(t testing.TB, img []byte, seq uint64, n int) []byte {
 	buf.Write(img)
 	for i := 0; i < n; i++ {
 		p := SyntheticEntry(seq + uint64(i)).Marshal()
-		if err := writeRecord(&buf, recEntry, p); err != nil {
+		if _, err := writeRecords(&buf, []record{{typ: recEntry, payload: p}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,7 @@ func WriteSyntheticLog(w io.Writer, key *ecdsa.PrivateKey, n, batchMax int) (int
 	counter := uint64(0)
 	for i := 0; i < n; i++ {
 		bw.add(SyntheticEntry(uint64(i)))
-		if bw.staged >= batchMax || i == n-1 {
+		if len(bw.group) >= batchMax || i == n-1 {
 			counter++
 			if err := bw.commit(counter); err != nil {
 				return bw.size, err
@@ -110,14 +110,15 @@ func synthSign(key *ecdsa.PrivateKey, chain [32]byte, counter uint64, prev [32]b
 	return sigPayload(chain, counter, prev, r.Bytes(), s.Bytes()), nil
 }
 
-// synthWriter incrementally builds a synthetic log: add entries, commit
-// signs the batch staged so far at the given counter value.
+// synthWriter incrementally builds a synthetic log: add stages entries,
+// commit signs the batch staged so far at the given counter value and writes
+// it, signature record included, as one group — as the live writer does.
 type synthWriter struct {
 	w       io.Writer
 	key     *ecdsa.PrivateKey
 	chain   [32]byte
 	sigHead [32]byte
-	staged  int
+	group   []record // the batch staged so far
 	size    int64
 	err     error
 }
@@ -128,16 +129,9 @@ func newSynthWriter(w io.Writer, key *ecdsa.PrivateKey) *synthWriter {
 }
 
 func (s *synthWriter) add(e *Entry) {
-	if s.err != nil {
-		return
-	}
 	payload := e.Marshal()
-	if s.err = writeRecord(s.w, recEntry, payload); s.err != nil {
-		return
-	}
+	s.group = append(s.group, record{typ: recEntry, payload: payload})
 	s.chain = chainNext(s.chain, payload)
-	s.size += recordSize(payload)
-	s.staged++
 }
 
 func (s *synthWriter) commit(counter uint64) error {
@@ -148,11 +142,12 @@ func (s *synthWriter) commit(counter uint64) error {
 	if sig, s.err = synthSign(s.key, s.chain, counter, s.sigHead); s.err != nil {
 		return s.err
 	}
-	if s.err = writeRecord(s.w, recSig, sig); s.err != nil {
-		return s.err
+	n, err := writeRecords(s.w, append(s.group, record{typ: recSig, payload: sig}))
+	if s.err = err; err != nil {
+		return err
 	}
 	s.sigHead = sha256.Sum256(sig)
-	s.size += recordSize(sig)
-	s.staged = 0
+	s.size += n
+	s.group = s.group[:0]
 	return nil
 }

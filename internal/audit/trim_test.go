@@ -1,0 +1,220 @@
+package audit
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http/httptest"
+	"path/filepath"
+	"slices"
+	"testing"
+	"time"
+
+	"libseal/internal/asyncall"
+	"libseal/internal/sqldb"
+	"libseal/internal/telemetry"
+)
+
+// TestTrimCrashPoints enumerates every file-system operation a trim of a
+// two-shard set issues — for each shard and for the manifest: the staged
+// image's Create, its Write at every record boundary, Sync and Close, the
+// Rename, the old handle's Close and the reopen; and the directory syncs
+// after the shards' renames and after the manifest's — and fails each in
+// turn, tearing the writes as well. Whatever fails, the files on disk verify
+// strictly with every shard at exactly its pre-trim or its post-trim entries
+// (so the manifest attests only images that are there), RecoverSharded and a
+// strict Verify against the live counters agree, and a further append and
+// trim converge.
+func TestTrimCrashPoints(t *testing.T) {
+	for _, p := range runTrimCrashPoint(t, noCrash, false) {
+		for _, torn := range []bool{false, true} {
+			if torn && p.op != "Write" {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d-%s/torn=%v", p.file, p.n, p.op, torn), func(t *testing.T) {
+				runTrimCrashPoint(t, p, torn)
+			})
+		}
+	}
+}
+
+// runTrimCrashPoint trims a two-shard set holding three updates of one
+// branch per shard with the fault at failAt armed, checks what is left, and
+// returns the operations the trim issued.
+func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint {
+	e := newAuditEnv(t)
+	pub := e.encl.PublicKey()
+	fs := &crashFS{perFile: true, failAt: noCrash}
+	cfg := e.shardConfig("git", 2)
+	cfg.FS = fs
+	var s *ShardedLog
+	e.call(t, func(env *asyncall.Env) (err error) {
+		if s, err = NewSharded(env, cfg); err != nil {
+			return err
+		}
+		for i := 0; i < 6; i++ {
+			if err := s.Append(env, keyForShard(s, i%2), "updates", i, fmt.Sprintf("r%d", i%2), "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// Shard k holds c(k), c(k+2), c(k+4); the trim keeps the latest update of
+	// each repo, c4 and c5, and deals them one per shard.
+	before := [][]string{{"c0", "c2", "c4"}, {"c1", "c3", "c5"}}
+	after := [][]string{{"c4"}, {"c5"}}
+	shardsHold := func(when string) {
+		t.Helper()
+		for k := range before {
+			entries, err := verifyFile(filepath.Join(e.dir, ShardName("git", k)+".lseal"), VerifyOptions{Pub: pub})
+			if err != nil {
+				t.Fatalf("%s: shard %d: %v", when, k, err)
+			}
+			var cids []string
+			for _, en := range entries {
+				cids = append(cids, en.Values[3].TextVal())
+			}
+			if !slices.Equal(cids, before[k]) && !slices.Equal(cids, after[k]) {
+				t.Fatalf("%s: shard %d holds %v, neither its pre-trim %v nor its post-trim %v", when, k, cids, before[k], after[k])
+			}
+		}
+	}
+	verifySet := func(when string, lag uint64) {
+		t.Helper()
+		if _, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, Name: "git", MaxCounterLag: lag}); err != nil {
+			t.Fatalf("%s: strict verify: %v", when, err)
+		}
+	}
+
+	fs.mu.Lock()
+	fs.seen, fs.ops, fs.failAt, fs.torn = nil, nil, failAt, torn
+	fs.mu.Unlock()
+	err := e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	fs.mu.Lock()
+	ops := fs.ops
+	fs.failAt = noCrash
+	fs.mu.Unlock()
+	if failAt.n < 0 && err != nil {
+		t.Fatalf("clean trim: %v", err)
+	}
+	// A shard whose image did not land spent an increment its file does not
+	// carry: the lag a crash between increment and write leaves.
+	shardsHold("after the trim")
+	verifySet("after the trim", 1)
+	s.Close()
+
+	rcfg := e.shardConfig("git", 2)
+	rcfg.RecoverMaxLag = 1
+	var rec *ShardedLog
+	e.call(t, func(env *asyncall.Env) (err error) {
+		rec, err = RecoverSharded(env, rcfg, pub)
+		return err
+	})
+	defer rec.Close()
+	shardsHold("after recovery")
+	verifySet("after recovery", 0)
+	e.call(t, func(env *asyncall.Env) error {
+		for k := 0; k < 2; k++ {
+			if err := rec.Append(env, keyForShard(rec, k), "updates", 6+k, fmt.Sprintf("r%d", k), "main", fmt.Sprintf("c%d", 6+k), "update"); err != nil {
+				return err
+			}
+		}
+		return rec.Trim(env, []string{trimLatest})
+	})
+	if rows, _ := rec.DB().TableRowCount("updates"); rows != 2 || rec.Seq() != 2 {
+		t.Fatalf("after the converging trim: %d rows, %d entries; want the 2 latest updates", rows, rec.Seq())
+	}
+	verifySet("after the converging trim", 0)
+	return ops
+}
+
+// TestTrimBuildsWhileAnchorsInFlight: a trim issues its fresh anchors and
+// returns to the enclave at once; the survivors are dealt, chained and sealed
+// while the increments are in flight. With all three increments held at the
+// counter service, the images are already built.
+func TestTrimBuildsWhileAnchorsInFlight(t *testing.T) {
+	e := newAuditEnv(t)
+	prot := newLaneProtector()
+	s := trimFanOutSet(t, e, prot)
+	built := make(chan []rewrite, 1)
+	s.onBuilt = func(rws []rewrite) { built <- rws }
+	gate := prot.arm()
+	done := make(chan error, 1)
+	go func() {
+		done <- e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	}()
+	gate.awaitIncrements(t, 3)
+	select {
+	case rws := <-built:
+		for k, rw := range rws {
+			if len(rw.encs) != 1 || rw.chain != chainNext([32]byte{}, rw.encs[0]) || len(rw.recs) != 1 {
+				close(gate.release)
+				t.Fatalf("shard %d: image not built before its anchor: %d entries, %d records", k, len(rw.encs), len(rw.recs))
+			}
+		}
+	case <-time.After(5 * time.Second):
+		close(gate.release)
+		t.Fatal("the trim built nothing while its three anchors were in flight")
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git"})
+	if err != nil || rep.TotalEntries != 2 {
+		t.Fatalf("strict verify: %v, %v entries; want the 2 survivors", err, rep)
+	}
+}
+
+// TestTrimStaleBurnsNoIncrement: a plan the database refuses is refused
+// before any counter is touched.
+func TestTrimStaleBurnsNoIncrement(t *testing.T) {
+	e := newAuditEnv(t)
+	prot := newLaneProtector()
+	s := trimFanOutSet(t, e, prot)
+	defer s.Close()
+	stmts, err := s.DB().PrepareScript(trimLatest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := PlanTrim(s.DB().Snapshot(), stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	names := []string{ShardName("git", 0), ShardName("git", 1), ManifestCounterName("git")}
+	var counters []uint64
+	for _, n := range names {
+		c, _ := prot.Read(n)
+		counters = append(counters, c)
+	}
+	if err := e.bridge.Call(func(env *asyncall.Env) error { return s.ApplyTrim(env, stale) }); !errors.Is(err, sqldb.ErrTrimStale) {
+		t.Fatalf("ApplyTrim(stale plan) = %v, want ErrTrimStale", err)
+	}
+	for i, n := range names {
+		if c, _ := prot.Read(n); c != counters[i] {
+			t.Fatalf("counter %s moved %d -> %d for a refused plan", n, counters[i], c)
+		}
+	}
+}
+
+// TestTrimStagesInMetrics: a trim's stages are on /metrics beside
+// audit.trim: the quiesce before it, the plan, and the anchors' wait.
+func TestTrimStagesInMetrics(t *testing.T) {
+	e := newAuditEnv(t)
+	s := trimFanOutSet(t, e, newLaneProtector())
+	defer s.Close()
+	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	rec := httptest.NewRecorder()
+	telemetry.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	var body map[string]telemetry.Metric
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"audit.trim.latency", "audit.trim.quiesce", "audit.trim.plan", "audit.trim.anchor_wait"} {
+		if m, ok := body[name]; !ok || m.Type != "histogram" || m.Value < 1 {
+			t.Errorf("%s on /metrics: %+v, %v; want a histogram with the trim in it", name, m, ok)
+		}
+	}
+}

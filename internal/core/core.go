@@ -815,7 +815,7 @@ func (ls *LibSEAL) runCycle(env *asyncall.Env) error {
 	if out == nil {
 		return nil
 	}
-	plan, err := out.cap.snap.PlanTrim(ls.trimStmts)
+	plan, err := audit.PlanTrim(out.cap.snap, ls.trimStmts)
 	if err != nil {
 		err = fmt.Errorf("core: trimming query: %w", err)
 	}

@@ -44,7 +44,8 @@ const (
 	// OpTornWrite persists only a prefix of a file write, then fails it —
 	// the on-disk image a power cut mid-write leaves behind.
 	OpTornWrite
-	// OpENOSPC fails a file write without persisting anything.
+	// OpENOSPC fails a file write with ENOSPC. It persists nothing, or the
+	// prefix before Rule.Offset — the disk filled part-way through the write.
 	OpENOSPC
 	// OpCorrupt flips a byte of a file write and reports success.
 	OpCorrupt
@@ -105,6 +106,28 @@ type Rule struct {
 	Prob float64
 	// Delay is the added latency for OpDelay and OpSlow.
 	Delay time.Duration
+	// Offset, when positive, is the byte of a file write where OpTornWrite,
+	// OpENOSPC and OpCorrupt strike: the torn write or the full disk persists
+	// the bytes before it, corruption flips it. Zero keeps each op's default —
+	// half the write persisted, nothing persisted, the middle byte flipped.
+	// A record group reaches its file in one write, so an offset is how a
+	// fault lands in a chosen record of the group.
+	Offset int
+}
+
+// AtByte returns the rule striking at byte offset of the write (Offset).
+func (r Rule) AtByte(offset int) Rule {
+	r.Offset = offset
+	return r
+}
+
+// at is the write position of a fault on a write of n bytes: Offset when set
+// and inside the write, otherwise def.
+func (r Rule) at(n, def int) int {
+	if r.Offset > 0 && r.Offset < n {
+		return r.Offset
+	}
+	return def
 }
 
 // active reports whether the rule applies to the target's n-th operation.

@@ -157,6 +157,33 @@ func TestFSNoSpaceAndCorrupt(t *testing.T) {
 	}
 }
 
+// TestFSFaultsAtByte: with an offset, a full disk persists the bytes before
+// it, a torn write persists exactly those, and corruption flips that byte.
+func TestFSFaultsAtByte(t *testing.T) {
+	for _, tc := range []struct {
+		rule Rule
+		want string
+		fail bool
+	}{
+		{NoSpace("x.log", 0, 1).AtByte(3), "abc", true},
+		{TornWrite("x.log", 0).AtByte(6), "abcdef", true},
+		{CorruptWrite("x.log", 0).AtByte(1), "a\x9dcdefgh", false},
+		{NoSpace("x.log", 0, 1).AtByte(99), "", true}, // past the write: the default
+	} {
+		path := filepath.Join(t.TempDir(), "x.log")
+		f, err := Scenario{Rules: []Rule{tc.rule}}.Build().FS(nil).Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := f.Write([]byte("abcdefgh"))
+		f.Close()
+		data, _ := os.ReadFile(path)
+		if (err != nil) != tc.fail || string(data) != tc.want || (tc.fail && n != len(tc.want)) {
+			t.Fatalf("%v at byte %d: wrote %d, %v; on disk %q, want %q", tc.rule.Op, tc.rule.Offset, n, err, data, tc.want)
+		}
+	}
+}
+
 func TestNodeHookCrashWindow(t *testing.T) {
 	g, err := rote.NewGroup(1, 0)
 	if err != nil {

@@ -71,7 +71,7 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 	for _, r := range f.in.step(f.target) {
 		switch r.Op {
 		case OpTornWrite:
-			n := len(p) / 2
+			n := r.at(len(p), len(p)/2)
 			if n > 0 {
 				f.f.Write(p[:n])
 			}
@@ -79,11 +79,15 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 			f.wedged = true
 			return n, ErrTornWrite
 		case OpENOSPC:
-			return 0, fmt.Errorf("faultinject: %w", syscall.ENOSPC)
+			n := r.at(len(p), 0)
+			if n > 0 {
+				n, _ = f.f.Write(p[:n])
+			}
+			return n, fmt.Errorf("faultinject: %w", syscall.ENOSPC)
 		case OpCorrupt:
 			q := append([]byte(nil), p...)
 			if len(q) > 0 {
-				q[len(q)/2] ^= 0xff
+				q[r.at(len(q), len(q)/2)] ^= 0xff
 			}
 			return f.f.Write(q)
 		case OpStall:

@@ -329,6 +329,7 @@ func (db *DB) delete(s *DeleteStmt, params []Value) (int, error) {
 func (ev *evaluator) deleteRows(t *Table, where Expr) (int, error) {
 	var keep [][]Value // a fresh array: t.Rows stays as it is until the end
 	if where != nil {
+		keep = make([][]Value, 0, len(t.Rows))
 		// One scope serves every row: eval keeps no reference to it.
 		scope := &rowScope{cols: tableCols(t, strings.ToLower(t.Name))}
 		for _, row := range t.Rows {

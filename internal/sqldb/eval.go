@@ -21,6 +21,7 @@ type rowScope struct {
 	parent  *rowScope
 	grouped bool      // true while evaluating aggregate-context expressions
 	group   [][]Value // the group's source rows (may be empty)
+	member  *rowScope // grouped: the scope an aggregate walks the group in
 }
 
 // lookup resolves a column reference in this scope only. It returns the
@@ -382,9 +383,11 @@ func (ev *evaluator) evalAggregate(x *FuncCall, s *rowScope) (Value, error) {
 		return Int(int64(len(gs.group))), nil
 	}
 	count := 0
-	best := Null() // the MIN or MAX so far; NULL over no values
+	best := Null()  // the MIN or MAX so far; NULL over no values
+	rs := gs.member // its parent skips gs: no aggregate nested in x reuses it
 	for _, row := range gs.group {
-		v, err := ev.eval(x.Arg, &rowScope{cols: gs.cols, row: row, parent: gs.parent})
+		rs.row = row
+		v, err := ev.eval(x.Arg, rs)
 		if err != nil {
 			return Null(), err
 		}

@@ -6,14 +6,6 @@ import (
 	"strings"
 )
 
-func rowKey(row []Value) string {
-	var sb strings.Builder
-	for _, v := range row {
-		v.groupKey(&sb)
-	}
-	return sb.String()
-}
-
 // lessKeys orders two precomputed sort-key tuples under per-key direction
 // flags.
 func lessKeys(a, b []Value, desc []bool) bool {
@@ -101,8 +93,10 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 			rows = cand
 		}
 		filtered := rows[:0:0]
+		// One scope serves every row: eval keeps no reference to it.
+		s := &rowScope{cols: cols, parent: outer}
 		for _, row := range rows {
-			s := &rowScope{cols: cols, row: row, parent: outer}
+			s.row = row
 			v, err := ev.eval(st.Where, s)
 			if err != nil {
 				return nil, err
@@ -196,45 +190,52 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 		plans = append(plans, plan)
 	}
 
-	project := func(s *rowScope) (*projected, error) {
-		p := &projected{out: make([]Value, len(items))}
+	// Output rows and their sort keys are cut from one array per loop.
+	width := len(items) + len(plans)
+	var backing []Value
+	project := func(s *rowScope) (projected, error) {
+		vals := backing[:width:width]
+		backing = backing[width:]
+		p := projected{out: vals[:len(items):len(items)], keys: vals[len(items):]}
 		for i, it := range items {
 			v, err := ev.eval(it.expr, s)
 			if err != nil {
-				return nil, err
+				return p, err
 			}
 			p.out[i] = v
 		}
-		for _, plan := range plans {
+		for i, plan := range plans {
 			if plan.colIdx >= 0 {
-				p.keys = append(p.keys, p.out[plan.colIdx])
+				p.keys[i] = p.out[plan.colIdx]
 				continue
 			}
 			v, err := ev.eval(plan.expr, s)
 			if err != nil {
-				return nil, err
+				return p, err
 			}
-			p.keys = append(p.keys, v)
+			p.keys[i] = v
 		}
 		return p, nil
 	}
 
-	var projRows []*projected
+	// Each loop below evaluates through one scope; eval keeps no reference
+	// to it.
+	var projRows []projected
 	if aggregated {
-		groups, order, err := ev.groupRows(st.GroupBy, cols, rows, outer)
+		groups, err := ev.groupRows(st.GroupBy, cols, rows, outer)
 		if err != nil {
 			return nil, err
 		}
-		for _, gk := range order {
-			group := groups[gk]
-			rep := make([]Value, len(cols))
-			for i := range rep {
-				rep[i] = Null()
-			}
+		s := &rowScope{cols: cols, parent: outer, grouped: true, member: &rowScope{cols: cols, parent: outer}}
+		projRows = make([]projected, 0, len(groups))
+		backing = make([]Value, width*len(groups))
+		for _, group := range groups {
+			s.group = group
 			if len(group) > 0 {
-				rep = group[0]
+				s.row = group[0]
+			} else {
+				s.row = make([]Value, len(cols)) // all NULL
 			}
-			s := &rowScope{cols: cols, row: rep, parent: outer, grouped: true, group: group}
 			if st.Having != nil {
 				hv, err := ev.eval(st.Having, s)
 				if err != nil {
@@ -251,8 +252,11 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 			projRows = append(projRows, p)
 		}
 	} else {
+		projRows = make([]projected, 0, len(rows))
+		backing = make([]Value, width*len(rows))
+		s := &rowScope{cols: cols, parent: outer}
 		for _, row := range rows {
-			s := &rowScope{cols: cols, row: row, parent: outer}
+			s.row = row
 			p, err := project(s)
 			if err != nil {
 				return nil, err
@@ -262,12 +266,16 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 	}
 
 	if st.Distinct {
-		seen := map[string]bool{}
+		seen := make(map[string]struct{}, len(projRows))
 		dedup := projRows[:0:0]
+		var key []byte
 		for _, p := range projRows {
-			k := rowKey(p.out)
-			if !seen[k] {
-				seen[k] = true
+			key = key[:0]
+			for _, v := range p.out {
+				key = v.appendKey(key)
+			}
+			if _, dup := seen[string(key)]; !dup {
+				seen[string(key)] = struct{}{}
 				dedup = append(dedup, p)
 			}
 		}
@@ -285,6 +293,9 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 	}
 
 	res := &Result{Columns: columns}
+	if len(projRows) > 0 {
+		res.Rows = make([][]Value, 0, len(projRows))
+	}
 	for _, p := range projRows {
 		res.Rows = append(res.Rows, p.out)
 	}
@@ -294,33 +305,44 @@ func (ev *evaluator) execSelect(st *SelectStmt, outer *rowScope) (*Result, error
 	return res, nil
 }
 
-// groupRows partitions rows by the GROUP BY key expressions, preserving
-// first-seen order. With no GROUP BY it forms a single group containing all
-// rows (possibly zero, for global aggregates over empty inputs).
-func (ev *evaluator) groupRows(groupBy []Expr, cols []scopeCol, rows [][]Value, outer *rowScope) (map[string][][]Value, []string, error) {
-	groups := make(map[string][][]Value)
-	var order []string
+// groupRows partitions rows by the GROUP BY key expressions, in first-seen
+// order. With no GROUP BY it forms a single group containing all rows
+// (possibly zero, for global aggregates over empty inputs). The rows' keys
+// share one arena (keyIDs) and the groups are cut from one array once their
+// sizes are known, so grouping allocates per call, not per row or group.
+func (ev *evaluator) groupRows(groupBy []Expr, cols []scopeCol, rows [][]Value, outer *rowScope) ([][][]Value, error) {
 	if len(groupBy) == 0 {
-		groups[""] = rows
-		return groups, []string{""}, nil
+		return [][][]Value{rows}, nil
 	}
-	for _, row := range rows {
-		s := &rowScope{cols: cols, row: row, parent: outer}
-		var sb strings.Builder
+	var arena []byte
+	of := make([]int, len(rows)) // each row's key's end, then its group
+	s := &rowScope{cols: cols, parent: outer}
+	for i, row := range rows {
+		s.row = row
 		for _, ge := range groupBy {
 			v, err := ev.eval(ge, s)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			v.groupKey(&sb)
+			arena = v.appendKey(arena)
 		}
-		k := sb.String()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], row)
+		of[i] = len(arena)
 	}
-	return groups, order, nil
+	index := make(map[string]int, len(rows))
+	keyIDs(index, arena, of)
+	sizes := make([]int, len(index))
+	for _, g := range of {
+		sizes[g]++
+	}
+	all := make([][]Value, len(rows))
+	groups := make([][][]Value, len(sizes))
+	for g, n := range sizes {
+		groups[g], all = all[:0:n], all[n:]
+	}
+	for i, row := range rows {
+		groups[of[i]] = append(groups[of[i]], row)
+	}
+	return groups, nil
 }
 
 // fromSource is one materialised FROM operand. tbl is the provenance used
@@ -407,6 +429,7 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 	}
 
 	var out [][]Value
+	s := &rowScope{cols: cols, parent: outer}
 	for _, lr := range lrows {
 		candidates, all, err := probeRight(lr)
 		if err != nil {
@@ -417,7 +440,7 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 			row = append(row, lr...)
 			row = append(row, rr...)
 			if j.On != nil {
-				s := &rowScope{cols: cols, row: row, parent: outer}
+				s.row = row
 				v, err := ev.eval(j.On, s)
 				if err != nil {
 					return err

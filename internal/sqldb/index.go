@@ -2,9 +2,9 @@ package sqldb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -14,7 +14,7 @@ import (
 // probes `updates` by (repo, branch) once per advertisement, and the
 // completeness view joins advertisements to updates on repo. Evaluated
 // naively both are nested-loop scans, O(n·m) per check. A hash index maps
-// the group-key of an equality-column tuple to the ascending row positions
+// the key of an equality-column tuple to the ascending row positions
 // holding it, turning each probe into O(matches).
 //
 // Indexes are built lazily on first use by the planner and live on the
@@ -36,16 +36,16 @@ import (
 // tableIndexes probed by a single check at a time — so index state never
 // crosses the live/snapshot boundary.
 
-// Index keys are Value.groupKey renderings. They must agree with Compare:
+// Index keys are Value.appendKey encodings. They must agree with Compare:
 // two tuples get the same key iff Compare ranks every pair of components
-// equal. groupKey already guarantees that for everything except floats at
+// equal. appendKey already guarantees that for everything except floats at
 // magnitudes where its integral-float normalisation cuts off (|v| >= 1e18);
 // rows holding such values are kept in the index's unsafe list and returned
 // from every probe, so the candidate set remains a superset of the true
 // matches. (The planner's residual predicate re-evaluation makes the final
 // result exact either way.)
 
-// unsafeIndexValue reports whether a value's groupKey may disagree with
+// unsafeIndexValue reports whether a value's key may disagree with
 // Compare-equality against a differently-typed peer.
 func unsafeIndexValue(v Value) bool {
 	return v.kind == KindFloat && (math.Abs(v.f) >= 1e18 || math.IsInf(v.f, 0))
@@ -53,31 +53,80 @@ func unsafeIndexValue(v Value) bool {
 
 // hashIndex is one equality index over a fixed column tuple.
 type hashIndex struct {
-	cols    []int            // table column positions, ascending
-	version uint64           // tableIndexes.version at build time
-	n       int              // rows covered (extension watermark)
-	m       map[string][]int // key -> ascending row positions
-	unsafe  []int            // positions whose key may disagree with Compare
+	cols    []int          // table column positions, ascending
+	version uint64         // tableIndexes.version at build time
+	n       int            // rows covered (extension watermark)
+	m       map[string]int // key -> its entry in lists
+	lists   [][]int        // ascending row positions, one list per key
+	unsafe  []int          // positions whose key may disagree with Compare
 }
 
-// add indexes one row at position pos.
-func (h *hashIndex) add(pos int, row []Value) {
-	var sb strings.Builder
-	ok := true
-	for _, ci := range h.cols {
-		v := row[ci]
-		if unsafeIndexValue(v) {
-			ok = false
-			break
+// extend indexes rows[h.n:]. Their keys share one arena (keyIDs), and the
+// position lists of keys first seen here are cut from one array, so building
+// an index allocates per call, not per row or per key.
+func (h *hashIndex) extend(rows [][]Value) {
+	var arena []byte
+	ids := make([]int, len(rows)-h.n)
+	for i, row := range rows[h.n:] {
+		start := len(arena)
+		for _, ci := range h.cols {
+			if unsafeIndexValue(row[ci]) {
+				arena, ids[i] = arena[:start], -1
+				break
+			}
+			arena = row[ci].appendKey(arena)
 		}
-		v.groupKey(&sb)
+		if ids[i] == 0 {
+			ids[i] = len(arena)
+		}
 	}
-	if !ok {
-		h.unsafe = append(h.unsafe, pos)
-		return
+	fresh := len(h.lists)
+	keyIDs(h.m, arena, ids)
+	sizes := make([]int, len(h.m)-fresh)
+	total := 0
+	for _, id := range ids {
+		if id >= fresh {
+			sizes[id-fresh]++
+			total++
+		}
 	}
-	k := sb.String()
-	h.m[k] = append(h.m[k], pos)
+	all := make([]int, total)
+	h.lists = slices.Grow(h.lists, len(sizes))
+	for _, n := range sizes {
+		h.lists = append(h.lists, all[:0:n])
+		all = all[n:]
+	}
+	for i, id := range ids {
+		if id < 0 {
+			h.unsafe = append(h.unsafe, h.n+i)
+		} else {
+			h.lists[id] = append(h.lists[id], h.n+i)
+		}
+	}
+	h.n = len(rows)
+}
+
+// keyIDs numbers the keys laid end to end in arena — key i ends at ends[i],
+// and a negative end skips it — registering each one not yet in m under the
+// next free number; ends is overwritten with the numbers. The arena becomes
+// one string and every new map key a substring of it: one allocation for all
+// of them, where converting each key would cost one apiece.
+func keyIDs(m map[string]int, arena []byte, ends []int) {
+	keys := string(arena)
+	start := 0
+	for i, end := range ends {
+		if end < 0 {
+			continue
+		}
+		k := keys[start:end]
+		start = end
+		id, ok := m[k]
+		if !ok {
+			id = len(m)
+			m[k] = id
+		}
+		ends[i] = id
+	}
 }
 
 // probe returns the candidate positions for the given values, merged with
@@ -86,7 +135,8 @@ func (h *hashIndex) add(pos int, row []Value) {
 // equality with NULL is never true, and unsafe rows cannot compare equal to
 // NULL either, so even they are excluded.
 func (h *hashIndex) probe(vals []Value) (pos []int, all bool) {
-	var sb strings.Builder
+	var arr [64]byte
+	key := arr[:0]
 	for _, v := range vals {
 		if v.IsNull() {
 			return nil, false
@@ -94,9 +144,12 @@ func (h *hashIndex) probe(vals []Value) (pos []int, all bool) {
 		if unsafeIndexValue(v) {
 			return nil, true
 		}
-		v.groupKey(&sb)
+		key = v.appendKey(key)
 	}
-	hit := h.m[sb.String()]
+	var hit []int
+	if i, ok := h.m[string(key)]; ok {
+		hit = h.lists[i]
+	}
 	if len(h.unsafe) == 0 {
 		return hit, false
 	}
@@ -129,16 +182,16 @@ type tableIndexes struct {
 
 func newTableIndexes() *tableIndexes { return &tableIndexes{bySig: make(map[string]*hashIndex)} }
 
-// colSig canonicalises a column set: ascending positions, comma-joined.
-func colSig(cols []int) string {
-	var sb strings.Builder
+// appendColSig appends a column set's canonical name: ascending positions,
+// comma-joined.
+func appendColSig(buf []byte, cols []int) []byte {
 	for i, c := range cols {
 		if i > 0 {
-			sb.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		sb.WriteString(strconv.Itoa(c))
+		buf = strconv.AppendInt(buf, int64(c), 10)
 	}
-	return sb.String()
+	return buf
 }
 
 // ensure returns an index over cols covering exactly the given rows,
@@ -146,16 +199,17 @@ func colSig(cols []int) string {
 // returned index is safe to probe without a lock as long as the caller's
 // view of the table cannot change (read-locked live table or snapshot).
 func (ix *tableIndexes) ensure(rows [][]Value, cols []int) *hashIndex {
-	sig := colSig(cols)
+	var arr [32]byte
+	sig := appendColSig(arr[:0], cols)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	h := ix.bySig[sig]
+	h := ix.bySig[string(sig)]
 	if h == nil || h.version != ix.version || h.n > len(rows) {
-		h = &hashIndex{cols: cols, version: ix.version, m: make(map[string][]int)}
-		ix.bySig[sig] = h
+		h = &hashIndex{cols: cols, version: ix.version, m: make(map[string]int, len(rows))}
+		ix.bySig[string(sig)] = h
 	}
-	for ; h.n < len(rows); h.n++ {
-		h.add(h.n, rows[h.n])
+	if h.n < len(rows) {
+		h.extend(rows)
 	}
 	return h
 }
@@ -172,11 +226,8 @@ func (ix *tableIndexes) invalidateAll() {
 // buildTransient builds a one-shot hash map over derived rows (a view's or a
 // join's output) that have no table to hang a persistent index on.
 func buildTransient(rows [][]Value, cols []int) *hashIndex {
-	h := &hashIndex{cols: cols, m: make(map[string][]int)}
-	for i, row := range rows {
-		h.add(i, row)
-	}
-	h.n = len(rows)
+	h := &hashIndex{cols: cols, m: make(map[string]int, len(rows))}
+	h.extend(rows)
 	return h
 }
 

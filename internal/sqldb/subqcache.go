@@ -87,17 +87,23 @@ func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, e
 	if info.uncachable {
 		return nil, nil
 	}
-	var sb strings.Builder
+	var arr [64]byte
+	key := arr[:0]
 	for _, fr := range info.free {
 		v, ok := resolveInChain(s, fr)
 		if !ok {
 			// The binding environment differs from the analysis; fall back.
 			return nil, nil
 		}
-		v.groupKey(&sb)
+		if inexactNumeric(v) {
+			// INTEGER and REAL bindings a float64 cannot tell apart share a
+			// key, yet a subquery comparing its rows to the binding tells
+			// them apart: evaluate such a binding afresh.
+			return nil, nil
+		}
+		key = v.appendKey(key)
 	}
-	key := sb.String()
-	if e, ok := info.cache[key]; ok {
+	if e, ok := info.cache[string(key)]; ok {
 		return e, nil
 	}
 	res, err := ev.execSelect(sel, s)
@@ -105,7 +111,7 @@ func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, e
 		return nil, err
 	}
 	e := &subqEntry{res: res}
-	info.cache[key] = e
+	info.cache[string(key)] = e
 	return e, nil
 }
 
@@ -113,11 +119,11 @@ func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, e
 // that a statement probing one cached result from every outer row (the
 // paper's trim query, `time NOT IN (SELECT MAX(time) ... GROUP BY ...)`)
 // costs O(outer + members) instead of their product. Members are keyed with
-// Value.groupKey, which agrees with Compare except between an INTEGER and a
+// Value.appendKey, which agrees with Compare except between an INTEGER and a
 // REAL at magnitudes a float64 no longer holds exactly; exact reports whether
 // a probe is clear of that corner, and evalIn scans the rows when it is not.
 type inSet struct {
-	keys             map[string]struct{}
+	keys             map[string]int
 	sawNull          bool // a member is NULL: a miss is unknown, not false
 	bigInt, bigFloat bool // a member of that kind is inexact as a float64
 }
@@ -136,8 +142,9 @@ func inexactNumeric(v Value) bool {
 }
 
 func newInSet(rows [][]Value) *inSet {
-	set := &inSet{keys: make(map[string]struct{}, len(rows))}
-	var sb strings.Builder
+	set := &inSet{keys: make(map[string]int, len(rows))}
+	var arena []byte
+	ends := make([]int, 0, len(rows))
 	for _, row := range rows {
 		m := row[0]
 		if m.IsNull() {
@@ -148,10 +155,10 @@ func newInSet(rows [][]Value) *inSet {
 			set.bigInt = set.bigInt || m.kind == KindInt
 			set.bigFloat = set.bigFloat || m.kind == KindFloat
 		}
-		sb.Reset()
-		m.groupKey(&sb)
-		set.keys[sb.String()] = struct{}{}
+		arena = m.appendKey(arena)
+		ends = append(ends, len(arena))
 	}
+	keyIDs(set.keys, arena, ends)
 	return set
 }
 
@@ -167,9 +174,8 @@ func (set *inSet) exact(v Value) bool {
 }
 
 func (set *inSet) has(v Value) bool {
-	var sb strings.Builder
-	v.groupKey(&sb)
-	_, ok := set.keys[sb.String()]
+	var arr [64]byte
+	_, ok := set.keys[string(v.appendKey(arr[:0]))]
 	return ok
 }
 

@@ -9,6 +9,7 @@ package sqldb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -282,34 +283,33 @@ func CompareSQL(a, b Value) (cmp int, ok bool) {
 // where NULLs compare equal to each other, as in SQLite).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// groupKey renders a value into a canonical string usable as a map key for
-// grouping and DISTINCT.
-func (v Value) groupKey(sb *strings.Builder) {
+// appendKey appends v's key to buf: the one encoding behind GROUP BY,
+// DISTINCT, hash indexes, IN sets and the subquery cache. Keys are
+// self-delimiting, so a tuple's key is its values' keys in order, and two
+// values share a key iff Compare ranks them equal — except between an INTEGER
+// and a REAL that a float64 cannot tell apart from it, at |v| >= 2^53, which
+// every user of the key handles on its own. Callers build keys in a reused
+// buffer and look them up as m[string(buf)], which does not allocate.
+func (v Value) appendKey(buf []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		sb.WriteByte('n')
+		return append(buf, 'n')
 	case KindInt:
-		sb.WriteByte('i')
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(v.i))
 	case KindFloat:
-		// Integral floats group with equal ints, mirroring Compare.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && math.Abs(v.f) < 1e18 {
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(int64(v.f), 10))
-		} else {
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatFloat(v.f, 'b', -1, 64))
+		// Integral floats key as the equal int and every NaN as one value,
+		// mirroring Compare.
+		switch {
+		case v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e18:
+			return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(int64(v.f)))
+		case math.IsNaN(v.f):
+			return append(buf, 'N')
 		}
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), math.Float64bits(v.f))
 	case KindText:
-		sb.WriteByte('t')
-		sb.WriteString(strconv.Itoa(len(v.s)))
-		sb.WriteByte(':')
-		sb.WriteString(v.s)
+		return append(binary.AppendUvarint(append(buf, 't'), uint64(len(v.s))), v.s...)
 	case KindBlob:
-		sb.WriteByte('b')
-		sb.WriteString(strconv.Itoa(len(v.b)))
-		sb.WriteByte(':')
-		sb.Write(v.b)
+		return append(binary.AppendUvarint(append(buf, 'b'), uint64(len(v.b))), v.b...)
 	}
-	sb.WriteByte('|')
+	return buf
 }
