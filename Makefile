@@ -55,7 +55,7 @@ bench-e2e-smoke:
 	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
 
 # Short fuzzing pass over the verifier (every driver against the eager
-# reference, under the golden key; seeded from the format-2 golden images and
+# reference, under the golden key; seeded from the format-3 golden images and
 # the re-hashed-suffix image), the entry codec and the walk that checks an
 # entry without building it (against the frozen decoder), the HTTP parser (on
 # its own, and the in-place parser against the frozen bufio one) and the SQL

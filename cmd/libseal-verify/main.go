@@ -12,6 +12,12 @@
 // rolled back to an earlier signed prefix fails verification even though
 // its own chain still checks out.
 //
+// Logs are read in format 3 (magic LIBSEALLOG3): the chain takes one step per
+// batch, over its entry records as stored. A file of format 1 or 2 is refused
+// by name ("log format 2 is not supported; this build reads format 3"), and a
+// checkpoint sidecar an earlier build wrote is stale: that shard is scanned
+// cold.
+//
 // Verification runs the parallel pipeline: signature records cut each log
 // into independently checkable runs of batches fanned out to -workers
 // goroutines, entries are checked where they lie in the file's blocks —

@@ -90,8 +90,8 @@ var (
 	// ErrClosed is returned by Append/Stage after Close.
 	ErrClosed = errors.New("audit: log closed")
 	// ErrBatchAborted is returned by appends whose batch never committed
-	// because an earlier batch's commit failed: their entries chain off a
-	// head that never became durable.
+	// because an earlier batch's commit failed: their entries follow entries
+	// that never became durable.
 	ErrBatchAborted = errors.New("audit: batch aborted (earlier commit failed)")
 	// ErrOverloaded is returned by Append/Stage when the group-commit
 	// pipeline's staging budget (Config.MaxStaged) is exhausted and did not
@@ -239,16 +239,15 @@ type Log struct {
 	sigCounter uint64
 	sigHead    [32]byte
 
-	// Speculative state: the chain head including every staged-but-not-yet
-	// -durable entry. Equal to the durable state while no batch is open.
-	specSeq   atomic.Uint64
-	specChain [32]byte
+	// specSeq is the sequence number the next staged entry takes; equal to
+	// seq while no batch is open.
+	specSeq atomic.Uint64
 
 	// Group-commit lane. cur is the open batch accepting joiners; batches
 	// commit strictly in turn order (commitTurn is the next turn allowed
 	// to commit, nextTurn the turn the next new batch will get). epoch
 	// poisons staged batches when an earlier commit fails: their entries
-	// chain off a head that never became durable.
+	// carry sequence numbers that follow entries never made durable.
 	cur        *commitBatch
 	committing bool
 	commitTurn uint64
@@ -277,8 +276,8 @@ type commitBatch struct {
 	turn  uint64 // commit order ticket
 	epoch uint64 // poison epoch at creation
 
-	payloads [][]byte // encoded entries, chain order
-	endChain [32]byte // chain head after the last entry
+	payloads [][]byte // encoded entries, in sequence order
+	endChain [32]byte // chain head after the batch, computed by its leader at commit
 	endSeq   uint64
 	bytes    int64 // enclave heap charged for the entries
 
@@ -334,12 +333,12 @@ const (
 	recSig   byte = 'S'
 )
 
-// fileMagic opens a format-2 log: signature records carry the digest of their
-// predecessor (see sigPayload). formerMagic is what format 1 wrote; such a
-// file is refused by name rather than as garbage.
+// fileMagic opens a format-3 log (batchChain, sigPayload). formerMagics are
+// what earlier formats wrote, oldest first; such a file is refused by name
+// rather than as garbage.
 var (
-	fileMagic   = []byte("LIBSEALLOG2\n")
-	formerMagic = []byte("LIBSEALLOG1\n")
+	fileMagic    = []byte("LIBSEALLOG3\n")
+	formerMagics = [][]byte{[]byte("LIBSEALLOG1\n"), []byte("LIBSEALLOG2\n")}
 )
 
 // newShard creates (or truncates) one shard's log over the set's shared
@@ -374,8 +373,8 @@ func (l *Log) DB() *sqldb.DB { return l.db }
 // recovery.
 func (l *Log) Seq() uint64 { return l.seq.Load() }
 
-// ChainHash returns the current durable head of the hash chain. Runs outside
-// the enclave.
+// ChainHash returns the current durable head of the hash chain (zero in
+// memory mode, which keeps no file). Runs outside the enclave.
 func (l *Log) ChainHash() [32]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -422,8 +421,8 @@ type waitRef struct {
 }
 
 // Append adds one tuple to the named relation: it is inserted into the
-// database, chained into the running hash, and (in disk mode) persisted
-// under a monotonic counter value and enclave signature before returning —
+// database and (in disk mode) persisted, chained, under a monotonic counter
+// value and enclave signature before returning —
 // either on its own (BatchMax <= 1) or as part of a group commit.
 func (l *Log) Append(env *asyncall.Env, table string, vals ...any) error {
 	t, err := l.Stage(env, []Row{{Table: table, Values: vals}})
@@ -434,7 +433,7 @@ func (l *Log) Append(env *asyncall.Env, table string, vals ...any) error {
 }
 
 // Stage inserts the rows into the database and stages them into the commit
-// pipeline as one unit: the rows occupy consecutive chain positions, so
+// pipeline as one unit: the rows take consecutive sequence numbers, so
 // checks running under the caller's serialisation never observe a partial
 // group. It performs no I/O waits; call Ticket.Wait for durability. Must
 // run inside an enclave call, and the returned ticket must be waited on by
@@ -518,21 +517,18 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 			return fail(err)
 		}
 	}
-	// Phase 2: advance the speculative chain and join batches. This cannot
-	// fail, so a ticket always covers all of its rows.
+	// Phase 2: take sequence numbers and join batches. This cannot fail, so
+	// a ticket always covers all of its rows.
 	for _, enc := range encs {
-		next := chainNext(l.specChain, enc)
-		l.specChain = next
 		l.specSeq.Add(1)
 		if l.cfg.Mode != ModeDisk {
 			// Memory mode has no durability step: publish immediately.
-			l.chain = next
 			l.seq.Store(l.specSeq.Load())
 			l.heap += int64(len(enc))
 			mChainLength.Set(int64(l.seq.Load()))
 			continue
 		}
-		b, leader := l.joinBatch(enc, next)
+		b, leader := l.joinBatch(enc)
 		if n := len(t.waits); n > 0 && t.waits[n-1].b == b {
 			t.waits[n-1].count++
 			t.waits[n-1].bytes += int64(len(enc))
@@ -614,7 +610,7 @@ func (l *Log) PendingStaged() int {
 // joinBatch stages one encoded entry into the open batch, opening a new one
 // if necessary. Called with l.mu held; reports whether the caller opened the
 // batch (and therefore leads its commit).
-func (l *Log) joinBatch(enc []byte, next [32]byte) (*commitBatch, bool) {
+func (l *Log) joinBatch(enc []byte) (*commitBatch, bool) {
 	leader := false
 	if l.cur == nil {
 		l.cur = &commitBatch{
@@ -628,7 +624,6 @@ func (l *Log) joinBatch(enc []byte, next [32]byte) (*commitBatch, bool) {
 	}
 	b := l.cur
 	b.payloads = append(b.payloads, enc)
-	b.endChain = next
 	b.endSeq = l.specSeq.Load()
 	b.bytes += int64(len(enc))
 	if len(b.payloads) >= l.cfg.batchMax() {
@@ -744,8 +739,9 @@ func (l *Log) awaitTurn(b *commitBatch) bool {
 }
 
 // commitSealed makes a sealed batch durable: one counter increment, sealed
-// payloads, one signature over the batch's end-of-chain state, one write
-// sequence and one fsync. The caller holds the commit lane.
+// entry records, the chain advanced over them, one signature over the
+// batch's head, one write and one fsync. The caller holds the commit lane, so
+// the previous batch has published its head.
 func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	// A file that failed closed refuses the commit anyway; refuse before
 	// spending a counter increment that no signature record would carry, or
@@ -762,7 +758,8 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	if err != nil {
 		return err
 	}
-	// The lane is held, so nothing moves sigHead under this read.
+	// The lane is held, so nothing moves chain or sigHead under these reads.
+	b.endChain = batchChain(l.chain, recs)
 	sig, err := l.signState(env, b.endChain, counter, l.sigHead)
 	if err != nil {
 		return err
@@ -828,7 +825,7 @@ func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
 
 // publish records a batch's outcome: on success the durable chain head jumps
 // to the batch's end; on failure every staged successor is poisoned, since
-// its entries chain off a head that never became durable.
+// its entries' sequence numbers follow entries that never became durable.
 func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
 	asyncall.Lock(env, &l.mu)
 	defer l.mu.Unlock()
@@ -862,10 +859,9 @@ func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
 	} else {
 		l.epoch++
 		l.poisonErr = err
-		l.specChain = l.chain
 		l.specSeq.Store(l.seq.Load())
-		// The open batch (if any) chains off the failed entries; close it
-		// to new joiners. Its leader fails it when its turn comes.
+		// The open batch (if any) follows the failed entries; close it to
+		// new joiners. Its leader fails it when its turn comes.
 		l.cur = nil
 		mBatchAborts.Inc()
 	}
@@ -899,14 +895,23 @@ func lockQuiesced(env *asyncall.Env, logs ...*Log) {
 	})
 }
 
-// chainNext extends the hash chain by one entry.
-func chainNext(prev [32]byte, entry []byte) [32]byte {
-	h := sha256.New()
+// batchChain is the writers' half of the chain rule (DESIGN.md §9): the head
+// after a batch is SHA-256(prev ‖ its entry records exactly as stored), and a
+// batch with no entries leaves it where it was. The verifier's half is
+// chainVerifier.entry and .sig.
+func batchChain(prev [32]byte, entries []record) [32]byte {
+	if len(entries) == 0 {
+		return prev
+	}
+	h, hdr := sha256.New(), [5]byte{}
 	h.Write(prev[:])
-	h.Write(entry)
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	for _, r := range entries {
+		hdr[0] = r.typ
+		binary.BigEndian.PutUint32(hdr[1:], uint32(len(r.payload)))
+		h.Write(hdr[:])
+		h.Write(r.payload)
+	}
+	return [32]byte(h.Sum(nil))
 }
 
 // counterOp runs one operation on the named rollback counter, bounded by
@@ -994,13 +999,13 @@ func (l *Log) closeGapLocked() {
 }
 
 // sigDigest is the message a signature record attests: the chain head after
-// the batch's last entry, the counter value that anchored it, and prev, the
-// SHA-256 of the previous signature record's payload in the same file (zero
-// for a file's first). The link is what lets one valid signature vouch for
-// every signature record before it; it is a link and not a fold into the
-// entry chain because ECDSA signatures are randomised and Stage chains an
-// entry before the previous batch's signature exists. The writers (signState,
-// the synthetic writer) and the verifier must agree on it byte for byte.
+// the batch, the counter value that anchored it, and prev, the SHA-256 of the
+// previous signature record's payload in the same file (zero for a file's
+// first). The link is what lets one valid signature vouch for every signature
+// record before it; it is a link and not a fold into the entry chain because
+// ECDSA signatures are randomised, so a signature record's bytes are not
+// known until it is signed. The writers (signState, the synthetic writer) and
+// the verifier must agree on it byte for byte.
 func sigDigest(chain [32]byte, counter uint64, prev [32]byte) []byte {
 	var buf [72]byte
 	copy(buf[:32], chain[:])
@@ -1055,8 +1060,8 @@ func (l *Log) Exec(sql string, args ...any) (int, error) {
 // that fails at any step leaves the shard on its old image, on disk and in
 // memory; the others carry on.
 type rewrite struct {
-	encs     [][]byte // surviving entries, chain order
-	chain    [32]byte // chain head over encs
+	encs     [][]byte // surviving entries, in sequence order
+	chain    [32]byte // chain head over their records, one batch from zero
 	retained int64    // enclave heap the entries occupy
 	recs     []record // the new image: sealed entries, then the signature
 	sigHead  [32]byte // digest of that signature record's payload
@@ -1067,16 +1072,16 @@ type rewrite struct {
 	anchorErr error
 }
 
-// buildRewrite chains and seals a shard's partition inside the enclave: the
-// part of the image that does not depend on the counter.
+// buildRewrite seals and chains a shard's partition inside the enclave — one
+// batch from zero: the part of the image that does not depend on the counter.
 func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
 	rw.encs = encs
 	for _, enc := range encs {
-		rw.chain = chainNext(rw.chain, enc)
 		rw.retained += int64(len(enc))
 	}
 	if l.cfg.Mode == ModeDisk {
 		rw.recs, rw.err = l.sealRecords(env, encs)
+		rw.chain = batchChain([32]byte{}, rw.recs)
 	}
 }
 
@@ -1118,7 +1123,6 @@ func (l *Log) adoptRewrite(env *asyncall.Env, rw *rewrite) {
 	l.heap = rw.retained
 	l.chain = rw.chain
 	l.seq.Store(uint64(len(rw.encs)))
-	l.specChain = l.chain
 	l.specSeq.Store(uint64(len(rw.encs)))
 	mChainLength.Set(int64(len(rw.encs)))
 	mStagedPending.Set(0)
@@ -1189,15 +1193,14 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		if _, err := st.Exec(args...); err != nil {
 			return nil, err
 		}
-		enc := e.Marshal()
-		if err := env.Ctx.Alloc(int64(len(enc))); err != nil {
+		size := e.size()
+		if err := env.Ctx.Alloc(size); err != nil {
 			return nil, err
 		}
-		l.heap += int64(len(enc))
-		l.chain = chainNext(l.chain, enc)
-		l.seq.Add(1)
+		l.heap += size
 	}
-	l.specChain = l.chain
+	l.chain = res.Chain // the entries cannot rebuild a chain over sealed records
+	l.seq.Store(uint64(len(res.Entries)))
 	l.specSeq.Store(l.seq.Load())
 	l.counter = res.Counter
 	l.sigCounter, l.sigHead = res.Counter, res.SigHead

@@ -13,39 +13,23 @@ import (
 	"libseal/internal/vfs"
 )
 
-// Resumable verification checkpoints. A checkpoint is a small JSON sidecar
-// recording the verified prefix state at a commit point: the offset just
-// past a signature record, the chain head and counter that record attests,
-// and running totals. A restarted verifier loads the sidecar, re-binds it
-// to the log (the signature record at SigOffset must hash to SigHash, parse
-// cleanly, carry a valid enclave ECDSA signature, and attest exactly the
-// sidecar's chain head and counter — a log that was trimmed, rotated or
-// swapped since, or a sidecar whose fields disagree with the signed record,
-// fails with ErrCheckpointStale and the caller falls back to a cold scan),
-// seeks to Offset and verifies only the suffix.
-//
-// Trust model: the sidecar itself is plain, unauthenticated JSON, so resume
-// never *adopts* sidecar state on its own authority. The chain head and
-// counter the scan restarts from must equal what the log's own signature
-// record attests — verified under the enclave public key — which is
-// exactly the evidence a cold scan would have checked at that offset. A
-// forged sidecar (e.g. one claiming the current group counter over a
-// rolled-back log copy) therefore cannot make a resumed scan accept what a
-// cold scan would reject. Fields the signature does not cover (Seq and the
-// running totals) are guarded by a self-digest (Sum) so sidecar rot is
-// detected at load time and degrades to a cold scan rather than a bogus
-// tampering verdict.
-//
-// Crash model: the sidecar is written to a temp file, fsynced, and
-// atomically renamed over the previous checkpoint (the same discipline Trim
-// uses for the log itself), so a crash mid-write leaves the previous valid
-// checkpoint in place. Checkpoints are only ever taken at commit points of
-// a fully verified prefix, so resuming can never skip an unverified byte:
-// the worst a crash costs is re-verifying the segments since the last
-// sidecar rotation.
+// Resumable verification checkpoints (DESIGN.md §13). A checkpoint is a
+// small JSON sidecar recording the verified prefix state at a commit point:
+// the offset just past a signature record, the chain head and counter that
+// record attests, and running totals. A restarted verifier re-binds it to the
+// log — the signature record at SigOffset must hash to SigHash, parse, carry
+// a valid enclave signature and attest exactly the sidecar's head and
+// counter, or the sidecar is ErrCheckpointStale and the caller scans cold —
+// then seeks to Offset and verifies only the suffix. So resume never adopts
+// the unauthenticated JSON on its own authority: a forged sidecar cannot make
+// a resumed scan accept what a cold scan would reject. Fields the signature
+// does not cover (Seq, the totals) are guarded by a self-digest (Sum), so rot
+// degrades to a cold scan. The sidecar is replaced atomically and only ever
+// taken at a fully verified commit point, so a resume never skips an
+// unverified byte.
 
 const (
-	checkpointVersion = 1
+	checkpointVersion = 2 // its chain head is log format 3's: another version's is stale
 
 	// defaultCheckpointSegments / defaultCheckpointBytes bound how much
 	// re-verification a crash can cost when CheckpointConfig doesn't say.

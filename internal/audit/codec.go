@@ -30,8 +30,8 @@ const (
 	tagBlob  byte = 4
 )
 
-// Marshal encodes the entry deterministically; the hash chain runs over
-// this encoding.
+// Marshal encodes the entry deterministically: an entry record's payload,
+// before sealing.
 func (e *Entry) Marshal() []byte {
 	var buf bytes.Buffer
 	var u64 [8]byte
@@ -62,6 +62,23 @@ func (e *Entry) Marshal() []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// size is len(e.Marshal()), without encoding: what the entry costs the
+// enclave heap.
+func (e *Entry) size() int64 {
+	n := 14 + len(e.Table) + len(e.Values) // seq, table length, value count, tags
+	for _, v := range e.Values {
+		switch v.Kind() {
+		case sqldb.KindInt, sqldb.KindFloat:
+			n += 8
+		case sqldb.KindText:
+			n += 4 + len(v.TextVal())
+		case sqldb.KindBlob:
+			n += 4 + len(v.BlobVal())
+		}
+	}
+	return int64(n)
 }
 
 // UnmarshalEntry decodes an entry produced by Marshal. Every string is copied

@@ -99,17 +99,23 @@ func TestUnmarshalGarbageEntry(t *testing.T) {
 	}
 }
 
-func TestChainNextDiffers(t *testing.T) {
+func TestBatchChainDiffers(t *testing.T) {
 	var zero [32]byte
-	a := chainNext(zero, []byte("entry1"))
-	b := chainNext(zero, []byte("entry2"))
+	e1 := record{typ: recEntry, payload: []byte("entry1")}
+	e2 := record{typ: recEntry, payload: []byte("entry2")}
+	a := batchChain(zero, []record{e1})
+	b := batchChain(zero, []record{e2})
 	if a == b {
 		t.Fatal("different entries produced equal chain hashes")
 	}
-	c := chainNext(a, []byte("entry2"))
-	d := chainNext(b, []byte("entry1"))
-	if c == d {
+	if batchChain(zero, []record{e1, e2}) == batchChain(zero, []record{e2, e1}) {
 		t.Fatal("chain is order-insensitive")
+	}
+	if batchChain(zero, []record{e1, e2}) == batchChain(a, []record{e2}) {
+		t.Fatal("chain does not see where a batch ends")
+	}
+	if batchChain(a, nil) != a {
+		t.Fatal("a batch with no entries moved the head")
 	}
 }
 

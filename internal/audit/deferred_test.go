@@ -76,11 +76,13 @@ func sigRecords(recs []referenceRecord) []int {
 // the records: what an adversary who cannot sign can still repair.
 func rehash(recs []referenceRecord) {
 	var chain, sigHead [32]byte
+	var batch []record
 	for _, r := range recs {
 		switch r.typ {
 		case recEntry:
-			chain = chainNext(chain, r.payload)
+			batch = append(batch, record{typ: r.typ, payload: r.payload})
 		case recSig:
+			chain, batch = batchChain(chain, batch), batch[:0]
 			copy(r.payload, chain[:])
 			copy(r.payload[sigPrevAt:], sigHead[:])
 			sigHead = sha256.Sum256(r.payload)
@@ -231,22 +233,32 @@ func TestSignatureRecordsRearrangedRejected(t *testing.T) {
 		})
 	}
 
-	// The splice. A trim that deletes nothing rebuilds the same entries under
-	// the same chain, so the pre-trim image's last signature record attests
-	// the post-trim image's chain head, validly: only its link gives it away.
+	// The splice. A trim that deletes nothing rebuilds the same entries as one
+	// batch from zero; written as one batch in the first place, they are
+	// under the same chain head, so the pre-trim image's signature record
+	// attests the post-trim image's chain head, validly: only its link gives
+	// it away.
 	t.Run("spliced-from-pre-trim", func(t *testing.T) {
 		e := newAuditEnv(t)
 		path := filepath.Join(e.dir, "git.lseal")
+		cfg := e.diskConfig("git")
+		cfg.BatchMax = 8
 		var l *oneShard
 		var before []byte
 		e.call(t, func(env *asyncall.Env) (err error) {
-			if l, err = newOneShard(env, e.diskConfig("git")); err != nil {
+			if l, err = newOneShard(env, cfg); err != nil {
 				return err
 			}
+			var rows []Row
 			for i := 1; i <= 6; i++ {
-				if err := l.Append(env, "updates", i, "r", "main", fmt.Sprintf("c%d", i), "update"); err != nil {
-					return err
-				}
+				rows = append(rows, Row{Table: "updates", Values: []any{i, "r", "main", fmt.Sprintf("c%d", i), "update"}})
+			}
+			tk, err := l.Stage(env, rows)
+			if err != nil {
+				return err
+			}
+			if err := tk.Wait(env); err != nil {
+				return err
 			}
 			if before, err = os.ReadFile(path); err != nil {
 				return err
@@ -614,17 +626,21 @@ func locatesStreamVerdicts(t *testing.T, img []byte, pub *ecdsa.PublicKey) {
 	}
 }
 
-// TestFormerFormatRefusedByName: a format-1 file is not garbage, and every
-// driver says which format it is.
+// TestFormerFormatRefusedByName: a format-1 or format-2 file is not garbage,
+// and every driver says which format it is.
 func TestFormerFormatRefusedByName(t *testing.T) {
-	img := append([]byte("LIBSEALLOG1\n"), synthLog(t, testKey(t), 3, 1)[len(fileMagic):]...)
-	for _, tolerant := range []bool{false, true} {
-		_, _, err := driversAgree(t, img, VerifyOptions{RecoverTruncated: tolerant}, []int{1, 2})
-		if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), "log format 1 is not supported; this build reads format 2") {
-			t.Fatalf("tolerant=%v: %v", tolerant, err)
-		}
-		if _, _, err := feedChunked(img, VerifyOptions{}, []int{5}); err == nil || !strings.Contains(err.Error(), "log format 1") {
-			t.Fatalf("chunk-fed: %v", err)
+	body := synthLog(t, testKey(t), 3, 1)[len(fileMagic):]
+	for format := 1; format <= 2; format++ {
+		img := append([]byte(fmt.Sprintf("LIBSEALLOG%d\n", format)), body...)
+		want := fmt.Sprintf("log format %d is not supported; this build reads format 3", format)
+		for _, tolerant := range []bool{false, true} {
+			_, _, err := driversAgree(t, img, VerifyOptions{RecoverTruncated: tolerant}, []int{1, 2})
+			if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("format %d, tolerant=%v: %v", format, tolerant, err)
+			}
+			if _, _, err := feedChunked(img, VerifyOptions{}, []int{5}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("format %d, chunk-fed: %v", format, err)
+			}
 		}
 	}
 }

@@ -25,25 +25,26 @@ const maxRecordBytes = 1 << 28
 // streamKind describes one of the two record streams.
 type streamKind struct {
 	magic  []byte
-	former []byte // an earlier format's magic, refused by name
-	name   string // names the stream in framing errors
-	only   byte   // non-zero: the single record type the stream holds, checked before a payload is read or awaited
+	former [][]byte // earlier formats' magics, oldest first, refused by name
+	name   string   // names the stream in framing errors
+	only   byte     // non-zero: the single record type the stream holds, checked before a payload is read or awaited
 }
 
 var (
-	logStream      = streamKind{magic: fileMagic, former: formerMagic}
+	logStream      = streamKind{magic: fileMagic, former: formerMagics}
 	manifestStream = streamKind{magic: manifestMagic, name: "manifest ", only: recManifest}
 )
 
-// checkMagic judges a stream's leading bytes. A format-1 log is named, not
-// lumped in with garbage: its signature records carry no link, so this build
-// cannot verify it.
+// checkMagic judges a stream's leading bytes. A log of an earlier format is
+// named, not lumped in with garbage: this build cannot verify it.
 func (k *streamKind) checkMagic(got []byte) error {
-	switch {
-	case bytes.Equal(got, k.magic):
+	if bytes.Equal(got, k.magic) {
 		return nil
-	case k.former != nil && bytes.Equal(got, k.former):
-		return fmt.Errorf("%w: log format 1 is not supported; this build reads format 2", ErrTampered)
+	}
+	for i, f := range k.former {
+		if bytes.Equal(got, f) {
+			return fmt.Errorf("%w: log format %d is not supported; this build reads format %d", ErrTampered, i+1, len(k.former)+1)
+		}
 	}
 	return fmt.Errorf("%w: bad %smagic", ErrTampered, k.name)
 }
@@ -99,7 +100,8 @@ func (k *streamKind) cut(w []byte) (typ byte, payload []byte, size int, err erro
 type record struct {
 	typ     byte
 	payload []byte
-	off     int64 // stream offset of the record's header
+	off     int64  // stream offset of the record's header
+	raw     []byte // framers only: header and payload, as they lie in the window
 }
 
 // end is the stream offset just past the record.
@@ -110,24 +112,31 @@ func (r record) end() int64 { return r.off + 5 + int64(len(r.payload)) }
 const blockSize = 256 << 10
 
 // recordReader cuts records out of an io.Reader's stream, read a block at a
-// time. Records alias their block and stay valid: each block is a new buffer.
+// time. Records alias their block, which is read into again only once its
+// owner hands it back as the spare.
 type recordReader struct {
-	r    io.Reader
-	kind *streamKind
-	size int    // block size; 0 means blockSize
-	buf  []byte // the current block; buf[pos:] is the window, read but not yet cut
-	pos  int
-	off  int64 // stream offset of buf[pos]
-	eof  bool  // r is spent; a read error ends the stream as a truncation does
+	r     io.Reader
+	kind  *streamKind
+	size  int    // block size; 0 means blockSize
+	buf   []byte // the current block; buf[pos:] is the window, read but not yet cut
+	pos   int
+	off   int64  // stream offset of buf[pos]
+	eof   bool   // r is spent; a read error ends the stream as a truncation does
+	spare []byte // a block nothing aliases any more
 }
 
 // fill starts a new block: buf[keep:] — the window, and what the caller wants
 // kept contiguous before it — moves to its head and the stream is read on
 // behind. A carry of more than half a block gets one twice its size, so a
-// block grows with the bytes actually read, never with a length a header claims.
+// block grows with the bytes actually read, never with a length a header
+// claims. It is the spare, whole and unzeroed, when that is large enough.
 func (rr *recordReader) fill(keep int) {
-	carry := rr.buf[keep:]
-	buf := make([]byte, max(cmp.Or(rr.size, blockSize), 2*len(carry)))
+	carry, buf := rr.buf[keep:], rr.spare[:cap(rr.spare)]
+	if size := max(cmp.Or(rr.size, blockSize), 2*len(carry)); len(buf) < size {
+		buf = make([]byte, size)
+		mVerifyBlockAllocs.Inc()
+	}
+	rr.spare = nil
 	n := copy(buf, carry)
 	m, err := io.ReadFull(rr.r, buf[n:])
 	rr.eof = err != nil
@@ -158,7 +167,7 @@ func (rr *recordReader) cut() (rec record, ok bool, err error) {
 	case err != nil:
 		return rec, false, err
 	case size <= len(w):
-		rec = record{typ: typ, payload: payload, off: rr.off}
+		rec = record{typ: typ, payload: payload, off: rr.off, raw: w[:size:size]}
 		rr.pos, rr.off = rr.pos+size, rr.off+int64(size)
 		return rec, true, nil
 	case !rr.eof:
@@ -226,6 +235,7 @@ func (rb *recordBuffer) feed(p []byte, each func(record) error) error {
 			continue
 		}
 		rb.off += int64(size)
+		rec.raw = w[:size:size]
 		if len(rb.buf) > 0 {
 			rb.buf = rb.buf[:0]
 		} else {

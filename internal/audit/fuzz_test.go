@@ -46,7 +46,7 @@ func TestFuzzCorpus(t *testing.T) {
 			t.Fatalf("corpus file missing (%v); run with -update to generate", err)
 		}
 		if want := fmt.Sprintf("[]byte(%q", fileMagic); !bytes.Contains(data, []byte(want[:len(want)-1])) {
-			t.Fatalf("%s is not a format-2 image; run with -update to regenerate", path)
+			t.Fatalf("%s is not a format-3 image; run with -update to regenerate", path)
 		}
 	}
 }
@@ -105,9 +105,9 @@ func FuzzVerifyReader(f *testing.F) {
 
 // FuzzCodecRoundTrip checks that the entry codec accepts exactly the
 // canonical encodings: any input UnmarshalEntry accepts must re-encode to
-// the identical bytes (the hash chain runs over this encoding, so a
+// the identical bytes (the hash chain runs over the stored encoding, so a
 // non-canonical accepted form would let two different byte strings decode
-// to the same entry while chaining differently).
+// to the same entry while chaining differently), whose length size predicts.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(SyntheticEntry(0).Marshal())
@@ -123,6 +123,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		enc := e.Marshal()
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("accepted non-canonical encoding:\n  in:  %x\n  out: %x", data, enc)
+		}
+		if e.size() != int64(len(enc)) {
+			t.Fatalf("size %d, encoding %d bytes", e.size(), len(enc))
 		}
 		e2, err := UnmarshalEntry(enc)
 		if err != nil {

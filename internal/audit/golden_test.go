@@ -429,7 +429,7 @@ func TestGoldenPerEntryByteIdentity(t *testing.T) {
 				t.Fatalf("record %d: signed state changed:\n  got  %x\n  want %x", i, g.payload[:40], w.payload[:40])
 			}
 			if sr, err := parseSig(g.payload); err != nil || (i == 1 && sr.prev != [32]byte{}) {
-				t.Fatalf("record %d: signature record does not parse as format 2 (%v), or the file's first links to %x", i, err, sr.prev[:4])
+				t.Fatalf("record %d: signature record does not parse as format 3 (%v), or the file's first links to %x", i, err, sr.prev[:4])
 			}
 		}
 	}

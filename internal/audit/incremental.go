@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"crypto/ecdsa"
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
@@ -63,7 +64,8 @@ type IncrementalVerifier struct {
 	maxCounter uint64
 	// queued are the commit points the current Feed has hash-verified, each
 	// with its signature record's payload, awaiting the feed's closing check.
-	queued []queuedCommit
+	queued   []queuedCommit
+	sigBytes sigCopies
 }
 
 type queuedCommit struct {
@@ -81,7 +83,7 @@ type queuedCommit struct {
 func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error) *IncrementalVerifier {
 	v := &IncrementalVerifier{opts: opts, onCommit: onCommit}
 	v.in.kind = &logStream
-	v.core.opts, v.core.names = &v.opts, map[string]string{}
+	v.core.opts, v.core.names, v.core.batch = &v.opts, map[string]string{}, sha256.New()
 	v.led, _ = newLedger(nil) // from the empty log: cannot fail
 	return v
 }
@@ -124,7 +126,7 @@ func (v *IncrementalVerifier) Feed(p []byte) error {
 func (v *IncrementalVerifier) record(rec record) error {
 	switch rec.typ {
 	case recEntry:
-		return v.core.entry(rec.payload, rec.off)
+		return v.core.entry(rec.raw, rec.off)
 	case recSig:
 		batch := v.core.inBatch
 		counter, tables, err := v.core.sig(rec.payload, rec.off)
@@ -132,8 +134,7 @@ func (v *IncrementalVerifier) record(rec record) error {
 			return err
 		}
 		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigSum: v.core.sigHead}, tables)
-		// The payload is the feed's: the closing check gets a copy.
-		v.queued = append(v.queued, queuedCommit{raw: bytes.Clone(rec.payload), info: CommitInfo{
+		v.queued = append(v.queued, queuedCommit{raw: v.sigBytes.copy(rec.payload), info: CommitInfo{
 			Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
 			Offset: rec.end(), SigOffset: rec.off, SigHash: hex.EncodeToString(v.core.sigHead[:]),
 			Entries: batch,
@@ -158,6 +159,7 @@ func (v *IncrementalVerifier) deliver() {
 		return
 	}
 	good := firstInvalid(v.opts.Pub, queued, func(q queuedCommit) []byte { return q.raw })
+	v.sigBytes = v.sigBytes[:0]
 	if good < len(queued) {
 		v.in.failed = &VerifyError{
 			Offset: queued[good].info.SigOffset, Batch: v.led.cur.batches - len(queued) + good,

@@ -173,13 +173,14 @@ func parseManifest(payload []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// readManifests parses a manifest sidecar stream. In tolerant mode a torn
+// readManifests parses a manifest sidecar's bytes. In tolerant mode a torn
 // tail — a truncated record left by a crash mid-append — ends the stream;
 // strict mode fails it. A record that parses structurally but not
 // semantically fails both modes: manifests are appended with one fsync each,
-// so only the final record can legitimately be torn.
-func readManifests(r io.Reader, tolerant bool) ([]*Manifest, error) {
-	rr := recordReader{r: r, kind: &manifestStream}
+// so only the final record can legitimately be torn. The records are framed
+// out of one block the size of the sidecar.
+func readManifests(raw []byte, tolerant bool) ([]*Manifest, error) {
+	rr := recordReader{r: bytes.NewReader(raw), kind: &manifestStream, size: len(raw) + 1}
 	if err := rr.magic(); err != nil {
 		return nil, err
 	}

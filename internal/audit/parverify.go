@@ -2,6 +2,7 @@ package audit
 
 import (
 	"context"
+	"crypto/sha256"
 	"io"
 	"os"
 	"runtime"
@@ -27,7 +28,8 @@ var (
 	mVerifyEntries     = telemetry.NewCounter("audit.verify.entries", "entries")
 	mVerifyBytes       = telemetry.NewCounter("audit.verify.bytes", "bytes")
 	mVerifyWorkers     = telemetry.NewGauge("audit.verify.workers", "goroutines")
-	mVerifyBlocks      = telemetry.NewGauge("audit.verify.blocks", "blocks") // read, not yet folded
+	mVerifyBlocks      = telemetry.NewGauge("audit.verify.blocks", "blocks")         // read, not yet folded
+	mVerifyBlockAllocs = telemetry.NewCounter("audit.verify.block_allocs", "blocks") // the rest were recycled
 	mVerifySegLatency  = telemetry.NewHistogram("audit.verify.segment.latency", "ns")
 	mVerifyLatency     = telemetry.NewHistogram("audit.verify.latency", "ns")
 	mVerifyCheckpoints = telemetry.NewCounter("audit.verify.checkpoints", "writes")
@@ -207,20 +209,17 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	m := &merger{opts: &opts, led: led, stop: ctx.Done()}
-	work := make(chan *run, workers)
 	// order bounds the in-flight window (read, not yet folded) at twice the
-	// workers, the one the scanner holds included: enough that the merger never
-	// starves them. With the run being folded and the one before it, whose last
-	// batch is still held, the pipeline holds at most 2×workers+2 blocks.
+	// workers, the one the scanner holds included. With the run being folded
+	// and the one whose last batch is held, that is 2×workers+2 blocks, the
+	// size of the pool they are recycled through.
+	m := &merger{opts: &opts, led: led, stop: ctx.Done(), pool: make(runPool, 2*workers+2)}
+	work := make(chan *run, workers)
 	order := make(chan *run, 2*workers-1)
 
-	// Once the merger sees the first in-order failure the verdict is
-	// decided: the scanner must still scan structurally to EOF (the verdict
-	// ranks the failure against what follows it), but hashing and
-	// decoding the remaining segments is pure waste — on a large
-	// corrupt log, most of the file's worth. The flag lets workers fall
-	// through to close(r.done) without verifying.
+	// Once the merger sees the first in-order failure the verdict is decided
+	// but for what follows it structurally, which the scanner still frames:
+	// the flag lets workers hand runs back unverified.
 	var skipVerify atomic.Bool
 
 	var wg sync.WaitGroup
@@ -233,7 +232,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 			// Entries are built only for a caller that gets them: in the result,
 			// or from a sealed log, whose plaintext exists only in the worker.
 			core := chainVerifier{
-				opts: &opts.VerifyOptions, shard: opts.Shard, sigs: m.led.base.batches,
+				opts: &opts.VerifyOptions, shard: opts.Shard, sigs: m.led.base.batches, batch: sha256.New(),
 				names: map[string]string{}, decode: opts.OnSegment == nil || opts.Unseal != nil,
 			}
 			for r := range work {
@@ -242,7 +241,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 					verifyRun(r, core)
 					mVerifySegLatency.Observe(time.Since(t0))
 				}
-				close(r.done)
+				r.done <- struct{}{}
 			}
 		}()
 	}
@@ -254,9 +253,8 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 		defer close(order)
 		// Same runs, same order, on both channels; order is what the merger
 		// consumes.
-		end = scanRuns(ctx, r, &m.led.base, m.led.resumed, opts.Shard, func(r *run) bool {
+		end = scanRuns(ctx, r, &m.led.base, m.led.resumed, opts.Shard, m.pool, func(r *run) bool {
 			mVerifyBlocks.Add(1)
-			r.done = make(chan struct{})
 			for _, ch := range []chan *run{work, order} {
 				select {
 				case ch <- r:
@@ -278,6 +276,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 			skipVerify.Store(true)
 			break
 		}
+		m.retire(r)
 	}
 	if m.cbErr != nil {
 		// OnSegment asked to abort: stop the scanner rather than let it run
@@ -290,6 +289,7 @@ func VerifyReaderStream(parent context.Context, r io.Reader, opts StreamOptions)
 	for r := range order {
 		<-r.done
 		mVerifyBlocks.Add(-1)
+		m.pool.put(r) // never folded: nothing reads it
 	}
 	<-scanDone
 	wg.Wait()

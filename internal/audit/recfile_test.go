@@ -222,7 +222,7 @@ func fileKinds(t *testing.T) []fileKind {
 		{
 			name: "manifest", magic: manifestMagic, a1: manifest(1), a2: manifest(2), b1: manifest(10), b2: manifest(11),
 			verify: func(image []byte, tolerant bool) (int64, error) {
-				ms, err := readManifests(bytes.NewReader(image), tolerant)
+				ms, err := readManifests(image, tolerant)
 				n := int64(len(manifestMagic))
 				for _, m := range ms {
 					n += recordSize(marshalManifest(m))

@@ -20,16 +20,18 @@ import (
 // The reference verifier. referenceVerify is the straight-line sequential
 // scan the package shipped before the verifier core existed: parse every
 // record, then walk them once applying unseal → decode → sequence → chain →
-// signature, then the end-of-stream verdict. It is kept, unchanged, as the
-// oracle the differential fuzzer, the corruption matrix and the golden
-// vectors compare every production driver against, so it must never be
-// rewritten in terms of the code it checks: it shares only the primitives
-// (parseSig, chainNext, sigDigest, checkFreshness, the entry codec) with it.
-// Format 2 added one comparison to it — a signature record's link to its
-// predecessor — and it stays eager: it ECDSA-checks every signature record,
-// where the production drivers check the one a verdict rests on and locate
-// backwards only on failure. Agreement with it on every mutation is what
-// shows the deferred check loses nothing.
+// signature, then the end-of-stream verdict. It is kept as the oracle the
+// differential fuzzer, the corruption matrix and the golden vectors compare
+// every production driver against, so it must never be rewritten in terms of
+// the code it checks: it shares only the primitives (parseSig, sigDigest,
+// checkFreshness, the entry codec) with it. Format 2 added one comparison to
+// it — a signature record's link to its predecessor; format 3 changed its
+// chain step, written here with crypto/sha256 directly: it collects a batch's
+// entry records, headers rebuilt from type and length, and hashes them after
+// the head before them at the signature record. It stays eager: it
+// ECDSA-checks every signature record, where the production drivers check the
+// one a verdict rests on and locate backwards only on failure. Agreement with
+// it on every mutation is what shows the deferred check loses nothing.
 //
 // Its verdicts on the committed golden images are pinned as data in
 // testdata/golden/<name>.verdicts (TestGoldenVerdicts), so a change to the
@@ -47,9 +49,13 @@ type referenceRecord struct {
 // failing it; the caller then verifies the intact prefix.
 func referenceRecords(r io.Reader, tolerant bool) ([]referenceRecord, error) {
 	magic := make([]byte, len(fileMagic))
-	if n, _ := io.ReadFull(r, magic); bytes.Equal(magic[:n], formerMagic) {
-		return nil, fmt.Errorf("%w: log format 1 is not supported; this build reads format 2", ErrTampered)
-	} else if !bytes.Equal(magic[:n], fileMagic) {
+	n, _ := io.ReadFull(r, magic)
+	for i, former := range formerMagics {
+		if bytes.Equal(magic[:n], former) {
+			return nil, fmt.Errorf("%w: log format %d is not supported; this build reads format 3", ErrTampered, i+1)
+		}
+	}
+	if !bytes.Equal(magic[:n], fileMagic) {
 		return nil, fmt.Errorf("%w: bad magic", ErrTampered)
 	}
 	var recs []referenceRecord
@@ -120,6 +126,7 @@ func referenceVerify(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
 	}
 	var entries []*Entry
 	var chain, sigHead [32]byte
+	var batch []byte // the entry records since the last signature record, as stored
 	seq := uint64(0)
 	// The commit point is the state as of the last valid signature record;
 	// with RecoverTruncated, anything after it is crash debris.
@@ -141,6 +148,8 @@ scan:
 		rec := recs[i]
 		switch rec.typ {
 		case recEntry:
+			batch = binary.BigEndian.AppendUint32(append(batch, rec.typ), uint32(len(rec.payload)))
+			batch = append(batch, rec.payload...)
 			raw := rec.payload
 			if opts.Unseal != nil {
 				if raw, err = opts.Unseal(raw); err != nil {
@@ -168,9 +177,12 @@ scan:
 			}
 			seq++
 			sinceSig++
-			chain = chainNext(chain, raw)
 			entries = append(entries, e)
 		case recSig:
+			if len(batch) > 0 {
+				chain = sha256.Sum256(append(chain[:], batch...))
+				batch = batch[:0]
+			}
 			// Every signature record is validated, not just the final
 			// commit point: a batched log with a corrupt or forged
 			// intermediate signature is not the log the enclave wrote,
@@ -250,7 +262,7 @@ scan:
 	}
 	return &VerifyResult{
 		Entries: checkEntries, Counter: commit.counter, CommittedBytes: commit.end,
-		Batches: batches, MaxBatch: maxBatch, SigHead: commit.sigHead,
+		Batches: batches, MaxBatch: maxBatch, SigHead: commit.sigHead, Chain: commit.chain,
 	}, nil
 }
 

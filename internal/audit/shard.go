@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bytes"
 	"crypto/ecdsa"
 	"encoding/binary"
 	"fmt"
@@ -218,7 +217,7 @@ func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) 
 			return nil
 		})
 		if len(raw) > 0 {
-			if ms, err := readManifests(bytes.NewReader(raw), true); err == nil && len(ms) > 0 {
+			if ms, err := readManifests(raw, true); err == nil && len(ms) > 0 {
 				last := ms[len(ms)-1]
 				s.epoch = last.Epoch
 				s.mcounter = last.Counter

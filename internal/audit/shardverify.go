@@ -1,32 +1,28 @@
 package audit
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // Sharded verification. A sharded log set is N shard files, each an
 // ordinary audit log verified by the single-file pipeline, plus the epoch
-// manifest sidecar. The driver below verifies the shards in parallel (the
-// PR 7 worker pool runs per shard, with the worker budget divided among
-// them), collects every shard's verified commit points, and then replays
-// the manifest sidecar against them: each manifest's signature must verify
-// under the enclave key, its epochs must be strictly increasing, its
-// manifest-counter values non-decreasing, and — the cross-shard rollback
-// check — every per-shard state a manifest attests must be a commit point
-// the shard's own verification actually produced. A shard file rolled back
-// to an earlier signed prefix still passes its own chain and signature
-// checks, but the commit points the enclave bound into later manifests are
-// gone from it, and the replay fails with ErrBadCounter naming the shard.
-// That detection needs no live counter quorum: the evidence is entirely in
-// the files.
+// manifest sidecar. The driver below verifies the shards in parallel, collects
+// every shard's verified commit points, and replays the sidecar against them:
+// each manifest's signature must verify, its epochs strictly increase, its
+// counters never decrease (checked while the shards scan), and every shard
+// state it attests must be a commit point that shard's verification produced.
+// A shard rolled back to an earlier signed prefix still passes its own checks,
+// but loses the commit points later manifests bound, and the replay fails
+// with ErrBadCounter naming it — evidence entirely in the files.
 //
 // What the manifests cannot prove offline is their own tail: discarding the
 // sidecar records after epoch k (or the shards' records after the states
@@ -127,32 +123,30 @@ func VerifyPath(ctx context.Context, path string, opts StreamOptions) (*Report, 
 // commitSet is one shard's verified commit points — the (entries, chain
 // head, counter) triples its signature records attest, the unit of the
 // manifest cross-check. It is filled by that shard's merger goroutine
-// (sequentially) and read only after the shard's verification returns.
+// (sequentially, in stream order: Seq never decreases) and read only after
+// the shard's verification returns.
 type commitSet struct {
-	baseSeq uint64 // resumed scans cannot enumerate points before this
-	pts     map[ShardState]struct{}
+	base ShardState   // a resumed scan's checkpoint, vouching for itself and every point below its Seq
+	pts  []ShardState // the empty log — the creation manifest binds it — then every point scanned
 }
 
-func newCommitSet() *commitSet {
-	// The empty log is a valid attested state (the creation manifest binds
-	// it before any entry commits).
-	return &commitSet{pts: map[ShardState]struct{}{{}: {}}}
-}
-
-func (cs *commitSet) add(seq, counter uint64, chain [32]byte) {
-	cs.pts[ShardState{Seq: seq, Counter: counter, Chain: chain}] = struct{}{}
-}
+func newCommitSet() *commitSet { return &commitSet{pts: []ShardState{{}}} }
 
 // has reports whether a manifest-attested state is consistent with the
 // shard's verified log: an enumerated commit point, or one inside the
 // checkpointed prefix of a resumed scan (that prefix was verified — and its
 // manifests replayed — by the run that wrote the checkpoint).
 func (cs *commitSet) has(st ShardState) bool {
-	if st.Seq < cs.baseSeq {
+	if st.Seq < cs.base.Seq || st == cs.base {
 		return true
 	}
-	_, ok := cs.pts[st]
-	return ok
+	i, _ := slices.BinarySearchFunc(cs.pts, st.Seq, func(p ShardState, seq uint64) int { return cmp.Compare(p.Seq, seq) })
+	for ; i < len(cs.pts) && cs.pts[i].Seq == st.Seq; i++ {
+		if cs.pts[i] == st {
+			return true
+		}
+	}
+	return false
 }
 
 // shardWorkers is shard k's share of a worker budget split over a set.
@@ -178,6 +172,14 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 	errs := make([]error, ss.Shards)
 	points := make([]*commitSet, ss.Shards)
 	var wg sync.WaitGroup
+	var replay *manifestReplay
+	if ss.Sharded() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replay = replayRecords(ss, &opts)
+		}()
+	}
 	for k := 0; k < ss.Shards; k++ {
 		points[k] = newCommitSet()
 		wg.Add(1)
@@ -213,7 +215,7 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 		}
 	}
 	if ss.Sharded() {
-		if err := replayManifests(ss, &opts, points, out); err != nil {
+		if err := replay.judge(ss, &opts, points, out); err != nil {
 			return nil, err
 		}
 	}
@@ -249,7 +251,7 @@ func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamO
 	}
 	inner := opts.OnSegment
 	sopts.OnSegment = func(si SegmentInfo) error {
-		cs.add(si.EndSeq, si.Counter, si.Chain)
+		cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
 		if inner != nil {
 			return inner(si)
 		}
@@ -267,37 +269,45 @@ func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamO
 		// prefix before it; a sidecar that turned out stale must not leave
 		// a commit point behind for the manifest replay to find.
 		chain, _ := c.chainHead() // the scan that just succeeded decoded it
-		cs.baseSeq = c.Seq
-		cs.add(c.Seq, c.Counter, chain)
+		cs.base = ShardState{Seq: c.Seq, Counter: c.Counter, Chain: chain}
 	}
 	return res, err
 }
 
-// replayManifests verifies the manifest sidecar against the shards'
-// verified commit points and records the manifest count and last epoch in out.
-func replayManifests(ss *ShardSet, opts *StreamOptions, points []*commitSet, out *Report) error {
+// manifestReplay is the half of the manifest replay that reads no shard, run
+// while the shards scan: each record's own checks, on the replayer the live
+// mirror uses. ms are the records that passed, err what stopped it.
+type manifestReplay struct {
+	ManifestReplayer
+	ms  []*Manifest
+	err error
+}
+
+func replayRecords(ss *ShardSet, opts *StreamOptions) *manifestReplay {
+	rp := &manifestReplay{ManifestReplayer: ManifestReplayer{Name: ss.Name, Pub: opts.Pub, Shards: ss.Shards}}
 	raw, err := os.ReadFile(ss.Manifest)
 	if err != nil {
-		return fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
-	}
-	ms, err := readManifests(bytes.NewReader(raw), opts.RecoverTruncated)
-	if err != nil {
-		return fmt.Errorf("manifest sidecar: %w", err)
-	}
-	if len(ms) == 0 && !opts.RecoverTruncated {
+		rp.err = fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
+	} else if rp.ms, err = readManifests(raw, opts.RecoverTruncated); err != nil {
+		rp.err = fmt.Errorf("manifest sidecar: %w", err)
+	} else if len(rp.ms) == 0 && !opts.RecoverTruncated {
 		// The writer creates the sidecar with an initial manifest; an empty
 		// one means its records were stripped.
-		return fmt.Errorf("%w: manifest sidecar holds no manifests", ErrTampered)
+		rp.err = fmt.Errorf("%w: manifest sidecar holds no manifests", ErrTampered)
 	}
-	// The per-record checks (shard count, epoch/counter monotonicity,
-	// signature) run on the same replayer the live mirror uses, so offline
-	// and streaming replay cannot drift apart; only the membership check —
-	// a set lookup here, a deferred obligation live — differs by caller.
-	replayer := &ManifestReplayer{Name: ss.Name, Pub: opts.Pub, Shards: ss.Shards}
-	for _, m := range ms {
-		if err := replayer.Verify(m); err != nil {
-			return err
+	for i := 0; rp.err == nil && i < len(rp.ms); i++ {
+		if rp.err = rp.Verify(rp.ms[i]); rp.err != nil {
+			rp.ms = rp.ms[:i]
 		}
+	}
+	return rp
+}
+
+// judge completes the replay against the shards' commit points, with a
+// record-by-record replay's verdict: each manifest in order checked on its
+// own, then for membership; then the sidecar's freshness.
+func (rp *manifestReplay) judge(ss *ShardSet, opts *StreamOptions, points []*commitSet, out *Report) error {
+	for _, m := range rp.ms {
 		for k, st := range m.Shards {
 			if !points[k].has(st) {
 				return fmt.Errorf(
@@ -306,13 +316,16 @@ func replayManifests(ss *ShardSet, opts *StreamOptions, points []*commitSet, out
 			}
 		}
 	}
-	out.Manifests, out.Epoch = len(ms), replayer.Epoch()
+	if rp.err != nil {
+		return rp.err
+	}
+	out.Manifests, out.Epoch = len(rp.ms), rp.Epoch()
 	// The sidecar's own tail is guarded by the live manifest counter: a
 	// provider that discards recent manifests (and the shard records they
 	// attest) is caught here, exactly like a single-file tail rollback.
 	fresh := opts.VerifyOptions
 	fresh.Name = ManifestCounterName(ss.Name)
-	if err := checkFreshness(replayer.Counter(), fresh); err != nil {
+	if err := checkFreshness(rp.Counter(), fresh); err != nil {
 		return fmt.Errorf("manifest sidecar: %w", err)
 	}
 	return nil

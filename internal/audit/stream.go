@@ -6,30 +6,20 @@ import (
 	"io"
 )
 
-// Run-wise log scanning. A persisted log is a stream of entry records
-// delimited by signature records; every signature record is a commit point
-// carrying the chain head it attests. That makes the signature records
-// natural cut points for parallel verification: a sequential scanner reads
-// the stream a block at a time and hands on each block's whole batches — its
-// records up to the last signature record in it — as one run, with the run's
-// *claimed* starting chain head (the head the signature record before it
-// attests) and the digest of that record, which the run's first signature
-// record must link to. A worker can then recompute the run's hashes and check
-// its signature records' claims independently of every other run: if run k
-// verifies, its claimed end head is the true chain head after its last entry,
-// so run k+1's claimed start is trustworthy by induction and the stitched
-// result equals the sequential scan's byte for byte.
+// Run-wise log scanning. Every signature record is a commit point carrying
+// the chain head it attests, which makes signature records natural cut
+// points: a sequential scanner reads the stream a block at a time and hands
+// on each block's whole batches as one run, with the run's *claimed* starting
+// head (the one the signature record before it attests) and the digest of that
+// record, which the run's first signature record must link to. Runs verify
+// independently: if run k verifies, its claimed end head is the true one, so
+// run k+1's claimed start is trustworthy by induction.
 //
-// What a block holds past its last signature record is carried to the head of
-// the next, and a block with no signature record in it grows until one
-// arrives: a run is whole batches, contiguous, and everything downstream of
-// the scanner aliases the block (DESIGN.md §13).
-//
-// The scanner does only structural work (record framing, reading the head a
-// run's last signature record claims and hashing that record); signature
-// parsing, chain hashing and the entry walk — the dominant costs — happen in
-// whoever the runs are dispatched to. The ECDSA check is the merger's, at its
-// points of judgment (verifier.go).
+// A block's open batch is carried to the head of the next, and a block with
+// no signature record in it grows until one arrives: a run is whole batches,
+// contiguous, aliased downstream until it goes back to the scan's runPool
+// (DESIGN.md §13). The scanner only frames; the workers hash and walk, the
+// merger runs the ECDSA checks.
 
 // scanBlock is the scanner's block size; only tests write it, to put a block
 // boundary at every byte of an image.
@@ -43,14 +33,37 @@ type run struct {
 	startSeq   uint64   // expected sequence number of the first entry
 	startChain [32]byte // claimed chain head before the first entry
 	startSig   [32]byte // digest of the previous signature record's payload
-	data       []byte   // the records, aliasing the scanner's block
+	data       []byte   // the records, aliasing block
+	block      []byte   // the scanner's block data was cut from, whole
 
 	// The verdict, up to the first record that failed.
 	batches []batch
+	spans   []tableSpan   // the batches' entries by table, back to back
 	open    int           // unsigned entries after the last batch
 	err     error         // the first record that failed, nil if none did
 	atSig   bool          // err was raised at a signature record, not an entry
-	done    chan struct{} // parallel driver only: closed once the verdict is in
+	done    chan struct{} // parallel driver only: receives once the verdict is in
+}
+
+// runPool is a scan's free list of runs, each keeping its block, slices and
+// channel, as large as its in-flight window: the merger hands a run back once
+// nothing aliases its block (retire), the scanner reads into it again.
+type runPool chan *run
+
+func (p runPool) get() *run {
+	select {
+	case r := <-p:
+		return r
+	default:
+		return &run{done: make(chan struct{}, 1)}
+	}
+}
+
+func (p runPool) put(r *run) {
+	select {
+	case p <- r:
+	default:
+	}
 }
 
 // batch is one verified, signature-closed batch of a run.
@@ -91,8 +104,8 @@ type scanEnd struct {
 // depend on what follows a failure. base is the verified state the stream is
 // read from: the empty log (magic expected first), or, when resumed, a
 // checkpoint's commit point with r positioned at its offset; shard names the
-// shard in the errors.
-func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shard int, dispatch func(*run) bool) (end scanEnd) {
+// shard in the errors. Runs come from pool.
+func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shard int, pool runPool, dispatch func(*run) bool) (end scanEnd) {
 	rr := recordReader{r: r, kind: &logStream, size: scanBlock, off: base.end}
 	if !resumed {
 		if err := rr.magic(); err != nil {
@@ -102,13 +115,19 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 	}
 	// next is where the next run starts, from its first byte in the block;
 	// sigEnd is just past the last signature record framed (lastSig its
-	// payload), seq counts the entries up to it and open those after it.
+	// payload), seq counts the entries up to it and open those after it;
+	// handed: a run aliases the current block.
 	next := run{start: rr.off, startSeq: base.seq, startChain: base.chain, startSig: base.sigSum}
-	from, sigEnd, seq, open := rr.pos, rr.pos, base.seq, 0
+	from, sigEnd, seq, open, handed := rr.pos, rr.pos, base.seq, 0, false
 	var lastSig []byte
 	flush := func(to int) bool {
-		r := next
-		r.data = rr.buf[from:to]
+		r := pool.get()
+		if rr.spare == nil {
+			rr.spare = r.block
+		}
+		batches, spans, done := r.batches[:0], r.spans[:0], r.done
+		*r = next
+		r.data, r.block, r.batches, r.spans, r.done, handed = rr.buf[from:to], rr.buf, batches, spans, done, true
 		// The next run starts from the head its predecessor's last signature
 		// record claims and must link to that record. If the record is too
 		// short to claim a head it fails to parse, and nothing after the
@@ -116,7 +135,7 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 		next = run{index: end.totalSigs, start: r.start + int64(to-from), startSeq: seq, startSig: sha256.Sum256(lastSig)}
 		copy(next.startChain[:], lastSig)
 		from = to
-		return dispatch(&r)
+		return dispatch(r)
 	}
 	dispatching := true
 	for {
@@ -140,8 +159,11 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 			if ctx.Err() != nil {
 				return end
 			}
-			rr.fill(keep)
-			from, sigEnd = 0, 0
+			old := rr.buf
+			if rr.fill(keep); !handed {
+				rr.spare = old // no run aliases it
+			}
+			from, sigEnd, handed = 0, 0, false
 			continue
 		}
 		switch rec.typ {
@@ -177,12 +199,11 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 func verifyRun(r *run, v chainVerifier) {
 	v.seq, v.chain, v.sigHead, v.sigs = r.startSeq, r.startChain, r.startSig, v.sigs+r.index
 	first, ent := 0, 0 // the open batch's first byte in data and first kept entry
-	var spans []tableSpan
 	for pos, off := 0, r.start; pos < len(r.data); {
 		// The scanner framed these bytes: whole entry and signature records.
 		typ, payload, size, _ := logStream.cut(r.data[pos:])
 		if typ == recEntry {
-			if r.err = v.entry(payload, off); r.err != nil {
+			if r.err = v.entry(r.data[pos:pos+size], off); r.err != nil {
 				return
 			}
 		} else {
@@ -192,11 +213,11 @@ func verifyRun(r *run, v chainVerifier) {
 				r.err, r.atSig = err, true
 				return
 			}
-			spans = append(spans, tables...)
+			r.spans = append(r.spans, tables...)
 			r.batches = append(r.batches, batch{
 				commitPoint: commitPoint{end: off + int64(size), chain: v.chain, counter: counter, sigOff: off, sigSum: v.sigHead},
 				raw:         r.data[first:pos], sig: payload, n: n,
-				entries: v.entries[ent:len(v.entries):len(v.entries)], tables: spans[len(spans)-len(tables):],
+				entries: v.entries[ent:len(v.entries):len(v.entries)], tables: r.spans[len(r.spans)-len(tables):],
 			})
 			first, ent = pos+size, len(v.entries)
 		}

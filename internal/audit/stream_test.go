@@ -129,19 +129,24 @@ func (f fakeProtector) Increment(string) (uint64, error) { return uint64(f), nil
 func (f fakeProtector) Read(string) (uint64, error)      { return uint64(f), nil }
 
 func TestStreamCallbackBoundsMemory(t *testing.T) {
+	const entries = 960
 	key := testKey(t)
-	img := synthLog(t, key, 120, 8)
+	img := synthLog(t, key, entries, 8)
 	var got []uint64
 	var lastOff int64
-	// Blocks of two or three batches, so the scan is some twenty runs long and
+	// Blocks of two or three batches, so the scan is some fifty runs long and
 	// the pipeline fills: the blocks read and not yet released — those not yet
 	// folded, which the gauge counts (the one being folded, at a callback,
 	// among them), and the one before, whose last batch was held until now —
-	// must never pass 3×workers+1.
+	// must never pass 3×workers+1. The blocks allocated are bounded the same
+	// way, however long the scan: the rest are recycled, each only once its
+	// last batch was delivered — which the entries each callback decodes from
+	// its block, in sequence, show.
 	const workers = 4
 	defer func(was int) { scanBlock = was }(scanBlock)
 	scanBlock = 2 << 10
 	idle, peak := mVerifyBlocks.Value(), int64(0)
+	allocated := mVerifyBlockAllocs.Value()
 	res, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
 		Workers:       workers,
@@ -166,16 +171,19 @@ func TestStreamCallbackBoundsMemory(t *testing.T) {
 	if peak < 1 || peak > 3*workers+1 || mVerifyBlocks.Value() != idle {
 		t.Fatalf("blocks outstanding peaked at %d (bound %d) and ended at %d", peak, 3*workers+1, mVerifyBlocks.Value()-idle)
 	}
-	if res.TotalEntries != 120 || len(got) != 120 {
-		t.Fatalf("TotalEntries=%d callback-saw=%d, want 120", res.TotalEntries, len(got))
+	if n := mVerifyBlockAllocs.Value() - allocated; n > 3*workers+2 {
+		t.Fatalf("%d blocks allocated for a %d-byte image in %d-byte blocks, want at most %d", n, len(img), scanBlock, 3*workers+2)
+	}
+	if res.TotalEntries != entries || len(got) != entries {
+		t.Fatalf("TotalEntries=%d callback-saw=%d, want %d", res.TotalEntries, len(got), entries)
 	}
 	for i, seq := range got {
 		if seq != uint64(i) {
 			t.Fatalf("entry %d out of order: seq %d", i, seq)
 		}
 	}
-	if res.Tables["updates"] != 120 {
-		t.Fatalf("Tables = %v, want updates:120", res.Tables)
+	if res.Tables["updates"] != entries {
+		t.Fatalf("Tables = %v, want updates:%d", res.Tables, entries)
 	}
 }
 

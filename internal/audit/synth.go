@@ -129,15 +129,14 @@ func newSynthWriter(w io.Writer, key *ecdsa.PrivateKey) *synthWriter {
 }
 
 func (s *synthWriter) add(e *Entry) {
-	payload := e.Marshal()
-	s.group = append(s.group, record{typ: recEntry, payload: payload})
-	s.chain = chainNext(s.chain, payload)
+	s.group = append(s.group, record{typ: recEntry, payload: e.Marshal()})
 }
 
 func (s *synthWriter) commit(counter uint64) error {
 	if s.err != nil {
 		return s.err
 	}
+	s.chain = batchChain(s.chain, s.group)
 	var sig []byte
 	if sig, s.err = synthSign(s.key, s.chain, counter, s.sigHead); s.err != nil {
 		return s.err

@@ -147,7 +147,7 @@ func TestTrimBuildsWhileAnchorsInFlight(t *testing.T) {
 	select {
 	case rws := <-built:
 		for k, rw := range rws {
-			if len(rw.encs) != 1 || rw.chain != chainNext([32]byte{}, rw.encs[0]) || len(rw.recs) != 1 {
+			if len(rw.encs) != 1 || len(rw.recs) != 1 || rw.chain != batchChain([32]byte{}, rw.recs) || rw.chain == ([32]byte{}) {
 				close(gate.release)
 				t.Fatalf("shard %d: image not built before its anchor: %d entries, %d records", k, len(rw.encs), len(rw.recs))
 			}

@@ -8,15 +8,16 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 
 	"libseal/internal/enclave"
 )
 
 // The verifier. What makes a log the one the enclave wrote is a rule about
-// records: every entry unseals, decodes, carries the next sequence number and
-// extends the hash chain; every signature record attests exactly the chain
-// head reached so far and links to the signature record before it; and the
+// records: every entry unseals, decodes and carries the next sequence number;
+// every signature record attests exactly the head the chain reaches over its
+// batch (batchChain) and links to the signature record before it; and the
 // signature record a verdict rests on carries the enclave's signature, which
 // through the two hash chains vouches for every record before it. That rule
 // is written once, in chainVerifier and validSig. Around it sit a ledger (what has been committed: the last
@@ -72,6 +73,8 @@ type VerifyResult struct {
 	// link the next signature record appended to the file must carry. Zero
 	// when the verified prefix holds no signature record.
 	SigHead [32]byte
+	// Chain is the chain head that record attests (zero when SigHead is).
+	Chain [32]byte
 }
 
 // VerifyError is a rejection that says where in the log it was raised: by one
@@ -179,28 +182,23 @@ func firstInvalid[T any](pub *ecdsa.PublicKey, sigs []T, payload func(T) []byte)
 // at any verified (or, for a parallel segment, claimed) position. Every error
 // it returns is a *VerifyError.
 //
-// Its checks are hash-only. ECDSA runs at the points of judgment, on the
-// signature record a driver is about to rest something on — the commit point
-// an end-of-stream verdict accepts, one a checkpoint is saved at, the last of
-// a chunk feed (validSig) — and a valid signature there vouches for every
-// record before it: it covers prev, the digest of the previous signature
-// record's whole payload, scalars included, so by collision resistance that
-// record is the one the enclave wrote and signed, and so on back to the
-// file's first; and it covers the chain head, which fixes every entry. Where
-// that signature does not hold, the driver walks the signature records it
-// has not yet vouched for in stream order (the locate pass) and the first
-// invalid one is the failure, exactly the record an eager check of every
-// signature would have stopped at.
+// Its checks are hash-only. ECDSA runs at the drivers' points of judgment
+// (firstInvalid), on the signature record about to be rested on, which
+// vouches for every record before it through prev and the chain head; where
+// it does not hold, the locate pass names the first invalid one (DESIGN.md
+// §13).
 type chainVerifier struct {
 	opts    *VerifyOptions    // Unseal; the rest is the verdict's business
 	shard   int               // names the shard in errors
 	seq     uint64            // sequence number the next entry must carry
-	chain   [32]byte          // chain head over every entry accepted so far
+	chain   [32]byte          // chain head as of the last signature record
+	batch   hash.Hash         // the open batch's chain step: the head before it, then its entry records so far
 	sigHead [32]byte          // digest of the last signature record, zero before a file's first
 	sigs    int               // ordinal of the next signature record, naming it in errors
 	inBatch int               // entries since the last signature record
 	tables  []tableSpan       // those entries by table
 	names   map[string]string // table names seen, so that each is one string however many entries carry it
+	last    string            // the table name the last entry carried
 	decode  bool              // build the entries, for a driver that returns them
 	entries []*Entry          // the entries built, in stream order
 }
@@ -210,10 +208,16 @@ func (v *chainVerifier) reject(off int64, record int, reason string) error {
 	return &VerifyError{Shard: v.shard, Offset: off, Batch: v.sigs, Record: record, Reason: reason}
 }
 
-// entry checks one entry record's payload and extends the chain over it,
-// walking the encoding (walkEntry: UnmarshalEntry's accept set, being its
-// reader) and building the entry only for a driver that wants it.
-func (v *chainVerifier) entry(raw []byte, off int64) error {
+// entry checks one entry record, header and payload as they lie: hashes it
+// into its batch (the verifier's one chain hashing site) and walks the
+// unsealed payload (walkEntry), building the entry only if the driver wants it.
+func (v *chainVerifier) entry(rec []byte, off int64) error {
+	if v.inBatch == 0 {
+		v.batch.Reset()
+		v.batch.Write(v.chain[:])
+	}
+	v.batch.Write(rec)
+	raw := rec[5:]
 	if v.opts.Unseal != nil {
 		var err error
 		if raw, err = v.opts.Unseal(raw); err != nil {
@@ -231,33 +235,38 @@ func (v *chainVerifier) entry(raw []byte, off int64) error {
 	if seq != v.seq {
 		return v.reject(off, v.inBatch, fmt.Sprintf("sequence gap at %d", v.seq))
 	}
-	table, seen := v.names[string(name)]
-	if !seen {
-		table = string(name)
-		v.names[table] = table
+	if string(name) != v.last { // entries run in tables
+		table, seen := v.names[string(name)]
+		if !seen {
+			table = string(name)
+			v.names[table] = table
+		}
+		v.last = table
 	}
 	if e != nil {
-		e.Seq, e.Table = seq, table
+		e.Seq, e.Table = seq, v.last
 		v.entries = append(v.entries, e)
 	}
-	if k := len(v.tables); k > 0 && v.tables[k-1].table == table {
+	if k := len(v.tables); k > 0 && v.tables[k-1].table == v.last {
 		v.tables[k-1].n++
 	} else {
-		v.tables = append(v.tables, tableSpan{table, 1})
+		v.tables = append(v.tables, tableSpan{v.last, 1})
 	}
 	v.seq++
 	v.inBatch++
-	v.chain = chainNext(v.chain, raw)
 	return nil
 }
 
-// sig checks one signature record's payload against the chain head reached
-// and the signature record before it, and closes the batch: it returns the
-// counter the record binds and the batch's entries by table, valid until the
-// next entry. Counters may legitimately regress between records (a recovery that
-// re-anchored on a rebuilt counter group), so rollback is judged against the
-// live group by the verdict, never record to record.
+// sig checks one signature record's payload against the head its batch takes
+// the chain to and the signature record before it, and closes the batch: it
+// returns the counter the record binds and the batch's entries by table, valid
+// until the next entry. Counters may legitimately regress between records (a
+// recovery that re-anchored on a rebuilt counter group), so rollback is judged
+// against the live group by the verdict, never record to record.
 func (v *chainVerifier) sig(payload []byte, off int64) (counter uint64, batch []tableSpan, err error) {
+	if v.inBatch > 0 {
+		v.batch.Sum(v.chain[:0])
+	}
 	rec, err := parseSig(payload)
 	switch {
 	case err != nil:
@@ -368,7 +377,7 @@ func (l *ledger) result(entries []*Entry) *StreamResult {
 	return &StreamResult{
 		VerifyResult: VerifyResult{
 			Entries: entries, Counter: l.cur.counter, CommittedBytes: l.cur.end,
-			Batches: scanned, MaxBatch: l.scanMax, SigHead: l.cur.sigSum,
+			Batches: scanned, MaxBatch: l.scanMax, SigHead: l.cur.sigSum, Chain: l.cur.chain,
 		},
 		TotalEntries: l.cur.entries, TotalBatches: l.cur.batches, TotalMaxBatch: l.cur.maxBatch,
 		Tables: l.tables, Resumed: l.resumed,
@@ -384,6 +393,17 @@ const sigWindow = 1 << 14
 type sigRef struct {
 	off int64  // offset of its header
 	raw []byte // its payload, copied into merger.sigBytes so that the window pins no block
+}
+
+// sigCopies copies signature payloads into 64 KiB chunks, never regrown.
+type sigCopies []byte
+
+func (c *sigCopies) copy(p []byte) []byte {
+	if len(*c)+len(p) > cap(*c) {
+		*c = make([]byte, 0, max(64<<10, len(p)))
+	}
+	*c = append(*c, p...)
+	return (*c)[len(*c)-len(p) : len(*c) : len(*c)]
 }
 
 // merger folds verified runs into the ledger batch by batch, in stream order,
@@ -402,11 +422,13 @@ type merger struct {
 	// when nothing will — so a tolerant verdict that has to drop it as crash
 	// debris has neither counted nor delivered it.
 	held *batch
+	pool runPool
+	prev *run // the last run folded, which held may alias
 	// unchecked are the signature records folded since the last ECDSA check,
 	// in stream order, ending with the one about to fold while it is judged:
 	// what a locate pass walks.
 	unchecked []sigRef
-	sigBytes  []byte
+	sigBytes  sigCopies
 
 	failed     error // first failure, in stream order: a *VerifyError
 	failedSigs int   // signature records of this scan up to and including the failing record
@@ -455,6 +477,15 @@ func (m *merger) fold(r *run) bool {
 	return true
 }
 
+// retire follows a clean fold of r and hands the run before it back to the
+// pool: its held batch is settled, so nothing reads its block again.
+func (m *merger) retire(r *run) {
+	if m.prev != nil {
+		m.pool.put(m.prev)
+	}
+	m.prev = r
+}
+
 // settle folds the held batch, if any, into the ledger. Its signature is
 // ECDSA-checked first when last says no later record will vouch for it, when
 // a checkpoint is due at it, or when the unchecked window is full. It returns
@@ -468,9 +499,7 @@ func (m *merger) settle(last bool) bool {
 	payloadBytes := int64(len(b.raw) - 5*b.n) // for telemetry and the checkpoint cadence
 	cfg := m.opts.Checkpoint
 	save := cfg != nil && m.checkpointDue(cfg, payloadBytes)
-	lo := len(m.sigBytes)
-	m.sigBytes = append(m.sigBytes, b.sig...)
-	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes[lo:]})
+	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes.copy(b.sig)})
 	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
 		return false
 	}
@@ -586,13 +615,15 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 // whose Unseal is bound to that call.
 func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
 	led, _ := newLedger(nil) // from the empty log: cannot fail
-	m := merger{opts: &StreamOptions{VerifyOptions: opts}, led: led}
-	core := chainVerifier{opts: &opts, names: map[string]string{}, decode: true}
+	// Two runs in flight: the one folding, the one whose batch is held.
+	m := merger{opts: &StreamOptions{VerifyOptions: opts}, led: led, pool: make(runPool, 2)}
+	core := chainVerifier{opts: &opts, batch: sha256.New(), names: map[string]string{}, decode: true}
 	// Nothing runs concurrently, so there is nothing for a context to stop.
-	end := scanRuns(context.Background(), r, &m.led.base, false, 0, func(r *run) bool {
+	end := scanRuns(context.Background(), r, &m.led.base, false, 0, m.pool, func(r *run) bool {
 		if m.failed == nil {
-			verifyRun(r, core)
-			m.fold(r)
+			if verifyRun(r, core); m.fold(r) {
+				m.retire(r)
+			}
 		}
 		return true
 	})
