@@ -50,9 +50,13 @@ bench-sweeps:
 # End-to-end harness smoke (benchmark/README.md): two seconds of the
 # auditor's workload — cold, one-worker and resumed verification of a sharded
 # set — behind the harness's gates, including the tamper canary that must
-# come back ErrTampered / ErrBadCounter. Exits non-zero if a gate fails.
+# come back ErrTampered / ErrBadCounter; then two seconds of git_check, whose
+# check+trim cycle (database trims every cycle, a file compaction when half the
+# log's bytes are dead) must flag no violation on the honest service and leave
+# a set that verifies strictly afterwards. Exits non-zero if a gate fails.
 bench-e2e-smoke:
 	$(GO) run ./benchmark --workload verify_cold --seed 1 --seconds 2
+	$(GO) run ./benchmark --workload git_check --seed 1 --seconds 2
 
 # Short fuzzing pass over the verifier (every driver against the eager
 # reference, under the golden key; seeded from the format-3 golden images and
@@ -83,8 +87,8 @@ fuzz-smoke:
 # tests call (Query); error and corner paths that must stay (errHere: a
 # parse error past the lexer; inMember, mergeAscending: the inexact-number
 # scans behind the hashed IN set and the hash index; outputCols: a view read
-# inside a subquery); and value.go, which the entry codec pins (String Equal).
-SQLDB_UNREACHED = stmt tbl expr SetIndexing QueryWithCache Query errHere inMember mergeAscending outputCols String Equal
+# inside a subquery); and value.go's String, which the entry codec pins.
+SQLDB_UNREACHED = stmt tbl expr SetIndexing QueryWithCache Query errHere inMember mergeAscending outputCols String
 SQLDB_MAX_LINES = 3900
 SQLDB_COVER = .sqldb-surface.cover
 

@@ -410,10 +410,11 @@ func runFig6(q bool, emit func(row)) error {
 }
 
 // checkTrimCost attaches a filler to a persistent, rollback-protected audit
-// log — so each check+trim pays its full fixed cost (enclave crossings, log
-// rewrite, counter, re-sign), the left arm of the paper's U-shaped curves —
-// and returns the steady-state check+trim time in µs, normalised by the
-// interval: four rounds, the cold first one skipped.
+// log — so each check+trim pays the product's fixed costs (enclave crossings,
+// the database trim, and the compaction's log rewrite, counter and re-sign
+// whenever half the file is dead), the left arm of the paper's U-shaped
+// curves — and returns the steady-state check+trim time in µs, normalised by
+// the interval: four rounds, the cold first one skipped.
 func checkTrimCost(mk func() (*bench.LogFiller, error), interval int) (float64, error) {
 	filler, err := mk()
 	if err != nil {

@@ -126,9 +126,10 @@ func runChecks(q bool, emit func(row)) error {
 	// A check-and-trim cycle every 400 pairs lands ~6 cycles inside the ~2 s
 	// run — one every ~350 ms, still ~30x more aggressive than the paper's
 	// periodic default (§5.2 checks on a seconds-scale wall-clock cadence).
-	// Every cycle here includes a trim, which quiesces, rewrites, fsyncs and
-	// re-signs the log — work the no-check baseline never does at all, so
-	// the comparison is a conservative measure of check cost.
+	// Every cycle here includes a trim, and the ones that leave half the log
+	// dead a compaction, which quiesces, rewrites, fsyncs and re-signs it —
+	// work the no-check baseline never does at all, so the comparison is a
+	// conservative measure of check cost.
 	checkEvery := 400
 	if q {
 		sizes, iters, checkEvery = []int{500, 2_000}, 2, 50

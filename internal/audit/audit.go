@@ -3,8 +3,9 @@
 // embedded in-enclave database and, in disk mode, serialised to untrusted
 // persistent storage protected by a hash chain, enclave-produced ECDSA
 // signatures and a distributed monotonic counter that defeats rollback
-// attacks. Trimming queries prune entries no longer needed by the
-// invariants; the chain is recomputed over the surviving tuples.
+// attacks. Trimming queries prune the database of entries no longer needed by
+// the invariants; once half the files' bytes are dead they are compacted, the
+// chain recomputed over the surviving tuples.
 //
 // # Group commit
 //
@@ -58,10 +59,19 @@ var (
 	mAppendErrors  = telemetry.NewCounter("audit.append.errors", "calls")
 	mTrims         = telemetry.NewCounter("audit.trims", "calls")
 	mAppendLatency = telemetry.NewHistogram("audit.append.latency", "ns")
-	mTrimLatency   = telemetry.NewHistogram("audit.trim.latency", "ns")
-	// A trim's stages: the quiesce before it, the plan, the unhidden anchors.
-	mTrimQuiesce      = telemetry.NewHistogram("audit.trim.quiesce", "ns")
+	// A trim is its database half, every cycle (audit.trim), and a compaction
+	// of the files when half their bytes are dead (audit.compact).
+	mTrimLatency    = telemetry.NewHistogram("audit.trim.latency", "ns")
+	mCompactions    = telemetry.NewCounter("audit.compactions", "calls")
+	mCompactLatency = telemetry.NewHistogram("audit.compact.latency", "ns")
+	// Why the log is the size it is, as of the last trim or compaction: the
+	// shard files' committed bytes, and what a compaction would leave of them.
+	mCommittedBytes = telemetry.NewGauge("audit.log_bytes.committed", "bytes")
+	mLiveBytes      = telemetry.NewGauge("audit.log_bytes.live", "bytes")
+	// The plan a trim applies, then a compaction's stages: the quiesce before
+	// it and the anchors the image build did not hide.
 	mTrimPlan         = telemetry.NewHistogram("audit.trim.plan", "ns")
+	mTrimQuiesce      = telemetry.NewHistogram("audit.trim.quiesce", "ns")
 	mTrimAnchorWait   = telemetry.NewHistogram("audit.trim.anchor_wait", "ns")
 	mChainLength      = telemetry.NewGauge("audit.chain_length", "entries")
 	mDegradedEpisodes = telemetry.NewCounter("audit.degraded.episodes", "episodes")
@@ -226,7 +236,11 @@ type Log struct {
 	seq     atomic.Uint64
 	chain   [32]byte
 	counter uint64
-	heap    int64 // enclave heap charged for retained tuples
+
+	// heap is the set's enclave heap charge for the rows its database holds
+	// (ShardedLog.heap): added as rows are staged, released as a failed batch
+	// or a trim gives them up.
+	heap *atomic.Int64
 
 	// sigCounter is the counter value attested by the last *durable*
 	// signature record. It can trail counter: anchorBatch publishes a fresh
@@ -279,7 +293,6 @@ type commitBatch struct {
 	payloads [][]byte // encoded entries, in sequence order
 	endChain [32]byte // chain head after the batch, computed by its leader at commit
 	endSeq   uint64
-	bytes    int64 // enclave heap charged for the entries
 
 	full chan struct{} // closed when the batch reaches BatchMax
 	done chan struct{} // closed once the commit outcome is known
@@ -343,8 +356,8 @@ var (
 
 // newShard creates (or truncates) one shard's log over the set's shared
 // database, whose schema is already in place.
-func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
-	l := newLogDB(cfg, db)
+func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
+	l := newLogDB(cfg, db, heap)
 	if cfg.Mode == ModeDisk {
 		if err := env.Ocall(l.file.create); err != nil {
 			return nil, err
@@ -353,11 +366,12 @@ func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
 	return l, nil
 }
 
-// newLogDB builds a log around an existing database. Shards of one
-// ShardedLog share a single database so invariant queries see the whole
-// relational view while each shard keeps its own chain, file and counter.
-func newLogDB(cfg Config, db *sqldb.DB) *Log {
-	l := &Log{cfg: cfg, db: db, stmts: make(map[string]*sqldb.Stmt)}
+// newLogDB builds a log around an existing database and its heap charge.
+// Shards of one ShardedLog share a single database so invariant queries see
+// the whole relational view while each shard keeps its own chain, file and
+// counter.
+func newLogDB(cfg Config, db *sqldb.DB, heap *atomic.Int64) *Log {
+	l := &Log{cfg: cfg, db: db, heap: heap, stmts: make(map[string]*sqldb.Stmt)}
 	if cfg.Mode == ModeDisk {
 		path := filepath.Join(cfg.Dir, cfg.Name+".lseal")
 		l.file = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: fileMagic}
@@ -517,6 +531,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 			return fail(err)
 		}
 	}
+	l.heap.Add(charged)
 	// Phase 2: take sequence numbers and join batches. This cannot fail, so
 	// a ticket always covers all of its rows.
 	for _, enc := range encs {
@@ -524,7 +539,6 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 		if l.cfg.Mode != ModeDisk {
 			// Memory mode has no durability step: publish immediately.
 			l.seq.Store(l.specSeq.Load())
-			l.heap += int64(len(enc))
 			mChainLength.Set(int64(l.seq.Load()))
 			continue
 		}
@@ -542,7 +556,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 }
 
 // lockAdmitted acquires l.mu with room in the staging budget for n more
-// entries. A contended acquisition parks as an ocall (Trim holds the lock
+// entries. A contended acquisition parks as an ocall (Compact holds the lock
 // across its rewrite I/O); an lthread must never sleep holding its
 // scheduler. When the pipeline is over budget the wait for draining commits
 // likewise runs outside the enclave. On success l.mu is held; on error it
@@ -625,7 +639,6 @@ func (l *Log) joinBatch(enc []byte) (*commitBatch, bool) {
 	b := l.cur
 	b.payloads = append(b.payloads, enc)
 	b.endSeq = l.specSeq.Load()
-	b.bytes += int64(len(enc))
 	if len(b.payloads) >= l.cfg.batchMax() {
 		b.filled = true
 		close(b.full)
@@ -654,6 +667,7 @@ func (t *Ticket) Wait(env *asyncall.Env) error {
 		}
 		if err != nil {
 			env.Ctx.Free(w.bytes)
+			t.l.heap.Add(-w.bytes)
 			failed += w.count
 			if firstErr == nil {
 				firstErr = err
@@ -834,7 +848,6 @@ func (l *Log) publish(env *asyncall.Env, b *commitBatch, err error) {
 	if err == nil {
 		l.chain = b.endChain
 		l.seq.Store(b.endSeq)
-		l.heap += b.bytes
 		l.sigCounter, l.sigHead = b.counter, b.sigHead
 		switch {
 		case b.anchorFresh:
@@ -882,7 +895,7 @@ func (l *Log) quiesceLocked() {
 
 // lockQuiesced acquires each log's l.mu, for the caller to release, with its
 // commit lane idle — waiting outside the enclave in one ocall (it can span a
-// fsync) — so Trim and Reanchor never interleave with a batch's file I/O.
+// fsync) — so Compact and Reanchor never interleave with a batch's file I/O.
 func lockQuiesced(env *asyncall.Env, logs ...*Log) {
 	// sync.Mutex is explicitly not goroutine-affine: locking it on the
 	// ocall thread and unlocking from the enclave call is legal.
@@ -1015,6 +1028,10 @@ func sigDigest(chain [32]byte, counter uint64, prev [32]byte) []byte {
 	return digest[:]
 }
 
+// sigRecordMax bounds a signature record's footprint on disk: its header, the
+// 72 fixed bytes, and two length-prefixed P-256 scalars of at most 32 bytes.
+const sigRecordMax = 5 + 72 + 2*(4+32)
+
 // sigPayload lays out a signature record: chain[32] ‖ counter[8] ‖ prev[32] ‖
 // str(R) ‖ str(S), the strings length-prefixed as in the entry codec.
 func sigPayload(chain [32]byte, counter uint64, prev [32]byte, r, s []byte) []byte {
@@ -1051,22 +1068,21 @@ func (l *Log) Exec(sql string, args ...any) (int, error) {
 	return l.db.Exec(sql, args...)
 }
 
-// rewrite is one shard's share of a trim (§5.1, "Log trimming"): its
-// partition of the surviving rows becomes the shard's whole log, the chain
-// recomputed from zero, re-anchored at a fresh counter value, re-signed, and
-// the file replaced crash-safely. ShardedLog.ApplyTrim takes every shard's
+// rewrite is one shard's share of a compaction (§5.1, "Log trimming"): its
+// partition of the rows the database holds becomes the shard's whole log, the
+// chain recomputed from zero, re-anchored at a fresh counter value, re-signed,
+// and the file replaced crash-safely. ShardedLog.Compact takes every shard's
 // rewrite through these steps side by side, building while the counters are
 // in flight; l.mu is held and the commit lane quiesced throughout. A rewrite
 // that fails at any step leaves the shard on its old image, on disk and in
 // memory; the others carry on.
 type rewrite struct {
-	encs     [][]byte // surviving entries, in sequence order
-	chain    [32]byte // chain head over their records, one batch from zero
-	retained int64    // enclave heap the entries occupy
-	recs     []record // the new image: sealed entries, then the signature
-	sigHead  [32]byte // digest of that signature record's payload
-	landed   bool     // the image replaced the file
-	err      error
+	encs    [][]byte // surviving entries, in sequence order
+	chain   [32]byte // chain head over their records, one batch from zero
+	recs    []record // the new image: sealed entries, then the signature
+	sigHead [32]byte // digest of that signature record's payload
+	landed  bool     // the image replaced the file
+	err     error
 	// The fresh anchor, written outside the enclave while the image is built.
 	counter   uint64
 	anchorErr error
@@ -1076,16 +1092,13 @@ type rewrite struct {
 // batch from zero: the part of the image that does not depend on the counter.
 func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
 	rw.encs = encs
-	for _, enc := range encs {
-		rw.retained += int64(len(enc))
-	}
 	if l.cfg.Mode == ModeDisk {
 		rw.recs, rw.err = l.sealRecords(env, encs)
 		rw.chain = batchChain([32]byte{}, rw.recs)
 	}
 }
 
-// anchorRewrite obtains the rewrite's fresh counter value. A trim rewrite
+// anchorRewrite obtains the rewrite's fresh counter value. A compaction
 // must carry one — re-signing trimmed-away history at a stale counter would
 // widen the rollback window — so an unreachable quorum fails the rewrite
 // instead of degrading. Runs outside the enclave.
@@ -1114,13 +1127,9 @@ func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) {
 
 // adoptRewrite moves the in-memory chain onto the new image: at once in
 // memory mode, in disk mode whenever the replacement landed — even when an
-// error came with it, the file is the new image.
-func (l *Log) adoptRewrite(env *asyncall.Env, rw *rewrite) {
-	// Release the enclave heap freed by trimming.
-	if l.heap > rw.retained {
-		env.Ctx.Free(l.heap - rw.retained)
-	}
-	l.heap = rw.retained
+// error came with it, the file is the new image. The heap charge is not
+// touched: it follows the database, not the files (ShardedLog.ApplyTrim).
+func (l *Log) adoptRewrite(rw *rewrite) {
 	l.chain = rw.chain
 	l.seq.Store(uint64(len(rw.encs)))
 	l.specSeq.Store(uint64(len(rw.encs)))
@@ -1153,12 +1162,14 @@ func (l *Log) Close() error {
 // group commit that prefix ends at the last *signed batch*) — and tolerates
 // the persisted counter lagging the group by up to Config.RecoverMaxLag (the
 // state a crash between an increment and its signature flush leaves behind).
-// It re-anchors the chain at a fresh counter value before returning.
-func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB) (*Log, error) {
+// It re-anchors the chain at a fresh counter value before returning. Between
+// compactions the file holds rows the database had already trimmed away;
+// they come back, and the first trim after recovery removes them again.
+func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
 	if cfg.Mode != ModeDisk {
 		return nil, errors.New("audit: recovery requires disk mode")
 	}
-	l := newLogDB(cfg, db)
+	l := newLogDB(cfg, db, heap)
 	opts := VerifyOptions{
 		Pub: pub, Protector: cfg.Protector, Name: cfg.Name,
 		RecoverTruncated: true, MaxCounterLag: cfg.RecoverMaxLag,
@@ -1197,7 +1208,7 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		if err := env.Ctx.Alloc(size); err != nil {
 			return nil, err
 		}
-		l.heap += size
+		l.heap.Add(size)
 	}
 	l.chain = res.Chain // the entries cannot rebuild a chain over sealed records
 	l.seq.Store(uint64(len(res.Entries)))

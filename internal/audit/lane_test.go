@@ -340,10 +340,11 @@ func trimFanOutSet(t *testing.T, e *auditEnv, prot *laneProtector) *ShardedLog {
 
 const trimLatest = "DELETE FROM updates WHERE time NOT IN (SELECT MAX(time) FROM updates GROUP BY repo, branch)"
 
-// TestTrimFanOutShardFailure: the shards' rewrites are independent. A counter
-// that fails only shard 1's increment leaves shard 0 on its new image and
-// shard 1 on its old one, file and memory; the error is returned; the set
-// verifies strictly and recovers as it stands; and the next trim converges.
+// TestTrimFanOutShardFailure: a compaction's shard rewrites are independent.
+// A counter that fails only shard 1's increment leaves shard 0 on its new
+// image and shard 1 on its old one, file and memory; the error is returned;
+// the set verifies strictly and recovers as it stands; and the next trim
+// converges.
 func TestTrimFanOutShardFailure(t *testing.T) {
 	e := newAuditEnv(t)
 	prot := newLaneProtector()
@@ -380,9 +381,10 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 	chain1, seq1 := s.Shard(1).ChainHash(), s.Shard(1).Seq()
 
 	prot.failing(func(name string) bool { return name == ShardName("git", 1) })
-	err = e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	trimDatabase(t, e, s, trimLatest)
+	err = e.bridge.Call(s.Compact)
 	if err == nil || !strings.Contains(err.Error(), "shard 1 rewrite") {
-		t.Fatalf("trim with shard 1's counter down: %v, want shard 1's rewrite error", err)
+		t.Fatalf("compaction with shard 1's counter down: %v, want shard 1's rewrite error", err)
 	}
 	// The two survivors are dealt one per shard: shard 0 moved to its share.
 	if got := s.Shard(0).Seq(); got != 1 {
@@ -415,17 +417,18 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 	verify("after recovering the converged set", rows)
 }
 
-// TestTrimFanOutIncrementsOverlap: a trim's fresh anchors — one per shard and
-// the manifest's — are independent counters and wait side by side, so a trim
-// costs one counter round-trip time whatever the shard count.
+// TestTrimFanOutIncrementsOverlap: a compaction's fresh anchors — one per
+// shard and the manifest's — are independent counters and wait side by side,
+// so a compaction costs one counter round-trip time whatever the shard count.
 func TestTrimFanOutIncrementsOverlap(t *testing.T) {
 	e := newAuditEnv(t)
 	prot := newLaneProtector()
 	s := trimFanOutSet(t, e, prot)
+	trimDatabase(t, e, s, trimLatest)
 	gate := prot.arm()
 	done := make(chan error, 1)
 	go func() {
-		done <- e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+		done <- e.bridge.Call(s.Compact)
 	}()
 	names := gate.awaitIncrements(t, 3)
 	close(gate.release)

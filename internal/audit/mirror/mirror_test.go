@@ -364,6 +364,64 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 	t.Fatalf("mirror never resynced after trim: %+v", m.Report())
 }
 
+// TestMirrorFollowsDatabaseTrimsThenCompaction: a trim's database half
+// changes no file, so to a live mirror K of them are nothing but the appends
+// around them — no restart frame, no reconnect, every entry verified as it
+// lands. The compaction that follows rewrites every file; the same mirror,
+// never stopped, re-verifies the new images through restart frames without a
+// violation and catches up with the server.
+func TestMirrorFollowsDatabaseTrimsThenCompaction(t *testing.T) {
+	e := newMirrorEnv(t, 2, 30*time.Millisecond)
+	e.append(20)
+	m, err := Start(context.Background(), e.mirrorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop(context.Background())
+	waitCaught(t, m, 20)
+
+	stmts, err := e.log.DB().PrepareScript("DELETE FROM updates WHERE seq < 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	for i := 0; i < k; i++ {
+		e.append(10)
+		plan, err := audit.PlanTrim(e.log.DB().Snapshot(), stmts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.call(func(env *asyncall.Env) error { return e.log.ApplyTrim(env, plan) })
+	}
+	waitCaught(t, m, 20+10*k)
+	if r := m.Report(); r.Restarts != 0 || r.Reconnects != 0 || r.TotalEntries != 20+10*k {
+		t.Fatalf("after %d database trims: %d restarts, %d reconnects, %d entries; want none, none and all %d appended",
+			k, r.Restarts, r.Reconnects, r.TotalEntries, 20+10*k)
+	}
+
+	e.call(e.log.Compact)
+	e.append(5)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if err := m.Err(); err != nil {
+			t.Fatalf("the compaction caused a violation: %v", err)
+		}
+		r := m.Report()
+		if r.Restarts > 0 && r.LagBytes == 0 && r.Connected && e.log.PendingStaged() == 0 && r.TotalEntries == int(e.log.Seq()) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror never followed the compaction: %+v (server at %d entries)", r, e.log.Seq())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A beat past the restart grace: no late continuity violation.
+	time.Sleep(600 * time.Millisecond)
+	if err := m.Err(); err != nil {
+		t.Fatalf("late violation after the compaction: %v", err)
+	}
+}
+
 // TestFeedBackpressure attaches a subscriber that never reads: the feed
 // must drop it within the write timeout instead of blocking the pump, and
 // the appenders must never notice.

@@ -9,9 +9,11 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"libseal/internal/asyncall"
+	"libseal/internal/enclave"
 	"libseal/internal/sqldb"
 	"libseal/internal/telemetry"
 	"libseal/internal/vfs"
@@ -101,6 +103,13 @@ type ShardedLog struct {
 	db     *sqldb.DB
 	shards []*Log
 
+	// heap is the enclave heap charged for the rows db holds, shared by the
+	// shards that stage them; every trim reconciles it to those rows.
+	heap atomic.Int64
+	// image is the size of a fresh image of the rows db held at the last
+	// trim — what a compaction would leave on disk (CompactDue).
+	image atomic.Int64
+
 	// Manifest lane. mmu serialises manifest signing and sidecar I/O; it is
 	// ordered after the shard locks (a manifest writer never holds mmu while
 	// acquiring a shard's mutex — states are snapshotted first). manifest is
@@ -112,7 +121,8 @@ type ShardedLog struct {
 	lastManifest time.Time
 	mclosed      bool
 
-	// onBuilt (tests) runs in a trim between building and collecting anchors.
+	// onBuilt (tests) runs in a compaction between building and collecting
+	// anchors.
 	onBuilt func(rws []rewrite)
 }
 
@@ -137,8 +147,8 @@ func (s *ShardedLog) Files() []FileView {
 }
 
 // SetCommitNotify installs fn to run after every durable change to any of
-// the set's persisted files — a shard's batch commit, re-anchor or trim
-// rewrite, and every manifest append or rewrite. fn runs on the committing
+// the set's persisted files — a shard's batch commit, re-anchor or
+// compaction, and every manifest append or rewrite. fn runs on the committing
 // goroutine and must not block; the replication feed installs a coalescing
 // wakeup. One listener at a time; nil uninstalls.
 func (s *ShardedLog) SetCommitNotify(fn func()) {
@@ -150,7 +160,7 @@ func (s *ShardedLog) SetCommitNotify(fn func()) {
 // newSet builds a set: the shared database with the schema applied once,
 // every shard's log from open, and the manifest lane's (not yet written)
 // file when the configuration calls for one.
-func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*ShardedLog, error) {
+func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log, error)) (*ShardedLog, error) {
 	s := &ShardedLog{cfg: cfg, db: sqldb.New()}
 	if cfg.Schema != "" {
 		if _, err := s.db.Exec(cfg.Schema); err != nil {
@@ -158,7 +168,7 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*Sha
 		}
 	}
 	for k := 0; k < cfg.shardCount(); k++ {
-		l, err := open(cfg.shardConfig(k), s.db)
+		l, err := open(cfg.shardConfig(k), s.db, &s.heap)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("audit: shard %d: %w", k, err)
@@ -177,7 +187,7 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*Sha
 // epoch manifest attesting the empty shards. Must run inside an enclave
 // call.
 func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
-	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return newShard(env, c, db) })
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) { return newShard(env, c, db, heap) })
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +211,9 @@ func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 // manifest attesting the recovered states. The shard count must match the
 // one the files were created with. Must run inside an enclave call.
 func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) (*ShardedLog, error) {
-	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return recoverShard(env, c, pub, db) })
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
+		return recoverShard(env, c, pub, db, heap)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +336,11 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 	return firstErr
 }
 
-// Trim runs the trimming queries as one script and rewrites the set: the
+// Trim runs the trimming queries as one script and compacts the set: the
 // script is planned on a snapshot taken here and applied at once, the same
-// path a check+trim cycle takes with the snapshot its invariants ran on.
+// path a check+trim cycle takes with the snapshot its invariants ran on, and
+// the files are then compacted whatever their dead share — whoever asks for a
+// trim by name wants the disk back.
 func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 	var script []*sqldb.Stmt
 	for _, q := range queries {
@@ -340,7 +354,10 @@ func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
 	if err != nil {
 		return fmt.Errorf("audit: trimming queries: %w", err)
 	}
-	return s.ApplyTrim(env, plan)
+	if err := s.ApplyTrim(env, plan); err != nil {
+		return err
+	}
+	return s.Compact(env)
 }
 
 // PlanTrim is sqldb.Snapshot.PlanTrim, timed as audit.trim.plan.
@@ -349,35 +366,122 @@ func PlanTrim(snap *sqldb.Snapshot, script []*sqldb.Stmt) (*sqldb.TrimPlan, erro
 	return snap.PlanTrim(script)
 }
 
-// ApplyTrim commits a trim planned on a snapshot of the shared database and
-// rewrites every shard (§5.1, "Log trimming"). The plan holds what the
-// service's trimming queries kept of the rows the snapshot captured; rows
-// appended since were never shown to the invariants that ran on that snapshot
-// and all survive. A plan the database refuses (sqldb.ErrTrimStale) trims and
-// rewrites nothing, and spends no counter increment.
+// ApplyTrim is a trim's database half (§5.1, "Log trimming"), the one every
+// check+trim cycle runs: it commits a plan made on a snapshot of the shared
+// database. The plan holds what the service's trimming queries kept of the
+// rows the snapshot captured; rows appended since were never shown to the
+// invariants that ran on that snapshot and all survive. A plan the database
+// refuses (sqldb.ErrTrimStale) trims nothing.
 //
-// Surviving rows are partitioned round-robin across the shards (deterministic
+// It holds what Stage holds while it inserts — every shard's lock, in shard
+// order — but leaves the commit lanes running. It writes no file, spends no
+// counter increment and moves no file's generation, so a follower of the files
+// sees nothing but appends: between compactions each shard file is an
+// append-only history of every row the database holds and of the rows trimmed
+// from it since. CompactDue says when half the files' bytes are dead, Compact
+// reclaims them, and recovery in between replays the trimmed rows, which the
+// next trim removes again. The enclave heap charge is reconciled to the
+// survivors' encoded bytes here, so the EPC model keeps meaning what the
+// in-enclave database holds.
+func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
+	for _, sh := range s.shards {
+		asyncall.Lock(env, &sh.mu)
+	}
+	defer func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}()
+	mTrims.Inc()
+	defer telemetry.ObserveSince(mTrimLatency, "audit.trim", time.Now())
+	if err := s.db.ApplyTrim(plan); err != nil {
+		return fmt.Errorf("audit: trim: %w", err)
+	}
+	live, rows := s.liveBytes()
+	if over := s.heap.Load() - live; over > 0 {
+		env.Ctx.Free(over)
+		s.heap.Add(-over)
+	}
+	image := s.imageBytes(live, rows)
+	s.image.Store(image)
+	mLiveBytes.Set(image)
+	mCommittedBytes.Set(s.committedBytes())
+	return nil
+}
+
+// liveBytes sums the encoded entries of the rows the shared database holds,
+// and counts them.
+func (s *ShardedLog) liveBytes() (live, rows int64) {
+	for _, t := range s.db.Tables() {
+		trows, _ := s.db.TableRows(t) // t is one of Tables(): no error
+		for _, row := range trows {
+			live += (&Entry{Table: t, Values: row}).size()
+		}
+		rows += int64(len(trows))
+	}
+	return live, rows
+}
+
+// imageBytes is what a compaction writes for rows entries of live encoded
+// bytes: a record per entry (sealed, when the log is) and, per shard file, its
+// magic and one signature record.
+func (s *ShardedLog) imageBytes(live, rows int64) int64 {
+	perEntry := int64(5)
+	if s.cfg.Seal {
+		perEntry += enclave.SealOverhead
+	}
+	return live + rows*perEntry + int64(len(s.shards))*(int64(len(fileMagic))+sigRecordMax)
+}
+
+// committedBytes sums the shard files' committed lengths (zero in memory
+// mode).
+func (s *ShardedLog) committedBytes() int64 {
+	var n int64
+	for _, sh := range s.shards {
+		if sh.file != nil {
+			n += sh.file.size.Load()
+		}
+	}
+	return n
+}
+
+// CompactDue reports whether a compaction pays, as of the last ApplyTrim: the
+// shard files' committed bytes are at least twice what a fresh image of the
+// surviving rows takes — at least half of them are dead. A constant, not a
+// setting: it bounds the amortised rewrite cost by the bytes appended since
+// the last compaction, whatever the retained row count. Memory mode has
+// nothing on disk and adopts every trim, so there a compaction is always due.
+func (s *ShardedLog) CompactDue() bool {
+	return s.cfg.Mode != ModeDisk || s.committedBytes() >= 2*s.image.Load()
+}
+
+// Compact is a trim's file half: every shard file is rewritten as a fresh
+// image of the rows the shared database holds (§5.1, "Log trimming"). A
+// check+trim cycle runs it when CompactDue says so; Trim and core's TrimNow
+// always do.
+//
+// The rows are partitioned round-robin across the shards (deterministic
 // table-sorted order — with one shard, simply every row in that order), each
 // shard's chain is rebuilt over its partition with a fresh counter anchor and
 // its file replaced crash-safely (see rewrite), and the manifest sidecar is
-// rewritten to attest the post-trim states. All shards are quiesced for the
-// duration, so the partition cannot race staged appends or interleave with a
-// batch's file I/O.
+// rewritten to attest the post-compaction states. All shards are quiesced for
+// the duration, so the partition cannot race staged appends or interleave
+// with a batch's file I/O.
 //
-// Past the quiesce the trim leaves the enclave three times whatever the shard
-// count: one ocall issues every fresh anchor (the shards' and the manifest's,
-// independent counters) and returns; the images are built while those are in
-// flight and a second ocall collects them; every image is signed — the
-// manifest pre-signed over the states the shard images carry — and a third
-// lands them all (see land).
+// Past the quiesce the compaction leaves the enclave three times whatever the
+// shard count: one ocall issues every fresh anchor (the shards' and the
+// manifest's, independent counters) and returns; the images are built while
+// those are in flight and a second ocall collects them; every image is signed
+// — the manifest pre-signed over the states the shard images carry — and a
+// third lands them all (see land).
 //
-// Once the plan is applied the database rows are trimmed whatever happens to
-// the files; the next successful trim reconciles them. A shard whose anchor or
-// replacement failed keeps its old image and its old in-memory chain while the
-// others move to their new ones, and the first such error is returned; the
-// pre-signed manifest is then discarded and the sidecar re-signed over the
-// actual states, since a manifest never attests an image that is not on disk.
-func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
+// The database is not touched. A shard whose anchor or replacement failed
+// keeps its old image and its old in-memory chain while the others move to
+// their new ones, and the first such error is returned; the pre-signed
+// manifest is then discarded and the sidecar re-signed over the actual
+// states, since a manifest never attests an image that is not on disk. The
+// next compaction converges.
+func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	quiesce := time.Now()
 	lockQuiesced(env, s.shards...)
 	defer func() {
@@ -386,11 +490,9 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 		}
 	}()
 	telemetry.ObserveSince(mTrimQuiesce, "audit.trim.quiesce", quiesce)
-	mTrims.Inc()
-	defer telemetry.ObserveSince(mTrimLatency, "audit.trim", time.Now())
-	if err := s.db.ApplyTrim(plan); err != nil {
-		return fmt.Errorf("audit: trim: %w", err)
-	}
+	mCompactions.Inc()
+	defer telemetry.ObserveSince(mCompactLatency, "audit.compact", time.Now())
+	defer func() { mCommittedBytes.Set(s.committedBytes()) }()
 	rws := make([]rewrite, len(s.shards))
 	// The manifest lane is held from its counter increment to its record, so
 	// no other manifest can slip between the two.
@@ -433,7 +535,7 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	}
 	if s.cfg.Mode != ModeDisk {
 		for k, sh := range s.shards {
-			sh.adoptRewrite(env, &rws[k])
+			sh.adoptRewrite(&rws[k])
 		}
 		return nil
 	}
@@ -454,7 +556,7 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	var firstErr error
 	for k, sh := range s.shards {
 		if rws[k].landed {
-			sh.adoptRewrite(env, &rws[k])
+			sh.adoptRewrite(&rws[k])
 		}
 		if err := rws[k].err; err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
@@ -474,10 +576,10 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	return firstErr
 }
 
-// land puts a trim's signed images on disk, outside the enclave: the shards'
-// and the manifest's m (nil: none) staged side by side, then the shard images
-// installed, their renames made durable by one directory sync and the files
-// settled, and only if every shard landed without error the manifest
+// land puts a compaction's signed images on disk, outside the enclave: the
+// shards' and the manifest's m (nil: none) staged side by side, then the shard
+// images installed, their renames made durable by one directory sync and the
+// files settled, and only if every shard landed without error the manifest
 // installed and settled in turn (landed) — or else discarded.
 func (s *ShardedLog) land(rws []rewrite, m *Manifest) (landed bool, err error) {
 	n := len(s.shards)
@@ -529,12 +631,10 @@ func goEach(wg *sync.WaitGroup, n int, fn func(k int)) {
 	}
 }
 
-// partitionSurvivors deals the post-trim database rows round-robin across
-// the shards, re-encoding each partition as chained entries with fresh
-// per-shard sequence numbers. Row order is deterministic (tables sorted,
-// rows in table order), so the partition is reproducible for a given
-// database state. Per-shard heap accounting drifts slightly when the deal
-// moves bytes between shards; the totals reconcile on the next trim.
+// partitionSurvivors deals the database rows round-robin across the shards,
+// re-encoding each partition as chained entries with fresh per-shard sequence
+// numbers. Row order is deterministic (tables sorted, rows in table order),
+// so the partition is reproducible for a given database state.
 func (s *ShardedLog) partitionSurvivors() ([][][]byte, error) {
 	tables := s.db.Tables()
 	sort.Strings(tables)

@@ -355,9 +355,10 @@ func TestShardedTrimPartition(t *testing.T) {
 }
 
 // TestApplyTrimKeepsEntriesAppendedSincePlan: a trim planned on a snapshot
-// and applied after more appends rewrites the set with what the plan kept
-// of the captured rows plus every entry appended since, all verifiable; a plan
-// the database refuses as stale rewrites nothing.
+// and applied after more appends leaves the database with what the plan kept
+// of the captured rows plus every entry appended since, and the files as they
+// were; the compaction after it rewrites the set to exactly those rows, all
+// verifiable; a plan the database refuses as stale rewrites nothing.
 func TestApplyTrimKeepsEntriesAppendedSincePlan(t *testing.T) {
 	e := newAuditEnv(t)
 	var s *ShardedLog
@@ -391,7 +392,13 @@ func TestApplyTrimKeepsEntriesAppendedSincePlan(t *testing.T) {
 		if err := appendUpdates(env, 10, 14); err != nil {
 			return err
 		}
-		return s.ApplyTrim(env, plan)
+		if err := s.ApplyTrim(env, plan); err != nil {
+			return err
+		}
+		if s.Seq() != 14 {
+			return fmt.Errorf("the database trim moved the files: seq %d, want all 14 entries", s.Seq())
+		}
+		return s.Compact(env)
 	})
 	if plan.Deleted() != 10 || s.Seq() != 4 {
 		t.Fatalf("plan deleted %d rows, post-trim seq = %d; want 10 and the 4 entries appended since", plan.Deleted(), s.Seq())

@@ -15,16 +15,31 @@ import (
 	"libseal/internal/telemetry"
 )
 
-// TestTrimCrashPoints enumerates every file-system operation a trim of a
-// two-shard set issues — for each shard and for the manifest: the staged
-// image's Create, its Write at every record boundary, Sync and Close, the
-// Rename, the old handle's Close and the reopen; and the directory syncs
-// after the shards' renames and after the manifest's — and fails each in
-// turn, tearing the writes as well. Whatever fails, the files on disk verify
-// strictly with every shard at exactly its pre-trim or its post-trim entries
-// (so the manifest attests only images that are there), RecoverSharded and a
-// strict Verify against the live counters agree, and a further append and
-// trim converge.
+// trimDatabase runs query as a trim's database half on s — planned on a fresh
+// snapshot, applied, no file touched — so that the test drives Compact itself.
+func trimDatabase(t *testing.T, e *auditEnv, s *ShardedLog, query string) {
+	t.Helper()
+	stmts, err := s.DB().PrepareScript(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanTrim(s.DB().Snapshot(), stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.call(t, func(env *asyncall.Env) error { return s.ApplyTrim(env, plan) })
+}
+
+// TestTrimCrashPoints enumerates every file-system operation the compaction
+// after a trim of a two-shard set issues — for each shard and for the
+// manifest: the staged image's Create, its Write at every record boundary,
+// Sync and Close, the Rename, the old handle's Close and the reopen; and the
+// directory syncs after the shards' renames and after the manifest's — and
+// fails each in turn, tearing the writes as well. Whatever fails, the files
+// on disk verify strictly with every shard at exactly its pre-trim or its
+// post-trim entries (so the manifest attests only images that are there),
+// RecoverSharded and a strict Verify against the live counters agree, and a
+// further append and trim converge.
 func TestTrimCrashPoints(t *testing.T) {
 	for _, p := range runTrimCrashPoint(t, noCrash, false) {
 		for _, torn := range []bool{false, true} {
@@ -39,8 +54,8 @@ func TestTrimCrashPoints(t *testing.T) {
 }
 
 // runTrimCrashPoint trims a two-shard set holding three updates of one
-// branch per shard with the fault at failAt armed, checks what is left, and
-// returns the operations the trim issued.
+// branch per shard, compacts it with the fault at failAt armed, checks what
+// is left, and returns the operations the compaction issued.
 func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint {
 	e := newAuditEnv(t)
 	pub := e.encl.PublicKey()
@@ -86,10 +101,11 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint 
 		}
 	}
 
+	trimDatabase(t, e, s, trimLatest)
 	fs.mu.Lock()
 	fs.seen, fs.ops, fs.failAt, fs.torn = nil, nil, failAt, torn
 	fs.mu.Unlock()
-	err := e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	err := e.bridge.Call(s.Compact)
 	fs.mu.Lock()
 	ops := fs.ops
 	fs.failAt = noCrash
@@ -128,20 +144,21 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint 
 	return ops
 }
 
-// TestTrimBuildsWhileAnchorsInFlight: a trim issues its fresh anchors and
-// returns to the enclave at once; the survivors are dealt, chained and sealed
-// while the increments are in flight. With all three increments held at the
-// counter service, the images are already built.
+// TestTrimBuildsWhileAnchorsInFlight: a compaction issues its fresh anchors
+// and returns to the enclave at once; the survivors are dealt, chained and
+// sealed while the increments are in flight. With all three increments held
+// at the counter service, the images are already built.
 func TestTrimBuildsWhileAnchorsInFlight(t *testing.T) {
 	e := newAuditEnv(t)
 	prot := newLaneProtector()
 	s := trimFanOutSet(t, e, prot)
+	trimDatabase(t, e, s, trimLatest)
 	built := make(chan []rewrite, 1)
 	s.onBuilt = func(rws []rewrite) { built <- rws }
 	gate := prot.arm()
 	done := make(chan error, 1)
 	go func() {
-		done <- e.bridge.Call(func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+		done <- e.bridge.Call(s.Compact)
 	}()
 	gate.awaitIncrements(t, 3)
 	select {
@@ -154,7 +171,7 @@ func TestTrimBuildsWhileAnchorsInFlight(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		close(gate.release)
-		t.Fatal("the trim built nothing while its three anchors were in flight")
+		t.Fatal("the compaction built nothing while its three anchors were in flight")
 	}
 	close(gate.release)
 	if err := <-done; err != nil {
@@ -199,8 +216,11 @@ func TestTrimStaleBurnsNoIncrement(t *testing.T) {
 	}
 }
 
-// TestTrimStagesInMetrics: a trim's stages are on /metrics beside
-// audit.trim: the quiesce before it, the plan, and the anchors' wait.
+// TestTrimStagesInMetrics: a trim and its compaction are on /metrics — the
+// plan and the database trim (audit.trim), the compaction's count and latency
+// beside its stages (the quiesce before it, the anchors' wait) — and so is why
+// the log is the size it is: its committed bytes, and the live ones a
+// compaction would keep.
 func TestTrimStagesInMetrics(t *testing.T) {
 	e := newAuditEnv(t)
 	s := trimFanOutSet(t, e, newLaneProtector())
@@ -212,9 +232,23 @@ func TestTrimStagesInMetrics(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"audit.trim.latency", "audit.trim.quiesce", "audit.trim.plan", "audit.trim.anchor_wait"} {
+	for _, name := range []string{"audit.trim.latency", "audit.trim.plan", "audit.compact.latency", "audit.trim.quiesce", "audit.trim.anchor_wait"} {
 		if m, ok := body[name]; !ok || m.Type != "histogram" || m.Value < 1 {
 			t.Errorf("%s on /metrics: %+v, %v; want a histogram with the trim in it", name, m, ok)
 		}
+	}
+	if m, ok := body["audit.compactions"]; !ok || m.Type != "counter" || m.Value < 1 {
+		t.Errorf("audit.compactions on /metrics: %+v, %v; want the compaction counted", m, ok)
+	}
+	// The set is the last to have trimmed and compacted: the gauges are its.
+	var committed int64
+	for _, v := range s.Files()[:2] {
+		committed += v.CommittedSize()
+	}
+	if m := body["audit.log_bytes.committed"]; m.Type != "gauge" || m.Value != committed {
+		t.Errorf("audit.log_bytes.committed on /metrics: %+v; want the gauge at the shard files' %d bytes", m, committed)
+	}
+	if m := body["audit.log_bytes.live"]; m.Type != "gauge" || m.Value != s.image.Load() || m.Value < committed {
+		t.Errorf("audit.log_bytes.live on /metrics: %+v; want the gauge at a fresh image's %d bytes, no less than the %d just compacted", m, s.image.Load(), committed)
 	}
 }

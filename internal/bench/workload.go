@@ -28,10 +28,12 @@ type LogFiller struct {
 	state  any
 
 	// Set by Attach: tuples then flow through a real (one-shard) audit log,
-	// so Check and Trim pay the full fixed costs (enclave crossings,
-	// persistent rewrite, counter increment, re-signing).
+	// so Check and Trim pay the full fixed costs (enclave crossings, the
+	// database trim, and — when it is due — the compaction's persistent
+	// rewrite, counter increment and re-signing).
 	log    *audit.ShardedLog
 	bridge *asyncall.Bridge
+	trim   []*sqldb.Stmt // the module's trim script, prepared once
 }
 
 // Attach routes the filler through a persistent audit log inside the given
@@ -50,6 +52,14 @@ func (f *LogFiller) Attach(bridge *asyncall.Bridge, cfg audit.Config) error {
 		return err
 	}); err != nil {
 		return err
+	}
+	for _, q := range f.Module.TrimQueries() {
+		stmts, err := l.DB().PrepareScript(q)
+		if err != nil {
+			l.Close()
+			return err
+		}
+		f.trim = append(f.trim, stmts...)
 	}
 	f.log = l
 	f.bridge = bridge
@@ -103,8 +113,8 @@ func (f *LogFiller) Check() (int, error) {
 }
 
 // Trim applies the module's trimming queries. When attached to an audit
-// log, the trim includes the chain rewrite, counter increment and
-// re-signing of §5.1.
+// log, the trim includes the compaction — chain rewrite, counter increment
+// and re-signing of §5.1 — whatever the files' dead share.
 func (f *LogFiller) Trim() error {
 	if f.log != nil {
 		return f.bridge.Call(func(env *asyncall.Env) error {
@@ -120,7 +130,9 @@ func (f *LogFiller) Trim() error {
 }
 
 // CheckTrim runs a full check-and-trim round inside the enclave (when
-// attached) and returns its duration.
+// attached) and returns its duration. The round follows core's cycle rule:
+// the trim is planned on a snapshot and applied to the database, and the log
+// file is compacted only when that leaves half its bytes dead.
 func (f *LogFiller) CheckTrim() (time.Duration, error) {
 	start := time.Now()
 	if f.bridge != nil {
@@ -128,7 +140,14 @@ func (f *LogFiller) CheckTrim() (time.Duration, error) {
 			if _, err := ssm.CheckInvariants(f.DB, f.Module); err != nil {
 				return err
 			}
-			return f.log.Trim(env, f.Module.TrimQueries())
+			plan, err := audit.PlanTrim(f.DB.Snapshot(), f.trim)
+			if err != nil || plan.Deleted() == 0 {
+				return err
+			}
+			if err := f.log.ApplyTrim(env, plan); err != nil || !f.log.CompactDue() {
+				return err
+			}
+			return f.log.Compact(env)
 		})
 		return time.Since(start), err
 	}

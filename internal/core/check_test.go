@@ -244,6 +244,74 @@ func TestTrimKeepsRowsStagedDuringCycle(t *testing.T) {
 	}
 }
 
+// diskEntries verifies the one-shard disk log in dir and returns its entry
+// count, and the rows its database holds.
+func diskEntries(t *testing.T, env *coreEnv, ls *LibSEAL, dir string) (entries, rows int) {
+	t.Helper()
+	es, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	for _, table := range ls.Log().DB().Tables() {
+		n, _ := ls.Log().DB().TableRowCount(table)
+		rows += n
+	}
+	return len(es), rows
+}
+
+// TestTrimNowAlwaysCompacts: whoever asks for a trim by name wants the disk
+// back. TrimNow's cycle compacts the log file after its trim, and again when
+// its trim deletes nothing, and each time the file is left holding exactly
+// the rows the database does.
+func TestTrimNowAlwaysCompacts(t *testing.T) {
+	env := newCoreEnv(t)
+	dir := t.TempDir()
+	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeDisk, AuditDir: dir})
+	c := dialGit(t, env, ls, newGitBackend())
+	c.push(t, "repo", "create main c1")
+	c.push(t, "repo", "update main c2")
+	c.fetch(t, "repo", false)
+	for i, want := range []Stats{{Trims: 1, Compactions: 1}, {Trims: 1, TrimsSkipped: 1, Compactions: 2}} {
+		if err := ls.TrimNow(); err != nil {
+			t.Fatal(err)
+		}
+		st := ls.StatsSnapshot()
+		if st.Trims != want.Trims || st.TrimsSkipped != want.TrimsSkipped || st.Compactions != want.Compactions || st.TrimFailures != 0 {
+			t.Fatalf("after TrimNow %d: %+v, want %+v", i+1, st, want)
+		}
+		if entries, rows := diskEntries(t, env, ls, dir); entries != 1 || rows != 1 {
+			t.Fatalf("after TrimNow %d: %d entries on disk, %d rows; want the c2 update alone in both", i+1, entries, rows)
+		}
+		if gen := ls.Log().Files()[0].Generation(); gen != uint64(2*(i+1)) {
+			t.Fatalf("after TrimNow %d: file generation %d, want %d (one rewrite each)", i+1, gen, 2*(i+1))
+		}
+	}
+}
+
+// TestNothingTrimmedNeverCompacts: a cycle whose trim deletes nothing leaves
+// no dead byte behind, so a log whose cycles never trim is never rewritten,
+// however long its file grows.
+func TestNothingTrimmedNeverCompacts(t *testing.T) {
+	env := newCoreEnv(t)
+	dir := t.TempDir()
+	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeDisk, AuditDir: dir, CheckEvery: 1})
+	c := dialGit(t, env, ls, newGitBackend())
+	const pushes = 30
+	for i := 0; i < pushes; i++ {
+		c.push(t, "repo", fmt.Sprintf("create b%d c%d", i, i))
+	}
+	st := ls.StatsSnapshot()
+	if st.Checks != pushes || st.TrimsSkipped != pushes || st.Trims != 0 || st.Compactions != 0 {
+		t.Fatalf("stats = %+v, want %d cycles that all skipped their trim and never compacted", st, pushes)
+	}
+	if gen := ls.Log().Files()[0].Generation(); gen != 0 {
+		t.Fatalf("file generation %d: the log was rewritten", gen)
+	}
+	if entries, rows := diskEntries(t, env, ls, dir); entries != pushes || rows != pushes {
+		t.Fatalf("%d entries on disk, %d rows; want all %d pushes in both", entries, rows, pushes)
+	}
+}
+
 // TestSyncCheckViolationChainSeq pins the sync path too: in-band and
 // CheckNow checks stamp violations with the attested position.
 func TestSyncCheckViolationChainSeq(t *testing.T) {

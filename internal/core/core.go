@@ -26,8 +26,8 @@
 // check+trim cycles from overlapping, sits above logMu and is only ever
 // taken by a caller that holds no other lock and leads no open batch (see
 // runCycle). One extra rule keeps
-// group commit deadlock-free against Trim (which quiesces the commit lane
-// while holding logMu): all pairs of one write are staged within a single
+// group commit deadlock-free against a compaction (which quiesces the commit
+// lane while holding logMu): all pairs of one write are staged within a single
 // logMu critical section, and logMu is not re-acquired until every resulting
 // ticket has been waited — a pending batch leader never blocks on logMu.
 package core
@@ -208,19 +208,25 @@ type preparedInvariant struct {
 
 // Stats counts audit activity.
 type Stats struct {
-	Pairs      int64
-	Tuples     int64
-	Checks     int64
+	Pairs  int64
+	Tuples int64
+	Checks int64
+	// Trims counts cycles whose trim queries deleted rows from the database.
 	Trims      int64
 	Violations int64
-	// TrimFailures counts trims that could not complete (e.g. the counter
-	// quorum was unreachable); the log keeps growing until one succeeds.
+	// TrimFailures counts trims that could not complete: a plan that failed
+	// or went stale, or a compaction that did not land (e.g. the counter
+	// quorum was unreachable) — the files keep growing until one succeeds.
 	TrimFailures int64
 	// Reanchors counts degraded-mode gaps closed by a fresh counter anchor.
 	Reanchors int64
 	// TrimsSkipped counts cycles whose trim queries deleted nothing from the
-	// check's snapshot, so the quiesce was never taken.
+	// check's snapshot, so the database was left alone.
 	TrimsSkipped int64
+	// Compactions counts rewrites of the log to the rows the database holds:
+	// when half the files' bytes were dead, on every TrimNow, and after every
+	// trim in memory mode, which has no files to keep.
+	Compactions int64
 }
 
 // connTracker pairs the request and response streams of one connection. Its
@@ -362,7 +368,7 @@ func (ls *LibSEAL) periodicChecks(interval time.Duration) {
 		case <-ticker.C:
 			_ = ls.bridge.Call(func(env *asyncall.Env) error {
 				// A failed trim is counted and retried by the next cycle.
-				_ = ls.runCycle(env)
+				_ = ls.runCycle(env, false)
 				// If appends ran degraded (counter quorum unreachable), the
 				// periodic tick doubles as the re-anchor retry loop.
 				if ls.log.Status().Degraded {
@@ -506,11 +512,11 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 // group-commit batch; the write still only succeeds once every staged entry
 // is durable.
 //
-// The single staging section is load-bearing for deadlock freedom: a trim
-// quiesces the group-commit lane while holding logMu, and the lane drains
-// only when every batch leader reaches Ticket.Wait. A connection that leads
-// an open batch must therefore never block on logMu again before all of its
-// tickets are waited — which is why the pairs are cut out first, staged in
+// The single staging section is load-bearing for deadlock freedom: a
+// compaction quiesces the group-commit lane while holding logMu, and the lane
+// drains only when every batch leader reaches Ticket.Wait. A connection that
+// leads an open batch must therefore never block on logMu again before all of
+// its tickets are waited — which is why the pairs are cut out first, staged in
 // one logMu hold, and the statistics for failed pairs are undone only after
 // the last wait resolves.
 func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byte, error) {
@@ -591,7 +597,7 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 		// Every ticket is waited and no lock is held: the one state in which
 		// a request path may wait for cycleMu. A failed trim is counted and
 		// retried by the next cycle, never the client's problem.
-		_ = ls.runCycle(env)
+		_ = ls.runCycle(env, false)
 	}
 	if len(tickets) > 0 {
 		// Epoch-manifest cadence rides the write path: after the waits no
@@ -793,11 +799,15 @@ func (ls *LibSEAL) runCheck(env *asyncall.Env, ctx context.Context, clientTrigge
 // CheckEvery budget on a request path, the periodic tick or TrimNow. It is
 // one unit over one immutable state: the snapshot is captured under logMu,
 // the invariants run on it, the module's trim queries run on it — the same
-// private tables, in script order, no lock held — and only then, under logMu
-// and the shards' quiesce, the live tables become what the queries kept of the
-// captured rows plus every row appended since, and the shards are rewritten.
-// A trim therefore deletes only rows its own check saw; rows staged during
-// the cycle stay, unchecked, for the next one.
+// private tables, in script order, no lock held — and only then, under logMu,
+// the live tables become what the queries kept of the captured rows plus
+// every row appended since. A trim therefore deletes only rows its own check
+// saw; rows staged during the cycle stay, unchecked, for the next one.
+//
+// The trim touches the database only. The log files are compacted to the
+// rows it holds — every shard quiesced and rewritten — when the trim leaves
+// half their bytes dead (audit.ShardedLog.CompactDue), and always when compact
+// is set: TrimNow's caller wants the disk back.
 //
 // Cycles never overlap between capture and apply: the rows a plan kept must
 // still be there when it is applied. cycleMu is the outermost lock — the
@@ -805,10 +815,11 @@ func (ls *LibSEAL) runCheck(env *asyncall.Env, ctx context.Context, clientTrigge
 // park here without stalling a batch — and checks that do not trim (the check
 // header, CheckNow) never take it.
 //
-// The returned error is the trim's; it is counted in Stats.TrimFailures and
-// the next cycle retries, the log growing meanwhile. Only the append path may
-// fail an SSL write, since there durability is at stake.
-func (ls *LibSEAL) runCycle(env *asyncall.Env) error {
+// The returned error is the trim's or the compaction's; it is counted in
+// Stats.TrimFailures and the next cycle retries, the files growing meanwhile.
+// Only the append path may fail an SSL write, since there durability is at
+// stake.
+func (ls *LibSEAL) runCycle(env *asyncall.Env, compact bool) error {
 	asyncall.Lock(env, &ls.cycleMu)
 	defer ls.cycleMu.Unlock()
 	out, _ := ls.runCheck(env, context.Background(), false)
@@ -821,22 +832,27 @@ func (ls *LibSEAL) runCycle(env *asyncall.Env) error {
 	}
 	asyncall.Lock(env, &ls.logMu)
 	defer ls.logMu.Unlock()
-	if err == nil && plan.Deleted() == 0 {
-		// Nothing to trim: the append-stalling quiesce of every shard and
-		// the rewrite are skipped entirely.
+	switch {
+	case err != nil:
+	case plan.Deleted() == 0:
+		// Nothing to trim, so nothing died in the files either.
 		ls.stats.TrimsSkipped++
 		mTrimsSkipped.Inc()
-		return nil
+	default:
+		if err = ls.log.ApplyTrim(env, plan); err == nil {
+			ls.stats.Trims++
+			compact = compact || ls.log.CompactDue()
+		}
 	}
-	if err == nil {
-		err = ls.log.ApplyTrim(env, plan)
+	if err == nil && compact {
+		if err = ls.log.Compact(env); err == nil {
+			ls.stats.Compactions++
+		}
 	}
 	if err != nil {
 		ls.stats.TrimFailures++
-		return err
 	}
-	ls.stats.Trims++
-	return nil
+	return err
 }
 
 // CheckNow runs the invariants immediately (Fig. 1, step 6) and returns the
@@ -871,14 +887,15 @@ func (ls *LibSEAL) CheckNowContext(ctx context.Context) (string, error) {
 	return result, err
 }
 
-// TrimNow runs one check+trim cycle immediately and returns the trim's error.
-// A trim always follows its own check: the trimming queries delete rows on the
-// strength of their having been checked.
+// TrimNow runs one check+trim cycle immediately, compacting the log files
+// whatever their dead share, and returns the trim's error. A trim always
+// follows its own check: the trimming queries delete rows on the strength of
+// their having been checked.
 func (ls *LibSEAL) TrimNow() error {
 	if ls.log == nil {
 		return ErrLoggingDisabled
 	}
-	return ls.bridge.Call(ls.runCycle)
+	return ls.bridge.Call(func(env *asyncall.Env) error { return ls.runCycle(env, true) })
 }
 
 // Close stops periodic checking, then releases the audit log's resources (in

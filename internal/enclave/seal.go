@@ -49,6 +49,10 @@ func (e *Enclave) sealKey(policy SealPolicy) []byte {
 	return mac.Sum(nil)[:16]
 }
 
+// SealOverhead is what Seal adds to a plaintext: the policy byte, the GCM
+// nonce and the GCM tag.
+const SealOverhead = 1 + 12 + 16
+
 // Seal encrypts and integrity-protects plaintext so that it can be stored on
 // untrusted persistent storage. aad is authenticated but not encrypted.
 func (c *Ctx) Seal(policy SealPolicy, plaintext, aad []byte) ([]byte, error) {
@@ -69,7 +73,7 @@ func (c *Ctx) Seal(policy SealPolicy, plaintext, aad []byte) ([]byte, error) {
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 1, 1+len(nonce)+len(plaintext)+gcm.Overhead())
+	out := make([]byte, 1, SealOverhead+len(plaintext))
 	out[0] = byte(policy)
 	out = append(out, nonce...)
 	return gcm.Seal(out, nonce, plaintext, aad), nil

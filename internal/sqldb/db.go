@@ -374,7 +374,8 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// TableRows returns a copy of a table's rows in storage order.
+// TableRows returns a table's rows in storage order, in a slice of its own;
+// the rows themselves are immutable once stored and are shared, not copied.
 func (db *DB) TableRows(name string) ([][]Value, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -382,11 +383,7 @@ func (db *DB) TableRows(name string) ([][]Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
-	out := make([][]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = append([]Value(nil), r...)
-	}
-	return out, nil
+	return append([][]Value(nil), t.Rows...), nil
 }
 
 // RemoveLastRows removes the n most recently inserted rows of a table. It

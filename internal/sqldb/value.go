@@ -279,10 +279,6 @@ func CompareSQL(a, b Value) (cmp int, ok bool) {
 	return Compare(a, b), true
 }
 
-// Equal reports deep value equality (used for DISTINCT and GROUP BY keys,
-// where NULLs compare equal to each other, as in SQLite).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // appendKey appends v's key to buf: the one encoding behind GROUP BY,
 // DISTINCT, hash indexes, IN sets and the subquery cache. Keys are
 // self-delimiting, so a tuple's key is its values' keys in order, and two
