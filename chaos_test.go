@@ -56,7 +56,7 @@ func chaosScenario() FaultScenario {
 		// The crash: the tenth audit append (write 10) tears two bytes into
 		// its entry record and wedges the log's file handle, the on-disk image
 		// a power cut leaves.
-		faultinject.TornWrite("git.lseal", chaosAppendWrite(9)).AtByte(2),
+		faultinject.TornWrite("git-shard0.lseal", chaosAppendWrite(9)).AtByte(2),
 	}}
 }
 
@@ -227,7 +227,7 @@ func TestChaosSoakCrashRecovery(t *testing.T) {
 	finalSeq := st.Seal.Log().Seq()
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
+	rep, err := Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group}})
 	if err != nil {
 		t.Fatalf("strict verify of recovered log: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestChaosRollingRestartSoak(t *testing.T) {
 	}
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
+	rep, err := Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group}})
 	if err != nil {
 		t.Fatalf("strict verify after rolling restarts: %v", err)
 	}
@@ -479,7 +479,7 @@ func TestChaosOverloadShedding(t *testing.T) {
 	in := FaultScenario{Seed: chaosSeed, Rules: []FaultRule{
 		// Every log write from the first one on crawls: the group-commit
 		// pipeline stays full while the burst arrives.
-		faultinject.StallWrites("git.lseal", 1, 1<<30, 300*time.Millisecond),
+		faultinject.StallWrites("git-shard0.lseal", 1, 1<<30, 300*time.Millisecond),
 	}}.Build()
 	policy := chaosRetryPolicy()
 	st, err := bench.NewGitStack(bench.StackOptions{
@@ -543,7 +543,7 @@ func TestChaosOverloadShedding(t *testing.T) {
 	// holds exactly the acknowledged pushes.
 	pub := st.Enclave.PublicKey()
 	st.Seal.Close()
-	rep, err := Verify(dir+"/git.lseal", VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group, Name: "git"}})
+	rep, err := Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: pub, Protector: group}})
 	if err != nil {
 		t.Fatalf("strict verify after shedding: %v", err)
 	}

@@ -50,7 +50,7 @@ func main() {
 	service := flag.String("service", "git", "service to run: git, owncloud, dropbox or messaging")
 	mode := flag.String("mode", "mem", "audit mode: mem or disk")
 	dir := flag.String("dir", ".", "directory for the audit log and key material")
-	auditShards := flag.Int("audit-shards", 1, "audit log shard files; >1 partitions the log per connection with a signed cross-shard epoch manifest")
+	auditShards := flag.Int("audit-shards", 1, "audit log shard files, partitioned per connection; every disk log is its shard files plus a signed epoch-manifest sidecar")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
 	recover := flag.Bool("recover", false, "resume from an existing audit log (requires the platform state from the previous run)")

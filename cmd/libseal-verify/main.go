@@ -5,12 +5,13 @@
 // tampered with, truncated or rolled back the log — or that the log was not
 // produced by the expected enclave.
 //
-// -log accepts either a single .lseal file or a directory. A directory
-// holding a sharded log set (shard files plus the signed epoch-manifest
-// sidecar) is verified shard-by-shard in parallel, and the manifests are
-// replayed against every shard's verified commit points: a single shard
-// rolled back to an earlier signed prefix fails verification even though
-// its own chain still checks out.
+// -log is the audit directory. Every persisted log is a set — its shard
+// files (<name>-shard<k>.lseal, one or more) and the signed epoch-manifest
+// sidecar (<name>.manifest) — verified shard-by-shard in parallel, with the
+// manifests replayed against every shard's verified commit points: a single
+// shard rolled back to an earlier signed prefix fails verification even
+// though its own chain still checks out, and shard files whose manifest is
+// missing fail outright.
 //
 // Logs are read in format 3 (magic LIBSEALLOG3): the chain takes one step per
 // batch, over its entry records as stored. A file of format 1 or 2 is refused
@@ -21,9 +22,9 @@
 // Verification runs the parallel pipeline: signature records cut each log
 // into independently checkable runs of batches fanned out to -workers
 // goroutines, entries are checked where they lie in the file's blocks —
-// walked and hashed, not decoded — and progress is checkpointed to sidecars
-// so an interrupted run resumes with -resume instead of rescanning from
-// byte 0.
+// walked and hashed, not decoded — and progress is checkpointed to a sidecar
+// beside each shard file (<shard file>.ckpt) so an interrupted run resumes
+// with -resume instead of rescanning from byte 0.
 //
 // -dump is what decodes: with it, entries are built and print as their
 // batches verify — before the whole-log verdict (counter freshness above
@@ -39,8 +40,8 @@
 //
 // Usage:
 //
-//	libseal-verify -log audit/git.lseal -pubkey enclave.pub [-dump]
-//	libseal-verify -log auditdir -workers 8 -progress   # sharded set
+//	libseal-verify -log auditdir -pubkey enclave.pub [-dump]
+//	libseal-verify -log auditdir -workers 8 -progress
 //	libseal-verify -log auditdir -resume                # continue after a crash
 package main
 
@@ -57,24 +58,22 @@ import (
 )
 
 func main() {
-	logPath := flag.String("log", "", "audit log: a .lseal file or a directory holding a (sharded) log set")
+	logDir := flag.String("log", "", "audit directory holding the log set (shard files and manifest sidecar)")
 	pubPath := flag.String("pubkey", "", "path to the enclave's PEM public key (optional: skips signature check)")
 	dump := flag.Bool("dump", false, "decode and print every verified entry")
 	workers := flag.Int("workers", 0, "parallel verification workers (0 = all cores)")
 	resume := flag.Bool("resume", false, "resume from checkpoint sidecars where they match the logs")
 	progress := flag.Bool("progress", false, "print progress as segments verify")
-	ckptPath := flag.String("checkpoint", "", "checkpoint sidecar path (single-file sets only; default <log>.ckpt)")
 	noCkpt := flag.Bool("no-checkpoint", false, "do not write checkpoints")
 	flag.Parse()
-	if *logPath == "" {
+	if *logDir == "" {
 		fmt.Fprintln(os.Stderr, "libseal-verify: -log is required")
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	// ResumeAuto loads each shard's own sidecar and silently cold-scans when
-	// one is missing or stale, so -resume behaves the same for single files
-	// and sharded sets.
+	// one is missing or stale.
 	opts := libseal.VerifyStreamOptions{Workers: *workers, ResumeAuto: *resume}
 	if *pubPath != "" {
 		pemData, err := os.ReadFile(*pubPath)
@@ -88,10 +87,7 @@ func main() {
 		opts.Pub = pub
 	}
 	if !*noCkpt {
-		// Sharded sets force per-shard sidecar paths; the explicit path only
-		// steers single-file verification.
 		opts.Checkpoint = &libseal.VerifyCheckpointConfig{
-			Path: *ckptPath,
 			OnError: func(err error) {
 				fmt.Fprintf(os.Stderr, "libseal-verify: checkpoint write: %v\n", err)
 			},
@@ -119,7 +115,7 @@ func main() {
 		return nil
 	}
 
-	res, err := libseal.Verify(*logPath, opts)
+	res, err := libseal.Verify(*logDir, opts)
 	var located *libseal.VerifyError
 	if errors.As(err, &located) {
 		at := fmt.Sprintf("shard %d, byte %d, signature record %d", located.Shard, located.Offset, located.Batch)
@@ -136,10 +132,8 @@ func main() {
 	if opts.Pub != nil {
 		fmt.Printf(", enclave signature valid")
 	}
-	if res.Sharded {
-		fmt.Printf(" (%d shards, %d epoch manifests, last epoch %d)",
-			len(res.Shards), res.Manifests, res.Epoch)
-	}
+	fmt.Printf(" (%d shards, %d epoch manifests, last epoch %d)",
+		len(res.Shards), res.Manifests, res.Epoch)
 	if res.Resumed {
 		reverified := 0
 		for _, sh := range res.Shards {

@@ -107,13 +107,14 @@ func TestErrorTaxonomyEndToEnd(t *testing.T) {
 	if _, err := ModuleByName("no-such-service"); !errors.Is(err, ErrUnknownModule) {
 		t.Errorf("ModuleByName error %v is not ErrUnknownModule", err)
 	}
-	// A file that is not a log at all must verify as tampered.
+	// A set whose files are not a log at all must verify as tampered.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bogus.lseal")
-	if err := os.WriteFile(path, []byte("not a log"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"bogus-shard0.lseal", "bogus.manifest"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a log"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := Verify(path, VerifyStreamOptions{}); !errors.Is(err, ErrTampered) {
+	if _, err := Verify(dir, VerifyStreamOptions{}); !errors.Is(err, ErrTampered) {
 		t.Errorf("Verify of garbage returned %v, want ErrTampered", err)
 	}
 }

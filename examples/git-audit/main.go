@@ -110,20 +110,19 @@ func main() {
 	opts := libseal.VerifyStreamOptions{VerifyOptions: libseal.VerifyOptions{
 		Pub:       stack.Enclave.PublicKey(),
 		Protector: stack.Group,
-		Name:      "git",
 	}}
-	rep, err := libseal.Verify(dir+"/git.lseal", opts)
+	rep, err := libseal.Verify(dir, opts)
 	if err != nil {
 		log.Fatalf("log verification failed: %v", err)
 	}
 	fmt.Printf("\npersisted log verified: %d entries, chain + signature + counter OK\n", rep.TotalEntries)
 
 	// Tampering with the evidence is detected.
-	raw, _ := os.ReadFile(dir + "/git.lseal")
+	shard := dir + "/git-shard0.lseal"
+	raw, _ := os.ReadFile(shard)
 	raw[len(raw)/2] ^= 0xFF
-	tampered := dir + "/tampered.lseal"
-	os.WriteFile(tampered, raw, 0o644)
-	if _, err := libseal.Verify(tampered, opts); err == nil {
+	os.WriteFile(shard, raw, 0o644)
+	if _, err := libseal.Verify(dir, opts); err == nil {
 		log.Fatal("tampered log verified?!")
 	} else {
 		fmt.Printf("tampered copy rejected: %v\n", err)

@@ -1092,10 +1092,8 @@ type rewrite struct {
 // batch from zero: the part of the image that does not depend on the counter.
 func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
 	rw.encs = encs
-	if l.cfg.Mode == ModeDisk {
-		rw.recs, rw.err = l.sealRecords(env, encs)
-		rw.chain = batchChain([32]byte{}, rw.recs)
-	}
+	rw.recs, rw.err = l.sealRecords(env, encs)
+	rw.chain = batchChain([32]byte{}, rw.recs)
 }
 
 // anchorRewrite obtains the rewrite's fresh counter value. A compaction
@@ -1125,20 +1123,18 @@ func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) {
 	rw.recs = append(rw.recs, record{typ: recSig, payload: sig})
 }
 
-// adoptRewrite moves the in-memory chain onto the new image: at once in
-// memory mode, in disk mode whenever the replacement landed — even when an
-// error came with it, the file is the new image. The heap charge is not
-// touched: it follows the database, not the files (ShardedLog.ApplyTrim).
+// adoptRewrite moves the in-memory chain onto the new image whenever the
+// replacement landed — even when an error came with it, the file is the new
+// image. The heap charge is not touched: it follows the database, not the
+// files (ShardedLog.ApplyTrim).
 func (l *Log) adoptRewrite(rw *rewrite) {
 	l.chain = rw.chain
 	l.seq.Store(uint64(len(rw.encs)))
 	l.specSeq.Store(uint64(len(rw.encs)))
 	mChainLength.Set(int64(len(rw.encs)))
 	mStagedPending.Set(0)
-	if l.cfg.Mode == ModeDisk {
-		l.sigCounter, l.sigHead = rw.counter, rw.sigHead
-		l.closeGapLocked() // the fresh anchor covers everything that was buffered
-	}
+	l.sigCounter, l.sigHead = rw.counter, rw.sigHead
+	l.closeGapLocked() // the fresh anchor covers everything that was buffered
 }
 
 // Close releases the log's outside resources. In-flight batches are drained

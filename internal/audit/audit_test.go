@@ -123,8 +123,8 @@ func TestPersistAndVerify(t *testing.T) {
 		return l.Append(env, "updates", 2, "r", "main", "c2", "update")
 	})
 	defer l.Close()
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("VerifyFile: %v", err)
@@ -146,7 +146,7 @@ func TestTamperedEntryDetected(t *testing.T) {
 		return l.Append(env, "updates", 1, "r", "main", "c1", "update")
 	})
 	l.Close()
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	data, _ := os.ReadFile(path)
 	// Flip a byte inside the first entry record (past magic + header).
 	data[len(fileMagic)+10] ^= 0xFF
@@ -174,7 +174,7 @@ func TestDeletedEntryDetected(t *testing.T) {
 		return nil
 	})
 	l.Close()
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	// Reconstruct the file without the middle entry: records are
 	// [E0 S0 E1 S1 E2 S2]; drop E1+S1, keeping the final signature. The
 	// chain breaks because the final signature covers all three.
@@ -213,7 +213,7 @@ func TestForgedSignatureDetected(t *testing.T) {
 	// Verify against a different enclave's key: the provider cannot forge
 	// entries with a non-LibSEAL key.
 	other := newAuditEnv(t)
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	if _, err := verifyFile(path, VerifyOptions{Pub: other.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("err = %v, want ErrTampered", err)
 	}
@@ -221,7 +221,7 @@ func TestForgedSignatureDetected(t *testing.T) {
 
 func TestRollbackDetected(t *testing.T) {
 	e := newAuditEnv(t)
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	var l *oneShard
 	e.call(t, func(env *asyncall.Env) error {
 		var err error
@@ -239,7 +239,7 @@ func TestRollbackDetected(t *testing.T) {
 	l.Close()
 	// The provider restores the old version: counter freshness fails.
 	os.WriteFile(path, oldLog, 0o644)
-	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"})
 	if !errors.Is(err, ErrBadCounter) {
 		t.Fatalf("err = %v, want ErrBadCounter", err)
 	}
@@ -273,8 +273,8 @@ func TestTrimRewritesChain(t *testing.T) {
 		t.Fatalf("updates rows = %d, want 1", n)
 	}
 	// The rewritten file verifies and contains only the survivor.
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestTrimRewritesChain(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return l.Append(env, "updates", 6, "r", "dev", "d1", "update")
 	})
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
 		t.Fatalf("post-trim append broke the chain: %v", err)
 	}
 }
@@ -328,7 +328,7 @@ func TestRecoverReplaysEntries(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return recovered.Append(env, "updates", 3, "r", "main", "c2", "update")
 	})
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
 		t.Fatalf("post-recovery append broke the chain: %v", err)
 	}
 }
@@ -347,7 +347,7 @@ func TestSealedLog(t *testing.T) {
 		return l.Append(env, "updates", 1, "r", "main", "supersecret-cid", "update")
 	})
 	l.Close()
-	raw, _ := os.ReadFile(filepath.Join(e.dir, "private.lseal"))
+	raw, _ := os.ReadFile(filepath.Join(e.dir, "private-shard0.lseal"))
 	if containsSub(raw, []byte("supersecret-cid")) {
 		t.Fatal("sealed log leaks plaintext")
 	}
@@ -393,7 +393,7 @@ func TestMemoryModeWritesNoFiles(t *testing.T) {
 		return l.Append(env, "updates", 1, "r", "main", "c1", "update")
 	})
 	defer l.Close()
-	if _, err := os.Stat(filepath.Join(e.dir, "mem.lseal")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(e.dir, "mem-shard0.lseal")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("memory mode created a file: %v", err)
 	}
 }
@@ -407,7 +407,7 @@ func TestEmptyFileVerifies(t *testing.T) {
 		return err
 	})
 	l.Close()
-	entries, err := verifyFile(filepath.Join(e.dir, "empty.lseal"), VerifyOptions{Pub: e.encl.PublicKey()})
+	entries, err := verifyFile(filepath.Join(e.dir, "empty-shard0.lseal"), VerifyOptions{Pub: e.encl.PublicKey()})
 	if err != nil || len(entries) != 0 {
 		t.Fatalf("empty log: %v, %v", entries, err)
 	}

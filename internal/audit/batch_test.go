@@ -84,8 +84,8 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	t.Logf("committed %d appends in %d batches", total, commits)
 	l.Close()
 
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("strict verify of batched log: %v", err)
@@ -148,8 +148,8 @@ func TestGroupCommitAsyncBridge(t *testing.T) {
 		t.Fatalf("seq = %d, want %d", l.Seq(), goroutines*perG)
 	}
 	l.Close()
-	entries, err := verifyFile(filepath.Join(dir, "git.lseal"), VerifyOptions{
-		Pub: encl.PublicKey(), Protector: group, Name: "git",
+	entries, err := verifyFile(filepath.Join(dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: encl.PublicKey(), Protector: group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
@@ -183,13 +183,13 @@ func TestGroupCommitSingleSigPerBatch(t *testing.T) {
 	})
 	l.Close()
 
-	f, err := os.Open(filepath.Join(e.dir, "git.lseal"))
+	f, err := os.Open(filepath.Join(e.dir, "git-shard0.lseal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	res, err := VerifyReaderResult(f, VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
@@ -201,7 +201,7 @@ func TestGroupCommitSingleSigPerBatch(t *testing.T) {
 		t.Fatalf("batches = %d maxBatch = %d, want 1 batch of 5", res.Batches, res.MaxBatch)
 	}
 	// The whole batch consumed a single counter increment.
-	if c, err := e.group.Read("git"); err != nil || c != 1 {
+	if c, err := e.group.Read("git-shard0"); err != nil || c != 1 {
 		t.Fatalf("counter = %d (%v), want 1", c, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 	// latter two bytes into its third entry record's header.
 	entry := entryRecordSize(t, "updates", 3, "r", "main", "c3", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", 2).AtByte(2*entry + 2),
+		faultinject.TornWrite("git-shard0.lseal", 2).AtByte(2*entry + 2),
 	}}.Build()
 	cfg := e.batchConfig("git", 8, 0)
 	cfg.FS = in.FS(nil)
@@ -280,8 +280,8 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 		t.Fatalf("recovered rows = %v, want exactly the acknowledged batch", res.Rows)
 	}
 	// Re-anchored: strict client verification passes again.
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	}); err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestBatchAbortPoisonsSuccessors(t *testing.T) {
 	// its signature record's header.
 	entry := entryRecordSize(t, "updates", 1, "r", "main", "c1", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", 1).AtByte(2*entry + 2),
+		faultinject.TornWrite("git-shard0.lseal", 1).AtByte(2*entry + 2),
 	}}.Build()
 	cfg := e.batchConfig("git", 2, 0)
 	cfg.FS = in.FS(nil)
@@ -474,12 +474,12 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	})
 	l.Close()
 
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"}
+	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"}
 	if _, err := verifyFile(path, opts); err != nil {
 		t.Fatalf("pristine log rejected: %v", err)
 	}
@@ -532,19 +532,23 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	}
 }
 
-// gatedProtector blocks its first Increment until released: the handle the
-// test below uses to hold a batch leader inside anchorBatch's counter ocall.
+// gatedProtector blocks the first Increment of counter name until released:
+// the handle the test below uses to hold a batch leader inside anchorBatch's
+// counter ocall.
 type gatedProtector struct {
 	scriptedProtector
+	name             string
 	entered, release chan struct{}
 	once             sync.Once
 }
 
 func (p *gatedProtector) Increment(name string) (uint64, error) {
-	p.once.Do(func() {
-		close(p.entered)
-		<-p.release
-	})
+	if name == p.name {
+		p.once.Do(func() {
+			close(p.entered)
+			<-p.release
+		})
+	}
 	return p.scriptedProtector.Increment(name)
 }
 
@@ -556,7 +560,10 @@ func (p *gatedProtector) Increment(name string) (uint64, error) {
 // thread, B — whose host thread is handed the mutex first — can never resume
 // to release it.
 func TestAsyncBridgeRelockAfterAnchor(t *testing.T) {
-	gate := &gatedProtector{entered: make(chan struct{}), release: make(chan struct{})}
+	gate := &gatedProtector{
+		scriptedProtector: scriptedProtector{n: map[string]uint64{}},
+		name:              ShardName("git", 0), entered: make(chan struct{}), release: make(chan struct{}),
+	}
 	encl, bridge, l := asyncShard(t, asyncall.Config{AppSlots: 2, Schedulers: 1, TasksPerScheduler: 2}, Config{
 		Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: t.TempDir(), Protector: gate,
 	})

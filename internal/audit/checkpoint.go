@@ -44,7 +44,9 @@ var ErrCheckpointStale = errors.New("audit: checkpoint does not match log file")
 // CheckpointConfig tells the streaming verifier where and how often to
 // persist resumable progress.
 type CheckpointConfig struct {
-	// Path is the sidecar file; it is atomically replaced on each write.
+	// Path is the sidecar file; it is atomically replaced on each write. The
+	// set entry points (VerifyPath / VerifySet) put shard k's beside its
+	// file, at <shard file>.ckpt, whatever Path says.
 	Path string
 	// EverySegments writes a checkpoint after this many committed segments
 	// (default 64).
@@ -60,9 +62,8 @@ type CheckpointConfig struct {
 // Checkpoint is the persisted sidecar state.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Shard is the shard ordinal this checkpoint belongs to (0 for
-	// single-file logs; omitted from the JSON then, which keeps sidecars
-	// written before sharding existed verifying under the same digest).
+	// Shard is the shard ordinal this checkpoint belongs to (omitted from
+	// the JSON for shard 0).
 	Shard int `json:"shard,omitempty"`
 	// Offset is the verified prefix length: the offset just past the
 	// signature record the checkpoint was taken at.

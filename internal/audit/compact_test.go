@@ -297,3 +297,37 @@ func TestRecoverAfterDatabaseTrims(t *testing.T) {
 		t.Fatalf("one trim after recovery the database holds %v, want %v", got, want)
 	}
 }
+
+// TestMemoryModeCompactsNothing: a set with no files has nothing to compact.
+// After a trim CompactDue is false, and Compact — which Trim and TrimNow run
+// regardless — leaves every shard's chain position where the appends put it
+// and counts no compaction; the trim itself still released the heap.
+func TestMemoryModeCompactsNothing(t *testing.T) {
+	e := newAuditEnv(t)
+	var s *ShardedLog
+	e.call(t, func(env *asyncall.Env) (err error) {
+		if s, err = NewSharded(env, ShardedConfig{Config: Config{Name: "git", Schema: testSchema, Mode: ModeMemory}, Shards: 2}); err != nil {
+			return err
+		}
+		for i := 0; i < 6; i++ {
+			if err := s.Append(env, keyForShard(s, i%2), "updates", i, fmt.Sprintf("r%d", i%2), "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	defer s.Close()
+	heap := e.encl.HeapBytes()
+	trimDatabase(t, e, s, trimLatest)
+	if s.CompactDue() {
+		t.Fatal("a compaction is due on a set with no files")
+	}
+	compactions := mCompactions.Value()
+	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	if n := mCompactions.Value() - compactions; n != 0 || s.Seq() != 6 {
+		t.Fatalf("%d compactions and chain position %d after Trim, want none and the 6 entries appended", n, s.Seq())
+	}
+	if rows, _ := s.DB().TableRowCount("updates"); rows != 2 || e.encl.HeapBytes() >= heap {
+		t.Fatalf("%d rows and %d heap bytes (from %d) after the trims, want the 2 latest updates and less heap", rows, e.encl.HeapBytes(), heap)
+	}
+}

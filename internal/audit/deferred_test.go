@@ -113,20 +113,17 @@ func rehashedSuffix(t testing.TB, key *ecdsa.PrivateKey) (pristine, tampered []b
 // and VerifySet cold and resumed (from a checkpoint a run over the pristine
 // file left at its third commit point — cases tamper past it), and fails
 // unless each rejects it in the reference's words. It returns those words.
-func rejectedByEveryDriver(t *testing.T, pristine, tampered []byte, pub *ecdsa.PublicKey) string {
+func rejectedByEveryDriver(t *testing.T, pristine, tampered []byte, key *ecdsa.PrivateKey) string {
 	t.Helper()
-	opts := VerifyOptions{Pub: pub}
+	opts := VerifyOptions{Pub: &key.PublicKey}
 	_, _, refErr := driversAgree(t, tampered, opts, []int{1, 2, 4})
 	if refErr == nil {
 		t.Fatal("the reference accepts the tampered image")
 	}
-	path := filepath.Join(t.TempDir(), "log.lseal")
-	if err := os.WriteFile(path, pristine, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir, path := synthSet(t, key, pristine)
 	stop := errors.New("stop")
 	delivered := 0
-	_, err := VerifyPath(context.Background(), path, StreamOptions{
+	_, err := VerifyPath(context.Background(), dir, StreamOptions{
 		VerifyOptions: opts, Workers: 2,
 		Checkpoint: &CheckpointConfig{EverySegments: 3},
 		OnSegment: func(SegmentInfo) error {
@@ -146,11 +143,11 @@ func rejectedByEveryDriver(t *testing.T, pristine, tampered []byte, pub *ecdsa.P
 		t.Fatal(err)
 	}
 	for _, resume := range []bool{false, true} {
-		rep, err := VerifyPath(context.Background(), path, StreamOptions{
+		rep, err := VerifyPath(context.Background(), dir, StreamOptions{
 			VerifyOptions: opts, Workers: 2, ResumeAuto: resume,
 			OnSegment: func(SegmentInfo) error { return nil },
 		})
-		if err == nil || err.Error() != refErr.Error() {
+		if err == nil || err.Error() != setErrPrefix+refErr.Error() {
 			t.Fatalf("VerifySet (resume=%v): %v (resumed=%v)\n  reference: %v", resume, err, rep != nil && rep.Resumed, refErr)
 		}
 	}
@@ -166,7 +163,7 @@ func TestRehashedSuffixRejected(t *testing.T) {
 	if _, _, err := driversAgree(t, tampered, VerifyOptions{}, []int{2}); err != nil {
 		t.Fatalf("without the key the image should pass every hash check: %v", err)
 	}
-	got := rejectedByEveryDriver(t, pristine, tampered, &key.PublicKey)
+	got := rejectedByEveryDriver(t, pristine, tampered, key)
 	if want := fmt.Sprintf("signature record %d: signature invalid", firstBad); !strings.HasSuffix(got, want) {
 		t.Fatalf("verdict %q, want ...%s", got, want)
 	}
@@ -192,7 +189,7 @@ func TestIntermediateSignatureFieldsRejected(t *testing.T) {
 			recs := imageRecords(t, pristine)
 			p := recs[sigRecords(recs)[victim]].payload
 			p[f.at(p)] ^= 0xff
-			got := rejectedByEveryDriver(t, pristine, buildImage(recs), &key.PublicKey)
+			got := rejectedByEveryDriver(t, pristine, buildImage(recs), key)
 			if want := fmt.Sprintf("signature record %d: %s", victim, f.want); !strings.HasSuffix(got, want) {
 				t.Fatalf("verdict %q, want ...%s", got, want)
 			}
@@ -229,7 +226,7 @@ func TestSignatureRecordsRearrangedRejected(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			recs := imageRecords(t, pristine)
-			rejectedByEveryDriver(t, pristine, buildImage(c.edit(recs, sigRecords(recs))), &key.PublicKey)
+			rejectedByEveryDriver(t, pristine, buildImage(c.edit(recs, sigRecords(recs))), key)
 		})
 	}
 
@@ -240,7 +237,7 @@ func TestSignatureRecordsRearrangedRejected(t *testing.T) {
 	// it away.
 	t.Run("spliced-from-pre-trim", func(t *testing.T) {
 		e := newAuditEnv(t)
-		path := filepath.Join(e.dir, "git.lseal")
+		path := filepath.Join(e.dir, "git-shard0.lseal")
 		cfg := e.diskConfig("git")
 		cfg.BatchMax = 8
 		var l *oneShard
@@ -307,10 +304,7 @@ func TestForgedCheckpointAtUnsignedCommitPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged := v.Checkpoint(0)
-	path := filepath.Join(t.TempDir(), "log.lseal")
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir, path := synthSet(t, key, tampered)
 	if err := forged.Save(path + ".ckpt"); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +316,7 @@ func TestForgedCheckpointAtUnsignedCommitPoint(t *testing.T) {
 	}
 	_, cold := referenceVerify(bytes.NewReader(tampered), opts.VerifyOptions)
 	opts.ResumeAuto = true
-	if _, err := VerifyPath(context.Background(), path, opts); err == nil || err.Error() != cold.Error() {
+	if _, err := VerifyPath(context.Background(), dir, opts); err == nil || err.Error() != setErrPrefix+cold.Error() {
 		t.Fatalf("ResumeAuto over the forged sidecar: %v, want the cold verdict %v", err, cold)
 	}
 }

@@ -172,7 +172,7 @@ func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 	})
 	before := l.ChainHash()
 	l.Close()
-	path := filepath.Join(e.dir, "private.lseal")
+	path := filepath.Join(e.dir, "private-shard0.lseal")
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 	// What re-marshalling the entries would have rebuilt: a different head.
 	opts := VerifyOptions{Pub: e.encl.PublicKey(), Unseal: func(b []byte) (out []byte, err error) {
 		err = e.bridge.Call(func(env *asyncall.Env) (err error) {
-			out, err = env.Ctx.Unseal(b, []byte("private"))
+			out, err = env.Ctx.Unseal(b, []byte(ShardName("private", 0)))
 			return err
 		})
 		return out, err

@@ -55,26 +55,27 @@ type goldenExpect struct {
 }
 
 // scriptedProtector is a deterministic rollback protector for golden
-// generation: counters count up from zero, and failures are scripted by
+// generation: each counter counts up from zero on its own, so the shard's
+// values do not depend on the manifest lane's, and failures are scripted by
 // flipping fail.
 type scriptedProtector struct {
-	n    uint64
+	n    map[string]uint64
 	fail bool
 }
 
-func (p *scriptedProtector) Increment(string) (uint64, error) {
+func (p *scriptedProtector) Increment(name string) (uint64, error) {
 	if p.fail {
 		return 0, errors.New("quorum unreachable (scripted)")
 	}
-	p.n++
-	return p.n, nil
+	p.n[name]++
+	return p.n[name], nil
 }
 
-func (p *scriptedProtector) Read(string) (uint64, error) {
+func (p *scriptedProtector) Read(name string) (uint64, error) {
 	if p.fail {
 		return 0, errors.New("quorum unreachable (scripted)")
 	}
-	return p.n, nil
+	return p.n[name], nil
 }
 
 // goldenEnv launches an enclave from the committed platform state (created
@@ -108,7 +109,7 @@ func newGoldenEnv(t *testing.T) *goldenEnv {
 		t.Fatal(err)
 	}
 	t.Cleanup(bridge.Close)
-	return &goldenEnv{encl: encl, bridge: bridge, protector: &scriptedProtector{}}
+	return &goldenEnv{encl: encl, bridge: bridge, protector: &scriptedProtector{n: map[string]uint64{}}}
 }
 
 func (e *goldenEnv) call(t *testing.T, fn func(env *asyncall.Env) error) {
@@ -125,8 +126,8 @@ func (e *goldenEnv) config(dir string, batchMax, degradedLimit int) Config {
 	}
 }
 
-// goldenVectors describes the corpus: each generator writes golden.lseal
-// into dir using the live writer.
+// goldenVectors describes the corpus: each generator writes a one-shard set
+// named golden into dir using the live writer; its shard file is the vector.
 var goldenVectors = []struct {
 	name string
 	gen  func(t *testing.T, e *goldenEnv, dir string)
@@ -303,7 +304,7 @@ func TestGoldenVectors(t *testing.T) {
 		for _, v := range goldenVectors {
 			dir := t.TempDir()
 			v.gen(t, e, dir)
-			img, err := os.ReadFile(filepath.Join(dir, "golden.lseal"))
+			img, err := os.ReadFile(filepath.Join(dir, ShardName("golden", 0)+".lseal"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +393,7 @@ func TestGoldenPerEntryByteIdentity(t *testing.T) {
 	}
 	dir := t.TempDir()
 	genPerEntry(t, e, dir)
-	fresh, err := os.ReadFile(filepath.Join(dir, "golden.lseal"))
+	fresh, err := os.ReadFile(filepath.Join(dir, ShardName("golden", 0)+".lseal"))
 	if err != nil {
 		t.Fatal(err)
 	}

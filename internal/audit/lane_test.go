@@ -248,8 +248,8 @@ func TestIdleLaneConcurrentWritersStillBatch(t *testing.T) {
 		t.Fatalf("%d entries in %d batches (mean %.1f): concurrent writers no longer batch", total, commits, mean)
 	}
 	t.Logf("%d entries in %d batches: %d full, %d after a fill wait, %d on an idle lane", total, commits, full, delay, idle)
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
@@ -304,11 +304,11 @@ func TestIdleLaneFollowerLandsInNextBatch(t *testing.T) {
 		t.Fatalf("follower joined the sealed batch: sealed holds %d entries, the follower's batch %d", len(sealed.payloads), len(next.payloads))
 	}
 	l.Close()
-	raw, err := os.ReadFile(filepath.Join(e.dir, "git.lseal"))
+	raw, err := os.ReadFile(filepath.Join(e.dir, "git-shard0.lseal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifyReaderResult(bytes.NewReader(raw), VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git"})
+	res, err := VerifyReaderResult(bytes.NewReader(raw), VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git-shard0"})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
 	}

@@ -26,11 +26,13 @@ import (
 //
 // Manifests live in a sidecar file (<name>.manifest) next to the shard
 // files rather than inside shard 0's record stream: the shard files keep
-// the exact wire format the golden vectors pin down, and the single-file
-// verifier stays untouched. The sidecar is append-only between trims; a
-// trim rewrites the shard files and therefore atomically rewrites the
-// sidecar too, leaving exactly one fresh manifest that attests the
-// post-trim states.
+// the exact wire format the golden vectors pin down, and each is verified
+// by the per-file pipeline. Every disk set has the sidecar, one shard
+// included: it is created with the set's creation manifest, so a directory
+// of shard files without it is tampered with. The sidecar is append-only
+// between compactions; a compaction rewrites the shard files and therefore
+// rewrites the sidecar too, leaving exactly one fresh manifest that attests
+// the compacted states.
 
 // manifestMagic heads the manifest sidecar file.
 var manifestMagic = []byte("LIBSEALMAN1\n")

@@ -154,7 +154,7 @@ func TestMergeVerifiedEndToEnd(t *testing.T) {
 			return l.Append(env, "advertisements", 1, "r", "main", "c2")
 		})
 		l.Close()
-		files[name] = filepath.Join(dir, name+".lseal")
+		files[name] = filepath.Join(dir, ShardName(name, 0)+".lseal")
 		opts[name] = VerifyOptions{Pub: e.encl.PublicKey()}
 	}
 

@@ -245,16 +245,15 @@ type lane struct {
 	file *os.File
 }
 
-// newLanes builds a cold lane per persisted file of the set.
+// newLanes builds a cold lane per persisted file of the set: its shards, then
+// the manifest sidecar.
 func newLanes(log *audit.ShardedLog) []lane {
 	views := log.Files()
 	lanes := make([]lane, len(views))
 	for i, v := range views {
 		lanes[i] = lane{view: v, id: i}
 	}
-	if len(views) > log.Shards() {
-		lanes[len(views)-1].id = manifestShard
-	}
+	lanes[len(views)-1].id = manifestShard
 	return lanes
 }
 
@@ -384,8 +383,7 @@ func (s *subscriber) handshake() error {
 
 	log := s.feed.cfg.Log
 	s.lanes = newLanes(log)
-	shards := log.Shards()
-	ack := ackMsg{Name: log.Name(), ShardsTotal: shards, Manifested: len(s.lanes) > shards}
+	ack := ackMsg{Name: log.Name(), ShardsTotal: log.Shards(), Manifested: true}
 	for range hello.Shards {
 		ack.Shards = append(ack.Shards, shardAck{})
 	}

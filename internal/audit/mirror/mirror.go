@@ -169,7 +169,8 @@ type shardState struct {
 	resumed    bool
 }
 
-// manifestMem is the mirror's sidecar memory.
+// manifestMem is the mirror's sidecar memory. seeded: a manifest has been
+// verified, in this run or by the one that wrote the checkpoint.
 type manifestMem struct {
 	offset  int64
 	recOff  int64
@@ -289,8 +290,7 @@ func (m *Mirror) Report() *audit.Report {
 	r := &audit.Report{
 		Live: true, Connected: m.connected, CaughtUp: m.everCaught,
 		Reconnects: max(0, m.sessions-1), Restarts: m.restarts, LagBytes: m.lag,
-		Sharded: len(m.shards) > 1, Manifests: m.mem.count, Epoch: m.mem.epoch,
-		Tables: make(map[string]int),
+		Manifests: m.mem.count, Epoch: m.mem.epoch, Tables: make(map[string]int),
 	}
 	for _, sh := range m.shards {
 		if sh.v == nil {
@@ -491,6 +491,13 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 	if ack.ShardsTotal <= 0 || ack.ShardsTotal > 1<<12 {
 		return fmt.Errorf("mirror: implausible shard count %d", ack.ShardsTotal)
 	}
+	if !ack.Manifested {
+		// Every persisted set has its sidecar: a feed that says otherwise is
+		// asking the mirror to drop the cross-shard and tail evidence.
+		err := fmt.Errorf("%w: feed reports a log set without its manifest sidecar", audit.ErrTampered)
+		m.violate(err)
+		return err
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -526,25 +533,25 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 		sh.baseSeq = sh.v.Seq()
 		sh.sized = false
 	}
-	if ack.Manifested && len(m.shards) > 1 {
-		m.replayer = &audit.ManifestReplayer{Name: m.cfg.Name, Pub: m.cfg.Pub, Shards: len(m.shards)}
-		if m.mem.count > 0 || m.mem.seeded {
-			m.replayer.Seed(m.mem.epoch, m.mem.counter)
-		}
-		m.mreader = audit.NewIncrementalManifestReader(m.onManifest)
-		resumed := false
-		if m.mem.offset > 0 && ack.ManifestOk {
-			if audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
-				m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil {
-				m.mreader.ResumeAt(m.mem.offset, m.mem.recOff, m.mem.recHash)
-				resumed = true
-			}
-		}
-		if !resumed {
-			m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
-		}
+	m.newManifestLaneLocked()
+	if m.mem.offset > 0 && ack.ManifestOk && audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
+		m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil {
+		m.mreader.ResumeAt(m.mem.offset, m.mem.recOff, m.mem.recHash)
+	} else {
+		m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
 	}
 	return nil
+}
+
+// newManifestLaneLocked starts the manifest lane from the sidecar's head: a
+// fresh reader, and a replayer that expects the feed's shard count and, once
+// a manifest has been verified, an epoch past the verified floor.
+func (m *Mirror) newManifestLaneLocked() {
+	m.replayer = &audit.ManifestReplayer{Name: m.cfg.Name, Pub: m.cfg.Pub, Shards: len(m.shards)}
+	if m.mem.seeded {
+		m.replayer.Seed(m.mem.epoch, m.mem.counter)
+	}
+	m.mreader = audit.NewIncrementalManifestReader(m.onManifest)
 }
 
 // coldRestartLocked resets a shard to a from-zero stream and arms the
@@ -687,9 +694,6 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		}
 		return nil
 	case frameManifest:
-		if m.mreader == nil {
-			return errors.New("mirror: manifest frame for unmanifested set")
-		}
 		return m.mreader.Feed(payload)
 	case frameRestart:
 		if len(payload) < 2 {
@@ -697,15 +701,9 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		}
 		k := int(payload[0])<<8 | int(payload[1])
 		if k == manifestShard {
-			if m.mreader != nil {
-				m.replayer = &audit.ManifestReplayer{Name: m.cfg.Name, Pub: m.cfg.Pub, Shards: len(m.shards)}
-				if m.mem.count > 0 || m.mem.seeded {
-					m.replayer.Seed(m.mem.epoch, m.mem.counter)
-				}
-				m.mreader = audit.NewIncrementalManifestReader(m.onManifest)
-				m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
-				m.dirty = true
-			}
+			m.newManifestLaneLocked()
+			m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
+			m.dirty = true
 			return nil
 		}
 		if k >= len(m.shards) {
@@ -738,15 +736,19 @@ func (m *Mirror) tailLocked(t tailMsg) error {
 			lag += d
 		}
 	}
-	if m.mreader != nil {
-		m.msize = t.Manifest
-		if d := m.msize - (m.mreader.Offset() + int64(m.mreader.Buffered())); d > 0 {
-			lag += d
-		}
+	m.msize = t.Manifest
+	if d := m.msize - (m.mreader.Offset() + int64(m.mreader.Buffered())); d > 0 {
+		lag += d
 	}
 	m.lag = lag
 	mMirrorLag.Set(lag)
 	if lag == 0 {
+		// The sidecar holds at least the set's creation manifest, so a mirror
+		// level with the feed has verified one; otherwise the feed is serving
+		// the shards without the sidecar that binds them.
+		if !m.mem.seeded {
+			return fmt.Errorf("%w: caught up with the feed without verifying a manifest: the set's manifest sidecar is missing", audit.ErrTampered)
+		}
 		m.everCaught = true
 	}
 	if m.cfg.MaxLag > 0 && m.everCaught && lag > m.cfg.MaxLag {
@@ -827,7 +829,7 @@ func (m *Mirror) saveCheckpoint() {
 		st.Shards[k] = sh.ckpt
 		st.MaxCounter[k] = sh.maxCounter
 	}
-	if m.mem.count > 0 || m.mem.seeded {
+	if m.mem.seeded {
 		st.Manifest = &manifestState{Offset: m.mem.offset, RecOff: m.mem.recOff, RecHash: m.mem.recHash,
 			Epoch: m.mem.epoch, Counter: m.mem.counter, Count: m.mem.count}
 	}

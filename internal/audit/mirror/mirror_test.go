@@ -8,6 +8,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -196,8 +197,8 @@ func TestMirrorLiveTail(t *testing.T) {
 	waitCaught(t, m, 100)
 
 	r := m.Report()
-	if !r.Live || !r.Sharded {
-		t.Fatalf("Report: Live=%v Sharded=%v", r.Live, r.Sharded)
+	if !r.Live || len(r.Shards) != 0 {
+		t.Fatalf("Report: Live=%v, %d per-shard results; want a live aggregate", r.Live, len(r.Shards))
 	}
 	if r.TotalEntries != 100 {
 		t.Fatalf("Report.TotalEntries = %d, want 100", r.TotalEntries)
@@ -517,5 +518,102 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	}
 	if _, ok := sh.commits[50]; ok {
 		t.Fatal("the commit point under the invalid signature was absorbed")
+	}
+}
+
+// scriptedFeed is a feed that serves each session from a script: it reads
+// the mirror's hello, answers with ack, sends frames and then holds the link
+// until the mirror drops it. It stands in for a compromised server choosing
+// what to claim about the set.
+func scriptedFeed(ack ackMsg, frames ...frame) func(context.Context) (net.Conn, error) {
+	return func(context.Context) (net.Conn, error) {
+		mirrorSide, feedSide := net.Pipe()
+		go func() {
+			defer feedSide.Close()
+			if _, _, err := readFrame(feedSide); err != nil {
+				return
+			}
+			if writeFrame(feedSide, frameAck, marshalJSONFrame(ack)) != nil {
+				return
+			}
+			for _, fr := range frames {
+				if writeFrame(feedSide, fr.typ, fr.payload) != nil {
+					return
+				}
+			}
+			io.Copy(io.Discard, feedSide)
+		}()
+		return mirrorSide, nil
+	}
+}
+
+// latched starts a mirror on a scripted feed and waits for the violation it
+// must latch.
+func latched(t *testing.T, pub *ecdsa.PublicKey, dial func(context.Context) (net.Conn, error)) (*Mirror, error) {
+	t.Helper()
+	m, err := Start(context.Background(), Config{Name: "git", Pub: pub, Dial: dial, BackoffMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		m.Stop(context.Background())
+		t.Fatalf("no violation latched; report %+v", m.Report())
+	}
+	return m, m.Err()
+}
+
+// TestMirrorRefusesUnmanifestedAck: every persisted set has its manifest
+// sidecar, so a feed that calls the set unmanifested is not choosing a
+// layout — it is withholding the evidence that binds the shards.
+func TestMirrorRefusesUnmanifestedAck(t *testing.T) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = latched(t, &key.PublicKey, scriptedFeed(ackMsg{Name: "git", ShardsTotal: 2, Manifested: false}))
+	if !errors.Is(err, audit.ErrTampered) {
+		t.Fatalf("violation = %v, want ErrTampered", err)
+	}
+}
+
+// TestMirrorRefusesShardCountBelowManifests: a feed that acks one shard in
+// front of a sidecar whose manifests attest two is hiding a shard; the
+// mirror's manifest replay expects the feed's count and latches.
+func TestMirrorRefusesShardCountBelowManifests(t *testing.T) {
+	e := newMirrorEnv(t, 2, time.Hour)
+	sidecar, err := os.ReadFile(filepath.Join(e.dir, audit.ManifestFileName("git")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = latched(t, e.encl.PublicKey(), scriptedFeed(ackMsg{Name: "git", ShardsTotal: 1, Manifested: true},
+		frame{frameManifest, sidecar}))
+	if !errors.Is(err, audit.ErrTampered) || !strings.Contains(err.Error(), "attests 2 shards, set has 1") {
+		t.Fatalf("violation = %v, want ErrTampered for a manifest attesting 2 shards", err)
+	}
+}
+
+// TestMirrorNeverCaughtUpWithoutManifest: a mirror level with the feed has
+// verified at least the set's creation manifest. One that has verified none
+// — the feed streams a valid shard and reports an empty sidecar — never
+// counts as caught up, and latches the missing sidecar.
+func TestMirrorNeverCaughtUpWithoutManifest(t *testing.T) {
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := audit.WriteSyntheticLog(&buf, key, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	tail := marshalJSONFrame(tailMsg{Shards: []int64{int64(buf.Len())}})
+	m, err := latched(t, &key.PublicKey, scriptedFeed(ackMsg{Name: "git", ShardsTotal: 1, Manifested: true},
+		frame{frameData, dataPayload(0, buf.Bytes())}, frame{frameTail, tail}))
+	if !errors.Is(err, audit.ErrTampered) {
+		t.Fatalf("violation = %v, want ErrTampered", err)
+	}
+	if r := m.Report(); r.CaughtUp || r.TotalEntries != 8 || r.LagBytes != 0 {
+		t.Fatalf("report %+v, want all 8 entries verified, no lag, and never caught up", r)
 	}
 }

@@ -135,7 +135,8 @@ type ackMsg struct {
 	// ManifestProof is the raw payload of the manifest record the client's
 	// resume claim binds to, present when ManifestOk.
 	ManifestProof []byte `json:"manifest_proof,omitempty"`
-	// Manifested reports whether the set has a sidecar at all.
+	// Manifested reports that the set has its manifest sidecar. Every
+	// persisted set has one, so a mirror treats false as a violation.
 	Manifested bool `json:"manifested"`
 }
 

@@ -53,7 +53,7 @@ var (
 // streams plausible segments can still turn out rolled back or torn.
 type SegmentInfo struct {
 	// Shard is the shard ordinal this segment belongs to (StreamOptions.
-	// Shard; 0 for single-file scans).
+	// Shard).
 	Shard int
 	// Index is the segment's ordinal within this scan, starting at 0.
 	Index int
@@ -122,7 +122,9 @@ type StreamOptions struct {
 	// (ErrCheckpointStale on mismatch); VerifyReaderStream trusts the
 	// caller to have positioned the reader at Resume.Offset AND to have
 	// authenticated the checkpoint — resuming an unvalidated sidecar
-	// through the reader path bypasses rollback protection.
+	// through the reader path bypasses rollback protection. The set entry
+	// points (VerifyPath / VerifySet) refuse it: each shard resumes from
+	// its own sidecar through ResumeAuto.
 	Resume *Checkpoint
 
 	// ResumeAuto, on the path-based entry points (VerifyPath / VerifySet),
@@ -133,8 +135,8 @@ type StreamOptions struct {
 	// Resume.
 	ResumeAuto bool
 
-	// Shard stamps SegmentInfo deliveries and checkpoints with a shard
-	// ordinal; the sharded driver sets it, single-file callers leave it 0.
+	// Shard stamps SegmentInfo deliveries, checkpoints and VerifyErrors with
+	// a shard ordinal; the set driver sets it per shard.
 	Shard int
 }
 

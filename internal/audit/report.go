@@ -1,13 +1,10 @@
 package audit
 
 // Report is the one verification result shape every entry point returns:
-// one-shot path verification (VerifyPath; Verify / VerifyContext on the
-// facade), sharded set verification (VerifySet), and a live mirror's status
-// all produce a *Report. A one-shot scan leaves the live-mirror fields zero.
+// one-shot set verification (VerifyPath, VerifySet; Verify / VerifyContext on
+// the facade) and a live mirror's status both produce a *Report. A one-shot
+// scan leaves the live-mirror fields zero.
 type Report struct {
-	// Sharded reports whether the verified set had a manifest sidecar
-	// (false for a plain single-file log).
-	Sharded bool
 	// Shards holds each shard's own streaming result, indexed by shard.
 	// One-shot scans fill it; a live mirror leaves it nil and reports
 	// aggregates only.

@@ -52,7 +52,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	e := newAuditEnv(t)
 	// The third append dies two bytes into its entry record's header.
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.TornWrite("git.lseal", appendFirstWrite(2)).AtByte(2),
+		faultinject.TornWrite("git-shard0.lseal", appendFirstWrite(2)).AtByte(2),
 	}}.Build()
 
 	cfg := e.diskConfig("git")
@@ -83,7 +83,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	l.Close()
 
 	// The torn tail makes the raw file fail strict verification...
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("strict verify of torn file: %v, want ErrTampered", err)
 	}
@@ -105,7 +105,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	}
 	// Recovery truncated the debris and re-anchored: the file passes strict
 	// client-side verification again, and appends keep working.
-	entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"})
 	if err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return rec.Append(env, "updates", 4, "r", "main", "c4", "update")
 	})
-	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"}); err != nil {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"}); err != nil {
 		t.Fatalf("append after recovery broke the chain: %v", err)
 	}
 }
@@ -129,18 +129,20 @@ func TestTornAppendRecovered(t *testing.T) {
 // records.
 func TestENOSPCAppendRolledBack(t *testing.T) {
 	entry := entryRecordSize(t, "updates", 2, "r", "main", "c2", "update")
+	// label names the case as the suite always has; the shard file of a
+	// one-shard set is shard 0's.
 	files := []struct {
-		name   string
-		shards int
-		at     []int // where the append's headers and payloads start in its write
+		label, name string
+		shards      int
+		at          []int // where the append's headers and payloads start in its write
 	}{
-		{"git.lseal", 1, []int{0, 5, entry, entry + 5}},
-		{"git.manifest", 2, []int{0, 5}},
+		{"git.lseal", "git-shard0.lseal", 1, []int{0, 5, entry, entry + 5}},
+		{"git.manifest", "git.manifest", 2, []int{0, 5}},
 	}
 	for _, state := range []string{"fresh", "recovered", "trimmed"} {
 		for _, file := range files {
 			for j, at := range file.at {
-				t.Run(fmt.Sprintf("%s/%s/write%d", state, file.name, j), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/write%d", state, file.label, j), func(t *testing.T) {
 					e := newAuditEnv(t)
 					in := faultinject.New(1)
 					cfg := ShardedConfig{Config: e.diskConfig("git"), Shards: file.shards}
@@ -239,7 +241,7 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 		t.Fatalf("trim: %v, want rename crash", err)
 	}
 	// No half state: the temporary image is gone and the old log is intact.
-	if _, err := os.Stat(filepath.Join(e.dir, "git.lseal.tmp")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(e.dir, "git-shard0.lseal.tmp")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("trim left its temporary file behind: %v", err)
 	}
 	// The process dies here (no Close). Recovery replays the complete old
@@ -257,8 +259,8 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 	if rec.Seq() != 3 {
 		t.Fatalf("recovered seq = %d, want the full pre-trim chain (3)", rec.Seq())
 	}
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	}); err != nil {
 		t.Fatalf("re-anchored old chain fails verification: %v", err)
 	}
@@ -296,8 +298,8 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 	if rec.Seq() != 1 {
 		t.Fatalf("recovered seq = %d, want the trimmed chain (1)", rec.Seq())
 	}
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,11 +350,13 @@ func (f *failReopenFS) Append(name string) (vfs.File, error) {
 // instead of being acknowledged into a file no path names — so recovery
 // finds a log that is fresh and misses nothing that was acknowledged.
 func TestTrimReopenFailureFailsClosed(t *testing.T) {
+	// label names the case as the suite always has; the shard file of a
+	// one-shard set is shard 0's.
 	for _, tc := range []struct {
-		file   string
-		shards int
-	}{{"git.lseal", 1}, {"git.manifest", 2}} {
-		t.Run(tc.file, func(t *testing.T) {
+		label, file string
+		shards      int
+	}{{"git.lseal", "git-shard0.lseal", 1}, {"git.manifest", "git.manifest", 2}} {
+		t.Run(tc.label, func(t *testing.T) {
 			e := newAuditEnv(t)
 			cfg := ShardedConfig{Config: e.diskConfig("git"), Shards: tc.shards}
 			cfg.FS = &failReopenFS{name: tc.file}
@@ -481,8 +485,8 @@ func TestDegradedModeBuffersAndReanchors(t *testing.T) {
 		t.Fatalf("reanchor did not advance the counter: %d", l.Counter())
 	}
 	// Everything appended during the outage survives strict verification.
-	entries, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatalf("strict verify after reanchor: %v", err)
@@ -503,7 +507,7 @@ func TestDegradedBudgetSurvivesFailedCommit(t *testing.T) {
 	// its write fails with ENOSPC (rolled back, handle survives).
 	first := appendFirstWrite(1)
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.NoSpace("git.lseal", first, first+1),
+		faultinject.NoSpace("git-shard0.lseal", first, first+1),
 	}}.Build()
 	cfg := e.diskConfig("git")
 	cfg.FS = in.FS(nil)
@@ -615,8 +619,8 @@ func TestTrimNeverDegrades(t *testing.T) {
 	// The old chain is untouched. The trim's failed increment may have
 	// landed on the minority of live nodes, so the group can read one ahead
 	// of the log's anchor — the standard crashed-increment lag.
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git", MaxCounterLag: 1,
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0", MaxCounterLag: 1,
 	}); err != nil {
 		t.Fatalf("old chain after failed trim: %v", err)
 	}
@@ -636,7 +640,7 @@ func TestRecoverCounterLag(t *testing.T) {
 	l.Close()
 	// A crash between a counter increment and the matching signature flush
 	// leaves the group one ahead of the persisted anchor.
-	if _, err := e.group.Increment("git"); err != nil {
+	if _, err := e.group.Increment("git-shard0"); err != nil {
 		t.Fatal(err)
 	}
 	// Strict recovery refuses the lag: it is indistinguishable from a
@@ -659,8 +663,8 @@ func TestRecoverCounterLag(t *testing.T) {
 		return err
 	})
 	defer rec.Close()
-	if _, err := verifyFile(filepath.Join(e.dir, "git.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git",
+	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
 	}); err != nil {
 		t.Fatalf("strict verify after lag recovery: %v", err)
 	}
@@ -673,7 +677,7 @@ func TestSilentCorruptionDetected(t *testing.T) {
 	// can tell.
 	entry := entryRecordSize(t, "updates", 1, "r", "main", "c1", "update")
 	in := faultinject.Scenario{Rules: []faultinject.Rule{
-		faultinject.CorruptWrite("git.lseal", appendFirstWrite(0)).AtByte(5 + (entry-5)/2),
+		faultinject.CorruptWrite("git-shard0.lseal", appendFirstWrite(0)).AtByte(5 + (entry-5)/2),
 	}}.Build()
 	cfg := e.diskConfig("git")
 	cfg.FS = in.FS(nil)
@@ -690,7 +694,7 @@ func TestSilentCorruptionDetected(t *testing.T) {
 		return l.Append(env, "updates", 2, "r", "main", "c2", "update")
 	})
 	l.Close()
-	path := filepath.Join(e.dir, "git.lseal")
+	path := filepath.Join(e.dir, "git-shard0.lseal")
 	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("strict verify of corrupted log: %v, want ErrTampered", err)
 	}

@@ -36,13 +36,15 @@ const defaultManifestEvery = 500 * time.Millisecond
 // per shard, so the aggregate budget scales with the shard count.
 type ShardedConfig struct {
 	Config
-	// Shards is the number of independent commit pipelines. Values <= 1
-	// produce a single unsharded log under the legacy file and counter
-	// names, with no manifest sidecar — byte-identical to a plain Log.
+	// Shards is the number of independent commit pipelines; values < 1 mean
+	// one. In ModeDisk every set, one shard included, is the same layout:
+	// shard k's file <Name>-shard<k>.lseal under its own counter, and the
+	// epoch-manifest sidecar <Name>.manifest under the <Name>-manifest
+	// counter.
 	Shards int
 	// ManifestEvery is the minimum interval between periodic epoch
-	// manifests. Zero selects a default (500ms). Only meaningful with
-	// Shards > 1 in ModeDisk.
+	// manifests. Zero selects a default (500ms). Only meaningful in
+	// ModeDisk.
 	ManifestEvery time.Duration
 }
 
@@ -62,9 +64,7 @@ func (c ShardedConfig) shardCount() int {
 func (c ShardedConfig) shardConfig(k int) Config {
 	sc := c.Config
 	sc.Schema = ""
-	if c.shardCount() > 1 {
-		sc.Name = ShardName(c.Name, k)
-	}
+	sc.Name = ShardName(c.Name, k)
 	return sc
 }
 
@@ -74,8 +74,7 @@ func ShardName(name string, k int) string {
 	return fmt.Sprintf("%s-shard%d", name, k)
 }
 
-// ManifestFileName is the basename of the epoch-manifest sidecar for a
-// sharded log set.
+// ManifestFileName is the basename of a log set's epoch-manifest sidecar.
 func ManifestFileName(name string) string {
 	return name + ".manifest"
 }
@@ -113,7 +112,7 @@ type ShardedLog struct {
 	// Manifest lane. mmu serialises manifest signing and sidecar I/O; it is
 	// ordered after the shard locks (a manifest writer never holds mmu while
 	// acquiring a shard's mutex — states are snapshotted first). manifest is
-	// nil unless the set is manifested.
+	// nil in memory mode, which persists nothing.
 	mmu          sync.Mutex
 	manifest     *recordFile // outside resource, accessed via ocalls
 	epoch        uint64
@@ -130,8 +129,7 @@ type ShardedLog struct {
 func (s *ShardedLog) Name() string { return s.cfg.Name }
 
 // Files lists the set's persisted files in a fixed order — every shard's
-// log, then the manifest sidecar when the set has one. It is empty for a
-// memory-only set.
+// log, then the manifest sidecar. It is empty for a memory-only set.
 func (s *ShardedLog) Files() []FileView {
 	if s.cfg.Mode != ModeDisk {
 		return nil
@@ -140,10 +138,7 @@ func (s *ShardedLog) Files() []FileView {
 	for _, sh := range s.shards {
 		views = append(views, FileView{sh.file})
 	}
-	if s.manifest != nil {
-		views = append(views, FileView{s.manifest})
-	}
-	return views
+	return append(views, FileView{s.manifest})
 }
 
 // SetCommitNotify installs fn to run after every durable change to any of
@@ -158,8 +153,8 @@ func (s *ShardedLog) SetCommitNotify(fn func()) {
 }
 
 // newSet builds a set: the shared database with the schema applied once,
-// every shard's log from open, and the manifest lane's (not yet written)
-// file when the configuration calls for one.
+// every shard's log from open, and in disk mode the manifest lane's (not yet
+// written) file.
 func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log, error)) (*ShardedLog, error) {
 	s := &ShardedLog{cfg: cfg, db: sqldb.New()}
 	if cfg.Schema != "" {
@@ -175,36 +170,37 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log
 		}
 		s.shards = append(s.shards, l)
 	}
-	if len(s.shards) > 1 && cfg.Mode == ModeDisk {
+	if cfg.Mode == ModeDisk {
 		path := filepath.Join(cfg.Dir, ManifestFileName(cfg.Name))
 		s.manifest = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: manifestMagic}
 	}
 	return s, nil
 }
 
-// NewSharded creates (or truncates) a sharded audit log. With Shards > 1 in
-// disk mode it also creates the manifest sidecar and writes an initial
-// epoch manifest attesting the empty shards. Must run inside an enclave
-// call.
+// NewSharded creates (or truncates) a sharded audit log. In disk mode it
+// also creates the manifest sidecar and writes the creation manifest
+// attesting the empty shards, whatever the shard count. Must run inside an
+// enclave call.
 func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 	s, err := newSet(cfg, func(c Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) { return newShard(env, c, db, heap) })
 	if err != nil {
 		return nil, err
 	}
-	if s.manifested() {
-		if err := env.Ocall(s.manifest.create); err != nil {
-			s.Close()
-			return nil, err
-		}
-		if err := s.putManifest(env, s.snapshotStates(env), false); err != nil {
-			s.Close()
-			return nil, err
-		}
+	if cfg.Mode != ModeDisk {
+		return s, nil
+	}
+	if err := env.Ocall(s.manifest.create); err != nil {
+		s.Close()
+		return nil, err
+	}
+	if err := s.putManifest(env, s.snapshotStates(env), false); err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
 
-// RecoverSharded rebuilds a sharded log set after a restart: every shard
+// RecoverSharded rebuilds a log set after a restart: every shard
 // file is verified and replayed into one shared database (recoverShard), the
 // old manifest sidecar is read tolerantly to resume the epoch and
 // manifest-counter sequence, and the sidecar is rewritten with one fresh
@@ -217,35 +213,28 @@ func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) 
 	if err != nil {
 		return nil, err
 	}
-	if s.manifested() {
-		// Resume the epoch/counter sequence from the surviving sidecar. A
-		// missing or corrupt sidecar is not fatal to recovery — the shard
-		// files carry the integrity evidence — but it does restart the epoch
-		// numbering; the manifest counter keeps the quorum's history either
-		// way.
-		var raw []byte
-		env.Ocall(func() error {
-			raw, _ = s.manifest.read()
-			return nil
-		})
-		if len(raw) > 0 {
-			if ms, err := readManifests(raw, true); err == nil && len(ms) > 0 {
-				last := ms[len(ms)-1]
-				s.epoch = last.Epoch
-				s.mcounter = last.Counter
-			}
+	// Resume the epoch/counter sequence from the surviving sidecar. A missing
+	// or corrupt sidecar is not fatal to recovery — the shard files carry the
+	// integrity evidence — but it does restart the epoch numbering; the
+	// manifest counter keeps the quorum's history either way.
+	var raw []byte
+	env.Ocall(func() error {
+		raw, _ = s.manifest.read()
+		return nil
+	})
+	if len(raw) > 0 {
+		if ms, err := readManifests(raw, true); err == nil && len(ms) > 0 {
+			last := ms[len(ms)-1]
+			s.epoch = last.Epoch
+			s.mcounter = last.Counter
 		}
-		if err := s.putManifest(env, s.snapshotStates(env), true); err != nil {
-			s.Close()
-			return nil, err
-		}
+	}
+	if err := s.putManifest(env, s.snapshotStates(env), true); err != nil {
+		s.Close()
+		return nil, err
 	}
 	return s, nil
 }
-
-// manifested reports whether this log set maintains an epoch-manifest
-// sidecar: only multi-shard disk-mode sets do.
-func (s *ShardedLog) manifested() bool { return s.manifest != nil }
 
 // ShardFor routes a connection key to its shard: a stable hash, so the same
 // connection always appends to the same shard (preserving per-connection
@@ -449,16 +438,16 @@ func (s *ShardedLog) committedBytes() int64 {
 // shard files' committed bytes are at least twice what a fresh image of the
 // surviving rows takes — at least half of them are dead. A constant, not a
 // setting: it bounds the amortised rewrite cost by the bytes appended since
-// the last compaction, whatever the retained row count. Memory mode has
-// nothing on disk and adopts every trim, so there a compaction is always due.
+// the last compaction, whatever the retained row count. Memory mode has no
+// files, so there a compaction is never due.
 func (s *ShardedLog) CompactDue() bool {
-	return s.cfg.Mode != ModeDisk || s.committedBytes() >= 2*s.image.Load()
+	return s.cfg.Mode == ModeDisk && s.committedBytes() >= 2*s.image.Load()
 }
 
 // Compact is a trim's file half: every shard file is rewritten as a fresh
 // image of the rows the shared database holds (§5.1, "Log trimming"). A
 // check+trim cycle runs it when CompactDue says so; Trim and core's TrimNow
-// always do.
+// always do. A memory-mode set has no files, and Compact does nothing.
 //
 // The rows are partitioned round-robin across the shards (deterministic
 // table-sorted order — with one shard, simply every row in that order), each
@@ -482,6 +471,9 @@ func (s *ShardedLog) CompactDue() bool {
 // states, since a manifest never attests an image that is not on disk. The
 // next compaction converges.
 func (s *ShardedLog) Compact(env *asyncall.Env) error {
+	if s.cfg.Mode != ModeDisk {
+		return nil
+	}
 	quiesce := time.Now()
 	lockQuiesced(env, s.shards...)
 	defer func() {
@@ -496,15 +488,12 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	rws := make([]rewrite, len(s.shards))
 	// The manifest lane is held from its counter increment to its record, so
 	// no other manifest can slip between the two.
-	manifest := false
-	if s.manifested() {
-		asyncall.Lock(env, &s.mmu)
-		defer s.mmu.Unlock()
-		manifest = !s.mclosed
-	}
+	asyncall.Lock(env, &s.mmu)
+	defer s.mmu.Unlock()
+	manifest := !s.mclosed
 	mcounter := s.mcounter
 	var anchors sync.WaitGroup
-	anchored := s.cfg.Mode == ModeDisk && s.cfg.Protector != nil
+	anchored := s.cfg.Protector != nil
 	if anchored {
 		env.Ocall(func() error {
 			goEach(&anchors, len(s.shards), func(k int) { s.shards[k].anchorRewrite(&rws[k]) })
@@ -532,12 +521,6 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	}
 	if err != nil {
 		return err
-	}
-	if s.cfg.Mode != ModeDisk {
-		for k, sh := range s.shards {
-			sh.adoptRewrite(&rws[k])
-		}
-		return nil
 	}
 	states := make([]ShardState, len(s.shards))
 	for k, sh := range s.shards {
@@ -567,7 +550,7 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	if m != nil {
 		merr = s.noteManifest(m, mlanded, merr)
 	}
-	if !mlanded && s.manifested() {
+	if !mlanded {
 		merr = s.putManifestLocked(env, states, mcounter, true)
 	}
 	if merr != nil && firstErr == nil {
@@ -678,10 +661,7 @@ func (s *ShardedLog) snapshotStates(env *asyncall.Env) []ShardState {
 // write is in flight, or the last one is recent, it returns immediately.
 // Must run inside an enclave call.
 func (s *ShardedLog) ManifestIfDue(env *asyncall.Env) error {
-	if !s.manifested() {
-		return nil
-	}
-	if !s.mmu.TryLock() {
+	if s.cfg.Mode != ModeDisk || !s.mmu.TryLock() {
 		return nil
 	}
 	every := s.cfg.ManifestEvery
@@ -696,10 +676,11 @@ func (s *ShardedLog) ManifestIfDue(env *asyncall.Env) error {
 	return s.WriteManifest(env)
 }
 
-// WriteManifest appends an epoch manifest now, regardless of cadence. Must
-// run inside an enclave call.
+// WriteManifest appends an epoch manifest now, regardless of cadence; a
+// memory-mode set has no sidecar to append to. Must run inside an enclave
+// call.
 func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
-	if !s.manifested() {
+	if s.cfg.Mode != ModeDisk {
 		return nil
 	}
 	return s.putManifest(env, s.snapshotStates(env), false)

@@ -109,8 +109,8 @@ func TestShardedAppendVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sharded verify: %v", err)
 	}
-	if !res.Sharded || len(res.Shards) != 4 {
-		t.Fatalf("Sharded=%v shards=%d", res.Sharded, len(res.Shards))
+	if len(res.Shards) != 4 {
+		t.Fatalf("shards=%d, want 4", len(res.Shards))
 	}
 	if res.TotalEntries != keys*perKey {
 		t.Fatalf("TotalEntries = %d, want %d", res.TotalEntries, keys*perKey)
@@ -147,35 +147,48 @@ func TestShardedAppendVerify(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardLegacyLayout pins the compatibility contract: one
-// shard means the historical single-file layout — same file name, no
-// manifest sidecar — and VerifyPath degrades to plain verification.
-func TestShardedSingleShardLegacyLayout(t *testing.T) {
-	e := newAuditEnv(t)
-	var s *ShardedLog
-	e.call(t, func(env *asyncall.Env) error {
-		var err error
-		s, err = NewSharded(env, e.shardConfig("git", 1))
-		if err != nil {
-			return err
-		}
-		return s.Append(env, 7, "updates", 1, "r", "main", "c1", "update")
-	})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(e.dir, "git.lseal")); err != nil {
-		t.Fatalf("legacy file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(e.dir, ManifestFileName("git"))); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("manifest sidecar should not exist for 1 shard: %v", err)
-	}
-	res, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sharded || res.TotalEntries != 1 {
-		t.Fatalf("Sharded=%v entries=%d", res.Sharded, res.TotalEntries)
+// TestShardedOneShardLayout pins the one layout: a disk set of one shard —
+// Shards 0 or 1 — is shard 0's file and the manifest sidecar, nothing else,
+// and verifies as a set whose manifests reach past the creation epoch.
+func TestShardedOneShardLayout(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := newAuditEnv(t)
+			var s *ShardedLog
+			e.call(t, func(env *asyncall.Env) error {
+				var err error
+				s, err = NewSharded(env, e.shardConfig("git", shards))
+				if err != nil {
+					return err
+				}
+				if err := s.Append(env, 7, "updates", 1, "r", "main", "c1", "update"); err != nil {
+					return err
+				}
+				return s.WriteManifest(env)
+			})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			ents, err := os.ReadDir(e.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, d := range ents {
+				names = append(names, d.Name())
+			}
+			if want := []string{"git-shard0.lseal", ManifestFileName("git")}; fmt.Sprint(names) != fmt.Sprint(want) {
+				t.Fatalf("files %v, want %v", names, want)
+			}
+			res, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Shards) != 1 || res.TotalEntries != 1 || res.Manifests != 2 || res.Epoch < 1 {
+				t.Fatalf("shards=%d entries=%d manifests=%d epoch=%d; want 1, 1, 2 and epoch >= 1",
+					len(res.Shards), res.TotalEntries, res.Manifests, res.Epoch)
+			}
+		})
 	}
 }
 
@@ -299,13 +312,13 @@ func TestShardedManifestSidecarStripped(t *testing.T) {
 		t.Fatalf("stripped sidecar: err = %v, want ErrTampered", err)
 	}
 
-	// Removing it entirely leaves two shard files and no manifest — an
-	// ambiguous directory, also rejected.
+	// Removing it entirely leaves two shard files and no manifest: tampering
+	// too.
 	if err := os.Remove(manifest); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey()}); err == nil {
-		t.Fatal("missing sidecar accepted")
+	if _, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
+		t.Fatalf("missing sidecar: err = %v, want ErrTampered", err)
 	}
 }
 

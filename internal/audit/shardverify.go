@@ -13,7 +13,7 @@ import (
 	"sync"
 )
 
-// Sharded verification. A sharded log set is N shard files, each an
+// Set verification. Every persisted log is a set: N ≥ 1 shard files, each an
 // ordinary audit log verified by the single-file pipeline, plus the epoch
 // manifest sidecar. The driver below verifies the shards in parallel, collects
 // every shard's verified commit points, and replays the sidecar against them:
@@ -27,93 +27,78 @@ import (
 // What the manifests cannot prove offline is their own tail: discarding the
 // sidecar records after epoch k (or the shards' records after the states
 // epoch k attests) is only caught by the freshness checks against the live
-// rollback counters (the per-shard counters and the manifest counter), the
-// same trust model as the single-file log's tail.
+// rollback counters (the per-shard counters and the manifest counter).
+//
+// The layout is the writer's one, whatever the shard count, so the verifier
+// never infers it from the files it is judging: a directory is a set only if
+// its manifest says so, and shard files without one are tampering.
 
-// ShardSet locates a log set on disk: either N shard files plus the
-// manifest sidecar, or a single legacy log file.
+// ShardSet locates a log set on disk: N ≥ 1 shard files and the manifest
+// sidecar, side by side in one directory.
 type ShardSet struct {
 	// Dir is the directory holding the set.
 	Dir string
 	// Name is the log-set name (file basenames derive from it).
 	Name string
-	// Shards is the number of shard files (1 for a single-file set).
+	// Shards is the number of shard files.
 	Shards int
-	// Manifest is the sidecar path; empty for a single-file set.
+	// Manifest is the sidecar path.
 	Manifest string
 }
 
-// Sharded reports whether the set carries an epoch-manifest sidecar.
-func (ss *ShardSet) Sharded() bool { return ss.Manifest != "" }
-
 // ShardPath is shard k's log file path.
 func (ss *ShardSet) ShardPath(k int) string {
-	if !ss.Sharded() {
-		return filepath.Join(ss.Dir, ss.Name+".lseal")
-	}
 	return filepath.Join(ss.Dir, ShardName(ss.Name, k)+".lseal")
 }
 
-// FindShardSet locates the log set at a path: a log file is a single-file
-// set; in a directory, a manifest sidecar identifies a sharded set (its shard
-// files must be contiguous from shard 0), and without one exactly one .lseal
-// file identifies a single-file set.
-func FindShardSet(path string) (*ShardSet, error) {
-	fi, err := os.Stat(path)
+// FindShardSet locates the log set in a directory: its one manifest sidecar
+// names the set, whose shard files are those contiguous from shard 0. Shard
+// files with no manifest beside them, or a manifest with no shard 0, are
+// ErrTampered — the writer always leaves both.
+func FindShardSet(dir string) (*ShardSet, error) {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("audit: log set: %w", err)
 	}
-	if !fi.IsDir() {
-		return &ShardSet{Dir: filepath.Dir(path), Name: strings.TrimSuffix(filepath.Base(path), ".lseal"), Shards: 1}, nil
-	}
-	ents, err := os.ReadDir(path)
-	if err != nil {
-		return nil, err
-	}
-	var manifests, logs []string
+	var manifests []string
+	logs := 0
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
 		switch {
+		case e.IsDir():
 		case strings.HasSuffix(e.Name(), ".manifest"):
 			manifests = append(manifests, e.Name())
 		case strings.HasSuffix(e.Name(), ".lseal"):
-			logs = append(logs, e.Name())
+			logs++
 		}
 	}
 	switch {
 	case len(manifests) > 1:
-		return nil, fmt.Errorf("audit: %s holds multiple log sets (%s)", path, strings.Join(manifests, ", "))
-	case len(manifests) == 1:
-		name := strings.TrimSuffix(manifests[0], ".manifest")
-		ss := &ShardSet{Dir: path, Name: name, Manifest: filepath.Join(path, manifests[0])}
-		for {
-			if _, err := os.Stat(filepath.Join(path, ShardName(name, ss.Shards)+".lseal")); err != nil {
-				break
-			}
-			ss.Shards++
-		}
-		if ss.Shards == 0 {
-			return nil, fmt.Errorf("%w: manifest %s without shard files", ErrTampered, manifests[0])
-		}
-		return ss, nil
-	case len(logs) == 1:
-		return &ShardSet{Dir: path, Name: strings.TrimSuffix(logs[0], ".lseal"), Shards: 1}, nil
-	case len(logs) == 0:
-		return nil, fmt.Errorf("audit: no log files in %s", path)
-	default:
-		return nil, fmt.Errorf("audit: %d log files in %s but no manifest sidecar", len(logs), path)
+		return nil, fmt.Errorf("audit: %s holds multiple log sets (%s)", dir, strings.Join(manifests, ", "))
+	case len(manifests) == 0 && logs > 0:
+		return nil, fmt.Errorf("%w: %d log files in %s but no manifest sidecar", ErrTampered, logs, dir)
+	case len(manifests) == 0:
+		return nil, fmt.Errorf("audit: no log set in %s", dir)
 	}
+	name := strings.TrimSuffix(manifests[0], ".manifest")
+	ss := &ShardSet{Dir: dir, Name: name, Manifest: filepath.Join(dir, manifests[0])}
+	for {
+		if _, err := os.Stat(ss.ShardPath(ss.Shards)); err != nil {
+			break
+		}
+		ss.Shards++
+	}
+	if ss.Shards == 0 {
+		return nil, fmt.Errorf("%w: manifest %s without shard files", ErrTampered, manifests[0])
+	}
+	return ss, nil
 }
 
-// VerifyPath verifies a log at a path that may be a single log file or a
-// directory holding a sharded set, auto-detecting which. This is the
-// recommended entry point; the per-file functions remain for callers that
-// already know the layout. A cancelled or expired ctx stops every shard's
+// VerifyPath verifies the log set in a directory (FindShardSet, VerifySet).
+// This is the recommended entry point; the per-file functions remain the
+// pipeline every shard runs. A cancelled or expired ctx stops every shard's
 // pipeline and returns ctx.Err() instead of a verification verdict.
-func VerifyPath(ctx context.Context, path string, opts StreamOptions) (*Report, error) {
-	ss, err := FindShardSet(path)
+func VerifyPath(ctx context.Context, dir string, opts StreamOptions) (*Report, error) {
+	ss, err := FindShardSet(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -159,10 +144,12 @@ func shardWorkers(workers, shards, k int) int {
 }
 
 // VerifySet verifies every shard of the set in parallel and replays the
-// manifest sidecar against the shards' verified commit points.
+// manifest sidecar against the shards' verified commit points. Each shard
+// resumes only from its own checkpoint sidecar (ResumeAuto); an explicit
+// Resume is refused.
 func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, error) {
-	if opts.Resume != nil && ss.Shards > 1 {
-		return nil, errors.New("audit: explicit Resume on a sharded set; use ResumeAuto")
+	if opts.Resume != nil {
+		return nil, errors.New("audit: explicit Resume on a log set; use ResumeAuto")
 	}
 	totalWorkers := opts.Workers
 	if totalWorkers <= 0 {
@@ -173,13 +160,11 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 	points := make([]*commitSet, ss.Shards)
 	var wg sync.WaitGroup
 	var replay *manifestReplay
-	if ss.Sharded() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			replay = replayRecords(ss, &opts)
-		}()
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		replay = replayRecords(ss, &opts)
+	}()
 	for k := 0; k < ss.Shards; k++ {
 		points[k] = newCommitSet()
 		wg.Add(1)
@@ -194,17 +179,10 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 	}
 	for k, err := range errs {
 		if err != nil {
-			if ss.Sharded() {
-				return nil, fmt.Errorf("shard %d (%s): %w", k, filepath.Base(ss.ShardPath(k)), err)
-			}
-			return nil, err
+			return nil, fmt.Errorf("shard %d (%s): %w", k, filepath.Base(ss.ShardPath(k)), err)
 		}
 	}
-	out := &Report{
-		Sharded: ss.Sharded(),
-		Shards:  results,
-		Tables:  map[string]int{},
-	}
+	out := &Report{Shards: results, Tables: map[string]int{}}
 	for _, r := range results {
 		out.TotalEntries += r.TotalEntries
 		out.TotalBatches += r.TotalBatches
@@ -214,33 +192,25 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 			out.Tables[t] += n
 		}
 	}
-	if ss.Sharded() {
-		if err := replay.judge(ss, &opts, points, out); err != nil {
-			return nil, err
-		}
+	if err := replay.judge(ss, &opts, points, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // verifyShard runs the streaming pipeline over one shard file, collecting
-// its commit points and handling checkpoint/resume plumbing.
+// its commit points and handling checkpoint/resume plumbing: the shard's
+// checkpoint sidecar is <shard file>.ckpt, and its freshness is judged
+// against its own counter.
 func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamOptions, cs *commitSet) (*StreamResult, error) {
 	path := ss.ShardPath(k)
 	sopts := opts
 	sopts.Shard = k
 	sopts.Workers = workers
-	if ss.Sharded() {
-		// Freshness is judged per shard against its own counter.
-		sopts.Name = ShardName(ss.Name, k)
-	} else if sopts.Name == "" {
-		sopts.Name = ss.Name
-	}
+	sopts.Name = ShardName(ss.Name, k)
 	ckptPath := path + ".ckpt"
 	if opts.Checkpoint != nil {
 		ccfg := *opts.Checkpoint
-		if ccfg.Path != "" && !ss.Sharded() {
-			ckptPath = ccfg.Path
-		}
 		ccfg.Path = ckptPath
 		sopts.Checkpoint = &ccfg
 	}
@@ -322,7 +292,7 @@ func (rp *manifestReplay) judge(ss *ShardSet, opts *StreamOptions, points []*com
 	out.Manifests, out.Epoch = len(rp.ms), rp.Epoch()
 	// The sidecar's own tail is guarded by the live manifest counter: a
 	// provider that discards recent manifests (and the shard records they
-	// attest) is caught here, exactly like a single-file tail rollback.
+	// attest) is caught here, exactly like a shard's own tail rollback.
 	fresh := opts.VerifyOptions
 	fresh.Name = ManifestCounterName(ss.Name)
 	if err := checkFreshness(rp.Counter(), fresh); err != nil {

@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"libseal/internal/enclave"
 )
 
 // testKey returns a fresh ECDSA key for synthetic logs.
@@ -34,6 +36,36 @@ func synthLog(t testing.TB, key *ecdsa.PrivateKey, n, batchMax int) []byte {
 	}
 	return buf.Bytes()
 }
+
+// synthSet makes img shard 0 of a one-shard set named "log" in a fresh
+// directory, beside a manifest sidecar holding the set's creation manifest
+// (every shard empty, the state each shard's commit points start from),
+// signed with key. It returns the directory and the shard file's path. The
+// set driver wraps a shard's verdict in setErrPrefix.
+func synthSet(t testing.TB, key *ecdsa.PrivateKey, img []byte) (dir, shard string) {
+	t.Helper()
+	dir = t.TempDir()
+	m := &Manifest{Epoch: 1, Shards: make([]ShardState, 1)}
+	r, s, err := ecdsa.Sign(rand.Reader, key, manifestDigest("log", m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Sig = enclave.Signature{R: r.Bytes(), S: s.Bytes()}
+	side := bytes.NewBuffer(bytes.Clone(manifestMagic))
+	if _, err := writeRecords(side, []record{{typ: recManifest, payload: marshalManifest(m)}}); err != nil {
+		t.Fatal(err)
+	}
+	shard = filepath.Join(dir, ShardName("log", 0)+".lseal")
+	if err := os.WriteFile(filepath.Join(dir, ManifestFileName("log")), side.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, shard
+}
+
+const setErrPrefix = "shard 0 (log-shard0.lseal): "
 
 // appendUnsigned appends n unsigned entries (starting at seq) to a log
 // image — the shape a crash between entry writes and the batch signature

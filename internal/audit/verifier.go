@@ -35,7 +35,11 @@ type VerifyOptions struct {
 	Pub *ecdsa.PublicKey
 	// Protector, when set, checks counter freshness against the group.
 	Protector RollbackProtector
-	// Name is the counter name (Config.Name).
+	// Name is the counter name freshness is judged against when one file is
+	// verified on its own (the shard's Config.Name). The set entry points
+	// (VerifyPath / VerifySet) ignore it: each shard is judged against its
+	// own counter and the sidecar against the manifest counter, all named
+	// from the set.
 	Name string
 	// Unseal decrypts sealed entries; required when the log was written
 	// with Config.Seal. It runs inside an enclave in production.
@@ -84,7 +88,8 @@ type VerifyResult struct {
 // alone, so verdicts compare equal whether or not a caller looks at the
 // location; it unwraps to ErrTampered.
 type VerifyError struct {
-	// Shard is the shard ordinal (0 for a single-file log).
+	// Shard is the shard ordinal (StreamOptions.Shard; 0 for a file verified
+	// on its own).
 	Shard int
 	// Offset is the byte offset of the failing record's header in its file.
 	Offset int64

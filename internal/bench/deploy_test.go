@@ -225,7 +225,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 		client.Close()
 		st.Close()
 		dst := dir + "/" + instance + ".lseal"
-		if err := os.Rename(dir+"/git.lseal", dst); err != nil {
+		if err := os.Rename(dir+"/git-shard0.lseal", dst); err != nil {
 			t.Fatal(err)
 		}
 		files[instance] = dst

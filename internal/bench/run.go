@@ -107,7 +107,8 @@ type AuditEnv struct {
 // NewAuditEnv builds the environment on a fresh platform, counter group and
 // directory. roteLatency is the simulated one-way latency to the counter
 // nodes, which is what makes the per-batch anchor the serial section.
-// Sharded sets publish epoch manifests on a 100 ms cadence.
+// Every set, one shard included, publishes epoch manifests on a 100 ms
+// cadence.
 func NewAuditEnv(shards, batchMax int, roteLatency time.Duration) (*AuditEnv, error) {
 	encl, err := enclave.NewPlatform().Launch(enclave.Config{
 		Code: []byte("libseal-audit-bench"), MaxThreads: 32, Cost: enclave.ZeroCostModel(),
@@ -151,7 +152,7 @@ func NewAuditEnv(shards, batchMax int, roteLatency time.Duration) (*AuditEnv, er
 // each: a client stages rowsPerStage rows (a request/response pair logs a
 // handful of tuples), waits until they are durable and then publishes an
 // epoch manifest if one is due — the live server publishes manifests off the
-// write path on the same cadence, so sharded runs pay the manifest cost they
+// write path on the same cadence, so runs pay the manifest cost they
 // would in production. It returns the entries staged (the budget rounded
 // down to whole stages per client), all of them durable, and the wall time.
 func (e *AuditEnv) Drive(clients, entries, rowsPerStage int) (int, time.Duration, error) {
@@ -197,8 +198,8 @@ func (e *AuditEnv) Drive(clients, entries, rowsPerStage int) (int, time.Duration
 }
 
 // Verify closes the log and strictly re-verifies the whole set — every
-// shard, and for a sharded set the epoch-manifest replay — which must
-// account for every entry the log held.
+// shard and the epoch-manifest replay — which must account for every entry
+// the log held.
 func (e *AuditEnv) Verify() (*audit.Report, error) {
 	if err := e.Log.Close(); err != nil {
 		return nil, err

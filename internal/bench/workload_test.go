@@ -93,8 +93,8 @@ func TestFillerAttachPersists(t *testing.T) {
 		t.Fatal("zero check+trim duration")
 	}
 	// The persisted log verifies and reflects the trimmed state.
-	entries, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{
-		Pub: encl.PublicKey(), Protector: group, Name: "git",
+	entries, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{
+		Pub: encl.PublicKey(), Protector: group, Name: "git-shard0",
 	})
 	if err != nil {
 		t.Fatal(err)

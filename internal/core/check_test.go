@@ -85,10 +85,13 @@ func TestCheckSyncDetectsRollback(t *testing.T) {
 	if len(viols) != 1 || viols[0].Invariant != "git-soundness" {
 		t.Fatalf("violations = %+v", viols)
 	}
-	// The second push's cycle trimmed the stale c1 update, so the violating
-	// snapshot held the c2 update and the rolled-back advertisement.
-	if viols[0].ChainSeq != 2 {
-		t.Fatalf("ChainSeq = %d, want 2: %+v", viols[0].ChainSeq, viols[0])
+	// The second push's cycle trimmed the stale c1 update from the database,
+	// but the chain position counts every entry logged — a trim's database
+	// half leaves it alone, and memory mode never compacts — so the violating
+	// snapshot sits at position 3: both updates and the rolled-back
+	// advertisement.
+	if viols[0].ChainSeq != 3 {
+		t.Fatalf("ChainSeq = %d, want 3: %+v", viols[0].ChainSeq, viols[0])
 	}
 }
 
@@ -248,7 +251,7 @@ func TestTrimKeepsRowsStagedDuringCycle(t *testing.T) {
 // count, and the rows its database holds.
 func diskEntries(t *testing.T, env *coreEnv, ls *LibSEAL, dir string) (entries, rows int) {
 	t.Helper()
-	es, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	es, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

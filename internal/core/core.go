@@ -88,10 +88,11 @@ type Config struct {
 	// group-commit pipelines (files, fsync streams, rollback counters),
 	// routed by connection so per-connection order is preserved, with a
 	// signed cross-shard epoch manifest binding the shards together. Values
-	// <= 1 keep the single-log layout. See audit.ShardedConfig.
+	// <= 1 mean one shard, in the same layout: its shard file and the
+	// manifest sidecar. See audit.ShardedConfig.
 	AuditShards int
-	// AuditManifestEvery is the minimum interval between epoch manifests
-	// when sharding; zero selects the audit package default.
+	// AuditManifestEvery is the minimum interval between epoch manifests in
+	// disk mode; zero selects the audit package default.
 	AuditManifestEvery time.Duration
 	// Protector provides rollback protection for the persisted log.
 	Protector audit.RollbackProtector
@@ -223,9 +224,9 @@ type Stats struct {
 	// TrimsSkipped counts cycles whose trim queries deleted nothing from the
 	// check's snapshot, so the database was left alone.
 	TrimsSkipped int64
-	// Compactions counts rewrites of the log to the rows the database holds:
-	// when half the files' bytes were dead, on every TrimNow, and after every
-	// trim in memory mode, which has no files to keep.
+	// Compactions counts rewrites of the log files to the rows the database
+	// holds: when half the files' bytes were dead, and on every TrimNow. Memory
+	// mode has no files and counts none.
 	Compactions int64
 }
 
@@ -390,9 +391,8 @@ func (ls *LibSEAL) periodicChecks(interval time.Duration) {
 // TLS returns the drop-in TLS library services link against.
 func (ls *LibSEAL) TLS() *tlsterm.Library { return ls.tls }
 
-// Log returns the (possibly sharded) audit log; nil when auditing is
-// disabled. An unsharded instance is a one-shard set, so existing callers
-// keep working unchanged.
+// Log returns the audit log set — one shard unless AuditShards asks for
+// more; nil when auditing is disabled.
 func (ls *LibSEAL) Log() *audit.ShardedLog { return ls.log }
 
 // Bridge returns the underlying enclave bridge.
@@ -807,7 +807,8 @@ func (ls *LibSEAL) runCheck(env *asyncall.Env, ctx context.Context, clientTrigge
 // The trim touches the database only. The log files are compacted to the
 // rows it holds — every shard quiesced and rewritten — when the trim leaves
 // half their bytes dead (audit.ShardedLog.CompactDue), and always when compact
-// is set: TrimNow's caller wants the disk back.
+// is set: TrimNow's caller wants the disk back. Memory mode has no files to
+// compact.
 //
 // Cycles never overlap between capture and apply: the rows a plan kept must
 // still be there when it is applied. cycleMu is the outermost lock — the
@@ -844,7 +845,7 @@ func (ls *LibSEAL) runCycle(env *asyncall.Env, compact bool) error {
 			compact = compact || ls.log.CompactDue()
 		}
 	}
-	if err == nil && compact {
+	if err == nil && compact && ls.cfg.AuditMode == audit.ModeDisk {
 		if err = ls.log.Compact(env); err == nil {
 			ls.stats.Compactions++
 		}

@@ -374,7 +374,7 @@ func TestPersistentModeSurvivesRestart(t *testing.T) {
 	ls.Close()
 
 	// Verify the persisted log out-of-band with the enclave's public key.
-	entries, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	entries, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,11 +543,12 @@ func TestLastCheckResultLifecycle(t *testing.T) {
 		t.Fatalf("after check = %q", got)
 	}
 	// TrimNow is one check+trim cycle, counted like every other: with nothing
-	// to delete the trim is skipped, with a checked advertisement it runs.
+	// to delete the trim is skipped, with a checked advertisement it runs. A
+	// memory-mode log has no files, so neither compacts anything.
 	if err := ls.TrimNow(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 1 {
+	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 1 || st.Compactions != 0 {
 		t.Fatalf("after TrimNow on an empty log: %+v", st)
 	}
 	c := dialGit(t, env, ls, newGitBackend())
@@ -556,8 +557,11 @@ func TestLastCheckResultLifecycle(t *testing.T) {
 	if err := ls.TrimNow(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ls.StatsSnapshot(); st.Checks != 3 || st.Trims != 1 || st.TrimFailures != 0 {
+	if st := ls.StatsSnapshot(); st.Checks != 3 || st.Trims != 1 || st.TrimFailures != 0 || st.Compactions != 0 {
 		t.Fatalf("after TrimNow: %+v", st)
+	}
+	if seq := ls.Log().Seq(); seq != 2 {
+		t.Fatalf("chain position %d after the trim, want 2: memory mode re-sequences nothing", seq)
 	}
 	if n, _ := ls.Log().DB().TableRowCount("advertisements"); n != 0 {
 		t.Fatalf("%d advertisements left after TrimNow", n)
@@ -895,7 +899,7 @@ func TestConcurrentConnectionsBatchedDisk(t *testing.T) {
 	}
 	ls.Close()
 	// The batched, trimmed log still passes client-side verification.
-	if _, err := verifyLogFile(dir+"/git.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
+	if _, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
 		t.Fatalf("verify batched log: %v", err)
 	}
 }

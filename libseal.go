@@ -314,24 +314,24 @@ func HealthUnhealthy(detail string) HealthCheckResult { return resilience.Unheal
 // with the parallel segmented pipeline, streaming by default, and returns
 // the unified Report shape shared with VerifyContext and Mirror.Report.
 //
-// path may be either a single log file or a directory. A directory holding
-// a sharded set (shard files plus an epoch-manifest sidecar, as written
-// under WithAuditShards) is verified shard-by-shard in parallel and then
+// dir is the audit directory (WithAuditDisk). Every persisted log is a set —
+// one shard file per shard, however many WithAuditShards asked for, plus the
+// epoch-manifest sidecar — verified shard-by-shard in parallel and then
 // cross-checked against the signed manifests, so a rollback of any single
-// shard is detected even though each shard's own chain still verifies. A
-// directory holding one plain log file, or a file path, degrades to
-// single-log verification with the same options. Set opts.ResumeAuto to
-// continue from per-shard checkpoint sidecars written by a previous run.
-func Verify(path string, opts VerifyStreamOptions) (*Report, error) {
-	return VerifyContext(context.Background(), path, opts)
+// shard is detected even though each shard's own chain still verifies. Shard
+// files without their manifest are ErrTampered. Set opts.ResumeAuto to
+// continue from per-shard checkpoint sidecars written by a previous run; an
+// explicit opts.Resume is refused.
+func Verify(dir string, opts VerifyStreamOptions) (*Report, error) {
+	return VerifyContext(context.Background(), dir, opts)
 }
 
 // VerifyContext is Verify with cancellation: ctx aborts the verification
 // between segments, returning ctx's error. Results verified before the
 // cancellation are not reported (a partial scan proves nothing about the
 // suffix).
-func VerifyContext(ctx context.Context, path string, opts VerifyStreamOptions) (*Report, error) {
-	return audit.VerifyPath(ctx, path, opts)
+func VerifyContext(ctx context.Context, dir string, opts VerifyStreamOptions) (*Report, error) {
+	return audit.VerifyPath(ctx, dir, opts)
 }
 
 // ConnectTLS performs the client side of the secure-channel handshake over

@@ -118,10 +118,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	conn.Close()
 	server.Close()
 	seal.Close()
-	rep, err := Verify(filepath.Join(dir, "git.lseal"), VerifyStreamOptions{VerifyOptions: VerifyOptions{
+	rep, err := Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{
 		Pub:       encl.PublicKey(),
 		Protector: group,
-		Name:      "git",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// A record that fails its own check is located: the facade passes the
 	// *VerifyError through. The file's last byte is the last signature's S.
-	path := filepath.Join(dir, "git.lseal")
+	path := filepath.Join(dir, "git-shard0.lseal")
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Verify(path, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: encl.PublicKey()}})
+	_, err = Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: encl.PublicKey()}})
 	var located *VerifyError
 	if !errors.As(err, &located) || !errors.Is(err, ErrTampered) {
 		t.Fatalf("Verify of a damaged signature record: %v, want a *VerifyError wrapping ErrTampered", err)

@@ -21,9 +21,8 @@ type RollbackProtector = audit.RollbackProtector
 // by Violation.Rows and returned by audit-log queries.
 type QueryResult = sqldb.Result
 
-// AuditLog is the (possibly sharded) audit log behind a LibSEAL instance,
-// as returned by LibSEAL.Log. With one shard it behaves exactly like the
-// historical single-file log.
+// AuditLog is the sharded audit log behind a LibSEAL instance, as returned
+// by LibSEAL.Log — one shard unless WithAuditShards asks for more.
 type AuditLog = audit.ShardedLog
 
 // Option configures one aspect of a LibSEAL instance built with Open.
@@ -65,14 +64,15 @@ func WithAuditDisk(dir string) Option {
 
 // WithAuditShards partitions the persisted audit log across n independently
 // group-committed shard files bound together by a signed cross-shard epoch
-// manifest (see internal/audit). n <= 1 keeps the historical single-file
-// layout. Only meaningful together with WithAuditDisk.
+// manifest (see internal/audit). n <= 1 means one shard, in the same layout:
+// its shard file and the manifest sidecar. Only meaningful together with
+// WithAuditDisk.
 func WithAuditShards(n int) Option {
 	return func(c *openConfig) { c.core.AuditShards = n }
 }
 
-// WithManifestInterval sets the cross-shard epoch-manifest cadence (default
-// 500ms). Shorter intervals tighten the rollback-detection window at the
+// WithManifestInterval sets the epoch-manifest cadence of a persisted log
+// (default 500ms). Shorter intervals tighten the rollback-detection window at the
 // cost of one counter increment, signature and fsync per interval.
 func WithManifestInterval(d time.Duration) Option {
 	return func(c *openConfig) { c.core.AuditManifestEvery = d }

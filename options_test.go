@@ -163,15 +163,15 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The unified entry point auto-detects the sharded set in the directory.
+	// The unified entry point verifies the set in the directory.
 	res, err := Verify(dir, VerifyStreamOptions{
 		VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group, Name: "git"},
 	})
 	if err != nil {
 		t.Fatalf("Verify(dir): %v", err)
 	}
-	if !res.Sharded || len(res.Shards) != 2 {
-		t.Fatalf("Sharded=%v shards=%d", res.Sharded, len(res.Shards))
+	if len(res.Shards) != 2 {
+		t.Fatalf("shards=%d, want 2", len(res.Shards))
 	}
 	if res.TotalEntries == 0 || res.Manifests == 0 {
 		t.Fatalf("entries=%d manifests=%d", res.TotalEntries, res.Manifests)
@@ -251,9 +251,9 @@ func TestOpenMatchesNew(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatal("missing results")
 	}
-	if a.TotalEntries != b.TotalEntries || a.Sharded != b.Sharded {
-		t.Fatalf("diverged: new %d entries (sharded=%v), open %d entries (sharded=%v)",
-			a.TotalEntries, a.Sharded, b.TotalEntries, b.Sharded)
+	if a.TotalEntries != b.TotalEntries || len(a.Shards) != len(b.Shards) {
+		t.Fatalf("diverged: new %d entries (%d shards), open %d entries (%d shards)",
+			a.TotalEntries, len(a.Shards), b.TotalEntries, len(b.Shards))
 	}
 	for table, n := range a.Tables {
 		if b.Tables[table] != n {
