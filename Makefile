@@ -62,15 +62,18 @@ bench-e2e-smoke:
 # reference, under the golden key; seeded from the format-3 golden images and
 # the re-hashed-suffix image), the entry codec and the walk that checks an
 # entry without building it (against the frozen decoder), the HTTP parser (on
-# its own, and the in-place parser against the frozen bufio one) and the SQL
-# engine (arbitrary scripts: no panic, no change on a parse error) — the same
-# smoke CI runs. Seed corpora live under testdata/fuzz.
+# its own; the in-place parser against the frozen bufio one, with the
+# frame-only walk against the building one; the slice-backed Header against
+# the frozen map-based one) and the SQL engine (arbitrary scripts: no panic,
+# no change on a parse error) — the same smoke CI runs. Seed corpora live
+# under testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzVerifyReader -fuzztime=20s ./internal/audit/
 	$(GO) test -run=^$$ -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/audit/
 	$(GO) test -run=^$$ -fuzz=FuzzEntryWalk -fuzztime=20s ./internal/audit/
 	$(GO) test -run=^$$ -fuzz=FuzzHTTPParse -fuzztime=20s ./internal/httpparse/
 	$(GO) test -run=^$$ -fuzz=FuzzConsumeDifferential -fuzztime=20s ./internal/httpparse/
+	$(GO) test -run=^$$ -fuzz=FuzzHeaderDifferential -fuzztime=20s ./internal/httpparse/
 	$(GO) test -run=^$$ -fuzz=FuzzParseExec -fuzztime=20s ./internal/sqldb/
 
 # Keeps the SQL engine sized to the SQL the product runs (DESIGN.md §15). It

@@ -88,7 +88,7 @@ func readAll(conn interface{ Read([]byte) (int, error) }) []byte {
 	for {
 		n, err := conn.Read(tmp)
 		buf = append(buf, tmp[:n]...)
-		if _, _, perr := httpparse.ConsumeResponse(buf); perr == nil {
+		if _, perr := httpparse.FrameResponse(buf); perr == nil {
 			return buf
 		}
 		if err != nil {

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -464,9 +465,11 @@ func (ls *LibSEAL) tracker(connID uint64) *connTracker {
 	return tr
 }
 
-// onRead extracts complete requests from the request plaintext. Only this
-// connection's tracker is locked; other connections parse in parallel. data
-// belongs to the record layer and is parsed where it lies when nothing is
+// onRead cuts complete requests out of the request plaintext. Only this
+// connection's tracker is locked; other connections frame in parallel. A
+// request is framed, not built: the tap needs its length and whether it asks
+// for a check, and the module parses it when its response comes. data
+// belongs to the record layer and is framed where it lies when nothing is
 // buffered; what must outlive the call — a request awaiting its response, an
 // incomplete tail — is copied.
 func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
@@ -479,7 +482,7 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 		buf = tr.reqBuf
 	}
 	for len(buf) > 0 {
-		req, n, err := httpparse.ConsumeRequest(buf)
+		n, check, err := httpparse.FrameRequest(buf, CheckHeader)
 		if errors.Is(err, httpparse.ErrIncomplete) {
 			break
 		}
@@ -490,7 +493,7 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 		}
 		tr.pending = append(tr.pending, bytes.Clone(buf[:n]))
 		buf = buf[n:]
-		if err == nil && req.Header.Has(CheckHeader) {
+		if check {
 			// Run the check now so this response can carry the result. The
 			// evaluation happens on a snapshot with logMu released, so other
 			// connections keep appending while this one checks.
@@ -504,7 +507,7 @@ func (ls *LibSEAL) onRead(env *asyncall.Env, connID uint64, data []byte) error {
 
 // onWrite pairs completed responses with their requests, stages the pairs
 // into the audit log, and injects the check-result header. Like onRead it
-// parses data in place when nothing is buffered — a response the service
+// frames data in place when nothing is buffered — a response the service
 // writes in one piece is never copied, only read — and keeps a copy of an
 // incomplete tail. Pairing runs under the tracker lock, staging under
 // one logMu critical section, and the durability waits after both locks are
@@ -538,9 +541,10 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 		tr.rspBuf = append(tr.rspBuf, data...)
 		buf = tr.rspBuf
 	}
-	var pairs []rawPair
+	var spare [4]rawPair // the pairs of one write; more than four is rare
+	pairs := spare[:0]
 	for len(buf) > 0 {
-		_, n, err := httpparse.ConsumeResponse(buf)
+		n, err := httpparse.FrameResponse(buf)
 		if errors.Is(err, httpparse.ErrIncomplete) {
 			break
 		}
@@ -548,16 +552,17 @@ func (ls *LibSEAL) onWrite(env *asyncall.Env, connID uint64, data []byte) ([]byt
 			// Not HTTP: flush as an opaque response.
 			n = len(buf)
 		}
-		if len(tr.pending) == 0 {
+		if len(pairs) == len(tr.pending) {
 			// Response without a recorded request (e.g. server push);
 			// drop it — nothing to pair.
 			buf = buf[n:]
 			break
 		}
-		pairs = append(pairs, rawPair{req: tr.pending[0], rsp: buf[:n]})
-		tr.pending = tr.pending[1:]
+		pairs = append(pairs, rawPair{req: tr.pending[len(pairs)], rsp: buf[:n]})
 		buf = buf[n:]
 	}
+	// Shifted down rather than resliced, so that the array is reused.
+	tr.pending = slices.Delete(tr.pending, 0, len(pairs))
 	if len(pairs) > 0 && len(tr.rspBuf) > 0 {
 		// The pairs alias rspBuf's array and are staged after the tracker is
 		// unlocked: the array is theirs now, the tail starts a new one.

@@ -11,6 +11,7 @@ import (
 	"libseal/internal/audit"
 	"libseal/internal/httpparse"
 	"libseal/internal/netsim"
+	"libseal/internal/ssm"
 	"libseal/internal/ssm/gitssm"
 	"libseal/internal/tlsterm"
 )
@@ -163,6 +164,48 @@ func TestLargeResponseWriteAllocation(t *testing.T) {
 	}
 	if !bytes.Equal(sink, response) {
 		t.Fatal("client read a different response")
+	}
+	if st := ls.StatsSnapshot(); st.Pairs != runs+1 {
+		t.Fatalf("pairs = %d, want %d", st.Pairs, runs+1)
+	}
+}
+
+// quietMod is handed every pair and logs nothing, so what a pair allocates
+// is the tap's own.
+type quietMod struct{ pairMod }
+
+func (quietMod) HandlePair(*ssm.State, []byte, []byte) ([]ssm.Tuple, error) { return nil, nil }
+
+// TestTapFramesWithoutBuilding: the tap frames requests and responses — it
+// needs their lengths and whether a request asks for a check — and builds
+// neither. A request/response pair allocates the copy of the request the
+// tap keeps until its response comes and the ssm.State the module is handed,
+// nothing else.
+func TestTapFramesWithoutBuilding(t *testing.T) {
+	env := newCoreEnv(t)
+	ls := newGitLibSEAL(t, env, Config{Module: quietMod{}, AuditMode: audit.ModeMemory})
+	req := httpparse.NewRequest("GET", "/s", nil)
+	req.Header.Set("X-Bench-Req", "1099511627777")
+	reqBytes := req.Bytes()
+	rsp := httpparse.NewResponse(200, bytes.Repeat([]byte("s"), 1024)).Bytes()
+	const runs = 100
+	err := env.bridge.Call(func(e *asyncall.Env) error {
+		tap := (*sealTap)(ls)
+		perPair := testing.AllocsPerRun(runs, func() {
+			if _, err := tap.OnData(e, 1, tlsterm.DirRead, reqBytes); err != nil {
+				t.Fatal(err)
+			}
+			if out, err := tap.OnData(e, 1, tlsterm.DirWrite, rsp); err != nil || out != nil {
+				t.Fatalf("write: %q, %v", out, err)
+			}
+		})
+		if perPair != 2 {
+			t.Errorf("%.1f allocations per request/response pair, want 2", perPair)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st := ls.StatsSnapshot(); st.Pairs != runs+1 {
 		t.Fatalf("pairs = %d, want %d", st.Pairs, runs+1)

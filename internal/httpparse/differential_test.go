@@ -228,6 +228,79 @@ func FuzzConsumeDifferential(f *testing.F) {
 		}
 		for cut := 0; cut <= len(data); cut++ {
 			checkAgainstOracle(t, data[:cut])
+			checkFrameAgainstBuild(t, data[:cut])
 		}
 	})
+}
+
+// frameWatched are the field names the frame differential asks the walk
+// about: one the corpus never carries, and two it does in several cases.
+var frameWatched = []string{"Libseal-Check", "x", "CONTENT-LENGTH"}
+
+// checkFrameAgainstBuild asserts that the walk that only frames and the walk
+// that builds agree on data: the same bytes consumed, the same error, and a
+// watched field reported present exactly when the built header has it.
+func checkFrameAgainstBuild(t *testing.T, data []byte) {
+	t.Helper()
+	req, n, err := ConsumeRequest(data)
+	for _, key := range frameWatched {
+		fn, has, ferr := FrameRequest(data, key)
+		if fn != n || fmt.Sprint(ferr) != fmt.Sprint(err) || err == nil && has != req.Header.Has(key) {
+			t.Fatalf("request, %d bytes %q, field %q: frame (%d, %v, %v), build (%d, %v)", len(data), clip(data), key, fn, has, ferr, n, err)
+		}
+	}
+	_, n, err = ConsumeResponse(data)
+	if fn, ferr := FrameResponse(data); fn != n || fmt.Sprint(ferr) != fmt.Sprint(err) {
+		t.Fatalf("response, %d bytes %q: frame (%d, %v), build (%d, %v)", len(data), clip(data), fn, ferr, n, err)
+	}
+}
+
+// framingCorpus is what the header walk decides a body's framing from:
+// repeated Content-Length and Transfer-Encoding fields in both orders and
+// cases, valid and not, a value only a Unicode fold calls "chunked", a name
+// only a Unicode fold calls Transfer-Encoding, and a repeated watched field.
+func framingCorpus() [][]byte {
+	corpus := []string{
+		"POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 5\r\n\r\nhello",
+		"POST / HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 2\r\n\r\nhello",
+		"POST / HTTP/1.1\r\nContent-Length:\r\nContent-Length: 3\r\n\r\nabc",
+		"POST / HTTP/1.1\r\nContent-Length: x\r\nContent-Length: 3\r\n\r\nabc",
+		"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: x\r\n\r\nabc",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 99999999999999\r\n\r\nhi",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\nTransfer-Encoding: chunked\r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\nTRANSFER-ENCODING: chunked\r\ntransfer-encoding: gzip\r\n\r\n1\r\na\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: bad\r\n\r\n1\r\na\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chun\u212Aed\r\n\r\n1\r\na\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTran\u017Fer-Encoding: chunked\r\nContent-Length: 1\r\n\r\nx",
+		"GET / HTTP/1.1\r\nLibseal-Check: 1\r\nX: y\r\nlibseal-check: 2\r\n\r\n",
+	}
+	out := make([][]byte, len(corpus))
+	for i, m := range corpus {
+		out[i] = []byte(m)
+	}
+	return out
+}
+
+// TestFrameDifferential holds the frame-only walk the core tap uses to the
+// building walk on every prefix of the differential corpus, on the messages
+// around the header-size limit, and on the framing corpus, which the frozen
+// parser judges as well.
+func TestFrameDifferential(t *testing.T) {
+	for _, msg := range differentialCorpus() {
+		for cut := 0; cut <= len(msg); cut++ {
+			checkFrameAgainstBuild(t, msg[:cut])
+		}
+	}
+	for _, msg := range framingCorpus() {
+		for cut := 0; cut <= len(msg); cut++ {
+			checkAgainstOracle(t, msg[:cut])
+			checkFrameAgainstBuild(t, msg[:cut])
+		}
+	}
+	for _, total := range []int{MaxHeaderBytes, MaxHeaderBytes + 1} {
+		fill := strings.Repeat("f", total-len("X-Fill: ")-len("Content-Length: 4"))
+		msg := []byte("GET / HTTP/1.1\r\nX-Fill: " + fill + "\r\nContent-Length: 4\r\n\r\nbody")
+		checkFrameAgainstBuild(t, msg)
+		checkFrameAgainstBuild(t, msg[:len(msg)-1])
+	}
 }

@@ -184,3 +184,131 @@ func oracleConsumeResponse(b []byte) (*Response, int, error) {
 	consumed := len(b) - r.Len() - br.Buffered()
 	return rsp, consumed, nil
 }
+
+// The map-based Header as it stood before it became one slice of fields,
+// with the CanonicalKey and the fmt-based encoders of that time, frozen as
+// the reference TestHeaderDifferential compares against. Like the parsers
+// above it is not maintained.
+
+type oracleHeader struct {
+	keys []string
+	vals map[string][]string
+}
+
+func newOracleHeader() *oracleHeader {
+	return &oracleHeader{vals: make(map[string][]string)}
+}
+
+func oracleCanonicalKey(k string) string {
+	b := []byte(k)
+	upper := true
+	for i, c := range b {
+		switch {
+		case upper && 'a' <= c && c <= 'z':
+			b[i] = c - 'a' + 'A'
+		case !upper && 'A' <= c && c <= 'Z':
+			b[i] = c - 'A' + 'a'
+		}
+		upper = c == '-'
+	}
+	return string(b)
+}
+
+func (h *oracleHeader) Set(k, v string) {
+	ck := oracleCanonicalKey(k)
+	if _, ok := h.vals[ck]; !ok {
+		h.keys = append(h.keys, ck)
+	}
+	h.vals[ck] = []string{v}
+}
+
+func (h *oracleHeader) Add(k, v string) {
+	ck := oracleCanonicalKey(k)
+	if _, ok := h.vals[ck]; !ok {
+		h.keys = append(h.keys, ck)
+	}
+	h.vals[ck] = append(h.vals[ck], v)
+}
+
+func (h *oracleHeader) Get(k string) string {
+	vs := h.vals[oracleCanonicalKey(k)]
+	if len(vs) == 0 {
+		return ""
+	}
+	return vs[0]
+}
+
+func (h *oracleHeader) Has(k string) bool {
+	_, ok := h.vals[oracleCanonicalKey(k)]
+	return ok
+}
+
+func (h *oracleHeader) Del(k string) {
+	ck := oracleCanonicalKey(k)
+	if _, ok := h.vals[ck]; !ok {
+		return
+	}
+	delete(h.vals, ck)
+	for i, key := range h.keys {
+		if key == ck {
+			h.keys = append(h.keys[:i], h.keys[i+1:]...)
+			break
+		}
+	}
+}
+
+func (h *oracleHeader) Keys() []string { return append([]string(nil), h.keys...) }
+
+func (h *oracleHeader) writeTo(w io.Writer) error {
+	for _, k := range h.keys {
+		for _, v := range h.vals[k] {
+			if _, err := fmt.Fprintf(w, "%s: %s\r\n", k, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (h *oracleHeader) Clone() *oracleHeader {
+	out := newOracleHeader()
+	for _, k := range h.keys {
+		for _, v := range h.vals[k] {
+			out.Add(k, v)
+		}
+	}
+	return out
+}
+
+// oracleRequestBytes is the Request.Encode of that time into a buffer. It
+// set the Content-Length it added on the request's own header; here it is
+// set on a copy, so h is left as it was.
+func oracleRequestBytes(method, path, proto string, h *oracleHeader, body []byte) []byte {
+	var w bytes.Buffer
+	fmt.Fprintf(&w, "%s %s %s\r\n", method, path, proto)
+	h = h.Clone()
+	if len(body) > 0 && !h.Has("Content-Length") && !h.Has("Transfer-Encoding") {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	h.writeTo(&w)
+	io.WriteString(&w, "\r\n")
+	w.Write(body)
+	return w.Bytes()
+}
+
+// oracleResponseBytes is the Response.Encode of that time, likewise.
+func oracleResponseBytes(proto string, status int, reason string, h *oracleHeader, body []byte) []byte {
+	if reason == "" {
+		reason = StatusText(status)
+	}
+	var w bytes.Buffer
+	fmt.Fprintf(&w, "%s %d %s\r\n", proto, status, reason)
+	h = h.Clone()
+	if !h.Has("Content-Length") && !h.Has("Transfer-Encoding") {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	h.writeTo(&w)
+	io.WriteString(&w, "\r\n")
+	w.Write(body)
+	return w.Bytes()
+}

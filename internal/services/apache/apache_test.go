@@ -183,6 +183,42 @@ func TestReverseProxy(t *testing.T) {
 	}
 }
 
+// TestReverseProxyForwardsInOneWrite: the forwarded request reaches the
+// backend as one write — one packet on the simulated network — so the
+// backend's first read holds all of it.
+func TestReverseProxyForwardsInOneWrite(t *testing.T) {
+	nw := netsim.NewNetwork()
+	ln, err := nw.Listen("backend:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	firstRead := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			firstRead <- nil
+			return
+		}
+		defer conn.Close()
+		buf := make([]byte, 64<<10)
+		n, _ := conn.Read(buf)
+		firstRead <- buf[:n]
+		_ = httpparse.NewResponse(200, []byte("ok")).Encode(conn)
+	}()
+	proxy := &ReverseProxy{Dial: func() (net.Conn, error) { return nw.Dial("backend:80") }}
+	req := httpparse.NewRequest("POST", "/repo/git-receive-pack", []byte("create main c1"))
+	req.Header.Set("X-Forwarded-For", "client")
+	if rsp := proxy.Handle(req); rsp.Status != 200 || string(rsp.Body) != "ok" {
+		t.Fatalf("rsp = %d %q", rsp.Status, rsp.Body)
+	}
+	got := <-firstRead
+	fwd, n, err := httpparse.ConsumeRequest(got)
+	if err != nil || n != len(got) || string(fwd.Body) != "create main c1" || fwd.Header.Get("Connection") != "close" {
+		t.Fatalf("backend's first read: %q (%v)", got, err)
+	}
+}
+
 func TestReverseProxyBackendDown(t *testing.T) {
 	env, _ := testutil.NewCertEnv("apache.test")
 	nw, _ := startServer(t, Config{

@@ -41,11 +41,14 @@ CREATE VIEW branchcnt AS
 
 // repoFromPath extracts the repository from /git/<repo>/<endpoint>.
 func repoFromPath(path string) (repo, endpoint string, ok bool) {
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	if len(parts) < 3 || parts[0] != "git" {
+	rest, ok := strings.CutPrefix(strings.TrimPrefix(path, "/"), "git/")
+	if ok {
+		repo, endpoint, ok = strings.Cut(rest, "/")
+	}
+	if !ok {
 		return "", "", false
 	}
-	return parts[1], strings.Join(parts[2:], "/"), true
+	return repo, endpoint, true
 }
 
 // HandlePair implements ssm.Module. It understands the simplified smart-HTTP

@@ -200,3 +200,27 @@ func TestModuleMetadata(t *testing.T) {
 		t.Fatal("invariant/trim counts")
 	}
 }
+
+// TestRepoFromPath pins the path rule: "git", the repository and an
+// endpoint of one segment or more, after at most one leading slash.
+func TestRepoFromPath(t *testing.T) {
+	cases := map[string]string{
+		"/git/r/info/refs":        "r info/refs true",
+		"/git/r/git-receive-pack": "r git-receive-pack true",
+		"git/r/x":                 "r x true",
+		"/git//x":                 " x true",
+		"/git/r/":                 "r  true",
+		"/git/r":                  "  false",
+		"/git/":                   "  false",
+		"/git":                    "  false",
+		"//git/r/x":               "  false",
+		"/gitx/r/y":               "  false",
+		"/s":                      "  false",
+	}
+	for path, want := range cases {
+		repo, endpoint, ok := repoFromPath(path)
+		if got := fmt.Sprint(repo, " ", endpoint, " ", ok); got != want {
+			t.Errorf("repoFromPath(%q) = %q, want %q", path, got, want)
+		}
+	}
+}

@@ -54,6 +54,7 @@ func frameBytes(ftype byte, payload []byte) []byte {
 type frameReader struct {
 	br  *bufio.Reader
 	buf []byte
+	hdr [frameHeaderLen]byte // here, not on the stack: it escapes through io.ReadFull
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -64,7 +65,7 @@ func newFrameReader(r io.Reader) *frameReader {
 // interpreted here; the payload is ciphertext (or a cleartext hello) that the
 // record layer authenticates.
 func (fr *frameReader) next() (byte, []byte, error) {
-	var hdr [frameHeaderLen]byte
+	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
@@ -82,11 +83,17 @@ func (fr *frameReader) next() (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// sessionKeys holds one direction's record protection state.
+// sessionKeys holds one direction's record protection state. Its owner
+// uses it under one lock (the connection's read or write lock), which also
+// covers the nonce and aad scratch: the record's AEAD inputs live here
+// because they escape through the cipher.AEAD interface, so on the stack
+// they would be two heap objects per record.
 type sessionKeys struct {
-	aead cipher.AEAD
-	iv   [12]byte
-	seq  uint64
+	aead  cipher.AEAD
+	iv    [12]byte
+	seq   uint64
+	nonce [12]byte
+	aad   [9]byte
 }
 
 func newSessionKeys(key, iv []byte) (*sessionKeys, error) {
@@ -103,15 +110,15 @@ func newSessionKeys(key, iv []byte) (*sessionKeys, error) {
 	return sk, nil
 }
 
-func (sk *sessionKeys) nonce() [12]byte {
-	var n [12]byte
-	copy(n[:], sk.iv[:])
-	var seqb [8]byte
-	binary.BigEndian.PutUint64(seqb[:], sk.seq)
-	for i := 0; i < 8; i++ {
-		n[4+i] ^= seqb[i]
+// prepare fills the nonce and additional data of the next record, of type
+// ftype.
+func (sk *sessionKeys) prepare(ftype byte) {
+	sk.aad[0] = ftype
+	binary.BigEndian.PutUint64(sk.aad[1:], sk.seq)
+	sk.nonce = sk.iv
+	for i, b := range sk.aad[1:] {
+		sk.nonce[4+i] ^= b
 	}
-	return n
 }
 
 // sealedFrameLen is the wire size of the frame appendFrame produces for n
@@ -127,12 +134,10 @@ func (sk *sessionKeys) appendFrame(dst []byte, ftype byte, plaintext []byte) ([]
 	if len(plaintext) > maxRecordPlaintext {
 		return nil, ErrRecordTooLarge
 	}
-	nonce := sk.nonce()
-	aad := [9]byte{ftype}
-	binary.BigEndian.PutUint64(aad[1:], sk.seq)
+	sk.prepare(ftype)
 	n := len(plaintext) + sk.aead.Overhead()
 	dst = append(dst, ftype, byte(n>>16), byte(n>>8), byte(n))
-	dst = sk.aead.Seal(dst, nonce[:], plaintext, aad[:])
+	dst = sk.aead.Seal(dst, sk.nonce[:], plaintext, sk.aad[:])
 	sk.seq++
 	return dst, nil
 }
@@ -145,10 +150,8 @@ func (sk *sessionKeys) sealFrame(ftype byte, plaintext []byte) ([]byte, error) {
 // open decrypts one record in place, consuming a sequence number: the
 // returned plaintext occupies the front of ciphertext's memory.
 func (sk *sessionKeys) open(ftype byte, ciphertext []byte) ([]byte, error) {
-	nonce := sk.nonce()
-	aad := [9]byte{ftype}
-	binary.BigEndian.PutUint64(aad[1:], sk.seq)
-	pt, err := sk.aead.Open(ciphertext[:0], nonce[:], ciphertext, aad[:])
+	sk.prepare(ftype)
+	pt, err := sk.aead.Open(ciphertext[:0], sk.nonce[:], ciphertext, sk.aad[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}

@@ -581,6 +581,53 @@ func TestRecordReplayRejected(t *testing.T) {
 	}
 }
 
+// repeatReader serves b over and over.
+type repeatReader struct {
+	b   []byte
+	off int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// TestRecordAllocatesNothing: sealing a record into spare capacity, opening
+// one in place and reading a frame off the stream allocate nothing — every
+// TLS record of every request passes through them.
+func TestRecordAllocatesNothing(t *testing.T) {
+	key := make([]byte, 16)
+	iv := make([]byte, 12)
+	rand.Read(key)
+	rand.Read(iv)
+	enc, _ := newSessionKeys(key, iv)
+	dec, _ := newSessionKeys(key, iv)
+	plaintext := bytes.Repeat([]byte("p"), 1024)
+	buf := make([]byte, 0, enc.sealedFrameLen(len(plaintext)))
+	if n := testing.AllocsPerRun(100, func() {
+		frame, err := enc.appendFrame(buf, frameAppData, plaintext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := dec.open(frameAppData, frame[frameHeaderLen:]); err != nil || !bytes.Equal(pt, plaintext) {
+			t.Fatalf("open: %v", err)
+		}
+	}); n != 0 {
+		t.Fatalf("appendFrame + open: %.1f allocations per record, want 0", n)
+	}
+
+	frame, _ := enc.sealFrame(frameAppData, plaintext)
+	fr := newFrameReader(&repeatReader{b: frame})
+	if n := testing.AllocsPerRun(100, func() {
+		if ftype, payload, err := fr.next(); err != nil || ftype != frameAppData || len(payload) != len(frame)-frameHeaderLen {
+			t.Fatalf("next: %d, %d bytes, %v", ftype, len(payload), err)
+		}
+	}); n != 0 {
+		t.Fatalf("frameReader.next: %.1f allocations per frame, want 0", n)
+	}
+}
+
 func TestEnclaveIdentityCertFlow(t *testing.T) {
 	env := newTestEnv(t, asyncall.ModeSync)
 	platform := enclave.NewPlatform()
