@@ -63,7 +63,7 @@ var experiments = []experiment{
 	{"groupcommit", "Group commit: batching off/on x sync/async bridge x 1/4/16 clients, audited Git on disk",
 		[]string{"throughput_rps", "append_p95_ms", "fsyncs_per_req", "signatures_per_req", "increments_per_req", "batch_size_mean", "verified_entries"}, runGroupCommit},
 	{"shards", "Sharded append: 1/2/4/8 audit-log shards under 16 clients and a 500us counter quorum",
-		[]string{"elapsed_s", "entries_per_s", "verify_s", "verified_entries", "manifests", "epoch"}, runShards},
+		[]string{"elapsed_s", "entries_per_s", "verify_s", "verified_entries", "manifests", "epoch", "counter_wait_late_p50_us", "counter_wait_late_p99_us"}, runShards},
 	{"checks", "Snapshot checks: full-check latency scan vs indexed, and audited append without/with check+trim cycles",
 		[]string{"check_ms", "violations", "throughput_rps", "append_p95_ms", "checks", "trims", "verified_entries"}, runChecks},
 	{"mirror", "Live mirror: append throughput without/with one mirror, and rollback detection latency",

@@ -16,6 +16,7 @@ import (
 	"libseal/internal/core"
 	"libseal/internal/sqldb"
 	"libseal/internal/ssm/gitssm"
+	"libseal/internal/telemetry"
 )
 
 // The sweeps of the layers added since the paper. Their rows carry no
@@ -81,7 +82,8 @@ func runGroupCommit(q bool, emit func(row)) error {
 // rollback counter, so the per-batch counter increment and fsync — the
 // serial section of a single log — proceed in parallel across shards. 16
 // clients stage 8 rows per durable wait at batch max 16; every set is
-// strictly re-verified, manifest replay included.
+// strictly re-verified, manifest replay included. Each row also says how
+// late the simulator delivered the counter round trips it modelled.
 func runShards(q bool, emit func(row)) error {
 	entries := 48_000
 	if q {
@@ -92,7 +94,9 @@ func runShards(q bool, emit func(row)) error {
 		if err != nil {
 			return err
 		}
+		telemetry.Reset()
 		staged, elapsed, err := e.Drive(16, entries, 8)
+		late, _ := telemetry.Get("simtime.rote.late")
 		var rep *audit.Report
 		t0 := time.Now()
 		if err == nil {
@@ -111,6 +115,9 @@ func runShards(q bool, emit func(row)) error {
 			"verified_entries": float64(rep.TotalEntries),
 			"manifests":        float64(rep.Manifests),
 			"epoch":            float64(rep.Epoch),
+			// Per node wait of each round trip: realised minus modelled.
+			"counter_wait_late_p50_us": float64(late.P50) / 1e3,
+			"counter_wait_late_p99_us": float64(late.P99) / 1e3,
 		}})
 	}
 	return nil

@@ -116,17 +116,3 @@ func (m CostModel) PagingCost(bytes int64) time.Duration {
 func (m CostModel) DataCost(bytes int) time.Duration {
 	return m.cyclesToDuration(float64(bytes) * m.InEnclaveCyclesPerByte)
 }
-
-// burn consumes approximately d of real CPU time. It busy-spins rather than
-// sleeping because enclave transitions occupy the CPU on real hardware; this
-// keeps multi-core scalability experiments honest.
-func burn(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	start := time.Now()
-	for time.Since(start) < d {
-		// Busy spin. time.Since costs ~20-30ns per call, fine at the
-		// microsecond granularity of transition costs.
-	}
-}

@@ -3,8 +3,12 @@ package enclave
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"time"
+
+	"libseal/internal/simtime"
 )
+
+// nvram is the hardware counter's modelled write time.
+var nvram = simtime.NewLayer("enclave.counter")
 
 // hardwareCounter is one SGX platform monotonic counter. It survives enclave
 // restarts (it lives on the Platform) and is deliberately slow to increment,
@@ -34,9 +38,7 @@ func (c *Ctx) CreateCounter() (uint64, error) {
 func (c *Ctx) IncrementCounter(id uint64) (uint64, error) {
 	c.check()
 	e := c.e
-	if d := e.cost.HardwareCounterLatency; d > 0 {
-		time.Sleep(d) // NVRAM write: the CPU is not busy, so sleep not burn.
-	}
+	nvram.Sleep(e.cost.HardwareCounterLatency) // NVRAM write: the CPU is not busy, so wait, not burn.
 	p := e.platform
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"libseal/internal/simtime"
 	"libseal/internal/telemetry"
 )
 
@@ -230,7 +231,7 @@ func (e *Enclave) chargeTransition() {
 			break
 		}
 	}
-	burn(e.cost.TransitionCost(int(n)))
+	simtime.Burn(e.cost.TransitionCost(int(n)))
 }
 
 // MaxCallers reports the highest concurrent-caller count observed, a
@@ -340,7 +341,7 @@ func (c *Ctx) Ocall(fn func() error) error {
 func (e *Enclave) NoteAsyncEcall() {
 	e.stats.AsyncEcalls.Add(1)
 	mAsyncEcalls.Inc()
-	burn(e.cost.AsyncCallCost())
+	simtime.Burn(e.cost.AsyncCallCost())
 }
 
 // NoteAsyncOcall records one ocall served through the asynchronous slot
@@ -350,7 +351,7 @@ func (e *Enclave) NoteAsyncEcall() {
 func (e *Enclave) NoteAsyncOcall() {
 	e.stats.AsyncOcalls.Add(1)
 	mAsyncOcalls.Inc()
-	burn(e.cost.AsyncCallCost())
+	simtime.Burn(e.cost.AsyncCallCost())
 }
 
 // Alloc accounts for size bytes of enclave heap. Once the enclave working
@@ -367,7 +368,7 @@ func (c *Ctx) Alloc(size int64) error {
 		paged := min64(size, over)
 		e.stats.PagedBytes.Add(paged)
 		mPagedBytes.Add(paged)
-		burn(e.cost.PagingCost(paged))
+		simtime.Burn(e.cost.PagingCost(paged))
 	}
 	return nil
 }
@@ -385,7 +386,7 @@ func (e *Enclave) HeapBytes() int64 { return e.heapBytes.Load() }
 // of protected memory (memory-encryption-engine cache penalty).
 func (c *Ctx) ChargeData(n int) {
 	c.check()
-	burn(c.e.cost.DataCost(n))
+	simtime.Burn(c.e.cost.DataCost(n))
 }
 
 // Stats returns a snapshot of interface counters.

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -545,6 +546,53 @@ func TestSigningKeyDeterministicPerPlatformAndCode(t *testing.T) {
 	e4, _ := other.Launch(Config{Code: []byte("same"), Cost: ZeroCostModel()})
 	if e1.PublicKey().X.Cmp(e4.PublicKey().X) == 0 {
 		t.Fatal("different platforms produced same signing key")
+	}
+}
+
+// A hardware counter increment takes the model's NVRAM write time, and
+// (below a millisecond) not a runtime timer's millisecond. The median bound
+// gets three rounds, so a round a loaded machine slowed does not fail it; a
+// timer fails all three.
+func TestCounterLatencyCharged(t *testing.T) {
+	const nvram = 400 * time.Microsecond
+	cost := ZeroCostModel()
+	cost.HardwareCounterLatency = nvram
+	e, err := NewPlatform().Launch(Config{Code: []byte("nvram"), Cost: cost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id uint64
+	if err := e.Ecall(func(c *Ctx) (err error) {
+		id, err = c.CreateCounter()
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; ; round++ {
+		took := make([]time.Duration, 21)
+		if err := e.Ecall(func(c *Ctx) error {
+			for i := range took {
+				start := time.Now()
+				if _, err := c.IncrementCounter(id); err != nil {
+					return err
+				}
+				took[i] = time.Since(start)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(took)
+		if took[0] < nvram {
+			t.Fatalf("increment took %v, under the %v write", took[0], nvram)
+		}
+		med := took[len(took)/2]
+		if med <= nvram+400*time.Microsecond {
+			return
+		}
+		if round == 2 {
+			t.Fatalf("median increment %v for a %v write", med, nvram)
+		}
 	}
 }
 

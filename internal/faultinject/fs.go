@@ -6,10 +6,13 @@ import (
 	"path/filepath"
 	"sync"
 	"syscall"
-	"time"
 
+	"libseal/internal/simtime"
 	"libseal/internal/vfs"
 )
+
+// stall is an injected slow disk's modelled time.
+var stall = simtime.NewLayer("faultinject.fs")
 
 // ErrTornWrite is returned by a write the injector tore: a prefix of the
 // payload reached the disk, then the simulated machine died.
@@ -91,7 +94,7 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 			}
 			return f.f.Write(q)
 		case OpStall:
-			time.Sleep(r.Delay)
+			stall.Sleep(r.Delay)
 		}
 	}
 	return f.f.Write(p)

@@ -11,7 +11,13 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"libseal/internal/simtime"
 )
+
+// wait is a link's modelled time: serialisation on the writer's side,
+// propagation on the reader's.
+var wait = simtime.NewLayer("netsim")
 
 // LinkConfig describes one direction of a duplex link.
 type LinkConfig struct {
@@ -199,9 +205,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			}
 		}
 	}
-	if wait := time.Until(it.at); wait > 0 {
-		time.Sleep(wait)
-	}
+	wait.SleepUntil(it.at)
 	n := copy(p, it.data)
 	if n < len(it.data) {
 		c.leftover = item{data: it.data[n:], at: it.at}

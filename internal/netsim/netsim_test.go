@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,41 @@ func TestLatencyCharged(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < lat {
 		t.Fatalf("read completed in %v, want >= %v", elapsed, lat)
+	}
+}
+
+// A sub-millisecond link delivers after its latency, not after a runtime
+// timer's millisecond. The median bound gets three rounds, so a round a
+// loaded machine slowed does not fail it; a timer fails all three.
+func TestSubMillisecondLatency(t *testing.T) {
+	const lat = 300 * time.Microsecond
+	a, b := Pipe(LinkConfig{Latency: lat})
+	defer a.Close()
+	defer b.Close()
+	buf := make([]byte, 1)
+	for round := 0; ; round++ {
+		took := make([]time.Duration, 31)
+		for i := range took {
+			start := time.Now()
+			if _, err := a.Write([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Read(buf); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
+			if took[i] < lat {
+				t.Fatalf("read %d after %v, under the %v latency", i, took[i], lat)
+			}
+		}
+		slices.Sort(took)
+		med := took[len(took)/2]
+		if med <= lat+400*time.Microsecond {
+			return
+		}
+		if round == 2 {
+			t.Fatalf("median delivery %v on a %v link", med, lat)
+		}
 	}
 }
 

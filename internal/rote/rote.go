@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"libseal/internal/simtime"
 	"libseal/internal/telemetry"
 )
 
@@ -45,6 +46,10 @@ var (
 	mResyncs          = telemetry.NewCounter("rote.resyncs", "rejoins")
 	mResyncFailures   = telemetry.NewCounter("rote.resync.failures", "attempts")
 )
+
+// wait is the modelled time on the counter protocol's path: the network
+// round trip to each node and a fault hook's reply delay.
+var wait = simtime.NewLayer("rote")
 
 // Errors returned by the group client.
 var (
@@ -264,14 +269,8 @@ func (n *Node) applyHook(ctx context.Context, op string) (drop, byzantine bool) 
 	if f.Amnesia {
 		n.RestartAmnesiac()
 	}
-	if f.Delay > 0 {
-		t := time.NewTimer(f.Delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return true, false
-		}
+	if f.Delay > 0 && wait.Wait(ctx, f.Delay) != nil {
+		return true, false
 	}
 	return f.Drop, f.Byzantine
 }
@@ -471,18 +470,13 @@ func (g *Group) broadcast(ctx context.Context, need int, send func(context.Conte
 		ok  bool
 	}
 	ch := make(chan result, len(g.nodes))
+	arrive := time.Now().Add(2 * g.latency) // round trip
 	for _, n := range g.nodes {
 		n := n
 		go func() {
-			if g.latency > 0 {
-				t := time.NewTimer(2 * g.latency) // round trip
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					ch <- result{ok: false}
-					return
-				}
+			if g.latency > 0 && wait.WaitUntil(ctx, arrive) != nil {
+				ch <- result{ok: false}
+				return
 			}
 			m, ok := send(ctx, n)
 			ch <- result{m, ok}

@@ -2,6 +2,7 @@ package rote
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,40 @@ func TestLatencyCharged(t *testing.T) {
 	}
 	if d := time.Since(start); d < 10*time.Millisecond {
 		t.Fatalf("increment took %v, want >= 2x latency", d)
+	}
+}
+
+// A round trip takes the latency the group models, not a runtime timer's
+// millisecond: at 250 µs one way an increment is a 500 µs round trip plus
+// the protocol's own work. With a Go timer per node it took ≈1.1 ms. The
+// median bound gets three rounds, so a round a loaded machine slowed does
+// not fail it; a timer fails all three.
+func TestRoundTripTakesModelledLatency(t *testing.T) {
+	const oneWay = 250 * time.Microsecond
+	g, err := NewGroup(1, oneWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; ; round++ {
+		took := make([]time.Duration, 31)
+		for i := range took {
+			start := time.Now()
+			if _, err := g.Increment("log"); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
+			if took[i] < 2*oneWay {
+				t.Fatalf("increment %d took %v, under the %v round trip", i, took[i], 2*oneWay)
+			}
+		}
+		slices.Sort(took)
+		med := took[len(took)/2]
+		if med <= 2*oneWay+400*time.Microsecond {
+			return
+		}
+		if round == 2 {
+			t.Fatalf("median increment %v, want about the %v round trip", med, 2*oneWay)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"libseal/internal/httpparse"
+	"libseal/internal/simtime"
 	"libseal/internal/tlsterm"
 )
 
@@ -153,16 +154,9 @@ type StaticHandler struct {
 // Handle implements Handler.
 func (h *StaticHandler) Handle(req *httpparse.Request) *httpparse.Response {
 	if h.ProcessingCost > 0 {
-		spinFor(h.ProcessingCost)
+		simtime.Burn(h.ProcessingCost)
 	}
 	return httpparse.NewResponse(200, h.Content)
-}
-
-// spinFor busy-loops for d, modelling CPU-bound application work.
-func spinFor(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
 }
 
 // ReverseProxy forwards requests to a backend over a fresh plain connection,

@@ -19,6 +19,7 @@ import (
 
 	"libseal/internal/httpparse"
 	"libseal/internal/services/apache"
+	"libseal/internal/simtime"
 )
 
 // Commit is one node of a repository's commit graph. Its ID is the hash of
@@ -141,7 +142,7 @@ func (s *Server) Handler() apache.Handler {
 
 func (s *Server) handle(req *httpparse.Request) *httpparse.Response {
 	if s.ProcessingCost > 0 {
-		spinFor(s.ProcessingCost)
+		simtime.Burn(s.ProcessingCost)
 	}
 	parts := strings.Split(strings.TrimPrefix(req.PathOnly(), "/"), "/")
 	if len(parts) < 3 || parts[0] != "git" {
@@ -221,12 +222,6 @@ func (s *Server) receivePack(repoName, body string) *httpparse.Response {
 		}
 	}
 	return httpparse.NewResponse(200, []byte("ok"))
-}
-
-func spinFor(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
 }
 
 // HistoryGenerator produces a synthetic commit history for one repository:

@@ -16,6 +16,7 @@ import (
 
 	"libseal/internal/httpparse"
 	"libseal/internal/services/apache"
+	"libseal/internal/simtime"
 	"libseal/internal/ssm/owncloudssm"
 )
 
@@ -77,7 +78,7 @@ func (s *Server) Handler() apache.Handler {
 
 func (s *Server) handle(req *httpparse.Request) *httpparse.Response {
 	if s.ProcessingCost > 0 {
-		spinFor(s.ProcessingCost)
+		simtime.Burn(s.ProcessingCost)
 	}
 	path := req.PathOnly()
 	if !strings.HasPrefix(path, "/owncloud/") || req.Method != "POST" {
@@ -179,10 +180,4 @@ func jsonRsp(v any) *httpparse.Response {
 	rsp := httpparse.NewResponse(200, body)
 	rsp.Header.Set("Content-Type", "application/json")
 	return rsp
-}
-
-func spinFor(d time.Duration) {
-	start := time.Now()
-	for time.Since(start) < d {
-	}
 }
