@@ -2,7 +2,7 @@
 // the paper's tables and figures): the correlated-subquery result cache in
 // the SQL engine, the cost of sealing the persisted log, and the ROTE
 // group's fault-tolerance parameter.
-package libseal
+package libseal_test
 
 import (
 	"fmt"

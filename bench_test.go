@@ -4,11 +4,12 @@
 // choices are in ablation_test.go.
 //
 // Run one:   go test -run '^$' -bench=BenchmarkTLSHandshake -benchtime=100x
-package libseal
+package libseal_test
 
 import (
 	"testing"
 
+	. "libseal"
 	"libseal/internal/asyncall"
 	"libseal/internal/bench"
 	"libseal/internal/tlsterm"

@@ -1,4 +1,4 @@
-package libseal
+package libseal_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	. "libseal"
 	"libseal/internal/bench"
 	"libseal/internal/core"
 	"libseal/internal/faultinject"
@@ -67,18 +68,17 @@ func chaosScenario() FaultScenario {
 func runChaosFaultPhase(t *testing.T, dir string, platform *Platform, group *CounterGroup) ([]string, core.Stats) {
 	t.Helper()
 	in := chaosScenario().Build()
-	policy := chaosRetryPolicy()
+	in.AttachGroup(group)
+	group.SetRetryPolicy(chaosRetryPolicy())
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:        bench.ModeDisk,
-		Platform:    platform,
-		Group:       group,
-		Inject:      in,
-		RetryPolicy: &policy,
-		Core: core.Config{
-			AuditDir:      dir,
-			AnchorTimeout: 300 * time.Millisecond,
-			DegradedLimit: 4,
-			RecoverMaxLag: 1,
+		Mode:     bench.ModeDisk,
+		Dir:      dir,
+		Platform: platform,
+		Group:    group,
+		Seal: []Option{
+			WithFaultInjector(in),
+			WithAnchorTimeout(300 * time.Millisecond),
+			WithDegradedLimit(4),
 		},
 	}, 0)
 	if err != nil {
@@ -169,18 +169,16 @@ func TestChaosSoakCrashRecovery(t *testing.T) {
 	for _, n := range group.Nodes() {
 		n.SetFaultHook(nil)
 	}
-	policy := chaosRetryPolicy()
+	group.SetRetryPolicy(chaosRetryPolicy())
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:        bench.ModeDisk,
-		Platform:    platform,
-		Group:       group,
-		RetryPolicy: &policy,
-		Core: core.Config{
-			AuditDir:        dir,
-			RecoverExisting: true,
-			AnchorTimeout:   300 * time.Millisecond,
-			DegradedLimit:   4,
-			RecoverMaxLag:   1,
+		Mode:     bench.ModeDisk,
+		Dir:      dir,
+		Platform: platform,
+		Group:    group,
+		Seal: []Option{
+			WithRecovery(1),
+			WithAnchorTimeout(300 * time.Millisecond),
+			WithDegradedLimit(4),
 		},
 	}, 0)
 	if err != nil {
@@ -249,17 +247,13 @@ func TestChaosRollingRestartSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := chaosRetryPolicy()
+	group.SetRetryPolicy(chaosRetryPolicy())
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:        bench.ModeDisk,
-		Platform:    platform,
-		Group:       group,
-		RetryPolicy: &policy,
-		Core: core.Config{
-			AuditDir:      dir,
-			AnchorTimeout: time.Second,
-			AuditBatchMax: 4,
-		},
+		Mode:     bench.ModeDisk,
+		Dir:      dir,
+		Platform: platform,
+		Group:    group,
+		Seal:     []Option{WithAnchorTimeout(time.Second), WithBatching(4, 0)},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -365,13 +359,13 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := RetryPolicy{
+	group.SetRetryPolicy(RetryPolicy{
 		Timeout:     250 * time.Millisecond,
 		Retries:     2,
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  10 * time.Millisecond,
 		JitterSeed:  chaosSeed,
-	}
+	})
 	// The cooldown runs on an injected clock: the test advances it past the
 	// cooldown instead of sleeping, so expiry is exact rather than raced
 	// against the scheduler. The breaker reads the clock from push
@@ -388,16 +382,18 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 		now = now.Add(d)
 		clockMu.Unlock()
 	}
+	// The breaker wraps the group the way libseal-server wraps its own.
+	bp := NewBreakerProtector("rote.breaker", group, BreakerConfig{Threshold: 2, Cooldown: 300 * time.Millisecond, Now: clock})
+	breaker := bp.Breaker()
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:        bench.ModeDisk,
-		Platform:    NewPlatform(),
-		Group:       group,
-		RetryPolicy: &policy,
-		Breaker:     &BreakerConfig{Threshold: 2, Cooldown: 300 * time.Millisecond, Now: clock},
-		Core: core.Config{
-			AuditDir:      dir,
-			AnchorTimeout: 400 * time.Millisecond,
-			DegradedLimit: 16,
+		Mode:     bench.ModeDisk,
+		Dir:      dir,
+		Platform: NewPlatform(),
+		Group:    group,
+		Seal: []Option{
+			WithProtector(bp),
+			WithAnchorTimeout(400 * time.Millisecond),
+			WithDegradedLimit(16),
 		},
 	}, 0)
 	if err != nil {
@@ -420,7 +416,7 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	}
 
 	push("create", "c1")
-	if s := st.Breaker.State(); s != BreakerClosed {
+	if s := breaker.State(); s != BreakerClosed {
 		t.Fatalf("breaker after healthy push: %s", s)
 	}
 
@@ -431,7 +427,7 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	st.Group.Nodes()[1].Fail()
 	push("update", "c2")
 	push("update", "c3")
-	if s := st.Breaker.State(); s != BreakerOpen {
+	if s := breaker.State(); s != BreakerOpen {
 		t.Fatalf("breaker after %d failed anchors: %s, want open", 2, s)
 	}
 
@@ -455,7 +451,7 @@ func TestChaosBreakerLifecycle(t *testing.T) {
 	st.Group.Nodes()[1].Recover()
 	advance(300 * time.Millisecond)
 	push("update", "c5")
-	if s := st.Breaker.State(); s != BreakerClosed {
+	if s := breaker.State(); s != BreakerClosed {
 		t.Fatalf("breaker after probe: %s, want closed", s)
 	}
 	if status := st.Seal.AuditStatus(); status.Degraded || status.Gaps != 1 {
@@ -481,19 +477,18 @@ func TestChaosOverloadShedding(t *testing.T) {
 		// pipeline stays full while the burst arrives.
 		faultinject.StallWrites("git-shard0.lseal", 1, 1<<30, 300*time.Millisecond),
 	}}.Build()
-	policy := chaosRetryPolicy()
+	in.AttachGroup(group)
+	group.SetRetryPolicy(chaosRetryPolicy())
 	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:        bench.ModeDisk,
-		Platform:    NewPlatform(),
-		Group:       group,
-		Inject:      in,
-		RetryPolicy: &policy,
-		Core: core.Config{
-			AuditDir:          dir,
-			AnchorTimeout:     time.Second,
-			AuditBatchMax:     2,
-			AuditMaxStaged:    2,
-			AuditAdmitTimeout: 30 * time.Millisecond,
+		Mode:     bench.ModeDisk,
+		Dir:      dir,
+		Platform: NewPlatform(),
+		Group:    group,
+		Seal: []Option{
+			WithFaultInjector(in),
+			WithAnchorTimeout(time.Second),
+			WithBatching(2, 0),
+			WithAdmission(2, 30*time.Millisecond),
 		},
 	}, 0)
 	if err != nil {
@@ -602,7 +597,7 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	seal, feed, addr, group := openMirroredServer(t, dir, certs)
+	seal, feed, addr, group := OpenMirroredServer(t, dir, certs)
 	defer feed.Close()
 	defer seal.Close()
 
@@ -625,8 +620,8 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
-		driveGitWorkload(t, seal, certs)
-		s := waitMirrorSynced(t, m, seal)
+		DriveGitWorkload(t, seal, certs)
+		s := WaitMirrorSynced(t, m, seal)
 		// Sever every feed connection server-side — the mirror is fully
 		// synced and attached, so the drop provably kills its session — then
 		// hold until it has re-established through backoff before the next
@@ -643,7 +638,7 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	s := waitMirrorSynced(t, m, seal)
+	s := WaitMirrorSynced(t, m, seal)
 	if s.Reconnects < rounds {
 		t.Fatalf("mirror reconnected %d times across %d link drops", s.Reconnects, rounds)
 	}

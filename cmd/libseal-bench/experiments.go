@@ -14,7 +14,6 @@ import (
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
 	"libseal/internal/bench"
-	"libseal/internal/core"
 	"libseal/internal/enclave"
 	"libseal/internal/httpparse"
 	"libseal/internal/rote"
@@ -281,7 +280,7 @@ func auditedModes(emit func(row), modes []bench.SealMode, checkEvery int,
 	var native float64
 	for _, mode := range modes {
 		run, err := bench.RunAudited(bench.StackOptions{
-			Mode: mode, Cost: cost(), Core: core.Config{CheckEvery: checkEvery},
+			Mode: mode, Cost: cost(), Seal: []libseal.Option{libseal.WithChecks(checkEvery, 0, 0)},
 		}, deploy, load)
 		if err != nil {
 			return fmt.Errorf("%s: %w", mode, err)
@@ -334,7 +333,7 @@ func runFig5c(q bool, emit func(row)) error {
 	}
 	for _, mode := range []bench.SealMode{bench.ModeNative, bench.ModeMem, bench.ModeDisk} {
 		st, err := bench.NewDropboxStack(bench.StackOptions{
-			Mode: mode, Cost: cost(), Core: core.Config{CheckEvery: 100},
+			Mode: mode, Cost: cost(), Seal: []libseal.Option{libseal.WithChecks(100, 0, 0)},
 		}, bench.DropboxWANLatency)
 		if err != nil {
 			return err
@@ -567,7 +566,7 @@ func runStatic(q bool, cm asyncall.Mode, schedulers, tasks, contentSize int) (be
 	return staticLoad(func() (*bench.Stack, error) {
 		return bench.NewStaticStack(bench.StackOptions{
 			Mode: bench.ModeProcess, Cost: cost(), CallMode: cm,
-			Schedulers: schedulers, TasksPerScheduler: tasks, AppSlots: 48, MaxThreads: 48,
+			Schedulers: schedulers, TasksPerScheduler: tasks, MaxThreads: 48,
 		}, contentSize, false)
 	}, 8, scale(q, 160), 8)
 }

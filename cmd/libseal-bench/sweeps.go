@@ -9,11 +9,11 @@ import (
 	"path/filepath"
 	"time"
 
+	"libseal"
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
 	"libseal/internal/audit/mirror"
 	"libseal/internal/bench"
-	"libseal/internal/core"
 	"libseal/internal/sqldb"
 	"libseal/internal/ssm/gitssm"
 	"libseal/internal/telemetry"
@@ -54,10 +54,9 @@ func runGroupCommit(q bool, emit func(row)) error {
 	for _, batch := range []bool{false, true} {
 		for _, mode := range []asyncall.Mode{asyncall.ModeSync, asyncall.ModeAsync} {
 			for _, clients := range []int{1, 4, 16} {
-				opts := bench.StackOptions{CallMode: mode, Core: core.Config{CheckEvery: 20}}
+				opts := bench.StackOptions{CallMode: mode, Seal: []libseal.Option{libseal.WithChecks(20, 0, 0)}}
 				if batch {
-					opts.Core.AuditBatchMax = 16
-					opts.Core.AuditBatchDelay = 750 * time.Microsecond
+					opts.Seal = append(opts.Seal, libseal.WithBatching(16, 750*time.Microsecond))
 				}
 				run, m, err := auditedGit(opts, clients, scale(q, 480), 16)
 				if err != nil {
@@ -158,9 +157,9 @@ func runChecks(q bool, emit func(row)) error {
 	}
 
 	for _, mode := range []string{"none", "on"} {
-		opts := bench.StackOptions{Core: core.Config{AuditBatchMax: 16, AuditBatchDelay: 750 * time.Microsecond}}
+		opts := bench.StackOptions{Seal: []libseal.Option{libseal.WithBatching(16, 750*time.Microsecond)}}
 		if mode != "none" {
-			opts.Core.CheckEvery = checkEvery
+			opts.Seal = append(opts.Seal, libseal.WithChecks(checkEvery, 0, 0))
 		}
 		// Short closed-loop runs are noisy: best of three, every attempt's
 		// log still strictly re-verified.

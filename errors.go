@@ -40,7 +40,7 @@ var (
 	ErrCheckpointStale = audit.ErrCheckpointStale
 
 	// ErrBreakerOpen is returned (wrapped) by counter operations shed by an
-	// open circuit breaker (see NewBreakerProtector, WithBreaker).
+	// open circuit breaker (see NewBreakerProtector).
 	ErrBreakerOpen = resilience.ErrOpen
 
 	// ErrAuditOverloaded is returned (wrapped) by appends shed by the audit

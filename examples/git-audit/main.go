@@ -17,7 +17,6 @@ import (
 
 	"libseal"
 	"libseal/internal/bench"
-	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/gitserver"
 )
@@ -33,11 +32,10 @@ func main() {
 	// a persistent audit log protected by a ROTE counter group (n=4, f=1).
 	stack, err := bench.NewGitStack(bench.StackOptions{
 		Mode:        bench.ModeDisk,
+		Dir:         dir,
 		ROTELatency: 20 * time.Microsecond,
-		Core: core.Config{
-			AuditDir:   dir,
-			CheckEvery: 25, // the paper's optimal check/trim interval for Git
-		},
+		// The paper's optimal check/trim interval for Git.
+		Seal: []libseal.Option{libseal.WithChecks(25, 0, 0)},
 	}, 0)
 	if err != nil {
 		log.Fatal(err)

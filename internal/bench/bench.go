@@ -4,6 +4,12 @@
 // statistics, the audited run every disk-mode measurement goes through, and
 // per-service workload generators. cmd/libseal-bench builds every experiment
 // from it.
+//
+// A deployment is described, not assembled: StackOptions names the
+// evaluation mode, the enclave and bridge sizing, the counter group and any
+// further libseal.Options, and every LibSEAL instance is built by
+// libseal.Open — the constructor libseal-server uses — so a measured
+// configuration is one a server can run.
 package bench
 
 import (

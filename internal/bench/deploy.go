@@ -5,13 +5,10 @@ import (
 	"os"
 	"time"
 
+	"libseal"
 	"libseal/internal/asyncall"
-	"libseal/internal/audit"
-	"libseal/internal/core"
 	"libseal/internal/enclave"
-	"libseal/internal/faultinject"
 	"libseal/internal/netsim"
-	"libseal/internal/resilience"
 	"libseal/internal/rote"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/dropbox"
@@ -59,9 +56,10 @@ func (m SealMode) String() string {
 	return "?"
 }
 
-// StackOptions tunes a deployment: how the enclave and its bridge are sized,
-// how the counter group behaves, and — in Core — everything about the
-// LibSEAL instance itself.
+// StackOptions describes a deployment: the evaluation mode, how the enclave
+// and its bridge are sized, the counter group, and any further LibSEAL
+// options. Every LibSEAL instance is built by libseal.Open from the options
+// the mode implies followed by Seal.
 type StackOptions struct {
 	Mode SealMode
 	// Cost is the enclave cost model; zero-value charges nothing.
@@ -72,40 +70,26 @@ type StackOptions struct {
 	// (Tables 3-4).
 	Schedulers        int
 	TasksPerScheduler int
-	// AppSlots sizes the async request array (defaults to 48).
-	AppSlots int
 	// MaxThreads is the enclave TCS count.
 	MaxThreads int
 	// Opts are the §4.2 transition-reduction optimisations.
 	Opts *tlsterm.Optimizations
-	// Core configures the LibSEAL instance: check cadence, group commit,
-	// sharding, admission control, recovery and the degraded-mode knobs are
-	// set here under their core.Config names. The deployment completes TLS,
-	// Module, AuditMode, Protector and AuditFS from the fields around it, and
-	// AuditDir (disk mode) with a temporary directory when left empty.
-	Core core.Config
+	// Seal are further options for libseal.Open — check cadence, group
+	// commit, admission control, recovery, fault injection. They apply after
+	// the ones the mode implies, so they win: a WithProtector here replaces
+	// the counter group as the log's anchor (Stack.Group stays the group).
+	Seal []libseal.Option
+	// Dir is the audit directory in disk mode; empty means a temporary one,
+	// removed by Stack.Close.
+	Dir string
 	// ROTELatency is the one-way latency to counter nodes (same cluster).
 	ROTELatency time.Duration
-	// ROTEF is the number of counter-node failures the group tolerates
-	// (n = 3f+1 nodes); zero means f=1.
-	ROTEF int
-	// Group reuses an existing counter group instead of minting one, so a
-	// restarted stack keeps its monotonic counters (disk mode).
+	// Group reuses an existing counter group instead of minting one (f=1),
+	// so a restarted stack keeps its monotonic counters (disk mode).
 	Group *rote.Group
-	// Inject, when set, drives chaos: its node rules attach to the counter
-	// group and its filesystem rules interpose on audit-log persistence.
-	// Link rules are installed by the test via Stack.Net.SetLinkFault.
-	Inject *faultinject.Injector
-	// Breaker wraps the counter group in a circuit breaker (disk mode): a
-	// run of quorum failures makes appends degrade immediately instead of
-	// burning the retry budget per batch. Nil disables the breaker.
-	Breaker *resilience.BreakerConfig
-	// RetryPolicy overrides the counter group's request timeout/retry
-	// policy (nil keeps rote.DefaultRetryPolicy).
-	RetryPolicy *rote.RetryPolicy
 	// Platform reuses an enclave platform across stacks, so a restarted
 	// deployment keeps its keys and can verify its previous log
-	// (Core.RecoverExisting requires it).
+	// (libseal.WithRecovery requires it).
 	Platform *enclave.Platform
 	// UseExData makes the front server store request data in TLS ex_data.
 	UseExData bool
@@ -128,11 +112,11 @@ type Stack struct {
 	Env     *testutil.CertEnv
 	Enclave *enclave.Enclave
 	Bridge  *asyncall.Bridge
-	Seal    *core.LibSEAL
-	Group   *rote.Group
-	// Breaker is the circuit breaker protecting the counter group (nil
-	// unless StackOptions.Breaker was set).
-	Breaker *resilience.Breaker
+	Seal    *libseal.LibSEAL
+	// Group is the counter group (disk mode).
+	Group *rote.Group
+	// Dir is the audit directory (disk mode).
+	Dir string
 
 	// Addr is the front-end address clients dial.
 	Addr string
@@ -180,8 +164,15 @@ func (s *Stack) serve(addr string, srv server) error {
 	return nil
 }
 
+// fail tears down what a deployment started before err and returns err.
+func (s *Stack) fail(err error) error {
+	s.Close()
+	return err
+}
+
 // buildStack builds the TLS termination layer for the configured mode and
 // returns it together with the stack (whose Seal is nil in native mode).
+// On error it has torn down whatever it started.
 func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminator, error) {
 	opts = opts.withDefaults()
 	st := &Stack{Net: netsim.NewNetwork(), Addr: "front:443"}
@@ -198,7 +189,6 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 	encl, bridge, err := testutil.NewBridge(testutil.BridgeOptions{
 		Mode:              opts.CallMode,
 		MaxThreads:        opts.MaxThreads,
-		AppSlots:          opts.AppSlots,
 		Schedulers:        opts.Schedulers,
 		TasksPerScheduler: opts.TasksPerScheduler,
 		Cost:              opts.Cost,
@@ -211,59 +201,29 @@ func buildStack(opts StackOptions, module ssm.Module) (*Stack, tlsterm.Terminato
 	st.Bridge = bridge
 	st.closers = append(st.closers, bridge.Close)
 
-	cfg := opts.Core
-	cfg.TLS = tlsterm.LibraryConfig{Cert: env.Cert, Key: env.Key, Opts: *opts.Opts}
-	switch opts.Mode {
-	case ModeProcess:
-		// TLS in the enclave, no logging.
-	case ModeMem:
-		cfg.Module = module
-		cfg.AuditMode = audit.ModeMemory
-	case ModeDisk:
-		cfg.Module = module
-		cfg.AuditMode = audit.ModeDisk
-		if cfg.AuditDir == "" {
-			tmp, err := os.MkdirTemp("", "libseal-audit-*")
-			if err != nil {
-				return nil, nil, err
-			}
-			st.closers = append(st.closers, func() { os.RemoveAll(tmp) })
-			cfg.AuditDir = tmp
-		}
-		group := opts.Group
-		if group == nil {
-			f := opts.ROTEF
-			if f == 0 {
-				f = 1
-			}
-			var err error
-			group, err = rote.NewGroup(f, opts.ROTELatency)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if opts.RetryPolicy != nil {
-			group.SetRetryPolicy(*opts.RetryPolicy)
-		}
-		st.Group = group
-		cfg.Protector = group
-		if opts.Breaker != nil {
-			bp := resilience.NewBreakerProtector("rote.breaker", group, *opts.Breaker)
-			st.Breaker = bp.Breaker()
-			cfg.Protector = bp
-		}
-		if opts.Inject != nil {
-			opts.Inject.AttachGroup(group)
-			cfg.AuditFS = opts.Inject.FS(nil)
-		}
+	seal := []libseal.Option{libseal.WithTLS(libseal.TLSConfig{Cert: env.Cert, Key: env.Key, Opts: *opts.Opts})}
+	if opts.Mode >= ModeMem { // the modes that audit
+		seal = append(seal, libseal.WithModule(module))
 	}
-	seal, err := core.New(bridge, cfg)
-	if err != nil {
-		return nil, nil, err
+	if opts.Mode == ModeDisk {
+		if st.Dir = opts.Dir; st.Dir == "" {
+			if st.Dir, err = os.MkdirTemp("", "libseal-audit-*"); err != nil {
+				return nil, nil, st.fail(err)
+			}
+			st.closers = append(st.closers, func() { os.RemoveAll(st.Dir) })
+		}
+		if st.Group = opts.Group; st.Group == nil {
+			if st.Group, err = rote.NewGroup(1, opts.ROTELatency); err != nil {
+				return nil, nil, st.fail(err)
+			}
+		}
+		seal = append(seal, libseal.WithAuditDisk(st.Dir), libseal.WithProtector(st.Group))
 	}
-	st.Seal = seal
-	st.closers = append(st.closers, func() { seal.Close() })
-	return st, seal.TLS().Terminator(), nil
+	if st.Seal, err = libseal.Open(bridge, append(seal, opts.Seal...)...); err != nil {
+		return nil, nil, st.fail(err)
+	}
+	st.closers = append(st.closers, func() { st.Seal.Close() })
+	return st, st.Seal.TLS().Terminator(), nil
 }
 
 // NewCustomStack deploys any handler behind an Apache front end with the
@@ -284,10 +244,13 @@ func newApacheStack(opts StackOptions, module ssm.Module, handler apache.Handler
 		KeepAlive:  keepAlive,
 		UseExData:  opts.UseExData,
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = st.serve(st.Addr, front)
 	}
-	return st, st.serve(st.Addr, front)
+	if err != nil {
+		return nil, st.fail(err)
+	}
+	return st, nil
 }
 
 // GitStack deploys the paper's Git experiment (§6.4): Apache in reverse
@@ -319,7 +282,10 @@ func NewGitStack(opts StackOptions, processingCost time.Duration) (*GitStack, er
 	if err != nil {
 		return nil, err
 	}
-	return &GitStack{Stack: st, Backend: backend}, st.serve("git-backend:80", backendSrv)
+	if err := st.serve("git-backend:80", backendSrv); err != nil {
+		return nil, st.fail(err)
+	}
+	return &GitStack{Stack: st, Backend: backend}, nil
 }
 
 // OwnCloudStack deploys the collaborative editing experiment: Apache hosting
@@ -361,7 +327,7 @@ func newProxyStack(opts StackOptions, module ssm.Module, originName string, hand
 	}
 	originEnv, err := testutil.NewCertEnv(originName + ".test")
 	if err != nil {
-		return nil, err
+		return nil, st.fail(err)
 	}
 	origin, err := apache.New(apache.Config{
 		Terminator: tlsterm.NewNativeTerminator(originEnv.ServerConfig()),
@@ -369,21 +335,24 @@ func newProxyStack(opts StackOptions, module ssm.Module, originName string, hand
 		KeepAlive:  true,
 	})
 	if err != nil {
-		return nil, err
+		return nil, st.fail(err)
 	}
 	originAddr := originName + ":443"
 	if err := st.serve(originAddr, origin); err != nil {
-		return nil, err
+		return nil, st.fail(err)
 	}
 	proxy, err := squid.New(squid.Config{
 		Terminator:  term,
 		Dial:        func() (net.Conn, error) { return st.Net.Dial(originAddr) },
 		UpstreamTLS: &tlsterm.ClientConfig{Roots: originEnv.Pool, ServerName: originName + ".test"},
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = st.serve(st.Addr, proxy)
 	}
-	return st, st.serve(st.Addr, proxy)
+	if err != nil {
+		return nil, st.fail(err)
+	}
+	return st, nil
 }
 
 // DropboxStack deploys the Dropbox experiment (§6.4): clients reach the

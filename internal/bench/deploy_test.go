@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"libseal"
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
-	"libseal/internal/core"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/owncloud"
 	"libseal/internal/ssm"
@@ -192,7 +194,7 @@ func TestLoadDriver(t *testing.T) {
 
 func TestDiskModePersistsAcrossStack(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewGitStack(StackOptions{Mode: ModeDisk, Core: core.Config{AuditDir: dir}, ROTELatency: time.Microsecond}, 0)
+	st, err := NewGitStack(StackOptions{Mode: ModeDisk, Dir: dir, ROTELatency: time.Microsecond}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +202,49 @@ func TestDiskModePersistsAcrossStack(t *testing.T) {
 	client.Do(httpparse.NewRequest("POST", "/git/r/git-receive-pack", []byte("create main c1")))
 	client.Close()
 	st.Close()
+}
+
+// TestFailedDeploymentLeaksNothing: a deployment whose LibSEAL instance
+// fails to open tears down what it had started — the async bridge's
+// goroutines and the temporary audit directory — instead of returning a nil
+// stack with them still running.
+func TestFailedDeploymentLeaksNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	file := filepath.Join(tmp, "audit")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deployFailing := func() {
+		t.Helper()
+		// An audit directory that is a regular file.
+		opts := StackOptions{Mode: ModeDisk, CallMode: asyncall.ModeAsync, Dir: file}
+		if _, err := NewGitStack(opts, 0); err == nil {
+			t.Fatal("Git stack on a file as its audit directory deployed")
+		}
+		// Recovery from a fresh temporary directory, behind the proxy.
+		opts.Dir, opts.Seal = "", []libseal.Option{libseal.WithRecovery(0)}
+		if _, err := NewDropboxStack(opts, 0); err == nil {
+			t.Fatal("Dropbox stack recovered an empty directory")
+		}
+	}
+	// One round first, so anything started once per process is counted in
+	// the baseline.
+	deployFailing()
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		deployFailing()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("goroutines %d -> %d across five failed deployments", baseline, n)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "libseal-audit-*")); len(left) > 0 {
+		t.Fatalf("failed deployments left %v behind", left)
+	}
 }
 
 // TestCrossInstanceMergeDetection reproduces the §3.2 scale-out scenario end
@@ -216,7 +261,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 	// run deploys one LibSEAL instance, drives it, and keeps its verified
 	// partial log under the instance's name.
 	run := func(instance string, drive func(st *GitStack, c *Client)) {
-		st, err := NewGitStack(StackOptions{Mode: ModeDisk, Core: core.Config{AuditDir: dir}}, 0)
+		st, err := NewGitStack(StackOptions{Mode: ModeDisk, Dir: dir}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

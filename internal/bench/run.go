@@ -49,19 +49,12 @@ func (r AuditedRun) PerRequest(counter string) float64 {
 
 // RunAudited deploys a stack, drives load against it from persistent clients
 // and tears it down. A failed request fails the run. In disk mode the stack
-// logs into a fresh directory, and after teardown the log is strictly
-// re-verified as an auditing client would, down to the entry count — a run
-// whose log does not verify is an error, not a measurement.
+// logs into its audit directory (a fresh one unless opts.Dir is set), and
+// once the instance is closed the log is strictly re-verified as an
+// auditing client would, down to the entry count — a run whose log does not
+// verify is an error, not a measurement.
 func RunAudited(opts StackOptions, deploy func(StackOptions) (*Stack, error), load Load) (AuditedRun, error) {
 	var run AuditedRun
-	if opts.Mode == ModeDisk {
-		dir, err := os.MkdirTemp("", "libseal-bench-*")
-		if err != nil {
-			return run, err
-		}
-		defer os.RemoveAll(dir)
-		opts.Core.AuditDir = dir
-	}
 	st, err := deploy(opts)
 	if err != nil {
 		return run, err
@@ -87,9 +80,11 @@ func RunAudited(opts StackOptions, deploy func(StackOptions) (*Stack, error), lo
 		return run, nil
 	}
 	// Closing flushes and closes the log; only then is its entry count final.
-	st.Close()
+	if err := st.Seal.Close(); err != nil {
+		return run, err
+	}
 	run.Entries = int(st.Seal.Log().Seq())
-	_, err = verifyLog(opts.Core.AuditDir, st.Enclave.PublicKey(), st.Group, run.Entries)
+	_, err = verifyLog(st.Dir, st.Enclave.PublicKey(), st.Group, run.Entries)
 	return run, err
 }
 

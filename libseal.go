@@ -159,7 +159,7 @@ type (
 	// BreakerState is a circuit breaker's position.
 	BreakerState = resilience.State
 	// BreakerProtector wraps a counter group in a circuit breaker; install it
-	// with WithProtector (or let WithBreaker build one).
+	// with WithProtector.
 	BreakerProtector = resilience.BreakerProtector
 	// Health is a registry of liveness/readiness probes served over HTTP.
 	Health = resilience.Health
@@ -282,8 +282,8 @@ func ModuleByName(name string) (Module, error) {
 }
 
 // NewCounterGroup creates a ROTE counter group tolerating f faulty nodes,
-// using the default request timeout/retry policy; tune it with Open's
-// WithRetryPolicy.
+// using the default request timeout/retry policy; tune it with the group's
+// SetRetryPolicy and install it with Open's WithProtector.
 func NewCounterGroup(f int) (*CounterGroup, error) { return rote.NewGroup(f, 0) }
 
 // DefaultRetryPolicy returns the counter group's default request

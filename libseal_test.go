@@ -48,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
 		WithModule(GitModule()),
 		WithAuditDisk(dir),
-		WithCounterGroup(group),
+		WithProtector(group),
 		WithChecks(10, 0, time.Millisecond),
 		WithViolationHandler(func(name string, _ *QueryResult) { seenViolations = append(seenViolations, name) }),
 	)
@@ -203,7 +203,7 @@ func TestModuleByName(t *testing.T) {
 }
 
 // TestNewCounterGroup: a fresh group counts under the default policy and
-// under one set the way Open's WithRetryPolicy sets it.
+// under one set with SetRetryPolicy.
 func TestNewCounterGroup(t *testing.T) {
 	group, err := NewCounterGroup(1)
 	if err != nil {

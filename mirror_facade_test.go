@@ -38,7 +38,7 @@ func openMirroredServer(t *testing.T, dir string, certs *testutil.CertEnv) (*Lib
 		WithAuditDisk(dir),
 		WithAuditShards(2),
 		WithManifestInterval(30*time.Millisecond),
-		WithCounterGroup(group),
+		WithProtector(group),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -5,13 +5,12 @@ import (
 
 	"libseal/internal/audit"
 	"libseal/internal/core"
-	"libseal/internal/resilience"
 	"libseal/internal/sqldb"
 )
 
 // This file holds the constructor: Open is the one entry point, one option
-// per concern, with the wiring between concerns (policy → group → breaker →
-// protector) done in one place instead of at every call site.
+// per concern. libseal-server, the examples and internal/bench's
+// deployments all build their instances through it.
 
 // RollbackProtector is the monotonic counter service the audit log anchors
 // its freshness to. CounterGroup implements it; so does BreakerProtector.
@@ -28,17 +27,9 @@ type AuditLog = audit.ShardedLog
 // Option configures one aspect of a LibSEAL instance built with Open.
 type Option func(*openConfig)
 
-// openConfig accumulates options before Open assembles the core.Config.
-// The counter-group plumbing (retry policy, breaker) is kept to the side
-// and resolved into its Protector at Open time.
+// openConfig accumulates options before Open hands the core.Config over.
 type openConfig struct {
 	core core.Config
-
-	group     *CounterGroup
-	policy    *RetryPolicy
-	breaker   *BreakerConfig
-	protector RollbackProtector
-	haveProt  bool
 }
 
 // WithModule selects the service-specific module (schema, parser,
@@ -84,33 +75,21 @@ func WithSealedLog() Option {
 	return func(c *openConfig) { c.core.SealLog = true }
 }
 
-// WithCounterGroup anchors the audit log's rollback protection to an
-// existing ROTE counter group. Combine with WithRetryPolicy and/or
-// WithBreaker; Open applies the policy to the group and wraps it in the
-// breaker before installing it as the protector.
-func WithCounterGroup(g *CounterGroup) Option {
-	return func(c *openConfig) { c.group = g }
-}
-
-// WithRetryPolicy tunes the counter group's request timeouts, retries and
-// backoff. Requires WithCounterGroup.
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(c *openConfig) { c.policy = &p }
-}
-
-// WithBreaker wraps the counter group in a circuit breaker so a failed
-// quorum degrades the log immediately instead of burning the retry budget
-// on every batch. Requires WithCounterGroup. Breaker telemetry registers
-// under "audit.breaker".
-func WithBreaker(cfg BreakerConfig) Option {
-	return func(c *openConfig) { c.breaker = &cfg }
-}
-
-// WithProtector installs an explicit rollback protector, overriding the
-// counter-group plumbing above. A nil protector disables rollback
+// WithProtector anchors the audit log's rollback protection: a
+// CounterGroup, or a BreakerProtector wrapping one (NewBreakerProtector).
+// Tune the group's request timeouts and retries on the group itself
+// (CounterGroup.SetRetryPolicy). A nil protector disables rollback
 // protection (testing only).
 func WithProtector(p RollbackProtector) Option {
-	return func(c *openConfig) { c.protector, c.haveProt = p, true }
+	return func(c *openConfig) { c.core.Protector = p }
+}
+
+// WithFaultInjector is a harness hook, for chaos tests and the evaluation
+// harness only: it routes audit-log persistence through in's filesystem
+// seam, so its storage rules (torn writes, stalls, ENOSPC) hit the log
+// files. in's counter-node rules attach to a group with in.AttachGroup.
+func WithFaultInjector(in *FaultInjector) Option {
+	return func(c *openConfig) { c.core.AuditFS = in.FS(nil) }
 }
 
 // WithAdmission bounds the audit log's staged-row backlog: appends beyond
@@ -193,32 +172,16 @@ func WithViolationHandler(fn func(invariant string, rows *QueryResult)) Option {
 //	    libseal.WithTLS(libseal.TLSConfig{Cert: cert, Key: key}),
 //	    libseal.WithAuditDisk(dir),
 //	    libseal.WithAuditShards(4),
-//	    libseal.WithCounterGroup(group),
-//	    libseal.WithBreaker(libseal.BreakerConfig{}),
+//	    libseal.WithProtector(group),
 //	)
 //
-// Open resolves the counter-group plumbing in a fixed order: an explicit
-// WithProtector wins outright; otherwise the group from WithCounterGroup
-// gets the WithRetryPolicy applied, is wrapped by the WithBreaker circuit
-// breaker if configured, and becomes the protector. Options apply in argument order, so later options
-// override earlier ones. Open(bridge) with no options is a memory-only,
-// unprotected instance.
+// Options apply in argument order, so a later option overrides an earlier
+// one setting the same thing. Open(bridge) with no options is a
+// memory-only, unprotected instance.
 func Open(bridge *Bridge, opts ...Option) (*LibSEAL, error) {
 	var c openConfig
 	for _, opt := range opts {
 		opt(&c)
-	}
-	if c.haveProt {
-		c.core.Protector = c.protector
-	} else if c.group != nil {
-		if c.policy != nil {
-			c.group.SetRetryPolicy(*c.policy)
-		}
-		if c.breaker != nil {
-			c.core.Protector = resilience.NewBreakerProtector("audit.breaker", c.group, *c.breaker)
-		} else {
-			c.core.Protector = c.group
-		}
 	}
 	return core.New(bridge, c.core)
 }

@@ -101,8 +101,8 @@ func driveGitWorkload(t *testing.T, seal *LibSEAL, certs *testutil.CertEnv) []st
 }
 
 // TestOpenOptionsEndToEnd builds an instance through the functional-options
-// constructor with the full plumbing — sharded disk audit, counter group
-// with retry policy and circuit breaker, admission control, batching,
+// constructor with the full plumbing — sharded disk audit, a counter group
+// with a retry policy behind a circuit breaker, admission control, batching,
 // checks, violation handler — drives a real workload, and verifies the
 // sharded set through the unified Verify entry point.
 func TestOpenOptionsEndToEnd(t *testing.T) {
@@ -128,6 +128,8 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 
 	policy := DefaultRetryPolicy()
 	policy.Timeout = 250 * time.Millisecond
+	group.SetRetryPolicy(policy)
+	breaker := NewBreakerProtector("audit.breaker", group, BreakerConfig{Threshold: 5, Cooldown: time.Second})
 	var handled []string
 	seal, err := Open(bridge,
 		WithModule(GitModule()),
@@ -135,9 +137,7 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 		WithAuditDisk(dir),
 		WithAuditShards(2),
 		WithManifestInterval(50*time.Millisecond),
-		WithCounterGroup(group),
-		WithRetryPolicy(policy),
-		WithBreaker(BreakerConfig{Threshold: 5, Cooldown: time.Second}),
+		WithProtector(breaker),
 		WithAdmission(256, 500*time.Millisecond),
 		WithBatching(MeasuredBatchMax, MeasuredBatchDelay),
 		WithAnchorTimeout(2*time.Second),
@@ -200,7 +200,7 @@ func TestOpenMatchesNew(t *testing.T) {
 				WithModule(GitModule()),
 				WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
 				WithAuditDisk(dir),
-				WithCounterGroup(group),
+				WithProtector(group),
 				WithChecks(10, 0, time.Millisecond),
 			)
 		},
@@ -262,7 +262,7 @@ func TestOpenMatchesNew(t *testing.T) {
 	}
 }
 
-// TestOpenMinimalOptions checks that a disk Open needs a counter group and
+// TestOpenMinimalOptions checks that a disk Open needs a protector and
 // nothing else, and that a memory-only Open needs nothing beyond module and
 // TLS identity.
 func TestOpenMinimalOptions(t *testing.T) {
@@ -289,7 +289,7 @@ func TestOpenMinimalOptions(t *testing.T) {
 		WithModule(GitModule()),
 		WithTLS(tls),
 		WithAuditDisk(t.TempDir()),
-		WithCounterGroup(group),
+		WithProtector(group),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -315,82 +315,64 @@ func TestOpenMinimalOptions(t *testing.T) {
 // countingProtector is a RollbackProtector stub that records use, so tests
 // can observe WHICH protector Open actually installed.
 type countingProtector struct {
-	increments atomic.Int64
-	reads      atomic.Int64
-	counter    atomic.Uint64
+	counter atomic.Uint64
 }
 
 func (p *countingProtector) Increment(name string) (uint64, error) {
-	p.increments.Add(1)
 	return p.counter.Add(1), nil
 }
 
 func (p *countingProtector) Read(name string) (uint64, error) {
-	p.reads.Add(1)
 	return p.counter.Load(), nil
 }
 
-// TestOpenProtectorResolutionOrder pins Open's documented resolution order
-// for the counter plumbing: an explicit WithProtector wins over the
-// WithCounterGroup / WithBreaker path regardless of
-// argument position, because the resolution order is fixed, not positional.
-func TestOpenProtectorResolutionOrder(t *testing.T) {
+// TestOpenLastProtectorWins pins the override internal/bench relies on when
+// a deployment's own options replace the counter group it installed: of two
+// WithProtector options the later one anchors the log, and the earlier one
+// is never used.
+func TestOpenLastProtectorWins(t *testing.T) {
 	certs, err := testutil.NewCertEnv("svc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name  string
-		order func(stub *countingProtector, group *CounterGroup) []Option
-	}{
-		{"protector-first", func(stub *countingProtector, group *CounterGroup) []Option {
-			return []Option{WithProtector(stub), WithCounterGroup(group), WithBreaker(BreakerConfig{})}
-		}},
-		{"protector-last", func(stub *countingProtector, group *CounterGroup) []Option {
-			return []Option{WithCounterGroup(group), WithBreaker(BreakerConfig{}), WithProtector(stub)}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			platform := NewPlatform()
-			encl, err := platform.Launch(EnclaveConfig{Code: []byte("open-order"), MaxThreads: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bridge, err := NewBridge(encl, BridgeConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bridge.Close()
-			group, err := NewCounterGroup(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stub := &countingProtector{}
-			opts := append([]Option{
-				WithModule(GitModule()),
-				WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key}),
-				WithAuditDisk(t.TempDir()),
-			}, tc.order(stub, group)...)
-			seal, err := Open(bridge, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			violations := driveGitWorkload(t, seal, certs)
-			if len(violations) == 0 {
-				t.Fatalf("violations = %v", violations)
-			}
-			if err := seal.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if stub.increments.Load() == 0 && stub.reads.Load() == 0 {
-				t.Fatal("explicit WithProtector was never used: counter-group plumbing won the resolution")
-			}
-			// The group must NOT have been anchored to: its counters stay
-			// untouched when an explicit protector is present.
-			if n, err := group.Read("git"); err == nil && n != 0 {
-				t.Fatalf("counter group was used (counter=%d) despite explicit WithProtector", n)
-			}
-		})
+	for _, stubLast := range []bool{false, true} {
+		encl, err := NewPlatform().Launch(EnclaveConfig{Code: []byte("open-order"), MaxThreads: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bridge, err := NewBridge(encl, BridgeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bridge.Close()
+		group, err := NewCounterGroup(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stub := &countingProtector{}
+		protectors := []Option{WithProtector(stub), WithProtector(group)}
+		if stubLast {
+			protectors[0], protectors[1] = protectors[1], protectors[0]
+		}
+		seal, err := Open(bridge, append([]Option{
+			WithModule(GitModule()),
+			WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key}),
+			WithAuditDisk(t.TempDir()),
+		}, protectors...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveGitWorkload(t, seal, certs)
+		if err := seal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n, err := group.Read("git-shard0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stubUsed, groupUsed := stub.counter.Load() > 0, n > 0; stubUsed != stubLast || groupUsed == stubLast {
+			t.Fatalf("stub last = %v: stub used %v, group used %v", stubLast, stubUsed, groupUsed)
+		}
 	}
 }
 
@@ -456,7 +438,7 @@ func TestBatchingSharesSignatureRecords(t *testing.T) {
 				WithModule(GitModule()),
 				WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
 				WithAuditDisk(dir),
-				WithCounterGroup(group),
+				WithProtector(group),
 			}, tc.opts...)...)
 			if err != nil {
 				t.Fatal(err)
