@@ -86,12 +86,11 @@ fuzz-smoke:
 #
 # Unreached on purpose: the AST marker methods (stmt tbl expr); the reference
 # paths the differential tests and `-experiment checks` compare against
-# (SetIndexing QueryWithCache) and the query entry points only tools and
-# tests call (Query); error and corner paths that must stay (errHere: a
-# parse error past the lexer; inMember, mergeAscending: the inexact-number
+# (SetIndexing QueryWithCache); error and corner paths that must stay
+# (errHere: a parse error past the lexer; inMember, mergeAscending: the inexact-number
 # scans behind the hashed IN set and the hash index; outputCols: a view read
 # inside a subquery); and value.go's String, which the entry codec pins.
-SQLDB_UNREACHED = stmt tbl expr SetIndexing QueryWithCache Query errHere inMember mergeAscending outputCols String
+SQLDB_UNREACHED = stmt tbl expr SetIndexing QueryWithCache errHere inMember mergeAscending outputCols String
 SQLDB_MAX_LINES = 3900
 SQLDB_COVER = .sqldb-surface.cover
 

@@ -6,26 +6,36 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestOneStackBuilder keeps libseal.Open the one builder of a LibSEAL
-// instance, so a harness cannot measure a configuration the server does not
-// run. Outside internal/core and benchmark/ (which still assembles its own),
-// no non-test file calls core.New except options.go's Open, and none outside
-// the root package builds a core.Config literal.
+// instance and of its audit log, so a harness cannot measure a
+// configuration the server does not run. Outside internal/core,
+// internal/audit and benchmark/ (which still assembles its own), no non-test
+// file calls core.New except options.go's Open, none calls audit.NewSharded
+// or audit.RecoverSharded, and none outside the root package builds a
+// core.Config literal.
 func TestOneStackBuilder(t *testing.T) {
 	const corePath = "libseal/internal/core"
+	// builders are the constructors reserved to the one builder, by package.
+	builders := map[string][]string{
+		corePath:                 {"New"},
+		"libseal/internal/audit": {"NewSharded", "RecoverSharded"},
+	}
 	fset := token.NewFileSet()
-	var callers []string
+	calls := map[string][]string{} // "core.New" -> the files calling it
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "internal/core" || path == "benchmark" || path != "." && strings.HasPrefix(d.Name(), ".") {
+			switch {
+			case path == "internal/core", path == "internal/audit", path == "benchmark",
+				path != "." && strings.HasPrefix(d.Name(), "."):
 				return filepath.SkipDir
 			}
 			return nil
@@ -37,34 +47,42 @@ func TestOneStackBuilder(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		core := "" // the file's name for the core package
+		imported := map[string]string{} // the file's name for a package -> its path
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == corePath {
-				core = "core"
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if _, ok := builders[p]; ok {
+				name := filepath.Base(p)
 				if imp.Name != nil {
-					core = imp.Name.Name
+					name = imp.Name.Name
 				}
+				imported[name] = p
 			}
 		}
-		if core == "" {
+		if len(imported) == 0 {
 			return nil
 		}
-		isCore := func(e ast.Expr, name string) bool {
+		// ref names a selector on an imported builder package: "core.New".
+		ref := func(e ast.Expr) (pkg, name string) {
 			sel, ok := e.(*ast.SelectorExpr)
 			if !ok {
-				return false
+				return "", ""
 			}
 			id, ok := sel.X.(*ast.Ident)
-			return ok && id.Name == core && sel.Sel.Name == name
+			if !ok {
+				return "", ""
+			}
+			return imported[id.Name], sel.Sel.Name
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if isCore(n.Fun, "New") {
-					callers = append(callers, path)
+				pkg, name := ref(n.Fun)
+				if slices.Contains(builders[pkg], name) {
+					call := filepath.Base(pkg) + "." + name
+					calls[call] = append(calls[call], path)
 				}
 			case *ast.CompositeLit:
-				if isCore(n.Type, "Config") && filepath.Dir(path) != "." {
+				if pkg, name := ref(n.Type); pkg == corePath && name == "Config" && filepath.Dir(path) != "." {
 					t.Errorf("%s: builds a core.Config; describe the stack as libseal.Options and call libseal.Open", fset.Position(n.Pos()))
 				}
 			}
@@ -75,7 +93,12 @@ func TestOneStackBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(callers) != 1 || callers[0] != "options.go" {
-		t.Errorf("core.New called from %v, want from options.go (libseal.Open) only", callers)
+	if got := calls["core.New"]; len(got) != 1 || got[0] != "options.go" {
+		t.Errorf("core.New called from %v, want from options.go (libseal.Open) only", got)
+	}
+	for _, call := range []string{"audit.NewSharded", "audit.RecoverSharded"} {
+		if got := calls[call]; len(got) > 0 {
+			t.Errorf("%s called from %v; build the log with libseal.Open", call, got)
+		}
 	}
 }

@@ -12,16 +12,15 @@ import (
 
 	"libseal"
 	"libseal/internal/asyncall"
-	"libseal/internal/audit"
 	"libseal/internal/bench"
 	"libseal/internal/enclave"
 	"libseal/internal/httpparse"
-	"libseal/internal/rote"
 	"libseal/internal/services/messaging"
 	"libseal/internal/services/owncloud"
 	"libseal/internal/ssm/dropboxssm"
 	"libseal/internal/ssm/messagingssm"
 	"libseal/internal/ssm/owncloudssm"
+	"libseal/internal/telemetry"
 	"libseal/internal/testutil"
 	"libseal/internal/tlsterm"
 )
@@ -112,10 +111,21 @@ func loadMetrics(res bench.Result) map[string]float64 {
 }
 
 // gitStack and ownCloudStack deploy the two audited services with the given
-// backend processing cost.
+// backend processing cost; dropboxStack deploys Dropbox behind its proxy with
+// the given one-way WAN latency.
 func gitStack(backendCost time.Duration) func(bench.StackOptions) (*bench.Stack, error) {
 	return func(o bench.StackOptions) (*bench.Stack, error) {
 		st, err := bench.NewGitStack(o, backendCost)
+		if err != nil {
+			return nil, err
+		}
+		return st.Stack, nil
+	}
+}
+
+func dropboxStack(wanOneWay time.Duration) func(bench.StackOptions) (*bench.Stack, error) {
+	return func(o bench.StackOptions) (*bench.Stack, error) {
+		st, err := bench.NewDropboxStack(o, wanOneWay)
 		if err != nil {
 			return nil, err
 		}
@@ -381,13 +391,14 @@ func runFig5c(q bool, emit func(row)) error {
 // --- Figure 6 and §6.5: the log fillers ------------------------------------
 
 var fillers = []struct {
-	name string
-	mk   func() (*bench.LogFiller, error)
-	unit string // what one retained tuple stands for (§6.5)
+	name   string
+	mk     func() (*bench.LogFiller, error)
+	unit   string                                         // what one retained tuple stands for (§6.5)
+	deploy func(bench.StackOptions) (*bench.Stack, error) // the service's deployment (Fig. 6)
 }{
-	{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(moduleFor("git")) }, "branch pointer"},
-	{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(moduleFor("owncloud")) }, "retained update"},
-	{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(moduleFor("dropbox")) }, "live file"},
+	{"git", func() (*bench.LogFiller, error) { return bench.NewGitFiller(moduleFor("git")) }, "branch pointer", gitStack(0)},
+	{"owncloud", func() (*bench.LogFiller, error) { return bench.NewOwnCloudFiller(moduleFor("owncloud")) }, "retained update", ownCloudStack(0)},
+	{"dropbox", func() (*bench.LogFiller, error) { return bench.NewDropboxFiller(moduleFor("dropbox")) }, "live file", dropboxStack(0)},
 }
 
 func runFig6(q bool, emit func(row)) error {
@@ -397,9 +408,9 @@ func runFig6(q bool, emit func(row)) error {
 	}
 	for _, svc := range fillers {
 		for _, iv := range intervals {
-			perReq, err := checkTrimCost(svc.mk, iv)
+			perReq, err := cycleCost(svc.mk, svc.deploy, iv)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s interval=%d: %w", svc.name, iv, err)
 			}
 			emit(row{Cell: axes("service", svc.name, "interval", iv),
 				Metrics: map[string]float64{"check_trim_us_per_req": perReq}})
@@ -408,49 +419,76 @@ func runFig6(q bool, emit func(row)) error {
 	return nil
 }
 
-// checkTrimCost attaches a filler to a persistent, rollback-protected audit
-// log — so each check+trim pays the product's fixed costs (enclave crossings,
-// the database trim, and the compaction's log rewrite, counter and re-sign
-// whenever half the file is dead), the left arm of the paper's U-shaped
-// curves — and returns the steady-state check+trim time in µs, normalised by
-// the interval: four rounds, the cold first one skipped.
-func checkTrimCost(mk func() (*bench.LogFiller, error), interval int) (float64, error) {
+// cycleMetrics are the histograms core's check+trim cycle records: the
+// invariant check on the captured snapshot, the trim planned on it, the
+// plan applied to the database and the compaction of the log files.
+var cycleMetrics = []string{"audit.check.latency", "audit.trim.plan", "audit.trim.latency", "audit.compact.latency"}
+
+// cycleCost deploys a service's disk-mode stack with a check+trim cycle
+// every interval pairs and sends it the filler's request stream from one
+// persistent client; the real service answers and core runs its own cycle,
+// paying the product's fixed costs — the database trim, and the
+// compaction's log rewrite, counter increment and re-signing whenever half
+// the files are dead — the left arm of the paper's U-shaped curves. The cold
+// first cycle is excluded: the cost is the time the next three cycles
+// recorded in cycleMetrics, in µs per request sent from the end of the
+// first cycle to the end of the fourth. The log is strictly re-verified
+// afterwards.
+func cycleCost(mk func() (*bench.LogFiller, error), deploy func(bench.StackOptions) (*bench.Stack, error), interval int) (float64, error) {
 	filler, err := mk()
 	if err != nil {
 		return 0, err
 	}
-	_, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Cost: cost()})
+	st, err := deploy(bench.StackOptions{
+		Mode: bench.ModeDisk, Cost: cost(), ROTELatency: 30 * time.Microsecond,
+		Seal: []libseal.Option{libseal.WithChecks(interval, 0, 0)},
+	})
 	if err != nil {
 		return 0, err
 	}
-	defer bridge.Close()
-	group, err := rote.NewGroup(1, 30*time.Microsecond)
-	if err != nil {
+	defer st.Close()
+	client := st.NewClient(true)
+	defer client.Close()
+	// upTo sends requests until core has run the given number of cycles (a
+	// cycle finishes before its request's response is sent) and returns how
+	// many it sent.
+	upTo := func(cycles int64) (int, error) {
+		n := 0
+		for st.Seal.StatsSnapshot().Checks < cycles {
+			if n == 4*interval {
+				return n, fmt.Errorf("%d requests ran %d of %d cycles", n, st.Seal.StatsSnapshot().Checks, cycles)
+			}
+			rsp, err := client.Do(filler.Request())
+			if err == nil {
+				err = status200(rsp)
+			}
+			if err != nil {
+				return n, err
+			}
+			n++
+		}
+		return n, nil
+	}
+	if _, err := upTo(1); err != nil {
 		return 0, err
 	}
-	dir, err := os.MkdirTemp("", "fig6-*")
+	telemetry.Reset()
+	n, err := upTo(4)
 	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	if err := filler.Attach(bridge, audit.Config{Mode: audit.ModeDisk, Dir: dir, Protector: group}); err != nil {
 		return 0, err
 	}
 	var total time.Duration
-	const rounds = 4
-	for r := 0; r < rounds; r++ {
-		if err := filler.Fill(interval); err != nil {
-			return 0, err
-		}
-		d, err := filler.CheckTrim()
-		if err != nil {
-			return 0, err
-		}
-		if r > 0 {
-			total += d
-		}
+	for _, name := range cycleMetrics {
+		h, _ := telemetry.Get(name)
+		total += time.Duration(h.Sum)
 	}
-	return float64(total.Microseconds()) / float64((rounds-1)*interval), nil
+	if v := st.Seal.StatsSnapshot().Violations; v != 0 {
+		return 0, fmt.Errorf("the honest stream raised %d violations", v)
+	}
+	if _, err := st.Verify(); err != nil {
+		return 0, err
+	}
+	return float64(total.Nanoseconds()) / 1e3 / float64(n), nil
 }
 
 func runSec65(_ bool, emit func(row)) error {

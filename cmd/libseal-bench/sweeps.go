@@ -12,7 +12,6 @@ import (
 	"libseal"
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
-	"libseal/internal/audit/mirror"
 	"libseal/internal/bench"
 	"libseal/internal/sqldb"
 	"libseal/internal/ssm/gitssm"
@@ -76,6 +75,23 @@ func runGroupCommit(q bool, emit func(row)) error {
 	return nil
 }
 
+// logStack deploys the log the shards and mirror sweeps drive: a disk-mode
+// Git instance with no front end, built by libseal.Open like every stack,
+// on a zero-cost enclave of 32 threads behind a synchronous bridge. Its
+// shards group-commit up to batchMax entries, publish epoch manifests every
+// 100 ms, and anchor to a counter group roteLatency away.
+func logStack(shards, batchMax int, roteLatency time.Duration) (*bench.Stack, error) {
+	return bench.NewLogStack(bench.StackOptions{
+		MaxThreads: 32, ROTELatency: roteLatency,
+		Seal: []libseal.Option{
+			libseal.WithAuditShards(shards),
+			libseal.WithBatching(batchMax, libseal.MeasuredBatchDelay),
+			libseal.WithManifestInterval(100 * time.Millisecond),
+			libseal.WithAnchorTimeout(5 * time.Second),
+		},
+	})
+}
+
 // runShards measures how much aggregate append throughput partitioning the
 // audit log buys. Each shard runs its own group-commit pipeline with its own
 // rollback counter, so the per-batch counter increment and fsync — the
@@ -89,20 +105,20 @@ func runShards(q bool, emit func(row)) error {
 		entries = 8_000
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		e, err := bench.NewAuditEnv(shards, audit.MeasuredBatchMax, 500*time.Microsecond)
+		st, err := logStack(shards, audit.MeasuredBatchMax, 500*time.Microsecond)
 		if err != nil {
 			return err
 		}
 		telemetry.Reset()
-		staged, elapsed, err := e.Drive(16, entries, 8)
+		staged, elapsed, err := st.Drive(16, entries, 8)
 		late, _ := telemetry.Get("simtime.rote.late")
 		var rep *audit.Report
 		t0 := time.Now()
 		if err == nil {
-			rep, err = e.Verify()
+			rep, err = st.Verify()
 		}
 		verify := time.Since(t0)
-		e.Close()
+		st.Close()
 		if err != nil {
 			return fmt.Errorf("shards=%d: %w", shards, err)
 		}
@@ -186,9 +202,10 @@ func runChecks(q bool, emit func(row)) error {
 
 // checkLatency fills a Git audit database to size rows and times a full
 // snapshot check, indexes on or off: the mean over iters, plus the first
-// iteration's per-invariant split and violation count. Each iteration
-// captures a fresh snapshot — exactly what the live check path does — so the
-// indexed cell pays the lazy index build too, not just the probes.
+// iteration's per-invariant split and violation count. The invariants are
+// prepared once and each iteration captures a fresh snapshot and runs them
+// on it — exactly what the live check path does — so the indexed cell pays
+// the lazy index build too, not just the probes.
 func checkLatency(size, iters int, indexed bool) (map[string]float64, error) {
 	module := gitssm.New()
 	db := sqldb.New()
@@ -199,13 +216,21 @@ func checkLatency(size, iters int, indexed bool) (map[string]float64, error) {
 	if err := fillGitDB(db, size); err != nil {
 		return nil, err
 	}
+	invs := module.Invariants()
+	stmts := make([]*sqldb.Stmt, len(invs))
+	for k, inv := range invs {
+		var err error
+		if stmts[k], err = db.Prepare(inv.SQL); err != nil {
+			return nil, fmt.Errorf("%s: %w", inv.Name, err)
+		}
+	}
 	m := map[string]float64{"violations": 0}
 	t0 := time.Now()
 	for i := 0; i < iters; i++ {
 		snap := db.Snapshot()
-		for _, inv := range module.Invariants() {
+		for k, inv := range invs {
 			start := time.Now()
-			res, err := snap.Query(inv.SQL)
+			res, err := snap.QueryStmt(stmts[k])
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", inv.Name, err)
 			}
@@ -311,16 +336,16 @@ func runMirror(q bool, emit func(row)) error {
 	// mirroring overhead.
 	var best map[string]float64
 	for rep := 0; rep < reps; rep++ {
-		e, err := bench.NewAuditEnv(shards, batchMax, roteLatency)
+		st, err := logStack(shards, batchMax, roteLatency)
 		if err != nil {
 			return err
 		}
-		staged, elapsed, err := e.Drive(clients, entries, rowsPerStage)
+		staged, elapsed, err := st.Drive(clients, entries, rowsPerStage)
 		var report *audit.Report
 		if err == nil {
-			report, err = e.Verify()
+			report, err = st.Verify()
 		}
-		e.Close()
+		st.Close()
 		if err != nil {
 			return fmt.Errorf("unmirrored run: %w", err)
 		}
@@ -368,22 +393,23 @@ func runMirror(q bool, emit func(row)) error {
 	// Rollback detection: record a committed boundary on one shard, append
 	// past it, truncate back, drop the link, and time the verdict.
 	const victim = 0
-	victimPath := filepath.Join(l.Dir, audit.ShardName("bench", victim)+".lseal")
+	victimPath := filepath.Join(l.Dir, audit.ShardName("git", victim)+".lseal")
 	fi, err := os.Stat(victimPath)
 	if err != nil {
 		return err
 	}
+	log := l.Seal.Log()
 	victimKey := uint64(0)
-	for l.Log.ShardFor(victimKey) != victim {
+	for log.ShardFor(victimKey) != victim {
 		victimKey++
 	}
 	if err := l.Bridge.Call(func(env *asyncall.Env) error {
 		for i := 0; i < 64; i++ {
-			if err := l.Log.Append(env, victimKey, "ops", i, 0, "post"); err != nil {
+			if err := log.Append(env, victimKey, "updates", i, "victim", "main", fmt.Sprintf("v%d", i), "update"); err != nil {
 				return err
 			}
 		}
-		return l.Log.ManifestIfDue(env)
+		return log.ManifestIfDue(env)
 	}); err != nil {
 		return err
 	}
@@ -410,33 +436,34 @@ func runMirror(q bool, emit func(row)) error {
 	return nil
 }
 
-// mirroredLog is an audit-only environment with a replication feed on
-// loopback and one live mirror following it from the first append.
+// mirroredLog is a log stack with its replication feed on loopback and one
+// live mirror following it from the first append, wired through the facade
+// entry points libseal-server and libseal-mirror use.
 type mirroredLog struct {
-	*bench.AuditEnv
-	feed     *mirror.Feed
-	mirror   *mirror.Mirror
+	*bench.Stack
+	feed     *libseal.MirrorFeed
+	mirror   *libseal.Mirror
 	violated chan error // the mirror's first violation
 }
 
 func newMirroredLog(shards, batchMax int, roteLatency time.Duration) (*mirroredLog, error) {
-	e, err := bench.NewAuditEnv(shards, batchMax, roteLatency)
+	st, err := logStack(shards, batchMax, roteLatency)
 	if err != nil {
 		return nil, err
 	}
-	l := &mirroredLog{AuditEnv: e, violated: make(chan error, 1)}
-	if l.feed, err = mirror.NewFeed(mirror.FeedConfig{Log: e.Log}); err != nil {
-		l.close()
-		return nil, err
-	}
+	l := &mirroredLog{Stack: st, violated: make(chan error, 1)}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		l.close()
 		return nil, err
 	}
-	go l.feed.Serve(ln)
-	l.mirror, err = mirror.Start(context.Background(), mirror.Config{
-		Addr: ln.Addr().String(), Name: "bench", Pub: e.Enclave.PublicKey(),
+	if l.feed, err = libseal.ServeAuditFeed(st.Seal, ln); err != nil {
+		ln.Close()
+		l.close()
+		return nil, err
+	}
+	l.mirror, err = libseal.StartMirror(context.Background(), libseal.MirrorConfig{
+		Addr: ln.Addr().String(), Name: "git", Pub: st.Enclave.PublicKey(),
 		BackoffMin: 10 * time.Millisecond, RestartGrace: 400 * time.Millisecond,
 		OnViolation: func(err error) {
 			select {
@@ -452,7 +479,7 @@ func newMirroredLog(shards, batchMax int, roteLatency time.Duration) (*mirroredL
 	return l, nil
 }
 
-// close stops the mirror, the feed and the log; a nil receiver has none.
+// close stops the mirror, the feed and the stack; a nil receiver has none.
 func (l *mirroredLog) close() {
 	if l == nil {
 		return
@@ -463,7 +490,7 @@ func (l *mirroredLog) close() {
 	if l.feed != nil {
 		l.feed.Close()
 	}
-	l.AuditEnv.Close()
+	l.Stack.Close()
 }
 
 // waitMirror blocks until the mirror has verified want entries with no lag.

@@ -10,6 +10,7 @@ import (
 	"libseal/internal/asyncall"
 	"libseal/internal/enclave"
 	"libseal/internal/rote"
+	"libseal/internal/sqldb"
 )
 
 const testSchema = `
@@ -55,8 +56,48 @@ type oneShard struct {
 	set *ShardedLog
 }
 
-func (o *oneShard) Trim(env *asyncall.Env, queries []string) error { return o.set.Trim(env, queries) }
-func (o *oneShard) Close() error                                   { return o.set.Close() }
+func (o *oneShard) Trim(env *asyncall.Env, queries []string) error {
+	return trimSet(env, o.set, queries)
+}
+
+func (o *oneShard) Close() error { return o.set.Close() }
+
+// trimSet trims a set the way a check+trim cycle does — the queries planned
+// on a snapshot, the plan applied — and then compacts the files whatever
+// their dead share.
+func trimSet(env *asyncall.Env, s *ShardedLog, queries []string) error {
+	var script []*sqldb.Stmt
+	for _, q := range queries {
+		stmts, err := s.DB().PrepareScript(q)
+		if err != nil {
+			return err
+		}
+		script = append(script, stmts...)
+	}
+	plan, err := PlanTrim(s.DB().Snapshot(), script)
+	if err != nil {
+		return err
+	}
+	if err := s.ApplyTrim(env, plan); err != nil {
+		return err
+	}
+	return s.Compact(env)
+}
+
+// verifyFile verifies one log file on the caller's goroutine and returns its
+// entries.
+func verifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := VerifyReaderResult(f, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Entries, nil
+}
 
 func newOneShard(env *asyncall.Env, cfg Config) (*oneShard, error) {
 	s, err := NewSharded(env, ShardedConfig{Config: cfg})

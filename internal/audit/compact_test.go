@@ -323,7 +323,7 @@ func TestMemoryModeCompactsNothing(t *testing.T) {
 		t.Fatal("a compaction is due on a set with no files")
 	}
 	compactions := mCompactions.Value()
-	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	e.call(t, func(env *asyncall.Env) error { return trimSet(env, s, []string{trimLatest}) })
 	if n := mCompactions.Value() - compactions; n != 0 || s.Seq() != 6 {
 		t.Fatalf("%d compactions and chain position %d after Trim, want none and the 6 entries appended", n, s.Seq())
 	}

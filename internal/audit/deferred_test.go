@@ -883,7 +883,7 @@ func TestWriterLinksSignatures(t *testing.T) {
 	check("after a failed commit")
 
 	e.call(t, func(env *asyncall.Env) error {
-		if err := s.Trim(env, []string{"DELETE FROM updates WHERE time <= 4"}); err != nil {
+		if err := trimSet(env, s, []string{"DELETE FROM updates WHERE time <= 4"}); err != nil {
 			return err
 		}
 		return appendBoth(env)

@@ -123,7 +123,7 @@ func TestAsyncBridgeCounterWaitsAreOcalls(t *testing.T) {
 		op   func(env *asyncall.Env, s *ShardedLog) error
 	}{
 		{"Trim", func(env *asyncall.Env, s *ShardedLog) error {
-			return s.Trim(env, []string{"DELETE FROM updates WHERE time < 1"})
+			return trimSet(env, s, []string{"DELETE FROM updates WHERE time < 1"})
 		}},
 		{"WriteManifest", func(env *asyncall.Env, s *ShardedLog) error { return s.WriteManifest(env) }},
 		{"Reanchor", func(env *asyncall.Env, s *ShardedLog) error { return s.Reanchor(env) }},
@@ -403,7 +403,7 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 	verify("after recovering the partial trim", 1+int(seq1))
 
 	prot.failing(nil)
-	e.call(t, func(env *asyncall.Env) error { return rec.Trim(env, []string{trimLatest}) })
+	e.call(t, func(env *asyncall.Env) error { return trimSet(env, rec, []string{trimLatest}) })
 	rows, err := rec.DB().TableRowCount("updates")
 	if err != nil {
 		t.Fatal(err)

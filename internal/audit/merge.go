@@ -1,9 +1,10 @@
 package audit
 
 import (
+	"context"
 	"fmt"
-	"os"
 	"sort"
+	"sync"
 
 	"libseal/internal/sqldb"
 )
@@ -92,32 +93,34 @@ func Merge(schema string, parts []PartialLog) (*sqldb.DB, error) {
 	return db, nil
 }
 
-// MergeVerified loads, verifies and merges persisted log files, one per
-// instance. Each file is verified with its instance's options before its
-// entries enter the merge.
-func MergeVerified(schema string, files map[string]string, opts map[string]VerifyOptions) (*sqldb.DB, error) {
+// MergeVerified loads, verifies and merges persisted logs, one audit
+// directory per instance. Each directory's log set — every shard and the
+// manifest replay, as VerifyPath checks it — is verified with its
+// instance's options before its entries, shard by shard, enter the merge.
+func MergeVerified(schema string, dirs map[string]string, opts map[string]VerifyOptions) (*sqldb.DB, error) {
 	var parts []PartialLog
-	for instance, path := range files {
-		entries, err := verifyFile(path, opts[instance])
+	for instance, dir := range dirs {
+		var mu sync.Mutex
+		shards := map[int][]*Entry{}
+		rep, err := VerifyPath(context.Background(), dir, StreamOptions{
+			VerifyOptions: opts[instance],
+			OnSegment: func(si SegmentInfo) error {
+				entries := si.Entries()
+				mu.Lock()
+				defer mu.Unlock()
+				shards[si.Shard] = append(shards[si.Shard], entries...)
+				return nil
+			},
+		})
 		if err != nil {
 			return nil, fmt.Errorf("audit: merge: instance %s: %w", instance, err)
 		}
-		parts = append(parts, PartialLog{Instance: instance, Entries: entries})
+		p := PartialLog{Instance: instance}
+		for k := range rep.Shards {
+			p.Entries = append(p.Entries, shards[k]...)
+		}
+		parts = append(parts, p)
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Instance < parts[j].Instance })
 	return Merge(schema, parts)
-}
-
-// verifyFile verifies the log file at path and returns its entries.
-func verifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := VerifyReaderResult(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
 }

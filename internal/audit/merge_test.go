@@ -1,6 +1,9 @@
 package audit
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -128,16 +131,15 @@ func TestMergeRejectsMalformedEntries(t *testing.T) {
 }
 
 func TestMergeVerifiedEndToEnd(t *testing.T) {
-	// Two LibSEAL instances persist partial logs; the client verifies and
-	// merges them out of band.
+	// Two LibSEAL instances persist partial logs, each in its own audit
+	// directory; the client verifies and merges them out of band.
 	mod := gitssm.New()
-	dir := t.TempDir()
-	files := map[string]string{}
+	dirs := map[string]string{}
 	opts := map[string]VerifyOptions{}
 
 	for i, name := range []string{"inst-a", "inst-b"} {
 		e := newAuditEnv(t)
-		cfg := Config{Name: name, Schema: mod.Schema(), Mode: ModeDisk, Dir: dir}
+		cfg := Config{Name: name, Schema: mod.Schema(), Mode: ModeDisk, Dir: e.dir}
 		var l *oneShard
 		e.call(t, func(env *asyncall.Env) error {
 			var err error
@@ -154,11 +156,11 @@ func TestMergeVerifiedEndToEnd(t *testing.T) {
 			return l.Append(env, "advertisements", 1, "r", "main", "c2")
 		})
 		l.Close()
-		files[name] = filepath.Join(dir, ShardName(name, 0)+".lseal")
+		dirs[name] = e.dir
 		opts[name] = VerifyOptions{Pub: e.encl.PublicKey()}
 	}
 
-	db, err := MergeVerified(mod.Schema(), files, opts)
+	db, err := MergeVerified(mod.Schema(), dirs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,5 +179,70 @@ func TestMergeVerifiedEndToEnd(t *testing.T) {
 		// the matching update. The invariant must not crash; detection
 		// semantics across instances depend on timestamp agreement.
 		t.Logf("cross-instance ordering ambiguity: %v", v)
+	}
+}
+
+// mergeInstance writes one instance's log set of the given shard count into
+// a fresh directory: n updates, their connection keys cycling so that every
+// shard gets some. It returns the directory and the instance's options.
+func mergeInstance(t *testing.T, name string, shards, n int) (string, VerifyOptions) {
+	t.Helper()
+	e := newAuditEnv(t)
+	cfg := ShardedConfig{Config: Config{Name: name, Schema: gitssm.New().Schema(), Mode: ModeDisk, Dir: e.dir, Protector: e.group}, Shards: shards}
+	var s *ShardedLog
+	e.call(t, func(env *asyncall.Env) error {
+		var err error
+		if s, err = NewSharded(env, cfg); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if err := s.Append(env, uint64(i), "updates", i+1, "r", fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i), "create"); err != nil {
+				return err
+			}
+		}
+		return s.WriteManifest(env)
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return e.dir, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group}
+}
+
+// TestMergeVerifiedReadsEveryShard merges a two-shard instance: the merged
+// view holds the entries of both shard files, not just the first.
+func TestMergeVerifiedReadsEveryShard(t *testing.T) {
+	dir, opts := mergeInstance(t, "inst", 2, 12)
+	for k := 0; k < 2; k++ {
+		entries, err := verifyFile(filepath.Join(dir, ShardName("inst", k)+".lseal"), VerifyOptions{Pub: opts.Pub})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 || len(entries) == 12 {
+			t.Fatalf("shard %d holds %d of 12 entries; the test needs both shards used", k, len(entries))
+		}
+	}
+	db, err := MergeVerified(gitssm.New().Schema(), map[string]string{"inst": dir}, map[string]VerifyOptions{"inst": opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := db.TableRowCount("updates"); err != nil || n != 12 {
+		t.Fatalf("merged updates = %d, %v; want the 12 of both shards", n, err)
+	}
+}
+
+// TestMergeVerifiedRefusesMissingManifest deletes an instance's manifest:
+// its shard files alone are not a verifiable set, so the merge fails with
+// ErrTampered rather than merging what the files hold.
+func TestMergeVerifiedRefusesMissingManifest(t *testing.T) {
+	good, goodOpts := mergeInstance(t, "inst-a", 1, 4)
+	bad, badOpts := mergeInstance(t, "inst-b", 2, 4)
+	if err := os.Remove(filepath.Join(bad, ManifestFileName("inst-b"))); err != nil {
+		t.Fatal(err)
+	}
+	_, err := MergeVerified(gitssm.New().Schema(),
+		map[string]string{"inst-a": good, "inst-b": bad},
+		map[string]VerifyOptions{"inst-a": goodOpts, "inst-b": badOpts})
+	if !errors.Is(err, ErrTampered) {
+		t.Fatalf("merge without inst-b's manifest: %v, want ErrTampered", err)
 	}
 }

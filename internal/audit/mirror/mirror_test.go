@@ -342,7 +342,18 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 	waitCaught(t, m, 30)
 
 	e.call(func(env *asyncall.Env) error {
-		return e.log.Trim(env, []string{"DELETE FROM updates WHERE seq < 10"})
+		script, err := e.log.DB().PrepareScript("DELETE FROM updates WHERE seq < 10")
+		if err != nil {
+			return err
+		}
+		plan, err := audit.PlanTrim(e.log.DB().Snapshot(), script)
+		if err != nil {
+			return err
+		}
+		if err := e.log.ApplyTrim(env, plan); err != nil {
+			return err
+		}
+		return e.log.Compact(env)
 	})
 	e.append(10)
 

@@ -160,7 +160,7 @@ func TestENOSPCAppendRolledBack(t *testing.T) {
 							s.Close()
 							s, err = RecoverSharded(env, cfg, e.encl.PublicKey())
 						case "trimmed":
-							err = s.Trim(env, []string{"DELETE FROM updates WHERE time < 1"})
+							err = trimSet(env, s, []string{"DELETE FROM updates WHERE time < 1"})
 						}
 						return err
 					})
@@ -374,7 +374,7 @@ func TestTrimReopenFailureFailsClosed(t *testing.T) {
 			})
 			epoch := s.Epoch()
 			err := e.bridge.Call(func(env *asyncall.Env) error {
-				return s.Trim(env, []string{"DELETE FROM updates WHERE time < 3"})
+				return trimSet(env, s, []string{"DELETE FROM updates WHERE time < 3"})
 			})
 			if !errors.Is(err, errReopen) {
 				t.Fatalf("trim: %v, want the reopen failure", err)

@@ -325,30 +325,6 @@ func (s *ShardedLog) Reanchor(env *asyncall.Env) error {
 	return firstErr
 }
 
-// Trim runs the trimming queries as one script and compacts the set: the
-// script is planned on a snapshot taken here and applied at once, the same
-// path a check+trim cycle takes with the snapshot its invariants ran on, and
-// the files are then compacted whatever their dead share — whoever asks for a
-// trim by name wants the disk back.
-func (s *ShardedLog) Trim(env *asyncall.Env, queries []string) error {
-	var script []*sqldb.Stmt
-	for _, q := range queries {
-		stmts, err := s.db.PrepareScript(q)
-		if err != nil {
-			return fmt.Errorf("audit: trimming query %q: %w", q, err)
-		}
-		script = append(script, stmts...)
-	}
-	plan, err := PlanTrim(s.db.Snapshot(), script)
-	if err != nil {
-		return fmt.Errorf("audit: trimming queries: %w", err)
-	}
-	if err := s.ApplyTrim(env, plan); err != nil {
-		return err
-	}
-	return s.Compact(env)
-}
-
 // PlanTrim is sqldb.Snapshot.PlanTrim, timed as audit.trim.plan.
 func PlanTrim(snap *sqldb.Snapshot, script []*sqldb.Stmt) (*sqldb.TrimPlan, error) {
 	defer telemetry.ObserveSince(mTrimPlan, "audit.trim.plan", time.Now())

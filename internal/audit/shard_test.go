@@ -339,7 +339,7 @@ func TestShardedTrimPartition(t *testing.T) {
 				return err
 			}
 		}
-		return s.Trim(env, []string{"DELETE FROM updates WHERE time < 20"})
+		return trimSet(env, s, []string{"DELETE FROM updates WHERE time < 20"})
 	})
 	if s.Seq() != 10 {
 		t.Fatalf("post-trim aggregate seq = %d, want 10", s.Seq())

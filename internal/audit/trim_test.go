@@ -135,7 +135,7 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint 
 				return err
 			}
 		}
-		return rec.Trim(env, []string{trimLatest})
+		return trimSet(env, rec, []string{trimLatest})
 	})
 	if rows, _ := rec.DB().TableRowCount("updates"); rows != 2 || rec.Seq() != 2 {
 		t.Fatalf("after the converging trim: %d rows, %d entries; want the 2 latest updates", rows, rec.Seq())
@@ -199,7 +199,7 @@ func TestTrimStaleBurnsNoIncrement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	e.call(t, func(env *asyncall.Env) error { return trimSet(env, s, []string{trimLatest}) })
 	names := []string{ShardName("git", 0), ShardName("git", 1), ManifestCounterName("git")}
 	var counters []uint64
 	for _, n := range names {
@@ -225,7 +225,7 @@ func TestTrimStagesInMetrics(t *testing.T) {
 	e := newAuditEnv(t)
 	s := trimFanOutSet(t, e, newLaneProtector())
 	defer s.Close()
-	e.call(t, func(env *asyncall.Env) error { return s.Trim(env, []string{trimLatest}) })
+	e.call(t, func(env *asyncall.Env) error { return trimSet(env, s, []string{trimLatest}) })
 	rec := httptest.NewRecorder()
 	telemetry.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	var body map[string]telemetry.Metric

@@ -1,15 +1,18 @@
 // Package bench provides the workload harness of the evaluation: the
 // deployments of the evaluated services, an HTTP client speaking the
 // secure-channel protocol, a closed-loop load driver with latency
-// statistics, the audited run every disk-mode measurement goes through, and
-// per-service workload generators. cmd/libseal-bench builds every experiment
+// statistics, the audited run every disk-mode measurement goes through, a
+// driver that stages Git rows straight into a stack's audit log, and
+// per-service request streams. cmd/libseal-bench builds every experiment
 // from it.
 //
 // A deployment is described, not assembled: StackOptions names the
 // evaluation mode, the enclave and bridge sizing, the counter group and any
-// further libseal.Options, and every LibSEAL instance is built by
-// libseal.Open — the constructor libseal-server uses — so a measured
-// configuration is one a server can run.
+// further libseal.Options, and every LibSEAL instance — with it every audit
+// log the harness measures, a log-only stack's included — is built by
+// libseal.Open, the constructor libseal-server uses, so a measured
+// configuration is one a server can run. Checks and trims are core's own
+// cycle; the harness has none of its own.
 package bench
 
 import (

@@ -254,13 +254,13 @@ func TestFailedDeploymentLeaksNothing(t *testing.T) {
 // anything alone; verifying and merging both does.
 func TestCrossInstanceMergeDetection(t *testing.T) {
 	mod := gitssm.New()
-	dir := t.TempDir()
-	files := map[string]string{}
+	dirs := map[string]string{}
 	opts := map[string]audit.VerifyOptions{}
 
-	// run deploys one LibSEAL instance, drives it, and keeps its verified
-	// partial log under the instance's name.
+	// run deploys one LibSEAL instance in its own audit directory, drives
+	// it, and keeps the directory under the instance's name.
 	run := func(instance string, drive func(st *GitStack, c *Client)) {
+		dir := t.TempDir()
 		st, err := NewGitStack(StackOptions{Mode: ModeDisk, Dir: dir}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -269,11 +269,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 		drive(st, client)
 		client.Close()
 		st.Close()
-		dst := dir + "/" + instance + ".lseal"
-		if err := os.Rename(dir+"/git-shard0.lseal", dst); err != nil {
-			t.Fatal(err)
-		}
-		files[instance] = dst
+		dirs[instance] = dir
 		opts[instance] = audit.VerifyOptions{Pub: st.Enclave.PublicKey()}
 	}
 
@@ -292,12 +288,8 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 	})
 
 	// Each partial log alone shows no soundness violation.
-	for instance, path := range files {
-		entries, err := verifyLogFile(path, opts[instance])
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := audit.Merge(mod.Schema(), []audit.PartialLog{{Instance: instance, Entries: entries}})
+	for instance, dir := range dirs {
+		db, err := audit.MergeVerified(mod.Schema(), map[string]string{instance: dir}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +304,7 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 
 	// The merged view interleaves A's c2 push before B's c1 advertisement
 	// (by local logical time), exposing the rollback.
-	db, err := audit.MergeVerified(mod.Schema(), files, opts)
+	db, err := audit.MergeVerified(mod.Schema(), dirs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,19 +315,4 @@ func TestCrossInstanceMergeDetection(t *testing.T) {
 	if violations["git-soundness"] == nil {
 		t.Fatalf("merged cross-instance logs missed the rollback: %v", violations)
 	}
-}
-
-// verifyLogFile verifies the log file at path on the caller's goroutine and
-// returns its entries.
-func verifyLogFile(path string, opts audit.VerifyOptions) ([]*audit.Entry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	res, err := audit.VerifyReaderResult(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
 }

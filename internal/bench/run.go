@@ -2,16 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
 	"libseal/internal/asyncall"
 	"libseal/internal/audit"
 	"libseal/internal/core"
-	"libseal/internal/enclave"
 	"libseal/internal/httpparse"
-	"libseal/internal/rote"
+	"libseal/internal/ssm/gitssm"
 	"libseal/internal/telemetry"
 )
 
@@ -79,80 +77,36 @@ func RunAudited(opts StackOptions, deploy func(StackOptions) (*Stack, error), lo
 	if opts.Mode != ModeDisk {
 		return run, nil
 	}
-	// Closing flushes and closes the log; only then is its entry count final.
-	if err := st.Seal.Close(); err != nil {
+	rep, err := st.Verify()
+	if err != nil {
 		return run, err
 	}
-	run.Entries = int(st.Seal.Log().Seq())
-	_, err = verifyLog(st.Dir, st.Enclave.PublicKey(), st.Group, run.Entries)
-	return run, err
+	run.Entries = rep.TotalEntries
+	return run, nil
 }
 
-// AuditEnv is the audit layer on its own — an enclave behind a synchronous
-// bridge, a counter group and a disk-mode sharded log of one table — for the
-// sweeps that drive appends directly instead of through TLS and HTTP.
-type AuditEnv struct {
-	Enclave *enclave.Enclave
-	Bridge  *asyncall.Bridge
-	Group   *rote.Group
-	Dir     string
-	Log     *audit.ShardedLog
+// NewLogStack deploys LibSEAL alone: a disk-mode instance with the Git
+// module and no front end, built like every other stack, for the sweeps that
+// drive its audit log directly (Drive).
+func NewLogStack(opts StackOptions) (*Stack, error) {
+	opts.Mode = ModeDisk
+	st, _, err := buildStack(opts, gitssm.New())
+	return st, err
 }
 
-// NewAuditEnv builds the environment on a fresh platform, counter group and
-// directory. roteLatency is the simulated one-way latency to the counter
-// nodes, which is what makes the per-batch anchor the serial section.
-// Every set, one shard included, publishes epoch manifests on a 100 ms
-// cadence.
-func NewAuditEnv(shards, batchMax int, roteLatency time.Duration) (*AuditEnv, error) {
-	encl, err := enclave.NewPlatform().Launch(enclave.Config{
-		Code: []byte("libseal-audit-bench"), MaxThreads: 32, Cost: enclave.ZeroCostModel(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	e := &AuditEnv{Enclave: encl}
-	if e.Bridge, err = asyncall.New(encl, asyncall.Config{Mode: asyncall.ModeSync}); err != nil {
-		return nil, err
-	}
-	if e.Group, err = rote.NewGroup(1, roteLatency); err != nil {
-		e.Close()
-		return nil, err
-	}
-	if e.Dir, err = os.MkdirTemp("", "libseal-audit-bench-*"); err != nil {
-		e.Close()
-		return nil, err
-	}
-	cfg := audit.ShardedConfig{
-		Config: audit.Config{
-			Name: "bench", Schema: `CREATE TABLE ops (time INTEGER, client INTEGER, op TEXT);`,
-			Mode: audit.ModeDisk, Dir: e.Dir, Protector: e.Group,
-			BatchMax: batchMax, BatchDelay: audit.MeasuredBatchDelay,
-			AnchorTimeout: 5 * time.Second,
-		},
-		Shards:        shards,
-		ManifestEvery: 100 * time.Millisecond,
-	}
-	if err := e.Bridge.Call(func(env *asyncall.Env) error {
-		e.Log, err = audit.NewSharded(env, cfg)
-		return err
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
-// Drive spends an entry budget from clients goroutines, one connection key
-// each: a client stages rowsPerStage rows (a request/response pair logs a
-// handful of tuples), waits until they are durable and then publishes an
-// epoch manifest if one is due — the live server publishes manifests off the
-// write path on the same cadence, so runs pay the manifest cost they
-// would in production. It returns the entries staged (the budget rounded
-// down to whole stages per client), all of them durable, and the wall time.
-func (e *AuditEnv) Drive(clients, entries, rowsPerStage int) (int, time.Duration, error) {
+// Drive spends an entry budget on a disk-mode stack's audit log from clients
+// goroutines, one connection key each: a client stages rowsPerStage Git
+// updates rows (a request/response pair logs a handful of tuples), waits
+// until they are durable and then publishes an epoch manifest if one is due,
+// as the request path does after its waits, so runs pay the manifest cost
+// they would in production. It stages directly, not through TLS and HTTP:
+// the sweeps that drive it ask how the log scales, which TLS CPU on a small
+// box would hide. It returns the entries staged (the budget rounded down to
+// whole stages per client), all of them durable, and the wall time.
+func (s *Stack) Drive(clients, entries, rowsPerStage int) (int, time.Duration, error) {
+	log := s.Seal.Log()
 	perClient := entries / clients / rowsPerStage
-	before := e.Log.Seq()
+	before := log.Seq()
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	t0 := time.Now()
@@ -160,20 +114,22 @@ func (e *AuditEnv) Drive(clients, entries, rowsPerStage int) (int, time.Duration
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			repo := fmt.Sprintf("repo%d", c)
 			rows := make([]audit.Row, rowsPerStage)
 			for i := 0; i < perClient && errs[c] == nil; i++ {
 				for j := range rows {
-					rows[j] = audit.Row{Table: "ops", Values: []any{i, c, "put"}}
+					cid := fmt.Sprintf("c%d", i*rowsPerStage+j)
+					rows[j] = audit.Row{Table: "updates", Values: []any{i, repo, "main", cid, "update"}}
 				}
-				errs[c] = e.Bridge.Call(func(env *asyncall.Env) error {
-					tk, err := e.Log.Stage(env, uint64(c), rows)
+				errs[c] = s.Bridge.Call(func(env *asyncall.Env) error {
+					tk, err := log.Stage(env, uint64(c), rows)
 					if err != nil {
 						return err
 					}
 					if err := tk.Wait(env); err != nil {
 						return err
 					}
-					return e.Log.ManifestIfDue(env)
+					return log.ManifestIfDue(env)
 				})
 			}
 		}(c)
@@ -186,29 +142,8 @@ func (e *AuditEnv) Drive(clients, entries, rowsPerStage int) (int, time.Duration
 		}
 	}
 	staged := perClient * rowsPerStage * clients
-	if got := int(e.Log.Seq() - before); got != staged {
+	if got := int(log.Seq() - before); got != staged {
 		return 0, elapsed, fmt.Errorf("staged %d entries, log seq advanced by %d", staged, got)
 	}
 	return staged, elapsed, nil
-}
-
-// Verify closes the log and strictly re-verifies the whole set — every
-// shard and the epoch-manifest replay — which must account for every entry
-// the log held.
-func (e *AuditEnv) Verify() (*audit.Report, error) {
-	if err := e.Log.Close(); err != nil {
-		return nil, err
-	}
-	return verifyLog(e.Dir, e.Enclave.PublicKey(), e.Group, int(e.Log.Seq()))
-}
-
-// Close releases the log, the bridge and the directory.
-func (e *AuditEnv) Close() {
-	if e.Log != nil {
-		e.Log.Close()
-	}
-	e.Bridge.Close()
-	if e.Dir != "" {
-		os.RemoveAll(e.Dir)
-	}
 }

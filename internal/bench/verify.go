@@ -2,21 +2,25 @@ package bench
 
 import (
 	"context"
-	"crypto/ecdsa"
 	"fmt"
 	"runtime"
 
 	"libseal/internal/audit"
 )
 
-// verifyLog is the post-run integrity check every audited run ends with: it
-// re-verifies the persisted log set in dir exactly as an auditing client
-// would — strict mode, no truncation tolerance, counter freshness against
-// the live protector — using the parallel segmented pipeline with one worker
-// per core, and checks that the set holds exactly want entries.
-func verifyLog(dir string, pub *ecdsa.PublicKey, protector audit.RollbackProtector, want int) (*audit.Report, error) {
-	rep, err := audit.VerifyPath(context.Background(), dir, audit.StreamOptions{
-		VerifyOptions: audit.VerifyOptions{Pub: pub, Protector: protector},
+// Verify is the post-run integrity check every disk-mode run ends with. It
+// closes the LibSEAL instance — only then is the log's entry count final —
+// and re-verifies the persisted log set exactly as an auditing client would:
+// strict mode, no truncation tolerance, counter freshness against the live
+// counter group, with the parallel segmented pipeline at one worker per
+// core. The set must hold every entry the log did.
+func (s *Stack) Verify() (*audit.Report, error) {
+	if err := s.Seal.Close(); err != nil {
+		return nil, err
+	}
+	want := int(s.Seal.Log().Seq())
+	rep, err := audit.VerifyPath(context.Background(), s.Dir, audit.StreamOptions{
+		VerifyOptions: audit.VerifyOptions{Pub: s.Enclave.PublicKey(), Protector: s.Group},
 		Workers:       runtime.GOMAXPROCS(0),
 		// The callback keeps the pipeline in streaming mode: entry counts
 		// come from TotalEntries/Tables, nothing is accumulated, and memory

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
-	"libseal/internal/asyncall"
 	"libseal/internal/audit"
 	"libseal/internal/httpparse"
 	"libseal/internal/services/gitserver"
@@ -16,55 +14,23 @@ import (
 	"libseal/internal/ssm/owncloudssm"
 )
 
-// LogFiller replays a synthetic request/response stream for one service
-// through its SSM into a database, without the TLS/enclave pipeline. The
-// Fig. 6 experiment uses it to measure invariant checking and trimming cost
-// in isolation.
+// LogFiller is a synthetic request/response stream for one service. Fill
+// replays it through the service's SSM into a database, without the
+// TLS/enclave pipeline — the §6.5 footprint and the ablation measure that
+// database. Request hands out the stream's requests alone, for a real
+// service to answer: Fig. 6 sends them through the service's deployment.
 type LogFiller struct {
 	Module ssm.Module
 	DB     *sqldb.DB
 	time   int64
 	next   func(f *LogFiller) (req *httpparse.Request, rsp *httpparse.Response)
 	state  any
-
-	// Set by Attach: tuples then flow through a real (one-shard) audit log,
-	// so Check and Trim pay the full fixed costs (enclave crossings, the
-	// database trim, and — when it is due — the compaction's persistent
-	// rewrite, counter increment and re-signing).
-	log    *audit.ShardedLog
-	bridge *asyncall.Bridge
-	trim   []*sqldb.Stmt // the module's trim script, prepared once
 }
 
-// Attach routes the filler through a persistent audit log inside the given
-// enclave bridge. cfg.Schema and cfg.Name default to the module's.
-func (f *LogFiller) Attach(bridge *asyncall.Bridge, cfg audit.Config) error {
-	if cfg.Schema == "" {
-		cfg.Schema = f.Module.Schema()
-	}
-	if cfg.Name == "" {
-		cfg.Name = f.Module.Name()
-	}
-	var l *audit.ShardedLog
-	if err := bridge.Call(func(env *asyncall.Env) error {
-		var err error
-		l, err = audit.NewSharded(env, audit.ShardedConfig{Config: cfg})
-		return err
-	}); err != nil {
-		return err
-	}
-	for _, q := range f.Module.TrimQueries() {
-		stmts, err := l.DB().PrepareScript(q)
-		if err != nil {
-			l.Close()
-			return err
-		}
-		f.trim = append(f.trim, stmts...)
-	}
-	f.log = l
-	f.bridge = bridge
-	f.DB = l.DB()
-	return nil
+// Request advances the stream by one pair and returns its request.
+func (f *LogFiller) Request() *httpparse.Request {
+	req, _ := f.next(f)
+	return req
 }
 
 // Fill applies n request/response pairs.
@@ -76,19 +42,6 @@ func (f *LogFiller) Fill(n int) error {
 		if err != nil {
 			return err
 		}
-		if f.log != nil {
-			if err := f.bridge.Call(func(env *asyncall.Env) error {
-				for _, tu := range tuples {
-					if err := f.log.Append(env, 0, tu.Table, tu.Values...); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-			continue
-		}
 		for _, tu := range tuples {
 			ph := strings.TrimSuffix(strings.Repeat("?,", len(tu.Values)), ",")
 			if _, err := f.DB.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%s)", tu.Table, ph), tu.Values...); err != nil {
@@ -99,65 +52,14 @@ func (f *LogFiller) Fill(n int) error {
 	return nil
 }
 
-// Check runs all invariants and returns the number of violations.
-func (f *LogFiller) Check() (int, error) {
-	v, err := ssm.CheckInvariants(f.DB, f.Module)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, res := range v {
-		total += len(res.Rows)
-	}
-	return total, nil
-}
-
-// Trim applies the module's trimming queries. When attached to an audit
-// log, the trim includes the compaction — chain rewrite, counter increment
-// and re-signing of §5.1 — whatever the files' dead share.
+// Trim applies the module's trimming queries.
 func (f *LogFiller) Trim() error {
-	if f.log != nil {
-		return f.bridge.Call(func(env *asyncall.Env) error {
-			return f.log.Trim(env, f.Module.TrimQueries())
-		})
-	}
 	for _, q := range f.Module.TrimQueries() {
 		if _, err := f.DB.Exec(q); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// CheckTrim runs a full check-and-trim round inside the enclave (when
-// attached) and returns its duration. The round follows core's cycle rule:
-// the trim is planned on a snapshot and applied to the database, and the log
-// file is compacted only when that leaves half its bytes dead.
-func (f *LogFiller) CheckTrim() (time.Duration, error) {
-	start := time.Now()
-	if f.bridge != nil {
-		err := f.bridge.Call(func(env *asyncall.Env) error {
-			if _, err := ssm.CheckInvariants(f.DB, f.Module); err != nil {
-				return err
-			}
-			plan, err := audit.PlanTrim(f.DB.Snapshot(), f.trim)
-			if err != nil || plan.Deleted() == 0 {
-				return err
-			}
-			if err := f.log.ApplyTrim(env, plan); err != nil || !f.log.CompactDue() {
-				return err
-			}
-			return f.log.Compact(env)
-		})
-		return time.Since(start), err
-	}
-	if _, err := f.Check(); err != nil {
-		return 0, err
-	}
-	if err := f.Trim(); err != nil {
-		return 0, err
-	}
-	return time.Since(start), nil
 }
 
 func newFiller(m ssm.Module, next func(*LogFiller) (*httpparse.Request, *httpparse.Response)) (*LogFiller, error) {

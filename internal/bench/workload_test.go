@@ -4,13 +4,26 @@ import (
 	"testing"
 	"time"
 
-	"libseal/internal/audit"
-	"libseal/internal/rote"
+	"libseal"
+	"libseal/internal/ssm"
 	"libseal/internal/ssm/dropboxssm"
 	"libseal/internal/ssm/gitssm"
 	"libseal/internal/ssm/owncloudssm"
-	"libseal/internal/testutil"
 )
+
+// violations runs every invariant on the filler's database and counts the
+// rows they return.
+func violations(f *LogFiller) (int, error) {
+	v, err := ssm.CheckInvariants(f.DB, f.Module)
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, res := range v {
+		total += len(res.Rows)
+	}
+	return total, nil
+}
 
 func TestFillersProduceCleanLogs(t *testing.T) {
 	cases := []struct {
@@ -32,12 +45,12 @@ func TestFillersProduceCleanLogs(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Honest synthetic workloads must not trip the invariants.
-			violations, err := filler.Check()
+			n, err := violations(filler)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if violations != 0 {
-				t.Fatalf("honest filler produced %d violations", violations)
+			if n != 0 {
+				t.Fatalf("honest filler produced %d violations", n)
 			}
 			bytesBefore, tuplesBefore := LogFootprint(filler.DB)
 			if bytesBefore == 0 || tuplesBefore == 0 {
@@ -57,54 +70,73 @@ func TestFillersProduceCleanLogs(t *testing.T) {
 			if err := filler.Fill(40); err != nil {
 				t.Fatal(err)
 			}
-			if v, err := filler.Check(); err != nil || v != 0 {
+			if v, err := violations(filler); err != nil || v != 0 {
 				t.Fatalf("post-trim traffic flagged: %d, %v", v, err)
 			}
 		})
 	}
 }
 
-func TestFillerAttachPersists(t *testing.T) {
-	filler, err := NewGitFiller(gitssm.New())
-	if err != nil {
-		t.Fatal(err)
+// TestFillerRequestsThroughStacks sends each filler's request stream to its
+// service's disk-mode deployment with a check+trim cycle every 10 pairs, as
+// Fig. 6 does: the real service accepts every request, core's cycles find no
+// violation and trim, and the log strictly re-verifies afterwards.
+func TestFillerRequestsThroughStacks(t *testing.T) {
+	opts := StackOptions{Mode: ModeDisk, Seal: []libseal.Option{libseal.WithChecks(10, 0, 0)}}
+	cases := []struct {
+		name   string
+		filler func() (*LogFiller, error)
+		deploy func() (*Stack, error)
+	}{
+		{"git", func() (*LogFiller, error) { return NewGitFiller(gitssm.New()) }, func() (*Stack, error) {
+			st, err := NewGitStack(opts, 0)
+			if err != nil {
+				return nil, err
+			}
+			return st.Stack, nil
+		}},
+		{"owncloud", func() (*LogFiller, error) { return NewOwnCloudFiller(owncloudssm.New()) }, func() (*Stack, error) {
+			st, err := NewOwnCloudStack(opts, 0)
+			if err != nil {
+				return nil, err
+			}
+			return st.Stack, nil
+		}},
+		{"dropbox", func() (*LogFiller, error) { return NewDropboxFiller(dropboxssm.New()) }, func() (*Stack, error) {
+			st, err := NewDropboxStack(opts, 0)
+			if err != nil {
+				return nil, err
+			}
+			return st.Stack, nil
+		}},
 	}
-	encl, bridge, err := testutil.NewBridge(testutil.BridgeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-	group, err := rote.NewGroup(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := filler.Attach(bridge, audit.Config{Mode: audit.ModeDisk, Dir: dir, Protector: group}); err != nil {
-		t.Fatal(err)
-	}
-	if err := filler.Fill(30); err != nil {
-		t.Fatal(err)
-	}
-	d, err := filler.CheckTrim()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Fatal("zero check+trim duration")
-	}
-	// The persisted log verifies and reflects the trimmed state.
-	entries, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{
-		Pub: encl.PublicKey(), Protector: group, Name: "git-shard0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no persisted entries after attach")
-	}
-	_, tuples := LogFootprint(filler.DB)
-	if len(entries) != tuples {
-		t.Fatalf("persisted %d entries but DB holds %d tuples", len(entries), tuples)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			filler, err := c.filler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.deploy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			client := st.NewClient(true)
+			defer client.Close()
+			for i := 0; i < 40; i++ {
+				rsp, err := client.Do(filler.Request())
+				if err != nil || rsp.Status != 200 {
+					t.Fatalf("request %d: %v %v", i, rsp, err)
+				}
+			}
+			stats := st.Seal.StatsSnapshot()
+			if stats.Checks < 3 || stats.Trims == 0 || stats.Violations != 0 {
+				t.Fatalf("checks %d, trims %d, violations %d after 40 pairs", stats.Checks, stats.Trims, stats.Violations)
+			}
+			if _, err := st.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -122,18 +122,6 @@ func (s *Stmt) Exec(args ...any) (int, error) {
 	return n, nil
 }
 
-// Query runs the prepared statement, which must be a SELECT.
-func (s *Stmt) Query(args ...any) (*Result, error) {
-	res, _, err := s.db.run(s.st, args)
-	if err != nil {
-		return nil, err
-	}
-	if res == nil {
-		return nil, fmt.Errorf("sqldb: statement is not a query")
-	}
-	return res, nil
-}
-
 // Exec parses and runs one or more semicolon-separated statements, returning
 // the total number of affected rows. Parameters apply in order across the
 // script.

@@ -85,23 +85,6 @@ func toParams(args []any) ([]Value, error) {
 	return params, nil
 }
 
-// Query parses and runs a single SELECT against the snapshot.
-func (s *Snapshot) Query(sql string, args ...any) (*Result, error) {
-	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: snapshot query requires a SELECT")
-	}
-	params, err := toParams(args)
-	if err != nil {
-		return nil, err
-	}
-	return s.evaluator(params).execSelect(sel, nil)
-}
-
 // QueryStmt runs a prepared SELECT against the snapshot.
 func (s *Snapshot) QueryStmt(stmt *Stmt, args ...any) (*Result, error) {
 	sel, ok := stmt.st.(*SelectStmt)

@@ -6,9 +6,19 @@ import (
 	"testing"
 )
 
+// snapQuery parses one SELECT and runs it on the snapshot, as a check runs
+// its prepared invariants.
+func snapQuery(s *Snapshot, sql string) (*Result, error) {
+	st, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return s.QueryStmt(&Stmt{st: st})
+}
+
 func snapCount(t *testing.T, s *Snapshot, sql string) int64 {
 	t.Helper()
-	res, err := s.Query(sql)
+	res, err := snapQuery(s, sql)
 	if err != nil {
 		t.Fatalf("snapshot Query(%q): %v", sql, err)
 	}
@@ -41,7 +51,7 @@ func TestSnapshotIsolatedFromDelete(t *testing.T) {
 	// Rows stored after the DELETE land in the live table's fresh array, not
 	// over the one the snapshot reads.
 	mustExec(t, db, "INSERT INTO t VALUES (7), (8), (9)")
-	res, err := snap.Query("SELECT a FROM t")
+	res, err := snapQuery(snap, "SELECT a FROM t")
 	if err != nil || flat(res) != "1;2;3" {
 		t.Fatalf("snapshot = %q, %v after live DELETE+INSERT, want 1;2;3", flat(res), err)
 	}
@@ -62,7 +72,7 @@ func TestSnapshotIsolatedFromTruncateThenInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "INSERT INTO t VALUES (99), (98)")
-	res, err := snap.Query("SELECT a FROM t ORDER BY a")
+	res, err := snapQuery(snap, "SELECT a FROM t ORDER BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +274,7 @@ func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 
 	for i := 0; i < 300; i++ {
 		snap := db.Snapshot()
-		res, err := snap.Query("SELECT COUNT(*), MIN(seq), MAX(seq) FROM t")
+		res, err := snapQuery(snap, "SELECT COUNT(*), MIN(seq), MAX(seq) FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +282,7 @@ func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 		if count != max-min+1 {
 			t.Fatalf("snapshot %d inconsistent: count=%d range [%d,%d]", i, count, min, max)
 		}
-		torn, err := snap.Query("SELECT COUNT(*) FROM t WHERE twin != seq")
+		torn, err := snapQuery(snap, "SELECT COUNT(*) FROM t WHERE twin != seq")
 		if err != nil {
 			t.Fatal(err)
 		}

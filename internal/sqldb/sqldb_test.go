@@ -494,7 +494,7 @@ func TestPreparedStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.Query(5)
+	res, err := db.Snapshot().QueryStmt(q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
