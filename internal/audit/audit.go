@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,6 +80,11 @@ var (
 	mGaps             = telemetry.NewCounter("audit.degraded.gaps", "gaps")
 	mFsyncs           = telemetry.NewCounter("audit.fsyncs", "calls")
 	mSignatures       = telemetry.NewCounter("audit.signatures", "calls")
+	// A commit signs while its counter increment is in flight: the part of
+	// the round trip the signature did not hide, and the commits whose
+	// increment returned another value than predicted and signed again.
+	mCommitAnchorWait = telemetry.NewHistogram("audit.commit.anchor_wait", "ns")
+	mCommitResigns    = telemetry.NewCounter("audit.commit.resigns", "batches")
 	mBatchCommits     = telemetry.NewCounter("audit.batch.commits", "batches")
 	mBatchAborts      = telemetry.NewCounter("audit.batch.aborts", "batches")
 	mBatchSize        = telemetry.NewHistogram("audit.batch.size", "entries")
@@ -243,7 +249,7 @@ type Log struct {
 	heap *atomic.Int64
 
 	// sigCounter is the counter value attested by the last *durable*
-	// signature record. It can trail counter: anchorBatch publishes a fresh
+	// signature record. It can trail counter: collectAnchor publishes a fresh
 	// value to future signers before the batch's signature hits disk. Epoch
 	// manifests snapshot this value so they never attest a counter no
 	// on-disk record vouches for. sigHead is the digest of that record's
@@ -305,7 +311,7 @@ type commitBatch struct {
 	// Set by the leader during commit, read by publish (same goroutine).
 	counter uint64   // counter value the batch's signature record attests
 	sigHead [32]byte // digest of that record's payload
-	// Degraded-mode outcome of anchorBatch, applied by publish only once the
+	// Degraded-mode outcome of collectAnchor, applied by publish only once the
 	// batch is durable: a fresh counter value anchors the batch (closing any
 	// degraded gap), or the batch was admitted under a stale anchor and its
 	// entries join the pending backlog. Entries that never become durable
@@ -752,10 +758,15 @@ func (l *Log) awaitTurn(b *commitBatch) bool {
 	return true
 }
 
-// commitSealed makes a sealed batch durable: one counter increment, sealed
-// entry records, the chain advanced over them, one signature over the
-// batch's head, one write and one fsync. The caller holds the commit lane, so
-// the previous batch has published its head.
+// commitSealed makes a sealed batch durable: sealed entry records, the chain
+// advanced over them, one counter increment, one signature over the batch's
+// head, one write and one fsync. The increment is issued once the head is
+// known and the signature made while its round trip is in flight, over the
+// value it is predicted to return; the record written carries the value it
+// did return, so a signature over a wrong guess never leaves the enclave
+// (DESIGN.md §11). The caller holds the commit lane, so the previous batch
+// has published its head and nothing moves chain, counter or sigHead under
+// these reads.
 func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	// A file that failed closed refuses the commit anyway; refuse before
 	// spending a counter increment that no signature record would carry, or
@@ -763,22 +774,38 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	if err := l.file.failed; err != nil {
 		return err
 	}
-	counter, err := l.anchorBatch(env, b)
-	if err != nil {
-		return err
-	}
-	b.counter = counter
 	recs, err := l.sealRecords(env, b.payloads)
 	if err != nil {
 		return err
 	}
-	// The lane is held, so nothing moves chain or sigHead under these reads.
 	b.endChain = batchChain(l.chain, recs)
-	sig, err := l.signState(env, b.endChain, counter, l.sigHead)
-	if err != nil {
-		return err
+	asyncall.Lock(env, &l.mu)
+	guess := l.counter
+	l.mu.Unlock()
+	var inc *increment
+	if l.cfg.Protector != nil {
+		inc = l.issueIncrement(env)
+		guess++
 	}
-	b.sigHead = sha256.Sum256(sig)
+	sig, serr := l.signState(env, b.endChain, guess, l.sigHead)
+	counter := guess
+	if inc != nil {
+		// Collected even when the signature failed: the group has advanced,
+		// and the next batch predicts from the value it returned.
+		if counter, err = l.collectAnchor(env, b, inc); err != nil {
+			return err
+		}
+	}
+	if serr != nil {
+		return serr
+	}
+	if counter != guess {
+		mCommitResigns.Inc()
+		if sig, err = l.signState(env, b.endChain, counter, l.sigHead); err != nil {
+			return err
+		}
+	}
+	b.counter, b.sigHead = counter, sha256.Sum256(sig)
 	recs = append(recs, record{typ: recSig, payload: sig})
 	return env.Ocall(func() error { return l.file.commit(recs...) })
 }
@@ -800,38 +827,58 @@ func (l *Log) sealRecords(env *asyncall.Env, encs [][]byte) ([]record, error) {
 	return recs, nil
 }
 
-// anchorBatch obtains the counter value anchoring a batch: one fresh
-// increment per batch. When the quorum is unreachable and degraded mode has
-// buffer room, the batch proceeds under the last reachable value; the chain
-// stays intact and the next successful anchor covers the whole backlog.
-// Called with the commit lane held, so pendingAnchor is stable: the previous
-// batch has already published. The degraded bookkeeping itself (gap close, backlog
-// growth) is only recorded on the batch here and applied by publish once the
-// batch is durable — a batch whose write or fsync later fails must not
-// consume the degraded budget or claim to have closed a gap.
-func (l *Log) anchorBatch(env *asyncall.Env, b *commitBatch) (uint64, error) {
-	asyncall.Lock(env, &l.mu)
-	current := l.counter
-	l.mu.Unlock()
-	if l.cfg.Protector == nil {
-		return current, nil
-	}
-	c, cerr := l.freshCounter(env)
+// increment is one counter round trip issued ahead of its collection.
+type increment struct {
+	done  chan struct{}
+	value uint64
+	err   error
+}
+
+// issueIncrement starts a batch's counter increment outside the enclave and
+// returns at once: one ocall, the round trip on a goroutine of its own.
+func (l *Log) issueIncrement(env *asyncall.Env) *increment {
+	inc := &increment{done: make(chan struct{})}
+	env.Ocall(func() error {
+		go func() {
+			inc.value, inc.err = l.cfg.incrementCounter(l.cfg.Name)
+			close(inc.done)
+		}()
+		// Start the round trip now: a new goroutine queues behind the signer.
+		runtime.Gosched()
+		return nil
+	})
+	return inc
+}
+
+// collectAnchor waits in a second ocall for the batch's increment and
+// returns the counter value anchoring the batch: the fresh one, or — when the
+// quorum is unreachable and degraded mode has buffer room — the last
+// reachable one; the chain stays intact and the next successful anchor
+// covers the whole backlog. Called with the commit lane held, so
+// pendingAnchor is stable: the previous batch has already published. The
+// degraded bookkeeping itself (gap close, backlog growth) is only recorded on
+// the batch here and applied by publish once the batch is durable — a batch
+// whose write or fsync later fails must not consume the degraded budget or
+// claim to have closed a gap.
+func (l *Log) collectAnchor(env *asyncall.Env, b *commitBatch, inc *increment) (uint64, error) {
+	wait := time.Now()
+	env.Ocall(func() error { <-inc.done; return nil })
+	telemetry.ObserveSince(mCommitAnchorWait, "audit.commit.anchor_wait", wait)
 	asyncall.Lock(env, &l.mu)
 	defer l.mu.Unlock()
-	if cerr == nil {
+	if inc.err == nil {
 		// The fresh value is published to future signers immediately (the
 		// counter service advanced regardless of this batch's fate); whether
 		// it closed a degraded gap is decided at publish time.
-		l.counter = c
+		l.counter = inc.value
 		b.anchorFresh = true
-		return c, nil
+		return inc.value, nil
 	}
 	if l.cfg.DegradedLimit <= 0 {
-		return 0, cerr
+		return 0, inc.err
 	}
 	if pending := l.pendingAnchor.Load(); pending >= int64(l.cfg.DegradedLimit) {
-		return 0, fmt.Errorf("%w: %d appends pending, last error: %v", ErrDegradedFull, pending, cerr)
+		return 0, fmt.Errorf("%w: %d appends pending, last error: %v", ErrDegradedFull, pending, inc.err)
 	}
 	b.degraded = len(b.payloads)
 	return l.counter, nil

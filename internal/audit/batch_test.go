@@ -533,8 +533,8 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 }
 
 // gatedProtector blocks the first Increment of counter name until released:
-// the handle the test below uses to hold a batch leader inside anchorBatch's
-// counter ocall.
+// the handle the test below uses to hold a batch leader inside collectAnchor's
+// ocall, waiting for the increment it issued before signing.
 type gatedProtector struct {
 	scriptedProtector
 	name             string

@@ -317,6 +317,134 @@ func TestIdleLaneFollowerLandsInNextBatch(t *testing.T) {
 	}
 }
 
+// TestGroupCommitSignsWhileAnchorInFlight: a commit issues its counter
+// increment and returns to the enclave at once; the batch is signed while the
+// round trip is in flight, over the value it is predicted to return, and
+// nothing reaches the file until the value is back. With the increment held
+// at the counter service, the signature is made and the file has not moved.
+func TestGroupCommitSignsWhileAnchorInFlight(t *testing.T) {
+	for _, mode := range []asyncall.Mode{asyncall.ModeSync, asyncall.ModeAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			prot := newLaneProtector()
+			dir := t.TempDir()
+			cfg := Config{Name: "git", Schema: testSchema, Mode: ModeDisk, Dir: dir, Protector: prot, BatchMax: 16}
+			var bridge *asyncall.Bridge
+			var encl *enclave.Enclave
+			var l *oneShard
+			if mode == asyncall.ModeAsync {
+				encl, bridge, l = asyncShard(t, asyncall.Config{AppSlots: 2, Schedulers: 1, TasksPerScheduler: 2}, cfg)
+				defer bridge.Close()
+			} else {
+				e := newAuditEnv(t)
+				encl, bridge = e.encl, e.bridge
+				e.call(t, func(env *asyncall.Env) (err error) {
+					l, err = newOneShard(env, cfg)
+					return err
+				})
+			}
+			appendOne := func(seq int) chan error {
+				done := make(chan error, 1)
+				go func() {
+					done <- bridge.Call(func(env *asyncall.Env) error {
+						return l.Append(env, "updates", seq, "r", "main", fmt.Sprintf("c%d", seq), "update")
+					})
+				}()
+				return done
+			}
+			if err := <-appendOne(0); err != nil {
+				t.Fatal(err)
+			}
+			file := l.set.Files()[0]
+			size0, sigs0, fsyncs0 := file.CommittedSize(), mSignatures.Value(), mFsyncs.Value()
+			gate := prot.arm()
+			done := appendOne(1)
+			gate.awaitIncrements(t, 1)
+			for deadline := time.Now().Add(5 * time.Second); mSignatures.Value() == sigs0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // room for a wrong second signature or an early write
+			sigs, fsyncs, size := mSignatures.Value()-sigs0, mFsyncs.Value()-fsyncs0, file.CommittedSize()
+			close(gate.release)
+			if sigs != 1 || fsyncs != 0 || size != size0 {
+				t.Fatalf("with the increment in flight: %d signatures, %d fsyncs, file %d -> %d bytes; want the batch signed and nothing written", sigs, fsyncs, size0, size)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if sigs, fsyncs := mSignatures.Value()-sigs0, mFsyncs.Value()-fsyncs0; sigs != 1 || fsyncs != 1 {
+				t.Fatalf("the commit paid %d signatures and %d fsyncs, want 1 and 1", sigs, fsyncs)
+			}
+			l.Close()
+			entries, err := verifyFile(filepath.Join(dir, "git-shard0.lseal"), VerifyOptions{Pub: encl.PublicKey(), Protector: prot, Name: "git-shard0"})
+			if err != nil || len(entries) != 2 {
+				t.Fatalf("strict verify: %v, %d entries; want 2", err, len(entries))
+			}
+		})
+	}
+}
+
+// TestGroupCommitMispredictedCounterResigns: a commit signs over the value
+// its increment is predicted to return, and signs again when another comes
+// back — a counter another party advanced, or the last reachable value when
+// the quorum is away and degraded mode admits the batch. Only the signature
+// over the returned value reaches the file.
+func TestGroupCommitMispredictedCounterResigns(t *testing.T) {
+	e := newAuditEnv(t)
+	prot := newLaneProtector()
+	cfg := e.batchConfig("git", 16, 0)
+	cfg.Protector, cfg.DegradedLimit = prot, 4
+	var l *oneShard
+	e.call(t, func(env *asyncall.Env) (err error) {
+		l, err = newOneShard(env, cfg)
+		return err
+	})
+	defer l.Close()
+	name := ShardName("git", 0)
+	path := filepath.Join(e.dir, name+".lseal")
+	seq := 0
+	// commit appends one entry and checks what it cost and what it wrote.
+	commit := func(when string, wantSigs, wantResigns int64, wantCounter uint64) {
+		t.Helper()
+		sigs0, resigns0, waits0 := mSignatures.Value(), mCommitResigns.Value(), mCommitAnchorWait.Count()
+		seq++
+		e.call(t, func(env *asyncall.Env) error {
+			return l.Append(env, "updates", seq, "r", "main", fmt.Sprintf("c%d", seq), "update")
+		})
+		if sigs, resigns := mSignatures.Value()-sigs0, mCommitResigns.Value()-resigns0; sigs != wantSigs || resigns != wantResigns {
+			t.Fatalf("%s: %d signatures, %d re-signs; want %d, %d", when, sigs, resigns, wantSigs, wantResigns)
+		}
+		if waits := mCommitAnchorWait.Count() - waits0; waits != 1 {
+			t.Fatalf("%s: audit.commit.anchor_wait observed %d collections, want 1", when, waits)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := imageRecords(t, img)
+		last := recs[len(recs)-1]
+		sr, err := parseSig(last.payload)
+		if last.typ != recSig || err != nil || sr.counter != wantCounter {
+			t.Fatalf("%s: the file ends in a record of type %c claiming counter %d (%v); want a signature record at %d", when, last.typ, sr.counter, err, wantCounter)
+		}
+		entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: name})
+		if err != nil || len(entries) != seq {
+			t.Fatalf("%s: strict verify: %v, %d entries; want %d", when, err, len(entries), seq)
+		}
+	}
+
+	commit("predicted", 1, 0, 1)
+	if _, err := prot.Increment(name); err != nil { // another party moves the counter
+		t.Fatal(err)
+	}
+	commit("counter advanced behind the log's back", 2, 1, 3)
+	commit("predicted again", 1, 0, 4)
+	prot.failing(func(n string) bool { return n == name })
+	commit("degraded", 2, 1, 4)
+	if st := l.Status(); !st.Degraded || st.PendingAnchor != 1 {
+		t.Fatalf("status = %+v, want degraded with 1 pending", st)
+	}
+}
+
 // trimFanOutSet creates a two-shard set over prot holding three updates of
 // one branch per shard, so a trim has something to drop everywhere.
 func trimFanOutSet(t *testing.T, e *auditEnv, prot *laneProtector) *ShardedLog {
