@@ -13,6 +13,7 @@ import (
 	"libseal/internal/netsim"
 	"libseal/internal/ssm"
 	"libseal/internal/ssm/gitssm"
+	"libseal/internal/testutil"
 	"libseal/internal/tlsterm"
 )
 
@@ -99,10 +100,12 @@ func TestTapDoesNotRetainCallerBuffers(t *testing.T) {
 
 // TestLargeResponseWriteAllocation bounds what one 64 KiB static response
 // costs in allocation on its way through SSL_write with the audit tap
-// attached: parsed where it lies and sealed into pooled frames, the only
-// buffer its size is the simulated network's own copy. (Before the tap
-// parsed in place and frames were pooled this read about six times the
-// response.)
+// attached: parsed where it lies, sealed into pooled frames and carried by
+// the simulated network in pooled copies, it allocates no buffer of its own
+// size — about 1 KiB a response. (Before the tap parsed in place and frames
+// were pooled this read about six times the response; before the network
+// pooled its copies, once the response.) Under the race detector sync.Pool
+// drops a quarter of what is put back, so there the bound is the response.
 func TestLargeResponseWriteAllocation(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeMemory})
@@ -159,7 +162,11 @@ func TestLargeResponseWriteAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(2 * len(response)); perRun > limit {
+	limit := uint64(4 << 10)
+	if testutil.RaceEnabled {
+		limit = uint64(len(response))
+	}
+	if perRun > limit {
 		t.Fatalf("one %d-byte response allocated %d bytes, want <= %d", len(response), perRun, limit)
 	}
 	if !bytes.Equal(sink, response) {

@@ -55,6 +55,20 @@ func TestBytesOneAllocation(t *testing.T) {
 	}
 }
 
+// TestAppendToReusesCapacity: encoding into a buffer with room for the
+// message allocates nothing, and grows a short one exactly once.
+func TestAppendToReusesCapacity(t *testing.T) {
+	rsp := NewResponse(200, make([]byte, 64<<10))
+	buf := make([]byte, 0, len(rsp.Bytes()))
+	if n := testing.AllocsPerRun(100, func() { buf = rsp.AppendTo(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendTo with capacity: %.1f allocations, want 0", n)
+	}
+	short := make([]byte, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { _ = rsp.AppendTo(short) }); n != 1 {
+		t.Fatalf("AppendTo past capacity: %.1f allocations, want 1", n)
+	}
+}
+
 // TestParseRequestBytesAllocs bounds what a module's parse of the static
 // request costs: the Request, its Header, the field slice (twice, as it
 // grows to two fields) and one string per line — 7.

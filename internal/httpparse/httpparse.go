@@ -673,11 +673,16 @@ func (r *Request) Bytes() []byte {
 	return appendTail(b, r.Header, length, r.Body)
 }
 
-// Bytes serialises the response into one buffer of exactly its size. An
-// empty Reason is written as StatusText's, and a response with neither a
+// Bytes serialises the response into one buffer of exactly its size: it is
+// AppendTo(nil).
+func (r *Response) Bytes() []byte { return r.AppendTo(nil) }
+
+// AppendTo appends the response's encoding to b and returns the extended
+// buffer, growing b at most once, to exactly the size needed. An empty
+// Reason is written as StatusText's, and a response with neither a
 // Content-Length nor a Transfer-Encoding field is given a Content-Length
 // line after its header fields; the response itself is not changed.
-func (r *Response) Bytes() []byte {
+func (r *Response) AppendTo(b []byte) []byte {
 	reason := r.Reason
 	if reason == "" {
 		reason = StatusText(r.Status)
@@ -686,8 +691,10 @@ func (r *Response) Bytes() []byte {
 	status := strconv.AppendInt(num[:0], int64(r.Status), 10)
 	var lenLine [40]byte
 	length := appendLengthLine(lenLine[:0], r.Header, len(r.Body))
-	b := make([]byte, 0, len(r.Proto)+len(status)+len(reason)+len("  \r\n")+
-		r.Header.size()+len(length)+len("\r\n")+len(r.Body))
+	if n := len(r.Proto) + len(status) + len(reason) + len("  \r\n") +
+		r.Header.size() + len(length) + len("\r\n") + len(r.Body); cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
 	b = append(b, r.Proto...)
 	b = append(b, ' ')
 	b = append(b, status...)

@@ -38,6 +38,43 @@ type item struct {
 	at   time.Time // earliest delivery time
 }
 
+// frameBufSize is the capacity of the wire's pooled buffers. One TLS frame
+// (16 KiB of plaintext plus its header and sealing overhead) fits, and it is
+// one of the Go allocator's size classes, so a pooled buffer wastes nothing.
+const frameBufSize = 18 << 10
+
+// minPooledWrite is the smallest write copied into a pooled buffer: a
+// smaller one gets a copy of its own size, so a queued small write never
+// pins a frame-sized buffer, and a pooled one at most doubles its bytes.
+const minPooledWrite = frameBufSize / 2
+
+// frameBufs holds the buffers of frame-sized writes. Write copies into one
+// (a socket copies what it is given) and Read returns it once the item's
+// last byte is consumed, so a stream of frames reuses a few buffers instead
+// of leaving one of garbage per frame.
+var frameBufs = sync.Pool{New: func() any { return new([frameBufSize]byte) }}
+
+// copyWrite copies p for the queue. Only a pooled buffer has capacity
+// frameBufSize: any other copy has capacity len(p), outside the pooled range.
+func copyWrite(p []byte) []byte {
+	if len(p) < minPooledWrite || len(p) > frameBufSize {
+		b := make([]byte, len(p))
+		copy(b, p)
+		return b
+	}
+	b := frameBufs.Get().(*[frameBufSize]byte)[:len(p)]
+	copy(b, p)
+	return b
+}
+
+// recycle returns a consumed or undelivered copy to the pool if it came
+// from it.
+func recycle(b []byte) {
+	if cap(b) == frameBufSize {
+		frameBufs.Put((*[frameBufSize]byte)(b[:frameBufSize]))
+	}
+}
+
 // Fault describes what happens to one write on a faulted link. The zero
 // value delivers the payload normally.
 type Fault struct {
@@ -65,7 +102,8 @@ type Conn struct {
 	recv     chan item
 	closed   chan struct{}
 	closeOne sync.Once
-	leftover item
+	leftover item // the item a short Read left unfinished,
+	off      int  // and how much of it has been read
 	local    addr
 	remote   addr
 
@@ -105,7 +143,8 @@ func (c *Conn) SetFault(f FaultFunc) {
 // Write sends data to the peer, paying serialisation delay proportional to
 // the configured bandwidth. Propagation latency is charged on the receive
 // side so that concurrent transfers overlap as they would on a real link.
-// Writes respect the write deadline and any installed fault function.
+// Writes respect the write deadline and any installed fault function. p is
+// copied, as a socket copies, so the caller may reuse it once Write returns.
 func (c *Conn) Write(p []byte) (int, error) {
 	select {
 	case <-c.closed:
@@ -145,26 +184,26 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	if c.cfg.Bandwidth > 0 && len(p) > 0 {
 		d := time.Duration(float64(len(p)) / float64(c.cfg.Bandwidth) * float64(time.Second))
-		if !deadline.IsZero() {
-			if remaining := time.Until(deadline); remaining < d {
-				time.Sleep(remaining)
-				return 0, timeoutError{}
-			}
+		if !deadline.IsZero() && time.Until(deadline) < d {
+			wait.SleepUntil(deadline)
+			return 0, timeoutError{}
 		}
-		time.Sleep(d)
+		wait.Sleep(d)
 	}
-	buf := append([]byte(nil), p...)
-	it := item{data: buf, at: time.Now().Add(c.cfg.Latency + extra)}
+	it := item{data: copyWrite(p), at: time.Now().Add(c.cfg.Latency + extra)}
+	var err error
 	select {
 	case c.peer.recv <- it:
 		return len(p), nil
 	case <-c.peer.closed:
-		return 0, io.ErrClosedPipe
+		err = io.ErrClosedPipe
 	case <-c.closed:
-		return 0, net.ErrClosed
+		err = net.ErrClosed
 	case <-timeout:
-		return 0, timeoutError{}
+		err = timeoutError{}
 	}
+	recycle(it.data)
+	return 0, err
 }
 
 // Read receives data, honouring the link latency and any read deadline.
@@ -206,11 +245,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 	}
 	wait.SleepUntil(it.at)
-	n := copy(p, it.data)
-	if n < len(it.data) {
-		c.leftover = item{data: it.data[n:], at: it.at}
+	n := copy(p, it.data[c.off:])
+	if c.off += n; c.off < len(it.data) {
+		c.leftover = it
 	} else {
-		c.leftover = item{}
+		c.leftover, c.off = item{}, 0
+		recycle(it.data)
 	}
 	return n, nil
 }

@@ -120,6 +120,43 @@ func TestBandwidthCharged(t *testing.T) {
 	}
 }
 
+// A sub-millisecond serialisation takes what the bandwidth says, not a
+// runtime timer's millisecond: the writer's side waits on the model's clock
+// as the reader's does. Three rounds, as for TestSubMillisecondLatency.
+func TestSubMillisecondBandwidth(t *testing.T) {
+	const bandwidth = 40_000_000 // bytes per second
+	frame := make([]byte, 16<<10)
+	model := time.Duration(float64(len(frame)) / bandwidth * float64(time.Second))
+	a, b := Pipe(LinkConfig{Bandwidth: bandwidth})
+	defer a.Close()
+	defer b.Close()
+	buf := make([]byte, len(frame))
+	for round := 0; ; round++ {
+		took := make([]time.Duration, 31)
+		for i := range took {
+			start := time.Now()
+			if _, err := a.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			took[i] = time.Since(start)
+			if took[i] < model {
+				t.Fatalf("write %d serialised in %v, under the model's %v", i, took[i], model)
+			}
+			if _, err := io.ReadFull(b, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.Sort(took)
+		med := took[len(took)/2]
+		if med <= model+400*time.Microsecond {
+			return
+		}
+		if round == 2 {
+			t.Fatalf("median serialisation %v for a %v model", med, model)
+		}
+	}
+}
+
 func TestEOFAfterCloseDrainsData(t *testing.T) {
 	a, b := Pipe(LinkConfig{})
 	if _, err := a.Write([]byte("tail")); err != nil {

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -133,7 +134,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if !keep {
 			rsp.Header.Set("Connection", "close")
 		}
-		if _, err := stream.Write(rsp.Bytes()); err != nil {
+		if err := writeResponse(stream, rsp); err != nil {
 			return
 		}
 		s.served.Add(1)
@@ -141,6 +142,27 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// encodeBufs holds the buffers responses are encoded into. A buffer is
+// reused as soon as Write returns: both terminators seal what they are
+// given inside the call (the enclave library in its ecall), the core tap
+// keeps no caller buffer, and a socket copies.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledEncode is the largest buffer put back in encodeBufs, so that one
+// multi-megabyte response is not kept alive by the pool.
+const maxPooledEncode = 1 << 20
+
+// writeResponse encodes rsp into a pooled buffer and writes it in one Write.
+func writeResponse(w io.Writer, rsp *httpparse.Response) error {
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = rsp.AppendTo((*buf)[:0])
+	_, err := w.Write(*buf)
+	if cap(*buf) <= maxPooledEncode {
+		encodeBufs.Put(buf)
+	}
+	return err
 }
 
 // StaticHandler serves fixed content of a configurable size at any path,
