@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check soak mirror-soak bench bench-sweeps bench-e2e-smoke fuzz-smoke sqldb-surface clean
+.PHONY: all build test check soak mirror-soak bench bench-sweeps bench-e2e-smoke fuzz-smoke surface clean
 
 all: build
 
@@ -76,36 +76,117 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzHeaderDifferential -fuzztime=20s ./internal/httpparse/
 	$(GO) test -run=^$$ -fuzz=FuzzParseExec -fuzztime=20s ./internal/sqldb/
 
-# Keeps the SQL engine sized to the SQL the product runs (DESIGN.md §15). It
-# measures internal/sqldb's statement coverage from every package's tests
-# EXCEPT its own — the four modules' SQL, core, audit, the facade, the two
-# harnesses — prints the total and every function those never reach, and
-# fails when such a function is not listed below or when the engine's
-# non-test files outgrow the budget. A feature that only sqldb's own tests
-# use is surplus inside the enclave: delete it, or show the product caller.
+# The product surface (ROADMAP item 5): which functions of each package are
+# reached by something outside that package. Coverage comes from every
+# package's own `go test -short` run, each written to a directory of its own,
+# and from one shared product directory: the command test's four binaries
+# (cmd/commands_test.go execs them cover-built), `libseal-bench -list` and
+# every experiment at the quick budgets, the five examples and
+# bench-e2e-smoke's two harness runs. For each package P the directories of
+# every run but P's own are merged; every function of P left at 0 % is
+# printed, and one that is not on the allowlist below fails the target. A
+# function only its own package's tests call has no caller in the product:
+# delete it, or give it a caller, or list it here under its reason.
 #
-# Unreached on purpose: the AST marker methods (stmt tbl expr); the reference
-# paths the differential tests and `-experiment checks` compare against
-# (SetIndexing QueryWithCache); error and corner paths that must stay
-# (errHere: a parse error past the lexer; inMember, mergeAscending: the inexact-number
-# scans behind the hashed IN set and the hash index; outputCols: a view read
-# inside a subquery); and value.go's String, which the entry codec pins.
+# Entries are pkg:func (pkg is the import path without "libseal/"; the root
+# package is "libseal"; a method is listed by its name alone).
+SURFACE_DIR = .surface
+
+# internal/sqldb (DESIGN.md §15) stays sized to the SQL the product runs, and
+# its non-test files within SQLDB_MAX_LINES. Unreached on purpose: the AST
+# marker methods (stmt tbl expr); the reference paths the differential tests
+# and `-experiment checks` compare against (SetIndexing QueryWithCache); error
+# and corner paths that must stay (errHere: a parse error past the lexer;
+# inMember, mergeAscending: the inexact-number scans behind the hashed IN set
+# and the hash index; outputCols: a view read inside a subquery); and
+# value.go's String, which the entry codec pins.
 SQLDB_UNREACHED = stmt tbl expr SetIndexing QueryWithCache errHere inMember mergeAscending outputCols String
 SQLDB_MAX_LINES = 3900
-SQLDB_COVER = .sqldb-surface.cover
+SURFACE_UNREACHED = $(addprefix internal/sqldb:,$(SQLDB_UNREACHED))
 
-sqldb-surface:
-	$(GO) test -short -coverpkg=libseal/internal/sqldb -coverprofile=$(SQLDB_COVER) \
-		$$($(GO) list ./... | grep -v '/internal/sqldb$$') > /dev/null
-	@$(GO) tool cover -func=$(SQLDB_COVER) | awk -v allow="$(SQLDB_UNREACHED)" ' \
+# Interface methods no product path calls: net.Conn, net.Addr, net.Listener
+# and net.Error on the simulated network and the native terminator's
+# connection; error on audit's located framing error; vfs.FS on the
+# fault-injecting file system; RollbackProtector on the breaker protector
+# (the audit log calls IncrementContext).
+SURFACE_UNREACHED += internal/netsim:Network internal/netsim:String internal/netsim:Addr \
+	internal/netsim:LocalAddr internal/netsim:RemoteAddr internal/netsim:SetDeadline \
+	internal/netsim:SetReadDeadline internal/netsim:SetWriteDeadline \
+	internal/netsim:Error internal/netsim:Timeout internal/netsim:Temporary \
+	internal/tlsterm:LocalAddr internal/tlsterm:RemoteAddr internal/tlsterm:SetDeadline \
+	internal/tlsterm:SetReadDeadline internal/tlsterm:SetWriteDeadline \
+	internal/audit:Error internal/audit:Unwrap internal/faultinject:Remove internal/resilience:Increment
+
+# Paper APIs no shipped command or experiment calls: §4.1's secure callbacks
+# (SetInfoCallback and its outside trampoline) and shadow structure (Shadow);
+# §4.2's ex_data read (GetExData; the front end only sets it); §5.2's
+# periodic checking mode (WithChecks with an interval; no command sets one);
+# §6.3's sealed log (WithSealedLog).
+SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCallback \
+	internal/tlsterm:Shadow internal/tlsterm:GetExData internal/core:periodicChecks libseal:WithSealedLog
+
+# Fault and outside-input paths. Degraded mode's re-anchor retry, which the
+# periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
+# a readiness probe failing (HealthUnhealthy, Unhealthy); a file the verifier
+# cannot frame (unknownType, errOversized); a staged compaction image
+# discarded after a failure (discard); the mirror's reconnect backoff and
+# stream restart (backoffMax, sleepCtx, restartPayload); a deployment failing
+# half-built (bench fail); an enclave torn down under its callers (Destroy);
+# a hostile header of more than 16 out-of-order fields (groupSorted) and a
+# chunked body read from a stream (copyTo); the chaos harness's fault seams
+# (faultinject's node and link faults, SetByzantine, WithFaultInjector).
+SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter libseal:HealthUnhealthy \
+	internal/resilience:Unhealthy internal/audit:unknownType internal/audit:errOversized \
+	internal/audit:discard internal/audit/mirror:backoffMax internal/audit/mirror:sleepCtx \
+	internal/audit/mirror:restartPayload internal/bench:fail internal/enclave:Destroy \
+	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
+	internal/faultinject:SlowNode internal/faultinject:DropLink internal/faultinject:ResetLink \
+	internal/faultinject:AmnesicRestart internal/rote:SetByzantine libseal:WithFaultInjector
+
+# ROADMAP item 6: the status page and span API read the metric registry
+# through the facade's MetricsSnapshot, SetMetricsEnabled and ResetMetrics.
+SURFACE_UNREACHED += libseal:MetricsSnapshot libseal:SetMetricsEnabled libseal:ResetMetrics
+
+# benchmark/ is the referee, edited only by a benchmark PR (ROADMAP item 1).
+# bench-e2e-smoke's two runs take none of its driver-facing inputs: the diff
+# mode that judges two result files, -trace and its span files, -out and the
+# machine block it writes, and verify_cold's resume cell.
+SURFACE_UNREACHED += $(addprefix benchmark:,allAbove judge loadRuns loadSpec printDiff runDiff \
+	Accept Append Create Handle HandlePair Increment IncrementContext Read ReadContext Rename \
+	Sync Write add calls count event meanMs meanUs ms newTracer observe replayParse reqID \
+	writeSpans appendTo harnessMetrics dirBytes peakRSSMB perOp quartileSpread acked resumeOnce)
+
+surface:
+	@rm -rf $(SURFACE_DIR) && mkdir -p $(SURFACE_DIR)/product $(SURFACE_DIR)/pkg
+	@root=$$(pwd); for p in $$($(GO) list ./... | grep -vx libseal/cmd); do \
+		d=$$root/$(SURFACE_DIR)/pkg/$$(echo $$p | tr / _); mkdir -p $$d; \
+		$(GO) test -short -count=1 -cover -coverpkg=./... $$p -args -test.gocoverdir=$$d > $(SURFACE_DIR)/test.out 2>&1 \
+			|| { cat $(SURFACE_DIR)/test.out; exit 1; }; \
+	done
+	@export GOCOVERDIR=$$(pwd)/$(SURFACE_DIR)/product; \
+		$(GO) test -short -count=1 ./cmd/ && \
+		$(GO) run -cover -coverpkg=./... ./cmd/libseal-bench -list > /dev/null && \
+		$(GO) run -cover -coverpkg=./... ./cmd/libseal-bench -experiment all -quick -out $(SURFACE_DIR)/bench.json > /dev/null && \
+		for e in quickstart git-audit owncloud-audit dropbox-audit messaging-audit; do \
+			$(GO) run -cover -coverpkg=./... ./examples/$$e > /dev/null || exit 1; done && \
+		$(GO) run -cover -coverpkg=./... ./benchmark --workload verify_cold --seed 1 --seconds 2 > /dev/null && \
+		$(GO) run -cover -coverpkg=./... ./benchmark --workload git_check --seed 1 --seconds 2 > /dev/null
+	@for p in $$($(GO) list ./... | grep -vx libseal/cmd); do \
+		own=$(SURFACE_DIR)/pkg/$$(echo $$p | tr / _); \
+		dirs=$$(ls -d $(SURFACE_DIR)/product $(SURFACE_DIR)/pkg/* | grep -vx $$own | paste -sd, -); \
+		$(GO) tool covdata textfmt -i=$$dirs -pkg=$$p -o $(SURFACE_DIR)/p.txt && \
+		$(GO) tool cover -func=$(SURFACE_DIR)/p.txt | awk -v pkg=$${p#libseal/} '$$1 != "total:" && $$3 == "0.0%" { print pkg ":" $$2 " (" $$1 ")" }'; \
+	done > $(SURFACE_DIR)/unreached.txt
+	@awk -v allow="$(SURFACE_UNREACHED)" ' \
 		BEGIN { n = split(allow, a, " "); for (i = 1; i <= n; i++) ok[a[i]] = 1 } \
-		$$1 == "total:" { print "internal/sqldb statement coverage from product paths: " $$3; next } \
-		$$3 == "0.0%" { print "  never reached: " $$2 " (" $$1 ")"; if (!ok[$$2]) bad = bad " " $$2 } \
-		END { if (bad != "") { print "reached by no product path and not in SQLDB_UNREACHED:" bad; exit 1 } }'
-	@rm -f $(SQLDB_COVER)
+		{ total++; if (ok[$$1]) print "  allow-listed: " $$0; else { print "  NOT ALLOWED:  " $$0; bad++ } } \
+		END { print total " functions reached by nothing outside their own package, " total - bad " of them allow-listed"; \
+			if (bad) { print bad " not in SURFACE_UNREACHED: delete them, call them, or list them under a reason"; exit 1 } }' \
+		$(SURFACE_DIR)/unreached.txt
 	@lines=$$(ls internal/sqldb/*.go | grep -v _test.go | xargs cat | wc -l); \
 		echo "internal/sqldb non-test lines: $$lines (budget $(SQLDB_MAX_LINES))"; \
 		test $$lines -le $(SQLDB_MAX_LINES)
+	@rm -rf $(SURFACE_DIR)
 
 clean:
 	$(GO) clean ./...

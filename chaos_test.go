@@ -22,7 +22,8 @@ import (
 
 // The chaos soak drives the full stack — client -> Apache proxy -> LibSEAL ->
 // Git backend — under a scripted fault schedule, then restarts it with
-// -recover semantics and asserts the paper's robustness claims: no committed
+// recovery (what libseal-server does on a directory holding a log set) and
+// asserts the paper's robustness claims: no committed
 // audit entry is lost, no integrity violation goes undetected, and the
 // request path stays bounded while the counter quorum is unreachable.
 //

@@ -53,10 +53,9 @@ func main() {
 	auditShards := flag.Int("audit-shards", 1, "audit log shard files, partitioned per connection; every disk log is its shard files plus a signed epoch-manifest sidecar")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
-	recover := flag.Bool("recover", false, "resume from an existing audit log (requires the platform state from the previous run)")
 	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead)")
 	anchorTimeout := flag.Duration("anchor-timeout", 2*time.Second, "bound on each rollback-counter operation on the request path")
-	recoverMaxLag := flag.Uint64("recover-max-lag", 1, "counter lag tolerated when resuming with -recover (a crash between increment and flush leaves lag 1)")
+	recoverMaxLag := flag.Uint64("recover-max-lag", 1, "counter lag tolerated when resuming the log set already in -dir (a crash between increment and flush leaves lag 1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (empty = off)")
 	mirrorAddr := flag.String("mirror-addr", "", "serve the audit-log replication feed on this address for libseal-mirror followers (disk mode only; empty = off)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive counter-quorum failures that open the circuit breaker (0 = no breaker)")
@@ -166,7 +165,11 @@ func main() {
 			libseal.WithAdmission(*maxStaged, *admitTimeout),
 			libseal.WithProtector(protector),
 		)
-		if *recover {
+		// A log set already in -dir is resumed, never created over: a new
+		// set would truncate the previous run's evidence. A set that fails
+		// recovery stops the server and stays as it is.
+		if hasLogSet(*dir, module.Name()) {
+			log.Printf("resuming the audit log set in %s", *dir)
 			opts = append(opts, libseal.WithRecovery(*recoverMaxLag))
 		}
 	default:
@@ -198,9 +201,13 @@ func main() {
 	if *metricsAddr != "" {
 		mux := telemetry.NewServeMux()
 		newHealth(seal, group, breaker, *degradedLimit).Mount(mux)
+		tl, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("telemetry on http://%s/metrics (health under /healthz and /readyz, pprof under /debug/pprof/)", tl.Addr())
 		go func() {
-			log.Printf("telemetry on http://%s/metrics (health under /healthz and /readyz, pprof under /debug/pprof/)", *metricsAddr)
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+			if err := http.Serve(tl, mux); err != nil {
 				log.Printf("telemetry endpoint: %v", err)
 			}
 		}()
@@ -310,6 +317,14 @@ func newHealth(seal *libseal.LibSEAL, group *libseal.CounterGroup, breaker *libs
 		return libseal.HealthOK(fmt.Sprintf("anchored (%d degraded episodes closed)", st.Gaps))
 	})
 	return h
+}
+
+// hasLogSet reports whether dir holds any file of the named log set: its
+// manifest sidecar or one of its shard files.
+func hasLogSet(dir, name string) bool {
+	shards, _ := filepath.Glob(filepath.Join(dir, name+"-shard*.lseal"))
+	_, err := os.Stat(filepath.Join(dir, name+".manifest"))
+	return len(shards) > 0 || err == nil
 }
 
 func mustWrite(path string, data []byte) {

@@ -184,9 +184,6 @@ func New(encl *enclave.Enclave, cfg Config) (*Bridge, error) {
 	return b, nil
 }
 
-// Mode returns the bridge's call mode.
-func (b *Bridge) Mode() Mode { return b.cfg.Mode }
-
 // Enclave returns the enclave this bridge serves.
 func (b *Bridge) Enclave() *enclave.Enclave { return b.encl }
 

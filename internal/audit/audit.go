@@ -243,11 +243,6 @@ type Log struct {
 	chain   [32]byte
 	counter uint64
 
-	// heap is the set's enclave heap charge for the rows its database holds
-	// (ShardedLog.heap): added as rows are staged, released as a failed batch
-	// or a trim gives them up.
-	heap *atomic.Int64
-
 	// sigCounter is the counter value attested by the last *durable*
 	// signature record. It can trail counter: collectAnchor publishes a fresh
 	// value to future signers before the batch's signature hits disk. Epoch
@@ -338,14 +333,6 @@ func (l *Log) Status() Status {
 	return Status{Degraded: pending > 0, PendingAnchor: pending, Gaps: int(l.gaps.Load())}
 }
 
-// Counter returns the last counter value anchored into the persisted log.
-// Runs outside the enclave.
-func (l *Log) Counter() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counter
-}
-
 // file record types.
 const (
 	recEntry byte = 'E'
@@ -362,8 +349,8 @@ var (
 
 // newShard creates (or truncates) one shard's log over the set's shared
 // database, whose schema is already in place.
-func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
-	l := newLogDB(cfg, db, heap)
+func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
+	l := newLogDB(cfg, db)
 	if cfg.Mode == ModeDisk {
 		if err := env.Ocall(l.file.create); err != nil {
 			return nil, err
@@ -372,12 +359,12 @@ func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB, heap *atomic.Int64) (
 	return l, nil
 }
 
-// newLogDB builds a log around an existing database and its heap charge.
+// newLogDB builds a log around an existing database.
 // Shards of one ShardedLog share a single database so invariant queries see
 // the whole relational view while each shard keeps its own chain, file and
 // counter.
-func newLogDB(cfg Config, db *sqldb.DB, heap *atomic.Int64) *Log {
-	l := &Log{cfg: cfg, db: db, heap: heap, stmts: make(map[string]*sqldb.Stmt)}
+func newLogDB(cfg Config, db *sqldb.DB) *Log {
+	l := &Log{cfg: cfg, db: db, stmts: make(map[string]*sqldb.Stmt)}
 	if cfg.Mode == ModeDisk {
 		path := filepath.Join(cfg.Dir, cfg.Name+".lseal")
 		l.file = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: fileMagic}
@@ -386,20 +373,9 @@ func newLogDB(cfg Config, db *sqldb.DB, heap *atomic.Int64) *Log {
 	return l
 }
 
-// DB exposes the underlying relational database for invariant queries.
-func (l *Log) DB() *sqldb.DB { return l.db }
-
 // Seq returns the number of durable entries appended since creation or
 // recovery.
 func (l *Log) Seq() uint64 { return l.seq.Load() }
-
-// ChainHash returns the current durable head of the hash chain (zero in
-// memory mode, which keeps no file). Runs outside the enclave.
-func (l *Log) ChainHash() [32]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chain
-}
 
 // insertStmt returns a cached prepared INSERT for the table.
 func (l *Log) insertStmt(table string, arity int) (*sqldb.Stmt, error) {
@@ -437,7 +413,6 @@ type waitRef struct {
 	b      *commitBatch
 	leader bool
 	count  int
-	bytes  int64
 }
 
 // Append adds one tuple to the named relation: it is inserted into the
@@ -489,15 +464,11 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 		mAppendErrors.Inc()
 		return nil, ErrClosed
 	}
-	// Phase 1a: prepare statements, encode entries and charge the enclave
-	// heap — everything fallible that does not touch the database.
+	// Phase 1a: prepare statements and encode entries — everything fallible
+	// that does not touch the database.
 	encs := make([][]byte, len(rows))
 	stmts := make([]*sqldb.Stmt, len(rows))
-	var charged int64
 	fail := func(err error) (*Ticket, error) {
-		if charged > 0 {
-			env.Ctx.Free(charged)
-		}
 		l.mu.Unlock()
 		mAppendErrors.Inc()
 		return nil, err
@@ -509,16 +480,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 		}
 		stmts[i] = st
 		entry := &Entry{Seq: l.specSeq.Load() + uint64(i), Table: row.Table, Values: svals[i]}
-		enc := entry.Marshal()
-		// Account the tuple against the enclave heap: the in-enclave
-		// database pays EPC paging costs once the log outgrows the enclave
-		// page cache (§2.5), which is why trimming matters beyond log-size
-		// hygiene.
-		if err := env.Ctx.Alloc(int64(len(enc))); err != nil {
-			return fail(err)
-		}
-		charged += int64(len(enc))
-		encs[i] = enc
+		encs[i] = entry.Marshal()
 	}
 	// Phase 1b: insert the rows. A mid-group failure removes the group's
 	// earlier inserts again (we hold l.mu, so the trailing rows are ours),
@@ -537,7 +499,6 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 			return fail(err)
 		}
 	}
-	l.heap.Add(charged)
 	// Phase 2: take sequence numbers and join batches. This cannot fail, so
 	// a ticket always covers all of its rows.
 	for _, enc := range encs {
@@ -551,9 +512,8 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 		b, leader := l.joinBatch(enc)
 		if n := len(t.waits); n > 0 && t.waits[n-1].b == b {
 			t.waits[n-1].count++
-			t.waits[n-1].bytes += int64(len(enc))
 		} else {
-			t.waits = append(t.waits, waitRef{b: b, leader: leader, count: 1, bytes: int64(len(enc))})
+			t.waits = append(t.waits, waitRef{b: b, leader: leader, count: 1})
 		}
 	}
 	mStagedPending.Set(int64(l.PendingStaged()))
@@ -655,9 +615,8 @@ func (l *Log) joinBatch(enc []byte) (*commitBatch, bool) {
 
 // Wait blocks until every batch holding one of the ticket's entries is
 // durable, leading the commits this ticket opened. It returns the first
-// failure; entries of failed batches are not durable and their heap charge
-// is released. Must run inside the same enclave call that staged the
-// ticket.
+// failure; entries of failed batches are not durable. Must run inside the
+// same enclave call that staged the ticket.
 func (t *Ticket) Wait(env *asyncall.Env) error {
 	var firstErr error
 	failed := 0
@@ -672,8 +631,6 @@ func (t *Ticket) Wait(env *asyncall.Env) error {
 			err = w.b.err
 		}
 		if err != nil {
-			env.Ctx.Free(w.bytes)
-			t.l.heap.Add(-w.bytes)
 			failed += w.count
 			if firstErr == nil {
 				firstErr = err
@@ -1104,17 +1061,6 @@ func (l *Log) signState(env *asyncall.Env, chain [32]byte, counter uint64, prev 
 	return sigPayload(chain, counter, prev, sig.R, sig.S), nil
 }
 
-// Query runs an invariant query against the log.
-func (l *Log) Query(sql string, args ...any) (*sqldb.Result, error) {
-	return l.db.Query(sql, args...)
-}
-
-// Exec runs arbitrary SQL against the log database (used for state tables
-// maintained by stateful SSMs).
-func (l *Log) Exec(sql string, args ...any) (int, error) {
-	return l.db.Exec(sql, args...)
-}
-
 // rewrite is one shard's share of a compaction (§5.1, "Log trimming"): its
 // partition of the rows the database holds becomes the shard's whole log, the
 // chain recomputed from zero, re-anchored at a fresh counter value, re-signed,
@@ -1172,8 +1118,7 @@ func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) {
 
 // adoptRewrite moves the in-memory chain onto the new image whenever the
 // replacement landed — even when an error came with it, the file is the new
-// image. The heap charge is not touched: it follows the database, not the
-// files (ShardedLog.ApplyTrim).
+// image.
 func (l *Log) adoptRewrite(rw *rewrite) {
 	l.chain = rw.chain
 	l.seq.Store(uint64(len(rw.encs)))
@@ -1208,11 +1153,11 @@ func (l *Log) Close() error {
 // It re-anchors the chain at a fresh counter value before returning. Between
 // compactions the file holds rows the database had already trimmed away;
 // they come back, and the first trim after recovery removes them again.
-func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
+func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB) (*Log, error) {
 	if cfg.Mode != ModeDisk {
 		return nil, errors.New("audit: recovery requires disk mode")
 	}
-	l := newLogDB(cfg, db, heap)
+	l := newLogDB(cfg, db)
 	opts := VerifyOptions{
 		Pub: pub, Protector: cfg.Protector, Name: cfg.Name,
 		RecoverTruncated: true, MaxCounterLag: cfg.RecoverMaxLag,
@@ -1247,11 +1192,6 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		if _, err := st.Exec(args...); err != nil {
 			return nil, err
 		}
-		size := e.size()
-		if err := env.Ctx.Alloc(size); err != nil {
-			return nil, err
-		}
-		l.heap.Add(size)
 	}
 	l.chain = res.Chain // the entries cannot rebuild a chain over sealed records
 	l.seq.Store(uint64(len(res.Entries)))

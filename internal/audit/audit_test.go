@@ -453,66 +453,3 @@ func TestEmptyFileVerifies(t *testing.T) {
 		t.Fatalf("empty log: %v, %v", entries, err)
 	}
 }
-
-func TestAppendAccountsEnclaveHeap(t *testing.T) {
-	e := newAuditEnv(t)
-	var l *oneShard
-	e.call(t, func(env *asyncall.Env) error {
-		var err error
-		l, err = newOneShard(env, Config{Name: "heap", Schema: testSchema, Mode: ModeMemory})
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 10; i++ {
-			if err := l.Append(env, "updates", i, "r", "main", "c", "update"); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	defer l.Close()
-	grown := e.encl.HeapBytes()
-	if grown <= 0 {
-		t.Fatalf("enclave heap = %d after 10 appends, want > 0", grown)
-	}
-	// Trimming releases the heap held by discarded tuples.
-	e.call(t, func(env *asyncall.Env) error {
-		return l.Trim(env, []string{
-			"DELETE FROM advertisements",
-			"DELETE FROM updates WHERE time NOT IN (SELECT MAX(time) FROM updates GROUP BY repo, branch)",
-		})
-	})
-	if after := e.encl.HeapBytes(); after >= grown {
-		t.Fatalf("trim did not release heap: %d -> %d", grown, after)
-	}
-}
-
-func TestAppendRespectsEnclaveMemLimit(t *testing.T) {
-	p := enclave.NewPlatform()
-	encl, err := p.Launch(enclave.Config{
-		Code: []byte("tiny"), MaxThreads: 4, MemLimit: 256, Cost: enclave.ZeroCostModel(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bridge, err := asyncall.New(encl, asyncall.Config{Mode: asyncall.ModeSync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-	err = bridge.Call(func(env *asyncall.Env) error {
-		l, err := newOneShard(env, Config{Name: "tiny", Schema: testSchema, Mode: ModeMemory})
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 100; i++ {
-			if err := l.Append(env, "updates", i, "r", "main", "c", "update"); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if !errors.Is(err, enclave.ErrExceedsMemLimit) {
-		t.Fatalf("err = %v, want ErrExceedsMemLimit", err)
-	}
-}

@@ -64,8 +64,7 @@ func (e *Entry) Marshal() []byte {
 	return buf.Bytes()
 }
 
-// size is len(e.Marshal()), without encoding: what the entry costs the
-// enclave heap.
+// size is len(e.Marshal()), without encoding.
 func (e *Entry) size() int64 {
 	n := 14 + len(e.Table) + len(e.Values) // seq, table length, value count, tags
 	for _, v := range e.Values {

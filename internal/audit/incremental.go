@@ -182,15 +182,10 @@ func (v *IncrementalVerifier) deliver() {
 // framed so far plus any buffered partial record.
 func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(len(v.in.buf)) }
 
-// Buffered is the number of received-but-unframed bytes (a partial record
-// mid-flight).
-func (v *IncrementalVerifier) Buffered() int { return len(v.in.buf) }
-
 // Seq and Entries are the number of verified entries, those past the last
-// commit point included; Counter and MaxCounter the last and highest
-// verified signature counters; Batches the verified commit count.
+// commit point included; MaxCounter the highest verified signature
+// counter; Batches the verified commit count.
 func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
-func (v *IncrementalVerifier) Counter() uint64    { return v.led.cur.counter }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
 func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
 func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + v.core.inBatch }

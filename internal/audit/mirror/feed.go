@@ -176,13 +176,6 @@ func (f *Feed) removeSubscriber(s *subscriber) {
 	}
 }
 
-// Subscribers reports the number of currently attached subscribers.
-func (f *Feed) Subscribers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.subs)
-}
-
 // DisconnectAll severs every current subscriber connection without closing
 // the listener — the chaos suite's link-drop fault. Subscribers reconnect
 // and resume.

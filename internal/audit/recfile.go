@@ -10,9 +10,6 @@ import (
 	"libseal/internal/vfs"
 )
 
-// recordSize is the on-disk footprint of one record.
-func recordSize(payload []byte) int64 { return 5 + int64(len(payload)) }
-
 // appendRecords lays recs out after buf (their off is ignored), each as
 // type[1] ‖ length[4, big-endian] ‖ payload.
 func appendRecords(buf []byte, recs []record) []byte {

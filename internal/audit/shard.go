@@ -102,9 +102,6 @@ type ShardedLog struct {
 	db     *sqldb.DB
 	shards []*Log
 
-	// heap is the enclave heap charged for the rows db holds, shared by the
-	// shards that stage them; every trim reconciles it to those rows.
-	heap atomic.Int64
 	// image is the size of a fresh image of the rows db held at the last
 	// trim — what a compaction would leave on disk (CompactDue).
 	image atomic.Int64
@@ -155,7 +152,7 @@ func (s *ShardedLog) SetCommitNotify(fn func()) {
 // newSet builds a set: the shared database with the schema applied once,
 // every shard's log from open, and in disk mode the manifest lane's (not yet
 // written) file.
-func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log, error)) (*ShardedLog, error) {
+func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*ShardedLog, error) {
 	s := &ShardedLog{cfg: cfg, db: sqldb.New()}
 	if cfg.Schema != "" {
 		if _, err := s.db.Exec(cfg.Schema); err != nil {
@@ -163,7 +160,7 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log
 		}
 	}
 	for k := 0; k < cfg.shardCount(); k++ {
-		l, err := open(cfg.shardConfig(k), s.db, &s.heap)
+		l, err := open(cfg.shardConfig(k), s.db)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("audit: shard %d: %w", k, err)
@@ -182,7 +179,7 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB, *atomic.Int64) (*Log
 // attesting the empty shards, whatever the shard count. Must run inside an
 // enclave call.
 func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
-	s, err := newSet(cfg, func(c Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) { return newShard(env, c, db, heap) })
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return newShard(env, c, db) })
 	if err != nil {
 		return nil, err
 	}
@@ -207,8 +204,8 @@ func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 // manifest attesting the recovered states. The shard count must match the
 // one the files were created with. Must run inside an enclave call.
 func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) (*ShardedLog, error) {
-	s, err := newSet(cfg, func(c Config, db *sqldb.DB, heap *atomic.Int64) (*Log, error) {
-		return recoverShard(env, c, pub, db, heap)
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) {
+		return recoverShard(env, c, pub, db)
 	})
 	if err != nil {
 		return nil, err
@@ -253,20 +250,12 @@ func (s *ShardedLog) ShardFor(key uint64) int {
 // Shards returns the shard count.
 func (s *ShardedLog) Shards() int { return len(s.shards) }
 
-// Shard exposes shard k (tests and status reporting).
-func (s *ShardedLog) Shard(k int) *Log { return s.shards[k] }
-
 // DB exposes the shared relational database for invariant queries.
 func (s *ShardedLog) DB() *sqldb.DB { return s.db }
 
 // Query runs an invariant query against the shared database.
 func (s *ShardedLog) Query(sql string, args ...any) (*sqldb.Result, error) {
 	return s.db.Query(sql, args...)
-}
-
-// Exec runs arbitrary SQL against the shared database.
-func (s *ShardedLog) Exec(sql string, args ...any) (int, error) {
-	return s.db.Exec(sql, args...)
 }
 
 // Stage inserts the rows into the shared database and stages them into the
@@ -345,9 +334,7 @@ func PlanTrim(snap *sqldb.Snapshot, script []*sqldb.Stmt) (*sqldb.TrimPlan, erro
 // append-only history of every row the database holds and of the rows trimmed
 // from it since. CompactDue says when half the files' bytes are dead, Compact
 // reclaims them, and recovery in between replays the trimmed rows, which the
-// next trim removes again. The enclave heap charge is reconciled to the
-// survivors' encoded bytes here, so the EPC model keeps meaning what the
-// in-enclave database holds.
+// next trim removes again.
 func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	for _, sh := range s.shards {
 		asyncall.Lock(env, &sh.mu)
@@ -362,12 +349,7 @@ func (s *ShardedLog) ApplyTrim(env *asyncall.Env, plan *sqldb.TrimPlan) error {
 	if err := s.db.ApplyTrim(plan); err != nil {
 		return fmt.Errorf("audit: trim: %w", err)
 	}
-	live, rows := s.liveBytes()
-	if over := s.heap.Load() - live; over > 0 {
-		env.Ctx.Free(over)
-		s.heap.Add(-over)
-	}
-	image := s.imageBytes(live, rows)
+	image := s.imageBytes(s.liveBytes())
 	s.image.Store(image)
 	mLiveBytes.Set(image)
 	mCommittedBytes.Set(s.committedBytes())
@@ -741,14 +723,6 @@ func (s *ShardedLog) noteManifest(m *Manifest, landed bool, err error) error {
 		mManifests.Inc()
 	}
 	return err
-}
-
-// Epoch returns the epoch of the last durably written manifest (0 before
-// the first).
-func (s *ShardedLog) Epoch() uint64 {
-	s.mmu.Lock()
-	defer s.mmu.Unlock()
-	return s.epoch
 }
 
 // Close drains and closes every shard, then the manifest sidecar. No final

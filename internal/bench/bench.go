@@ -17,7 +17,6 @@ package bench
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -154,11 +153,4 @@ func (ld Load) Run() (Result, error) {
 		res.Throughput = float64(len(samples)) / elapsed.Seconds()
 	}
 	return res, nil
-}
-
-// String renders a result row.
-func (r Result) String() string {
-	return fmt.Sprintf("%8.1f req/s  mean %8s  p50 %8s  p95 %8s  p99 %8s  (%d req, %d err)",
-		r.Throughput, r.Latency.Mean.Round(time.Microsecond), r.Latency.P50.Round(time.Microsecond),
-		r.Latency.P95.Round(time.Microsecond), r.Latency.P99.Round(time.Microsecond), r.Requests, r.Errors)
 }

@@ -52,9 +52,6 @@ func TestCheckSyncEndToEnd(t *testing.T) {
 	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 1 || st.TrimsSkipped != 1 {
 		t.Fatalf("after two pushes: %+v, want 2 checks, 1 skipped trim, 1 trim", st)
 	}
-	if got := ls.LastCheckResult(); got != "ok" {
-		t.Fatalf("check result = %q", got)
-	}
 	if result, err := ls.CheckNow(); err != nil || result != "ok" {
 		t.Fatalf("CheckNow = %q, %v", result, err)
 	}

@@ -183,7 +183,6 @@ type LibSEAL struct {
 	pairTime   int64
 	sinceCheck int
 	lastCheck  time.Time
-	lastResult string
 	violations []Violation
 	stats      Stats
 
@@ -248,10 +247,9 @@ type connTracker struct {
 // and TLS state are initialised inside the enclave.
 func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 	ls := &LibSEAL{
-		cfg:        cfg,
-		bridge:     bridge,
-		conns:      make(map[uint64]*connTracker),
-		lastResult: "none",
+		cfg:    cfg,
+		bridge: bridge,
+		conns:  make(map[uint64]*connTracker),
 	}
 	if cfg.Module != nil {
 		auditCfg := audit.ShardedConfig{
@@ -421,14 +419,6 @@ func (ls *LibSEAL) Violations() []Violation {
 	ls.logMu.Lock()
 	defer ls.logMu.Unlock()
 	return append([]Violation(nil), ls.violations...)
-}
-
-// LastCheckResult returns the in-band result string of the most recent
-// invariant check ("ok", "violation:<names>", "rate-limited" or "none").
-func (ls *LibSEAL) LastCheckResult() string {
-	ls.logMu.Lock()
-	defer ls.logMu.Unlock()
-	return ls.lastResult
 }
 
 // sealTap adapts LibSEAL to the tlsterm.Tap interface. Methods run inside
@@ -708,8 +698,7 @@ func (ls *LibSEAL) captureCheckLocked(clientTriggered bool) (*checkCapture, stri
 	}
 	now := time.Now()
 	if clientTriggered && ls.cfg.CheckMinInterval > 0 && now.Sub(ls.lastCheck) < ls.cfg.CheckMinInterval {
-		ls.lastResult = "rate-limited"
-		return nil, ls.lastResult
+		return nil, "rate-limited"
 	}
 	ls.lastCheck = now
 	ls.stats.Checks++
@@ -763,7 +752,6 @@ func (ls *LibSEAL) evalCheck(ctx context.Context, cap *checkCapture) *checkOutco
 
 // publishCheckLocked records an outcome under logMu.
 func (ls *LibSEAL) publishCheckLocked(out *checkOutcome) {
-	ls.lastResult = out.result
 	for _, v := range out.violations {
 		ls.violations = append(ls.violations, v)
 		ls.stats.Violations += int64(len(v.Rows.Rows))

@@ -533,14 +533,8 @@ func TestRecoverExistingAcrossRestart(t *testing.T) {
 func TestLastCheckResultLifecycle(t *testing.T) {
 	env := newCoreEnv(t)
 	ls := newGitLibSEAL(t, env, Config{Module: gitssm.New(), AuditMode: audit.ModeMemory})
-	if got := ls.LastCheckResult(); got != "none" {
-		t.Fatalf("initial = %q", got)
-	}
-	if _, err := ls.CheckNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ls.LastCheckResult(); got != "ok" {
-		t.Fatalf("after check = %q", got)
+	if got, err := ls.CheckNow(); err != nil || got != "ok" {
+		t.Fatalf("check = %q, %v", got, err)
 	}
 	// TrimNow is one check+trim cycle, counted like every other: with nothing
 	// to delete the trim is skipped, with a checked advertisement it runs. A
@@ -587,8 +581,8 @@ func TestTrimFailureCounted(t *testing.T) {
 	if st := ls.StatsSnapshot(); st.Checks != 2 || st.Trims != 0 || st.TrimsSkipped != 0 || st.TrimFailures != 2 {
 		t.Fatalf("stats = %+v, want 2 checks and 2 failed trims", st)
 	}
-	if got := ls.LastCheckResult(); got != "ok" {
-		t.Fatalf("check result = %q", got)
+	if got, err := ls.CheckNow(); err != nil || got != "ok" {
+		t.Fatalf("check = %q, %v", got, err)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 // platform. The defaults are calibrated against the figures published in the
 // LibSEAL paper (§2.5, §4.2, §6.8): an enclave transition costs 8,400 CPU
 // cycles with a single thread and degrades roughly linearly to 170,000 cycles
-// with 48 concurrent threads; enclave memory beyond the EPC limit pays a
-// paging penalty; and in-enclave code pays an extra factor on cache misses,
-// which we approximate as a per-byte processing surcharge.
+// with 48 concurrent threads; and in-enclave code pays an extra factor on
+// cache misses, which we approximate as a per-byte processing surcharge.
+// EPC paging is not modelled.
 //
 // All costs are charged as real CPU time (calibrated busy-spinning) so that
 // benchmarks measure genuine wall-clock behaviour instead of replaying
@@ -30,14 +30,6 @@ type CostModel struct {
 	// a 20x degradation from 1 to 48 threads, i.e. roughly 0.40 per thread.
 	TransitionContention float64
 
-	// EPCBytes is the usable enclave page cache size. Memory allocated
-	// beyond it pays EPCPagingCycles per 4 KiB page.
-	EPCBytes int64
-
-	// EPCPagingCycles is the cost of evicting/loading one EPC page once the
-	// enclave working set exceeds EPCBytes.
-	EPCPagingCycles int64
-
 	// InEnclaveCyclesPerByte approximates the memory-encryption-engine
 	// overhead for touching data inside the enclave (cache-miss
 	// encrypt/decrypt penalty). Charged by ChargeData.
@@ -47,34 +39,24 @@ type CostModel struct {
 	// async-call slot array instead of a hardware transition: one cache-line
 	// round trip plus scheduler wakeup, far below TransitionCycles.
 	AsyncCallCycles int64
-
-	// HardwareCounterLatency is the latency of one SGX hardware monotonic
-	// counter increment. Real platform counters take on the order of
-	// 80-250 ms, which is why LibSEAL replaces them with ROTE.
-	HardwareCounterLatency time.Duration
 }
 
 // DefaultCostModel returns the cost model calibrated against the paper's
-// testbed (SGX v1, Xeon E3-1280 v5 @ 3.70 GHz, 128 MB EPC), scaled down by
-// the given factor so that full benchmark sweeps finish in reasonable time
-// while preserving every relative shape. scale=1 reproduces absolute costs.
+// testbed (SGX v1, Xeon E3-1280 v5 @ 3.70 GHz).
 func DefaultCostModel() CostModel {
 	return CostModel{
 		ClockGHz:               3.70,
 		TransitionCycles:       8400,
 		TransitionContention:   0.40,
-		EPCBytes:               128 << 20,
-		EPCPagingCycles:        40000,
 		InEnclaveCyclesPerByte: 0.30,
 		AsyncCallCycles:        600,
-		HardwareCounterLatency: 80 * time.Millisecond,
 	}
 }
 
 // ZeroCostModel returns a model in which every operation is free. Unit tests
 // use it so that functional behaviour can be exercised at full speed.
 func ZeroCostModel() CostModel {
-	return CostModel{ClockGHz: 3.70, EPCBytes: 128 << 20}
+	return CostModel{ClockGHz: 3.70}
 }
 
 // cyclesToDuration converts a cycle count into wall-clock time under the
@@ -99,16 +81,6 @@ func (m CostModel) TransitionCost(threads int) time.Duration {
 // AsyncCallCost returns the wall-clock cost of one asynchronous call handoff.
 func (m CostModel) AsyncCallCost() time.Duration {
 	return m.cyclesToDuration(float64(m.AsyncCallCycles))
-}
-
-// PagingCost returns the cost of paging `bytes` of enclave memory that fall
-// beyond the EPC limit.
-func (m CostModel) PagingCost(bytes int64) time.Duration {
-	if bytes <= 0 {
-		return 0
-	}
-	pages := (bytes + 4095) / 4096
-	return m.cyclesToDuration(float64(pages * m.EPCPagingCycles))
 }
 
 // DataCost returns the in-enclave processing surcharge for touching `bytes`

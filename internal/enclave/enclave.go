@@ -1,9 +1,10 @@
 // Package enclave provides a software-simulated Intel SGX trusted execution
 // environment. It reproduces the properties LibSEAL relies on — isolated
 // enclave state reachable only through a registered ecall interface, costed
-// enclave transitions, EPC paging penalties, sealing, attestation and
-// monotonic counters — charging real CPU time according to a calibrated cost
-// model so that benchmarks measure genuine behaviour.
+// enclave transitions, sealing and attestation — charging real CPU time
+// according to a calibrated cost model so that benchmarks measure genuine
+// behaviour. It models neither the SGX hardware counter (ROTE is the
+// rollback counter, §5.1) nor EPC paging.
 package enclave
 
 import (
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"libseal/internal/simtime"
@@ -24,14 +24,13 @@ import (
 )
 
 // Process-wide telemetry for the enclave interface: transition counts feed
-// the §6.8 contention analysis, paging feeds the §2.5 EPC-pressure story.
+// the §6.8 contention analysis.
 var (
 	mTransitions = telemetry.NewCounter("enclave.transitions", "crossings")
 	mEcalls      = telemetry.NewCounter("enclave.ecalls", "calls")
 	mOcalls      = telemetry.NewCounter("enclave.ocalls", "calls")
 	mAsyncEcalls = telemetry.NewCounter("enclave.async_ecalls", "calls")
 	mAsyncOcalls = telemetry.NewCounter("enclave.async_ocalls", "calls")
-	mPagedBytes  = telemetry.NewCounter("enclave.paged_bytes", "bytes")
 	// Occupancy: threads inside an enclave call (what the contention term is
 	// charged on) and TCS slots taken. A connection idle on its socket holds
 	// neither; resident scheduler threads hold one of each for their lifetime.
@@ -48,35 +47,25 @@ type SignerID [32]byte
 
 // Errors returned by enclave operations.
 var (
-	ErrNoThreads       = errors.New("enclave: all TCS slots busy")
-	ErrNotInside       = errors.New("enclave: operation requires enclave context")
-	ErrAlreadyInside   = errors.New("enclave: nested ecall not permitted")
-	ErrDestroyed       = errors.New("enclave: enclave destroyed")
-	ErrUnknownCounter  = errors.New("enclave: unknown monotonic counter")
-	ErrSealCorrupted   = errors.New("enclave: sealed blob corrupted or wrong key")
-	ErrQuoteInvalid    = errors.New("enclave: quote signature invalid")
-	ErrInterfaceCheck  = errors.New("enclave: interface check failed")
-	ErrExceedsMemLimit = errors.New("enclave: allocation exceeds enclave memory limit")
+	ErrNotInside     = errors.New("enclave: operation requires enclave context")
+	ErrDestroyed     = errors.New("enclave: enclave destroyed")
+	ErrSealCorrupted = errors.New("enclave: sealed blob corrupted or wrong key")
+	ErrQuoteInvalid  = errors.New("enclave: quote signature invalid")
 )
 
 // Platform models one SGX-capable machine: the CPU fuse key from which
-// sealing keys derive, the quoting infrastructure, and hardware monotonic
-// counters that survive enclave restarts.
+// sealing keys derive, and the quoting infrastructure.
 type Platform struct {
-	mu      sync.Mutex
 	fuseKey [32]byte
 	// quotingKey is the per-platform attestation key, certified by the
 	// (simulated) Intel attestation service.
 	quotingKey *ecdsa.PrivateKey
-
-	counters    map[uint64]*hardwareCounter
-	nextCounter uint64
 }
 
 // NewPlatform creates a fresh simulated SGX machine with its own fuse key and
 // provisioned attestation key.
 func NewPlatform() *Platform {
-	p := &Platform{counters: make(map[uint64]*hardwareCounter)}
+	p := &Platform{}
 	if _, err := rand.Read(p.fuseKey[:]); err != nil {
 		panic("enclave: platform entropy unavailable: " + err.Error())
 	}
@@ -100,9 +89,6 @@ type Config struct {
 	// threads that may be inside the enclave simultaneously. SGX enclaves
 	// cannot grow this dynamically (§4.3 footnote).
 	MaxThreads int
-	// MemLimit caps total enclave heap. Zero means unlimited (paging costs
-	// still apply past the EPC size).
-	MemLimit int64
 	// Cost is the performance model. The zero value charges nothing.
 	Cost CostModel
 }
@@ -113,7 +99,6 @@ type Enclave struct {
 	meas     Measurement
 	signer   SignerID
 	cost     CostModel
-	memLimit int64
 
 	tcs chan struct{} // TCS slot tokens
 
@@ -123,10 +108,7 @@ type Enclave struct {
 	// resident scheduler threads), feeding the contention term of the cost
 	// model: on SGX, transition cost grows with the number of threads using
 	// the enclave (§6.8: 8,500 cycles alone vs 170,000 with 48 threads).
-	callers    atomic.Int64
-	maxCallers atomic.Int64
-
-	heapBytes atomic.Int64
+	callers atomic.Int64
 
 	stats Stats
 
@@ -142,7 +124,6 @@ type Stats struct {
 	Ocalls      atomic.Int64
 	AsyncEcalls atomic.Int64
 	AsyncOcalls atomic.Int64
-	PagedBytes  atomic.Int64
 	Seals       atomic.Int64
 	Unseals     atomic.Int64
 }
@@ -153,7 +134,6 @@ type StatsSnapshot struct {
 	Ocalls      int64
 	AsyncEcalls int64
 	AsyncOcalls int64
-	PagedBytes  int64
 	Seals       int64
 	Unseals     int64
 }
@@ -179,7 +159,6 @@ func (p *Platform) Launch(cfg Config) (*Enclave, error) {
 		meas:      meas,
 		signer:    cfg.Signer,
 		cost:      cfg.Cost,
-		memLimit:  cfg.MemLimit,
 		tcs:       make(chan struct{}, cfg.MaxThreads),
 		reportKey: key,
 	}
@@ -192,12 +171,6 @@ func (p *Platform) Launch(cfg Config) (*Enclave, error) {
 // Measurement returns the enclave's MRENCLAVE value.
 func (e *Enclave) Measurement() Measurement { return e.meas }
 
-// Signer returns the enclave's MRSIGNER value.
-func (e *Enclave) Signer() SignerID { return e.signer }
-
-// Cost returns the active cost model.
-func (e *Enclave) Cost() CostModel { return e.cost }
-
 // Destroy tears the enclave down; subsequent ecalls fail.
 func (e *Enclave) Destroy() { e.destroyed.Store(true) }
 
@@ -209,12 +182,6 @@ type Ctx struct {
 	valid bool
 }
 
-// Enclave returns the enclave this context executes in.
-func (c *Ctx) Enclave() *Enclave {
-	c.check()
-	return c.e
-}
-
 func (c *Ctx) check() {
 	if c == nil || !c.valid {
 		panic(ErrNotInside)
@@ -224,19 +191,8 @@ func (c *Ctx) check() {
 // chargeTransition pays for one boundary crossing at current contention.
 func (e *Enclave) chargeTransition() {
 	mTransitions.Inc()
-	n := e.callers.Load()
-	for {
-		m := e.maxCallers.Load()
-		if n <= m || e.maxCallers.CompareAndSwap(m, n) {
-			break
-		}
-	}
-	simtime.Burn(e.cost.TransitionCost(int(n)))
+	simtime.Burn(e.cost.TransitionCost(int(e.callers.Load())))
 }
-
-// MaxCallers reports the highest concurrent-caller count observed, a
-// diagnostic for the contention model.
-func (e *Enclave) MaxCallers() int64 { return e.maxCallers.Load() }
 
 // addCallers moves the count of threads executing an enclave call.
 func (e *Enclave) addCallers(d int64) {
@@ -253,7 +209,7 @@ func (e *Enclave) releaseTCS() {
 // Ecall enters the enclave and runs fn inside it. It blocks while all TCS
 // slots are busy, pays the transition cost in both directions, and returns
 // fn's error. This is the synchronous path; the asyncall package layers the
-// paper's asynchronous mechanism on top of TryEcall/ecallLocked.
+// paper's asynchronous mechanism on top of it and EnterResident.
 func (e *Enclave) Ecall(fn func(*Ctx) error) error {
 	if e.destroyed.Load() {
 		return ErrDestroyed
@@ -263,29 +219,6 @@ func (e *Enclave) Ecall(fn func(*Ctx) error) error {
 	<-e.tcs
 	mTCSBusy.Add(1)
 	defer e.releaseTCS()
-	return e.ecallLocked(fn)
-}
-
-// TryEcall is like Ecall but fails immediately with ErrNoThreads when no TCS
-// slot is free.
-func (e *Enclave) TryEcall(fn func(*Ctx) error) error {
-	if e.destroyed.Load() {
-		return ErrDestroyed
-	}
-	select {
-	case <-e.tcs:
-	default:
-		return ErrNoThreads
-	}
-	mTCSBusy.Add(1)
-	e.addCallers(1)
-	defer e.addCallers(-1)
-	defer e.releaseTCS()
-	return e.ecallLocked(fn)
-}
-
-// ecallLocked runs fn holding a TCS slot, charging both crossings.
-func (e *Enclave) ecallLocked(fn func(*Ctx) error) error {
 	e.stats.Ecalls.Add(1)
 	mEcalls.Inc()
 	e.chargeTransition()
@@ -354,39 +287,20 @@ func (e *Enclave) NoteAsyncOcall() {
 	simtime.Burn(e.cost.AsyncCallCost())
 }
 
-// Alloc accounts for size bytes of enclave heap. Once the enclave working
-// set exceeds the EPC, the paging penalty for the overflow is charged.
-func (c *Ctx) Alloc(size int64) error {
-	c.check()
-	e := c.e
-	total := e.heapBytes.Add(size)
-	if e.memLimit > 0 && total > e.memLimit {
-		e.heapBytes.Add(-size)
-		return ErrExceedsMemLimit
-	}
-	if over := total - e.cost.EPCBytes; over > 0 && e.cost.EPCBytes > 0 {
-		paged := min64(size, over)
-		e.stats.PagedBytes.Add(paged)
-		mPagedBytes.Add(paged)
-		simtime.Burn(e.cost.PagingCost(paged))
-	}
-	return nil
-}
-
-// Free releases previously allocated enclave heap.
-func (c *Ctx) Free(size int64) {
-	c.check()
-	c.e.heapBytes.Add(-size)
-}
-
-// HeapBytes reports the current enclave heap usage.
-func (e *Enclave) HeapBytes() int64 { return e.heapBytes.Load() }
-
 // ChargeData pays the in-enclave processing surcharge for touching n bytes
 // of protected memory (memory-encryption-engine cache penalty).
 func (c *Ctx) ChargeData(n int) {
 	c.check()
 	simtime.Burn(c.e.cost.DataCost(n))
+}
+
+// Random fills buf with cryptographically secure random bytes generated
+// inside the enclave (RDRAND), avoiding an ocall to the host RNG — one of
+// the transition-reduction optimisations of §4.2.
+func (c *Ctx) Random(buf []byte) error {
+	c.check()
+	_, err := rand.Read(buf)
+	return err
 }
 
 // Stats returns a snapshot of interface counters.
@@ -396,7 +310,6 @@ func (e *Enclave) Stats() StatsSnapshot {
 		Ocalls:      e.stats.Ocalls.Load(),
 		AsyncEcalls: e.stats.AsyncEcalls.Load(),
 		AsyncOcalls: e.stats.AsyncOcalls.Load(),
-		PagedBytes:  e.stats.PagedBytes.Load(),
 		Seals:       e.stats.Seals.Load(),
 		Unseals:     e.stats.Unseals.Load(),
 	}
@@ -408,16 +321,8 @@ func (e *Enclave) ResetStats() {
 	e.stats.Ocalls.Store(0)
 	e.stats.AsyncEcalls.Store(0)
 	e.stats.AsyncOcalls.Store(0)
-	e.stats.PagedBytes.Store(0)
 	e.stats.Seals.Store(0)
 	e.stats.Unseals.Store(0)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // kdfReader expands a seed into a deterministic byte stream (counter-mode

@@ -3,7 +3,7 @@ package enclave
 import (
 	"bytes"
 	"errors"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,7 +25,7 @@ func TestEcallRunsInside(t *testing.T) {
 	ran := false
 	err := e.Ecall(func(c *Ctx) error {
 		ran = true
-		if c.Enclave() != e {
+		if c.e != e {
 			t.Error("ctx bound to wrong enclave")
 		}
 		return nil
@@ -93,6 +93,8 @@ func TestOcallCountsAndRestoresCtx(t *testing.T) {
 	}
 }
 
+// TestTCSLimit: with every TCS slot taken, an Ecall waits for one to free up
+// and then runs.
 func TestTCSLimit(t *testing.T) {
 	p := NewPlatform()
 	e, err := p.Launch(Config{Code: []byte("x"), MaxThreads: 1, Cost: ZeroCostModel()})
@@ -107,10 +109,22 @@ func TestTCSLimit(t *testing.T) {
 		return nil
 	})
 	<-inside
-	if err := e.TryEcall(func(*Ctx) error { return nil }); !errors.Is(err, ErrNoThreads) {
-		t.Fatalf("TryEcall = %v, want ErrNoThreads", err)
+	second := make(chan struct{})
+	go e.Ecall(func(*Ctx) error {
+		close(second)
+		return nil
+	})
+	select {
+	case <-second:
+		t.Fatal("a second Ecall entered a one-slot enclave while the slot was taken")
+	case <-time.After(50 * time.Millisecond):
 	}
 	close(release)
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting Ecall never entered after the slot freed up")
+	}
 }
 
 func TestEcallAfterDestroy(t *testing.T) {
@@ -300,75 +314,6 @@ func TestQuoteUntrustedPlatformRejected(t *testing.T) {
 	}
 }
 
-func TestMonotonicCounter(t *testing.T) {
-	e := testEnclave(t)
-	var id uint64
-	if err := e.Ecall(func(c *Ctx) error {
-		var err error
-		id, err = c.CreateCounter()
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for want := uint64(1); want <= 3; want++ {
-		_ = e.Ecall(func(c *Ctx) error {
-			got, err := c.IncrementCounter(id)
-			if err != nil {
-				return err
-			}
-			if got != want {
-				t.Errorf("counter = %d, want %d", got, want)
-			}
-			return nil
-		})
-	}
-	_ = e.Ecall(func(c *Ctx) error {
-		got, err := c.ReadCounter(id)
-		if err != nil || got != 3 {
-			t.Errorf("ReadCounter = %d, %v; want 3", got, err)
-		}
-		return nil
-	})
-}
-
-func TestCounterSurvivesEnclaveRestart(t *testing.T) {
-	p := NewPlatform()
-	e1, _ := p.Launch(Config{Code: []byte("same"), Cost: ZeroCostModel()})
-	var id uint64
-	_ = e1.Ecall(func(c *Ctx) error {
-		id, _ = c.CreateCounter()
-		_, err := c.IncrementCounter(id)
-		return err
-	})
-	e1.Destroy()
-	e2, _ := p.Launch(Config{Code: []byte("same"), Cost: ZeroCostModel()})
-	_ = e2.Ecall(func(c *Ctx) error {
-		got, err := c.ReadCounter(id)
-		if err != nil || got != 1 {
-			t.Errorf("restarted enclave counter = %d, %v; want 1", got, err)
-		}
-		return nil
-	})
-}
-
-func TestCounterWrongOwnerRejected(t *testing.T) {
-	p := NewPlatform()
-	owner, _ := p.Launch(Config{Code: []byte("owner"), Cost: ZeroCostModel()})
-	other, _ := p.Launch(Config{Code: []byte("other"), Cost: ZeroCostModel()})
-	var id uint64
-	_ = owner.Ecall(func(c *Ctx) error {
-		id, _ = c.CreateCounter()
-		return nil
-	})
-	err := other.Ecall(func(c *Ctx) error {
-		_, err := c.IncrementCounter(id)
-		return err
-	})
-	if !errors.Is(err, ErrUnknownCounter) {
-		t.Fatalf("foreign increment = %v, want ErrUnknownCounter", err)
-	}
-}
-
 func TestSignVerify(t *testing.T) {
 	e := testEnclave(t)
 	digest := bytes.Repeat([]byte{7}, 32)
@@ -385,43 +330,6 @@ func TestSignVerify(t *testing.T) {
 	bad[0] ^= 1
 	if VerifySignature(e.PublicKey(), bad, sig) {
 		t.Fatal("signature verified for different digest")
-	}
-}
-
-func TestAllocMemLimit(t *testing.T) {
-	p := NewPlatform()
-	e, _ := p.Launch(Config{Code: []byte("x"), MemLimit: 1024, Cost: ZeroCostModel()})
-	err := e.Ecall(func(c *Ctx) error {
-		if err := c.Alloc(512); err != nil {
-			return err
-		}
-		if err := c.Alloc(1024); !errors.Is(err, ErrExceedsMemLimit) {
-			t.Errorf("over-limit Alloc = %v, want ErrExceedsMemLimit", err)
-		}
-		c.Free(512)
-		return c.Alloc(1024)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = e.Ecall(func(c *Ctx) error { c.Free(1024); return nil })
-	if got := e.HeapBytes(); got != 0 {
-		t.Fatalf("HeapBytes = %d, want 0", got)
-	}
-}
-
-func TestEPCPagingAccounted(t *testing.T) {
-	p := NewPlatform()
-	cost := ZeroCostModel()
-	cost.EPCBytes = 4096
-	e, _ := p.Launch(Config{Code: []byte("x"), Cost: cost})
-	_ = e.Ecall(func(c *Ctx) error {
-		_ = c.Alloc(4096) // fits
-		_ = c.Alloc(8192) // 8192 over
-		return nil
-	})
-	if got := e.Stats().PagedBytes; got != 8192 {
-		t.Fatalf("PagedBytes = %d, want 8192", got)
 	}
 }
 
@@ -549,62 +457,9 @@ func TestSigningKeyDeterministicPerPlatformAndCode(t *testing.T) {
 	}
 }
 
-// A hardware counter increment takes the model's NVRAM write time, and
-// (below a millisecond) not a runtime timer's millisecond. The median bound
-// gets three rounds, so a round a loaded machine slowed does not fail it; a
-// timer fails all three.
-func TestCounterLatencyCharged(t *testing.T) {
-	const nvram = 400 * time.Microsecond
-	cost := ZeroCostModel()
-	cost.HardwareCounterLatency = nvram
-	e, err := NewPlatform().Launch(Config{Code: []byte("nvram"), Cost: cost})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var id uint64
-	if err := e.Ecall(func(c *Ctx) (err error) {
-		id, err = c.CreateCounter()
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; ; round++ {
-		took := make([]time.Duration, 21)
-		if err := e.Ecall(func(c *Ctx) error {
-			for i := range took {
-				start := time.Now()
-				if _, err := c.IncrementCounter(id); err != nil {
-					return err
-				}
-				took[i] = time.Since(start)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		slices.Sort(took)
-		if took[0] < nvram {
-			t.Fatalf("increment took %v, under the %v write", took[0], nvram)
-		}
-		med := took[len(took)/2]
-		if med <= nvram+400*time.Microsecond {
-			return
-		}
-		if round == 2 {
-			t.Fatalf("median increment %v for a %v write", med, nvram)
-		}
-	}
-}
-
 func TestPlatformStateRoundTrip(t *testing.T) {
 	p := NewPlatform()
 	e, _ := p.Launch(Config{Code: []byte("persist"), Cost: ZeroCostModel()})
-	var id uint64
-	_ = e.Ecall(func(c *Ctx) error {
-		id, _ = c.CreateCounter()
-		_, err := c.IncrementCounter(id)
-		return err
-	})
 	var sealed []byte
 	_ = e.Ecall(func(c *Ctx) error {
 		var err error
@@ -620,7 +475,7 @@ func TestPlatformStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same sealing keys, same counters, same signing keys, same attestation.
+	// Same sealing keys, same signing keys, same attestation.
 	e2, _ := restored.Launch(Config{Code: []byte("persist"), Cost: ZeroCostModel()})
 	if e.PublicKey().X.Cmp(e2.PublicKey().X) != 0 {
 		t.Fatal("signing key lost across platform restore")
@@ -629,10 +484,6 @@ func TestPlatformStateRoundTrip(t *testing.T) {
 		got, err := c.Unseal(sealed, nil)
 		if err != nil || string(got) != "survives" {
 			t.Errorf("unseal after restore: %q, %v", got, err)
-		}
-		v, err := c.ReadCounter(id)
-		if err != nil || v != 1 {
-			t.Errorf("counter after restore = %d, %v", v, err)
 		}
 		return nil
 	})
@@ -665,5 +516,18 @@ func TestLoadOrCreatePlatform(t *testing.T) {
 	}
 	if _, err := UnmarshalPlatform([]byte("garbage")); err == nil {
 		t.Fatal("garbage state accepted")
+	}
+	data, err := p1.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 1
+	if _, err := UnmarshalPlatform(data); !errors.Is(err, ErrBadPlatformState) {
+		t.Fatalf("corrupted state: %v, want ErrBadPlatformState", err)
+	}
+	// A format-2 file (it carried hardware-counter state) fails by name.
+	old := append([]byte("LSEALPLATFORM2\n"), make([]byte, 80)...)
+	if _, err := UnmarshalPlatform(old); err == nil || !strings.Contains(err.Error(), "format 2 is not supported") {
+		t.Fatalf("format-2 state: %v, want it refused by name", err)
 	}
 }

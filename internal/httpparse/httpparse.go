@@ -131,16 +131,6 @@ func (h *Header) Set(k, v string) {
 	h.fields = slices.Delete(h.fields, i+1, h.end(i))
 }
 
-// Add appends a value to a field.
-func (h *Header) Add(k, v string) {
-	i := h.index(k)
-	if i < 0 {
-		h.fields = append(h.fields, field{CanonicalKey(k), v})
-		return
-	}
-	h.fields = slices.Insert(h.fields, h.end(i), field{h.fields[i].key, v})
-}
-
 // Get returns the first value of a field, or "".
 func (h *Header) Get(k string) string {
 	if i := h.index(k); i >= 0 {
@@ -176,11 +166,11 @@ func (h *Header) Clone() *Header { return &Header{fields: slices.Clone(h.fields)
 // groupScan is the most fields group puts in order by pairwise comparison.
 const groupScan = 16
 
-// group moves every key's fields next to the key's first one, the order Add
-// keeps: the parser appends fields as they arrive. A key that comes back
-// after another is rare, and with few fields a pairwise scan finds it
-// without allocating; with more, a hostile header would make that scan
-// quadratic, so a stable sort does the work.
+// group moves every key's fields next to the key's first one: the parser
+// appends fields as they arrive. A key that comes back after another is
+// rare, and with few fields a pairwise scan finds it without allocating;
+// with more, a hostile header would make that scan quadratic, so a stable
+// sort does the work.
 func (h *Header) group() {
 	fs := h.fields
 	if len(fs) > groupScan {

@@ -1,15 +1,13 @@
 // Package lthread implements cooperative user-level threading in the style
 // of the lthread library used by LibSEAL (§4.3). A Scheduler models one
 // enclave (SGX) thread multiplexing T lthread tasks: at any instant at most
-// one task per scheduler executes, tasks explicitly Yield or Park to hand
-// the thread over, and a parked task releases the thread so its siblings can
-// run — which is exactly what lets LibSEAL overlap an async-ocall's outside
-// execution with other in-enclave work.
+// one task per scheduler executes, and a task that Parks releases the
+// thread so its siblings can run — which is exactly what lets LibSEAL
+// overlap an async-ocall's outside execution with other in-enclave work.
 package lthread
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -18,7 +16,7 @@ import (
 var ErrShutdown = errors.New("lthread: scheduler shut down")
 
 // Work is a unit of execution assigned to a task. It receives the Task so it
-// can Yield and Park.
+// can Park.
 type Work func(*Task)
 
 // Scheduler multiplexes a fixed set of tasks onto one logical thread.
@@ -28,13 +26,11 @@ type Scheduler struct {
 	tasks    []*Task
 	wg       sync.WaitGroup
 	shutdown atomic.Bool
-	running  atomic.Int32 // tasks currently holding the token (0 or 1)
 }
 
 // Task is one cooperative thread of execution.
 type Task struct {
 	sched *Scheduler
-	id    int
 	work  chan Work
 	wake  chan struct{}
 }
@@ -52,7 +48,6 @@ func NewScheduler(numTasks int) *Scheduler {
 	for i := 0; i < numTasks; i++ {
 		t := &Task{
 			sched: s,
-			id:    i,
 			work:  make(chan Work),
 			wake:  make(chan struct{}, 1),
 		}
@@ -67,44 +62,10 @@ func NewScheduler(numTasks int) *Scheduler {
 func (t *Task) loop() {
 	defer t.sched.wg.Done()
 	for w := range t.work {
-		t.sched.acquire()
+		<-t.sched.token
 		w(t)
-		t.sched.release()
+		t.sched.token <- struct{}{}
 		t.sched.free <- t
-	}
-}
-
-func (s *Scheduler) acquire() {
-	<-s.token
-	s.running.Add(1)
-}
-
-func (s *Scheduler) release() {
-	s.running.Add(-1)
-	s.token <- struct{}{}
-}
-
-// NumTasks returns the total number of tasks.
-func (s *Scheduler) NumTasks() int { return len(s.tasks) }
-
-// FreeTasks returns how many tasks are currently idle.
-func (s *Scheduler) FreeTasks() int { return len(s.free) }
-
-// Running reports whether a task currently holds the scheduler's thread.
-func (s *Scheduler) Running() bool { return s.running.Load() > 0 }
-
-// TrySubmit hands work to a free task without blocking. It reports whether a
-// task was available.
-func (s *Scheduler) TrySubmit(w Work) bool {
-	if s.shutdown.Load() {
-		return false
-	}
-	select {
-	case t := <-s.free:
-		t.work <- w
-		return true
-	default:
-		return false
 	}
 }
 
@@ -135,34 +96,14 @@ func (s *Scheduler) Shutdown() {
 	s.wg.Wait()
 }
 
-// RunLocked executes fn while holding the scheduler's logical thread,
-// excluding task execution for its duration. The async-call dispatcher uses
-// it so that slot scanning and task execution share one enclave thread, as
-// on real hardware.
-func (s *Scheduler) RunLocked(fn func()) {
-	s.acquire()
-	fn()
-	s.release()
-}
-
-// ID returns the task's index within its scheduler.
-func (t *Task) ID() int { return t.id }
-
-// Yield releases the logical thread so sibling tasks can run, then resumes.
-func (t *Task) Yield() {
-	t.sched.release()
-	runtime.Gosched()
-	t.sched.acquire()
-}
-
 // Park releases the logical thread and blocks until Unpark is called. A
 // wakeup posted before Park is not lost. This is how a task waits for the
 // result of an asynchronous ocall while siblings keep the enclave thread
 // busy.
 func (t *Task) Park() {
-	t.sched.release()
+	t.sched.token <- struct{}{}
 	<-t.wake
-	t.sched.acquire()
+	<-t.sched.token
 }
 
 // Unpark wakes a parked task. At most one wakeup is buffered; Unpark never

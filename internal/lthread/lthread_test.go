@@ -12,8 +12,8 @@ import (
 func TestSubmitRunsWork(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Shutdown()
-	done := make(chan int, 1)
-	if err := s.Submit(func(task *Task) { done <- task.ID() }); err != nil {
+	done := make(chan struct{})
+	if err := s.Submit(func(*Task) { close(done) }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -42,7 +42,8 @@ func TestMutualExclusionWithinScheduler(t *testing.T) {
 					}
 				}
 				running.Add(-1)
-				task.Yield()
+				task.Unpark()
+				task.Park() // hands the thread over and takes it back
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -98,47 +99,11 @@ func TestUnparkBeforeParkNotLost(t *testing.T) {
 	}
 }
 
-func TestTrySubmitExhaustion(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Shutdown()
-	block := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		if !s.TrySubmit(func(task *Task) {
-			defer wg.Done()
-			task.sched.release() // let the other occupy its task slot too
-			<-block
-			task.sched.acquire()
-		}) {
-			t.Fatal("TrySubmit failed with free tasks")
-		}
-	}
-	// Give both tasks time to start and block.
-	deadline := time.After(time.Second)
-	for s.FreeTasks() != 0 {
-		select {
-		case <-deadline:
-			t.Fatal("tasks never claimed")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if s.TrySubmit(func(*Task) {}) {
-		t.Fatal("TrySubmit succeeded with all tasks busy")
-	}
-	close(block)
-	wg.Wait()
-}
-
 func TestSubmitAfterShutdown(t *testing.T) {
 	s := NewScheduler(1)
 	s.Shutdown()
 	if err := s.Submit(func(*Task) {}); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("Submit after shutdown = %v, want ErrShutdown", err)
-	}
-	if s.TrySubmit(func(*Task) {}) {
-		t.Fatal("TrySubmit accepted work after shutdown")
 	}
 }
 
@@ -147,7 +112,8 @@ func TestShutdownWaitsForWork(t *testing.T) {
 	var completed atomic.Int32
 	for i := 0; i < 4; i++ {
 		_ = s.Submit(func(task *Task) {
-			task.Yield()
+			task.Unpark()
+			task.Park()
 			completed.Add(1)
 		})
 	}
@@ -166,26 +132,23 @@ func TestShutdownIdempotent(t *testing.T) {
 func TestFreeTasksAccounting(t *testing.T) {
 	s := NewScheduler(3)
 	defer s.Shutdown()
-	if got := s.FreeTasks(); got != 3 {
-		t.Fatalf("FreeTasks = %d, want 3", got)
-	}
-	if got := s.NumTasks(); got != 3 {
-		t.Fatalf("NumTasks = %d, want 3", got)
+	if got := len(s.free); got != 3 {
+		t.Fatalf("free tasks = %d, want 3", got)
 	}
 	block := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	_ = s.Submit(func(task *Task) {
 		defer wg.Done()
-		task.sched.release()
+		task.sched.token <- struct{}{} // let the test run while this task holds its slot
 		<-block
-		task.sched.acquire()
+		<-task.sched.token
 	})
 	deadline := time.After(time.Second)
-	for s.FreeTasks() != 2 {
+	for len(s.free) != 2 {
 		select {
 		case <-deadline:
-			t.Fatalf("FreeTasks = %d, want 2", s.FreeTasks())
+			t.Fatalf("free tasks = %d, want 2", len(s.free))
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -204,7 +167,8 @@ func TestManyTasksAllComplete(t *testing.T) {
 		wg.Add(1)
 		if err := s.Submit(func(task *Task) {
 			defer wg.Done()
-			task.Yield()
+			task.Unpark()
+			task.Park()
 			completed.Add(1)
 		}); err != nil {
 			t.Fatal(err)
@@ -240,38 +204,5 @@ func TestSchedulerCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunLockedExcludesTasks(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Shutdown()
-	var inCritical atomic.Bool
-	var overlap atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		_ = s.Submit(func(task *Task) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if inCritical.Load() {
-					overlap.Store(true)
-				}
-				task.Yield()
-			}
-		})
-	}
-	for j := 0; j < 50; j++ {
-		s.RunLocked(func() {
-			inCritical.Store(true)
-			if !s.Running() {
-				t.Error("Running() false while RunLocked holds the thread")
-			}
-			inCritical.Store(false)
-		})
-	}
-	wg.Wait()
-	if overlap.Load() {
-		t.Fatal("task ran concurrently with RunLocked")
 	}
 }

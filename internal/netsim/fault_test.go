@@ -147,22 +147,3 @@ func TestNetworkLinkFaultAppliesToLiveConns(t *testing.T) {
 		t.Fatalf("write after heal: %v", err)
 	}
 }
-
-func TestNetworkDialFault(t *testing.T) {
-	n := NewNetwork()
-	l, err := n.Listen("svc:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	boom := errors.New("partitioned")
-	n.SetDialFault("svc:1", func() error { return boom })
-	if _, err := n.Dial("svc:1"); !errors.Is(err, boom) {
-		t.Fatalf("dial = %v, want partition error", err)
-	}
-	n.SetDialFault("svc:1", nil)
-	go func() { l.Accept() }()
-	if _, err := n.Dial("svc:1"); err != nil {
-		t.Fatalf("dial after heal: %v", err)
-	}
-}

@@ -28,11 +28,6 @@ type LinkConfig struct {
 	Bandwidth int64
 }
 
-// rtt helpers for tests and benchmarks.
-func (c LinkConfig) String() string {
-	return fmt.Sprintf("latency=%v bandwidth=%dB/s", c.Latency, c.Bandwidth)
-}
-
 type item struct {
 	data []byte
 	at   time.Time // earliest delivery time
@@ -301,22 +296,20 @@ var _ net.Conn = (*Conn)(nil)
 // Network is a collection of named listeners reachable by Dial, each with a
 // per-address link configuration.
 type Network struct {
-	mu         sync.Mutex
-	listeners  map[string]*Listener
-	links      map[string]LinkConfig
-	faults     map[string]FaultFunc
-	dialFaults map[string]func() error
-	conns      map[string][]*Conn // live endpoints per address, for fault updates
+	mu        sync.Mutex
+	listeners map[string]*Listener
+	links     map[string]LinkConfig
+	faults    map[string]FaultFunc
+	conns     map[string][]*Conn // live endpoints per address, for fault updates
 }
 
 // NewNetwork creates an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		listeners:  make(map[string]*Listener),
-		links:      make(map[string]LinkConfig),
-		faults:     make(map[string]FaultFunc),
-		dialFaults: make(map[string]func() error),
-		conns:      make(map[string][]*Conn),
+		listeners: make(map[string]*Listener),
+		links:     make(map[string]LinkConfig),
+		faults:    make(map[string]FaultFunc),
+		conns:     make(map[string][]*Conn),
 	}
 }
 
@@ -339,19 +332,6 @@ func (n *Network) SetLinkFault(address string, f FaultFunc) {
 	}
 	for _, c := range n.conns[address] {
 		c.SetFault(f)
-	}
-}
-
-// SetDialFault makes future Dial calls to the address fail with the error
-// returned by f (nil error or nil f restores normal dialing). It models a
-// partition between the dialer and the address.
-func (n *Network) SetDialFault(address string, f func() error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if f == nil {
-		delete(n.dialFaults, address)
-	} else {
-		n.dialFaults[address] = f
 	}
 }
 
@@ -394,13 +374,7 @@ func (n *Network) Dial(address string) (net.Conn, error) {
 	l, ok := n.listeners[address]
 	cfg := n.links[address]
 	fault := n.faults[address]
-	dialFault := n.dialFaults[address]
 	n.mu.Unlock()
-	if dialFault != nil {
-		if err := dialFault(); err != nil {
-			return nil, fmt.Errorf("netsim: dial %s: %w", address, err)
-		}
-	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrConnectionRefused, address)
 	}

@@ -18,7 +18,6 @@ package resilience
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -223,9 +222,4 @@ func (b *Breaker) trip() {
 func (b *Breaker) setStateLocked(s State) {
 	b.state = s
 	b.mState.Set(int64(s))
-}
-
-// Describe renders the breaker state for health reporting.
-func (b *Breaker) Describe() string {
-	return fmt.Sprintf("state=%s", b.State())
 }

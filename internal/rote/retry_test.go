@@ -155,27 +155,6 @@ func TestReadRetrySemanticsMatchIncrement(t *testing.T) {
 	}
 }
 
-func TestVerifyFreshContext(t *testing.T) {
-	g, err := NewGroup(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetRetryPolicy(fastPolicy())
-	if _, err := g.Increment("c"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Increment("c"); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := g.VerifyFreshContext(ctx, "c", 2); err != nil {
-		t.Fatalf("fresh value rejected: %v", err)
-	}
-	if err := g.VerifyFreshContext(ctx, "c", 1); !errors.Is(err, ErrRollback) {
-		t.Fatalf("stale value: %v, want ErrRollback", err)
-	}
-}
-
 func TestBackoffJitterDeterministic(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
 		g, err := NewGroup(0, 0) // single node, no quorum issues

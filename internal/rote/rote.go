@@ -113,9 +113,6 @@ type Node struct {
 	hook      NodeFaultHook
 }
 
-// ID returns the node's index within its group.
-func (n *Node) ID() int { return n.id }
-
 // Fail makes the node stop responding (crash fault).
 func (n *Node) Fail() {
 	n.mu.Lock()
@@ -657,23 +654,4 @@ func (g *Group) ReadContext(ctx context.Context, counter string) (uint64, error)
 	}
 	g.mu.Unlock()
 	return maxVal, nil
-}
-
-// VerifyFresh checks a claimed counter value (e.g. the one recorded in a
-// persisted audit log) against the group: a claimed value below the stable
-// value means an old log version is being presented.
-func (g *Group) VerifyFresh(counter string, claimed uint64) error {
-	return g.VerifyFreshContext(context.Background(), counter, claimed)
-}
-
-// VerifyFreshContext is VerifyFresh bounded by a context.
-func (g *Group) VerifyFreshContext(ctx context.Context, counter string, claimed uint64) error {
-	stable, err := g.ReadContext(ctx, counter)
-	if err != nil {
-		return err
-	}
-	if claimed < stable {
-		return fmt.Errorf("%w: log claims %d, group has %d", ErrRollback, claimed, stable)
-	}
-	return nil
 }

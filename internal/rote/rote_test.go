@@ -88,20 +88,6 @@ func TestNodeRecovery(t *testing.T) {
 	}
 }
 
-func TestVerifyFreshDetectsRollback(t *testing.T) {
-	g, _ := NewGroup(1, 0)
-	g.Increment("log") // 1
-	g.Increment("log") // 2
-	g.Increment("log") // 3
-	// A provider presenting a log sealed at counter 2 is caught.
-	if err := g.VerifyFresh("log", 2); !errors.Is(err, ErrRollback) {
-		t.Fatalf("err = %v, want ErrRollback", err)
-	}
-	if err := g.VerifyFresh("log", 3); err != nil {
-		t.Fatalf("fresh log rejected: %v", err)
-	}
-}
-
 func TestConcurrentIncrements(t *testing.T) {
 	g, _ := NewGroup(1, 0)
 	const goroutines = 8

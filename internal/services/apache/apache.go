@@ -65,9 +65,6 @@ func New(cfg Config) (*Server, error) {
 	return &Server{cfg: cfg}, nil
 }
 
-// Served reports the number of requests completed.
-func (s *Server) Served() int64 { return s.served.Load() }
-
 // Serve accepts connections until the listener closes. Like Apache's worker
 // MPM, each connection is handled by its own worker.
 func (s *Server) Serve(l net.Listener) error {

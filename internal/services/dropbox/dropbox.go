@@ -71,13 +71,6 @@ func (s *Server) InjectBlocklistCorruption(file string) {
 	s.faults.CorruptBlocklistOf[file] = true
 }
 
-// InjectStaleMetadata serves the previous blocklist of a file.
-func (s *Server) InjectStaleMetadata(file string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults.ServeStaleFor[file] = true
-}
-
 // ClearFaults restores honest behaviour.
 func (s *Server) ClearFaults() {
 	s.mu.Lock()
@@ -187,13 +180,6 @@ func (s *Server) handle(req *httpparse.Request) *httpparse.Response {
 		return jsonRsp(out)
 	}
 	return httpparse.NewResponse(404, nil)
-}
-
-// FileCount reports an account's live file count (test introspection).
-func (s *Server) FileCount(account string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.accounts[account])
 }
 
 func jsonRsp(v any) *httpparse.Response {

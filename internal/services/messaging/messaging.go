@@ -137,13 +137,6 @@ func (s *Server) handle(req *httpparse.Request) *httpparse.Response {
 	return httpparse.NewResponse(404, nil)
 }
 
-// MailboxSize reports a user's stored message count.
-func (s *Server) MailboxSize(user string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mailboxes[user])
-}
-
 func jsonRsp(v any) *httpparse.Response {
 	body, err := json.Marshal(v)
 	if err != nil {

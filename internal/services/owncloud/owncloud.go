@@ -161,17 +161,6 @@ func (s *Server) doc(name string) *document {
 	return d
 }
 
-// Ops returns the server's op log for a document (test introspection).
-func (s *Server) Ops(doc string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.docs[doc]
-	if !ok {
-		return nil
-	}
-	return append([]string(nil), d.ops...)
-}
-
 func jsonRsp(v any) *httpparse.Response {
 	body, err := json.Marshal(v)
 	if err != nil {

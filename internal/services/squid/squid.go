@@ -46,9 +46,6 @@ func New(cfg Config) (*Proxy, error) {
 	return &Proxy{cfg: cfg}, nil
 }
 
-// RelayedBytes reports the total bytes relayed in both directions.
-func (p *Proxy) RelayedBytes() int64 { return p.relayed.Load() }
-
 // Serve accepts and relays connections until the listener closes.
 func (p *Proxy) Serve(l net.Listener) error {
 	p.lnMu.Lock()

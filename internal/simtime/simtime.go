@@ -2,9 +2,9 @@
 // waits here, and every CPU cost it charges burns here.
 //
 // A wait is modelled latency — a counter-group round trip, a simulated
-// link's propagation and serialisation delay, a hardware counter's NVRAM
-// write, an injected stall. A Go timer cannot model one below a millisecond:
-// on Linux the runtime's netpoller sleeps in whole milliseconds, so a 500 µs
+// link's propagation and serialisation delay, an injected stall. A Go timer
+// cannot model one below a millisecond: on Linux the runtime's netpoller
+// sleeps in whole milliseconds, so a 500 µs
 // timer fires after ≈1.07 ms (golang/go#44343): a 500 µs round trip on a
 // timer would take twice what the deployment says. A wait here is a deadline. One
 // clock goroutine sleeps to the earliest pending deadline minus a slack it

@@ -39,9 +39,6 @@ func init() { enabled.Store(true) }
 // measures the instrumentation's own overhead.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether metric recording is on.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing event count.
 type Counter struct {
 	v atomic.Int64

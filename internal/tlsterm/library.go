@@ -50,13 +50,6 @@ const (
 	DirWrite                  // service -> client (responses)
 )
 
-func (d Direction) String() string {
-	if d == DirRead {
-		return "read"
-	}
-	return "write"
-}
-
 // Tap observes every byte of plaintext crossing the termination point. It
 // executes inside the enclave, within the SSL_read/SSL_write ecall — this is
 // where LibSEAL's audit logger attaches (Fig. 1, step 3).
@@ -185,9 +178,6 @@ func GenerateEnclaveIdentity(bridge *asyncall.Bridge) (*ecdsa.PublicKey, enclave
 	}
 	return pub, quote, key, nil
 }
-
-// Bridge returns the enclave bridge the library uses.
-func (lib *Library) Bridge() *asyncall.Bridge { return lib.bridge }
 
 // ShadowSSL is the sanitised, outside-resident copy of a connection's TLS
 // state (§4.1 "Shadowing"). It deliberately contains no key material; tests
@@ -600,16 +590,6 @@ func (s *SSL) Shadow() ShadowSSL {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
 	return s.shadow
-}
-
-// ID returns the connection identifier used by taps.
-func (s *SSL) ID() uint64 { return s.id }
-
-// PeerSubject returns the authenticated client subject, if any.
-func (s *SSL) PeerSubject() string {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	return s.shadow.PeerSubject
 }
 
 // SetExData attaches application data to the connection, like

@@ -56,9 +56,6 @@ type Conn struct {
 	closed  bool
 }
 
-// PeerCertificate returns the authenticated peer certificate, or nil.
-func (c *Conn) PeerCertificate() *pki.Certificate { return c.peer }
-
 // Read returns decrypted application data.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.readMu.Lock()

@@ -14,7 +14,7 @@
 // lives in internal packages:
 //
 //   - enclave:   simulated SGX platform (costed transitions, sealing,
-//     attestation, monotonic counters)
+//     attestation)
 //   - lthread, asyncall: user-level threading and asynchronous enclave calls
 //   - sqldb:     embedded relational database (SQLite substitute)
 //   - tlsterm:   TLS termination with the OpenSSL-shaped API
@@ -285,10 +285,6 @@ func ModuleByName(name string) (Module, error) {
 // using the default request timeout/retry policy; tune it with the group's
 // SetRetryPolicy and install it with Open's WithProtector.
 func NewCounterGroup(f int) (*CounterGroup, error) { return rote.NewGroup(f, 0) }
-
-// DefaultRetryPolicy returns the counter group's default request
-// timeout/retry policy.
-func DefaultRetryPolicy() RetryPolicy { return rote.DefaultRetryPolicy() }
 
 // NewBreakerProtector wraps a counter group in a circuit breaker: after a
 // run of quorum failures the breaker opens and counter operations fail fast

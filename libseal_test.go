@@ -12,6 +12,7 @@ import (
 
 	"libseal/internal/httpparse"
 	"libseal/internal/netsim"
+	"libseal/internal/rote"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/gitserver"
 	"libseal/internal/testutil"
@@ -152,7 +153,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestCostModelExports(t *testing.T) {
 	def := DefaultCostModel()
-	if def.TransitionCycles != 8400 || def.EPCBytes != 128<<20 {
+	if def.TransitionCycles != 8400 || def.AsyncCallCycles != 600 {
 		t.Fatalf("DefaultCostModel = %+v", def)
 	}
 	zero := ZeroCostModel()
@@ -212,7 +213,7 @@ func TestNewCounterGroup(t *testing.T) {
 	if v, err := group.Increment("c"); err != nil || v != 1 {
 		t.Fatalf("Increment = %d, %v", v, err)
 	}
-	policy := DefaultRetryPolicy()
+	policy := rote.DefaultRetryPolicy()
 	policy.Retries = 0
 	policy.Timeout = 50 * time.Millisecond
 	group.SetRetryPolicy(policy)

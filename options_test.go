@@ -130,7 +130,7 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	policy := DefaultRetryPolicy()
+	policy := rote.DefaultRetryPolicy()
 	policy.Timeout = 250 * time.Millisecond
 	group.SetRetryPolicy(policy)
 	breaker := NewBreakerProtector("audit.breaker", group, BreakerConfig{Threshold: 5, Cooldown: time.Second})
