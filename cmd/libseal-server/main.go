@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"libseal"
+	"libseal/internal/audit"
 	"libseal/internal/pki"
 	"libseal/internal/services/apache"
 	"libseal/internal/services/dropbox"
@@ -53,7 +54,7 @@ func main() {
 	auditShards := flag.Int("audit-shards", 1, "audit log shard files, partitioned per connection; every disk log is its shard files plus a signed epoch-manifest sidecar")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
-	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead)")
+	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead); the server runs no periodic re-anchor, so an episode closes only at the next append")
 	anchorTimeout := flag.Duration("anchor-timeout", 2*time.Second, "bound on each rollback-counter operation on the request path")
 	recoverMaxLag := flag.Uint64("recover-max-lag", 1, "counter lag tolerated when resuming the log set already in -dir (a crash between increment and flush leaves lag 1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (empty = off)")
@@ -168,7 +169,7 @@ func main() {
 		// A log set already in -dir is resumed, never created over: a new
 		// set would truncate the previous run's evidence. A set that fails
 		// recovery stops the server and stays as it is.
-		if hasLogSet(*dir, module.Name()) {
+		if audit.HasLogSet(*dir, module.Name()) {
 			log.Printf("resuming the audit log set in %s", *dir)
 			opts = append(opts, libseal.WithRecovery(*recoverMaxLag))
 		}
@@ -317,14 +318,6 @@ func newHealth(seal *libseal.LibSEAL, group *libseal.CounterGroup, breaker *libs
 		return libseal.HealthOK(fmt.Sprintf("anchored (%d degraded episodes closed)", st.Gaps))
 	})
 	return h
-}
-
-// hasLogSet reports whether dir holds any file of the named log set: its
-// manifest sidecar or one of its shard files.
-func hasLogSet(dir, name string) bool {
-	shards, _ := filepath.Glob(filepath.Join(dir, name+"-shard*.lseal"))
-	_, err := os.Stat(filepath.Join(dir, name+".manifest"))
-	return len(shards) > 0 || err == nil
 }
 
 func mustWrite(path string, data []byte) {

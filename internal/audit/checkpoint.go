@@ -41,13 +41,9 @@ const (
 // it is being resumed against.
 var ErrCheckpointStale = errors.New("audit: checkpoint does not match log file")
 
-// CheckpointConfig tells the streaming verifier where and how often to
-// persist resumable progress.
+// CheckpointConfig tells the streaming verifier how often to persist
+// resumable progress to a file's sidecar, <file>.ckpt (StreamOptions.Checkpoint).
 type CheckpointConfig struct {
-	// Path is the sidecar file; it is atomically replaced on each write. The
-	// set entry points (VerifyPath / VerifySet) put shard k's beside its
-	// file, at <shard file>.ckpt, whatever Path says.
-	Path string
 	// EverySegments writes a checkpoint after this many committed segments
 	// (default 64).
 	EverySegments int

@@ -18,14 +18,14 @@ func writeLogWithCheckpoint(t *testing.T, n, batchMax int) (logPath, ckptPath st
 	key = testKey(t)
 	dir := t.TempDir()
 	logPath = filepath.Join(dir, "log.lseal")
-	ckptPath = filepath.Join(dir, "log.ckpt")
+	ckptPath = logPath + ".ckpt" // VerifyFileStream's sidecar
 	if _, err := WriteSyntheticLogFile(logPath, key, n, batchMax); err != nil {
 		t.Fatal(err)
 	}
 	copts := StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
 		Workers:       2,
-		Checkpoint:    &CheckpointConfig{Path: ckptPath, EverySegments: 1},
+		Checkpoint:    &CheckpointConfig{EverySegments: 1},
 	}
 	if _, err := VerifyFileStream(context.Background(), logPath, copts); err != nil {
 		t.Fatal(err)

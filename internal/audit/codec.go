@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"libseal/internal/sqldb"
 )
@@ -21,13 +20,12 @@ type Entry struct {
 	Values []sqldb.Value
 }
 
-// value kind tags in the serialised form.
+// value kind tags in the serialised form, one per sqldb.Kind. Tags 2 and 4
+// are unassigned (no writer ever emitted them) and decode as unknown.
 const (
-	tagNull  byte = 0
-	tagInt   byte = 1
-	tagFloat byte = 2
-	tagText  byte = 3
-	tagBlob  byte = 4
+	tagNull byte = 0
+	tagInt  byte = 1
+	tagText byte = 3
 )
 
 // Marshal encodes the entry deterministically: an entry record's payload,
@@ -49,16 +47,9 @@ func (e *Entry) Marshal() []byte {
 			buf.WriteByte(tagInt)
 			binary.BigEndian.PutUint64(u64[:], uint64(v.Int64()))
 			buf.Write(u64[:])
-		case sqldb.KindFloat:
-			buf.WriteByte(tagFloat)
-			binary.BigEndian.PutUint64(u64[:], math.Float64bits(v.Float64()))
-			buf.Write(u64[:])
 		case sqldb.KindText:
 			buf.WriteByte(tagText)
 			writeString(&buf, v.TextVal())
-		case sqldb.KindBlob:
-			buf.WriteByte(tagBlob)
-			writeString(&buf, string(v.BlobVal()))
 		}
 	}
 	return buf.Bytes()
@@ -69,12 +60,10 @@ func (e *Entry) size() int64 {
 	n := 14 + len(e.Table) + len(e.Values) // seq, table length, value count, tags
 	for _, v := range e.Values {
 		switch v.Kind() {
-		case sqldb.KindInt, sqldb.KindFloat:
+		case sqldb.KindInt:
 			n += 8
 		case sqldb.KindText:
 			n += 4 + len(v.TextVal())
-		case sqldb.KindBlob:
-			n += 4 + len(v.BlobVal())
 		}
 	}
 	return int64(n)
@@ -124,12 +113,12 @@ func walkEntry(data []byte, e *Entry) (seq uint64, table []byte, err error) {
 		var val []byte // the value's bytes, past its tag and any length prefix
 		switch tag {
 		case tagNull:
-		case tagInt, tagFloat:
+		case tagInt:
 			if len(rest) < 8 {
 				return 0, nil, ErrCodec
 			}
 			val, rest = rest[:8], rest[8:]
-		case tagText, tagBlob:
+		case tagText:
 			if val, rest, err = cutString(rest); err != nil {
 				return 0, nil, err
 			}
@@ -151,12 +140,8 @@ func decodeValue(tag byte, val []byte) sqldb.Value {
 	switch tag {
 	case tagInt:
 		return sqldb.Int(int64(binary.BigEndian.Uint64(val)))
-	case tagFloat:
-		return sqldb.Float(math.Float64frombits(binary.BigEndian.Uint64(val)))
 	case tagText:
 		return sqldb.Text(string(val))
-	case tagBlob:
-		return sqldb.Blob(bytes.Clone(val))
 	}
 	return sqldb.Null()
 }

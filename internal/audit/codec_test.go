@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,19 +27,13 @@ func (randomEntry) Generate(r *rand.Rand, _ int) reflect.Value {
 	}
 	n := r.Intn(8)
 	for i := 0; i < n; i++ {
-		switch r.Intn(5) {
+		switch r.Intn(3) {
 		case 0:
 			e.Values = append(e.Values, sqldb.Null())
 		case 1:
 			e.Values = append(e.Values, sqldb.Int(r.Int63()-r.Int63()))
-		case 2:
-			e.Values = append(e.Values, sqldb.Float(r.NormFloat64()))
-		case 3:
-			e.Values = append(e.Values, sqldb.Text(randString(r, r.Intn(40))))
 		default:
-			b := make([]byte, r.Intn(40))
-			r.Read(b)
-			e.Values = append(e.Values, sqldb.Blob(b))
+			e.Values = append(e.Values, sqldb.Text(randString(r, r.Intn(40))))
 		}
 	}
 	return reflect.ValueOf(e)
@@ -122,7 +118,8 @@ func TestBatchChainDiffers(t *testing.T) {
 // The decoder UnmarshalEntry replaced, frozen: it read through a
 // bytes.Reader, one allocation per field. It is the oracle of
 // TestUnmarshalMatchesOldDecoder and must not be edited to follow the decoder
-// it checks.
+// it checks; only a change of the format itself (tags 2 and 4, REAL and BLOB,
+// left it with the value kinds) edits it.
 func frozenUnmarshalEntry(data []byte) (*Entry, error) {
 	r := bytes.NewReader(data)
 	var u64 [8]byte
@@ -153,23 +150,12 @@ func frozenUnmarshalEntry(data []byte) (*Entry, error) {
 				return nil, ErrCodec
 			}
 			e.Values = append(e.Values, sqldb.Int(int64(binary.BigEndian.Uint64(u64[:]))))
-		case tagFloat:
-			if _, err := io.ReadFull(r, u64[:]); err != nil {
-				return nil, ErrCodec
-			}
-			e.Values = append(e.Values, sqldb.Float(math.Float64frombits(binary.BigEndian.Uint64(u64[:]))))
 		case tagText:
 			s, err := frozenReadString(r)
 			if err != nil {
 				return nil, err
 			}
 			e.Values = append(e.Values, sqldb.Text(s))
-		case tagBlob:
-			s, err := frozenReadString(r)
-			if err != nil {
-				return nil, err
-			}
-			e.Values = append(e.Values, sqldb.Blob([]byte(s)))
 		default:
 			return nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
 		}
@@ -200,7 +186,7 @@ func frozenReadString(r *bytes.Reader) (string, error) {
 
 // TestUnmarshalMatchesOldDecoder is the differential check on the in-place
 // decoder: on every prefix and every single-byte mutation of a corpus that
-// covers the five value kinds, it accepts exactly what the frozen decoder
+// covers the three value kinds and the two unassigned tags, it accepts exactly what the frozen decoder
 // accepts, decodes it to the same entry, and rejects the rest with the same
 // error value.
 func TestUnmarshalMatchesOldDecoder(t *testing.T) {
@@ -219,37 +205,81 @@ func TestUnmarshalMatchesOldDecoder(t *testing.T) {
 	eachCodecMutation(same)
 }
 
-// sameEntry fails unless got is the entry want. Compared field by field and by
-// re-encoding, not reflect.DeepEqual alone: a NaN float is a legal value and
-// is not equal to itself.
+// sameEntry fails unless got is the entry want, field by field and by
+// re-encoding.
 func sameEntry(t testing.TB, what string, data []byte, got, want *Entry) {
 	t.Helper()
 	if got.Seq != want.Seq || got.Table != want.Table || len(got.Values) != len(want.Values) ||
 		(got.Values == nil) != (want.Values == nil) || !bytes.Equal(got.Marshal(), want.Marshal()) {
 		t.Fatalf("%s (%x): decoded %+v, frozen decoder %+v", what, data, got, want)
 	}
-	for i := range want.Values {
-		if (got.Values[i].BlobVal() == nil) != (want.Values[i].BlobVal() == nil) {
-			t.Fatalf("%s (%x): value %d blob nil-ness differs", what, data, i)
+}
+
+// unassignedTagEntry is a format-3 entry encoding no writer produces: seq in
+// table "t", an INTEGER, then one value under tag — 2, a float64's eight
+// bytes (once REAL), or 4, a length-prefixed byte string (once BLOB). One
+// flipped bit of the tag makes it a valid entry.
+func unassignedTagEntry(seq uint64, tag byte) []byte {
+	b := (&Entry{Seq: seq, Table: "t", Values: []sqldb.Value{sqldb.Int(1), sqldb.Null()}}).Marshal()
+	b = b[:len(b)-1] // the NULL's tag
+	if tag == 2 {
+		return binary.BigEndian.AppendUint64(append(b, 2), math.Float64bits(0.5))
+	}
+	return append(b, 4, 0, 0, 0, 2, 0, 255)
+}
+
+// TestUnassignedTagsRefused: tags 2 and 4 are no value kind. An entry carrying
+// one is malformed to both walks, and a set holding one, signed as any writer
+// would sign it, is tampered at that record.
+func TestUnassignedTagsRefused(t *testing.T) {
+	key := testKey(t)
+	for _, tag := range []byte{2, 4} {
+		enc := unassignedTagEntry(2, tag)
+		if _, _, err := walkEntry(enc, nil); !errors.Is(err, ErrCodec) {
+			t.Fatalf("tag %d: walkEntry = %v, want ErrCodec", tag, err)
+		}
+		if e, err := UnmarshalEntry(enc); !errors.Is(err, ErrCodec) {
+			t.Fatalf("tag %d: UnmarshalEntry = %+v, %v, want ErrCodec", tag, e, err)
+		}
+
+		var img bytes.Buffer
+		w := newSynthWriter(&img, key)
+		w.add(SyntheticEntry(0))
+		w.add(SyntheticEntry(1))
+		if err := w.commit(1); err != nil {
+			t.Fatal(err)
+		}
+		at := w.size
+		w.group = append(w.group, record{typ: recEntry, payload: enc})
+		if err := w.commit(2); err != nil {
+			t.Fatal(err)
+		}
+		dir, _ := synthSet(t, key, img.Bytes())
+		_, err := VerifyPath(context.Background(), dir, StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}})
+		var ve *VerifyError
+		if !errors.Is(err, ErrTampered) || !errors.As(err, &ve) || ve.Offset != at || ve.Batch != 1 || ve.Record != 0 ||
+			!strings.Contains(ve.Reason, fmt.Sprintf("unknown value tag %d", tag)) {
+			t.Fatalf("tag %d: VerifyPath = %v, want tampered at byte %d, signature record 1, entry 0", tag, err, at)
 		}
 	}
 }
 
-// eachCodecMutation calls fn with the differential corpus: five entries that
-// cover the five value kinds, every prefix of each encoding and all 255
-// mutations of every byte of it.
+// eachCodecMutation calls fn with the differential corpus: entries that cover
+// the three value kinds and the two unassigned tags, every prefix of each
+// encoding and all 255 mutations of every byte of it.
 func eachCodecMutation(fn func(what string, data []byte)) {
-	corpus := []*Entry{
+	corpus := [][]byte{}
+	for _, e := range []*Entry{
 		{Seq: 0, Table: "t"},
 		SyntheticEntry(41),
-		{Seq: 7, Table: "kinds", Values: []sqldb.Value{
-			sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
-		}},
-		{Seq: 1 << 40, Table: "", Values: []sqldb.Value{sqldb.Text(""), sqldb.Blob(nil), sqldb.Float(math.NaN())}},
+		{Seq: 7, Table: "kinds", Values: []sqldb.Value{sqldb.Null(), sqldb.Int(-1), sqldb.Text("x")}},
+		{Seq: 1 << 40, Table: "", Values: []sqldb.Value{sqldb.Text(""), sqldb.Int(math.MaxInt64)}},
 		{Seq: 9, Table: "nulls", Values: []sqldb.Value{sqldb.Null(), sqldb.Null(), sqldb.Int(math.MinInt64)}},
+	} {
+		corpus = append(corpus, e.Marshal())
 	}
-	for n, e := range corpus {
-		enc := e.Marshal()
+	corpus = append(corpus, unassignedTagEntry(7, 2), unassignedTagEntry(7, 4))
+	for n, enc := range corpus {
 		fn(fmt.Sprintf("entry %d", n), enc)
 		for cut := 0; cut < len(enc); cut++ {
 			fn(fmt.Sprintf("entry %d prefix %d", n, cut), enc[:cut])

@@ -111,9 +111,9 @@ func FuzzVerifyReader(f *testing.F) {
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(SyntheticEntry(0).Marshal())
-	f.Add((&Entry{Seq: 7, Table: "t", Values: []sqldb.Value{
-		sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
-	}}).Marshal())
+	f.Add((&Entry{Seq: 7, Table: "t", Values: []sqldb.Value{sqldb.Null(), sqldb.Int(-1), sqldb.Text("x")}}).Marshal())
+	f.Add(unassignedTagEntry(7, 2))
+	f.Add(unassignedTagEntry(7, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := UnmarshalEntry(data)
@@ -131,8 +131,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}
-		// Compared by re-encoding, not reflect.DeepEqual: a NaN float value is
-		// a legal entry and is not equal to itself.
 		if !bytes.Equal(e2.Marshal(), enc) {
 			t.Fatalf("decode not stable:\n  first:  %+v\n  second: %+v", e, e2)
 		}
@@ -145,8 +143,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func FuzzEntryWalk(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(SyntheticEntry(0).Marshal())
-	f.Add((&Entry{Seq: 7, Table: "t", Values: []sqldb.Value{
-		sqldb.Null(), sqldb.Int(-1), sqldb.Float(0.5), sqldb.Text("x"), sqldb.Blob([]byte{0, 255}),
-	}}).Marshal())
+	f.Add((&Entry{Seq: 7, Table: "t", Values: []sqldb.Value{sqldb.Null(), sqldb.Int(-1), sqldb.Text("x")}}).Marshal())
+	f.Add(unassignedTagEntry(7, 2))
+	f.Add(unassignedTagEntry(7, 4))
 	f.Fuzz(func(t *testing.T, data []byte) { walkMatches(t, "fuzz input", data) })
 }

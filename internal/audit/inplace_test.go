@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"libseal/internal/sqldb"
@@ -111,7 +112,7 @@ func TestBlockBoundaries(t *testing.T) {
 // one run.
 func TestRecordLongerThanBlock(t *testing.T) {
 	key := testKey(t)
-	big := &Entry{Seq: 2, Table: "updates", Values: []sqldb.Value{sqldb.Blob(bytes.Repeat([]byte{0xa5}, 3*blockSize))}}
+	big := &Entry{Seq: 2, Table: "updates", Values: []sqldb.Value{sqldb.Text(strings.Repeat("\xa5", 3*blockSize))}}
 	var buf bytes.Buffer
 	if _, err := WriteSyntheticBatches(&buf, key, []SyntheticBatch{
 		{Entries: []*Entry{SyntheticEntry(0), SyntheticEntry(1)}, Counter: 1},

@@ -112,8 +112,10 @@ type StreamOptions struct {
 	// if verification ultimately fails. See SegmentInfo.
 	OnSegment func(SegmentInfo) error
 
-	// Checkpoint, when set, persists resumable progress to a sidecar file
-	// as segments commit.
+	// Checkpoint, when set, persists resumable progress as segments commit
+	// to the sidecar <file>.ckpt beside the file VerifyFileStream (and so
+	// every set entry point) verifies; it is atomically replaced on each
+	// write. VerifyReaderStream, which has no file, writes none.
 	Checkpoint *CheckpointConfig
 
 	// Resume, when set, starts the scan from a previously persisted
@@ -138,6 +140,10 @@ type StreamOptions struct {
 	// Shard stamps SegmentInfo deliveries, checkpoints and VerifyErrors with
 	// a shard ordinal; the set driver sets it per shard.
 	Shard int
+
+	// sidecar is where Checkpoint is written: <file>.ckpt, set by
+	// VerifyFileStream; "" for a bare reader.
+	sidecar string
 }
 
 // StreamResult is the outcome of a streaming verification. The embedded
@@ -183,6 +189,7 @@ func VerifyFileStream(ctx context.Context, path string, opts StreamOptions) (*St
 			return nil, err
 		}
 	}
+	opts.sidecar = path + ".ckpt"
 	return VerifyReaderStream(ctx, f, opts)
 }
 

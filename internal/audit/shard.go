@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -77,6 +78,16 @@ func ShardName(name string, k int) string {
 // ManifestFileName is the basename of a log set's epoch-manifest sidecar.
 func ManifestFileName(name string) string {
 	return name + ".manifest"
+}
+
+// HasLogSet reports whether dir holds any file of the log set name: its
+// manifest sidecar or one of its shard files. Such a file is a previous
+// run's evidence, which RecoverSharded resumes and NewSharded would
+// truncate.
+func HasLogSet(dir, name string) bool {
+	shards, _ := filepath.Glob(filepath.Join(dir, name+"-shard*.lseal"))
+	_, err := os.Stat(filepath.Join(dir, ManifestFileName(name)))
+	return len(shards) > 0 || err == nil
 }
 
 // ManifestCounterName is the rollback-counter name anchoring epoch

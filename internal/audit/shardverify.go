@@ -199,23 +199,17 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 }
 
 // verifyShard runs the streaming pipeline over one shard file, collecting
-// its commit points and handling checkpoint/resume plumbing: the shard's
-// checkpoint sidecar is <shard file>.ckpt, and its freshness is judged
-// against its own counter.
+// its commit points and resuming from the shard's checkpoint sidecar
+// (<shard file>.ckpt, which VerifyFileStream writes), whose freshness is
+// judged against the shard's own counter.
 func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamOptions, cs *commitSet) (*StreamResult, error) {
 	path := ss.ShardPath(k)
 	sopts := opts
 	sopts.Shard = k
 	sopts.Workers = workers
 	sopts.Name = ShardName(ss.Name, k)
-	ckptPath := path + ".ckpt"
-	if opts.Checkpoint != nil {
-		ccfg := *opts.Checkpoint
-		ccfg.Path = ckptPath
-		sopts.Checkpoint = &ccfg
-	}
 	if opts.ResumeAuto {
-		if c, err := LoadCheckpoint(ckptPath); err == nil && c.Shard == k {
+		if c, err := LoadCheckpoint(path + ".ckpt"); err == nil && c.Shard == k {
 			sopts.Resume = c
 		}
 	}

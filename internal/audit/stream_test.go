@@ -245,15 +245,17 @@ func TestStreamCallbackAbort(t *testing.T) {
 // and no checkpoint written past the cancellation.
 func TestStreamCancelStopsCommitting(t *testing.T) {
 	key := testKey(t)
-	img := synthLog(t, key, 200, 4)
-	ckptPath := filepath.Join(t.TempDir(), "log.ckpt")
+	logPath := filepath.Join(t.TempDir(), "log.lseal")
+	if _, err := WriteSyntheticLogFile(logPath, key, 200, 4); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	delivered := 0
-	_, err := VerifyReaderStream(ctx, bytes.NewReader(img), StreamOptions{
+	_, err := VerifyFileStream(ctx, logPath, StreamOptions{
 		VerifyOptions: VerifyOptions{Pub: &key.PublicKey},
 		Workers:       4,
-		Checkpoint:    &CheckpointConfig{Path: ckptPath, EverySegments: 1},
+		Checkpoint:    &CheckpointConfig{EverySegments: 1},
 		OnSegment: func(SegmentInfo) error {
 			if delivered++; delivered == 3 {
 				cancel()
@@ -264,7 +266,7 @@ func TestStreamCancelStopsCommitting(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	ck, err := LoadCheckpoint(ckptPath)
+	ck, err := LoadCheckpoint(logPath + ".ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestCheckpointResume(t *testing.T) {
 	key := testKey(t)
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log.lseal")
-	ckptPath := filepath.Join(dir, "log.ckpt")
+	ckptPath := logPath + ".ckpt" // VerifyFileStream's sidecar
 	if _, err := WriteSyntheticLogFile(logPath, key, 500, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestCheckpointResume(t *testing.T) {
 	killed := errors.New("killed")
 	seen := 0
 	kopts := opts
-	kopts.Checkpoint = &CheckpointConfig{Path: ckptPath, EverySegments: 10}
+	kopts.Checkpoint = &CheckpointConfig{EverySegments: 10}
 	kopts.OnSegment = func(SegmentInfo) error {
 		seen++
 		if seen >= 25 {
@@ -336,13 +338,13 @@ func TestCheckpointStale(t *testing.T) {
 	key := testKey(t)
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log.lseal")
-	ckptPath := filepath.Join(dir, "log.ckpt")
+	ckptPath := logPath + ".ckpt" // VerifyFileStream's sidecar
 	if _, err := WriteSyntheticLogFile(logPath, key, 100, 4); err != nil {
 		t.Fatal(err)
 	}
 	opts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2}
 	copts := opts
-	copts.Checkpoint = &CheckpointConfig{Path: ckptPath, EverySegments: 3}
+	copts.Checkpoint = &CheckpointConfig{EverySegments: 3}
 	if _, err := VerifyFileStream(context.Background(), logPath, copts); err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +369,13 @@ func TestStreamResumeMidFailure(t *testing.T) {
 	key := testKey(t)
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log.lseal")
-	ckptPath := filepath.Join(dir, "log.ckpt")
+	ckptPath := logPath + ".ckpt" // VerifyFileStream's sidecar
 	if _, err := WriteSyntheticLogFile(logPath, key, 200, 5); err != nil {
 		t.Fatal(err)
 	}
 	opts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 4}
 	copts := opts
-	copts.Checkpoint = &CheckpointConfig{Path: ckptPath, EverySegments: 5}
+	copts.Checkpoint = &CheckpointConfig{EverySegments: 5}
 	stop := errors.New("stop")
 	segs := 0
 	copts.OnSegment = func(SegmentInfo) error {

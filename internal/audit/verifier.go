@@ -503,7 +503,7 @@ func (m *merger) settle(last bool) bool {
 	m.held = nil
 	payloadBytes := int64(len(b.raw) - 5*b.n) // for telemetry and the checkpoint cadence
 	cfg := m.opts.Checkpoint
-	save := cfg != nil && m.checkpointDue(cfg, payloadBytes)
+	save := cfg != nil && m.opts.sidecar != "" && m.checkpointDue(cfg, payloadBytes)
 	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes.copy(b.sig)})
 	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
 		return false
@@ -522,7 +522,7 @@ func (m *merger) settle(last bool) bool {
 		return false
 	}
 	if save {
-		if err := m.led.checkpoint(m.opts.Shard).Save(cfg.Path); err == nil {
+		if err := m.led.checkpoint(m.opts.Shard).Save(m.opts.sidecar); err == nil {
 			mVerifyCheckpoints.Inc()
 		} else if cfg.OnError != nil {
 			cfg.OnError(err)

@@ -113,7 +113,8 @@ type Config struct {
 	// to this much during RecoverExisting. See audit.Config.RecoverMaxLag.
 	RecoverMaxLag uint64
 	// RecoverExisting resumes from a persisted log (verifying its chain,
-	// signature and counter freshness) instead of truncating it. The
+	// signature and counter freshness). Without it New refuses a directory
+	// that holds any file of the module's log set (audit.HasLogSet). The
 	// enclave must be launched from the same platform and code so its keys
 	// match.
 	RecoverExisting bool
@@ -271,6 +272,11 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 			},
 			Shards:        cfg.AuditShards,
 			ManifestEvery: cfg.AuditManifestEvery,
+		}
+		// A set already in the directory is a previous run's evidence:
+		// resumed under RecoverExisting, never created over.
+		if cfg.AuditMode == audit.ModeDisk && !cfg.RecoverExisting && audit.HasLogSet(cfg.AuditDir, auditCfg.Name) {
+			return nil, fmt.Errorf("core: %s holds the %s audit log set; resume it (RecoverExisting, libseal.WithRecovery) or use a fresh directory", cfg.AuditDir, auditCfg.Name)
 		}
 		err := bridge.Call(func(env *asyncall.Env) error {
 			var err error

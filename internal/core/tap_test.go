@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"libseal/internal/asyncall"
@@ -216,5 +217,46 @@ func TestTapFramesWithoutBuilding(t *testing.T) {
 	}
 	if st := ls.StatsSnapshot(); st.Pairs != runs+1 {
 		t.Fatalf("pairs = %d, want %d", st.Pairs, runs+1)
+	}
+}
+
+// valueMod logs two tuples per pair: its logical time, then v.
+type valueMod struct {
+	pairMod
+	v any
+}
+
+func (m valueMod) HandlePair(st *ssm.State, _, _ []byte) ([]ssm.Tuple, error) {
+	return []ssm.Tuple{
+		{Table: "pairs", Values: []any{st.Time}},
+		{Table: "pairs", Values: []any{m.v}},
+	}, nil
+}
+
+// TestUnsupportedValueFailsWrite: no value kind holds a float or a byte
+// string (DESIGN.md §15). A module whose tuple carries one fails the SSL write
+// that would have logged it, and the pair leaves no row and no staged entry,
+// its valid tuple included.
+func TestUnsupportedValueFailsWrite(t *testing.T) {
+	req := httpparse.NewRequest("GET", "/s", nil).Bytes()
+	rsp := httpparse.NewResponse(200, []byte("ok")).Bytes()
+	for _, v := range []any{2.5, []byte("x")} {
+		env := newCoreEnv(t)
+		ls := newGitLibSEAL(t, env, Config{Module: valueMod{v: v}, AuditMode: audit.ModeMemory})
+		err := env.bridge.Call(func(e *asyncall.Env) error {
+			tap := (*sealTap)(ls)
+			if _, err := tap.OnData(e, 1, tlsterm.DirRead, req); err != nil {
+				t.Fatalf("%T: read: %v", v, err)
+			}
+			_, err := tap.OnData(e, 1, tlsterm.DirWrite, rsp)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported parameter type %T", v)) {
+			t.Fatalf("%T: write = %v, want the unsupported-type error", v, err)
+		}
+		rows, err := ls.Log().DB().TableRowCount("pairs")
+		if err != nil || rows != 0 || ls.Log().Seq() != 0 || ls.Log().PendingStaged() != 0 {
+			t.Fatalf("%T: %d rows (%v), %d entries, %d staged after the failed write; want none", v, rows, err, ls.Log().Seq(), ls.Log().PendingStaged())
+		}
 	}
 }

@@ -234,39 +234,15 @@ func (db *DB) createView(s *CreateViewStmt) error {
 // applyAffinity coerces a value according to the column's declared type,
 // following SQLite's affinity rules closely enough for audit-log use.
 func applyAffinity(v Value, t Kind) Value {
-	if v.IsNull() {
-		return v
-	}
-	switch t {
-	case KindInt:
-		switch v.kind {
-		case KindInt:
-			return v
-		case KindFloat:
-			if v.f == float64(int64(v.f)) {
-				return Int(int64(v.f))
-			}
-			return v
-		case KindText:
-			s := strings.TrimSpace(v.s)
-			var n int64
-			if _, err := fmt.Sscanf(s, "%d", &n); err == nil && fmt.Sprintf("%d", n) == s {
-				return Int(n)
-			}
-			return v
+	switch {
+	case t == KindInt && v.kind == KindText:
+		s := strings.TrimSpace(v.s)
+		var n int64
+		if _, err := fmt.Sscanf(s, "%d", &n); err == nil && fmt.Sprintf("%d", n) == s {
+			return Int(n)
 		}
-	case KindFloat:
-		switch v.kind {
-		case KindInt:
-			return Float(float64(v.i))
-		case KindFloat:
-			return v
-		}
-	case KindText:
-		switch v.kind {
-		case KindInt, KindFloat:
-			return Text(v.TextVal())
-		}
+	case t == KindText && v.kind == KindInt:
+		return Text(v.TextVal())
 	}
 	return v
 }

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -125,14 +124,10 @@ func (ev *evaluator) eval(e Expr, s *rowScope) (Value, error) {
 		}
 		switch x.Op {
 		case "-":
-			switch v.kind {
-			case KindNull:
+			if v.IsNull() {
 				return Null(), nil
-			case KindFloat:
-				return Float(-v.f), nil
-			default:
-				return Int(-v.Int64()), nil
 			}
+			return Int(-v.Int64()), nil
 		case "NOT":
 			truth, known := v.Truth()
 			if !known {
@@ -260,27 +255,6 @@ func (ev *evaluator) evalBinary(x *Binary, s *rowScope) (Value, error) {
 		if lv.IsNull() || rv.IsNull() {
 			return Null(), nil
 		}
-		if lv.kind == KindFloat || rv.kind == KindFloat {
-			lf, rf := lv.Float64(), rv.Float64()
-			switch x.Op {
-			case "+":
-				return Float(lf + rf), nil
-			case "-":
-				return Float(lf - rf), nil
-			case "*":
-				return Float(lf * rf), nil
-			case "/":
-				if rf == 0 {
-					return Null(), nil
-				}
-				return Float(lf / rf), nil
-			case "%":
-				if rf == 0 {
-					return Null(), nil
-				}
-				return Float(math.Mod(lf, rf)), nil
-			}
-		}
 		li, ri := lv.Int64(), rv.Int64()
 		switch x.Op {
 		case "+":
@@ -357,9 +331,7 @@ func (ev *evaluator) inSubquery(v Value, sel *SelectStmt, s *rowScope) (found, s
 		if e.in == nil {
 			e.in = newInSet(res.Rows)
 		}
-		if e.in.exact(v) {
-			return e.in.has(v), e.in.sawNull, nil
-		}
+		return e.in.has(v), e.in.sawNull, nil
 	}
 	for _, row := range res.Rows {
 		if inMember(v, row[0], &sawNull) {

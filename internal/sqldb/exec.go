@@ -418,8 +418,8 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 	// right side instead of an O(n·m) nested loop. The full ON predicate is
 	// re-evaluated over each candidate pair, so the probe result only needs
 	// to be a superset of the true matches.
-	probeRight, hashed := ev.joinProber(j.On, left, right, outer)
-	if hashed && len(lrows) > 0 && len(rrows) > 0 {
+	probeRight := ev.joinProber(j.On, left, right, outer)
+	if probeRight != nil && len(lrows) > 0 && len(rrows) > 0 {
 		// The nested loop evaluates ON for every pair, surfacing bad or
 		// ambiguous column references; an index probe that comes back empty
 		// would mask them, so validate ON eagerly on the hash path.
@@ -431,10 +431,6 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 	var out [][]Value
 	s := &rowScope{cols: cols, parent: outer}
 	for _, lr := range lrows {
-		candidates, all, err := probeRight(lr)
-		if err != nil {
-			return nil, err
-		}
 		emit := func(rr []Value) error {
 			row := make([]Value, 0, len(lr)+len(rr))
 			row = append(row, lr...)
@@ -452,17 +448,21 @@ func (ev *evaluator) evalJoin(j *JoinExpr, outer *rowScope) (*fromSource, error)
 			out = append(out, row)
 			return nil
 		}
-		if all {
+		if probeRight == nil {
 			for _, rr := range rrows {
 				if err := emit(rr); err != nil {
 					return nil, err
 				}
 			}
-		} else {
-			for _, ri := range candidates {
-				if err := emit(rrows[ri]); err != nil {
-					return nil, err
-				}
+			continue
+		}
+		candidates, err := probeRight(lr)
+		if err != nil {
+			return nil, err
+		}
+		for _, ri := range candidates {
+			if err := emit(rrows[ri]); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -520,15 +520,14 @@ func (ev *evaluator) evalNaturalJoin(left, right *fromSource) (*fromSource, erro
 			}
 			out = append(out, row)
 		}
-		candidates, all := probeRight(lr)
-		if all {
+		if probeRight == nil {
 			for _, rr := range rrows {
 				emit(rr)
 			}
-		} else {
-			for _, ri := range candidates {
-				emit(rrows[ri])
-			}
+			continue
+		}
+		for _, ri := range probeRight(lr) {
+			emit(rrows[ri])
 		}
 	}
 	return &fromSource{cols: cols, rows: out}, nil

@@ -55,10 +55,10 @@ func grammarDB(t testing.TB) *DB {
 		"INSERT INTO updates VALUES (1,'r','main','c1','create'),(2,'r','main','c2','update'),(3,'r','dev','d1','create')",
 		"INSERT INTO advertisements VALUES (4,'r','main','c2'),(4,'r','dev','d1'),(5,'r','main','c1')",
 		"CREATE TABLE t (a INTEGER, b TEXT)",
-		"CREATE TABLE u (a INTEGER, c REAL)",
+		"CREATE TABLE u (a INTEGER, c INTEGER)",
 		"CREATE VIEW v AS SELECT a, COUNT(*) AS n FROM t GROUP BY a",
 		"INSERT INTO t VALUES (1,'x'),(2,'y'),(2,NULL)",
-		"INSERT INTO u VALUES (2,0.5),(3,1.5)",
+		"INSERT INTO u VALUES (2,5),(3,15)",
 	} {
 		if _, err := db.Exec(sql); err != nil {
 			t.Fatalf("Exec(%q): %v", sql, err)
@@ -113,6 +113,11 @@ var outsideGrammar = []struct{ construct, sql, names string }{
 	{"||", "SELECT b || '!' FROM t", `'|'`},
 	{"unary +", "SELECT +a FROM t", `"+"`},
 	{"transaction control", "BEGIN", "BEGIN"},
+	{"REAL column", "CREATE TABLE w (a REAL)", "REAL"},
+	{"BLOB column", "CREATE TABLE w (a BLOB)", "BLOB"},
+	{"REAL literal", "SELECT a FROM t WHERE a < 1.5", `"1.5"`},
+	{"exponent literal", "INSERT INTO t VALUES (1e3, 'z')", `"1e3"`},
+	{"integer past int64", "SELECT a FROM t WHERE a = 9223372036854775808", `"9223372036854775808"`},
 }
 
 // TestOutsideGrammarRejected: the engine's input is a contract (DESIGN.md

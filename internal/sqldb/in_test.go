@@ -98,9 +98,8 @@ func diffIn(t *testing.T, db *DB, sql string, nocache bool) int {
 
 // inEdgeDB holds member groups and, for every group, every probe value: the
 // cross product of the value classes where a hashed set could part from
-// comparison — NULL on either side, an empty set, integers and floats that
-// compare equal, negative zero, text against a blob of the same bytes,
-// duplicates, and numbers too large for a float64 to tell apart.
+// comparison — NULL on either side, an empty set, an integer against text of
+// the same digits, duplicates, and integers at ±2^53 and the int64 limits.
 func inEdgeDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
@@ -109,18 +108,18 @@ func inEdgeDB(t *testing.T) *DB {
 		1: {1, 2, 3, 2, 2},
 		2: {1, nil, 3},
 		3: {}, // empty set
-		4: {1.0, 2.5, math.Copysign(0, -1)},
-		5: {"a", []byte("b"), "1"},
-		6: {int64(1<<53 + 1), float64(1 << 53), 1e18, int64(1e18), 1e19, math.Inf(1)},
+		4: {0, -1, "0"},
+		5: {"a", "b", "1", ""},
+		6: {int64(1<<53 + 1), int64(-1 << 53), int64(1e18)},
 		7: {nil, nil},
-		8: {int64(1<<53 + 1), int64(1e18) + 1},
-		9: {float64(1 << 53), 1e19, math.NaN()},
+		8: {int64(1<<53 + 1), int64(1e18) + 1, int64(-1<<53 - 1)},
+		9: {int64(math.MaxInt64), int64(math.MinInt64), nil},
 	}
 	probes := []any{
-		nil, 1, 1.0, 2, 2.5, 0, math.Copysign(0, -1), 4,
-		"a", []byte("a"), "b", []byte("b"), "1",
-		int64(1 << 53), int64(1<<53 + 1), float64(1 << 53), float64(1<<53 + 2),
-		1e18, int64(1e18), int64(1e18) + 1, 1e19, math.Inf(1), math.NaN(),
+		nil, 1, 2, 0, -1, 4,
+		"a", "b", "1", "0", "",
+		int64(1 << 53), int64(1<<53 + 1), int64(-1 << 53), int64(-1<<53 - 1),
+		int64(1e18), int64(1e18) + 1, int64(math.MaxInt64), int64(math.MinInt64),
 	}
 	for g, members := range groups {
 		if g == 0 {

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -36,20 +35,8 @@ import (
 // tableIndexes probed by a single check at a time — so index state never
 // crosses the live/snapshot boundary.
 
-// Index keys are Value.appendKey encodings. They must agree with Compare:
-// two tuples get the same key iff Compare ranks every pair of components
-// equal. appendKey already guarantees that for everything except floats at
-// magnitudes where its integral-float normalisation cuts off (|v| >= 1e18);
-// rows holding such values are kept in the index's unsafe list and returned
-// from every probe, so the candidate set remains a superset of the true
-// matches. (The planner's residual predicate re-evaluation makes the final
-// result exact either way.)
-
-// unsafeIndexValue reports whether a value's key may disagree with
-// Compare-equality against a differently-typed peer.
-func unsafeIndexValue(v Value) bool {
-	return v.kind == KindFloat && (math.Abs(v.f) >= 1e18 || math.IsInf(v.f, 0))
-}
+// Index keys are Value.appendKey encodings, which agree with Compare: two
+// tuples get the same key iff Compare ranks every pair of components equal.
 
 // hashIndex is one equality index over a fixed column tuple.
 type hashIndex struct {
@@ -58,7 +45,6 @@ type hashIndex struct {
 	n       int            // rows covered (extension watermark)
 	m       map[string]int // key -> its entry in lists
 	lists   [][]int        // ascending row positions, one list per key
-	unsafe  []int          // positions whose key may disagree with Compare
 }
 
 // extend indexes rows[h.n:]. Their keys share one arena (keyIDs), and the
@@ -68,17 +54,10 @@ func (h *hashIndex) extend(rows [][]Value) {
 	var arena []byte
 	ids := make([]int, len(rows)-h.n)
 	for i, row := range rows[h.n:] {
-		start := len(arena)
 		for _, ci := range h.cols {
-			if unsafeIndexValue(row[ci]) {
-				arena, ids[i] = arena[:start], -1
-				break
-			}
 			arena = row[ci].appendKey(arena)
 		}
-		if ids[i] == 0 {
-			ids[i] = len(arena)
-		}
+		ids[i] = len(arena)
 	}
 	fresh := len(h.lists)
 	keyIDs(h.m, arena, ids)
@@ -97,27 +76,20 @@ func (h *hashIndex) extend(rows [][]Value) {
 		all = all[n:]
 	}
 	for i, id := range ids {
-		if id < 0 {
-			h.unsafe = append(h.unsafe, h.n+i)
-		} else {
-			h.lists[id] = append(h.lists[id], h.n+i)
-		}
+		h.lists[id] = append(h.lists[id], h.n+i)
 	}
 	h.n = len(rows)
 }
 
-// keyIDs numbers the keys laid end to end in arena — key i ends at ends[i],
-// and a negative end skips it — registering each one not yet in m under the
-// next free number; ends is overwritten with the numbers. The arena becomes
-// one string and every new map key a substring of it: one allocation for all
-// of them, where converting each key would cost one apiece.
+// keyIDs numbers the keys laid end to end in arena — key i ends at ends[i] —
+// registering each one not yet in m under the next free number; ends is
+// overwritten with the numbers. The arena becomes one string and every new
+// map key a substring of it: one allocation for all of them, where converting
+// each key would cost one apiece.
 func keyIDs(m map[string]int, arena []byte, ends []int) {
 	keys := string(arena)
 	start := 0
 	for i, end := range ends {
-		if end < 0 {
-			continue
-		}
 		k := keys[start:end]
 		start = end
 		id, ok := m[k]
@@ -129,48 +101,21 @@ func keyIDs(m map[string]int, arena []byte, ends []int) {
 	}
 }
 
-// probe returns the candidate positions for the given values, merged with
-// the unsafe list (ascending). all=true means the caller must scan every
-// row (the probe itself was unsafe). A NULL probe value matches nothing:
-// equality with NULL is never true, and unsafe rows cannot compare equal to
-// NULL either, so even they are excluded.
-func (h *hashIndex) probe(vals []Value) (pos []int, all bool) {
+// probe returns the ascending positions of the rows whose key columns equal
+// vals. A NULL probe value matches nothing: equality with NULL is never true.
+func (h *hashIndex) probe(vals []Value) []int {
 	var arr [64]byte
 	key := arr[:0]
 	for _, v := range vals {
 		if v.IsNull() {
-			return nil, false
-		}
-		if unsafeIndexValue(v) {
-			return nil, true
+			return nil
 		}
 		key = v.appendKey(key)
 	}
-	var hit []int
 	if i, ok := h.m[string(key)]; ok {
-		hit = h.lists[i]
+		return h.lists[i]
 	}
-	if len(h.unsafe) == 0 {
-		return hit, false
-	}
-	return mergeAscending(hit, h.unsafe), false
-}
-
-// mergeAscending merges two ascending position lists into a fresh slice.
-func mergeAscending(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return nil
 }
 
 // tableIndexes is the per-table index registry.

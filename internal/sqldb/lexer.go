@@ -32,7 +32,7 @@ var keywords = map[string]bool{
 	"AND": true, "OR": true, "NOT": true, "IN": true, "IS": true, "NULL": true,
 	"EXISTS": true, "CREATE": true, "TABLE": true, "VIEW": true,
 	"INSERT": true, "INTO": true, "VALUES": true, "DELETE": true,
-	"INTEGER": true, "INT": true, "TEXT": true, "REAL": true, "BLOB": true,
+	"INTEGER": true, "INT": true, "TEXT": true,
 }
 
 // unsupported are SQL keywords the grammar leaves out. They stay reserved so
@@ -46,7 +46,7 @@ var unsupported = map[string]bool{
 	"INTERSECT": true, "ALL": true, "OFFSET": true, "INNER": true,
 	"LEFT": true, "OUTER": true, "CROSS": true, "PRIMARY": true, "KEY": true,
 	"UNIQUE": true, "DEFAULT": true, "BEGIN": true, "COMMIT": true,
-	"ROLLBACK": true,
+	"ROLLBACK": true, "REAL": true, "BLOB": true,
 }
 
 type lexer struct {

@@ -136,10 +136,6 @@ func (p *parser) parseType() Kind {
 		return KindInt
 	case p.acceptKw("TEXT"):
 		return KindText
-	case p.acceptKw("REAL"):
-		return KindFloat
-	case p.acceptKw("BLOB"):
-		return KindBlob
 	}
 	return KindNull
 }
@@ -567,22 +563,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
 	case tkNumber:
-		p.advance()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errHere("bad number %q", t.text)
-			}
-			return &Literal{Val: Float(f)}, nil
-		}
+		// A REAL literal (1.5, 1e3) or an integer past int64 has no value
+		// kind to hold it (DESIGN.md §15).
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errHere("bad number %q", t.text)
-			}
-			return &Literal{Val: Float(f)}, nil
+			return nil, p.errHere("%s is outside the supported SQL: a number is an int64 integer", t.text)
 		}
+		p.advance()
 		return &Literal{Val: Int(n)}, nil
 
 	case tkString:

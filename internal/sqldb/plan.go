@@ -92,11 +92,7 @@ func (ev *evaluator) indexFilter(src *fromSource, where Expr, outer *rowScope) (
 		}
 		vals[i] = v
 	}
-	h := src.tbl.idx.ensure(src.rows, cols)
-	pos, all := h.probe(vals)
-	if all {
-		return nil, false, nil
-	}
+	pos := src.tbl.idx.ensure(src.rows, cols).probe(vals)
 	cand := make([][]Value, len(pos))
 	for i, p := range pos {
 		cand[i] = src.rows[p]
@@ -105,13 +101,11 @@ func (ev *evaluator) indexFilter(src *fromSource, where Expr, outer *rowScope) (
 }
 
 // joinProber plans the hash path for an ON clause. The returned function
-// maps a left row to candidate right-row positions (or all=true to fall
-// back to a scan of the right side). active reports whether any equality
-// conjunct was planned; when false the prober always scans.
-func (ev *evaluator) joinProber(on Expr, left, right *fromSource, outer *rowScope) (prober func(lr []Value) ([]int, bool, error), active bool) {
-	scanAll := func([]Value) ([]int, bool, error) { return nil, true, nil }
+// maps a left row to candidate right-row positions; it is nil when no
+// equality conjunct was planned, and the caller scans the right side.
+func (ev *evaluator) joinProber(on Expr, left, right *fromSource, outer *rowScope) func(lr []Value) ([]int, error) {
 	if !ev.indexing || on == nil || len(right.rows) < indexMinRows {
-		return scanAll, false
+		return nil
 	}
 	lscope := &rowScope{cols: left.cols}
 	rscope := &rowScope{cols: right.cols}
@@ -151,7 +145,7 @@ func (ev *evaluator) joinProber(on Expr, left, right *fromSource, outer *rowScop
 		}
 	}
 	if len(rcols) == 0 {
-		return scanAll, false
+		return nil
 	}
 	rcols, probes = sortEqui(rcols, probes)
 	var h *hashIndex
@@ -160,27 +154,26 @@ func (ev *evaluator) joinProber(on Expr, left, right *fromSource, outer *rowScop
 	} else {
 		h = buildTransient(right.rows, rcols)
 	}
-	return func(lr []Value) ([]int, bool, error) {
+	return func(lr []Value) ([]int, error) {
 		s := &rowScope{cols: left.cols, row: lr, parent: outer}
 		vals := make([]Value, len(probes))
 		for i, e := range probes {
 			v, err := ev.eval(e, s)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			vals[i] = v
 		}
-		pos, all := h.probe(vals)
-		return pos, all, nil
-	}, true
+		return h.probe(vals), nil
+	}
 }
 
 // naturalProber plans the hash path for a NATURAL JOIN's common columns:
 // liPos/riPos are the aligned left/right positions of the shared columns.
-func (ev *evaluator) naturalProber(liPos, riPos []int, right *fromSource) func(lr []Value) ([]int, bool) {
-	scanAll := func([]Value) ([]int, bool) { return nil, true }
+// It is nil when there is nothing to hash, and the caller scans.
+func (ev *evaluator) naturalProber(liPos, riPos []int, right *fromSource) func(lr []Value) []int {
 	if !ev.indexing || len(riPos) == 0 || len(right.rows) < indexMinRows {
-		return scanAll
+		return nil
 	}
 	// Canonicalise to ascending right positions, permuting liPos alongside.
 	ord := make([]int, len(riPos))
@@ -200,7 +193,7 @@ func (ev *evaluator) naturalProber(liPos, riPos []int, right *fromSource) func(l
 	} else {
 		h = buildTransient(right.rows, rc)
 	}
-	return func(lr []Value) ([]int, bool) {
+	return func(lr []Value) []int {
 		vals := make([]Value, len(lc))
 		for i, li := range lc {
 			vals[i] = lr[li]

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -95,12 +94,6 @@ func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, e
 			// The binding environment differs from the analysis; fall back.
 			return nil, nil
 		}
-		if inexactNumeric(v) {
-			// INTEGER and REAL bindings a float64 cannot tell apart share a
-			// key, yet a subquery comparing its rows to the binding tells
-			// them apart: evaluate such a binding afresh.
-			return nil, nil
-		}
 		key = v.appendKey(key)
 	}
 	if e, ok := info.cache[string(key)]; ok {
@@ -119,26 +112,10 @@ func (ev *evaluator) cachedSubquery(sel *SelectStmt, s *rowScope) (*subqEntry, e
 // that a statement probing one cached result from every outer row (the
 // paper's trim query, `time NOT IN (SELECT MAX(time) ... GROUP BY ...)`)
 // costs O(outer + members) instead of their product. Members are keyed with
-// Value.appendKey, which agrees with Compare except between an INTEGER and a
-// REAL at magnitudes a float64 no longer holds exactly; exact reports whether
-// a probe is clear of that corner, and evalIn scans the rows when it is not.
+// Value.appendKey, so key equality is Compare equality.
 type inSet struct {
-	keys             map[string]int
-	sawNull          bool // a member is NULL: a miss is unknown, not false
-	bigInt, bigFloat bool // a member of that kind is inexact as a float64
-}
-
-// inexactNumeric reports whether v is a number whose float64 conversion (what
-// Compare uses across INTEGER and REAL) may equal a differently keyed peer.
-func inexactNumeric(v Value) bool {
-	const limit = 1 << 53
-	switch v.kind {
-	case KindInt:
-		return v.i >= limit || v.i <= -limit
-	case KindFloat:
-		return !(math.Abs(v.f) < limit) // NaN included
-	}
-	return false
+	keys    map[string]int
+	sawNull bool // a member is NULL: a miss is unknown, not false
 }
 
 func newInSet(rows [][]Value) *inSet {
@@ -151,26 +128,11 @@ func newInSet(rows [][]Value) *inSet {
 			set.sawNull = true
 			continue
 		}
-		if inexactNumeric(m) {
-			set.bigInt = set.bigInt || m.kind == KindInt
-			set.bigFloat = set.bigFloat || m.kind == KindFloat
-		}
 		arena = m.appendKey(arena)
 		ends = append(ends, len(arena))
 	}
 	keyIDs(set.keys, arena, ends)
 	return set
-}
-
-// exact reports whether key equality decides membership of the non-NULL v.
-func (set *inSet) exact(v Value) bool {
-	if !inexactNumeric(v) {
-		return true
-	}
-	if v.kind == KindInt {
-		return !set.bigFloat
-	}
-	return !set.bigInt
 }
 
 func (set *inSet) has(v Value) bool {

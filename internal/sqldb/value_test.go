@@ -3,27 +3,23 @@ package sqldb
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // randomValue generates an arbitrary Value for property-based tests.
 func randomValue(r *rand.Rand) Value {
-	switch r.Intn(5) {
+	switch r.Intn(3) {
 	case 0:
 		return Null()
 	case 1:
 		return Int(r.Int63() - r.Int63())
-	case 2:
-		return Float(r.NormFloat64() * 1000)
-	case 3:
-		b := make([]byte, r.Intn(12))
-		r.Read(b)
-		return Text(string(b))
 	default:
 		b := make([]byte, r.Intn(12))
 		r.Read(b)
-		return Blob(b)
+		return Text(string(b))
 	}
 }
 
@@ -101,21 +97,9 @@ func TestCompareSQLNullUnknown(t *testing.T) {
 	}
 }
 
-func TestIntFloatCrossComparison(t *testing.T) {
-	if Compare(Int(3), Float(3.0)) != 0 {
-		t.Error("Int(3) != Float(3.0)")
-	}
-	if Compare(Int(3), Float(3.5)) >= 0 {
-		t.Error("Int(3) not < Float(3.5)")
-	}
-	if Compare(Float(2.5), Int(3)) >= 0 {
-		t.Error("Float(2.5) not < Int(3)")
-	}
-}
-
 func TestTypeOrdering(t *testing.T) {
-	// SQLite ordering: NULL < numeric < TEXT < BLOB.
-	ordered := []Value{Null(), Int(999999), Text(""), Blob(nil)}
+	// SQLite ordering: NULL < INTEGER < TEXT.
+	ordered := []Value{Null(), Int(999999), Text("")}
 	for i := 0; i < len(ordered)-1; i++ {
 		if Compare(ordered[i], ordered[i+1]) >= 0 {
 			t.Errorf("%v not < %v", ordered[i], ordered[i+1])
@@ -133,12 +117,9 @@ func TestTruth(t *testing.T) {
 		{Int(0), false, true},
 		{Int(1), true, true},
 		{Int(-5), true, true},
-		{Float(0), false, true},
-		{Float(0.1), true, true},
 		{Text("1"), true, true},
 		{Text("0"), false, true},
 		{Text("abc"), false, true},
-		{Blob([]byte{1}), false, true},
 	}
 	for _, c := range cases {
 		truth, known := c.v.Truth()
@@ -157,9 +138,7 @@ func TestFromGo(t *testing.T) {
 		{42, Int(42)},
 		{int64(-7), Int(-7)},
 		{uint8(255), Int(255)},
-		{3.5, Float(3.5)},
 		{"hi", Text("hi")},
-		{[]byte{1, 2}, Blob([]byte{1, 2})},
 		{true, Int(1)},
 		{false, Int(0)},
 		{Int(9), Int(9)},
@@ -174,8 +153,11 @@ func TestFromGo(t *testing.T) {
 			t.Errorf("FromGo(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if _, err := FromGo(struct{}{}); err == nil {
-		t.Error("FromGo(struct{}{}) succeeded")
+	// No value kind holds a float or a byte string (DESIGN.md §15).
+	for _, in := range []any{struct{}{}, float32(1), 3.5, []byte{1, 2}} {
+		if v, err := FromGo(in); err == nil || !strings.Contains(err.Error(), "unsupported") {
+			t.Errorf("FromGo(%T) = %v, %v; want the unsupported-type error", in, v, err)
+		}
 	}
 }
 
@@ -186,13 +168,19 @@ func TestValueStringRendering(t *testing.T) {
 	}{
 		{Null(), "NULL"},
 		{Int(42), "42"},
-		{Float(2.5), "2.5"},
 		{Text("x"), "x"},
-		{Blob([]byte{0xab}), "x'ab'"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
 		}
+	}
+}
+
+// TestValueSize pins a value, in every stored row and every staged entry, at
+// a kind, an int64 and a string header.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("sqldb.Value is %d bytes, want 32", n)
 	}
 }

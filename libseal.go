@@ -137,8 +137,8 @@ type (
 	VerifyError = audit.VerifyError
 	// VerifyCheckpoint is a persisted verification checkpoint sidecar.
 	VerifyCheckpoint = audit.Checkpoint
-	// VerifyCheckpointConfig tells the streaming verifier where and how
-	// often to persist resumable progress.
+	// VerifyCheckpointConfig tells the streaming verifier how often to
+	// persist resumable progress (to <shard file>.ckpt).
 	VerifyCheckpointConfig = audit.CheckpointConfig
 	// LogEntry is one verified audit-log tuple.
 	LogEntry = audit.Entry

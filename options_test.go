@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -595,5 +597,104 @@ func TestOpenSealedLog(t *testing.T) {
 	_, err = Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group}})
 	if !errors.Is(err, ErrTampered) {
 		t.Fatalf("Verify of a sealed log without Unseal: %v, want ErrTampered", err)
+	}
+}
+
+// TestOpenRefusesExistingLogSet: a directory holding any file of the module's
+// log set is a previous run's evidence. Open without WithRecovery refuses it,
+// naming the directory, and leaves every file byte-identical; with
+// WithRecovery it resumes the set.
+func TestOpenRefusesExistingLogSet(t *testing.T) {
+	platform := NewPlatform()
+	certs, err := testutil.NewCertEnv("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := NewCounterGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(dir string, extra ...Option) (*LibSEAL, error) {
+		t.Helper()
+		encl, err := platform.Launch(EnclaveConfig{Code: []byte("existing-set-test"), MaxThreads: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bridge, err := NewBridge(encl, BridgeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(bridge.Close)
+		return Open(bridge, append([]Option{
+			WithModule(GitModule()),
+			WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
+			WithAuditDisk(dir),
+			WithProtector(group),
+		}, extra...)...)
+	}
+	files := func(dir string) map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+
+	dir := t.TempDir()
+	seal, err := open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	network, _, stop := serveGit(t, seal)
+	client, err := dialGit(network, certs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := client.do(httpparse.NewRequest("POST", "/git/r/git-receive-pack", []byte(fmt.Sprintf("create b%d c%d", i, i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.conn.Close()
+	stop()
+	entries := seal.Log().Seq()
+	if err := seal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := files(dir)
+
+	// The whole set, and its manifest sidecar alone in a directory of its own.
+	lone := t.TempDir()
+	if err := os.WriteFile(filepath.Join(lone, "git.manifest"), []byte(before["git.manifest"]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{dir, lone} {
+		want := files(d)
+		if _, err := open(d); err == nil || !strings.Contains(err.Error(), d) {
+			t.Fatalf("Open on %s, which holds a log set, without WithRecovery: %v; want an error naming the directory", d, err)
+		}
+		if got := files(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("a refused Open changed %s", d)
+		}
+	}
+
+	rec, err := open(dir, WithRecovery(0))
+	if err != nil {
+		t.Fatalf("Open with WithRecovery: %v", err)
+	}
+	if got := rec.Log().Seq(); got != entries || entries == 0 {
+		t.Fatalf("resumed %d entries, the set held %d", got, entries)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
