@@ -98,7 +98,8 @@ func logStack(shards, batchMax int, roteLatency time.Duration) (*bench.Stack, er
 // serial section of a single log — proceed in parallel across shards. 16
 // clients stage 8 rows per durable wait at batch max 16; every set is
 // strictly re-verified, manifest replay included. Each row also says how
-// late the simulator delivered the counter round trips it modelled.
+// late the simulator delivered the counter round trips it modelled: one
+// wait per round trip (no node is delayed here).
 func runShards(q bool, emit func(row)) error {
 	entries := 48_000
 	if q {
@@ -130,7 +131,7 @@ func runShards(q bool, emit func(row)) error {
 			"verified_entries": float64(rep.TotalEntries),
 			"manifests":        float64(rep.Manifests),
 			"epoch":            float64(rep.Epoch),
-			// Per node wait of each round trip: realised minus modelled.
+			// One wait per round trip: realised minus modelled.
 			"counter_wait_late_p50_us": float64(late.P50) / 1e3,
 			"counter_wait_late_p99_us": float64(late.P99) / 1e3,
 		}})

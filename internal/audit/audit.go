@@ -282,7 +282,13 @@ type Log struct {
 	// touched only inside ocalls and only by the holder of the commit lane
 	// or of l.mu with the lane quiesced.
 	file  *recordFile
-	stmts map[string]*sqldb.Stmt
+	stmts map[stmtKey]*sqldb.Stmt
+}
+
+// stmtKey names a cached INSERT: its table and how many values it takes.
+type stmtKey struct {
+	table string
+	arity int
 }
 
 // commitBatch is one group of staged entries committed under a single
@@ -364,7 +370,7 @@ func newShard(env *asyncall.Env, cfg Config, db *sqldb.DB) (*Log, error) {
 // the whole relational view while each shard keeps its own chain, file and
 // counter.
 func newLogDB(cfg Config, db *sqldb.DB) *Log {
-	l := &Log{cfg: cfg, db: db, stmts: make(map[string]*sqldb.Stmt)}
+	l := &Log{cfg: cfg, db: db, stmts: make(map[stmtKey]*sqldb.Stmt)}
 	if cfg.Mode == ModeDisk {
 		path := filepath.Join(cfg.Dir, cfg.Name+".lseal")
 		l.file = &recordFile{fs: vfs.Default(cfg.FS), path: path, magic: fileMagic}
@@ -379,7 +385,7 @@ func (l *Log) Seq() uint64 { return l.seq.Load() }
 
 // insertStmt returns a cached prepared INSERT for the table.
 func (l *Log) insertStmt(table string, arity int) (*sqldb.Stmt, error) {
-	key := fmt.Sprintf("%s/%d", table, arity)
+	key := stmtKey{table, arity}
 	if st, ok := l.stmts[key]; ok {
 		return st, nil
 	}
@@ -438,13 +444,20 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 	if len(rows) == 0 {
 		return t, nil
 	}
-	// Convert values outside the lock. A failure anywhere before the rows
-	// enter the pipeline counts as one staging error — nothing was appended,
-	// so charging the whole group against audit.append.errors would skew the
-	// series relative to audit.appends (durably acknowledged rows).
+	// Convert values outside the lock, each once, into one array for the
+	// group: the entry encoder and the insert both read them as converted.
+	// A failure anywhere before the rows enter the pipeline counts as one
+	// staging error — nothing was appended, so charging the whole group
+	// against audit.append.errors would skew the series relative to
+	// audit.appends (durably acknowledged rows).
+	nvals := 0
+	for _, row := range rows {
+		nvals += len(row.Values)
+	}
+	flat := make([]sqldb.Value, nvals)
 	svals := make([][]sqldb.Value, len(rows))
 	for i, row := range rows {
-		svals[i] = make([]sqldb.Value, len(row.Values))
+		svals[i], flat = flat[:len(row.Values):len(row.Values)], flat[len(row.Values):]
 		for j, v := range row.Values {
 			sv, err := sqldb.FromGo(v)
 			if err != nil {
@@ -488,11 +501,7 @@ func (l *Log) Stage(env *asyncall.Env, rows []Row) (*Ticket, error) {
 	// later Trim — which rebuilds the signed log from the database — cannot
 	// fold never-staged rows into the verified chain.
 	for i := range rows {
-		args := make([]any, len(svals[i]))
-		for j, sv := range svals[i] {
-			args[j] = sv
-		}
-		if _, err := stmts[i].Exec(args...); err != nil {
+		if _, err := stmts[i].ExecValues(svals[i]); err != nil {
 			for j := i - 1; j >= 0; j-- {
 				l.db.RemoveLastRows(rows[j].Table, 1)
 			}
@@ -1185,11 +1194,7 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		if err != nil {
 			return nil, err
 		}
-		args := make([]any, len(e.Values))
-		for i, sv := range e.Values {
-			args[i] = sv
-		}
-		if _, err := st.Exec(args...); err != nil {
+		if _, err := st.ExecValues(e.Values); err != nil {
 			return nil, err
 		}
 	}

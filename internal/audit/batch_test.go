@@ -418,6 +418,39 @@ func TestStageFailureLeavesNoPartialGroup(t *testing.T) {
 	})
 }
 
+// TestStageAllocs bounds what staging costs the caller: a 16-row Stage and
+// its Wait in memory mode. Statements are cached by (table, arity) with no
+// key formatted, and each value is converted once and handed to sqldb as
+// it is; with a formatted key per row and every converted value boxed back
+// into an interface for sqldb to convert again it took 232 allocations.
+func TestStageAllocs(t *testing.T) {
+	e := newAuditEnv(t)
+	rows := make([]Row, 16)
+	for i := range rows {
+		rows[i] = Row{Table: "updates", Values: []any{int64(i), "r", "main", fmt.Sprintf("c%d", i), "update"}}
+	}
+	e.call(t, func(env *asyncall.Env) error {
+		l, err := newOneShard(env, Config{Name: "git", Schema: testSchema, Mode: ModeMemory})
+		if err != nil {
+			return err
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			tk, err := l.Stage(env, rows)
+			if err == nil {
+				err = tk.Wait(env)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 116 {
+			t.Errorf("%.0f allocations per 16-row Stage+Wait, want <= 116", allocs)
+		}
+		t.Logf("%.0f allocations per 16-row Stage+Wait", allocs)
+		return nil
+	})
+}
+
 // sigPayloadOffsets walks the on-disk record stream and returns the byte
 // offset of every signature record's payload.
 func sigPayloadOffsets(t *testing.T, data []byte) []int {

@@ -32,6 +32,7 @@ const (
 // before sealing.
 func (e *Entry) Marshal() []byte {
 	var buf bytes.Buffer
+	buf.Grow(int(e.size()))
 	var u64 [8]byte
 	binary.BigEndian.PutUint64(u64[:], e.Seq)
 	buf.Write(u64[:])

@@ -189,3 +189,44 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// A node its hook delays is served only while the call still lacks replies:
+// behind three prompt nodes its request is dropped once the quorum is in
+// (the cancelled attempt used to drop it), and with a prompt node down it is
+// waited for and carries the quorum.
+func TestDelayedNodeDroppedOnceQuorumMet(t *testing.T) {
+	g, err := NewGroup(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetRetryPolicy(fastPolicy())
+	const delay = 20 * time.Millisecond
+	slow := g.Nodes()[3]
+	var asked atomic.Int64
+	slow.SetFaultHook(func(int, string) NodeFault {
+		asked.Add(1)
+		return NodeFault{Delay: delay}
+	})
+	v, err := g.Increment("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := slow.Value("c"); got != 0 {
+		t.Fatalf("delayed node holds %d after a quorum without it, want 0", got)
+	}
+	if n := asked.Load(); n != 1 {
+		t.Fatalf("delayed node's hook consulted %d times, want 1", n)
+	}
+
+	g.Nodes()[0].Fail()
+	start := time.Now()
+	if v, err = g.Increment("c"); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < delay {
+		t.Fatalf("increment needing the delayed node took %v, under its %v delay", took, delay)
+	}
+	if got := slow.Value("c"); got != v {
+		t.Fatalf("delayed node holds %d, want %d: the quorum needed it", got, v)
+	}
+}

@@ -8,15 +8,22 @@
 //
 // The client side is hardened for production use: every operation takes a
 // context, each attempt is bounded by a per-request timeout, failed quorums
-// are retried with exponential backoff and deterministic jitter, and the
-// quorum wait returns as soon as 2f+1 valid replies are in — a crashed or
-// slow node never adds its full latency to the request path. Quorum
-// intersection keeps early return safe: any 2f+1 authenticated replies
-// overlap any earlier write quorum in at least f+1 honest nodes, so reads
-// still observe the latest committed value.
+// are retried with exponential backoff and deterministic jitter, and a slow
+// node never adds its latency to the request path once 2f+1 valid replies
+// are in. Quorum intersection keeps that safe: any 2f+1 authenticated
+// replies overlap any earlier write quorum in at least f+1 honest nodes, so
+// reads still observe the latest committed value.
+//
+// The nodes are in-process actors, so a round trip (roundTrip) runs in the
+// caller's goroutine: one modelled wait for the network round trip, then
+// every prompt node handles the request in turn, then — only while the call
+// still lacks replies — each node whose fault hook delayed it, in delay
+// order, after a wait of its own. The simtime.rote.* account therefore
+// counts one wait per round trip plus one per delayed node served.
 package rote
 
 import (
+	"cmp"
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
@@ -24,7 +31,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	mathrand "math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,8 +56,8 @@ var (
 	mResyncFailures   = telemetry.NewCounter("rote.resync.failures", "attempts")
 )
 
-// wait is the modelled time on the counter protocol's path: the network
-// round trip to each node and a fault hook's reply delay.
+// wait is the modelled time on the counter protocol's path: one network
+// round trip per broadcast, and a fault hook's reply delay.
 var wait = simtime.NewLayer("rote")
 
 // Errors returned by the group client.
@@ -67,15 +76,35 @@ type message struct {
 	MAC     [32]byte
 }
 
-func mac(key []byte, counter string, value uint64) [32]byte {
-	m := hmac.New(sha256.New, key)
-	m.Write([]byte(counter))
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], value)
-	m.Write(b[:])
-	var out [32]byte
-	copy(out[:], m.Sum(nil))
+// keyedMAC is one holder's HMAC-SHA256 state under the group key: the key
+// is scheduled once and the state reset between messages, where hmac.New
+// per message would schedule it every time.
+type keyedMAC struct {
+	mu  sync.Mutex
+	h   hash.Hash
+	buf []byte // the message, then its MAC
+}
+
+func newKeyedMAC(key []byte) *keyedMAC {
+	return &keyedMAC{h: hmac.New(sha256.New, key), buf: make([]byte, 0, 64)}
+}
+
+// sum returns the MAC of one counter message.
+func (k *keyedMAC) sum(counter string, value uint64) (out [32]byte) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.h.Reset()
+	k.buf = binary.BigEndian.AppendUint64(append(k.buf[:0], counter...), value)
+	k.h.Write(k.buf)
+	k.buf = k.h.Sum(k.buf[:0])
+	copy(out[:], k.buf)
 	return out
+}
+
+// check reports whether m carries a valid MAC.
+func (k *keyedMAC) check(m message) bool {
+	want := k.sum(m.Counter, m.Value)
+	return hmac.Equal(want[:], m.MAC[:])
 }
 
 // NodeFault describes the fate of one request at a node, as decided by an
@@ -83,7 +112,10 @@ func mac(key []byte, counter string, value uint64) [32]byte {
 type NodeFault struct {
 	// Drop makes the node not answer (crash/omission fault).
 	Drop bool
-	// Delay postpones the reply (overloaded or slow node).
+	// Delay postpones the reply (overloaded or slow node) by Delay past the
+	// round trip, as one modelled wait of its own. A delayed node is served
+	// only while the call still lacks replies once every prompt node has
+	// answered; otherwise its request is dropped.
 	Delay time.Duration
 	// Byzantine makes the node reply with a stale value and a bad MAC.
 	Byzantine bool
@@ -93,15 +125,17 @@ type NodeFault struct {
 	Amnesia bool
 }
 
-// NodeFaultHook is consulted on every request a node handles. op is "store"
-// or "fetch". Implementations must be safe for concurrent use.
+// NodeFaultHook is consulted on every request a node handles. op is "store",
+// "fetch" or "dump". It runs in the caller's goroutine; calls from
+// concurrent callers may overlap, so implementations must be safe for
+// concurrent use.
 type NodeFaultHook func(nodeID int, op string) NodeFault
 
 // Node is one counter-service node. In production each node is itself a
 // LibSEAL enclave; here it is an in-process actor with the same interface.
 type Node struct {
 	id    int
-	key   []byte
+	mac   *keyedMAC
 	f     int     // the group's fault-tolerance parameter
 	peers []*Node // the other group members, for restart re-sync
 
@@ -177,51 +211,29 @@ func (n *Node) Resync(ctx context.Context) error {
 	need := 2*n.f + 1
 	n.mu.Unlock()
 
-	type reply struct {
-		msgs []message
-		ok   bool
-	}
-	ch := make(chan reply, len(peers))
-	for _, p := range peers {
-		p := p
-		go func() {
-			msgs, ok := p.dump(ctx)
-			ch <- reply{msgs, ok}
-		}()
-	}
 	adopted := make(map[string]uint64)
-	valid := 0
-	for answered := 0; answered < len(peers) && valid < need; answered++ {
-		var r reply
-		select {
-		case r = <-ch:
-		case <-ctx.Done():
-			mResyncFailures.Inc()
-			return fmt.Errorf("%w: %v", ErrResync, ctx.Err())
+	valid := roundTrip(ctx, peers, 0, "dump", need, func(p *Node, f NodeFault) bool {
+		msgs, ok := p.dump(f)
+		if !ok {
+			return false
 		}
-		if !r.ok {
-			continue
-		}
-		authentic := true
-		for _, m := range r.msgs {
-			want := mac(n.key, m.Counter, m.Value)
-			if !hmac.Equal(want[:], m.MAC[:]) {
-				authentic = false
-				break
+		for _, m := range msgs {
+			if !n.mac.check(m) {
+				return false // one forged entry discredits the whole reply
 			}
 		}
-		if !authentic {
-			continue // one forged entry discredits the whole reply
-		}
-		for _, m := range r.msgs {
+		for _, m := range msgs {
 			if m.Value > adopted[m.Counter] {
 				adopted[m.Counter] = m.Value
 			}
 		}
-		valid++
-	}
+		return true
+	})
 	if valid < need {
 		mResyncFailures.Inc()
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("%w: %v", ErrResync, err)
+		}
 		return fmt.Errorf("%w: %d/%d authenticated peer replies", ErrResync, valid, need)
 	}
 	n.mu.Lock()
@@ -252,32 +264,28 @@ func (n *Node) SetFaultHook(h NodeFaultHook) {
 	n.hook = h
 }
 
-// applyHook runs the fault hook for one request. It reports whether the
-// request should be dropped; delays wait outside the node lock and respect
-// the caller's context.
-func (n *Node) applyHook(ctx context.Context, op string) (drop, byzantine bool) {
+// fault consults the node's fault hook for one request and applies an
+// amnesic restart at once; the caller applies the rest of the returned fault.
+func (n *Node) fault(op string) NodeFault {
 	n.mu.Lock()
 	h := n.hook
 	n.mu.Unlock()
 	if h == nil {
-		return false, false
+		return NodeFault{}
 	}
 	f := h(n.id, op)
 	if f.Amnesia {
 		n.RestartAmnesiac()
 	}
-	if f.Delay > 0 && wait.Wait(ctx, f.Delay) != nil {
-		return true, false
-	}
-	return f.Drop, f.Byzantine
+	return f
 }
 
-// store handles an increment request. It returns an acknowledgement message
-// or false if the node is down.
-func (n *Node) store(ctx context.Context, req message) (message, bool) {
-	if drop, byz := n.applyHook(ctx, "store"); drop {
+// store handles an increment request under the fault its hook decided. It
+// returns an acknowledgement message or false if the node is down.
+func (n *Node) store(req message, f NodeFault) (message, bool) {
+	if f.Drop {
 		return message{}, false
-	} else if byz {
+	} else if f.Byzantine {
 		return message{Counter: req.Counter, Value: 0}, true
 	}
 	n.mu.Lock()
@@ -291,7 +299,7 @@ func (n *Node) store(ctx context.Context, req message) (message, bool) {
 		// Respond with a stale value and an invalid MAC.
 		return message{Counter: req.Counter, Value: 0}, true
 	}
-	if !hmac.Equal(req.MAC[:], func() []byte { m := mac(n.key, req.Counter, req.Value); return m[:] }()) {
+	if !n.mac.check(req) {
 		return message{}, false
 	}
 	// Monotonicity: never regress.
@@ -299,14 +307,14 @@ func (n *Node) store(ctx context.Context, req message) (message, bool) {
 		n.counters[req.Counter] = req.Value
 	}
 	v := n.counters[req.Counter]
-	return message{Counter: req.Counter, Value: v, MAC: mac(n.key, req.Counter, v)}, true
+	return message{Counter: req.Counter, Value: v, MAC: n.mac.sum(req.Counter, v)}, true
 }
 
-// fetch handles a read request.
-func (n *Node) fetch(ctx context.Context, counter string) (message, bool) {
-	if drop, byz := n.applyHook(ctx, "fetch"); drop {
+// fetch handles a read request under the fault its hook decided.
+func (n *Node) fetch(counter string, f NodeFault) (message, bool) {
+	if f.Drop {
 		return message{}, false
-	} else if byz {
+	} else if f.Byzantine {
 		return message{Counter: counter, Value: 0}, true
 	}
 	n.mu.Lock()
@@ -318,17 +326,17 @@ func (n *Node) fetch(ctx context.Context, counter string) (message, bool) {
 		return message{Counter: counter, Value: 0}, true
 	}
 	v := n.counters[counter]
-	return message{Counter: counter, Value: v, MAC: mac(n.key, counter, v)}, true
+	return message{Counter: counter, Value: v, MAC: n.mac.sum(counter, v)}, true
 }
 
 // dump returns every counter entry the node holds, each individually
 // MAC'd, for a restarting peer's re-sync. Failed and unsynced nodes stay
 // silent; a byzantine node forges its entries (the requester discards the
 // whole reply on the first bad MAC).
-func (n *Node) dump(ctx context.Context) ([]message, bool) {
-	if drop, byz := n.applyHook(ctx, "dump"); drop {
+func (n *Node) dump(f NodeFault) ([]message, bool) {
+	if f.Drop {
 		return nil, false
-	} else if byz {
+	} else if f.Byzantine {
 		return []message{{Counter: "forged", Value: ^uint64(0)}}, true
 	}
 	n.mu.Lock()
@@ -342,9 +350,52 @@ func (n *Node) dump(ctx context.Context) ([]message, bool) {
 			msgs = append(msgs, message{Counter: c, Value: v + 1}) // inflated value, bad MAC
 			continue
 		}
-		msgs = append(msgs, message{Counter: c, Value: v, MAC: mac(n.key, c, v)})
+		msgs = append(msgs, message{Counter: c, Value: v, MAC: n.mac.sum(c, v)})
 	}
 	return msgs, true
+}
+
+// delayedNode is a node whose fault hook delayed its reply.
+type delayedNode struct {
+	n *Node
+	f NodeFault
+}
+
+// roundTrip is the protocol's one request/reply exchange with nodes, run in
+// the caller's goroutine; Group.broadcast and Node.Resync both use it. It
+// waits rtt for the network round trip, then hands every node whose hook
+// did not delay it the request (serve), in node order, before it returns.
+// Then, only while fewer than need replies have counted, it serves the
+// delayed nodes in delay order, each once its delay past the round trip has
+// elapsed. serve reports whether the node's reply counts: it arrived and
+// every MAC on it checks. roundTrip returns how many replies counted; it
+// stops early, serving nobody more, when ctx is done during a wait.
+func roundTrip(ctx context.Context, nodes []*Node, rtt time.Duration, op string, need int, serve func(*Node, NodeFault) bool) int {
+	arrive := time.Now().Add(rtt)
+	if wait.Wait(ctx, rtt) != nil {
+		return 0
+	}
+	counted := 0
+	var delayed []delayedNode
+	for _, n := range nodes {
+		f := n.fault(op)
+		switch {
+		case f.Delay > 0:
+			delayed = append(delayed, delayedNode{n, f})
+		case serve(n, f):
+			counted++
+		}
+	}
+	slices.SortStableFunc(delayed, func(a, b delayedNode) int { return cmp.Compare(a.f.Delay, b.f.Delay) })
+	for _, d := range delayed {
+		if counted >= need || wait.WaitUntil(ctx, arrive.Add(d.f.Delay)) != nil {
+			break
+		}
+		if serve(d.n, d.f) {
+			counted++
+		}
+	}
+	return counted
 }
 
 // RetryPolicy bounds and retries quorum operations.
@@ -380,7 +431,7 @@ func DefaultRetryPolicy() RetryPolicy {
 type Group struct {
 	f       int
 	nodes   []*Node
-	key     []byte
+	mac     *keyedMAC
 	latency time.Duration
 
 	mu     sync.Mutex
@@ -400,10 +451,10 @@ func NewGroup(f int, latency time.Duration) (*Group, error) {
 	if _, err := rand.Read(key); err != nil {
 		return nil, err
 	}
-	g := &Group{f: f, key: key, latency: latency, cache: make(map[string]uint64)}
+	g := &Group{f: f, mac: newKeyedMAC(key), latency: latency, cache: make(map[string]uint64)}
 	g.setPolicy(DefaultRetryPolicy())
 	for i := 0; i < 3*f+1; i++ {
-		g.nodes = append(g.nodes, &Node{id: i, key: key, f: f, synced: true, counters: make(map[string]uint64)})
+		g.nodes = append(g.nodes, &Node{id: i, mac: newKeyedMAC(key), f: f, synced: true, counters: make(map[string]uint64)})
 	}
 	// Wire each node to its 3f peers so an amnesic restart can re-sync.
 	for _, n := range g.nodes {
@@ -456,50 +507,18 @@ func (g *Group) F() int { return g.f }
 // quorum returns the required acknowledgement count, 2f+1.
 func (g *Group) quorum() int { return 2*g.f + 1 }
 
-// broadcast sends a request to every node in parallel and collects valid,
-// MAC-authenticated responses. It returns as soon as `need` valid replies
-// are in, when every node has answered, or when ctx is done — whichever
-// comes first. Replies arriving after return drain into the buffered
-// channel, so no goroutine is leaked.
-func (g *Group) broadcast(ctx context.Context, need int, send func(context.Context, *Node) (message, bool)) []message {
-	type result struct {
-		msg message
-		ok  bool
-	}
-	ch := make(chan result, len(g.nodes))
-	arrive := time.Now().Add(2 * g.latency) // round trip
-	for _, n := range g.nodes {
-		n := n
-		go func() {
-			if g.latency > 0 && wait.WaitUntil(ctx, arrive) != nil {
-				ch <- result{ok: false}
-				return
-			}
-			m, ok := send(ctx, n)
-			ch <- result{m, ok}
-		}()
-	}
-	var valid []message
-	for answered := 0; answered < len(g.nodes); answered++ {
-		var r result
-		select {
-		case r = <-ch:
-		case <-ctx.Done():
-			return valid
+// broadcast sends one request to every node over one round trip and hands
+// each MAC-authenticated reply to take, until need of them are in (see
+// roundTrip). It returns how many replies authenticated.
+func (g *Group) broadcast(ctx context.Context, need int, op string, ask func(*Node, NodeFault) (message, bool), take func(message)) int {
+	return roundTrip(ctx, g.nodes, 2*g.latency, op, need, func(n *Node, f NodeFault) bool {
+		m, ok := ask(n, f)
+		if !ok || !g.mac.check(m) {
+			return false // silent, forged or byzantine
 		}
-		if !r.ok {
-			continue
-		}
-		want := mac(g.key, r.msg.Counter, r.msg.Value)
-		if !hmac.Equal(want[:], r.msg.MAC[:]) {
-			continue // forged or byzantine response
-		}
-		valid = append(valid, r.msg)
-		if len(valid) >= need {
-			return valid
-		}
-	}
-	return valid
+		take(m)
+		return true
+	})
 }
 
 // attemptCtx derives the per-attempt context from the caller's.
@@ -550,16 +569,16 @@ func (g *Group) retries() int {
 // runQuorum drives one quorum operation through the retry policy: each
 // attempt gets its own bounded context and counts one broadcast round trip;
 // failed attempts back off exponentially before retrying, and every failure
-// path wraps ErrNoQuorum. attempt reports whether a quorum was assembled,
-// plus a detail string for the error when it was not. Increment and Read
-// share this loop, so their retry/backoff/attempt-timeout semantics cannot
-// drift apart.
-func (g *Group) runQuorum(ctx context.Context, attempt func(actx context.Context) (ok bool, detail string)) error {
+// path wraps ErrNoQuorum. attempt reports whether a quorum was assembled;
+// detail describes a missed one for the error, and is called only then.
+// Increment and Read share this loop, so their retry/backoff/attempt-timeout
+// semantics cannot drift apart.
+func (g *Group) runQuorum(ctx context.Context, attempt func(actx context.Context) bool, detail func() string) error {
 	var lastErr error
 	for try := 0; ; try++ {
 		actx, cancel := g.attemptCtx(ctx)
 		mRoundTrips.Inc()
-		ok, detail := attempt(actx)
+		ok := attempt(actx)
 		timedOut := actx.Err() == context.DeadlineExceeded
 		cancel()
 		if ok {
@@ -568,7 +587,7 @@ func (g *Group) runQuorum(ctx context.Context, attempt func(actx context.Context
 		if timedOut {
 			mTimeouts.Inc()
 		}
-		lastErr = fmt.Errorf("%w: %s", ErrNoQuorum, detail)
+		lastErr = fmt.Errorf("%w: %s", ErrNoQuorum, detail())
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %v", ErrNoQuorum, err)
 		}
@@ -598,18 +617,21 @@ func (g *Group) IncrementContext(ctx context.Context, counter string) (uint64, e
 	g.cache[counter] = next
 	g.mu.Unlock()
 
-	req := message{Counter: counter, Value: next, MAC: mac(g.key, counter, next)}
-	err := g.runQuorum(ctx, func(actx context.Context) (bool, string) {
-		acks := 0
+	req := message{Counter: counter, Value: next, MAC: g.mac.sum(counter, next)}
+	acks := 0
+	err := g.runQuorum(ctx, func(actx context.Context) bool {
+		acks = 0
 		// Re-broadcasting the same value is idempotent: nodes take the max.
-		for _, m := range g.broadcast(actx, g.quorum(), func(c context.Context, n *Node) (message, bool) {
-			return n.store(c, req)
-		}) {
+		g.broadcast(actx, g.quorum(), "store", func(n *Node, f NodeFault) (message, bool) {
+			return n.store(req, f)
+		}, func(m message) {
 			if m.Value >= next {
 				acks++
 			}
-		}
-		return acks >= g.quorum(), fmt.Sprintf("%d/%d acks for %s=%d", acks, g.quorum(), counter, next)
+		})
+		return acks >= g.quorum()
+	}, func() string {
+		return fmt.Sprintf("%d/%d acks for %s=%d", acks, g.quorum(), counter, next)
 	})
 	if err != nil {
 		return 0, err
@@ -630,20 +652,17 @@ func (g *Group) ReadContext(ctx context.Context, counter string) (uint64, error)
 	mReads.Inc()
 	defer telemetry.ObserveSince(mReadLatency, "rote.read", time.Now())
 	var maxVal uint64
-	err := g.runQuorum(ctx, func(actx context.Context) (bool, string) {
-		msgs := g.broadcast(actx, g.quorum(), func(c context.Context, n *Node) (message, bool) {
-			return n.fetch(c, counter)
-		})
-		if len(msgs) < g.quorum() {
-			return false, fmt.Sprintf("%d/%d responses", len(msgs), g.quorum())
-		}
+	replies := 0
+	err := g.runQuorum(ctx, func(actx context.Context) bool {
 		maxVal = 0
-		for _, m := range msgs {
-			if m.Value > maxVal {
-				maxVal = m.Value
-			}
-		}
-		return true, ""
+		replies = g.broadcast(actx, g.quorum(), "fetch", func(n *Node, f NodeFault) (message, bool) {
+			return n.fetch(counter, f)
+		}, func(m message) {
+			maxVal = max(maxVal, m.Value)
+		})
+		return replies >= g.quorum()
+	}, func() string {
+		return fmt.Sprintf("%d/%d responses", replies, g.quorum())
 	})
 	if err != nil {
 		return 0, err

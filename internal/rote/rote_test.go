@@ -202,3 +202,43 @@ func TestMonotonicityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every prompt node handles an increment before it returns, not only the
+// first quorum to answer: a node that had not run yet when the quorum was in
+// used to store the value later, or — once the attempt was cancelled — never.
+func TestPromptNodesHoldEveryIncrement(t *testing.T) {
+	g, err := NewGroup(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		v, err := g.Increment("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Nodes() {
+			if got := n.Value("log"); got != v {
+				t.Fatalf("increment %d: node %d holds %d, want %d", i, n.ID(), got, v)
+			}
+		}
+	}
+}
+
+// One zero-latency f = 1 increment: a keyed MAC state per holder and no
+// goroutine or channel per node. It took 113 allocations with a goroutine,
+// a channel and an hmac.New per MAC.
+func TestIncrementAllocs(t *testing.T) {
+	g, err := NewGroup(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := g.Increment("log"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 56 {
+		t.Fatalf("%.0f allocations per increment, want <= 56", allocs)
+	}
+	t.Logf("%.0f allocations per increment", allocs)
+}

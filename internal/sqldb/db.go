@@ -109,10 +109,13 @@ func (db *DB) PrepareScript(sql string) ([]*Stmt, error) {
 	return out, nil
 }
 
-// Exec runs the prepared statement with the given parameters and returns the
-// number of rows affected (for writes) or returned (for queries).
-func (s *Stmt) Exec(args ...any) (int, error) {
-	res, n, err := s.db.run(s.st, args)
+// ExecValues runs the prepared statement with the given parameters and
+// returns the number of rows affected (for writes) or returned (for
+// queries). Its callers hold converted Values; DB.Exec and DB.Query take Go
+// values and convert them for the same runner. The statement keeps no
+// reference to params.
+func (s *Stmt) ExecValues(params []Value) (int, error) {
+	res, n, err := s.db.run(s.st, params)
 	if err != nil {
 		return 0, err
 	}
@@ -130,9 +133,13 @@ func (db *DB) Exec(sql string, args ...any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	params, err := fromGoArgs(args)
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for _, st := range stmts {
-		_, n, err := db.run(st, args)
+		_, n, err := db.run(st, params)
 		if err != nil {
 			return total, err
 		}
@@ -147,7 +154,11 @@ func (db *DB) Query(sql string, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := db.run(st, args)
+	params, err := fromGoArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := db.run(st, params)
 	if err != nil {
 		return nil, err
 	}
@@ -157,17 +168,22 @@ func (db *DB) Query(sql string, args ...any) (*Result, error) {
 	return res, nil
 }
 
-// run dispatches a parsed statement. It returns a Result for queries, or an
-// affected-row count for writes.
-func (db *DB) run(st Statement, args []any) (*Result, int, error) {
+// fromGoArgs converts Go arguments to parameter values.
+func fromGoArgs(args []any) ([]Value, error) {
 	params := make([]Value, len(args))
 	for i, a := range args {
 		v, err := FromGo(a)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		params[i] = v
 	}
+	return params, nil
+}
+
+// run dispatches a parsed statement — every entry point's one runner. It
+// returns a Result for queries, or an affected-row count for writes.
+func (db *DB) run(st Statement, params []Value) (*Result, int, error) {
 	switch s := st.(type) {
 	case *SelectStmt:
 		db.mu.RLock()

@@ -236,7 +236,7 @@ func TestInTrimAllocationScales(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		n, err := st.Exec()
+		n, err := st.ExecValues(nil)
 		runtime.ReadMemStats(&after)
 		if err != nil || n != branches {
 			t.Fatalf("trim over %d branches removed %d rows, %v", branches, n, err)

@@ -483,7 +483,7 @@ func TestPreparedStatements(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := ins.Exec(i, "row"); err != nil {
+		if _, err := ins.ExecValues([]Value{Int(int64(i)), Text("row")}); err != nil {
 			t.Fatal(err)
 		}
 	}
