@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"os/exec"
@@ -50,6 +51,33 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// openSources opens every non-test Go file of the module. The commands are
+// built in a subprocess, so the test binary depends on none of their sources;
+// the files a test opens are what the go command keys a cached pass on, so a
+// source change must reach the test as an open. Opens before m.Run are not
+// recorded, so the test calls this, not TestMain.
+func openSources(t *testing.T) {
+	t.Helper()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != ".." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // proc is a running command whose stderr is collected line by line.
@@ -217,6 +245,7 @@ func verify(t *testing.T, dir string) (int, int, string) {
 // then the verifier's verdicts on a clean, a flipped and an unmanifested
 // copy of the set.
 func TestCommands(t *testing.T) {
+	openSources(t)
 	dir := t.TempDir()
 	server, addr, feed, metrics := serve(t, dir)
 	push(t, dir, addr, "create main c1", "update main c2", "create dev c3")
@@ -291,6 +320,122 @@ func TestCommands(t *testing.T) {
 			t.Fatal("a failed recovery changed the shard file")
 		}
 	})
+	t.Run("recovery refuses a rolled-back shard", func(t *testing.T) {
+		// The server builds a fresh counter group at every start, so no
+		// counter can tell; the manifest attesting the shard's entries does.
+		rolled := copySet(t, dir)
+		shard := filepath.Join(rolled, "git-shard0.lseal")
+		if a, b := fileSize(t, shard), fileSize(t, filepath.Join(rolled, "git-shard1.lseal")); b > a {
+			shard = filepath.Join(rolled, "git-shard1.lseal")
+		}
+		if err := os.Truncate(shard, int64(len("LIBSEALLOG3\n"))); err != nil {
+			t.Fatal(err)
+		}
+		before := readAll(t, rolled)
+		p := start(t, "libseal-server", "-listen", "127.0.0.1:0", "-service", "git", "-mode", "disk",
+			"-dir", rolled, "-audit-shards", "2")
+		select {
+		case <-p.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("libseal-server serves a rolled-back log set:\n%s", p.log())
+		}
+		if code := p.wait(); code == 0 || !strings.Contains(p.log(), "rolled back") {
+			t.Fatalf("libseal-server on a rolled-back shard: exit %d:\n%s", code, p.log())
+		}
+		// The TLS trust material (*.pem) is minted afresh at every start.
+		for name, after := range readAll(t, rolled) {
+			if before[name] != after && !strings.HasSuffix(name, ".pem") {
+				t.Errorf("a failed recovery changed %s", name)
+			}
+		}
+	})
+	t.Run("SIGKILL during pushes", func(t *testing.T) {
+		testKilled(t)
+	})
+}
+
+// testKilled kills the server with SIGKILL while a client pushes, restarts it
+// on the same directory, and requires the set to verify with every push the
+// client saw acknowledged.
+func testKilled(t *testing.T) {
+	dir := t.TempDir()
+	server, addr, _, _ := serve(t, dir)
+	var mu sync.Mutex
+	var acked []string
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			cid := fmt.Sprintf("k%04d", i)
+			out, err := exec.Command(filepath.Join(bin, "libseal-client"), "-connect", addr, "-ca", filepath.Join(dir, "ca.pem"),
+				"-method", "POST", "-path", "/git/demo/git-receive-pack", "-body", "create b"+cid+" "+cid).Output()
+			if err != nil || !pushReplies.Match(out) {
+				return // the server is gone
+			}
+			mu.Lock()
+			acked = append(acked, cid)
+			mu.Unlock()
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := len(acked)
+		mu.Unlock()
+		if n >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pushes acknowledged in 10 s:\n%s", n, server.log())
+		}
+	}
+	if err := server.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	server.wait()
+	<-done
+
+	server, _, _, _ = serve(t, dir)
+	server.await(regexp.MustCompile(`(resuming) the audit log set`))
+	if code := server.stop(); code != 0 {
+		t.Fatalf("libseal-server restarted after SIGKILL exited %d on SIGTERM:\n%s", code, server.log())
+	}
+	code, out, errOut := run(t, "libseal-verify", "-log", dir, "-pubkey", filepath.Join(dir, "enclave.pub"), "-dump")
+	if code != 0 {
+		t.Fatalf("libseal-verify after SIGKILL and restart: exit %d:\n%s%s", code, out, errOut)
+	}
+	for _, cid := range acked {
+		if !strings.Contains(out, cid) {
+			t.Fatalf("push %s was acknowledged before the SIGKILL but is not in the log:\n%s", cid, out)
+		}
+	}
+	t.Logf("%d pushes acknowledged before the SIGKILL, all in the restarted set", len(acked))
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// readAll reads every file in dir, by name.
+func readAll(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }
 
 // testVerdicts is libseal-verify's exit code and output on each kind of set.

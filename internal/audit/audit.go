@@ -28,10 +28,8 @@
 package audit
 
 import (
-	"bytes"
 	"cmp"
 	"context"
-	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -1151,62 +1149,38 @@ func (l *Log) Close() error {
 	return l.file.close()
 }
 
-// recoverShard rebuilds one shard's log from its persisted file after a
-// restart: the file is verified (chain, signature, counter freshness) and
-// the entries are replayed into db, the set's shared database, whose schema
-// must already exist. Recovery is torn-tail tolerant — records past the last
-// signed prefix were never acknowledged as durable and are cut off (with
-// group commit that prefix ends at the last *signed batch*) — and tolerates
-// the persisted counter lagging the group by up to Config.RecoverMaxLag (the
-// state a crash between an increment and its signature flush leaves behind).
-// It re-anchors the chain at a fresh counter value before returning. Between
-// compactions the file holds rows the database had already trimmed away;
-// they come back, and the first trim after recovery removes them again.
-func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb.DB) (*Log, error) {
-	if cfg.Mode != ModeDisk {
-		return nil, errors.New("audit: recovery requires disk mode")
-	}
-	l := newLogDB(cfg, db)
-	opts := VerifyOptions{
-		Pub: pub, Protector: cfg.Protector, Name: cfg.Name,
-		RecoverTruncated: true, MaxCounterLag: cfg.RecoverMaxLag,
-	}
-	if cfg.Seal {
-		opts.Unseal = func(blob []byte) ([]byte, error) {
-			return env.Ctx.Unseal(blob, []byte(cfg.Name))
-		}
-	}
-	// The file is read outside (ocall); verification — which may need the
-	// enclave's unsealing key — runs inside on the in-memory copy.
-	var raw []byte
-	if err := env.Ocall(func() (err error) {
-		raw, err = l.file.read()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	res, err := VerifyReaderResult(bytes.NewReader(raw), opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range res.Entries {
+// replay is recovery's OnSegment for the shard: it inserts a verified
+// segment's rows into the set's shared database, whose schema is already in
+// place. Between compactions the file holds rows the database had already
+// trimmed away; they come back, and the first trim after recovery removes
+// them again.
+func (l *Log) replay(si SegmentInfo) error {
+	for _, e := range si.Entries() {
 		st, err := l.insertStmt(e.Table, len(e.Values))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := st.ExecValues(e.Values); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
+
+// resume adopts the shard's image once recovery's verdict is in: res is its
+// verification, onDisk its length. The chain moves to the verified commit
+// point, the file is reopened for appending with the crash debris past that
+// point cut off — records past the last signed prefix were never acknowledged
+// as durable — and the chain is re-anchored at a fresh counter value.
+func (l *Log) resume(env *asyncall.Env, res *StreamResult, onDisk int64) error {
+	cfg := l.cfg
 	l.chain = res.Chain // the entries cannot rebuild a chain over sealed records
-	l.seq.Store(uint64(len(res.Entries)))
+	l.seq.Store(uint64(res.TotalEntries))
 	l.specSeq.Store(l.seq.Load())
 	l.counter = res.Counter
 	l.sigCounter, l.sigHead = res.Counter, res.SigHead
-	// Reopen for appending, cutting off any crash debris past the committed
-	// prefix so future appends extend a verified file.
-	if err := env.Ocall(func() error { return l.file.open(res.CommittedBytes, int64(len(raw))) }); err != nil {
-		return nil, err
+	if err := env.Ocall(func() error { return l.file.open(res.CommittedBytes, onDisk) }); err != nil {
+		return err
 	}
 	if cfg.Protector != nil {
 		// Re-anchor at a fresh counter value: if the crash lost an in-flight
@@ -1214,10 +1188,7 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 		// value behind the group and fail strict client verification.
 		c, err := l.freshCounter(env)
 		if err == nil {
-			if err := l.anchorSignature(env, c); err != nil {
-				return nil, err
-			}
-			return l, nil
+			return l.anchorSignature(env, c)
 		}
 		// No fresh value to be had right now; fall back to the stable read.
 		// The next successful append or Reanchor closes the lag.
@@ -1225,11 +1196,11 @@ func recoverShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey, db *sqldb
 			c, rerr = cfg.readCounter(cfg.Name)
 			return rerr
 		}); rerr != nil {
-			return nil, err
+			return err
 		}
 		if c > l.counter {
 			l.counter = c
 		}
 	}
-	return l, nil
+	return nil
 }

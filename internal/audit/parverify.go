@@ -16,7 +16,7 @@ import (
 // Parallel verification: the scanner (stream.go) runs as a goroutine, a
 // worker pool runs the verifier core over its runs concurrently, and the
 // merger (verifier.go) consumes their verdicts in file order — the same three
-// parts VerifyReaderResult runs in one loop.
+// parts verifyInline runs in one loop.
 
 // Verification telemetry (audit.verify.*): segment/entry/byte throughput,
 // per-segment and whole-run latency, and checkpoint/resume activity for

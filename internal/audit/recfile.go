@@ -2,8 +2,10 @@ package audit
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"sync/atomic"
 
@@ -84,9 +86,6 @@ func (f *recordFile) fail(err error) {
 	f.failed = fmt.Errorf("audit: %s failed closed: %w", filepath.Base(f.path), err)
 	f.close()
 }
-
-// read returns the whole file as it is on disk, debris included.
-func (f *recordFile) read() ([]byte, error) { return f.fs.ReadFile(f.path) }
 
 // create truncates (or creates) the file to just its magic.
 func (f *recordFile) create() error {
@@ -179,7 +178,7 @@ func (f *recordFile) replace(recs ...record) (landed bool, err error) {
 // stage writes magic + recs to the temporary image in one Write, fsyncs and
 // closes it, and returns its length; on failure it removes it again.
 func (f *recordFile) stage(recs []record) (int64, error) {
-	h, err := f.fs.Create(f.path + ".tmp")
+	h, err := f.fs.Create(stagedPath(f.path))
 	if err != nil {
 		return 0, err
 	}
@@ -203,7 +202,7 @@ func (f *recordFile) stage(recs []record) (int64, error) {
 // (landed), its generation odd until settle.
 func (f *recordFile) install(n int64) (landed bool, err error) {
 	f.gen.Add(1)
-	if err := f.fs.Rename(f.path+".tmp", f.path); err != nil {
+	if err := f.fs.Rename(stagedPath(f.path), f.path); err != nil {
 		f.discard()
 		f.gen.Add(^uint64(0))
 		return false, err
@@ -234,7 +233,20 @@ func (f *recordFile) settle(syncErr error) error {
 func (f *recordFile) syncDir() error { return f.fs.SyncDir(filepath.Dir(f.path)) }
 
 // discard removes a staged image that will not be installed.
-func (f *recordFile) discard() { f.fs.Remove(f.path + ".tmp") }
+func (f *recordFile) discard() { f.fs.Remove(stagedPath(f.path)) }
+
+// resolveStaged is recovery's end of a land a crash interrupted, before the
+// file is opened: it renames the staged image over the file (install, the land
+// completed) or removes whatever image is staged beside it (crash debris).
+func (f *recordFile) resolveStaged(install bool) error {
+	if install {
+		return f.fs.Rename(stagedPath(f.path), f.path)
+	}
+	if err := f.fs.Remove(stagedPath(f.path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
 
 // close releases the append handle.
 func (f *recordFile) close() error {

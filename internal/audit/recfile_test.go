@@ -24,7 +24,10 @@ var errCrash = errors.New("simulated crash point")
 // record boundary: a failing piece persists the pieces before it and fails
 // the write. In torn mode it also lands half of its own bytes and wedges the
 // handle, as faultinject does for a machine that died mid-write: nothing
-// further reaches the disk through that handle.
+// further reaches the disk through that handle. In die mode the failure is the
+// process's death: from the failing operation on, every operation fails
+// without touching the disk, so no rollback, discard or re-sign the process
+// would run next reaches it.
 type crashFS struct {
 	vfs.OS
 	// perFile numbers operations per file rather than in one global
@@ -33,8 +36,10 @@ type crashFS struct {
 	perFile bool
 	failAt  crashPoint // n < 0: none
 	torn    bool
+	die     bool
 
 	mu   sync.Mutex
+	dead bool
 	seen map[string]int
 	ops  []crashPoint // in issue order
 }
@@ -51,6 +56,9 @@ var noCrash = crashPoint{n: -1}
 func (c *crashFS) step(op, name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.dead {
+		return true
+	}
 	if c.seen == nil {
 		c.seen = make(map[string]int)
 	}
@@ -61,7 +69,15 @@ func (c *crashFS) step(op, name string) bool {
 	p := crashPoint{key, c.seen[key], op}
 	c.seen[key]++
 	c.ops = append(c.ops, p)
-	return p.file == c.failAt.file && p.n == c.failAt.n
+	hit := p.file == c.failAt.file && p.n == c.failAt.n
+	c.dead = hit && c.die
+	return hit
+}
+
+func (c *crashFS) isDead() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dead
 }
 
 func (c *crashFS) open(op, name string, open func(string) (vfs.File, error)) (vfs.File, error) {
@@ -83,6 +99,20 @@ func (c *crashFS) Rename(o, n string) error {
 		return errCrash
 	}
 	return c.OS.Rename(o, n)
+}
+
+func (c *crashFS) Remove(name string) error {
+	if c.isDead() {
+		return errCrash
+	}
+	return c.OS.Remove(name)
+}
+
+func (c *crashFS) ReadFile(name string) ([]byte, error) {
+	if c.isDead() {
+		return nil, errCrash
+	}
+	return c.OS.ReadFile(name)
 }
 
 func (c *crashFS) SyncDir(dir string) error {
@@ -120,7 +150,7 @@ func pieces(p []byte, fresh bool) []int {
 }
 
 func (f *crashFile) Write(p []byte) (int, error) {
-	if f.wedged {
+	if f.wedged || f.fs.isDead() {
 		return 0, errCrash
 	}
 	at := pieces(p, f.fresh)
@@ -151,7 +181,7 @@ func (f *crashFile) Sync() error {
 }
 
 func (f *crashFile) Truncate(size int64) error {
-	if f.wedged {
+	if f.wedged || f.fs.isDead() {
 		return errCrash
 	}
 	return f.File.Truncate(size)

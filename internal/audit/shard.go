@@ -1,8 +1,10 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -80,14 +82,19 @@ func ManifestFileName(name string) string {
 	return name + ".manifest"
 }
 
-// HasLogSet reports whether dir holds any file of the log set name: its
-// manifest sidecar or one of its shard files. Such a file is a previous
-// run's evidence, which RecoverSharded resumes and NewSharded would
-// truncate.
+// HasLogSet reports whether dir holds a previous run's log set name, which
+// RecoverSharded resumes and NewSharded would truncate: a manifest sidecar or
+// a shard file that holds more than its magic. Files that hold at most their
+// magic are what a creation killed before its first record leaves
+// (NewSharded): no set, and nothing to lose.
 func HasLogSet(dir, name string) bool {
-	shards, _ := filepath.Glob(filepath.Join(dir, name+"-shard*.lseal"))
-	_, err := os.Stat(filepath.Join(dir, ManifestFileName(name)))
-	return len(shards) > 0 || err == nil
+	paths, _ := filepath.Glob(filepath.Join(dir, name+"-shard*.lseal"))
+	for _, path := range append(paths, filepath.Join(dir, ManifestFileName(name))) {
+		if fi, err := os.Stat(path); err == nil && fi.Size() > int64(len(fileMagic)) {
+			return true
+		}
+	}
+	return false
 }
 
 // ManifestCounterName is the rollback-counter name anchoring epoch
@@ -186,9 +193,11 @@ func newSet(cfg ShardedConfig, open func(Config, *sqldb.DB) (*Log, error)) (*Sha
 }
 
 // NewSharded creates (or truncates) a sharded audit log. In disk mode it
-// also creates the manifest sidecar and writes the creation manifest
-// attesting the empty shards, whatever the shard count. Must run inside an
-// enclave call.
+// creates every shard file, then the manifest sidecar, and appends the
+// creation manifest attesting the empty shards, whatever the shard count. A
+// process killed before the sidecar holds a record leaves no set (HasLogSet);
+// one killed after leaves the empty set, which recovery resumes. Must run
+// inside an enclave call.
 func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return newShard(env, c, db) })
 	if err != nil {
@@ -208,40 +217,110 @@ func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 	return s, nil
 }
 
-// RecoverSharded rebuilds a log set after a restart: every shard
-// file is verified and replayed into one shared database (recoverShard), the
-// old manifest sidecar is read tolerantly to resume the epoch and
-// manifest-counter sequence, and the sidecar is rewritten with one fresh
-// manifest attesting the recovered states. The shard count must match the
-// one the files were created with. Must run inside an enclave call.
+// RecoverSharded rebuilds a log set after a restart, as a driver of the set
+// rule (VerifySet) on the enclave call's goroutine, whose Unseal is bound to
+// that call: every shard image is verified torn-tail tolerant with
+// RecoverMaxLag as MaxCounterLag (verifyInline), its rows streamed into the
+// shared database, and the sidecar judged against the shards' commit points.
+// It succeeds exactly when a tolerant VerifyPath at that lag does, and writes
+// only once the verdict is in: an interrupted land installed or its debris
+// removed (setImages), each shard's crash debris cut off and the shard
+// re-anchored, and the sidecar replaced by one fresh manifest attesting the
+// recovered states. The shard count must match the one the files were created
+// with. Must run inside an enclave call.
 func RecoverSharded(env *asyncall.Env, cfg ShardedConfig, pub *ecdsa.PublicKey) (*ShardedLog, error) {
-	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) {
-		return recoverShard(env, c, pub, db)
-	})
+	if cfg.Mode != ModeDisk {
+		return nil, errors.New("audit: recovery requires disk mode")
+	}
+	s, err := newSet(cfg, func(c Config, db *sqldb.DB) (*Log, error) { return newLogDB(c, db), nil })
 	if err != nil {
 		return nil, err
 	}
-	// Resume the epoch/counter sequence from the surviving sidecar. A missing
-	// or corrupt sidecar is not fatal to recovery — the shard files carry the
-	// integrity evidence — but it does restart the epoch numbering; the
-	// manifest counter keeps the quorum's history either way.
-	var raw []byte
-	env.Ocall(func() error {
-		raw, _ = s.manifest.read()
-		return nil
-	})
-	if len(raw) > 0 {
-		if ms, err := readManifests(raw, true); err == nil && len(ms) > 0 {
-			last := ms[len(ms)-1]
-			s.epoch = last.Epoch
-			s.mcounter = last.Counter
-		}
-	}
-	if err := s.putManifest(env, s.snapshotStates(env), true); err != nil {
+	if err := s.recover(env, pub); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// recover is RecoverSharded's verdict and, once it is in, its writes.
+func (s *ShardedLog) recover(env *asyncall.Env, pub *ecdsa.PublicKey) error {
+	fsys := vfs.Default(s.cfg.FS)
+	read := func(path string) (b []byte, err error) {
+		env.Ocall(func() error { b, err = fsys.ReadFile(path); return nil })
+		return b, err
+	}
+	// Locate the set as the verifier does: shard files without a sidecar are
+	// refused, and a shard file missing or extra is what the verifier's
+	// replay refuses against the manifests' shard count.
+	var ss *ShardSet
+	var err error
+	env.Ocall(func() error { ss, err = FindShardSet(s.cfg.Dir); return nil })
+	switch {
+	case err != nil:
+		return err
+	case ss.Name != s.cfg.Name:
+		return fmt.Errorf("audit: %s holds log set %s, not %s", ss.Dir, ss.Name, s.cfg.Name)
+	case ss.Shards != len(s.shards):
+		return fmt.Errorf("%w: %d shard files in %s, the set has %d", ErrTampered, ss.Shards, ss.Dir, len(s.shards))
+	}
+	sidecar, err := read(ss.Manifest)
+	if err != nil {
+		return err
+	}
+	opts := StreamOptions{VerifyOptions: VerifyOptions{
+		Pub: pub, Protector: s.cfg.Protector, RecoverTruncated: true, MaxCounterLag: s.cfg.RecoverMaxLag,
+	}}
+	scan := func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error) {
+		sopts := shardOptions(ss, opts, k)
+		sopts.OnSegment = onSegment
+		if s.cfg.Seal {
+			ad := []byte(sopts.Name)
+			sopts.Unseal = func(blob []byte) ([]byte, error) { return env.Ctx.Unseal(blob, ad) }
+		}
+		return verifyInline(bytes.NewReader(img), &sopts)
+	}
+	paths, sidecar, land := setImages(ss, sidecar, read, &opts, scan)
+	results := make([]*StreamResult, ss.Shards)
+	sizes := make([]int64, ss.Shards)
+	points := make([]*commitSet, ss.Shards)
+	for k, sh := range s.shards {
+		img, err := read(paths[k])
+		if err != nil {
+			return fmt.Errorf("audit: shard %d: %w", k, err)
+		}
+		points[k] = newCommitSet()
+		if results[k], err = scan(k, img, points[k].collect(sh.replay)); err != nil {
+			return fmt.Errorf("shard %d (%s): %w", k, filepath.Base(ss.ShardPath(k)), err)
+		}
+		sizes[k] = int64(len(img))
+	}
+	rp := replayRecords(ss, sidecar, &opts)
+	if err := rp.judge(ss, &opts, points, &Report{}); err != nil {
+		return err
+	}
+	// The verdict is in; from here recovery writes, the land first, in land's
+	// order: the shards' images, then the sidecar's.
+	if err := env.Ocall(func() error {
+		for k, sh := range s.shards {
+			if err := sh.file.resolveStaged(paths[k] != ss.ShardPath(k)); err != nil {
+				return err
+			}
+		}
+		if err := s.manifest.resolveStaged(land); err != nil || !land {
+			return err
+		}
+		return s.manifest.syncDir()
+	}); err != nil {
+		return err
+	}
+	for k, sh := range s.shards {
+		if err := sh.resume(env, results[k], sizes[k]); err != nil {
+			return err
+		}
+	}
+	s.epoch, s.mcounter = rp.Epoch(), rp.Counter()
+	return s.putManifest(env, s.snapshotStates(env), true)
 }
 
 // ShardFor routes a connection key to its shard: a stable hash, so the same
@@ -662,6 +741,12 @@ func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
 func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite bool) error {
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
+	// A sidecar that failed closed refuses an append anyway; refuse before
+	// spending an increment no manifest would carry, as a shard's commit does.
+	if err := s.manifest.failed; err != nil && !rewrite {
+		mManifestErrors.Inc()
+		return err
+	}
 	counter := s.mcounter
 	if !s.mclosed {
 		env.Ocall(func() error {

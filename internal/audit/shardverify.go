@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -117,6 +118,18 @@ type commitSet struct {
 
 func newCommitSet() *commitSet { return &commitSet{pts: []ShardState{{}}} }
 
+// collect is an OnSegment that records each segment's commit point and then
+// hands it to inner, if any.
+func (cs *commitSet) collect(inner func(SegmentInfo) error) func(SegmentInfo) error {
+	return func(si SegmentInfo) error {
+		cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
+		if inner != nil {
+			return inner(si)
+		}
+		return nil
+	}
+}
+
 // has reports whether a manifest-attested state is consistent with the
 // shard's verified log: an enumerated commit point, or one inside the
 // checkpointed prefix of a resumed scan (that prefix was verified — and its
@@ -146,10 +159,24 @@ func shardWorkers(workers, shards, k int) int {
 // VerifySet verifies every shard of the set in parallel and replays the
 // manifest sidecar against the shards' verified commit points. Each shard
 // resumes only from its own checkpoint sidecar (ResumeAuto); an explicit
-// Resume is refused.
+// Resume is refused. A compaction's land that a crash interrupted and that
+// recovery completes is judged as completed (setImages).
 func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, error) {
 	if opts.Resume != nil {
 		return nil, errors.New("audit: explicit Resume on a log set; use ResumeAuto")
+	}
+	sidecar, err := os.ReadFile(ss.Manifest)
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
+	}
+	paths, sidecar, land := setImages(ss, sidecar, os.ReadFile, &opts, func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error) {
+		sopts := shardOptions(ss, opts, k)
+		sopts.OnSegment = onSegment
+		return verifyInline(bytes.NewReader(img), &sopts)
+	})
+	if land {
+		// No checkpoint was taken of a staged image, and none is left beside one.
+		opts.ResumeAuto, opts.Checkpoint = false, nil
 	}
 	totalWorkers := opts.Workers
 	if totalWorkers <= 0 {
@@ -163,14 +190,14 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		replay = replayRecords(ss, &opts)
+		replay = replayRecords(ss, sidecar, &opts)
 	}()
 	for k := 0; k < ss.Shards; k++ {
 		points[k] = newCommitSet()
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			results[k], errs[k] = verifyShard(ctx, ss, k, shardWorkers(totalWorkers, ss.Shards, k), opts, points[k])
+			results[k], errs[k] = verifyShard(ctx, paths[k], shardWorkers(totalWorkers, ss.Shards, k), shardOptions(ss, opts, k), points[k])
 		}(k)
 	}
 	wg.Wait()
@@ -198,29 +225,25 @@ func VerifySet(ctx context.Context, ss *ShardSet, opts StreamOptions) (*Report, 
 	return out, nil
 }
 
-// verifyShard runs the streaming pipeline over one shard file, collecting
-// its commit points and resuming from the shard's checkpoint sidecar
-// (<shard file>.ckpt, which VerifyFileStream writes), whose freshness is
+// shardOptions is opts as shard k of ss is verified with: stamped with the
+// shard and judged against the shard's own counter.
+func shardOptions(ss *ShardSet, opts StreamOptions, k int) StreamOptions {
+	opts.Shard, opts.Name = k, ShardName(ss.Name, k)
+	return opts
+}
+
+// verifyShard runs the streaming pipeline over one shard's image at path,
+// collecting its commit points and resuming from the image's checkpoint
+// sidecar (<path>.ckpt, which VerifyFileStream writes), whose freshness is
 // judged against the shard's own counter.
-func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamOptions, cs *commitSet) (*StreamResult, error) {
-	path := ss.ShardPath(k)
-	sopts := opts
-	sopts.Shard = k
+func verifyShard(ctx context.Context, path string, workers int, sopts StreamOptions, cs *commitSet) (*StreamResult, error) {
 	sopts.Workers = workers
-	sopts.Name = ShardName(ss.Name, k)
-	if opts.ResumeAuto {
-		if c, err := LoadCheckpoint(path + ".ckpt"); err == nil && c.Shard == k {
+	if sopts.ResumeAuto {
+		if c, err := LoadCheckpoint(path + ".ckpt"); err == nil && c.Shard == sopts.Shard {
 			sopts.Resume = c
 		}
 	}
-	inner := opts.OnSegment
-	sopts.OnSegment = func(si SegmentInfo) error {
-		cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
-		if inner != nil {
-			return inner(si)
-		}
-		return nil
-	}
+	sopts.OnSegment = cs.collect(sopts.OnSegment)
 	res, err := VerifyFileStream(ctx, path, sopts)
 	if sopts.Resume != nil && errors.Is(err, ErrCheckpointStale) {
 		// The checkpoint no longer matches the file (trimmed or rewritten
@@ -238,6 +261,62 @@ func verifyShard(ctx context.Context, ss *ShardSet, k, workers int, opts StreamO
 	return res, err
 }
 
+// stagedPath is where a record file's replacement image is staged (stage)
+// before it is renamed over the file (install).
+func stagedPath(path string) string { return path + ".tmp" }
+
+// A compaction lands its images in one order (ShardedLog.land): every image
+// is staged beside its file, then the shards' are renamed over theirs, and
+// only then the sidecar's. A process killed between those renames leaves
+// shard images that the old sidecar's manifests do not attest — a rollback,
+// read literally — beside the staged sidecar image that does. Such a land is
+// completed by recovery, and judged by the verifier as recovery leaves it,
+// when the staged sidecar image is one manifest that verifies, its epoch
+// follows the sidecar's last, and every state it attests is a commit point of
+// its shard once the shard's staged image, if one is on disk, is installed.
+// Any other staged image is crash debris.
+
+// shardScan verifies img as shard k's image on the caller's goroutine,
+// handing each committed segment to onSegment.
+type shardScan func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error)
+
+// setImages returns what the set is judged from, given its sidecar's bytes:
+// each shard's image path and the sidecar image — the set's files, or the
+// staged images of an interrupted land that recovery completes (land). read
+// reads a file, failing on a missing one.
+func setImages(ss *ShardSet, sidecar []byte, read func(string) ([]byte, error), opts *StreamOptions, scan shardScan) (paths []string, image []byte, land bool) {
+	paths = make([]string, ss.Shards)
+	for k := range paths {
+		paths[k] = ss.ShardPath(k)
+	}
+	staged, err := read(stagedPath(ss.Manifest))
+	if err != nil {
+		return paths, sidecar, false
+	}
+	ms, err := readManifests(staged, false)
+	if err != nil || len(ms) != 1 {
+		return paths, sidecar, false
+	}
+	rp := replayRecords(ss, sidecar, opts)
+	if rp.err != nil || ms[0].Epoch != rp.Epoch()+1 || rp.Verify(ms[0]) != nil {
+		return paths, sidecar, false
+	}
+	landed := slices.Clone(paths)
+	for k, path := range paths {
+		img, err := read(stagedPath(path))
+		if err == nil {
+			landed[k] = stagedPath(path)
+		} else if img, err = read(path); err != nil {
+			return paths, sidecar, false
+		}
+		cs := newCommitSet()
+		if _, err := scan(k, img, cs.collect(nil)); err != nil || !cs.has(ms[0].Shards[k]) {
+			return paths, sidecar, false
+		}
+	}
+	return landed, staged, true
+}
+
 // manifestReplay is the half of the manifest replay that reads no shard, run
 // while the shards scan: each record's own checks, on the replayer the live
 // mirror uses. ms are the records that passed, err what stopped it.
@@ -247,12 +326,11 @@ type manifestReplay struct {
 	err error
 }
 
-func replayRecords(ss *ShardSet, opts *StreamOptions) *manifestReplay {
+// replayRecords replays the sidecar's bytes, raw.
+func replayRecords(ss *ShardSet, raw []byte, opts *StreamOptions) *manifestReplay {
 	rp := &manifestReplay{ManifestReplayer: ManifestReplayer{Name: ss.Name, Pub: opts.Pub, Shards: ss.Shards}}
-	raw, err := os.ReadFile(ss.Manifest)
-	if err != nil {
-		rp.err = fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
-	} else if rp.ms, err = readManifests(raw, opts.RecoverTruncated); err != nil {
+	var err error
+	if rp.ms, err = readManifests(raw, opts.RecoverTruncated); err != nil {
 		rp.err = fmt.Errorf("manifest sidecar: %w", err)
 	} else if len(rp.ms) == 0 && !opts.RecoverTruncated {
 		// The writer creates the sidecar with an initial manifest; an empty

@@ -35,28 +35,38 @@ func trimDatabase(t *testing.T, e *auditEnv, s *ShardedLog, query string) {
 // manifest: the staged image's Create, its Write at every record boundary,
 // Sync and Close, the Rename, the old handle's Close and the reopen; and the
 // directory syncs after the shards' renames and after the manifest's — and
-// fails each in turn, tearing the writes as well. Whatever fails, the files
-// on disk verify strictly with every shard at exactly its pre-trim or its
-// post-trim entries (so the manifest attests only images that are there),
-// RecoverSharded and a strict Verify against the live counters agree, and a
-// further append and trim converge.
+// fails each in turn, tearing the writes as well: once as a failed call the
+// compaction goes on from, and once (death/…) as the process's death, after
+// which no operation reaches the disk. Whatever fails, the files on disk
+// verify strictly with every shard at exactly its pre-trim or its post-trim
+// entries (so the manifest attests only images that are there, or the land a
+// death interrupted is judged as recovery completes it), RecoverSharded and a
+// strict Verify against the live counters agree, and a further append and
+// trim converge.
 func TestTrimCrashPoints(t *testing.T) {
-	for _, p := range runTrimCrashPoint(t, noCrash, false) {
-		for _, torn := range []bool{false, true} {
-			if torn && p.op != "Write" {
-				continue
+	for _, p := range runTrimCrashPoint(t, noCrash, false, false) {
+		for _, die := range []bool{false, true} {
+			for _, torn := range []bool{false, true} {
+				if torn && p.op != "Write" {
+					continue
+				}
+				name := fmt.Sprintf("%s/%d-%s/torn=%v", p.file, p.n, p.op, torn)
+				if die {
+					name = "death/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					runTrimCrashPoint(t, p, torn, die)
+				})
 			}
-			t.Run(fmt.Sprintf("%s/%d-%s/torn=%v", p.file, p.n, p.op, torn), func(t *testing.T) {
-				runTrimCrashPoint(t, p, torn)
-			})
 		}
 	}
 }
 
 // runTrimCrashPoint trims a two-shard set holding three updates of one
-// branch per shard, compacts it with the fault at failAt armed, checks what
-// is left, and returns the operations the compaction issued.
-func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint {
+// branch per shard, compacts it with the fault at failAt armed (die: as the
+// process's death), checks what is left, and returns the operations the
+// compaction issued.
+func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn, die bool) []crashPoint {
 	e := newAuditEnv(t)
 	pub := e.encl.PublicKey()
 	fs := &crashFS{perFile: true, failAt: noCrash}
@@ -72,7 +82,9 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint 
 				return err
 			}
 		}
-		return nil
+		// The sidecar attests the pre-trim states, which the compaction's
+		// shard images no longer hold.
+		return s.WriteManifest(env)
 	})
 	// Shard k holds c(k), c(k+2), c(k+4); the trim keeps the latest update of
 	// each repo, c4 and c5, and deals them one per shard.
@@ -103,7 +115,7 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoint 
 
 	trimDatabase(t, e, s, trimLatest)
 	fs.mu.Lock()
-	fs.seen, fs.ops, fs.failAt, fs.torn = nil, nil, failAt, torn
+	fs.seen, fs.ops, fs.failAt, fs.torn, fs.die = nil, nil, failAt, torn, die
 	fs.mu.Unlock()
 	err := e.bridge.Call(s.Compact)
 	fs.mu.Lock()

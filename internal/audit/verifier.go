@@ -24,9 +24,10 @@ import (
 // signature record and the running totals a result or a checkpoint reports),
 // a merger (folds verified runs into the ledger batch by batch in stream order
 // and gives the end-of-stream verdict) and three drivers that differ only in
-// how bytes arrive and who schedules the work: VerifyReaderResult on the
-// caller's goroutine, VerifyReaderStream's worker pool (parverify.go) and the
-// chunk-fed IncrementalVerifier (incremental.go). DESIGN.md §13 has the table.
+// how bytes arrive and who schedules the work: verifyInline on the caller's
+// goroutine (VerifyReaderResult, recovery), VerifyReaderStream's worker pool
+// (parverify.go) and the chunk-fed IncrementalVerifier (incremental.go).
+// DESIGN.md §13 has the table.
 
 // VerifyOptions controls persisted-log verification.
 type VerifyOptions struct {
@@ -612,31 +613,42 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 	return m.led.result(m.entries), nil
 }
 
-// VerifyReaderResult verifies a persisted log on the caller's goroutine —
-// scanner, core and merger in one loop, no worker pool — and returns the
-// verified entries with the counter and committed prefix length. It runs
-// outside the enclave for clients (verification needs no secrets, which is
-// what lets them audit the provider) and inside an enclave call for Recover,
-// whose Unseal is bound to that call.
+// VerifyReaderResult verifies a persisted log on the caller's goroutine
+// (verifyInline) and returns the verified entries with the counter and
+// committed prefix length. It runs outside the enclave for clients
+// (verification needs no secrets, which is what lets them audit the provider).
 func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
+	res, err := verifyInline(r, &StreamOptions{VerifyOptions: opts})
+	if err != nil {
+		return nil, err
+	}
+	return &res.VerifyResult, nil
+}
+
+// verifyInline is the caller's-goroutine driver: scanner, core and merger in
+// one loop, no worker pool. With OnSegment it delivers the committed segments
+// as VerifyReaderStream does and keeps no entries. Recovery runs it inside an
+// enclave call, whose Unseal is bound to that call. Its callers read the
+// entries, so the core builds them as it walks them, and
+// SegmentInfo.Entries decodes nothing twice.
+func verifyInline(r io.Reader, opts *StreamOptions) (*StreamResult, error) {
 	led, _ := newLedger(nil) // from the empty log: cannot fail
 	// Two runs in flight: the one folding, the one whose batch is held.
-	m := merger{opts: &StreamOptions{VerifyOptions: opts}, led: led, pool: make(runPool, 2)}
-	core := chainVerifier{opts: &opts, batch: sha256.New(), names: map[string]string{}, decode: true}
+	m := merger{opts: opts, led: led, pool: make(runPool, 2)}
+	core := chainVerifier{opts: &opts.VerifyOptions, shard: opts.Shard, batch: sha256.New(), names: map[string]string{}, decode: true}
 	// Nothing runs concurrently, so there is nothing for a context to stop.
-	end := scanRuns(context.Background(), r, &m.led.base, false, 0, m.pool, func(r *run) bool {
+	end := scanRuns(context.Background(), r, &m.led.base, false, opts.Shard, m.pool, func(r *run) bool {
 		if m.failed == nil {
 			if verifyRun(r, core); m.fold(r) {
 				m.retire(r)
 			}
 		}
-		return true
+		return m.cbErr == nil
 	})
-	res, err := m.finish(end)
-	if err != nil {
-		return nil, err
+	if m.cbErr != nil {
+		return nil, m.cbErr
 	}
-	return &res.VerifyResult, nil
+	return m.finish(end)
 }
 
 // checkFreshness compares the log's committed counter against the rollback

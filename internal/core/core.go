@@ -114,7 +114,7 @@ type Config struct {
 	RecoverMaxLag uint64
 	// RecoverExisting resumes from a persisted log (verifying its chain,
 	// signature and counter freshness). Without it New refuses a directory
-	// that holds any file of the module's log set (audit.HasLogSet). The
+	// that holds the module's log set (audit.HasLogSet). The
 	// enclave must be launched from the same platform and code so its keys
 	// match.
 	RecoverExisting bool
