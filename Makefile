@@ -128,8 +128,7 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 # Fault and outside-input paths. Degraded mode's re-anchor retry, which the
 # periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
 # a readiness probe failing (HealthUnhealthy, Unhealthy); a file the verifier
-# cannot frame (unknownType, errOversized); a staged compaction image
-# discarded after a failure (discard); the mirror's reconnect backoff and
+# cannot frame (unknownType, errOversized); the mirror's reconnect backoff and
 # stream restart (backoffMax, sleepCtx, restartPayload); a deployment failing
 # half-built (bench fail); an enclave torn down under its callers (Destroy);
 # a hostile header of more than 16 out-of-order fields (groupSorted) and a
@@ -137,7 +136,7 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 # (faultinject's node and link faults, SetByzantine, WithFaultInjector).
 SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter libseal:HealthUnhealthy \
 	internal/resilience:Unhealthy internal/audit:unknownType internal/audit:errOversized \
-	internal/audit:discard internal/audit/mirror:backoffMax internal/audit/mirror:sleepCtx \
+	internal/audit/mirror:backoffMax internal/audit/mirror:sleepCtx \
 	internal/audit/mirror:restartPayload internal/bench:fail internal/enclave:Destroy \
 	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
 	internal/faultinject:SlowNode internal/faultinject:DropLink internal/faultinject:ResetLink \

@@ -1073,16 +1073,14 @@ func (l *Log) signState(env *asyncall.Env, chain [32]byte, counter uint64, prev 
 // chain recomputed from zero, re-anchored at a fresh counter value, re-signed,
 // and the file replaced crash-safely. ShardedLog.Compact takes every shard's
 // rewrite through these steps side by side, building while the counters are
-// in flight; l.mu is held and the commit lane quiesced throughout. A rewrite
-// that fails at any step leaves the shard on its old image, on disk and in
-// memory; the others carry on.
+// in flight; l.mu is held and the commit lane quiesced throughout. The
+// compaction lands every shard's rewrite or none.
 type rewrite struct {
 	encs    [][]byte // surviving entries, in sequence order
 	chain   [32]byte // chain head over their records, one batch from zero
 	recs    []record // the new image: sealed entries, then the signature
 	sigHead [32]byte // digest of that signature record's payload
-	landed  bool     // the image replaced the file
-	err     error
+	err     error    // the build's
 	// The fresh anchor, written outside the enclave while the image is built.
 	counter   uint64
 	anchorErr error
@@ -1096,36 +1094,29 @@ func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
 	rw.chain = batchChain([32]byte{}, rw.recs)
 }
 
-// anchorRewrite obtains the rewrite's fresh counter value. A compaction
-// must carry one — re-signing trimmed-away history at a stale counter would
-// widen the rollback window — so an unreachable quorum fails the rewrite
-// instead of degrading. Runs outside the enclave.
-func (l *Log) anchorRewrite(rw *rewrite) {
-	rw.counter, rw.anchorErr = l.cfg.incrementCounter(l.cfg.Name)
-}
-
 // signRewrite completes the image once the anchor is in: the new chain head
 // signed at the fresh counter value (the last one without a protector).
-func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) {
-	if rw.err = cmp.Or(rw.anchorErr, rw.err); rw.err != nil {
-		return
+func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) error {
+	if err := cmp.Or(rw.anchorErr, rw.err); err != nil {
+		return err
 	}
 	if l.cfg.Protector != nil {
 		l.counter = rw.counter
 	}
 	rw.counter = l.counter
 	// The image's one signature record is its file's first: prev is zero.
-	var sig []byte
-	if sig, rw.err = l.signState(env, rw.chain, l.counter, [32]byte{}); rw.err != nil {
-		return
+	sig, err := l.signState(env, rw.chain, l.counter, [32]byte{})
+	if err != nil {
+		return err
 	}
 	rw.sigHead = sha256.Sum256(sig)
 	rw.recs = append(rw.recs, record{typ: recSig, payload: sig})
+	return nil
 }
 
-// adoptRewrite moves the in-memory chain onto the new image whenever the
-// replacement landed — even when an error came with it, the file is the new
-// image.
+// adoptRewrite moves the in-memory chain onto the new image once the
+// compaction got past its first rename: the file is the new image, or the
+// restart completes the land that makes it so.
 func (l *Log) adoptRewrite(rw *rewrite) {
 	l.chain = rw.chain
 	l.seq.Store(uint64(len(rw.encs)))

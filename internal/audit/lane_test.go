@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -468,10 +469,12 @@ func trimFanOutSet(t *testing.T, e *auditEnv, prot *laneProtector) *ShardedLog {
 
 const trimLatest = "DELETE FROM updates WHERE time NOT IN (SELECT MAX(time) FROM updates GROUP BY repo, branch)"
 
-// TestTrimFanOutShardFailure: a compaction's shard rewrites are independent.
-// A counter that fails only shard 1's increment leaves shard 0 on its new
-// image and shard 1 on its old one, file and memory; the error is returned;
-// the set verifies strictly and recovers as it stands; and the next trim
+// TestTrimFanOutShardFailure: a compaction lands whole or not at all. A
+// counter that fails only shard 1's increment aborts it: the error names shard
+// 1, neither shard's seq or chain moves, and the files change only by the
+// records carrying the values the compaction spent — a signature record on
+// shard 0, a manifest on the sidecar — so the set verifies strictly and
+// recovers as it stands, and the next compaction, with the counter back,
 // converges.
 func TestTrimFanOutShardFailure(t *testing.T) {
 	e := newAuditEnv(t)
@@ -501,34 +504,36 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 		}
 		return rec
 	}
-	shard1 := filepath.Join(e.dir, ShardName("git", 1)+".lseal")
-	image1, err := os.ReadFile(shard1)
-	if err != nil {
-		t.Fatal(err)
+	images := setImagesOf(t, s)
+	var chains [2][32]byte
+	var seqs [2]uint64
+	for k := range chains {
+		chains[k], seqs[k] = s.Shard(k).ChainHash(), s.Shard(k).Seq()
 	}
-	chain1, seq1 := s.Shard(1).ChainHash(), s.Shard(1).Seq()
 
 	prot.failing(func(name string) bool { return name == ShardName("git", 1) })
 	trimDatabase(t, e, s, trimLatest)
-	err = e.bridge.Call(s.Compact)
+	err := e.bridge.Call(s.Compact)
 	if err == nil || !strings.Contains(err.Error(), "shard 1 rewrite") {
 		t.Fatalf("compaction with shard 1's counter down: %v, want shard 1's rewrite error", err)
 	}
-	// The two survivors are dealt one per shard: shard 0 moved to its share.
-	if got := s.Shard(0).Seq(); got != 1 {
-		t.Fatalf("shard 0 seq = %d after its rewrite landed, want 1", got)
+	for k := range chains {
+		if s.Shard(k).ChainHash() != chains[k] || s.Shard(k).Seq() != seqs[k] {
+			t.Fatalf("shard %d moved although the compaction failed: seq %d -> %d", k, seqs[k], s.Shard(k).Seq())
+		}
 	}
-	after1, err := os.ReadFile(shard1)
-	if err != nil {
-		t.Fatal(err)
+	// Shard 0's anchor and the manifest's spent a value each; shard 1's spent
+	// none.
+	for i, want := range [][]byte{{recSig}, nil, {recManifest}} {
+		if got := recordsAppended(t, images[i], s.Files()[i].Path()); !bytes.Equal(got, want) {
+			t.Fatalf("%s gained records %q, want only the carrying ones %q", s.Files()[i].Path(), got, want)
+		}
 	}
-	if !bytes.Equal(after1, image1) || s.Shard(1).ChainHash() != chain1 || s.Shard(1).Seq() != seq1 {
-		t.Fatalf("shard 1 moved although its rewrite failed: seq %d -> %d, file changed = %v", seq1, s.Shard(1).Seq(), !bytes.Equal(after1, image1))
-	}
-	verify("after the partial trim", 1+int(seq1))
+	total := int(seqs[0] + seqs[1])
+	verify("after the failed compaction", total)
 	s.Close()
-	rec := recoverSet("after the partial trim")
-	verify("after recovering the partial trim", 1+int(seq1))
+	rec := recoverSet("after the failed compaction")
+	verify("after recovering the failed compaction", total)
 
 	prot.failing(nil)
 	e.call(t, func(env *asyncall.Env) error { return trimSet(env, rec, []string{trimLatest}) })
@@ -543,6 +548,45 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 	rec.Close()
 	recoverSet("after the converging trim").Close()
 	verify("after recovering the converged set", rows)
+}
+
+// setImagesOf reads every persisted file of s, in Files order.
+func setImagesOf(t *testing.T, s *ShardedLog) [][]byte {
+	t.Helper()
+	var images [][]byte
+	for _, v := range s.Files() {
+		b, err := os.ReadFile(v.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, b)
+	}
+	return images
+}
+
+// recordsAppended returns the types of the whole records the file at path
+// holds past before, which must be its prefix; the test fails, and goes on,
+// if it is not.
+func recordsAppended(t *testing.T, before []byte, path string) []byte {
+	t.Helper()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) {
+		t.Errorf("%s: the records it held before were rewritten", path)
+		return nil
+	}
+	var types []byte
+	for rest := after[len(before):]; len(rest) > 0; {
+		if len(rest) < 5 || 5+int(binary.BigEndian.Uint32(rest[1:])) > len(rest) {
+			t.Errorf("%s: a partial record past the old ones", path)
+			return types
+		}
+		types = append(types, rest[0])
+		rest = rest[5+int(binary.BigEndian.Uint32(rest[1:])):]
+	}
+	return types
 }
 
 // TestTrimFanOutIncrementsOverlap: a compaction's fresh anchors — one per

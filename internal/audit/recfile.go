@@ -50,11 +50,11 @@ type recordFile struct {
 	// lands at the end of the file whatever a rollback truncated. Nil before
 	// create/open and once the file failed closed.
 	h vfs.File
-	// failed, once set, is returned by every later commit: the file's tail is
-	// in a state the committed size no longer describes (a rollback that did
-	// not take, or a replacement that landed but could not be reopened), and
-	// acknowledging appends into it would lose them. A successful replace
-	// clears it.
+	// failed, once set, is returned by every later commit until a restart:
+	// the file's tail is in a state the committed size no longer describes (a
+	// rollback that did not take, a replacement that landed but could not be
+	// reopened, a compaction's land that failed), and acknowledging appends
+	// into it would lose them.
 	failed error
 
 	// size is the committed length: every byte below it belongs to a record
@@ -81,9 +81,11 @@ func (f *recordFile) fire() {
 	}
 }
 
-// fail makes the file fail closed.
+// fail makes the file fail closed, keeping the first cause.
 func (f *recordFile) fail(err error) {
-	f.failed = fmt.Errorf("audit: %s failed closed: %w", filepath.Base(f.path), err)
+	if f.failed == nil {
+		f.failed = fmt.Errorf("audit: %s failed closed: %w", filepath.Base(f.path), err)
+	}
 	f.close()
 }
 
@@ -156,27 +158,26 @@ func (f *recordFile) commit(recs ...record) error {
 }
 
 // replace atomically swaps the file for magic + recs: stage, install, and
-// settle once the rename is durable (a trim runs the steps itself, for every
-// file at once: ShardedLog.land). The rename is the commit point: before it
-// the old image is intact and authoritative (landed is false); once it
-// succeeded the file IS the new image — landed is true, committed size and
+// settle once the rename is durable (a compaction runs the steps itself:
+// ShardedLog.land). The rename is the commit point: before it the old image is
+// intact and authoritative (landed is false) and the staged image goes; once
+// it succeeded the file IS the new image — landed is true, committed size and
 // generation follow it — even when making the rename durable or reopening the
-// file for append then fails, in which case the error is returned and the
-// file fails closed. The owner must move its in-memory state whenever landed
-// is set.
+// file for append then fails, in which case the error is returned and the file
+// fails closed. The owner must move its in-memory state whenever landed is set.
 func (f *recordFile) replace(recs ...record) (landed bool, err error) {
 	n, err := f.stage(recs)
-	if err != nil {
-		return false, err
+	if err == nil {
+		if err = f.install(n); err == nil {
+			return true, f.settle(f.syncDir())
+		}
 	}
-	if landed, err = f.install(n); landed {
-		err = f.settle(f.syncDir())
-	}
-	return landed, err
+	f.resolveStaged(false)
+	return false, err
 }
 
 // stage writes magic + recs to the temporary image in one Write, fsyncs and
-// closes it, and returns its length; on failure it removes it again.
+// closes it, and returns its length; on failure the caller removes it.
 func (f *recordFile) stage(recs []record) (int64, error) {
 	h, err := f.fs.Create(stagedPath(f.path))
 	if err != nil {
@@ -190,7 +191,6 @@ func (f *recordFile) stage(recs []record) (int64, error) {
 		err = cerr
 	}
 	if err != nil {
-		f.discard()
 		return 0, err
 	}
 	mFsyncs.Inc()
@@ -198,19 +198,18 @@ func (f *recordFile) stage(recs []record) (int64, error) {
 }
 
 // install renames the staged image of length n over the file: if that fails,
-// the staged image goes and all is as it was; else the file is the new image
-// (landed), its generation odd until settle.
-func (f *recordFile) install(n int64) (landed bool, err error) {
+// all is as it was, the staged image still beside the file for the caller to
+// remove or keep; else the file is the new image, its generation odd until
+// settle.
+func (f *recordFile) install(n int64) error {
 	f.gen.Add(1)
 	if err := f.fs.Rename(stagedPath(f.path), f.path); err != nil {
-		f.discard()
 		f.gen.Add(^uint64(0))
-		return false, err
+		return err
 	}
 	f.close() // the old image's inode
-	f.failed = nil
 	f.size.Store(n)
-	return true, nil
+	return nil
 }
 
 // settle finishes an installed image once its directory sync returned
@@ -232,12 +231,9 @@ func (f *recordFile) settle(syncErr error) error {
 // syncDir makes renames into the file's directory durable.
 func (f *recordFile) syncDir() error { return f.fs.SyncDir(filepath.Dir(f.path)) }
 
-// discard removes a staged image that will not be installed.
-func (f *recordFile) discard() { f.fs.Remove(stagedPath(f.path)) }
-
-// resolveStaged is recovery's end of a land a crash interrupted, before the
-// file is opened: it renames the staged image over the file (install, the land
-// completed) or removes whatever image is staged beside it (crash debris).
+// resolveStaged renames the staged image over the file (install: recovery
+// completing a land a crash interrupted) or removes whatever image is staged
+// beside it.
 func (f *recordFile) resolveStaged(install bool) error {
 	if install {
 		return f.fs.Rename(stagedPath(f.path), f.path)

@@ -37,6 +37,8 @@ type crashFS struct {
 	failAt  crashPoint // n < 0: none
 	torn    bool
 	die     bool
+	// also, when its op is set, fails too: as a call, never as a death.
+	also crashPoint
 
 	mu   sync.Mutex
 	dead bool
@@ -71,7 +73,7 @@ func (c *crashFS) step(op, name string) bool {
 	c.ops = append(c.ops, p)
 	hit := p.file == c.failAt.file && p.n == c.failAt.n
 	c.dead = hit && c.die
-	return hit
+	return hit || c.also.op != "" && p.file == c.also.file && p.n == c.also.n
 }
 
 func (c *crashFS) isDead() bool {

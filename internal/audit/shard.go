@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/ecdsa"
 	"encoding/binary"
 	"errors"
@@ -494,16 +495,15 @@ func (s *ShardedLog) CompactDue() bool {
 
 // Compact is a trim's file half: every shard file is rewritten as a fresh
 // image of the rows the shared database holds (§5.1, "Log trimming"). A
-// check+trim cycle runs it when CompactDue says so; Trim and core's TrimNow
-// always do. A memory-mode set has no files, and Compact does nothing.
+// check+trim cycle runs it when CompactDue says so; core's TrimNow always
+// does. A memory-mode set has no files, and Compact does nothing.
 //
 // The rows are partitioned round-robin across the shards (deterministic
 // table-sorted order — with one shard, simply every row in that order), each
-// shard's chain is rebuilt over its partition with a fresh counter anchor and
-// its file replaced crash-safely (see rewrite), and the manifest sidecar is
-// rewritten to attest the post-compaction states. All shards are quiesced for
-// the duration, so the partition cannot race staged appends or interleave
-// with a batch's file I/O.
+// shard's chain is rebuilt over its partition with a fresh counter anchor,
+// and the manifest sidecar is rewritten to attest the post-compaction states.
+// All shards are quiesced for the duration, so the partition cannot race
+// staged appends or interleave with a batch's file I/O.
 //
 // Past the quiesce the compaction leaves the enclave three times whatever the
 // shard count: one ocall issues every fresh anchor (the shards' and the
@@ -512,12 +512,11 @@ func (s *ShardedLog) CompactDue() bool {
 // — the manifest pre-signed over the states the shard images carry — and a
 // third lands them all (see land).
 //
-// The database is not touched. A shard whose anchor or replacement failed
-// keeps its old image and its old in-memory chain while the others move to
-// their new ones, and the first such error is returned; the pre-signed
-// manifest is then discarded and the sidecar re-signed over the actual
-// states, since a manifest never attests an image that is not on disk. The
-// next compaction converges.
+// The database is not touched, and the compaction lands whole or not at all:
+// a failure before the first rename leaves every file and in-memory chain as
+// it was, bar the records carrying the counter values already spent, and
+// returns the first error; one after it is a crash, and the set refuses
+// appends until a restart completes the land.
 func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	if s.cfg.Mode != ModeDisk {
 		return nil
@@ -533,31 +532,36 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	mCompactions.Inc()
 	defer telemetry.ObserveSince(mCompactLatency, "audit.compact", time.Now())
 	defer func() { mCommittedBytes.Set(s.committedBytes()) }()
-	rws := make([]rewrite, len(s.shards))
 	// The manifest lane is held from its counter increment to its record, so
 	// no other manifest can slip between the two.
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
-	manifest := !s.mclosed
+	// A set closed, or with a file that failed closed, waits for its restart:
+	// a land that failed past its first rename left staged images for it.
+	for _, v := range s.Files() {
+		if err := v.f.failed; err != nil || s.mclosed {
+			return cmp.Or(err, ErrClosed)
+		}
+	}
+	rws := make([]rewrite, len(s.shards))
 	mcounter := s.mcounter
 	var anchors sync.WaitGroup
 	anchored := s.cfg.Protector != nil
 	if anchored {
 		env.Ocall(func() error {
-			goEach(&anchors, len(s.shards), func(k int) { s.shards[k].anchorRewrite(&rws[k]) })
-			if manifest {
-				goEach(&anchors, 1, func(int) { mcounter = s.freshManifestCounter() })
-			}
+			// A compaction's anchors never degrade: re-signing trimmed-away
+			// history at a stale counter would widen the rollback window.
+			goEach(&anchors, len(s.shards), func(k int) {
+				rws[k].counter, rws[k].anchorErr = s.cfg.incrementCounter(ShardName(s.cfg.Name, k))
+			})
+			goEach(&anchors, 1, func(int) { mcounter = s.freshManifestCounter() })
 			// Let the requests leave now: a new goroutine queues behind us.
 			runtime.Gosched()
 			return nil
 		})
 	}
-	parts, err := s.partitionSurvivors()
-	if err == nil {
-		for k, sh := range s.shards {
-			sh.buildRewrite(env, &rws[k], parts[k])
-		}
+	for k, part := range s.partitionSurvivors() {
+		s.shards[k].buildRewrite(env, &rws[k], part)
 	}
 	if s.onBuilt != nil {
 		s.onBuilt(rws)
@@ -567,88 +571,108 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 		env.Ocall(func() error { anchors.Wait(); return nil })
 		telemetry.ObserveSince(mTrimAnchorWait, "audit.trim.anchor_wait", wait)
 	}
-	if err != nil {
-		return err
-	}
+	var err error
 	states := make([]ShardState, len(s.shards))
-	for k, sh := range s.shards {
-		rw := &rws[k]
-		sh.signRewrite(env, rw)
-		states[k] = ShardState{Chain: rw.chain, Seq: uint64(len(rw.encs)), Counter: rw.counter}
-		manifest = manifest && rw.err == nil // else sign over what does land
+	for k := 0; k < len(s.shards) && err == nil; k++ {
+		if err = s.shards[k].signRewrite(env, &rws[k]); err != nil {
+			err = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
+		}
+		states[k] = ShardState{Chain: rws[k].chain, Seq: uint64(len(rws[k].encs)), Counter: rws[k].counter}
 	}
 	var m *Manifest
-	if manifest {
-		m, _ = s.signManifest(env, states, mcounter)
+	if err == nil {
+		m, err = s.signManifest(env, states, mcounter)
 	}
-	var mlanded bool
-	var merr error
-	env.Ocall(func() error { mlanded, merr = s.land(rws, m); return nil })
-	var firstErr error
-	for k, sh := range s.shards {
-		if rws[k].landed {
+	renamed := false
+	if err == nil {
+		env.Ocall(func() error { renamed, err = s.land(rws, m); return nil })
+	}
+	if renamed {
+		for k, sh := range s.shards {
 			sh.adoptRewrite(&rws[k])
 		}
-		if err := rws[k].err; err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("audit: shard %d rewrite: %w", k, err)
+		return s.noteManifest(m, true, err)
+	}
+	// Nothing moved, but a spent value no record carries is lag the next
+	// recovery must tolerate on top of any crash between an increment and its
+	// flush. Each is carried at its own value, which no staged image holds any
+	// more: a shard's by a signature record re-attesting its chain, the
+	// manifest's by a manifest. A file whose record fails fails closed.
+	failClosed := func(f *recordFile, err error) {
+		if err != nil {
+			env.Ocall(func() error { f.fail(err); return nil })
 		}
-		// Shard locks are held: read the durable fields directly.
+	}
+	for k, sh := range s.shards {
+		if anchored && rws[k].anchorErr == nil {
+			failClosed(sh.file, sh.anchorSignature(env, rws[k].counter))
+		}
 		states[k] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 	}
-	if m != nil {
-		merr = s.noteManifest(m, mlanded, merr)
+	if mcounter != s.mcounter {
+		m, merr := s.signManifest(env, states, mcounter)
+		if merr == nil {
+			merr = env.Ocall(func() error { return s.manifest.commit(record{typ: recManifest, payload: marshalManifest(m)}) })
+			s.noteManifest(m, merr == nil, merr)
+		}
+		failClosed(s.manifest, merr)
 	}
-	if !mlanded {
-		merr = s.putManifestLocked(env, states, mcounter, true)
-	}
-	if merr != nil && firstErr == nil {
-		firstErr = merr
-	}
-	return firstErr
+	return err
 }
 
-// land puts a compaction's signed images on disk, outside the enclave: the
-// shards' and the manifest's m (nil: none) staged side by side, then the shard
-// images installed, their renames made durable by one directory sync and the
-// files settled, and only if every shard landed without error the manifest
-// installed and settled in turn (landed) — or else discarded.
-func (s *ShardedLog) land(rws []rewrite, m *Manifest) (landed bool, err error) {
-	n := len(s.shards)
-	sizes := make([]int64, n+1)
+// land puts a compaction's signed images on disk, outside the enclave, and
+// reports whether it got past the first rename. Every image is staged side by
+// side; a failed staging or first rename moves nothing, and every staged image
+// is removed, durably. Else the shards' images are installed, their renames
+// made durable by one directory sync and the files settled, then the
+// sidecar's image is installed and settled. From the first rename on a
+// failure is a crash, and so is a staged image left behind: every file fails
+// closed, an installed one settled, and what is staged stays for the restart.
+func (s *ShardedLog) land(rws []rewrite, m *Manifest) (renamed bool, err error) {
+	files := s.Files() // the shards', then the sidecar
+	n := len(rws)
+	sizes, errs := make([]int64, n+1), make([]error, n+1)
 	var staged sync.WaitGroup
 	goEach(&staged, n+1, func(k int) {
-		switch {
-		case k < n && rws[k].err == nil:
-			sizes[k], rws[k].err = s.shards[k].file.stage(rws[k].recs)
-		case k == n && m != nil:
-			sizes[k], err = s.manifest.stage([]record{{typ: recManifest, payload: marshalManifest(m)}})
+		if k < n {
+			sizes[k], errs[k] = files[k].f.stage(rws[k].recs)
+		} else {
+			sizes[k], errs[k] = s.manifest.stage([]record{{typ: recManifest, payload: marshalManifest(m)}})
 		}
 	})
 	staged.Wait()
-	for k, sh := range s.shards {
-		if rws[k].err == nil {
-			rws[k].landed, rws[k].err = sh.file.install(sizes[k])
+	err = cmp.Or(errs...)
+	for k := 0; k < n && err == nil; k++ {
+		err = files[k].f.install(sizes[k])
+		renamed = renamed || err == nil
+	}
+	crash := err
+	if !renamed {
+		crash = nil
+		for _, v := range files {
+			crash = cmp.Or(crash, v.f.resolveStaged(false))
+		}
+		crash = cmp.Or(crash, s.manifest.syncDir())
+	} else if err == nil {
+		synced := s.manifest.syncDir()
+		for _, v := range files[:n] {
+			err = cmp.Or(err, v.f.settle(synced))
+		}
+		if err == nil {
+			if err = s.manifest.install(sizes[n]); err == nil {
+				err = s.manifest.settle(s.manifest.syncDir())
+			}
+		}
+		crash = err
+	}
+	for _, v := range files {
+		if crash != nil && v.f.gen.Load()%2 == 1 {
+			v.f.settle(crash)
+		} else if crash != nil {
+			v.f.fail(crash)
 		}
 	}
-	synced := s.shards[0].file.syncDir()
-	all := true
-	for k, sh := range s.shards {
-		if rws[k].landed {
-			rws[k].err = sh.file.settle(synced)
-		}
-		all = all && rws[k].err == nil
-	}
-	if m == nil || err != nil {
-		return false, err
-	}
-	if !all {
-		s.manifest.discard()
-		return false, nil
-	}
-	if landed, err = s.manifest.install(sizes[n]); landed {
-		err = s.manifest.settle(s.manifest.syncDir())
-	}
-	return landed, err
+	return renamed, err
 }
 
 // goEach starts fn(0) … fn(n-1), each on its own goroutine counted in wg.
@@ -666,27 +690,21 @@ func goEach(wg *sync.WaitGroup, n int, fn func(k int)) {
 // re-encoding each partition as chained entries with fresh per-shard sequence
 // numbers. Row order is deterministic (tables sorted, rows in table order),
 // so the partition is reproducible for a given database state.
-func (s *ShardedLog) partitionSurvivors() ([][][]byte, error) {
+func (s *ShardedLog) partitionSurvivors() [][][]byte {
 	tables := s.db.Tables()
 	sort.Strings(tables)
 	n := len(s.shards)
 	parts := make([][][]byte, n)
-	seqs := make([]uint64, n)
 	i := 0
 	for _, t := range tables {
-		rows, err := s.db.TableRows(t)
-		if err != nil {
-			return nil, err
-		}
+		rows, _ := s.db.TableRows(t) // t is one of Tables(): no error
 		for _, row := range rows {
-			k := i % n
-			e := &Entry{Seq: seqs[k], Table: t, Values: row}
-			parts[k] = append(parts[k], e.Marshal())
-			seqs[k]++
+			e := &Entry{Seq: uint64(i / n), Table: t, Values: row} // the i/n-th of shard i%n
+			parts[i%n] = append(parts[i%n], e.Marshal())
 			i++
 		}
 	}
-	return parts, nil
+	return parts
 }
 
 // snapshotStates collects every shard's durable commit point, taking each
@@ -735,15 +753,15 @@ func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
 }
 
 // putManifest signs the states as the next epoch and makes the record
-// durable: appended to the sidecar, or — rewrite, the manifest counterpart
-// of a shard rewrite — as the only record of a replaced sidecar. Callers may
+// durable: appended to the sidecar, or — rewrite, recovery's counterpart of a
+// shard's re-anchor — as the only record of a replaced sidecar. Callers may
 // hold shard locks; mmu is taken after them.
 func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite bool) error {
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
 	// A sidecar that failed closed refuses an append anyway; refuse before
 	// spending an increment no manifest would carry, as a shard's commit does.
-	if err := s.manifest.failed; err != nil && !rewrite {
+	if err := s.manifest.failed; err != nil {
 		mManifestErrors.Inc()
 		return err
 	}
@@ -754,26 +772,6 @@ func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite
 			return nil
 		})
 	}
-	return s.putManifestLocked(env, states, counter, rewrite)
-}
-
-// freshManifestCounter increments the manifest counter best-effort: if the
-// quorum is unreachable the manifest is signed at the last written value —
-// the signature still binds real shard states, and the lag surfaces through
-// the verifier's freshness check once the quorum answers again. Runs outside
-// the enclave with mmu held.
-func (s *ShardedLog) freshManifestCounter() uint64 {
-	if s.cfg.Protector != nil {
-		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
-			return c
-		}
-	}
-	return s.mcounter
-}
-
-// putManifestLocked is putManifest with mmu held and the manifest's counter
-// value already obtained.
-func (s *ShardedLog) putManifestLocked(env *asyncall.Env, states []ShardState, counter uint64, rewrite bool) error {
 	m, err := s.signManifest(env, states, counter)
 	if err != nil {
 		return err
@@ -790,6 +788,20 @@ func (s *ShardedLog) putManifestLocked(env *asyncall.Env, states []ShardState, c
 		return err
 	})
 	return s.noteManifest(m, landed, err)
+}
+
+// freshManifestCounter increments the manifest counter best-effort: if the
+// quorum is unreachable the manifest is signed at the last written value —
+// the signature still binds real shard states, and the lag surfaces through
+// the verifier's freshness check once the quorum answers again. Runs outside
+// the enclave with mmu held.
+func (s *ShardedLog) freshManifestCounter() uint64 {
+	if s.cfg.Protector != nil {
+		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
+			return c
+		}
+	}
+	return s.mcounter
 }
 
 // signManifest signs the states as the next epoch. Called with mmu held.
