@@ -658,7 +658,7 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := VerifyContext(context.Background(), dir, VerifyStreamOptions{
-		VerifyOptions: VerifyOptions{Pub: seal.Bridge().Enclave().PublicKey(), Protector: group, Name: "git"},
+		VerifyOptions: VerifyOptions{Pub: seal.Bridge().Enclave().PublicKey(), Protector: group},
 	})
 	if err != nil {
 		t.Fatalf("offline Verify after link-drop soak: %v", err)

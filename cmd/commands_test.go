@@ -26,6 +26,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"libseal"
+	"libseal/internal/audit"
 )
 
 var bin string // directory holding the built commands
@@ -455,6 +458,11 @@ func testVerdicts(t *testing.T, dir string, entries int) {
 			}
 		}, code: 1, match: regexp.MustCompile(`VERIFICATION FAILED: .*no manifest sidecar`)},
 		{name: "no -log", args: func(string) []string { return nil }, code: 2, match: regexp.MustCompile(`-log is required`)},
+		{name: "-resume over a rolled-back shard's edited sidecar", edit: rollBackUnderForgedSidecar,
+			args: func(set string) []string {
+				return []string{"-log", set, "-pubkey", filepath.Join(set, "enclave.pub"), "-resume"}
+			},
+			code: 1, match: regexp.MustCompile(`VERIFICATION FAILED: .*shard rolled back`)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			set := copySet(t, dir)
@@ -503,6 +511,43 @@ func copySet(t *testing.T, dir string) string {
 		}
 	}
 	return to
+}
+
+// rollBackUnderForgedSidecar cuts the larger shard back to its first commit
+// point with entries, which a manifest no longer finds, lets a checkpointing
+// verification leave that shard a sidecar at the cut, and edits the
+// sidecar's Seq — a field the shard file cannot authenticate — past every
+// state a manifest attests.
+func rollBackUnderForgedSidecar(t *testing.T, dir string) {
+	t.Helper()
+	k, shard := 0, filepath.Join(dir, "git-shard0.lseal")
+	if other := filepath.Join(dir, "git-shard1.lseal"); fileSize(t, other) > fileSize(t, shard) {
+		k, shard = 1, other
+	}
+	var cut int64
+	if _, err := libseal.Verify(dir, libseal.VerifyStreamOptions{OnSegment: func(si libseal.VerifySegment) error {
+		if si.Shard == k && si.EndSeq > 0 && cut == 0 {
+			cut = si.CommittedBytes
+		}
+		return nil
+	}}); err != nil || cut == 0 {
+		t.Fatalf("intact set: %v, first commit point of shard %d at %d", err, k, cut)
+	}
+	if err := os.Truncate(shard, cut); err != nil {
+		t.Fatal(err)
+	}
+	_, err := libseal.Verify(dir, libseal.VerifyStreamOptions{Checkpoint: &libseal.VerifyCheckpointConfig{EverySegments: 1}})
+	if err == nil || !strings.Contains(err.Error(), "shard rolled back") {
+		t.Fatalf("shard %d cut back to byte %d: %v, want a rollback", k, cut, err)
+	}
+	c, err := audit.LoadCheckpoint(shard + ".ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Seq = 1000
+	if err := c.Save(shard + ".ckpt"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // flip inverts the byte in the middle of shard 0 and returns its path.

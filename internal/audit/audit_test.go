@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"libseal/internal/asyncall"
@@ -84,7 +85,11 @@ func trimSet(env *asyncall.Env, s *ShardedLog, queries []string) error {
 	return s.Compact(env)
 }
 
-// verifyFile verifies one log file on the caller's goroutine and returns its
+// gitShard0 is shard 0 of the tests' "git" set as the drivers are told of it.
+var gitShard0 = shardRef{counter: ShardName("git", 0)}
+
+// verifyFile verifies one shard file on the caller's goroutine, its
+// freshness judged against the counter its file name names, and returns its
 // entries.
 func verifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
 	f, err := os.Open(path)
@@ -92,11 +97,8 @@ func verifyFile(path string, opts VerifyOptions) ([]*Entry, error) {
 		return nil, err
 	}
 	defer f.Close()
-	res, err := VerifyReaderResult(f, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
+	_, entries, err := verifyEntries(f, opts, shardRef{counter: strings.TrimSuffix(filepath.Base(path), ".lseal")})
+	return entries, err
 }
 
 func newOneShard(env *asyncall.Env, cfg Config) (*oneShard, error) {
@@ -165,7 +167,7 @@ func TestPersistAndVerify(t *testing.T) {
 	})
 	defer l.Close()
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatalf("VerifyFile: %v", err)
@@ -280,7 +282,7 @@ func TestRollbackDetected(t *testing.T) {
 	l.Close()
 	// The provider restores the old version: counter freshness fails.
 	os.WriteFile(path, oldLog, 0o644)
-	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"})
+	_, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if !errors.Is(err, ErrBadCounter) {
 		t.Fatalf("err = %v, want ErrBadCounter", err)
 	}
@@ -315,7 +317,7 @@ func TestTrimRewritesChain(t *testing.T) {
 	}
 	// The rewritten file verifies and contains only the survivor.
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	l.Close()
 
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatalf("strict verify of batched log: %v", err)
@@ -149,7 +149,7 @@ func TestGroupCommitAsyncBridge(t *testing.T) {
 	}
 	l.Close()
 	entries, err := verifyFile(filepath.Join(dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: encl.PublicKey(), Protector: group, Name: "git-shard0",
+		Pub: encl.PublicKey(), Protector: group,
 	})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
@@ -188,14 +188,14 @@ func TestGroupCommitSingleSigPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	res, err := VerifyReaderResult(f, VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
-	})
+	res, entries, err := verifyEntries(f, VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group,
+	}, gitShard0)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if len(res.Entries) != 5 {
-		t.Fatalf("entries = %d, want 5", len(res.Entries))
+	if len(entries) != 5 {
+		t.Fatalf("entries = %d, want 5", len(entries))
 	}
 	if res.Batches != 1 || res.MaxBatch != 5 {
 		t.Fatalf("batches = %d maxBatch = %d, want 1 batch of 5", res.Batches, res.MaxBatch)
@@ -281,7 +281,7 @@ func TestGroupCommitCrashMidBatchRecovered(t *testing.T) {
 	}
 	// Re-anchored: strict client verification passes again.
 	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	}); err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
 	}
@@ -512,7 +512,7 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"}
+	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group}
 	if _, err := verifyFile(path, opts); err != nil {
 		t.Fatalf("pristine log rejected: %v", err)
 	}
@@ -556,12 +556,12 @@ func TestIntermediateSignatureCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	res, err := VerifyReaderResult(f, tolerant)
+	res, entries, err := verifyEntries(f, tolerant, gitShard0)
 	if err != nil {
 		t.Fatalf("tolerant verify of torn final sig: %v", err)
 	}
-	if len(res.Entries) != 3 || res.Batches != 1 {
-		t.Fatalf("tolerant result = %d entries / %d batches, want 3 / 1", len(res.Entries), res.Batches)
+	if len(entries) != 3 || res.Batches != 1 {
+		t.Fatalf("tolerant result = %d entries / %d batches, want 3 / 1", len(entries), res.Batches)
 	}
 }
 

@@ -18,7 +18,7 @@ func writeLogWithCheckpoint(t *testing.T, n, batchMax int) (logPath, ckptPath st
 	key = testKey(t)
 	dir := t.TempDir()
 	logPath = filepath.Join(dir, "log.lseal")
-	ckptPath = logPath + ".ckpt" // VerifyFileStream's sidecar
+	ckptPath = logPath + ".ckpt" // streamFile's sidecar
 	if _, err := WriteSyntheticLogFile(logPath, key, n, batchMax); err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func writeLogWithCheckpoint(t *testing.T, n, batchMax int) (logPath, ckptPath st
 		Workers:       2,
 		Checkpoint:    &CheckpointConfig{EverySegments: 1},
 	}
-	if _, err := VerifyFileStream(context.Background(), logPath, copts); err != nil {
+	if _, err := streamFile(context.Background(), logPath, copts, nil); err != nil {
 		t.Fatal(err)
 	}
 	var err error
@@ -49,8 +49,8 @@ func TestCheckpointForgedCounterRejected(t *testing.T) {
 	// The rollback group has moved past this log copy: a cold scan fails
 	// freshness.
 	stale := ck.Counter + 7
-	vopts := VerifyOptions{Pub: &key.PublicKey, Protector: fakeProtector(stale), Name: "t"}
-	if _, err := VerifyFileStream(context.Background(), logPath, StreamOptions{VerifyOptions: vopts, Workers: 2}); !errors.Is(err, ErrBadCounter) {
+	vopts := VerifyOptions{Pub: &key.PublicKey, Protector: fakeProtector(stale)}
+	if _, err := streamFile(context.Background(), logPath, StreamOptions{VerifyOptions: vopts, Workers: 2}, nil); !errors.Is(err, ErrBadCounter) {
 		t.Fatalf("cold err = %v, want ErrBadCounter", err)
 	}
 
@@ -58,8 +58,8 @@ func TestCheckpointForgedCounterRejected(t *testing.T) {
 	// the resumed scan's final freshness check would pass.
 	forged := *ck
 	forged.Counter = stale
-	ropts := StreamOptions{VerifyOptions: vopts, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	ropts := StreamOptions{VerifyOptions: vopts, Workers: 2}
+	if _, err := streamFile(context.Background(), logPath, ropts, &forged); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }
@@ -77,8 +77,8 @@ func TestCheckpointWrongChainRejected(t *testing.T) {
 		b[0] = '0'
 	}
 	forged.Chain = string(b)
-	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2}
+	if _, err := streamFile(context.Background(), logPath, ropts, &forged); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }
@@ -102,8 +102,8 @@ func TestCheckpointBindingSigForged(t *testing.T) {
 	}
 	forged := *ck
 	forged.SigHash = hexDigest(img[ck.SigOffset+5 : ck.Offset])
-	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2, Resume: &forged}
-	if _, err := VerifyFileStream(context.Background(), logPath, ropts); !errors.Is(err, ErrCheckpointStale) {
+	ropts := StreamOptions{VerifyOptions: VerifyOptions{Pub: &key.PublicKey}, Workers: 2}
+	if _, err := streamFile(context.Background(), logPath, ropts, &forged); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume err = %v, want ErrCheckpointStale", err)
 	}
 }

@@ -257,7 +257,7 @@ func TestRecoverAfterDatabaseTrims(t *testing.T) {
 		return err
 	})
 	defer rec.Close()
-	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if err != nil || rep.TotalEntries != 5*k {
 		t.Fatalf("strict verify after recovery: %v, %v; want all %d entries", rep, err, 5*k)
 	}

@@ -37,7 +37,7 @@ func mutate(img []byte, off int, flip bool) []byte {
 // checkAgree verifies one mutated image with the reference and every
 // production driver and applies invariants (1) and (2); see driversAgree. It
 // returns the shared verdict.
-func checkAgree(t *testing.T, img []byte, opts VerifyOptions) (*VerifyResult, error) {
+func checkAgree(t *testing.T, img []byte, opts VerifyOptions) (*refResult, error) {
 	t.Helper()
 	ref, _, err := driversAgree(t, img, opts, []int{1, 4})
 	return ref, err

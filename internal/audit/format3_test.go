@@ -96,7 +96,7 @@ func TestEntryMovedAcrossSignature(t *testing.T) {
 		if _, _, err := driversAgree(t, img, opts, []int{1, 2}); err == nil || !strings.HasSuffix(err.Error(), want) {
 			t.Fatalf("tolerant=%v: %v, want %q", tolerant, err, want)
 		}
-		_, err := VerifyReaderResult(bytes.NewReader(img), opts)
+		_, _, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
 		var ve *VerifyError
 		if !errors.As(err, &ve) || ve.Batch != 0 || ve.Record != -1 || ve.Offset != sig0 {
 			t.Fatalf("tolerant=%v: %v, want it located at signature record 0", tolerant, err)
@@ -189,12 +189,12 @@ func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 		})
 		return out, err
 	}}
-	res, err := VerifyReaderResult(bytes.NewReader(img), opts)
+	res, entries, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
 	if err != nil || res.Chain != before {
 		t.Fatalf("verified head %x, %v; want %x", res.Chain, err, before)
 	}
 	var plain []record
-	for _, en := range res.Entries {
+	for _, en := range entries {
 		plain = append(plain, record{typ: recEntry, payload: en.Marshal()})
 	}
 	if batchChain([32]byte{}, plain) == before {
@@ -288,8 +288,8 @@ func (o *commitSetOracle) has(st ShardState) bool { return st.Seq < o.baseSeq ||
 
 // TestCommitSetMatchesMap: the slice searched by Seq answers every query as
 // the map did — for a cold scan, a log with bare signature records (repeated
-// Seqs), a trimmed-then-appended file and a resumed scan, whose checkpoint is
-// set after the points it scanned.
+// Seqs), a trimmed-then-appended file and a resumed scan, which scans from
+// its checkpoint rather than the empty log.
 func TestCommitSetMatchesMap(t *testing.T) {
 	pt := func(seq, counter uint64, c byte) ShardState {
 		return ShardState{Seq: seq, Counter: counter, Chain: [32]byte{c}}
@@ -308,13 +308,13 @@ func TestCommitSetMatchesMap(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cs := newCommitSet()
 			oracle := &commitSetOracle{pts: map[ShardState]bool{{}: true}}
+			if c.resume != nil {
+				cs = &commitSet{base: c.resume}
+				oracle = &commitSetOracle{baseSeq: c.resume.Seq, pts: map[ShardState]bool{*c.resume: true}}
+			}
 			for _, p := range c.pts {
 				cs.pts = append(cs.pts, p)
 				oracle.pts[p] = true
-			}
-			if c.resume != nil {
-				cs.base = *c.resume
-				oracle.baseSeq, oracle.pts[*c.resume] = c.resume.Seq, true
 			}
 			queries := []ShardState{{}, pt(0, 0, 1), pt(1, 0, 0)}
 			for p := range oracle.pts {
@@ -455,7 +455,7 @@ func TestManifestReplayPrecedence(t *testing.T) {
 				}
 			}
 			_, err := VerifyPath(context.Background(), e.dir, StreamOptions{
-				VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: manifestOnly{e.group}, Name: "git"},
+				VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: manifestOnly{e.group}},
 			})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%v, want %q", err, c.want)

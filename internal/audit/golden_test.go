@@ -264,7 +264,7 @@ func genTrimmed(t *testing.T, e *goldenEnv, dir string) {
 }
 
 // expectFor summarises a verification result as a goldenExpect.
-func expectFor(res *VerifyResult) goldenExpect {
+func expectFor(res *refResult) goldenExpect {
 	h := sha256.New()
 	tables := map[string]int{}
 	for _, e := range res.Entries {
@@ -311,7 +311,7 @@ func TestGoldenVectors(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(goldenDir, v.name+".lseal"), img, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			res, err := VerifyReaderResult(bytes.NewReader(img), VerifyOptions{Pub: pub})
+			res, err := resultOf(verifyEntries(bytes.NewReader(img), VerifyOptions{Pub: pub}, imageShard))
 			if err != nil {
 				t.Fatalf("%s: generated vector does not verify: %v", v.name, err)
 			}
@@ -362,16 +362,17 @@ func TestGoldenVectors(t *testing.T) {
 				if seqRes == nil {
 					t.Fatal("golden vector failed verification")
 				}
-				for _, got := range []goldenExpect{expectFor(seqRes), expectFor(&strRes.VerifyResult)} {
-					if got.Entries != want.Entries || got.Counter != want.Counter ||
-						got.CommittedBytes != want.CommittedBytes || got.Batches != want.Batches ||
-						got.MaxBatch != want.MaxBatch || got.EntryHash != want.EntryHash {
-						t.Fatalf("verification diverges from committed expectation:\n  got  %+v\n  want %+v", got, want)
-					}
-					for table, n := range want.Tables {
-						if got.Tables[table] != n {
-							t.Fatalf("table %s: %d entries, want %d", table, got.Tables[table], n)
-						}
+				// driversAgree has held every driver to the reference, the
+				// entries they delivered included.
+				got := expectFor(seqRes)
+				if got.Entries != want.Entries || got.Counter != want.Counter ||
+					got.CommittedBytes != want.CommittedBytes || got.Batches != want.Batches ||
+					got.MaxBatch != want.MaxBatch || got.EntryHash != want.EntryHash || strRes.TotalEntries != want.Entries {
+					t.Fatalf("verification diverges from committed expectation:\n  got  %+v (driver total %d)\n  want %+v", got, strRes.TotalEntries, want)
+				}
+				for table, n := range want.Tables {
+					if got.Tables[table] != n || strRes.Tables[table] != n {
+						t.Fatalf("table %s: %d entries (driver %d), want %d", table, got.Tables[table], strRes.Tables[table], n)
 					}
 				}
 			}

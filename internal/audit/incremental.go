@@ -182,13 +182,12 @@ func (v *IncrementalVerifier) deliver() {
 // framed so far plus any buffered partial record.
 func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(len(v.in.buf)) }
 
-// Seq and Entries are the number of verified entries, those past the last
-// commit point included; MaxCounter the highest verified signature
-// counter; Batches the verified commit count.
+// Seq is the number of verified entries, those past the last commit point
+// included; MaxCounter the highest verified signature counter; Batches the
+// verified commit count.
 func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
 func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
-func (v *IncrementalVerifier) Entries() int       { return v.led.cur.entries + v.core.inBatch }
 
 // Tables returns the per-table tuple counts under the last commit point (live
 // map; callers must copy if they retain it).

@@ -92,14 +92,14 @@ func TestIncrementalCheckpointIsFeedsLastCommit(t *testing.T) {
 		t.Fatalf("%d commits reported, want 4", len(seen))
 	}
 	for i, c := range append(seen, v.Checkpoint(0)) {
-		if c == nil || c.Offset != int64(len(signed)) || c.Batches != 4 || c.Entries != 12 || c.Tables["updates"] != 12 {
+		if c == nil || c.Offset != int64(len(signed)) || c.Batches != 4 || c.Seq != 12 || c.Tables["updates"] != 12 {
 			t.Fatalf("checkpoint %d: %+v, want the fourth commit point's with 12 entries", i, c)
 		}
 		if err := c.MatchProof(signed[c.SigOffset+5:c.Offset], &key.PublicKey); err != nil {
 			t.Fatalf("checkpoint %d does not bind to its record: %v", i, err)
 		}
 	}
-	if v.Entries() != 14 {
-		t.Fatalf("Entries() = %d, want 14 with the unsigned tail", v.Entries())
+	if v.Seq() != 14 {
+		t.Fatalf("Seq() = %d, want 14 with the unsigned tail", v.Seq())
 	}
 }

@@ -73,7 +73,7 @@ func TestBlockBoundaries(t *testing.T) {
 				opts := im.opts
 				opts.RecoverTruncated = tolerant
 				want, _, wantErr := driversAgree(t, im.img, opts, []int{2})
-				same := func(bs int, driver string, res *VerifyResult, err error) {
+				same := func(bs int, driver string, res *refResult, err error) {
 					t.Helper()
 					if (wantErr == nil) != (err == nil) || (err != nil && err.Error() != wantErr.Error()) {
 						t.Fatalf("block size %d, tolerant=%v, %s: %v, want %v", bs, tolerant, driver, err, wantErr)
@@ -84,22 +84,14 @@ func TestBlockBoundaries(t *testing.T) {
 				}
 				for bs := 6; bs <= len(im.img)+1; bs += step {
 					withBlockSize(bs, func() {
-						res, err := VerifyReaderResult(bytes.NewReader(im.img), opts)
+						res, err := resultOf(verifyEntries(bytes.NewReader(im.img), opts, imageShard))
 						same(bs, "in-thread", res, err)
-						sopts := StreamOptions{VerifyOptions: opts, Workers: 2}
-						for driver, run := range map[string]func() (*StreamResult, error){
-							"parallel": func() (*StreamResult, error) {
-								return VerifyReaderStream(context.Background(), bytes.NewReader(im.img), sopts)
-							},
-							"file": func() (*StreamResult, error) { return VerifyFileStream(context.Background(), path, sopts) },
-						} {
-							var got *VerifyResult
-							par, err := run()
-							if err == nil {
-								got = &par.VerifyResult
-							}
-							same(bs, driver, got, err)
-						}
+						res, err = resultOf(streamEntries(bytes.NewReader(im.img), opts, 2, imageShard))
+						same(bs, "parallel", res, err)
+						sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts, Workers: 2})
+						par, err := streamFile(context.Background(), path, sopts, nil)
+						res, err = resultOf(par, *entries, err)
+						same(bs, "file", res, err)
 					})
 				}
 			}
@@ -144,12 +136,12 @@ func TestForgedLengthCostsBytesPresent(t *testing.T) {
 	}
 	for driver, fn := range map[string]func(){
 		"in-thread": func() {
-			if _, err := VerifyReaderResult(bytes.NewReader(img), VerifyOptions{}); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
+			if _, _, err := verifyEntries(bytes.NewReader(img), VerifyOptions{}, imageShard); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
 				t.Errorf("in-thread: %v", err)
 			}
 		},
 		"parallel": func() {
-			if _, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{Workers: 2}); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
+			if _, err := verifyStream(context.Background(), bytes.NewReader(img), &StreamOptions{Workers: 2}, imageShard, nil); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
 				t.Errorf("parallel: %v", err)
 			}
 		},
@@ -176,7 +168,8 @@ func TestSegmentEntriesOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eager, err := VerifyReaderResult(bytes.NewReader(img), VerifyOptions{Pub: pub})
+		// The in-thread driver's core builds the entries as it walks them.
+		eager, eagerEntries, err := verifyEntries(bytes.NewReader(img), VerifyOptions{Pub: pub}, imageShard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +203,11 @@ func TestSegmentEntriesOnDemand(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/w%d/block%d", v.name, name, workers, bs), func(t *testing.T) {
 						segs := 0
 						withBlockSize(bs, func() {
-							_, err = VerifyReaderStream(context.Background(), bytes.NewReader(c.img), StreamOptions{
+							_, err = verifyStream(context.Background(), bytes.NewReader(c.img), &StreamOptions{
 								VerifyOptions: c.opts, Workers: workers,
 								OnSegment: func(s SegmentInfo) error {
 									segs++
-									want := eager.Entries[int(s.EndSeq)-s.NumEntries : s.EndSeq]
+									want := eagerEntries[int(s.EndSeq)-s.NumEntries : s.EndSeq]
 									got := s.Entries()
 									if len(got) != s.NumEntries || len(got) != len(want) {
 										t.Errorf("segment %d: %d entries, NumEntries %d, eager decode %d", s.Index, len(got), s.NumEntries, len(want))
@@ -226,7 +219,7 @@ func TestSegmentEntriesOnDemand(t *testing.T) {
 									}
 									return nil
 								},
-							})
+							}, imageShard, nil)
 						})
 						if err != nil || segs != eager.Batches {
 							t.Fatalf("%d segments, %v; want %d", segs, err, eager.Batches)
@@ -253,7 +246,7 @@ func TestVerifyAllocsPerEntry(t *testing.T) {
 		OnSegment: func(SegmentInfo) error { return nil },
 	}
 	scan := func() {
-		if res, err := VerifyReaderStream(context.Background(), bytes.NewReader(img), opts); err != nil || res.TotalEntries != entries {
+		if res, err := verifyStream(context.Background(), bytes.NewReader(img), &opts, imageShard, nil); err != nil || res.TotalEntries != entries {
 			t.Fatalf("%+v, %v", res, err)
 		}
 	}

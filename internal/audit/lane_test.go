@@ -250,7 +250,7 @@ func TestIdleLaneConcurrentWritersStillBatch(t *testing.T) {
 	}
 	t.Logf("%d entries in %d batches: %d full, %d after a fill wait, %d on an idle lane", total, commits, full, delay, idle)
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
@@ -309,12 +309,12 @@ func TestIdleLaneFollowerLandsInNextBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := VerifyReaderResult(bytes.NewReader(raw), VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git-shard0"})
+	res, entries, err := verifyEntries(bytes.NewReader(raw), VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot}, gitShard0)
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
 	}
-	if len(res.Entries) != 2 || res.Batches != 2 {
-		t.Fatalf("%d entries in %d batches, want 2 in 2", len(res.Entries), res.Batches)
+	if len(entries) != 2 || res.Batches != 2 {
+		t.Fatalf("%d entries in %d batches, want 2 in 2", len(entries), res.Batches)
 	}
 }
 
@@ -376,7 +376,7 @@ func TestGroupCommitSignsWhileAnchorInFlight(t *testing.T) {
 				t.Fatalf("the commit paid %d signatures and %d fsyncs, want 1 and 1", sigs, fsyncs)
 			}
 			l.Close()
-			entries, err := verifyFile(filepath.Join(dir, "git-shard0.lseal"), VerifyOptions{Pub: encl.PublicKey(), Protector: prot, Name: "git-shard0"})
+			entries, err := verifyFile(filepath.Join(dir, "git-shard0.lseal"), VerifyOptions{Pub: encl.PublicKey(), Protector: prot})
 			if err != nil || len(entries) != 2 {
 				t.Fatalf("strict verify: %v, %d entries; want 2", err, len(entries))
 			}
@@ -427,7 +427,7 @@ func TestGroupCommitMispredictedCounterResigns(t *testing.T) {
 		if last.typ != recSig || err != nil || sr.counter != wantCounter {
 			t.Fatalf("%s: the file ends in a record of type %c claiming counter %d (%v); want a signature record at %d", when, last.typ, sr.counter, err, wantCounter)
 		}
-		entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: name})
+		entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot})
 		if err != nil || len(entries) != seq {
 			t.Fatalf("%s: strict verify: %v, %d entries; want %d", when, err, len(entries), seq)
 		}
@@ -480,7 +480,7 @@ func TestTrimFanOutShardFailure(t *testing.T) {
 	e := newAuditEnv(t)
 	prot := newLaneProtector()
 	s := trimFanOutSet(t, e, prot)
-	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git"}
+	opts := VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot}
 	verify := func(when string, wantEntries int) {
 		t.Helper()
 		rep, err := e.verifyDir(opts)
@@ -617,7 +617,7 @@ func TestTrimFanOutIncrementsOverlap(t *testing.T) {
 		}
 	}
 	s.Close()
-	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git"})
+	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot})
 	if err != nil {
 		t.Fatalf("strict verify: %v", err)
 	}

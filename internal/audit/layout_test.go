@@ -102,12 +102,10 @@ func TestShardFilesWithoutManifestRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"", "git"} {
-		for _, prot := range []RollbackProtector{nil, e.group} {
-			rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: name})
-			if !errors.Is(err, ErrTampered) {
-				t.Errorf("shard 0 alone (Name %q, protector %v): %+v, %v; want ErrTampered", name, prot != nil, rep, err)
-			}
+	for _, prot := range []RollbackProtector{nil, e.group} {
+		rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot})
+		if !errors.Is(err, ErrTampered) {
+			t.Errorf("shard 0 alone (protector %v): %+v, %v; want ErrTampered", prot != nil, rep, err)
 		}
 	}
 

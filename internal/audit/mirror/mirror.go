@@ -35,8 +35,10 @@ const (
 	defaultReadTimeout     = 10 * time.Second
 	defaultRestartGrace    = 10 * time.Second
 	defaultCheckpointEvery = 1 * time.Second
-	defaultCommitWindow    = 1024
 	checkTick              = 100 * time.Millisecond
+	// commitWindow is how many recent commit points per shard the mirror
+	// remembers for manifest membership checks.
+	commitWindow = 1024
 )
 
 // Config describes a mirror session.
@@ -84,9 +86,6 @@ type Config struct {
 	// CheckpointEvery is the minimum interval between sidecar writes
 	// (default 1s).
 	CheckpointEvery time.Duration
-	// CommitWindow is how many recent commit points per shard the mirror
-	// remembers for manifest membership checks (default 1024).
-	CommitWindow int
 }
 
 func (c *Config) backoffMin() time.Duration {
@@ -122,13 +121,6 @@ func (c *Config) checkpointEvery() time.Duration {
 		return defaultCheckpointEvery
 	}
 	return c.CheckpointEvery
-}
-
-func (c *Config) commitWindow() int {
-	if c.CommitWindow <= 0 {
-		return defaultCommitWindow
-	}
-	return c.CommitWindow
 }
 
 // commitPt is one remembered commit point for manifest membership checks.
@@ -296,7 +288,7 @@ func (m *Mirror) Report() *audit.Report {
 		if sh.v == nil {
 			continue
 		}
-		r.TotalEntries += sh.v.Entries()
+		r.TotalEntries += int(sh.v.Seq())
 		r.TotalBatches += sh.v.Batches()
 		r.CommittedBytes += sh.v.Offset()
 		r.Resumed = r.Resumed || sh.resumed
@@ -590,7 +582,7 @@ func (m *Mirror) onCommit(k int) func(audit.CommitInfo) error {
 func (m *Mirror) commitLocked(sh *shardState, k int, ci audit.CommitInfo) error {
 	sh.commits[ci.Seq] = commitPt{ci.Chain, ci.Counter}
 	sh.order = append(sh.order, ci.Seq)
-	for len(sh.order) > m.cfg.commitWindow() {
+	for len(sh.order) > commitWindow {
 		delete(sh.commits, sh.order[0])
 		sh.order = sh.order[1:]
 	}

@@ -244,7 +244,7 @@ func fileKinds(t *testing.T) []fileKind {
 		{
 			name: "log", magic: fileMagic, a1: a[0], a2: a[1], b1: b[0], b2: b[1],
 			verify: func(image []byte, tolerant bool) (int64, error) {
-				res, err := VerifyReaderResult(bytes.NewReader(image), VerifyOptions{Pub: &key.PublicKey, RecoverTruncated: tolerant})
+				res, _, err := verifyEntries(bytes.NewReader(image), VerifyOptions{Pub: &key.PublicKey, RecoverTruncated: tolerant}, imageShard)
 				if err != nil {
 					return 0, err
 				}

@@ -192,7 +192,7 @@ func TestShardRecoveryMatchesVerify(t *testing.T) {
 					}
 					return rec.WriteManifest(env)
 				})
-				strict, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, Name: "git"})
+				strict, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group})
 				t.Logf("strict verify after recovery, one append and a manifest: %v", err)
 				if err != nil {
 					t.Fatalf("strict verify after recovery: %v", err)
@@ -270,7 +270,7 @@ func runCreateCrashPoint(t *testing.T, failAt crashPoint, torn bool) []crashPoin
 		}
 		return s.WriteManifest(env)
 	})
-	rep, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, Name: "git"})
+	rep, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group})
 	if err != nil || rep.TotalEntries != 2 {
 		t.Fatalf("strict verify after the restart (resumed = %v): %v", resumed, err)
 	}

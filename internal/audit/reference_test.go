@@ -117,9 +117,27 @@ func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// refResult is a verification's outcome in the reference's shape: the
+// verified entries, in file order, beside what a StreamResult reports of the
+// scan.
+type refResult struct {
+	Entries        []*Entry
+	Counter        uint64
+	CommittedBytes int64
+	Batches        int
+	MaxBatch       int
+	SigHead        [32]byte
+	Chain          [32]byte
+}
+
+// imageShard is what the drivers are told of an image that belongs to no
+// set: shard 0, its freshness judged against the counter the reference
+// reads, and no checkpoint sidecar.
+var imageShard = shardRef{}
+
 // referenceVerify verifies a persisted log and reports the verified
 // counter value and committed prefix length alongside the entries.
-func referenceVerify(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
+func referenceVerify(r io.Reader, opts VerifyOptions) (*refResult, error) {
 	recs, err := referenceRecords(r, opts.RecoverTruncated)
 	if err != nil {
 		return nil, err
@@ -241,10 +259,10 @@ scan:
 			// Nothing was ever committed (or only debris survives) — but an
 			// empty log still has to satisfy the quorum: if the group's
 			// counter has moved, committed history has been rolled away.
-			if err := checkFreshness(commit.counter, opts); err != nil {
+			if err := checkFreshness(commit.counter, imageShard.counter, opts); err != nil {
 				return nil, err
 			}
-			return &VerifyResult{CommittedBytes: commit.end}, nil
+			return &refResult{CommittedBytes: commit.end}, nil
 		}
 		return nil, fmt.Errorf("%w: missing signature record", ErrTampered)
 	}
@@ -257,12 +275,50 @@ scan:
 	if opts.RecoverTruncated {
 		checkEntries = entries[:commit.entries]
 	}
-	if err := checkFreshness(commit.counter, opts); err != nil {
+	if err := checkFreshness(commit.counter, imageShard.counter, opts); err != nil {
 		return nil, err
 	}
-	return &VerifyResult{
+	return &refResult{
 		Entries: checkEntries, Counter: commit.counter, CommittedBytes: commit.end,
 		Batches: batches, MaxBatch: maxBatch, SigHead: commit.sigHead, Chain: commit.chain,
+	}, nil
+}
+
+// verifyEntries runs the in-thread driver over r as shard at and returns its
+// result with the entries it delivered to OnSegment.
+func verifyEntries(r io.Reader, opts VerifyOptions, at shardRef) (*StreamResult, []*Entry, error) {
+	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts})
+	res, err := verifyInline(r, &sopts, at)
+	return res, *entries, err
+}
+
+// streamEntries is verifyEntries on the pipeline, with the given workers.
+func streamEntries(r io.Reader, opts VerifyOptions, workers int, at shardRef) (*StreamResult, []*Entry, error) {
+	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts, Workers: workers})
+	res, err := verifyStream(context.Background(), r, &sopts, at, nil)
+	return res, *entries, err
+}
+
+// collectEntries returns opts with an OnSegment that appends each segment's
+// entries, in delivery order, to the slice it returns.
+func collectEntries(opts StreamOptions) (StreamOptions, *[]*Entry) {
+	var entries []*Entry
+	opts.OnSegment = func(si SegmentInfo) error {
+		entries = append(entries, si.Entries()...)
+		return nil
+	}
+	return opts, &entries
+}
+
+// resultOf is a driver's verdict in the reference's shape: its result and
+// the entries it delivered.
+func resultOf(res *StreamResult, entries []*Entry, err error) (*refResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &refResult{
+		Entries: entries, Counter: res.Counter, CommittedBytes: res.CommittedBytes,
+		Batches: res.Batches, MaxBatch: res.MaxBatch, SigHead: res.SigHead, Chain: res.Chain,
 	}, nil
 }
 
@@ -313,14 +369,16 @@ func recordLevel(err error) bool {
 //     identical string. Where the tolerant reference accepts, its last commit
 //     point is the reference's committed prefix, under the same counter.
 //
-// It returns the shared verdict (the last worker count's StreamResult).
-func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, extra ...[]int) (*VerifyResult, *StreamResult, error) {
+// The in-thread and parallel drivers' entries are those they delivered to
+// OnSegment. It returns the shared verdict (the last worker count's
+// StreamResult).
+func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, extra ...[]int) (*refResult, *StreamResult, error) {
 	t.Helper()
 	ref, refErr := referenceVerify(bytes.NewReader(img), opts)
 	if refErr != nil && !errors.Is(refErr, ErrTampered) && !errors.Is(refErr, ErrBadCounter) {
 		t.Fatalf("unclassified verification error: %v", refErr)
 	}
-	same := func(driver string, res *VerifyResult, err error) {
+	same := func(driver string, res *refResult, err error) {
 		t.Helper()
 		if (refErr == nil) != (err == nil) || (err != nil && err.Error() != refErr.Error()) {
 			t.Fatalf("verdict mismatch:\n  reference: %v\n  %s: %v", refErr, driver, err)
@@ -329,16 +387,21 @@ func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, e
 			t.Fatalf("result mismatch:\n  reference: %+v\n  %s: %+v", ref, driver, res)
 		}
 	}
-	res, err := VerifyReaderResult(bytes.NewReader(img), opts)
-	same("in-thread", res, err)
+	// A driver's TotalEntries is its Seq: it must count what it delivered.
+	delivered := func(driver string, res *StreamResult, entries []*Entry, err error) {
+		t.Helper()
+		got, err := resultOf(res, entries, err)
+		same(driver, got, err)
+		if err == nil && res.TotalEntries != len(entries) {
+			t.Fatalf("%s: TotalEntries %d, %d entries delivered", driver, res.TotalEntries, len(entries))
+		}
+	}
+	res, entries, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
+	delivered("in-thread", res, entries, err)
 	var par *StreamResult
 	for _, w := range workers {
-		par, err = VerifyReaderStream(context.Background(), bytes.NewReader(img), StreamOptions{VerifyOptions: opts, Workers: w})
-		var got *VerifyResult
-		if err == nil {
-			got = &par.VerifyResult
-		}
-		same(fmt.Sprintf("parallel/%d", w), got, err)
+		par, entries, err = streamEntries(bytes.NewReader(img), opts, w, imageShard)
+		delivered(fmt.Sprintf("parallel/%d", w), par, entries, err)
 	}
 	for _, sizes := range append(chunkings, extra...) {
 		v, last, err := feedChunked(img, opts, sizes)
@@ -377,7 +440,7 @@ func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, e
 
 // verdictLine renders one verification outcome as the verdict tables store
 // it: the error string, or the result's scalar fields.
-func verdictLine(res *VerifyResult, err error) string {
+func verdictLine(res *refResult, err error) string {
 	if err != nil {
 		return "err " + err.Error()
 	}

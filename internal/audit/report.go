@@ -1,9 +1,9 @@
 package audit
 
 // Report is the one verification result shape every entry point returns:
-// one-shot set verification (VerifyPath, VerifySet; Verify / VerifyContext on
-// the facade) and a live mirror's status both produce a *Report. A one-shot
-// scan leaves the live-mirror fields zero.
+// one-shot set verification (VerifyPath; Verify / VerifyContext on the
+// facade) and a live mirror's status both produce a *Report. A one-shot scan
+// leaves the live-mirror fields zero.
 type Report struct {
 	// Shards holds each shard's own streaming result, indexed by shard.
 	// One-shot scans fill it; a live mirror leaves it nil and reports

@@ -105,7 +105,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	}
 	// Recovery truncated the debris and re-anchored: the file passes strict
 	// client-side verification again, and appends keep working.
-	entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"})
+	entries, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if err != nil {
 		t.Fatalf("post-recovery strict verify: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestTornAppendRecovered(t *testing.T) {
 	e.call(t, func(env *asyncall.Env) error {
 		return rec.Append(env, "updates", 4, "r", "main", "c4", "update")
 	})
-	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0"}); err != nil {
+	if _, err := verifyFile(path, VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group}); err != nil {
 		t.Fatalf("append after recovery broke the chain: %v", err)
 	}
 }
@@ -181,7 +181,7 @@ func TestENOSPCAppendRolledBack(t *testing.T) {
 					s.Close()
 
 					rep, err := VerifyPath(context.Background(), e.dir, StreamOptions{
-						VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+						VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group},
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -260,7 +260,7 @@ func TestCrashBeforeTrimCommitKeepsOldChain(t *testing.T) {
 		t.Fatalf("recovered seq = %d, want the full pre-trim chain (3)", rec.Seq())
 	}
 	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	}); err != nil {
 		t.Fatalf("re-anchored old chain fails verification: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestCrashAfterTrimCommitKeepsNewChain(t *testing.T) {
 		t.Fatalf("recovered seq = %d, want the trimmed chain (1)", rec.Seq())
 	}
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +415,7 @@ func TestTrimReopenFailureFailsClosed(t *testing.T) {
 				t.Fatalf("recovered rows = %v, want the one survivor c3", res.Rows)
 			}
 			if _, err := VerifyPath(context.Background(), e.dir, StreamOptions{
-				VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+				VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group},
 			}); err != nil {
 				t.Fatalf("strict verify after recovery: %v", err)
 			}
@@ -486,7 +486,7 @@ func TestDegradedModeBuffersAndReanchors(t *testing.T) {
 	}
 	// Everything appended during the outage survives strict verification.
 	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	})
 	if err != nil {
 		t.Fatalf("strict verify after reanchor: %v", err)
@@ -620,7 +620,7 @@ func TestTrimNeverDegrades(t *testing.T) {
 	// landed on the minority of live nodes, so the group can read one ahead
 	// of the log's anchor — the standard crashed-increment lag.
 	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0", MaxCounterLag: 1,
+		Pub: e.encl.PublicKey(), Protector: e.group, MaxCounterLag: 1,
 	}); err != nil {
 		t.Fatalf("old chain after failed trim: %v", err)
 	}
@@ -664,7 +664,7 @@ func TestRecoverCounterLag(t *testing.T) {
 	})
 	defer rec.Close()
 	if _, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
-		Pub: e.encl.PublicKey(), Protector: e.group, Name: "git-shard0",
+		Pub: e.encl.PublicKey(), Protector: e.group,
 	}); err != nil {
 		t.Fatalf("strict verify after lag recovery: %v", err)
 	}

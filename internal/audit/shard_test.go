@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,7 +99,7 @@ func TestShardedAppendVerify(t *testing.T) {
 	var mu sync.Mutex
 	perShard := make(map[int][]*Entry)
 	res, err := VerifyPath(context.Background(), e.dir, StreamOptions{
-		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group},
 		OnSegment: func(si SegmentInfo) error {
 			mu.Lock()
 			perShard[si.Shard] = append(perShard[si.Shard], si.Entries()...)
@@ -254,10 +255,7 @@ func TestShardRollbackDetectedByManifest(t *testing.T) {
 	if err := os.WriteFile(shard0, rolledBack, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyFileStream(context.Background(), shard0, StreamOptions{
-		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey()},
-		OnSegment:     func(SegmentInfo) error { return nil },
-	}); err != nil {
+	if _, err := verifyFile(shard0, VerifyOptions{Pub: e.encl.PublicKey()}); err != nil {
 		t.Fatalf("rolled-back shard should pass single-file verification: %v", err)
 	}
 	_, err = e.verifyDir(offline)
@@ -358,7 +356,7 @@ func TestShardedTrimPartition(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	vres, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	vres, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if err != nil {
 		t.Fatalf("post-trim verify: %v", err)
 	}
@@ -436,7 +434,7 @@ func TestApplyTrimKeepsEntriesAppendedSincePlan(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	vres, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	vres, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if err != nil || vres.TotalEntries != 4 {
 		t.Fatalf("post-trim verify: %+v, %v; want 4 entries", vres, err)
 	}
@@ -488,7 +486,7 @@ func TestShardedRecover(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"})
+	res, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group})
 	if err != nil {
 		t.Fatalf("post-recovery verify: %v", err)
 	}
@@ -522,7 +520,7 @@ func TestShardedVerifyResumeAuto(t *testing.T) {
 	}
 
 	opts := StreamOptions{
-		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group, Name: "git"},
+		VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey(), Protector: e.group},
 		Checkpoint:    &CheckpointConfig{EverySegments: 1},
 		OnSegment:     func(SegmentInfo) error { return nil },
 	}
@@ -556,6 +554,93 @@ func TestShardedVerifyResumeAuto(t *testing.T) {
 	if warm.Manifests != cold.Manifests || warm.Epoch != cold.Epoch {
 		t.Fatalf("resumed manifests %d/%d != cold %d/%d",
 			warm.Manifests, warm.Epoch, cold.Manifests, cold.Epoch)
+	}
+}
+
+// TestShardedVerifyResumeUnvouched: a checkpoint sidecar is the provider's
+// file, and the shard file it sits beside authenticates only its chain head
+// and counter — not its Seq, not which shard's history it is. So a resumed
+// shard's checkpoint counts only once a manifest vouches for it, and neither
+// edit below turns a rolled-back set clean: a forged Seq on a truncated
+// shard's sidecar, or shard 1's file copied over shard 0's, which leaves
+// shard 0 a sidecar of shard 1's history with no edit at all. Offline, with
+// the key alone, as `libseal-verify -resume` runs: each resumed run must
+// reach the cold verdict.
+func TestShardedVerifyResumeUnvouched(t *testing.T) {
+	e := newAuditEnv(t)
+	var s *ShardedLog
+	e.call(t, func(env *asyncall.Env) (err error) {
+		if s, err = NewSharded(env, e.shardConfig("git", 2)); err != nil {
+			return err
+		}
+		for i := 0; i < 14; i++ { // six commits on shard 0, then eight on shard 1
+			if err := s.Append(env, keyForShard(s, min(i/6, 1)), "updates", i, "r", "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+				return err
+			}
+		}
+		return s.WriteManifest(env)
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact := readSetFiles(t, e.dir)
+	offline := StreamOptions{VerifyOptions: VerifyOptions{Pub: e.encl.PublicKey()}}
+	shard0, shard1 := ShardName("git", 0)+".lseal", ShardName("git", 1)+".lseal"
+	var third int64 // shard 0's third commit point
+	find := offline
+	find.OnSegment = func(si SegmentInfo) error {
+		if si.Shard == 0 && si.EndSeq == 3 {
+			third = si.CommittedBytes
+		}
+		return nil
+	}
+	if _, err := VerifyPath(context.Background(), e.dir, find); err != nil || third == 0 {
+		t.Fatalf("intact set: %v, third commit point at %d", err, third)
+	}
+
+	for _, c := range []struct {
+		name string
+		edit func(dir string) error
+		// sidecar edits shard 0's checkpoint once a cold run has left it.
+		sidecar func(c *Checkpoint)
+	}{
+		{"forged seq", func(dir string) error { return os.Truncate(filepath.Join(dir, shard0), third) },
+			func(c *Checkpoint) { c.Seq = 1000 }},
+		{"duplicated shard", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, shard0), intact[shard1], 0o644)
+		}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := writeSetFiles(t, intact)
+			if err := c.edit(dir); err != nil {
+				t.Fatal(err)
+			}
+			_, cold := VerifyPath(context.Background(), dir, offline)
+			if !errors.Is(cold, ErrBadCounter) || !strings.Contains(cold.Error(), "shard rolled back") {
+				t.Fatalf("cold: %v, want the rollback named", cold)
+			}
+			ckpt := offline
+			ckpt.Checkpoint = &CheckpointConfig{EverySegments: 1}
+			if _, err := VerifyPath(context.Background(), dir, ckpt); err == nil || err.Error() != cold.Error() {
+				t.Fatalf("checkpointing run: %v, want %v", err, cold)
+			}
+			side := filepath.Join(dir, shard0+".ckpt")
+			ck, err := LoadCheckpoint(side)
+			if err != nil {
+				t.Fatalf("the checkpointing run left no sidecar for shard 0: %v", err)
+			}
+			if c.sidecar != nil {
+				c.sidecar(ck)
+				if err := ck.Save(side); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resume := offline
+			resume.ResumeAuto = true
+			if rep, err := VerifyPath(context.Background(), dir, resume); err == nil || err.Error() != cold.Error() {
+				t.Fatalf("resumed: %+v, %v; want the cold verdict %v", rep, err, cold)
+			}
+		})
 	}
 }
 

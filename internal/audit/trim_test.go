@@ -111,7 +111,7 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn, die bool) []crashP
 	}
 	verifySet := func(when string, lag uint64) {
 		t.Helper()
-		if _, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, Name: "git", MaxCounterLag: lag}); err != nil {
+		if _, err := e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, MaxCounterLag: lag}); err != nil {
 			t.Fatalf("%s: strict verify: %v", when, err)
 		}
 	}
@@ -412,7 +412,7 @@ func TestTrimBuildsWhileAnchorsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot, Name: "git"})
+	rep, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), Protector: prot})
 	if err != nil || rep.TotalEntries != 2 {
 		t.Fatalf("strict verify: %v, %v entries; want the 2 survivors", err, rep)
 	}

@@ -20,28 +20,26 @@ import (
 // batch (batchChain) and links to the signature record before it; and the
 // signature record a verdict rests on carries the enclave's signature, which
 // through the two hash chains vouches for every record before it. That rule
-// is written once, in chainVerifier and validSig. Around it sit a ledger (what has been committed: the last
-// signature record and the running totals a result or a checkpoint reports),
-// a merger (folds verified runs into the ledger batch by batch in stream order
-// and gives the end-of-stream verdict) and three drivers that differ only in
-// how bytes arrive and who schedules the work: verifyInline on the caller's
-// goroutine (VerifyReaderResult, recovery), VerifyReaderStream's worker pool
-// (parverify.go) and the chunk-fed IncrementalVerifier (incremental.go).
-// DESIGN.md §13 has the table.
+// is written once, in chainVerifier and validSig. Around it sit a ledger (what
+// has been committed: the last signature record and the running totals a
+// result or a checkpoint reports), a merger (folds verified runs into the
+// ledger batch by batch in stream order and gives the end-of-stream verdict)
+// and three drivers that differ only in how bytes arrive and who schedules the
+// work: verifyInline on the caller's goroutine (recovery, and a land's staged
+// images), verifyStream's worker pool (parverify.go; every shard VerifyPath
+// scans) and the chunk-fed IncrementalVerifier (incremental.go). No driver
+// keeps entries: they leave through OnSegment (SegmentInfo.Entries). DESIGN.md
+// §13 has the table.
 
 // VerifyOptions controls persisted-log verification.
 type VerifyOptions struct {
 	// Pub is the enclave's signing public key (bound to the enclave by an
 	// attestation quote).
 	Pub *ecdsa.PublicKey
-	// Protector, when set, checks counter freshness against the group.
+	// Protector, when set, checks counter freshness against the group: each
+	// shard against its own counter and the sidecar against the manifest
+	// counter, all named from the set.
 	Protector RollbackProtector
-	// Name is the counter name freshness is judged against when one file is
-	// verified on its own (the shard's Config.Name). The set entry points
-	// (VerifyPath / VerifySet) ignore it: each shard is judged against its
-	// own counter and the sidecar against the manifest counter, all named
-	// from the set.
-	Name string
 	// Unseal decrypts sealed entries; required when the log was written
 	// with Config.Seal. It runs inside an enclave in production.
 	Unseal func(blob []byte) ([]byte, error)
@@ -58,30 +56,6 @@ type VerifyOptions struct {
 	MaxCounterLag uint64
 }
 
-// VerifyResult is the outcome of a successful verification.
-type VerifyResult struct {
-	// Entries are the verified tuples, in file order.
-	Entries []*Entry
-	// Counter is the rollback-counter value of the verified signature.
-	Counter uint64
-	// CommittedBytes is the length of the verified file prefix. With
-	// RecoverTruncated, bytes past it are crash debris and can be cut off.
-	CommittedBytes int64
-	// Batches is the number of signature records (commit points) in the
-	// verified prefix: group commit anchors several chained entries per
-	// signature, so Batches <= len(Entries) once batching is on.
-	Batches int
-	// MaxBatch is the largest number of entries covered by one signature
-	// record.
-	MaxBatch int
-	// SigHead is the SHA-256 of the verified signature record's payload — the
-	// link the next signature record appended to the file must carry. Zero
-	// when the verified prefix holds no signature record.
-	SigHead [32]byte
-	// Chain is the chain head that record attests (zero when SigHead is).
-	Chain [32]byte
-}
-
 // VerifyError is a rejection that says where in the log it was raised: by one
 // record's own checks, by the framing (at the header where the stream stops
 // parsing) or by the end-of-stream verdict (where the unsigned entries start;
@@ -89,8 +63,7 @@ type VerifyResult struct {
 // alone, so verdicts compare equal whether or not a caller looks at the
 // location; it unwraps to ErrTampered.
 type VerifyError struct {
-	// Shard is the shard ordinal (StreamOptions.Shard; 0 for a file verified
-	// on its own).
+	// Shard is the ordinal of the shard whose file holds the record.
 	Shard int
 	// Offset is the byte offset of the failing record's header in its file.
 	Offset int64
@@ -205,7 +178,7 @@ type chainVerifier struct {
 	tables  []tableSpan       // those entries by table
 	names   map[string]string // table names seen, so that each is one string however many entries carry it
 	last    string            // the table name the last entry carried
-	decode  bool              // build the entries, for a driver that returns them
+	decode  bool              // build the entries, for a driver whose callers read them
 	entries []*Entry          // the entries built, in stream order
 }
 
@@ -299,11 +272,12 @@ type commitPoint struct {
 }
 
 // totals is the running state of a verified prefix: its last commit point
-// and the counts a Checkpoint and a StreamResult carry.
+// and the counts a Checkpoint and a StreamResult carry. A valid file numbers
+// its entries from 0, so seq is also how many there are.
 type totals struct {
 	commitPoint
-	seq                        uint64 // entries under the commit point = the next entry's sequence number
-	entries, batches, maxBatch int
+	seq               uint64 // entries under the commit point = the next entry's sequence number
+	batches, maxBatch int
 }
 
 // ledger is the commit bookkeeping every driver keeps.
@@ -332,7 +306,7 @@ func newLedger(c *Checkpoint) (ledger, error) {
 		l.resumed = true
 		l.base = totals{
 			commitPoint: commitPoint{end: c.Offset, chain: chain, counter: c.Counter, sigOff: c.SigOffset, sigSum: sum},
-			seq:         c.Seq, entries: c.Entries, batches: c.Batches, maxBatch: c.MaxBatch,
+			seq:         c.Seq, batches: c.Batches, maxBatch: c.MaxBatch,
 		}
 		for t, n := range c.Tables {
 			l.tables[t] = n
@@ -352,7 +326,6 @@ func (l *ledger) commit(cp commitPoint, batch []tableSpan) {
 	}
 	l.cur.commitPoint = cp
 	l.cur.seq += uint64(n)
-	l.cur.entries += n
 	l.cur.batches++
 	l.cur.maxBatch = max(l.cur.maxBatch, n)
 	l.scanMax = max(l.scanMax, n)
@@ -371,23 +344,29 @@ func (l *ledger) checkpoint(shard int) *Checkpoint {
 	return &Checkpoint{
 		Version: checkpointVersion, Shard: shard,
 		Offset: t.end, Seq: t.seq, Chain: hexChain(t.chain), Counter: t.counter,
-		Batches: t.batches, MaxBatch: t.maxBatch, Entries: t.entries, Tables: tables,
+		Batches: t.batches, MaxBatch: t.maxBatch, Tables: tables,
 		SigOffset: t.sigOff, SigHash: hex.EncodeToString(t.sigSum[:]),
 	}
 }
 
-// result reports the committed prefix: what this scan verified in the
-// embedded VerifyResult, the checkpointed prefix folded in in the totals.
-func (l *ledger) result(entries []*Entry) *StreamResult {
-	scanned := l.cur.batches - l.base.batches
+// result reports the committed prefix: Batches and MaxBatch what this scan
+// verified, the totals with the checkpointed prefix folded in.
+func (l *ledger) result() *StreamResult {
 	return &StreamResult{
-		VerifyResult: VerifyResult{
-			Entries: entries, Counter: l.cur.counter, CommittedBytes: l.cur.end,
-			Batches: scanned, MaxBatch: l.scanMax, SigHead: l.cur.sigSum, Chain: l.cur.chain,
-		},
-		TotalEntries: l.cur.entries, TotalBatches: l.cur.batches, TotalMaxBatch: l.cur.maxBatch,
+		Counter: l.cur.counter, CommittedBytes: l.cur.end, SigHead: l.cur.sigSum, Chain: l.cur.chain,
+		Batches: l.cur.batches - l.base.batches, MaxBatch: l.scanMax,
+		TotalEntries: int(l.cur.seq), TotalBatches: l.cur.batches, TotalMaxBatch: l.cur.maxBatch,
 		Tables: l.tables, Resumed: l.resumed,
 	}
+}
+
+// shardRef is what a driver is told of the file it verifies: the shard
+// ordinal it stamps on segments, checkpoints and errors, the counter whose
+// freshness it judges, and where its checkpoints go ("" for nowhere).
+type shardRef struct {
+	k       int
+	counter string
+	sidecar string
 }
 
 // sigWindow bounds how many signature records a run driver folds between two
@@ -417,11 +396,11 @@ func (c *sigCopies) copy(p []byte) []byte {
 // latches the first failure and gives the final verdict.
 type merger struct {
 	opts *StreamOptions
+	at   shardRef
 	led  ledger
 	stop <-chan struct{} // closed when the scan is cancelled: nothing folds after; nil if it cannot be
 
-	entries []*Entry // accumulated only when OnSegment is nil
-	pending int      // entries verified past the last signature record
+	pending int // entries verified past the last signature record
 
 	// held is the newest batch, hash-verified but not yet folded: it folds
 	// unchecked once a successor arrives to vouch for it, and is judged first
@@ -504,7 +483,7 @@ func (m *merger) settle(last bool) bool {
 	m.held = nil
 	payloadBytes := int64(len(b.raw) - 5*b.n) // for telemetry and the checkpoint cadence
 	cfg := m.opts.Checkpoint
-	save := cfg != nil && m.opts.sidecar != "" && m.checkpointDue(cfg, payloadBytes)
+	save := cfg != nil && m.at.sidecar != "" && m.checkpointDue(cfg, payloadBytes)
 	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes.copy(b.sig)})
 	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
 		return false
@@ -513,17 +492,17 @@ func (m *merger) settle(last bool) bool {
 	mVerifyEntries.Add(int64(b.n))
 	mVerifyBytes.Add(payloadBytes)
 	m.led.commit(b.commitPoint, b.tables)
-	if m.opts.OnSegment == nil {
-		m.entries = append(m.entries, b.entries...)
-	} else if err := m.opts.OnSegment(SegmentInfo{
-		Shard: m.opts.Shard, Index: m.led.cur.batches - m.led.base.batches - 1, NumEntries: b.n,
-		Counter: b.counter, EndSeq: m.led.cur.seq, Chain: b.chain, CommittedBytes: b.end, batch: b,
-	}); err != nil {
-		m.cbErr = err
-		return false
+	if m.opts.OnSegment != nil {
+		if err := m.opts.OnSegment(SegmentInfo{
+			Shard: m.at.k, Index: m.led.cur.batches - m.led.base.batches - 1, NumEntries: b.n,
+			Counter: b.counter, EndSeq: m.led.cur.seq, Chain: b.chain, CommittedBytes: b.end, batch: b,
+		}); err != nil {
+			m.cbErr = err
+			return false
+		}
 	}
 	if save {
-		if err := m.led.checkpoint(m.opts.Shard).Save(m.opts.sidecar); err == nil {
+		if err := m.led.checkpoint(m.at.k).Save(m.at.sidecar); err == nil {
 			mVerifyCheckpoints.Inc()
 		} else if cfg.OnError != nil {
 			cfg.OnError(err)
@@ -562,7 +541,7 @@ func (m *merger) judge() bool {
 	}
 	// The last unchecked record is the next to fold: ordinal cur.batches.
 	ordinal := m.led.cur.batches - (len(m.unchecked) - 1) + bad
-	m.failed = &VerifyError{Shard: m.opts.Shard, Offset: m.unchecked[bad].off, Batch: ordinal, Record: -1, Reason: "signature invalid"}
+	m.failed = &VerifyError{Shard: m.at.k, Offset: m.unchecked[bad].off, Batch: ordinal, Record: -1, Reason: "signature invalid"}
 	m.failedSigs = ordinal - m.led.base.batches + 1
 	m.unchecked = nil
 	return false
@@ -603,41 +582,28 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 		if m.led.cur.batches == 0 {
 			reason = "missing signature record"
 		}
-		return nil, &VerifyError{Shard: m.opts.Shard, Offset: m.led.cur.end, Batch: m.led.cur.batches, Reason: reason, stream: true}
+		return nil, &VerifyError{Shard: m.at.k, Offset: m.led.cur.end, Batch: m.led.cur.batches, Reason: reason, stream: true}
 	}
 	// Freshness applies to every accepted outcome, the empty log included:
 	// "no batches" under a group counter that has moved is a rollback.
-	if err := checkFreshness(m.led.cur.counter, *opts); err != nil {
+	if err := checkFreshness(m.led.cur.counter, m.at.counter, *opts); err != nil {
 		return nil, err
 	}
-	return m.led.result(m.entries), nil
-}
-
-// VerifyReaderResult verifies a persisted log on the caller's goroutine
-// (verifyInline) and returns the verified entries with the counter and
-// committed prefix length. It runs outside the enclave for clients
-// (verification needs no secrets, which is what lets them audit the provider).
-func VerifyReaderResult(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	res, err := verifyInline(r, &StreamOptions{VerifyOptions: opts})
-	if err != nil {
-		return nil, err
-	}
-	return &res.VerifyResult, nil
+	return m.led.result(), nil
 }
 
 // verifyInline is the caller's-goroutine driver: scanner, core and merger in
-// one loop, no worker pool. With OnSegment it delivers the committed segments
-// as VerifyReaderStream does and keeps no entries. Recovery runs it inside an
-// enclave call, whose Unseal is bound to that call. Its callers read the
-// entries, so the core builds them as it walks them, and
-// SegmentInfo.Entries decodes nothing twice.
-func verifyInline(r io.Reader, opts *StreamOptions) (*StreamResult, error) {
+// one loop, no worker pool, delivering the committed segments to OnSegment as
+// verifyStream does. Recovery runs it inside an enclave call, whose Unseal is
+// bound to that call. Its callers read the entries, so the core builds them
+// as it walks them, and SegmentInfo.Entries decodes nothing twice.
+func verifyInline(r io.Reader, opts *StreamOptions, at shardRef) (*StreamResult, error) {
 	led, _ := newLedger(nil) // from the empty log: cannot fail
 	// Two runs in flight: the one folding, the one whose batch is held.
-	m := merger{opts: opts, led: led, pool: make(runPool, 2)}
-	core := chainVerifier{opts: &opts.VerifyOptions, shard: opts.Shard, batch: sha256.New(), names: map[string]string{}, decode: true}
+	m := merger{opts: opts, at: at, led: led, pool: make(runPool, 2)}
+	core := chainVerifier{opts: &opts.VerifyOptions, shard: at.k, batch: sha256.New(), names: map[string]string{}, decode: true}
 	// Nothing runs concurrently, so there is nothing for a context to stop.
-	end := scanRuns(context.Background(), r, &m.led.base, false, opts.Shard, m.pool, func(r *run) bool {
+	end := scanRuns(context.Background(), r, &m.led.base, false, at.k, m.pool, func(r *run) bool {
 		if m.failed == nil {
 			if verifyRun(r, core); m.fold(r) {
 				m.retire(r)
@@ -652,12 +618,12 @@ func verifyInline(r io.Reader, opts *StreamOptions) (*StreamResult, error) {
 }
 
 // checkFreshness compares the log's committed counter against the rollback
-// group's stable value.
-func checkFreshness(counter uint64, opts VerifyOptions) error {
+// group's stable value of the named counter.
+func checkFreshness(counter uint64, name string, opts VerifyOptions) error {
 	if opts.Protector == nil {
 		return nil
 	}
-	stable, err := opts.Protector.Read(opts.Name)
+	stable, err := opts.Protector.Read(name)
 	if err != nil {
 		return err
 	}

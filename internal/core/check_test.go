@@ -248,7 +248,7 @@ func TestTrimKeepsRowsStagedDuringCycle(t *testing.T) {
 // count, and the rows its database holds.
 func diskEntries(t *testing.T, env *coreEnv, ls *LibSEAL, dir string) (entries, rows int) {
 	t.Helper()
-	es, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	es, err := verifyLog(dir, audit.VerifyOptions{Pub: env.encl.PublicKey()})
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

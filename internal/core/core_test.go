@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -9,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -374,7 +374,7 @@ func TestPersistentModeSurvivesRestart(t *testing.T) {
 	ls.Close()
 
 	// Verify the persisted log out-of-band with the enclave's public key.
-	entries, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()})
+	entries, err := verifyLog(dir, audit.VerifyOptions{Pub: env.encl.PublicKey()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -893,22 +893,31 @@ func TestConcurrentConnectionsBatchedDisk(t *testing.T) {
 	}
 	ls.Close()
 	// The batched, trimmed log still passes client-side verification.
-	if _, err := verifyLogFile(dir+"/git-shard0.lseal", audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
+	if _, err := verifyLog(dir, audit.VerifyOptions{Pub: env.encl.PublicKey()}); err != nil {
 		t.Fatalf("verify batched log: %v", err)
 	}
 }
 
-// verifyLogFile verifies the log file at path on the caller's goroutine and
-// returns its entries.
-func verifyLogFile(path string, opts audit.VerifyOptions) ([]*audit.Entry, error) {
-	f, err := os.Open(path)
+// verifyLog verifies the log set in dir as a client would and returns its
+// entries, shard by shard.
+func verifyLog(dir string, opts audit.VerifyOptions) ([]*audit.Entry, error) {
+	var mu sync.Mutex
+	shards := map[int][]*audit.Entry{}
+	rep, err := audit.VerifyPath(context.Background(), dir, audit.StreamOptions{
+		VerifyOptions: opts,
+		OnSegment: func(si audit.SegmentInfo) error {
+			mu.Lock()
+			defer mu.Unlock()
+			shards[si.Shard] = append(shards[si.Shard], si.Entries()...)
+			return nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	res, err := audit.VerifyReaderResult(f, opts)
-	if err != nil {
-		return nil, err
+	var entries []*audit.Entry
+	for k := range rep.Shards {
+		entries = append(entries, shards[k]...)
 	}
-	return res.Entries, nil
+	return entries, nil
 }

@@ -316,8 +316,10 @@ func HealthUnhealthy(detail string) HealthCheckResult { return resilience.Unheal
 // cross-checked against the signed manifests, so a rollback of any single
 // shard is detected even though each shard's own chain still verifies. Shard
 // files without their manifest are ErrTampered. Set opts.ResumeAuto to
-// continue from per-shard checkpoint sidecars written by a previous run; an
-// explicit opts.Resume is refused.
+// continue from per-shard checkpoint sidecars written by a previous run: a
+// shard resumes only where a manifest vouches for its checkpoint, and is
+// verified cold otherwise. Entries reach the caller only through
+// opts.OnSegment.
 func Verify(dir string, opts VerifyStreamOptions) (*Report, error) {
 	return VerifyContext(context.Background(), dir, opts)
 }

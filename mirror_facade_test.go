@@ -156,7 +156,7 @@ func TestMirrorFacadeResumeAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := VerifyContext(context.Background(), dir, VerifyStreamOptions{
-		VerifyOptions: VerifyOptions{Pub: cfg.Pub, Protector: group, Name: "git"},
+		VerifyOptions: VerifyOptions{Pub: cfg.Pub, Protector: group},
 	})
 	if err != nil {
 		t.Fatalf("offline Verify after mirroring: %v", err)

@@ -171,7 +171,7 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 
 	// The unified entry point verifies the set in the directory.
 	res, err := Verify(dir, VerifyStreamOptions{
-		VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group, Name: "git"},
+		VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group},
 	})
 	if err != nil {
 		t.Fatalf("Verify(dir): %v", err)
@@ -245,7 +245,7 @@ func TestOpenMatchesNew(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := Verify(dir, VerifyStreamOptions{
-				VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group, Name: "git"},
+				VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group},
 			})
 			if err != nil {
 				t.Fatalf("Verify: %v", err)
@@ -479,7 +479,7 @@ func TestBatchingSharesSignatureRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep, err := Verify(dir, VerifyStreamOptions{
-				VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group, Name: "git"},
+				VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group},
 			})
 			if err != nil {
 				t.Fatalf("Verify: %v", err)
