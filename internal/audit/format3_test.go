@@ -306,7 +306,7 @@ func TestCommitSetMatchesMap(t *testing.T) {
 		{"resumed at zero", []ShardState{pt(0, 2, 0), pt(1, 3, 1)}, &ShardState{Seq: 0, Counter: 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cs := newCommitSet()
+			cs := newCommitSet(nil)
 			oracle := &commitSetOracle{pts: map[ShardState]bool{{}: true}}
 			if c.resume != nil {
 				cs = &commitSet{base: c.resume}

@@ -129,12 +129,15 @@ type recordReader struct {
 // kept contiguous before it — moves to its head and the stream is read on
 // behind. A carry of more than half a block gets one twice its size, so a
 // block grows with the bytes actually read, never with a length a header
-// claims. It is the spare, whole and unzeroed, when that is large enough.
+// claims. It is the spare, unzeroed, when that is large enough: only what
+// this fill copies and reads into it is ever cut.
 func (rr *recordReader) fill(keep int) {
-	carry, buf := rr.buf[keep:], rr.spare[:cap(rr.spare)]
-	if size := max(cmp.Or(rr.size, blockSize), 2*len(carry)); len(buf) < size {
+	carry, buf := rr.buf[keep:], rr.spare
+	if size := max(cmp.Or(rr.size, blockSize), 2*len(carry)); cap(buf) < size {
 		buf = make([]byte, size)
 		mVerifyBlockAllocs.Inc()
+	} else {
+		buf = buf[:size]
 	}
 	rr.spare = nil
 	n := copy(buf, carry)

@@ -126,7 +126,12 @@ func (v *IncrementalVerifier) Feed(p []byte) error {
 func (v *IncrementalVerifier) record(rec record) error {
 	switch rec.typ {
 	case recEntry:
-		return v.core.entry(rec.raw, rec.off)
+		// Records arrive in chunks that need not hold a whole batch, so each
+		// is hashed as it is checked.
+		if err := v.core.entry(rec.raw, rec.off); err != nil {
+			return err
+		}
+		v.core.span(rec.raw)
 	case recSig:
 		batch := v.core.inBatch
 		counter, tables, err := v.core.sig(rec.payload, rec.off)
@@ -158,7 +163,11 @@ func (v *IncrementalVerifier) deliver() {
 	if len(queued) == 0 {
 		return
 	}
-	good := firstInvalid(v.opts.Pub, queued, func(q queuedCommit) []byte { return q.raw })
+	i := 0
+	good := firstInvalid(v.opts.Pub, len(queued), queued[len(queued)-1].raw, func() ([]byte, bool) {
+		i++
+		return queued[i-1].raw, true
+	})
 	v.sigBytes = v.sigBytes[:0]
 	if good < len(queued) {
 		v.in.failed = &VerifyError{
@@ -178,6 +187,17 @@ func (v *IncrementalVerifier) deliver() {
 	}
 }
 
+// sigCopies copies signature payloads into 64 KiB chunks, never regrown.
+type sigCopies []byte
+
+func (c *sigCopies) copy(p []byte) []byte {
+	if len(*c)+len(p) > cap(*c) {
+		*c = make([]byte, 0, max(64<<10, len(p)))
+	}
+	*c = append(*c, p...)
+	return (*c)[len(*c)-len(p) : len(*c) : len(*c)]
+}
+
 // Offset is the stream offset of the next byte to be received: everything
 // framed so far plus any buffered partial record.
 func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(len(v.in.buf)) }
@@ -189,9 +209,10 @@ func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
 func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
 func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
 
-// Tables returns the per-table tuple counts under the last commit point (live
-// map; callers must copy if they retain it).
-func (v *IncrementalVerifier) Tables() map[string]int { return v.led.tables }
+// Tables returns the per-table tuple counts under the last commit point: the
+// verifier's own map, brought up to date by the call, which later feeds
+// change; callers must copy it if they retain it.
+func (v *IncrementalVerifier) Tables() map[string]int { return v.led.counts() }
 
 // Checkpoint snapshots the verified prefix as a resumable sidecar state, or
 // nil before the first commit point. Between feeds the last commit point is

@@ -180,9 +180,10 @@ func parseManifest(payload []byte) (*Manifest, error) {
 // strict mode fails it. A record that parses structurally but not
 // semantically fails both modes: manifests are appended with one fsync each,
 // so only the final record can legitimately be torn. The records are framed
-// out of one block the size of the sidecar.
+// in place, out of a window that is all of raw and all of the stream, and the
+// manifests alias it.
 func readManifests(raw []byte, tolerant bool) ([]*Manifest, error) {
-	rr := recordReader{r: bytes.NewReader(raw), kind: &manifestStream, size: len(raw) + 1}
+	rr := recordReader{kind: &manifestStream, buf: raw, eof: true}
 	if err := rr.magic(); err != nil {
 		return nil, err
 	}

@@ -130,12 +130,20 @@ type commitPt struct {
 }
 
 // obligation is a manifest attestation the shard stream has not yet caught
-// up to: the attested state must appear at that sequence once it does.
+// up to: the attested state must appear at that sequence once it does. One
+// that awaits a restart was made by a rewritten sidecar before the shard's
+// stream restarted onto its rewritten file (compaction renames the shards'
+// files first, but their restart frames can reach the mirror after the
+// sidecar's): the stream it is judged against may be the one the rewrite
+// replaced, so a disagreement is held in mismatch, not reported, until the
+// shard restarts or its staleness lapses.
 type obligation struct {
-	seq      uint64
-	st       audit.ShardState
-	epoch    uint64
-	deadline time.Time
+	seq          uint64
+	st           audit.ShardState
+	epoch        uint64
+	deadline     time.Time
+	awaitRestart bool
+	mismatch     error
 }
 
 // shardState is the mirror's per-shard memory; it outlives sessions.
@@ -159,6 +167,13 @@ type shardState struct {
 	order      []uint64
 	pending    []obligation
 	resumed    bool
+	// A compaction restarts the sidecar's stream and the shards', in
+	// whichever order the feed delivers them. staleUntil, when set, is when
+	// the wait for this shard's restart after the sidecar's lapses;
+	// restartedAt, when set, is a shard restart still to be paired with the
+	// sidecar's.
+	staleUntil  time.Time
+	restartedAt time.Time
 }
 
 // manifestMem is the mirror's sidecar memory. seeded: a manifest has been
@@ -557,7 +572,16 @@ func (m *Mirror) coldRestartLocked(k int, sh *shardState, now time.Time) {
 	sh.ckpt = nil
 	sh.commits = make(map[uint64]commitPt)
 	sh.order = sh.order[:0]
-	sh.pending = nil
+	// The obligations the rewritten sidecar made are this stream's to meet;
+	// the rest were the replaced stream's.
+	kept := sh.pending[:0]
+	for _, ob := range sh.pending {
+		if ob.awaitRestart {
+			ob.awaitRestart, ob.mismatch = false, nil
+			kept = append(kept, ob)
+		}
+	}
+	sh.pending, sh.staleUntil, sh.restartedAt = kept, time.Time{}, time.Time{}
 	if sh.maxCounter > 0 && sh.needCounter == 0 {
 		sh.needCounter = sh.maxCounter
 		sh.needSince = now
@@ -599,13 +623,16 @@ func (m *Mirror) commitLocked(sh *shardState, k int, ci audit.CommitInfo) error 
 	// member of the shard's verified commit set.
 	rest := sh.pending[:0]
 	for _, ob := range sh.pending {
-		if ob.seq > ci.Seq {
-			rest = append(rest, ob)
-			continue
+		if ob.seq <= ci.Seq && ob.mismatch == nil {
+			ob.mismatch = m.checkAttestedLocked(sh, k, ob)
+			if ob.mismatch == nil {
+				continue
+			}
+			if !ob.awaitRestart {
+				return ob.mismatch
+			}
 		}
-		if err := m.checkAttestedLocked(sh, k, ob); err != nil {
-			return err
-		}
+		rest = append(rest, ob)
 	}
 	sh.pending = rest
 	return nil
@@ -650,12 +677,15 @@ func (m *Mirror) onManifest(man *audit.Manifest) error {
 		if st.Seq == 0 && st.Counter == 0 && st.Chain == ([32]byte{}) {
 			continue // shard empty at this epoch: nothing to attest
 		}
-		ob := obligation{seq: st.Seq, st: st, epoch: man.Epoch, deadline: deadline}
+		ob := obligation{seq: st.Seq, st: st, epoch: man.Epoch, deadline: deadline, awaitRestart: !sh.staleUntil.IsZero()}
 		if st.Seq <= sh.v.Seq() {
-			if err := m.checkAttestedLocked(sh, k, ob); err != nil {
-				return err
+			ob.mismatch = m.checkAttestedLocked(sh, k, ob)
+			if ob.mismatch == nil {
+				continue
 			}
-			continue
+			if !ob.awaitRestart {
+				return ob.mismatch
+			}
 		}
 		sh.pending = append(sh.pending, ob)
 	}
@@ -692,7 +722,18 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 			return errors.New("mirror: malformed restart frame")
 		}
 		k := int(payload[0])<<8 | int(payload[1])
+		now := time.Now()
 		if k == manifestShard {
+			// A shard that restarted within the grace before the sidecar did
+			// was rewritten by the same compaction; the rest have a restart
+			// to come, or were not rewritten.
+			grace := m.cfg.restartGrace()
+			for _, sh := range m.shards {
+				if sh.restartedAt.IsZero() || now.Sub(sh.restartedAt) > grace {
+					sh.staleUntil = now.Add(grace)
+				}
+				sh.restartedAt = time.Time{}
+			}
 			m.newManifestLaneLocked()
 			m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
 			m.dirty = true
@@ -701,8 +742,13 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		if k >= len(m.shards) {
 			return fmt.Errorf("mirror: restart frame for unknown shard %d", k)
 		}
-		m.coldRestartLocked(k, m.shards[k], time.Now())
-		m.shards[k].baseSeq = 0
+		sh := m.shards[k]
+		awaited := !sh.staleUntil.IsZero()
+		m.coldRestartLocked(k, sh, now)
+		if !awaited {
+			sh.restartedAt = now
+		}
+		sh.baseSeq = 0
 		return nil
 	case frameTail:
 		var t tailMsg
@@ -766,6 +812,18 @@ func (m *Mirror) continuityLocked(now time.Time) error {
 			if caught || now.Sub(since) > grace {
 				return fmt.Errorf("%w: shard %d stream restarted but never re-attained verified counter %d (last %d): shard rolled back",
 					audit.ErrBadCounter, k, sh.needCounter, sh.v.MaxCounter())
+			}
+		}
+		if !sh.staleUntil.IsZero() && now.After(sh.staleUntil) {
+			// The shard never restarted: the rewritten sidecar's claims are
+			// judged against the stream there is, as a sidecar swapped on its
+			// own must be. Those it disagreed with are violations.
+			sh.staleUntil = time.Time{}
+			for i := range sh.pending {
+				if err := sh.pending[i].mismatch; err != nil {
+					return err
+				}
+				sh.pending[i].awaitRestart = false
 			}
 		}
 		if caught {

@@ -628,3 +628,170 @@ func TestMirrorNeverCaughtUpWithoutManifest(t *testing.T) {
 		t.Fatalf("report %+v, want all 8 entries verified, no lag, and never caught up", r)
 	}
 }
+
+// compactionFixture is a 2-shard set before and after an honest compaction,
+// as file images, and a mirror that follows frames handed to it directly.
+type compactionFixture struct {
+	t                      *testing.T
+	e                      *mirrorEnv
+	oldShards, newShards   [][]byte
+	oldSidecar, newSidecar []byte
+}
+
+func newCompactionFixture(t *testing.T) *compactionFixture {
+	f := &compactionFixture{t: t, e: newMirrorEnv(t, 2, time.Hour)}
+	f.e.append(30)
+	f.e.call(f.e.log.WriteManifest)
+	f.oldShards, f.oldSidecar = f.images()
+	f.e.call(func(env *asyncall.Env) error {
+		script, err := f.e.log.DB().PrepareScript("DELETE FROM updates WHERE seq < 10")
+		if err != nil {
+			return err
+		}
+		plan, err := audit.PlanTrim(f.e.log.DB().Snapshot(), script)
+		if err != nil {
+			return err
+		}
+		if err := f.e.log.ApplyTrim(env, plan); err != nil {
+			return err
+		}
+		return f.e.log.Compact(env)
+	})
+	f.newShards, f.newSidecar = f.images()
+	return f
+}
+
+func (f *compactionFixture) images() (shards [][]byte, sidecar []byte) {
+	f.t.Helper()
+	for _, lf := range f.e.log.Files() {
+		img, err := os.ReadFile(lf.Path())
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		if strings.HasSuffix(lf.Path(), ".manifest") {
+			sidecar = img
+		} else {
+			shards = append(shards, img)
+		}
+	}
+	if len(shards) != 2 || sidecar == nil {
+		f.t.Fatalf("%d shard images and sidecar %v", len(shards), sidecar != nil)
+	}
+	return shards, sidecar
+}
+
+// follow returns a mirror that has verified the set up to the compaction.
+func (f *compactionFixture) follow() *Mirror {
+	m := &Mirror{cfg: Config{Name: "git", Pub: f.e.encl.PublicKey(), RestartGrace: time.Second}}
+	m.shards = []*shardState{{}, {}}
+	for k, sh := range m.shards {
+		m.coldRestartLocked(k, sh, time.Now())
+	}
+	m.newManifestLaneLocked()
+	for k, img := range f.oldShards {
+		f.deliver(m, frameData, dataPayload(k, img))
+	}
+	f.deliver(m, frameManifest, f.oldSidecar)
+	return m
+}
+
+func (f *compactionFixture) deliver(m *Mirror, typ byte, payload []byte) {
+	f.t.Helper()
+	if err := m.handleFrame(typ, payload); err != nil {
+		f.t.Fatalf("frame %q: %v", typ, err)
+	}
+}
+
+// TestMirrorManifestRestartBeforeShardRestart: a compaction renames the
+// shards' files before the sidecar's, yet the feed can deliver the sidecar's
+// restart, and the rewritten sidecar's manifest, before a shard's restart.
+// That manifest attests the rewritten shard, whose survivors are numbered
+// afresh, so it disagrees with the replaced stream at a seq that stream has
+// passed: the mirror holds the claim until the shard's stream restarts and
+// judges it there. A shard whose stream never restarts has the claim judged
+// against the stream it has once the restart grace is over, so a sidecar
+// swapped on its own is still caught.
+func TestMirrorManifestRestartBeforeShardRestart(t *testing.T) {
+	f := newCompactionFixture(t)
+	// start follows the set up to the compaction, then receives the sidecar's
+	// restart and its rewritten image, and no shard's restart yet.
+	start := func() *Mirror {
+		m := f.follow()
+		f.deliver(m, frameRestart, restartPayload(manifestShard))
+		f.deliver(m, frameManifest, f.newSidecar)
+		return m
+	}
+
+	m := start()
+	for k, img := range f.newShards {
+		f.deliver(m, frameRestart, restartPayload(k))
+		f.deliver(m, frameData, dataPayload(k, img))
+		if sh := m.shards[k]; len(sh.pending) != 0 || sh.v.Seq() == 0 {
+			t.Fatalf("shard %d at seq %d after its restart, %d attestations unjudged", k, sh.v.Seq(), len(sh.pending))
+		}
+	}
+	if err := m.continuityLocked(time.Now().Add(time.Minute)); err != nil {
+		t.Fatalf("after every restart: %v", err)
+	}
+
+	m = start()
+	if err := m.continuityLocked(time.Now()); err != nil {
+		t.Fatalf("within the restart grace: %v", err)
+	}
+	err := m.continuityLocked(time.Now().Add(time.Minute))
+	if !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), "disagrees with the verified log") {
+		t.Fatalf("rewritten sidecar, no shard restarted: %v, want a rolled-back shard", err)
+	}
+}
+
+// TestMirrorShardRestartBeforeManifestRestart: in the usual order, the shards'
+// restarts reach the mirror before the sidecar's. The sidecar's restart then
+// leaves no shard awaiting one, so every later manifest claim is judged as
+// the shard's commits arrive: an honest one is met by the next commits, and
+// one that disagrees with the stream is a violation at the commit that
+// disagrees, not at the restart grace's end.
+func TestMirrorShardRestartBeforeManifestRestart(t *testing.T) {
+	f := newCompactionFixture(t)
+	m := f.follow()
+	for k, img := range f.newShards {
+		f.deliver(m, frameRestart, restartPayload(k))
+		f.deliver(m, frameData, dataPayload(k, img))
+	}
+	f.deliver(m, frameRestart, restartPayload(manifestShard))
+	f.deliver(m, frameManifest, f.newSidecar)
+	f.e.append(20)
+	f.e.call(f.e.log.WriteManifest)
+	laterShards, laterSidecar := f.images()
+	f.deliver(m, frameManifest, laterSidecar[len(f.newSidecar):])
+	for k, img := range laterShards {
+		if len(m.shards[k].pending) == 0 {
+			t.Fatalf("shard %d: the later manifest left no claim past the stream", k)
+		}
+		f.deliver(m, frameData, dataPayload(k, img[len(f.newShards[k]):]))
+		if n := len(m.shards[k].pending); n != 0 {
+			t.Fatalf("shard %d: %d claims unjudged after the commits they attest", k, n)
+		}
+	}
+
+	// A feed that serves the replaced file after a shard's restart: the
+	// rewritten sidecar's claims disagree with it as its commits arrive.
+	m = f.follow()
+	for k, img := range f.oldShards {
+		f.deliver(m, frameRestart, restartPayload(k))
+		f.deliver(m, frameData, dataPayload(k, img[:len(img)/4]))
+	}
+	f.deliver(m, frameRestart, restartPayload(manifestShard))
+	f.deliver(m, frameManifest, f.newSidecar)
+	var err error
+	for k, img := range f.oldShards {
+		if len(m.shards[k].pending) == 0 {
+			t.Fatalf("shard %d: the rewritten sidecar left no claim past the stream", k)
+		}
+		if err = m.handleFrame(frameData, dataPayload(k, img[len(img)/4:])); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), "shard rolled back") {
+		t.Fatalf("replaced file served after the restart: %v, want a rolled-back shard at commit time", err)
+	}
+}

@@ -3,7 +3,6 @@ package audit
 import (
 	"context"
 	"crypto/sha256"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -161,7 +160,7 @@ type StreamResult struct {
 // the set's manifests can vouch for (verifyShard). A cancelled or
 // expired ctx stops the pipeline and returns ctx.Err() instead of a
 // verification verdict.
-func verifyStream(parent context.Context, r io.Reader, opts *StreamOptions, at shardRef, resume *Checkpoint) (res *StreamResult, err error) {
+func verifyStream(parent context.Context, r logSource, opts *StreamOptions, at shardRef, resume *Checkpoint) (res *StreamResult, err error) {
 	mVerifyRuns.Inc()
 	defer func(start time.Time) {
 		mVerifyLatency.Observe(time.Since(start))
@@ -183,10 +182,13 @@ func verifyStream(parent context.Context, r io.Reader, opts *StreamOptions, at s
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	// order bounds the in-flight window (read, not yet folded) at twice the
-	// workers, the one the scanner holds included. With the run being folded
-	// and the one whose last batch is held, that is 2×workers+2 blocks, the
-	// size of the pool they are recycled through.
-	m := &merger{opts: opts, at: at, led: led, stop: ctx.Done(), pool: make(runPool, 2*workers+2)}
+	// workers, the one the scanner hands on next included. With the one it
+	// reads into, the run being folded and the one whose last batch is held,
+	// that is 2×workers+3 runs, the size of the pool they are recycled
+	// through.
+	m := newMerger(opts, at, r, led, make(runPool, 2*workers+3))
+	m.stop = ctx.Done()
+	defer m.release()
 	work := make(chan *run, workers)
 	order := make(chan *run, 2*workers-1)
 
@@ -206,13 +208,13 @@ func verifyStream(parent context.Context, r io.Reader, opts *StreamOptions, at s
 			// exists only in the worker; SegmentInfo.Entries decodes the rest
 			// on demand.
 			core := chainVerifier{
-				opts: &opts.VerifyOptions, shard: at.k, sigs: m.led.base.batches, batch: sha256.New(),
+				opts: &opts.VerifyOptions, shard: at.k, batch: sha256.New(),
 				names: map[string]string{}, decode: opts.Unseal != nil,
 			}
 			for r := range work {
 				if ctx.Err() == nil && !skipVerify.Load() {
 					t0 := time.Now()
-					verifyRun(r, core)
+					verifyRun(r, &core, m.led.base.batches)
 					mVerifySegLatency.Observe(time.Since(t0))
 				}
 				r.done <- struct{}{}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -286,14 +287,14 @@ scan:
 
 // verifyEntries runs the in-thread driver over r as shard at and returns its
 // result with the entries it delivered to OnSegment.
-func verifyEntries(r io.Reader, opts VerifyOptions, at shardRef) (*StreamResult, []*Entry, error) {
+func verifyEntries(r logSource, opts VerifyOptions, at shardRef) (*StreamResult, []*Entry, error) {
 	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts})
 	res, err := verifyInline(r, &sopts, at)
 	return res, *entries, err
 }
 
 // streamEntries is verifyEntries on the pipeline, with the given workers.
-func streamEntries(r io.Reader, opts VerifyOptions, workers int, at shardRef) (*StreamResult, []*Entry, error) {
+func streamEntries(r logSource, opts VerifyOptions, workers int, at shardRef) (*StreamResult, []*Entry, error) {
 	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts, Workers: workers})
 	res, err := verifyStream(context.Background(), r, &sopts, at, nil)
 	return res, *entries, err
@@ -425,6 +426,13 @@ func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, e
 			if v.Seq() != uint64(len(ref.Entries)) || v.Counter() != ref.Counter ||
 				v.Batches() != ref.Batches || v.led.cur.maxBatch != ref.MaxBatch {
 				fail("seq=%d counter=%d batches=%d max_batch=%d", v.Seq(), v.Counter(), v.Batches(), v.led.cur.maxBatch)
+			}
+			tables := map[string]int{}
+			for _, e := range ref.Entries {
+				tables[e.Table]++
+			}
+			if !maps.Equal(v.Tables(), tables) {
+				fail("tables %v, the reference's entries %v", v.Tables(), tables)
 			}
 		case errors.Is(refErr, ErrTampered):
 			if err == nil && last.Offset >= int64(len(img)) && len(img) > 0 {

@@ -282,6 +282,8 @@ func (s *ShardedLog) recover(env *asyncall.Env, pub *ecdsa.PublicKey) error {
 		return verifyInline(bytes.NewReader(img), &sopts, at)
 	}
 	paths, sidecar, land := setImages(ss, sidecar, read, &opts, scan)
+	ms, parseErr := readManifests(sidecar, opts.RecoverTruncated)
+	attested := attestedStates(ms, ss.shards)
 	results := make([]*StreamResult, ss.shards)
 	sizes := make([]int64, ss.shards)
 	points := make([]*commitSet, ss.shards)
@@ -290,14 +292,13 @@ func (s *ShardedLog) recover(env *asyncall.Env, pub *ecdsa.PublicKey) error {
 		if err != nil {
 			return fmt.Errorf("audit: shard %d: %w", k, err)
 		}
-		points[k] = newCommitSet()
+		points[k] = newCommitSet(attested[k])
 		if results[k], err = scan(k, img, points[k].collect(sh.replay)); err != nil {
 			return fmt.Errorf("shard %d (%s): %w", k, filepath.Base(ss.shardPath(k)), err)
 		}
 		sizes[k] = int64(len(img))
 	}
-	ms, err := readManifests(sidecar, opts.RecoverTruncated)
-	rp := replayRecords(ss, ms, err, &opts)
+	rp := replayRecords(ss, ms, parseErr, &opts)
 	if err := rp.judge(ss, &opts, points, &Report{}); err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"io"
@@ -123,18 +122,7 @@ func VerifyPath(ctx context.Context, dir string, opts StreamOptions) (*Report, e
 		opts.ResumeAuto, opts.Checkpoint = false, nil
 	}
 	ms, parseErr := readManifests(sidecar, opts.RecoverTruncated)
-	claims := make([][]ShardState, ss.shards) // none: no shard resumes
-	if opts.ResumeAuto {
-		// What the sidecar attests of each shard, unverified: resume decides
-		// from it before the replay has checked a signature. A claim that does
-		// not verify fails the replay, so it vouches for nothing in a verdict
-		// that passes; nor does a sidecar that does not parse.
-		for _, m := range ms {
-			for k, st := range m.Shards[:min(len(m.Shards), ss.shards)] {
-				claims[k] = append(claims[k], st)
-			}
-		}
-	}
+	claims := attestedStates(ms, ss.shards)
 	totalWorkers := opts.Workers
 	if totalWorkers <= 0 {
 		totalWorkers = runtime.GOMAXPROCS(0)
@@ -183,23 +171,56 @@ func VerifyPath(ctx context.Context, dir string, opts StreamOptions) (*Report, e
 	return out, nil
 }
 
-// commitSet is one shard's verified commit points — the (entries, chain
-// head, counter) triples its signature records attest, the unit of the
-// manifest cross-check. It is filled by that shard's merger goroutine
-// (sequentially, in stream order: Seq never decreases) and read only after
-// the shard's verification returns.
-type commitSet struct {
-	base *ShardState  // a resumed scan's checkpoint; it and every state below its Seq are the shard's once vouched for
-	pts  []ShardState // every point scanned: from the empty log on — the creation manifest binds it — or from base
+// attestedStates is what the sidecar's records ms attest of each of a set's
+// shards, unverified. A scan keeps its commit points at those Seqs, the only
+// ones the replay asks about, and resume decides from them before the replay
+// has checked a signature: a state that does not verify fails the replay, so
+// it vouches for nothing in a verdict that passes; nor does a sidecar that
+// does not parse.
+func attestedStates(ms []*Manifest, shards int) [][]ShardState {
+	states := make([][]ShardState, shards)
+	for _, m := range ms {
+		for k, st := range m.Shards[:min(len(m.Shards), shards)] {
+			states[k] = append(states[k], st)
+		}
+	}
+	return states
 }
 
-func newCommitSet() *commitSet { return &commitSet{pts: []ShardState{{}}} }
+// commitSet is one shard's verified commit points — the (entries, chain
+// head, counter) triples its signature records attest, the unit of the
+// manifest cross-check — at the Seqs the set's sidecar attests states at:
+// the replay asks about no others. It is filled by that shard's merger
+// goroutine (sequentially, in stream order: Seq never decreases) and read
+// only after the shard's verification returns.
+type commitSet struct {
+	base *ShardState  // a resumed scan's checkpoint; it and every state below its Seq are the shard's once vouched for
+	pts  []ShardState // the points kept: from the empty log on — the creation manifest binds it — or from base
+	seqs []uint64     // the attested Seqs, ascending
+	next int          // seqs[next] is the first not below the last point scanned
+}
 
-// collect is an OnSegment that records each segment's commit point and then
-// hands it to inner, if any.
+// newCommitSet starts the commit set of a cold scan, to keep the points at
+// the Seqs of attested.
+func newCommitSet(attested []ShardState) *commitSet {
+	seqs := make([]uint64, 0, len(attested))
+	for _, st := range attested {
+		seqs = append(seqs, st.Seq)
+	}
+	slices.Sort(seqs)
+	return &commitSet{pts: []ShardState{{}}, seqs: slices.Compact(seqs)}
+}
+
+// collect is an OnSegment that keeps each segment's commit point if its Seq
+// is attested and then hands it to inner, if any.
 func (cs *commitSet) collect(inner func(SegmentInfo) error) func(SegmentInfo) error {
 	return func(si SegmentInfo) error {
-		cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
+		for cs.next < len(cs.seqs) && cs.seqs[cs.next] < si.EndSeq {
+			cs.next++
+		}
+		if cs.next < len(cs.seqs) && cs.seqs[cs.next] == si.EndSeq {
+			cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
+		}
 		if inner != nil {
 			return inner(si)
 		}
@@ -233,15 +254,16 @@ func shardWorkers(workers, shards, k int) int {
 }
 
 // verifyShard verifies the shard image at path with the pipeline and
-// returns its commit points. It is the one place resume is decided: the
-// scan starts from the image's checkpoint sidecar (<path>.ckpt) when claims
-// — the states the set's sidecar attests of this shard, unverified — could
-// vouch for it and the file authenticates it (resumeFrom). The replay's
-// membership check then holds the resume to its word: one of those claims
-// is at or past the checkpoint's Seq, and only the checkpoint itself or a
-// point the resumed scan reached can match it (DESIGN.md §14). A resumed
-// scan that fails with a verdict is verified again cold, so a failing
-// verdict is the cold one, and the shard is reported as not resumed.
+// returns its commit points at the Seqs of claims — the states the set's
+// sidecar attests of this shard, unverified. It is the one place resume is
+// decided: under ResumeAuto the scan starts from the image's checkpoint
+// sidecar (<path>.ckpt) when claims could vouch for it and the file
+// authenticates it (resumeFrom). The replay's membership check then holds
+// the resume to its word: one of those claims is at or past the checkpoint's
+// Seq, and only the checkpoint itself or a point the resumed scan reached
+// can match it (DESIGN.md §14). A resumed scan that fails with a verdict is
+// verified again cold, so a failing verdict is the cold one, and the shard
+// is reported as not resumed.
 func verifyShard(ctx context.Context, path string, opts StreamOptions, at shardRef, claims []ShardState) (*StreamResult, *commitSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -249,9 +271,9 @@ func verifyShard(ctx context.Context, path string, opts StreamOptions, at shardR
 	}
 	defer f.Close()
 	at.sidecar = path + ".ckpt"
-	cs := newCommitSet()
+	cs := newCommitSet(claims)
 	opts.OnSegment = cs.collect(opts.OnSegment)
-	if c := resumeFrom(f, at, opts.Pub, claims); c != nil {
+	if c := resumeFrom(f, at, &opts, claims); c != nil {
 		base := c.state()
 		cs.base, cs.pts = &base, nil
 		res, err := verifyStream(ctx, f, &opts, at, c)
@@ -261,19 +283,20 @@ func verifyShard(ctx context.Context, path string, opts StreamOptions, at shardR
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, nil, err
 		}
-		*cs = *newCommitSet()
+		*cs = *newCommitSet(claims)
 	}
 	res, err := verifyStream(ctx, f, &opts, at, nil)
 	return res, cs, err
 }
 
 // resumeFrom is the checkpoint shard at's scan of f resumes from, f left at
-// its offset, or nil for a cold scan: the sidecar at at.sidecar, if claims
-// could vouch for it — one attests its Seq or a later one, which the scan
-// must then reach, and none another state at its Seq, which only a cold
-// scan can place before or after it — and the file authenticates it.
-func resumeFrom(f *os.File, at shardRef, pub *ecdsa.PublicKey, claims []ShardState) *Checkpoint {
-	if len(claims) == 0 {
+// its offset, or nil for a cold scan: under ResumeAuto, the sidecar at
+// at.sidecar, if claims could vouch for it — one attests its Seq or a later
+// one, which the scan must then reach, and none another state at its Seq,
+// which only a cold scan can place before or after it — and the file
+// authenticates it.
+func resumeFrom(f *os.File, at shardRef, opts *StreamOptions, claims []ShardState) *Checkpoint {
+	if !opts.ResumeAuto || len(claims) == 0 {
 		return nil
 	}
 	c, err := LoadCheckpoint(at.sidecar)
@@ -287,7 +310,7 @@ func resumeFrom(f *os.File, at shardRef, pub *ecdsa.PublicKey, claims []ShardSta
 		}
 		ahead = ahead || st.Seq >= c.Seq
 	}
-	if !ahead || c.matchFile(f, pub) != nil {
+	if !ahead || c.matchFile(f, opts.Pub) != nil {
 		return nil
 	}
 	if _, err := f.Seek(c.Offset, io.SeekStart); err != nil {
@@ -345,7 +368,7 @@ func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), 
 		} else if img, err = read(path); err != nil {
 			return paths, sidecar, false
 		}
-		cs := newCommitSet()
+		cs := newCommitSet(ms[0].Shards[k : k+1])
 		if _, err := scan(k, img, cs.collect(nil)); err != nil || !cs.has(ms[0].Shards[k]) {
 			return paths, sidecar, false
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"io"
+	"sync"
 )
 
 // Run-wise log scanning. Every signature record is a commit point carrying
@@ -35,6 +36,7 @@ type run struct {
 	startSig   [32]byte // digest of the previous signature record's payload
 	data       []byte   // the records, aliasing block
 	block      []byte   // the scanner's block data was cut from, whole
+	sigAt      []int    // where in data each signature record's header lies, as the scanner framed them
 
 	// The verdict, up to the first record that failed.
 	batches []batch
@@ -47,22 +49,52 @@ type run struct {
 
 // runPool is a scan's free list of runs, each keeping its block, slices and
 // channel, as large as its in-flight window: the merger hands a run back once
-// nothing aliases its block (retire), the scanner reads into it again.
+// nothing aliases its block (retire), the scanner reads into it again. It is
+// stocked from idleRuns and hands its runs back there when the scan is over
+// (release), so that a scan allocates no block another has left idle.
 type runPool chan *run
 
+// idleRuns holds the runs of scans that are over, for the next: empty memory,
+// not a cache. A run is put there zeroed, its block and slices to their
+// capacity, so nothing one scan read, verified or decided — no byte, head or
+// verdict — reaches another; the scan saves the allocations, not the work.
+var idleRuns sync.Pool
+
 func (p runPool) get() *run {
+	var r *run
 	select {
-	case r := <-p:
-		return r
+	case r = <-p:
 	default:
-		return &run{done: make(chan struct{}, 1)}
+		if r, _ = idleRuns.Get().(*run); r == nil {
+			r = &run{done: make(chan struct{}, 1)}
+		}
 	}
+	r.sigAt = r.sigAt[:0]
+	return r
 }
 
 func (p runPool) put(r *run) {
 	select {
 	case p <- r:
 	default:
+	}
+}
+
+// release ends the scan's use of its runs, the pool's and last (if not nil):
+// each is zeroed and put in idleRuns. Nothing may alias their blocks any
+// more, and nothing else may use the pool.
+func (p runPool) release(last *run) {
+	if last != nil {
+		p.put(last)
+	}
+	for len(p) > 0 {
+		r := <-p
+		clear(r.block[:cap(r.block)])
+		clear(r.batches[:cap(r.batches)])
+		clear(r.spans[:cap(r.spans)])
+		clear(r.sigAt[:cap(r.sigAt)])
+		*r = run{block: r.block[:0], batches: r.batches[:0], spans: r.spans[:0], sigAt: r.sigAt[:0], done: r.done}
+		idleRuns.Put(r)
 	}
 }
 
@@ -107,6 +139,17 @@ type scanEnd struct {
 // shard in the errors. Runs come from pool.
 func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shard int, pool runPool, dispatch func(*run) bool) (end scanEnd) {
 	rr := recordReader{r: r, kind: &logStream, size: scanBlock, off: base.end}
+	// cur is the run the block being read will be handed with: the scanner
+	// reads into its block, or into a larger one when a batch outgrows it.
+	// handed: a run aliases the current block.
+	cur, handed := pool.get(), false
+	rr.spare = cur.block
+	defer func() {
+		if !handed {
+			cur.block = rr.buf // no run aliases it
+		}
+		pool.put(cur)
+	}()
 	if !resumed {
 		if err := rr.magic(); err != nil {
 			end.streamErr, end.badMagic = err, true
@@ -115,19 +158,20 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 	}
 	// next is where the next run starts, from its first byte in the block;
 	// sigEnd is just past the last signature record framed (lastSig its
-	// payload), seq counts the entries up to it and open those after it;
-	// handed: a run aliases the current block.
+	// payload), seq counts the entries up to it and open those after it.
 	next := run{start: rr.off, startSeq: base.seq, startChain: base.chain, startSig: base.sigSum}
-	from, sigEnd, seq, open, handed := rr.pos, rr.pos, base.seq, 0, false
+	from, sigEnd, seq, open := rr.pos, rr.pos, base.seq, 0
 	var lastSig []byte
 	flush := func(to int) bool {
-		r := pool.get()
-		if rr.spare == nil {
-			rr.spare = r.block
-		}
-		batches, spans, done := r.batches[:0], r.spans[:0], r.done
+		r := cur
+		batches, spans, sigAt, done := r.batches[:0], r.spans[:0], r.sigAt, r.done
 		*r = next
-		r.data, r.block, r.batches, r.spans, r.done, handed = rr.buf[from:to], rr.buf, batches, spans, done, true
+		r.data, r.block, r.batches, r.spans, r.sigAt, r.done, handed = rr.buf[from:to], rr.buf, batches, spans, sigAt, done, true
+		cur = pool.get()
+		if rr.spare != nil {
+			cur.block = rr.spare // a block no run aliases, left by a batch longer than a block
+		}
+		rr.spare = cur.block
 		// The next run starts from the head its predecessor's last signature
 		// record claims and must link to that record. If the record is too
 		// short to claim a head it fails to parse, and nothing after the
@@ -160,7 +204,8 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 				return end
 			}
 			old := rr.buf
-			if rr.fill(keep); !handed {
+			rr.fill(keep)
+			if cur.block = rr.buf; !handed {
 				rr.spare = old // no run aliases it
 			}
 			from, sigEnd, handed = 0, 0, false
@@ -173,6 +218,9 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 			end.totalSigs++
 			seq, open = seq+uint64(open), 0
 			sigEnd, lastSig = rr.pos, rec.payload
+			if dispatching {
+				cur.sigAt = append(cur.sigAt, int(rec.off-next.start))
+			}
 		default:
 			if end.unknownErr == nil {
 				end.unknownErr = logStream.unknownType(rec.typ).at(shard, rec.off, base.batches+end.totalSigs, open)
@@ -193,35 +241,50 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 }
 
 // verifyRun runs the core over one run from its claimed start: the expensive
-// half of verification, safe to run concurrently across runs. v carries what
-// the scan's runs share, with sigs the ordinal of the scan's first signature
-// record.
-func verifyRun(r *run, v chainVerifier) {
-	v.seq, v.chain, v.sigHead, v.sigs = r.startSeq, r.startChain, r.startSig, v.sigs+r.index
-	first, ent := 0, 0 // the open batch's first byte in data and first kept entry
-	for pos, off := 0, r.start; pos < len(r.data); {
-		// The scanner framed these bytes: whole entry and signature records.
-		typ, payload, size, _ := logStream.cut(r.data[pos:])
-		if typ == recEntry {
-			if r.err = v.entry(r.data[pos:pos+size], off); r.err != nil {
-				return
-			}
-		} else {
-			n := v.inBatch
-			counter, tables, err := v.sig(payload, off)
-			if err != nil {
-				r.err, r.atSig = err, true
-				return
-			}
-			r.spans = append(r.spans, tables...)
-			r.batches = append(r.batches, batch{
-				commitPoint: commitPoint{end: off + int64(size), chain: v.chain, counter: counter, sigOff: off, sigSum: v.sigHead},
-				raw:         r.data[first:pos], sig: payload, n: n,
-				entries: v.entries[ent:len(v.entries):len(v.entries)], tables: r.spans[len(r.spans)-len(tables):],
-			})
-			first, ent = pos+size, len(v.entries)
-		}
-		pos, off = pos+size, off+int64(size)
+// half of verification, safe to run concurrently across runs on cores of
+// their own. v is the worker's core; sigs is the ordinal of the scan's first
+// signature record. Each batch is hashed in one span, where it lies in the
+// block, and then its entry records are checked one by one, out of the cache
+// the hash filled.
+func verifyRun(r *run, v *chainVerifier, sigs int) {
+	v.seq, v.chain, v.sigHead, v.sigs = r.startSeq, r.startChain, r.startSig, sigs+r.index
+	v.inBatch, v.hashing, v.tables = 0, false, v.tables[:0]
+	if v.decode {
+		v.entries = nil // a run's batches keep theirs
 	}
+	pos, off := 0, r.start // the next record's place in data and in the stream
+	// walk checks the entry records from pos up to end; the scanner framed them.
+	walk := func(end int) error {
+		for pos < end {
+			_, _, size, _ := logStream.cut(r.data[pos:])
+			if err := v.entry(r.data[pos:pos+size], off); err != nil {
+				return err
+			}
+			pos, off = pos+size, off+int64(size)
+		}
+		return nil
+	}
+	for _, at := range r.sigAt {
+		first, ent := pos, len(v.entries)
+		v.span(r.data[first:at])
+		if r.err = walk(at); r.err != nil {
+			return
+		}
+		_, payload, size, _ := logStream.cut(r.data[at:])
+		n := v.inBatch
+		counter, tables, err := v.sig(payload, off)
+		if err != nil {
+			r.err, r.atSig = err, true
+			return
+		}
+		r.spans = append(r.spans, tables...)
+		r.batches = append(r.batches, batch{
+			commitPoint: commitPoint{end: off + int64(size), chain: v.chain, counter: counter, sigOff: off, sigSum: v.sigHead},
+			raw:         r.data[first:at], sig: payload, n: n,
+			entries: v.entries[ent:len(v.entries):len(v.entries)], tables: r.spans[len(r.spans)-len(tables):],
+		})
+		pos, off = at+size, off+int64(size)
+	}
+	r.err = walk(len(r.data))
 	r.open = v.inBatch
 }

@@ -46,10 +46,22 @@ func synthLog(t testing.TB, key *ecdsa.PrivateKey, n, batchMax int) []byte {
 // set driver wraps a shard's verdict in setErrPrefix.
 func synthSet(t testing.TB, key *ecdsa.PrivateKey, img []byte, attest ...ShardState) (dir, shard string) {
 	t.Helper()
+	states := make([][]ShardState, len(attest))
+	for i, st := range attest {
+		states[i] = []ShardState{st}
+	}
+	dir = synthShards(t, key, [][]byte{img}, states...)
+	return dir, filepath.Join(dir, ShardName("log", 0)+".lseal")
+}
+
+// synthShards is synthSet for a set of len(imgs) shards: imgs[k] is shard k's
+// image, and each element of attest is one manifest's states, one per shard.
+func synthShards(t testing.TB, key *ecdsa.PrivateKey, imgs [][]byte, attest ...[]ShardState) (dir string) {
+	t.Helper()
 	dir = t.TempDir()
 	side := bytes.NewBuffer(bytes.Clone(manifestMagic))
-	for i, st := range append([]ShardState{{}}, attest...) {
-		m := &Manifest{Epoch: uint64(i) + 1, Shards: []ShardState{st}}
+	for i, states := range append([][]ShardState{make([]ShardState, len(imgs))}, attest...) {
+		m := &Manifest{Epoch: uint64(i) + 1, Shards: states}
 		r, s, err := ecdsa.Sign(rand.Reader, key, manifestDigest("log", m))
 		if err != nil {
 			t.Fatal(err)
@@ -59,14 +71,15 @@ func synthSet(t testing.TB, key *ecdsa.PrivateKey, img []byte, attest ...ShardSt
 			t.Fatal(err)
 		}
 	}
-	shard = filepath.Join(dir, ShardName("log", 0)+".lseal")
 	if err := os.WriteFile(filepath.Join(dir, ManifestFileName("log")), side.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(shard, img, 0o644); err != nil {
-		t.Fatal(err)
+	for k, img := range imgs {
+		if err := os.WriteFile(filepath.Join(dir, ShardName("log", k)+".lseal"), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return dir, shard
+	return dir
 }
 
 const setErrPrefix = "shard 0 (log-shard0.lseal): "

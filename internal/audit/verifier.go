@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"maps"
 
 	"libseal/internal/enclave"
 )
@@ -136,25 +137,6 @@ func validSig(pub *ecdsa.PublicKey, payload []byte) bool {
 	return err == nil && enclave.VerifySignature(pub, sigDigest(rec.chain, rec.counter, rec.prev), rec.sig)
 }
 
-// firstInvalid is a point of judgment over sigs, signature records in stream
-// order that passed the hash checks and none of which is vouched for yet. It
-// ECDSA-checks the last, which vouches for the rest, and returns len(sigs);
-// if that one does not hold it runs the locate pass — the others, in order —
-// and returns the index of the first invalid one.
-func firstInvalid[T any](pub *ecdsa.PublicKey, sigs []T, payload func(T) []byte) int {
-	last := len(sigs) - 1
-	if validSig(pub, payload(sigs[last])) {
-		return len(sigs)
-	}
-	mVerifyLocates.Inc()
-	for i, s := range sigs[:last] {
-		if !validSig(pub, payload(s)) {
-			return i
-		}
-	}
-	return last
-}
-
 // chainVerifier is the record-level core: the position in the two hash chains
 // and the checks that advance it. It is strict — the first error is final —
 // and knows nothing of framing, commit points or verdicts; a driver seeds it
@@ -162,16 +144,17 @@ func firstInvalid[T any](pub *ecdsa.PublicKey, sigs []T, payload func(T) []byte)
 // it returns is a *VerifyError.
 //
 // Its checks are hash-only. ECDSA runs at the drivers' points of judgment
-// (firstInvalid), on the signature record about to be rested on, which
-// vouches for every record before it through prev and the chain head; where
-// it does not hold, the locate pass names the first invalid one (DESIGN.md
-// §13).
+// (firstInvalid), on the signature record about to be rested
+// on, which vouches for every record before it through prev and the chain
+// head; where it does not hold, the locate pass names the first invalid one
+// (DESIGN.md §13).
 type chainVerifier struct {
 	opts    *VerifyOptions    // Unseal; the rest is the verdict's business
 	shard   int               // names the shard in errors
 	seq     uint64            // sequence number the next entry must carry
 	chain   [32]byte          // chain head as of the last signature record
 	batch   hash.Hash         // the open batch's chain step: the head before it, then its entry records so far
+	hashing bool              // batch has the head before the open batch written into it
 	sigHead [32]byte          // digest of the last signature record, zero before a file's first
 	sigs    int               // ordinal of the next signature record, naming it in errors
 	inBatch int               // entries since the last signature record
@@ -187,15 +170,10 @@ func (v *chainVerifier) reject(off int64, record int, reason string) error {
 	return &VerifyError{Shard: v.shard, Offset: off, Batch: v.sigs, Record: record, Reason: reason}
 }
 
-// entry checks one entry record, header and payload as they lie: hashes it
-// into its batch (the verifier's one chain hashing site) and walks the
-// unsealed payload (walkEntry), building the entry only if the driver wants it.
+// entry checks one entry record, header and payload as they lie: walks the
+// unsealed payload (walkEntry), building the entry only if the driver wants
+// it. It hashes nothing: the driver feeds the record to span.
 func (v *chainVerifier) entry(rec []byte, off int64) error {
-	if v.inBatch == 0 {
-		v.batch.Reset()
-		v.batch.Write(v.chain[:])
-	}
-	v.batch.Write(rec)
 	raw := rec[5:]
 	if v.opts.Unseal != nil {
 		var err error
@@ -236,6 +214,24 @@ func (v *chainVerifier) entry(rec []byte, off int64) error {
 	return nil
 }
 
+// span feeds entry records of the open batch, as stored, into its chain
+// step: the verifier's one chain hashing site. A driver feeds every entry
+// record of the batch exactly once, in stream order, in spans of any length
+// — the run drivers the whole batch in one span at its signature record, the
+// chunk-fed driver each record as it arrives — and the step is the same
+// SHA-256(head ‖ records) either way.
+func (v *chainVerifier) span(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	if !v.hashing {
+		v.batch.Reset()
+		v.batch.Write(v.chain[:])
+		v.hashing = true
+	}
+	v.batch.Write(p)
+}
+
 // sig checks one signature record's payload against the head its batch takes
 // the chain to and the signature record before it, and closes the batch: it
 // returns the counter the record binds and the batch's entries by table, valid
@@ -243,8 +239,9 @@ func (v *chainVerifier) entry(rec []byte, off int64) error {
 // recovery that re-anchored on a rebuilt counter group), so rollback is judged
 // against the live group by the verdict, never record to record.
 func (v *chainVerifier) sig(payload []byte, off int64) (counter uint64, batch []tableSpan, err error) {
-	if v.inBatch > 0 {
+	if v.hashing {
 		v.batch.Sum(v.chain[:0])
+		v.hashing = false
 	}
 	rec, err := parseSig(payload)
 	switch {
@@ -286,7 +283,8 @@ type ledger struct {
 	resumed bool           // base came from a checkpoint
 	cur     totals         // base plus everything committed since
 	scanMax int            // largest batch this scan committed
-	tables  map[string]int // per-table entry counts under the last commit point
+	tables  map[string]int // per-table entry counts under the last commit point, but for open's
+	open    tableSpan      // the entries committed since tables was brought up to date, all of one table
 }
 
 // newLedger starts from checkpoint c, or from the empty log when c is nil
@@ -321,7 +319,11 @@ func newLedger(c *Checkpoint) (ledger, error) {
 func (l *ledger) commit(cp commitPoint, batch []tableSpan) {
 	n := 0
 	for _, s := range batch {
-		l.tables[s.table] += s.n
+		if s.table != l.open.table {
+			l.counts()
+			l.open.table = s.table
+		}
+		l.open.n += s.n
 		n += s.n
 	}
 	l.cur.commitPoint = cp
@@ -331,15 +333,23 @@ func (l *ledger) commit(cp commitPoint, batch []tableSpan) {
 	l.scanMax = max(l.scanMax, n)
 }
 
+// counts brings the per-table counts up to date and returns them: a log's
+// entries run in tables, so the map is touched once per run of one table, not
+// once per batch.
+func (l *ledger) counts() map[string]int {
+	if l.open.n > 0 {
+		l.tables[l.open.table] += l.open.n
+	}
+	l.open = tableSpan{}
+	return l.tables
+}
+
 // checkpoint snapshots the last commit point as resumable sidecar state. The
 // signature record's offset and payload hash bind it to this exact file;
 // resume refuses a log that was trimmed or swapped underneath it. The caller
 // must have ECDSA-checked that record: a checkpoint is a point of judgment.
 func (l *ledger) checkpoint(shard int) *Checkpoint {
-	tables := make(map[string]int, len(l.tables))
-	for t, n := range l.tables {
-		tables[t] = n
-	}
+	tables := maps.Clone(l.counts())
 	t := &l.cur
 	return &Checkpoint{
 		Version: checkpointVersion, Shard: shard,
@@ -356,7 +366,7 @@ func (l *ledger) result() *StreamResult {
 		Counter: l.cur.counter, CommittedBytes: l.cur.end, SigHead: l.cur.sigSum, Chain: l.cur.chain,
 		Batches: l.cur.batches - l.base.batches, MaxBatch: l.scanMax,
 		TotalEntries: int(l.cur.seq), TotalBatches: l.cur.batches, TotalMaxBatch: l.cur.maxBatch,
-		Tables: l.tables, Resumed: l.resumed,
+		Tables: l.counts(), Resumed: l.resumed,
 	}
 }
 
@@ -370,33 +380,26 @@ type shardRef struct {
 }
 
 // sigWindow bounds how many signature records a run driver folds between two
-// ECDSA checks, and with it what a locate pass must keep: a log of any length
-// verifies in bounded memory for one extra check per window.
+// ECDSA checks, and with it how far back a locate pass reads: a log of any
+// length verifies for one extra check per window.
 const sigWindow = 1 << 14
 
-// sigRef is a signature record folded but not yet vouched for.
-type sigRef struct {
-	off int64  // offset of its header
-	raw []byte // its payload, copied into merger.sigBytes so that the window pins no block
-}
-
-// sigCopies copies signature payloads into 64 KiB chunks, never regrown.
-type sigCopies []byte
-
-func (c *sigCopies) copy(p []byte) []byte {
-	if len(*c)+len(p) > cap(*c) {
-		*c = make([]byte, 0, max(64<<10, len(p)))
-	}
-	*c = append(*c, p...)
-	return (*c)[len(*c)-len(p) : len(*c) : len(*c)]
+// logSource is a shard's stream as the run drivers read it: in order, by the
+// scanner, and at an offset, by a locate pass reading back its window.
+// *os.File and *bytes.Reader are both.
+type logSource interface {
+	io.Reader
+	io.ReaderAt
 }
 
 // merger folds verified runs into the ledger batch by batch, in stream order,
 // for the two run drivers, runs the ECDSA checks at their points of judgment,
-// latches the first failure and gives the final verdict.
+// latches the first failure and gives the final verdict. What it keeps per
+// batch is counts; telemetry is published once per run.
 type merger struct {
 	opts *StreamOptions
 	at   shardRef
+	src  io.ReaderAt // the stream, for a locate pass
 	led  ledger
 	stop <-chan struct{} // closed when the scan is cancelled: nothing folds after; nil if it cannot be
 
@@ -409,11 +412,12 @@ type merger struct {
 	held *batch
 	pool runPool
 	prev *run // the last run folded, which held may alias
-	// unchecked are the signature records folded since the last ECDSA check,
-	// in stream order, ending with the one about to fold while it is judged:
-	// what a locate pass walks.
-	unchecked []sigRef
-	sigBytes  sigCopies
+	// unchecked counts the signature records folded since the last ECDSA
+	// check, the one about to fold while it is judged included; they lie in
+	// the stream from checked, just past the last record checked (or the
+	// scan's start), on. That window is what a locate pass reads back.
+	unchecked int
+	checked   int64
 
 	failed     error // first failure, in stream order: a *VerifyError
 	failedSigs int   // signature records of this scan up to and including the failing record
@@ -421,6 +425,14 @@ type merger struct {
 
 	ckptSegs  int
 	ckptBytes int64
+
+	segs, entries, bytes int64 // folded since telemetry was last published
+}
+
+// newMerger starts a merger of shard at's stream src from the ledger's base,
+// recycling the runs it retires through pool.
+func newMerger(opts *StreamOptions, at shardRef, src io.ReaderAt, led ledger, pool runPool) *merger {
+	return &merger{opts: opts, at: at, src: src, led: led, pool: pool, checked: led.base.end}
 }
 
 // fold merges one run's verdict: its batches one by one, then the failure or
@@ -463,12 +475,30 @@ func (m *merger) fold(r *run) bool {
 }
 
 // retire follows a clean fold of r and hands the run before it back to the
-// pool: its held batch is settled, so nothing reads its block again.
+// pool: its held batch is settled, so nothing reads its block again. The
+// run's folds are published.
 func (m *merger) retire(r *run) {
 	if m.prev != nil {
 		m.pool.put(m.prev)
 	}
 	m.prev = r
+	m.publish()
+}
+
+// publish adds what was folded since it last ran to the telemetry.
+func (m *merger) publish() {
+	mVerifySegments.Add(m.segs)
+	mVerifyEntries.Add(m.entries)
+	mVerifyBytes.Add(m.bytes)
+	m.segs, m.entries, m.bytes = 0, 0, 0
+}
+
+// release ends the scan, once its verdict is in: the folds not yet published
+// are, and every run goes back to idleRuns.
+func (m *merger) release() {
+	m.publish()
+	m.pool.release(m.prev)
+	m.prev, m.held = nil, nil
 }
 
 // settle folds the held batch, if any, into the ledger. Its signature is
@@ -484,13 +514,12 @@ func (m *merger) settle(last bool) bool {
 	payloadBytes := int64(len(b.raw) - 5*b.n) // for telemetry and the checkpoint cadence
 	cfg := m.opts.Checkpoint
 	save := cfg != nil && m.at.sidecar != "" && m.checkpointDue(cfg, payloadBytes)
-	m.unchecked = append(m.unchecked, sigRef{off: b.sigOff, raw: m.sigBytes.copy(b.sig)})
-	if (last || save || len(m.unchecked) > sigWindow) && !m.judge() {
+	if m.unchecked++; (last || save || m.unchecked > sigWindow) && !m.judge(b) {
 		return false
 	}
-	mVerifySegments.Inc()
-	mVerifyEntries.Add(int64(b.n))
-	mVerifyBytes.Add(payloadBytes)
+	m.segs++
+	m.entries += int64(b.n)
+	m.bytes += payloadBytes
 	m.led.commit(b.commitPoint, b.tables)
 	if m.opts.OnSegment != nil {
 		if err := m.opts.OnSegment(SegmentInfo{
@@ -530,21 +559,67 @@ func (m *merger) checkpointDue(cfg *CheckpointConfig, bytes int64) bool {
 	return true
 }
 
-// judge is the merger's point of judgment, with the batch about to fold last
-// in unchecked. When the locate pass finds an invalid record, everything
-// folded before that one has been checked in its own right.
-func (m *merger) judge() bool {
-	bad := firstInvalid(m.opts.Pub, m.unchecked, func(s sigRef) []byte { return s.raw })
-	if bad == len(m.unchecked) {
-		m.unchecked, m.sigBytes = m.unchecked[:0], m.sigBytes[:0]
+// judge is the merger's point of judgment at b, the batch about to fold,
+// whose signature record closes the unchecked window. The locate pass reads
+// the window back from the stream, from where the last checked record ended.
+// b's own record is the failure when every record before it holds, as it is
+// when the stream no longer reads back as it scanned: the verdict is a
+// rejection either way.
+func (m *merger) judge(b *batch) bool {
+	n := m.unchecked
+	var rr *recordReader
+	var off int64
+	bad := firstInvalid(m.opts.Pub, n, b.sig, func() ([]byte, bool) {
+		if rr == nil {
+			rr = &recordReader{r: io.NewSectionReader(m.src, m.checked, b.sigOff-m.checked), kind: &logStream, off: m.checked}
+		}
+		for {
+			rec, err := rr.next()
+			if err != nil {
+				return nil, false
+			}
+			if rec.typ == recSig {
+				off = rec.off
+				return rec.payload, true
+			}
+		}
+	})
+	if bad == n {
+		m.unchecked, m.checked = 0, b.end
 		return true
 	}
-	// The last unchecked record is the next to fold: ordinal cur.batches.
-	ordinal := m.led.cur.batches - (len(m.unchecked) - 1) + bad
-	m.failed = &VerifyError{Shard: m.at.k, Offset: m.unchecked[bad].off, Batch: ordinal, Record: -1, Reason: "signature invalid"}
+	if bad == n-1 {
+		off = b.sigOff
+	}
+	// b's record is the next to fold: ordinal cur.batches.
+	ordinal := m.led.cur.batches - (n - 1) + bad
+	m.failed = &VerifyError{Shard: m.at.k, Offset: off, Batch: ordinal, Record: -1, Reason: "signature invalid"}
 	m.failedSigs = ordinal - m.led.base.batches + 1
-	m.unchecked = nil
+	m.unchecked = 0
 	return false
+}
+
+// firstInvalid is a driver's point of judgment over the n signature records
+// not yet vouched for, all of which passed the hash checks, last the payload
+// of the final one. It ECDSA-checks last, which vouches for the rest, and
+// returns n. If that does not hold it runs the locate pass — next yields the
+// others' payloads in stream order — and returns the index of the first
+// invalid one, or n-1 when they all hold or next runs dry.
+func firstInvalid(pub *ecdsa.PublicKey, n int, last []byte, next func() ([]byte, bool)) int {
+	if validSig(pub, last) {
+		return n
+	}
+	mVerifyLocates.Inc()
+	for i := 0; i < n-1; i++ {
+		p, ok := next()
+		if !ok {
+			break
+		}
+		if !validSig(pub, p) {
+			return i
+		}
+	}
+	return n - 1
 }
 
 // finish is the end-of-stream verdict, in order of precedence: bad magic, and
@@ -597,15 +672,17 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 // verifyStream does. Recovery runs it inside an enclave call, whose Unseal is
 // bound to that call. Its callers read the entries, so the core builds them
 // as it walks them, and SegmentInfo.Entries decodes nothing twice.
-func verifyInline(r io.Reader, opts *StreamOptions, at shardRef) (*StreamResult, error) {
+func verifyInline(r logSource, opts *StreamOptions, at shardRef) (*StreamResult, error) {
 	led, _ := newLedger(nil) // from the empty log: cannot fail
-	// Two runs in flight: the one folding, the one whose batch is held.
-	m := merger{opts: opts, at: at, led: led, pool: make(runPool, 2)}
+	// Three runs in flight: the one being read, the one folding and the one
+	// whose batch is held.
+	m := newMerger(opts, at, r, led, make(runPool, 3))
+	defer m.release()
 	core := chainVerifier{opts: &opts.VerifyOptions, shard: at.k, batch: sha256.New(), names: map[string]string{}, decode: true}
 	// Nothing runs concurrently, so there is nothing for a context to stop.
 	end := scanRuns(context.Background(), r, &m.led.base, false, at.k, m.pool, func(r *run) bool {
 		if m.failed == nil {
-			if verifyRun(r, core); m.fold(r) {
+			if verifyRun(r, &core, 0); m.fold(r) {
 				m.retire(r)
 			}
 		}
