@@ -26,11 +26,13 @@ soak:
 # through repeated server-side link drops plus the facade resume-across-
 # restart path, under -race. The mirror must reconnect, resume from its
 # checkpoint without cold rescans, and end in full agreement with the
-# offline verifier.
+# offline verifier. Then the set-rule table: every frame interleaving of a
+# compaction, and the adversarial ones, judged as VerifyPath judges the files.
 mirror-soak:
 	$(GO) test -race -count=3 -run 'TestChaosMirrorLinkDrops|TestMirrorFacadeResumeAcrossRestart' -v .
 	$(GO) test -race -count=1 -run 'TestMirror|TestFeed' ./internal/audit/mirror/
 	$(GO) test -race -count=20 -run 'TestIncremental|TestMirror.*Commit' ./internal/audit/ ./internal/audit/mirror/
+	$(GO) test -race -count=20 -run 'TestMirrorSetRule|TestMirror.*RestartBefore' ./internal/audit/mirror/
 
 # Every experiment of cmd/libseal-bench — the paper's tables and figures and
 # the four post-paper sweeps — at the quick budgets, printed as tables
@@ -65,16 +67,23 @@ bench-e2e-smoke:
 # its own; the in-place parser against the frozen bufio one, with the
 # frame-only walk against the building one; the slice-backed Header against
 # the frozen map-based one) and the SQL engine (arbitrary scripts: no panic,
-# no change on a parse error) — the same smoke CI runs. Seed corpora live
-# under testdata/fuzz.
+# no change on a parse error) and the live mirror's frame stream (through its
+# own session; no more entries verified than VerifyPath accepts of the files
+# the frames describe) — the same smoke CI runs. Seed corpora live under
+# testdata/fuzz, or are built from the mirror's set-rule table. A new input is
+# minimised for at most a second, or the first one found would take the rest
+# of the 20 s; each run's last progress line gives its execs.
+FUZZ = -run=^$$ -fuzztime=20s -fuzzminimizetime=1s
+
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzVerifyReader -fuzztime=20s ./internal/audit/
-	$(GO) test -run=^$$ -fuzz=FuzzCodecRoundTrip -fuzztime=20s ./internal/audit/
-	$(GO) test -run=^$$ -fuzz=FuzzEntryWalk -fuzztime=20s ./internal/audit/
-	$(GO) test -run=^$$ -fuzz=FuzzHTTPParse -fuzztime=20s ./internal/httpparse/
-	$(GO) test -run=^$$ -fuzz=FuzzConsumeDifferential -fuzztime=20s ./internal/httpparse/
-	$(GO) test -run=^$$ -fuzz=FuzzHeaderDifferential -fuzztime=20s ./internal/httpparse/
-	$(GO) test -run=^$$ -fuzz=FuzzParseExec -fuzztime=20s ./internal/sqldb/
+	$(GO) test $(FUZZ) -fuzz=FuzzVerifyReader ./internal/audit/
+	$(GO) test $(FUZZ) -fuzz=FuzzCodecRoundTrip ./internal/audit/
+	$(GO) test $(FUZZ) -fuzz=FuzzEntryWalk ./internal/audit/
+	$(GO) test $(FUZZ) -fuzz=FuzzHTTPParse ./internal/httpparse/
+	$(GO) test $(FUZZ) -fuzz=FuzzConsumeDifferential ./internal/httpparse/
+	$(GO) test $(FUZZ) -fuzz=FuzzHeaderDifferential ./internal/httpparse/
+	$(GO) test $(FUZZ) -fuzz=FuzzParseExec ./internal/sqldb/
+	$(GO) test $(FUZZ) -fuzz=FuzzMirrorFeed ./internal/audit/mirror/
 
 # The product surface (ROADMAP item 5): which functions of each package are
 # reached by something outside that package. Coverage comes from every
@@ -129,7 +138,7 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 # periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
 # a readiness probe failing (HealthUnhealthy, Unhealthy); a file the verifier
 # cannot frame (unknownType, errOversized); the mirror's reconnect backoff and
-# stream restart (backoffMax, sleepCtx, restartPayload); a deployment failing
+# backoff (backoffMax, sleepCtx); a deployment failing
 # half-built (bench fail); an enclave torn down under its callers (Destroy);
 # a hostile header of more than 16 out-of-order fields (groupSorted) and a
 # chunked body read from a stream (copyTo); the chaos harness's fault seams
@@ -137,7 +146,7 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter libseal:HealthUnhealthy \
 	internal/resilience:Unhealthy internal/audit:unknownType internal/audit:errOversized \
 	internal/audit/mirror:backoffMax internal/audit/mirror:sleepCtx \
-	internal/audit/mirror:restartPayload internal/bench:fail internal/enclave:Destroy \
+	internal/bench:fail internal/enclave:Destroy \
 	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
 	internal/faultinject:SlowNode internal/faultinject:DropLink internal/faultinject:ResetLink \
 	internal/faultinject:AmnesicRestart internal/rote:SetByzantine libseal:WithFaultInjector

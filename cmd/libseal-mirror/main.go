@@ -39,7 +39,7 @@ func main() {
 	pubPath := flag.String("pub", "", "path to the enclave's PEM public key (enclave.pub) — the mirror's only trust anchor")
 	ckptPath := flag.String("checkpoint", "", "resume checkpoint sidecar (empty = cold-verify on every start)")
 	maxLag := flag.Int64("max-lag", 0, "bytes the mirror may fall behind before raising ErrMirrorLagging (0 = unbounded)")
-	restartGrace := flag.Duration("restart-grace", 10*time.Second, "how long a restarted stream may run below the verified counter floor before it counts as a rollback")
+	restartGrace := flag.Duration("restart-grace", 10*time.Second, "how long a restarted shard stream (a reconnect's or a compaction's) may run without regaining the highest counter the mirror verified on the shard before it counts as a rollback")
 	statusEvery := flag.Duration("status-every", 30*time.Second, "status line cadence (0 = quiet)")
 	flag.Parse()
 	if *addr == "" || *pubPath == "" {

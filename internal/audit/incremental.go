@@ -18,8 +18,8 @@ import (
 // verified signature record — a durable commit point — through a callback.
 // It has no end-of-stream verdict, and freshness against a live counter
 // quorum is deliberately out of scope: a mirror holds only the enclave's
-// public key, so rollback is judged by continuity (see internal/audit/mirror)
-// and by manifest replay via ManifestReplayer.
+// public key, so rollback is judged by the set rule on what it holds
+// (LiveSet) and by continuity (see internal/audit/mirror).
 //
 // Its point of judgment is the end of each Feed: the last signature record
 // the feed completed is ECDSA-checked, which vouches for every record before
@@ -226,15 +226,13 @@ func (v *IncrementalVerifier) Checkpoint(shard int) *Checkpoint {
 	return v.led.checkpoint(shard)
 }
 
-// ManifestReplayer applies the per-manifest checks of replayManifests — the
-// shard count, strictly increasing epochs, non-decreasing manifest counter
-// and the enclave signature — one manifest at a time, so a live mirror can
-// replay the sidecar stream incrementally with the same semantics as the
-// offline sharded verifier. Commit-point membership (does each attested
+// manifestReplayer applies the per-manifest checks — the shard count,
+// strictly increasing epochs, non-decreasing manifest counter and the
+// enclave signature — one manifest at a time, for the offline replay
+// (replayRecords) and the live one (LiveSet) alike. Commit-point membership (does each attested
 // shard state exist in the shard's verified history?) stays with the caller:
-// offline it is a set lookup, live it is deferred until the shard stream
-// catches up.
-type ManifestReplayer struct {
+// commitSet offline, LiveSet live.
+type manifestReplayer struct {
 	// Name is the log-set name bound into each manifest's digest.
 	Name string
 	// Pub verifies manifest signatures; nil skips the ECDSA check (the
@@ -253,13 +251,12 @@ type ManifestReplayer struct {
 // its checkpoint, or re-reading a rewritten sidecar — so the next manifest
 // must strictly advance the epoch past it. Without seeding, the first
 // manifest's epoch is accepted as-is, matching the offline replay.
-func (r *ManifestReplayer) Seed(epoch, counter uint64) {
+func (r *manifestReplayer) Seed(epoch, counter uint64) {
 	r.epoch, r.counter, r.seeded = epoch, counter, true
 }
 
-// Verify checks one manifest and advances the replayer's floor. The error
-// messages and semantics match the offline replayManifests record checks.
-func (r *ManifestReplayer) Verify(m *Manifest) error {
+// Verify checks one manifest and advances the replayer's floor.
+func (r *manifestReplayer) Verify(m *Manifest) error {
 	if r.Shards > 0 && len(m.Shards) != r.Shards {
 		return fmt.Errorf("%w: manifest %d attests %d shards, set has %d", ErrTampered, r.n, len(m.Shards), r.Shards)
 	}
@@ -278,14 +275,14 @@ func (r *ManifestReplayer) Verify(m *Manifest) error {
 }
 
 // Epoch and Counter report the replayer's current epoch/counter floor.
-func (r *ManifestReplayer) Epoch() uint64   { return r.epoch }
-func (r *ManifestReplayer) Counter() uint64 { return r.counter }
+func (r *manifestReplayer) Epoch() uint64   { return r.epoch }
+func (r *manifestReplayer) Counter() uint64 { return r.counter }
 
 // IncrementalManifestReader reassembles manifest records from a sidecar
 // byte stream fed in arbitrary chunks — the manifest counterpart of
 // IncrementalVerifier's framing. Each complete record is parsed and handed
 // to the callback; semantic validation is the callback's job (typically a
-// ManifestReplayer). Latching, like IncrementalVerifier.
+// manifestReplayer). Latching, like IncrementalVerifier.
 type IncrementalManifestReader struct {
 	onManifest func(*Manifest) error
 
@@ -294,9 +291,9 @@ type IncrementalManifestReader struct {
 	lastRecHash string
 }
 
-// NewIncrementalManifestReader builds a chunk-feed sidecar reader starting
+// newIncrementalManifestReader builds a chunk-feed sidecar reader starting
 // at the file head (magic expected first).
-func NewIncrementalManifestReader(onManifest func(*Manifest) error) *IncrementalManifestReader {
+func newIncrementalManifestReader(onManifest func(*Manifest) error) *IncrementalManifestReader {
 	r := &IncrementalManifestReader{onManifest: onManifest}
 	r.in.kind = &manifestStream
 	return r

@@ -225,17 +225,18 @@ type subscriber struct {
 	frames chan frame
 	done   chan struct{} // closed by writeLoop on exit
 
-	// pump state: one lane per persisted file, in ShardedLog.Files order.
+	// pump state: one lane per persisted file, in ShardedLog.Files order, and
+	// the set generation (ShardedLog.Generation) the lanes' positions are in.
 	lanes []lane
+	gen   uint64
 }
 
 // lane is the subscriber's position in one of the set's files.
 type lane struct {
-	view audit.FileView
-	id   int // shard ordinal, or manifestShard for the sidecar
-	pos  int64
-	gen  uint64
-	file *os.File
+	view     audit.FileView
+	manifest bool // the sidecar; else the shard of the lane's index
+	pos      int64
+	file     *os.File
 }
 
 // newLanes builds a cold lane per persisted file of the set: its shards, then
@@ -244,9 +245,8 @@ func newLanes(log *audit.ShardedLog) []lane {
 	views := log.Files()
 	lanes := make([]lane, len(views))
 	for i, v := range views {
-		lanes[i] = lane{view: v, id: i}
+		lanes[i] = lane{view: v, manifest: i == len(views)-1}
 	}
-	lanes[len(views)-1].id = manifestShard
 	return lanes
 }
 
@@ -280,7 +280,7 @@ func (ln *lane) proof(recOff, offset int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ln.id == manifestShard {
+	if ln.manifest {
 		return audit.ManifestRecordProof(f, recOff, offset)
 	}
 	return audit.SigProof(f, recOff, offset)
@@ -342,13 +342,12 @@ func (s *subscriber) pumpLoop() {
 	defer ticker.Stop()
 	for {
 		caught, err := s.pumpOnce()
+		if caught {
+			err = s.sendTail()
+		} else if err == nil && s.feed.cfg.Log.Generation()%2 == 0 {
+			continue // a read raced a land that has settled: restart now
+		}
 		if err != nil {
-			return
-		}
-		if !caught {
-			continue
-		}
-		if err := s.sendTail(); err != nil {
 			return
 		}
 		select {
@@ -380,72 +379,71 @@ func (s *subscriber) handshake() error {
 	for range hello.Shards {
 		ack.Shards = append(ack.Shards, shardAck{})
 	}
+	// The proofs are served in the set generation before any land in flight
+	// (a land that fails before its first rename restores it): one that
+	// replaces the files is the first pump round's set restart.
+	s.gen = log.Generation() &^ 1
 	for i := range s.lanes {
 		ln := &s.lanes[i]
-		// Snapshot the generation BEFORE serving the proof: if a trim
-		// lands between proof and streaming, the pump's generation check
-		// catches it and restarts the lane.
-		ln.gen = ln.view.Generation()
 		var recOff, offset int64
 		switch {
-		case ln.id == manifestShard:
+		case ln.manifest:
 			if hello.Manifest != nil {
 				recOff, offset = hello.Manifest.RecOff, hello.Manifest.Offset
 			}
-		case ln.id < len(hello.Shards):
-			recOff, offset = hello.Shards[ln.id].SigOffset, hello.Shards[ln.id].Offset
+		case i < len(hello.Shards):
+			recOff, offset = hello.Shards[i].SigOffset, hello.Shards[i].Offset
 		}
 		if offset == 0 {
 			continue // cold start for this lane
 		}
 		proof, err := ln.proof(recOff, offset)
-		if err != nil || ln.view.Generation() != ln.gen || ln.gen%2 == 1 {
+		if err != nil {
 			continue // ack stays !Ok → cold start for this lane
 		}
 		ln.pos = offset
-		if ln.id == manifestShard {
+		if ln.manifest {
 			ack.ManifestOk, ack.ManifestProof = true, proof
 		} else {
-			ack.Shards[ln.id] = shardAck{Ok: true, Proof: proof}
+			ack.Shards[i] = shardAck{Ok: true, Proof: proof}
 		}
 	}
 	return s.send(frameAck, marshalJSONFrame(ack))
 }
 
-// pumpOnce advances every lane as far as currently committed. It reports
-// whether the subscriber is fully caught up (so the pump can block on the
-// next wakeup).
+// pumpOnce advances every lane as far as currently committed, the set
+// generation bracketing every read: if a compaction replaced the set's files,
+// the subscriber gets one set-restart frame and then every lane from zero —
+// a chunk that raced the land is discarded, never sent. It reports whether
+// the subscriber is fully caught up (so the pump can block on the next
+// wakeup).
 func (s *subscriber) pumpOnce() (caught bool, err error) {
-	caught = true
-	for i := range s.lanes {
-		c, err := s.pumpLane(&s.lanes[i])
-		if err != nil {
+	g := s.feed.cfg.Log.Generation()
+	if g%2 == 1 {
+		return false, nil // a land in flight: wait for it to settle
+	}
+	if g != s.gen {
+		s.gen = g
+		for i := range s.lanes {
+			s.lanes[i].pos = 0
+			s.lanes[i].close()
+		}
+		mFeedRestarts.Inc()
+		if err := s.send(frameSetRestart, nil); err != nil {
 			return false, err
 		}
-		caught = caught && c
 	}
-	return caught, nil
+	for i := range s.lanes {
+		if c, err := s.pumpLane(i, &s.lanes[i]); err != nil || !c {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
-// pumpLane streams one file's committed bytes from the subscriber's
-// position. The generation seqlock (audit.FileView) brackets every read: if
-// a trim rewrite replaced the file, the subscriber gets a restart frame and
-// re-streams from zero — the chunk that raced the rewrite is discarded,
-// never sent.
-func (s *subscriber) pumpLane(ln *lane) (caught bool, err error) {
-	g := ln.view.Generation()
-	if g%2 == 1 {
-		return false, nil // mid-rewrite; retry next round
-	}
-	if g != ln.gen {
-		ln.gen = g
-		ln.pos = 0
-		ln.close()
-		mFeedRestarts.Inc()
-		if err := s.send(frameRestart, restartPayload(ln.id)); err != nil {
-			return false, err
-		}
-	}
+// pumpLane streams one file's committed bytes from the subscriber's position,
+// in set generation s.gen.
+func (s *subscriber) pumpLane(k int, ln *lane) (caught bool, err error) {
 	target := ln.view.CommittedSize()
 	for ln.pos < target {
 		f, err := ln.open()
@@ -465,19 +463,17 @@ func (s *subscriber) pumpLane(ln *lane) (caught bool, err error) {
 		}
 		n := min(int64(s.feed.cfg.chunk()), target-ln.pos)
 		chunk := make([]byte, n)
-		if _, err := f.ReadAt(chunk, ln.pos); err != nil {
-			if ln.view.Generation() != ln.gen {
-				return false, nil // replaced under us; restart next round
-			}
+		_, err = f.ReadAt(chunk, ln.pos)
+		if s.feed.cfg.Log.Generation() != s.gen {
+			return false, nil // the chunk may span a land; restart next round
+		}
+		if err != nil {
 			return false, err
 		}
-		if ln.view.Generation() != ln.gen {
-			return false, nil // chunk may span the rewrite; discard it
-		}
-		if ln.id == manifestShard {
+		if ln.manifest {
 			err = s.send(frameManifest, chunk)
 		} else {
-			err = s.send(frameData, dataPayload(ln.id, chunk))
+			err = s.send(frameData, dataPayload(k, chunk))
 		}
 		if err != nil {
 			return false, err
@@ -487,16 +483,19 @@ func (s *subscriber) pumpLane(ln *lane) (caught bool, err error) {
 	return true, nil
 }
 
-// sendTail reports the committed sizes the subscriber has now reached.
+// sendTail reports the committed sizes the subscriber has now reached, unless
+// a land changed the files since they were streamed.
 func (s *subscriber) sendTail() error {
 	var t tailMsg
-	for i := range s.lanes {
-		size := s.lanes[i].view.CommittedSize()
-		if s.lanes[i].id == manifestShard {
-			t.Manifest = size
+	for _, ln := range s.lanes {
+		if ln.manifest {
+			t.Manifest = ln.view.CommittedSize()
 		} else {
-			t.Shards = append(t.Shards, size)
+			t.Shards = append(t.Shards, ln.view.CommittedSize())
 		}
+	}
+	if s.feed.cfg.Log.Generation() != s.gen {
+		return nil
 	}
 	return s.send(frameTail, marshalJSONFrame(t))
 }

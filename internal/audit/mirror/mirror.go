@@ -36,9 +36,6 @@ const (
 	defaultRestartGrace    = 10 * time.Second
 	defaultCheckpointEvery = 1 * time.Second
 	checkTick              = 100 * time.Millisecond
-	// commitWindow is how many recent commit points per shard the mirror
-	// remembers for manifest membership checks.
-	commitWindow = 1024
 )
 
 // Config describes a mirror session.
@@ -78,10 +75,11 @@ type Config struct {
 	// has caught up once, reported lag beyond this raises
 	// ErrMirrorLagging.
 	MaxLag int64
-	// RestartGrace bounds how long a restarted stream may run without
-	// re-attaining the mirror's verified counter floor (default 10s): an
-	// honest trim re-signs with current counters almost immediately, so a
-	// stream that stays below the floor is serving a rolled-back file.
+	// RestartGrace bounds how long a restarted shard stream may run without
+	// regaining the highest counter the mirror verified on the shard (default
+	// 10s): an honest compaction re-signs at fresh counters in its first
+	// commit point, so a stream that stays below the floor is serving a
+	// rolled-back file the feed may never let it catch up with.
 	RestartGrace time.Duration
 	// CheckpointEvery is the minimum interval between sidecar writes
 	// (default 1s).
@@ -123,29 +121,6 @@ func (c *Config) checkpointEvery() time.Duration {
 	return c.CheckpointEvery
 }
 
-// commitPt is one remembered commit point for manifest membership checks.
-type commitPt struct {
-	chain   [32]byte
-	counter uint64
-}
-
-// obligation is a manifest attestation the shard stream has not yet caught
-// up to: the attested state must appear at that sequence once it does. One
-// that awaits a restart was made by a rewritten sidecar before the shard's
-// stream restarted onto its rewritten file (compaction renames the shards'
-// files first, but their restart frames can reach the mirror after the
-// sidecar's): the stream it is judged against may be the one the rewrite
-// replaced, so a disagreement is held in mismatch, not reported, until the
-// shard restarts or its staleness lapses.
-type obligation struct {
-	seq          uint64
-	st           audit.ShardState
-	epoch        uint64
-	deadline     time.Time
-	awaitRestart bool
-	mismatch     error
-}
-
 // shardState is the mirror's per-shard memory; it outlives sessions.
 type shardState struct {
 	// ckpt is the last verified commit point, the resume claim for the
@@ -158,22 +133,11 @@ type shardState struct {
 	needCounter uint64
 	needSince   time.Time
 
-	// Session-scoped verification state.
+	// The stream of this session or set restart (m.set's shard stream).
 	v          *audit.IncrementalVerifier
-	baseSeq    uint64
 	serverSize int64
 	sized      bool
-	commits    map[uint64]commitPt
-	order      []uint64
-	pending    []obligation
 	resumed    bool
-	// A compaction restarts the sidecar's stream and the shards', in
-	// whichever order the feed delivers them. staleUntil, when set, is when
-	// the wait for this shard's restart after the sidecar's lapses;
-	// restartedAt, when set, is a shard restart still to be paired with the
-	// sidecar's.
-	staleUntil  time.Time
-	restartedAt time.Time
 }
 
 // manifestMem is the mirror's sidecar memory. seeded: a manifest has been
@@ -203,7 +167,7 @@ type Mirror struct {
 	shards      []*shardState
 	mem         manifestMem
 	msize       int64
-	replayer    *audit.ManifestReplayer
+	set         *audit.LiveSet
 	mreader     *audit.IncrementalManifestReader
 	lag         int64
 	everCaught  bool
@@ -250,7 +214,7 @@ func Start(ctx context.Context, cfg Config) (*Mirror, error) {
 func (m *Mirror) adoptState(st *state) {
 	m.shards = make([]*shardState, len(st.Shards))
 	for k := range st.Shards {
-		sh := &shardState{ckpt: st.Shards[k], commits: make(map[uint64]commitPt)}
+		sh := &shardState{ckpt: st.Shards[k]}
 		if k < len(st.MaxCounter) {
 			sh.maxCounter = st.MaxCounter[k]
 		}
@@ -300,16 +264,10 @@ func (m *Mirror) Report() *audit.Report {
 		Manifests: m.mem.count, Epoch: m.mem.epoch, Tables: make(map[string]int),
 	}
 	for _, sh := range m.shards {
-		if sh.v == nil {
-			continue
-		}
-		r.TotalEntries += int(sh.v.Seq())
-		r.TotalBatches += sh.v.Batches()
-		r.CommittedBytes += sh.v.Offset()
 		r.Resumed = r.Resumed || sh.resumed
-		for t, n := range sh.v.Tables() {
-			r.Tables[t] += n
-		}
+	}
+	if m.set != nil {
+		m.set.Report(r)
 	}
 	return r
 }
@@ -398,41 +356,27 @@ func (m *Mirror) session(ctx context.Context, conn net.Conn) bool {
 	m.connected = true
 	m.established = time.Now()
 	m.sessions++
-	// A reconnect restores obligations whose clocks ran while the link was
-	// down; their deadlines measure connected time, so extend them.
-	grace := m.cfg.restartGrace()
-	floor := time.Now().Add(grace)
-	for _, sh := range m.shards {
-		for i := range sh.pending {
-			if sh.pending[i].deadline.Before(floor) {
-				sh.pending[i].deadline = floor
-			}
-		}
-	}
 	m.mu.Unlock()
 
+	// The reader hands on every frame the link delivered, then its error.
 	type recvFrame struct {
 		typ     byte
 		payload []byte
+		err     error
 	}
 	frames := make(chan recvFrame, 16)
-	errc := make(chan error, 1)
 	sessDone := make(chan struct{})
 	defer close(sessDone)
 	go func() {
 		for {
 			conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout()))
 			typ, payload, err := readFrame(br)
-			if err != nil {
-				select {
-				case errc <- err:
-				case <-sessDone:
-				}
+			select {
+			case frames <- recvFrame{typ, payload, err}:
+			case <-sessDone:
 				return
 			}
-			select {
-			case frames <- recvFrame{typ, payload}:
-			case <-sessDone:
+			if err != nil {
 				return
 			}
 		}
@@ -444,9 +388,10 @@ func (m *Mirror) session(ctx context.Context, conn net.Conn) bool {
 		select {
 		case <-ctx.Done():
 			return true
-		case <-errc:
-			return true // link error; reconnect
 		case fr := <-frames:
+			if fr.err != nil {
+				return true // link error; reconnect
+			}
 			if err := m.handleFrame(fr.typ, fr.payload); err != nil {
 				m.violate(err)
 				return true
@@ -511,7 +456,7 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 	if m.shards == nil {
 		m.shards = make([]*shardState, ack.ShardsTotal)
 		for k := range m.shards {
-			m.shards[k] = &shardState{commits: make(map[uint64]commitPt)}
+			m.shards[k] = &shardState{}
 		}
 	} else if len(m.shards) != ack.ShardsTotal {
 		// A shard-count change under a mirror with verified state cannot be
@@ -521,175 +466,67 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 		m.mu.Lock()
 		return m.violation
 	}
-	now := time.Now()
-	for k, sh := range m.shards {
-		resumed := false
-		if sh.ckpt != nil && k < len(ack.Shards) && ack.Shards[k].Ok {
-			if sh.ckpt.MatchProof(ack.Shards[k].Proof, m.cfg.Pub) == nil {
-				v := audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k))
-				if err := v.Resume(sh.ckpt); err == nil {
-					sh.v = v
-					sh.resumed = true
-					resumed = true
-				}
-			}
-		}
-		if !resumed {
-			m.coldRestartLocked(k, sh, now)
-		}
-		sh.baseSeq = sh.v.Seq()
-		sh.sized = false
+	if m.restartLocked(&ack) {
+		// The feed streams such a lane from the claimed offset, the mirror
+		// from zero: reconnect with no claim on it.
+		return errors.New("mirror: the feed resumed a lane whose proof the mirror refused")
 	}
-	m.newManifestLaneLocked()
-	if m.mem.offset > 0 && ack.ManifestOk && audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
-		m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil {
+	return nil
+}
+
+// restartLocked starts the streams of a new session, resuming each lane the
+// ack proves the mirror's claim on, or of a set restart (ack nil), every lane
+// from the head of its file. The set rule (audit.LiveSet) holds each cold
+// shard stream to what the mirror verified on the shard, unless the sidecar's
+// stream restarted with it and the stream is a later incarnation of the file;
+// a cold shard stream must also regain the shard's counter floor within
+// RestartGrace (continuityLocked). It reports whether the ack resumed a lane
+// the mirror starts cold.
+func (m *Mirror) restartLocked(ack *ackMsg) (diverged bool) {
+	if m.set == nil {
+		m.set = audit.NewLiveSet(m.cfg.Name, audit.VerifyOptions{Pub: m.cfg.Pub, Unseal: m.cfg.Unseal}, len(m.shards))
+		m.set.OnManifest = m.onManifest
+	}
+	m.mreader = m.set.RestartManifests(m.mem.seeded, m.mem.epoch, m.mem.counter)
+	sidecar := ack != nil && m.mem.offset > 0 && ack.ManifestOk && audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
+		m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil
+	if sidecar {
 		m.mreader.ResumeAt(m.mem.offset, m.mem.recOff, m.mem.recHash)
 	} else {
+		diverged = ack != nil && ack.ManifestOk
 		m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
 	}
-	return nil
-}
-
-// newManifestLaneLocked starts the manifest lane from the sidecar's head: a
-// fresh reader, and a replayer that expects the feed's shard count and, once
-// a manifest has been verified, an epoch past the verified floor.
-func (m *Mirror) newManifestLaneLocked() {
-	m.replayer = &audit.ManifestReplayer{Name: m.cfg.Name, Pub: m.cfg.Pub, Shards: len(m.shards)}
-	if m.mem.seeded {
-		m.replayer.Seed(m.mem.epoch, m.mem.counter)
-	}
-	m.mreader = audit.NewIncrementalManifestReader(m.onManifest)
-}
-
-// coldRestartLocked resets a shard to a from-zero stream and arms the
-// continuity obligation: if the mirror ever verified counters on this
-// shard, the fresh stream must climb back past the floor or it is a
-// rolled-back file.
-func (m *Mirror) coldRestartLocked(k int, sh *shardState, now time.Time) {
-	hadState := sh.v != nil || sh.ckpt != nil || sh.maxCounter > 0
-	sh.v = audit.NewIncrementalVerifier(m.verifyOpts(), m.onCommit(k))
-	sh.resumed = false
-	sh.ckpt = nil
-	sh.commits = make(map[uint64]commitPt)
-	sh.order = sh.order[:0]
-	// The obligations the rewritten sidecar made are this stream's to meet;
-	// the rest were the replaced stream's.
-	kept := sh.pending[:0]
-	for _, ob := range sh.pending {
-		if ob.awaitRestart {
-			ob.awaitRestart, ob.mismatch = false, nil
-			kept = append(kept, ob)
+	now := time.Now()
+	for k, sh := range m.shards {
+		proved := ack != nil && sh.ckpt != nil && k < len(ack.Shards) && ack.Shards[k].Ok &&
+			sh.ckpt.MatchProof(ack.Shards[k].Proof, m.cfg.Pub) == nil
+		hadState := sh.v != nil || sh.ckpt != nil || sh.maxCounter > 0
+		sh.v, sh.resumed = m.set.RestartShard(k, sh.ckpt, proved, !sidecar, sh.maxCounter)
+		sh.sized = false
+		if sh.resumed {
+			continue
 		}
-	}
-	sh.pending, sh.staleUntil, sh.restartedAt = kept, time.Time{}, time.Time{}
-	if sh.maxCounter > 0 && sh.needCounter == 0 {
-		sh.needCounter = sh.maxCounter
-		sh.needSince = now
-	}
-	if hadState {
-		m.restarts++
+		sh.ckpt = nil // the set rule holds the stream to it
+		diverged = diverged || ack != nil && k < len(ack.Shards) && ack.Shards[k].Ok
+		if sh.maxCounter > 0 && sh.needCounter == 0 {
+			sh.needCounter, sh.needSince = sh.maxCounter, now
+		}
+		if hadState {
+			m.restarts++
+		}
 	}
 	m.dirty = true
+	return diverged
 }
 
-func (m *Mirror) verifyOpts() audit.VerifyOptions {
-	return audit.VerifyOptions{Pub: m.cfg.Pub, Unseal: m.cfg.Unseal}
-}
-
-// onCommit wires shard k's verifier callback.
-func (m *Mirror) onCommit(k int) func(audit.CommitInfo) error {
-	return func(ci audit.CommitInfo) error { return m.commitLocked(m.shards[k], k, ci) }
-}
-
-// commitLocked absorbs one verified commit point. Caller holds m.mu (the
-// verifier is only fed under it).
-func (m *Mirror) commitLocked(sh *shardState, k int, ci audit.CommitInfo) error {
-	sh.commits[ci.Seq] = commitPt{ci.Chain, ci.Counter}
-	sh.order = append(sh.order, ci.Seq)
-	for len(sh.order) > commitWindow {
-		delete(sh.commits, sh.order[0])
-		sh.order = sh.order[1:]
-	}
-	if ci.Counter > sh.maxCounter {
-		sh.maxCounter = ci.Counter
-	}
-	if sh.needCounter > 0 && ci.Counter >= sh.needCounter {
-		sh.needCounter = 0
-	}
-	m.dirty = true
-	mMirrorEntries.Add(int64(ci.Entries))
-	mMirrorSeq.Set(int64(ci.Seq))
-	// Obligations matured by this commit: the attested state must now be a
-	// member of the shard's verified commit set.
-	rest := sh.pending[:0]
-	for _, ob := range sh.pending {
-		if ob.seq <= ci.Seq && ob.mismatch == nil {
-			ob.mismatch = m.checkAttestedLocked(sh, k, ob)
-			if ob.mismatch == nil {
-				continue
-			}
-			if !ob.awaitRestart {
-				return ob.mismatch
-			}
-		}
-		rest = append(rest, ob)
-	}
-	sh.pending = rest
-	return nil
-}
-
-// checkAttestedLocked checks one matured manifest obligation against the
-// shard's verified commit points — the live form of the offline verifier's
-// commit-set membership check.
-func (m *Mirror) checkAttestedLocked(sh *shardState, k int, ob obligation) error {
-	pt, ok := sh.commits[ob.seq]
-	if !ok {
-		// Outside the remembered window (or before this session's resume
-		// point): tolerated, the offline verifier still covers it.
-		if len(sh.order) == 0 || ob.seq < sh.order[0] || ob.seq <= sh.baseSeq {
-			return nil
-		}
-		return fmt.Errorf("%w: manifest epoch %d attests shard %d state at seq %d, which is not a verified commit point (shard rolled back)",
-			audit.ErrBadCounter, ob.epoch, k, ob.seq)
-	}
-	if pt.chain != ob.st.Chain || pt.counter != ob.st.Counter {
-		return fmt.Errorf("%w: manifest epoch %d attests shard %d state at seq %d that disagrees with the verified log (shard rolled back)",
-			audit.ErrBadCounter, ob.epoch, k, ob.seq)
-	}
-	return nil
-}
-
-// onManifest absorbs one verified manifest: replay checks, floor advance,
-// and per-shard attestation obligations. Caller holds m.mu.
-func (m *Mirror) onManifest(man *audit.Manifest) error {
-	if err := m.replayer.Verify(man); err != nil {
-		return err
-	}
+// onManifest books a manifest the set rule accepted. Caller holds m.mu.
+func (m *Mirror) onManifest(man *audit.Manifest) {
 	m.mem.epoch, m.mem.counter = man.Epoch, man.Counter
 	m.mem.count++
 	m.mem.offset = m.mreader.Offset()
 	m.mem.recOff, m.mem.recHash = m.mreader.LastRecord()
 	m.mem.seeded = true
 	m.dirty = true
-	deadline := time.Now().Add(m.cfg.restartGrace())
-	for k, st := range man.Shards {
-		sh := m.shards[k]
-		if st.Seq == 0 && st.Counter == 0 && st.Chain == ([32]byte{}) {
-			continue // shard empty at this epoch: nothing to attest
-		}
-		ob := obligation{seq: st.Seq, st: st, epoch: man.Epoch, deadline: deadline, awaitRestart: !sh.staleUntil.IsZero()}
-		if st.Seq <= sh.v.Seq() {
-			ob.mismatch = m.checkAttestedLocked(sh, k, ob)
-			if ob.mismatch == nil {
-				continue
-			}
-			if !ob.awaitRestart {
-				return ob.mismatch
-			}
-		}
-		sh.pending = append(sh.pending, ob)
-	}
-	return nil
 }
 
 // handleFrame dispatches one feed frame.
@@ -706,6 +543,7 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 			return fmt.Errorf("mirror: data frame for unknown shard %d", k)
 		}
 		sh := m.shards[k]
+		seq := sh.v.Seq()
 		if err := sh.v.Feed(payload[2:]); err != nil {
 			return err
 		}
@@ -713,42 +551,22 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		// last signature record; that commit point is the checkpointable one.
 		if sh.ckpt == nil || sh.ckpt.Batches != sh.v.Batches() {
 			sh.ckpt = sh.v.Checkpoint(k)
+			m.dirty = true
 		}
+		sh.maxCounter = max(sh.maxCounter, sh.v.MaxCounter())
+		if sh.needCounter > 0 && sh.v.MaxCounter() >= sh.needCounter {
+			sh.needCounter = 0
+		}
+		mMirrorEntries.Add(int64(sh.v.Seq() - seq))
+		mMirrorSeq.Set(int64(sh.v.Seq()))
 		return nil
 	case frameManifest:
 		return m.mreader.Feed(payload)
-	case frameRestart:
-		if len(payload) < 2 {
-			return errors.New("mirror: malformed restart frame")
+	case frameSetRestart:
+		if len(payload) != 0 {
+			return errors.New("mirror: malformed set-restart frame")
 		}
-		k := int(payload[0])<<8 | int(payload[1])
-		now := time.Now()
-		if k == manifestShard {
-			// A shard that restarted within the grace before the sidecar did
-			// was rewritten by the same compaction; the rest have a restart
-			// to come, or were not rewritten.
-			grace := m.cfg.restartGrace()
-			for _, sh := range m.shards {
-				if sh.restartedAt.IsZero() || now.Sub(sh.restartedAt) > grace {
-					sh.staleUntil = now.Add(grace)
-				}
-				sh.restartedAt = time.Time{}
-			}
-			m.newManifestLaneLocked()
-			m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
-			m.dirty = true
-			return nil
-		}
-		if k >= len(m.shards) {
-			return fmt.Errorf("mirror: restart frame for unknown shard %d", k)
-		}
-		sh := m.shards[k]
-		awaited := !sh.staleUntil.IsZero()
-		m.coldRestartLocked(k, sh, now)
-		if !awaited {
-			sh.restartedAt = now
-		}
-		sh.baseSeq = 0
+		m.restartLocked(nil)
 		return nil
 	case frameTail:
 		var t tailMsg
@@ -762,7 +580,8 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 }
 
 // tailLocked places the mirror against the server's committed sizes: lag
-// accounting and the caught-up continuity checks.
+// accounting, and once the mirror holds every file whole, the set rule's
+// verdict on them and the caught-up continuity checks.
 func (m *Mirror) tailLocked(t tailMsg) error {
 	var lag int64
 	for k, sh := range m.shards {
@@ -787,6 +606,9 @@ func (m *Mirror) tailLocked(t tailMsg) error {
 		if !m.mem.seeded {
 			return fmt.Errorf("%w: caught up with the feed without verifying a manifest: the set's manifest sidecar is missing", audit.ErrTampered)
 		}
+		if err := m.set.Settle(); err != nil {
+			return err
+		}
 		m.everCaught = true
 	}
 	if m.cfg.MaxLag > 0 && m.everCaught && lag > m.cfg.MaxLag {
@@ -795,44 +617,22 @@ func (m *Mirror) tailLocked(t tailMsg) error {
 	return m.continuityLocked(time.Now())
 }
 
-// continuityLocked applies the rollback-by-continuity rules: a restarted
-// shard stream that has caught up to the server's committed size — or been
-// streaming for the whole restart grace — without re-attaining the
-// verified counter floor is serving a rolled-back file. Likewise a matured
-// manifest obligation on a caught-up shard.
+// continuityLocked applies the continuity floor: a restarted shard stream
+// that has caught up to the server's committed size — or been streaming for
+// the whole restart grace — without regaining the highest counter the mirror
+// verified on the shard is serving a rolled-back file.
 func (m *Mirror) continuityLocked(now time.Time) error {
-	grace := m.cfg.restartGrace()
 	for k, sh := range m.shards {
-		caught := sh.sized && sh.v.Offset() >= sh.serverSize
-		if sh.needCounter > 0 {
-			since := sh.needSince
-			if m.established.After(since) {
-				since = m.established
-			}
-			if caught || now.Sub(since) > grace {
-				return fmt.Errorf("%w: shard %d stream restarted but never re-attained verified counter %d (last %d): shard rolled back",
-					audit.ErrBadCounter, k, sh.needCounter, sh.v.MaxCounter())
-			}
+		if sh.needCounter == 0 {
+			continue
 		}
-		if !sh.staleUntil.IsZero() && now.After(sh.staleUntil) {
-			// The shard never restarted: the rewritten sidecar's claims are
-			// judged against the stream there is, as a sidecar swapped on its
-			// own must be. Those it disagreed with are violations.
-			sh.staleUntil = time.Time{}
-			for i := range sh.pending {
-				if err := sh.pending[i].mismatch; err != nil {
-					return err
-				}
-				sh.pending[i].awaitRestart = false
-			}
+		since := sh.needSince
+		if m.established.After(since) {
+			since = m.established
 		}
-		if caught {
-			for _, ob := range sh.pending {
-				if now.After(ob.deadline) {
-					return fmt.Errorf("%w: manifest epoch %d attests shard %d at seq %d but the caught-up stream ends at seq %d: shard rolled back",
-						audit.ErrBadCounter, ob.epoch, k, ob.seq, sh.v.Seq())
-				}
-			}
+		if caught := sh.sized && sh.v.Offset() >= sh.serverSize; caught || now.Sub(since) > m.cfg.restartGrace() {
+			return fmt.Errorf("%w: shard %d stream restarted but never re-attained verified counter %d (last %d): shard rolled back",
+				audit.ErrBadCounter, k, sh.needCounter, sh.v.MaxCounter())
 		}
 	}
 	return nil

@@ -31,7 +31,7 @@ CREATE TABLE updates (seq INTEGER, repo TEXT, branch TEXT, cid TEXT, op TEXT);
 // mirrorEnv is a live sharded audit log with a replication feed listening
 // on a loopback socket — the server half of every test.
 type mirrorEnv struct {
-	t      *testing.T
+	t      testing.TB
 	encl   *enclave.Enclave
 	bridge *asyncall.Bridge
 	group  *rote.Group
@@ -44,11 +44,11 @@ type mirrorEnv struct {
 	appended      atomic.Int64
 }
 
-func newMirrorEnv(t *testing.T, shards int, manifestEvery time.Duration) *mirrorEnv {
+func newMirrorEnv(t testing.TB, shards int, manifestEvery time.Duration) *mirrorEnv {
 	return newMirrorEnvCfg(t, shards, manifestEvery, nil)
 }
 
-func newMirrorEnvCfg(t *testing.T, shards int, manifestEvery time.Duration, tune func(*FeedConfig)) *mirrorEnv {
+func newMirrorEnvCfg(t testing.TB, shards int, manifestEvery time.Duration, tune func(*FeedConfig)) *mirrorEnv {
 	t.Helper()
 	p := enclave.NewPlatform()
 	encl, err := p.Launch(enclave.Config{Code: []byte("libseal-mirror-test"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
@@ -327,6 +327,69 @@ func TestMirrorDetectsRollback(t *testing.T) {
 	}
 }
 
+// TestMirrorRefusesServerBehind is the server-behind row of the set-rule
+// table end to end: a mirror verifies shard 0 to seq 6 and stops; the shard's
+// last batch is cut, the server recovers at seq 5 (RecoverMaxLag 1, the
+// counter lag re-anchored) behind a new feed, and the mirror restarted from
+// its checkpoint reconnects. Recovery rewrote the sidecar with one manifest
+// as long as the one the mirror had resumed from, so the feed grants the
+// sidecar's resume claim and the mirror refuses its proof: the mirror must
+// reconnect with no claim on the lane rather than wait on bytes the feed
+// will not send, and then refuse the shard for not holding seq 6 again.
+func TestMirrorRefusesServerBehind(t *testing.T) {
+	e := newMirrorEnv(t, 2, time.Hour)
+	e.appendShard(0, 5)
+	path := filepath.Join(e.dir, audit.ShardName("git", 0)+".lseal")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.appendShard(0, 1)
+	cfg := e.mirrorConfig()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "mirror.ckpt")
+	m, err := Start(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaught(t, m, 6)
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e.feed.Close()
+	if err := e.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()); err != nil {
+		t.Fatal(err)
+	}
+	rec := e.recover(1)
+	defer rec.Close()
+	feed, err := NewFeed(FeedConfig{Log: rec, PollInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feed.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go feed.Serve(ln)
+	cfg.Addr = ln.Addr().String()
+	m, err = Start(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop(context.Background())
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no verdict on the server behind the mirror: %+v", m.Report())
+	}
+	if err := m.Err(); !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), "does not hold seq=6") {
+		t.Fatalf("violation = %v, want shard 0 refused for not holding seq 6", err)
+	}
+}
+
 // TestMirrorSurvivesTrim runs a trim while the mirror is attached: the
 // feed must issue restart frames, the mirror must re-verify the rewritten
 // files, and — because an honest rewrite re-signs with current counters —
@@ -495,7 +558,7 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 		m := &Mirror{cfg: Config{Name: "t", Pub: &key.PublicKey}}
 		sh := &shardState{}
 		m.shards = []*shardState{sh}
-		m.coldRestartLocked(0, sh, time.Now())
+		m.restartLocked(nil)
 		return m, sh
 	}
 
@@ -504,8 +567,8 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	if err := m.handleFrame(frameData, append([]byte{0, 0}, img...)); err != nil {
 		t.Fatal(err)
 	}
-	if n := checks() - before; len(sh.commits) != 50 || n != 1 {
-		t.Fatalf("%d commit points absorbed after %d ECDSA checks, want 50 after one", len(sh.commits), n)
+	if n := checks() - before; sh.v.Batches() != 50 || n != 1 {
+		t.Fatalf("%d commit points absorbed after %d ECDSA checks, want 50 after one", sh.v.Batches(), n)
 	}
 	if sh.ckpt == nil || sh.ckpt.Batches != 50 || sh.ckpt.Offset != int64(len(img)) || sh.maxCounter != 50 {
 		t.Fatalf("resume claim %+v (max counter %d), want the frame's last commit point", sh.ckpt, sh.maxCounter)
@@ -517,7 +580,7 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	if err := m.handleFrame(frameData, append([]byte{0, 0}, img[:half]...)); err != nil {
 		t.Fatal(err)
 	}
-	claim, absorbed := sh.ckpt, len(sh.commits)
+	claim, absorbed := sh.ckpt, sh.v.Batches()
 	bad := append([]byte{0, 0}, img[half:]...)
 	bad[len(bad)-1] ^= 0xff
 	err = m.handleFrame(frameData, bad)
@@ -527,8 +590,8 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	if sh.ckpt != claim || claim == nil || claim.Batches != absorbed {
 		t.Fatalf("resume claim moved to %+v on a failed frame", sh.ckpt)
 	}
-	if _, ok := sh.commits[50]; ok {
-		t.Fatal("the commit point under the invalid signature was absorbed")
+	if sh.v.MaxCounter() != 49 {
+		t.Fatalf("commit points up to counter %d absorbed, want the 49 under valid signatures", sh.v.MaxCounter())
 	}
 }
 
@@ -626,172 +689,5 @@ func TestMirrorNeverCaughtUpWithoutManifest(t *testing.T) {
 	}
 	if r := m.Report(); r.CaughtUp || r.TotalEntries != 8 || r.LagBytes != 0 {
 		t.Fatalf("report %+v, want all 8 entries verified, no lag, and never caught up", r)
-	}
-}
-
-// compactionFixture is a 2-shard set before and after an honest compaction,
-// as file images, and a mirror that follows frames handed to it directly.
-type compactionFixture struct {
-	t                      *testing.T
-	e                      *mirrorEnv
-	oldShards, newShards   [][]byte
-	oldSidecar, newSidecar []byte
-}
-
-func newCompactionFixture(t *testing.T) *compactionFixture {
-	f := &compactionFixture{t: t, e: newMirrorEnv(t, 2, time.Hour)}
-	f.e.append(30)
-	f.e.call(f.e.log.WriteManifest)
-	f.oldShards, f.oldSidecar = f.images()
-	f.e.call(func(env *asyncall.Env) error {
-		script, err := f.e.log.DB().PrepareScript("DELETE FROM updates WHERE seq < 10")
-		if err != nil {
-			return err
-		}
-		plan, err := audit.PlanTrim(f.e.log.DB().Snapshot(), script)
-		if err != nil {
-			return err
-		}
-		if err := f.e.log.ApplyTrim(env, plan); err != nil {
-			return err
-		}
-		return f.e.log.Compact(env)
-	})
-	f.newShards, f.newSidecar = f.images()
-	return f
-}
-
-func (f *compactionFixture) images() (shards [][]byte, sidecar []byte) {
-	f.t.Helper()
-	for _, lf := range f.e.log.Files() {
-		img, err := os.ReadFile(lf.Path())
-		if err != nil {
-			f.t.Fatal(err)
-		}
-		if strings.HasSuffix(lf.Path(), ".manifest") {
-			sidecar = img
-		} else {
-			shards = append(shards, img)
-		}
-	}
-	if len(shards) != 2 || sidecar == nil {
-		f.t.Fatalf("%d shard images and sidecar %v", len(shards), sidecar != nil)
-	}
-	return shards, sidecar
-}
-
-// follow returns a mirror that has verified the set up to the compaction.
-func (f *compactionFixture) follow() *Mirror {
-	m := &Mirror{cfg: Config{Name: "git", Pub: f.e.encl.PublicKey(), RestartGrace: time.Second}}
-	m.shards = []*shardState{{}, {}}
-	for k, sh := range m.shards {
-		m.coldRestartLocked(k, sh, time.Now())
-	}
-	m.newManifestLaneLocked()
-	for k, img := range f.oldShards {
-		f.deliver(m, frameData, dataPayload(k, img))
-	}
-	f.deliver(m, frameManifest, f.oldSidecar)
-	return m
-}
-
-func (f *compactionFixture) deliver(m *Mirror, typ byte, payload []byte) {
-	f.t.Helper()
-	if err := m.handleFrame(typ, payload); err != nil {
-		f.t.Fatalf("frame %q: %v", typ, err)
-	}
-}
-
-// TestMirrorManifestRestartBeforeShardRestart: a compaction renames the
-// shards' files before the sidecar's, yet the feed can deliver the sidecar's
-// restart, and the rewritten sidecar's manifest, before a shard's restart.
-// That manifest attests the rewritten shard, whose survivors are numbered
-// afresh, so it disagrees with the replaced stream at a seq that stream has
-// passed: the mirror holds the claim until the shard's stream restarts and
-// judges it there. A shard whose stream never restarts has the claim judged
-// against the stream it has once the restart grace is over, so a sidecar
-// swapped on its own is still caught.
-func TestMirrorManifestRestartBeforeShardRestart(t *testing.T) {
-	f := newCompactionFixture(t)
-	// start follows the set up to the compaction, then receives the sidecar's
-	// restart and its rewritten image, and no shard's restart yet.
-	start := func() *Mirror {
-		m := f.follow()
-		f.deliver(m, frameRestart, restartPayload(manifestShard))
-		f.deliver(m, frameManifest, f.newSidecar)
-		return m
-	}
-
-	m := start()
-	for k, img := range f.newShards {
-		f.deliver(m, frameRestart, restartPayload(k))
-		f.deliver(m, frameData, dataPayload(k, img))
-		if sh := m.shards[k]; len(sh.pending) != 0 || sh.v.Seq() == 0 {
-			t.Fatalf("shard %d at seq %d after its restart, %d attestations unjudged", k, sh.v.Seq(), len(sh.pending))
-		}
-	}
-	if err := m.continuityLocked(time.Now().Add(time.Minute)); err != nil {
-		t.Fatalf("after every restart: %v", err)
-	}
-
-	m = start()
-	if err := m.continuityLocked(time.Now()); err != nil {
-		t.Fatalf("within the restart grace: %v", err)
-	}
-	err := m.continuityLocked(time.Now().Add(time.Minute))
-	if !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), "disagrees with the verified log") {
-		t.Fatalf("rewritten sidecar, no shard restarted: %v, want a rolled-back shard", err)
-	}
-}
-
-// TestMirrorShardRestartBeforeManifestRestart: in the usual order, the shards'
-// restarts reach the mirror before the sidecar's. The sidecar's restart then
-// leaves no shard awaiting one, so every later manifest claim is judged as
-// the shard's commits arrive: an honest one is met by the next commits, and
-// one that disagrees with the stream is a violation at the commit that
-// disagrees, not at the restart grace's end.
-func TestMirrorShardRestartBeforeManifestRestart(t *testing.T) {
-	f := newCompactionFixture(t)
-	m := f.follow()
-	for k, img := range f.newShards {
-		f.deliver(m, frameRestart, restartPayload(k))
-		f.deliver(m, frameData, dataPayload(k, img))
-	}
-	f.deliver(m, frameRestart, restartPayload(manifestShard))
-	f.deliver(m, frameManifest, f.newSidecar)
-	f.e.append(20)
-	f.e.call(f.e.log.WriteManifest)
-	laterShards, laterSidecar := f.images()
-	f.deliver(m, frameManifest, laterSidecar[len(f.newSidecar):])
-	for k, img := range laterShards {
-		if len(m.shards[k].pending) == 0 {
-			t.Fatalf("shard %d: the later manifest left no claim past the stream", k)
-		}
-		f.deliver(m, frameData, dataPayload(k, img[len(f.newShards[k]):]))
-		if n := len(m.shards[k].pending); n != 0 {
-			t.Fatalf("shard %d: %d claims unjudged after the commits they attest", k, n)
-		}
-	}
-
-	// A feed that serves the replaced file after a shard's restart: the
-	// rewritten sidecar's claims disagree with it as its commits arrive.
-	m = f.follow()
-	for k, img := range f.oldShards {
-		f.deliver(m, frameRestart, restartPayload(k))
-		f.deliver(m, frameData, dataPayload(k, img[:len(img)/4]))
-	}
-	f.deliver(m, frameRestart, restartPayload(manifestShard))
-	f.deliver(m, frameManifest, f.newSidecar)
-	var err error
-	for k, img := range f.oldShards {
-		if len(m.shards[k].pending) == 0 {
-			t.Fatalf("shard %d: the rewritten sidecar left no claim past the stream", k)
-		}
-		if err = m.handleFrame(frameData, dataPayload(k, img[len(img)/4:])); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), "shard rolled back") {
-		t.Fatalf("replaced file served after the restart: %v, want a rolled-back shard at commit time", err)
 	}
 }

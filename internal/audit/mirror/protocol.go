@@ -5,14 +5,15 @@
 //
 // Trust model. The feed is plumbing, not evidence: it runs outside the
 // enclave and a compromised server controls every byte it sends. The mirror
-// therefore re-derives integrity exactly the way an offline verifier would —
-// hash chain, per-batch enclave signatures, manifest signatures and epoch
-// monotonicity — and judges rollback by continuity: state the mirror has
-// already verified (highest signed counter per shard, manifest epoch floor)
-// can never be walked back by anything the feed sends later. What a lying
-// feed CAN do is withhold bytes, which surfaces as lag, bounded by the
-// mirror's staleness alarm (ErrMirrorLagging); it cannot make tampered
-// bytes verify.
+// therefore judges what it holds of each file by the offline verifier's set
+// rule (audit.LiveSet: hash chain, per-batch enclave signatures, manifest
+// signatures and epochs, and every attested state a commit point of its
+// shard), and once it holds every file whole its verdict is the offline one.
+// State the mirror has already verified (each shard's last commit point and
+// highest signed counter, the manifest epoch floor) can never be walked back
+// by anything the feed sends later. What a lying feed CAN do is withhold
+// bytes, which surfaces as lag, bounded by the mirror's staleness alarm
+// (ErrMirrorLagging); it cannot make tampered bytes verify.
 //
 // Wire protocol. Frames are [1-byte type][4-byte big-endian length]
 // [payload], the same framing discipline as the log file itself:
@@ -24,12 +25,13 @@
 //	             to, so the client authenticates resumption itself)
 //	'D' data     [2-byte BE shard][raw log-file bytes]
 //	'M' manifest [raw sidecar bytes]
-//	'R' restart  [2-byte BE shard; 0xFFFF = manifest sidecar]: the file was
-//	             replaced (trim rewrite); reset to offset 0, full re-send
-//	             follows
+//	'S' set      empty: a compaction replaced every file of the set (its
+//	    restart  generation changed); every lane restarts at offset 0, and
+//	             no byte of the new files precedes this frame
 //	'T' tail     server→client JSON: committed sizes per shard + sidecar,
 //	             sent whenever the subscriber is caught up — the mirror's
-//	             lag reference
+//	             lag reference, and the point at which it holds every file
+//	             whole and judges the set as the offline verifier would
 //
 // Only committed (fsynced, signature-covered) bytes are ever streamed, so a
 // clean subscriber never buffers past a torn tail.
@@ -44,17 +46,13 @@ import (
 
 // Frame types.
 const (
-	frameHello    = 'H'
-	frameAck      = 'A'
-	frameData     = 'D'
-	frameManifest = 'M'
-	frameRestart  = 'R'
-	frameTail     = 'T'
+	frameHello      = 'H'
+	frameAck        = 'A'
+	frameData       = 'D'
+	frameManifest   = 'M'
+	frameSetRestart = 'S'
+	frameTail       = 'T'
 )
-
-// manifestShard is the shard ordinal that addresses the manifest sidecar in
-// data-less frames ('R').
-const manifestShard = 0xFFFF
 
 // maxFrameBytes bounds a single frame payload; data frames are chunked well
 // below this.
@@ -162,13 +160,6 @@ func unmarshalStrict(b []byte, v any) error {
 		return fmt.Errorf("mirror: bad frame payload: %v", err)
 	}
 	return nil
-}
-
-// restartPayload builds an 'R' frame payload for a shard (or manifestShard).
-func restartPayload(shard int) []byte {
-	var p [2]byte
-	binary.BigEndian.PutUint16(p[:], uint16(shard))
-	return p[:]
 }
 
 // dataPayload frames a shard chunk: [2-byte shard][bytes].

@@ -39,8 +39,8 @@ func writeRecords(w io.Writer, recs []record) (int64, error) {
 //
 // The mutating operations do file I/O and therefore run inside ocalls; the
 // owner serialises them (a Log by its commit lane or a quiesced l.mu, the
-// manifest lane by mmu). Committed size, generation and the notify hook are
-// read concurrently by the replication feed and are atomic.
+// manifest lane by mmu). Committed size and the notify hook are read
+// concurrently by the replication feed and are atomic.
 type recordFile struct {
 	fs    vfs.FS
 	path  string
@@ -61,12 +61,9 @@ type recordFile struct {
 	// group that was fsynced; bytes past it are a partial group that commit
 	// is about to cut away. Feed readers never ship bytes past it.
 	size atomic.Int64
-	// gen is the seqlock over the file's incarnation: odd from a replacement's
-	// rename until the file is reopened, even while it is stable, and
-	// different after a swap iff the replacement landed. A reader that sees
-	// the same even value before and after reading raw bytes knows they came
-	// from one incarnation.
-	gen atomic.Uint64
+	// installed is set from a replacement's rename until settle reopens the
+	// file (ShardedLog.land settles such a file when it fails).
+	installed bool
 	// notify runs after every durable change (commit fsynced, replacement
 	// landed), on the committing goroutine; it must not block.
 	notify atomic.Pointer[func()]
@@ -161,8 +158,8 @@ func (f *recordFile) commit(recs ...record) error {
 // settle once the rename is durable (a compaction runs the steps itself:
 // ShardedLog.land). The rename is the commit point: before it the old image is
 // intact and authoritative (landed is false) and the staged image goes; once
-// it succeeded the file IS the new image — landed is true, committed size and
-// generation follow it — even when making the rename durable or reopening the
+// it succeeded the file IS the new image — landed is true, its committed size
+// follows it — even when making the rename durable or reopening the
 // file for append then fails, in which case the error is returned and the file
 // fails closed. The owner must move its in-memory state whenever landed is set.
 func (f *recordFile) replace(recs ...record) (landed bool, err error) {
@@ -199,22 +196,20 @@ func (f *recordFile) stage(recs []record) (int64, error) {
 
 // install renames the staged image of length n over the file: if that fails,
 // all is as it was, the staged image still beside the file for the caller to
-// remove or keep; else the file is the new image, its generation odd until
-// settle.
+// remove or keep; else the file is the new image, installed until settle.
 func (f *recordFile) install(n int64) error {
-	f.gen.Add(1)
 	if err := f.fs.Rename(stagedPath(f.path), f.path); err != nil {
-		f.gen.Add(^uint64(0))
 		return err
 	}
 	f.close() // the old image's inode
 	f.size.Store(n)
+	f.installed = true
 	return nil
 }
 
 // settle finishes an installed image once its directory sync returned
 // syncErr: it reopens the file for append (failing it closed if either step
-// failed), makes the generation even and fires the notify hook.
+// failed) and fires the notify hook.
 func (f *recordFile) settle(syncErr error) error {
 	err := syncErr
 	if err == nil {
@@ -223,7 +218,7 @@ func (f *recordFile) settle(syncErr error) error {
 	if err != nil {
 		f.fail(err)
 	}
-	f.gen.Add(1)
+	f.installed = false
 	f.fire()
 	return err
 }
@@ -256,10 +251,9 @@ func (f *recordFile) close() error {
 
 // FileView is a read-only view of one persisted file of a log set, for
 // readers outside the enclave (the replication feed) that stream its raw
-// bytes. The seqlock contract: snapshot Generation (skip the file while it
-// is odd), read CommittedSize, read at most that many bytes from Path, then
-// re-read Generation — a changed value means the bytes may mix two
-// incarnations of the file and must be discarded.
+// bytes: read CommittedSize, then at most that many bytes from Path, under
+// the set's generation (ShardedLog.Generation), which tells whether a
+// compaction replaced the files meanwhile.
 type FileView struct{ f *recordFile }
 
 // Path is the file's location.
@@ -269,7 +263,3 @@ func (v FileView) Path() string { return v.f.path }
 // a committed record, bytes beyond it may be a partial group that a failed
 // commit will cut away.
 func (v FileView) CommittedSize() int64 { return v.f.size.Load() }
-
-// Generation identifies the file's incarnation: even while the file is
-// stable, odd while a trim rewrite is replacing it.
-func (v FileView) Generation() uint64 { return v.f.gen.Load() }

@@ -33,8 +33,9 @@ type Report struct {
 	// again since; LagBytes is the current distance).
 	CaughtUp bool
 	// Reconnects counts completed dial attempts after the first session;
-	// Restarts counts server-side restart frames (trim rewrites, resume
-	// proof rejections) that forced a shard back to a cold re-read.
+	// Restarts counts the shard streams that went back to a cold re-read of
+	// a shard the mirror had verified (a compaction's set-restart frame, a
+	// resume proof rejected).
 	Reconnects int
 	Restarts   int
 	// LagBytes is the mirror's best-known distance behind the server:

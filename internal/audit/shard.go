@@ -124,6 +124,8 @@ type ShardedLog struct {
 	// image is the size of a fresh image of the rows db held at the last
 	// trim — what a compaction would leave on disk (CompactDue).
 	image atomic.Int64
+	// gen is the set generation (Generation).
+	gen atomic.Uint64
 
 	// Manifest lane. mmu serialises manifest signing and sidecar I/O; it is
 	// ordered after the shard locks (a manifest writer never holds mmu while
@@ -156,6 +158,15 @@ func (s *ShardedLog) Files() []FileView {
 	}
 	return append(views, FileView{s.manifest})
 }
+
+// Generation identifies the incarnation of the set's files, for readers
+// outside the enclave that stream them (the replication feed): even while no
+// compaction is landing, odd from a land's first rename until it has settled,
+// and changed after a land iff it replaced the files. A reader that sees one
+// even value before and after reading raw bytes knows they came from one
+// incarnation of the set. A land that fails past its first rename leaves it
+// odd: the set takes no appends until a restart completes the land.
+func (s *ShardedLog) Generation() uint64 { return s.gen.Load() }
 
 // SetCommitNotify installs fn to run after every durable change to any of
 // the set's persisted files — a shard's batch commit, re-anchor or
@@ -630,6 +641,7 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 // sidecar's image is installed and settled. From the first rename on a
 // failure is a crash, and so is a staged image left behind: every file fails
 // closed, an installed one settled, and what is staged stays for the restart.
+// The set generation is odd from before the first rename until it settles.
 func (s *ShardedLog) land(rws []rewrite, m *Manifest) (renamed bool, err error) {
 	files := s.Files() // the shards', then the sidecar
 	n := len(rws)
@@ -643,7 +655,18 @@ func (s *ShardedLog) land(rws []rewrite, m *Manifest) (renamed bool, err error) 
 		}
 	})
 	staged.Wait()
-	err = cmp.Or(errs...)
+	if err = cmp.Or(errs...); err == nil {
+		s.gen.Add(1) // odd until the land has settled
+		defer func() {
+			switch {
+			case !renamed:
+				s.gen.Add(^uint64(0)) // nothing moved: the incarnation readers hold stands
+			case err == nil:
+				s.gen.Add(1)
+				s.manifest.fire()
+			}
+		}()
+	}
 	for k := 0; k < n && err == nil; k++ {
 		err = files[k].f.install(sizes[k])
 		renamed = renamed || err == nil
@@ -668,7 +691,7 @@ func (s *ShardedLog) land(rws []rewrite, m *Manifest) (renamed bool, err error) 
 		crash = err
 	}
 	for _, v := range files {
-		if crash != nil && v.f.gen.Load()%2 == 1 {
+		if crash != nil && v.f.installed {
 			v.f.settle(crash)
 		} else if crash != nil {
 			v.f.fail(crash)

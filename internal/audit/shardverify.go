@@ -380,7 +380,7 @@ func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), 
 // while the shards scan: each record's own checks, on the replayer the live
 // mirror uses. ms are the records that passed, err what stopped it.
 type manifestReplay struct {
-	ManifestReplayer
+	manifestReplayer
 	ms  []*Manifest
 	err error
 }
@@ -388,7 +388,7 @@ type manifestReplay struct {
 // replayRecords replays the sidecar's records: ms as readManifests parsed
 // them, err what stopped the parse.
 func replayRecords(ss *shardSet, ms []*Manifest, err error, opts *StreamOptions) *manifestReplay {
-	rp := &manifestReplay{ManifestReplayer: ManifestReplayer{Name: ss.name, Pub: opts.Pub, Shards: ss.shards}, ms: ms}
+	rp := &manifestReplay{manifestReplayer: manifestReplayer{Name: ss.name, Pub: opts.Pub, Shards: ss.shards}, ms: ms}
 	if err != nil {
 		rp.err = fmt.Errorf("manifest sidecar: %w", err)
 	} else if len(ms) == 0 && !opts.RecoverTruncated {
@@ -428,4 +428,197 @@ func (rp *manifestReplay) judge(ss *shardSet, opts *StreamOptions, points []*com
 		return fmt.Errorf("manifest sidecar: %w", err)
 	}
 	return nil
+}
+
+// LiveSet is the set rule above applied to what a live follower holds of a
+// set: a prefix of each file, growing as the follower receives it. Each
+// shard's stream runs through the verifier core (IncrementalVerifier), the
+// sidecar's through manifestReplayer's record checks, and every state a
+// manifest attests must be a commit point of its shard's stream (commitSet's
+// membership). A claim at or below the last commit point a stream reached is
+// judged at once; one past it waits, and fails when the stream passes its Seq
+// without holding it or when Settle, called once the follower holds the whole
+// of every file, finds it still waiting: VerifyPath's verdict on those files.
+// One sidecar attests each shard's states in order, so the points below a
+// shard's latest claim are dropped: there is no window a claim can leave.
+//
+// A stream that restarts cold (RestartShard) replaces one the follower
+// verified, and a follower never accepts a state older than one it has seen:
+// the restarted stream must hold the last commit point verified on its shard
+// again, chain head and counter, as it must every claim still waiting on it.
+// Only a later incarnation of the file is excused, one whose first commit
+// point is signed above every counter verified on the shard — which only a
+// compaction signs — and only in a restart that restarted the sidecar's
+// stream too. Not safe for concurrent use.
+type LiveSet struct {
+	// OnManifest, if set, observes each manifest that passed its record
+	// checks and whose claims are judged or waiting.
+	OnManifest func(*Manifest)
+
+	name   string
+	opts   VerifyOptions
+	shards []liveShard
+	rp     manifestReplayer
+}
+
+// liveShard is one shard's stream and what the set rule holds it to.
+type liveShard struct {
+	v      *IncrementalVerifier
+	pts    commitSet   // the points reached at or past the latest claim, above base if resumed
+	claims []liveClaim // states attested past the stream's last point, waiting for it
+	later  bool        // the stream's first point, if signed above floor, excuses the claims made before its restart
+	floor  uint64
+}
+
+// liveClaim is a state the stream must hold: a manifest's (epoch > 0) or the
+// follower's own last verified point on a restarted stream. One made before
+// the stream restarted (before) is the replaced stream's history.
+type liveClaim struct {
+	ShardState
+	epoch  uint64
+	before bool
+}
+
+// NewLiveSet starts judging the streams of a set of shards, which start with
+// RestartShard and RestartManifests.
+func NewLiveSet(name string, opts VerifyOptions, shards int) *LiveSet {
+	return &LiveSet{name: name, opts: opts, shards: make([]liveShard, shards)}
+}
+
+// RestartShard starts shard k's stream again and returns it, for the caller to
+// feed the bytes of the shard's file it receives: from checkpoint c, which the
+// caller has authenticated, when resume is set and c adopts, else from the
+// empty log. withSidecar says the sidecar's stream restarted from its head in
+// the same restart (RestartManifests comes first). A resumed stream vouches
+// for the states below c, as a resumed offline scan does (DESIGN.md §14), to
+// all but a sidecar that replaced one whose manifests the follower verified:
+// those must attest states the stream reaches. A cold stream must hold c —
+// the last commit point the follower verified on the shard, if any — and
+// every claim still waiting, unless withSidecar is set and its first commit
+// point is signed above floor, the highest counter verified on the shard.
+func (s *LiveSet) RestartShard(k int, c *Checkpoint, resume, withSidecar bool, floor uint64) (v *IncrementalVerifier, resumed bool) {
+	sh := &s.shards[k]
+	sh.v = NewIncrementalVerifier(s.opts, func(ci CommitInfo) error { return s.commit(k, ci) })
+	sh.later, sh.floor = false, 0
+	if resume && c != nil && sh.v.Resume(c) == nil {
+		base := c.state()
+		sh.pts = commitSet{base: &base}
+		if withSidecar && s.rp.seeded {
+			sh.pts = commitSet{pts: []ShardState{base}}
+		}
+		sh.claims = slices.DeleteFunc(sh.claims, func(c liveClaim) bool { return sh.pts.has(c.ShardState) })
+		return sh.v, true
+	}
+	sh.pts = commitSet{pts: []ShardState{{}}}
+	sh.later, sh.floor = withSidecar, floor
+	if c != nil {
+		sh.claims = append(sh.claims, liveClaim{ShardState: c.state()})
+	}
+	for i := range sh.claims {
+		sh.claims[i].before = true
+	}
+	return sh.v, false
+}
+
+// RestartManifests starts the sidecar's stream from its head and returns its
+// reader, for the caller to resume (ResumeAt) where it proved its position and
+// to feed the bytes of the sidecar it receives.
+// Once a manifest was verified, seeded carries its epoch and counter: the
+// stream's next manifest must pass them.
+func (s *LiveSet) RestartManifests(seeded bool, epoch, counter uint64) *IncrementalManifestReader {
+	s.rp = manifestReplayer{Name: s.name, Pub: s.opts.Pub, Shards: len(s.shards)}
+	if seeded {
+		s.rp.Seed(epoch, counter)
+	}
+	return newIncrementalManifestReader(s.manifest)
+}
+
+// manifest judges one manifest: its record checks, then each state it attests.
+func (s *LiveSet) manifest(m *Manifest) error {
+	if err := s.rp.Verify(m); err != nil {
+		return err
+	}
+	for k, st := range m.Shards {
+		if err := s.claim(k, liveClaim{ShardState: st, epoch: m.Epoch}); err != nil {
+			return err
+		}
+	}
+	if s.OnManifest != nil {
+		s.OnManifest(m)
+	}
+	return nil
+}
+
+// claim judges c against shard k's stream, or leaves it waiting past the
+// stream's last point. The empty log is every stream's start.
+func (s *LiveSet) claim(k int, c liveClaim) error {
+	sh := &s.shards[k]
+	i, _ := slices.BinarySearchFunc(sh.pts.pts, c.Seq, func(p ShardState, seq uint64) int { return cmp.Compare(p.Seq, seq) })
+	sh.pts.pts = sh.pts.pts[:copy(sh.pts.pts, sh.pts.pts[i:])]
+	switch {
+	case c.ShardState == ShardState{} || sh.pts.has(c.ShardState):
+		return nil
+	case c.Seq < sh.v.led.cur.seq:
+		return c.rolledBack(k)
+	}
+	sh.claims = append(sh.claims, c)
+	return nil
+}
+
+// commit absorbs a commit point of shard k's stream: the claims it meets go,
+// and one whose Seq it passes is a shard rolled back.
+func (s *LiveSet) commit(k int, ci CommitInfo) error {
+	sh := &s.shards[k]
+	pt := ShardState{Seq: ci.Seq, Chain: ci.Chain, Counter: ci.Counter}
+	later := sh.later && ci.Counter > sh.floor // a compaction's image: the replaced history goes
+	sh.later = false
+	sh.pts.pts = append(sh.pts.pts, pt)
+	waiting := sh.claims[:0]
+	for _, c := range sh.claims {
+		switch {
+		case c.ShardState == pt, later && c.before:
+		case c.Seq < pt.Seq:
+			return c.rolledBack(k)
+		default:
+			waiting = append(waiting, c)
+		}
+	}
+	sh.claims = waiting
+	return nil
+}
+
+// Settle is the verdict once the follower holds the whole of every file: a
+// claim still waiting is one its shard's log does not hold.
+func (s *LiveSet) Settle() error {
+	for k := range s.shards {
+		if cs := s.shards[k].claims; len(cs) > 0 {
+			return cs[0].rolledBack(k)
+		}
+	}
+	return nil
+}
+
+func (c liveClaim) rolledBack(k int) error {
+	if c.epoch == 0 {
+		return fmt.Errorf("%w: shard %d's restarted stream does not hold seq=%d counter=%d, the last commit point verified on it — shard rolled back",
+			ErrBadCounter, k, c.Seq, c.Counter)
+	}
+	return fmt.Errorf("%w: epoch manifest %d attests shard %d at seq=%d counter=%d, but the shard log holds no such commit point — shard rolled back",
+		ErrBadCounter, c.epoch, k, c.Seq, c.Counter)
+}
+
+// Report adds the committed totals of the shards' streams to r.
+func (s *LiveSet) Report(r *Report) {
+	for _, sh := range s.shards {
+		if sh.v == nil {
+			continue
+		}
+		t := &sh.v.led.cur
+		r.TotalEntries += int(t.seq)
+		r.TotalBatches += t.batches
+		r.CommittedBytes += t.end
+		for name, n := range sh.v.Tables() {
+			r.Tables[name] += n
+		}
+	}
 }

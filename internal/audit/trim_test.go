@@ -128,6 +128,16 @@ func runTrimCrashPoint(t *testing.T, failAt crashPoint, torn, die bool) []crashP
 	if failAt.n < 0 && err != nil {
 		t.Fatalf("clean trim: %v", err)
 	}
+	// The set generation the feed streams under moves on with a land that
+	// settled, is restored by one that moved nothing, and stays odd after one
+	// that failed past its first rename.
+	gen := uint64(0)
+	if s.Seq() != 6 {
+		gen = map[bool]uint64{true: 2, false: 1}[err == nil]
+	}
+	if g := s.Generation(); g != gen {
+		t.Fatalf("set generation %d after the compaction (%v), want %d", g, err, gen)
+	}
 	// A failed call either aborted the compaction, which moved nothing, or
 	// came past its first rename: then every file of the set failed closed,
 	// and the set refuses appends and compactions until it is restarted.

@@ -282,8 +282,8 @@ func TestTrimNowAlwaysCompacts(t *testing.T) {
 		if entries, rows := diskEntries(t, env, ls, dir); entries != 1 || rows != 1 {
 			t.Fatalf("after TrimNow %d: %d entries on disk, %d rows; want the c2 update alone in both", i+1, entries, rows)
 		}
-		if gen := ls.Log().Files()[0].Generation(); gen != uint64(2*(i+1)) {
-			t.Fatalf("after TrimNow %d: file generation %d, want %d (one rewrite each)", i+1, gen, 2*(i+1))
+		if gen := ls.Log().Generation(); gen != uint64(2*(i+1)) {
+			t.Fatalf("after TrimNow %d: set generation %d, want %d (one rewrite each)", i+1, gen, 2*(i+1))
 		}
 	}
 }
@@ -304,8 +304,8 @@ func TestNothingTrimmedNeverCompacts(t *testing.T) {
 	if st.Checks != pushes || st.TrimsSkipped != pushes || st.Trims != 0 || st.Compactions != 0 {
 		t.Fatalf("stats = %+v, want %d cycles that all skipped their trim and never compacted", st, pushes)
 	}
-	if gen := ls.Log().Files()[0].Generation(); gen != 0 {
-		t.Fatalf("file generation %d: the log was rewritten", gen)
+	if gen := ls.Log().Generation(); gen != 0 {
+		t.Fatalf("set generation %d: the log was rewritten", gen)
 	}
 	if entries, rows := diskEntries(t, env, ls, dir); entries != pushes || rows != pushes {
 		t.Fatalf("%d entries on disk, %d rows; want all %d pushes in both", entries, rows, pushes)
