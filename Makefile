@@ -27,12 +27,14 @@ soak:
 # restart path, under -race. The mirror must reconnect, resume from its
 # checkpoint without cold rescans, and end in full agreement with the
 # offline verifier. Then the set-rule table: every frame interleaving of a
-# compaction, and the adversarial ones, judged as VerifyPath judges the files.
+# compaction, and the adversarial ones, judged as VerifyPath judges the files;
+# and the feed's one-goroutine subscriber: a stalled one dropped at the write
+# deadline, and Close releasing a pump blocked mid-write.
 mirror-soak:
 	$(GO) test -race -count=3 -run 'TestChaosMirrorLinkDrops|TestMirrorFacadeResumeAcrossRestart' -v .
 	$(GO) test -race -count=1 -run 'TestMirror|TestFeed' ./internal/audit/mirror/
 	$(GO) test -race -count=20 -run 'TestIncremental|TestMirror.*Commit' ./internal/audit/ ./internal/audit/mirror/
-	$(GO) test -race -count=20 -run 'TestMirrorSetRule|TestMirror.*RestartBefore' ./internal/audit/mirror/
+	$(GO) test -race -count=20 -run 'TestMirrorSetRule|TestMirror.*RestartBefore|TestFeed' ./internal/audit/mirror/
 
 # Every experiment of cmd/libseal-bench — the paper's tables and figures and
 # the four post-paper sweeps — at the quick budgets, printed as tables
@@ -68,8 +70,9 @@ bench-e2e-smoke:
 # frame-only walk against the building one; the slice-backed Header against
 # the frozen map-based one) and the SQL engine (arbitrary scripts: no panic,
 # no change on a parse error) and the live mirror's frame stream (through its
-# own session; no more entries verified than VerifyPath accepts of the files
-# the frames describe) — the same smoke CI runs. Seed corpora live under
+# own session, and straight into its frame handler without one; no more
+# entries verified than VerifyPath accepts of the files the frames describe)
+# — the same smoke CI runs. Seed corpora live under
 # testdata/fuzz, or are built from the mirror's set-rule table. A new input is
 # minimised for at most a second, or the first one found would take the rest
 # of the 20 s; each run's last progress line gives its execs.
@@ -84,8 +87,9 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz=FuzzHeaderDifferential ./internal/httpparse/
 	$(GO) test $(FUZZ) -fuzz=FuzzParseExec ./internal/sqldb/
 	$(GO) test $(FUZZ) -fuzz=FuzzMirrorFeed ./internal/audit/mirror/
+	$(GO) test $(FUZZ) -fuzz=FuzzMirrorFrames ./internal/audit/mirror/
 
-# The product surface (ROADMAP item 5): which functions of each package are
+# The product surface (ROADMAP aim 2): which functions of each package are
 # reached by something outside that package. Coverage comes from every
 # package's own `go test -short` run, each written to a directory of its own,
 # and from one shared product directory: the command test's four binaries
@@ -137,25 +141,25 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 # Fault and outside-input paths. Degraded mode's re-anchor retry, which the
 # periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
 # a readiness probe failing (HealthUnhealthy, Unhealthy); a file the verifier
-# cannot frame (unknownType, errOversized); the mirror's reconnect backoff and
-# backoff (backoffMax, sleepCtx); a deployment failing
+# cannot frame (unknownType, errOversized); the mirror's reconnect backoff
+# after a failed dial (sleepCtx); a deployment failing
 # half-built (bench fail); an enclave torn down under its callers (Destroy);
 # a hostile header of more than 16 out-of-order fields (groupSorted) and a
 # chunked body read from a stream (copyTo); the chaos harness's fault seams
 # (faultinject's node and link faults, SetByzantine, WithFaultInjector).
 SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter libseal:HealthUnhealthy \
 	internal/resilience:Unhealthy internal/audit:unknownType internal/audit:errOversized \
-	internal/audit/mirror:backoffMax internal/audit/mirror:sleepCtx \
+	internal/audit/mirror:sleepCtx \
 	internal/bench:fail internal/enclave:Destroy \
 	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
 	internal/faultinject:SlowNode internal/faultinject:DropLink internal/faultinject:ResetLink \
 	internal/faultinject:AmnesicRestart internal/rote:SetByzantine libseal:WithFaultInjector
 
-# ROADMAP item 6: the status page and span API read the metric registry
+# ROADMAP item 7: the status page and span API read the metric registry
 # through the facade's MetricsSnapshot, SetMetricsEnabled and ResetMetrics.
 SURFACE_UNREACHED += libseal:MetricsSnapshot libseal:SetMetricsEnabled libseal:ResetMetrics
 
-# benchmark/ is the referee, edited only by a benchmark PR (ROADMAP item 1).
+# benchmark/ is the referee, edited only by a benchmark PR (ROADMAP item 2).
 # bench-e2e-smoke's two runs take none of its driver-facing inputs: the diff
 # mode that judges two result files, -trace and its span files, -out and the
 # machine block it writes, and verify_cold's resume cell.

@@ -584,7 +584,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // TestChaosMirrorLinkDrops soaks the replication feed under repeated link
 // failures: a live mirror follows a server while workloads land, and between
 // rounds every feed connection is severed server-side. The mirror must
-// reconnect through its backoff/breaker dialer, resume from its verified
+// reconnect through its backoff dialer, resume from its verified
 // prefix (checkpoint), and finish with zero violations and full agreement
 // with the offline verifier. This is the "untrusted plumbing" half of the
 // mirror's threat model: a flaky (or adversarial) link may slow the mirror
@@ -604,15 +604,13 @@ func TestChaosMirrorLinkDrops(t *testing.T) {
 
 	violations := make(chan error, 8)
 	m, err := StartMirror(context.Background(), MirrorConfig{
-		Addr:            addr,
-		Name:            "git",
-		Pub:             seal.Bridge().Enclave().PublicKey(),
-		CheckpointPath:  filepath.Join(t.TempDir(), "mirror.ckpt"),
-		CheckpointEvery: time.Millisecond,
-		BackoffMin:      5 * time.Millisecond,
-		BackoffMax:      100 * time.Millisecond,
-		RestartGrace:    time.Second,
-		OnViolation:     func(err error) { violations <- err },
+		Addr:           addr,
+		Name:           "git",
+		Pub:            seal.Bridge().Enclave().PublicKey(),
+		CheckpointPath: filepath.Join(t.TempDir(), "mirror.ckpt"),
+		BackoffMin:     5 * time.Millisecond,
+		RestartGrace:   time.Second,
+		OnViolation:    func(err error) { violations <- err },
 	})
 	if err != nil {
 		t.Fatal(err)

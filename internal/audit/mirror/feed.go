@@ -20,69 +20,23 @@ var (
 )
 
 const (
-	defaultChunkBytes   = 256 << 10
-	defaultQueueFrames  = 64
-	defaultWriteTimeout = 5 * time.Second
-	defaultPollInterval = 250 * time.Millisecond
+	chunkBytes   = 256 << 10              // one data frame's payload bound
+	pollInterval = 250 * time.Millisecond // wakeup cadence when commit notifications are missed
 )
 
-// FeedConfig describes the replication feed a server exposes next to a
-// running audit log.
-type FeedConfig struct {
-	// Log is the live log set the feed tails. It must be running in disk
-	// mode with its files on the real filesystem (the feed reads them with
-	// plain os I/O — the files are outside-world state already, which is
-	// the whole point of the trust model: the feed serves bytes, it proves
-	// nothing). The set says where its files are (ShardedLog.Files).
-	Log *audit.ShardedLog
-	// ChunkBytes bounds one data frame's payload (default 256 KiB).
-	ChunkBytes int
-	// QueueFrames bounds each subscriber's outbound frame queue (default
-	// 64). A subscriber that cannot drain its queue within WriteTimeout is
-	// dropped — backpressure never reaches the append path.
-	QueueFrames int
-	// WriteTimeout bounds each frame write and the enqueue wait for a full
-	// queue (default 5s).
-	WriteTimeout time.Duration
-	// PollInterval is the fallback wakeup cadence when commit
-	// notifications are missed (default 250ms).
-	PollInterval time.Duration
-}
-
-func (c *FeedConfig) chunk() int {
-	if c.ChunkBytes <= 0 {
-		return defaultChunkBytes
-	}
-	return min(c.ChunkBytes, maxFrameBytes-2)
-}
-
-func (c *FeedConfig) queue() int {
-	if c.QueueFrames <= 0 {
-		return defaultQueueFrames
-	}
-	return c.QueueFrames
-}
-
-func (c *FeedConfig) writeTimeout() time.Duration {
-	if c.WriteTimeout <= 0 {
-		return defaultWriteTimeout
-	}
-	return c.WriteTimeout
-}
-
-func (c *FeedConfig) poll() time.Duration {
-	if c.PollInterval <= 0 {
-		return defaultPollInterval
-	}
-	return c.PollInterval
-}
+// writeTimeout bounds each frame write to a subscriber and the wait for its
+// hello. A subscriber that misses it is dropped: backpressure never reaches
+// the append path, which only pokes pumps through Notify. A variable so tests
+// can shorten it.
+var writeTimeout = 5 * time.Second
 
 // Feed streams a live log set to subscribers. One Feed serves any number of
-// concurrent subscribers, each with its own position, queue and
-// backpressure; a slow or dead subscriber is dropped without affecting the
-// others or the appenders.
+// concurrent subscribers, each with its own position and backpressure; a
+// slow or dead subscriber is dropped without affecting the others or the
+// appenders.
 type Feed struct {
-	cfg FeedConfig
+	log  *audit.ShardedLog
+	quit chan struct{} // closed by Close: idle pumps exit
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -92,13 +46,17 @@ type Feed struct {
 }
 
 // NewFeed builds a feed over a running log set and installs itself as the
-// set's commit listener (displacing any previous listener).
-func NewFeed(cfg FeedConfig) (*Feed, error) {
-	if cfg.Log == nil || len(cfg.Log.Files()) == 0 {
-		return nil, errors.New("mirror: FeedConfig.Log must be a disk-mode log set (WithAuditDisk)")
+// set's commit listener (displacing any previous listener). The set must be
+// running in disk mode with its files on the real filesystem: the feed reads
+// them with plain os I/O — the files are outside-world state already, which
+// is the whole point of the trust model: the feed serves bytes, it proves
+// nothing.
+func NewFeed(log *audit.ShardedLog) (*Feed, error) {
+	if log == nil || len(log.Files()) == 0 {
+		return nil, errors.New("mirror: the feed needs a disk-mode log set (WithAuditDisk)")
 	}
-	f := &Feed{cfg: cfg, subs: make(map[*subscriber]struct{})}
-	cfg.Log.SetCommitNotify(f.Notify)
+	f := &Feed{log: log, quit: make(chan struct{}), subs: make(map[*subscriber]struct{})}
+	log.SetCommitNotify(f.Notify)
 	return f, nil
 }
 
@@ -143,13 +101,7 @@ func (f *Feed) Serve(ln net.Listener) error {
 }
 
 func (f *Feed) addSubscriber(conn net.Conn) {
-	s := &subscriber{
-		feed:   f,
-		conn:   conn,
-		wake:   make(chan struct{}, 1),
-		frames: make(chan frame, f.cfg.queue()),
-		done:   make(chan struct{}),
-	}
+	s := &subscriber{feed: f, conn: conn, wake: make(chan struct{}, 1)}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
@@ -158,11 +110,10 @@ func (f *Feed) addSubscriber(conn net.Conn) {
 	}
 	f.subs[s] = struct{}{}
 	n := len(f.subs)
-	f.wg.Add(2)
+	f.wg.Add(1)
 	f.mu.Unlock()
 	mFeedSubscribers.Set(int64(n))
-	go s.writeLoop()
-	go s.pumpLoop()
+	go s.pump()
 }
 
 func (f *Feed) removeSubscriber(s *subscriber) {
@@ -188,7 +139,8 @@ func (f *Feed) DisconnectAll() {
 }
 
 // Close shuts the feed down: listener, every subscriber, and the commit
-// notifier hook.
+// notifier hook. Closing a subscriber's conn unblocks a pump stalled
+// mid-write; an idle pump exits on quit.
 func (f *Feed) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -196,6 +148,7 @@ func (f *Feed) Close() error {
 		return nil
 	}
 	f.closed = true
+	close(f.quit)
 	ln := f.ln
 	for s := range f.subs {
 		s.conn.Close()
@@ -204,26 +157,17 @@ func (f *Feed) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
-	f.cfg.Log.SetCommitNotify(nil)
+	f.log.SetCommitNotify(nil)
 	f.wg.Wait()
 	return nil
 }
 
-// frame is one queued outbound frame.
-type frame struct {
-	typ     byte
-	payload []byte
-}
-
-// subscriber is one attached mirror: a pump goroutine that reads committed
-// log bytes and enqueues frames, and a write goroutine that drains the
-// queue to the socket under a deadline.
+// subscriber is one attached mirror, served by one pump goroutine that
+// reads committed log bytes and writes them to the socket as frames.
 type subscriber struct {
-	feed   *Feed
-	conn   net.Conn
-	wake   chan struct{}
-	frames chan frame
-	done   chan struct{} // closed by writeLoop on exit
+	feed *Feed
+	conn net.Conn
+	wake chan struct{}
 
 	// pump state: one lane per persisted file, in ShardedLog.Files order, and
 	// the set generation (ShardedLog.Generation) the lanes' positions are in.
@@ -286,51 +230,27 @@ func (ln *lane) proof(recOff, offset int64) ([]byte, error) {
 	return audit.SigProof(f, recOff, offset)
 }
 
-// send enqueues a frame, bounded by the queue and the write timeout: if the
-// writer cannot drain the queue in time the subscriber is dropped.
+// send writes one frame under the write deadline. A subscriber that misses
+// it is not draining its socket and is dropped.
 func (s *subscriber) send(typ byte, payload []byte) error {
-	t := time.NewTimer(s.feed.cfg.writeTimeout())
-	defer t.Stop()
-	select {
-	case s.frames <- frame{typ, payload}:
-		return nil
-	case <-s.done:
-		return errors.New("mirror: subscriber writer gone")
-	case <-t.C:
-		mFeedDropped.Inc()
-		return errors.New("mirror: subscriber queue stalled")
+	s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err := writeFrame(s.conn, typ, payload); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			mFeedDropped.Inc()
+		}
+		return err
 	}
+	mFeedSentBytes.Add(int64(5 + len(payload)))
+	return nil
 }
 
-func (s *subscriber) writeLoop() {
-	defer s.feed.wg.Done()
-	failed := false
-	for fr := range s.frames {
-		if failed {
-			continue // draining: pump will notice done and close the channel
-		}
-		s.conn.SetWriteDeadline(time.Now().Add(s.feed.cfg.writeTimeout()))
-		if err := writeFrame(s.conn, fr.typ, fr.payload); err != nil {
-			s.conn.Close()
-			// Signal the pump BEFORE draining, or it would keep enqueuing
-			// happily forever against a dead socket.
-			close(s.done)
-			failed = true
-			continue
-		}
-		mFeedSentBytes.Add(int64(5 + len(fr.payload)))
-	}
-	if !failed {
-		close(s.done)
-	}
-}
-
-func (s *subscriber) pumpLoop() {
+// pump serves the subscriber: the handshake, then a round of pumpOnce per
+// commit notification or poll, until a write fails or the feed closes.
+func (s *subscriber) pump() {
 	defer s.feed.wg.Done()
 	defer s.conn.Close()
 	defer s.feed.removeSubscriber(s)
 	defer func() {
-		close(s.frames)
 		for i := range s.lanes {
 			s.lanes[i].close()
 		}
@@ -338,13 +258,13 @@ func (s *subscriber) pumpLoop() {
 	if err := s.handshake(); err != nil {
 		return
 	}
-	ticker := time.NewTicker(s.feed.cfg.poll())
+	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for {
 		caught, err := s.pumpOnce()
 		if caught {
 			err = s.sendTail()
-		} else if err == nil && s.feed.cfg.Log.Generation()%2 == 0 {
+		} else if err == nil && s.feed.log.Generation()%2 == 0 {
 			continue // a read raced a land that has settled: restart now
 		}
 		if err != nil {
@@ -353,7 +273,7 @@ func (s *subscriber) pumpLoop() {
 		select {
 		case <-s.wake:
 		case <-ticker.C:
-		case <-s.done:
+		case <-s.feed.quit:
 			return
 		}
 	}
@@ -362,7 +282,7 @@ func (s *subscriber) pumpLoop() {
 // handshake reads the hello, answers resume claims with proofs, and seeds
 // the pump positions.
 func (s *subscriber) handshake() error {
-	s.conn.SetReadDeadline(time.Now().Add(s.feed.cfg.writeTimeout()))
+	s.conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	typ, payload, err := readFrame(s.conn)
 	if err != nil || typ != frameHello {
 		return fmt.Errorf("mirror: bad hello: %v", err)
@@ -373,7 +293,7 @@ func (s *subscriber) handshake() error {
 		return err
 	}
 
-	log := s.feed.cfg.Log
+	log := s.feed.log
 	s.lanes = newLanes(log)
 	ack := ackMsg{Name: log.Name(), ShardsTotal: log.Shards(), Manifested: true}
 	for range hello.Shards {
@@ -418,7 +338,7 @@ func (s *subscriber) handshake() error {
 // the subscriber is fully caught up (so the pump can block on the next
 // wakeup).
 func (s *subscriber) pumpOnce() (caught bool, err error) {
-	g := s.feed.cfg.Log.Generation()
+	g := s.feed.log.Generation()
 	if g%2 == 1 {
 		return false, nil // a land in flight: wait for it to settle
 	}
@@ -461,10 +381,10 @@ func (s *subscriber) pumpLane(k int, ln *lane) (caught bool, err error) {
 		if ln.pos >= target {
 			break
 		}
-		n := min(int64(s.feed.cfg.chunk()), target-ln.pos)
+		n := min(chunkBytes, target-ln.pos)
 		chunk := make([]byte, n)
 		_, err = f.ReadAt(chunk, ln.pos)
-		if s.feed.cfg.Log.Generation() != s.gen {
+		if s.feed.log.Generation() != s.gen {
 			return false, nil // the chunk may span a land; restart next round
 		}
 		if err != nil {
@@ -494,7 +414,7 @@ func (s *subscriber) sendTail() error {
 			t.Shards = append(t.Shards, ln.view.CommittedSize())
 		}
 	}
-	if s.feed.cfg.Log.Generation() != s.gen {
+	if s.feed.log.Generation() != s.gen {
 		return nil
 	}
 	return s.send(frameTail, marshalJSONFrame(t))

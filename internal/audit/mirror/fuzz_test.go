@@ -32,8 +32,9 @@ func feedScript(steps []step) []byte {
 
 // fuzzSeeds are scripts of the set-rule table's cells — the first of each
 // kind of compaction cell, and every adversarial cell that needs no second
-// session — and one frame header claiming a payload past maxFrameBytes; pub
-// is the key their set is signed with.
+// session — one frame header claiming a payload past maxFrameBytes, and one
+// data frame for a shard the ack does not name; pub is the key their set is
+// signed with.
 func fuzzSeeds(f *testing.F) (seeds map[string][]byte, pub *ecdsa.PublicKey) {
 	fx := newSetFixture(f)
 	seeds = map[string][]byte{}
@@ -46,7 +47,47 @@ func fuzzSeeds(f *testing.F) (seeds map[string][]byte, pub *ecdsa.PublicKey) {
 	oversized := feedScript(nil)
 	oversized = binary.BigEndian.AppendUint32(append(oversized, frameData), maxFrameBytes+1)
 	seeds["oversized frame"] = append(oversized, 0, 0, 1, 2, 3)
+	seeds["unknown shard"] = append(feedScript(nil), encodeFrame(frameData, dataPayload(2, fx.a.shards[0]))...)
 	return seeds, fx.e.encl.PublicKey()
+}
+
+// addSeeds adds fuzzSeeds in name order and returns their key.
+func addSeeds(f *testing.F) *ecdsa.PublicKey {
+	seeds, pub := fuzzSeeds(f)
+	var names []string
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(seeds[name])
+	}
+	return pub
+}
+
+// withTail describes the files of script's frames and, when the script frames
+// whole, appends their tail frame to it.
+func withTail(t *testing.T, script []byte) (out []byte, files setImages, whole bool) {
+	files, whole = describe(t, script)
+	if !whole {
+		return script, files, false
+	}
+	tail := files.tail()
+	return append(bytes.Clone(script), encodeFrame(tail.typ, tail.payload)...), files, true
+}
+
+// checkOffline fails t if a mirror that latched no violation verified more
+// entries than VerifyPath accepts of files, torn tails tolerated.
+func checkOffline(t *testing.T, pub *ecdsa.PublicKey, files setImages, verified int) {
+	accepted := 0
+	rep, err := audit.VerifyPath(context.Background(), files.write(t), audit.StreamOptions{
+		VerifyOptions: audit.VerifyOptions{Pub: pub, RecoverTruncated: true}})
+	if err == nil {
+		accepted = rep.TotalEntries
+	}
+	if verified > accepted {
+		t.Fatalf("the mirror verified %d entries with no violation; VerifyPath accepts %d of the files (%v)", verified, accepted, err)
+	}
 }
 
 // FuzzMirrorFeed fuzzes the byte stream a mirror reads from a feed, through
@@ -59,21 +100,9 @@ func fuzzSeeds(f *testing.F) (seeds map[string][]byte, pub *ecdsa.PublicKey) {
 // which a mirror that latched no violation reports no more entries than
 // VerifyPath accepts of those files, torn tails tolerated.
 func FuzzMirrorFeed(f *testing.F) {
-	seeds, pub := fuzzSeeds(f)
-	var names []string
-	for name := range seeds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f.Add(seeds[name])
-	}
+	pub := addSeeds(f)
 	f.Fuzz(func(t *testing.T, script []byte) {
-		files, whole := describe(t, script)
-		if whole {
-			tail := files.tail()
-			script = append(bytes.Clone(script), encodeFrame(tail.typ, tail.payload)...)
-		}
+		script, files, whole := withTail(t, script)
 		redialed := make(chan struct{})
 		dials := 0
 		m, err := Start(context.Background(), Config{Name: "git", Pub: pub, BackoffMin: time.Millisecond, RestartGrace: time.Hour,
@@ -103,17 +132,52 @@ func FuzzMirrorFeed(f *testing.F) {
 			t.Fatalf("the mirror neither latched nor finished the script: %+v", m.Report())
 		}
 		m.Stop(context.Background())
-		if !whole || m.Err() != nil {
-			return
+		if whole && m.Err() == nil {
+			checkOffline(t, pub, files, m.Report().TotalEntries)
 		}
-		accepted := 0
-		rep, err := audit.VerifyPath(context.Background(), files.write(t), audit.StreamOptions{
-			VerifyOptions: audit.VerifyOptions{Pub: pub, RecoverTruncated: true}})
-		if err == nil {
-			accepted = rep.TotalEntries
+	})
+}
+
+// FuzzMirrorFrames fuzzes the same scripts against the same oracle without a
+// session: a socket-less Mirror, built as the set-rule table builds one,
+// takes the ack through the handshake's checks and restartLocked, then each
+// frame through handleFrame and the between-frame continuity check, as its
+// session would, until the stream ends or a frame latches a violation. An
+// exec costs the mirror's frame handling, not a dial, a pipe and two
+// goroutines.
+func FuzzMirrorFrames(f *testing.F) {
+	pub := addSeeds(f)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		script, files, whole := withTail(t, script)
+		r := bytes.NewReader(script)
+		typ, payload, err := readFrame(r)
+		var ack ackMsg
+		if err != nil || typ != frameAck || unmarshalStrict(payload, &ack) != nil ||
+			ack.ShardsTotal <= 0 || ack.ShardsTotal > 1<<12 || !ack.Manifested {
+			return // the handshake refuses it
 		}
-		if n := m.Report().TotalEntries; n > accepted {
-			t.Fatalf("the mirror verified %d entries with no violation; VerifyPath accepts %d of the files (%v)", n, accepted, err)
+		m := &Mirror{cfg: Config{Name: "git", Pub: pub, RestartGrace: time.Hour}, connected: true}
+		m.shards = make([]*shardState, ack.ShardsTotal)
+		for k := range m.shards {
+			m.shards[k] = &shardState{}
+		}
+		if m.restartLocked(&ack) {
+			return // the handshake refuses a resumed lane the mirror starts cold
+		}
+		for {
+			typ, payload, err := readFrame(r)
+			if err != nil {
+				break // the link ends the session
+			}
+			if err = m.handleFrame(typ, payload); err == nil {
+				err = m.timeChecks()
+			}
+			if err != nil {
+				return // latched
+			}
+		}
+		if whole {
+			checkOffline(t, pub, files, m.Report().TotalEntries)
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"libseal/internal/audit"
-	"libseal/internal/resilience"
 	"libseal/internal/telemetry"
 )
 
@@ -30,17 +29,23 @@ var (
 )
 
 const (
-	defaultBackoffMin      = 100 * time.Millisecond
-	defaultBackoffMax      = 5 * time.Second
-	defaultReadTimeout     = 10 * time.Second
-	defaultRestartGrace    = 10 * time.Second
-	defaultCheckpointEvery = 1 * time.Second
-	checkTick              = 100 * time.Millisecond
+	defaultBackoffMin   = 100 * time.Millisecond
+	defaultRestartGrace = 10 * time.Second
+	// backoffMax caps the reconnect backoff (raised to BackoffMin if that is
+	// larger).
+	backoffMax = 5 * time.Second
+	// readTimeout bounds how long a live session may go without a single
+	// frame before the link is declared dead; the feed heartbeats with tail
+	// frames each poll interval.
+	readTimeout = 10 * time.Second
+	// checkpointEvery is the minimum interval between sidecar writes.
+	checkpointEvery = time.Second
+	checkTick       = 100 * time.Millisecond
 )
 
 // Config describes a mirror session.
 type Config struct {
-	// Addr is the server's replication listener (FeedConfig side).
+	// Addr is the server's replication listener (the feed's).
 	Addr string
 	// Name is the log-set name; it binds manifest digests and the
 	// checkpoint sidecar.
@@ -60,17 +65,9 @@ type Config struct {
 	// Dial overrides the transport (tests, in-process links). Default is a
 	// TCP dial of Addr.
 	Dial func(ctx context.Context) (net.Conn, error)
-	// BackoffMin / BackoffMax bound the reconnect backoff (defaults
-	// 100ms / 5s).
+	// BackoffMin is the first reconnect backoff (default 100ms); each failed
+	// dial or handshake doubles it, up to 5s or BackoffMin if that is larger.
 	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// Breaker guards dialing: repeated dial failures open the breaker so a
-	// dead server is probed, not hammered.
-	Breaker resilience.BreakerConfig
-	// ReadTimeout bounds how long a live session may go without a single
-	// frame before the link is declared dead (default 10s; the feed
-	// heartbeats with tail frames each poll interval).
-	ReadTimeout time.Duration
 	// MaxLag, when > 0, is the staleness bound in bytes: once the mirror
 	// has caught up once, reported lag beyond this raises
 	// ErrMirrorLagging.
@@ -81,9 +78,6 @@ type Config struct {
 	// commit point, so a stream that stays below the floor is serving a
 	// rolled-back file the feed may never let it catch up with.
 	RestartGrace time.Duration
-	// CheckpointEvery is the minimum interval between sidecar writes
-	// (default 1s).
-	CheckpointEvery time.Duration
 }
 
 func (c *Config) backoffMin() time.Duration {
@@ -93,32 +87,11 @@ func (c *Config) backoffMin() time.Duration {
 	return c.BackoffMin
 }
 
-func (c *Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return defaultBackoffMax
-	}
-	return c.BackoffMax
-}
-
-func (c *Config) readTimeout() time.Duration {
-	if c.ReadTimeout <= 0 {
-		return defaultReadTimeout
-	}
-	return c.ReadTimeout
-}
-
 func (c *Config) restartGrace() time.Duration {
 	if c.RestartGrace <= 0 {
 		return defaultRestartGrace
 	}
 	return c.RestartGrace
-}
-
-func (c *Config) checkpointEvery() time.Duration {
-	if c.CheckpointEvery <= 0 {
-		return defaultCheckpointEvery
-	}
-	return c.CheckpointEvery
 }
 
 // shardState is the mirror's per-shard memory; it outlives sessions.
@@ -154,10 +127,9 @@ type manifestMem struct {
 
 // Mirror is a follower continuously verifying a live log over its feed.
 type Mirror struct {
-	cfg     Config
-	breaker *resilience.Breaker
-	cancel  context.CancelFunc
-	done    chan struct{}
+	cfg    Config
+	cancel context.CancelFunc
+	done   chan struct{}
 
 	mu          sync.Mutex
 	connected   bool
@@ -177,8 +149,8 @@ type Mirror struct {
 }
 
 // Start attaches a mirror to a feed and begins continuous verification in
-// the background. The returned Mirror reconnects with breaker-guarded
-// exponential backoff until Stop or a violation latches.
+// the background. The returned Mirror reconnects with capped exponential
+// backoff until Stop or a violation latches.
 func Start(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.Pub == nil {
 		return nil, errors.New("mirror: Config.Pub is required — the public key is the mirror's only trust anchor")
@@ -189,11 +161,7 @@ func Start(ctx context.Context, cfg Config) (*Mirror, error) {
 	if cfg.Addr == "" && cfg.Dial == nil {
 		return nil, errors.New("mirror: Config needs Addr or Dial")
 	}
-	m := &Mirror{
-		cfg:     cfg,
-		breaker: resilience.NewBreaker("mirror.dial", cfg.Breaker),
-		done:    make(chan struct{}),
-	}
+	m := &Mirror{cfg: cfg, done: make(chan struct{})}
 	if cfg.CheckpointPath != "" {
 		st, err := loadState(cfg.CheckpointPath, cfg.Name)
 		if err != nil {
@@ -295,42 +263,30 @@ func (m *Mirror) dial(ctx context.Context) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", m.cfg.Addr)
 }
 
-// run is the reconnect loop: breaker-guarded dial, session, backoff.
+// run is the reconnect loop: dial and session, and after a failed dial or
+// handshake a backoff that doubles from BackoffMin up to backoffMax.
 func (m *Mirror) run(ctx context.Context) {
 	defer close(m.done)
 	defer m.saveCheckpoint()
-	backoff := m.cfg.backoffMin()
+	first := m.cfg.backoffMin()
+	backoff := first
 	for ctx.Err() == nil && m.Err() == nil {
-		if err := m.breaker.Allow(); err != nil {
-			if !sleepCtx(ctx, m.cfg.backoffMin()) {
-				return
+		if conn, err := m.dial(ctx); err == nil {
+			established := m.session(ctx, conn)
+			conn.Close()
+			m.mu.Lock()
+			m.connected = false
+			m.mu.Unlock()
+			if established {
+				backoff = first
+				mMirrorReconnects.Inc()
+				continue
 			}
-			continue
 		}
-		conn, err := m.dial(ctx)
-		if err != nil {
-			m.breaker.Failure()
-			if !sleepCtx(ctx, backoff) {
-				return
-			}
-			backoff = min(backoff*2, m.cfg.backoffMax())
-			continue
+		if !sleepCtx(ctx, backoff) {
+			return
 		}
-		m.breaker.Success()
-		established := m.session(ctx, conn)
-		conn.Close()
-		m.mu.Lock()
-		m.connected = false
-		m.mu.Unlock()
-		if established {
-			backoff = m.cfg.backoffMin()
-			mMirrorReconnects.Inc()
-		} else {
-			if !sleepCtx(ctx, backoff) {
-				return
-			}
-			backoff = min(backoff*2, m.cfg.backoffMax())
-		}
+		backoff = min(backoff*2, max(backoffMax, first))
 	}
 }
 
@@ -369,7 +325,7 @@ func (m *Mirror) session(ctx context.Context, conn net.Conn) bool {
 	defer close(sessDone)
 	go func() {
 		for {
-			conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout()))
+			conn.SetReadDeadline(time.Now().Add(readTimeout))
 			typ, payload, err := readFrame(br)
 			select {
 			case frames <- recvFrame{typ, payload, err}:
@@ -423,12 +379,12 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 	}
 	m.mu.Unlock()
 
-	conn.SetWriteDeadline(time.Now().Add(m.cfg.readTimeout()))
+	conn.SetWriteDeadline(time.Now().Add(readTimeout))
 	if err := writeFrame(conn, frameHello, marshalJSONFrame(hello)); err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	conn.SetReadDeadline(time.Now().Add(m.cfg.readTimeout()))
+	conn.SetReadDeadline(time.Now().Add(readTimeout))
 	typ, payload, err := readFrame(br)
 	if err != nil {
 		return err
@@ -655,7 +611,7 @@ func (m *Mirror) maybeCheckpoint() {
 		return
 	}
 	m.mu.Lock()
-	due := m.dirty && time.Since(m.lastSave) >= m.cfg.checkpointEvery()
+	due := m.dirty && time.Since(m.lastSave) >= checkpointEvery
 	if due {
 		m.dirty = false
 		m.lastSave = time.Now()

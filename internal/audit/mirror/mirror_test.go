@@ -45,10 +45,6 @@ type mirrorEnv struct {
 }
 
 func newMirrorEnv(t testing.TB, shards int, manifestEvery time.Duration) *mirrorEnv {
-	return newMirrorEnvCfg(t, shards, manifestEvery, nil)
-}
-
-func newMirrorEnvCfg(t testing.TB, shards int, manifestEvery time.Duration, tune func(*FeedConfig)) *mirrorEnv {
 	t.Helper()
 	p := enclave.NewPlatform()
 	encl, err := p.Launch(enclave.Config{Code: []byte("libseal-mirror-test"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
@@ -73,11 +69,7 @@ func newMirrorEnvCfg(t testing.TB, shards int, manifestEvery time.Duration, tune
 		})
 		return err
 	})
-	fcfg := FeedConfig{Log: e.log, PollInterval: 20 * time.Millisecond}
-	if tune != nil {
-		tune(&fcfg)
-	}
-	feed, err := NewFeed(fcfg)
+	feed, err := NewFeed(e.log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +145,6 @@ func (e *mirrorEnv) mirrorConfig() Config {
 		Name:         "git",
 		Pub:          e.encl.PublicKey(),
 		BackoffMin:   10 * time.Millisecond,
-		ReadTimeout:  2 * time.Second,
 		RestartGrace: 400 * time.Millisecond,
 	}
 }
@@ -225,7 +216,6 @@ func TestMirrorResumeAfterRestart(t *testing.T) {
 
 	cfg := e.mirrorConfig()
 	cfg.CheckpointPath = ckpt
-	cfg.CheckpointEvery = time.Millisecond
 	m1, err := Start(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +354,7 @@ func TestMirrorRefusesServerBehind(t *testing.T) {
 	}
 	rec := e.recover(1)
 	defer rec.Close()
-	feed, err := NewFeed(FeedConfig{Log: rec, PollInterval: 20 * time.Millisecond})
+	feed, err := NewFeed(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,27 +488,16 @@ func TestMirrorFollowsDatabaseTrimsThenCompaction(t *testing.T) {
 }
 
 // TestFeedBackpressure attaches a subscriber that never reads: the feed
-// must drop it within the write timeout instead of blocking the pump, and
+// must drop it within the write deadline instead of blocking the pump, and
 // the appenders must never notice.
 func TestFeedBackpressure(t *testing.T) {
-	// Tight feed limits so a stalled subscriber hits them quickly instead of
-	// hiding behind multi-megabyte kernel socket buffers.
-	e := newMirrorEnvCfg(t, 2, time.Hour, func(cfg *FeedConfig) {
-		cfg.QueueFrames = 4
-		cfg.ChunkBytes = 32 << 10
-		cfg.WriteTimeout = 200 * time.Millisecond
-	})
-	conn, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A tight deadline so a stalled subscriber hits it quickly.
+	setWriteTimeout(t, 200*time.Millisecond)
+	e := newMirrorEnv(t, 2, time.Hour)
+	conn := stalledSubscriber(t, e)
 	defer conn.Close()
-	// A valid hello, then silence: the subscriber stops draining.
-	if err := writeFrame(conn, frameHello, marshalJSONFrame(helloMsg{Name: "git"})); err != nil {
-		t.Fatal(err)
-	}
-	// Enough data to overflow the kernel socket buffers AND the feed's frame
-	// queue: only then does the drop path have to fire.
+	// Enough data to overflow the kernel socket buffers: only then does the
+	// pump's write block and the drop path have to fire.
 	blob := strings.Repeat("x", 64<<10)
 	for i := 0; i < 256; i++ {
 		i := i
@@ -533,6 +512,70 @@ func TestFeedBackpressure(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestFeedCloseUnblocksStalledPump: a pump blocked mid-write to a subscriber
+// that never reads is released by Feed.Close at once, not at the write
+// deadline.
+func TestFeedCloseUnblocksStalledPump(t *testing.T) {
+	e := newMirrorEnv(t, 1, time.Hour)
+	sent := func() int64 {
+		m, _ := telemetry.Get("audit.feed.sent.bytes")
+		return m.Value
+	}
+	committed := func() (n int64) {
+		for _, v := range e.log.Files() {
+			n += v.CommittedSize()
+		}
+		return n
+	}
+	sent0 := sent()
+	conn := stalledSubscriber(t, e)
+	defer conn.Close()
+	// Append until the pump stops short of the committed bytes: the socket
+	// buffers are full and its write is blocked.
+	blob := strings.Repeat("x", 64<<10)
+	for i := 0; ; i++ {
+		e.call(func(env *asyncall.Env) error {
+			return e.log.Append(env, 0, "updates", i, "bulk", "main", fmt.Sprintf("b%d", i), blob)
+		})
+		if i%32 < 31 {
+			continue
+		}
+		before := sent()
+		time.Sleep(100 * time.Millisecond)
+		if after := sent(); after == before && after-sent0 < committed() {
+			break
+		}
+		if i > 1024 {
+			t.Fatal("the pump never blocked on a subscriber that does not read")
+		}
+	}
+	if n := e.feed.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers attached, want the stalled one", n)
+	}
+	start := time.Now()
+	e.feed.Close()
+	if d := time.Since(start); d >= writeTimeout/2 {
+		t.Fatalf("Close took %v with a pump blocked mid-write, want well under the %v write deadline", d, writeTimeout)
+	}
+	if n := e.feed.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers left after Close", n)
+	}
+}
+
+// stalledSubscriber attaches a subscriber that sends a valid hello and then
+// never reads.
+func stalledSubscriber(t *testing.T, e *mirrorEnv) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameHello, marshalJSONFrame(helloMsg{Name: "git"})); err != nil {
+		t.Fatal(err)
+	}
+	return conn
 }
 
 // TestMirrorFrameCommitsAfterOneCheck: a catch-up frame holding fifty

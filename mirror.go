@@ -21,8 +21,9 @@ type (
 	// replication feed. Build one with StartMirror.
 	Mirror = mirror.Mirror
 	// MirrorConfig describes a mirror session: where to dial, the log-set
-	// name, the enclave public key (the only trust anchor), and the
-	// reconnect/lag/checkpoint knobs.
+	// name, the enclave public key (the only trust anchor), the first
+	// reconnect backoff, the lag bound, the restart grace and the checkpoint
+	// path.
 	MirrorConfig = mirror.Config
 	// MirrorFeed is the server-side replication feed over a running audit
 	// log. Build one with ServeAuditFeed.
@@ -32,10 +33,11 @@ type (
 // StartMirror attaches a mirror to a feed and begins continuous
 // verification in the background: every streamed batch is re-verified
 // (chain, signature, counter continuity, manifest replay) within one batch
-// of the server's write. The mirror reconnects with breaker-guarded
-// exponential backoff; stop it with Mirror.Stop, which persists a resume
-// checkpoint when MirrorConfig.CheckpointPath is set. A detected violation
-// latches (Mirror.Err, MirrorConfig.OnViolation) and stops the mirror — its
+// of the server's write. The mirror reconnects with exponential backoff
+// from MirrorConfig.BackoffMin, capped at 5s (or BackoffMin if larger);
+// stop it with Mirror.Stop, which persists a resume checkpoint when
+// MirrorConfig.CheckpointPath is set. A detected violation latches
+// (Mirror.Err, MirrorConfig.OnViolation) and stops the mirror — its
 // attestation is void from that point.
 func StartMirror(ctx context.Context, cfg MirrorConfig) (*Mirror, error) {
 	return mirror.Start(ctx, cfg)
@@ -46,7 +48,7 @@ func StartMirror(ctx context.Context, cfg MirrorConfig) (*Mirror, error) {
 // one-call server side of live mirroring. The instance must be running with
 // WithAuditDisk. Close the returned feed to stop serving.
 func ServeAuditFeed(ls *LibSEAL, ln net.Listener) (*MirrorFeed, error) {
-	feed, err := mirror.NewFeed(mirror.FeedConfig{Log: ls.Log()})
+	feed, err := mirror.NewFeed(ls.Log())
 	if err != nil {
 		return nil, err
 	}

@@ -112,13 +112,12 @@ func TestMirrorFacadeResumeAcrossRestart(t *testing.T) {
 	driveGitWorkload(t, seal, certs)
 
 	cfg := MirrorConfig{
-		Addr:            addr,
-		Name:            "git",
-		Pub:             seal.Bridge().Enclave().PublicKey(),
-		CheckpointPath:  filepath.Join(t.TempDir(), "mirror.ckpt"),
-		CheckpointEvery: time.Millisecond,
-		BackoffMin:      10 * time.Millisecond,
-		RestartGrace:    500 * time.Millisecond,
+		Addr:           addr,
+		Name:           "git",
+		Pub:            seal.Bridge().Enclave().PublicKey(),
+		CheckpointPath: filepath.Join(t.TempDir(), "mirror.ckpt"),
+		BackoffMin:     10 * time.Millisecond,
+		RestartGrace:   500 * time.Millisecond,
 	}
 	m1, err := StartMirror(context.Background(), cfg)
 	if err != nil {
