@@ -18,9 +18,10 @@ check:
 	$(GO) test -race ./...
 
 # Resilience soak (DESIGN.md §12): rolling amnesic counter-node restarts,
-# the circuit-breaker lifecycle and overload shedding, under -race.
+# a degraded episode's probes under a stuck quorum and overload shedding,
+# under -race.
 soak:
-	$(GO) test -race -count=1 -run 'TestChaosRollingRestart|TestChaosBreaker|TestChaosOverload' -v .
+	$(GO) test -race -count=1 -run 'TestChaosRollingRestart|TestChaosDegradedProbe|TestChaosOverload' -v .
 
 # Mirror soak (DESIGN.md §16): a live mirror following a sharded server
 # through repeated server-side link drops plus the facade resume-across-
@@ -120,15 +121,14 @@ SURFACE_UNREACHED = $(addprefix internal/sqldb:,$(SQLDB_UNREACHED))
 # Interface methods no product path calls: net.Conn, net.Addr, net.Listener
 # and net.Error on the simulated network and the native terminator's
 # connection; error on audit's located framing error; vfs.FS on the
-# fault-injecting file system; RollbackProtector on the breaker protector
-# (the audit log calls IncrementContext).
+# fault-injecting file system.
 SURFACE_UNREACHED += internal/netsim:Network internal/netsim:String internal/netsim:Addr \
 	internal/netsim:LocalAddr internal/netsim:RemoteAddr internal/netsim:SetDeadline \
 	internal/netsim:SetReadDeadline internal/netsim:SetWriteDeadline \
 	internal/netsim:Error internal/netsim:Timeout internal/netsim:Temporary \
 	internal/tlsterm:LocalAddr internal/tlsterm:RemoteAddr internal/tlsterm:SetDeadline \
 	internal/tlsterm:SetReadDeadline internal/tlsterm:SetWriteDeadline \
-	internal/audit:Error internal/audit:Unwrap internal/faultinject:Remove internal/resilience:Increment
+	internal/audit:Error internal/audit:Unwrap internal/faultinject:Remove
 
 # Paper APIs no shipped command or experiment calls: §4.1's secure callbacks
 # (SetInfoCallback and its outside trampoline) and shadow structure (Shadow);
@@ -140,19 +140,19 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 
 # Fault and outside-input paths. Degraded mode's re-anchor retry, which the
 # periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
-# a readiness probe failing (HealthUnhealthy, Unhealthy); a file the verifier
+# a readiness probe failing (libseal-server's unhealthy); a file the verifier
 # cannot frame (unknownType, errOversized); the mirror's reconnect backoff
 # after a failed dial (sleepCtx); a deployment failing
 # half-built (bench fail); an enclave torn down under its callers (Destroy);
 # a hostile header of more than 16 out-of-order fields (groupSorted) and a
 # chunked body read from a stream (copyTo); the chaos harness's fault seams
 # (faultinject's node and link faults, SetByzantine, WithFaultInjector).
-SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter libseal:HealthUnhealthy \
-	internal/resilience:Unhealthy internal/audit:unknownType internal/audit:errOversized \
+SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter cmd/libseal-server:unhealthy \
+	internal/audit:unknownType internal/audit:errOversized \
 	internal/audit/mirror:sleepCtx \
 	internal/bench:fail internal/enclave:Destroy \
 	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
-	internal/faultinject:SlowNode internal/faultinject:DropLink internal/faultinject:ResetLink \
+	internal/faultinject:DropLink internal/faultinject:ResetLink \
 	internal/faultinject:AmnesicRestart internal/rote:SetByzantine libseal:WithFaultInjector
 
 # ROADMAP item 7: the status page and span API read the metric registry

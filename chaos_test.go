@@ -2,6 +2,7 @@ package libseal_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -12,10 +13,12 @@ import (
 	"time"
 
 	. "libseal"
+	"libseal/internal/asyncall"
 	"libseal/internal/bench"
 	"libseal/internal/core"
 	"libseal/internal/faultinject"
 	"libseal/internal/httpparse"
+	"libseal/internal/rote"
 	"libseal/internal/telemetry"
 	"libseal/internal/testutil"
 )
@@ -113,7 +116,8 @@ func runChaosFaultPhase(t *testing.T, dir string, platform *Platform, group *Cou
 
 	// Kill a second counter node: with node 0 already dead the quorum is
 	// unreachable. Appends must keep succeeding in degraded mode, and each
-	// request must stay bounded (two 300 ms anchor attempts, not a stall).
+	// request must stay bounded (a 300 ms anchor attempt at most, not a
+	// stall).
 	st.Group.Nodes()[1].Fail()
 	for i := 7; i <= 8; i++ {
 		start := time.Now()
@@ -128,8 +132,12 @@ func runChaosFaultPhase(t *testing.T, dir string, platform *Platform, group *Cou
 		t.Fatalf("status under dead quorum = %+v", status)
 	}
 
-	// The quorum heals: the next append re-anchors the whole backlog.
+	// The quorum heals: the next append carrying a probe re-anchors the whole
+	// backlog. A probe is due one anchor timeout after the failed attempt;
+	// the wait is a whole manifest interval, so that append also writes the
+	// set's next manifest on every run and the fault trace stays the same.
 	st.Group.Nodes()[1].Recover()
+	time.Sleep(500 * time.Millisecond)
 	if err := push("update", "c9"); err != nil {
 		t.Fatal(err)
 	}
@@ -348,118 +356,125 @@ func TestChaosRollingRestartSoak(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerLifecycle walks the counter circuit breaker through a full
-// open -> half-open -> closed cycle under live traffic. With the quorum dead,
-// each degraded push burns its anchor timeout until the failure streak trips
-// the breaker; after that, pushes shed the counter attempt immediately. Once
-// the quorum heals and the cooldown passes, the next push is the half-open
-// probe that re-closes the breaker and re-anchors the backlog.
-func TestChaosBreakerLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	group, err := NewCounterGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group.SetRetryPolicy(RetryPolicy{
-		Timeout:     250 * time.Millisecond,
-		Retries:     2,
-		BackoffBase: 2 * time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-		JitterSeed:  chaosSeed,
-	})
-	// The cooldown runs on an injected clock: the test advances it past the
-	// cooldown instead of sleeping, so expiry is exact rather than raced
-	// against the scheduler. The breaker reads the clock from push
-	// goroutines, hence the mutex.
-	var clockMu sync.Mutex
-	now := time.Now()
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
-	// The breaker wraps the group the way libseal-server wraps its own.
-	bp := NewBreakerProtector("rote.breaker", group, BreakerConfig{Threshold: 2, Cooldown: 300 * time.Millisecond, Now: clock})
-	breaker := bp.Breaker()
-	st, err := bench.NewGitStack(bench.StackOptions{
-		Mode:     bench.ModeDisk,
-		Dir:      dir,
-		Platform: NewPlatform(),
-		Group:    group,
-		Seal: []Option{
-			WithProtector(bp),
-			WithAnchorTimeout(400 * time.Millisecond),
-			WithDegradedLimit(16),
-		},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	client := st.NewClient(true)
-	defer client.Close()
-	push := func(op, cid string) time.Duration {
-		t.Helper()
-		start := time.Now()
-		rsp, err := client.Do(httpparse.NewRequest("POST", "/git/x/git-receive-pack", []byte(op+" main "+cid)))
-		if err != nil {
-			t.Fatalf("push %s: %v", cid, err)
-		}
-		if rsp.Status != 200 {
-			t.Fatalf("push %s: status %d", cid, rsp.Status)
-		}
-		return time.Since(start)
-	}
+// TestChaosDegradedProbeLifecycle walks a degraded episode through its life
+// under live traffic, with a stuck quorum: two of the four counter nodes
+// answer only after 10 s, far past the 400 ms anchor timeout. The first push
+// after the quorum sticks pays the whole timeout and opens the episode. The
+// pushes after it commit under the stale anchor without asking the quorum,
+// so they are degraded and fast. Once the nodes heal and a probe is due, the
+// next push carries it, closes the episode and re-anchors the backlog. With
+// degraded mode off, every append asks the quorum and fails closed.
+func TestChaosDegradedProbeLifecycle(t *testing.T) {
+	const anchorTimeout = 400 * time.Millisecond
+	for _, limit := range []int{16, 0} {
+		t.Run(fmt.Sprintf("DegradedLimit=%d", limit), func(t *testing.T) {
+			st, err := bench.NewGitStack(bench.StackOptions{
+				Mode:     bench.ModeDisk,
+				Dir:      t.TempDir(),
+				Platform: NewPlatform(),
+				Seal:     []Option{WithAnchorTimeout(anchorTimeout), WithDegradedLimit(limit)},
+			}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			in := faultinject.New(chaosSeed)
+			in.AttachGroup(st.Group)
+			stick := func() {
+				for id := 0; id < 2; id++ {
+					target := fmt.Sprintf("node:%d", id)
+					in.Add(faultinject.SlowNode(id, in.Count(target), 1<<30, 10*time.Second))
+				}
+			}
+			roundTrips := func() int64 {
+				m, _ := telemetry.Get("rote.round_trips")
+				return m.Value
+			}
+			client := st.NewClient(true)
+			defer client.Close()
+			push := func(op, cid string) time.Duration {
+				t.Helper()
+				start := time.Now()
+				rsp, err := client.Do(httpparse.NewRequest("POST", "/git/x/git-receive-pack", []byte(op+" main "+cid)))
+				if err != nil {
+					t.Fatalf("push %s: %v", cid, err)
+				}
+				if rsp.Status != 200 {
+					t.Fatalf("push %s: status %d", cid, rsp.Status)
+				}
+				return time.Since(start)
+			}
 
-	push("create", "c1")
-	if s := breaker.State(); s != BreakerClosed {
-		t.Fatalf("breaker after healthy push: %s", s)
-	}
+			push("create", "c1")
+			if status := st.Seal.AuditStatus(); status.Degraded {
+				t.Fatalf("status after a healthy push = %+v", status)
+			}
+			stick()
 
-	// Kill the quorum. The next two pushes still succeed — degraded — but
-	// each eats the 400 ms anchor timeout, and their failure streak trips
-	// the breaker.
-	st.Group.Nodes()[0].Fail()
-	st.Group.Nodes()[1].Fail()
-	push("update", "c2")
-	push("update", "c3")
-	if s := breaker.State(); s != BreakerOpen {
-		t.Fatalf("breaker after %d failed anchors: %s, want open", 2, s)
-	}
+			if limit == 0 {
+				// Nothing buffers: each append waits out the anchor timeout
+				// and fails with the quorum's error.
+				for i, cid := range []string{"c2", "c3"} {
+					rt := roundTrips()
+					start := time.Now()
+					err := st.Bridge.Call(func(env *asyncall.Env) error {
+						return st.Seal.Log().Append(env, 0, "updates", 2+i, "x", "main", cid, "update")
+					})
+					if !errors.Is(err, rote.ErrNoQuorum) {
+						t.Fatalf("append %s without degraded mode: %v, want ErrNoQuorum", cid, err)
+					}
+					if d := time.Since(start); d < anchorTimeout {
+						t.Fatalf("append %s failed after %v, before the %v anchor timeout", cid, d, anchorTimeout)
+					}
+					if roundTrips() == rt {
+						t.Fatalf("append %s failed without asking the quorum", cid)
+					}
+				}
+				if got := st.Seal.Log().Seq(); got != 1 {
+					t.Fatalf("seq = %d, want 1", got)
+				}
+				return
+			}
 
-	// Open breaker: the counter attempt is shed on the spot, so the push is
-	// degraded AND fast — well under the anchor timeout it no longer pays.
-	short0, _ := telemetry.Get("rote.breaker.short_circuits")
-	if d := push("update", "c4"); d >= 350*time.Millisecond {
-		t.Fatalf("short-circuited push took %v, want well under the 400ms anchor timeout", d)
-	}
-	if short1, _ := telemetry.Get("rote.breaker.short_circuits"); short1.Value <= short0.Value {
-		t.Fatalf("short-circuit count did not advance: %d -> %d", short0.Value, short1.Value)
-	}
-	if status := st.Seal.AuditStatus(); !status.Degraded || status.PendingAnchor != 3 {
-		t.Fatalf("status with breaker open = %+v", status)
-	}
+			// The first push under the stuck quorum pays the anchor timeout
+			// and opens the episode.
+			if d := push("update", "c2"); d < anchorTimeout {
+				t.Fatalf("push c2 took %v, want the whole %v anchor timeout", d, anchorTimeout)
+			}
+			if status := st.Seal.AuditStatus(); !status.Degraded || status.PendingAnchor != 1 {
+				t.Fatalf("status after the failed anchor = %+v", status)
+			}
 
-	// The quorum heals and the cooldown passes: the next push carries the
-	// half-open probe, which succeeds, closes the breaker and re-anchors
-	// the whole backlog.
-	st.Group.Nodes()[0].Recover()
-	st.Group.Nodes()[1].Recover()
-	advance(300 * time.Millisecond)
-	push("update", "c5")
-	if s := breaker.State(); s != BreakerClosed {
-		t.Fatalf("breaker after probe: %s, want closed", s)
-	}
-	if status := st.Seal.AuditStatus(); status.Degraded || status.Gaps != 1 {
-		t.Fatalf("status after heal = %+v", status)
-	}
-	if got := st.Seal.Log().Seq(); got != 5 {
-		t.Fatalf("seq = %d, want 5", got)
+			// No probe is due: the next pushes commit under the stale anchor
+			// without a round trip, so they are degraded AND fast.
+			for _, cid := range []string{"c3", "c4"} {
+				rt := roundTrips()
+				if d := push("update", cid); d >= 100*time.Millisecond {
+					t.Fatalf("degraded push %s took %v, want well under the %v anchor timeout", cid, d, anchorTimeout)
+				}
+				if got := roundTrips(); got != rt {
+					t.Fatalf("degraded push %s made %d counter round trips, want none", cid, got-rt)
+				}
+			}
+			if status := st.Seal.AuditStatus(); !status.Degraded || status.PendingAnchor != 3 {
+				t.Fatalf("status with no probe due = %+v", status)
+			}
+
+			// The nodes heal. Once a probe is due — one anchor timeout after
+			// the failed attempt — the next push carries it, closes the
+			// episode and re-anchors the whole backlog.
+			for _, n := range st.Group.Nodes() {
+				n.SetFaultHook(nil)
+			}
+			time.Sleep(anchorTimeout)
+			push("update", "c5")
+			if status := st.Seal.AuditStatus(); status.Degraded || status.Gaps != 1 {
+				t.Fatalf("status after heal = %+v", status)
+			}
+			if got := st.Seal.Log().Seq(); got != 5 {
+				t.Fatalf("seq = %d, want 5", got)
+			}
+		})
 	}
 }
 

@@ -54,13 +54,11 @@ func main() {
 	auditShards := flag.Int("audit-shards", 1, "audit log shard files, partitioned per connection; every disk log is its shard files plus a signed epoch-manifest sidecar")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
-	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead); the server runs no periodic re-anchor, so an episode closes only at the next append")
-	anchorTimeout := flag.Duration("anchor-timeout", 2*time.Second, "bound on each rollback-counter operation on the request path")
+	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead); while degraded, a batch asks the quorum only once -anchor-timeout has passed since the last failed attempt or when the budget is full, and the first answered probe closes the episode")
+	anchorTimeout := flag.Duration("anchor-timeout", 2*time.Second, "bound on each rollback-counter operation on the request path, and the pause between a degraded episode's probes")
 	recoverMaxLag := flag.Uint64("recover-max-lag", 1, "counter lag tolerated when resuming the log set already in -dir (a crash between increment and flush leaves lag 1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (empty = off)")
 	mirrorAddr := flag.String("mirror-addr", "", "serve the audit-log replication feed on this address for libseal-mirror followers (disk mode only; empty = off)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive counter-quorum failures that open the circuit breaker (0 = no breaker)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long the breaker stays open before probing the quorum again")
 	maxStaged := flag.Int("max-staged", 256, "staging budget of the audit group-commit pipeline; over-budget appends are shed (0 = unbounded)")
 	admitTimeout := flag.Duration("admit-timeout", 500*time.Millisecond, "how long an over-budget append may wait for the pipeline to drain before being shed")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests and audit batches to finish")
@@ -134,28 +132,13 @@ func main() {
 			log.Printf("INTEGRITY VIOLATION %s: %d offending log entries", name, len(rows.Rows))
 		}),
 	}
-	var (
-		group   *libseal.CounterGroup
-		breaker *libseal.Breaker
-	)
+	var group *libseal.CounterGroup
 	switch *mode {
 	case "mem":
 	case "disk":
 		group, err = libseal.NewCounterGroup(1)
 		if err != nil {
 			log.Fatal(err)
-		}
-		var protector libseal.RollbackProtector = group
-		if *breakerThreshold > 0 {
-			bp := libseal.NewBreakerProtector("rote.breaker", group, libseal.BreakerConfig{
-				Threshold: *breakerThreshold,
-				Cooldown:  *breakerCooldown,
-				OnStateChange: func(from, to libseal.BreakerState) {
-					log.Printf("counter breaker: %s -> %s", from, to)
-				},
-			})
-			breaker = bp.Breaker()
-			protector = bp
 		}
 		opts = append(opts,
 			libseal.WithAuditDisk(*dir),
@@ -164,7 +147,7 @@ func main() {
 			libseal.WithDegradedLimit(*degradedLimit),
 			libseal.WithAnchorTimeout(*anchorTimeout),
 			libseal.WithAdmission(*maxStaged, *admitTimeout),
-			libseal.WithProtector(protector),
+			libseal.WithProtector(group),
 		)
 		// A log set already in -dir is resumed, never created over: a new
 		// set would truncate the previous run's evidence. A set that fails
@@ -201,7 +184,7 @@ func main() {
 
 	if *metricsAddr != "" {
 		mux := telemetry.NewServeMux()
-		newHealth(seal, group, breaker, *degradedLimit).Mount(mux)
+		newHealth(seal, group, *degradedLimit).mount(mux)
 		tl, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -277,46 +260,37 @@ func drain(seal *libseal.LibSEAL, server *apache.Server, timeout time.Duration) 
 	}
 }
 
-// newHealth wires the server's readiness probes: counter-quorum liveness,
-// circuit-breaker position, and audit degraded-mode pressure. Probes are
-// nil-safe so mem mode (no counter group, no breaker) still serves /readyz.
-func newHealth(seal *libseal.LibSEAL, group *libseal.CounterGroup, breaker *libseal.Breaker, degradedLimit int) *libseal.Health {
-	h := libseal.NewHealth()
-	h.Liveness("process", func() libseal.HealthCheckResult {
-		return libseal.HealthOK("serving")
-	})
+// newHealth wires the server's probes: process liveness, and the readiness
+// of the counter quorum and of the audit log's anchor. Mem mode has no
+// counter group, so its /readyz reads the audit log alone.
+func newHealth(seal *libseal.LibSEAL, group *libseal.CounterGroup, degradedLimit int) *health {
+	h := &health{
+		live:  map[string]probe{"process": func() checkResult { return healthy("serving") }},
+		ready: map[string]probe{},
+	}
 	if group != nil {
-		h.Readiness("rote-quorum", func() libseal.HealthCheckResult {
+		h.ready["rote-quorum"] = func() checkResult {
 			need := 2*group.F() + 1
-			healthy := 0
+			up := 0
 			for _, n := range group.NodeStatus() {
 				if n.Alive && n.Synced {
-					healthy++
+					up++
 				}
 			}
-			detail := fmt.Sprintf("%d/%d nodes healthy (quorum %d)", healthy, len(group.NodeStatus()), need)
-			if healthy < need {
-				return libseal.HealthUnhealthy(detail)
+			detail := fmt.Sprintf("%d/%d nodes healthy (quorum %d)", up, len(group.NodeStatus()), need)
+			if up < need {
+				return unhealthy(detail)
 			}
-			return libseal.HealthOK(detail)
-		})
+			return healthy(detail)
+		}
 	}
-	if breaker != nil {
-		h.Readiness("counter-breaker", func() libseal.HealthCheckResult {
-			s := breaker.State()
-			if s == libseal.BreakerOpen {
-				return libseal.HealthUnhealthy("breaker open: counter quorum unreachable")
-			}
-			return libseal.HealthOK("breaker " + s.String())
-		})
-	}
-	h.Readiness("audit", func() libseal.HealthCheckResult {
+	h.ready["audit"] = func() checkResult {
 		st := seal.AuditStatus()
 		if st.Degraded {
-			return libseal.HealthUnhealthy(fmt.Sprintf("degraded: %d appends awaiting a fresh counter anchor (limit %d)", st.PendingAnchor, degradedLimit))
+			return unhealthy(fmt.Sprintf("degraded: %d appends awaiting a fresh counter anchor (limit %d)", st.PendingAnchor, degradedLimit))
 		}
-		return libseal.HealthOK(fmt.Sprintf("anchored (%d degraded episodes closed)", st.Gaps))
-	})
+		return healthy(fmt.Sprintf("anchored (%d degraded episodes closed)", st.Gaps))
+	}
 	return h
 }
 

@@ -6,7 +6,6 @@ import (
 	"libseal/internal/audit"
 	"libseal/internal/audit/mirror"
 	"libseal/internal/core"
-	"libseal/internal/resilience"
 )
 
 // This file is the library's complete error taxonomy: every sentinel a
@@ -38,10 +37,6 @@ var (
 	// swapped since it was written. The caller falls back to a cold scan;
 	// mirrors do so automatically.
 	ErrCheckpointStale = audit.ErrCheckpointStale
-
-	// ErrBreakerOpen is returned (wrapped) by counter operations shed by an
-	// open circuit breaker (see NewBreakerProtector).
-	ErrBreakerOpen = resilience.ErrOpen
 
 	// ErrAuditOverloaded is returned (wrapped) by appends shed by the audit
 	// log's admission control (see WithAdmission).

@@ -56,7 +56,7 @@ func TestErrorTaxonomyConsolidated(t *testing.T) {
 	}
 	// The documented block must actually cover the taxonomy.
 	want := []string{
-		"ErrTampered", "ErrBadCounter", "ErrCheckpointStale", "ErrBreakerOpen",
+		"ErrTampered", "ErrBadCounter", "ErrCheckpointStale",
 		"ErrAuditOverloaded", "ErrMirrorLagging", "ErrLoggingDisabled", "ErrUnknownModule",
 	}
 	have := map[string]bool{}
@@ -80,7 +80,6 @@ func TestErrorSentinelIdentity(t *testing.T) {
 		"ErrTampered":        ErrTampered,
 		"ErrBadCounter":      ErrBadCounter,
 		"ErrCheckpointStale": ErrCheckpointStale,
-		"ErrBreakerOpen":     ErrBreakerOpen,
 		"ErrAuditOverloaded": ErrAuditOverloaded,
 		"ErrMirrorLagging":   ErrMirrorLagging,
 		"ErrLoggingDisabled": ErrLoggingDisabled,

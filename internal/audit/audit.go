@@ -161,16 +161,19 @@ type Config struct {
 	FS vfs.FS
 	// AnchorTimeout bounds each rollback-counter operation when the
 	// protector supports cancellation. Zero leaves the protector's own
-	// retry policy in charge.
+	// retry policy in charge. It also paces a degraded episode's probes:
+	// one is due AnchorTimeout after the episode's last failed attempt.
 	AnchorTimeout time.Duration
 	// DegradedLimit, when positive, enables degraded mode: if the counter
 	// quorum is unreachable, up to this many appends are persisted,
 	// chained and signed — but anchored at the last reachable counter
-	// value. The log re-anchors (one fresh increment covers the whole
-	// chain) as soon as the quorum answers again, and the gap is flagged
-	// in Status. Zero means an unreachable quorum fails the append. With
-	// batching on, admission is decided per batch, so the buffered count
-	// may overshoot the limit by at most one batch.
+	// value. While the episode lasts a batch asks the quorum only when a
+	// probe is due or the budget cannot take it; the first probe the
+	// quorum answers re-anchors the log (one fresh increment covers the
+	// whole chain), and the gap is flagged in Status. Zero means an
+	// unreachable quorum fails the append. With batching on, admission is
+	// decided per batch, so the buffered count may overshoot the limit by
+	// at most one batch.
 	DegradedLimit int
 	// RecoverMaxLag tolerates the persisted counter being up to this far
 	// behind the group's stable value during Recover — the state a crash
@@ -272,9 +275,11 @@ type Log struct {
 
 	// pendingAnchor counts appends persisted under a stale counter value
 	// while the quorum is unreachable (degraded mode); gaps counts closed
-	// degraded episodes.
+	// degraded episodes. probeAt is when the episode's next counter probe
+	// is due, written under mu by the commit-lane holder.
 	pendingAnchor atomic.Int64
 	gaps          atomic.Int64
+	probeAt       time.Time
 
 	// file is the persisted log (nil in memory mode): an outside resource,
 	// touched only inside ocalls and only by the holder of the commit lane
@@ -728,9 +733,10 @@ func (l *Log) awaitTurn(b *commitBatch) bool {
 // known and the signature made while its round trip is in flight, over the
 // value it is predicted to return; the record written carries the value it
 // did return, so a signature over a wrong guess never leaves the enclave
-// (DESIGN.md §11). The caller holds the commit lane, so the previous batch
-// has published its head and nothing moves chain, counter or sigHead under
-// these reads.
+// (DESIGN.md §11). A degraded batch with no probe due issues none and signs
+// once, at the stale anchor. The caller holds the commit lane, so the
+// previous batch has published its head and nothing moves chain, counter,
+// sigHead or the degraded state under these reads.
 func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	// A file that failed closed refuses the commit anyway; refuse before
 	// spending a counter increment that no signature record would carry, or
@@ -745,11 +751,15 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	b.endChain = batchChain(l.chain, recs)
 	asyncall.Lock(env, &l.mu)
 	guess := l.counter
+	probe := l.cfg.Protector != nil && l.anchorDueLocked()
 	l.mu.Unlock()
 	var inc *increment
-	if l.cfg.Protector != nil {
+	switch {
+	case probe:
 		inc = l.issueIncrement(env)
 		guess++
+	case l.cfg.Protector != nil:
+		b.degraded = len(b.payloads)
 	}
 	sig, serr := l.signState(env, b.endChain, guess, l.sigHead)
 	counter := guess
@@ -814,6 +824,17 @@ func (l *Log) issueIncrement(env *asyncall.Env) *increment {
 	return inc
 }
 
+// anchorDueLocked reports whether the batch holding the commit lane asks the
+// quorum for an increment. Outside a degraded episode every batch does.
+// Inside one only the batch carrying the due probe does — one AnchorTimeout
+// after the episode's last failed attempt ended — or a batch the degraded
+// budget cannot take, which fails closed only once the quorum has refused it
+// too. Called with l.mu and the commit lane held.
+func (l *Log) anchorDueLocked() bool {
+	pending := l.pendingAnchor.Load()
+	return pending == 0 || pending >= int64(l.cfg.DegradedLimit) || !time.Now().Before(l.probeAt)
+}
+
 // collectAnchor waits in a second ocall for the batch's increment and
 // returns the counter value anchoring the batch: the fresh one, or — when the
 // quorum is unreachable and degraded mode has buffer room — the last
@@ -838,6 +859,7 @@ func (l *Log) collectAnchor(env *asyncall.Env, b *commitBatch, inc *increment) (
 		b.anchorFresh = true
 		return inc.value, nil
 	}
+	l.probeAt = time.Now().Add(l.cfg.AnchorTimeout)
 	if l.cfg.DegradedLimit <= 0 {
 		return 0, inc.err
 	}

@@ -15,6 +15,7 @@ import (
 	"libseal/internal/faultinject"
 	"libseal/internal/rote"
 	"libseal/internal/sqldb"
+	"libseal/internal/telemetry"
 	"libseal/internal/vfs"
 )
 
@@ -623,6 +624,147 @@ func TestTrimNeverDegrades(t *testing.T) {
 		Pub: e.encl.PublicKey(), Protector: e.group, MaxCounterLag: 1,
 	}); err != nil {
 		t.Fatalf("old chain after failed trim: %v", err)
+	}
+}
+
+// roteRoundTrips reads the counter protocol's round-trip count.
+func roteRoundTrips() int64 {
+	m, _ := telemetry.Get("rote.round_trips")
+	return m.Value
+}
+
+// TestDegradedBatchSignsOnce pins what a degraded batch with no probe due
+// costs: one signature at the stale anchor, no re-sign over a guessed fresh
+// value and no counter round trip.
+func TestDegradedBatchSignsOnce(t *testing.T) {
+	e := newAuditEnv(t)
+	e.group.SetRetryPolicy(fastGroupPolicy())
+	cfg := e.diskConfig("git")
+	cfg.AnchorTimeout = time.Minute // no probe falls due while the test runs
+	cfg.DegradedLimit = 16
+	var l *oneShard
+	e.call(t, func(env *asyncall.Env) error {
+		var err error
+		l, err = newOneShard(env, cfg)
+		if err != nil {
+			return err
+		}
+		return l.Append(env, "updates", 1, "r", "main", "c1", "update")
+	})
+	defer l.Close()
+	anchored := l.Counter()
+	nodes := e.group.Nodes()
+	nodes[0].Fail()
+	nodes[1].Fail()
+	// The episode's first batch asks the quorum and fails: it opens the
+	// episode.
+	e.call(t, func(env *asyncall.Env) error {
+		return l.Append(env, "updates", 2, "r", "main", "c2", "update")
+	})
+	if st := l.Status(); !st.Degraded || st.PendingAnchor != 1 {
+		t.Fatalf("status after the failed anchor = %+v", st)
+	}
+
+	sigs, resigns, trips := mSignatures.Value(), mCommitResigns.Value(), roteRoundTrips()
+	const n = 5
+	for i := 0; i < n; i++ {
+		e.call(t, func(env *asyncall.Env) error {
+			return l.Append(env, "updates", 3+i, "r", "main", fmt.Sprintf("d%d", i), "update")
+		})
+	}
+	if got := mSignatures.Value() - sigs; got != n {
+		t.Fatalf("%d degraded batches made %d signatures, want %d", n, got, n)
+	}
+	if got := mCommitResigns.Value() - resigns; got != 0 {
+		t.Fatalf("%d degraded batches re-signed %d times, want 0", n, got)
+	}
+	if got := roteRoundTrips() - trips; got != 0 {
+		t.Fatalf("%d degraded batches made %d counter round trips, want 0", n, got)
+	}
+	if st := l.Status(); st.PendingAnchor != 1+n || l.Counter() != anchored {
+		t.Fatalf("status = %+v at counter %d, want %d pending at %d", st, l.Counter(), 1+n, anchored)
+	}
+
+	// An explicit re-anchor always asks; the once-signed batches verify
+	// strictly under it.
+	nodes[0].Recover()
+	nodes[1].Recover()
+	e.call(t, func(env *asyncall.Env) error { return l.Reanchor(env) })
+	if st := l.Status(); st.Degraded || st.Gaps != 1 {
+		t.Fatalf("status after reanchor = %+v", st)
+	}
+	entries, err := verifyFile(filepath.Join(e.dir, "git-shard0.lseal"), VerifyOptions{
+		Pub: e.encl.PublicKey(), Protector: e.group,
+	})
+	if err != nil {
+		t.Fatalf("strict verify after reanchor: %v", err)
+	}
+	if len(entries) != 2+n {
+		t.Fatalf("entries = %d, want %d", len(entries), 2+n)
+	}
+}
+
+// TestAnchorBoundUnderShippedDefaults pins which bound ends one anchor under
+// the shipped defaults: rote.DefaultRetryPolicy (2 s per attempt, two
+// retries) and a 2 s AnchorTimeout, the default of libseal-server's
+// -anchor-timeout and the benchmark's setting. Silent nodes fail an attempt
+// in one round trip, so the retries run and the retry count ends the anchor.
+// A node delayed past the bound makes the first attempt take the whole
+// AnchorTimeout, and no retry runs. A deployment that sets no AnchorTimeout
+// (internal/bench's stacks, the examples) leaves the policy's per-attempt
+// Timeout to cut each attempt; that row scales the policy down to 100 ms.
+func TestAnchorBoundUnderShippedDefaults(t *testing.T) {
+	const shipped = 2 * time.Second
+	if p := rote.DefaultRetryPolicy(); p.Timeout != shipped || p.Retries != 2 {
+		t.Fatalf("default retry policy = %+v, want a %v timeout and 2 retries", p, shipped)
+	}
+	rows := []struct {
+		name          string
+		anchorTimeout time.Duration
+		policyTimeout time.Duration // zero keeps the default policy
+		slow          bool
+		trips         int64
+		min, max      time.Duration
+	}{
+		{"silent nodes", shipped, 0, false, 3, 0, shipped / 2},
+		{"stuck nodes", shipped, 0, true, 1, shipped, shipped + shipped/2},
+		{"stuck nodes, no AnchorTimeout", 0, 100 * time.Millisecond, true, 3, 300 * time.Millisecond, shipped},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			g, err := rote.NewGroup(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.policyTimeout > 0 {
+				p := rote.DefaultRetryPolicy()
+				p.Timeout = row.policyTimeout
+				g.SetRetryPolicy(p)
+			}
+			if row.slow {
+				faultinject.Scenario{Rules: []faultinject.Rule{
+					faultinject.SlowNode(0, 0, 1<<30, 10*time.Second),
+					faultinject.SlowNode(1, 0, 1<<30, 10*time.Second),
+				}}.Build().AttachGroup(g)
+			} else {
+				g.Nodes()[0].Fail()
+				g.Nodes()[1].Fail()
+			}
+			cfg := Config{Name: "git", Protector: g, AnchorTimeout: row.anchorTimeout}
+			trips := roteRoundTrips()
+			start := time.Now()
+			_, err = cfg.incrementCounter("git")
+			elapsed := time.Since(start)
+			if !errors.Is(err, rote.ErrNoQuorum) {
+				t.Fatalf("anchor: %v, want ErrNoQuorum", err)
+			}
+			if got := roteRoundTrips() - trips; got != row.trips {
+				t.Errorf("anchor made %d round trips, want %d", got, row.trips)
+			}
+			if elapsed < row.min || elapsed >= row.max {
+				t.Errorf("anchor failed after %v, want within [%v, %v)", elapsed, row.min, row.max)
+			}
+		})
 	}
 }
 

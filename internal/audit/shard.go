@@ -818,10 +818,11 @@ func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite
 // freshManifestCounter increments the manifest counter best-effort: if the
 // quorum is unreachable the manifest is signed at the last written value —
 // the signature still binds real shard states, and the lag surfaces through
-// the verifier's freshness check once the quorum answers again. Runs outside
-// the enclave with mmu held.
+// the verifier's freshness check once the quorum answers again. While a shard
+// of the set is degraded it makes no attempt: the shards' own probes find out
+// when the quorum is back. Runs outside the enclave with mmu held.
 func (s *ShardedLog) freshManifestCounter() uint64 {
-	if s.cfg.Protector != nil {
+	if s.cfg.Protector != nil && !s.Status().Degraded {
 		if c, err := s.cfg.incrementCounter(ManifestCounterName(s.cfg.Name)); err == nil {
 			return c
 		}

@@ -53,7 +53,6 @@ import (
 	"libseal/internal/core"
 	"libseal/internal/enclave"
 	"libseal/internal/faultinject"
-	"libseal/internal/resilience"
 	"libseal/internal/rote"
 	"libseal/internal/ssm"
 	"libseal/internal/ssm/dropboxssm"
@@ -152,20 +151,6 @@ type (
 	// CounterNodeStatus is one counter node's liveness and sync state.
 	CounterNodeStatus = rote.NodeStatus
 
-	// Breaker is a circuit breaker (see NewBreakerProtector).
-	Breaker = resilience.Breaker
-	// BreakerConfig tunes a circuit breaker.
-	BreakerConfig = resilience.BreakerConfig
-	// BreakerState is a circuit breaker's position.
-	BreakerState = resilience.State
-	// BreakerProtector wraps a counter group in a circuit breaker; install it
-	// with WithProtector.
-	BreakerProtector = resilience.BreakerProtector
-	// Health is a registry of liveness/readiness probes served over HTTP.
-	Health = resilience.Health
-	// HealthCheckResult is one health probe's outcome.
-	HealthCheckResult = resilience.CheckResult
-
 	// FaultScenario is a reproducible chaos schedule for robustness tests.
 	FaultScenario = faultinject.Scenario
 	// FaultRule schedules one fault against one target.
@@ -188,16 +173,6 @@ const (
 	// AuditDisk persists the log with hash chain, signatures and rollback
 	// protection.
 	AuditDisk = audit.ModeDisk
-)
-
-// Circuit breaker states.
-const (
-	// BreakerClosed lets calls flow.
-	BreakerClosed = resilience.Closed
-	// BreakerHalfOpen admits a single probe after the cooldown.
-	BreakerHalfOpen = resilience.HalfOpen
-	// BreakerOpen fails calls fast until the cooldown elapses.
-	BreakerOpen = resilience.Open
 )
 
 // Check header names for in-band invariant checking (§5.2).
@@ -285,25 +260,6 @@ func ModuleByName(name string) (Module, error) {
 // using the default request timeout/retry policy; tune it with the group's
 // SetRetryPolicy and install it with Open's WithProtector.
 func NewCounterGroup(f int) (*CounterGroup, error) { return rote.NewGroup(f, 0) }
-
-// NewBreakerProtector wraps a counter group in a circuit breaker: after a
-// run of quorum failures the breaker opens and counter operations fail fast
-// (the audit log degrades immediately instead of burning its retry budget
-// per batch), with half-open probes re-closing it once the quorum recovers.
-// Install the result with WithProtector. Telemetry registers under name.
-func NewBreakerProtector(name string, group *CounterGroup, cfg BreakerConfig) *BreakerProtector {
-	return resilience.NewBreakerProtector(name, group, cfg)
-}
-
-// NewHealth creates an empty health-probe registry; mount its endpoints
-// with Health.Mount.
-func NewHealth() *Health { return resilience.NewHealth() }
-
-// HealthOK builds a passing probe result.
-func HealthOK(detail string) HealthCheckResult { return resilience.OK(detail) }
-
-// HealthUnhealthy builds a failing probe result.
-func HealthUnhealthy(detail string) HealthCheckResult { return resilience.Unhealthy(detail) }
 
 // Verify is the unified verification entry point: it checks a persisted
 // audit log's integrity (hash chain, enclave signatures, counter freshness)

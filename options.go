@@ -13,7 +13,7 @@ import (
 // deployments all build their instances through it.
 
 // RollbackProtector is the monotonic counter service the audit log anchors
-// its freshness to. CounterGroup implements it; so does BreakerProtector.
+// its freshness to. CounterGroup implements it.
 type RollbackProtector = audit.RollbackProtector
 
 // QueryResult is one relational query result (columns plus rows), as carried
@@ -75,11 +75,11 @@ func WithSealedLog() Option {
 	return func(c *openConfig) { c.core.SealLog = true }
 }
 
-// WithProtector anchors the audit log's rollback protection: a
-// CounterGroup, or a BreakerProtector wrapping one (NewBreakerProtector).
-// Tune the group's request timeouts and retries on the group itself
-// (CounterGroup.SetRetryPolicy). A nil protector disables rollback
-// protection (testing only).
+// WithProtector anchors the audit log's rollback protection, normally on a
+// CounterGroup. Tune the group's request timeouts and retries on the group
+// itself (CounterGroup.SetRetryPolicy); WithAnchorTimeout bounds each
+// operation and WithDegradedLimit decides what an unreachable quorum costs.
+// A nil protector disables rollback protection (testing only).
 func WithProtector(p RollbackProtector) Option {
 	return func(c *openConfig) { c.core.Protector = p }
 }
@@ -122,14 +122,20 @@ func WithBatching(max int, delay time.Duration) Option {
 	}
 }
 
-// WithDegradedLimit caps how many batches may commit without a fresh
-// counter anchor before appends fail hard (bounded-evidence window).
+// WithDegradedLimit caps how many appends may commit without a fresh
+// counter anchor while the quorum is unreachable (a degraded episode)
+// before appends fail hard: the bounded-evidence window. While degraded, a
+// batch asks the quorum only when the probe is due — one anchor timeout
+// after the last failed attempt — or when the budget cannot take it; the
+// first answered probe re-anchors the backlog. Zero fails every append
+// whose anchor fails.
 func WithDegradedLimit(n int) Option {
 	return func(c *openConfig) { c.core.DegradedLimit = n }
 }
 
 // WithAnchorTimeout bounds each rollback-counter operation, keeping a stuck
-// quorum from stalling the request path.
+// quorum from stalling the request path, and paces a degraded episode's
+// probes (WithDegradedLimit).
 func WithAnchorTimeout(d time.Duration) Option {
 	return func(c *openConfig) { c.core.AnchorTimeout = d }
 }

@@ -108,9 +108,9 @@ func driveGitWorkload(t *testing.T, seal *LibSEAL, certs *testutil.CertEnv) []st
 
 // TestOpenOptionsEndToEnd builds an instance through the functional-options
 // constructor with the full plumbing — sharded disk audit, a counter group
-// with a retry policy behind a circuit breaker, admission control, batching,
-// checks, violation handler — drives a real workload, and verifies the
-// sharded set through the unified Verify entry point.
+// with a retry policy, admission control, batching, checks, violation
+// handler — drives a real workload, and verifies the sharded set through the
+// unified Verify entry point.
 func TestOpenOptionsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	platform := NewPlatform()
@@ -135,7 +135,6 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 	policy := rote.DefaultRetryPolicy()
 	policy.Timeout = 250 * time.Millisecond
 	group.SetRetryPolicy(policy)
-	breaker := NewBreakerProtector("audit.breaker", group, BreakerConfig{Threshold: 5, Cooldown: time.Second})
 	var handled []string
 	seal, err := Open(bridge,
 		WithModule(GitModule()),
@@ -143,7 +142,7 @@ func TestOpenOptionsEndToEnd(t *testing.T) {
 		WithAuditDisk(dir),
 		WithAuditShards(2),
 		WithManifestInterval(50*time.Millisecond),
-		WithProtector(breaker),
+		WithProtector(group),
 		WithAdmission(256, 500*time.Millisecond),
 		WithBatching(MeasuredBatchMax, MeasuredBatchDelay),
 		WithAnchorTimeout(2*time.Second),
