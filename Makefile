@@ -26,16 +26,18 @@ soak:
 # Mirror soak (DESIGN.md §16): a live mirror following a sharded server
 # through repeated server-side link drops plus the facade resume-across-
 # restart path, under -race. The mirror must reconnect, resume from its
-# checkpoint without cold rescans, and end in full agreement with the
+# state file without cold rescans, and end in full agreement with the
 # offline verifier. Then the set-rule table: every frame interleaving of a
-# compaction, and the adversarial ones, judged as VerifyPath judges the files;
-# and the feed's one-goroutine subscriber: a stalled one dropped at the write
-# deadline, and Close releasing a pump blocked mid-write.
+# compaction, and the adversarial ones, judged as VerifyPath judges the files,
+# each also with the mirror process restarted from its state file before
+# every step; a state file that cannot be saved failing Stop; and the feed's
+# one-goroutine subscriber: a stalled one dropped at the write deadline, and
+# Close releasing a pump blocked mid-write.
 mirror-soak:
 	$(GO) test -race -count=3 -run 'TestChaosMirrorLinkDrops|TestMirrorFacadeResumeAcrossRestart' -v .
 	$(GO) test -race -count=1 -run 'TestMirror|TestFeed' ./internal/audit/mirror/
 	$(GO) test -race -count=20 -run 'TestIncremental|TestMirror.*Commit' ./internal/audit/ ./internal/audit/mirror/
-	$(GO) test -race -count=20 -run 'TestMirrorSetRule|TestMirror.*RestartBefore|TestFeed' ./internal/audit/mirror/
+	$(GO) test -race -count=20 -run 'TestMirrorSetRule|TestMirror.*RestartBefore|TestMirrorStopReportsFailedSave|TestFeed' ./internal/audit/mirror/
 
 # Every experiment of cmd/libseal-bench — the paper's tables and figures and
 # the four post-paper sweeps — at the quick budgets, printed as tables
@@ -70,10 +72,12 @@ bench-e2e-smoke:
 # its own; the in-place parser against the frozen bufio one, with the
 # frame-only walk against the building one; the slice-backed Header against
 # the frozen map-based one) and the SQL engine (arbitrary scripts: no panic,
-# no change on a parse error) and the live mirror's frame stream (through its
-# own session, and straight into its frame handler without one; no more
-# entries verified than VerifyPath accepts of the files the frames describe)
-# — the same smoke CI runs. Seed corpora live under
+# no change on a parse error), the manifest sidecar's two readers (the
+# offline one, strict and tolerant, against the chunk-fed one: the same
+# manifests, stopped at the same place) and the live mirror's frame stream
+# (through its own session, and straight into its frame handler without one;
+# no more entries verified than VerifyPath accepts of the files the frames
+# describe) — the same smoke CI runs. Seed corpora live under
 # testdata/fuzz, or are built from the mirror's set-rule table. A new input is
 # minimised for at most a second, or the first one found would take the rest
 # of the 20 s; each run's last progress line gives its execs.
@@ -83,6 +87,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz=FuzzVerifyReader ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzCodecRoundTrip ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzEntryWalk ./internal/audit/
+	$(GO) test $(FUZZ) -fuzz=FuzzManifestReaders ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzHTTPParse ./internal/httpparse/
 	$(GO) test $(FUZZ) -fuzz=FuzzConsumeDifferential ./internal/httpparse/
 	$(GO) test $(FUZZ) -fuzz=FuzzHeaderDifferential ./internal/httpparse/

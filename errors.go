@@ -26,8 +26,8 @@ var (
 
 	// ErrBadCounter reports a rollback: the log (or one shard of it) is a
 	// stale-but-internally-consistent earlier version, detected against the
-	// monotonic counter, the epoch manifests, or a live mirror's continuity
-	// memory. It is a distinct sentinel from ErrTampered: test for it first
+	// monotonic counter, the epoch manifests, or a live mirror's memory of
+	// what it verified. It is a distinct sentinel from ErrTampered: test for it first
 	// when the two need different handling (a rollback implicates the host,
 	// not the bytes).
 	ErrBadCounter = audit.ErrBadCounter

@@ -26,7 +26,7 @@ type auditEnv struct {
 	dir    string
 }
 
-func newAuditEnv(t *testing.T) *auditEnv {
+func newAuditEnv(t testing.TB) *auditEnv {
 	t.Helper()
 	p := enclave.NewPlatform()
 	encl, err := p.Launch(enclave.Config{Code: []byte("libseal-audit"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
@@ -118,7 +118,7 @@ func recoverOneShard(env *asyncall.Env, cfg Config, pub *ecdsa.PublicKey) (*oneS
 }
 
 // call runs fn inside the enclave.
-func (e *auditEnv) call(t *testing.T, fn func(env *asyncall.Env) error) {
+func (e *auditEnv) call(t testing.TB, fn func(env *asyncall.Env) error) {
 	t.Helper()
 	if err := e.bridge.Call(fn); err != nil {
 		t.Fatal(err)

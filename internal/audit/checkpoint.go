@@ -117,22 +117,24 @@ func hexDigest(b []byte) string {
 	return hex.EncodeToString(d[:])
 }
 
-// chainHead decodes the checkpoint's chain head.
-func (c *Checkpoint) chainHead() ([32]byte, error) {
-	var out [32]byte
-	b, err := hex.DecodeString(c.Chain)
-	if err != nil || len(b) != 32 {
-		return out, fmt.Errorf("%w: bad chain head", ErrCheckpointStale)
+// point is the commit point the checkpoint records, its hex fields decoded.
+func (c *Checkpoint) point() (*livePoint, error) {
+	p := &livePoint{Offset: c.Offset, Seq: c.Seq, Counter: c.Counter, Batches: c.Batches, Tables: c.Tables, SigOffset: c.SigOffset}
+	chain, err := hex.DecodeString(c.Chain)
+	sum, err2 := hex.DecodeString(c.SigHash)
+	if err != nil || err2 != nil || len(chain) != len(p.Chain) || len(sum) != len(p.SigHash) {
+		return nil, fmt.Errorf("%w: bad chain head or signature record hash", ErrCheckpointStale)
 	}
-	copy(out[:], b)
-	return out, nil
+	copy(p.Chain[:], chain)
+	copy(p.SigHash[:], sum)
+	return p, nil
 }
 
 // state is the commit point the checkpoint claims, as a manifest attests one.
-// LoadCheckpoint has checked its chain head decodes.
+// LoadCheckpoint has checked that it decodes.
 func (c *Checkpoint) state() ShardState {
-	chain, _ := c.chainHead()
-	return ShardState{Seq: c.Seq, Counter: c.Counter, Chain: chain}
+	p, _ := c.point()
+	return p.state()
 }
 
 // Save atomically persists the checkpoint (vfs.WriteFileAtomic).
@@ -161,27 +163,34 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if c.Sum != c.digest() {
 		return nil, fmt.Errorf("%w: sidecar integrity digest mismatch", ErrCheckpointStale)
 	}
-	if _, err := c.chainHead(); err != nil {
+	if _, err := c.point(); err != nil {
 		return nil, err
 	}
 	return &c, nil
 }
 
 // matchFile authenticates the checkpoint against the open log file it is
-// about to resume: MatchProof on the signature record read from SigOffset.
-// The file position is left unchanged for the caller to seek.
+// about to resume: the signature record read from SigOffset must prove its
+// commit point (livePoint.proves), or the sidecar is ErrCheckpointStale and
+// the caller falls back to the cold scan, which gives the true verdict. It
+// binds neither Seq nor which shard the file is: on a set the manifests vouch
+// for those (verifyShard). The file position is left unchanged for the caller
+// to seek.
 func (c *Checkpoint) matchFile(f *os.File, pub *ecdsa.PublicKey) error {
 	payload, err := SigProof(f, c.SigOffset, c.Offset)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointStale, err)
 	}
-	return c.MatchProof(payload, pub)
+	if p, err := c.point(); err != nil || !p.proves(payload, pub) {
+		return fmt.Errorf("%w: the signature record at the checkpoint does not prove it", ErrCheckpointStale)
+	}
+	return nil
 }
 
 // readRecordAt frames the one record of stream kind k that should occupy
 // [off, end) of f, checking that it has the wanted type byte and ends exactly
 // at end, and returns its payload.
-func readRecordAt(f *os.File, k *streamKind, typ byte, off, end int64) ([]byte, error) {
+func readRecordAt(f io.ReaderAt, k *streamKind, typ byte, off, end int64) ([]byte, error) {
 	if off < int64(len(k.magic)) || off+5 > end {
 		return nil, fmt.Errorf("audit: implausible %srecord offsets", k.name)
 	}
@@ -200,58 +209,18 @@ func readRecordAt(f *os.File, k *streamKind, typ byte, off, end int64) ([]byte, 
 }
 
 // SigProof reads the signature record with header at sigOff and end at
-// offset from an open log file and returns its raw payload — what a
+// offset from a log file and returns its raw payload — what a
 // replication feed hands a resuming subscriber so the subscriber can
-// authenticate its checkpoint with Checkpoint.MatchProof. The feed itself
-// proves nothing: a wrong or forged payload simply fails MatchProof on the
+// authenticate its resume claim (LiveSet.RestartShard). The feed itself
+// proves nothing: a wrong or forged payload simply fails the proof on the
 // client.
-func SigProof(f *os.File, sigOff, offset int64) ([]byte, error) {
+func SigProof(f io.ReaderAt, sigOff, offset int64) ([]byte, error) {
 	return readRecordAt(f, &logStream, recSig, sigOff, offset)
 }
 
 // ManifestRecordProof is SigProof's sidecar counterpart: the raw payload of
 // the manifest record with header at recOff and end at offset, for the
-// subscriber to authenticate with MatchManifestProof.
-func ManifestRecordProof(f *os.File, recOff, offset int64) ([]byte, error) {
+// subscriber to authenticate (LiveSet.RestartManifests).
+func ManifestRecordProof(f io.ReaderAt, recOff, offset int64) ([]byte, error) {
 	return readRecordAt(f, &manifestStream, recManifest, recOff, offset)
-}
-
-// MatchProof authenticates the checkpoint against the raw payload of the
-// signature record claimed to sit at SigOffset, whether read from a local
-// file (matchFile) or fetched by a mirror from an untrusted feed. The payload
-// must hash to SigHash, end exactly at Offset, parse as a signature record,
-// verify under pub (when a key is available), and attest exactly the
-// sidecar's chain head and counter. A resumed scan starts from this record —
-// SigHash is the link its first signature record must carry — so this ECDSA
-// check is what vouches for everything the scan does not read. The sidecar is
-// unauthenticated JSON; this is what stops a forged one — say, one pairing a
-// rolled-back log copy with the current group counter so the final freshness
-// check passes — from making a resume report OK where a cold scan would fail.
-// It binds neither Seq nor which shard the file is: on a set the manifests
-// vouch for those (verifyShard). Any mismatch (including an
-// invalid record signature, which a cold scan would surface as ErrTampered)
-// is ErrCheckpointStale: the caller falls back to the cold scan and gets the
-// true verdict, never adopts the state.
-func (c *Checkpoint) MatchProof(payload []byte, pub *ecdsa.PublicKey) error {
-	if c.SigOffset < int64(len(fileMagic)) || c.SigOffset+5+int64(len(payload)) != c.Offset {
-		return fmt.Errorf("%w: signature record does not end at checkpoint offset", ErrCheckpointStale)
-	}
-	if hexDigest(payload) != c.SigHash {
-		return fmt.Errorf("%w: signature record hash mismatch", ErrCheckpointStale)
-	}
-	rec, err := parseSig(payload)
-	if err != nil {
-		return fmt.Errorf("%w: unparseable signature record at checkpoint: %v", ErrCheckpointStale, err)
-	}
-	if !validSig(pub, payload) {
-		return fmt.Errorf("%w: signature record at checkpoint fails ECDSA check", ErrCheckpointStale)
-	}
-	want, err := c.chainHead()
-	if err != nil {
-		return err
-	}
-	if rec.chain != want || rec.counter != c.Counter {
-		return fmt.Errorf("%w: sidecar chain/counter disagree with signed record", ErrCheckpointStale)
-	}
-	return nil
 }

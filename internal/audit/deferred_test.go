@@ -56,7 +56,7 @@ func attestedAt(t testing.TB, img []byte, i int) ShardState {
 	if err := v.Feed(img[:recs[sigRecords(recs)[i]].end]); err != nil {
 		t.Fatal(err)
 	}
-	return v.Checkpoint(0).state()
+	return v.led.checkpoint(0).state()
 }
 
 // headerOff is the file offset of a record's header.
@@ -326,7 +326,7 @@ func TestForgedCheckpointAtUnsignedCommitPoint(t *testing.T) {
 	if err := v.Feed(tampered[:at]); err != nil {
 		t.Fatal(err)
 	}
-	forged := v.Checkpoint(0)
+	forged := v.led.checkpoint(0)
 	last := attestedAt(t, pristine, len(sigRecords(imageRecords(t, pristine)))-1)
 	if last.Seq <= forged.Seq {
 		t.Fatalf("no manifest attests past the forged checkpoint's seq %d", forged.Seq)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"libseal/internal/enclave"
@@ -18,8 +17,8 @@ import (
 // verified signature record — a durable commit point — through a callback.
 // It has no end-of-stream verdict, and freshness against a live counter
 // quorum is deliberately out of scope: a mirror holds only the enclave's
-// public key, so rollback is judged by the set rule on what it holds
-// (LiveSet) and by continuity (see internal/audit/mirror).
+// public key, so rollback is judged by the set rule on what it holds and on
+// what it has verified before (LiveSet).
 //
 // Its point of judgment is the end of each Feed: the last signature record
 // the feed completed is ECDSA-checked, which vouches for every record before
@@ -42,11 +41,8 @@ type CommitInfo struct {
 	Counter uint64
 	// Offset is the stream offset just past the signature record.
 	Offset int64
-	// SigOffset / SigHash bind the commit to the record: the offset of the
-	// signature record's header and the hex SHA-256 of its payload (the same
-	// binding Checkpoint carries).
+	// SigOffset is the offset of the signature record's header.
 	SigOffset int64
-	SigHash   string
 	// Entries is the number of entries in this batch (since the previous
 	// signature record).
 	Entries int
@@ -58,10 +54,9 @@ type IncrementalVerifier struct {
 	opts     VerifyOptions
 	onCommit func(CommitInfo) error
 
-	in         recordBuffer
-	core       chainVerifier
-	led        ledger
-	maxCounter uint64
+	in   recordBuffer
+	core chainVerifier
+	led  ledger
 	// queued are the commit points the current Feed has hash-verified, each
 	// with its signature record's payload, awaiting the feed's closing check.
 	queued   []queuedCommit
@@ -76,7 +71,7 @@ type queuedCommit struct {
 // NewIncrementalVerifier builds a chunk-feed verifier starting from the
 // empty log state (expecting the file magic first). opts.Protector is
 // ignored — incremental verification has no final verdict at which to check
-// quorum freshness; callers judge freshness by continuity. onCommit, if
+// quorum freshness; LiveSet judges what a stream may roll back. onCommit, if
 // non-nil, runs for every verified signature record once the feed that
 // completed it has passed its closing check; returning an error from it
 // poisons the verifier. The verifier does not retain entries.
@@ -88,21 +83,13 @@ func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error)
 	return v
 }
 
-// Resume adopts a checkpoint's verified-prefix state so the stream can be
-// fed from c.Offset onward (no file magic expected). The caller must have
-// authenticated the checkpoint against the log it is resuming — via
-// Checkpoint.MatchProof on a fetched signature record, or matchFile locally
-// — exactly as the offline resume path does; Resume itself trusts its input.
-func (v *IncrementalVerifier) Resume(c *Checkpoint) error {
-	led, err := newLedger(c)
-	if err != nil {
-		return err
-	}
-	v.led = led
-	v.in.resumeAt(c.Offset)
-	v.core.seq, v.core.chain, v.core.sigHead, v.core.sigs = c.Seq, led.base.chain, led.base.sigSum, c.Batches
-	v.maxCounter = c.Counter
-	return nil
+// resume adopts p, a commit point its caller has authenticated against the
+// stream (livePoint.proves), so the stream can be fed from p.Offset onward (no
+// file magic expected).
+func (v *IncrementalVerifier) resume(p *livePoint) {
+	v.led = p.ledger()
+	v.in.resumeAt(p.Offset)
+	v.core.seq, v.core.chain, v.core.sigHead, v.core.sigs = p.Seq, p.Chain, p.SigHash, p.Batches
 }
 
 // Feed consumes the next chunk of the record stream. It verifies every
@@ -141,7 +128,7 @@ func (v *IncrementalVerifier) record(rec record) error {
 		v.led.commit(commitPoint{end: rec.end(), chain: v.core.chain, counter: counter, sigOff: rec.off, sigSum: v.core.sigHead}, tables)
 		v.queued = append(v.queued, queuedCommit{raw: v.sigBytes.copy(rec.payload), info: CommitInfo{
 			Seq: v.core.seq, Chain: v.core.chain, Counter: counter,
-			Offset: rec.end(), SigOffset: rec.off, SigHash: hex.EncodeToString(v.core.sigHead[:]),
+			Offset: rec.end(), SigOffset: rec.off,
 			Entries: batch,
 		}})
 	default:
@@ -176,7 +163,6 @@ func (v *IncrementalVerifier) deliver() {
 		}
 	}
 	for _, q := range queued[:good] {
-		v.maxCounter = max(v.maxCounter, q.info.Counter)
 		if v.onCommit == nil {
 			continue
 		}
@@ -203,28 +189,14 @@ func (c *sigCopies) copy(p []byte) []byte {
 func (v *IncrementalVerifier) Offset() int64 { return v.in.off + int64(len(v.in.buf)) }
 
 // Seq is the number of verified entries, those past the last commit point
-// included; MaxCounter the highest verified signature counter; Batches the
-// verified commit count.
-func (v *IncrementalVerifier) Seq() uint64        { return v.core.seq }
-func (v *IncrementalVerifier) MaxCounter() uint64 { return v.maxCounter }
-func (v *IncrementalVerifier) Batches() int       { return v.led.cur.batches }
+// included; Batches the verified commit count.
+func (v *IncrementalVerifier) Seq() uint64  { return v.core.seq }
+func (v *IncrementalVerifier) Batches() int { return v.led.cur.batches }
 
 // Tables returns the per-table tuple counts under the last commit point: the
 // verifier's own map, brought up to date by the call, which later feeds
 // change; callers must copy it if they retain it.
 func (v *IncrementalVerifier) Tables() map[string]int { return v.led.counts() }
-
-// Checkpoint snapshots the verified prefix as a resumable sidecar state, or
-// nil before the first commit point. Between feeds the last commit point is
-// the one the last feed's closing check passed on — the only checkpointable
-// kind — so take the snapshot after Feed returns nil, or from inside onCommit,
-// where it is that feed's last commit whichever commit is being reported.
-func (v *IncrementalVerifier) Checkpoint(shard int) *Checkpoint {
-	if v.led.cur.batches == 0 || v.in.failed != nil {
-		return nil
-	}
-	return v.led.checkpoint(shard)
-}
 
 // manifestReplayer applies the per-manifest checks — the shard count,
 // strictly increasing epochs, non-decreasing manifest counter and the
@@ -280,32 +252,20 @@ func (r *manifestReplayer) Counter() uint64 { return r.counter }
 
 // IncrementalManifestReader reassembles manifest records from a sidecar
 // byte stream fed in arbitrary chunks — the manifest counterpart of
-// IncrementalVerifier's framing. Each complete record is parsed and handed
-// to the callback; semantic validation is the callback's job (typically a
-// manifestReplayer). Latching, like IncrementalVerifier.
+// IncrementalVerifier's framing. Each complete record is parsed and handed,
+// with the record, to the callback; semantic validation is the callback's job
+// (LiveSet.manifest). Latching, like IncrementalVerifier.
 type IncrementalManifestReader struct {
-	onManifest func(*Manifest) error
-
-	in          recordBuffer
-	lastRecOff  int64
-	lastRecHash string
+	onManifest func(*Manifest, record) error
+	in         recordBuffer
 }
 
 // newIncrementalManifestReader builds a chunk-feed sidecar reader starting
 // at the file head (magic expected first).
-func newIncrementalManifestReader(onManifest func(*Manifest) error) *IncrementalManifestReader {
+func newIncrementalManifestReader(onManifest func(*Manifest, record) error) *IncrementalManifestReader {
 	r := &IncrementalManifestReader{onManifest: onManifest}
 	r.in.kind = &manifestStream
 	return r
-}
-
-// ResumeAt adopts a byte offset mid-sidecar (just past a previously read
-// record) together with that record's persisted LastRecord binding, which
-// the reader keeps reporting; the stream must be fed from offset and no magic
-// is expected.
-func (r *IncrementalManifestReader) ResumeAt(offset, recOff int64, recHash string) {
-	r.in.resumeAt(offset)
-	r.lastRecOff, r.lastRecHash = recOff, recHash
 }
 
 // Feed consumes the next chunk of the sidecar stream, parsing every complete
@@ -318,11 +278,7 @@ func (r *IncrementalManifestReader) record(rec record) error {
 	if err != nil {
 		return err
 	}
-	r.lastRecOff, r.lastRecHash = rec.off, hexDigest(rec.payload)
-	if r.onManifest != nil {
-		return r.onManifest(m)
-	}
-	return nil
+	return r.onManifest(m, rec)
 }
 
 // Offset is the sidecar offset just past the last fully parsed record.
@@ -330,40 +286,3 @@ func (r *IncrementalManifestReader) Offset() int64 { return r.in.off }
 
 // Buffered is the number of received-but-unparsed bytes.
 func (r *IncrementalManifestReader) Buffered() int { return len(r.in.buf) }
-
-// LastRecord reports the header offset and payload hash of the last fully
-// parsed record — the binding a mirror persists so a resumed session can
-// demand proof (via MatchManifestProof) that the sidecar it reconnects to
-// still carries that exact record at that exact place. Hash is empty before
-// the first record.
-func (r *IncrementalManifestReader) LastRecord() (off int64, hash string) {
-	return r.lastRecOff, r.lastRecHash
-}
-
-// MatchManifestProof authenticates a manifest-resume claim against the raw
-// payload of the sidecar record said to sit at recOff: the record must end
-// exactly at offset, hash to recHash, parse as a manifest, carry a valid
-// enclave signature for the named set (when pub is non-nil), and attest
-// exactly the remembered epoch and counter. It is the manifest counterpart
-// of Checkpoint.MatchProof: the feed serving the payload is untrusted, so
-// any mismatch is ErrCheckpointStale and the caller falls back to a cold
-// sidecar re-read rather than adopting the offset.
-func MatchManifestProof(payload []byte, name string, pub *ecdsa.PublicKey, offset, recOff int64, recHash string, epoch, counter uint64) error {
-	if recOff < int64(len(manifestMagic)) || recOff+5+int64(len(payload)) != offset {
-		return fmt.Errorf("%w: manifest record does not end at resume offset", ErrCheckpointStale)
-	}
-	if hexDigest(payload) != recHash {
-		return fmt.Errorf("%w: manifest record hash mismatch", ErrCheckpointStale)
-	}
-	m, err := parseManifest(payload)
-	if err != nil {
-		return fmt.Errorf("%w: unparseable manifest record at resume point: %v", ErrCheckpointStale, err)
-	}
-	if pub != nil && !enclave.VerifySignature(pub, manifestDigest(name, m), m.Sig) {
-		return fmt.Errorf("%w: manifest record at resume point fails ECDSA check", ErrCheckpointStale)
-	}
-	if m.Epoch != epoch || m.Counter != counter {
-		return fmt.Errorf("%w: remembered epoch/counter disagree with signed manifest", ErrCheckpointStale)
-	}
-	return nil
-}

@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 // TestIncrementalFeedChecksOnce: the commits one Feed completes are reported
@@ -26,8 +27,8 @@ func TestIncrementalFeedChecksOnce(t *testing.T) {
 			t.Fatalf("commit %d reported out of order: %+v", i, ci)
 		}
 	}
-	if v.MaxCounter() != 50 || v.Batches() != 50 {
-		t.Fatalf("max counter %d, batches %d", v.MaxCounter(), v.Batches())
+	if v.led.cur.counter != 50 || v.Batches() != 50 {
+		t.Fatalf("counter %d, batches %d", v.led.cur.counter, v.Batches())
 	}
 
 	for _, c := range []struct {
@@ -48,14 +49,7 @@ func TestIncrementalFeedChecksOnce(t *testing.T) {
 				p[sigSAt(p)] ^= 0xff
 			}
 			reported := 0
-			var v *IncrementalVerifier
-			v = NewIncrementalVerifier(opts, func(ci CommitInfo) error {
-				reported++
-				if v.Checkpoint(0) != nil {
-					t.Error("a commit point is checkpointable inside a feed whose closing check failed")
-				}
-				return nil
-			})
+			v := NewIncrementalVerifier(opts, func(ci CommitInfo) error { reported++; return nil })
 			var err error
 			_, locates := signatureChecks(func() { err = v.Feed(buildImage(recs)) })
 			var ve *VerifyError
@@ -65,41 +59,51 @@ func TestIncrementalFeedChecksOnce(t *testing.T) {
 			if reported != c.reported {
 				t.Fatalf("%d commits reported, want the %d before the invalid record", reported, c.reported)
 			}
-			if v.Checkpoint(0) != nil || v.Feed(nil) != err {
-				t.Fatal("a failed verifier must stay failed and uncheckpointable")
+			if v.Feed(nil) != err {
+				t.Fatal("a failed verifier must stay failed")
+			}
+			if _, last, _ := liveFeed(opts, buildImage(recs)); last != nil {
+				t.Fatalf("a live set remembers %+v of a feed whose closing check failed", last)
 			}
 		})
 	}
 }
 
-// TestIncrementalCheckpointIsFeedsLastCommit: whatever commit is being
-// reported, the checkpointable one is the feed's last — the one the closing
-// check passed on — and entries trailing it do not leak into its totals.
+// liveFeed feeds img to the stream of a one-shard LiveSet and returns the set,
+// the commit point it remembers as the shard's resume claim, and Feed's error.
+func liveFeed(opts VerifyOptions, img []byte) (*LiveSet, *livePoint, error) {
+	s := NewLiveSet("t", opts, 1, time.Hour)
+	s.RestartManifests(nil)
+	v, _ := s.RestartShard(0, nil)
+	err := v.Feed(img)
+	return s, s.shards[0].last, err
+}
+
+// TestIncrementalCheckpointIsFeedsLastCommit: the commit point a live set
+// remembers of a feed is the feed's last — the one the closing check passed
+// on — and entries trailing it do not leak into its totals. Its signature
+// record proves it: a stream restarted with that record resumes from it, and
+// with any other payload starts cold.
 func TestIncrementalCheckpointIsFeedsLastCommit(t *testing.T) {
 	key := testKey(t)
 	signed := synthLog(t, key, 12, 3)
 	img := appendUnsigned(t, signed, 12, 2)
-	var seen []*Checkpoint
-	var v *IncrementalVerifier
-	v = NewIncrementalVerifier(VerifyOptions{Pub: &key.PublicKey}, func(CommitInfo) error {
-		seen = append(seen, v.Checkpoint(0))
-		return nil
-	})
-	if err := v.Feed(img); err != nil {
+	s, c, err := liveFeed(VerifyOptions{Pub: &key.PublicKey}, img)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 4 {
-		t.Fatalf("%d commits reported, want 4", len(seen))
+	if c == nil || c.Offset != int64(len(signed)) || c.Batches != 4 || c.Seq != 12 || c.Tables["updates"] != 12 {
+		t.Fatalf("remembered %+v, want the fourth commit point's with 12 entries", c)
 	}
-	for i, c := range append(seen, v.Checkpoint(0)) {
-		if c == nil || c.Offset != int64(len(signed)) || c.Batches != 4 || c.Seq != 12 || c.Tables["updates"] != 12 {
-			t.Fatalf("checkpoint %d: %+v, want the fourth commit point's with 12 entries", i, c)
-		}
-		if err := c.MatchProof(signed[c.SigOffset+5:c.Offset], &key.PublicKey); err != nil {
-			t.Fatalf("checkpoint %d does not bind to its record: %v", i, err)
-		}
-	}
-	if v.Seq() != 14 {
+	if v := s.shards[0].v; v.Seq() != 14 {
 		t.Fatalf("Seq() = %d, want 14 with the unsigned tail", v.Seq())
+	}
+	if _, resumed := s.RestartShard(0, signed[c.SigOffset+5+1:c.Offset]); resumed {
+		t.Fatal("a stream resumed on a payload that is not the point's record")
+	}
+	s, c, _ = liveFeed(VerifyOptions{Pub: &key.PublicKey}, img)
+	v, resumed := s.RestartShard(0, signed[c.SigOffset+5:c.Offset])
+	if !resumed || v.Seq() != 12 || v.Offset() != c.Offset {
+		t.Fatalf("restarted on the point's record: resumed %v at seq %d, offset %d; want it resumed at the point", resumed, v.Seq(), v.Offset())
 	}
 }

@@ -373,7 +373,7 @@ func (s *subscriber) pumpLane(k int, ln *lane) (caught bool, err error) {
 		// Clamp to the bytes actually on disk. Committed size should never
 		// exceed the file, but if something truncated the file behind the
 		// log's back the feed must keep serving what exists — the
-		// subscriber's continuity checks are what turn the shortfall into a
+		// subscriber's set rule and restart grace are what turn the shortfall into a
 		// rollback verdict, and they need a live session to run.
 		if fi, err := f.Stat(); err == nil && fi.Size() < target {
 			target = fi.Size()

@@ -141,7 +141,7 @@ func FuzzMirrorFeed(f *testing.F) {
 // FuzzMirrorFrames fuzzes the same scripts against the same oracle without a
 // session: a socket-less Mirror, built as the set-rule table builds one,
 // takes the ack through the handshake's checks and restartLocked, then each
-// frame through handleFrame and the between-frame continuity check, as its
+// frame through handleFrame and the between-frame deadline check, as its
 // session would, until the stream ends or a frame latches a violation. An
 // exec costs the mirror's frame handling, not a dial, a pipe and two
 // goroutines.
@@ -157,10 +157,7 @@ func FuzzMirrorFrames(f *testing.F) {
 			return // the handshake refuses it
 		}
 		m := &Mirror{cfg: Config{Name: "git", Pub: pub, RestartGrace: time.Hour}, connected: true}
-		m.shards = make([]*shardState, ack.ShardsTotal)
-		for k := range m.shards {
-			m.shards[k] = &shardState{}
-		}
+		m.newSet(ack.ShardsTotal)
 		if m.restartLocked(&ack) {
 			return // the handshake refuses a resumed lane the mirror starts cold
 		}

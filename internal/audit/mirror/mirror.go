@@ -4,14 +4,18 @@ import (
 	"bufio"
 	"context"
 	"crypto/ecdsa"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
 	"libseal/internal/audit"
 	"libseal/internal/telemetry"
+	"libseal/internal/vfs"
 )
 
 // ErrMirrorLagging reports that the mirror has fallen further behind the
@@ -26,6 +30,7 @@ var (
 	mMirrorEntries    = telemetry.NewCounter("mirror.verified.entries", "entries")
 	mMirrorReconnects = telemetry.NewCounter("mirror.reconnects", "dials")
 	mMirrorViolations = telemetry.NewCounter("mirror.violations", "violations")
+	mMirrorSaveErrors = telemetry.NewCounter("mirror.checkpoint.errors", "writes")
 )
 
 const (
@@ -38,7 +43,7 @@ const (
 	// frame before the link is declared dead; the feed heartbeats with tail
 	// frames each poll interval.
 	readTimeout = 10 * time.Second
-	// checkpointEvery is the minimum interval between sidecar writes.
+	// checkpointEvery is the minimum interval between state file writes.
 	checkpointEvery = time.Second
 	checkTick       = 100 * time.Millisecond
 )
@@ -55,9 +60,10 @@ type Config struct {
 	Pub *ecdsa.PublicKey
 	// Unseal decrypts sealed entries; required when the log is sealed.
 	Unseal func([]byte) ([]byte, error)
-	// CheckpointPath, when set, persists the mirror's resume state so a
-	// restarted mirror continues from its verified prefix instead of
-	// re-verifying from byte zero.
+	// CheckpointPath, when set, persists what the mirror has verified (its
+	// audit.LiveSet's snapshot: resume claims and the claims still waiting) so
+	// a restarted mirror continues from its verified prefix instead of
+	// re-verifying from byte zero, and holds the feed to what it has seen.
 	CheckpointPath string
 	// OnViolation observes the first (latching) violation. The mirror
 	// stops verifying once a violation latches: its attestation is void.
@@ -72,11 +78,11 @@ type Config struct {
 	// has caught up once, reported lag beyond this raises
 	// ErrMirrorLagging.
 	MaxLag int64
-	// RestartGrace bounds how long a restarted shard stream may run without
-	// regaining the highest counter the mirror verified on the shard (default
-	// 10s): an honest compaction re-signs at fresh counters in its first
-	// commit point, so a stream that stays below the floor is serving a
-	// rolled-back file the feed may never let it catch up with.
+	// RestartGrace bounds how long a shard stream restarted cold, from the
+	// session's start, may run without holding again the last commit point
+	// the mirror verified on the shard (default 10s): the feed may never let
+	// it catch up with a rolled-back file. A compaction's image is excused,
+	// being signed above every counter the mirror verified on the shard.
 	RestartGrace time.Duration
 }
 
@@ -94,35 +100,10 @@ func (c *Config) restartGrace() time.Duration {
 	return c.RestartGrace
 }
 
-// shardState is the mirror's per-shard memory; it outlives sessions.
+// shardState is a shard's stream of the current session or set restart.
 type shardState struct {
-	// ckpt is the last verified commit point, the resume claim for the
-	// next session. maxCounter is the continuity floor.
-	ckpt       *audit.Checkpoint
-	maxCounter uint64
-
-	// needCounter, when non-zero, is the floor a restarted stream must
-	// re-attain; needSince is when the obligation was first armed.
-	needCounter uint64
-	needSince   time.Time
-
-	// The stream of this session or set restart (m.set's shard stream).
 	v          *audit.IncrementalVerifier
 	serverSize int64
-	sized      bool
-	resumed    bool
-}
-
-// manifestMem is the mirror's sidecar memory. seeded: a manifest has been
-// verified, in this run or by the one that wrote the checkpoint.
-type manifestMem struct {
-	offset  int64
-	recOff  int64
-	recHash string
-	epoch   uint64
-	counter uint64
-	count   int
-	seeded  bool
 }
 
 // Mirror is a follower continuously verifying a live log over its feed.
@@ -130,22 +111,20 @@ type Mirror struct {
 	cfg    Config
 	cancel context.CancelFunc
 	done   chan struct{}
+	// stopErr is the final state save's, read once done is closed.
+	stopErr error
 
-	mu          sync.Mutex
-	connected   bool
-	established time.Time
-	sessions    int
-	restarts    int
-	shards      []*shardState
-	mem         manifestMem
-	msize       int64
-	set         *audit.LiveSet
-	mreader     *audit.IncrementalManifestReader
-	lag         int64
-	everCaught  bool
-	violation   error
-	dirty       bool
-	lastSave    time.Time
+	mu         sync.Mutex
+	connected  bool
+	sessions   int
+	set        *audit.LiveSet // what the mirror verified: the one memory it persists
+	shards     []*shardState
+	mreader    *audit.IncrementalManifestReader
+	lag        int64
+	everCaught bool
+	violation  error
+	dirty      bool
+	lastSave   time.Time
 }
 
 // Start attaches a mirror to a feed and begins continuous verification in
@@ -162,48 +141,68 @@ func Start(ctx context.Context, cfg Config) (*Mirror, error) {
 		return nil, errors.New("mirror: Config needs Addr or Dial")
 	}
 	m := &Mirror{cfg: cfg, done: make(chan struct{})}
-	if cfg.CheckpointPath != "" {
-		st, err := loadState(cfg.CheckpointPath, cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			m.adoptState(st)
-		}
+	if err := m.loadState(); err != nil {
+		return nil, err
 	}
 	ctx, m.cancel = context.WithCancel(ctx)
 	go m.run(ctx)
 	return m, nil
 }
 
-// adoptState restores persisted memory. Shard checkpoints are claims, not
-// facts: each is re-proved against the feed's signature record before a
-// session resumes from it.
-func (m *Mirror) adoptState(st *state) {
-	m.shards = make([]*shardState, len(st.Shards))
-	for k := range st.Shards {
-		sh := &shardState{ckpt: st.Shards[k]}
-		if k < len(st.MaxCounter) {
-			sh.maxCounter = st.MaxCounter[k]
-		}
-		m.shards[k] = sh
-	}
-	if st.Manifest != nil {
-		m.mem = manifestMem{
-			offset: st.Manifest.Offset, recOff: st.Manifest.RecOff, recHash: st.Manifest.RecHash,
-			epoch: st.Manifest.Epoch, counter: st.Manifest.Counter, count: st.Manifest.Count,
-			seeded: true,
-		}
+// newSet starts the mirror's memory of a set of n shards.
+func (m *Mirror) newSet(n int) {
+	m.set = audit.NewLiveSet(m.cfg.Name, audit.VerifyOptions{Pub: m.cfg.Pub, Unseal: m.cfg.Unseal}, n, m.cfg.restartGrace())
+	m.shards = make([]*shardState, n)
+	for k := range m.shards {
+		m.shards[k] = &shardState{}
 	}
 }
 
-// Stop shuts the mirror down, persisting a final checkpoint. It returns
-// once the background loop has exited or ctx expires.
+// loadState adopts the state file, if there is one. What it remembers are
+// claims, not facts: each resume claim is re-proved against the feed's record
+// before a stream resumes from it. A file of an older version is not adopted
+// and the mirror starts cold; a corrupt one, or one of another set, is an
+// error, so that the claims it holds are not dropped silently.
+func (m *Mirror) loadState() error {
+	if m.cfg.CheckpointPath == "" {
+		return nil
+	}
+	data, err := os.ReadFile(m.cfg.CheckpointPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err == nil {
+		err = m.restore(data)
+	}
+	if err != nil {
+		return fmt.Errorf("mirror: state file %s: %w", m.cfg.CheckpointPath, err)
+	}
+	return nil
+}
+
+// restore adopts data, a state file's contents (saveState).
+func (m *Mirror) restore(data []byte) error {
+	var st audit.LiveState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	m.newSet(len(st.Shards))
+	if err := m.set.Restore(&st); errors.Is(err, audit.ErrCheckpointStale) {
+		m.set, m.shards = nil, nil
+	} else if err != nil {
+		return err
+	}
+	return nil
+}
+
+// Stop shuts the mirror down, persisting its state a last time. It returns
+// the error of that save once the background loop has exited, or ctx's if ctx
+// expires first.
 func (m *Mirror) Stop(ctx context.Context) error {
 	m.cancel()
 	select {
 	case <-m.done:
-		return nil
+		return m.stopErr
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -228,11 +227,7 @@ func (m *Mirror) Report() *audit.Report {
 	defer m.mu.Unlock()
 	r := &audit.Report{
 		Live: true, Connected: m.connected, CaughtUp: m.everCaught,
-		Reconnects: max(0, m.sessions-1), Restarts: m.restarts, LagBytes: m.lag,
-		Manifests: m.mem.count, Epoch: m.mem.epoch, Tables: make(map[string]int),
-	}
-	for _, sh := range m.shards {
-		r.Resumed = r.Resumed || sh.resumed
+		Reconnects: max(0, m.sessions-1), LagBytes: m.lag, Tables: make(map[string]int),
 	}
 	if m.set != nil {
 		m.set.Report(r)
@@ -267,7 +262,7 @@ func (m *Mirror) dial(ctx context.Context) (net.Conn, error) {
 // handshake a backoff that doubles from BackoffMin up to backoffMax.
 func (m *Mirror) run(ctx context.Context) {
 	defer close(m.done)
-	defer m.saveCheckpoint()
+	defer func() { m.stopErr = m.saveState() }()
 	first := m.cfg.backoffMin()
 	backoff := first
 	for ctx.Err() == nil && m.Err() == nil {
@@ -310,7 +305,6 @@ func (m *Mirror) session(ctx context.Context, conn net.Conn) bool {
 	}
 	m.mu.Lock()
 	m.connected = true
-	m.established = time.Now()
 	m.sessions++
 	m.mu.Unlock()
 
@@ -367,15 +361,18 @@ func (m *Mirror) session(ctx context.Context, conn net.Conn) bool {
 func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 	m.mu.Lock()
 	hello := helloMsg{Name: m.cfg.Name}
-	for _, sh := range m.shards {
-		var claim shardResume
-		if sh.ckpt != nil {
-			claim = shardResume{Offset: sh.ckpt.Offset, SigOffset: sh.ckpt.SigOffset, SigHash: sh.ckpt.SigHash}
+	if m.set != nil {
+		st := m.set.Snapshot()
+		for _, mem := range st.Shards {
+			var claim shardResume
+			if p := mem.Last; p != nil {
+				claim = shardResume{Offset: p.Offset, SigOffset: p.SigOffset, SigHash: hex.EncodeToString(p.SigHash[:])}
+			}
+			hello.Shards = append(hello.Shards, claim)
 		}
-		hello.Shards = append(hello.Shards, claim)
-	}
-	if m.mem.offset > 0 {
-		hello.Manifest = &manifestResume{Offset: m.mem.offset, RecOff: m.mem.recOff, RecHash: m.mem.recHash}
+		if pos := st.Manifest; pos.Offset > 0 {
+			hello.Manifest = &manifestResume{Offset: pos.Offset, RecOff: pos.RecOff, RecHash: pos.RecHash}
+		}
 	}
 	m.mu.Unlock()
 
@@ -409,11 +406,8 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.shards == nil {
-		m.shards = make([]*shardState, ack.ShardsTotal)
-		for k := range m.shards {
-			m.shards[k] = &shardState{}
-		}
+	if m.set == nil {
+		m.newSet(ack.ShardsTotal)
 	} else if len(m.shards) != ack.ShardsTotal {
 		// A shard-count change under a mirror with verified state cannot be
 		// distinguished from serving a different log set; refuse to adapt.
@@ -432,57 +426,31 @@ func (m *Mirror) handshake(conn net.Conn, br *bufio.Reader) error {
 
 // restartLocked starts the streams of a new session, resuming each lane the
 // ack proves the mirror's claim on, or of a set restart (ack nil), every lane
-// from the head of its file. The set rule (audit.LiveSet) holds each cold
-// shard stream to what the mirror verified on the shard, unless the sidecar's
-// stream restarted with it and the stream is a later incarnation of the file;
-// a cold shard stream must also regain the shard's counter floor within
-// RestartGrace (continuityLocked). It reports whether the ack resumed a lane
-// the mirror starts cold.
+// from the head of its file; the set rule (audit.LiveSet) holds each cold
+// shard stream to what the mirror verified on the shard. It reports whether
+// the ack resumed a lane the mirror starts cold.
 func (m *Mirror) restartLocked(ack *ackMsg) (diverged bool) {
-	if m.set == nil {
-		m.set = audit.NewLiveSet(m.cfg.Name, audit.VerifyOptions{Pub: m.cfg.Pub, Unseal: m.cfg.Unseal}, len(m.shards))
-		m.set.OnManifest = m.onManifest
+	var lanes []shardAck
+	var sidecar []byte
+	if ack != nil {
+		lanes, sidecar = ack.Shards, ack.ManifestProof
+		if !ack.ManifestOk {
+			sidecar = nil
+		}
 	}
-	m.mreader = m.set.RestartManifests(m.mem.seeded, m.mem.epoch, m.mem.counter)
-	sidecar := ack != nil && m.mem.offset > 0 && ack.ManifestOk && audit.MatchManifestProof(ack.ManifestProof, m.cfg.Name, m.cfg.Pub,
-		m.mem.offset, m.mem.recOff, m.mem.recHash, m.mem.epoch, m.mem.counter) == nil
-	if sidecar {
-		m.mreader.ResumeAt(m.mem.offset, m.mem.recOff, m.mem.recHash)
-	} else {
-		diverged = ack != nil && ack.ManifestOk
-		m.mem.offset, m.mem.recOff, m.mem.recHash = 0, 0, ""
-	}
-	now := time.Now()
+	m.mreader = m.set.RestartManifests(sidecar)
+	diverged = ack != nil && ack.ManifestOk && m.mreader.Offset() == 0
 	for k, sh := range m.shards {
-		proved := ack != nil && sh.ckpt != nil && k < len(ack.Shards) && ack.Shards[k].Ok &&
-			sh.ckpt.MatchProof(ack.Shards[k].Proof, m.cfg.Pub) == nil
-		hadState := sh.v != nil || sh.ckpt != nil || sh.maxCounter > 0
-		sh.v, sh.resumed = m.set.RestartShard(k, sh.ckpt, proved, !sidecar, sh.maxCounter)
-		sh.sized = false
-		if sh.resumed {
-			continue
+		var lane shardAck
+		if k < len(lanes) && lanes[k].Ok {
+			lane = lanes[k]
 		}
-		sh.ckpt = nil // the set rule holds the stream to it
-		diverged = diverged || ack != nil && k < len(ack.Shards) && ack.Shards[k].Ok
-		if sh.maxCounter > 0 && sh.needCounter == 0 {
-			sh.needCounter, sh.needSince = sh.maxCounter, now
-		}
-		if hadState {
-			m.restarts++
-		}
+		var resumed bool
+		sh.v, resumed = m.set.RestartShard(k, lane.Proof)
+		diverged = diverged || lane.Ok && !resumed
 	}
 	m.dirty = true
 	return diverged
-}
-
-// onManifest books a manifest the set rule accepted. Caller holds m.mu.
-func (m *Mirror) onManifest(man *audit.Manifest) {
-	m.mem.epoch, m.mem.counter = man.Epoch, man.Counter
-	m.mem.count++
-	m.mem.offset = m.mreader.Offset()
-	m.mem.recOff, m.mem.recHash = m.mreader.LastRecord()
-	m.mem.seeded = true
-	m.dirty = true
 }
 
 // handleFrame dispatches one feed frame.
@@ -500,23 +468,15 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 		}
 		sh := m.shards[k]
 		seq := sh.v.Seq()
+		m.dirty = true
 		if err := sh.v.Feed(payload[2:]); err != nil {
 			return err
-		}
-		// The frame's commits were reported after one ECDSA check, on its
-		// last signature record; that commit point is the checkpointable one.
-		if sh.ckpt == nil || sh.ckpt.Batches != sh.v.Batches() {
-			sh.ckpt = sh.v.Checkpoint(k)
-			m.dirty = true
-		}
-		sh.maxCounter = max(sh.maxCounter, sh.v.MaxCounter())
-		if sh.needCounter > 0 && sh.v.MaxCounter() >= sh.needCounter {
-			sh.needCounter = 0
 		}
 		mMirrorEntries.Add(int64(sh.v.Seq() - seq))
 		mMirrorSeq.Set(int64(sh.v.Seq()))
 		return nil
 	case frameManifest:
+		m.dirty = true
 		return m.mreader.Feed(payload)
 	case frameSetRestart:
 		if len(payload) != 0 {
@@ -536,75 +496,45 @@ func (m *Mirror) handleFrame(typ byte, payload []byte) error {
 }
 
 // tailLocked places the mirror against the server's committed sizes: lag
-// accounting, and once the mirror holds every file whole, the set rule's
-// verdict on them and the caught-up continuity checks.
+// accounting, the deadline of the restarted streams' history claims, and once
+// the mirror holds every file whole, the set rule's verdict on them.
 func (m *Mirror) tailLocked(t tailMsg) error {
 	var lag int64
 	for k, sh := range m.shards {
 		if k < len(t.Shards) {
 			sh.serverSize = t.Shards[k]
-			sh.sized = true
 		}
 		if d := sh.serverSize - sh.v.Offset(); d > 0 {
 			lag += d
 		}
 	}
-	m.msize = t.Manifest
-	if d := m.msize - (m.mreader.Offset() + int64(m.mreader.Buffered())); d > 0 {
+	if d := t.Manifest - (m.mreader.Offset() + int64(m.mreader.Buffered())); d > 0 {
 		lag += d
 	}
 	m.lag = lag
 	mMirrorLag.Set(lag)
-	if lag == 0 {
-		// The sidecar holds at least the set's creation manifest, so a mirror
-		// level with the feed has verified one; otherwise the feed is serving
-		// the shards without the sidecar that binds them.
-		if !m.mem.seeded {
-			return fmt.Errorf("%w: caught up with the feed without verifying a manifest: the set's manifest sidecar is missing", audit.ErrTampered)
-		}
-		if err := m.set.Settle(); err != nil {
-			return err
-		}
-		m.everCaught = true
+	if err := m.set.Settle(lag == 0); err != nil {
+		return err
 	}
+	m.everCaught = m.everCaught || lag == 0
 	if m.cfg.MaxLag > 0 && m.everCaught && lag > m.cfg.MaxLag {
 		return fmt.Errorf("%w: %d bytes behind (bound %d)", ErrMirrorLagging, lag, m.cfg.MaxLag)
-	}
-	return m.continuityLocked(time.Now())
-}
-
-// continuityLocked applies the continuity floor: a restarted shard stream
-// that has caught up to the server's committed size — or been streaming for
-// the whole restart grace — without regaining the highest counter the mirror
-// verified on the shard is serving a rolled-back file.
-func (m *Mirror) continuityLocked(now time.Time) error {
-	for k, sh := range m.shards {
-		if sh.needCounter == 0 {
-			continue
-		}
-		since := sh.needSince
-		if m.established.After(since) {
-			since = m.established
-		}
-		if caught := sh.sized && sh.v.Offset() >= sh.serverSize; caught || now.Sub(since) > m.cfg.restartGrace() {
-			return fmt.Errorf("%w: shard %d stream restarted but never re-attained verified counter %d (last %d): shard rolled back",
-				audit.ErrBadCounter, k, sh.needCounter, sh.v.MaxCounter())
-		}
 	}
 	return nil
 }
 
-// timeChecks runs the clock-driven continuity rules between frames.
+// timeChecks runs the clock-driven rule between frames: a restarted stream's
+// history claim that has waited RestartGrace is a rolled-back shard.
 func (m *Mirror) timeChecks() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.connected {
 		return nil
 	}
-	return m.continuityLocked(time.Now())
+	return m.set.Settle(false)
 }
 
-// maybeCheckpoint persists the sidecar if state changed and the cadence
+// maybeCheckpoint persists the state file if state changed and the cadence
 // allows.
 func (m *Mirror) maybeCheckpoint() {
 	if m.cfg.CheckpointPath == "" {
@@ -618,27 +548,36 @@ func (m *Mirror) maybeCheckpoint() {
 	}
 	m.mu.Unlock()
 	if due {
-		m.saveCheckpoint()
+		m.saveState()
 	}
 }
 
-// saveCheckpoint persists the mirror sidecar (best effort: a lost
-// checkpoint only costs re-verification).
-func (m *Mirror) saveCheckpoint() {
+// saveState persists the set's snapshot to the state file atomically
+// (vfs.WriteFileAtomic). A failed save is counted and leaves the state dirty,
+// for the next round to retry: once the file holds waiting claims, a save
+// lost in silence is a claim forgotten.
+func (m *Mirror) saveState() error {
 	if m.cfg.CheckpointPath == "" {
-		return
+		return nil
 	}
 	m.mu.Lock()
-	st := &state{Version: mirrorCheckpointVersion, Name: m.cfg.Name,
-		Shards: make([]*audit.Checkpoint, len(m.shards)), MaxCounter: make([]uint64, len(m.shards))}
-	for k, sh := range m.shards {
-		st.Shards[k] = sh.ckpt
-		st.MaxCounter[k] = sh.maxCounter
-	}
-	if m.mem.seeded {
-		st.Manifest = &manifestState{Offset: m.mem.offset, RecOff: m.mem.recOff, RecHash: m.mem.recHash,
-			Epoch: m.mem.epoch, Counter: m.mem.counter, Count: m.mem.count}
+	var st *audit.LiveState
+	if m.set != nil {
+		st = m.set.Snapshot()
 	}
 	m.mu.Unlock()
-	st.save(m.cfg.CheckpointPath)
+	if st == nil {
+		return nil
+	}
+	data, err := json.MarshalIndent(st, "", "  ")
+	if err == nil {
+		err = vfs.WriteFileAtomic(nil, m.cfg.CheckpointPath, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		mMirrorSaveErrors.Inc()
+		m.mu.Lock()
+		m.dirty = true
+		m.mu.Unlock()
+	}
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,6 +47,13 @@ type mirrorEnv struct {
 
 func newMirrorEnv(t testing.TB, shards int, manifestEvery time.Duration) *mirrorEnv {
 	t.Helper()
+	return newMirrorEnvProtected(t, shards, manifestEvery, true)
+}
+
+// newMirrorEnvProtected is newMirrorEnv with the set's rollback protector, the
+// counter group, left out unless protected is set.
+func newMirrorEnvProtected(t testing.TB, shards int, manifestEvery time.Duration, protected bool) *mirrorEnv {
+	t.Helper()
 	p := enclave.NewPlatform()
 	encl, err := p.Launch(enclave.Config{Code: []byte("libseal-mirror-test"), MaxThreads: 4, Cost: enclave.ZeroCostModel()})
 	if err != nil {
@@ -61,12 +69,16 @@ func newMirrorEnv(t testing.TB, shards int, manifestEvery time.Duration) *mirror
 		t.Fatal(err)
 	}
 	e := &mirrorEnv{t: t, encl: encl, bridge: bridge, group: group, dir: t.TempDir(), stopManifests: make(chan struct{})}
+	cfg := audit.ShardedConfig{
+		Config: audit.Config{Name: "git", Schema: testSchema, Mode: audit.ModeDisk, Dir: e.dir},
+		Shards: shards, ManifestEvery: manifestEvery,
+	}
+	if protected {
+		cfg.Protector = group
+	}
 	e.call(func(env *asyncall.Env) error {
 		var err error
-		e.log, err = audit.NewSharded(env, audit.ShardedConfig{
-			Config: audit.Config{Name: "git", Schema: testSchema, Mode: audit.ModeDisk, Dir: e.dir, Protector: group},
-			Shards: shards, ManifestEvery: manifestEvery,
-		})
+		e.log, err = audit.NewSharded(env, cfg)
 		return err
 	})
 	feed, err := NewFeed(e.log)
@@ -253,6 +265,96 @@ func TestMirrorResumeAfterRestart(t *testing.T) {
 	}
 }
 
+// TestMirrorStopReportsFailedSave: a state file that cannot be written is not
+// dropped in silence. Each failed save is counted (mirror.checkpoint.errors),
+// the state stays dirty for the next round to retry, and Stop returns the
+// final save's error.
+func TestMirrorStopReportsFailedSave(t *testing.T) {
+	e := newMirrorEnv(t, 2, time.Hour)
+	e.append(10)
+	cfg := e.mirrorConfig()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "missing", "mirror.state")
+	failed := func() int64 {
+		m, _ := telemetry.Get("mirror.checkpoint.errors")
+		return m.Value
+	}
+	before := failed()
+	m, err := Start(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaught(t, m, 10)
+	if err := m.Stop(context.Background()); err == nil {
+		t.Fatal("Stop returned nil with a state file that cannot be written")
+	}
+	if n := failed() - before; n == 0 || !m.dirty {
+		t.Fatalf("%d failed saves counted, state dirty %v; want them counted and the state left dirty", n, m.dirty)
+	}
+}
+
+// TestMirrorStartsColdOnOldStateFile: a state file of the format before the
+// mirror's memory was its LiveSet's (version 1, which held no waiting claims)
+// is not adopted. The mirror starts cold, verifies the set from byte zero and
+// replaces the file with its own.
+func TestMirrorStartsColdOnOldStateFile(t *testing.T) {
+	e := newMirrorEnv(t, 2, time.Hour)
+	e.append(10)
+	cfg := e.mirrorConfig()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "mirror.ckpt")
+	old := `{"version":1,"name":"git","shards":[{"version":2,"offset":419,"seq":5,"chain":"00","counter":5,"batches":5,"sig_offset":300,"sig_hash":"00","sum":"00"},null],"max_counter":[5,0],"sum":"00"}`
+	if err := os.WriteFile(cfg.CheckpointPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Start(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("a version-1 state file refused the start: %v", err)
+	}
+	waitCaught(t, m, 10)
+	if r := m.Report(); r.Resumed || r.Restarts != 0 || r.TotalEntries != 10 {
+		t.Fatalf("report %+v, want a cold start that verified all 10 entries", r)
+	}
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st audit.LiveState
+	if err := json.Unmarshal(data, &st); err != nil || st.Version == 1 || len(st.Shards) != 2 {
+		t.Fatalf("state file after the cold start: version %d, %d shards (%v); want the mirror's own", st.Version, len(st.Shards), err)
+	}
+}
+
+// TestMirrorRefusesCompactionWithoutProtector states a precondition: without
+// a rollback protector a compaction's counters do not move, so nothing tells
+// its image from a cut one. A caught-up mirror of such a set refuses the
+// compaction (ErrBadCounter) while VerifyPath, which holds no memory of the
+// replaced files, accepts the compacted set.
+func TestMirrorRefusesCompactionWithoutProtector(t *testing.T) {
+	e := newMirrorEnvProtected(t, 2, time.Hour, false)
+	e.append(20)
+	e.call(e.log.WriteManifest)
+	m, err := Start(context.Background(), e.mirrorConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop(context.Background())
+	waitCaught(t, m, 20)
+	e.compact("seq < 10")
+	select {
+	case <-m.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no verdict on the compaction: %+v", m.Report())
+	}
+	if err := m.Err(); !errors.Is(err, audit.ErrBadCounter) {
+		t.Fatalf("violation = %v, want ErrBadCounter", err)
+	}
+	if _, err := audit.VerifyPath(context.Background(), e.dir, audit.StreamOptions{VerifyOptions: audit.VerifyOptions{Pub: e.encl.PublicKey()}}); err != nil {
+		t.Fatalf("VerifyPath refuses the compacted set: %v", err)
+	}
+}
+
 // TestMirrorDetectsRollback is the e2e attack: a single shard of a live
 // sharded server is rolled back to an earlier commit point behind the
 // log's back, and the link is dropped so the mirror reconnects into the
@@ -383,7 +485,8 @@ func TestMirrorRefusesServerBehind(t *testing.T) {
 // TestMirrorSurvivesTrim runs a trim while the mirror is attached: the
 // feed must issue restart frames, the mirror must re-verify the rewritten
 // files, and — because an honest rewrite re-signs with current counters —
-// the continuity floor must be re-attained without a violation.
+// each shard's first commit point is signed above every counter verified on
+// it, which excuses the replaced history without a violation.
 func TestMirrorSurvivesTrim(t *testing.T) {
 	e := newMirrorEnv(t, 2, 30*time.Millisecond)
 	e.append(30)
@@ -416,7 +519,7 @@ func TestMirrorSurvivesTrim(t *testing.T) {
 			t.Fatalf("trim caused violation: %v", err)
 		}
 		if r := m.Report(); r.Restarts > 0 && r.LagBytes == 0 && r.Connected {
-			// Give the continuity checks a beat past the grace period to
+			// Give the restart grace a beat past its end to
 			// prove no late violation fires.
 			time.Sleep(600 * time.Millisecond)
 			if err := m.Err(); err != nil {
@@ -480,7 +583,7 @@ func TestMirrorFollowsDatabaseTrimsThenCompaction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// A beat past the restart grace: no late continuity violation.
+	// A beat past the restart grace: no late violation.
 	time.Sleep(600 * time.Millisecond)
 	if err := m.Err(); err != nil {
 		t.Fatalf("late violation after the compaction: %v", err)
@@ -599,10 +702,9 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	}
 	start := func() (*Mirror, *shardState) {
 		m := &Mirror{cfg: Config{Name: "t", Pub: &key.PublicKey}}
-		sh := &shardState{}
-		m.shards = []*shardState{sh}
+		m.newSet(1)
 		m.restartLocked(nil)
-		return m, sh
+		return m, m.shards[0]
 	}
 
 	m, sh := start()
@@ -613,8 +715,8 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	if n := checks() - before; sh.v.Batches() != 50 || n != 1 {
 		t.Fatalf("%d commit points absorbed after %d ECDSA checks, want 50 after one", sh.v.Batches(), n)
 	}
-	if sh.ckpt == nil || sh.ckpt.Batches != 50 || sh.ckpt.Offset != int64(len(img)) || sh.maxCounter != 50 {
-		t.Fatalf("resume claim %+v (max counter %d), want the frame's last commit point", sh.ckpt, sh.maxCounter)
+	if mem := m.set.Snapshot().Shards[0]; mem.Last == nil || mem.Last.Batches != 50 || mem.Last.Offset != int64(len(img)) || mem.MaxCounter != 50 {
+		t.Fatalf("resume claim %+v (max counter %d), want the frame's last commit point", mem.Last, mem.MaxCounter)
 	}
 
 	// Two frames, the second ending in a signature record with a flipped S.
@@ -623,18 +725,19 @@ func TestMirrorFrameCommitsAfterOneCheck(t *testing.T) {
 	if err := m.handleFrame(frameData, append([]byte{0, 0}, img[:half]...)); err != nil {
 		t.Fatal(err)
 	}
-	claim, absorbed := sh.ckpt, sh.v.Batches()
+	claim, absorbed := m.set.Snapshot().Shards[0].Last, sh.v.Batches()
 	bad := append([]byte{0, 0}, img[half:]...)
 	bad[len(bad)-1] ^= 0xff
 	err = m.handleFrame(frameData, bad)
 	if !errors.Is(err, audit.ErrTampered) || !strings.Contains(err.Error(), "signature record 49: signature invalid") {
 		t.Fatalf("frame ending in an invalid signature: %v", err)
 	}
-	if sh.ckpt != claim || claim == nil || claim.Batches != absorbed {
-		t.Fatalf("resume claim moved to %+v on a failed frame", sh.ckpt)
+	mem := m.set.Snapshot().Shards[0]
+	if mem.Last != claim || claim == nil || claim.Batches != absorbed {
+		t.Fatalf("resume claim moved to %+v on a failed frame", mem.Last)
 	}
-	if sh.v.MaxCounter() != 49 {
-		t.Fatalf("commit points up to counter %d absorbed, want the 49 under valid signatures", sh.v.MaxCounter())
+	if mem.MaxCounter != 49 {
+		t.Fatalf("commit points up to counter %d absorbed, want the 49 under valid signatures", mem.MaxCounter)
 	}
 }
 

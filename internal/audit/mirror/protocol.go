@@ -10,8 +10,9 @@
 // signatures and epochs, and every attested state a commit point of its
 // shard), and once it holds every file whole its verdict is the offline one.
 // State the mirror has already verified (each shard's last commit point and
-// highest signed counter, the manifest epoch floor) can never be walked back
-// by anything the feed sends later. What a lying feed CAN do is withhold
+// highest signed counter, the claims still waiting, the manifest epoch floor)
+// can never be walked back by anything the feed sends later, nor by a restart
+// of the mirror's own process: the LiveSet that holds it is the state file. What a lying feed CAN do is withhold
 // bytes, which surfaces as lag, bounded by the mirror's staleness alarm
 // (ErrMirrorLagging); it cannot make tampered bytes verify.
 //
@@ -116,7 +117,7 @@ type helloMsg struct {
 
 // shardAck answers one shard's resume claim. Ok means the server found the
 // claimed record bytes and Proof carries the record payload for the client
-// to authenticate (Checkpoint.MatchProof); !Ok means the client must reset
+// to authenticate (audit.LiveSet.RestartShard); !Ok means the client must reset
 // that shard to offset 0.
 type shardAck struct {
 	Ok    bool   `json:"ok"`

@@ -1,13 +1,17 @@
 package mirror
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"crypto/ecdsa"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,65 +147,141 @@ func newSetFixture(t testing.TB) *setFixture {
 // ackFor is the ack a feed serving the files s answers m's hello with: the
 // records m's resume claims name, read from the files (SigProof,
 // ManifestRecordProof), or a cold start for a lane where there is none.
-func ackFor(t testing.TB, m *Mirror, s setImages) *ackMsg {
-	t.Helper()
-	dir := s.write(t)
-	ack := &ackMsg{Name: "git", ShardsTotal: len(s.shards), Manifested: true, Shards: make([]shardAck, len(m.shards))}
-	for k, sh := range m.shards {
-		if sh.ckpt == nil {
-			continue
+func ackFor(m *Mirror, s setImages) *ackMsg {
+	st := m.set.Snapshot()
+	ack := &ackMsg{Name: "git", ShardsTotal: len(s.shards), Manifested: true, Shards: make([]shardAck, len(st.Shards))}
+	for k, mem := range st.Shards {
+		if p := mem.Last; p != nil && k < len(s.shards) {
+			if proof, err := audit.SigProof(bytes.NewReader(s.shards[k]), p.SigOffset, p.Offset); err == nil {
+				ack.Shards[k] = shardAck{Ok: true, Proof: proof}
+			}
 		}
-		f, err := os.Open(filepath.Join(dir, audit.ShardName("git", k)+".lseal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if proof, err := audit.SigProof(f, sh.ckpt.SigOffset, sh.ckpt.Offset); err == nil {
-			ack.Shards[k] = shardAck{Ok: true, Proof: proof}
-		}
-		f.Close()
 	}
-	if m.mem.offset > 0 {
-		f, err := os.Open(filepath.Join(dir, audit.ManifestFileName("git")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if proof, err := audit.ManifestRecordProof(f, m.mem.recOff, m.mem.offset); err == nil {
+	if pos := st.Manifest; pos.Offset > 0 {
+		if proof, err := audit.ManifestRecordProof(bytes.NewReader(s.sidecar), pos.RecOff, pos.Offset); err == nil {
 			ack.ManifestOk, ack.ManifestProof = true, proof
 		}
-		f.Close()
 	}
 	return ack
 }
 
-// play delivers steps to a fresh mirror of a 2-shard set signed by pub's key,
-// whose first session has nothing to resume, and returns its verdict and the
-// entries it verified.
-func play(t testing.TB, pub *ecdsa.PublicKey, steps []step) (int, error) {
-	m := &Mirror{cfg: Config{Name: "git", Pub: pub, RestartGrace: time.Hour}}
-	m.shards = []*shardState{{}, {}}
-	m.restartLocked(&ackMsg{Name: "git", ShardsTotal: 2, Manifested: true})
-	for _, st := range steps {
-		if st.session == nil {
-			if err := m.handleFrame(st.fr.typ, st.fr.payload); err != nil {
-				return m.Report().TotalEntries, err
-			}
-			continue
+// player delivers a cell's steps to a mirror and keeps the files the steps
+// describe: each lane's bytes since the last set restart, or a session's.
+type player struct {
+	m     *Mirror
+	files setImages
+}
+
+// newPlayer starts a fresh mirror of a 2-shard set signed by pub's key, whose
+// first session has nothing to resume.
+func newPlayer(pub *ecdsa.PublicKey) *player {
+	p := &player{m: &Mirror{cfg: Config{Name: "git", Pub: pub, RestartGrace: time.Hour}}, files: setImages{shards: make([][]byte, 2)}}
+	p.m.newSet(2)
+	p.m.restartLocked(&ackMsg{Name: "git", ShardsTotal: 2, Manifested: true})
+	return p
+}
+
+// step delivers one step.
+func (p *player) step(st step) error {
+	if st.session != nil {
+		p.files = *st.session
+		return p.session()
+	}
+	switch st.fr.typ {
+	case frameData:
+		if k := int(binary.BigEndian.Uint16(st.fr.payload)); k < len(p.files.shards) {
+			p.files.shards[k] = append(slices.Clip(p.files.shards[k]), st.fr.payload[2:]...)
 		}
-		if m.restartLocked(ackFor(t, m, *st.session)) {
-			m.restartLocked(ackFor(t, m, *st.session)) // the mirror reconnects cold
+	case frameManifest:
+		p.files.sidecar = append(slices.Clip(p.files.sidecar), st.fr.payload...)
+	case frameSetRestart:
+		p.files = setImages{shards: make([][]byte, len(p.files.shards))}
+	}
+	return p.m.handleFrame(st.fr.typ, st.fr.payload)
+}
+
+// session opens a session with a feed serving p.files: its ack answers the
+// mirror's resume claims, and it streams each lane on from where the ack left
+// it.
+func (p *player) session() error {
+	if p.m.restartLocked(ackFor(p.m, p.files)) {
+		p.m.restartLocked(ackFor(p.m, p.files)) // the mirror reconnects cold
+	}
+	for i, img := range p.files.lanes() {
+		at := p.m.mreader.Offset()
+		if i < len(p.m.shards) {
+			at = p.m.shards[i].v.Offset()
 		}
-		for i, img := range st.session.lanes() {
-			at := m.mreader.Offset()
-			if i < len(m.shards) {
-				at = m.shards[i].v.Offset()
-			}
-			fr := laneFrame(len(m.shards)+1, i, img[min(at, int64(len(img))):])
-			if err := m.handleFrame(fr.typ, fr.payload); err != nil {
-				return m.Report().TotalEntries, err
-			}
+		fr := laneFrame(len(p.m.shards)+1, i, img[min(at, int64(len(img))):])
+		if err := p.m.handleFrame(fr.typ, fr.payload); err != nil {
+			return err
 		}
 	}
-	return m.Report().TotalEntries, nil
+	return nil
+}
+
+// restarted is the mirror process restarted from state, the contents of its
+// state file: a new mirror built from the file, in a session with a feed
+// serving the files delivered so far.
+func (p *player) restarted(t testing.TB, state []byte) (*player, error) {
+	q := &player{m: &Mirror{cfg: p.m.cfg}, files: setImages{shards: slices.Clone(p.files.shards), sidecar: p.files.sidecar}}
+	if err := q.m.restore(state); err != nil {
+		t.Fatal(err)
+	}
+	return q, q.session()
+}
+
+// verdict plays steps from i on and returns the mirror's verdict and the
+// entries it verified.
+func (p *player) verdict(steps []step) (int, error) {
+	for _, st := range steps {
+		if err := p.step(st); err != nil {
+			return p.m.Report().TotalEntries, err
+		}
+	}
+	return p.m.Report().TotalEntries, nil
+}
+
+// play delivers steps to a fresh mirror and returns its verdict and the
+// entries it verified.
+func play(t testing.TB, pub *ecdsa.PublicKey, steps []step) (int, error) {
+	return newPlayer(pub).verdict(steps)
+}
+
+// playRestarting calls fn with the verdict of steps played to a fresh mirror
+// (at -1), then with the verdict of each play in which the mirror process
+// restarts before step at, for every at between two steps the mirror reached
+// without a violation: the mirror's state file there is the snapshot of its
+// set (saveState), from which a restarted mirror plays on.
+func playRestarting(t testing.TB, pub *ecdsa.PublicKey, steps []step, fn func(at, entries int, err error)) {
+	p := newPlayer(pub)
+	type fork struct {
+		state []byte
+		at    *player
+	}
+	var forks []fork
+	var err error
+	for i, st := range steps {
+		if i > 0 {
+			state, jerr := json.Marshal(p.m.set.Snapshot())
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			forks = append(forks, fork{state, &player{m: p.m, files: setImages{shards: slices.Clone(p.files.shards), sidecar: p.files.sidecar}}})
+		}
+		if err = p.step(st); err != nil {
+			break
+		}
+	}
+	fn(-1, p.m.Report().TotalEntries, err)
+	for i, f := range forks {
+		q, err := f.at.restarted(t, f.state)
+		entries := q.m.Report().TotalEntries
+		if err == nil {
+			entries, err = q.verdict(steps[i+1:])
+		}
+		fn(i+1, entries, err)
+	}
 }
 
 // offline memoises VerifyPath's verdicts on the sets the table ends on.
@@ -384,29 +464,38 @@ func (f *setFixture) cutBack() []byte {
 }
 
 // TestMirrorSetRule: in every cell the mirror's verdict once it holds every
-// file whole is VerifyPath's on the files the frames describe.
+// file whole is VerifyPath's on the files the frames describe — also with the
+// mirror process restarted between any two of the cell's steps, from its state
+// file, into a session with a feed serving the files delivered so far.
 func TestMirrorSetRule(t *testing.T) {
 	f := newSetFixture(t)
 	o := offline{}
 	cells := f.setRuleCells(t)
 	cells = append(cells, serverBehindCell(t))
+	plays := 0
 	for _, c := range cells {
-		entries, err := play(t, c.pub, c.steps)
 		want := o.verify(t, c.pub, c.dir)
-		if c.stricter != "" {
-			if want.err != nil || !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), c.stricter) {
-				t.Errorf("%s: mirror %v, want %q; VerifyPath %v, want it to pass", c.name, err, c.stricter, want.err)
+		playRestarting(t, c.pub, c.steps, func(at, entries int, err error) {
+			plays++
+			name := c.name
+			if at > 0 {
+				name = fmt.Sprintf("%s/restart before step %d", c.name, at)
 			}
-			continue
-		}
-		switch {
-		case (err == nil) != (want.err == nil):
-			t.Errorf("%s: mirror verdict %v, VerifyPath %v", c.name, err, want.err)
-		case err == nil && entries != want.entries:
-			t.Errorf("%s: mirror verified %d entries, VerifyPath %d", c.name, entries, want.entries)
-		}
+			if c.stricter != "" {
+				if want.err != nil || !errors.Is(err, audit.ErrBadCounter) || !strings.Contains(err.Error(), c.stricter) {
+					t.Errorf("%s: mirror %v, want %q; VerifyPath %v, want it to pass", name, err, c.stricter, want.err)
+				}
+				return
+			}
+			switch {
+			case (err == nil) != (want.err == nil):
+				t.Errorf("%s: mirror verdict %v, VerifyPath %v", name, err, want.err)
+			case err == nil && entries != want.entries:
+				t.Errorf("%s: mirror verified %d entries, VerifyPath %d", name, entries, want.entries)
+			}
+		})
 	}
-	t.Logf("%d cells", len(cells))
+	t.Logf("%d cells, %d plays", len(cells), plays)
 }
 
 // recover restarts e's set from its files, as a restarted server does, with

@@ -118,7 +118,7 @@ type StreamOptions struct {
 	Checkpoint *CheckpointConfig
 
 	// ResumeAuto loads each shard's own checkpoint sidecar and resumes from
-	// it when the shard file authenticates it (Checkpoint.MatchProof) and
+	// it when the shard file authenticates it (Checkpoint.matchFile) and
 	// the set's manifests can vouch for it: one attests the shard at the
 	// checkpoint's Seq or past it, and none another state at that Seq. A
 	// shard whose sidecar is missing, stale or unattested is verified cold

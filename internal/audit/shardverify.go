@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"crypto/ecdsa"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +16,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"time"
+
+	"libseal/internal/enclave"
 )
 
 // Set verification. Every persisted log is a set: N ≥ 1 shard files, each an
@@ -442,110 +448,194 @@ func (rp *manifestReplay) judge(ss *shardSet, opts *StreamOptions, points []*com
 // One sidecar attests each shard's states in order, so the points below a
 // shard's latest claim are dropped: there is no window a claim can leave.
 //
-// A stream that restarts cold (RestartShard) replaces one the follower
-// verified, and a follower never accepts a state older than one it has seen:
-// the restarted stream must hold the last commit point verified on its shard
-// again, chain head and counter, as it must every claim still waiting on it.
-// Only a later incarnation of the file is excused, one whose first commit
-// point is signed above every counter verified on the shard — which only a
-// compaction signs — and only in a restart that restarted the sidecar's
-// stream too. Not safe for concurrent use.
+// The set is also the follower's memory, which outlives its streams and, by
+// Snapshot and Restore, its process: each shard's last verified commit point
+// (the resume claim a feed must prove) and highest verified counter, the
+// claims still waiting, and the sidecar stream's position at its last verified
+// manifest. A follower never accepts a state older than one it has seen: a
+// stream that restarts cold (RestartShard) must hold the last commit point
+// verified on its shard again, chain head and counter, as it must every claim
+// still waiting on it, and it must do so within the grace (Settle), since a
+// feed may never let it catch up. Only a later incarnation of the file is
+// excused, one whose first commit point is signed above every counter verified
+// on the shard — which only a compaction signs — and only in a restart that
+// restarted the sidecar's stream too. Not safe for concurrent use.
 type LiveSet struct {
-	// OnManifest, if set, observes each manifest that passed its record
-	// checks and whose claims are judged or waiting.
-	OnManifest func(*Manifest)
-
-	name   string
-	opts   VerifyOptions
-	shards []liveShard
-	rp     manifestReplayer
+	name    string
+	opts    VerifyOptions
+	grace   time.Duration
+	shards  []liveShard
+	rp      manifestReplayer
+	sidecar livePos // the sidecar stream at its last verified manifest
+	cold    bool    // the sidecar's stream restarted from its head in the last restart
+	// restarts counts the cold restarts of streams that replaced verified state.
+	restarts int
 }
 
-// liveShard is one shard's stream and what the set rule holds it to.
+// liveShard is one shard's stream, what the set rule holds it to and what the
+// set remembers of the shard.
 type liveShard struct {
-	v      *IncrementalVerifier
-	pts    commitSet   // the points reached at or past the latest claim, above base if resumed
-	claims []liveClaim // states attested past the stream's last point, waiting for it
-	later  bool        // the stream's first point, if signed above floor, excuses the claims made before its restart
-	floor  uint64
+	v       *IncrementalVerifier
+	pts     commitSet   // the points reached at or past the latest claim, above base if resumed
+	claims  []liveClaim // states attested past the stream's last point, waiting for it
+	last    *livePoint  // the last commit point verified on the shard: the resume claim
+	max     uint64      // the highest counter verified on the shard
+	later   bool        // the stream's first point, if signed above max, excuses the claims made before its restart (Before)
+	resumed bool
+	since   time.Time // when the stream restarted: the grace of its history claims counts from here
 }
 
-// liveClaim is a state the stream must hold: a manifest's (epoch > 0) or the
+// liveClaim is a state the stream must hold: a manifest's (Epoch > 0) or the
 // follower's own last verified point on a restarted stream. One made before
-// the stream restarted (before) is the replaced stream's history.
+// the stream restarted (Before) is the replaced stream's history.
 type liveClaim struct {
 	ShardState
-	epoch  uint64
-	before bool
+	Epoch  uint64 `json:",omitempty"`
+	Before bool   `json:",omitempty"`
+}
+
+// livePoint is a verified commit point with what a stream resumed from it
+// needs: the totals under it, and its signature record's offset and payload
+// hash, which bind it to one file.
+type livePoint struct {
+	Offset    int64 // just past the signature record
+	Seq       uint64
+	Chain     [32]byte
+	Counter   uint64
+	Batches   int
+	Tables    map[string]int `json:",omitempty"`
+	SigOffset int64
+	SigHash   [32]byte
+}
+
+func (p *livePoint) state() ShardState {
+	return ShardState{Seq: p.Seq, Counter: p.Counter, Chain: p.Chain}
+}
+
+// proves reports whether payload, the signature record a feed or a file says
+// ends at p.Offset, binds p to the file: it ends there, hashes to p's hash,
+// parses, verifies under pub (when a key is available) and attests exactly p's
+// chain head and counter. A resumed stream starts from this record, so this
+// ECDSA check vouches for everything the stream does not read: whoever serves
+// the payload, a forged claim cannot make a resume accept what a cold start
+// would reject.
+func (p *livePoint) proves(payload []byte, pub *ecdsa.PublicKey) bool {
+	if p.SigOffset < int64(len(fileMagic)) || p.SigOffset+5+int64(len(payload)) != p.Offset || sha256.Sum256(payload) != p.SigHash {
+		return false
+	}
+	rec, err := parseSig(payload)
+	return err == nil && rec.chain == p.Chain && rec.counter == p.Counter && validSig(pub, payload)
+}
+
+// livePos is the sidecar stream's position just past its last verified
+// manifest: the record's offset and payload hash bind it to one file, as
+// livePoint's do, and Epoch and Counter are the floor the next manifest must
+// pass. Count is how many manifests the set has verified.
+type livePos struct {
+	Offset, RecOff int64
+	RecHash        string
+	Epoch, Counter uint64
+	Count          int
+}
+
+// proves is livePoint.proves for the sidecar: payload must be the manifest
+// record that ends at p.Offset, verify for the named set and attest exactly
+// p's epoch and counter.
+func (p *livePos) proves(payload []byte, name string, pub *ecdsa.PublicKey) bool {
+	if p.RecOff < int64(len(manifestMagic)) || p.RecOff+5+int64(len(payload)) != p.Offset || hexDigest(payload) != p.RecHash {
+		return false
+	}
+	m, err := parseManifest(payload)
+	return err == nil && m.Epoch == p.Epoch && m.Counter == p.Counter &&
+		(pub == nil || enclave.VerifySignature(pub, manifestDigest(name, m), m.Sig))
 }
 
 // NewLiveSet starts judging the streams of a set of shards, which start with
-// RestartShard and RestartManifests.
-func NewLiveSet(name string, opts VerifyOptions, shards int) *LiveSet {
-	return &LiveSet{name: name, opts: opts, shards: make([]liveShard, shards)}
+// RestartManifests and RestartShard. A restarted stream's history claims wait
+// at most grace.
+func NewLiveSet(name string, opts VerifyOptions, shards int, grace time.Duration) *LiveSet {
+	return &LiveSet{name: name, opts: opts, grace: grace, shards: make([]liveShard, shards)}
+}
+
+// RestartManifests starts the sidecar's stream again and returns its reader,
+// for the caller to feed the bytes of the sidecar it receives: from the
+// position of the last verified manifest when proof — the payload of the
+// record a feed says ends there — binds it to the file (the reader's Offset is
+// then that position), else from the head of the file. Once a manifest was
+// verified, the stream's next one must pass its epoch and counter.
+func (s *LiveSet) RestartManifests(proof []byte) *IncrementalManifestReader {
+	s.rp = manifestReplayer{Name: s.name, Pub: s.opts.Pub, Shards: len(s.shards)}
+	if s.sidecar.Count > 0 {
+		s.rp.Seed(s.sidecar.Epoch, s.sidecar.Counter)
+	}
+	r := newIncrementalManifestReader(s.manifest)
+	if s.cold = s.sidecar.Offset == 0 || !s.sidecar.proves(proof, s.name, s.opts.Pub); s.cold {
+		s.sidecar.Offset, s.sidecar.RecOff, s.sidecar.RecHash = 0, 0, ""
+	} else {
+		r.in.resumeAt(s.sidecar.Offset)
+	}
+	return r
 }
 
 // RestartShard starts shard k's stream again and returns it, for the caller to
-// feed the bytes of the shard's file it receives: from checkpoint c, which the
-// caller has authenticated, when resume is set and c adopts, else from the
-// empty log. withSidecar says the sidecar's stream restarted from its head in
-// the same restart (RestartManifests comes first). A resumed stream vouches
-// for the states below c, as a resumed offline scan does (DESIGN.md §14), to
-// all but a sidecar that replaced one whose manifests the follower verified:
-// those must attest states the stream reaches. A cold stream must hold c —
-// the last commit point the follower verified on the shard, if any — and
-// every claim still waiting, unless withSidecar is set and its first commit
-// point is signed above floor, the highest counter verified on the shard.
-func (s *LiveSet) RestartShard(k int, c *Checkpoint, resume, withSidecar bool, floor uint64) (v *IncrementalVerifier, resumed bool) {
+// feed the bytes of the shard's file it receives: from the last commit point
+// verified on the shard when proof — the payload of the signature record a
+// feed says ends there — binds it to the file (resumed), else from the empty
+// log. RestartManifests comes first. A resumed stream vouches for the states
+// below its point, as a resumed offline scan does (DESIGN.md §14), to all but
+// a sidecar that restarted cold and replaced one whose manifests the set
+// verified: those must attest states the stream reaches, its point or one the
+// set kept since the shard's latest claim. A cold stream must hold the
+// shard's last verified point and every claim still waiting, unless the
+// sidecar restarted cold with it and its first commit point is signed above
+// every counter verified on the shard.
+func (s *LiveSet) RestartShard(k int, proof []byte) (v *IncrementalVerifier, resumed bool) {
 	sh := &s.shards[k]
+	replaced := sh.v != nil || sh.last != nil || sh.max > 0
 	sh.v = NewIncrementalVerifier(s.opts, func(ci CommitInfo) error { return s.commit(k, ci) })
-	sh.later, sh.floor = false, 0
-	if resume && c != nil && sh.v.Resume(c) == nil {
-		base := c.state()
-		sh.pts = commitSet{base: &base}
-		if withSidecar && s.rp.seeded {
-			sh.pts = commitSet{pts: []ShardState{base}}
+	sh.since = time.Now()
+	if sh.resumed = sh.last != nil && sh.last.proves(proof, s.opts.Pub); sh.resumed {
+		sh.v.resume(sh.last)
+		base := sh.last.state()
+		if s.cold && s.rp.seeded {
+			sh.pts = commitSet{pts: append(sh.pts.pts, base)}
+		} else {
+			sh.pts = commitSet{base: &base}
 		}
 		sh.claims = slices.DeleteFunc(sh.claims, func(c liveClaim) bool { return sh.pts.has(c.ShardState) })
 		return sh.v, true
 	}
-	sh.pts = commitSet{pts: []ShardState{{}}}
-	sh.later, sh.floor = withSidecar, floor
-	if c != nil {
-		sh.claims = append(sh.claims, liveClaim{ShardState: c.state()})
+	if replaced {
+		s.restarts++
 	}
-	for i := range sh.claims {
-		sh.claims[i].before = true
+	sh.pts = commitSet{pts: []ShardState{{}}}
+	if sh.last != nil {
+		sh.claims = append(sh.claims, liveClaim{ShardState: sh.last.state()})
+		sh.last = nil
+	}
+	// A stream that restarted with the sidecar and reached no point before
+	// this restart is read again, not replaced: its excuse stands.
+	if s.cold || !sh.later {
+		for i := range sh.claims {
+			sh.claims[i].Before = true
+		}
+		sh.later = s.cold
 	}
 	return sh.v, false
 }
 
-// RestartManifests starts the sidecar's stream from its head and returns its
-// reader, for the caller to resume (ResumeAt) where it proved its position and
-// to feed the bytes of the sidecar it receives.
-// Once a manifest was verified, seeded carries its epoch and counter: the
-// stream's next manifest must pass them.
-func (s *LiveSet) RestartManifests(seeded bool, epoch, counter uint64) *IncrementalManifestReader {
-	s.rp = manifestReplayer{Name: s.name, Pub: s.opts.Pub, Shards: len(s.shards)}
-	if seeded {
-		s.rp.Seed(epoch, counter)
-	}
-	return newIncrementalManifestReader(s.manifest)
-}
-
-// manifest judges one manifest: its record checks, then each state it attests.
-func (s *LiveSet) manifest(m *Manifest) error {
+// manifest judges one manifest, rec its record: its record checks, then each
+// state it attests.
+func (s *LiveSet) manifest(m *Manifest, rec record) error {
 	if err := s.rp.Verify(m); err != nil {
 		return err
 	}
 	for k, st := range m.Shards {
-		if err := s.claim(k, liveClaim{ShardState: st, epoch: m.Epoch}); err != nil {
+		if err := s.claim(k, liveClaim{ShardState: st, Epoch: m.Epoch}); err != nil {
 			return err
 		}
 	}
-	if s.OnManifest != nil {
-		s.OnManifest(m)
-	}
+	s.sidecar = livePos{Offset: rec.end(), RecOff: rec.off, RecHash: hexDigest(rec.payload), Epoch: m.Epoch, Counter: m.Counter, Count: s.sidecar.Count + 1}
 	return nil
 }
 
@@ -566,17 +656,19 @@ func (s *LiveSet) claim(k int, c liveClaim) error {
 }
 
 // commit absorbs a commit point of shard k's stream: the claims it meets go,
-// and one whose Seq it passes is a shard rolled back.
+// and one whose Seq it passes is a shard rolled back. The feed's last commit
+// point — the one its closing check passed on — becomes the shard's resume
+// claim.
 func (s *LiveSet) commit(k int, ci CommitInfo) error {
 	sh := &s.shards[k]
 	pt := ShardState{Seq: ci.Seq, Chain: ci.Chain, Counter: ci.Counter}
-	later := sh.later && ci.Counter > sh.floor // a compaction's image: the replaced history goes
+	later := sh.later && ci.Counter > sh.max // a compaction's image: the replaced history goes
 	sh.later = false
 	sh.pts.pts = append(sh.pts.pts, pt)
 	waiting := sh.claims[:0]
 	for _, c := range sh.claims {
 		switch {
-		case c.ShardState == pt, later && c.before:
+		case c.ShardState == pt, later && c.Before:
 		case c.Seq < pt.Seq:
 			return c.rolledBack(k)
 		default:
@@ -584,32 +676,48 @@ func (s *LiveSet) commit(k int, ci CommitInfo) error {
 		}
 	}
 	sh.claims = waiting
+	sh.max = max(sh.max, ci.Counter)
+	if ci.Offset == sh.v.led.cur.end {
+		sh.last = sh.v.led.point()
+	}
 	return nil
 }
 
-// Settle is the verdict once the follower holds the whole of every file: a
-// claim still waiting is one its shard's log does not hold.
-func (s *LiveSet) Settle() error {
-	for k := range s.shards {
-		if cs := s.shards[k].claims; len(cs) > 0 {
-			return cs[0].rolledBack(k)
+// Settle judges the claims still waiting. A restarted stream's claim on its
+// shard's history that has waited the grace since the restart is a shard
+// rolled back: a feed may never let the stream catch up, so a deadline, not
+// zero lag, ends that wait. Once the follower holds the whole of every file
+// (whole), every claim still waiting is one its shard's log does not hold, and
+// a set with no manifest verified has had its sidecar stripped.
+func (s *LiveSet) Settle(whole bool) error {
+	if whole && s.sidecar.Count == 0 {
+		return fmt.Errorf("%w: the whole set holds no verified manifest: the manifest sidecar is missing", ErrTampered)
+	}
+	for k, sh := range s.shards {
+		for _, c := range sh.claims {
+			if whole || c.Epoch == 0 && time.Since(sh.since) > s.grace {
+				return c.rolledBack(k)
+			}
 		}
 	}
 	return nil
 }
 
 func (c liveClaim) rolledBack(k int) error {
-	if c.epoch == 0 {
+	if c.Epoch == 0 {
 		return fmt.Errorf("%w: shard %d's restarted stream does not hold seq=%d counter=%d, the last commit point verified on it — shard rolled back",
 			ErrBadCounter, k, c.Seq, c.Counter)
 	}
 	return fmt.Errorf("%w: epoch manifest %d attests shard %d at seq=%d counter=%d, but the shard log holds no such commit point — shard rolled back",
-		ErrBadCounter, c.epoch, k, c.Seq, c.Counter)
+		ErrBadCounter, c.Epoch, k, c.Seq, c.Counter)
 }
 
-// Report adds the committed totals of the shards' streams to r.
+// Report adds the committed totals of the shards' streams, the manifests
+// verified and the streams resumed and restarted to r.
 func (s *LiveSet) Report(r *Report) {
+	r.Manifests, r.Epoch, r.Restarts = s.sidecar.Count, s.sidecar.Epoch, s.restarts
 	for _, sh := range s.shards {
+		r.Resumed = r.Resumed || sh.resumed
 		if sh.v == nil {
 			continue
 		}
@@ -621,4 +729,70 @@ func (s *LiveSet) Report(r *Report) {
 			r.Tables[name] += n
 		}
 	}
+}
+
+// liveStateVersion is LiveState's format. Version 1 was the mirror's own
+// state file, which held no waiting claims.
+const liveStateVersion = 2
+
+// LiveState is what a LiveSet remembers (Snapshot), for its follower to
+// persist and a restarted follower to adopt (Restore): per shard the last
+// verified commit point, the highest verified counter, the points since the
+// latest claim, a pending compaction excuse and the claims still waiting, and
+// the sidecar stream's position. Like a checkpoint sidecar it is
+// unauthenticated, and trusted as little: a restored point or position is a
+// claim a feed must prove before a stream resumes from it, and the rest only
+// makes the follower stricter. Sum is a self-digest over every other field,
+// which catches rot, not an edit.
+type LiveState struct {
+	Version  int
+	Name     string
+	Shards   []liveMemory
+	Manifest livePos
+	Sum      string
+}
+
+// liveMemory is what a LiveSet remembers of one shard.
+type liveMemory struct {
+	Last       *livePoint   `json:",omitempty"`
+	MaxCounter uint64       `json:",omitempty"`
+	Claims     []liveClaim  `json:",omitempty"`
+	Points     []ShardState `json:",omitempty"`
+	Later      bool         `json:",omitempty"`
+}
+
+func (st *LiveState) digest() string {
+	cp := *st
+	cp.Sum = ""
+	data, _ := json.Marshal(&cp)
+	return hexDigest(data)
+}
+
+// Snapshot is what the set remembers, self-digested.
+func (s *LiveSet) Snapshot() *LiveState {
+	st := &LiveState{Version: liveStateVersion, Name: s.name, Shards: make([]liveMemory, len(s.shards)), Manifest: s.sidecar}
+	for k, sh := range s.shards {
+		st.Shards[k] = liveMemory{Last: sh.last, MaxCounter: sh.max, Claims: slices.Clone(sh.claims), Points: slices.Clone(sh.pts.pts), Later: sh.later}
+	}
+	st.Sum = st.digest()
+	return st
+}
+
+// Restore adopts st, a Snapshot of a set of the same name and shard count, as
+// what the set remembers, before its streams start. A snapshot of another
+// version is ErrCheckpointStale: the follower starts cold.
+func (s *LiveSet) Restore(st *LiveState) error {
+	switch {
+	case st.Version != liveStateVersion:
+		return fmt.Errorf("%w: live state version %d, want %d", ErrCheckpointStale, st.Version, liveStateVersion)
+	case st.Sum != st.digest():
+		return errors.New("audit: live state: integrity digest mismatch")
+	case st.Name != s.name || len(st.Shards) != len(s.shards):
+		return fmt.Errorf("audit: live state of %d shards of %q, not %d of %q", len(st.Shards), st.Name, len(s.shards), s.name)
+	}
+	s.sidecar = st.Manifest
+	for k, mem := range st.Shards {
+		s.shards[k] = liveShard{last: mem.Last, max: mem.MaxCounter, claims: mem.Claims, pts: commitSet{pts: mem.Points}, later: mem.Later}
+	}
+	return nil
 }

@@ -19,7 +19,7 @@ import (
 
 // trimDatabase runs query as a trim's database half on s — planned on a fresh
 // snapshot, applied, no file touched — so that the test drives Compact itself.
-func trimDatabase(t *testing.T, e *auditEnv, s *ShardedLog, query string) {
+func trimDatabase(t testing.TB, e *auditEnv, s *ShardedLog, query string) {
 	t.Helper()
 	stmts, err := s.DB().PrepareScript(query)
 	if err != nil {

@@ -290,28 +290,31 @@ type ledger struct {
 // newLedger starts from checkpoint c, or from the empty log when c is nil
 // (which cannot fail).
 func newLedger(c *Checkpoint) (ledger, error) {
-	l := ledger{tables: map[string]int{}}
+	if c == nil {
+		return (*livePoint)(nil).ledger(), nil
+	}
+	p, err := c.point()
+	if err != nil {
+		return ledger{}, err
+	}
+	l := p.ledger()
+	l.base.maxBatch, l.cur.maxBatch = c.MaxBatch, c.MaxBatch
+	return l, nil
+}
+
+// ledger starts a ledger at commit point p, or at the empty log when p is nil.
+func (p *livePoint) ledger() ledger {
+	l := ledger{tables: map[string]int{}, resumed: p != nil}
 	l.base.end = int64(len(fileMagic))
-	if c != nil {
-		chain, err := c.chainHead()
-		if err != nil {
-			return l, err
-		}
-		var sum [32]byte
-		if n, err := hex.Decode(sum[:], []byte(c.SigHash)); err != nil || n != len(sum) {
-			return l, fmt.Errorf("%w: bad signature record hash", ErrCheckpointStale)
-		}
-		l.resumed = true
+	if p != nil {
 		l.base = totals{
-			commitPoint: commitPoint{end: c.Offset, chain: chain, counter: c.Counter, sigOff: c.SigOffset, sigSum: sum},
-			seq:         c.Seq, batches: c.Batches, maxBatch: c.MaxBatch,
+			commitPoint: commitPoint{end: p.Offset, chain: p.Chain, counter: p.Counter, sigOff: p.SigOffset, sigSum: p.SigHash},
+			seq:         p.Seq, batches: p.Batches,
 		}
-		for t, n := range c.Tables {
-			l.tables[t] = n
-		}
+		maps.Copy(l.tables, p.Tables)
 	}
 	l.cur = l.base
-	return l, nil
+	return l
 }
 
 // commit closes a batch, whose entries by table are batch, at its signature
@@ -357,6 +360,14 @@ func (l *ledger) checkpoint(shard int) *Checkpoint {
 		Batches: t.batches, MaxBatch: t.maxBatch, Tables: tables,
 		SigOffset: t.sigOff, SigHash: hex.EncodeToString(t.sigSum[:]),
 	}
+}
+
+// point is the last commit point as a resume starts from it; the caller
+// must have ECDSA-checked its record.
+func (l *ledger) point() *livePoint {
+	t := &l.cur
+	return &livePoint{Offset: t.end, Seq: t.seq, Chain: t.chain, Counter: t.counter, Batches: t.batches,
+		Tables: maps.Clone(l.counts()), SigOffset: t.sigOff, SigHash: t.sigSum}
 }
 
 // result reports the committed prefix: Batches and MaxBatch what this scan

@@ -13,7 +13,8 @@ import (
 // public key. The feed is plumbing, not evidence — a compromised server
 // controls every byte it sends — so the mirror re-derives integrity exactly
 // like the offline verifier (hash chain, batch signatures, manifest replay)
-// and judges rollback by continuity: verified state is never walked back.
+// and judges rollback by its memory: a state older than one it verified is
+// never accepted, across its own restarts too.
 // See internal/audit/mirror and DESIGN.md §16.
 
 type (
@@ -32,11 +33,11 @@ type (
 
 // StartMirror attaches a mirror to a feed and begins continuous
 // verification in the background: every streamed batch is re-verified
-// (chain, signature, counter continuity, manifest replay) within one batch
-// of the server's write. The mirror reconnects with exponential backoff
-// from MirrorConfig.BackoffMin, capped at 5s (or BackoffMin if larger);
-// stop it with Mirror.Stop, which persists a resume checkpoint when
-// MirrorConfig.CheckpointPath is set. A detected violation latches
+// (chain, signature, manifest replay, the set rule) within one batch of the
+// server's write. The mirror reconnects with exponential backoff from
+// MirrorConfig.BackoffMin, capped at 5s (or BackoffMin if larger); stop it
+// with Mirror.Stop, which persists the mirror's state file when
+// MirrorConfig.CheckpointPath is set and returns that save's error. A detected violation latches
 // (Mirror.Err, MirrorConfig.OnViolation) and stops the mirror — its
 // attestation is void from that point.
 func StartMirror(ctx context.Context, cfg MirrorConfig) (*Mirror, error) {
