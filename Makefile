@@ -135,14 +135,6 @@ SURFACE_UNREACHED += internal/netsim:Network internal/netsim:String internal/net
 	internal/tlsterm:SetReadDeadline internal/tlsterm:SetWriteDeadline \
 	internal/audit:Error internal/audit:Unwrap internal/faultinject:Remove
 
-# Paper APIs no shipped command or experiment calls: §4.1's secure callbacks
-# (SetInfoCallback and its outside trampoline) and shadow structure (Shadow);
-# §4.2's ex_data read (GetExData; the front end only sets it); §5.2's
-# periodic checking mode (WithChecks with an interval; no command sets one);
-# §6.3's sealed log (WithSealedLog).
-SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCallback \
-	internal/tlsterm:Shadow internal/tlsterm:GetExData internal/core:periodicChecks libseal:WithSealedLog
-
 # Fault and outside-input paths. Degraded mode's re-anchor retry, which the
 # periodic cycle runs while the counter quorum is down (Reanchor, readCounter);
 # a readiness probe failing (libseal-server's unhealthy); a file the verifier
@@ -151,14 +143,14 @@ SURFACE_UNREACHED += internal/tlsterm:SetInfoCallback internal/tlsterm:invokeCal
 # half-built (bench fail); an enclave torn down under its callers (Destroy);
 # a hostile header of more than 16 out-of-order fields (groupSorted) and a
 # chunked body read from a stream (copyTo); the chaos harness's fault seams
-# (faultinject's node and link faults, SetByzantine, WithFaultInjector).
+# (faultinject's node and link faults, WithFaultInjector).
 SURFACE_UNREACHED += internal/audit:Reanchor internal/audit:readCounter cmd/libseal-server:unhealthy \
 	internal/audit:unknownType internal/audit:errOversized \
 	internal/audit/mirror:sleepCtx \
 	internal/bench:fail internal/enclave:Destroy \
 	internal/httpparse:groupSorted internal/httpparse:copyTo internal/faultinject:ByzantineNode \
 	internal/faultinject:DropLink internal/faultinject:ResetLink \
-	internal/faultinject:AmnesicRestart internal/rote:SetByzantine libseal:WithFaultInjector
+	internal/faultinject:AmnesicRestart libseal:WithFaultInjector
 
 # ROADMAP item 7: the status page and span API read the metric registry
 # through the facade's MetricsSnapshot, SetMetricsEnabled and ResetMetrics.

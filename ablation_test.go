@@ -1,7 +1,6 @@
 // Ablation benchmarks for this implementation's own design choices (beyond
 // the paper's tables and figures): the correlated-subquery result cache in
-// the SQL engine, the cost of sealing the persisted log, and the ROTE
-// group's fault-tolerance parameter.
+// the SQL engine and the ROTE group's fault-tolerance parameter.
 package libseal_test
 
 import (
@@ -9,13 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"libseal/internal/asyncall"
-	"libseal/internal/audit"
 	"libseal/internal/bench"
 	"libseal/internal/rote"
 	"libseal/internal/sqldb"
 	"libseal/internal/ssm/gitssm"
-	"libseal/internal/testutil"
 )
 
 // BenchmarkAblation_SubqueryCache measures the Git soundness+completeness
@@ -53,56 +49,6 @@ func BenchmarkAblation_SubqueryCache(b *testing.B) {
 				elapsed = time.Since(start)
 			}
 			b.ReportMetric(float64(elapsed.Milliseconds()), "ms/check")
-		})
-	}
-}
-
-// BenchmarkAblation_SealedLog measures audit append throughput with and
-// without entry sealing (log privacy, §6.3).
-func BenchmarkAblation_SealedLog(b *testing.B) {
-	for _, sealed := range []bool{false, true} {
-		sealed := sealed
-		name := "plain"
-		if sealed {
-			name = "sealed"
-		}
-		b.Run(name, func(b *testing.B) {
-			_, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Cost: benchCost()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer bridge.Close()
-			dir := b.TempDir()
-			var log *audit.ShardedLog
-			if err := bridge.Call(func(env *asyncall.Env) error {
-				var err error
-				log, err = audit.NewSharded(env, audit.ShardedConfig{Config: audit.Config{
-					Name: "abl", Schema: gitssm.New().Schema(),
-					Mode: audit.ModeDisk, Dir: dir, Seal: sealed,
-				}})
-				return err
-			}); err != nil {
-				b.Fatal(err)
-			}
-			defer log.Close()
-			const appends = 100
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				err := bridge.Call(func(env *asyncall.Env) error {
-					for j := 0; j < appends; j++ {
-						if err := log.Append(env, 0, "updates", j, "r", "main", "c", "update"); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				elapsed = time.Since(start)
-			}
-			b.ReportMetric(float64(elapsed.Microseconds())/appends, "µs/append")
 		})
 	}
 }

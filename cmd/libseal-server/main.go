@@ -54,7 +54,7 @@ func main() {
 	auditShards := flag.Int("audit-shards", 1, "audit log shard files, partitioned per connection; every disk log is its shard files plus a signed epoch-manifest sidecar")
 	checkEvery := flag.Int("check-every", 25, "run checks and trimming every N logged pairs (0 = off)")
 	rateLimit := flag.Duration("check-rate-limit", time.Second, "minimum interval between client-triggered checks")
-	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead); while degraded, a batch asks the quorum only once -anchor-timeout has passed since the last failed attempt or when the budget is full, and the first answered probe closes the episode")
+	degradedLimit := flag.Int("degraded-limit", 64, "appends buffered under a stale counter anchor while the counter quorum is unreachable (0 = fail writes instead); while degraded, a batch asks the quorum only once -anchor-timeout has passed since the last failed attempt or when the budget is full, and the first answered probe closes the episode; nothing re-anchors an idle log, so after the quorum heals the episode lasts until the next append's probe: until then /readyz's audit check fails and the degraded appends stay open to a rollback")
 	anchorTimeout := flag.Duration("anchor-timeout", 2*time.Second, "bound on each rollback-counter operation on the request path, and the pause between a degraded episode's probes")
 	recoverMaxLag := flag.Uint64("recover-max-lag", 1, "counter lag tolerated when resuming the log set already in -dir (a crash between increment and flush leaves lag 1)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, /readyz and /debug/pprof on this address (empty = off)")
@@ -76,7 +76,7 @@ func main() {
 
 	// Launch the enclave and the call bridge. The platform state persists
 	// across restarts (the simulation analogue of one physical machine), so
-	// sealing keys, counters and the audit signing key survive.
+	// the audit signing key survives.
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		log.Fatal(err)
 	}

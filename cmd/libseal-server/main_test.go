@@ -65,6 +65,12 @@ func TestReadinessVerdicts(t *testing.T) {
 	nodes[0].Recover()
 	nodes[1].Recover()
 	time.Sleep(anchorTimeout) // the episode's next probe falls due
+	// Nothing in the server re-anchors an idle log: until an append's probe
+	// closes the episode, the healed quorum leaves audit failing.
+	code, rep = getHealth(t, mux, "/readyz")
+	if a := rep.Checks["audit"]; code != http.StatusServiceUnavailable || a.OK || !rep.Checks["rote-quorum"].OK {
+		t.Fatalf("readyz after the nodes recovered, before a push = %d %+v, want audit failing alone", code, rep)
+	}
 	push("update", "c2")
 	code, rep = getHealth(t, mux, "/readyz")
 	if code != http.StatusOK || !strings.Contains(rep.Checks["audit"].Detail, "1 degraded episodes closed") {

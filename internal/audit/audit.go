@@ -28,7 +28,6 @@
 package audit
 
 import (
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -42,7 +41,6 @@ import (
 	"time"
 
 	"libseal/internal/asyncall"
-	"libseal/internal/enclave"
 	"libseal/internal/sqldb"
 	"libseal/internal/telemetry"
 	"libseal/internal/vfs"
@@ -153,9 +151,6 @@ type Config struct {
 	Dir string
 	// Protector provides rollback protection for ModeDisk.
 	Protector RollbackProtector
-	// Seal encrypts entries on disk using the enclave sealing key, for
-	// log privacy (§6.3).
-	Seal bool
 	// FS overrides the filesystem used for persistence; nil uses the real
 	// one. The seam exists for fault injection and tests.
 	FS vfs.FS
@@ -727,7 +722,7 @@ func (l *Log) awaitTurn(b *commitBatch) bool {
 	return true
 }
 
-// commitSealed makes a sealed batch durable: sealed entry records, the chain
+// commitSealed makes a sealed batch durable: its entry records, the chain
 // advanced over them, one counter increment, one signature over the batch's
 // head, one write and one fsync. The increment is issued once the head is
 // known and the signature made while its round trip is in flight, over the
@@ -744,16 +739,14 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	if err := l.file.failed; err != nil {
 		return err
 	}
-	recs, err := l.sealRecords(env, b.payloads)
-	if err != nil {
-		return err
-	}
+	recs := entryRecords(b.payloads)
 	b.endChain = batchChain(l.chain, recs)
 	asyncall.Lock(env, &l.mu)
 	guess := l.counter
 	probe := l.cfg.Protector != nil && l.anchorDueLocked()
 	l.mu.Unlock()
 	var inc *increment
+	var err error
 	switch {
 	case probe:
 		inc = l.issueIncrement(env)
@@ -784,21 +777,14 @@ func (l *Log) commitSealed(env *asyncall.Env, b *commitBatch) error {
 	return env.Ocall(func() error { return l.file.commit(recs...) })
 }
 
-// sealRecords frames encoded entries as entry records, sealed under the
-// enclave key when the log is private (§6.3), with room for the signature
-// record that closes the group.
-func (l *Log) sealRecords(env *asyncall.Env, encs [][]byte) ([]record, error) {
+// entryRecords frames encoded entries as entry records, with room for the
+// signature record that closes the group.
+func entryRecords(encs [][]byte) []record {
 	recs := make([]record, 0, len(encs)+1)
 	for _, enc := range encs {
-		if l.cfg.Seal {
-			var err error
-			if enc, err = env.Ctx.Seal(enclave.PolicySigner, enc, []byte(l.cfg.Name)); err != nil {
-				return nil, err
-			}
-		}
 		recs = append(recs, record{typ: recEntry, payload: enc})
 	}
-	return recs, nil
+	return recs
 }
 
 // increment is one counter round trip issued ahead of its collection.
@@ -1100,26 +1086,25 @@ func (l *Log) signState(env *asyncall.Env, chain [32]byte, counter uint64, prev 
 type rewrite struct {
 	encs    [][]byte // surviving entries, in sequence order
 	chain   [32]byte // chain head over their records, one batch from zero
-	recs    []record // the new image: sealed entries, then the signature
+	recs    []record // the new image: the entries, then the signature
 	sigHead [32]byte // digest of that signature record's payload
-	err     error    // the build's
 	// The fresh anchor, written outside the enclave while the image is built.
 	counter   uint64
 	anchorErr error
 }
 
-// buildRewrite seals and chains a shard's partition inside the enclave — one
-// batch from zero: the part of the image that does not depend on the counter.
-func (l *Log) buildRewrite(env *asyncall.Env, rw *rewrite, encs [][]byte) {
+// build frames and chains a shard's partition inside the enclave — one batch
+// from zero: the part of the image that does not depend on the counter.
+func (rw *rewrite) build(encs [][]byte) {
 	rw.encs = encs
-	rw.recs, rw.err = l.sealRecords(env, encs)
+	rw.recs = entryRecords(encs)
 	rw.chain = batchChain([32]byte{}, rw.recs)
 }
 
 // signRewrite completes the image once the anchor is in: the new chain head
 // signed at the fresh counter value (the last one without a protector).
 func (l *Log) signRewrite(env *asyncall.Env, rw *rewrite) error {
-	if err := cmp.Or(rw.anchorErr, rw.err); err != nil {
+	if err := rw.anchorErr; err != nil {
 		return err
 	}
 	if l.cfg.Protector != nil {
@@ -1187,7 +1172,7 @@ func (l *Log) replay(si SegmentInfo) error {
 // as durable — and the chain is re-anchored at a fresh counter value.
 func (l *Log) resume(env *asyncall.Env, res *StreamResult, onDisk int64) error {
 	cfg := l.cfg
-	l.chain = res.Chain // the entries cannot rebuild a chain over sealed records
+	l.chain = res.Chain
 	l.seq.Store(uint64(res.TotalEntries))
 	l.specSeq.Store(l.seq.Load())
 	l.counter = res.Counter

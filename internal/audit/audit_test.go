@@ -376,54 +376,6 @@ func TestRecoverReplaysEntries(t *testing.T) {
 	}
 }
 
-func TestSealedLog(t *testing.T) {
-	e := newAuditEnv(t)
-	cfg := e.diskConfig("private")
-	cfg.Seal = true
-	var l *oneShard
-	e.call(t, func(env *asyncall.Env) error {
-		var err error
-		l, err = newOneShard(env, cfg)
-		if err != nil {
-			return err
-		}
-		return l.Append(env, "updates", 1, "r", "main", "supersecret-cid", "update")
-	})
-	l.Close()
-	raw, _ := os.ReadFile(filepath.Join(e.dir, "private-shard0.lseal"))
-	if containsSub(raw, []byte("supersecret-cid")) {
-		t.Fatal("sealed log leaks plaintext")
-	}
-	// Recovery unseals inside the enclave.
-	var recovered *oneShard
-	e.call(t, func(env *asyncall.Env) error {
-		var err error
-		recovered, err = recoverOneShard(env, cfg, e.encl.PublicKey())
-		return err
-	})
-	defer recovered.Close()
-	res, err := recovered.Query("SELECT cid FROM updates")
-	if err != nil || res.Rows[0][0].TextVal() != "supersecret-cid" {
-		t.Fatalf("recovered = %v, %v", res, err)
-	}
-}
-
-func containsSub(haystack, needle []byte) bool {
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		match := true
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
 func TestMemoryModeWritesNoFiles(t *testing.T) {
 	e := newAuditEnv(t)
 	var l *oneShard

@@ -28,8 +28,7 @@ const (
 	tagText byte = 3
 )
 
-// Marshal encodes the entry deterministically: an entry record's payload,
-// before sealing.
+// Marshal encodes the entry deterministically: an entry record's payload.
 func (e *Entry) Marshal() []byte {
 	var buf bytes.Buffer
 	buf.Grow(int(e.size()))

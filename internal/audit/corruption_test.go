@@ -8,7 +8,7 @@ import (
 // The corruption matrix: for EVERY byte offset of a small batched log,
 // flip the byte and truncate the file there, and check that
 //
-//  1. the reference verifier and the in-thread and parallel drivers agree
+//  1. the reference verifier and the parallel driver at every worker count agree
 //     exactly — same error string, or deeply equal results — and the
 //     chunk-fed driver agrees as far as a strict driver without an
 //     end-of-stream verdict can (driversAgree spells that out);

@@ -120,8 +120,8 @@ func rehashedSuffix(t testing.TB, key *ecdsa.PrivateKey) (pristine, tampered []b
 	return pristine, buildImage(recs), firstBad
 }
 
-// rejectedByEveryDriver runs tampered through the in-thread driver, the
-// parallel one at 1, 2 and 4 workers, the chunk-fed one at every chunking,
+// rejectedByEveryDriver runs tampered through the parallel driver at 1, 2
+// and 4 workers, the chunk-fed one at every chunking,
 // and VerifyPath cold and with ResumeAuto over a checkpoint a run over the
 // pristine file left at its third commit point, which the set's second
 // manifest attests (cases tamper past it), and fails unless each rejects it
@@ -526,10 +526,10 @@ func TestVerifyErrorLocatesRecord(t *testing.T) {
 						want.Record++
 					}
 				}
-				_, _, inThread := verifyEntries(bytes.NewReader(mut), opts, imageShard)
+				_, _, oneWorker := verifyEntries(bytes.NewReader(mut), opts, imageShard)
 				_, _, parallel := streamEntries(bytes.NewReader(mut), opts, 2, shard3)
 				_, _, chunked := feedChunked(mut, opts, []int{7, 1, 64, 3})
-				for driver, err := range map[string]error{"in-thread": inThread, "parallel": parallel, "chunk-fed": chunked} {
+				for driver, err := range map[string]error{"one-worker": oneWorker, "parallel": parallel, "chunk-fed": chunked} {
 					var ve *VerifyError
 					if !errors.As(err, &ve) || !errors.Is(err, ErrTampered) || err.Error() != refErr.Error() {
 						t.Fatalf("flip at %d, %s: %v (%T), want a *VerifyError reading %q", off, driver, err, err, refErr)
@@ -618,9 +618,9 @@ func locatesStreamVerdicts(t *testing.T, img []byte, pub *ecdsa.PublicKey) {
 					t.Fatalf("flip=%v tolerant=%v at %d: unexpected class of verdict: %v", flip, tolerant, off, refErr)
 				}
 				want.Reason = strings.TrimPrefix(refErr.Error(), ErrTampered.Error()+": ")
-				_, _, inThread := verifyEntries(bytes.NewReader(mut), opts, imageShard)
+				_, _, oneWorker := verifyEntries(bytes.NewReader(mut), opts, imageShard)
 				_, _, parallel := streamEntries(bytes.NewReader(mut), opts, 2, shard3)
-				drivers := map[string]error{"in-thread": inThread, "parallel": parallel}
+				drivers := map[string]error{"one-worker": oneWorker, "parallel": parallel}
 				if chunkFed {
 					// The chunk-fed driver judges in stream order and stops at the
 					// first failure: it raises this one only if nothing before it

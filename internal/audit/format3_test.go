@@ -143,13 +143,12 @@ func TestBareSignatureKeepsHead(t *testing.T) {
 }
 
 // TestRecoverAdoptsVerifiedHead: recovery takes the head the verified commit
-// point attests, not one rebuilt from the entries — which a sealed log's
-// entries could not give, the chain running over their sealed bytes — and
-// re-anchors and appends from it; the file then verifies strictly.
+// point attests and re-anchors and appends from it; the file then verifies
+// strictly.
 func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 	e := newAuditEnv(t)
 	cfg := e.diskConfig("private")
-	cfg.Seal, cfg.BatchMax = true, 4
+	cfg.BatchMax = 4
 	var l *oneShard
 	e.call(t, func(env *asyncall.Env) (err error) {
 		if l, err = newOneShard(env, cfg); err != nil {
@@ -181,24 +180,10 @@ func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 	if last := recs[len(recs)-1]; last.typ != recSig || !bytes.Equal(last.payload[:32], before[:]) {
 		t.Fatal("the file's last signature record does not attest the log's head")
 	}
-	// What re-marshalling the entries would have rebuilt: a different head.
-	opts := VerifyOptions{Pub: e.encl.PublicKey(), Unseal: func(b []byte) (out []byte, err error) {
-		err = e.bridge.Call(func(env *asyncall.Env) (err error) {
-			out, err = env.Ctx.Unseal(b, []byte(ShardName("private", 0)))
-			return err
-		})
-		return out, err
-	}}
-	res, entries, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
+	opts := VerifyOptions{Pub: e.encl.PublicKey()}
+	res, _, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
 	if err != nil || res.Chain != before {
 		t.Fatalf("verified head %x, %v; want %x", res.Chain, err, before)
-	}
-	var plain []record
-	for _, en := range entries {
-		plain = append(plain, record{typ: recEntry, payload: en.Marshal()})
-	}
-	if batchChain([32]byte{}, plain) == before {
-		t.Fatal("the sealed log's head is the plaintext's: the test shows nothing")
 	}
 
 	e.call(t, func(env *asyncall.Env) (err error) {
@@ -221,59 +206,6 @@ func TestRecoverAdoptsVerifiedHead(t *testing.T) {
 	}
 	if _, err := verifyFile(path, opts); err != nil {
 		t.Fatalf("recovered log no longer verifies: %v", err)
-	}
-}
-
-// sealedTag is what tagSeal appends to a payload: bytes the chain covers and
-// tagUnseal drops unread, as an unsealer that authenticates nothing would.
-const sealedTag = "tag!"
-
-func tagSeal(p []byte) []byte { return append(bytes.Clone(p), sealedTag...) }
-
-func tagUnseal(b []byte) ([]byte, error) {
-	if len(b) < len(sealedTag) {
-		return nil, errors.New("short sealed payload")
-	}
-	return b[:len(b)-len(sealedTag)], nil
-}
-
-// TestSealedByteFlipRejectedByChain: the chain runs over the sealed bytes as
-// stored, so it rejects a flipped byte of a sealed payload on its own — even
-// one the unsealer never looks at, where the plaintext, and so every check
-// made on it, comes out unchanged.
-func TestSealedByteFlipRejectedByChain(t *testing.T) {
-	key := testKey(t)
-	var chain, sigHead [32]byte
-	var recs []record
-	var img bytes.Buffer
-	img.Write(fileMagic)
-	for b := 0; b < 3; b++ {
-		var batch []record
-		for i := 0; i < 2; i++ {
-			batch = append(batch, record{typ: recEntry, payload: tagSeal(SyntheticEntry(uint64(2*b + i)).Marshal())})
-		}
-		chain = batchChain(chain, batch)
-		sig, err := synthSign(key, chain, uint64(b+1), sigHead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sigHead = sha256.Sum256(sig)
-		recs = append(append(recs, batch...), record{typ: recSig, payload: sig})
-	}
-	writeRecords(&img, recs)
-	opts := VerifyOptions{Pub: &key.PublicKey, Unseal: tagUnseal}
-	if _, _, err := driversAgree(t, img.Bytes(), opts, []int{1, 2}); err != nil {
-		t.Fatalf("pristine sealed log: %v", err)
-	}
-	// The last tag byte of batch 1's first entry.
-	victim := len(fileMagic) + int(recordSize(recs[0].payload)+recordSize(recs[1].payload)+recordSize(recs[2].payload)+recordSize(recs[3].payload)) - 1
-	if !bytes.Equal(img.Bytes()[victim+1-len(sealedTag):victim+1], []byte(sealedTag)) {
-		t.Fatal("layout changed: the victim is not a tag byte")
-	}
-	mut := mutate(img.Bytes(), victim, true)
-	_, _, err := driversAgree(t, mut, opts, []int{1, 2})
-	if err == nil || !strings.HasSuffix(err.Error(), "signature record 1: chain hash mismatch") {
-		t.Fatalf("flipped sealed byte: %v, want a chain hash mismatch at signature record 1", err)
 	}
 }
 

@@ -56,8 +56,8 @@ func TestFuzzCorpus(t *testing.T) {
 }
 
 // FuzzVerifyReader is a differential fuzzer over the verifier drivers: for
-// arbitrary log images, the in-thread driver and the parallel segmented
-// pipeline must reach the reference verifier's verdict — the same error
+// arbitrary log images, the parallel segmented pipeline at one and four
+// workers must reach the reference verifier's verdict — the same error
 // string, or deeply equal results — in both strict and tolerant mode, every
 // rejection must be a classified integrity error, and the chunk-fed driver,
 // fed in chunk sizes drawn from the input itself, must agree as far as a

@@ -78,7 +78,7 @@ type queuedCommit struct {
 func NewIncrementalVerifier(opts VerifyOptions, onCommit func(CommitInfo) error) *IncrementalVerifier {
 	v := &IncrementalVerifier{opts: opts, onCommit: onCommit}
 	v.in.kind = &logStream
-	v.core.opts, v.core.names, v.core.batch = &v.opts, map[string]string{}, sha256.New()
+	v.core.names, v.core.batch = map[string]string{}, sha256.New()
 	v.led, _ = newLedger(nil) // from the empty log: cannot fail
 	return v
 }

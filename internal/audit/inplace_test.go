@@ -35,7 +35,7 @@ func withBlockSize(n int, fn func()) {
 // bytes to one past the image, so that every record, header and signature
 // straddles a block boundary at some size, every batch is longer than a
 // block at some size and the carry and the growth of a block run at every
-// alignment. Strict and tolerant, in-thread, parallel and from a file, the
+// alignment. Strict and tolerant, at one worker and two and from a file, the
 // verdict must be the one every driver reaches at the production block size,
 // which is the reference's (driversAgree).
 func TestBlockBoundaries(t *testing.T) {
@@ -90,7 +90,7 @@ func TestBlockBoundaries(t *testing.T) {
 				for bs := 6; bs <= len(im.img)+1; bs += step {
 					withBlockSize(bs, func() {
 						res, err := resultOf(verifyEntries(bytes.NewReader(im.img), opts, imageShard))
-						same(bs, "in-thread", res, err)
+						same(bs, "one-worker", res, err)
 						res, err = resultOf(streamEntries(bytes.NewReader(im.img), opts, 2, imageShard))
 						same(bs, "parallel", res, err)
 						sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts, Workers: 2})
@@ -140,9 +140,9 @@ func TestForgedLengthCostsBytesPresent(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	for driver, fn := range map[string]func(){
-		"in-thread": func() {
+		"one-worker": func() {
 			if _, _, err := verifyEntries(bytes.NewReader(img), VerifyOptions{}, imageShard); err == nil || err.Error() != ErrTampered.Error()+": truncated record" {
-				t.Errorf("in-thread: %v", err)
+				t.Errorf("one-worker: %v", err)
 			}
 		},
 		"parallel": func() {
@@ -163,9 +163,8 @@ func TestForgedLengthCostsBytesPresent(t *testing.T) {
 }
 
 // TestSegmentEntriesOnDemand: for every batch of every golden image, at every
-// worker count, the entries a callback asks for are the ones the eager decode
-// returns and NumEntries is their number — and so they are for a sealed log,
-// whose entries the workers build because only they see the plaintext.
+// worker count, the entries a callback asks for are the ones the reference
+// decodes and NumEntries is their number.
 func TestSegmentEntriesOnDemand(t *testing.T) {
 	pub := goldenPub(t)
 	for _, v := range goldenVectors {
@@ -173,64 +172,37 @@ func TestSegmentEntriesOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The in-thread driver's core builds the entries as it walks them.
-		eager, eagerEntries, err := verifyEntries(bytes.NewReader(img), VerifyOptions{Pub: pub}, imageShard)
+		ref, err := referenceVerify(bytes.NewReader(img), VerifyOptions{Pub: pub})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The same log with every entry payload "sealed" (inverted). The chain
-		// runs over the records as stored, so its heads and links are
-		// recomputed, and the signatures no longer hold: this image is
-		// verified without the key.
-		invert := func(b []byte) ([]byte, error) {
-			out := bytes.Clone(b)
-			for i := range out {
-				out[i] = ^out[i]
-			}
-			return out, nil
-		}
-		recs := imageRecords(t, img)
-		for i, r := range recs {
-			if r.typ == recEntry {
-				recs[i].payload, _ = invert(r.payload)
-			}
-		}
-		rehash(recs)
-		for name, c := range map[string]struct {
-			img  []byte
-			opts VerifyOptions
-		}{
-			"plain":  {img, VerifyOptions{Pub: pub}},
-			"sealed": {buildImage(recs), VerifyOptions{Unseal: invert}},
-		} {
-			for _, workers := range []int{1, 2, 4} {
-				for _, bs := range []int{blockSize, 200} {
-					t.Run(fmt.Sprintf("%s/%s/w%d/block%d", v.name, name, workers, bs), func(t *testing.T) {
-						segs := 0
-						withBlockSize(bs, func() {
-							_, err = verifyStream(context.Background(), bytes.NewReader(c.img), &StreamOptions{
-								VerifyOptions: c.opts, Workers: workers,
-								OnSegment: func(s SegmentInfo) error {
-									segs++
-									want := eagerEntries[int(s.EndSeq)-s.NumEntries : s.EndSeq]
-									got := s.Entries()
-									if len(got) != s.NumEntries || len(got) != len(want) {
-										t.Errorf("segment %d: %d entries, NumEntries %d, eager decode %d", s.Index, len(got), s.NumEntries, len(want))
+		for _, workers := range []int{1, 2, 4} {
+			for _, bs := range []int{blockSize, 200} {
+				t.Run(fmt.Sprintf("%s/plain/w%d/block%d", v.name, workers, bs), func(t *testing.T) {
+					segs := 0
+					withBlockSize(bs, func() {
+						_, err = verifyStream(context.Background(), bytes.NewReader(img), &StreamOptions{
+							VerifyOptions: VerifyOptions{Pub: pub}, Workers: workers,
+							OnSegment: func(s SegmentInfo) error {
+								segs++
+								want := ref.Entries[int(s.EndSeq)-s.NumEntries : s.EndSeq]
+								got := s.Entries()
+								if len(got) != s.NumEntries || len(got) != len(want) {
+									t.Errorf("segment %d: %d entries, NumEntries %d, reference %d", s.Index, len(got), s.NumEntries, len(want))
+								}
+								for i := range got {
+									if !reflect.DeepEqual(got[i], want[i]) {
+										t.Errorf("segment %d entry %d: %+v, reference %+v", s.Index, i, got[i], want[i])
 									}
-									for i := range got {
-										if !reflect.DeepEqual(got[i], want[i]) {
-											t.Errorf("segment %d entry %d: %+v, eager decode %+v", s.Index, i, got[i], want[i])
-										}
-									}
-									return nil
-								},
-							}, imageShard, nil)
-						})
-						if err != nil || segs != eager.Batches {
-							t.Fatalf("%d segments, %v; want %d", segs, err, eager.Batches)
-						}
+								}
+								return nil
+							},
+						}, imageShard, nil)
 					})
-				}
+					if err != nil || segs != ref.Batches {
+						t.Fatalf("%d segments, %v; want %d", segs, err, ref.Batches)
+					}
+				})
 			}
 		}
 	}

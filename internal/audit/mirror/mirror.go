@@ -58,8 +58,6 @@ type Config struct {
 	// Pub is the enclave's signing public key — the ONLY trust anchor the
 	// mirror holds. Required.
 	Pub *ecdsa.PublicKey
-	// Unseal decrypts sealed entries; required when the log is sealed.
-	Unseal func([]byte) ([]byte, error)
 	// CheckpointPath, when set, persists what the mirror has verified (its
 	// audit.LiveSet's snapshot: resume claims and the claims still waiting) so
 	// a restarted mirror continues from its verified prefix instead of
@@ -151,7 +149,7 @@ func Start(ctx context.Context, cfg Config) (*Mirror, error) {
 
 // newSet starts the mirror's memory of a set of n shards.
 func (m *Mirror) newSet(n int) {
-	m.set = audit.NewLiveSet(m.cfg.Name, audit.VerifyOptions{Pub: m.cfg.Pub, Unseal: m.cfg.Unseal}, n, m.cfg.restartGrace())
+	m.set = audit.NewLiveSet(m.cfg.Name, audit.VerifyOptions{Pub: m.cfg.Pub}, n, m.cfg.restartGrace())
 	m.shards = make([]*shardState, n)
 	for k := range m.shards {
 		m.shards[k] = &shardState{}

@@ -13,8 +13,8 @@ import (
 
 // Parallel verification: the scanner (stream.go) runs as a goroutine, a
 // worker pool runs the verifier core over its runs concurrently, and the
-// merger (verifier.go) consumes their verdicts in file order — the same three
-// parts verifyInline runs in one loop.
+// merger (verifier.go) consumes their verdicts in file order, on the caller's
+// goroutine: OnSegment runs there.
 
 // Verification telemetry (audit.verify.*): segment/entry/byte throughput,
 // per-segment and whole-run latency, and checkpoint/resume activity for
@@ -204,13 +204,7 @@ func verifyStream(parent context.Context, r logSource, opts *StreamOptions, at s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Entries are built here only from a sealed log, whose plaintext
-			// exists only in the worker; SegmentInfo.Entries decodes the rest
-			// on demand.
-			core := chainVerifier{
-				opts: &opts.VerifyOptions, shard: at.k, batch: sha256.New(),
-				names: map[string]string{}, decode: opts.Unseal != nil,
-			}
+			core := chainVerifier{shard: at.k, batch: sha256.New(), names: map[string]string{}}
 			for r := range work {
 				if ctx.Err() == nil && !skipVerify.Load() {
 					t0 := time.Now()

@@ -169,17 +169,7 @@ scan:
 		case recEntry:
 			batch = binary.BigEndian.AppendUint32(append(batch, rec.typ), uint32(len(rec.payload)))
 			batch = append(batch, rec.payload...)
-			raw := rec.payload
-			if opts.Unseal != nil {
-				if raw, err = opts.Unseal(raw); err != nil {
-					if opts.RecoverTruncated {
-						tornAt = i
-						break scan
-					}
-					return nil, fmt.Errorf("%w: unseal: %v", ErrTampered, err)
-				}
-			}
-			e, err := UnmarshalEntry(raw)
+			e, err := UnmarshalEntry(rec.payload)
 			if err != nil {
 				if opts.RecoverTruncated {
 					tornAt = i
@@ -285,15 +275,13 @@ scan:
 	}, nil
 }
 
-// verifyEntries runs the in-thread driver over r as shard at and returns its
-// result with the entries it delivered to OnSegment.
+// verifyEntries runs the pipeline with one worker over r as shard at and
+// returns its result with the entries it delivered to OnSegment.
 func verifyEntries(r logSource, opts VerifyOptions, at shardRef) (*StreamResult, []*Entry, error) {
-	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts})
-	res, err := verifyInline(r, &sopts, at)
-	return res, *entries, err
+	return streamEntries(r, opts, 1, at)
 }
 
-// streamEntries is verifyEntries on the pipeline, with the given workers.
+// streamEntries is verifyEntries with the given workers.
 func streamEntries(r logSource, opts VerifyOptions, workers int, at shardRef) (*StreamResult, []*Entry, error) {
 	sopts, entries := collectEntries(StreamOptions{VerifyOptions: opts, Workers: workers})
 	res, err := verifyStream(context.Background(), r, &sopts, at, nil)
@@ -345,7 +333,7 @@ func feedChunked(img []byte, opts VerifyOptions, sizes []int) (v *IncrementalVer
 // which the strict chunk-fed driver must then raise in the same words.
 func recordLevel(err error) bool {
 	msg := err.Error()
-	for _, s := range []string{"sequence gap at", "malformed log entry", "unseal:", "signature record "} {
+	for _, s := range []string{"sequence gap at", "malformed log entry", "signature record "} {
 		if strings.Contains(msg, s) {
 			return true
 		}
@@ -353,12 +341,12 @@ func recordLevel(err error) bool {
 	return false
 }
 
-// driversAgree verifies img with the reference and with every production
-// driver — in-thread, parallel at each worker count, chunk-fed at each
-// chunking — and fails the test unless:
+// driversAgree verifies img with the reference and with both production
+// drivers — parallel at each worker count, chunk-fed at each chunking — and
+// fails the test unless:
 //
-//   - in-thread and parallel reach the reference's verdict exactly: the same
-//     error string, or deeply equal results;
+//   - parallel reaches the reference's verdict exactly: the same error
+//     string, or deeply equal results;
 //   - every rejection is classified (wraps ErrTampered or ErrBadCounter);
 //   - the chunk-fed driver, which is strict, checks no freshness and has no
 //     end-of-stream verdict, agrees as far as that lets it. Where the strict
@@ -370,8 +358,8 @@ func recordLevel(err error) bool {
 //     identical string. Where the tolerant reference accepts, its last commit
 //     point is the reference's committed prefix, under the same counter.
 //
-// The in-thread and parallel drivers' entries are those they delivered to
-// OnSegment. It returns the shared verdict (the last worker count's
+// The parallel driver's entries are those it delivered to OnSegment. It
+// returns the shared verdict (the last worker count's
 // StreamResult).
 func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, extra ...[]int) (*refResult, *StreamResult, error) {
 	t.Helper()
@@ -397,12 +385,11 @@ func driversAgree(t testing.TB, img []byte, opts VerifyOptions, workers []int, e
 			t.Fatalf("%s: TotalEntries %d, %d entries delivered", driver, res.TotalEntries, len(entries))
 		}
 	}
-	res, entries, err := verifyEntries(bytes.NewReader(img), opts, imageShard)
-	delivered("in-thread", res, entries, err)
 	var par *StreamResult
 	for _, w := range workers {
-		par, entries, err = streamEntries(bytes.NewReader(img), opts, w, imageShard)
-		delivered(fmt.Sprintf("parallel/%d", w), par, entries, err)
+		res, entries, err := streamEntries(bytes.NewReader(img), opts, w, imageShard)
+		delivered(fmt.Sprintf("parallel/%d", w), res, entries, err)
+		par = res
 	}
 	for _, sizes := range append(chunkings, extra...) {
 		v, last, err := feedChunked(img, opts, sizes)

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bytes"
 	"cmp"
 	"crypto/ecdsa"
 	"encoding/binary"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"libseal/internal/asyncall"
-	"libseal/internal/enclave"
 	"libseal/internal/sqldb"
 	"libseal/internal/telemetry"
 	"libseal/internal/vfs"
@@ -230,10 +228,10 @@ func NewSharded(env *asyncall.Env, cfg ShardedConfig) (*ShardedLog, error) {
 }
 
 // RecoverSharded rebuilds a log set after a restart, as a driver of the set
-// rule (VerifyPath's) on the enclave call's goroutine, whose Unseal is bound to
-// that call: every shard image is verified torn-tail tolerant with
-// RecoverMaxLag as MaxCounterLag (verifyInline), its rows streamed into the
-// shared database, and the sidecar judged against the shards' commit points.
+// rule (VerifyPath's): every shard image is verified torn-tail tolerant with
+// RecoverMaxLag as MaxCounterLag by the pipeline, its rows streamed into the
+// shared database on the enclave call's goroutine, and the sidecar judged
+// against the shards' commit points.
 // It succeeds exactly when a tolerant VerifyPath at that lag does, and writes
 // only once the verdict is in: an interrupted land installed or its debris
 // removed (setImages), each shard's crash debris cut off and the shard
@@ -283,16 +281,7 @@ func (s *ShardedLog) recover(env *asyncall.Env, pub *ecdsa.PublicKey) error {
 	opts := StreamOptions{VerifyOptions: VerifyOptions{
 		Pub: pub, Protector: s.cfg.Protector, RecoverTruncated: true, MaxCounterLag: s.cfg.RecoverMaxLag,
 	}}
-	scan := func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error) {
-		sopts, at := opts, ss.ref(k)
-		sopts.OnSegment = onSegment
-		if s.cfg.Seal {
-			ad := []byte(at.counter) // the shard's name
-			sopts.Unseal = func(blob []byte) ([]byte, error) { return env.Ctx.Unseal(blob, ad) }
-		}
-		return verifyInline(bytes.NewReader(img), &sopts, at)
-	}
-	paths, sidecar, land := setImages(ss, sidecar, read, &opts, scan)
+	paths, sidecar, land := setImages(ss, sidecar, read, opts)
 	ms, parseErr := readManifests(sidecar, opts.RecoverTruncated)
 	attested := attestedStates(ms, ss.shards)
 	results := make([]*StreamResult, ss.shards)
@@ -304,7 +293,7 @@ func (s *ShardedLog) recover(env *asyncall.Env, pub *ecdsa.PublicKey) error {
 			return fmt.Errorf("audit: shard %d: %w", k, err)
 		}
 		points[k] = newCommitSet(attested[k])
-		if results[k], err = scan(k, img, points[k].collect(sh.replay)); err != nil {
+		if results[k], err = ss.scanImage(k, img, opts, points[k].collect(sh.replay)); err != nil {
 			return fmt.Errorf("shard %d (%s): %w", k, filepath.Base(ss.shardPath(k)), err)
 		}
 		sizes[k] = int64(len(img))
@@ -474,14 +463,10 @@ func (s *ShardedLog) liveBytes() (live, rows int64) {
 }
 
 // imageBytes is what a compaction writes for rows entries of live encoded
-// bytes: a record per entry (sealed, when the log is) and, per shard file, its
-// magic and one signature record.
+// bytes: a 5-byte record header per entry and, per shard file, its magic and
+// one signature record.
 func (s *ShardedLog) imageBytes(live, rows int64) int64 {
-	perEntry := int64(5)
-	if s.cfg.Seal {
-		perEntry += enclave.SealOverhead
-	}
-	return live + rows*perEntry + int64(len(s.shards))*(int64(len(fileMagic))+sigRecordMax)
+	return live + rows*5 + int64(len(s.shards))*(int64(len(fileMagic))+sigRecordMax)
 }
 
 // committedBytes sums the shard files' committed lengths (zero in memory
@@ -574,7 +559,7 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 		})
 	}
 	for k, part := range s.partitionSurvivors() {
-		s.shards[k].buildRewrite(env, &rws[k], part)
+		rws[k].build(part)
 	}
 	if s.onBuilt != nil {
 		s.onBuilt(rws)

@@ -118,11 +118,7 @@ func VerifyPath(ctx context.Context, dir string, opts StreamOptions) (*Report, e
 	if err != nil {
 		return nil, fmt.Errorf("%w: manifest sidecar: %v", ErrTampered, err)
 	}
-	paths, sidecar, land := setImages(ss, sidecar, os.ReadFile, &opts, func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error) {
-		sopts := opts
-		sopts.OnSegment = onSegment
-		return verifyInline(bytes.NewReader(img), &sopts, ss.ref(k))
-	})
+	paths, sidecar, land := setImages(ss, sidecar, os.ReadFile, opts)
 	if land {
 		// No checkpoint was taken of a staged image, and none is left beside one.
 		opts.ResumeAuto, opts.Checkpoint = false, nil
@@ -340,15 +336,18 @@ func stagedPath(path string) string { return path + ".tmp" }
 // its shard once the shard's staged image, if one is on disk, is installed.
 // Any other staged image is crash debris.
 
-// shardScan verifies img as shard k's image on the caller's goroutine,
-// handing each committed segment to onSegment.
-type shardScan func(k int, img []byte, onSegment func(SegmentInfo) error) (*StreamResult, error)
+// scanImage verifies img as shard k's image with the pipeline, handing each
+// committed segment to onSegment on the caller's goroutine.
+func (ss *shardSet) scanImage(k int, img []byte, opts StreamOptions, onSegment func(SegmentInfo) error) (*StreamResult, error) {
+	opts.OnSegment = onSegment
+	return verifyStream(context.Background(), bytes.NewReader(img), &opts, ss.ref(k), nil)
+}
 
 // setImages returns what the set is judged from, given its sidecar's bytes:
 // each shard's image path and the sidecar image — the set's files, or the
 // staged images of an interrupted land that recovery completes (land). read
 // reads a file, failing on a missing one.
-func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), opts *StreamOptions, scan shardScan) (paths []string, image []byte, land bool) {
+func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), opts StreamOptions) (paths []string, image []byte, land bool) {
 	paths = make([]string, ss.shards)
 	for k := range paths {
 		paths[k] = ss.shardPath(k)
@@ -362,7 +361,7 @@ func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), 
 		return paths, sidecar, false
 	}
 	old, err := readManifests(sidecar, opts.RecoverTruncated)
-	rp := replayRecords(ss, old, err, opts)
+	rp := replayRecords(ss, old, err, &opts)
 	if rp.err != nil || ms[0].Epoch != rp.Epoch()+1 || rp.Verify(ms[0]) != nil {
 		return paths, sidecar, false
 	}
@@ -375,7 +374,7 @@ func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), 
 			return paths, sidecar, false
 		}
 		cs := newCommitSet(ms[0].Shards[k : k+1])
-		if _, err := scan(k, img, cs.collect(nil)); err != nil || !cs.has(ms[0].Shards[k]) {
+		if _, err := ss.scanImage(k, img, opts, cs.collect(nil)); err != nil || !cs.has(ms[0].Shards[k]) {
 			return paths, sidecar, false
 		}
 	}

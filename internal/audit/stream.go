@@ -44,7 +44,7 @@ type run struct {
 	open    int           // unsigned entries after the last batch
 	err     error         // the first record that failed, nil if none did
 	atSig   bool          // err was raised at a signature record, not an entry
-	done    chan struct{} // parallel driver only: receives once the verdict is in
+	done    chan struct{} // receives once the verdict is in
 }
 
 // runPool is a scan's free list of runs, each keeping its block, slices and
@@ -104,7 +104,7 @@ type batch struct {
 	raw     []byte      // its entry records, aliasing the block
 	sig     []byte      // its signature record's payload, likewise
 	n       int         // entries
-	entries []*Entry    // decoded; the worker's when the driver keeps entries, else SegmentInfo.Entries'
+	entries []*Entry    // decoded by SegmentInfo.Entries, on its first call
 	tables  []tableSpan // the entries by table
 }
 
@@ -249,9 +249,6 @@ func scanRuns(ctx context.Context, r io.Reader, base *totals, resumed bool, shar
 func verifyRun(r *run, v *chainVerifier, sigs int) {
 	v.seq, v.chain, v.sigHead, v.sigs = r.startSeq, r.startChain, r.startSig, sigs+r.index
 	v.inBatch, v.hashing, v.tables = 0, false, v.tables[:0]
-	if v.decode {
-		v.entries = nil // a run's batches keep theirs
-	}
 	pos, off := 0, r.start // the next record's place in data and in the stream
 	// walk checks the entry records from pos up to end; the scanner framed them.
 	walk := func(end int) error {
@@ -265,7 +262,7 @@ func verifyRun(r *run, v *chainVerifier, sigs int) {
 		return nil
 	}
 	for _, at := range r.sigAt {
-		first, ent := pos, len(v.entries)
+		first := pos
 		v.span(r.data[first:at])
 		if r.err = walk(at); r.err != nil {
 			return
@@ -280,8 +277,7 @@ func verifyRun(r *run, v *chainVerifier, sigs int) {
 		r.spans = append(r.spans, tables...)
 		r.batches = append(r.batches, batch{
 			commitPoint: commitPoint{end: off + int64(size), chain: v.chain, counter: counter, sigOff: off, sigSum: v.sigHead},
-			raw:         r.data[first:at], sig: payload, n: n,
-			entries: v.entries[ent:len(v.entries):len(v.entries)], tables: r.spans[len(r.spans)-len(tables):],
+			raw:         r.data[first:at], sig: payload, n: n, tables: r.spans[len(r.spans)-len(tables):],
 		})
 		pos, off = at+size, off+int64(size)
 	}

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"context"
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/binary"
@@ -16,7 +15,7 @@ import (
 )
 
 // The verifier. What makes a log the one the enclave wrote is a rule about
-// records: every entry unseals, decodes and carries the next sequence number;
+// records: every entry decodes and carries the next sequence number;
 // every signature record attests exactly the head the chain reaches over its
 // batch (batchChain) and links to the signature record before it; and the
 // signature record a verdict rests on carries the enclave's signature, which
@@ -25,12 +24,11 @@ import (
 // has been committed: the last signature record and the running totals a
 // result or a checkpoint reports), a merger (folds verified runs into the
 // ledger batch by batch in stream order and gives the end-of-stream verdict)
-// and three drivers that differ only in how bytes arrive and who schedules the
-// work: verifyInline on the caller's goroutine (recovery, and a land's staged
-// images), verifyStream's worker pool (parverify.go; every shard VerifyPath
-// scans) and the chunk-fed IncrementalVerifier (incremental.go). No driver
-// keeps entries: they leave through OnSegment (SegmentInfo.Entries). DESIGN.md
-// §13 has the table.
+// and two drivers that differ only in how bytes arrive: verifyStream's worker
+// pool over a whole file or image (parverify.go; every shard VerifyPath scans,
+// recovery, a land's staged images) and the chunk-fed IncrementalVerifier
+// (incremental.go). No driver keeps entries: they leave through OnSegment
+// (SegmentInfo.Entries). DESIGN.md §13 has the table.
 
 // VerifyOptions controls persisted-log verification.
 type VerifyOptions struct {
@@ -41,9 +39,6 @@ type VerifyOptions struct {
 	// shard against its own counter and the sidecar against the manifest
 	// counter, all named from the set.
 	Protector RollbackProtector
-	// Unseal decrypts sealed entries; required when the log was written
-	// with Config.Seal. It runs inside an enclave in production.
-	Unseal func(blob []byte) ([]byte, error)
 	// RecoverTruncated tolerates a torn tail: records after the last
 	// intact, signature-covered prefix are discarded instead of failing
 	// verification — they were never acknowledged as durable. Crash
@@ -149,7 +144,6 @@ func validSig(pub *ecdsa.PublicKey, payload []byte) bool {
 // head; where it does not hold, the locate pass names the first invalid one
 // (DESIGN.md §13).
 type chainVerifier struct {
-	opts    *VerifyOptions    // Unseal; the rest is the verdict's business
 	shard   int               // names the shard in errors
 	seq     uint64            // sequence number the next entry must carry
 	chain   [32]byte          // chain head as of the last signature record
@@ -161,8 +155,6 @@ type chainVerifier struct {
 	tables  []tableSpan       // those entries by table
 	names   map[string]string // table names seen, so that each is one string however many entries carry it
 	last    string            // the table name the last entry carried
-	decode  bool              // build the entries, for a driver whose callers read them
-	entries []*Entry          // the entries built, in stream order
 }
 
 // reject builds the error for the record whose header sits at off.
@@ -171,21 +163,10 @@ func (v *chainVerifier) reject(off int64, record int, reason string) error {
 }
 
 // entry checks one entry record, header and payload as they lie: walks the
-// unsealed payload (walkEntry), building the entry only if the driver wants
-// it. It hashes nothing: the driver feeds the record to span.
+// payload (walkEntry) without building the entry. It hashes nothing: the
+// driver feeds the record to span.
 func (v *chainVerifier) entry(rec []byte, off int64) error {
-	raw := rec[5:]
-	if v.opts.Unseal != nil {
-		var err error
-		if raw, err = v.opts.Unseal(raw); err != nil {
-			return v.reject(off, v.inBatch, "unseal: "+err.Error())
-		}
-	}
-	var e *Entry
-	if v.decode {
-		e = new(Entry)
-	}
-	seq, name, err := walkEntry(raw, e)
+	seq, name, err := walkEntry(rec[5:], nil)
 	if err != nil {
 		return v.reject(off, v.inBatch, err.Error())
 	}
@@ -200,10 +181,6 @@ func (v *chainVerifier) entry(rec []byte, off int64) error {
 		}
 		v.last = table
 	}
-	if e != nil {
-		e.Seq, e.Table = seq, v.last
-		v.entries = append(v.entries, e)
-	}
 	if k := len(v.tables); k > 0 && v.tables[k-1].table == v.last {
 		v.tables[k-1].n++
 	} else {
@@ -217,7 +194,7 @@ func (v *chainVerifier) entry(rec []byte, off int64) error {
 // span feeds entry records of the open batch, as stored, into its chain
 // step: the verifier's one chain hashing site. A driver feeds every entry
 // record of the batch exactly once, in stream order, in spans of any length
-// — the run drivers the whole batch in one span at its signature record, the
+// — the pipeline the whole batch in one span at its signature record, the
 // chunk-fed driver each record as it arrives — and the step is the same
 // SHA-256(head ‖ records) either way.
 func (v *chainVerifier) span(p []byte) {
@@ -390,12 +367,12 @@ type shardRef struct {
 	sidecar string
 }
 
-// sigWindow bounds how many signature records a run driver folds between two
+// sigWindow bounds how many signature records the pipeline folds between two
 // ECDSA checks, and with it how far back a locate pass reads: a log of any
 // length verifies for one extra check per window.
 const sigWindow = 1 << 14
 
-// logSource is a shard's stream as the run drivers read it: in order, by the
+// logSource is a shard's stream as the pipeline reads it: in order, by the
 // scanner, and at an offset, by a locate pass reading back its window.
 // *os.File and *bytes.Reader are both.
 type logSource interface {
@@ -404,7 +381,7 @@ type logSource interface {
 }
 
 // merger folds verified runs into the ledger batch by batch, in stream order,
-// for the two run drivers, runs the ECDSA checks at their points of judgment,
+// for the pipeline, runs the ECDSA checks at their points of judgment,
 // latches the first failure and gives the final verdict. What it keeps per
 // batch is counts; telemetry is published once per run.
 type merger struct {
@@ -676,33 +653,6 @@ func (m *merger) finish(end scanEnd) (*StreamResult, error) {
 		return nil, err
 	}
 	return m.led.result(), nil
-}
-
-// verifyInline is the caller's-goroutine driver: scanner, core and merger in
-// one loop, no worker pool, delivering the committed segments to OnSegment as
-// verifyStream does. Recovery runs it inside an enclave call, whose Unseal is
-// bound to that call. Its callers read the entries, so the core builds them
-// as it walks them, and SegmentInfo.Entries decodes nothing twice.
-func verifyInline(r logSource, opts *StreamOptions, at shardRef) (*StreamResult, error) {
-	led, _ := newLedger(nil) // from the empty log: cannot fail
-	// Three runs in flight: the one being read, the one folding and the one
-	// whose batch is held.
-	m := newMerger(opts, at, r, led, make(runPool, 3))
-	defer m.release()
-	core := chainVerifier{opts: &opts.VerifyOptions, shard: at.k, batch: sha256.New(), names: map[string]string{}, decode: true}
-	// Nothing runs concurrently, so there is nothing for a context to stop.
-	end := scanRuns(context.Background(), r, &m.led.base, false, at.k, m.pool, func(r *run) bool {
-		if m.failed == nil {
-			if verifyRun(r, &core, 0); m.fold(r) {
-				m.retire(r)
-			}
-		}
-		return m.cbErr == nil
-	})
-	if m.cbErr != nil {
-		return nil, m.cbErr
-	}
-	return m.finish(end)
 }
 
 // checkFreshness compares the log's committed counter against the rollback

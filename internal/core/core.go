@@ -97,8 +97,6 @@ type Config struct {
 	AuditManifestEvery time.Duration
 	// Protector provides rollback protection for the persisted log.
 	Protector audit.RollbackProtector
-	// SealLog encrypts persisted entries for log privacy.
-	SealLog bool
 	// AuditFS overrides the filesystem used for audit-log persistence; nil
 	// uses the real one. The seam exists for fault injection.
 	AuditFS vfs.FS
@@ -260,7 +258,6 @@ func New(bridge *asyncall.Bridge, cfg Config) (*LibSEAL, error) {
 				Mode:          cfg.AuditMode,
 				Dir:           cfg.AuditDir,
 				Protector:     cfg.Protector,
-				Seal:          cfg.SealLog,
 				FS:            cfg.AuditFS,
 				AnchorTimeout: cfg.AnchorTimeout,
 				DegradedLimit: cfg.DegradedLimit,

@@ -1,7 +1,7 @@
 // Package enclave provides a software-simulated Intel SGX trusted execution
 // environment. It reproduces the properties LibSEAL relies on — isolated
 // enclave state reachable only through a registered ecall interface, costed
-// enclave transitions, sealing and attestation — charging real CPU time
+// enclave transitions and attestation — charging real CPU time
 // according to a calibrated cost model so that benchmarks measure genuine
 // behaviour. It models neither the SGX hardware counter (ROTE is the
 // rollback counter, §5.1) nor EPC paging.
@@ -47,14 +47,13 @@ type SignerID [32]byte
 
 // Errors returned by enclave operations.
 var (
-	ErrNotInside     = errors.New("enclave: operation requires enclave context")
-	ErrDestroyed     = errors.New("enclave: enclave destroyed")
-	ErrSealCorrupted = errors.New("enclave: sealed blob corrupted or wrong key")
-	ErrQuoteInvalid  = errors.New("enclave: quote signature invalid")
+	ErrNotInside    = errors.New("enclave: operation requires enclave context")
+	ErrDestroyed    = errors.New("enclave: enclave destroyed")
+	ErrQuoteInvalid = errors.New("enclave: quote signature invalid")
 )
 
 // Platform models one SGX-capable machine: the CPU fuse key from which
-// sealing keys derive, and the quoting infrastructure.
+// enclave signing keys derive, and the quoting infrastructure.
 type Platform struct {
 	fuseKey [32]byte
 	// quotingKey is the per-platform attestation key, certified by the
@@ -82,8 +81,7 @@ type Config struct {
 	// Code is the enclave's identity input; its SHA-256 becomes the
 	// measurement.
 	Code []byte
-	// Signer identifies the signing authority (MRSIGNER). Sealing with
-	// PolicySigner binds to it.
+	// Signer identifies the signing authority (MRSIGNER); quotes carry it.
 	Signer SignerID
 	// MaxThreads is the number of TCS slots, i.e. the maximum number of
 	// threads that may be inside the enclave simultaneously. SGX enclaves
@@ -124,8 +122,6 @@ type Stats struct {
 	Ocalls      atomic.Int64
 	AsyncEcalls atomic.Int64
 	AsyncOcalls atomic.Int64
-	Seals       atomic.Int64
-	Unseals     atomic.Int64
 }
 
 // StatsSnapshot is a plain copy of the counters at one instant.
@@ -134,8 +130,6 @@ type StatsSnapshot struct {
 	Ocalls      int64
 	AsyncEcalls int64
 	AsyncOcalls int64
-	Seals       int64
-	Unseals     int64
 }
 
 // Launch creates and initialises an enclave on the platform, measuring the
@@ -310,8 +304,6 @@ func (e *Enclave) Stats() StatsSnapshot {
 		Ocalls:      e.stats.Ocalls.Load(),
 		AsyncEcalls: e.stats.AsyncEcalls.Load(),
 		AsyncOcalls: e.stats.AsyncOcalls.Load(),
-		Seals:       e.stats.Seals.Load(),
-		Unseals:     e.stats.Unseals.Load(),
 	}
 }
 
@@ -321,8 +313,6 @@ func (e *Enclave) ResetStats() {
 	e.stats.Ocalls.Store(0)
 	e.stats.AsyncEcalls.Store(0)
 	e.stats.AsyncOcalls.Store(0)
-	e.stats.Seals.Store(0)
-	e.stats.Unseals.Store(0)
 }
 
 // kdfReader expands a seed into a deterministic byte stream (counter-mode

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -135,134 +134,6 @@ func TestEcallAfterDestroy(t *testing.T) {
 	}
 }
 
-func TestSealUnsealRoundTrip(t *testing.T) {
-	e := testEnclave(t)
-	msg := []byte("audit log chunk")
-	aad := []byte("entry 7")
-	var blob []byte
-	if err := e.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicySigner, msg, aad)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(blob, msg) {
-		t.Fatal("sealed blob contains plaintext")
-	}
-	if err := e.Ecall(func(c *Ctx) error {
-		got, err := c.Unseal(blob, aad)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, msg) {
-			t.Errorf("unsealed %q, want %q", got, msg)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSealTamperDetected(t *testing.T) {
-	e := testEnclave(t)
-	var blob []byte
-	_ = e.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicyMeasurement, []byte("secret"), nil)
-		return err
-	})
-	blob[len(blob)-1] ^= 0xff
-	err := e.Ecall(func(c *Ctx) error {
-		_, err := c.Unseal(blob, nil)
-		return err
-	})
-	if !errors.Is(err, ErrSealCorrupted) {
-		t.Fatalf("err = %v, want ErrSealCorrupted", err)
-	}
-}
-
-func TestSealWrongAADDetected(t *testing.T) {
-	e := testEnclave(t)
-	var blob []byte
-	_ = e.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicyMeasurement, []byte("secret"), []byte("aad1"))
-		return err
-	})
-	err := e.Ecall(func(c *Ctx) error {
-		_, err := c.Unseal(blob, []byte("aad2"))
-		return err
-	})
-	if !errors.Is(err, ErrSealCorrupted) {
-		t.Fatalf("err = %v, want ErrSealCorrupted", err)
-	}
-}
-
-func TestSealPolicyMeasurementIsolation(t *testing.T) {
-	p := NewPlatform()
-	e1, _ := p.Launch(Config{Code: []byte("enclave-A"), Cost: ZeroCostModel()})
-	e2, _ := p.Launch(Config{Code: []byte("enclave-B"), Cost: ZeroCostModel()})
-	var blob []byte
-	_ = e1.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicyMeasurement, []byte("secret"), nil)
-		return err
-	})
-	err := e2.Ecall(func(c *Ctx) error {
-		_, err := c.Unseal(blob, nil)
-		return err
-	})
-	if !errors.Is(err, ErrSealCorrupted) {
-		t.Fatalf("different-measurement unseal err = %v, want ErrSealCorrupted", err)
-	}
-}
-
-func TestSealPolicySignerSharing(t *testing.T) {
-	p := NewPlatform()
-	var signer SignerID
-	copy(signer[:], "provider-authority")
-	e1, _ := p.Launch(Config{Code: []byte("v1"), Signer: signer, Cost: ZeroCostModel()})
-	e2, _ := p.Launch(Config{Code: []byte("v2"), Signer: signer, Cost: ZeroCostModel()})
-	var blob []byte
-	_ = e1.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicySigner, []byte("log"), nil)
-		return err
-	})
-	if err := e2.Ecall(func(c *Ctx) error {
-		got, err := c.Unseal(blob, nil)
-		if err != nil {
-			return err
-		}
-		if string(got) != "log" {
-			t.Errorf("got %q", got)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("same-signer unseal failed: %v", err)
-	}
-}
-
-func TestSealCrossPlatformRejected(t *testing.T) {
-	var signer SignerID
-	e1, _ := NewPlatform().Launch(Config{Code: []byte("x"), Signer: signer, Cost: ZeroCostModel()})
-	e2, _ := NewPlatform().Launch(Config{Code: []byte("x"), Signer: signer, Cost: ZeroCostModel()})
-	var blob []byte
-	_ = e1.Ecall(func(c *Ctx) error {
-		var err error
-		blob, err = c.Seal(PolicySigner, []byte("secret"), nil)
-		return err
-	})
-	err := e2.Ecall(func(c *Ctx) error {
-		_, err := c.Unseal(blob, nil)
-		return err
-	})
-	if !errors.Is(err, ErrSealCorrupted) {
-		t.Fatalf("cross-platform unseal err = %v, want ErrSealCorrupted", err)
-	}
-}
-
 func TestQuoteVerify(t *testing.T) {
 	p := NewPlatform()
 	e, _ := p.Launch(Config{Code: []byte("libseal"), Cost: ZeroCostModel()})
@@ -385,29 +256,6 @@ func TestConcurrentEcalls(t *testing.T) {
 	}
 }
 
-func TestSealRoundTripProperty(t *testing.T) {
-	e := testEnclave(t)
-	f := func(msg, aad []byte) bool {
-		var ok bool
-		err := e.Ecall(func(c *Ctx) error {
-			blob, err := c.Seal(PolicySigner, msg, aad)
-			if err != nil {
-				return err
-			}
-			got, err := c.Unseal(blob, aad)
-			if err != nil {
-				return err
-			}
-			ok = bytes.Equal(got, msg)
-			return nil
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeasurementDeterministic(t *testing.T) {
 	p := NewPlatform()
 	e1, _ := p.Launch(Config{Code: []byte("code"), Cost: ZeroCostModel()})
@@ -460,12 +308,6 @@ func TestSigningKeyDeterministicPerPlatformAndCode(t *testing.T) {
 func TestPlatformStateRoundTrip(t *testing.T) {
 	p := NewPlatform()
 	e, _ := p.Launch(Config{Code: []byte("persist"), Cost: ZeroCostModel()})
-	var sealed []byte
-	_ = e.Ecall(func(c *Ctx) error {
-		var err error
-		sealed, err = c.Seal(PolicyMeasurement, []byte("survives"), nil)
-		return err
-	})
 
 	data, err := p.Marshal()
 	if err != nil {
@@ -475,18 +317,11 @@ func TestPlatformStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same sealing keys, same signing keys, same attestation.
+	// Same signing keys, same attestation.
 	e2, _ := restored.Launch(Config{Code: []byte("persist"), Cost: ZeroCostModel()})
 	if e.PublicKey().X.Cmp(e2.PublicKey().X) != 0 {
 		t.Fatal("signing key lost across platform restore")
 	}
-	_ = e2.Ecall(func(c *Ctx) error {
-		got, err := c.Unseal(sealed, nil)
-		if err != nil || string(got) != "survives" {
-			t.Errorf("unseal after restore: %q, %v", got, err)
-		}
-		return nil
-	})
 	svc := NewAttestationService(restored)
 	var q Quote
 	_ = e.Ecall(func(c *Ctx) error {

@@ -16,8 +16,8 @@ import (
 // attestation key live in hardware and survive reboots; the simulation
 // equivalent is serialising the platform's secrets to a state file. Loading
 // the file is the analogue of launching enclaves on the same physical
-// machine, which is what makes sealed data and the audit signing key
-// recoverable across process restarts. The state file is as sensitive as
+// machine, which is what makes the audit signing key recoverable across
+// process restarts. The state file is as sensitive as
 // the hardware it stands in for; it exists so that the CLI tools can
 // demonstrate restart recovery.
 //

@@ -88,13 +88,13 @@ func TestResyncDiscardsForgedReplies(t *testing.T) {
 	}
 	n := g.Nodes()[0]
 	n.RestartAmnesiac()
-	// A byzantine peer dumps inflated values under bad MACs. The whole
+	// A byzantine peer dumps an inflated value under a bad MAC. The whole
 	// reply must be discarded, leaving only 2/3 valid replies.
-	g.Nodes()[1].SetByzantine(true)
+	g.Nodes()[1].SetFaultHook(byzantine)
 	if err := n.Resync(context.Background()); !errors.Is(err, ErrResync) {
 		t.Fatalf("resync with forged reply: %v, want ErrResync", err)
 	}
-	g.Nodes()[1].SetByzantine(false)
+	g.Nodes()[1].SetFaultHook(nil)
 	if err := n.Resync(context.Background()); err != nil {
 		t.Fatalf("resync after peer honesty: %v", err)
 	}

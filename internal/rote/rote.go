@@ -139,12 +139,11 @@ type Node struct {
 	f     int     // the group's fault-tolerance parameter
 	peers []*Node // the other group members, for restart re-sync
 
-	mu        sync.Mutex
-	counters  map[string]uint64
-	failed    bool
-	byzantine bool
-	synced    bool // false after an amnesic restart, until Resync succeeds
-	hook      NodeFaultHook
+	mu       sync.Mutex
+	counters map[string]uint64
+	failed   bool
+	synced   bool // false after an amnesic restart, until Resync succeeds
+	hook     NodeFaultHook
 }
 
 // Fail makes the node stop responding (crash fault).
@@ -248,16 +247,9 @@ func (n *Node) Resync(ctx context.Context) error {
 	return nil
 }
 
-// SetByzantine makes the node return stale values with forged-looking MACs.
-func (n *Node) SetByzantine(b bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.byzantine = b
-}
-
 // SetFaultHook installs a per-request fault hook (nil clears it). The hook
-// composes with Fail/SetByzantine: it is consulted first, then the sticky
-// node state applies.
+// composes with Fail: it is consulted first, then the sticky node state
+// applies.
 func (n *Node) SetFaultHook(h NodeFaultHook) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -295,10 +287,6 @@ func (n *Node) store(req message, f NodeFault) (message, bool) {
 		// increment it would later forget breaks quorum intersection.
 		return message{}, false
 	}
-	if n.byzantine {
-		// Respond with a stale value and an invalid MAC.
-		return message{Counter: req.Counter, Value: 0}, true
-	}
 	if !n.mac.check(req) {
 		return message{}, false
 	}
@@ -322,9 +310,6 @@ func (n *Node) fetch(counter string, f NodeFault) (message, bool) {
 	if n.failed || !n.synced {
 		return message{}, false
 	}
-	if n.byzantine {
-		return message{Counter: counter, Value: 0}, true
-	}
 	v := n.counters[counter]
 	return message{Counter: counter, Value: v, MAC: n.mac.sum(counter, v)}, true
 }
@@ -346,10 +331,6 @@ func (n *Node) dump(f NodeFault) ([]message, bool) {
 	}
 	msgs := make([]message, 0, len(n.counters))
 	for c, v := range n.counters {
-		if n.byzantine {
-			msgs = append(msgs, message{Counter: c, Value: v + 1}) // inflated value, bad MAC
-			continue
-		}
 		msgs = append(msgs, message{Counter: c, Value: v, MAC: n.mac.sum(c, v)})
 	}
 	return msgs, true

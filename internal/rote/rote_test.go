@@ -62,9 +62,13 @@ func TestFailsBeyondF(t *testing.T) {
 	}
 }
 
+// byzantine is a fault hook that makes a node forge every reply: a stale
+// value, or an inflated dump, under a bad MAC.
+func byzantine(int, string) NodeFault { return NodeFault{Byzantine: true} }
+
 func TestToleratesByzantineNode(t *testing.T) {
 	g, _ := NewGroup(1, 0)
-	g.Nodes()[0].SetByzantine(true)
+	g.Nodes()[0].SetFaultHook(byzantine)
 	for i := 0; i < 3; i++ {
 		if _, err := g.Increment("log"); err != nil {
 			t.Fatalf("increment with byzantine node: %v", err)

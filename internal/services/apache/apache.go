@@ -42,8 +42,9 @@ type Config struct {
 	// KeepAlive allows persistent connections. The paper's §6.6 worst-case
 	// experiments use non-persistent connections (one request each).
 	KeepAlive bool
-	// UseExData stores the current request path in the TLS object's
-	// application data, as Apache does (§4.2, optimisation 3).
+	// UseExData stores the current request line in the TLS object's
+	// application data and reads it back as the response is written, as
+	// Apache and mod_ssl do (§4.2, optimisation 3).
 	UseExData bool
 }
 
@@ -130,6 +131,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		rsp.Header.Del("Connection")
 		if !keep {
 			rsp.Header.Set("Connection", "close")
+		}
+		if s.cfg.UseExData && ssl != nil {
+			// mod_ssl reads the request back from the TLS object.
+			_, _ = ssl.GetExData("r->the_request")
 		}
 		if err := writeResponse(stream, rsp); err != nil {
 			return

@@ -102,6 +102,57 @@ func TestServeViaLibSEALTerminator(t *testing.T) {
 	}
 }
 
+// TestExDataEcallsPerRequest: a UseExData front end sets the request on the
+// TLS object and reads it back once per request. With ExDataOutside off each
+// of the two is an ecall, with it on neither is, so ecalls per request differ
+// by exactly 2 between the two, the difference -experiment sec42 reports.
+func TestExDataEcallsPerRequest(t *testing.T) {
+	env, err := testutil.NewCertEnv("apache.test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 5
+	ecalls := func(outside bool) int64 {
+		encl, bridge, err := testutil.NewBridge(testutil.BridgeOptions{Mode: asyncall.ModeSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bridge.Close()
+		opts := tlsterm.AllOptimizations()
+		opts.ExDataOutside = outside
+		lib, err := tlsterm.NewLibrary(bridge, tlsterm.LibraryConfig{Cert: env.Cert, Key: env.Key, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw, _ := startServer(t, Config{
+			Terminator: lib.Terminator(),
+			Handler:    &StaticHandler{Content: []byte("ex_data")},
+			KeepAlive:  true,
+			UseExData:  true,
+		})
+		client := testutil.NewHTTPClient(func() (net.Conn, error) { return nw.Dial("apache:443") },
+			env.ClientConfig("apache.test"), true)
+		defer client.Close()
+		do := func() {
+			if rsp, err := client.Do(httpparse.NewRequest("GET", "/x", nil)); err != nil || rsp.Status != 200 {
+				t.Fatalf("rsp = %v, %v", rsp, err)
+			}
+		}
+		do() // the handshake's ecalls are not the request's
+		// A response reaches the client after the server's last ecall for
+		// it, and the server then waits on the network outside the enclave.
+		before := encl.Stats().Ecalls
+		for i := 0; i < requests; i++ {
+			do()
+		}
+		return encl.Stats().Ecalls - before
+	}
+	inside, outside := ecalls(false), ecalls(true)
+	if inside-outside != 2*requests {
+		t.Fatalf("%d ecalls with ex_data inside, %d outside over %d requests; want a difference of %d", inside, outside, requests, 2*requests)
+	}
+}
+
 func TestNonPersistentConnections(t *testing.T) {
 	env, _ := testutil.NewCertEnv("apache.test")
 	nw, srv := startServer(t, Config{

@@ -3,9 +3,7 @@
 // OpenSSL/LibreSSL-shaped API. The server side can run either natively
 // in-process (AcceptNative — the paper's LibreSSL baseline) or inside a
 // simulated SGX enclave (Library/SSL), where protocol code and session keys
-// are enclave-resident, network BIOs and API wrappers stay outside, shadow
-// structures expose sanitised connection state, and application callbacks
-// are invoked through secure ocall trampolines.
+// are enclave-resident and network BIOs and API wrappers stay outside.
 //
 // No enclave thread ever waits on the network: the outside wrapper reads one
 // ciphertext frame from the BIO before the ecall and passes it in, and an
@@ -123,9 +121,6 @@ type Library struct {
 	inside *insideState
 
 	nextID atomic.Uint64
-
-	cbMu      sync.Mutex
-	callbacks map[uint64]func(state string)
 }
 
 // NewLibrary provisions a library instance. The private key is transferred
@@ -135,10 +130,9 @@ func NewLibrary(bridge *asyncall.Bridge, cfg LibraryConfig) (*Library, error) {
 		return nil, fmt.Errorf("tlsterm: certificate and key required")
 	}
 	lib := &Library{
-		bridge:    bridge,
-		cfg:       cfg,
-		inside:    &insideState{sessions: make(map[uint64]*session)},
-		callbacks: make(map[uint64]func(string)),
+		bridge: bridge,
+		cfg:    cfg,
+		inside: &insideState{sessions: make(map[uint64]*session)},
 	}
 	server := &ServerConfig{Cert: cfg.Cert, Key: cfg.Key, RequireClientCert: cfg.RequireClientCert, ClientRoots: cfg.ClientRoots}
 	lib.cfg.Key = nil // the outside copy is dropped; only the enclave holds it
@@ -179,17 +173,6 @@ func GenerateEnclaveIdentity(bridge *asyncall.Bridge) (*ecdsa.PublicKey, enclave
 	return pub, quote, key, nil
 }
 
-// ShadowSSL is the sanitised, outside-resident copy of a connection's TLS
-// state (§4.1 "Shadowing"). It deliberately contains no key material; tests
-// assert this by reflection.
-type ShadowSSL struct {
-	State        string
-	Established  bool
-	PeerSubject  string
-	BytesRead    int64
-	BytesWritten int64
-}
-
 // SSL is one terminated TLS connection: the OpenSSL SSL* equivalent. The
 // struct itself lives outside the enclave; secrets stay inside, referenced
 // by ID.
@@ -200,13 +183,12 @@ type SSL struct {
 	fr   *frameReader // network BIO, read by the wrapper outside any ecall
 
 	// readMu serialises SSL_read (and the handshake); writeMu serialises
-	// SSL_write; stateMu guards the shadow structure and ex_data so that
-	// outside code can inspect them while I/O is blocked.
+	// SSL_write; stateMu guards closed and the outside ex_data so that
+	// outside code can reach them while I/O is blocked.
 	readMu  sync.Mutex
 	writeMu sync.Mutex
 	stateMu sync.Mutex
 
-	shadow   ShadowSSL
 	leftover []byte
 	out      sealedFrames // frames sealed by an ecall, written after it; under writeMu
 	exData   map[string]any
@@ -220,44 +202,8 @@ func (lib *Library) NewSSL(conn net.Conn) *SSL {
 		id:     lib.nextID.Add(1),
 		conn:   conn,
 		fr:     newFrameReader(conn),
-		shadow: ShadowSSL{State: "init"},
 		exData: make(map[string]any),
 	}
-}
-
-// SetInfoCallback registers an application callback invoked on handshake
-// state transitions. The function itself stays outside the enclave; enclave
-// code reaches it through an ocall trampoline keyed by the connection ID,
-// mirroring the paper's secure-callback listing (§4.1).
-func (s *SSL) SetInfoCallback(cb func(state string)) {
-	s.lib.cbMu.Lock()
-	s.lib.callbacks[s.id] = cb
-	s.lib.cbMu.Unlock()
-}
-
-// invokeCallback is the outside half of the callback trampoline.
-func (lib *Library) invokeCallback(id uint64, state string) {
-	lib.cbMu.Lock()
-	cb := lib.callbacks[id]
-	lib.cbMu.Unlock()
-	if cb != nil {
-		cb(state)
-	}
-}
-
-// fireCallback runs inside the enclave and performs the trampoline ocall if
-// a callback is registered.
-func (s *SSL) fireCallback(env *asyncall.Env, state string) {
-	s.lib.cbMu.Lock()
-	registered := s.lib.callbacks[s.id] != nil
-	s.lib.cbMu.Unlock()
-	if !registered {
-		return
-	}
-	_ = env.Ocall(func() error {
-		s.lib.invokeCallback(s.id, state)
-		return nil
-	})
 }
 
 // chargeUnoptimized models the extra crossings that the §4.2 optimisations
@@ -311,13 +257,9 @@ func (s *SSL) Accept() error {
 	s.readMu.Lock()
 	defer s.readMu.Unlock()
 	hsStart := time.Now()
-	var peer *pki.Certificate
 	err := s.handshakeStep(s.acceptHello)
 	if err == nil {
-		err = s.handshakeStep(func(env *asyncall.Env, ftype byte, payload []byte) (reply []byte, err error) {
-			peer, reply, err = s.acceptFinished(env, ftype, payload)
-			return reply, err
-		})
+		err = s.handshakeStep(s.acceptFinished)
 	}
 	if err != nil {
 		// A leg never came, was refused or could not be answered: the
@@ -326,21 +268,10 @@ func (s *SSL) Accept() error {
 			s.lib.dropSession(s.id)
 			return nil
 		})
-	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	if err != nil {
-		s.shadow.State = "error"
 		return err
 	}
-	// Synchronise the sanitised shadow copy (no key material).
 	mHandshakes.Inc()
 	telemetry.ObserveSince(mHandshakeLatency, "tlsterm.handshake", hsStart)
-	s.shadow.State = "established"
-	s.shadow.Established = true
-	if peer != nil {
-		s.shadow.PeerSubject = peer.Subject
-	}
 	return nil
 }
 
@@ -348,7 +279,6 @@ func (s *SSL) Accept() error {
 // shared hello step on the enclave-resident configuration, then the half-open
 // state parked inside.
 func (s *SSL) acceptHello(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error) {
-	s.fireCallback(env, "accept:start")
 	if err := s.chargeUnoptimized(env); err != nil {
 		return nil, err
 	}
@@ -372,21 +302,20 @@ func (s *SSL) acceptHello(env *asyncall.Env, ftype byte, payload []byte) ([]byte
 // acceptFinished is the second handshake ecall: it takes the half-open state
 // out — whatever happens next, that handshake cannot be resumed — runs the
 // shared finished step on it and parks the established session.
-func (s *SSL) acceptFinished(env *asyncall.Env, ftype byte, payload []byte) (*pki.Certificate, []byte, error) {
+func (s *SSL) acceptFinished(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error) {
 	hs := s.lib.takeHalfOpen(s.id)
 	if hs == nil {
-		return nil, nil, ErrClosed // never begun, already finished, or closed between the two legs
+		return nil, ErrClosed // never begun, already finished, or closed between the two legs
 	}
 	env.Ctx.ChargeData(len(payload))
 	peer, reply, err := s.lib.inside.server.finished(hs, ftype, payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := s.park(&session{rd: hs.keys.client, wr: hs.keys.server, peer: peer, exData: make(map[string]any)}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s.fireCallback(env, "accept:done")
-	return peer, reply, nil
+	return reply, nil
 }
 
 // park stores the connection's session: half-open after the first handshake
@@ -483,9 +412,6 @@ func (s *SSL) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		s.leftover = plaintext
-		s.stateMu.Lock()
-		s.shadow.BytesRead += int64(len(plaintext))
-		s.stateMu.Unlock()
 	}
 	n := copy(p, s.leftover)
 	s.leftover = s.leftover[n:]
@@ -505,7 +431,6 @@ func (s *SSL) Write(p []byte) (int, error) {
 	if closed {
 		return 0, ErrClosed
 	}
-	total := 0
 	err := s.lib.bridge.Call(func(env *asyncall.Env) error {
 		sess, err := s.lib.lookupSession(s.id)
 		if err != nil {
@@ -531,7 +456,6 @@ func (s *SSL) Write(p []byte) (int, error) {
 		}
 		mRecordsWritten.Add(int64(records))
 		mBytesWritten.Add(int64(len(payload)))
-		total = len(payload)
 		if !s.lib.cfg.Opts.MemoryPool {
 			// One malloc ocall per record buffer without the pool.
 			for ; records > 0; records-- {
@@ -545,9 +469,6 @@ func (s *SSL) Write(p []byte) (int, error) {
 	if err = s.out.flush(s.conn, err); err != nil {
 		return 0, err
 	}
-	s.stateMu.Lock()
-	s.shadow.BytesWritten += int64(total)
-	s.stateMu.Unlock()
 	// Report the caller's byte count even if the tap rewrote the payload,
 	// preserving io.Writer semantics for the application.
 	return len(p), nil
@@ -575,26 +496,12 @@ func (s *SSL) Close() error {
 		return nil
 	})
 	_ = s.out.flush(s.conn, err) // best effort: the peer may be gone already
-	s.lib.cbMu.Lock()
-	delete(s.lib.callbacks, s.id)
-	s.lib.cbMu.Unlock()
-	s.stateMu.Lock()
-	s.shadow.State = "closed"
-	s.shadow.Established = false
-	s.stateMu.Unlock()
 	return s.conn.Close()
-}
-
-// Shadow returns the sanitised outside view of the connection state.
-func (s *SSL) Shadow() ShadowSSL {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	return s.shadow
 }
 
 // SetExData attaches application data to the connection, like
 // SSL_set_ex_data. With the ExDataOutside optimisation the value stays in
-// the outside shadow object; otherwise every access crosses into the
+// the outside SSL object; otherwise every access crosses into the
 // enclave (§4.2, optimisation 3).
 func (s *SSL) SetExData(key string, v any) error {
 	if s.lib.cfg.Opts.ExDataOutside {

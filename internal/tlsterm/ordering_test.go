@@ -125,11 +125,6 @@ func (c *scriptedSSL) ecall(step func(*asyncall.Env, byte, []byte) ([]byte, erro
 	return reply, err
 }
 
-func (c *scriptedSSL) acceptFinished(env *asyncall.Env, ftype byte, payload []byte) ([]byte, error) {
-	_, reply, err := c.ssl.acceptFinished(env, ftype, payload)
-	return reply, err
-}
-
 // junk is a well-framed frame of the given type that no key ever sealed.
 func junk(ftype byte) []byte {
 	return frameBytes(ftype, bytes.Repeat([]byte{0x5a}, 48))
@@ -185,7 +180,7 @@ func (c *scriptedSSL) step(op byte) {
 		if want != nil {
 			frame = junk(frameClientFinished)
 		}
-		serverFinished, err := c.ecall(c.acceptFinished, frame)
+		serverFinished, err := c.ecall(c.ssl.acceptFinished, frame)
 		c.want("acceptFinished", err, want)
 		if want == nil {
 			c.cf, c.state = nil, stEstablished
@@ -228,7 +223,7 @@ func (c *scriptedSSL) step(op byte) {
 // to acceptFinished: the step refuses it and the half-open handshake is spent.
 func (c *scriptedSSL) failFinished(frame []byte, want error) {
 	c.t.Helper()
-	_, err := c.ecall(c.acceptFinished, frame)
+	_, err := c.ecall(c.ssl.acceptFinished, frame)
 	c.want("acceptFinished of a foreign frame", err, want)
 	c.cf, c.state = nil, stNone
 	c.checkTable()

@@ -8,12 +8,9 @@ import (
 	"errors"
 	"io"
 	"net"
-	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"libseal/internal/asyncall"
 	"libseal/internal/enclave"
@@ -202,7 +199,7 @@ func testLibraryEcho(t *testing.T, mode asyncall.Mode) {
 		t.Fatal(err)
 	}
 	cConn, sConn := netsim.Pipe(netsim.LinkConfig{})
-	ssl, done := echoLibrary(t, lib, sConn)
+	_, done := echoLibrary(t, lib, sConn)
 	client, err := Connect(cConn, clientCfg(env))
 	if err != nil {
 		t.Fatal(err)
@@ -221,10 +218,6 @@ func testLibraryEcho(t *testing.T, mode asyncall.Mode) {
 	client.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
-	}
-	sh := ssl.Shadow()
-	if sh.State != "closed" || sh.BytesRead != int64(len(msg)) || sh.BytesWritten != int64(len(msg)) {
-		t.Fatalf("shadow = %+v", sh)
 	}
 }
 
@@ -340,59 +333,6 @@ func (f failTap) OnData(*asyncall.Env, uint64, Direction, []byte) ([]byte, error
 }
 func (f failTap) OnClose(*asyncall.Env, uint64) {}
 
-func TestShadowContainsNoKeyMaterial(t *testing.T) {
-	// The shadow structure must be plain data: no pointers, slices, or any
-	// field that could smuggle session keys outside.
-	typ := reflect.TypeOf(ShadowSSL{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		switch f.Type.Kind() {
-		case reflect.String, reflect.Bool, reflect.Int64:
-		default:
-			t.Errorf("ShadowSSL field %s has kind %s; shadow fields must be scalar", f.Name, f.Type.Kind())
-		}
-		if strings.Contains(strings.ToLower(f.Name), "key") {
-			t.Errorf("ShadowSSL field %s looks like key material", f.Name)
-		}
-	}
-}
-
-func TestInfoCallbackTrampoline(t *testing.T) {
-	env := newTestEnv(t, asyncall.ModeSync)
-	lib, err := NewLibrary(env.bridge, LibraryConfig{Cert: env.cert, Key: env.key, Opts: AllOptimizations()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cConn, sConn := netsim.Pipe(netsim.LinkConfig{})
-	ssl := lib.NewSSL(sConn)
-	var mu sync.Mutex
-	var states []string
-	ssl.SetInfoCallback(func(state string) {
-		mu.Lock()
-		states = append(states, state)
-		mu.Unlock()
-	})
-	done := make(chan error, 1)
-	go func() { done <- ssl.Accept() }()
-	client, err := Connect(cConn, clientCfg(env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(states) != 2 || states[0] != "accept:start" || states[1] != "accept:done" {
-		t.Fatalf("callback states = %v", states)
-	}
-	// The callback ocalls must be visible in the enclave interface stats.
-	if env.encl.Stats().Ocalls < 2 {
-		t.Fatalf("expected callback trampoline ocalls, stats = %+v", env.encl.Stats())
-	}
-}
-
 func TestExDataOutsideAvoidsEcalls(t *testing.T) {
 	env := newTestEnv(t, asyncall.ModeSync)
 	lib, err := NewLibrary(env.bridge, LibraryConfig{Cert: env.cert, Key: env.key, Opts: AllOptimizations()})
@@ -435,13 +375,13 @@ func TestExDataInsideCostsEcalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	// Wait for handshake to finish so the session exists.
-	deadline := time.Now().Add(5 * time.Second)
-	for ssl.Shadow().State != "established" {
-		if time.Now().After(deadline) {
-			t.Fatal("handshake never completed")
-		}
-		time.Sleep(time.Millisecond)
+	// The first echoed byte says the session exists, and the echo loop is
+	// back waiting on the network, outside the enclave.
+	if _, err := client.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(client, make([]byte, 1)); err != nil {
+		t.Fatal(err)
 	}
 	before := env.encl.Stats().Ecalls
 	if err := ssl.SetExData("k", 1); err != nil {

@@ -13,8 +13,7 @@
 // The package re-exports the library's public surface; the implementation
 // lives in internal packages:
 //
-//   - enclave:   simulated SGX platform (costed transitions, sealing,
-//     attestation)
+//   - enclave:   simulated SGX platform (costed transitions, attestation)
 //   - lthread, asyncall: user-level threading and asynchronous enclave calls
 //   - sqldb:     embedded relational database (SQLite substitute)
 //   - tlsterm:   TLS termination with the OpenSSL-shaped API

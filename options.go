@@ -69,12 +69,6 @@ func WithManifestInterval(d time.Duration) Option {
 	return func(c *openConfig) { c.core.AuditManifestEvery = d }
 }
 
-// WithSealedLog encrypts persisted log entries under the enclave sealing
-// key (§6.3 log privacy).
-func WithSealedLog() Option {
-	return func(c *openConfig) { c.core.SealLog = true }
-}
-
 // WithProtector anchors the audit log's rollback protection, normally on a
 // CounterGroup. Tune the group's request timeouts and retries on the group
 // itself (CounterGroup.SetRetryPolicy); WithAnchorTimeout bounds each

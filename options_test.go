@@ -2,8 +2,6 @@ package libseal
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -491,111 +489,6 @@ func TestBatchingSharesSignatureRecords(t *testing.T) {
 				t.Fatalf("%d entries in %d batches; signature records shared = %v, want %v", rep.TotalEntries, rep.TotalBatches, shared, tc.batched)
 			}
 		})
-	}
-}
-
-// TestOpenSealedLog writes a sealed disk log through Open with real Git
-// traffic. The shard files hold none of a logged value's plaintext (an
-// unsealed log of the same traffic does, so the probe means something);
-// Open with WithRecovery on the same platform recovers every entry; and a
-// verifier without the enclave's Unseal does not report the log clean.
-func TestOpenSealedLog(t *testing.T) {
-	const repo = "sealed-probe-repository"
-	platform := NewPlatform()
-	certs, err := testutil.NewCertEnv("svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := NewCounterGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func(dir string, extra ...Option) (*LibSEAL, *Enclave) {
-		t.Helper()
-		encl, err := platform.Launch(EnclaveConfig{Code: []byte("sealed-log-test"), MaxThreads: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bridge, err := NewBridge(encl, BridgeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(bridge.Close)
-		seal, err := Open(bridge, append([]Option{
-			WithModule(GitModule()),
-			WithTLS(TLSConfig{Cert: certs.Cert, Key: certs.Key, Opts: AllOptimizations()}),
-			WithAuditDisk(dir),
-			WithProtector(group),
-		}, extra...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seal, encl
-	}
-	// write pushes to the probe repository and closes the instance; it
-	// returns the entries logged and the shard files' bytes.
-	write := func(seal *LibSEAL, dir string) (uint64, []byte) {
-		t.Helper()
-		network, _, stop := serveGit(t, seal)
-		client, err := dialGit(network, certs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			body := []byte(fmt.Sprintf("update main c%d", i))
-			if err := client.do(httpparse.NewRequest("POST", "/git/"+repo+"/git-receive-pack", body)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		client.conn.Close()
-		stop()
-		if err := seal.Close(); err != nil {
-			t.Fatal(err)
-		}
-		files, _ := filepath.Glob(filepath.Join(dir, "*.lseal"))
-		var img []byte
-		for _, f := range files {
-			b, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img = append(img, b...)
-		}
-		return seal.Log().Seq(), img
-	}
-
-	plainDir := t.TempDir()
-	plain, _ := open(plainDir)
-	if _, img := write(plain, plainDir); !bytes.Contains(img, []byte(repo)) {
-		t.Fatal("the unsealed control log does not hold the repository name")
-	}
-
-	dir := t.TempDir()
-	seal, encl := open(dir, WithSealedLog())
-	entries, img := write(seal, dir)
-	if entries == 0 {
-		t.Fatal("nothing logged")
-	}
-	if bytes.Contains(img, []byte(repo)) {
-		t.Fatal("a sealed log's shard files hold the repository name in plaintext")
-	}
-
-	rec, _ := open(dir, WithSealedLog(), WithRecovery(0))
-	if got := rec.Log().Seq(); got != entries {
-		t.Fatalf("recovered %d entries, the sealed log held %d", got, entries)
-	}
-	res, err := rec.Log().Query("SELECT COUNT(*) FROM updates WHERE repo = ?", repo)
-	if err != nil || res.Rows[0][0].Int64() != int64(entries) {
-		t.Fatalf("recovered updates of %s: %v, %v; want %d", repo, res, err, entries)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Without the plaintext there is no entry to check: the walk refuses it.
-	_, err = Verify(dir, VerifyStreamOptions{VerifyOptions: VerifyOptions{Pub: encl.PublicKey(), Protector: group}})
-	if !errors.Is(err, ErrTampered) {
-		t.Fatalf("Verify of a sealed log without Unseal: %v, want ErrTampered", err)
 	}
 }
 
