@@ -74,7 +74,9 @@ bench-e2e-smoke:
 # the frozen map-based one) and the SQL engine (arbitrary scripts: no panic,
 # no change on a parse error), the manifest sidecar's two readers (the
 # offline one, strict and tolerant, against the chunk-fed one: the same
-# manifests, stopped at the same place) and the live mirror's frame stream
+# manifests, stopped at the same place), the sidecar's two verdicts (the
+# offline replay against the live set rule, beside a set's shard files; a
+# verdict that passes rests on linked, signed records) and the live mirror's frame stream
 # (through its own session, and straight into its frame handler without one;
 # no more entries verified than VerifyPath accepts of the files the frames
 # describe) — the same smoke CI runs. Seed corpora live under
@@ -88,6 +90,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZ) -fuzz=FuzzCodecRoundTrip ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzEntryWalk ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzManifestReaders ./internal/audit/
+	$(GO) test $(FUZZ) -fuzz=FuzzManifestSidecar ./internal/audit/
 	$(GO) test $(FUZZ) -fuzz=FuzzHTTPParse ./internal/httpparse/
 	$(GO) test $(FUZZ) -fuzz=FuzzConsumeDifferential ./internal/httpparse/
 	$(GO) test $(FUZZ) -fuzz=FuzzHeaderDifferential ./internal/httpparse/

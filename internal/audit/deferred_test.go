@@ -682,8 +682,9 @@ func signatureChecks(fn func()) (checks, locates int64) {
 }
 
 // TestColdVerifyChecksOneSignaturePerShard counts the ECDSA checks of each
-// kind of run over a two-shard set of 1 000 batches and four manifests: the
-// number must not depend on the number of batches.
+// kind of run over a two-shard set of 1 000 batches and four manifests: one
+// per shard plus one per sidecar, whatever the number of batches and
+// manifests.
 func TestColdVerifyChecksOneSignaturePerShard(t *testing.T) {
 	e := newAuditEnv(t)
 	var s *ShardedLog
@@ -726,8 +727,8 @@ func TestColdVerifyChecksOneSignaturePerShard(t *testing.T) {
 	if err != nil || rep.TotalBatches != 1000 || rep.Manifests != 4 {
 		t.Fatalf("cold: %+v, %v", rep, err)
 	}
-	if checks != 2 || locates != 0 {
-		t.Fatalf("cold: %d ECDSA checks and %d locate passes, want 2 and 0", checks, locates)
+	if checks != 3 || locates != 0 {
+		t.Fatalf("cold: %d ECDSA checks and %d locate passes, want 3 and 0", checks, locates)
 	}
 
 	copts := opts
@@ -735,8 +736,8 @@ func TestColdVerifyChecksOneSignaturePerShard(t *testing.T) {
 	saved := mVerifyCheckpoints.Value()
 	checks, locates = signatureChecks(func() { _, err = verify(copts) })
 	saved = mVerifyCheckpoints.Value() - saved
-	if err != nil || saved != 9 || checks != 2+saved || locates != 0 {
-		t.Fatalf("checkpointing: %v, %d saved, %d ECDSA checks, %d locates; want 9 saved and 2 + 9 checks", err, saved, checks, locates)
+	if err != nil || saved != 9 || checks != 3+saved || locates != 0 {
+		t.Fatalf("checkpointing: %v, %d saved, %d ECDSA checks, %d locates; want 9 saved and 3 + 9 checks", err, saved, checks, locates)
 	}
 
 	// Shard 0's last checkpoint (its 500th batch) lies past the last
@@ -753,8 +754,8 @@ func TestColdVerifyChecksOneSignaturePerShard(t *testing.T) {
 		t.Fatalf("resumed: shard 0 resumed=%v after %d batches, shard 1 resumed=%v after %d; want cold after 510, resumed after 90",
 			rep.Shards[0].Resumed, rep.Shards[0].Batches, rep.Shards[1].Resumed, rep.Shards[1].Batches)
 	}
-	if checks != 3 || locates != 0 { // shard 0: its closing check; shard 1: its checkpoint's proof, then its closing check
-		t.Fatalf("resumed: %d ECDSA checks and %d locate passes, want 3 and 0", checks, locates)
+	if checks != 4 || locates != 0 { // shard 0: its closing check; shard 1: its checkpoint's proof, then its closing check; the sidecar's
+		t.Fatalf("resumed: %d ECDSA checks and %d locate passes, want 4 and 0", checks, locates)
 	}
 
 	// One flipped byte in a mid-log signature record's S: the closing check
@@ -777,8 +778,8 @@ func TestColdVerifyChecksOneSignaturePerShard(t *testing.T) {
 	}
 }
 
-// TestRecoverChecksOneSignature: server start pays one ECDSA check however
-// long the shard.
+// TestRecoverChecksOneSignature: server start pays one ECDSA check for the
+// shard and one for the sidecar, however long either.
 func TestRecoverChecksOneSignature(t *testing.T) {
 	e := newAuditEnv(t)
 	cfg := e.diskConfig("git")
@@ -791,6 +792,11 @@ func TestRecoverChecksOneSignature(t *testing.T) {
 			if err := l.Append(env, "updates", i, "r", "main", "c", "update"); err != nil {
 				return err
 			}
+			if i%100 == 99 {
+				if err := l.set.WriteManifest(env); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
@@ -802,8 +808,8 @@ func TestRecoverChecksOneSignature(t *testing.T) {
 		})
 	})
 	defer l.Close()
-	if l.Seq() != 1000 || checks != 1 || locates != 0 {
-		t.Fatalf("recovered %d entries with %d ECDSA checks and %d locate passes, want 1000, 1, 0", l.Seq(), checks, locates)
+	if l.Seq() != 1000 || checks != 2 || locates != 0 {
+		t.Fatalf("recovered %d entries with %d ECDSA checks and %d locate passes, want 1000, 2, 0", l.Seq(), checks, locates)
 	}
 }
 

@@ -32,18 +32,18 @@ type streamKind struct {
 
 var (
 	logStream      = streamKind{magic: fileMagic, former: formerMagics}
-	manifestStream = streamKind{magic: manifestMagic, name: "manifest ", only: recManifest}
+	manifestStream = streamKind{magic: manifestMagic, former: formerManifestMagics, name: "manifest ", only: recManifest}
 )
 
-// checkMagic judges a stream's leading bytes. A log of an earlier format is
-// named, not lumped in with garbage: this build cannot verify it.
+// checkMagic judges a stream's leading bytes. A stream of an earlier format
+// is named, not lumped in with garbage: this build cannot verify it.
 func (k *streamKind) checkMagic(got []byte) error {
 	if bytes.Equal(got, k.magic) {
 		return nil
 	}
 	for i, f := range k.former {
 		if bytes.Equal(got, f) {
-			return fmt.Errorf("%w: log format %d is not supported; this build reads format %d", ErrTampered, i+1, len(k.former)+1)
+			return fmt.Errorf("%w: %sformat %d is not supported; this build reads format %d", ErrTampered, cmp.Or(k.name, "log "), i+1, len(k.former)+1)
 		}
 	}
 	return fmt.Errorf("%w: bad %smagic", ErrTampered, k.name)

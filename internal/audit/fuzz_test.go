@@ -2,6 +2,8 @@ package audit
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,8 +11,10 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"libseal/internal/asyncall"
+	"libseal/internal/enclave"
 	"libseal/internal/sqldb"
 )
 
@@ -153,10 +157,17 @@ func FuzzEntryWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { walkMatches(t, "fuzz input", data) })
 }
 
-// manifestSidecars are the sidecar of a 2-shard set holding its creation
-// manifest and two periodic ones, and the same sidecar once a trim and a
-// compaction rewrote it, holding the compaction's manifest and one more.
-func manifestSidecars(t testing.TB) [][]byte {
+// sidecarSet is a set's files: each shard's image, then the sidecar.
+type sidecarSet struct {
+	shards  [][]byte
+	sidecar []byte
+}
+
+// manifestSets are a 2-shard set holding its creation manifest and two
+// periodic ones, and the same set once a trim and a compaction rewrote it,
+// its sidecar holding the compaction's manifest and one more; pub is the key
+// they are signed with.
+func manifestSets(t testing.TB) (sets []sidecarSet, pub *ecdsa.PublicKey) {
 	e := newAuditEnv(t)
 	var s *ShardedLog
 	e.call(t, func(env *asyncall.Env) (err error) {
@@ -176,11 +187,18 @@ func manifestSidecars(t testing.TB) [][]byte {
 		return nil
 	})
 	defer s.Close()
-	path := filepath.Join(e.dir, ManifestFileName("git"))
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	files := func() (set sidecarSet) {
+		for _, v := range s.Files() {
+			img, err := os.ReadFile(v.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.shards = append(set.shards, img)
+		}
+		set.shards, set.sidecar = set.shards[:len(set.shards)-1], set.shards[len(set.shards)-1]
+		return set
 	}
+	before := files()
 	trimDatabase(t, e, s, trimLatest)
 	e.call(t, s.Compact)
 	e.call(t, func(env *asyncall.Env) error {
@@ -189,11 +207,48 @@ func manifestSidecars(t testing.TB) [][]byte {
 		}
 		return s.WriteManifest(env)
 	})
-	after, err := os.ReadFile(path)
+	return []sidecarSet{before, files()}, e.encl.PublicKey()
+}
+
+// sidecarRecords are the payloads of the records in a sidecar that reads
+// strictly, and the offsets just past the magic and each record.
+func sidecarRecords(t testing.TB, sidecar []byte) (payloads [][]byte, bounds []int) {
+	ms, err := readManifests(sidecar, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [][]byte{before, after}
+	bounds = []int{len(manifestMagic)}
+	for _, m := range ms {
+		payloads = append(payloads, m.payload)
+		bounds = append(bounds, bounds[len(bounds)-1]+5+len(m.payload))
+	}
+	return payloads, bounds
+}
+
+// cutChunks encodes chunk lengths as a fuzz input's cuts: 2 bytes each,
+// big-endian, the length less one.
+func cutChunks(lens ...int) []byte {
+	var cuts []byte
+	for _, n := range lens {
+		cuts = binary.BigEndian.AppendUint16(cuts, uint16(n-1))
+	}
+	return cuts
+}
+
+// feedCuts feeds p to feed in the chunks cuts gives, then the rest in one,
+// until feed fails.
+func feedCuts(p, cuts []byte, feed func([]byte) error) error {
+	for len(p) > 0 {
+		n := len(p)
+		if len(cuts) >= 2 {
+			n, cuts = min(n, 1+int(binary.BigEndian.Uint16(cuts))), cuts[2:]
+		}
+		if err := feed(p[:n]); err != nil {
+			return err
+		}
+		p = p[n:]
+	}
+	return nil
 }
 
 // FuzzManifestReaders: the sidecar's two readers — readManifests, strict and
@@ -206,29 +261,23 @@ func manifestSidecars(t testing.TB) [][]byte {
 // accepts it exactly when no tail is torn. One
 // the tolerant reader refuses, the incremental one refuses, unless it is
 // short of the magic. Seeds: a 2-shard
-// set's sidecar (creation, periodic and post-compaction manifests), whole
-// and cut at record boundaries and mid-record, fed whole, at its record
-// boundaries and in 61-byte chunks.
+// set's sidecars (creation, periodic and post-compaction manifests,
+// manifestSets), whole and cut at record boundaries and mid-record, fed
+// whole, at its record boundaries and in 61-byte chunks.
 func FuzzManifestReaders(f *testing.F) {
-	chunks := func(lens ...int) []byte {
-		var cuts []byte
-		for _, n := range lens {
-			cuts = binary.BigEndian.AppendUint16(cuts, uint16(n-1))
+	sets, _ := manifestSets(f)
+	for i, set := range sets {
+		sidecar := set.sidecar
+		payloads, bounds := sidecarRecords(f, sidecar)
+		if len(payloads) != 3-i {
+			f.Fatalf("seed sidecar %d holds %d manifests, want %d", i, len(payloads), 3-i)
 		}
-		return cuts
-	}
-	for i, sidecar := range manifestSidecars(f) {
-		ms, err := readManifests(sidecar, false)
-		if err != nil || len(ms) != 3-i {
-			f.Fatalf("seed sidecar %d holds %d manifests (%v), want %d", i, len(ms), err, 3-i)
-		}
-		bounds, lens := []int{len(manifestMagic)}, []int{len(manifestMagic)}
-		for _, m := range ms {
-			n := 5 + len(marshalManifest(m))
-			bounds, lens = append(bounds, bounds[len(bounds)-1]+n), append(lens, n)
+		lens := []int{len(manifestMagic)}
+		for k := 1; k < len(bounds); k++ {
+			lens = append(lens, bounds[k]-bounds[k-1])
 		}
 		for _, end := range []int{len(sidecar), bounds[1], bounds[2] - 7, len(sidecar) - 1, len(manifestMagic) + 3} {
-			for _, cuts := range [][]byte{nil, chunks(lens...), chunks(61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61)} {
+			for _, cuts := range [][]byte{nil, cutChunks(lens...), cutChunks(61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61)} {
 				f.Add(sidecar[:end], cuts)
 			}
 		}
@@ -238,14 +287,7 @@ func FuzzManifestReaders(f *testing.F) {
 		tolerant, terr := readManifests(sidecar, true)
 		var got []*Manifest
 		r := newIncrementalManifestReader(func(m *Manifest, _ record) error { got = append(got, m); return nil })
-		var ierr error
-		for p := sidecar; len(p) > 0 && ierr == nil; {
-			n := len(p)
-			if len(cuts) >= 2 {
-				n, cuts = min(n, 1+int(binary.BigEndian.Uint16(cuts))), cuts[2:]
-			}
-			ierr, p = r.Feed(p[:n]), p[n:]
-		}
+		ierr := feedCuts(sidecar, cuts, r.Feed)
 		if serr == nil && (terr != nil || !sameManifests(strict, tolerant)) {
 			t.Fatalf("strict accepts %d manifests, tolerant %d (%v)", len(strict), len(tolerant), terr)
 		}
@@ -280,4 +322,111 @@ func FuzzManifestReaders(f *testing.F) {
 
 func sameManifests(a, b []*Manifest) bool {
 	return slices.EqualFunc(a, b, func(x, y *Manifest) bool { return bytes.Equal(marshalManifest(x), marshalManifest(y)) })
+}
+
+// FuzzManifestSidecar: the set rule's two sidecar paths reach one verdict on
+// any sidecar beside a set's shard files. The offline path is readManifests
+// and the replay judged against the shards' commit points, as VerifyPath and
+// RecoverSharded run them, strict and tolerant; the chunk-fed one is an
+// IncrementalManifestReader feeding a LiveSet that holds the whole shard
+// files, fed in the chunks cuts gives (as FuzzManifestReaders), judged once it
+// holds every byte (Settle). The live verdict is the tolerant one, and the
+// strict one where no torn record is left buffered; a sidecar whose intact
+// records hold no manifest is the exception — the live rule asks for one, the
+// tolerant replay (recovery's, where the counters vouch for the tail) does
+// not. A verdict that passes rests on a chain: the first record links to
+// none, each other names the SHA-256 of the payload before it, and each
+// signature verifies. Seeds: the sidecars of manifestSets beside their shard
+// files (pick chooses the set, mod 2) — whole, cut mid-record and at a record
+// boundary, with a middle manifest deleted and with a middle record's
+// signature altered.
+func FuzzManifestSidecar(f *testing.F) {
+	sets, pub := manifestSets(f)
+	for i, set := range sets {
+		payloads, bounds := sidecarRecords(f, set.sidecar)
+		relink := func(edit func([][]byte) [][]byte) []byte { return sidecarOf(edit(slices.Clone(payloads))) }
+		seeds := [][]byte{
+			set.sidecar,
+			set.sidecar[:len(set.sidecar)-7],
+			set.sidecar[:bounds[len(bounds)-2]],
+			relink(func(ps [][]byte) [][]byte { return slices.Delete(ps, len(ps)-2, len(ps)-1) }),
+			relink(func(ps [][]byte) [][]byte {
+				ps[len(ps)-2] = bytes.Clone(ps[len(ps)-2])
+				ps[len(ps)-2][len(ps[len(ps)-2])-1] ^= 0xff
+				return ps
+			}),
+		}
+		for _, sidecar := range seeds {
+			for _, cuts := range [][]byte{nil, cutChunks(61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61, 61)} {
+				f.Add(uint8(i), sidecar, cuts)
+			}
+		}
+	}
+	// Every commit point of every shard: the replay asks a shard's commit set
+	// only about the Seqs the sidecar attests, so keeping them all answers as
+	// the points a scan keeps for one sidecar do, and the shards scan once.
+	ss := &shardSet{name: "git", shards: 2}
+	points := make([][]*commitSet, len(sets))
+	for i, set := range sets {
+		for k, img := range set.shards {
+			cs := &commitSet{pts: []ShardState{{}}}
+			if _, err := ss.scanImage(k, img, StreamOptions{VerifyOptions: VerifyOptions{Pub: pub}}, func(si SegmentInfo) error {
+				cs.pts = append(cs.pts, ShardState{Seq: si.EndSeq, Counter: si.Counter, Chain: si.Chain})
+				return nil
+			}); err != nil {
+				f.Fatalf("set %d, shard %d: %v", i, k, err)
+			}
+			points[i] = append(points[i], cs)
+		}
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, sidecar, cuts []byte) {
+		set := sets[pick%2]
+		offline := func(tolerant bool) (int, error) {
+			opts := StreamOptions{VerifyOptions: VerifyOptions{Pub: pub, RecoverTruncated: tolerant}}
+			ms, err := readManifests(sidecar, tolerant)
+			return len(ms), replayRecords(ss, ms, err, &opts).judge(ss, &opts, points[pick%2], &Report{})
+		}
+		_, serr := offline(false)
+		n, terr := offline(true)
+
+		live := NewLiveSet("git", VerifyOptions{Pub: pub}, len(set.shards), time.Hour)
+		r := live.RestartManifests(nil)
+		for k, img := range set.shards {
+			if v, _ := live.RestartShard(k, nil); v.Feed(img) != nil {
+				t.Fatalf("shard %d does not feed", k)
+			}
+		}
+		lerr := feedCuts(sidecar, cuts, r.Feed)
+		// A header no record can complete is a torn tail to the tolerant
+		// reader and a refusal to the chunk-fed one (FuzzManifestReaders).
+		var fe *frameError
+		torn := r.Buffered() > 0
+		if errors.As(lerr, &fe) && fe.torn {
+			lerr, torn = nil, true
+		}
+		if lerr == nil {
+			lerr = live.Settle(true)
+		}
+		switch {
+		case terr == nil && n == 0:
+			if lerr == nil {
+				t.Fatal("the live rule accepts a sidecar with no intact manifest")
+			}
+		case (lerr == nil) != (terr == nil):
+			t.Fatalf("live verdict %v, tolerant offline verdict %v", lerr, terr)
+		case (serr == nil) != (lerr == nil && !torn):
+			t.Fatalf("strict offline verdict %v; live verdict %v with a torn tail %v", serr, lerr, torn)
+		}
+		if lerr != nil {
+			return
+		}
+		ms, _ := readManifests(sidecar, true)
+		var prev [32]byte
+		for i, m := range ms {
+			if m.Prev != prev || !enclave.VerifySignature(pub, manifestDigest("git", m), m.Sig) {
+				t.Fatalf("accepted a sidecar whose manifest %d does not link or verify", i)
+			}
+			prev = sha256.Sum256(m.payload)
+		}
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"fmt"
-
-	"libseal/internal/enclave"
 )
 
 // Incremental verification. The offline drivers consume a complete file; a
@@ -151,7 +149,7 @@ func (v *IncrementalVerifier) deliver() {
 		return
 	}
 	i := 0
-	good := firstInvalid(v.opts.Pub, len(queued), queued[len(queued)-1].raw, func() ([]byte, bool) {
+	good := firstInvalid(v.opts.sigValid, len(queued), queued[len(queued)-1].raw, func() ([]byte, bool) {
 		i++
 		return queued[i-1].raw, true
 	})
@@ -199,16 +197,19 @@ func (v *IncrementalVerifier) Batches() int { return v.led.cur.batches }
 func (v *IncrementalVerifier) Tables() map[string]int { return v.led.counts() }
 
 // manifestReplayer applies the per-manifest checks — the shard count,
-// strictly increasing epochs, non-decreasing manifest counter and the
-// enclave signature — one manifest at a time, for the offline replay
-// (replayRecords) and the live one (LiveSet) alike. Commit-point membership (does each attested
-// shard state exist in the shard's verified history?) stays with the caller:
-// commitSet offline, LiveSet live.
+// strictly increasing epochs, non-decreasing manifest counter, the link to the
+// previous record and the enclave signature — one manifest at a time, for the
+// offline replay (replayRecords) and the live one (LiveSet) alike. The
+// offline replay runs the hash-only checks (check, advance) on every record
+// and the ECDSA check on the last, which vouches for the rest through the
+// links; the live one checks each record as it arrives (Verify). Commit-point
+// membership (does each attested shard state exist in the shard's verified
+// history?) stays with the caller: commitSet offline, LiveSet live.
 type manifestReplayer struct {
 	// Name is the log-set name bound into each manifest's digest.
 	Name string
 	// Pub verifies manifest signatures; nil skips the ECDSA check (the
-	// structural and monotonicity checks still apply).
+	// structural, monotonicity and link checks still apply).
 	Pub *ecdsa.PublicKey
 	// Shards is the expected shard count; 0 disables the check.
 	Shards int
@@ -216,33 +217,51 @@ type manifestReplayer struct {
 	n       int
 	epoch   uint64
 	counter uint64
+	head    [32]byte // the digest the next record's Prev must name: zero at a sidecar's head
 	seeded  bool
 }
 
 // Seed adopts a remembered (epoch, counter) floor — a mirror resuming from
 // its checkpoint, or re-reading a rewritten sidecar — so the next manifest
-// must strictly advance the epoch past it. Without seeding, the first
-// manifest's epoch is accepted as-is, matching the offline replay.
-func (r *manifestReplayer) Seed(epoch, counter uint64) {
-	r.epoch, r.counter, r.seeded = epoch, counter, true
+// must strictly advance the epoch past it, and link to head: the digest of
+// the record the stream resumes after, or zero for a stream read from the
+// sidecar's head. Without seeding, the first manifest's epoch is accepted
+// as-is, matching the offline replay.
+func (r *manifestReplayer) Seed(epoch, counter uint64, head [32]byte) {
+	r.epoch, r.counter, r.head, r.seeded = epoch, counter, head, true
 }
 
-// Verify checks one manifest and advances the replayer's floor.
-func (r *manifestReplayer) Verify(m *Manifest) error {
-	if r.Shards > 0 && len(m.Shards) != r.Shards {
+// check applies the hash-only checks to m, the next record.
+func (r *manifestReplayer) check(m *Manifest) error {
+	switch {
+	case r.Shards > 0 && len(m.Shards) != r.Shards:
 		return fmt.Errorf("%w: manifest %d attests %d shards, set has %d", ErrTampered, r.n, len(m.Shards), r.Shards)
-	}
-	if (r.n > 0 || r.seeded) && m.Epoch <= r.epoch {
+	case (r.n > 0 || r.seeded) && m.Epoch <= r.epoch:
 		return fmt.Errorf("%w: manifest %d: epoch %d not after %d", ErrTampered, r.n, m.Epoch, r.epoch)
-	}
-	if m.Counter < r.counter {
+	case m.Counter < r.counter:
 		return fmt.Errorf("%w: manifest %d: counter %d regressed below %d", ErrTampered, r.n, m.Counter, r.counter)
+	case m.Prev != r.head:
+		return fmt.Errorf("%w: manifest %d (epoch %d): link mismatch", ErrTampered, r.n, m.Epoch)
 	}
-	if r.Pub != nil && !enclave.VerifySignature(r.Pub, manifestDigest(r.Name, m), m.Sig) {
+	return nil
+}
+
+// advance moves the replayer's floor past m, a record that passed check.
+func (r *manifestReplayer) advance(m *Manifest) {
+	r.epoch, r.counter, r.head = m.Epoch, m.Counter, m.digest()
+	r.n++
+}
+
+// Verify checks one manifest, its signature included, and advances the
+// replayer's floor.
+func (r *manifestReplayer) Verify(m *Manifest) error {
+	if err := r.check(m); err != nil {
+		return err
+	}
+	if !validManifest(r.Pub, r.Name, m.payload) {
 		return fmt.Errorf("%w: manifest %d (epoch %d): signature invalid", ErrTampered, r.n, m.Epoch)
 	}
-	r.epoch, r.counter = m.Epoch, m.Counter
-	r.n++
+	r.advance(m)
 	return nil
 }
 

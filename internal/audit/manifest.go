@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -33,16 +34,26 @@ import (
 // between compactions; a compaction rewrites the shard files and therefore
 // rewrites the sidecar too, leaving exactly one fresh manifest that attests
 // the compacted states.
+//
+// A sidecar's records are linked the way a shard file's signature records
+// are: each manifest names the SHA-256 of the previous record's payload
+// (Prev), zero for a sidecar's first, and its signature covers the link. The
+// last record's signature therefore vouches for every record before it, and a
+// verifier of a whole sidecar runs one ECDSA check (replayRecords).
 
-// manifestMagic heads the manifest sidecar file.
-var manifestMagic = []byte("LIBSEALMAN1\n")
+// manifestMagic heads the manifest sidecar file (format 2: linked records).
+// formerManifestMagics are the earlier formats', refused by name.
+var (
+	manifestMagic        = []byte("LIBSEALMAN2\n")
+	formerManifestMagics = [][]byte{[]byte("LIBSEALMAN1\n")}
+)
 
 // recManifest is the manifest record type within the sidecar file.
 const recManifest byte = 'M'
 
 // manifestDomain separates manifest digests from every other message the
 // enclave key signs (entry-batch signature records in particular).
-const manifestDomain = "libseal-manifest-v1\x00"
+const manifestDomain = "libseal-manifest-v2\x00"
 
 // maxManifestShards bounds the shard count a parsed manifest may claim, so
 // a hostile sidecar cannot force large allocations.
@@ -66,16 +77,25 @@ type Manifest struct {
 	// Counter is the manifest counter value (counter name <name>-manifest)
 	// that anchors this epoch: one ROTE increment covers all shards.
 	Counter uint64
+	// Prev is the SHA-256 of the payload of the sidecar's previous record,
+	// zero for its first: the creation manifest, a compaction's or a
+	// recovery's rewrite.
+	Prev [32]byte
 	// Shards holds every shard's attested state, indexed by shard number.
 	Shards []ShardState
 	// Sig is the enclave's ECDSA signature over manifestDigest.
 	Sig enclave.Signature
+
+	payload []byte // the record payload the manifest was parsed from or signed into
 }
+
+// digest is what the next record's Prev must name.
+func (m *Manifest) digest() [32]byte { return sha256.Sum256(m.payload) }
 
 // manifestDigest is the message a manifest's signature attests: a domain-
 // separated hash binding the log-set name (so a manifest cannot be replayed
-// across deployments), the epoch, the manifest counter and every shard
-// state.
+// across deployments), the epoch, the manifest counter, the link to the
+// previous record and every shard state.
 func manifestDigest(name string, m *Manifest) []byte {
 	h := sha256.New()
 	h.Write([]byte(manifestDomain))
@@ -87,6 +107,7 @@ func manifestDigest(name string, m *Manifest) []byte {
 	h.Write(u64[:])
 	binary.BigEndian.PutUint64(u64[:], m.Counter)
 	h.Write(u64[:])
+	h.Write(m.Prev[:])
 	binary.BigEndian.PutUint64(u64[:], uint64(len(m.Shards)))
 	h.Write(u64[:])
 	for _, s := range m.Shards {
@@ -107,6 +128,7 @@ func marshalManifest(m *Manifest) []byte {
 	buf.Write(u64[:])
 	binary.BigEndian.PutUint64(u64[:], m.Counter)
 	buf.Write(u64[:])
+	buf.Write(m.Prev[:])
 	var u32 [4]byte
 	binary.BigEndian.PutUint32(u32[:], uint32(len(m.Shards)))
 	buf.Write(u32[:])
@@ -128,7 +150,7 @@ func marshalManifest(m *Manifest) []byte {
 func parseManifest(payload []byte) (*Manifest, error) {
 	r := bytes.NewReader(payload)
 	var u64 [8]byte
-	m := &Manifest{}
+	m := &Manifest{payload: payload}
 	if _, err := io.ReadFull(r, u64[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated manifest", ErrTampered)
 	}
@@ -137,6 +159,9 @@ func parseManifest(payload []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: truncated manifest", ErrTampered)
 	}
 	m.Counter = binary.BigEndian.Uint64(u64[:])
+	if _, err := io.ReadFull(r, m.Prev[:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated manifest", ErrTampered)
+	}
 	var u32 [4]byte
 	if _, err := io.ReadFull(r, u32[:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated manifest", ErrTampered)
@@ -173,6 +198,19 @@ func parseManifest(payload []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: trailing bytes after manifest", ErrTampered)
 	}
 	return m, nil
+}
+
+// validManifest is the ECDSA half of the sidecar's rule, validSig's
+// counterpart: whether a manifest record's payload carries the enclave's
+// signature over what it attests for the named set. Without a key there is
+// nothing to check.
+func validManifest(pub *ecdsa.PublicKey, name string, payload []byte) bool {
+	if pub == nil {
+		return true
+	}
+	mVerifySignatures.Inc()
+	m, err := parseManifest(payload)
+	return err == nil && enclave.VerifySignature(pub, manifestDigest(name, m), m.Sig)
 }
 
 // readManifests parses a manifest sidecar's bytes. In tolerant mode a torn

@@ -6,6 +6,8 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -323,6 +325,57 @@ func TestMirrorStartsColdOnOldStateFile(t *testing.T) {
 	var st audit.LiveState
 	if err := json.Unmarshal(data, &st); err != nil || st.Version == 1 || len(st.Shards) != 2 {
 		t.Fatalf("state file after the cold start: version %d, %d shards (%v); want the mirror's own", st.Version, len(st.Shards), err)
+	}
+}
+
+// TestMirrorStartsColdOnUnlinkedStateFile: a state file of version 2, saved
+// while a sidecar's manifests did not link, is not adopted however well it
+// would resume — its sidecar position names a record of the former format —
+// and the mirror starts cold. The same state at the current version resumes.
+func TestMirrorStartsColdOnUnlinkedStateFile(t *testing.T) {
+	e := newMirrorEnv(t, 2, time.Hour)
+	e.append(10)
+	e.call(e.log.WriteManifest)
+	cfg := e.mirrorConfig()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "mirror.ckpt")
+	m, err := Start(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaught(t, m, 10)
+	if err := m.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st audit.LiveState
+	if err := json.Unmarshal(saved, &st); err != nil {
+		t.Fatal(err)
+	}
+	current := st.Version
+	for _, version := range []int{2, current} {
+		// The state as a build writing that version saved it, self-digest and all.
+		st.Version, st.Sum = version, ""
+		data, _ := json.Marshal(&st)
+		sum := sha256.Sum256(data)
+		st.Sum = hex.EncodeToString(sum[:])
+		data, _ = json.Marshal(&st)
+		if err := os.WriteFile(cfg.CheckpointPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Start(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
+		waitCaught(t, m, 10)
+		if r := m.Report(); r.Resumed != (version == current) || r.Restarts != 0 || r.TotalEntries != 10 {
+			t.Fatalf("version %d: report %+v, want all 10 entries, resumed only at version %d", version, r, current)
+		}
+		if err := m.Stop(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -472,6 +472,7 @@ func TestMirrorSetRule(t *testing.T) {
 	o := offline{}
 	cells := f.setRuleCells(t)
 	cells = append(cells, serverBehindCell(t))
+	cells = append(cells, middleManifestCells(t)...)
 	plays := 0
 	for _, c := range cells {
 		want := o.verify(t, c.pub, c.dir)
@@ -542,6 +543,44 @@ func serverBehindCell(t *testing.T) setRuleCell {
 	rec.Close()
 	steps := append(seen.whole(), step{fr: seen.tail()}, step{session: &back}, step{fr: back.tail()})
 	return setRuleCell{name: "server behind the mirror/reconnect", pub: e.encl.PublicKey(), steps: steps, dir: back, stricter: "does not hold seq=6"}
+}
+
+// middleManifestCells: a sidecar with a manifest deleted from its middle. The
+// epochs left still increase and every state they attest is on its shard,
+// but the next manifest's link names the deleted record, so VerifyPath
+// refuses the files. The mirror refuses them read cold, and resumed after the
+// manifest before the gap, which it verified before the deletion.
+func middleManifestCells(t *testing.T) []setRuleCell {
+	e := newMirrorEnv(t, 2, time.Hour)
+	for i := 0; i < 3; i++ {
+		e.append(10)
+		e.call(e.log.WriteManifest)
+	}
+	seen := e.images()
+	seen.sidecar = seen.sidecar[:manifestRecordEnd(t, seen.sidecar, 1)]
+	cut := e.images()
+	cut.sidecar = append(bytes.Clone(cut.sidecar[:manifestRecordEnd(t, cut.sidecar, 1)]), cut.sidecar[manifestRecordEnd(t, cut.sidecar, 2):]...)
+	pub := e.encl.PublicKey()
+	if _, err := audit.VerifyPath(context.Background(), cut.write(t), audit.StreamOptions{VerifyOptions: audit.VerifyOptions{Pub: pub}}); !errors.Is(err, audit.ErrTampered) || !strings.HasSuffix(err.Error(), "manifest 2 (epoch 4): link mismatch") {
+		t.Fatalf("VerifyPath on the sidecar without its epoch-3 manifest: %v", err)
+	}
+	return []setRuleCell{
+		{name: "middle manifest deleted/cold", pub: pub, steps: append(cut.whole(), step{fr: cut.tail()}), dir: cut},
+		{name: "middle manifest deleted/reconnect", pub: pub, dir: cut,
+			steps: append(seen.whole(), step{fr: seen.tail()}, step{session: &cut}, step{fr: cut.tail()})},
+	}
+}
+
+// manifestRecordEnd is the offset in sidecar just past its record i.
+func manifestRecordEnd(t *testing.T, sidecar []byte, i int) int {
+	off := len("LIBSEALMAN2\n")
+	for ; i >= 0; i-- {
+		if off+5 > len(sidecar) {
+			t.Fatalf("the sidecar holds no record %d", i)
+		}
+		off += 5 + int(binary.BigEndian.Uint32(sidecar[off+1:off+5]))
+	}
+	return off
 }
 
 // lanePart frames lane i of s, its bytes from..to.

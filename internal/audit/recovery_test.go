@@ -8,6 +8,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"libseal/internal/asyncall"
@@ -29,6 +30,29 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 		out[e.Name()] = b
 	}
 	return out
+}
+
+// rewriteSidecar replaces the manifest sidecar at path with one holding the
+// record payloads edit returns, given those it holds.
+func rewriteSidecar(t *testing.T, path string, edit func(payloads [][]byte) [][]byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := sidecarRecords(t, raw)
+	if err := os.WriteFile(path, sidecarOf(edit(payloads)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sidecarOf is a sidecar holding a manifest record for each payload.
+func sidecarOf(payloads [][]byte) []byte {
+	out := bytes.NewBuffer(bytes.Clone(manifestMagic))
+	for _, p := range payloads {
+		writeRecords(out, []record{{typ: recManifest, payload: p}})
+	}
+	return out.Bytes()
 }
 
 // verdictClass names the error class of a verdict: clean, a stale counter or
@@ -72,6 +96,7 @@ func TestShardRecoveryMatchesVerify(t *testing.T) {
 	rows := []struct {
 		name   string
 		more   bool // one more append to shard 0 after the manifest
+		mid    bool // a manifest after the third append too
 		tamper func(t *testing.T, s set)
 	}{
 		{name: "untouched", tamper: func(*testing.T, set) {}},
@@ -89,6 +114,9 @@ func TestShardRecoveryMatchesVerify(t *testing.T) {
 		}},
 		{name: "sidecar cut to its creation manifest", tamper: func(t *testing.T, s set) {
 			cut(t, sidecar(s), s.creation)
+		}},
+		{name: "middle manifest deleted", mid: true, tamper: func(t *testing.T, s set) {
+			rewriteSidecar(t, sidecar(s), func(ps [][]byte) [][]byte { return slices.Delete(ps, 1, 2) })
 		}},
 		{name: "shard files swapped", tamper: func(t *testing.T, s set) {
 			tmp := shardPath(s, 0) + ".swap"
@@ -147,6 +175,11 @@ func TestShardRecoveryMatchesVerify(t *testing.T) {
 					s.shard0 = append(s.shard0, size(shardPath(s, 0)))
 					appends := 6
 					for i := 0; i < appends+1; i++ {
+						if i == 3 && row.mid {
+							if err := l.WriteManifest(env); err != nil {
+								return err
+							}
+						}
 						if i == appends {
 							if err := l.WriteManifest(env); err != nil || !row.more {
 								return err

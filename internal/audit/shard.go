@@ -132,7 +132,8 @@ type ShardedLog struct {
 	mmu          sync.Mutex
 	manifest     *recordFile // outside resource, accessed via ocalls
 	epoch        uint64
-	mcounter     uint64 // last manifest-counter value written
+	mcounter     uint64   // last manifest-counter value written
+	mhead        [32]byte // digest of the sidecar's last record, the next one's Prev (a shard's sigHead)
 	lastManifest time.Time
 	mclosed      bool
 
@@ -579,7 +580,7 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 	}
 	var m *Manifest
 	if err == nil {
-		m, err = s.signManifest(env, states, mcounter)
+		m, err = s.signManifest(env, states, mcounter, [32]byte{}) // the staged sidecar's only record
 	}
 	renamed := false
 	if err == nil {
@@ -608,9 +609,9 @@ func (s *ShardedLog) Compact(env *asyncall.Env) error {
 		states[k] = ShardState{Chain: sh.chain, Seq: sh.seq.Load(), Counter: sh.sigCounter}
 	}
 	if mcounter != s.mcounter {
-		m, merr := s.signManifest(env, states, mcounter)
+		m, merr := s.signManifest(env, states, mcounter, s.mhead)
 		if merr == nil {
-			merr = env.Ocall(func() error { return s.manifest.commit(record{typ: recManifest, payload: marshalManifest(m)}) })
+			merr = env.Ocall(func() error { return s.manifest.commit(record{typ: recManifest, payload: m.payload}) })
 			s.noteManifest(m, merr == nil, merr)
 		}
 		failClosed(s.manifest, merr)
@@ -636,7 +637,7 @@ func (s *ShardedLog) land(rws []rewrite, m *Manifest) (renamed bool, err error) 
 		if k < n {
 			sizes[k], errs[k] = files[k].f.stage(rws[k].recs)
 		} else {
-			sizes[k], errs[k] = s.manifest.stage([]record{{typ: recManifest, payload: marshalManifest(m)}})
+			sizes[k], errs[k] = s.manifest.stage([]record{{typ: recManifest, payload: m.payload}})
 		}
 	})
 	staged.Wait()
@@ -763,9 +764,10 @@ func (s *ShardedLog) WriteManifest(env *asyncall.Env) error {
 }
 
 // putManifest signs the states as the next epoch and makes the record
-// durable: appended to the sidecar, or — rewrite, recovery's counterpart of a
-// shard's re-anchor — as the only record of a replaced sidecar. Callers may
-// hold shard locks; mmu is taken after them.
+// durable: appended to the sidecar, linked to its last record, or — rewrite,
+// recovery's counterpart of a shard's re-anchor — as the only record of a
+// replaced sidecar, linked to none. Callers may hold shard locks; mmu is taken
+// after them.
 func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite bool) error {
 	asyncall.Lock(env, &s.mmu)
 	defer s.mmu.Unlock()
@@ -782,11 +784,15 @@ func (s *ShardedLog) putManifest(env *asyncall.Env, states []ShardState, rewrite
 			return nil
 		})
 	}
-	m, err := s.signManifest(env, states, counter)
+	var prev [32]byte
+	if !rewrite {
+		prev = s.mhead
+	}
+	m, err := s.signManifest(env, states, counter, prev)
 	if err != nil {
 		return err
 	}
-	rec := record{typ: recManifest, payload: marshalManifest(m)}
+	rec := record{typ: recManifest, payload: m.payload}
 	landed := false
 	err = env.Ocall(func() (err error) {
 		if rewrite {
@@ -815,12 +821,13 @@ func (s *ShardedLog) freshManifestCounter() uint64 {
 	return s.mcounter
 }
 
-// signManifest signs the states as the next epoch. Called with mmu held.
-func (s *ShardedLog) signManifest(env *asyncall.Env, states []ShardState, counter uint64) (*Manifest, error) {
+// signManifest signs the states as the next epoch, linked to prev, and
+// encodes the record's payload. Called with mmu held.
+func (s *ShardedLog) signManifest(env *asyncall.Env, states []ShardState, counter uint64, prev [32]byte) (*Manifest, error) {
 	if s.mclosed {
 		return nil, ErrClosed
 	}
-	m := &Manifest{Epoch: s.epoch + 1, Counter: counter, Shards: states}
+	m := &Manifest{Epoch: s.epoch + 1, Counter: counter, Prev: prev, Shards: states}
 	sig, err := env.Ctx.Sign(manifestDigest(s.cfg.Name, m))
 	if err != nil {
 		mManifestErrors.Inc()
@@ -828,6 +835,7 @@ func (s *ShardedLog) signManifest(env *asyncall.Env, states []ShardState, counte
 	}
 	mSignatures.Inc()
 	m.Sig = sig
+	m.payload = marshalManifest(m)
 	return m, nil
 }
 
@@ -838,7 +846,7 @@ func (s *ShardedLog) noteManifest(m *Manifest, landed bool, err error) error {
 		mManifestErrors.Inc()
 	}
 	if landed {
-		s.epoch, s.mcounter, s.lastManifest = m.Epoch, m.Counter, time.Now()
+		s.epoch, s.mcounter, s.mhead, s.lastManifest = m.Epoch, m.Counter, m.digest(), time.Now()
 		mManifests.Inc()
 	}
 	return err

@@ -3,10 +3,13 @@ package audit
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -318,6 +321,135 @@ func TestShardedManifestSidecarStripped(t *testing.T) {
 	if _, err := e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey()}); !errors.Is(err, ErrTampered) {
 		t.Fatalf("missing sidecar: err = %v, want ErrTampered", err)
 	}
+}
+
+// TestManifestLinks: a sidecar's records are linked, so a record deleted or
+// altered anywhere in it fails the replay by name under every offline driver
+// — VerifyPath strict and tolerant, and RecoverSharded, which leaves the files
+// as they were — and the ECDSA check of an intact sidecar is one, on its last
+// record. A record whose signature bytes were altered breaks the next
+// record's link, and one locate pass names the altered record itself, the
+// record a live follower checking each arrival refuses.
+func TestManifestLinks(t *testing.T) {
+	rows := []struct {
+		name, want string
+		locates    int64
+		edit       func(payloads [][]byte) [][]byte
+	}{
+		{name: "untouched", edit: func(ps [][]byte) [][]byte { return ps }},
+		{name: "middle manifest deleted", want: "manifest 2 (epoch 4): link mismatch",
+			edit: func(ps [][]byte) [][]byte { return slices.Delete(ps, 2, 3) }},
+		{name: "first manifest deleted", want: "manifest 0 (epoch 2): link mismatch",
+			edit: func(ps [][]byte) [][]byte { return ps[1:] }},
+		{name: "middle manifest's signature altered", want: "manifest 1 (epoch 2): signature invalid", locates: 1,
+			edit: func(ps [][]byte) [][]byte { ps[1][len(ps[1])-1] ^= 0xff; return ps }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e := newAuditEnv(t)
+			cfg := e.shardConfig("git", 2)
+			e.call(t, func(env *asyncall.Env) error {
+				s, err := NewSharded(env, cfg)
+				if err != nil {
+					return err
+				}
+				defer s.Close()
+				for i := 0; i < 6; i++ {
+					if err := s.Append(env, uint64(i), "updates", i, "r", "main", fmt.Sprintf("c%d", i), "update"); err != nil {
+						return err
+					}
+					if i%2 == 1 {
+						if err := s.WriteManifest(env); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			path := filepath.Join(e.dir, ManifestFileName("git"))
+			rewriteSidecar(t, path, row.edit)
+			before := dirFiles(t, e.dir)
+			pub := e.encl.PublicKey()
+			for _, tolerant := range []bool{false, true} {
+				var rep *Report
+				var err error
+				checks, locates := signatureChecks(func() {
+					rep, err = e.verifyDir(VerifyOptions{Pub: pub, Protector: e.group, RecoverTruncated: tolerant})
+				})
+				if row.want == "" {
+					if err != nil || rep.Manifests != 4 || checks != 3 || locates != 0 {
+						t.Fatalf("tolerant=%v: %v, %d manifests, %d ECDSA checks, %d locate passes; want 4 manifests, 3 checks (2 shards, 1 sidecar), 0 locates",
+							tolerant, err, rep.Manifests, checks, locates)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrTampered) || !strings.HasSuffix(err.Error(), row.want) || locates != row.locates {
+					t.Fatalf("tolerant=%v: %v with %d locate passes, want ErrTampered ending %q with %d", tolerant, err, locates, row.want, row.locates)
+				}
+			}
+			var rec *ShardedLog
+			err := e.bridge.Call(func(env *asyncall.Env) (err error) {
+				rec, err = RecoverSharded(env, cfg, pub)
+				return err
+			})
+			if row.want == "" {
+				if err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				rec.Close()
+				return
+			}
+			if !errors.Is(err, ErrTampered) || !strings.HasSuffix(err.Error(), row.want) {
+				t.Fatalf("recovery: %v, want ErrTampered ending %q", err, row.want)
+			}
+			if !maps.EqualFunc(before, dirFiles(t, e.dir), bytes.Equal) {
+				t.Fatal("a refused recovery changed the files")
+			}
+		})
+	}
+}
+
+// TestManifestFormerFormatRefused: a sidecar of the format before manifests
+// were linked (LIBSEALMAN1) is refused by name by both sidecar readers and
+// every set driver, not lumped in with garbage.
+func TestManifestFormerFormatRefused(t *testing.T) {
+	e := newAuditEnv(t)
+	cfg := e.shardConfig("git", 1)
+	e.call(t, func(env *asyncall.Env) error {
+		s, err := NewSharded(env, cfg)
+		if err != nil {
+			return err
+		}
+		defer s.Close()
+		return s.Append(env, 1, "updates", 1, "r", "main", "c1", "update")
+	})
+	path := filepath.Join(e.dir, ManifestFileName("git"))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "LIBSEALMAN1\n")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "manifest format 1 is not supported; this build reads format 2"
+	check := func(who string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrTampered) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: %v, want ErrTampered naming %q", who, err, want)
+		}
+	}
+	_, err = readManifests(raw, true)
+	check("readManifests", err)
+	check("IncrementalManifestReader", newIncrementalManifestReader(func(*Manifest, record) error { return nil }).Feed(raw))
+	for _, tolerant := range []bool{false, true} {
+		_, err = e.verifyDir(VerifyOptions{Pub: e.encl.PublicKey(), RecoverTruncated: tolerant})
+		check(fmt.Sprintf("VerifyPath (tolerant=%v)", tolerant), err)
+	}
+	check("RecoverSharded", e.bridge.Call(func(env *asyncall.Env) error {
+		_, err := RecoverSharded(env, cfg, e.encl.PublicKey())
+		return err
+	}))
 }
 
 // TestShardedTrimPartition trims a sharded log and checks the survivors are
@@ -645,6 +777,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	m := &Manifest{
 		Epoch:   7,
 		Counter: 3,
+		Prev:    [32]byte{5, 6},
 		Shards: []ShardState{
 			{Chain: [32]byte{1, 2}, Seq: 10, Counter: 4},
 			{Chain: [32]byte{3, 4}, Seq: 12, Counter: 5},
@@ -657,8 +790,8 @@ func TestManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != m.Epoch || got.Counter != m.Counter || len(got.Shards) != 2 ||
-		got.Shards[1] != m.Shards[1] {
+	if got.Epoch != m.Epoch || got.Counter != m.Counter || got.Prev != m.Prev || len(got.Shards) != 2 ||
+		got.Shards[1] != m.Shards[1] || got.digest() != sha256.Sum256(buf) {
 		t.Fatalf("roundtrip = %+v", got)
 	}
 	if !bytes.Equal(manifestDigest("git", m), manifestDigest("git", got)) {
@@ -668,6 +801,12 @@ func TestManifestRoundtrip(t *testing.T) {
 	// deployment must not verify.
 	if bytes.Equal(manifestDigest("git", m), manifestDigest("other", m)) {
 		t.Fatal("digest ignores the log name")
+	}
+	// It binds the link: a record cannot be moved behind another.
+	relinked := *m
+	relinked.Prev[0]++
+	if bytes.Equal(manifestDigest("git", m), manifestDigest("git", &relinked)) {
+		t.Fatal("digest ignores the link")
 	}
 	// Truncated and trailing-garbage payloads are rejected.
 	if _, err := parseManifest(buf[:len(buf)-1]); err == nil {

@@ -17,17 +17,17 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"libseal/internal/enclave"
 )
 
 // Set verification. Every persisted log is a set: N ≥ 1 shard files, each an
 // ordinary audit log verified by the streaming pipeline, plus the epoch
 // manifest sidecar. The driver below verifies the shards in parallel, collects
 // every shard's verified commit points, and replays the sidecar against them:
-// each manifest's signature must verify, its epochs strictly increase, its
-// counters never decrease (checked while the shards scan), and every shard
-// state it attests must be a commit point that shard's verification produced.
+// each manifest must link to the record before it (so the last one's
+// signature, checked once, vouches for them all), its epochs strictly
+// increase, its counters never decrease (checked while the shards scan), and
+// every shard state it attests must be a commit point that shard's
+// verification produced.
 // A shard rolled back to an earlier signed prefix still passes its own checks,
 // but loses the commit points later manifests bound, and the replay fails
 // with ErrBadCounter naming it — evidence entirely in the files.
@@ -362,6 +362,8 @@ func setImages(ss *shardSet, sidecar []byte, read func(string) ([]byte, error), 
 	}
 	old, err := readManifests(sidecar, opts.RecoverTruncated)
 	rp := replayRecords(ss, old, err, &opts)
+	// The staged image is a sidecar of its own: its one record links to none.
+	rp.head = [32]byte{}
 	if rp.err != nil || ms[0].Epoch != rp.Epoch()+1 || rp.Verify(ms[0]) != nil {
 		return paths, sidecar, false
 	}
@@ -391,7 +393,11 @@ type manifestReplay struct {
 }
 
 // replayRecords replays the sidecar's records: ms as readManifests parsed
-// them, err what stopped the parse.
+// them, err what stopped the parse. Every record's hash-only checks run in
+// order; then one ECDSA check on the last record that passed them vouches for
+// every one before it through the links, and only if it fails does a locate
+// pass name the first invalid signature — which precedes whichever record
+// the hash checks stopped at, as it does in a shard file (firstInvalid).
 func replayRecords(ss *shardSet, ms []*Manifest, err error, opts *StreamOptions) *manifestReplay {
 	rp := &manifestReplay{manifestReplayer: manifestReplayer{Name: ss.name, Pub: opts.Pub, Shards: ss.shards}, ms: ms}
 	if err != nil {
@@ -402,9 +408,20 @@ func replayRecords(ss *shardSet, ms []*Manifest, err error, opts *StreamOptions)
 		rp.err = fmt.Errorf("%w: manifest sidecar holds no manifests", ErrTampered)
 	}
 	for i := 0; rp.err == nil && i < len(rp.ms); i++ {
-		if rp.err = rp.Verify(rp.ms[i]); rp.err != nil {
+		if rp.err = rp.check(rp.ms[i]); rp.err != nil {
 			rp.ms = rp.ms[:i]
+		} else {
+			rp.advance(rp.ms[i])
 		}
+	}
+	n, i := len(rp.ms), 0
+	if n == 0 {
+		return rp
+	}
+	valid := func(p []byte) bool { return validManifest(rp.Pub, rp.Name, p) }
+	if bad := firstInvalid(valid, n, rp.ms[n-1].payload, func() ([]byte, bool) { i++; return rp.ms[i-1].payload, true }); bad < n {
+		rp.err = fmt.Errorf("%w: manifest %d (epoch %d): signature invalid", ErrTampered, bad, rp.ms[bad].Epoch)
+		rp.ms = rp.ms[:bad]
 	}
 	return rp
 }
@@ -529,7 +546,8 @@ func (p *livePoint) proves(payload []byte, pub *ecdsa.PublicKey) bool {
 // livePos is the sidecar stream's position just past its last verified
 // manifest: the record's offset and payload hash bind it to one file, as
 // livePoint's do, and Epoch and Counter are the floor the next manifest must
-// pass. Count is how many manifests the set has verified.
+// pass, as the hash is the link it must name. Count is how many manifests the
+// set has verified.
 type livePos struct {
 	Offset, RecOff int64
 	RecHash        string
@@ -545,8 +563,7 @@ func (p *livePos) proves(payload []byte, name string, pub *ecdsa.PublicKey) bool
 		return false
 	}
 	m, err := parseManifest(payload)
-	return err == nil && m.Epoch == p.Epoch && m.Counter == p.Counter &&
-		(pub == nil || enclave.VerifySignature(pub, manifestDigest(name, m), m.Sig))
+	return err == nil && m.Epoch == p.Epoch && m.Counter == p.Counter && validManifest(pub, name, payload)
 }
 
 // NewLiveSet starts judging the streams of a set of shards, which start with
@@ -561,17 +578,20 @@ func NewLiveSet(name string, opts VerifyOptions, shards int, grace time.Duration
 // position of the last verified manifest when proof — the payload of the
 // record a feed says ends there — binds it to the file (the reader's Offset is
 // then that position), else from the head of the file. Once a manifest was
-// verified, the stream's next one must pass its epoch and counter.
+// verified, the stream's next one must pass its epoch and counter, and link to
+// the proved record, or to none from the head of the file.
 func (s *LiveSet) RestartManifests(proof []byte) *IncrementalManifestReader {
 	s.rp = manifestReplayer{Name: s.name, Pub: s.opts.Pub, Shards: len(s.shards)}
-	if s.sidecar.Count > 0 {
-		s.rp.Seed(s.sidecar.Epoch, s.sidecar.Counter)
-	}
 	r := newIncrementalManifestReader(s.manifest)
+	var head [32]byte
 	if s.cold = s.sidecar.Offset == 0 || !s.sidecar.proves(proof, s.name, s.opts.Pub); s.cold {
 		s.sidecar.Offset, s.sidecar.RecOff, s.sidecar.RecHash = 0, 0, ""
 	} else {
 		r.in.resumeAt(s.sidecar.Offset)
+		head = sha256.Sum256(proof)
+	}
+	if s.sidecar.Count > 0 {
+		s.rp.Seed(s.sidecar.Epoch, s.sidecar.Counter, head)
 	}
 	return r
 }
@@ -634,7 +654,7 @@ func (s *LiveSet) manifest(m *Manifest, rec record) error {
 			return err
 		}
 	}
-	s.sidecar = livePos{Offset: rec.end(), RecOff: rec.off, RecHash: hexDigest(rec.payload), Epoch: m.Epoch, Counter: m.Counter, Count: s.sidecar.Count + 1}
+	s.sidecar = livePos{Offset: rec.end(), RecOff: rec.off, RecHash: hexChain(s.rp.head), Epoch: m.Epoch, Counter: m.Counter, Count: s.sidecar.Count + 1}
 	return nil
 }
 
@@ -731,8 +751,9 @@ func (s *LiveSet) Report(r *Report) {
 }
 
 // liveStateVersion is LiveState's format. Version 1 was the mirror's own
-// state file, which held no waiting claims.
-const liveStateVersion = 2
+// state file, which held no waiting claims; version 2 followed a sidecar whose
+// manifests did not link.
+const liveStateVersion = 3
 
 // LiveState is what a LiveSet remembers (Snapshot), for its follower to
 // persist and a restarted follower to adopt (Restore): per shard the last

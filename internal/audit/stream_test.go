@@ -6,6 +6,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,7 +43,7 @@ func synthLog(t testing.TB, key *ecdsa.PrivateKey, n, batchMax int) []byte {
 // directory, beside a manifest sidecar holding the set's creation manifest
 // (every shard empty, the state each shard's commit points start from) and
 // then one manifest per state in attest, which attests shard 0 at it, each
-// signed with key. It returns the directory and the shard file's path. The
+// linked to the one before and signed with key. It returns the directory and the shard file's path. The
 // set driver wraps a shard's verdict in setErrPrefix.
 func synthSet(t testing.TB, key *ecdsa.PrivateKey, img []byte, attest ...ShardState) (dir, shard string) {
 	t.Helper()
@@ -60,16 +61,19 @@ func synthShards(t testing.TB, key *ecdsa.PrivateKey, imgs [][]byte, attest ...[
 	t.Helper()
 	dir = t.TempDir()
 	side := bytes.NewBuffer(bytes.Clone(manifestMagic))
+	var prev [32]byte
 	for i, states := range append([][]ShardState{make([]ShardState, len(imgs))}, attest...) {
-		m := &Manifest{Epoch: uint64(i) + 1, Shards: states}
+		m := &Manifest{Epoch: uint64(i) + 1, Prev: prev, Shards: states}
 		r, s, err := ecdsa.Sign(rand.Reader, key, manifestDigest("log", m))
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.Sig = enclave.Signature{R: r.Bytes(), S: s.Bytes()}
-		if _, err := writeRecords(side, []record{{typ: recManifest, payload: marshalManifest(m)}}); err != nil {
+		payload := marshalManifest(m)
+		if _, err := writeRecords(side, []record{{typ: recManifest, payload: payload}}); err != nil {
 			t.Fatal(err)
 		}
+		prev = sha256.Sum256(payload)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestFileName("log")), side.Bytes(), 0o644); err != nil {
 		t.Fatal(err)

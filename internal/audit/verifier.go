@@ -132,6 +132,9 @@ func validSig(pub *ecdsa.PublicKey, payload []byte) bool {
 	return err == nil && enclave.VerifySignature(pub, sigDigest(rec.chain, rec.counter, rec.prev), rec.sig)
 }
 
+// sigValid is validSig under the options' key, for firstInvalid.
+func (o *VerifyOptions) sigValid(payload []byte) bool { return validSig(o.Pub, payload) }
+
 // chainVerifier is the record-level core: the position in the two hash chains
 // and the checks that advance it. It is strict — the first error is final —
 // and knows nothing of framing, commit points or verdicts; a driver seeds it
@@ -557,7 +560,7 @@ func (m *merger) judge(b *batch) bool {
 	n := m.unchecked
 	var rr *recordReader
 	var off int64
-	bad := firstInvalid(m.opts.Pub, n, b.sig, func() ([]byte, bool) {
+	bad := firstInvalid(m.opts.sigValid, n, b.sig, func() ([]byte, bool) {
 		if rr == nil {
 			rr = &recordReader{r: io.NewSectionReader(m.src, m.checked, b.sigOff-m.checked), kind: &logStream, off: m.checked}
 		}
@@ -587,14 +590,15 @@ func (m *merger) judge(b *batch) bool {
 	return false
 }
 
-// firstInvalid is a driver's point of judgment over the n signature records
-// not yet vouched for, all of which passed the hash checks, last the payload
-// of the final one. It ECDSA-checks last, which vouches for the rest, and
-// returns n. If that does not hold it runs the locate pass — next yields the
-// others' payloads in stream order — and returns the index of the first
-// invalid one, or n-1 when they all hold or next runs dry.
-func firstInvalid(pub *ecdsa.PublicKey, n int, last []byte, next func() ([]byte, bool)) int {
-	if validSig(pub, last) {
+// firstInvalid is a driver's point of judgment over the n linked records —
+// a log's signature records, a sidecar's manifests — not yet vouched for, all
+// of which passed the hash checks, last the payload of the final one. It
+// ECDSA-checks last (valid), which vouches for the rest, and returns n. If
+// that does not hold it runs the locate pass — next yields the others'
+// payloads in stream order — and returns the index of the first invalid one,
+// or n-1 when they all hold or next runs dry.
+func firstInvalid(valid func([]byte) bool, n int, last []byte, next func() ([]byte, bool)) int {
+	if valid(last) {
 		return n
 	}
 	mVerifyLocates.Inc()
@@ -603,7 +607,7 @@ func firstInvalid(pub *ecdsa.PublicKey, n int, last []byte, next func() ([]byte,
 		if !ok {
 			break
 		}
-		if !validSig(pub, p) {
+		if !valid(p) {
 			return i
 		}
 	}
